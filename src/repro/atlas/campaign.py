@@ -14,14 +14,14 @@ and exposure dynamics they are supposed to witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..dns.resolver import ServerMap, resolve_bulk
 from ..obs import get_registry
 from ..workload.timeline import MeasurementWindow
-from .columnar import DnsRowRef
-from .probe import AtlasProbe
-from .results import DnsMeasurement, MeasurementStore
+from .columnar import CONTINENT_INDEX, DnsRowRef
+from .probe import AtlasProbe, outcome_fields
+from .results import MeasurementStore
 
 __all__ = ["DnsCampaign", "TracerouteCampaign"]
 
@@ -83,41 +83,56 @@ class DnsCampaign:
         """Fire a tick if due; returns the number of measurements taken."""
         if not self.due(now):
             return 0
-        for measurement in self.measure_slice(now):
-            self.store.add_dns(measurement)
+        self.measure_slice(now, self.store.add_dns_values)
         self.mark_fired(now)
         return len(self.probes)
 
     def measure_slice(
-        self, now: float, indices: Optional[Sequence[int]] = None
-    ) -> List[DnsMeasurement]:
-        """Measure a subset of probes (all by default) without recording.
+        self,
+        now: float,
+        emit: Callable[..., None],
+        indices: Optional[Sequence[int]] = None,
+    ) -> None:
+        """Measure a subset of probes (all by default), one ``emit`` per probe.
 
-        Sharded execution carves the probe set into index slices owned
-        by different workers; each worker measures only its slice and
-        the coordinator recombines them in probe order via
-        :meth:`absorb_tick`.  No store, grid or telemetry state is
-        touched here.
+        ``emit`` takes the arguments of
+        :meth:`~repro.atlas.columnar.DnsColumns.append_values`, so each
+        row lands column-to-column with no record object in between: a
+        serial tick passes its store's ``add_dns_values`` (which keeps
+        the time-order and seal checks), a shard worker a bare block's
+        ``append_values`` — its slice, which the coordinator recombines
+        in probe order via :meth:`absorb_tick`.  No grid or telemetry
+        state is touched here.
         """
         probes = (
-            list(self.probes) if indices is None
-            else [self.probes[i] for i in indices]
+            self.probes if indices is None else [self.probes[i] for i in indices]
         )
-        if not self.bulk:
-            return [probe.measure_dns(self.target, now) for probe in probes]
-        if self._server_map is None:
-            # All campaign probes are built from one estate server
-            # list, so a single shared map serves every chase.
-            self._server_map = ServerMap(self.probes[0].resolver.servers)
-        outcomes = resolve_bulk(
-            [(probe.resolver, probe.context(now)) for probe in probes],
-            self.target,
-            self._server_map,
-        )
-        return [
-            probe.measurement_from(self.target, now, outcome)
-            for probe, outcome in zip(probes, outcomes)
-        ]
+        target = self.target
+        if self.bulk:
+            if self._server_map is None:
+                # All campaign probes are built from one estate server
+                # list, so a single shared map serves every chase.
+                self._server_map = ServerMap(self.probes[0].resolver.servers)
+            outcomes = resolve_bulk(
+                [(probe.resolver, probe.context(now)) for probe in probes],
+                target,
+                self._server_map,
+            )
+        else:
+            outcomes = [probe.resolve_dns(target, now) for probe in probes]
+        for probe, outcome in zip(probes, outcomes):
+            rcode, chain, addresses = outcome_fields(target, outcome)
+            emit(
+                probe.probe_id,
+                now,
+                target,
+                probe.asn.number,
+                CONTINENT_INDEX[probe.continent],
+                probe.country,
+                rcode,
+                chain,
+                [address.value for address in addresses],
+            )
 
     def mark_fired(self, now: float, count_metrics: bool = True) -> None:
         """Advance the due grid after a tick fired at ``now``.

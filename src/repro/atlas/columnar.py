@@ -155,53 +155,76 @@ class DnsColumns:
 
     # ----- append -------------------------------------------------------
 
+    def append_values(
+        self,
+        probe_id: int,
+        timestamp: float,
+        target: str,
+        asn: int,
+        continent: int,
+        country: str,
+        rcode: str,
+        chain: tuple,
+        addresses: Sequence[int],
+    ) -> None:
+        """Append one row given as column values.
+
+        ``asn`` is the AS number, ``continent`` its :data:`CONTINENT_INDEX`
+        position and ``addresses`` the packed IPv4 ints — the forms the
+        columns store, so a producer that already holds them (a campaign
+        tick, another block's row) lands a row without building a
+        :class:`DnsMeasurement` first.
+        """
+        self._ensure_indexes()
+        self.times.append(timestamp)
+        self.probe_ids.append(probe_id)
+        self.asns.append(asn)
+        self.continents.append(continent)
+        self.target_ids.append(self._intern(self._target_index, self.targets, target))
+        self.country_ids.append(
+            self._intern(self._country_index, self.countries, country)
+        )
+        self.rcode_ids.append(self._intern(self._rcode_index, self.rcodes, rcode))
+        self.chain_ids.append(self._intern(self._chain_index, self.chains, chain))
+        self.addr_values.extend(addresses)
+        self.addr_offsets.append(len(self.addr_values))
+
+    @staticmethod
+    def values_of(measurement) -> tuple:
+        """A :class:`DnsMeasurement` as the argument tuple of :meth:`append_values`."""
+        return (
+            measurement.probe_id,
+            measurement.timestamp,
+            measurement.target,
+            measurement.probe_asn.number,
+            CONTINENT_INDEX[measurement.continent],
+            measurement.country,
+            measurement.rcode,
+            measurement.chain,
+            [address.value for address in measurement.addresses],
+        )
+
     def append(self, measurement) -> None:
         """Append one :class:`DnsMeasurement` as a columnar row."""
-        self._ensure_indexes()
-        self.times.append(measurement.timestamp)
-        self.probe_ids.append(measurement.probe_id)
-        self.asns.append(measurement.probe_asn.number)
-        self.continents.append(CONTINENT_INDEX[measurement.continent])
-        self.target_ids.append(
-            self._intern(self._target_index, self.targets, measurement.target)
+        self.append_values(*self.values_of(measurement))
+
+    def row_values(self, row: int) -> tuple:
+        """Row ``row`` as the argument tuple of :meth:`append_values`."""
+        return (
+            self.probe_ids[row],
+            self.times[row],
+            self.targets[self.target_ids[row]],
+            self.asns[row],
+            self.continents[row],
+            self.countries[self.country_ids[row]],
+            self.rcodes[self.rcode_ids[row]],
+            self.chains[self.chain_ids[row]],
+            self.addr_values[self.addr_offsets[row] : self.addr_offsets[row + 1]],
         )
-        self.country_ids.append(
-            self._intern(self._country_index, self.countries, measurement.country)
-        )
-        self.rcode_ids.append(
-            self._intern(self._rcode_index, self.rcodes, measurement.rcode)
-        )
-        self.chain_ids.append(
-            self._intern(self._chain_index, self.chains, measurement.chain)
-        )
-        for address in measurement.addresses:
-            self.addr_values.append(address.value)
-        self.addr_offsets.append(len(self.addr_values))
 
     def append_row_from(self, other: "DnsColumns", row: int) -> None:
         """Copy one row out of ``other`` without building an object."""
-        self._ensure_indexes()
-        self.times.append(other.times[row])
-        self.probe_ids.append(other.probe_ids[row])
-        self.asns.append(other.asns[row])
-        self.continents.append(other.continents[row])
-        self.target_ids.append(
-            self._intern(self._target_index, self.targets, other.targets[other.target_ids[row]])
-        )
-        self.country_ids.append(
-            self._intern(
-                self._country_index, self.countries, other.countries[other.country_ids[row]]
-            )
-        )
-        self.rcode_ids.append(
-            self._intern(self._rcode_index, self.rcodes, other.rcodes[other.rcode_ids[row]])
-        )
-        self.chain_ids.append(
-            self._intern(self._chain_index, self.chains, other.chains[other.chain_ids[row]])
-        )
-        for position in range(other.addr_offsets[row], other.addr_offsets[row + 1]):
-            self.addr_values.append(other.addr_values[position])
-        self.addr_offsets.append(len(self.addr_values))
+        self.append_values(*other.row_values(row))
 
     @classmethod
     def from_measurements(cls, measurements: Sequence) -> "DnsColumns":

@@ -21,7 +21,19 @@ from ..net.ipv4 import IPv4Address
 from ..net.locode import Location
 from .results import DnsMeasurement
 
-__all__ = ["AtlasProbe"]
+__all__ = ["AtlasProbe", "outcome_fields"]
+
+
+def outcome_fields(target: str, outcome) -> tuple[str, tuple, tuple]:
+    """What a measurement records of one outcome: (rcode, chain, addresses).
+
+    ``outcome`` is a completed :class:`~repro.dns.resolver.Resolution`
+    or the :class:`~repro.dns.resolver.ResolutionError` the chase died
+    with, which is recorded as SERVFAIL on the bare target.
+    """
+    if isinstance(outcome, ResolutionError):
+        return RCode.SERVFAIL.name, (target,), ()
+    return outcome.rcode.name, outcome.chain_names, outcome.addresses
 
 
 @dataclass
@@ -78,36 +90,30 @@ class AtlasProbe:
             now=now,
         )
 
+    def resolve_dns(self, target: str, now: float):
+        """Resolve ``target`` now; a failed chase is returned, not raised.
+
+        A probe in the field reports what it saw, so the
+        :class:`~repro.dns.resolver.ResolutionError` a chase died with
+        is an outcome like any other — the same two shapes
+        :func:`~repro.dns.resolver.resolve_bulk` returns.
+        """
+        try:
+            return self.resolver.resolve(target, self.context(now))
+        except ResolutionError as exc:
+            return exc
+
     def measure_dns(self, target: str, now: float) -> DnsMeasurement:
         """Perform one DNS measurement, RIPE-Atlas style.
 
         Resolution failures are recorded as results with an error
-        rcode, not raised — a probe in the field reports what it saw.
+        rcode, not raised.
         """
-        try:
-            outcome = self.resolver.resolve(target, self.context(now))
-        except ResolutionError as exc:
-            outcome = exc
-        return self.measurement_from(target, now, outcome)
+        return self.measurement_from(target, now, self.resolve_dns(target, now))
 
     def measurement_from(self, target: str, now: float, outcome) -> DnsMeasurement:
-        """Wrap a resolution outcome as the measurement record.
-
-        ``outcome`` is either a completed
-        :class:`~repro.dns.resolver.Resolution` or the
-        :class:`~repro.dns.resolver.ResolutionError` the chase died
-        with — the two shapes :func:`~repro.dns.resolver.resolve_bulk`
-        returns, so bulk campaign ticks produce records identical to
-        the per-probe path.
-        """
-        if isinstance(outcome, ResolutionError):
-            rcode = RCode.SERVFAIL.name
-            chain: tuple = (target,)
-            addresses: tuple = ()
-        else:
-            rcode = outcome.rcode.name
-            chain = outcome.chain_names
-            addresses = outcome.addresses
+        """Wrap a resolution outcome as the measurement record."""
+        rcode, chain, addresses = outcome_fields(target, outcome)
         return DnsMeasurement(
             probe_id=self.probe_id,
             timestamp=now,

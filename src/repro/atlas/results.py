@@ -249,20 +249,7 @@ class MeasurementStore:
 
     def add_dns(self, measurement: DnsMeasurement) -> None:
         """Record a DNS measurement (must be appended in time order)."""
-        timestamp = measurement.timestamp
-        if self._last_time is not None and timestamp < self._last_time:
-            raise ValueError("measurements must be appended in time order")
-        self._open.append(measurement)
-        self._last_time = timestamp
-        self._dns_count += 1
-        if measurement.addresses:
-            before = len(self._unique_values)
-            for address in measurement.addresses:
-                self._unique_values.add(address.value)
-            if len(self._unique_values) != before:
-                self._unique_frozen = None
-        if len(self._open) >= self._segment_rows:
-            self._seal_open()
+        self.add_dns_values(*DnsColumns.values_of(measurement))
 
     def add_dns_row(self, columns: DnsColumns, row: int) -> None:
         """Record one columnar row directly (no object reconstruction).
@@ -271,17 +258,42 @@ class MeasurementStore:
         through this: rows travel between processes as typed columns
         and land in the store column-to-column.
         """
-        timestamp = columns.times[row]
+        self.add_dns_values(*columns.row_values(row))
+
+    def add_dns_values(
+        self,
+        probe_id: int,
+        timestamp: float,
+        target: str,
+        asn: int,
+        continent: int,
+        country: str,
+        rcode: str,
+        chain: tuple,
+        addresses: Sequence[int],
+    ) -> None:
+        """Record one DNS measurement given as column values.
+
+        The one append path: :meth:`add_dns` and :meth:`add_dns_row`
+        unpack into it and a campaign tick calls it directly with what
+        the resolution produced.  Arguments are those of
+        :meth:`DnsColumns.append_values`; rows must arrive in time
+        order.
+        """
         if self._last_time is not None and timestamp < self._last_time:
             raise ValueError("measurements must be appended in time order")
-        self._open.append_row_from(columns, row)
+        self._open.append_values(
+            probe_id, timestamp, target, asn, continent, country, rcode, chain,
+            addresses,
+        )
         self._last_time = timestamp
         self._dns_count += 1
-        before = len(self._unique_values)
-        for position in range(columns.addr_offsets[row], columns.addr_offsets[row + 1]):
-            self._unique_values.add(columns.addr_values[position])
-        if len(self._unique_values) != before:
-            self._unique_frozen = None
+        if len(addresses):
+            unique = self._unique_values
+            before = len(unique)
+            unique.update(addresses)
+            if len(unique) != before:
+                self._unique_frozen = None
         if len(self._open) >= self._segment_rows:
             self._seal_open()
 

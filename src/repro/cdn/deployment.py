@@ -114,6 +114,10 @@ class CdnDeployment:
     Apple's own CDN (its observed IP count did not react to the event).
     """
 
+    #: Answer pools remembered (one per vantage and active count) before
+    #: the pool and ranking memos are emptied and refilled.
+    POOL_MEMO_BOUND = 16384
+
     def __init__(
         self,
         operator: str,
@@ -131,10 +135,15 @@ class CdnDeployment:
         self._exposure_factory = exposure_factory
         self._exposure: dict[MappingRegion, ExposureController] = {}
         self.pool_limit = pool_limit  # max addresses per answer pool; 0 = all
-        # Distance rankings are immutable per (region, client metro,
-        # active count); campaigns re-query from fixed probe locations
-        # thousands of times, so this memo is the resolution hot path.
-        self._ranking_memo: dict[tuple, list[IPv4Address]] = {}
+        # The resolution hot path, memoised at two levels (both emptied
+        # by add_server, the only thing that changes a placement):
+        # a region's placements ranked by (distance, hostname) once per
+        # vantage, each entry carrying its exposure index, and the
+        # answer pool per (vantage, active count) — the ranking filtered
+        # on exposure index, so a moving active count never re-sorts.
+        self._vantage_ranking: dict[tuple, list[tuple[int, IPv4Address]]] = {}
+        self._pool_memo: dict[tuple, tuple[IPv4Address, ...]] = {}
+        self._active_memo: dict[tuple, tuple[PlacedServer, ...]] = {}
         # Flat third-party delivery telemetry (same families the Apple
         # hierarchy uses, with layer="edge").
         registry = get_registry()
@@ -160,7 +169,9 @@ class CdnDeployment:
         self._by_region[region].append(placed)
         # Deterministic exposure order regardless of insertion order.
         self._by_region[region].sort(key=lambda p: p.server.hostname)
-        self._ranking_memo.clear()
+        self._vantage_ranking.clear()
+        self._pool_memo.clear()
+        self._active_memo.clear()
         return placed
 
     def add_servers(self, placements: Iterable[tuple[CacheServer, Location]]) -> None:
@@ -236,14 +247,21 @@ class CdnDeployment:
         if controller is not None:
             controller.offer(now, gbps)
 
+    def _active_count(self, region: MappingRegion) -> int:
+        """How many of ``region``'s placements are exposed right now."""
+        size = len(self._by_region[region])
+        controller = self._controller(region)
+        return size if controller is None else controller.active_count(size)
+
     def active_servers(self, region: MappingRegion) -> tuple[PlacedServer, ...]:
         """The exposed subset for ``region`` under current demand."""
-        placements = self._by_region[region]
-        controller = self._controller(region)
-        if controller is None:
-            return tuple(placements)
-        count = controller.active_count(len(placements))
-        return tuple(placements[:count])
+        count = self._active_count(region)
+        active = self._active_memo.get((region, count))
+        if active is None:
+            active = self._active_memo[(region, count)] = tuple(
+                self._by_region[region][:count]
+            )
+        return active
 
     def active_capacity_gbps(self, region: MappingRegion) -> float:
         """Capacity of the currently exposed servers in ``region``."""
@@ -255,7 +273,7 @@ class CdnDeployment:
 
     # ----- DNS answer pools --------------------------------------------
 
-    def pool_for(self, context: QueryContext) -> list[IPv4Address]:
+    def pool_for(self, context: QueryContext) -> tuple[IPv4Address, ...]:
         """The candidate addresses a GSLB should answer with.
 
         Active servers in the client's region, nearest metro first; the
@@ -263,28 +281,46 @@ class CdnDeployment:
         is the ``pool`` callable plugged into
         :class:`repro.dns.policies.GslbAddressPolicy`.
         """
-        active = self.active_servers(context.region)
-        memo_key = (
-            context.region,
-            len(active),
-            round(context.coordinates.latitude, 2),
-            round(context.coordinates.longitude, 2),
-        )
-        cached = self._ranking_memo.get(memo_key)
-        if cached is not None:
-            return cached
-        ranked = sorted(
-            active,
-            key=lambda placed: (
-                great_circle_km(context.coordinates, placed.location.coordinates),
-                placed.server.hostname,
-            ),
-        )
+        region = context.region
+        count = self._active_count(region)
+        vantage = (region, context.coordinates)
+        pool = self._pool_memo.get((vantage, count))
+        if pool is None:
+            if len(self._pool_memo) >= self.POOL_MEMO_BOUND:
+                self._pool_memo.clear()
+                self._vantage_ranking.clear()
+            pool = self._pool_memo[(vantage, count)] = self._ranked_pool(
+                vantage, count
+            )
+        return pool
+
+    def _ranked_pool(self, vantage: tuple, count: int) -> tuple[IPv4Address, ...]:
+        """The ``count`` first-exposed servers, nearest ``vantage`` first.
+
+        Exposure order is hostname order, so the active set is exactly
+        the placements with exposure index below ``count``; filtering
+        the vantage's full ranking on that index gives what sorting the
+        active set from scratch would.
+        """
+        ranking = self._vantage_ranking.get(vantage)
+        if ranking is None:
+            region, coordinates = vantage
+            ranking = self._vantage_ranking[vantage] = [
+                (index, address)
+                for _, _, index, address in sorted(
+                    (
+                        great_circle_km(coordinates, placed.location.coordinates),
+                        placed.server.hostname,
+                        index,
+                        placed.server.address,
+                    )
+                    for index, placed in enumerate(self._by_region[region])
+                )
+            ]
+        pool = [address for index, address in ranking if index < count]
         if self.pool_limit > 0:
-            ranked = ranked[: self.pool_limit]
-        addresses = [placed.server.address for placed in ranked]
-        self._ranking_memo[memo_key] = addresses
-        return addresses
+            del pool[self.pool_limit :]
+        return tuple(pool)
 
     def __len__(self) -> int:
         return len(self._servers)

@@ -56,7 +56,7 @@ def stable_fraction(*parts: object) -> float:
     stable across processes, unlike Python's salted ``hash``.
     """
     digest = hashlib.blake2b(
-        "|".join(str(part) for part in parts).encode(), digest_size=8
+        "|".join(map(str, parts)).encode(), digest_size=8
     ).digest()
     return int.from_bytes(digest, "big") / float(1 << 64)
 
@@ -215,16 +215,21 @@ class GslbAddressPolicy:
     salt: str = ""
 
     def answer(self, name: str, context: QueryContext) -> tuple[ResourceRecord, ...]:
-        candidates = list(self.pool(context))
-        if not candidates:
+        # The pool is read in place: deployments hand out their memoised
+        # ranking, and copying it per query costs more than the answer.
+        candidates = self.pool(context)
+        size = len(candidates)
+        if not size:
             return ()
-        bucket = int(context.now // self.ttl) if self.ttl > 0 else 0
-        offset = int(
-            stable_fraction(name, context.client, bucket, self.salt) * len(candidates)
+        ttl = self.ttl
+        bucket = int(context.now // ttl) if ttl > 0 else 0
+        offset = int(stable_fraction(name, context.client, bucket, self.salt) * size)
+        return tuple(
+            [
+                ARecord(name, candidates[(offset + index) % size], ttl)
+                for index in range(min(self.answer_count, size))
+            ]
         )
-        count = min(self.answer_count, len(candidates))
-        chosen = [candidates[(offset + index) % len(candidates)] for index in range(count)]
-        return tuple(ARecord(name, address, self.ttl) for address in chosen)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 from ..net.geo import Continent, Coordinates, MappingRegion
@@ -35,11 +36,15 @@ class QueryContext:
     continent: Continent
     country: str
     now: float = 0.0
+    #: The Apple mapping region (us/eu/apac) for this client.  Derived
+    #: from ``continent`` once at construction: every policy along the
+    #: chain reads it, several times per hop.
+    region: MappingRegion = field(init=False, repr=False, compare=False)
 
-    @property
-    def region(self) -> MappingRegion:
-        """The Apple mapping region (us/eu/apac) for this client."""
-        return MappingRegion.for_continent(self.continent)
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "region", MappingRegion.for_continent(self.continent)
+        )
 
 
 class RCode(Enum):
@@ -63,6 +68,20 @@ class Question:
 
     def __str__(self) -> str:
         return f"{self.name} {self.rtype}"
+
+    @staticmethod
+    def of(name: str, rtype: RecordType = RecordType.A) -> "Question":
+        """The shared :class:`Question` for ``(name, rtype)``.
+
+        A chase asks the same few chain names once per hop per client;
+        questions are immutable, so the hot paths share one object per
+        distinct value instead of normalising a fresh one each time.
+        A malformed name raises on every call (errors are not cached).
+        """
+        return _intern_question(name, rtype)
+
+
+_intern_question = lru_cache(maxsize=4096)(Question)
 
 
 @dataclass(frozen=True)

@@ -129,13 +129,24 @@ class ResourceRecord:
 
 
 def ARecord(name: str, address: IPv4Address, ttl: int) -> ResourceRecord:
-    """Convenience constructor for an A record."""
-    return ResourceRecord(name=name, rtype=RecordType.A, ttl=ttl, data=address)
+    """Convenience constructor for an A record (interned, see below)."""
+    return _intern_record(name, RecordType.A, ttl, address)
 
 
 def CnameRecord(name: str, target: str, ttl: int) -> ResourceRecord:
-    """Convenience constructor for a CNAME record."""
-    return ResourceRecord(name=name, rtype=RecordType.CNAME, ttl=ttl, data=target)
+    """Convenience constructor for a CNAME record (interned, see below)."""
+    return _intern_record(name, RecordType.CNAME, ttl, target)
+
+
+# The replay builds one record per answer per hop (~1 300 per engine
+# step) out of a few thousand distinct values, so the two constructors
+# above intern: equal arguments return the same immutable object and
+# validation runs once per distinct value.  ``typed=True`` keeps
+# ``ttl=15`` and ``ttl=15.0`` apart (they hash alike but the records
+# differ in field type); a raising call is never cached, so bad input
+# raises every time.  The bound is several times the ~1 350 distinct
+# records of a full Sep 17-21 replay, at roughly 0.5 KB per entry.
+_intern_record = lru_cache(maxsize=8192, typed=True)(ResourceRecord)
 
 
 def PtrRecord(name: str, target: str, ttl: int) -> ResourceRecord:

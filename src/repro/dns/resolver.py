@@ -13,7 +13,8 @@ whole Figure 2 chain.  :class:`RecursiveResolver` reproduces that walk:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..net.ipv4 import IPv4Address, IPv4Prefix
@@ -61,32 +62,44 @@ class Resolution:
     steps: tuple[ResolutionStep, ...]
     rcode: RCode = RCode.NOERROR
 
-    @property
+    # The three chain views walk ``steps`` once per object, not once
+    # per access: a measurement reads ``chain_names`` and ``addresses``
+    # back to back and ``succeeded()`` reads ``addresses`` again.
+    # (``cached_property`` writes the instance ``__dict__`` directly, so
+    # it works on a frozen dataclass; equality still compares fields.)
+
+    @cached_property
     def addresses(self) -> tuple[IPv4Address, ...]:
         """The resolved cache-server addresses."""
-        found: list[IPv4Address] = []
-        for step in self.steps:
-            for record in step.records:
-                if record.rtype is RecordType.A:
-                    found.append(record.address)
-        return tuple(found)
+        return tuple(
+            [
+                record.data
+                for step in self.steps
+                for record in step.records
+                if record.rtype is RecordType.A
+            ]
+        )
 
-    @property
+    @cached_property
     def cname_chain(self) -> tuple[ResourceRecord, ...]:
         """Every CNAME record followed, in order."""
-        chain: list[ResourceRecord] = []
-        for step in self.steps:
-            for record in step.records:
-                if record.rtype is RecordType.CNAME:
-                    chain.append(record)
-        return tuple(chain)
+        return tuple(
+            [
+                record
+                for step in self.steps
+                for record in step.records
+                if record.rtype is RecordType.CNAME
+            ]
+        )
 
-    @property
+    @cached_property
     def chain_names(self) -> tuple[str, ...]:
         """All names visited, starting with the question name."""
         names = [self.question.name]
-        for record in self.cname_chain:
-            names.append(record.target)
+        for step in self.steps:
+            for record in step.records:
+                if record.rtype is RecordType.CNAME:
+                    names.append(record.data)
         return tuple(names)
 
     @property
@@ -111,11 +124,29 @@ class Resolution:
         )
 
 
-@dataclass
 class _CacheEntry:
-    records: tuple[ResourceRecord, ...]
-    operator: str
-    expires_at: float
+    """One cached hop: the step as first answered, and when it expires.
+
+    ``cached_step`` is the same hop marked ``from_cache``; it is built
+    on the first hit and shared by every later one (the 21600 s entry
+    hop is served from cache ~70 times per fill).
+    """
+
+    __slots__ = ("step", "expires_at", "_cached_step")
+
+    def __init__(self, step: ResolutionStep, expires_at: float) -> None:
+        self.step = step
+        self.expires_at = expires_at
+        self._cached_step: Optional[ResolutionStep] = None
+
+    def cached_step(self) -> ResolutionStep:
+        step = self._cached_step
+        if step is None:
+            fresh = self.step
+            step = self._cached_step = ResolutionStep(
+                fresh.name, fresh.operator, fresh.records, True
+            )
+        return step
 
 
 @dataclass(frozen=True)
@@ -265,32 +296,10 @@ class RecursiveResolver:
         :class:`ResolutionError` on a redirect loop or when no server is
         authoritative for a name in the chain.
         """
-        question = Question(normalize_name(name))
-        steps: list[ResolutionStep] = []
-        current = question.name
-        seen = {current}
-
-        for _ in range(_MAX_CHAIN):
-            step = self._query_one(current, context)
-            steps.append(step)
-            a_records = [r for r in step.records if r.rtype is RecordType.A]
-            cnames = [r for r in step.records if r.rtype is RecordType.CNAME]
-            if a_records:
-                self._m_resolutions.inc()
-                self._m_chain_length.observe(len(steps))
-                return Resolution(question=question, steps=tuple(steps))
-            if not cnames:
-                # Dead end: NODATA / NXDOMAIN at this link of the chain.
-                self._m_resolutions.inc()
-                self._m_chain_length.observe(len(steps))
-                return Resolution(
-                    question=question, steps=tuple(steps), rcode=RCode.NXDOMAIN
-                )
-            current = cnames[0].target
-            if current in seen:
-                raise ResolutionError(f"CNAME loop at {current!r}")
-            seen.add(current)
-        raise ResolutionError(f"chain longer than {_MAX_CHAIN} for {question.name!r}")
+        outcome = resolve_bulk(((self, context),), name)[0]
+        if isinstance(outcome, ResolutionError):
+            raise outcome
+        return outcome
 
     def cache_key(self, name: str, context: QueryContext):
         """The cache key for ``name`` asked from ``context``.
@@ -313,21 +322,18 @@ class RecursiveResolver:
         context: QueryContext,
         locate: Optional[Callable[[str], "tuple[Optional[AuthoritativeServer], Optional[Zone]]"]] = None,
     ) -> ResolutionStep:
+        now = context.now
+        key = None
         if self._cache_enabled:
-            if context.now > self._horizon:
-                self._horizon = context.now
+            if now > self._horizon:
+                self._horizon = now
             key = self.cache_key(name, context)
             entry = self._cache.get(key)
             if entry is not None:
-                if entry.expires_at > context.now:
+                if entry.expires_at > now:
                     self._hits += 1
                     self._m_cache_hits.inc()
-                    return ResolutionStep(
-                        name=name,
-                        operator=entry.operator,
-                        records=entry.records,
-                        from_cache=True,
-                    )
+                    return entry.cached_step()
                 # TTL expired: drop the stale entry and fall through.
                 del self._cache[key]
                 self._evictions += 1
@@ -347,9 +353,9 @@ class RecursiveResolver:
         if self._wire_mode:
             response = self._query_wire(server, name, context)
         elif zone is not None:
-            response = server.query_in_zone(zone, Question(name), context)
+            response = server.query_in_zone(zone, Question.of(name), context)
         else:
-            response = server.query(Question(name), context)
+            response = server.query(Question.of(name), context)
         if response.rcode is RCode.REFUSED:
             raise ResolutionError(
                 f"{server.operator} refused {name!r} despite zone match"
@@ -358,19 +364,19 @@ class RecursiveResolver:
         self._m_queries.labels(server.operator).inc()
         if records:
             self._m_answers.labels(server.operator).inc(len(records))
+        step = ResolutionStep(name, server.operator, records)
         if self._cache_enabled and records:
-            ttl = min(record.ttl for record in records)
-            self._cache[self.cache_key(name, context)] = _CacheEntry(
-                records=records,
-                operator=server.operator,
-                expires_at=context.now + ttl,
-            )
+            ttl = records[0].ttl
+            for record in records:
+                if record.ttl < ttl:
+                    ttl = record.ttl
+            self._cache[key] = _CacheEntry(step, now + ttl)
             if (
                 self._cache_capacity is not None
                 and len(self._cache) > self._cache_capacity
             ):
-                self._enforce_capacity(context.now)
-        return ResolutionStep(name=name, operator=server.operator, records=records)
+                self._enforce_capacity(now)
+        return step
 
     def _enforce_capacity(self, now: float) -> None:
         """Shrink to capacity: expired entries first, then soonest-to-expire.
@@ -509,16 +515,20 @@ class ServerMap:
         return located
 
 
-@dataclass
-class _BulkChase:
-    """One client's in-flight state during a bulk resolution."""
+class _Chase:
+    """One client's in-flight state during a chase."""
 
-    index: int
-    resolver: RecursiveResolver
-    context: QueryContext
-    current: str
-    steps: List[ResolutionStep] = field(default_factory=list)
-    seen: set = field(default_factory=set)
+    __slots__ = ("index", "resolver", "context", "current", "steps", "seen")
+
+    def __init__(
+        self, index: int, resolver: RecursiveResolver, context: QueryContext, qname: str
+    ) -> None:
+        self.index = index
+        self.resolver = resolver
+        self.context = context
+        self.current = qname
+        self.steps: List[ResolutionStep] = []
+        self.seen = {qname}
 
 
 def resolve_bulk(
@@ -528,38 +538,36 @@ def resolve_bulk(
 ) -> List[Union[Resolution, ResolutionError]]:
     """Resolve ``name`` for many clients in one level-synchronous sweep.
 
-    This is the vectorised form of calling ``resolver.resolve(name,
-    context)`` once per client: all chases advance one CNAME hop per
-    round, so the authoritative (server, zone) for each distinct chain
-    name is located once per round via ``server_map`` instead of once
-    per client.  Per-client semantics — TTL caches, metrics, rcodes,
-    loop detection, chain-length limits — are exactly those of
-    :meth:`RecursiveResolver.resolve`; the resolutions returned are
-    value-identical to the serial ones.
+    This is the one chase implementation: all chases advance one CNAME
+    hop per round, each following CNAMEs until A records (or a dead
+    end) appear, and :meth:`RecursiveResolver.resolve` is the
+    one-client call of it.  With a ``server_map`` the authoritative
+    (server, zone) for each distinct chain name is located once instead
+    of once per client.  TTL caches, metrics, rcodes, loop detection
+    and the chain-length limit are per client.
 
-    Failures that :meth:`RecursiveResolver.resolve` would raise are
-    returned in-place as :class:`ResolutionError` instances so one bad
-    vantage cannot abort a whole campaign tick (callers translate them
-    into SERVFAIL measurements, as the per-probe path does).
+    Failures that :meth:`RecursiveResolver.resolve` raises are returned
+    in-place as :class:`ResolutionError` instances so one bad vantage
+    cannot abort a whole campaign tick (callers translate them into
+    SERVFAIL measurements, as the per-probe path does).
 
     All clients must share one server universe when ``server_map`` is
     given; campaigns satisfy this by building every probe resolver from
     the same estate server list.
     """
     qname = normalize_name(name)
-    question = Question(qname)
+    question = Question.of(qname)
     outcomes: List[Union[Resolution, ResolutionError]] = [None] * len(clients)  # type: ignore[list-item]
-    active: List[_BulkChase] = []
-    for index, (resolver, context) in enumerate(clients):
-        chase = _BulkChase(index, resolver, context, qname)
-        chase.seen.add(qname)
-        active.append(chase)
-
+    active = [
+        _Chase(index, resolver, context, qname)
+        for index, (resolver, context) in enumerate(clients)
+    ]
     locate = server_map.locate if server_map is not None else None
+    a_type, cname_type = RecordType.A, RecordType.CNAME
     for _ in range(_MAX_CHAIN):
         if not active:
             break
-        still_active: List[_BulkChase] = []
+        still_active: List[_Chase] = []
         for chase in active:
             resolver = chase.resolver
             try:
@@ -567,32 +575,34 @@ def resolve_bulk(
             except ResolutionError as exc:
                 outcomes[chase.index] = exc
                 continue
-            chase.steps.append(step)
-            a_records = [r for r in step.records if r.rtype is RecordType.A]
-            cnames = [r for r in step.records if r.rtype is RecordType.CNAME]
-            if a_records:
+            steps = chase.steps
+            steps.append(step)
+            # One pass over the hop: any A record completes the chase,
+            # otherwise the first CNAME redirects it.
+            answered = False
+            target: Optional[str] = None
+            for record in step.records:
+                rtype = record.rtype
+                if rtype is a_type:
+                    answered = True
+                    break
+                if target is None and rtype is cname_type:
+                    target = record.data  # type: ignore[assignment]
+            if answered or target is None:
+                # ``target is None``: NODATA / NXDOMAIN at this link.
                 resolver._m_resolutions.inc()
-                resolver._m_chain_length.observe(len(chase.steps))
+                resolver._m_chain_length.observe(len(steps))
                 outcomes[chase.index] = Resolution(
-                    question=question, steps=tuple(chase.steps)
+                    question,
+                    tuple(steps),
+                    RCode.NOERROR if answered else RCode.NXDOMAIN,
                 )
                 continue
-            if not cnames:
-                resolver._m_resolutions.inc()
-                resolver._m_chain_length.observe(len(chase.steps))
-                outcomes[chase.index] = Resolution(
-                    question=question,
-                    steps=tuple(chase.steps),
-                    rcode=RCode.NXDOMAIN,
-                )
+            if target in chase.seen:
+                outcomes[chase.index] = ResolutionError(f"CNAME loop at {target!r}")
                 continue
-            chase.current = cnames[0].target
-            if chase.current in chase.seen:
-                outcomes[chase.index] = ResolutionError(
-                    f"CNAME loop at {chase.current!r}"
-                )
-                continue
-            chase.seen.add(chase.current)
+            chase.seen.add(target)
+            chase.current = target
             still_active.append(chase)
         active = still_active
     for chase in active:

@@ -99,8 +99,20 @@ class BgpRib:
     longer silently replaces the previous announcement.
     """
 
+    #: Distinct addresses the longest-prefix memo holds before it is
+    #: emptied and refilled.  A run asks about a few hundred cache
+    #: addresses; the bound only matters to a caller sweeping an
+    #: address range, and keeps it to a few MB.
+    LPM_MEMO_BOUND = 32768
+
     def __init__(self) -> None:
         self._trie: PrefixTrie[tuple[BgpRoute, ...]] = PrefixTrie()
+        # address value -> lookup_all() result.  Traffic generation and
+        # flow classification ask about the same few hundred sources
+        # hundreds of thousands of times; every install/withdraw that
+        # changes the table empties the memo, so an answer never
+        # outlives the table it was computed from.
+        self._lpm_memo: dict[int, tuple[BgpRoute, ...]] = {}
 
     def install(self, route: BgpRoute) -> None:
         """Announce ``route``, adding it to its prefix's candidate set.
@@ -114,6 +126,7 @@ class BgpRib:
             return
         candidates = tuple(sorted(existing + (route,), key=route_preference))
         self._trie.insert(route.prefix, candidates)
+        self._lpm_memo.clear()
 
     def withdraw(self, route: BgpRoute) -> bool:
         """Withdraw one previously announced route.
@@ -127,6 +140,7 @@ class BgpRib:
             return False
         remaining = tuple(r for r in existing if r != route)
         self._trie.insert(route.prefix, remaining)
+        self._lpm_memo.clear()
         return True
 
     def candidates(self, prefix: IPv4Prefix) -> tuple[BgpRoute, ...]:
@@ -144,6 +158,17 @@ class BgpRib:
         Prefixes whose candidates were all withdrawn are transparent:
         the next-longest covering prefix answers.
         """
+        memo = self._lpm_memo
+        found = memo.get(address.value)
+        if found is None:
+            found = self._walk(address)
+            if len(memo) >= self.LPM_MEMO_BOUND:
+                memo.clear()
+            memo[address.value] = found
+        return found
+
+    def _walk(self, address: IPv4Address) -> tuple[BgpRoute, ...]:
+        """The memo-free trie walk behind :meth:`lookup_all`."""
         # Walk covering prefixes longest-first: take the longest match,
         # and if its candidate set is empty (fully withdrawn) retry
         # strictly above it.

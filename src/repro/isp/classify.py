@@ -74,18 +74,37 @@ class TrafficClassifier:
         self._rib = rib
         self._operator_of = operator_of
 
-    def classify(self, flow: FlowRecord) -> ClassifiedFlow:
-        """Attribute one flow record."""
-        return ClassifiedFlow(
-            flow=flow,
-            source_asn=self._rib.origin_asn(flow.src),
-            handover_asn=self._isp.handover_for(flow.link_id),
-            operator=self._operator_of(flow.src),
+    def _attribute(
+        self, src: IPv4Address, link_id: str
+    ) -> tuple[Optional[ASN], ASN, Optional[str]]:
+        """(Source AS, handover AS, operator) of traffic from ``src`` on a link."""
+        return (
+            self._rib.origin_asn(src),
+            self._isp.handover_for(link_id),
+            self._operator_of(src),
         )
 
+    def classify(self, flow: FlowRecord) -> ClassifiedFlow:
+        """Attribute one flow record."""
+        return ClassifiedFlow(flow, *self._attribute(flow.src, flow.link_id))
+
     def classify_all(self, flows: Iterable[FlowRecord]) -> Iterator[ClassifiedFlow]:
-        """Attribute a stream of flow records."""
-        return (self.classify(flow) for flow in flows)
+        """Attribute a stream of flow records.
+
+        The attribution depends only on the source address and the
+        ingress link, and a flow log holds a few hundred distinct pairs
+        under hundreds of thousands of records — so it is worked out
+        once per pair and stamped on each of the pair's flows.  The
+        per-pair table lives for this one pass only.
+        """
+        attributions: dict[tuple[int, str], tuple] = {}
+        for flow in flows:
+            src = flow.src
+            key = (src.value, flow.link_id)
+            attribution = attributions.get(key)
+            if attribution is None:
+                attribution = attributions[key] = self._attribute(src, flow.link_id)
+            yield ClassifiedFlow(flow, *attribution)
 
     def update_traffic(
         self, flows: Iterable[FlowRecord]

@@ -168,7 +168,7 @@ class AsyncDnsClient:
         # remote parent the server's span attaches under.
         self._tracer = tracer if tracer is not None else get_tracer()
         self._protocol: Optional[_DnsClientProtocol] = None
-        self._ids = itertools.count(1)
+        self._last_id = 0
         # Plain mirrors of the registry counters so reports work under
         # the null registry too.
         self.queries_sent = 0
@@ -222,7 +222,19 @@ class AsyncDnsClient:
         self._protocol = None
 
     def _next_id(self) -> int:
-        return next(self._ids) & 0xFFFF or 1
+        """The next free DNS message id.
+
+        Ids cycle over 1..65535 (0 is never used) and an id whose
+        waiter is still registered is skipped, so two in-flight lookups
+        on this client can never share one — a response could
+        otherwise complete the wrong waiter.
+        """
+        in_flight = self._protocol.waiters if self._protocol is not None else ()
+        for _ in range(0xFFFF):
+            self._last_id = self._last_id % 0xFFFF + 1
+            if self._last_id not in in_flight:
+                return self._last_id
+        raise DnsClientError("all 65535 message ids are in flight")
 
     async def query(self, name: str, client: IPv4Address,
                     rtype: RecordType = RecordType.A) -> WireMessage:

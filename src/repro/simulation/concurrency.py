@@ -139,25 +139,38 @@ class ShardRng(random.Random):
 
 @dataclass(frozen=True)
 class Shard:
-    """One worker's slice of the per-tick work."""
+    """One worker's slice of the per-tick work.
+
+    ``global_rate`` / ``isp_rate`` are how often a probe of that
+    campaign fires per engine tick (1.0 when the campaign interval is
+    the step, 1/144 for the 12-hourly ISP probes at a 5-minute step):
+    a probe costs its shard only on the ticks it fires.
+    """
 
     shard_id: int
     global_indices: tuple[int, ...] = ()
     isp_indices: tuple[int, ...] = ()
     owns_traffic: bool = False
+    global_rate: float = 1.0
+    isp_rate: float = 1.0
 
     @property
-    def weight(self) -> int:
-        """Relative per-tick cost (probe counts + traffic surcharge)."""
+    def weight(self) -> float:
+        """Predicted per-tick cost, in probe resolutions."""
         return (
-            len(self.global_indices)
-            + len(self.isp_indices)
+            len(self.global_indices) * self.global_rate
+            + len(self.isp_indices) * self.isp_rate
             + (self.traffic_weight if self.owns_traffic else 0)
         )
 
-    # The ISP traffic step costs roughly this many probe-resolutions
-    # per tick at default scale; only used for load balancing.
-    traffic_weight = 24
+    # One tick of ISP traffic generation, in probe resolutions; only
+    # used for load balancing.  Measured from the workers' own
+    # ``engine_phase_seconds`` on the ledger's replay (160/80 probes,
+    # 5-min step, 2 workers, 1008 ticks): the traffic phase summed to
+    # 3.9 s = 3.9 ms per tick, the campaigns phases to 11.4 s over
+    # 161 920 resolutions = 70 us each, so one traffic tick costs what
+    # ~56 resolutions do.
+    traffic_weight = 56
 
 
 @dataclass(frozen=True)
@@ -182,13 +195,17 @@ def plan_shards(engine, workers: int) -> ShardPlan:
     if workers < 1:
         raise ValueError("workers must be >= 1")
     scenario = engine.scenario
+    # Firings per engine tick: a campaign slower than the step costs
+    # its probes' resolutions only on the ticks it is due.
+    global_rate = min(1.0, engine.step_seconds / scenario.global_campaign.interval)
+    isp_rate = min(1.0, engine.step_seconds / scenario.isp_campaign.interval)
     globals_by_continent: dict[str, list[int]] = {}
     for index, probe in enumerate(scenario.global_campaign.probes):
         globals_by_continent.setdefault(probe.continent.value, []).append(index)
 
     # units: (weight, kind, payload) — deterministic order.
-    units: list[tuple[int, str, tuple]] = [
-        (len(indices), "global", tuple(indices))
+    units: list[tuple[float, str, tuple]] = [
+        (len(indices) * global_rate, "global", tuple(indices))
         for _, indices in sorted(globals_by_continent.items())
     ]
     # Split the largest global unit until there are enough units to
@@ -196,13 +213,13 @@ def plan_shards(engine, workers: int) -> ShardPlan:
     # handful of groups; per-continent halves keep locality).
     while 0 < len(units) < workers:
         units.sort(reverse=True)
-        weight, kind, payload = units[0]
-        if kind != "global" or weight < 2:
+        _, kind, payload = units[0]
+        if kind != "global" or len(payload) < 2:
             break
         half = len(payload) // 2
         units[0:1] = [
-            (half, "global", payload[:half]),
-            (len(payload) - half, "global", payload[half:]),
+            (half * global_rate, "global", payload[:half]),
+            ((len(payload) - half) * global_rate, "global", payload[half:]),
         ]
     isp_count = len(scenario.isp_campaign.probes)
     isp_slices = max(1, min(workers, isp_count))
@@ -213,12 +230,12 @@ def plan_shards(engine, workers: int) -> ShardPlan:
         size = per_slice + (1 if slice_index < remainder else 0)
         if size == 0:
             continue
-        units.append((size, "isp", tuple(range(cursor, cursor + size))))
+        units.append((size * isp_rate, "isp", tuple(range(cursor, cursor + size))))
         cursor += size
     units.append((Shard.traffic_weight, "traffic", ()))
 
     bins: list[dict] = [
-        {"load": 0, "global": [], "isp": [], "traffic": False}
+        {"load": 0.0, "global": [], "isp": [], "traffic": False}
         for _ in range(min(workers, len(units)))
     ]
     for weight, kind, payload in sorted(units, reverse=True):
@@ -234,6 +251,8 @@ def plan_shards(engine, workers: int) -> ShardPlan:
             global_indices=tuple(sorted(b["global"])),
             isp_indices=tuple(sorted(b["isp"])),
             owns_traffic=b["traffic"],
+            global_rate=global_rate,
+            isp_rate=isp_rate,
         )
         for shard_id, b in enumerate(bins)
         if b["load"] > 0
@@ -424,10 +443,9 @@ def _worker_chunk(ticks: Sequence[float]) -> dict:
                 # arrays + intern tables pickle far smaller than object
                 # lists and the coordinator absorbs rows column-to-column.
                 t0 = clock() if profiling else 0.0
-                global_slices[now] = DnsColumns.from_measurements(
-                    scenario.global_campaign.measure_slice(
-                        now, shard.global_indices
-                    )
+                block = global_slices[now] = DnsColumns()
+                scenario.global_campaign.measure_slice(
+                    now, block.append_values, shard.global_indices
                 )
                 if profiling:
                     campaigns_s += clock() - t0
@@ -435,10 +453,9 @@ def _worker_chunk(ticks: Sequence[float]) -> dict:
         if scenario.isp_campaign.due(now):
             if shard.isp_indices:
                 t0 = clock() if profiling else 0.0
-                isp_slices[now] = DnsColumns.from_measurements(
-                    scenario.isp_campaign.measure_slice(
-                        now, shard.isp_indices
-                    )
+                block = isp_slices[now] = DnsColumns()
+                scenario.isp_campaign.measure_slice(
+                    now, block.append_values, shard.isp_indices
                 )
                 if profiling:
                     campaigns_s += clock() - t0

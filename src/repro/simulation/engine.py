@@ -917,6 +917,7 @@ class SimulationEngine:
             return 0  # the whole route is dark: traffic never arrives
         per_link = total_bytes / len(up)
         flows = 0
+        destination: Optional[IPv4Address] = None  # same for every link
         for link in up:
             link_id = link.link_id
             capacity = link.capacity_bytes(self.step_seconds)
@@ -929,9 +930,10 @@ class SimulationEngine:
             if carried_bytes <= 0:
                 continue
             scenario.snmp.add_bytes(link_id, now, carried_bytes)
-            destination = scenario.isp.customer_prefix.host(
-                1 + (source.value + int(now)) % 1024
-            )
+            if destination is None:
+                destination = scenario.isp.customer_prefix.host(
+                    1 + (source.value + int(now)) % 1024
+                )
             if scenario.netflow.sampling_rate == 1:
                 scenario.netflow.observe_exact(
                     now, source, link_id, carried_bytes, dst=destination

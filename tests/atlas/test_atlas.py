@@ -189,6 +189,108 @@ class TestDnsCampaign:
         store = campaign.run_window()
         assert len(store.dns) == 5
 
+    def _mixed_probes(self):
+        """One estate whose answer depends on the probe's country.
+
+        Berlin resolves to an address, Paris dead-ends (NXDOMAIN) and
+        London is sent to a name nobody serves (SERVFAIL).
+        """
+        from repro.dns.policies import CountrySplitPolicy
+
+        zone = Zone("apple.com")
+        zone.bind(
+            "appldnld.apple.com",
+            CountrySplitPolicy(
+                default="dl.apple.com",
+                overrides={"fr": "gone.apple.com", "gb": "host.nowhere.example"},
+                ttl=60,
+            ),
+        )
+        zone.bind(
+            "dl.apple.com",
+            StaticPolicy((ARecord("dl.apple.com", IPv4Address.parse("17.253.0.1"), 20),)),
+        )
+        servers = [AuthoritativeServer("Apple", [zone])]
+        return [
+            AtlasProbe.create(
+                probe_id=probe_id,
+                address=IPv4Address.parse(f"198.18.0.{probe_id}"),
+                asn=ASN(64520 + probe_id),
+                location=DB.get(metro),
+                servers=servers,
+            )
+            for probe_id, metro in enumerate(("deber", "frpar", "uklon", "deber"), 1)
+        ]
+
+    @pytest.mark.parametrize("bulk", [True, False])
+    def test_tick_rows_equal_the_per_probe_records(self, bulk):
+        """A tick lands rows column-to-column; same rows as the object path."""
+        from repro.atlas.columnar import DnsColumns
+
+        window = MeasurementWindow("w", 0.0, 10_000.0)
+        campaign = DnsCampaign(
+            probes=self._mixed_probes(),
+            target="appldnld.apple.com",
+            interval=30.0,
+            window=window,
+            bulk=bulk,
+        )
+        sliced = DnsCampaign(
+            probes=self._mixed_probes(),
+            target="appldnld.apple.com",
+            interval=30.0,
+            window=window,
+            bulk=bulk,
+        )
+        reference = self._mixed_probes()
+        expected = []
+        block = DnsColumns()
+        # 0/30 s: inside the 60 s CNAME TTL (cached hop); 90 s: past it.
+        for now in (0.0, 30.0, 90.0):
+            assert campaign.maybe_run(now) == 4
+            sliced.measure_slice(now, block.append_values, indices=(0, 1, 2, 3))
+            expected += [
+                probe.measure_dns("appldnld.apple.com", now) for probe in reference
+            ]
+        assert {m.rcode for m in expected} == {"NOERROR", "NXDOMAIN", "SERVFAIL"}
+        assert list(campaign.store.dns) == expected
+        assert block.to_bytes() == DnsColumns.from_measurements(expected).to_bytes()
+        assert campaign.store.unique_addresses() == {IPv4Address.parse("17.253.0.1")}
+
+    def test_tick_into_a_store_still_enforces_time_order(self, tiny_estate):
+        window = MeasurementWindow("w", 0.0, 10_000.0)
+        first = DnsCampaign(
+            probes=[make_probe(tiny_estate)],
+            target="appldnld.apple.com",
+            interval=300.0,
+            window=window,
+        )
+        assert first.maybe_run(600.0) == 1
+        late = DnsCampaign(
+            probes=[make_probe(tiny_estate, probe_id=2)],
+            target="appldnld.apple.com",
+            interval=300.0,
+            window=window,
+            store=first.store,
+        )
+        with pytest.raises(ValueError, match="time order"):
+            late.maybe_run(300.0)
+        assert first.store.dns_count == 1
+
+    def test_tick_seals_segments_like_object_appends(self, tiny_estate):
+        probes = [make_probe(tiny_estate, probe_id=i) for i in range(3)]
+        campaign = DnsCampaign(
+            probes=probes,
+            target="appldnld.apple.com",
+            interval=300.0,
+            window=MeasurementWindow("w", 0.0, 10_000.0),
+            store=MeasurementStore(segment_rows=4),
+        )
+        for tick in range(4):
+            campaign.maybe_run(tick * 300.0)
+        assert campaign.store.dns_count == 12
+        assert campaign.store.segment_count == 3
+
     def test_validation(self, tiny_estate):
         with pytest.raises(ValueError):
             DnsCampaign(

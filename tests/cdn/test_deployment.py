@@ -153,6 +153,68 @@ class TestCdnDeployment:
         deployment = self._deployment(pool_limit=3)
         assert len(deployment.pool_for(eu_context())) == 3
 
+    @pytest.mark.parametrize("pool_limit", [0, 1, 3, 12, 40])
+    def test_filtered_ranking_equals_sorting_the_active_set(self, pool_limit):
+        """Every active count 0..N: the memoised pool is the from-scratch sort."""
+        from repro.net.geo import great_circle_km
+
+        wanted = {"count": 0}
+
+        class Pinned(ExposureController):
+            def active_count(self, pool_size):
+                return min(wanted["count"], pool_size)
+
+        deployment = self._deployment(
+            exposure=lambda: Pinned(per_server_gbps=10), pool_limit=pool_limit
+        )
+        # Exposure order is hostname order (Frankfurt, London, Helsinki);
+        # from London or Berlin the distance order is a different one,
+        # so an exposure prefix is not a prefix of the ranking.
+        hel = DB.get("fihel")
+        for index in range(20, 26):
+            deployment.add_server(make_server(index), hel)
+        vantages = [eu_context(), eu_context(client="198.51.100.77")]
+        vantages.append(
+            QueryContext(
+                client=IPv4Address.parse("198.51.100.10"),
+                coordinates=Coordinates(51.51, -0.13),
+                continent=Continent.EUROPE,
+                country="gb",
+            )
+        )
+        placements = deployment.servers_in_region(MappingRegion.EU)
+        # Up and down again, so each count is asked cold and from the memo.
+        for count in list(range(len(placements) + 1)) + list(range(len(placements), -1, -1)):
+            wanted["count"] = count
+            active = deployment.active_servers(MappingRegion.EU)
+            assert active == placements[:count]
+            for context in vantages:
+                expected = [
+                    placed.server.address
+                    for placed in sorted(
+                        active,
+                        key=lambda placed: (
+                            great_circle_km(
+                                context.coordinates, placed.location.coordinates
+                            ),
+                            placed.server.hostname,
+                        ),
+                    )
+                ]
+                if pool_limit > 0:
+                    expected = expected[:pool_limit]
+                assert list(deployment.pool_for(context)) == expected
+
+    def test_adding_a_server_invalidates_the_pools(self):
+        deployment = self._deployment()
+        before = deployment.pool_for(eu_context())
+        berlin_adjacent = make_server(30)
+        deployment.add_server(berlin_adjacent, DB.get("deber"))
+        after = deployment.pool_for(eu_context())
+        assert len(after) == len(before) + 1
+        assert after[0] == berlin_adjacent.address
+        assert len(deployment.active_servers(MappingRegion.EU)) == 13
+
     def test_pool_only_contains_region_servers(self):
         deployment = self._deployment()
         pool = {str(a) for a in deployment.pool_for(eu_context())}

@@ -32,6 +32,17 @@ class TestQuestion:
         assert str(Question("x.example")) == "x.example A"
 
 
+    def test_of_shares_one_object_per_value(self):
+        assert Question.of("x.example") is Question.of("x.example", RecordType.A)
+        assert Question.of("x.example") == Question("X.Example.")
+        assert Question.of("x.example", RecordType.PTR) is not Question.of("x.example")
+
+    def test_of_raises_for_a_bad_name_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                Question.of("bad..name")
+
+
 class TestDnsResponse:
     def test_cname_chain_in_order(self):
         chain = full_answer().cname_chain
@@ -67,6 +78,21 @@ class TestQueryContext:
             country="br",
         )
         assert context.region is MappingRegion.US
+
+    def test_region_follows_a_replaced_continent(self):
+        from dataclasses import replace
+
+        context = QueryContext(
+            client=IPv4Address.parse("1.1.1.1"),
+            coordinates=Coordinates(0, 0),
+            continent=Continent.EUROPE,
+            country="de",
+        )
+        moved = replace(context, continent=Continent.ASIA, now=5.0)
+        assert context.region is MappingRegion.EU
+        assert moved.region is MappingRegion.APAC
+        # The derived field is not part of a context's identity.
+        assert replace(moved, continent=Continent.EUROPE, now=0.0) == context
 
     def test_frozen(self):
         context = QueryContext(

@@ -114,3 +114,48 @@ class TestResourceRecord:
         a = ARecord("a.example", IPv4Address.parse("1.2.3.4"), ttl=60)
         b = ARecord("a.example", IPv4Address.parse("1.2.3.4"), ttl=60)
         assert len({a, b}) == 1
+
+
+class TestInterning:
+    """``ARecord``/``CnameRecord`` share one object per distinct value."""
+
+    ADDRESS = IPv4Address.parse("17.253.0.1")
+
+    def test_equal_arguments_return_the_same_object(self):
+        assert ARecord("a.example", self.ADDRESS, 15) is ARecord("a.example", self.ADDRESS, 15)
+        assert ARecord("a.example", self.ADDRESS, 15) is ARecord(
+            "a.example", IPv4Address.parse("17.253.0.1"), ttl=15
+        )
+        assert CnameRecord("a.example", "b.example", 15) is CnameRecord(
+            "a.example", "b.example", 15
+        )
+
+    def test_distinct_values_stay_distinct(self):
+        base = ARecord("a.example", self.ADDRESS, 15)
+        assert ARecord("a.example", self.ADDRESS, 16) is not base
+        assert ARecord("b.example", self.ADDRESS, 15) is not base
+        assert ARecord("a.example", IPv4Address.parse("17.253.0.2"), 15) is not base
+        # Same (name, data-as-text, ttl), different type: never aliased.
+        assert CnameRecord("a.example", "b.example", 15).rtype is RecordType.CNAME
+
+    def test_int_and_float_ttl_do_not_alias(self):
+        as_int = ARecord("ttl.example", self.ADDRESS, 15)
+        as_float = ARecord("ttl.example", self.ADDRESS, 15.0)
+        assert type(as_int.ttl) is int and type(as_float.ttl) is float
+        # Asked again, in either order, each gets its own type back.
+        assert type(ARecord("ttl.example", self.ADDRESS, 15.0).ttl) is float
+        assert type(ARecord("ttl.example", self.ADDRESS, 15).ttl) is int
+
+    def test_validation_errors_are_never_cached(self):
+        for _ in range(3):
+            with pytest.raises(NameError_):
+                ARecord("bad..name", self.ADDRESS, 15)
+            with pytest.raises(ValueError):
+                ARecord("a.example", self.ADDRESS, -1)
+            with pytest.raises(TypeError):
+                ARecord("a.example", "17.253.0.1", 15)
+            with pytest.raises(NameError_):
+                CnameRecord("a.example", "bad..target", 15)
+
+    def test_unnormalised_names_intern_to_equal_records(self):
+        assert ARecord("A.Example.", self.ADDRESS, 15) == ARecord("a.example", self.ADDRESS, 15)

@@ -105,6 +105,68 @@ def test_rib_lookup_matches_oracle(history, queries):
     )
 
 
+@st.composite
+def interleaved_histories(draw):
+    """Announce / withdraw / lookup steps over a handful of addresses.
+
+    Every prefix covers one of the queried addresses, so each mutation
+    can change the answer to a lookup that was already asked (and
+    memoised) — the case a stale memo entry would get wrong.
+    """
+    bases = draw(st.lists(addresses, min_size=1, max_size=3, unique=True))
+    steps = []
+    for _ in range(draw(st.integers(min_value=1, max_value=40))):
+        base = draw(st.sampled_from(bases))
+        action = draw(st.sampled_from(["announce", "withdraw", "lookup", "lookup"]))
+        if action == "lookup":
+            steps.append((action, base))
+            continue
+        path = tuple(
+            ASN(draw(st.integers(min_value=1, max_value=3)))
+            for _ in range(draw(st.integers(min_value=1, max_value=2)))
+        )
+        prefix = IPv4Prefix.containing(base, draw(lengths))
+        steps.append((action, BgpRoute(prefix, path, ("link-0",))))
+    return bases, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=interleaved_histories())
+def test_memoised_lookup_is_exact_under_interleaved_mutation(case):
+    """``lookup_all`` between mutations equals the memo-free answer.
+
+    The memo has no off switch, so the oracle is the brute-force LPM
+    over the live set plus the RIB's own memo-free trie walk: after a
+    withdraw the longest prefix's survivors answer, and once it is
+    fully withdrawn the covering prefix does.
+    """
+    bases, steps = case
+    rib = BgpRib()
+    history = []
+    for action, subject in steps:
+        if action == "announce":
+            rib.install(subject)
+            history.append((action, subject))
+        elif action == "withdraw":
+            rib.withdraw(subject)
+            history.append((action, subject))
+        else:
+            expected = oracle_lookup_all(oracle(history), subject)
+            assert rib.lookup_all(subject) == expected
+            assert rib.lookup_all(subject) == rib._walk(subject)
+    live = oracle(history)
+    for base in bases:
+        assert rib.lookup_all(base) == oracle_lookup_all(live, base)
+
+
+def test_lookup_memo_is_bounded():
+    rib = BgpRib()
+    rib.install(BgpRoute(IPv4Prefix.parse("0.0.0.0/0"), (ASN(65000),), ("default",)))
+    for value in range(BgpRib.LPM_MEMO_BOUND + 10):
+        rib.lookup_all(IPv4Address(value))
+    assert len(rib._lpm_memo) <= BgpRib.LPM_MEMO_BOUND
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     prefix_list=st.lists(prefixes(), min_size=0, max_size=24),

@@ -270,3 +270,48 @@ class TestClassifier:
         assert len(list(classifier.overflow_traffic(flows))) == 1
         assert len(list(classifier.overflow_traffic(flows, operator="Akamai"))) == 1
         assert len(list(classifier.overflow_traffic(flows, operator="Apple"))) == 0
+
+    def test_per_key_classification_equals_per_flow(self, isp, rib):
+        """``classify_all`` attributes once per (src, link); same answers."""
+        import random
+
+        rng = random.Random(20170919)
+        sources = [
+            "17.253.0.1", "17.253.0.2", "23.192.0.1", "92.122.0.1",
+            "8.8.8.8", "203.0.113.9",  # the last two: no route, no operator
+        ]
+        links = ["apple-1", "akamai-1", "akamai-cache", "transit-1", "transit-2"]
+        flows = [
+            FlowRecord(
+                float(rng.randrange(0, 86400)),
+                IPv4Address.parse(rng.choice(sources)),
+                IPv4Address.parse("89.0.0.1"),
+                rng.randrange(1, 10**9),
+                rng.choice(links),
+            )
+            for _ in range(2000)
+        ]
+        calls = []
+
+        def operator_of(address):
+            calls.append(address)
+            return {"17": "Apple", "23": "Akamai", "92": "Akamai"}.get(
+                str(address).split(".")[0]
+            )
+
+        classifier = TrafficClassifier(isp, rib, operator_of)
+        bulk = list(classifier.classify_all(flows))
+        asked_in_bulk = len(calls)
+        assert bulk == [classifier.classify(flow) for flow in flows]
+        assert [item.flow for item in bulk] == flows
+        assert any(item.source_asn is None for item in bulk)
+        assert any(item.is_overflow for item in bulk)
+        # One attribution per distinct pair, not one per record.
+        assert asked_in_bulk == len({(f.src, f.link_id) for f in flows})
+
+    def test_classify_all_sees_a_rib_change_between_passes(self, isp, rib):
+        classifier = self._classifier(isp, rib)
+        flow = self._flow("8.8.8.8", "transit-1")
+        assert next(classifier.classify_all([flow])).source_asn is None
+        rib.install(BgpRoute(IPv4Prefix.parse("8.8.8.0/24"), (AS_TRANSIT,), ("transit-1",)))
+        assert next(classifier.classify_all([flow])).source_asn == AS_TRANSIT

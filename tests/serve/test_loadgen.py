@@ -20,6 +20,48 @@ from repro.serve import (
 )
 
 
+class TestDnsMessageIds:
+    """``AsyncDnsClient._next_id``: cyclic over 1..65535, never in flight."""
+
+    def _client(self):
+        from repro.serve.loadgen import AsyncDnsClient, _DnsClientProtocol
+
+        client = AsyncDnsClient("127.0.0.1", 53)  # never connected: no socket
+        client._protocol = _DnsClientProtocol()
+        return client
+
+    def test_wrap_never_repeats_an_id_back_to_back(self):
+        client = self._client()
+        drawn = [client._next_id() for _ in range(2 * 65536 + 100)]
+        assert len(drawn) > 131_072
+        assert all(1 <= message_id <= 0xFFFF for message_id in drawn)
+        assert all(a != b for a, b in zip(drawn, drawn[1:]))
+        # The old allocator went ..., 65535, 1, 1, 2; a full cycle now
+        # visits each id exactly once.
+        assert drawn[65534:65537] == [65535, 1, 2]
+        assert sorted(drawn[:65535]) == list(range(1, 65536))
+
+    def test_ids_with_a_live_waiter_are_skipped(self):
+        client = self._client()
+        in_flight = {1, 2, 3, 40_000, 65535}
+        for message_id in in_flight:
+            client._protocol.waiters[message_id] = object()
+        drawn = [client._next_id() for _ in range(2 * 65536 + 100)]
+        assert not in_flight & set(drawn)
+        assert all(a != b for a, b in zip(drawn, drawn[1:]))
+        # Answered: the id returns to the rotation.
+        del client._protocol.waiters[40_000]
+        assert 40_000 in {client._next_id() for _ in range(65535)}
+
+    def test_exhaustion_is_an_error_not_a_shared_id(self):
+        from repro.serve.loadgen import DnsClientError
+
+        client = self._client()
+        client._protocol.waiters.update(dict.fromkeys(range(1, 65536)))
+        with pytest.raises(DnsClientError, match="in flight"):
+            client._next_id()
+
+
 class TestWireResolution:
     def _resolution(self):
         return WireResolution(

@@ -67,7 +67,44 @@ def test_plan_is_deterministic(small_engine):
 def test_plan_balances_load(small_engine):
     plan = plan_shards(small_engine, 4)
     weights = [shard.weight for shard in plan.shards]
-    assert max(weights) <= 2 * max(1, min(weights))
+    # At 24 probes the indivisible ISP-traffic unit outweighs a fair
+    # share on its own: its shard carries no global probes, and the
+    # probe shards balance among themselves.
+    assert Shard.traffic_weight > sum(weights) / len(weights)
+    (traffic,) = [shard for shard in plan.shards if shard.owns_traffic]
+    assert not traffic.global_indices
+    others = [shard.weight for shard in plan.shards if not shard.owns_traffic]
+    assert max(others) <= 2 * max(1, min(others))
+
+
+def test_isp_probes_weigh_by_how_often_they_fire(small_engine):
+    plan = plan_shards(small_engine, 2)
+    # 1800 s step and global interval, 43200 s ISP interval.
+    assert {shard.global_rate for shard in plan.shards} == {1.0}
+    assert {shard.isp_rate for shard in plan.shards} == {1800.0 / 43200.0}
+    probes_only = Shard(
+        shard_id=0, global_indices=(0, 1), isp_indices=tuple(range(24)),
+        isp_rate=1800.0 / 43200.0,
+    )
+    assert probes_only.weight == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_ledger_config_has_no_dominant_shard(workers):
+    """The perf ledger's replay (160/80 probes, 5-min cadence).
+
+    Weighing 12-hourly ISP probes like per-tick global ones put one
+    worker at ~3x the other's busy time there; with probes weighed by
+    firing rate no shard's predicted load exceeds 60 % of the total.
+    """
+    config = ScenarioConfig(global_dns_interval=300.0, traceroute_probe_count=16)
+    assert (config.global_probe_count, config.isp_probe_count) == (160, 80)
+    engine = SimulationEngine(Sep2017Scenario(config), step_seconds=300.0)
+    plan = plan_shards(engine, workers)
+    weights = [shard.weight for shard in plan.shards]
+    assert len(weights) == workers
+    assert max(weights) <= 0.6 * sum(weights)
+    assert sum(weights) == pytest.approx(160 + 80 * 300.0 / 43200.0 + Shard.traffic_weight)
 
 
 def test_plan_rejects_zero_workers(small_engine):
