@@ -1,28 +1,19 @@
-"""Engine throughput: serial, batched, and sharded-parallel steps/sec.
+"""Engine throughput: serial and sharded-parallel steps/sec.
 
-Times the same bench-scale scenario three ways —
+Times the same bench-scale scenario two ways —
 
-* **reference**: the pre-batching DNS path (``bulk=False``), the
-  engine as it ran before this harness existed;
-* **serial**: the vectorized bulk-resolution path, ``workers=1``;
+* **serial**: ``workers=1``;
 * **parallel**: the sharded engine at ``workers=4``;
 
-— and writes ``benchmarks/output/BENCH_engine.json``.  Two guards run
-against the committed ``benchmarks/BENCH_engine.baseline.json``:
-
-* ``bulk_speedup`` (serial / reference) is machine-portable, so it
-  must stay within ±30% of the baseline ratio on any host;
-* ``parallel_speedup`` (parallel / serial) only means anything with
-  real cores to shard over, so the ≥2× floor is enforced when the
-  host has 4+ CPUs and recorded (with the CPU count) otherwise.
-
-Refresh the baseline by copying the output file over the committed
-one after an intentional perf change and reviewing the diff.
+— and writes ``benchmarks/output/BENCH_engine.json``.  The committed
+``benchmarks/BENCH_engine.baseline.json`` is the reference recording of
+the same two numbers.  ``parallel_speedup`` (parallel / serial) only
+means anything with real cores to shard over, so the ≥2× floor is
+enforced when the host has 4+ CPUs and recorded (with the CPU count)
+otherwise.
 """
 
-import json
 import os
-import pathlib
 import time
 
 import pytest
@@ -32,8 +23,6 @@ from repro.workload import TIMELINE
 
 from conftest import write_json
 
-BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_engine.baseline.json"
-RATIO_TOLERANCE = 0.30
 PARALLEL_FLOOR = 2.0
 PARALLEL_FLOOR_MIN_CPUS = 4
 
@@ -52,10 +41,8 @@ def build_engine():
     return SimulationEngine(Sep2017Scenario(config), step_seconds=STEP_SECONDS)
 
 
-def timed_run(workers: int = 1, bulk: bool = True):
+def timed_run(workers: int = 1):
     engine = build_engine()
-    engine.scenario.global_campaign.bulk = bulk
-    engine.scenario.isp_campaign.bulk = bulk
     started = time.perf_counter()
     steps = engine.run(START, END, workers=workers)
     elapsed = time.perf_counter() - started
@@ -64,18 +51,15 @@ def timed_run(workers: int = 1, bulk: bool = True):
 
 @pytest.fixture(scope="module")
 def throughput():
-    steps, reference = timed_run(workers=1, bulk=False)
-    _, serial = timed_run(workers=1, bulk=True)
-    _, parallel = timed_run(workers=4, bulk=True)
+    steps, serial = timed_run(workers=1)
+    _, parallel = timed_run(workers=4)
     cpus = os.cpu_count() or 1
     results = {
         "scenario": "bench-scale Sep 17-21, 1800 s steps",
         "steps": steps,
         "cpus": cpus,
-        "reference_steps_per_sec": round(reference, 2),
         "serial_steps_per_sec": round(serial, 2),
         "parallel_steps_per_sec": round(parallel, 2),
-        "bulk_speedup": round(serial / reference, 3),
         "parallel_speedup": round(parallel / serial, 3),
     }
     write_json("BENCH_engine.json", results)
@@ -86,18 +70,6 @@ def test_engine_throughput_recorded(throughput):
     assert throughput["steps"] == 192
     assert throughput["serial_steps_per_sec"] > 0
     assert throughput["parallel_steps_per_sec"] > 0
-
-
-def test_bulk_speedup_within_baseline(throughput):
-    baseline = json.loads(BASELINE_PATH.read_text())
-    expected = baseline["bulk_speedup"]
-    ratio = throughput["bulk_speedup"] / expected
-    assert (1 - RATIO_TOLERANCE) <= ratio <= (1 + RATIO_TOLERANCE), (
-        f"bulk speedup {throughput['bulk_speedup']} drifted more than "
-        f"±{RATIO_TOLERANCE:.0%} from baseline {expected}; if intended, "
-        f"refresh benchmarks/BENCH_engine.baseline.json from "
-        f"benchmarks/output/BENCH_engine.json"
-    )
 
 
 def test_parallel_speedup_floor(throughput):

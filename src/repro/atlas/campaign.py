@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 from ..dns.resolver import ServerMap, resolve_bulk
 from ..obs import get_registry
 from ..workload.timeline import MeasurementWindow
-from .columnar import CONTINENT_INDEX, DnsRowRef
+from .columnar import CONTINENT_INDEX
 from .probe import AtlasProbe, outcome_fields
 from .results import MeasurementStore
 
@@ -42,10 +42,6 @@ class DnsCampaign:
     window: MeasurementWindow
     store: MeasurementStore = field(default_factory=MeasurementStore)
     name: str = "dns"
-    # bulk=True resolves a tick's queries level-synchronously in one
-    # sweep (shared server lookups); bulk=False is the legacy one-chase-
-    # per-probe loop.  Results are value-identical either way.
-    bulk: bool = True
     _next_due: Optional[float] = field(default=None, init=False, repr=False)
     _server_map: Optional[ServerMap] = field(default=None, init=False, repr=False)
 
@@ -108,18 +104,17 @@ class DnsCampaign:
             self.probes if indices is None else [self.probes[i] for i in indices]
         )
         target = self.target
-        if self.bulk:
-            if self._server_map is None:
-                # All campaign probes are built from one estate server
-                # list, so a single shared map serves every chase.
-                self._server_map = ServerMap(self.probes[0].resolver.servers)
-            outcomes = resolve_bulk(
-                [(probe.resolver, probe.context(now)) for probe in probes],
-                target,
-                self._server_map,
-            )
-        else:
-            outcomes = [probe.resolve_dns(target, now) for probe in probes]
+        if self._server_map is None:
+            # All campaign probes are built from one estate server
+            # list, so a single shared map serves every chase.
+            self._server_map = ServerMap(self.probes[0].resolver.servers)
+        # One level-synchronous sweep for the whole tick (shared server
+        # lookups); value-identical to one ``measure_dns`` per probe.
+        outcomes = resolve_bulk(
+            [(probe.resolver, probe.context(now)) for probe in probes],
+            target,
+            self._server_map,
+        )
         for probe, outcome in zip(probes, outcomes):
             rcode, chain, addresses = outcome_fields(target, outcome)
             emit(
@@ -164,17 +159,12 @@ class DnsCampaign:
         The coordinator of a sharded run merges the workers' slices —
         already recombined into probe order — through this, producing
         the same store contents and grid state as a serial
-        :meth:`maybe_run` at ``now``.  Items are either
-        :class:`DnsMeasurement` objects or columnar
-        :class:`~repro.atlas.columnar.DnsRowRef` handles (the sealed
-        batches workers ship home), which land in the store without
-        object reconstruction.
+        :meth:`maybe_run` at ``now``.  Items are the columnar
+        :class:`~repro.atlas.columnar.DnsRowRef` handles workers ship
+        home, which land in the store without object reconstruction.
         """
-        for item in measurements:
-            if isinstance(item, DnsRowRef):
-                self.store.add_dns_row(item.columns, item.row)
-            else:
-                self.store.add_dns(item)
+        for columns, row in measurements:
+            self.store.add_dns_row(columns, row)
         self.mark_fired(now)
         return len(self.probes)
 

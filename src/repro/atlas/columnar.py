@@ -27,13 +27,11 @@ summaries byte-identical across the columnar swap.
 
 from __future__ import annotations
 
-import json
-import os
-import struct
 import sys
 from array import array
 from typing import Iterator, List, NamedTuple, Optional, Sequence
 
+from ..container import Container
 from ..net.asys import ASN
 from ..net.geo import Continent
 from ..net.ipv4 import IPv4Address
@@ -50,9 +48,6 @@ __all__ = [
 # Continent <-> column index mapping (enum definition order is stable).
 CONTINENTS: tuple = tuple(Continent)
 CONTINENT_INDEX: dict = {continent: index for index, continent in enumerate(CONTINENTS)}
-
-_MAGIC = b"RSEG1\n"
-_HEADER_LEN = struct.Struct("<I")
 
 # (attribute, array typecode) in serialization order.
 _ARRAY_FIELDS = (
@@ -82,7 +77,10 @@ def _record_type():
 
 
 class SegmentFormatError(ValueError):
-    """Raised for a malformed on-disk segment payload."""
+    """Raised for a malformed, unreadable or unwritable segment payload."""
+
+
+_CONTAINER = Container(b"RSEG2\n", 2, SegmentFormatError, "segment")
 
 
 class DnsRowRef(NamedTuple):
@@ -297,15 +295,9 @@ class DnsColumns:
 
     # ----- binary segment format ----------------------------------------
 
-    def to_bytes(self) -> bytes:
-        """Serialize to the compact binary segment form.
-
-        Layout: magic, a little-endian ``uint32`` header length, a JSON
-        header (row count, byte order, intern tables, per-array
-        typecode + count), then the raw array payloads concatenated in
-        a fixed order.
-        """
-        header = {
+    def _framed(self) -> tuple:
+        """The (header fields, payload parts) of the binary segment form."""
+        fields = {
             "rows": len(self),
             "byteorder": sys.byteorder,
             "tables": {
@@ -319,39 +311,37 @@ class DnsColumns:
                 for name, typecode in _ARRAY_FIELDS
             ],
         }
-        encoded = json.dumps(header, separators=(",", ":")).encode("utf-8")
-        parts = [_MAGIC, _HEADER_LEN.pack(len(encoded)), encoded]
-        for name, _ in _ARRAY_FIELDS:
-            parts.append(getattr(self, name).tobytes())
-        return b"".join(parts)
+        return fields, [getattr(self, name).tobytes() for name, _ in _ARRAY_FIELDS]
+
+    def to_bytes(self) -> bytes:
+        """Serialize to the compact binary segment form.
+
+        A :class:`~repro.container.Container` frame whose header carries
+        the row count, byte order, intern tables and per-array typecode
+        + count, and whose payload is the raw arrays concatenated in a
+        fixed order.
+        """
+        return b"".join(_CONTAINER.frame(*self._framed()))
 
     @classmethod
-    def from_bytes(cls, payload: bytes) -> "DnsColumns":
-        """Deserialize a block written by :meth:`to_bytes`."""
-        if not payload.startswith(_MAGIC):
-            raise SegmentFormatError("bad segment magic")
-        cursor = len(_MAGIC)
-        try:
-            (header_len,) = _HEADER_LEN.unpack_from(payload, cursor)
-        except struct.error as exc:
-            raise SegmentFormatError(f"truncated segment header: {exc}") from exc
-        cursor += _HEADER_LEN.size
-        if cursor + header_len > len(payload):
-            raise SegmentFormatError(
-                f"truncated segment header ({len(payload) - cursor} of "
-                f"{header_len} header bytes present)"
-            )
-        try:
-            header = json.loads(payload[cursor : cursor + header_len])
-        except ValueError as exc:
-            raise SegmentFormatError(f"bad segment header: {exc}") from exc
-        cursor += header_len
+    def from_bytes(cls, payload) -> "DnsColumns":
+        """Deserialize a block written by :meth:`to_bytes`.
+
+        The frame (magic, version, length, checksum) is verified before
+        any column is decoded.
+        """
+        return cls._decode(*_CONTAINER.parse(payload))
+
+    @classmethod
+    def _decode(cls, header: dict, body) -> "DnsColumns":
+        """Rebuild a block from a verified frame's header and payload."""
         columns = cls.__new__(cls)
         columns.targets = list(header["tables"]["targets"])
         columns.countries = list(header["tables"]["countries"])
         columns.rcodes = list(header["tables"]["rcodes"])
         columns.chains = [tuple(chain) for chain in header["tables"]["chains"]]
         swap = header.get("byteorder", "little") != sys.byteorder
+        cursor = 0
         for (name, typecode), (stored_name, stored_code, count) in zip(
             _ARRAY_FIELDS, header["arrays"]
         ):
@@ -361,16 +351,16 @@ class DnsColumns:
                 )
             column = array(typecode)
             nbytes = count * column.itemsize
-            if cursor + nbytes > len(payload):
+            if cursor + nbytes > len(body):
                 raise SegmentFormatError(f"truncated column {name}")
-            column.frombytes(payload[cursor : cursor + nbytes])
+            column.frombytes(body[cursor : cursor + nbytes])
             if swap:
                 column.byteswap()
             setattr(columns, name, column)
             cursor += nbytes
-        if cursor != len(payload):
+        if cursor != len(body):
             raise SegmentFormatError(
-                f"{len(payload) - cursor} trailing bytes after last column"
+                f"{len(body) - cursor} trailing bytes after last column"
             )
         if len(columns.addr_offsets) != header["rows"] + 1:
             raise SegmentFormatError("offset column does not match row count")
@@ -422,34 +412,23 @@ class DnsSegment:
     def spill(self, path) -> int:
         """Write the columns to ``path`` atomically and drop them from memory.
 
-        The payload lands in ``path.tmp`` first, is fsynced, then renamed
-        over ``path`` — a crash mid-spill leaves either the old file or
-        no file, never a torn ``RSEG1`` payload.
+        A crash mid-spill leaves either the old file or no file, never a
+        torn payload; a failed write raises :class:`SegmentFormatError`
+        and keeps the columns resident.
         """
         if self._columns is None:
             return 0
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as handle:
-            handle.write(self._columns.to_bytes())
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        _CONTAINER.write(path, *self._columns._framed())
         self.path = path
         self._columns = None
         return self.nbytes
 
     def load(self) -> DnsColumns:
-        """The segment's columns, read back from disk if spilled."""
+        """The segment's columns, read back (and verified) if spilled."""
         if self._columns is not None:
             return self._columns
         if self.path is None:
             raise SegmentFormatError(
                 f"segment {self.segment_id} has neither columns nor a spill path"
             )
-        try:
-            payload = self.path.read_bytes()
-        except FileNotFoundError as exc:
-            raise SegmentFormatError(
-                f"segment {self.segment_id} spill file is missing: {self.path}"
-            ) from exc
-        return DnsColumns.from_bytes(payload)
+        return DnsColumns._decode(*_CONTAINER.read(self.path))

@@ -21,6 +21,7 @@ from ..net.ipv4 import IPv4Address, IPv4Prefix
 from ..obs import get_registry
 from .query import DnsResponse, Question, QueryContext, RCode
 from .records import RecordType, ResourceRecord, normalize_name
+from .ttlcache import TtlCache
 from .zone import AuthoritativeServer, Zone
 
 __all__ = [
@@ -205,38 +206,15 @@ class RecursiveResolver:
         self,
         servers: Iterable[AuthoritativeServer],
         cache: bool = True,
-        wire_mode: bool = False,
         metrics=None,
         cache_scope: Optional[int] = None,
         cache_capacity: Optional[int] = None,
     ) -> None:
         if cache_scope is not None and not 0 <= cache_scope <= 32:
             raise ValueError("cache_scope must be within [0, 32]")
-        if cache_capacity is not None and cache_capacity <= 0:
-            raise ValueError("cache_capacity must be positive")
         self._servers = list(servers)
         self._cache_enabled = cache
         self._cache_scope = cache_scope
-        self._cache_capacity = cache_capacity
-        # Keys are the bare qname for per-client resolvers (degenerate
-        # key, byte-identical to the historical behaviour) or
-        # ``(qname, scope-truncated client network)`` for shared caches.
-        self._cache: dict = {}
-        # The latest query time seen; lazy expiry means entries whose
-        # TTL has passed linger until next touch, so size accounting
-        # filters against this horizon instead of trusting len().
-        self._horizon = float("-inf")
-        # wire_mode exchanges RFC 1035 bytes with every server (encode
-        # the query, decode the answer) instead of passing objects —
-        # byte-level fidelity at a small cost; resolutions are
-        # guaranteed identical either way.
-        self._wire_mode = wire_mode
-        self._next_message_id = 1
-        # Plain counters back cache_stats() unconditionally; the
-        # registry instruments are no-ops under the null registry.
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
         registry = metrics if metrics is not None else get_registry()
         self._m_queries = registry.counter(
             "dns_queries_total",
@@ -248,15 +226,21 @@ class RecursiveResolver:
             "Answer records received, by answering operator",
             ("operator",),
         )
-        self._m_cache_hits = registry.counter(
-            "dns_cache_hits_total", "Resolver TTL-cache hits"
-        )
-        self._m_cache_misses = registry.counter(
-            "dns_cache_misses_total", "Resolver TTL-cache misses"
-        )
-        self._m_cache_evictions = registry.counter(
-            "dns_cache_evictions_total",
-            "Resolver TTL-cache entries dropped on expiry",
+        # Keys are the bare qname for per-client resolvers (degenerate
+        # key, byte-identical to the historical behaviour) or
+        # ``(qname, scope-truncated client network)`` for shared caches.
+        self._cache = TtlCache(
+            cache_capacity,
+            hits=registry.counter(
+                "dns_cache_hits_total", "Resolver TTL-cache hits"
+            ),
+            misses=registry.counter(
+                "dns_cache_misses_total", "Resolver TTL-cache misses"
+            ),
+            evictions=registry.counter(
+                "dns_cache_evictions_total",
+                "Resolver TTL-cache entries dropped on expiry",
+            ),
         )
         self._m_resolutions = registry.counter(
             "dns_resolutions_total", "Completed recursive resolutions"
@@ -278,16 +262,7 @@ class RecursiveResolver:
 
     def server_for(self, name: str) -> Optional[AuthoritativeServer]:
         """The authoritative server for ``name`` (most specific zone)."""
-        best: Optional[AuthoritativeServer] = None
-        best_depth = -1
-        for server in self._servers:
-            zone = server.zone_for(name)
-            if zone is not None:
-                depth = zone.origin.count(".") + 1
-                if depth > best_depth:
-                    best = server
-                    best_depth = depth
-        return best
+        return _locate(self._servers, name)[0]
 
     def resolve(self, name: str, context: QueryContext) -> Resolution:
         """Fully resolve ``name`` for the client in ``context``.
@@ -325,37 +300,19 @@ class RecursiveResolver:
         now = context.now
         key = None
         if self._cache_enabled:
-            if now > self._horizon:
-                self._horizon = now
             key = self.cache_key(name, context)
-            entry = self._cache.get(key)
+            entry = self._cache.get(key, now)
             if entry is not None:
-                if entry.expires_at > now:
-                    self._hits += 1
-                    self._m_cache_hits.inc()
-                    return entry.cached_step()
-                # TTL expired: drop the stale entry and fall through.
-                del self._cache[key]
-                self._evictions += 1
-                self._m_cache_evictions.inc()
-            self._misses += 1
-            self._m_cache_misses.inc()
+                return entry.cached_step()
         # ``locate`` lets the bulk path share one (server, zone) lookup
         # across many clients; it must agree with ``server_for``, which
         # holds whenever the clients share one server universe.
-        zone: Optional[Zone] = None
-        if locate is not None:
-            server, zone = locate(name)
-        else:
-            server = self.server_for(name)
+        server, zone = (
+            locate(name) if locate is not None else _locate(self._servers, name)
+        )
         if server is None:
             raise ResolutionError(f"no authoritative server for {name!r}")
-        if self._wire_mode:
-            response = self._query_wire(server, name, context)
-        elif zone is not None:
-            response = server.query_in_zone(zone, Question.of(name), context)
-        else:
-            response = server.query(Question.of(name), context)
+        response = server.query_in_zone(zone, Question.of(name), context)
         if response.rcode is RCode.REFUSED:
             raise ResolutionError(
                 f"{server.operator} refused {name!r} despite zone match"
@@ -370,61 +327,8 @@ class RecursiveResolver:
             for record in records:
                 if record.ttl < ttl:
                     ttl = record.ttl
-            self._cache[key] = _CacheEntry(step, now + ttl)
-            if (
-                self._cache_capacity is not None
-                and len(self._cache) > self._cache_capacity
-            ):
-                self._enforce_capacity(now)
+            self._cache.put(key, _CacheEntry(step, now + ttl), now)
         return step
-
-    def _enforce_capacity(self, now: float) -> None:
-        """Shrink to capacity: expired entries first, then soonest-to-expire.
-
-        Both passes count as evictions — capacity pressure is the other
-        way a shared cache loses entries, and the POP-cache metrics
-        must see it.  The overflow victim is the live entry closest to
-        expiry, tie-broken on the key repr, so eviction order is
-        deterministic across runs and worker counts.
-        """
-        self.sweep(now)
-        while len(self._cache) > self._cache_capacity:
-            victim = min(
-                self._cache.items(), key=lambda kv: (kv[1].expires_at, repr(kv[0]))
-            )[0]
-            del self._cache[victim]
-            self._evictions += 1
-            self._m_cache_evictions.inc()
-
-    def _query_wire(
-        self, server: AuthoritativeServer, name: str, context: QueryContext
-    ) -> DnsResponse:
-        """One hop over the byte-level interface (RFC 1035 + ECS)."""
-        from ..net.ipv4 import IPv4Prefix
-        from .wire import ClientSubnet, WireMessage, answer_wire, encode_message
-
-        message_id = self._next_message_id
-        self._next_message_id = (self._next_message_id + 1) & 0xFFFF or 1
-        payload = encode_message(
-            WireMessage(
-                message_id=message_id,
-                questions=[Question(name)],
-                client_subnet=ClientSubnet(
-                    IPv4Prefix.containing(context.client, 24)
-                ),
-            )
-        )
-        from .wire import decode_message
-
-        decoded = decode_message(answer_wire(server, payload, context))
-        if decoded.message_id != message_id:
-            raise ResolutionError(f"mismatched DNS message id for {name!r}")
-        return DnsResponse(
-            question=Question(name),
-            rcode=decoded.rcode,
-            answers=tuple(decoded.answers),
-            authoritative=decoded.authoritative,
-        )
 
     def flush(self) -> None:
         """Drop all cached entries (not counted as evictions)."""
@@ -439,17 +343,7 @@ class RecursiveResolver:
         truthful.  Swept entries count as evictions (their TTL passed),
         unlike :meth:`flush`.  Returns the number removed.
         """
-        horizon = self._horizon if now is None else now
-        expired = [
-            key for key, entry in self._cache.items()
-            if entry.expires_at <= horizon
-        ]
-        for key in expired:
-            del self._cache[key]
-        if expired:
-            self._evictions += len(expired)
-            self._m_cache_evictions.inc(len(expired))
-        return len(expired)
+        return self._cache.sweep(now)
 
     @property
     def cache_size(self) -> int:
@@ -459,35 +353,49 @@ class RecursiveResolver:
         even before lazy expiry removes them, so a shared cache's size
         reflects what could still be served, not dict occupancy.
         """
-        return sum(
-            1 for entry in self._cache.values()
-            if entry.expires_at > self._horizon
-        )
+        return self._cache.live_size
 
     def cache_stats(self) -> ResolverCacheStats:
         """Hit/miss/eviction counters plus the current live size."""
+        cache = self._cache
         return ResolverCacheStats(
-            hits=self._hits,
-            misses=self._misses,
-            evictions=self._evictions,
-            size=self.cache_size,
+            hits=cache.hits,
+            misses=cache.misses,
+            evictions=cache.evictions,
+            size=cache.live_size,
         )
+
+
+def _locate(
+    servers: Sequence[AuthoritativeServer], name: str
+) -> tuple[Optional[AuthoritativeServer], Optional[Zone]]:
+    """The authoritative (server, zone) for ``name``: the first server
+    (in registration order) whose deepest covering zone strictly beats
+    the best seen so far."""
+    best: Optional[AuthoritativeServer] = None
+    best_zone: Optional[Zone] = None
+    best_depth = -1
+    for server in servers:
+        zone = server.zone_for(name)
+        if zone is not None:
+            depth = zone.origin.count(".") + 1
+            if depth > best_depth:
+                best = server
+                best_zone = zone
+                best_depth = depth
+    return best, best_zone
 
 
 class ServerMap:
     """A shared name -> (server, zone) index over one server universe.
 
-    ``server_for`` linearly scans servers and zones on every hop of
-    every client's chase; during a campaign tick hundreds of probes
-    walk the same handful of chain names, so the scan result is pure
-    duplication.  A :class:`ServerMap` memoises the most-specific match
-    once per distinct name, to be shared by every client that consults
-    the same server universe (which campaign probe sets do by
-    construction).
-
-    The selection rule replicates :meth:`RecursiveResolver.server_for`
-    exactly: first server (in registration order) whose deepest
-    covering zone strictly beats the best seen so far.
+    Locating the authoritative server linearly scans servers and zones;
+    during a campaign tick hundreds of probes walk the same handful of
+    chain names, and a live edge answers the same few names forever, so
+    the scan result is pure duplication.  A :class:`ServerMap` memoises
+    the most-specific match once per distinct name, to be shared by
+    every client that consults the same server universe (which campaign
+    probe sets do by construction).
     """
 
     def __init__(self, servers: Iterable[AuthoritativeServer]) -> None:
@@ -497,22 +405,9 @@ class ServerMap:
     def locate(self, name: str) -> tuple[Optional[AuthoritativeServer], Optional[Zone]]:
         """The authoritative (server, zone) for ``name`` (memoised)."""
         hit = self._memo.get(name)
-        if hit is not None:
-            return hit
-        best: Optional[AuthoritativeServer] = None
-        best_zone: Optional[Zone] = None
-        best_depth = -1
-        for server in self._servers:
-            zone = server.zone_for(name)
-            if zone is not None:
-                depth = zone.origin.count(".") + 1
-                if depth > best_depth:
-                    best = server
-                    best_zone = zone
-                    best_depth = depth
-        located = (best, best_zone)
-        self._memo[name] = located
-        return located
+        if hit is None:
+            hit = self._memo[name] = _locate(self._servers, name)
+        return hit
 
 
 class _Chase:

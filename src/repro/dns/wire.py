@@ -432,44 +432,52 @@ def _decode_options(
     return ecs, trace
 
 
+def reply_message(query: WireMessage, response, ecs_scope=None) -> WireMessage:
+    """The wire reply carrying ``response`` back to ``query``'s sender.
+
+    An ECS option in the query is echoed back with ``ecs_scope`` as its
+    scope — the granularity the answer actually depended on.  ``None``
+    keeps the legacy full-source-scope echo for callers whose query
+    context really is per-client; callers that derived the context
+    from a coarser geography lookup must pass that lookup's
+    granularity: over-claiming makes downstream shared caches partition
+    answers more finely than they were computed (diluting their hit
+    rate), under-claiming leaks one geography's steering answer to
+    another (RFC 7871 §7.3.1).  The trace option is echoed too, so a
+    captured response still names the chain it belonged to.
+    """
+    ecs = None
+    if query.client_subnet is not None:
+        ecs = ClientSubnet(
+            prefix=query.client_subnet.prefix,
+            scope_length=(
+                query.client_subnet.prefix.length
+                if ecs_scope is None else ecs_scope
+            ),
+        )
+    return WireMessage(
+        message_id=query.message_id,
+        is_response=True,
+        authoritative=response.authoritative,
+        recursion_desired=query.recursion_desired,
+        rcode=response.rcode,
+        questions=query.questions[:1],
+        answers=list(response.answers),
+        client_subnet=ecs,
+        trace_context=query.trace_context,
+    )
+
+
 def answer_wire(server, payload: bytes, context, ecs_scope=None) -> bytes:
     """Serve one wire-format query against an authoritative server.
 
     Decodes ``payload``, answers the first question with ``server``
     (a :class:`~repro.dns.zone.AuthoritativeServer`) for the client in
-    ``context``, and encodes the response — the byte-level face of the
-    authoritative substrate.  An ECS option in the query is echoed back
-    with ``ecs_scope`` as its scope — the granularity the answer
-    actually depended on.  ``None`` keeps the legacy full-source-scope
-    echo for callers whose ``context`` really is per-client; callers
-    that derived the context from a coarser geography lookup must pass
-    that lookup's granularity, or downstream shared caches partition
-    answers more finely than they were computed (RFC 7871 §7.3.1).
+    ``context``, and encodes the :func:`reply_message` — the byte-level
+    face of the authoritative substrate.
     """
     query = decode_message(payload)
     if not query.questions:
         raise WireError("query carries no question")
-    question = query.questions[0]
-    response = server.query(question, context)
-    ecs = None
-    if query.client_subnet is not None:
-        scope = (
-            query.client_subnet.prefix.length if ecs_scope is None else ecs_scope
-        )
-        ecs = ClientSubnet(
-            prefix=query.client_subnet.prefix,
-            scope_length=scope,
-        )
-    return encode_message(
-        WireMessage(
-            message_id=query.message_id,
-            is_response=True,
-            authoritative=response.authoritative,
-            recursion_desired=query.recursion_desired,
-            rcode=response.rcode,
-            questions=[question],
-            answers=list(response.answers),
-            client_subnet=ecs,
-            trace_context=query.trace_context,
-        )
-    )
+    response = server.query(query.questions[0], context)
+    return encode_message(reply_message(query, response, ecs_scope))

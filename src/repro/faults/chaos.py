@@ -9,8 +9,10 @@ mechanisms promise under failure:
    t=9 s) and a fast health-check loop.  Closed-loop load runs
    throughout; a watcher resolves the Figure 2 chain for clients known
    to map to Limelight and times how quickly the 15 s selection step
-   re-steers them away.  Recovery time comes from the tracer's
-   ``cdn_recovered`` event.
+   re-steers them away and, once the fault clears, back.  With
+   ``serve_workers >= 2`` the same drill runs against a multi-process
+   fleet under an open-loop flash crowd; either way re-steer and
+   recovery are judged from the wire alone.
 2. **Simulation phase** — replay the same failure shape in engine time
    (a Limelight blackout one hour after the iOS 11 release) and check
    the ISP classifier sees the consequence: the EU split drops
@@ -257,172 +259,39 @@ class ChaosReport:
         return "\n".join(lines)
 
 
+# The load counters both live drivers report, summed over the run.
+_LOAD_TOTALS = (
+    "requests", "ok", "errors", "retries", "reresolutions", "hedged", "shed",
+)
+
 # What the live half of the report shows when a drill has no live
 # phase (the worker-crash drill runs entirely in engine time).
 _NO_LIVE_PHASE: dict = {
-    "requests": 0, "ok": 0, "errors": 0,
-    "retries": 0, "reresolutions": 0, "hedged": 0,
+    **dict.fromkeys(_LOAD_TOTALS, 0),
     "watched": 0, "resteer": None, "recovery": None,
     "unhealthy": 0, "blackout": None,
     "anycast_routed": 0, "catchment_shift": (),
 }
 
 
-async def _watch_resteer(cluster, config: ChaosConfig, registry,
-                         blackout: Optional[FaultWindow],
+def _counter_total(registry, name: str) -> int:
+    """The sum over every child of one counter family (0 if absent)."""
+    family = registry.get(name)
+    if family is None:
+        return 0
+    return int(sum(child.value for _labels, child in family.children()))
+
+
+async def _watch_resteer(dns_endpoint, directory, clock, config: ChaosConfig,
+                         registry, blackout: Optional[FaultWindow],
                          stop_at: float, rounds: list) -> int:
     """Resolve Limelight-mapped clients on a cadence; record sightings.
 
     Returns how many watched clients mapped to Limelight pre-fault.
-    Each round appends ``(t, limelight_seen)`` to ``rounds``.
-    """
-    from ..serve.loadgen import AsyncDnsClient, DnsClientError
-
-    dns = await AsyncDnsClient.open(
-        *cluster.dns.endpoint, timeout=1.0, retries=1, metrics=registry
-    )
-    try:
-        entry = "appldnld.apple.com"
-        watched = []
-        for index in range(config.watch_candidates):
-            client = cluster.directory.sample(index)
-            try:
-                resolution = await dns.resolve(entry, client.address)
-            except DnsClientError:
-                continue
-            if any("llnw" in name for name in resolution.chain_names):
-                watched.append(client.address)
-            if len(watched) >= config.watch_clients:
-                break
-        if not watched or blackout is None:
-            return len(watched)
-        clock = cluster._cluster_clock
-        while clock() < stop_at:
-            seen = False
-            for address in watched:
-                try:
-                    resolution = await dns.resolve(entry, address)
-                except DnsClientError:
-                    continue
-                if any("llnw" in name for name in resolution.chain_names):
-                    seen = True
-                    break
-            rounds.append((clock(), seen))
-            await asyncio.sleep(config.watch_interval)
-        return len(watched)
-    finally:
-        dns.close()
-
-
-def _resteer_from_rounds(rounds, blackout: Optional[FaultWindow]) -> Optional[float]:
-    """Seconds from blackout start until the chain stopped answering
-    Limelight (and stayed away until the fault cleared)."""
-    if blackout is None:
-        return None
-    in_window = [(t, seen) for t, seen in rounds
-                 if blackout.start <= t < blackout.end]
-    steered_at: Optional[float] = None
-    for t, seen in in_window:
-        if seen:
-            steered_at = None
-        elif steered_at is None:
-            steered_at = t
-    if steered_at is None:
-        return None
-    return steered_at - blackout.start
-
-
-async def _live_phase(config: ChaosConfig, schedule: FaultSchedule,
-                      registry, tracer) -> dict:
-    from ..serve.cluster import ClusterConfig, ServeCluster
-    from ..serve.loadgen import LoadConfig
-
-    blackouts = [w for w in schedule
-                 if w.kind is FaultKind.CDN_BLACKOUT and w.target != "Apple"]
-    blackout = blackouts[0] if blackouts else None
-    failover = FailoverConfig(
-        probe_interval=config.probe_interval,
-        cooldown=config.probe_cooldown,
-        fault_seed=config.seed,
-    )
-    cluster = ServeCluster(
-        config=ClusterConfig(servers_per_metro=config.servers_per_metro),
-        metrics=registry,
-        tracer=tracer,
-        faults=schedule,
-        failover=failover,
-        steering=config.steering,
-    )
-    end_at = schedule.end_time() + config.recovery_margin
-    totals = {"requests": 0, "ok": 0, "errors": 0,
-              "retries": 0, "reresolutions": 0, "hedged": 0}
-    rounds: list = []
-    async with cluster:
-        watcher = asyncio.create_task(
-            _watch_resteer(cluster, config, registry, blackout, end_at, rounds)
-        )
-        load_config = LoadConfig(
-            requests=config.batch_requests,
-            concurrency=config.concurrency,
-            http_retries=2,
-            dns_timeout=1.0,
-        )
-        clock = cluster._cluster_clock
-        while clock() < end_at:
-            report = await cluster.drive(load_config)
-            totals["requests"] += report.requests
-            totals["ok"] += report.ok
-            totals["errors"] += report.errors
-            totals["retries"] += report.retries
-            totals["reresolutions"] += report.reresolutions
-            totals["hedged"] += report.hedged
-        watched = await watcher
-    recovery: Optional[float] = None
-    if blackout is not None:
-        for record in tracer.find("cdn_recovered"):
-            if record.fields.get("member") == blackout.target:
-                recovery = max(0.0, record.ts - blackout.end)
-                break
-    # Anycast bookkeeping: how many connections the catchment router
-    # placed, and which client groups a route flap moved.  The shift is
-    # evaluated against the same schedule the live window ran.
-    anycast_routed = 0
-    catchment_shift: tuple[str, ...] = ()
-    plane = getattr(cluster, "anycast", None)
-    if plane is not None:
-        family = registry.get("serve_anycast_routed_total")
-        if family is not None:
-            anycast_routed = int(
-                sum(child.value for _labels, child in family.children())
-            )
-        flaps = [w for w in schedule if w.kind in
-                 (FaultKind.ROUTE_WITHDRAW, FaultKind.ROUTE_PREPEND)]
-        if flaps:
-            window = flaps[0]
-            before = plane.catchment_map(window.start - 1.0)
-            during = plane.catchment_map((window.start + window.end) / 2.0)
-            catchment_shift = before.diff(during)
-    return {
-        **totals,
-        "watched": watched,
-        "resteer": _resteer_from_rounds(rounds, blackout),
-        "recovery": recovery,
-        "unhealthy": len(tracer.find("cdn_unhealthy")),
-        "blackout": blackout,
-        "anycast_routed": anycast_routed,
-        "catchment_shift": catchment_shift,
-    }
-
-
-async def _fleet_watch(dns_endpoint, directory, config: ChaosConfig,
-                       registry, blackout: Optional[FaultWindow],
-                       clock, stop_at: float, rounds: list) -> int:
-    """The :func:`_watch_resteer` logic against a fleet's shared port.
-
-    The fleet's tracer events live in its worker processes, so re-steer
-    *and* recovery are judged from the wire alone: ``rounds`` records
-    ``(t, limelight_seen)`` past the end of the fault window too, and
-    the caller derives recovery from Limelight's reappearance.
+    Each round appends ``(t, limelight_seen)`` to ``rounds`` until
+    ``stop_at`` — past the end of the fault window, so the caller reads
+    both the re-steer and the recovery off the wire alone (a fleet's
+    tracer events live in its worker processes).
     """
     from ..serve.loadgen import AsyncDnsClient, DnsClientError
 
@@ -461,6 +330,24 @@ async def _fleet_watch(dns_endpoint, directory, config: ChaosConfig,
         dns.close()
 
 
+def _resteer_from_rounds(rounds, blackout: Optional[FaultWindow]) -> Optional[float]:
+    """Seconds from blackout start until the chain stopped answering
+    Limelight (and stayed away until the fault cleared)."""
+    if blackout is None:
+        return None
+    in_window = [(t, seen) for t, seen in rounds
+                 if blackout.start <= t < blackout.end]
+    steered_at: Optional[float] = None
+    for t, seen in in_window:
+        if seen:
+            steered_at = None
+        elif steered_at is None:
+            steered_at = t
+    if steered_at is None:
+        return None
+    return steered_at - blackout.start
+
+
 def _recovery_from_rounds(rounds, blackout: Optional[FaultWindow]) -> Optional[float]:
     """Seconds from the fault clearing until Limelight answered again."""
     if blackout is None:
@@ -471,71 +358,75 @@ def _recovery_from_rounds(rounds, blackout: Optional[FaultWindow]) -> Optional[f
     return None
 
 
-def _fleet_live_phase(config: ChaosConfig, schedule: FaultSchedule,
-                      registry) -> dict:
-    """The live drill against a multi-process fleet, mid-flash-crowd.
+def _drive_cluster(config: ChaosConfig, cluster_config, edge: dict, load_config,
+                   end_at: float, registry, tracer, watch) -> tuple:
+    """Closed-loop batches on the single-loop cluster's own event loop."""
+    from ..serve.cluster import ServeCluster
 
-    An open-loop flash-crowd arrival (sliced across generator
-    processes) runs in a background thread for the whole schedule while
-    the watcher resolves from the parent; worker metrics are absorbed
-    into ``registry`` at the end so failover counts and per-status
-    totals read exactly like the single-loop drill's.
+    async def run() -> tuple:
+        cluster = ServeCluster(
+            config=cluster_config, metrics=registry, tracer=tracer, **edge
+        )
+        totals = dict.fromkeys(_LOAD_TOTALS, 0)
+        async with cluster:
+            clock = cluster._cluster_clock
+            watcher = asyncio.create_task(
+                watch(cluster.dns.endpoint, cluster.directory, clock)
+            )
+            while clock() < end_at:
+                report = await cluster.drive(load_config)
+                for name in _LOAD_TOTALS:
+                    totals[name] += getattr(report, name)
+            watched = await watcher
+        return totals, watched, cluster.directory
+
+    return asyncio.run(run())
+
+
+def _drive_fleet(config: ChaosConfig, cluster_config, edge: dict, load_config,
+                 end_at: float, registry, tracer, watch) -> tuple:
+    """An open-loop flash crowd through a loadgen fleet, for the whole
+    schedule, against a multi-process ``SO_REUSEPORT`` fleet.
+
+    The generators run in a background thread while the watcher
+    resolves from the parent; worker metrics are absorbed into
+    ``registry`` at the end so failover counts and per-status totals
+    read exactly like the single-loop drill's.
     """
     import threading
     import time
+    from dataclasses import replace
 
-    from ..serve.cluster import ClusterConfig
     from ..serve.fleet import FleetConfig, ServeFleet, run_loadgen_fleet
-    from ..serve.loadgen import LoadConfig
     from ..workload.arrival import ArrivalSchedule
 
-    blackouts = [w for w in schedule
-                 if w.kind is FaultKind.CDN_BLACKOUT and w.target != "Apple"]
-    blackout = blackouts[0] if blackouts else None
-    failover = FailoverConfig(
-        probe_interval=config.probe_interval,
-        cooldown=config.probe_cooldown,
-        fault_seed=config.seed,
-    )
-    cluster_config = ClusterConfig(servers_per_metro=config.servers_per_metro)
     fleet = ServeFleet(FleetConfig(
-        workers=config.serve_workers,
-        cluster=cluster_config,
-        steering=config.steering,
-        faults=schedule,
-        failover=failover,
+        workers=config.serve_workers, cluster=cluster_config, **edge
     ))
-    end_at = schedule.end_time() + config.recovery_margin
     total = max(config.batch_requests, int(config.batch_requests * end_at / 2.0))
-    arrival = ArrivalSchedule.flash_crowd(total, end_at)
-    load_config = LoadConfig(
-        requests=total,
-        concurrency=config.concurrency,
-        http_retries=2,
-        dns_timeout=1.0,
-        arrival=arrival,
+    load_config = replace(
+        load_config, requests=total,
+        arrival=ArrivalSchedule.flash_crowd(total, end_at),
     )
     fleet.start()
     t0 = time.monotonic()
-    clock = lambda: time.monotonic() - t0  # noqa: E731 - run-relative seconds
+    directory = fleet.spec.directory()
     holder: dict = {}
 
     def _drive() -> None:
         try:
             holder["report"] = run_loadgen_fleet(
                 fleet.dns_endpoint, fleet.http_endpoint, load_config,
-                config.loadgen_processes, directory=fleet.spec.directory(),
+                config.loadgen_processes, directory=directory,
             )
         except Exception as exc:  # surfaced as a failed drill, not a crash
             holder["error"] = exc
 
-    rounds: list = []
     try:
         driver = threading.Thread(target=_drive, daemon=True)
         driver.start()
-        watched = asyncio.run(_fleet_watch(
-            fleet.dns_endpoint, fleet.spec.directory(), config, registry,
-            blackout, clock, end_at, rounds,
+        watched = asyncio.run(watch(
+            fleet.dns_endpoint, directory, lambda: time.monotonic() - t0
         ))
         driver.join(timeout=max(60.0, end_at * 4))
     finally:
@@ -546,56 +437,109 @@ def _fleet_live_phase(config: ChaosConfig, schedule: FaultSchedule,
     report = holder.get("report")
     if report is None:
         raise RuntimeError("loadgen fleet did not finish within its deadline")
-    unhealthy = 0
-    failover_family = registry.get("cdn_failovers_total")
-    if failover_family is not None:
-        unhealthy = int(
-            sum(child.value for _labels, child in failover_family.children())
+    totals = {name: getattr(report, name) for name in _LOAD_TOTALS}
+    return totals, watched, directory
+
+
+def _live_phase(config: ChaosConfig, schedule: FaultSchedule,
+                registry, tracer) -> dict:
+    """The live drill: the faults bite while load flows and a watcher resolves.
+
+    One judge for both edges — re-steer and recovery from the watcher's
+    wire rounds, unhealthy events from ``cdn_failovers_total`` — and
+    two genuinely different load drivers: closed-loop batches on the
+    single-loop cluster, an open-loop flash crowd against the fleet.
+    """
+    from ..serve.cluster import ClusterConfig, build_serve_estate
+    from ..serve.loadgen import LoadConfig
+    from ..serve.steering import build_serve_plane
+
+    blackout = next(
+        (w for w in schedule
+         if w.kind is FaultKind.CDN_BLACKOUT and w.target != "Apple"),
+        None,
+    )
+    cluster_config = ClusterConfig(servers_per_metro=config.servers_per_metro)
+    edge = {
+        "steering": config.steering,
+        "faults": schedule,
+        "failover": FailoverConfig(
+            probe_interval=config.probe_interval,
+            cooldown=config.probe_cooldown,
+            fault_seed=config.seed,
+        ),
+    }
+    load_config = LoadConfig(
+        requests=config.batch_requests,
+        concurrency=config.concurrency,
+        http_retries=2,
+        dns_timeout=1.0,
+    )
+    end_at = schedule.end_time() + config.recovery_margin
+    rounds: list = []
+
+    def watch(dns_endpoint, directory, clock):
+        return _watch_resteer(
+            dns_endpoint, directory, clock, config, registry, blackout,
+            end_at, rounds,
         )
+
+    drive = _drive_fleet if config.serve_workers > 1 else _drive_cluster
+    totals, watched, directory = drive(
+        config, cluster_config, edge, load_config, end_at, registry, tracer,
+        watch,
+    )
+    # Anycast bookkeeping: how many connections the catchment router
+    # placed, and which client groups a route flap moved.  The shift is
+    # evaluated against the same schedule the live window ran (the
+    # catchment map is a pure function of estate, vantages and schedule).
     anycast_routed = 0
     catchment_shift: tuple[str, ...] = ()
     if config.steering != "dns":
-        family = registry.get("serve_anycast_routed_total")
-        if family is not None:
-            anycast_routed = int(
-                sum(child.value for _labels, child in family.children())
-            )
-        from ..serve.steering import build_serve_plane
-        from ..serve.cluster import build_serve_estate
-
-        plane = build_serve_plane(
-            build_serve_estate(cluster_config), fleet.spec.directory(),
-            schedule=schedule,
-        )
+        anycast_routed = _counter_total(registry, "serve_anycast_routed_total")
         flaps = [w for w in schedule if w.kind in
                  (FaultKind.ROUTE_WITHDRAW, FaultKind.ROUTE_PREPEND)]
         if flaps:
             window = flaps[0]
+            plane = build_serve_plane(
+                build_serve_estate(cluster_config), directory, schedule=schedule
+            )
             before = plane.catchment_map(window.start - 1.0)
             during = plane.catchment_map((window.start + window.end) / 2.0)
             catchment_shift = before.diff(during)
     return {
-        "requests": report.requests,
-        "ok": report.ok,
-        "errors": report.errors,
-        "retries": report.retries,
-        "reresolutions": report.reresolutions,
-        "hedged": report.hedged,
+        **totals,
         "watched": watched,
         "resteer": _resteer_from_rounds(rounds, blackout),
         "recovery": _recovery_from_rounds(rounds, blackout),
-        "unhealthy": unhealthy,
+        "unhealthy": _counter_total(registry, "cdn_failovers_total"),
         "blackout": blackout,
         "anycast_routed": anycast_routed,
         "catchment_shift": catchment_shift,
-        "shed": report.shed,
     }
+
+
+def _drill_engine(config: ChaosConfig, faults=None, **overrides) -> tuple:
+    """(scenario, engine) of the small Sep-2017 world the engine-time
+    drills replay: 32/16/2 probes at 1800 s steps."""
+    from ..simulation.engine import SimulationEngine
+    from ..simulation.scenario import ScenarioConfig, Sep2017Scenario
+
+    scenario = Sep2017Scenario(
+        ScenarioConfig(
+            global_probe_count=32,
+            isp_probe_count=16,
+            traceroute_probe_count=2,
+            fault_seed=config.seed,
+            **overrides,
+        ),
+        faults=faults,
+    )
+    return scenario, SimulationEngine(scenario, step_seconds=1800.0)
 
 
 def _simulation_phase(config: ChaosConfig) -> dict:
     from ..isp.classify import TrafficClassifier
-    from ..simulation.engine import SimulationEngine
-    from ..simulation.scenario import ScenarioConfig, Sep2017Scenario
 
     release = TIMELINE.ios_11_0_release
     fault_start = release + 3600.0
@@ -603,16 +547,9 @@ def _simulation_phase(config: ChaosConfig) -> dict:
     schedule = FaultSchedule(
         [FaultWindow(fault_start, fault_end, "Limelight", FaultKind.CDN_BLACKOUT)]
     )
-    scenario_config = ScenarioConfig(
-        global_probe_count=32,
-        isp_probe_count=16,
-        traceroute_probe_count=2,
-        fault_probe_interval=60.0,
-        fault_cooldown=300.0,
-        fault_seed=config.seed,
+    scenario, engine = _drill_engine(
+        config, schedule, fault_probe_interval=60.0, fault_cooldown=300.0
     )
-    scenario = Sep2017Scenario(scenario_config, faults=schedule)
-    engine = SimulationEngine(scenario, step_seconds=1800.0)
     reports: list = []
     engine.run(
         release - 1800.0, release + 8 * 3600.0,
@@ -657,8 +594,7 @@ def _worker_crash_phase(config: ChaosConfig, schedule: FaultSchedule) -> dict:
     import json
 
     from ..simulation.concurrency import ShardDivergenceError, run_sharded
-    from ..simulation.engine import RunSummary, SimulationEngine
-    from ..simulation.scenario import ScenarioConfig, Sep2017Scenario
+    from ..simulation.engine import RunSummary
 
     release = TIMELINE.ios_11_0_release
     sim_start = release - 1800.0
@@ -675,16 +611,9 @@ def _worker_crash_phase(config: ChaosConfig, schedule: FaultSchedule) -> dict:
             for window in schedule
         ]
     )
-    scenario_config = ScenarioConfig(
-        global_probe_count=32,
-        isp_probe_count=16,
-        traceroute_probe_count=2,
-        fault_seed=config.seed,
-    )
 
     def run_once(workers: int) -> tuple:
-        scenario = Sep2017Scenario(scenario_config, faults=mapped)
-        engine = SimulationEngine(scenario, step_seconds=1800.0)
+        scenario, engine = _drill_engine(config, mapped)
         reports: list = []
         if workers == 1:
             engine.run(sim_start, sim_end, progress=reports.append)
@@ -725,30 +654,21 @@ def _anycast_simulation_phase(config: ChaosConfig) -> dict:
     reach the health probes.
     """
     from ..anycast.analysis import CatchmentAnalysis
-    from ..simulation.engine import SimulationEngine
-    from ..simulation.scenario import ScenarioConfig, Sep2017Scenario
 
     release = TIMELINE.ios_11_0_release
     flap_start = release + 3600.0
     flap_end = release + 3 * 3600.0
-    scenario_config = ScenarioConfig(
-        global_probe_count=32,
-        isp_probe_count=16,
-        traceroute_probe_count=2,
-        fault_seed=config.seed,
-        steering=config.steering if config.steering != "dns" else "anycast",
-    )
+    steering = config.steering if config.steering != "dns" else "anycast"
     # Find the busiest catchment first (pure function of the config),
     # then rebuild the world with that site's announcement withdrawn
     # mid-event.
-    probe_plane = Sep2017Scenario(scenario_config).anycast
+    probe_plane = _drill_engine(config, steering=steering)[0].anycast
     shares = probe_plane.catchment_map(0.0).share_by_site()
     site_id = max(shares, key=lambda site: shares[site])
     schedule = FaultSchedule(
         [FaultWindow(flap_start, flap_end, site_id, FaultKind.ROUTE_WITHDRAW)]
     )
-    scenario = Sep2017Scenario(scenario_config, faults=schedule)
-    engine = SimulationEngine(scenario, step_seconds=1800.0)
+    scenario, engine = _drill_engine(config, schedule, steering=steering)
     engine.run(
         release - 1800.0, release + 5 * 3600.0, workers=config.workers
     )
@@ -800,22 +720,15 @@ def run_chaos(
             # the whole drill is the sharded-vs-serial engine run.
             live = _NO_LIVE_PHASE
             sim = _worker_crash_phase(config, schedule)
-        elif config.serve_workers > 1:
-            live = _fleet_live_phase(config, schedule, registry)
-            sim = None
-            if config.run_simulation:
-                if config.steering == "anycast":
-                    sim = _anycast_simulation_phase(config)
-                else:
-                    sim = _simulation_phase(config)
         else:
-            live = asyncio.run(_live_phase(config, schedule, registry, tracer))
-            sim = None
+            live = _live_phase(config, schedule, registry, tracer)
+            sim = {}
             if config.run_simulation:
-                if config.steering == "anycast":
-                    sim = _anycast_simulation_phase(config)
-                else:
-                    sim = _simulation_phase(config)
+                simulate = (
+                    _anycast_simulation_phase if config.steering == "anycast"
+                    else _simulation_phase
+                )
+                sim = simulate(config)
 
     if worker_drill:
         error_rate = 0.0
@@ -861,7 +774,7 @@ def run_chaos(
                  "events, zero re-steers)",
                  live["unhealthy"] == 0 and live["resteer"] is None)
             )
-        if sim is not None and config.steering == "anycast":
+        if sim and config.steering == "anycast":
             checks += [
                 ("simulation: mid-event flap shifted catchments and reverted",
                  sim["map_changes"] >= 2 and sim["affinity_break_rate"] > 0.0),
@@ -870,7 +783,7 @@ def run_chaos(
                 ("simulation: zero members unhealthy after the flap",
                  sim["unhealthy_members"] == 0),
             ]
-        elif sim is not None:
+        elif sim:
             checks += [
                 ("simulation: Limelight split dropped to zero during blackout",
                  sim["limelight_pre"] > 0.0 and sim["limelight_blackout"] == 0.0),
@@ -892,27 +805,21 @@ def run_chaos(
         recovery_seconds=live["recovery"],
         unhealthy_events=live["unhealthy"],
         watched_clients=live["watched"],
-        sim_limelight_pre_gbps=None if sim is None else sim.get("limelight_pre"),
-        sim_limelight_blackout_gbps=(
-            None if sim is None else sim.get("limelight_blackout")
-        ),
-        sim_limelight_after_gbps=(
-            None if sim is None else sim.get("limelight_after")
-        ),
-        sim_overflow_akamai_bytes=(
-            None if sim is None else sim.get("overflow_akamai")
-        ),
+        sim_limelight_pre_gbps=sim.get("limelight_pre"),
+        sim_limelight_blackout_gbps=sim.get("limelight_blackout"),
+        sim_limelight_after_gbps=sim.get("limelight_after"),
+        sim_overflow_akamai_bytes=sim.get("overflow_akamai"),
         steering=config.steering,
         anycast_routed=live["anycast_routed"],
         catchment_shift=live["catchment_shift"],
-        sim_flap_site=None if sim is None else sim.get("flap_site"),
-        sim_map_changes=None if sim is None else sim.get("map_changes"),
-        sim_shifted_gbps=None if sim is None else sim.get("shifted_gbps"),
-        sim_worker_restarts=None if sim is None else sim.get("worker_restarts"),
-        sim_worker_identical=None if sim is None else sim.get("identical"),
-        sim_worker_divergence=None if sim is None else sim.get("divergence"),
+        sim_flap_site=sim.get("flap_site"),
+        sim_map_changes=sim.get("map_changes"),
+        sim_shifted_gbps=sim.get("shifted_gbps"),
+        sim_worker_restarts=sim.get("worker_restarts"),
+        sim_worker_identical=sim.get("identical"),
+        sim_worker_divergence=sim.get("divergence"),
         serve_workers=config.serve_workers,
-        shed=live.get("shed", 0),
+        shed=live["shed"],
         checks=tuple(checks),
     )
     if not report.passed():

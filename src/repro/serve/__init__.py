@@ -21,7 +21,7 @@ the flash-crowd workload — is made network-reachable here:
   ``repro selftest`` entry point;
 * :mod:`repro.serve.admin` — the live admin plane (``/metrics``,
   ``/healthz``, ``/traces``) the ``repro top`` dashboard polls;
-* :mod:`repro.serve.snapshot` — the mmap-backed read-only fleet spec
+* :mod:`repro.serve.snapshot` — the checksummed read-only fleet spec
   every worker process serves from;
 * :mod:`repro.serve.fleet` — the multi-process ``SO_REUSEPORT`` edge
   fleet plus the loadgen fleet and the scaled selftest.

@@ -494,10 +494,16 @@ def render_selftest(
             f"shared POP caches)"
         )
     lines.append("")
-    for label, passed in checks:
-        lines.append(f"{'PASS' if passed else 'FAIL'}  {label}")
+    lines += render_checks("selftest", checks)
+    return "\n".join(lines)
+
+
+def render_checks(title: str, checks, notes=()) -> list[str]:
+    """PASS/FAIL check lines, any ``notes``, then the ``title`` verdict."""
+    lines = [f"{'PASS' if passed else 'FAIL'}  {label}" for label, passed in checks]
+    lines += notes
     lines.append("")
     lines.append(
-        "selftest " + ("PASSED" if all(p for _, p in checks) else "FAILED")
+        f"{title} " + ("PASSED" if all(p for _, p in checks) else "FAILED")
     )
-    return "\n".join(lines)
+    return lines

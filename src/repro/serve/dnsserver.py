@@ -27,7 +27,14 @@ import time
 from typing import Callable, Iterable, Optional
 
 from ..dns.query import DnsResponse, QueryContext, RCode
-from ..dns.wire import ClientSubnet, WireError, WireMessage, decode_message, encode_message
+from ..dns.resolver import ServerMap
+from ..dns.wire import (
+    WireError,
+    WireMessage,
+    decode_message,
+    encode_message,
+    reply_message,
+)
 from ..dns.zone import AuthoritativeServer
 from ..obs import get_registry, get_tracer, use_context
 from .clients import ClientDirectory
@@ -41,33 +48,21 @@ _TCP_IDLE_TIMEOUT = 30.0
 class ZoneFrontend:
     """Routes each owner name to the most specific authoritative server.
 
-    The same longest-zone-wins rule as
-    :meth:`repro.dns.resolver.RecursiveResolver.server_for`: Akamai's
+    The longest-zone-wins rule is the resolver's own
+    (:class:`repro.dns.resolver.ServerMap`, memoised per name): Akamai's
     ``akadns.net`` zone answers ``appldnld.apple.com.akadns.net`` even
     though Apple's ``apple.com`` zone also matches a suffix.
     """
 
     def __init__(self, servers: Iterable[AuthoritativeServer]) -> None:
-        self._servers = list(servers)
-        if not self._servers:
+        servers = list(servers)
+        if not servers:
             raise ValueError("a frontend needs at least one server")
-        self._memo: dict[str, Optional[AuthoritativeServer]] = {}
+        self._map = ServerMap(servers)
 
     def server_for(self, name: str) -> Optional[AuthoritativeServer]:
         """The authoritative server for ``name`` (most specific zone)."""
-        if name in self._memo:
-            return self._memo[name]
-        best: Optional[AuthoritativeServer] = None
-        best_depth = -1
-        for server in self._servers:
-            zone = server.zone_for(name)
-            if zone is not None:
-                depth = zone.origin.count(".") + 1
-                if depth > best_depth:
-                    best = server
-                    best_depth = depth
-        self._memo[name] = best
-        return best
+        return self._map.locate(name)[0]
 
     def answer(
         self,
@@ -79,47 +74,18 @@ class ZoneFrontend:
 
         ``ecs_scope`` is the prefix length the geography lookup behind
         ``context`` actually used (``AsyncDnsServer`` passes its client
-        directory's vantage granularity).  ``None`` falls back to the
-        legacy full-source-scope echo for standalone frontend use where
-        the context genuinely is per-client.
+        directory's vantage granularity); see
+        :func:`~repro.dns.wire.reply_message` for what it controls.
         """
         if not query.questions:
             raise WireError("query carries no question")
         question = query.questions[0]
-        server = self.server_for(question.name)
+        server, zone = self._map.locate(question.name)
         if server is None:
             response = DnsResponse(question=question, rcode=RCode.REFUSED)
         else:
-            response = server.query(question, context)
-        ecs = None
-        if query.client_subnet is not None:
-            # Echo the option back with the scope the answer really
-            # depended on: over-claiming full source scope would make a
-            # downstream shared resolver cache partition per /24 even
-            # though the directory only looked at the /16 — diluting
-            # its hit rate — while under-claiming would leak one
-            # geography's steering answers to another.
-            scope = (
-                query.client_subnet.prefix.length
-                if ecs_scope is None else ecs_scope
-            )
-            ecs = ClientSubnet(
-                prefix=query.client_subnet.prefix,
-                scope_length=scope,
-            )
-        return WireMessage(
-            message_id=query.message_id,
-            is_response=True,
-            authoritative=response.authoritative,
-            recursion_desired=query.recursion_desired,
-            rcode=response.rcode,
-            questions=[question],
-            answers=list(response.answers),
-            client_subnet=ecs,
-            # Echo the trace option too, so a captured response still
-            # names the chain it belonged to.
-            trace_context=query.trace_context,
-        )
+            response = server.query_in_zone(zone, question, context)
+        return reply_message(query, response, ecs_scope)
 
 
 class _UdpProtocol(asyncio.DatagramProtocol):

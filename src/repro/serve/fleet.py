@@ -48,7 +48,13 @@ from ..faults import FailoverConfig, FaultSchedule
 from ..obs import NULL_TRACER, MetricsRegistry, merge_registry_snapshots, use_registry, use_tracer
 from ..workload.arrival import ArrivalSchedule
 from .clients import ClientDirectory
-from .cluster import ClusterConfig, ServeCluster, build_serve_estate, selftest
+from .cluster import (
+    ClusterConfig,
+    ServeCluster,
+    build_serve_estate,
+    render_checks,
+    selftest,
+)
 from .loadgen import (
     AsyncDnsClient,
     LoadConfig,
@@ -879,13 +885,8 @@ def render_fleet_selftest(result: FleetSelftestReport,
         f"fleet speedup        {result.speedup:.2f}x",
         "",
     ]
-    for label, passed in checks:
-        lines.append(f"{'PASS' if passed else 'FAIL'}  {label}")
-    for failure in result.equivalence_failures[:3]:
-        lines.append(f"equivalence: {failure}")
-    lines.append("")
-    lines.append(
-        "fleet selftest "
-        + ("PASSED" if all(p for _, p in checks) else "FAILED")
+    lines += render_checks(
+        "fleet selftest", checks,
+        [f"equivalence: {failure}" for failure in result.equivalence_failures[:3]],
     )
     return "\n".join(lines)

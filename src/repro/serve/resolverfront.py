@@ -32,6 +32,7 @@ from typing import Callable, Optional
 
 from ..dns.query import RCode
 from ..dns.records import ResourceRecord
+from ..dns.ttlcache import TtlCache
 from ..dns.wire import ClientSubnet, WireMessage, decode_message, encode_message
 from ..net.ipv4 import IPv4Address, IPv4Prefix
 from ..obs import get_registry
@@ -93,8 +94,6 @@ class PublicResolverFront:
             raise ValueError("a resolver front needs at least one POP")
         if not 0 <= scope <= 32:
             raise ValueError("scope must be in [0, 32]")
-        if cache_capacity <= 0:
-            raise ValueError("cache_capacity must be positive")
         self._upstream = upstream
         self.directory = (
             directory if directory is not None else ClientDirectory()
@@ -102,15 +101,12 @@ class PublicResolverFront:
         self._pops = tuple(pops)
         self.ecs = ecs
         self.scope = scope
-        self._capacity = cache_capacity
         self._timeout = timeout
         self._retries = retries
         self._clock = clock
         # The wire ECS option needs a positive prefix length; scope 0
         # (or ECS off) degrades to announcing the POP anchor itself.
         self._announce_clients = ecs and scope > 0
-        # One cache per POP: (qname, network_value, scope) -> entry.
-        self._caches: dict[str, dict[tuple, _CacheEntry]] = {}
         # The last echoed scope per (pop, qname): where to look on the
         # next query for the same name (real ECS caches keep the same
         # per-name scope memo).
@@ -124,8 +120,6 @@ class PublicResolverFront:
         self._tasks: set[asyncio.Task] = set()
         self._host: Optional[str] = None
         self._port: Optional[int] = None
-        self.hits = 0
-        self.misses = 0
         registry = metrics if metrics is not None else get_registry()
         self._m_queries = registry.counter(
             "resolver_front_queries_total",
@@ -137,16 +131,24 @@ class PublicResolverFront:
             "Shared POP cache lookups, by outcome",
             ("outcome",),
         )
-        self._m_hit = self._m_cache.labels("hit")
-        self._m_miss = self._m_cache.labels("miss")
         self._m_upstream = registry.counter(
             "resolver_front_upstream_total",
             "Queries the front forwarded to the authoritative server",
         )
-        self._m_evictions = registry.counter(
+        evictions = registry.counter(
             "resolver_front_evictions_total",
-            "Cache entries evicted at the per-POP capacity bound",
+            "POP cache entries dropped on expiry or at the capacity bound",
         )
+        # One cache per POP: (qname, network_value, scope) -> entry.
+        self._caches = {
+            pop.pop_id: TtlCache(
+                cache_capacity,
+                hits=self._m_cache.labels("hit"),
+                misses=self._m_cache.labels("miss"),
+                evictions=evictions,
+            )
+            for pop in self._pops
+        }
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -227,11 +229,12 @@ class PublicResolverFront:
 
     def cache_stats(self) -> dict:
         """Plain counters for reports (work under the null registry)."""
+        caches = self._caches.values()
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "size": sum(len(cache) for cache in self._caches.values()),
-            "pops": len(self._caches),
+            "hits": sum(cache.hits for cache in caches),
+            "misses": sum(cache.misses for cache in caches),
+            "size": sum(cache.live_size for cache in caches),
+            "pops": len(caches),
         }
 
     # ------------------------------------------------------------------
@@ -301,19 +304,17 @@ class PublicResolverFront:
         """The cached (or freshly fetched) entry for one query."""
         assert self._clock is not None
         now = self._clock()
-        cache = self._caches.setdefault(pop.pop_id, {})
+        cache = self._caches[pop.pop_id]
         memo_scope = self._scope_memo.get((pop.pop_id, qname))
-        if memo_scope is not None:
-            key = (qname, self._truncate(announced, memo_scope), memo_scope)
-            entry = cache.get(key)
-            if entry is not None:
-                if entry.expires_at > now:
-                    self.hits += 1
-                    self._m_hit.inc()
-                    return entry
-                del cache[key]
-        self.misses += 1
-        self._m_miss.inc()
+        # Without a scope memo nothing was ever stored for this name
+        # here: the ``None`` key never matches and counts the miss.
+        entry = cache.get(
+            None if memo_scope is None
+            else (qname, self._truncate(announced, memo_scope), memo_scope),
+            now,
+        )
+        if entry is not None:
+            return entry
         # Coalesce concurrent misses at the announced granularity: the
         # answer's true partition is only known once the echo arrives.
         flight_key = (
@@ -344,7 +345,7 @@ class PublicResolverFront:
             self._inflight.pop(flight_key, None)
 
     async def _fetch(self, pop: ResolverPop, qname: str,
-                     announced: IPv4Address, cache: dict) -> _CacheEntry:
+                     announced: IPv4Address, cache: TtlCache) -> _CacheEntry:
         """One upstream round trip; stores at the echoed scope."""
         assert self._client is not None and self._clock is not None
         self._m_upstream.inc()
@@ -366,32 +367,12 @@ class PublicResolverFront:
             ttl = min(record.ttl for record in answers)
             if ttl > 0:
                 entry.expires_at = now + ttl
-                self._store(
-                    cache, pop, qname,
+                self._scope_memo[(pop.pop_id, qname)] = echoed
+                cache.put(
                     (qname, self._truncate(announced, echoed), echoed),
                     entry, now,
                 )
         return entry
-
-    def _store(self, cache: dict, pop: ResolverPop, qname: str,
-               key: tuple, entry: _CacheEntry, now: float) -> None:
-        self._scope_memo[(pop.pop_id, qname)] = entry.scope
-        cache[key] = entry
-        if len(cache) <= self._capacity:
-            return
-        # Expired entries go first; then the soonest-to-expire live one
-        # (deterministic tie-break on the key repr).
-        for stale in [k for k, e in cache.items() if e.expires_at <= now]:
-            if len(cache) <= self._capacity:
-                return
-            del cache[stale]
-            self._m_evictions.inc()
-        while len(cache) > self._capacity:
-            victim = min(
-                cache, key=lambda k: (cache[k].expires_at, repr(k))
-            )
-            del cache[victim]
-            self._m_evictions.inc()
 
     @staticmethod
     def _servfail_for(payload: bytes) -> Optional[bytes]:

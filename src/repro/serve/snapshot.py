@@ -5,12 +5,12 @@ shapes an answer — the estate's zones, the vantage directory, the
 steering mode, the catchment table — or the same query would resolve
 differently depending on which worker the kernel picked.  The
 :class:`FleetSpec` snapshot is that agreement, written once by the
-fleet parent and mapped read-only by every worker:
+fleet parent and loaded by every worker:
 
-* the file is **mmap-backed** (``RSNAP1`` header, BLAKE2b-checksummed
-  payload, same framing discipline as the RCKPT/RSEG1 formats), so the
-  kernel shares one page-cache copy of the spec across the whole
-  fleet instead of N heap copies;
+* the file is one :class:`~repro.container.Container` frame (magic
+  ``RSNAP2``, the framing ``RCKPT``/``RSEG`` share) whose payload is the
+  pickled spec; magic, version, length and checksum are verified before
+  it is unpickled, and each worker then holds its own decoded copy;
 * estate construction is deterministic from :class:`~repro.serve.
   cluster.ClusterConfig`, so workers rebuild the zones locally and then
   *verify* their build against the snapshot's :func:`estate_signature`
@@ -24,12 +24,11 @@ fleet parent and mapped read-only by every worker:
 from __future__ import annotations
 
 import hashlib
-import mmap
-import os
 import pickle
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..container import Container
 from ..faults import FailoverConfig, FaultSchedule
 from .clients import ClientDirectory, Vantage
 from .cluster import ClusterConfig
@@ -42,7 +41,7 @@ __all__ = [
     "load_snapshot",
 ]
 
-_MAGIC = b"RSNAP1\n"
+_CONTAINER = Container(b"RSNAP2\n", 2, RuntimeError, "snapshot")
 _DIGEST_SIZE = 16
 
 
@@ -87,22 +86,14 @@ class FleetSpec:
 
 
 class ServeSnapshot:
-    """A loaded snapshot: the spec plus the mmap keeping pages shared."""
+    """A loaded snapshot: the verified spec and where it came from."""
 
-    def __init__(self, path: str, spec: FleetSpec, mapped: mmap.mmap,
-                 handle) -> None:
+    def __init__(self, path: str, spec: FleetSpec) -> None:
         self.path = path
         self.spec = spec
-        self._mmap = mapped
-        self._handle = handle
 
     def close(self) -> None:
-        if self._mmap is not None:
-            self._mmap.close()
-            self._mmap = None
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        """Nothing to release: the spec is fully decoded at load time."""
 
     def __enter__(self) -> "ServeSnapshot":
         return self
@@ -121,68 +112,20 @@ class ServeSnapshot:
 
 
 def write_snapshot(path: str, spec: FleetSpec) -> str:
-    """Write ``spec`` atomically; returns ``path``.
-
-    Layout: ``RSNAP1\\n`` + 16-byte BLAKE2b of the payload + 8-byte
-    big-endian payload length + pickled :class:`FleetSpec`.
-    """
-    payload = pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
-    digest = hashlib.blake2b(payload, digest_size=_DIGEST_SIZE).digest()
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as handle:
-        handle.write(_MAGIC)
-        handle.write(digest)
-        handle.write(len(payload).to_bytes(8, "big"))
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    """Write ``spec`` atomically; returns ``path``."""
+    _CONTAINER.write(
+        path, {}, [pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)]
+    )
     return path
 
 
 def load_snapshot(path: str) -> ServeSnapshot:
-    """Map ``path`` read-only, verify the checksum, unpickle the spec.
-
-    The returned object keeps the mapping open: the pickled bytes are
-    read straight out of the shared page cache, and every worker that
-    loads the same file shares those physical pages.
-    """
-    handle = open(path, "rb")
+    """Read ``path``, verify the frame, then unpickle the spec."""
+    _header, payload = _CONTAINER.read(path)
     try:
-        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    except (ValueError, OSError):
-        handle.close()
-        raise RuntimeError(f"snapshot {path} is empty or unmappable")
-    view = memoryview(mapped)
-    payload = None
-    try:
-        if bytes(view[: len(_MAGIC)]) != _MAGIC:
-            raise RuntimeError(f"{path} is not an RSNAP1 snapshot")
-        offset = len(_MAGIC)
-        digest = bytes(view[offset:offset + _DIGEST_SIZE])
-        offset += _DIGEST_SIZE
-        length = int.from_bytes(bytes(view[offset:offset + 8]), "big")
-        offset += 8
-        payload = view[offset:offset + length]
-        if len(payload) != length:
-            raise RuntimeError(f"snapshot {path} is truncated")
-        actual = hashlib.blake2b(payload, digest_size=_DIGEST_SIZE).digest()
-        if actual != digest:
-            raise RuntimeError(f"snapshot {path} failed its checksum")
         spec = pickle.loads(payload)
-    except Exception:
-        # Release the sub-view before the parent, or mmap.close()
-        # raises BufferError over the exported buffer.
-        if payload is not None:
-            payload.release()
-        view.release()
-        mapped.close()
-        handle.close()
-        raise
-    payload.release()
-    view.release()
+    except Exception as exc:  # pickle raises a zoo of error types
+        raise RuntimeError(f"snapshot {path}: cannot decode payload: {exc}") from exc
     if not isinstance(spec, FleetSpec):
-        mapped.close()
-        handle.close()
         raise RuntimeError(f"snapshot {path} does not hold a FleetSpec")
-    return ServeSnapshot(path, spec, mapped, handle)
+    return ServeSnapshot(path, spec)

@@ -27,30 +27,23 @@ campaign interval or is static), and post-resume AWS ``cache_verdicts``
 may differ (the HTTP edge caches restart cold; the AWS sweep's
 measurement *count* is unchanged).
 
-File format (``ckpt-<steps>.rckpt``)::
-
-    RCKPT1\\n
-    <4-byte LE header length><JSON header>
-    <pickled payload>
-
-The JSON header carries the schema version, the step count, the next
-tick and a BLAKE2b checksum of the payload; files are written to a
-``*.tmp`` sibling, fsynced and atomically renamed, and the loader
-rejects torn or truncated files with :class:`CheckpointError` —
+File format (``ckpt-<steps>.rckpt``): a :class:`~repro.container.Container`
+frame (magic ``RCKPT1``) whose JSON header carries the schema version,
+the step count and the next tick, and whose payload is the pickled
+:class:`Checkpoint` fields.  The container writes atomically and
+verifies magic, version, length and checksum before the payload is
+unpickled; every failure raises :class:`CheckpointError` —
 :func:`latest_checkpoint` then falls back to the newest *valid* file.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import pickle
-import struct
 from dataclasses import dataclass, field
-from hashlib import blake2b
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from ..container import Container
 from ..net.geo import MappingRegion
 from ..obs import snapshot_delta
 
@@ -66,13 +59,14 @@ __all__ = [
     "checkpoint_path",
 ]
 
-_MAGIC = b"RCKPT1\n"
-_HEADER_LEN = struct.Struct("<I")
-_VERSION = 1
+_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
     """A checkpoint could not be written, read or restored."""
+
+
+_CONTAINER = Container(b"RCKPT1\n", _VERSION, CheckpointError, "checkpoint")
 
 
 @dataclass(frozen=True)
@@ -170,27 +164,11 @@ def save_checkpoint(checkpoint: Checkpoint, path: Union[str, Path]) -> Path:
         {name: getattr(checkpoint, name) for name in checkpoint.__dataclass_fields__},
         protocol=pickle.HIGHEST_PROTOCOL,
     )
-    header = json.dumps(
-        {
-            "version": checkpoint.version,
-            "steps": checkpoint.steps,
-            "next_tick": checkpoint.next_tick,
-            "checksum": blake2b(payload, digest_size=16).hexdigest(),
-        },
-        sort_keys=True,
-    ).encode("utf-8")
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(_MAGIC)
-            handle.write(_HEADER_LEN.pack(len(header)))
-            handle.write(header)
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
+    _CONTAINER.write(
+        path,
+        {"steps": checkpoint.steps, "next_tick": checkpoint.next_tick},
+        [payload],
+    )
     return path
 
 
@@ -198,43 +176,15 @@ def load_checkpoint(path: Union[str, Path]) -> Checkpoint:
     """Read and validate one checkpoint file (or the latest in a dir).
 
     Torn, truncated or corrupted files raise :class:`CheckpointError`
-    (magic, header and payload checksum are all verified) rather than
-    resuming from garbage.
+    (magic, header, version, length and checksum are all verified
+    before the payload is unpickled) rather than resuming from garbage.
     """
     path = Path(path)
     if path.is_dir():
         return latest_checkpoint(path)
+    _header, payload = _CONTAINER.read(path)
     try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if not blob.startswith(_MAGIC):
-        raise CheckpointError(f"{path} is not an RCKPT checkpoint (bad magic)")
-    cursor = len(_MAGIC)
-    try:
-        (header_len,) = _HEADER_LEN.unpack_from(blob, cursor)
-    except struct.error as exc:
-        raise CheckpointError(f"{path}: truncated checkpoint header") from exc
-    cursor += _HEADER_LEN.size
-    if cursor + header_len > len(blob):
-        raise CheckpointError(f"{path}: truncated checkpoint header")
-    try:
-        header = json.loads(blob[cursor : cursor + header_len].decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt checkpoint header: {exc}") from exc
-    if header.get("version") != _VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported checkpoint version {header.get('version')!r}"
-        )
-    payload = blob[cursor + header_len :]
-    checksum = blake2b(payload, digest_size=16).hexdigest()
-    if checksum != header.get("checksum"):
-        raise CheckpointError(
-            f"{path}: payload checksum mismatch (torn or corrupted file)"
-        )
-    try:
-        fields = pickle.loads(payload)
-        return Checkpoint(**fields)
+        return Checkpoint(**pickle.loads(payload))
     except Exception as exc:  # pickle raises a zoo of error types
         raise CheckpointError(f"{path}: cannot decode payload: {exc}") from exc
 

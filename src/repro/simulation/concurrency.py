@@ -291,8 +291,6 @@ class EngineSpec:
     faults: Optional[object]
     step_seconds: float
     collect_metrics: bool
-    global_bulk: bool = True
-    isp_bulk: bool = True
     # Test hook: (shard_id, tick) whose incarnation-0 replica perturbs
     # its controller right before that tick, forcing a digest
     # divergence the quarantine path must heal.  Never set in
@@ -309,8 +307,6 @@ class EngineSpec:
             faults=getattr(scenario, "fault_schedule", None),
             step_seconds=engine.step_seconds,
             collect_metrics=bool(getattr(engine._obs.metrics, "enabled", False)),
-            global_bulk=scenario.global_campaign.bulk,
-            isp_bulk=scenario.isp_campaign.bulk,
             debug_corrupt=getattr(engine, "debug_corrupt", None),
         )
 
@@ -321,8 +317,6 @@ class EngineSpec:
         scenario = self.scenario_class(
             self.config, timeline=self.timeline, faults=self.faults
         )
-        scenario.global_campaign.bulk = self.global_bulk
-        scenario.isp_campaign.bulk = self.isp_bulk
         return SimulationEngine(scenario, step_seconds=self.step_seconds)
 
 

@@ -586,9 +586,35 @@ class SimulationEngine:
 
     def advance(self, now: float) -> StepReport:
         """Execute one step at simulation time ``now``."""
+        return self._step(now, None)
+
+    def advance_merged(
+        self,
+        now: float,
+        global_measurements: Optional[Sequence] = None,
+        isp_measurements: Optional[Sequence] = None,
+        traffic: Optional[tuple[int, dict]] = None,
+    ) -> StepReport:
+        """One coordinator step of a sharded run.
+
+        The same step as :meth:`advance`, except the sharded campaigns'
+        measurements arrive pre-computed from the workers (already
+        recombined into probe order) and ISP traffic — generated in the
+        shard that owns it — arrives as a ``(flows, link_used)`` pair.
+        The AWS and traceroute campaigns still run here: the AWS sweep
+        exercises the HTTP caches only the coordinator owns, and the
+        traceroute target list must see the *merged* DNS store.
+        """
+        return self._step(now, (global_measurements, isp_measurements, traffic))
+
+    def _step(self, now: float, merged: Optional[tuple]) -> StepReport:
+        """The one step skeleton: measure and generate locally
+        (``merged is None``) or absorb what the shard workers did."""
         obs = self._obs
+        scenario = self.scenario
+        global_rows, isp_rows, traffic = merged or (None, None, None)
         started = self.clock() if obs.enabled else 0.0
-        failover = getattr(self.scenario, "failover", None)
+        failover = getattr(scenario, "failover", None)
         if failover is not None:
             # Replay health probes up to this step so the selection
             # policies and the operator split see current member state.
@@ -598,17 +624,32 @@ class SimulationEngine:
 
             with obs.tracer.span("engine.measurements", ts=now):
                 t0 = self.clock() if obs.profiling else 0.0
-                measurements = self.scenario.global_campaign.maybe_run(now)
-                measurements += self.scenario.isp_campaign.maybe_run(now)
-                measurements += self.scenario.aws_campaign.maybe_run(now)
-                measurements += self.scenario.traceroute_campaign.maybe_run(now)
+                if merged is None:
+                    measurements = scenario.global_campaign.maybe_run(now)
+                    measurements += scenario.isp_campaign.maybe_run(now)
+                else:
+                    measurements = 0
+                    if global_rows is not None:
+                        measurements += scenario.global_campaign.absorb_tick(
+                            now, global_rows
+                        )
+                    if isp_rows is not None:
+                        measurements += scenario.isp_campaign.absorb_tick(
+                            now, isp_rows
+                        )
+                measurements += scenario.aws_campaign.maybe_run(now)
+                measurements += scenario.traceroute_campaign.maybe_run(now)
                 if obs.profiling:
                     obs.observe_phase(
                         "campaigns", self.profile_worker, self.clock() - t0
                     )
 
             flows = 0
-            if self.scenario.traffic_window.contains(now):
+            if traffic is not None:
+                with obs.tracer.span("engine.isp_traffic", ts=now):
+                    flows, link_used = traffic
+                    obs.observe_links(self, now, link_used)
+            elif merged is None and scenario.traffic_window.contains(now):
                 with obs.tracer.span("engine.isp_traffic", ts=now):
                     t0 = self.clock() if obs.profiling else 0.0
                     flows = self._generate_isp_traffic(
@@ -694,66 +735,6 @@ class SimulationEngine:
             obs.observe_phase("arrivals", worker, arrivals_s)
             obs.observe_phase("selection", worker, selection_s)
         return demand_by_region, operator_gbps_by_region
-
-    def advance_merged(
-        self,
-        now: float,
-        global_measurements: Optional[Sequence] = None,
-        isp_measurements: Optional[Sequence] = None,
-        traffic: Optional[tuple[int, dict]] = None,
-    ) -> StepReport:
-        """One coordinator step of a sharded run.
-
-        Mirrors :meth:`advance` exactly, except the sharded campaigns'
-        measurements arrive pre-computed from the workers (already
-        recombined into probe order) and ISP traffic — generated in the
-        shard that owns it — arrives as a ``(flows, link_used)`` pair.
-        The AWS and traceroute campaigns still run here: the AWS sweep
-        exercises the HTTP caches only the coordinator owns, and the
-        traceroute target list must see the *merged* DNS store.
-        """
-        obs = self._obs
-        started = self.clock() if obs.enabled else 0.0
-        failover = getattr(self.scenario, "failover", None)
-        if failover is not None:
-            failover.advance(now)
-        with obs.tracer.span("engine.step", ts=now):
-            demand_by_region, operator_gbps_by_region = self._advance_demand(now)
-
-            with obs.tracer.span("engine.measurements", ts=now):
-                t0 = self.clock() if obs.profiling else 0.0
-                measurements = 0
-                if global_measurements is not None:
-                    measurements += self.scenario.global_campaign.absorb_tick(
-                        now, global_measurements
-                    )
-                if isp_measurements is not None:
-                    measurements += self.scenario.isp_campaign.absorb_tick(
-                        now, isp_measurements
-                    )
-                measurements += self.scenario.aws_campaign.maybe_run(now)
-                measurements += self.scenario.traceroute_campaign.maybe_run(now)
-                if obs.profiling:
-                    obs.observe_phase(
-                        "campaigns", self.profile_worker, self.clock() - t0
-                    )
-
-            flows = 0
-            if traffic is not None:
-                with obs.tracer.span("engine.isp_traffic", ts=now):
-                    flows, link_used = traffic
-                    self._obs.observe_links(self, now, link_used)
-            report = StepReport(
-                now=now,
-                demand_gbps=demand_by_region,
-                operator_gbps=operator_gbps_by_region[MappingRegion.EU],
-                measurements=measurements,
-                flows=flows,
-            )
-        obs.observe_step(
-            self, report, (self.clock() - started) if obs.enabled else 0.0
-        )
-        return report
 
     # ------------------------------------------------------------------
 

@@ -222,8 +222,7 @@ class TestDnsCampaign:
             for probe_id, metro in enumerate(("deber", "frpar", "uklon", "deber"), 1)
         ]
 
-    @pytest.mark.parametrize("bulk", [True, False])
-    def test_tick_rows_equal_the_per_probe_records(self, bulk):
+    def test_tick_rows_equal_the_per_probe_records(self):
         """A tick lands rows column-to-column; same rows as the object path."""
         from repro.atlas.columnar import DnsColumns
 
@@ -233,14 +232,12 @@ class TestDnsCampaign:
             target="appldnld.apple.com",
             interval=30.0,
             window=window,
-            bulk=bulk,
         )
         sliced = DnsCampaign(
             probes=self._mixed_probes(),
             target="appldnld.apple.com",
             interval=30.0,
             window=window,
-            bulk=bulk,
         )
         reference = self._mixed_probes()
         expected = []

@@ -262,7 +262,7 @@ class TestSpillPath:
 
 class TestAtomicSpill:
     """Crash-safety of the spill path: a reader never sees a torn
-    ``RSEG1`` payload, and torn payloads are detected, not decoded."""
+    ``RSEG`` payload, and torn payloads are detected, not decoded."""
 
     def seg(self, count=20):
         return DnsSegment(

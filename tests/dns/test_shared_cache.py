@@ -104,7 +104,15 @@ class TestSharedCachePartitioning:
         # (answers computed for its one client are trivially valid).
         resolver = RecursiveResolver(steering_estate, cache=True)
         resolver.resolve("appldnld.apple.com", context("100.64.0.7", "de", now=0.0))
-        assert set(resolver._cache) == {"appldnld.apple.com", "a.gslb.applimg.com"}
+        assert resolver.cache_size == 2  # one entry per chain name
+        # ... and nothing of the client is in the key: a query from the
+        # other side of the world is served the very same two entries.
+        elsewhere = resolver.resolve(
+            "appldnld.apple.com", context("100.72.0.9", "au", now=1.0)
+        )
+        assert all(step.from_cache for step in elsewhere.steps)
+        assert elsewhere.addresses == (DE_EDGE,)
+        assert resolver.cache_size == 2
 
     def test_cache_key_shapes(self, steering_estate):
         per_client = RecursiveResolver(steering_estate, cache=True)
@@ -127,8 +135,9 @@ class TestLiveSizeAccounting:
         # the German entries; the TTL-20 GSLB answer is now stale.
         shared.resolve("appldnld.apple.com", context("100.72.0.9", "au", now=30.0))
         stats = shared.cache_stats()
-        assert len(shared._cache) == 4  # dict occupancy: stale entry lingers
         assert stats.size == 3  # live: de-CNAME, au-CNAME, au-GSLB
+        assert stats.evictions == 0  # ... while the stale entry lingers
+        assert shared.sweep() == 1  # until a sweep finds it
 
     def test_sweep_removes_and_counts_expired_entries(self, steering_estate):
         shared = RecursiveResolver(steering_estate, cache=True, cache_scope=16)
@@ -137,7 +146,7 @@ class TestLiveSizeAccounting:
         assert removed == 1  # the TTL-20 GSLB answer
         stats = shared.cache_stats()
         assert stats.evictions == 1
-        assert len(shared._cache) == 1
+        assert stats.size == 1  # the 21600 s entry hop survives
         assert shared.sweep(30.0) == 0  # idempotent
 
     def test_sweep_defaults_to_latest_seen_time(self, steering_estate):
@@ -159,10 +168,10 @@ class TestCapacity:
         stats = shared.cache_stats()
         assert stats.size == 3
         assert stats.evictions == 1
-        de_gslb = shared.cache_key(
-            "a.gslb.applimg.com", context("100.64.0.7", "de")
+        again = shared.resolve(
+            "appldnld.apple.com", context("100.64.0.7", "de", now=2.0)
         )
-        assert de_gslb not in shared._cache
+        assert [step.from_cache for step in again.steps] == [True, False]
 
     def test_validation(self, steering_estate):
         with pytest.raises(ValueError):

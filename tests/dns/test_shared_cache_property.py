@@ -75,3 +75,238 @@ def test_distinct_names_never_share_an_entry(client, scope, qname_bits):
     key_a = resolver.cache_key(f"a{qname_bits}.apple.com", ctx)
     key_b = resolver.cache_key(f"b{qname_bits}.apple.com", ctx)
     assert key_a != key_b
+
+
+# ----------------------------------------------------------------------
+# the one TTL cache: a plain-dict oracle, and owner-vs-owner drift
+# ----------------------------------------------------------------------
+
+import asyncio  # noqa: E402
+from dataclasses import replace  # noqa: E402
+
+from repro.dns.policies import StaticPolicy  # noqa: E402
+from repro.dns.records import ARecord  # noqa: E402
+from repro.dns.ttlcache import TtlCache  # noqa: E402
+from repro.dns.wire import ClientSubnet, WireMessage  # noqa: E402
+from repro.obs import MetricsRegistry  # noqa: E402
+from repro.serve import PublicResolverFront  # noqa: E402
+
+
+class _Entry:
+    def __init__(self, expires_at):
+        self.expires_at = expires_at
+
+
+class DictModel:
+    """The policy spelled out over a plain ``{key: expires_at}`` dict."""
+
+    def __init__(self, capacity):
+        self.entries = {}
+        self.capacity = capacity
+        self.horizon = float("-inf")
+        self.hits = self.misses = self.evictions = 0
+
+    def get(self, key, now):
+        self.horizon = max(self.horizon, now)
+        if key in self.entries:
+            if self.entries[key] > now:
+                self.hits += 1
+                return True
+            del self.entries[key]
+            self.evictions += 1
+        self.misses += 1
+        return False
+
+    def put(self, key, expires_at, now):
+        self.entries[key] = expires_at
+        if self.capacity is not None and len(self.entries) > self.capacity:
+            self.sweep(now)
+            while len(self.entries) > self.capacity:
+                victim = min(
+                    self.entries, key=lambda k: (self.entries[k], repr(k))
+                )
+                del self.entries[victim]
+                self.evictions += 1
+
+    def sweep(self, now=None):
+        horizon = self.horizon if now is None else now
+        expired = [k for k, exp in self.entries.items() if exp <= horizon]
+        for key in expired:
+            del self.entries[key]
+        self.evictions += len(expired)
+        return len(expired)
+
+    def live(self):
+        return {k for k, exp in self.entries.items() if exp > self.horizon}
+
+
+# The three key shapes the owners build: bare qname, (qname, network),
+# (qname, network value, echoed scope) — few enough values to collide.
+cache_keys = st.one_of(
+    st.sampled_from(["a.example", "b.example", "c.example"]),
+    st.tuples(
+        st.sampled_from(["a.example", "b.example"]),
+        st.integers(0, 3).map(lambda n: IPv4Address(n << 24)),
+    ),
+    st.tuples(
+        st.sampled_from(["a.example", "b.example"]),
+        st.integers(0, 3).map(lambda n: n << 24),
+        st.sampled_from([0, 16, 24]),
+    ),
+)
+cache_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["get", "put", "sweep", "sweep_default", "clear"]),
+        cache_keys,
+        st.integers(0, 40),   # ttl
+        st.integers(0, 15),   # clock advance before the op
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacity=st.none() | st.integers(1, 5), ops=cache_ops)
+def test_ttl_cache_matches_the_plain_dict_model(capacity, ops):
+    registry = MetricsRegistry()
+    counters = {
+        name: registry.counter(f"cache_{name}_total")
+        for name in ("hits", "misses", "evictions")
+    }
+    cache = TtlCache(capacity, **counters)
+    model = DictModel(capacity)
+    now = 0.0
+    for op, key, ttl, advance in ops:
+        now += advance
+        if op == "get":
+            entry = cache.get(key, now)
+            assert (entry is not None) == model.get(key, now)
+            if entry is not None:
+                assert entry.expires_at == model.entries[key]
+        elif op == "put":
+            cache.put(key, _Entry(now + ttl), now)
+            model.put(key, now + ttl, now)
+        elif op == "sweep":
+            assert cache.sweep(now) == model.sweep(now)
+        elif op == "sweep_default":
+            assert cache.sweep() == model.sweep()
+        else:
+            cache.clear()
+            model.entries.clear()
+        assert cache.live_size == len(model.live())
+        assert (cache.hits, cache.misses, cache.evictions) == (
+            model.hits, model.misses, model.evictions
+        )
+    # The registry mirrors see exactly what the plain counters saw.
+    for name, counter in counters.items():
+        assert counter.value == getattr(model, name)
+
+
+NAMES = [f"n{index:02d}.example.com" for index in range(8)]
+CLIENT = IPv4Address.parse("100.64.7.9")
+
+
+def _resolver_live_sets(ttls, capacity, trace):
+    """Live names after each query of ``trace`` on a bounded resolver."""
+    zone = Zone("example.com")
+    for name, ttl in zip(NAMES, ttls):
+        zone.bind(
+            name,
+            StaticPolicy((ARecord(name, IPv4Address.parse("17.0.0.1"), ttl),)),
+        )
+    servers = [AuthoritativeServer("Apple", [zone])]
+
+    def at(now):
+        return replace(context_for(CLIENT), now=now)
+
+    def replay(prefix):
+        resolver = RecursiveResolver(servers, cache_capacity=capacity)
+        for index, now in prefix:
+            resolver.resolve(NAMES[index], at(now))
+        return resolver
+
+    live_sets = []
+    for step in range(1, len(trace) + 1):
+        now = trace[step - 1][1]
+        live = set()
+        for index, name in enumerate(NAMES):
+            # Probing mutates, so each name is probed on a fresh replay.
+            probe = replay(trace[:step])
+            if probe.resolve(name, at(now)).steps[0].from_cache:
+                live.add(index)
+        live_sets.append(live)
+    return live_sets
+
+
+def _front_live_sets(ttls, capacity, trace):
+    """The same, through the resolver front's per-POP cache."""
+
+    class Upstream:
+        def __init__(self):
+            self.queries = 0
+
+        async def query(self, name, client):
+            self.queries += 1
+            ttl = ttls[NAMES.index(name)]
+            return WireMessage(
+                message_id=1, is_response=True, authoritative=True,
+                answers=[ARecord(name, IPv4Address.parse("17.0.0.1"), ttl)],
+                client_subnet=ClientSubnet(
+                    IPv4Prefix.containing(client, 24), scope_length=24
+                ),
+            )
+
+    async def replay(prefix):
+        clock = [0.0]
+        front = PublicResolverFront(
+            ("127.0.0.1", 0), cache_capacity=capacity,
+            metrics=MetricsRegistry(), clock=lambda: clock[0],
+        )
+        front._client = upstream = Upstream()
+        pop = front._pop_for(CLIENT)
+
+        async def lookup(name, now):
+            clock[0] = now
+            before = upstream.queries
+            await front._lookup(pop, name, CLIENT)
+            return upstream.queries == before  # served from the cache
+
+        for index, now in prefix:
+            await lookup(NAMES[index], now)
+        return lookup
+
+    async def run():
+        live_sets = []
+        for step in range(1, len(trace) + 1):
+            now = trace[step - 1][1]
+            live = set()
+            for index, name in enumerate(NAMES):
+                lookup = await replay(trace[:step])
+                if await lookup(name, now):
+                    live.add(index)
+            live_sets.append(live)
+        return live_sets
+
+    return asyncio.run(run())
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    ttls=st.lists(st.integers(1, 30), min_size=len(NAMES), max_size=len(NAMES)),
+    capacity=st.integers(1, 4),
+    steps=st.lists(
+        st.tuples(st.integers(0, len(NAMES) - 1), st.integers(0, 12)),
+        min_size=1, max_size=10,
+    ),
+)
+def test_resolver_and_front_evict_the_same_victims(ttls, capacity, steps):
+    # One (name, ttl, now) trace, two owners of the one cache: whatever
+    # expiry and capacity pressure do, the names still servable after
+    # every insert — hence the victim sequence — must be the same.
+    trace, now = [], 0.0
+    for index, advance in steps:
+        now += advance
+        trace.append((index, now))
+    assert _resolver_live_sets(ttls, capacity, trace) == _front_live_sets(
+        ttls, capacity, trace
+    )

@@ -11,9 +11,16 @@ from repro.dns.policies import CnamePolicy, GslbAddressPolicy, StaticPolicy
 from repro.dns.query import Question, QueryContext, RCode
 from repro.dns.records import ARecord, CnameRecord, RecordType
 from repro.dns.resolver import RecursiveResolver, ResolutionError
+from repro.dns.wire import (
+    ClientSubnet,
+    WireMessage,
+    answer_wire,
+    decode_message,
+    encode_message,
+)
 from repro.dns.zone import AuthoritativeServer, Zone
 from repro.net.geo import Continent, Coordinates
-from repro.net.ipv4 import IPv4Address
+from repro.net.ipv4 import IPv4Address, IPv4Prefix
 
 
 def make_context(now=0.0):
@@ -218,33 +225,82 @@ class TestRecursiveResolver:
         assert resolver.resolve("appldnld.apple.com", make_context()).succeeded()
 
 
+def wire_chase(servers, name, context):
+    """Walk the CNAME chain with every hop exchanged as RFC 1035 bytes.
+
+    Returns ``(hops, rcode)``: one ``(operator, answers)`` pair per hop
+    as decoded from :func:`answer_wire`'s reply, and the last rcode.
+    """
+    locator = RecursiveResolver(servers, cache=False)
+    hops = []
+    for message_id in range(1, 17):
+        server = locator.server_for(name)
+        query = encode_message(
+            WireMessage(
+                message_id=message_id,
+                questions=[Question(name)],
+                client_subnet=ClientSubnet(
+                    IPv4Prefix.containing(context.client, 24)
+                ),
+            )
+        )
+        reply = decode_message(answer_wire(server, query, context))
+        assert reply.message_id == message_id
+        hops.append((server.operator, tuple(reply.answers)))
+        cnames = [r for r in reply.answers if r.rtype is RecordType.CNAME]
+        if not cnames or any(r.rtype is RecordType.A for r in reply.answers):
+            return hops, reply.rcode
+        name = cnames[0].data
+    raise AssertionError("chain did not terminate")
+
+
 class TestWireModeResolver:
-    """wire_mode exchanges RFC 1035 bytes; results must be identical."""
+    """Every hop over RFC 1035 bytes; results must equal the object path.
+
+    (The resolver's own ``wire_mode`` switch is gone — the live
+    ``dnsserver`` is what speaks bytes — so the chase over
+    :func:`answer_wire` is spelled out here as the reference.)
+    """
 
     def test_wire_and_object_modes_agree(self, estate):
-        object_resolver = RecursiveResolver(estate, cache=False)
-        wire_resolver = RecursiveResolver(estate, cache=False, wire_mode=True)
         context = make_context(now=42.0)
-        plain = object_resolver.resolve("appldnld.apple.com", context)
-        wired = wire_resolver.resolve("appldnld.apple.com", context)
-        assert wired.chain_names == plain.chain_names
-        assert wired.addresses == plain.addresses
-        assert [s.operator for s in wired.steps] == [
+        plain = RecursiveResolver(estate, cache=False).resolve(
+            "appldnld.apple.com", context
+        )
+        hops, rcode = wire_chase(estate, "appldnld.apple.com", context)
+        assert rcode is plain.rcode
+        assert [operator for operator, _ in hops] == [
             s.operator for s in plain.steps
         ]
+        assert [answers for _, answers in hops] == [
+            s.records for s in plain.steps
+        ]
+        wired = [r for _, answers in hops for r in answers]
+        assert tuple(
+            r.data for r in wired if r.rtype is RecordType.A
+        ) == plain.addresses
+        assert ("appldnld.apple.com",) + tuple(
+            r.data for r in wired if r.rtype is RecordType.CNAME
+        ) == plain.chain_names
 
     def test_wire_mode_with_cache(self, estate):
-        resolver = RecursiveResolver(estate, cache=True, wire_mode=True)
+        resolver = RecursiveResolver(estate, cache=True)
         resolver.resolve("appldnld.apple.com", make_context(now=0.0))
         again = resolver.resolve("appldnld.apple.com", make_context(now=5.0))
         assert all(step.from_cache for step in again.steps)
+        hops, _ = wire_chase(estate, "appldnld.apple.com", make_context(now=5.0))
+        assert [answers for _, answers in hops] == [
+            s.records for s in again.steps
+        ]
 
     def test_wire_mode_nxdomain(self, estate):
         apple_server, _ = estate
         broken = Zone("akadns.net")
-        resolver = RecursiveResolver(
-            [apple_server, AuthoritativeServer("Akamai", [broken])],
-            wire_mode=True,
+        servers = [apple_server, AuthoritativeServer("Akamai", [broken])]
+        hops, rcode = wire_chase(servers, "appldnld.apple.com", make_context())
+        assert rcode is RCode.NXDOMAIN
+        assert hops[-1] == ("Akamai", ())
+        resolution = RecursiveResolver(servers).resolve(
+            "appldnld.apple.com", make_context()
         )
-        resolution = resolver.resolve("appldnld.apple.com", make_context())
         assert resolution.rcode is RCode.NXDOMAIN

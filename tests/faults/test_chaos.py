@@ -81,13 +81,21 @@ class TestShortDrill:
         assert report.passed(), report.render()
 
     def test_resteer_and_recovery_measured(self, drill):
-        report, _registry, tracer = drill
+        report, registry, tracer = drill
         assert report.resteer_seconds is not None
         assert report.resteer_seconds <= 15.0
         assert report.recovery_seconds is not None
         assert report.unhealthy_events >= 1
-        assert [r for r in tracer.find("cdn_recovered")
-                if r.fields["member"] == "Limelight"]
+        (recovered,) = [r for r in tracer.find("cdn_recovered")
+                        if r.fields["member"] == "Limelight"]
+        # Recovery is read off the wire (Limelight answering the watched
+        # clients again), so it cannot precede the health monitor's own
+        # recovery event — and the failover count is the registry's.
+        assert report.recovery_seconds >= recovered.ts - 3.0
+        failovers = registry.get("cdn_failovers_total")
+        assert report.unhealthy_events == sum(
+            child.value for _labels, child in failovers.children()
+        )
 
     def test_load_survived_the_fault(self, drill):
         report, _registry, _tracer = drill

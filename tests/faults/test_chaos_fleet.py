@@ -30,23 +30,39 @@ class TestConfig:
             ChaosConfig(loadgen_processes=0)
 
 
+def drill_config(serve_workers: int) -> ChaosConfig:
+    schedule = FaultSchedule(
+        [FaultWindow(1.0, 4.0, "Apple", FaultKind.VIP_OUTAGE, severity=0.2)]
+    )
+    return ChaosConfig(
+        seed=11,
+        schedule=schedule,
+        batch_requests=120,
+        concurrency=16,
+        recovery_margin=2.0,
+        serve_workers=serve_workers,
+        loadgen_processes=2,
+        run_simulation=False,
+    )
+
+
 class TestFleetDrill:
     @pytest.fixture(scope="class")
     def drill(self):
-        schedule = FaultSchedule(
-            [FaultWindow(1.0, 4.0, "Apple", FaultKind.VIP_OUTAGE, severity=0.2)]
+        return run_chaos(drill_config(serve_workers=2))
+
+    def test_single_loop_drill_is_judged_by_the_same_checks(self, drill):
+        # One live phase, two load drivers: the same schedule must be
+        # gated on the same check lines whichever edge it ran against.
+        fleet_report, _registry, _tracer = drill
+        single_report, _registry, _tracer = run_chaos(
+            drill_config(serve_workers=1)
         )
-        config = ChaosConfig(
-            seed=11,
-            schedule=schedule,
-            batch_requests=120,
-            concurrency=16,
-            recovery_margin=2.0,
-            serve_workers=2,
-            loadgen_processes=2,
-            run_simulation=False,
-        )
-        return run_chaos(config)
+        assert single_report.passed(), single_report.render()
+        assert [label for label, _ in single_report.checks] == [
+            label for label, _ in fleet_report.checks
+        ]
+        assert single_report.serve_workers == 1
 
     def test_drill_passes_within_error_budget(self, drill):
         report, _registry, _tracer = drill

@@ -236,6 +236,12 @@ class TestCheckpointValidation:
         torn = tmp_path / source.name
         payload = source.read_bytes()
         torn.write_bytes(payload[: len(payload) - 16])
+        # The container checks the recorded length before it hashes.
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(torn)
+        flipped = bytearray(payload)
+        flipped[-16] ^= 0x01
+        torn.write_bytes(bytes(flipped))
         with pytest.raises(CheckpointError, match="checksum"):
             load_checkpoint(torn)
 
