@@ -19,7 +19,7 @@ plus ~17 wire bytes, not a second serving path).
 
 import time
 
-from repro.obs import NULL_TRACER, EventTracer, MetricsRegistry
+from repro.obs import NULL_TRACER, EventTracer
 from repro.serve import selftest
 
 from conftest import write_json
@@ -31,16 +31,15 @@ _MAX_RATIO = 2.5
 
 
 def _run_once(tracer, trace_sample: float):
-    registry = MetricsRegistry()
     t0 = time.perf_counter()
-    report, registry = selftest(
+    result = selftest(
         requests=_REQUESTS,
         concurrency=_CONCURRENCY,
-        registry=registry,
         tracer=tracer,
         trace_sample=trace_sample,
     )
     elapsed = time.perf_counter() - t0
+    report, registry = result.report, result.registry
     http = registry.get("serve_http_handle_seconds")
     panel = http.labels().percentile_summary() if http is not None else {}
     return report, elapsed, {k: v * 1000.0 for k, v in panel.items()}

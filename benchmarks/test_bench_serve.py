@@ -22,7 +22,7 @@ import pathlib
 
 import pytest
 
-from repro.serve import fleet_selftest, fleet_supported
+from repro.serve import fleet_supported, selftest
 
 from conftest import write_json
 
@@ -51,7 +51,7 @@ def _panel(report) -> dict:
 
 @pytest.fixture(scope="module")
 def serve_bench():
-    result = fleet_selftest(workers=4, requests=2000, concurrency=32)
+    result = selftest(workers=4, requests=2000, concurrency=32)
     payload = {
         "scenario": "4-worker reuseport fleet, closed-loop 2000 requests",
         "workers": result.workers,

@@ -8,7 +8,7 @@ is originated by a different AS (hosted caches).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..cdn.deployment import CdnDeployment
 from ..net.ipv4 import IPv4Address
@@ -50,10 +50,6 @@ class CdnCategorizer:
         if category is None:
             return None
         return category.replace(" other AS", "")
-
-    def as_callable(self) -> Callable[[IPv4Address], str]:
-        """The categoriser as a plain function."""
-        return self.category
 
     def __len__(self) -> int:
         return len(self._by_address)

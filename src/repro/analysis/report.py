@@ -140,14 +140,14 @@ def generate_report(scenario, timeline: Optional[Timeline] = None) -> str:
         lines.append("(no ISP traffic collected in this run)")
 
     # --- Steering ablation: anycast catchments (beyond the paper) ---------
-    plane = getattr(scenario, "anycast", None)
+    plane = scenario.anycast
     if plane is not None:
         from ..anycast import CatchmentAnalysis
 
         analysis = CatchmentAnalysis.from_plane(plane)
-        steering = getattr(scenario.config, "steering", "anycast")
         lines += _section(
-            f"Steering ablation — anycast catchments ({steering} mode)"
+            "Steering ablation — anycast catchments "
+            f"({scenario.config.steering} mode)"
         )
         for site_id, share in sorted(
             analysis.peak_share_by_site.items(),
@@ -168,8 +168,7 @@ def generate_report(scenario, timeline: Optional[Timeline] = None) -> str:
         )
 
     # --- Resolver populations: mapping accuracy (beyond the paper) --------
-    resolver_plane = getattr(scenario, "resolver_plane", None)
-    if resolver_plane is not None:
+    if scenario.resolver_plane is not None:
         from .resolver_accuracy import ResolverAccuracy
 
         accuracy = ResolverAccuracy.from_scenario(scenario)

@@ -259,12 +259,6 @@ class DnsColumns:
         for row in range(lo, stop):
             yield self.measurement(row)
 
-    def addresses_of(self, row: int) -> tuple:
-        """The packed address ints of one row."""
-        return tuple(
-            self.addr_values[self.addr_offsets[row] : self.addr_offsets[row + 1]]
-        )
-
     def __len__(self) -> int:
         return len(self.times)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from ..dns.query import QueryContext
 from ..net.asys import ASN
@@ -174,11 +174,6 @@ class CdnDeployment:
         self._active_memo.clear()
         return placed
 
-    def add_servers(self, placements: Iterable[tuple[CacheServer, Location]]) -> None:
-        """Deploy several servers at once."""
-        for server, location in placements:
-            self.add_server(server, location)
-
     @property
     def servers(self) -> tuple[PlacedServer, ...]:
         """Every placed server."""
@@ -192,10 +187,6 @@ class CdnDeployment:
         """The server owning ``address``, if any."""
         placed = self._by_address.get(address)
         return placed.server if placed is not None else None
-
-    def placement_at(self, address: IPv4Address) -> Optional[PlacedServer]:
-        """The placement (server + metro) owning ``address``, if any."""
-        return self._by_address.get(address)
 
     def serve(self, address: IPv4Address, request: "HttpRequest", size: int) -> "HttpResponse":
         """Serve an HTTP request at one of this fleet's delivery servers.

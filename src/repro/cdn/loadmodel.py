@@ -15,11 +15,10 @@ see ``examples/whatif_no_offload.py`` and the capacity ablation bench.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
-__all__ = ["DownloadFluidModel", "FluidStats", "run_fleet"]
+__all__ = ["DownloadFluidModel", "FluidStats"]
 
 
 @dataclass(frozen=True)
@@ -131,45 +130,3 @@ class DownloadFluidModel:
     def unloaded_completion_seconds(self) -> float:
         """Download time with the fleet idle (client-line bound)."""
         return self.image_bytes * 8.0 / (self.client_gbps * 1e9)
-
-
-def _run_one(
-    model: DownloadFluidModel,
-    arrivals_per_second: Callable[[float], float],
-    horizon_seconds: float,
-    step_seconds: float,
-) -> FluidStats:
-    return model.run(arrivals_per_second, horizon_seconds, step_seconds)
-
-
-def run_fleet(
-    models: Sequence[DownloadFluidModel],
-    arrivals_per_second: Callable[[float], float],
-    horizon_seconds: float,
-    step_seconds: float = 60.0,
-    workers: int = 1,
-) -> list[FluidStats]:
-    """Run several fluid models against one arrival curve.
-
-    Capacity ablations sweep dozens of hypothetical fleets over the
-    same flash crowd; each model is independent, so the sweep shards
-    trivially.  With ``workers > 1`` the models run in a
-    ``ProcessPoolExecutor`` (``arrivals_per_second`` must then be
-    picklable — a module-level function, not a lambda); ``workers=1``
-    runs serially and needs no pickling.  Results are returned in
-    ``models`` order either way, so both paths produce identical
-    output.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers == 1 or len(models) <= 1:
-        return [
-            _run_one(model, arrivals_per_second, horizon_seconds, step_seconds)
-            for model in models
-        ]
-    with ProcessPoolExecutor(max_workers=min(workers, len(models))) as pool:
-        futures = [
-            pool.submit(_run_one, model, arrivals_per_second, horizon_seconds, step_seconds)
-            for model in models
-        ]
-        return [future.result() for future in futures]

@@ -1,0 +1,82 @@
+"""Command-line interface: ``python -m repro <command>``.
+
+One module per command, each declaring its parser (``register``) out of
+the shared flag groups in :mod:`repro.cli.flags` and its one body
+(``run``):
+
+* ``simulate`` — run the Sep-2017 scenario over a date window and print
+  per-step aggregates (demand, offload split, measurements, flows);
+* ``report`` — run the event window and emit the full reproduction
+  report (Figures 2-8 in one document);
+* ``resume`` — continue a checkpointed run (``--checkpoint-every`` on
+  simulate/report) bit-identically from its newest ``RCKPT`` snapshot;
+* ``survey`` — the paper's generic CDN-survey methodology: mapping
+  graph, site discovery and header inference, no time simulation;
+* ``serve`` — boot the live DNS + HTTP serving layer on loopback and
+  keep it up for external clients (``dig``, ``curl``, the loadgen);
+* ``loadgen`` — drive the load generator against an already-running
+  serve endpoint pair;
+* ``selftest`` — boot an edge, drive a full load run through it and
+  verify throughput, latency and cache health in one shot;
+* ``chaos`` — the fault-injection drill: scheduled outages against the
+  live edge plus an engine-time blackout, gated on error rate,
+  re-steer time and recovery;
+* ``top`` — poll a running edge's admin endpoint and render a live
+  panel (qps, cache-hit ratio, error rate, latency percentiles);
+* ``profile`` — run the engine under the phase profiler and print the
+  per-worker per-phase time breakdown;
+* ``catchments`` / ``resolvers`` — replay a window under anycast
+  steering / a public-resolver population and print that analysis.
+
+``--workers`` / ``--processes`` are passed through as numbers: whether
+they mean the single loop or a fleet, the serial engine or the sharded
+one, is decided in :mod:`repro.serve.harness` and ``engine.run``.
+"""
+
+from __future__ import annotations
+
+import argparse
+from typing import Optional, Sequence
+
+from . import (
+    catchments,
+    chaos,
+    loadgen,
+    profile,
+    report,
+    resolvers,
+    resume,
+    selftest,
+    serve,
+    simulate,
+    survey,
+    top,
+)
+from .profile import render_profile
+from .top import render_top_panel
+
+__all__ = ["main", "build_parser", "render_top_panel", "render_profile"]
+
+_COMMANDS = (
+    simulate, report, resume, survey, serve, loadgen, selftest, chaos, top,
+    profile, catchments, resolvers,
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree for ``python -m repro``."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Reproduction of 'Dissecting Apple's Meta-CDN during "
+                    "an iOS Update' (IMC 2018)",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command in _COMMANDS:
+        command.register(commands)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Entry point; returns the process exit code."""
+    args = build_parser().parse_args(argv)
+    return args.handler(args)

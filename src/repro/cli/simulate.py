@@ -1,0 +1,72 @@
+"""``repro simulate`` (alias ``run``): the Sep-2017 scenario over a date
+window, with per-day (``--verbose``: per-step) aggregates."""
+
+from __future__ import annotations
+
+import argparse
+
+from ..analysis import ResolverAccuracy
+from ..anycast import CatchmentAnalysis
+from ..net.geo import MappingRegion
+from ..workload import TIMELINE
+from . import flags
+
+
+def register(commands) -> None:
+    sub = commands.add_parser(
+        "simulate", aliases=["run"],
+        help="run the Sep-2017 scenario over a date window",
+    )
+    flags.add_window_flags(sub, probes=60, isp_probes=30, span=("9-17", "9-21"))
+    flags.add_steering_flags(sub)
+    flags.add_resolver_flags(sub)
+    flags.add_fault_flag(sub)
+    flags.add_store_flags(sub)
+    flags.add_checkpoint_flags(sub)
+    flags.add_telemetry_flags(sub)
+    flags.add_flight_flag(sub)
+    sub.set_defaults(handler=run)
+
+
+def run(args: argparse.Namespace) -> int:
+    start = flags.parse_date(args.start)
+    end = flags.parse_date(args.end)
+    with flags.telemetry_scope(args) as (registry, tracer):
+        engine = flags.engine_from_args(args)
+        scenario = engine.scenario
+        day_cursor = [None]
+
+        def progress(report):
+            day = TIMELINE.date_label(report.now)
+            if day != day_cursor[0]:
+                day_cursor[0] = day
+                print(f"{day}: EU demand "
+                      f"{report.demand_gbps[MappingRegion.EU]:.0f} Gbps "
+                      f"({flags.operator_split(report)})")
+            if args.verbose:
+                flags.print_step(report)
+
+        steps = engine.run(start, end, progress=progress, workers=args.workers,
+                           **flags.checkpoint_kwargs(args))
+        flags.print_if_drained(engine)
+    print(f"\n{steps} steps; {flags.measurement_totals(scenario)}")
+    if scenario.anycast is not None:
+        analysis = CatchmentAnalysis.from_plane(scenario.anycast)
+        print(f"anycast ({args.steering} steering): "
+              f"{analysis.sites_live} sites live, "
+              f"{analysis.map_changes} catchment-map changes, "
+              f"{analysis.shifted_gbps_total:.0f} Gbps shifted, "
+              f"mapping distance {analysis.mapping_distance_km:.0f} km "
+              f"(+{analysis.mapping_distance_delta_km:.0f} vs nearest-site)")
+    if scenario.resolver_plane is not None:
+        accuracy = ResolverAccuracy.from_scenario(scenario)
+        print(f"resolvers ({args.resolver_population} population): "
+              f"{accuracy.public_probes} public / {accuracy.isp_probes} ISP "
+              f"probes, {accuracy.pops_live} POPs live, "
+              f"shared-cache hit ratio {accuracy.public_hit_ratio:.1%} "
+              f"(dilution {accuracy.cache_hit_dilution:+.1%} vs ISP), "
+              f"mis-mapping {accuracy.public_mismap_delta_km:+.0f} km "
+              f"vs nearest edge")
+    flags.print_store_stats(args, scenario)
+    flags.write_telemetry(args, registry, tracer)
+    return 0

@@ -95,10 +95,6 @@ class AuthoritativeServer:
                 return zone
         return None
 
-    def is_authoritative_for(self, name: str) -> bool:
-        """Whether any hosted zone covers ``name``."""
-        return self.zone_for(name) is not None
-
     def query(self, question: Question, context: QueryContext) -> DnsResponse:
         """Answer ``question`` authoritatively.
 

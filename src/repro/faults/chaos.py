@@ -47,7 +47,6 @@ __all__ = [
     "default_chaos_schedule",
     "anycast_drill_schedule",
     "run_chaos",
-    "chaos_selftest",
 ]
 
 
@@ -827,10 +826,3 @@ def run_chaos(
         if recorder is not None:
             recorder.trip("chaos-failure", tracer)
     return report, registry, tracer
-
-
-def chaos_selftest(
-    config: Optional[ChaosConfig] = None,
-) -> tuple[ChaosReport, MetricsRegistry, EventTracer]:
-    """The short fixed-seed drill CI runs; alias of :func:`run_chaos`."""
-    return run_chaos(config)

@@ -199,11 +199,6 @@ class BgpRib:
         for _, candidates in self._trie.items():
             yield from candidates
 
-    def routes_under(self, prefix: IPv4Prefix) -> Iterator[BgpRoute]:
-        """All announced routes whose prefix is covered by ``prefix``."""
-        for _, candidates in self._trie.items_under(prefix):
-            yield from candidates
-
     @property
     def route_count(self) -> int:
         """Number of prefixes with at least one live candidate."""

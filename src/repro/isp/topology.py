@@ -13,7 +13,7 @@ customer address space the eyeballs live in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from ..net.asys import ASN
 from ..net.ipv4 import IPv4Prefix
@@ -71,10 +71,6 @@ class EyeballIsp:
     def link(self, link_id: str) -> PeeringLink:
         """The link with ``link_id``; raises ``KeyError`` if unknown."""
         return self._links[link_id]
-
-    def find_link(self, link_id: str) -> Optional[PeeringLink]:
-        """The link with ``link_id``, or ``None``."""
-        return self._links.get(link_id)
 
     def links_for(self, neighbor: ASN) -> tuple[PeeringLink, ...]:
         """Every link to ``neighbor`` (empty if not a direct peer)."""

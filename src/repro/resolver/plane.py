@@ -76,11 +76,6 @@ class PopStubResolver:
         return self._shared.servers
 
     @property
-    def canonical_context(self) -> QueryContext:
-        """The context this stub's queries are reframed onto."""
-        return self._canonical
-
-    @property
     def shared(self) -> RecursiveResolver:
         """The POP-level resolver actually doing the work."""
         return self._shared

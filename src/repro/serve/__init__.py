@@ -14,39 +14,28 @@ the flash-crowd workload — is made network-reachable here:
   downloads;
 * :mod:`repro.serve.clients` — the shared client-address ⇄ geography
   contract both ends rely on;
+* :mod:`repro.serve.udp` — the one UDP endpoint opener of the DNS paths
+  (reads sized to a datagram, not to asyncio's 256 KiB default);
 * :mod:`repro.serve.resolverfront` — a caching public-resolver front
   (shared POP caches, honest ECS scopes) the loadgen's public share
   resolves through;
-* :mod:`repro.serve.cluster` — the one-call loopback topology and the
-  ``repro selftest`` entry point;
+* :mod:`repro.serve.cluster` — the one-call loopback topology;
 * :mod:`repro.serve.admin` — the live admin plane (``/metrics``,
   ``/healthz``, ``/traces``) the ``repro top`` dashboard polls;
 * :mod:`repro.serve.snapshot` — the checksummed read-only fleet spec
   every worker process serves from;
 * :mod:`repro.serve.fleet` — the multi-process ``SO_REUSEPORT`` edge
-  fleet plus the loadgen fleet and the scaled selftest.
+  fleet plus the loadgen fleet;
+* :mod:`repro.serve.harness` — the one place per concern (standing
+  edge, load run, selftest) that picks the single loop or the fleet.
 """
 
 from .admin import AdminServer
 from .clients import DEFAULT_VANTAGES, ClientDirectory, SampledClient, Vantage
-from .cluster import (
-    ClusterConfig,
-    ServeCluster,
-    build_serve_estate,
-    render_selftest,
-    selftest,
-    selftest_checks,
-)
+from .cluster import ClusterConfig, ServeCluster, build_serve_estate
 from .dnsserver import AsyncDnsServer, ZoneFrontend
-from .fleet import (
-    FleetConfig,
-    FleetSelftestReport,
-    ServeFleet,
-    fleet_selftest,
-    fleet_supported,
-    render_fleet_selftest,
-    run_loadgen_fleet,
-)
+from .fleet import FleetConfig, ServeFleet, fleet_supported, run_loadgen_fleet
+from .harness import SelftestReport, ShapeError, drive_load, selftest, serve_forever
 from .httpserver import AsyncHttpEdge, estate_router
 from .loadgen import (
     AsyncDnsClient,
@@ -86,9 +75,6 @@ __all__ = [
     "ClusterConfig",
     "build_serve_estate",
     "ServeCluster",
-    "selftest",
-    "selftest_checks",
-    "render_selftest",
     "merge_load_reports",
     "FleetSpec",
     "estate_signature",
@@ -98,7 +84,9 @@ __all__ = [
     "ServeFleet",
     "fleet_supported",
     "run_loadgen_fleet",
-    "FleetSelftestReport",
-    "fleet_selftest",
-    "render_fleet_selftest",
+    "ShapeError",
+    "serve_forever",
+    "drive_load",
+    "SelftestReport",
+    "selftest",
 ]

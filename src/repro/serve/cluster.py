@@ -4,9 +4,8 @@
 authoritative DNS estate (Apple, Akamai and Limelight zones behind one
 :class:`~repro.serve.dnsserver.AsyncDnsServer`) plus the HTTP edge
 fronting every delivery fleet — and can drive the closed-loop load
-generator against itself.  :func:`selftest` is the synchronous wrapper
-the CLI exposes: boot, drive a flash-crowd-shaped run, tear down,
-report.
+generator against itself (:func:`repro.serve.selftest.selftest` wraps
+boot, drive, tear down and verdict in one call).
 
 The default estate is sized for loopback (a few third-party servers per
 metro instead of dozens) but structurally identical to the full
@@ -29,7 +28,7 @@ from ..faults import CdnHealthMonitor, FailoverConfig, FailoverLoop, FaultInject
 from ..net.asys import ASN
 from ..net.geo import MappingRegion
 from ..net.locode import LocodeDatabase
-from ..obs import MetricsRegistry, get_registry, get_tracer, use_registry, use_tracer
+from ..obs import get_registry, get_tracer
 from .admin import AdminServer
 from .clients import ClientDirectory
 from .dnsserver import AsyncDnsServer
@@ -41,9 +40,6 @@ __all__ = [
     "ClusterConfig",
     "build_serve_estate",
     "ServeCluster",
-    "selftest",
-    "selftest_checks",
-    "render_selftest",
 ]
 
 # Hosting ASs for the third-party "other AS" caches (the serve layer
@@ -266,14 +262,12 @@ class ServeCluster:
             health_monitor=self.health_monitor,
         )
         # A public-resolver front between the loadgen and the DNS
-        # server, when the config asks for a public population.  Built
-        # lazily at start() — it needs the DNS endpoint to forward to.
+        # server, when the config asks for a public population.
         self.resolver_front = None
         if self.config.resolver_population != "isp":
             from .resolverfront import PublicResolverFront
 
             self.resolver_front = PublicResolverFront(
-                upstream=("127.0.0.1", 0),  # rebound at start()
                 directory=self.directory,
                 ecs=self.config.public_resolver_ecs,
                 scope=self.config.public_resolver_scope,
@@ -315,9 +309,9 @@ class ServeCluster:
         await self.dns.start(host=host, port=dns_port, reuse_port=reuse_port)
         await self.http.start(host=host, port=http_port, reuse_port=reuse_port)
         if self.resolver_front is not None:
-            self.resolver_front._upstream = self.dns.endpoint
             await self.resolver_front.start(
-                host=host, port=resolver_port, reuse_port=reuse_port
+                self.dns.endpoint,
+                host=host, port=resolver_port, reuse_port=reuse_port,
             )
         if admin_port is not None:
             await self.admin.start(host=host, port=admin_port)
@@ -375,135 +369,3 @@ class ServeCluster:
             resolver_endpoint=resolver_endpoint,
         )
         return await generator.run()
-
-
-def _cache_hits_and_misses(registry) -> tuple[int, int]:
-    family = registry.get("cache_requests_total")
-    hits = misses = 0
-    if family is not None:
-        for labels, child in family.children():
-            if labels[-1] == "hit":
-                hits += int(child.value)
-            else:
-                misses += int(child.value)
-    return hits, misses
-
-
-def _resolver_front_counts(registry) -> Optional[tuple[int, int]]:
-    """(hits, misses) of the public-resolver front, or None when absent."""
-    family = registry.get("resolver_front_cache_total")
-    if family is None:
-        return None
-    hits = misses = 0
-    for labels, child in family.children():
-        if labels[-1] == "hit":
-            hits += int(child.value)
-        else:
-            misses += int(child.value)
-    return hits, misses
-
-
-def selftest(
-    requests: int = 5000,
-    concurrency: int = 64,
-    registry: Optional[MetricsRegistry] = None,
-    cluster_config: Optional[ClusterConfig] = None,
-    tracer=None,
-    trace_sample: float = 1.0,
-) -> tuple[LoadReport, MetricsRegistry]:
-    """Boot a cluster, drive a full load run, return (report, registry).
-
-    The registry is installed process-wide for the duration so the
-    estate's construction-time instruments (cache hit/miss counters,
-    site request counters) land in it alongside the serve metrics.
-    Passing a ``tracer`` installs it ambiently so client and server
-    spans land in the same ring buffer; ``trace_sample`` is the
-    per-trace sampling rate the load generator stamps on each request.
-    """
-    registry = registry if registry is not None else MetricsRegistry()
-    tracer = tracer if tracer is not None else get_tracer()
-    config = LoadConfig(
-        requests=requests, concurrency=concurrency, trace_sample=trace_sample
-    )
-
-    async def _run() -> LoadReport:
-        cluster = ServeCluster(
-            config=cluster_config, metrics=registry, tracer=tracer
-        )
-        async with cluster:
-            return await cluster.drive(config)
-
-    with use_registry(registry), use_tracer(tracer):
-        report = asyncio.run(_run())
-    return report, registry
-
-
-def selftest_checks(
-    report: LoadReport, registry: MetricsRegistry, qps_floor: float = 1000.0
-) -> list[tuple[str, bool]]:
-    """The acceptance checks a selftest run must satisfy."""
-    hits, misses = _cache_hits_and_misses(registry)
-    checks = [
-        ("all requests ok", report.healthy()),
-        (f"dns >= {qps_floor:.0f} qps sustained", report.dns_qps >= qps_floor),
-        ("dns latency percentiles non-zero",
-         report.dns_p50_ms > 0.0 and report.dns_p99_ms > 0.0),
-        ("http latency percentiles non-zero",
-         report.http_p50_ms > 0.0 and report.http_p99_ms > 0.0),
-        ("cache hit metrics present", hits + misses > 0),
-    ]
-    front = _resolver_front_counts(registry)
-    if front is not None:
-        front_hits, front_misses = front
-        checks.append(
-            ("public-resolver cache-dilution metrics present",
-             front_hits + front_misses > 0)
-        )
-    return checks
-
-
-def render_selftest(
-    report: LoadReport, registry: MetricsRegistry, qps_floor: float = 1000.0
-) -> str:
-    """The selftest verdict: load report plus estate-side health lines."""
-    hits, misses = _cache_hits_and_misses(registry)
-    total = hits + misses
-    hit_rate = hits / total if total else 0.0
-    dns_family = registry.get("serve_dns_queries_total")
-    served = 0
-    if dns_family is not None:
-        served = int(sum(child.value for _labels, child in dns_family.children()))
-    checks = selftest_checks(report, registry, qps_floor)
-    lines = [
-        report.render(),
-        "",
-        "cluster",
-        "-------",
-        f"dns queries served   {served}",
-        f"cache lookups        {total}  (hits {hits}, misses {misses}, "
-        f"hit rate {hit_rate:.1%})",
-    ]
-    front = _resolver_front_counts(registry)
-    if front is not None:
-        front_hits, front_misses = front
-        front_total = front_hits + front_misses
-        front_rate = front_hits / front_total if front_total else 0.0
-        lines.append(
-            f"public resolver      {front_total} lookups  "
-            f"(hits {front_hits}, hit rate {front_rate:.1%} — "
-            f"shared POP caches)"
-        )
-    lines.append("")
-    lines += render_checks("selftest", checks)
-    return "\n".join(lines)
-
-
-def render_checks(title: str, checks, notes=()) -> list[str]:
-    """PASS/FAIL check lines, any ``notes``, then the ``title`` verdict."""
-    lines = [f"{'PASS' if passed else 'FAIL'}  {label}" for label, passed in checks]
-    lines += notes
-    lines.append("")
-    lines.append(
-        f"{title} " + ("PASSED" if all(p for _, p in checks) else "FAILED")
-    )
-    return lines

@@ -38,6 +38,7 @@ from ..dns.wire import (
 from ..dns.zone import AuthoritativeServer
 from ..obs import get_registry, get_tracer, use_context
 from .clients import ClientDirectory
+from .udp import open_udp
 
 __all__ = ["ZoneFrontend", "AsyncDnsServer"]
 
@@ -203,13 +204,12 @@ class AsyncDnsServer:
         if self._clock is None:
             origin = time.monotonic()
             self._clock = lambda: time.monotonic() - origin
-        loop = asyncio.get_running_loop()
         extra = {"reuse_port": True} if reuse_port else {}
         # UDP and TCP are separate port spaces; retry a few times in
         # case an ephemeral UDP port is taken on the TCP side.
         last_error: Optional[OSError] = None
         for _ in range(5):
-            transport, _protocol = await loop.create_datagram_endpoint(
+            transport, _protocol = await open_udp(
                 lambda: _UdpProtocol(self), local_addr=(host, port), **extra
             )
             bound_host, bound_port = transport.get_extra_info("sockname")[:2]

@@ -23,7 +23,11 @@ has.  :class:`ServeFleet` scales it out the way real edges do:
 Answer equivalence across fleet sizes is by construction — every
 worker builds the same deterministic estate and the policies are pure
 functions of (client, now) — and enforced twice: the signature check at
-boot and the wire-level equivalence pass in :func:`fleet_selftest`.
+boot and the wire-level equivalence pass in
+:func:`repro.serve.harness.selftest`.
+
+Whether a caller gets this fleet or the single loop is decided in
+:mod:`repro.serve.harness`, nowhere else.
 """
 
 from __future__ import annotations
@@ -39,30 +43,15 @@ import tempfile
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from multiprocessing import connection as mp_connection
 from typing import Optional
 
-from ..apple.mapping import NAMES
 from ..faults import FailoverConfig, FaultSchedule
 from ..obs import NULL_TRACER, MetricsRegistry, merge_registry_snapshots, use_registry, use_tracer
-from ..workload.arrival import ArrivalSchedule
 from .clients import ClientDirectory
-from .cluster import (
-    ClusterConfig,
-    ServeCluster,
-    build_serve_estate,
-    render_checks,
-    selftest,
-)
-from .loadgen import (
-    AsyncDnsClient,
-    LoadConfig,
-    LoadGenerator,
-    LoadReport,
-    PooledHttpClient,
-    merge_load_reports,
-)
+from .cluster import ClusterConfig, ServeCluster, build_serve_estate
+from .loadgen import LoadConfig, LoadGenerator, LoadReport, merge_load_reports
 from .snapshot import FleetSpec, estate_signature, load_snapshot, write_snapshot
 
 __all__ = [
@@ -71,9 +60,6 @@ __all__ = [
     "fleet_supported",
     "reserve_shared_port",
     "run_loadgen_fleet",
-    "FleetSelftestReport",
-    "fleet_selftest",
-    "render_fleet_selftest",
 ]
 
 _READY_TIMEOUT = 60.0
@@ -212,28 +198,16 @@ async def _worker_async(worker_id: int, snapshot_path: str, host: str,
             (lambda: spec.pin_clock) if spec.pin_clock is not None else None
         )
         with use_registry(registry), use_tracer(NULL_TRACER):
-            if spec.faults is not None and len(spec.faults):
-                cluster = ServeCluster(
-                    directory=directory,
-                    config=spec.cluster,
-                    clock=clock,
-                    metrics=registry,
-                    faults=spec.faults,
-                    failover=spec.failover,
-                    steering=spec.steering,
-                    hybrid_dns_share=spec.hybrid_dns_share,
-                )
-            else:
-                estate = build_serve_estate(spec.cluster)
-                cluster = ServeCluster(
-                    estate=estate,
-                    directory=directory,
-                    config=spec.cluster,
-                    clock=clock,
-                    metrics=registry,
-                    steering=spec.steering,
-                    hybrid_dns_share=spec.hybrid_dns_share,
-                )
+            cluster = ServeCluster(
+                directory=directory,
+                config=spec.cluster,
+                clock=clock,
+                metrics=registry,
+                faults=spec.faults,
+                failover=spec.failover,
+                steering=spec.steering,
+                hybrid_dns_share=spec.hybrid_dns_share,
+            )
             snapshot.verify_estate(cluster.estate)
             if spec.catchment_sig and cluster.anycast is not None:
                 local = cluster.anycast.catchment_map(0.0).signature
@@ -492,10 +466,6 @@ class ServeFleet:
         with self._lock:
             return dict(self._errors)
 
-    def admin_registry_provider(self):
-        """The callable an :class:`~repro.serve.admin.AdminServer` scrapes."""
-        return self.merged_registry
-
     def _teardown(self, force: bool = False) -> None:
         if self._stop_event is not None:
             self._stop_event.set()
@@ -671,222 +641,3 @@ def run_loadgen_fleet(
     if failures and not reports:
         raise RuntimeError(f"every generator process failed: {failures[0]}")
     return merge_load_reports(reports)
-
-
-# ----------------------------------------------------------------------
-# scaled selftest
-# ----------------------------------------------------------------------
-
-_SPEEDUP_MIN_CPUS = 4
-
-
-@dataclass
-class FleetSelftestReport:
-    """Everything the scaled selftest measured and checked."""
-
-    report: LoadReport
-    reference: LoadReport
-    registry: MetricsRegistry
-    workers: int
-    processes: int
-    cpus: int
-    speedup: float
-    equivalence_failures: tuple[str, ...] = field(default_factory=tuple)
-    worker_errors: dict = field(default_factory=dict)
-
-    def checks(self, qps_floor: float = 1000.0,
-               speedup_target: float = 5.0) -> list[tuple[str, bool]]:
-        family = self.registry.get("serve_fleet_worker_up")
-        workers_up = len(list(family.children())) if family is not None else 0
-        results = [
-            ("all requests ok",
-             self.report.errors == 0 and self.report.ok == self.report.requests),
-            (f"fleet dns >= {qps_floor:.0f} qps sustained",
-             self.report.dns_qps >= qps_floor),
-            ("fleet answers byte-equivalent to single loop",
-             not self.equivalence_failures),
-            (f"metrics merged from {self.workers} workers",
-             workers_up == self.workers and not self.worker_errors),
-            ("latency percentiles non-zero",
-             self.report.dns_p50_ms > 0.0 and self.report.http_p50_ms > 0.0),
-        ]
-        speedup_label = (
-            f"fleet >= {speedup_target:.0f}x single-loop qps "
-            f"(enforced on {_SPEEDUP_MIN_CPUS}+ cpus; this host: {self.cpus})"
-        )
-        if self.cpus >= _SPEEDUP_MIN_CPUS:
-            results.append((speedup_label, self.speedup >= speedup_target))
-        else:
-            # Too few cores to demonstrate parallel speedup honestly;
-            # record the measured ratio instead of asserting it.
-            results.append((speedup_label + f" [recorded {self.speedup:.2f}x]",
-                            True))
-        return results
-
-    def passed(self, qps_floor: float = 1000.0,
-               speedup_target: float = 5.0) -> bool:
-        return all(ok for _, ok in self.checks(qps_floor, speedup_target))
-
-
-async def _verify_fleet_equivalence(
-    fleet: ServeFleet,
-    estate,
-    directory: ClientDirectory,
-    samples: int = 16,
-) -> list[str]:
-    """Wire answers from the fleet vs the in-memory resolver, plus the
-    per-connection cache behaviour a single loop would show."""
-    failures: list[str] = []
-    resolver = estate.resolver(cache=False)
-    pinned_now = fleet.spec.pin_clock if fleet.spec is not None else 0.0
-    if pinned_now is None:
-        return ["equivalence requires a pinned fleet clock"]
-    dns_client = await AsyncDnsClient.open(
-        *fleet.dns_endpoint, source_prefix_len=32
-    )
-    try:
-        for sequence in range(samples):
-            sampled = directory.sample(sequence)
-            wire = await dns_client.resolve(NAMES.entry_point, sampled.address)
-            memory = resolver.resolve(
-                NAMES.entry_point, sampled.context(pinned_now)
-            )
-            if wire.chain_names != memory.chain_names:
-                failures.append(
-                    f"seq {sequence}: chain {wire.chain_names} != "
-                    f"{memory.chain_names}"
-                )
-            elif tuple(wire.addresses) != tuple(memory.addresses):
-                failures.append(
-                    f"seq {sequence}: addresses {wire.addresses} != "
-                    f"{memory.addresses}"
-                )
-    finally:
-        dns_client.close()
-    # Cache behaviour: a keep-alive connection is pinned to one worker,
-    # so a repeated fetch must warm exactly like the single-loop edge —
-    # miss first, hit after.
-    http = PooledHttpClient(*fleet.http_endpoint, pool_size=1)
-    try:
-        vip = estate.apple.sites[0].vip_addresses[0]
-        client_addr = directory.sample(0).address
-        path = "/content/fleet-selftest-cachecheck.ipsw"
-        verdicts = []
-        for _ in range(2):
-            _status, headers, _length = await http.get(
-                path, host=NAMES.entry_point, vip=vip, client=client_addr,
-                range_bytes=(0, 1023),
-            )
-            verdicts.append((headers.get("X-Cache") or "").split(",")[0].strip())
-        if verdicts[0].startswith("hit"):
-            failures.append(f"first fetch unexpectedly warm: {verdicts[0]!r}")
-        if not verdicts[1].startswith("hit"):
-            failures.append(f"repeat fetch not a cache hit: {verdicts[1]!r}")
-    finally:
-        await http.close()
-    return failures
-
-
-def fleet_selftest(
-    workers: int = 4,
-    requests: int = 5000,
-    concurrency: int = 64,
-    processes: Optional[int] = None,
-    cluster_config: Optional[ClusterConfig] = None,
-    steering: str = "dns",
-    duration: Optional[float] = None,
-    arrival: Optional[str] = None,
-    reference_requests: Optional[int] = None,
-) -> FleetSelftestReport:
-    """Boot a fleet, drive a loadgen fleet, verify, measure speedup.
-
-    The single-loop reference run uses the same cluster config, so the
-    speedup ratio compares like with like.  With ``arrival`` set the
-    load is open-loop (the flash-crowd replay); otherwise the classic
-    closed loop, split across generator processes.
-    """
-    processes = processes if processes is not None else max(2, workers)
-    ref_count = (
-        reference_requests if reference_requests is not None
-        else max(500, requests // 4)
-    )
-    reference, _ = selftest(
-        requests=ref_count, concurrency=concurrency,
-        cluster_config=cluster_config,
-    )
-    config = FleetConfig(
-        workers=workers, cluster=cluster_config, steering=steering,
-        pin_clock=0.0,
-    )
-    fleet = ServeFleet(config)
-    fleet.start()
-    try:
-        effective_cluster = (
-            fleet.spec.cluster if fleet.spec is not None
-            else (cluster_config or ClusterConfig())
-        )
-        load = LoadConfig(
-            requests=requests, concurrency=concurrency,
-            public_resolver_share=effective_cluster.loadgen_resolver_share,
-        )
-        if arrival is not None:
-            if duration is None:
-                duration = max(2.0, requests / max(reference.dns_qps, 500.0))
-            load = replace(
-                load,
-                arrival=ArrivalSchedule.named(arrival, requests, duration),
-            )
-        directory = fleet.spec.directory() if fleet.spec is not None else None
-        report = run_loadgen_fleet(
-            fleet.dns_endpoint, fleet.http_endpoint, load, processes,
-            directory=directory,
-            resolver_endpoint=fleet.resolver_endpoint,
-        )
-        estate = build_serve_estate(
-            fleet.spec.cluster if fleet.spec is not None else cluster_config
-        )
-        equivalence = asyncio.run(
-            _verify_fleet_equivalence(fleet, estate, directory)
-        )
-        worker_errors = fleet.worker_errors()
-    finally:
-        fleet.stop()
-    registry = fleet.merged_registry()
-    speedup = (
-        report.dns_qps / reference.dns_qps if reference.dns_qps > 0 else 0.0
-    )
-    return FleetSelftestReport(
-        report=report,
-        reference=reference,
-        registry=registry,
-        workers=workers,
-        processes=processes,
-        cpus=os.cpu_count() or 1,
-        speedup=speedup,
-        equivalence_failures=tuple(equivalence),
-        worker_errors=worker_errors,
-    )
-
-
-def render_fleet_selftest(result: FleetSelftestReport,
-                          qps_floor: float = 1000.0,
-                          speedup_target: float = 5.0) -> str:
-    """Terminal verdict for ``repro selftest --workers N``."""
-    checks = result.checks(qps_floor, speedup_target)
-    lines = [
-        result.report.render(),
-        "",
-        "fleet",
-        "-----",
-        f"serve workers        {result.workers}  "
-        f"(loadgen processes {result.processes}, cpus {result.cpus})",
-        f"single-loop ref      {result.reference.dns_qps:,.0f} qps "
-        f"({result.reference.requests} requests)",
-        f"fleet speedup        {result.speedup:.2f}x",
-        "",
-    ]
-    lines += render_checks(
-        "fleet selftest", checks,
-        [f"equivalence: {failure}" for failure in result.equivalence_failures[:3]],
-    )
-    return "\n".join(lines)

@@ -44,6 +44,7 @@ from ..dns.policies import stable_fraction
 from ..workload.arrival import ArrivalSchedule
 from .clients import ClientDirectory
 from .resilience import BackoffPolicy, CircuitBreaker, HedgePolicy
+from .udp import open_udp
 
 __all__ = [
     "DnsClientError",
@@ -200,8 +201,7 @@ class AsyncDnsClient:
     async def open(cls, host: str, port: int, **kwargs) -> "AsyncDnsClient":
         """Create and connect a client to one server endpoint."""
         client = cls(host, port, **kwargs)
-        loop = asyncio.get_running_loop()
-        _transport, protocol = await loop.create_datagram_endpoint(
+        _transport, protocol = await open_udp(
             _DnsClientProtocol, remote_addr=(host, port)
         )
         client._protocol = protocol

@@ -39,6 +39,7 @@ from ..obs import get_registry
 from ..resolver import DEFAULT_POPS, ResolverPop, nearest_pop
 from .clients import ClientDirectory
 from .loadgen import AsyncDnsClient, DnsClientError
+from .udp import open_udp
 
 __all__ = ["PublicResolverFront"]
 
@@ -70,16 +71,15 @@ class _CacheEntry:
 class PublicResolverFront:
     """An asyncio UDP caching forwarder fronting the authoritative server.
 
-    ``upstream`` is the (host, port) of a running
-    :class:`~repro.serve.dnsserver.AsyncDnsServer`.  ``ecs`` controls
-    whether the front forwards the client's subnet (truncated to
+    :meth:`start` takes the (host, port) of a running
+    :class:`~repro.serve.dnsserver.AsyncDnsServer` to forward to.  ``ecs``
+    controls whether the front forwards the client's subnet (truncated to
     ``scope`` bits) or hides it behind the POP anchor;
     ``cache_capacity`` bounds the live entries per POP cache.
     """
 
     def __init__(
         self,
-        upstream: tuple[str, int],
         directory: Optional[ClientDirectory] = None,
         pops: tuple[ResolverPop, ...] = DEFAULT_POPS,
         ecs: bool = True,
@@ -94,7 +94,6 @@ class PublicResolverFront:
             raise ValueError("a resolver front needs at least one POP")
         if not 0 <= scope <= 32:
             raise ValueError("scope must be in [0, 32]")
-        self._upstream = upstream
         self.directory = (
             directory if directory is not None else ClientDirectory()
         )
@@ -161,23 +160,23 @@ class PublicResolverFront:
             raise RuntimeError("resolver front is not started")
         return self._host, self._port
 
-    async def start(self, host: str = "127.0.0.1", port: int = 0,
+    async def start(self, upstream: tuple[str, int],
+                    host: str = "127.0.0.1", port: int = 0,
                     reuse_port: bool = False) -> tuple[str, int]:
-        """Bind the UDP listener and connect the upstream client."""
+        """Bind the UDP listener and connect the client to ``upstream``."""
         if self._transport is not None:
             raise RuntimeError("resolver front already started")
         if self._clock is None:
             origin = time.monotonic()
             self._clock = lambda: time.monotonic() - origin
-        loop = asyncio.get_running_loop()
         extra = {"reuse_port": True} if reuse_port else {}
-        transport, _protocol = await loop.create_datagram_endpoint(
+        transport, _protocol = await open_udp(
             lambda: _FrontProtocol(self), local_addr=(host, port), **extra
         )
         self._transport = transport
         self._host, self._port = transport.get_extra_info("sockname")[:2]
         self._client = await AsyncDnsClient.open(
-            *self._upstream,
+            *upstream,
             timeout=self._timeout,
             retries=self._retries,
             source_prefix_len=self.scope if self._announce_clients else 32,

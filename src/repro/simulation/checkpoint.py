@@ -256,9 +256,7 @@ class CheckpointPlan:
         )
         path = save_checkpoint(checkpoint, checkpoint_path(self.directory, done))
         self.written = done
-        stats = getattr(engine, "run_stats", None)
-        if stats is not None:
-            stats["checkpoints_written"] += 1
+        engine.run_stats["checkpoints_written"] += 1
         return path
 
 
@@ -306,7 +304,7 @@ def restore_run_state(engine, checkpoint: Checkpoint) -> tuple:
     # snapshot we are about to restore) and the fault injector's tracer
     # nulled (fault_opened/closed events were emitted by the original
     # run; re-emitting them would duplicate the trace).
-    injector = getattr(scenario, "faults", None)
+    injector = scenario.faults
     quiet = injector.quiet() if injector is not None else _NULL_CONTEXT
     saved_profiling = obs.profiling
     obs.profiling = False

@@ -304,9 +304,9 @@ class EngineSpec:
             scenario_class=type(scenario),
             config=scenario.config,
             timeline=scenario.timeline,
-            faults=getattr(scenario, "fault_schedule", None),
+            faults=scenario.fault_schedule,
             step_seconds=engine.step_seconds,
-            collect_metrics=bool(getattr(engine._obs.metrics, "enabled", False)),
+            collect_metrics=engine._obs.metrics.enabled,
             debug_corrupt=getattr(engine, "debug_corrupt", None),
         )
 
@@ -644,16 +644,12 @@ class _WorkerHandle:
         """
         chunk = self.completed.pop()
         self.pending.appendleft(chunk)
-        stats = getattr(engine, "run_stats", None)
-        if stats is not None:
-            stats["divergence_replays"] += 1
+        engine.run_stats["divergence_replays"] += 1
         self._respawn(engine, max_restarts, "state digest divergence")
 
     def _respawn(self, engine, max_restarts, why) -> None:
         self.restarts += 1
-        stats = getattr(engine, "run_stats", None)
-        if stats is not None:
-            stats["worker_restarts"] += 1
+        engine.run_stats["worker_restarts"] += 1
         if self.restarts > max_restarts:
             raise RuntimeError(
                 f"shard {self.shard.shard_id} exceeded {max_restarts} "
@@ -838,7 +834,7 @@ def run_sharded(
                 handles, results, chunk, engine, obs,
                 heartbeat_timeout, max_restarts,
             )
-            drain = getattr(engine, "_drain_requested", False)
+            drain = engine._drain_requested
             if chunk_index + 1 < len(chunks) and not drain:
                 # Pipeline: hand workers their next chunk before
                 # merging this one, so they never wait on the merge.
@@ -901,9 +897,7 @@ def run_sharded(
                     checkpoint_plan.maybe_write(
                         engine, next_tick=next_tick, force=True
                     )
-                    stats = getattr(engine, "run_stats", None)
-                    if stats is not None:
-                        stats["drained"] = True
+                    engine.run_stats["drained"] = True
                     break
     finally:
         # Guaranteed teardown on every exit path — success, divergence,

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence
 
-from ..net.geo import MappingRegion, great_circle_km
+from ..net.geo import MappingRegion
 from ..net.ipv4 import IPv4Address
 from ..obs import get_registry, get_tracer
 from .scenario import OVERFLOW_CLUSTER_PREFIX, Sep2017Scenario
@@ -142,18 +142,16 @@ class RunSummary:
             if OVERFLOW_CLUSTER_PREFIX.contains(record.src):
                 overflow_bytes += record.bytes
         overflow_share = overflow_bytes / total_bytes if total_bytes else 0.0
-        steering = getattr(scenario.config, "steering", "dns")
+        steering = scenario.config.steering
         catchments: dict = {}
-        anycast = getattr(scenario, "anycast", None)
+        anycast = scenario.anycast
         if anycast is not None:
             from ..anycast.analysis import CatchmentAnalysis
 
             catchments = CatchmentAnalysis.from_plane(anycast).to_json_dict()
-        resolver_population = getattr(
-            scenario.config, "resolver_population", "isp"
-        )
+        resolver_population = scenario.config.resolver_population
         resolver: dict = {}
-        if getattr(scenario, "resolver_plane", None) is not None:
+        if scenario.resolver_plane is not None:
             from ..analysis.resolver_accuracy import ResolverAccuracy
 
             resolver = ResolverAccuracy.from_scenario(scenario).to_json_dict()
@@ -427,7 +425,6 @@ class SimulationEngine:
         self.clock: Callable[[], float] = (
             clock if clock is not None else time.perf_counter
         )
-        self._isp_center = scenario.locations.get("defra").coordinates
         self._server_rank_cache: dict[tuple[str, int], list] = {}
         # Worker label on per-phase timings: "main" for the serial loop
         # and the sharded coordinator; replicas get "wN" at init.
@@ -614,7 +611,7 @@ class SimulationEngine:
         scenario = self.scenario
         global_rows, isp_rows, traffic = merged or (None, None, None)
         started = self.clock() if obs.enabled else 0.0
-        failover = getattr(scenario, "failover", None)
+        failover = scenario.failover
         if failover is not None:
             # Replay health probes up to this step so the selection
             # policies and the operator split see current member state.
@@ -684,9 +681,8 @@ class SimulationEngine:
         traffic is generated.  Returns the per-region demand and the
         per-region operator splits.
         """
-        failover = getattr(self.scenario, "failover", None)
-        if failover is not None:
-            failover.advance(now)
+        if self.scenario.failover is not None:
+            self.scenario.failover.advance(now)
         return self._advance_demand(now)
 
     def _advance_demand(
@@ -722,7 +718,7 @@ class SimulationEngine:
                     deployment.offer_demand(now, region, gbps)
             if profiling:
                 selection_s += self.clock() - t0
-        anycast = getattr(self.scenario, "anycast", None)
+        anycast = self.scenario.anycast
         if anycast is not None:
             # One catchment observation per tick.  The map is a pure
             # function of (config, fault schedule, now) and every
@@ -750,7 +746,7 @@ class SimulationEngine:
         the anycast-pinned remainder cannot be re-steered by the
         broker (or by health failover).
         """
-        steering = getattr(self.scenario.config, "steering", "dns")
+        steering = self.scenario.config.steering
         if steering == "anycast":
             return {"Apple": demand_gbps}
         if steering == "hybrid":
@@ -928,13 +924,3 @@ class SimulationEngine:
         return flows
 
     # ------------------------------------------------------------------
-
-    def nearest_site_distance_km(self, address: IPv4Address) -> Optional[float]:
-        """Distance from the ISP's centre to a cache's metro (if known)."""
-        for deployment in self.scenario.estate.deployments.values():
-            for placed in deployment.servers:
-                if placed.server.address == address:
-                    return great_circle_km(
-                        self._isp_center, placed.location.coordinates
-                    )
-        return None

@@ -46,10 +46,6 @@ class DiurnalProfile:
         """The maximum factor over a day."""
         return 1.0 + self.amplitude
 
-    def trough_factor(self) -> float:
-        """The minimum factor over a day."""
-        return 1.0 - self.amplitude
-
 
 # Regional eyeball profiles: evening peaks in the dominant time zones.
 EU_PROFILE = DiurnalProfile(peak_hour_utc=18.0)

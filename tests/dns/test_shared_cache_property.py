@@ -259,7 +259,7 @@ def _front_live_sets(ttls, capacity, trace):
     async def replay(prefix):
         clock = [0.0]
         front = PublicResolverFront(
-            ("127.0.0.1", 0), cache_capacity=capacity,
+            cache_capacity=capacity,
             metrics=MetricsRegistry(), clock=lambda: clock[0],
         )
         front._client = upstream = Upstream()

@@ -12,11 +12,10 @@ from repro.serve import (
     ClusterConfig,
     LoadConfig,
     LoadReport,
+    SelftestReport,
     ServeCluster,
     WireResolution,
     build_serve_estate,
-    render_selftest,
-    selftest_checks,
 )
 
 
@@ -169,9 +168,10 @@ class TestClusterEndToEnd:
         cache_family = registry.get("cache_requests_total")
         assert sum(c.value for _, c in cache_family.children()) > 0
 
-        checks = selftest_checks(report, registry, qps_floor=10.0)
+        verdict = SelftestReport(report, registry)
+        checks = verdict.checks(qps_floor=10.0)
         assert all(passed for _label, passed in checks)
-        rendered = render_selftest(report, registry, qps_floor=10.0)
+        rendered = verdict.render(qps_floor=10.0)
         assert "selftest PASSED" in rendered
         assert "cache lookups" in rendered
 

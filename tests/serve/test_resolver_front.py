@@ -18,8 +18,8 @@ from repro.serve import (
     ClusterConfig,
     LoadConfig,
     PublicResolverFront,
+    SelftestReport,
     ServeCluster,
-    selftest_checks,
 )
 from repro.serve.loadgen import AsyncDnsClient
 
@@ -148,7 +148,7 @@ class TestDriveAndSelftest:
         )
         assert report.errors == 0
         assert stats["hits"] + stats["misses"] > 0
-        checks = dict(selftest_checks(report, registry, qps_floor=0.0))
+        checks = dict(SelftestReport(report, registry).checks(qps_floor=0.0))
         assert checks["public-resolver cache-dilution metrics present"]
 
     def test_isp_population_boots_no_front(self):
@@ -158,9 +158,9 @@ class TestDriveAndSelftest:
         front, registry = run_cluster(scenario, resolver_population="isp")
         assert front is None
         labels = [
-            label for label, _ in selftest_checks(
-                _dummy_report(), registry, qps_floor=0.0
-            )
+            label for label, _ in SelftestReport(
+                _dummy_report(), registry
+            ).checks(qps_floor=0.0)
         ]
         assert "public-resolver cache-dilution metrics present" not in labels
 
@@ -190,11 +190,11 @@ class TestConfigValidation:
 
     def test_front_validation(self):
         with pytest.raises(ValueError):
-            PublicResolverFront(("127.0.0.1", 0), pops=())
+            PublicResolverFront(pops=())
         with pytest.raises(ValueError):
-            PublicResolverFront(("127.0.0.1", 0), scope=40)
+            PublicResolverFront(scope=40)
         with pytest.raises(ValueError):
-            PublicResolverFront(("127.0.0.1", 0), cache_capacity=0)
+            PublicResolverFront(cache_capacity=0)
 
     def test_loadgen_share_derivation(self):
         assert ClusterConfig().loadgen_resolver_share == 0.0
