@@ -70,6 +70,23 @@ class TtlCache:
         self._m_misses.inc()
         return None
 
+    def hit(self, key, now: float):
+        """The live entry under ``key`` at ``now``, counted as a hit.
+
+        Anything else returns ``None`` with nothing counted or dropped:
+        for an owner that serves hits on a fast path and takes every
+        other lookup through :meth:`get`, so each lookup still counts
+        exactly once.
+        """
+        if now > self._horizon:
+            self._horizon = now
+        entry = self._entries.get(key)
+        if entry is None or entry.expires_at <= now:
+            return None
+        self.hits += 1
+        self._m_hits.inc()
+        return entry
+
     def put(self, key, entry, now: float) -> None:
         """Store ``entry`` (expiring at ``entry.expires_at``), then bound the size."""
         self._entries[key] = entry

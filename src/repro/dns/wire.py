@@ -9,6 +9,14 @@ use to learn where the client sits.
 Supported RR types are exactly the reproduction's: A, NS, CNAME, SOA,
 PTR (plus OPT).  Encoding applies name compression (pointers to earlier
 occurrences); decoding follows pointers with loop protection.
+
+A live edge codes the same few thousand distinct messages over and
+over (the same probes chase the same chain every five minutes), so
+both directions memoise by *value*: :func:`encode_message` keeps the
+question + answer section bytes per ``(questions, answers)``,
+:func:`decode_message` keeps the decoded fields per ``data[2:]``.  Both
+memos are pure functions of their key — nothing ever invalidates them —
+and are bounded at ``_MEMO_BOUND`` entries, oldest out first.
 """
 
 from __future__ import annotations
@@ -21,7 +29,14 @@ from typing import Optional
 from ..net.ipv4 import IPv4Address, IPv4Prefix
 from ..obs.trace_context import TRACE_OPTION_CODE, TraceContext
 from .query import Question, RCode
-from .records import NameError_, RecordType, ResourceRecord, normalize_name
+from .records import (
+    ARecord,
+    CnameRecord,
+    NameError_,
+    RecordType,
+    ResourceRecord,
+    normalize_name,
+)
 
 __all__ = [
     "WireError",
@@ -32,9 +47,11 @@ __all__ = [
     "decode_message",
     "encode_name",
     "decode_name",
+    "servfail_reply",
 ]
 
 _MAX_MESSAGE = 65535
+_HEADER_OCTETS = 12
 _MAX_NAME_OCTETS = 255  # RFC 1035 §3.1: total encoded name length
 _MAX_POINTER_JUMPS = 32  # far above any legal message's compression depth
 _POINTER_MASK = 0xC0
@@ -43,6 +60,12 @@ _OPT_TYPE = 41
 _ECS_OPTION_CODE = 8
 _ECS_FAMILY_IPV4 = 1
 _DEFAULT_UDP_PAYLOAD = 4096
+# Both wire memos hold at most this many entries (a steady-state edge
+# repeats (qname, ECS /24, answer set) well inside the last 512 distinct
+# messages, see DESIGN.md "Hot-path cost model"), and the decode memo
+# only keeps datagram-sized inputs, so its keys stay under 0.5 MB.
+_MEMO_BOUND = 512
+_MEMO_MAX_KEY_OCTETS = 1024
 
 
 class WireError(ValueError):
@@ -94,6 +117,8 @@ class ClientSubnet:
         family, source_length, scope_length = struct.unpack("!HBB", payload[:4])
         if family != _ECS_FAMILY_IPV4:
             raise WireError(f"unsupported ECS family {family}")
+        if source_length > 32:
+            raise WireError(f"bad ECS source prefix length: {source_length}")
         used = (source_length + 7) // 8
         address_bytes = payload[4:4 + used] + b"\x00" * (4 - used)
         if len(payload) < 4 + used:
@@ -168,10 +193,12 @@ def decode_name(data: bytes, offset: int) -> tuple[str, int]:
     Hardened against adversarial bytes: every compression pointer must
     land strictly before the previous jump target (a legal encoder only
     ever points at earlier suffixes, and the rule makes pointer loops
-    impossible on the first revisit instead of after a long chase),
-    jumps are bounded, and the accumulated name may not exceed the RFC
-    1035 limit of 255 octets.  Any violation raises :class:`WireError`;
-    malformed input can never hang the decoder.
+    impossible on the first revisit instead of after a long chase) and
+    never inside the 12-byte header (no name lives there; a pointer at
+    offsets 0-1 would read a label out of the message id), jumps are
+    bounded, and the accumulated name may not exceed the RFC 1035 limit
+    of 255 octets.  Any violation raises :class:`WireError`; malformed
+    input can never hang the decoder.
     """
     labels: list[str] = []
     name_octets = 1  # the terminating zero label
@@ -196,6 +223,11 @@ def decode_name(data: bytes, offset: int) -> tuple[str, int]:
                 raise WireError(
                     f"compression pointer at {cursor} does not move "
                     f"backwards (target {pointer})"
+                )
+            if pointer < _HEADER_OCTETS:
+                raise WireError(
+                    f"compression pointer at {cursor} lands in the header "
+                    f"(target {pointer})"
                 )
             lowest_target = pointer
             cursor = pointer
@@ -270,16 +302,22 @@ def _decode_record(
     except ValueError as exc:
         raise WireError(f"unsupported RR type {type_code}") from exc
     rtype = wire_type.to_record_type()
-    if rtype is RecordType.A:
-        if rdlength != 4:
-            raise WireError("A RDATA must be 4 bytes")
-        record_data: object = IPv4Address(int.from_bytes(rdata, "big"))
-    elif rtype in (RecordType.CNAME, RecordType.NS, RecordType.PTR):
-        record_data, _ = decode_name(data, cursor)
-    else:
-        raise WireError(f"cannot decode {rtype}")
     try:
-        record = ResourceRecord(name=name, rtype=rtype, ttl=ttl, data=record_data)
+        # A and CNAME go through the interning constructors: a decoded
+        # answer is the same object as the one the zone built.
+        if rtype is RecordType.A:
+            if rdlength != 4:
+                raise WireError("A RDATA must be 4 bytes")
+            record = ARecord(name, IPv4Address(int.from_bytes(rdata, "big")), ttl)
+        elif rtype is RecordType.CNAME:
+            record = CnameRecord(name, decode_name(data, cursor)[0], ttl)
+        elif rtype in (RecordType.NS, RecordType.PTR):
+            record = ResourceRecord(
+                name=name, rtype=rtype, ttl=ttl,
+                data=decode_name(data, cursor)[0],
+            )
+        else:
+            raise WireError(f"cannot decode {rtype}")
     except NameError_ as exc:
         # Label syntax is validated by the record model; on the decode
         # path a violation is malformed wire input, not a caller bug.
@@ -297,6 +335,37 @@ def _decode_owner(data: bytes, offset: int) -> tuple[str, int]:
 # ----------------------------------------------------------------------
 # messages
 # ----------------------------------------------------------------------
+
+# (tuple(questions), tuple(answers)) -> the two sections' bytes.  The
+# header is a fixed 12 octets, so compression offsets inside the
+# sections do not depend on the id, the flags or the OPT record.
+_SECTIONS: dict[tuple, bytes] = {}
+# data[2:] -> the decoded fields of an accepted message without a trace
+# option; bytes 0-1 are the id and cannot reach anything else, since no
+# compression pointer may land in the header.
+_DECODED: dict[bytes, tuple] = {}
+
+
+def _remember(memo: dict, key, value) -> None:
+    """Fill a wire memo, the oldest entry making room at the bound."""
+    if len(memo) >= _MEMO_BOUND:
+        del memo[next(iter(memo))]
+    memo[key] = value
+
+
+def _encode_sections(questions: tuple, answers: tuple) -> bytes:
+    """The question and answer sections as they sit after the header."""
+    out = bytearray()
+    compression: dict[str, int] = {}
+    for question in questions:
+        out += encode_name(question.name, compression, _HEADER_OCTETS + len(out))
+        out += struct.pack(
+            "!HH", WireType.from_record_type(question.rtype), _CLASS_IN
+        )
+    for record in answers:
+        out += _encode_record(record, compression, _HEADER_OCTETS + len(out))
+    return bytes(out)
+
 
 def encode_message(message: WireMessage) -> bytes:
     """Serialise a message, compressing names throughout."""
@@ -318,26 +387,28 @@ def encode_message(message: WireMessage) -> bytes:
         or message.udp_payload_size is not None
         or message.trace_context is not None
     )
-    additional_count = 1 if emit_opt else 0
+    questions, answers = tuple(message.questions), tuple(message.answers)
     out = bytearray(
         struct.pack(
             "!HHHHHH",
             message.message_id,
             flags,
-            len(message.questions),
-            len(message.answers),
+            len(questions),
+            len(answers),
             0,
-            additional_count,
+            1 if emit_opt else 0,
         )
     )
-    compression: dict[str, int] = {}
-    for question in message.questions:
-        out += encode_name(question.name, compression, len(out))
-        out += struct.pack(
-            "!HH", WireType.from_record_type(question.rtype), _CLASS_IN
-        )
-    for record in message.answers:
-        out += _encode_record(record, compression, len(out))
+    # Key equality is record equality, under which ttl 15 == 15.0, yet
+    # only the int packs: anything but int TTLs bypasses the memo.
+    if any(type(record.ttl) is not int for record in answers):
+        sections = _encode_sections(questions, answers)
+    else:
+        sections = _SECTIONS.get((questions, answers))
+        if sections is None:
+            sections = _encode_sections(questions, answers)
+            _remember(_SECTIONS, (questions, answers), sections)
+    out += sections
     if emit_opt:
         # OPT pseudo-record: root name, type 41, class = UDP size.
         options = bytearray()
@@ -357,7 +428,36 @@ def encode_message(message: WireMessage) -> bytes:
 
 
 def decode_message(data: bytes) -> WireMessage:
-    """Parse a wire message back into structured form."""
+    """Parse a wire message back into structured form.
+
+    Bytes seen before (from offset 2 on) skip the parse: the caller gets
+    a fresh message with its own lists and the id of *this* datagram.
+    """
+    body = data[2:]
+    known = _DECODED.get(body)
+    if known is not None:
+        fields, questions, answers = known
+        return WireMessage(
+            message_id=(data[0] << 8) | data[1],
+            questions=list(questions),
+            answers=list(answers),
+            **fields,
+        )
+    message = _decode_message(data)
+    # Trace options are unique per query: they would only churn the memo.
+    if message.trace_context is None and len(data) <= _MEMO_MAX_KEY_OCTETS:
+        fields = {
+            name: value for name, value in vars(message).items()
+            if name not in ("message_id", "questions", "answers")
+        }
+        _remember(_DECODED, body, (
+            fields, tuple(message.questions), tuple(message.answers),
+        ))
+    return message
+
+
+def _decode_message(data: bytes) -> WireMessage:
+    """The validating decoder behind :func:`decode_message`'s memo."""
     if len(data) < 12:
         raise WireError("message shorter than the 12-byte header")
     message_id, flags, qdcount, ancount, nscount, arcount = struct.unpack(
@@ -390,7 +490,7 @@ def decode_message(data: bytes) -> WireMessage:
         except ValueError as exc:
             raise WireError(f"unsupported question type {type_code}") from exc
         try:
-            message.questions.append(Question(name, rtype))
+            message.questions.append(Question.of(name, rtype))
         except NameError_ as exc:
             raise WireError(f"invalid name in question: {exc}") from exc
     for section_count in (ancount, nscount + arcount):
@@ -465,6 +565,25 @@ def reply_message(query: WireMessage, response, ecs_scope=None) -> WireMessage:
         answers=list(response.answers),
         client_subnet=ecs,
         trace_context=query.trace_context,
+    )
+
+
+def servfail_reply(payload: bytes) -> Optional[bytes]:
+    """A bare SERVFAIL echoing ``payload``'s message id.
+
+    What a server sends back for a datagram it could not decode or
+    answer; ``None`` when not even the 12-byte header (hence an id) is
+    there to echo.
+    """
+    if len(payload) < _HEADER_OCTETS:
+        return None
+    return encode_message(
+        WireMessage(
+            message_id=(payload[0] << 8) | payload[1],
+            is_response=True,
+            rcode=RCode.SERVFAIL,
+            recursion_desired=False,
+        )
     )
 
 

@@ -292,7 +292,7 @@ async def _watch_resteer(dns_endpoint, directory, clock, config: ChaosConfig,
     both the re-steer and the recovery off the wire alone (a fleet's
     tracer events live in its worker processes).
     """
-    from ..serve.loadgen import AsyncDnsClient, DnsClientError
+    from ..serve.dnsclient import AsyncDnsClient, DnsClientError
 
     dns = await AsyncDnsClient.open(
         *dns_endpoint, timeout=1.0, retries=1, metrics=registry

@@ -9,9 +9,13 @@ the flash-crowd workload — is made network-reachable here:
   bytes, honouring EDNS Client Subnet;
 * :mod:`repro.serve.httpserver` — an asyncio HTTP/1.1 edge emitting the
   ``Via``/``X-Cache`` chains the §3.3 header inference parses;
+* :mod:`repro.serve.dnsclient` — the wire DNS client (UDP, TCP
+  fallback, ECS, retries, hedging, the CNAME chase) every asking
+  component shares;
+* :mod:`repro.serve.httpclient` — the pooled keep-alive HTTP client;
 * :mod:`repro.serve.loadgen` — a closed-loop load generator replaying
   the workload model as concurrent wire resolutions and ranged
-  downloads;
+  downloads over those two clients;
 * :mod:`repro.serve.clients` — the shared client-address ⇄ geography
   contract both ends rely on;
 * :mod:`repro.serve.udp` — the one UDP endpoint opener of the DNS paths
@@ -33,20 +37,13 @@ the flash-crowd workload — is made network-reachable here:
 from .admin import AdminServer
 from .clients import DEFAULT_VANTAGES, ClientDirectory, SampledClient, Vantage
 from .cluster import ClusterConfig, ServeCluster, build_serve_estate
+from .dnsclient import AsyncDnsClient, DnsClientError, WireResolution
 from .dnsserver import AsyncDnsServer, ZoneFrontend
 from .fleet import FleetConfig, ServeFleet, fleet_supported, run_loadgen_fleet
 from .harness import SelftestReport, ShapeError, drive_load, selftest, serve_forever
+from .httpclient import PooledHttpClient
 from .httpserver import AsyncHttpEdge, estate_router
-from .loadgen import (
-    AsyncDnsClient,
-    DnsClientError,
-    LoadConfig,
-    LoadGenerator,
-    LoadReport,
-    PooledHttpClient,
-    WireResolution,
-    merge_load_reports,
-)
+from .loadgen import LoadConfig, LoadGenerator, LoadReport, merge_load_reports
 from .resilience import BackoffPolicy, CircuitBreaker, HedgePolicy
 from .resolverfront import PublicResolverFront
 from .snapshot import FleetSpec, estate_signature, load_snapshot, write_snapshot

@@ -34,6 +34,7 @@ from ..dns.wire import (
     decode_message,
     encode_message,
     reply_message,
+    servfail_reply,
 )
 from ..dns.zone import AuthoritativeServer
 from ..obs import get_registry, get_tracer, use_context
@@ -298,7 +299,7 @@ class AsyncDnsServer:
             query = decode_message(payload)
         except Exception:
             self._m_malformed.inc()
-            return self._servfail_for(payload), None, None, 0.0
+            return servfail_reply(payload), None, None, 0.0
         trace = query.trace_context
         if trace is None or not self._tracer.enabled:
             return self._answer_decoded(query, payload, None)
@@ -327,7 +328,7 @@ class AsyncDnsServer:
                 if action == "servfail":
                     if span is not None:
                         span.annotate(outcome="servfail-fault")
-                    return self._servfail_for(payload), None, None, delay
+                    return servfail_reply(payload), None, None, delay
             response = self.frontend.answer(
                 query,
                 self._context_for(query, staleness),
@@ -337,7 +338,7 @@ class AsyncDnsServer:
             self._m_malformed.inc()
             if span is not None:
                 span.annotate(outcome="malformed")
-            return self._servfail_for(payload), None, None, delay
+            return servfail_reply(payload), None, None, delay
         if response.rcode is RCode.REFUSED:
             self._m_refused.inc()
         if span is not None:
@@ -345,21 +346,6 @@ class AsyncDnsServer:
                 rcode=response.rcode.name, answers=len(response.answers)
             )
         return encode_message(response), response, query, delay
-
-    @staticmethod
-    def _servfail_for(payload: bytes) -> Optional[bytes]:
-        """A bare SERVFAIL echoing the query id, if one is recoverable."""
-        if len(payload) < 12:
-            return None
-        (message_id,) = struct.unpack("!H", payload[:2])
-        return encode_message(
-            WireMessage(
-                message_id=message_id,
-                is_response=True,
-                rcode=RCode.SERVFAIL,
-                recursion_desired=False,
-            )
-        )
 
     def handle_datagram(self, payload: bytes) -> Optional[bytes]:
         """Answer one UDP datagram (truncating oversize responses)."""

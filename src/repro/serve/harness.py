@@ -51,14 +51,10 @@ from ..workload.arrival import ArrivalSchedule
 from .admin import AdminServer
 from .clients import ClientDirectory
 from .cluster import ClusterConfig, ServeCluster, build_serve_estate
+from .dnsclient import AsyncDnsClient
 from .fleet import FleetConfig, ServeFleet, run_loadgen_fleet
-from .loadgen import (
-    AsyncDnsClient,
-    LoadConfig,
-    LoadGenerator,
-    LoadReport,
-    PooledHttpClient,
-)
+from .httpclient import PooledHttpClient
+from .loadgen import LoadConfig, LoadGenerator, LoadReport
 
 __all__ = [
     "ShapeError",

@@ -28,6 +28,7 @@ from ..http.headers import CacheStatus
 from ..http.messages import Headers, HttpRequest, HttpResponse
 from ..net.ipv4 import IPv4Address
 from ..obs import TraceContext, get_registry, get_tracer, use_context
+from .deadline import deadline
 
 __all__ = ["AsyncHttpEdge", "estate_router"]
 
@@ -35,6 +36,9 @@ _REQUEST_LINE = re.compile(r"^([A-Z]+) (\S+) HTTP/(1\.[01])$")
 _RANGE = re.compile(r"^bytes=(\d+)-(\d*)$")
 _MAX_HEADER_BYTES = 16384
 _READ_TIMEOUT = 30.0
+# Every synthetic body is a run of zeros: responses up to this size are
+# views of one buffer instead of a fresh allocation per request.
+_ZEROS = memoryview(bytes(262_144))
 
 # Router: (vip, model request, object size) -> model response, or None
 # when no fleet owns the vip.
@@ -53,6 +57,11 @@ def estate_router(estate: MetaCdnEstate) -> Router:
         return None
 
     return route
+
+
+def _zeros(count: int):
+    """``count`` zero bytes, shared when they fit the module buffer."""
+    return _ZEROS[:count] if count <= len(_ZEROS) else bytes(count)
 
 
 class AsyncHttpEdge:
@@ -213,19 +222,22 @@ class AsyncHttpEdge:
         """The request line + header lines, or None on EOF/overflow."""
         lines: list[str] = []
         total = 0
-        while True:
-            chunk = await asyncio.wait_for(reader.readline(), timeout=_READ_TIMEOUT)
-            if not chunk:
-                return None
-            total += len(chunk)
-            if total > _MAX_HEADER_BYTES:
-                return None
-            line = chunk.decode("latin-1").rstrip("\r\n")
-            if line == "":
-                if lines:  # end of head (leading blank lines are ignored)
-                    return lines
-                continue
-            lines.append(line)
+        # One deadline for the whole head: a peer trickling a line per
+        # interval is dropped at it instead of pinning the handler.
+        with deadline(_READ_TIMEOUT):
+            while True:
+                chunk = await reader.readline()
+                if not chunk:
+                    return None
+                total += len(chunk)
+                if total > _MAX_HEADER_BYTES:
+                    return None
+                line = chunk.decode("latin-1").rstrip("\r\n")
+                if line == "":
+                    if lines:  # end of head (leading blank lines are ignored)
+                        return lines
+                    continue
+                lines.append(line)
 
     async def _handle_one(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> bool:
@@ -303,7 +315,7 @@ class AsyncHttpEdge:
         return keep
 
     def _serve(self, method: str, target: str,
-               headers: Headers) -> tuple[int, Headers, bytes, float]:
+               headers: Headers) -> tuple[int, Headers, bytes | memoryview, float]:
         if method not in ("GET", "HEAD"):
             return 405, Headers({"Allow": "GET, HEAD"}), b"method not allowed\n", 0.0
         vip_text = headers.get("X-Vip")
@@ -353,16 +365,17 @@ class AsyncHttpEdge:
             if first >= entity_size or first > last:
                 return (416, Headers({"Content-Range": f"bytes */{entity_size}"}),
                         b"", delay)
-            body = bytes(last - first + 1)
+            body = _zeros(last - first + 1)
             status = 206
             out.set("Content-Range", f"bytes {first}-{last}/{entity_size}")
         else:
-            body = bytes(entity_size)
+            body = _zeros(entity_size)
         out.set("X-Body-Size", str(entity_size))
         return status, out, body, delay
 
     async def _send(self, writer: asyncio.StreamWriter, status: int,
-                    headers: Headers, body: bytes, include_body: bool = True) -> None:
+                    headers: Headers, body: bytes | memoryview,
+                    include_body: bool = True) -> None:
         reason = {200: "OK", 206: "Partial Content", 400: "Bad Request",
                   404: "Not Found", 405: "Method Not Allowed",
                   416: "Range Not Satisfiable", 500: "Internal Server Error",

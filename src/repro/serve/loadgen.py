@@ -20,19 +20,14 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import struct
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..dns.query import Question, RCode
-from ..dns.records import RecordType, ResourceRecord
-from ..dns.wire import ClientSubnet, WireError, WireMessage, decode_message, encode_message
-from ..http.messages import Headers
-from ..net.ipv4 import IPv4Address, IPv4Prefix
+from ..dns.policies import stable_fraction
+from ..net.ipv4 import IPv4Address
 from ..obs import (
     TraceContext,
-    current_context,
     get_registry,
     get_tracer,
     new_trace_id,
@@ -40,512 +35,23 @@ from ..obs import (
     use_context,
 )
 from ..obs.registry import HistogramChild
-from ..dns.policies import stable_fraction
 from ..workload.arrival import ArrivalSchedule
 from .clients import ClientDirectory
+from .dnsclient import AsyncDnsClient, DnsClientError, WireResolution
+from .httpclient import PooledHttpClient
 from .resilience import BackoffPolicy, CircuitBreaker, HedgePolicy
-from .udp import open_udp
 
 __all__ = [
-    "DnsClientError",
-    "WireResolution",
-    "AsyncDnsClient",
-    "PooledHttpClient",
     "LoadConfig",
     "LoadReport",
     "LoadGenerator",
     "merge_load_reports",
 ]
 
-_MAX_CHAIN = 16
 _LATENCY_BUCKETS = (
     0.0002, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.5,
 )
-
-
-class DnsClientError(RuntimeError):
-    """A query failed after all retries (timeout, SERVFAIL, bad chain)."""
-
-
-@dataclass(frozen=True)
-class WireResolution:
-    """A CNAME chase completed over the wire.
-
-    Mirrors the read API of :class:`repro.dns.resolver.Resolution` so
-    equivalence tests can compare the two hop for hop.
-    """
-
-    question_name: str
-    steps: tuple[tuple[ResourceRecord, ...], ...]
-
-    @property
-    def records(self) -> tuple[ResourceRecord, ...]:
-        """Every answer record, in chase order."""
-        return tuple(record for step in self.steps for record in step)
-
-    @property
-    def cname_chain(self) -> tuple[ResourceRecord, ...]:
-        """The CNAME records followed, in order."""
-        return tuple(r for r in self.records if r.rtype is RecordType.CNAME)
-
-    @property
-    def addresses(self) -> tuple[IPv4Address, ...]:
-        """The final A record addresses."""
-        return tuple(
-            r.address for r in self.records if r.rtype is RecordType.A
-        )
-
-    @property
-    def chain_names(self) -> tuple[str, ...]:
-        """All names visited, starting with the question name."""
-        names = [self.question_name]
-        for record in self.cname_chain:
-            names.append(record.target)
-        return tuple(names)
-
-    @property
-    def final_name(self) -> str:
-        """The terminal name of the chain."""
-        return self.chain_names[-1]
-
-
-class _DnsClientProtocol(asyncio.DatagramProtocol):
-    """Matches responses to waiters by DNS message id."""
-
-    def __init__(self) -> None:
-        self.waiters: dict[int, asyncio.Future] = {}
-        self.transport: Optional[asyncio.DatagramTransport] = None
-
-    def connection_made(self, transport) -> None:  # pragma: no cover - trivial
-        self.transport = transport
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        if len(data) < 2:
-            return
-        (message_id,) = struct.unpack("!H", data[:2])
-        waiter = self.waiters.pop(message_id, None)
-        if waiter is not None and not waiter.done():
-            waiter.set_result(data)
-
-    def error_received(self, exc) -> None:  # pragma: no cover - platform dependent
-        pass
-
-
-class AsyncDnsClient:
-    """A stub resolver speaking RFC 1035 over UDP with TCP fallback.
-
-    One client instance serves any number of concurrent resolutions:
-    in-flight queries are matched by message id.  Each query carries an
-    EDNS Client Subnet option for the acting client so the server's
-    geo policies see who is asking.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout: float = 2.0,
-        retries: int = 2,
-        source_prefix_len: int = 24,
-        metrics=None,
-        backoff: Optional[BackoffPolicy] = None,
-        hedge: Optional[HedgePolicy] = None,
-        tracer=None,
-    ) -> None:
-        if not 0 < source_prefix_len <= 32:
-            raise ValueError("source_prefix_len must be in (0, 32]")
-        self._host = host
-        self._port = port
-        self._timeout = timeout
-        self._retries = retries
-        self._source_prefix_len = source_prefix_len
-        # Resilience: exponential backoff between retry attempts (None =
-        # the legacy immediate retry) and hedged GSLB lookups.
-        self._backoff = backoff
-        self._hedge = hedge
-        # Queries are stamped with the ambient trace context (EDNS0
-        # option); the tracer supplies the current span id as the
-        # remote parent the server's span attaches under.
-        self._tracer = tracer if tracer is not None else get_tracer()
-        self._protocol: Optional[_DnsClientProtocol] = None
-        self._last_id = 0
-        # Plain mirrors of the registry counters so reports work under
-        # the null registry too.
-        self.queries_sent = 0
-        self.timeouts = 0
-        self.tcp_fallbacks = 0
-        self.hedged_queries = 0
-        self.hedge_wins = 0
-        registry = metrics if metrics is not None else get_registry()
-        self._m_queries = registry.counter(
-            "loadgen_dns_queries_total", "Wire DNS queries issued by the client"
-        )
-        self._m_timeouts = registry.counter(
-            "loadgen_dns_timeouts_total", "Queries that timed out (incl. retried)"
-        )
-        self._m_tcp = registry.counter(
-            "loadgen_dns_tcp_fallbacks_total",
-            "Truncated UDP answers retried over TCP",
-        )
-        self._m_hedged = registry.counter(
-            "loadgen_dns_hedged_total",
-            "GSLB lookups that launched a hedge to the second name",
-        )
-        self._m_hedge_wins = registry.counter(
-            "loadgen_dns_hedge_wins_total",
-            "Hedged lookups where the second name answered first",
-        )
-
-    @classmethod
-    async def open(cls, host: str, port: int, **kwargs) -> "AsyncDnsClient":
-        """Create and connect a client to one server endpoint."""
-        client = cls(host, port, **kwargs)
-        _transport, protocol = await open_udp(
-            _DnsClientProtocol, remote_addr=(host, port)
-        )
-        client._protocol = protocol
-        return client
-
-    def close(self) -> None:
-        """Close the UDP endpoint and fail any in-flight waiters."""
-        if self._protocol is not None:
-            # Waiters still registered belong to tasks that were
-            # cancelled (or are about to be): cancel the futures so
-            # nothing holds a reference into a dead transport.
-            for waiter in list(self._protocol.waiters.values()):
-                if not waiter.done():
-                    waiter.cancel()
-            self._protocol.waiters.clear()
-            if self._protocol.transport is not None:
-                self._protocol.transport.close()
-        self._protocol = None
-
-    def _next_id(self) -> int:
-        """The next free DNS message id.
-
-        Ids cycle over 1..65535 (0 is never used) and an id whose
-        waiter is still registered is skipped, so two in-flight lookups
-        on this client can never share one — a response could
-        otherwise complete the wrong waiter.
-        """
-        in_flight = self._protocol.waiters if self._protocol is not None else ()
-        for _ in range(0xFFFF):
-            self._last_id = self._last_id % 0xFFFF + 1
-            if self._last_id not in in_flight:
-                return self._last_id
-        raise DnsClientError("all 65535 message ids are in flight")
-
-    async def query(self, name: str, client: IPv4Address,
-                    rtype: RecordType = RecordType.A) -> WireMessage:
-        """One query/response exchange (UDP, TCP on truncation)."""
-        if self._protocol is None or self._protocol.transport is None:
-            raise DnsClientError("client is not connected")
-        ecs = ClientSubnet(IPv4Prefix.containing(client, self._source_prefix_len))
-        context = current_context()
-        trace = (
-            context.child(self._tracer.current_span_id())
-            if context is not None else None
-        )
-        last_error = "no attempt made"
-        for _attempt in range(self._retries + 1):
-            if _attempt > 0 and self._backoff is not None:
-                await asyncio.sleep(self._backoff.delay(_attempt - 1, name))
-            message_id = self._next_id()
-            payload = encode_message(
-                WireMessage(
-                    message_id=message_id,
-                    questions=[Question(name, rtype)],
-                    client_subnet=ecs,
-                    trace_context=trace,
-                )
-            )
-            waiter = asyncio.get_running_loop().create_future()
-            self._protocol.waiters[message_id] = waiter
-            self._protocol.transport.sendto(payload)
-            self.queries_sent += 1
-            self._m_queries.inc()
-            try:
-                raw = await asyncio.wait_for(waiter, timeout=self._timeout)
-            except asyncio.TimeoutError:
-                self.timeouts += 1
-                self._m_timeouts.inc()
-                last_error = f"timeout after {self._timeout}s"
-                continue
-            finally:
-                # The success path pops the waiter in datagram_received,
-                # but a timeout — or the caller being *cancelled* while
-                # awaiting (a generator torn down mid-ramp) — must not
-                # leave the future registered forever.
-                self._protocol.waiters.pop(message_id, None)
-            try:
-                response = decode_message(raw)
-            except WireError as exc:
-                last_error = f"undecodable response: {exc}"
-                continue
-            if response.truncated:
-                self.tcp_fallbacks += 1
-                self._m_tcp.inc()
-                response = await self._query_tcp(payload)
-            return response
-        raise DnsClientError(f"query for {name!r} failed: {last_error}")
-
-    async def _query_tcp(self, payload: bytes) -> WireMessage:
-        """Re-issue one already-encoded query over TCP."""
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(self._host, self._port), timeout=self._timeout
-        )
-        try:
-            writer.write(struct.pack("!H", len(payload)) + payload)
-            await writer.drain()
-            header = await asyncio.wait_for(
-                reader.readexactly(2), timeout=self._timeout
-            )
-            (length,) = struct.unpack("!H", header)
-            raw = await asyncio.wait_for(
-                reader.readexactly(length), timeout=self._timeout
-            )
-        except (asyncio.TimeoutError, asyncio.IncompleteReadError) as exc:
-            raise DnsClientError(f"TCP fallback failed: {exc}") from exc
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:  # pragma: no cover - teardown race
-                pass
-        self.queries_sent += 1
-        self._m_queries.inc()
-        return decode_message(raw)
-
-    async def _query_hedged(self, name: str, alternate: str,
-                            client: IPv4Address) -> WireMessage:
-        """Race ``name`` against ``alternate`` after the latency budget.
-
-        The primary query runs alone until ``hedge.budget`` seconds
-        elapse; past that a second query for the alternate GSLB name
-        launches and whichever completes first wins.  The loser is
-        cancelled — its in-flight waiter is cleaned up by the timeout
-        path, so no message-id leaks.
-        """
-        assert self._hedge is not None
-        primary = asyncio.ensure_future(self.query(name, client))
-        try:
-            return await asyncio.wait_for(
-                asyncio.shield(primary), timeout=self._hedge.budget
-            )
-        except asyncio.TimeoutError:
-            pass
-        except asyncio.CancelledError:
-            # The *caller* was cancelled mid-budget (fleet teardown).
-            # The shield deliberately kept ``primary`` alive — reap it
-            # here or it leaks as a forever-pending task.
-            primary.cancel()
-            await asyncio.gather(primary, return_exceptions=True)
-            raise
-        except DnsClientError:
-            # Primary failed outright within budget: go straight to the
-            # alternate name rather than giving up.
-            self.hedged_queries += 1
-            self._m_hedged.inc()
-            self.hedge_wins += 1
-            self._m_hedge_wins.inc()
-            return await self.query(alternate, client)
-        self.hedged_queries += 1
-        self._m_hedged.inc()
-        fallback = asyncio.ensure_future(self.query(alternate, client))
-        pending: set[asyncio.Future] = {primary, fallback}
-        try:
-            while pending:
-                done, pending = await asyncio.wait(
-                    pending, return_when=asyncio.FIRST_COMPLETED
-                )
-                # Prefer the primary when both land in the same wake-up.
-                for winner in sorted(done, key=lambda t: t is not primary):
-                    if winner.exception() is None:
-                        if winner is fallback:
-                            self.hedge_wins += 1
-                            self._m_hedge_wins.inc()
-                        return winner.result()
-                if not pending:
-                    # Both failed; surface the primary's error.
-                    raise primary.exception() or DnsClientError(
-                        f"hedged query for {name!r} failed"
-                    )
-        finally:
-            for task in (primary, fallback):
-                if not task.done():
-                    task.cancel()
-            await asyncio.gather(primary, fallback, return_exceptions=True)
-        raise DnsClientError(f"hedged query for {name!r} failed")
-
-    async def resolve(self, name: str, client: IPv4Address) -> WireResolution:
-        """Chase the CNAME chain from ``name`` down to A records.
-
-        When a :class:`~repro.serve.resilience.HedgePolicy` is set and
-        the chase reaches one of the two published GSLB names, the
-        lookup is hedged against the other name past the latency budget
-        — mirroring a client falling back to ``b.gslb.applimg.com``.
-        """
-        current = name
-        steps: list[tuple[ResourceRecord, ...]] = []
-        seen = {current}
-        for _hop in range(_MAX_CHAIN):
-            alternate = (
-                self._hedge.hedge_name(current) if self._hedge is not None else None
-            )
-            if alternate is not None and alternate not in seen:
-                response = await self._query_hedged(current, alternate, client)
-            else:
-                response = await self.query(current, client)
-            if response.rcode not in (RCode.NOERROR, RCode.NXDOMAIN):
-                raise DnsClientError(
-                    f"{current!r} answered {response.rcode.name}"
-                )
-            records = tuple(response.answers)
-            steps.append(records)
-            if any(r.rtype is RecordType.A for r in records):
-                return WireResolution(question_name=name, steps=tuple(steps))
-            cnames = [r for r in records if r.rtype is RecordType.CNAME]
-            if not cnames:
-                # Dead end (NODATA / NXDOMAIN): return what we have.
-                return WireResolution(question_name=name, steps=tuple(steps))
-            current = cnames[0].target
-            if current in seen:
-                raise DnsClientError(f"CNAME loop at {current!r}")
-            seen.add(current)
-        raise DnsClientError(f"chain longer than {_MAX_CHAIN} for {name!r}")
-
-
-class PooledHttpClient:
-    """A keep-alive HTTP/1.1 client with a bounded connection pool."""
-
-    def __init__(self, host: str, port: int, pool_size: int = 16,
-                 timeout: float = 5.0, tracer=None) -> None:
-        if pool_size <= 0:
-            raise ValueError("pool_size must be positive")
-        self._host = host
-        self._port = port
-        self._timeout = timeout
-        self._tracer = tracer if tracer is not None else get_tracer()
-        self._pool: asyncio.LifoQueue = asyncio.LifoQueue(maxsize=pool_size)
-        self._created = 0
-        self._pool_size = pool_size
-        # Every writer ever opened, pooled *or checked out*: close()
-        # must find connections a cancelled task abandoned mid-request,
-        # or their sockets leak past the run.
-        self._writers: set[asyncio.StreamWriter] = set()
-
-    async def _acquire(self):
-        try:
-            return self._pool.get_nowait()
-        except asyncio.QueueEmpty:
-            pass
-        connection = await asyncio.wait_for(
-            asyncio.open_connection(self._host, self._port),
-            timeout=self._timeout,
-        )
-        self._writers.add(connection[1])
-        return connection
-
-    def _release(self, connection) -> None:
-        try:
-            self._pool.put_nowait(connection)
-        except asyncio.QueueFull:
-            self._discard(connection)
-
-    def _discard(self, connection) -> None:
-        self._writers.discard(connection[1])
-        connection[1].close()
-
-    async def get(
-        self,
-        path: str,
-        host: str,
-        vip: IPv4Address,
-        client: IPv4Address,
-        range_bytes: Optional[tuple[int, int]] = None,
-    ) -> tuple[int, Headers, int]:
-        """One GET; returns (status, headers, body length received)."""
-        connection = await self._acquire()
-        reader, writer = connection
-        request = [
-            f"GET {path} HTTP/1.1",
-            f"Host: {host}",
-            f"X-Vip: {vip}",
-            f"X-Client: {client}",
-            "Connection: keep-alive",
-        ]
-        context = current_context()
-        if context is not None:
-            # Propagate the trace with the fetch span as remote parent.
-            carrier = context.child(self._tracer.current_span_id())
-            request.append(f"Traceparent: {carrier.to_traceparent()}")
-        if range_bytes is not None:
-            request.append(f"Range: bytes={range_bytes[0]}-{range_bytes[1]}")
-        try:
-            writer.write(("\r\n".join(request) + "\r\n\r\n").encode("latin-1"))
-            await writer.drain()
-            status, headers, body_length = await asyncio.wait_for(
-                self._read_response(reader), timeout=self._timeout
-            )
-        except Exception:
-            self._discard(connection)
-            raise
-        if (headers.get("Connection") or "").lower() == "close":
-            self._discard(connection)
-        else:
-            self._release(connection)
-        return status, headers, body_length
-
-    @staticmethod
-    async def _read_response(reader: asyncio.StreamReader) -> tuple[int, Headers, int]:
-        status_line = (await reader.readline()).decode("latin-1").strip()
-        parts = status_line.split(" ", 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise ConnectionError(f"malformed status line: {status_line!r}")
-        status = int(parts[1])
-        headers = Headers()
-        while True:
-            line = (await reader.readline()).decode("latin-1")
-            if line in ("\r\n", "\n", ""):
-                break
-            name, sep, value = line.partition(":")
-            if sep:
-                headers.add(name.strip(), value.strip())
-        length = int(headers.get("Content-Length") or 0)
-        received = 0
-        while received < length:
-            chunk = await reader.read(min(65536, length - received))
-            if not chunk:
-                raise ConnectionError("body ended early")
-            received += len(chunk)
-        return status, headers, received
-
-    async def close(self) -> None:
-        """Close every connection — pooled or abandoned — and wait.
-
-        Closing without awaiting ``wait_closed`` leaves transports to
-        be reaped by GC after the loop is gone, which surfaces as
-        ``ResourceWarning: unclosed transport`` at scale.  The wait is
-        what makes a fleet teardown FD-clean.
-        """
-        while True:
-            try:
-                self._pool.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-        writers, self._writers = list(self._writers), set()
-        for writer in writers:
-            writer.close()
-
-        async def _wait(writer: asyncio.StreamWriter) -> None:
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - race
-                pass
-
-        if writers:
-            await asyncio.gather(*(_wait(w) for w in writers))
 
 
 @dataclass

@@ -26,19 +26,24 @@ metro through the very same directory the authoritative consults.
 from __future__ import annotations
 
 import asyncio
-import struct
 import time
 from typing import Callable, Optional
 
 from ..dns.query import RCode
 from ..dns.records import ResourceRecord
 from ..dns.ttlcache import TtlCache
-from ..dns.wire import ClientSubnet, WireMessage, decode_message, encode_message
+from ..dns.wire import (
+    ClientSubnet,
+    WireMessage,
+    decode_message,
+    encode_message,
+    servfail_reply,
+)
 from ..net.ipv4 import IPv4Address, IPv4Prefix
 from ..obs import get_registry
 from ..resolver import DEFAULT_POPS, ResolverPop, nearest_pop
 from .clients import ClientDirectory
-from .loadgen import AsyncDnsClient, DnsClientError
+from .dnsclient import AsyncDnsClient, DnsClientError
 from .udp import open_udp
 
 __all__ = ["PublicResolverFront"]
@@ -241,24 +246,20 @@ class PublicResolverFront:
     # ------------------------------------------------------------------
 
     def _dispatch(self, data: bytes, addr) -> None:
-        task = asyncio.create_task(self._serve_one(data, addr))
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+        """Serve one datagram, a cache hit without leaving the callback.
 
-    async def _serve_one(self, data: bytes, addr) -> None:
+        A hit is decoded, looked up and answered right here — no task,
+        no trip through the ready queue.  Only a miss becomes a task:
+        it takes the decoded query through :meth:`_lookup`, which
+        counts it, coalesces it onto a fetch in flight or goes upstream.
+        """
         try:
             query = decode_message(data)
         except Exception:
-            reply = self._servfail_for(data)
-            if reply is not None and self._transport is not None:
-                self._transport.sendto(reply, addr)
+            query = None
+        if query is None or not query.questions:
+            self._send(servfail_reply(data), addr)
             return
-        if not query.questions:
-            reply = self._servfail_for(data)
-            if reply is not None and self._transport is not None:
-                self._transport.sendto(reply, addr)
-            return
-        question = query.questions[0]
         client = (
             query.client_subnet.prefix.network
             if query.client_subnet is not None else None
@@ -266,13 +267,35 @@ class PublicResolverFront:
         pop = self._pop_for(client)
         self._m_queries.labels(pop.pop_id).inc()
         announced, _announced_len = self._announced(client, pop)
-        try:
-            entry = await self._lookup(pop, question.name, announced)
-        except DnsClientError:
-            reply = self._servfail_for(data)
-            if reply is not None and self._transport is not None:
-                self._transport.sendto(reply, addr)
+        assert self._clock is not None
+        entry = self._caches[pop.pop_id].hit(
+            self._entry_key(pop, query.questions[0].name, announced),
+            self._clock(),
+        )
+        if entry is not None:
+            self._send(self._reply(query, entry), addr)
             return
+        task = asyncio.create_task(
+            self._serve_miss(query, data, addr, pop, announced)
+        )
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    async def _serve_miss(self, query: WireMessage, data: bytes, addr,
+                          pop: ResolverPop, announced: IPv4Address) -> None:
+        try:
+            entry = await self._lookup(pop, query.questions[0].name, announced)
+        except DnsClientError:
+            self._send(servfail_reply(data), addr)
+            return
+        self._send(self._reply(query, entry), addr)
+
+    def _send(self, reply: Optional[bytes], addr) -> None:
+        if reply is not None and self._transport is not None:
+            self._transport.sendto(reply, addr)
+
+    def _reply(self, query: WireMessage, entry: _CacheEntry) -> bytes:
+        """The encoded recursive answer to ``query`` out of ``entry``."""
         ecs = None
         if query.client_subnet is not None:
             # The front is the recursive here: echo the client's option
@@ -281,7 +304,7 @@ class PublicResolverFront:
                 prefix=query.client_subnet.prefix,
                 scope_length=min(entry.scope, query.client_subnet.prefix.length),
             )
-        reply = encode_message(
+        return encode_message(
             WireMessage(
                 message_id=query.message_id,
                 is_response=True,
@@ -289,14 +312,24 @@ class PublicResolverFront:
                 recursion_desired=query.recursion_desired,
                 recursion_available=True,
                 rcode=entry.rcode,
-                questions=[question],
+                questions=query.questions[:1],
                 answers=list(entry.answers),
                 client_subnet=ecs,
                 trace_context=query.trace_context,
             )
         )
-        if self._transport is not None:
-            self._transport.sendto(reply, addr)
+
+    def _entry_key(self, pop: ResolverPop, qname: str,
+                   announced: IPv4Address) -> Optional[tuple]:
+        """Where ``qname``'s entry for ``announced`` would sit in ``pop``.
+
+        Without a scope memo nothing was ever stored for this name
+        here: the ``None`` key never matches anything.
+        """
+        memo_scope = self._scope_memo.get((pop.pop_id, qname))
+        if memo_scope is None:
+            return None
+        return qname, self._truncate(announced, memo_scope), memo_scope
 
     async def _lookup(self, pop: ResolverPop, qname: str,
                       announced: IPv4Address) -> _CacheEntry:
@@ -304,14 +337,7 @@ class PublicResolverFront:
         assert self._clock is not None
         now = self._clock()
         cache = self._caches[pop.pop_id]
-        memo_scope = self._scope_memo.get((pop.pop_id, qname))
-        # Without a scope memo nothing was ever stored for this name
-        # here: the ``None`` key never matches and counts the miss.
-        entry = cache.get(
-            None if memo_scope is None
-            else (qname, self._truncate(announced, memo_scope), memo_scope),
-            now,
-        )
+        entry = cache.get(self._entry_key(pop, qname, announced), now)
         if entry is not None:
             return entry
         # Coalesce concurrent misses at the announced granularity: the
@@ -372,17 +398,3 @@ class PublicResolverFront:
                     entry, now,
                 )
         return entry
-
-    @staticmethod
-    def _servfail_for(payload: bytes) -> Optional[bytes]:
-        if len(payload) < 12:
-            return None
-        (message_id,) = struct.unpack("!H", payload[:2])
-        return encode_message(
-            WireMessage(
-                message_id=message_id,
-                is_response=True,
-                rcode=RCode.SERVFAIL,
-                recursion_desired=False,
-            )
-        )

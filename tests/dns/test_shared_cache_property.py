@@ -117,6 +117,15 @@ class DictModel:
         self.misses += 1
         return False
 
+    def hit(self, key, now):
+        # The fast-path probe: a live entry counts a hit, anything else
+        # counts nothing and drops nothing.
+        self.horizon = max(self.horizon, now)
+        if self.entries.get(key, now) > now:
+            self.hits += 1
+            return True
+        return False
+
     def put(self, key, expires_at, now):
         self.entries[key] = expires_at
         if self.capacity is not None and len(self.entries) > self.capacity:
@@ -156,7 +165,7 @@ cache_keys = st.one_of(
 )
 cache_ops = st.lists(
     st.tuples(
-        st.sampled_from(["get", "put", "sweep", "sweep_default", "clear"]),
+        st.sampled_from(["get", "hit", "put", "sweep", "sweep_default", "clear"]),
         cache_keys,
         st.integers(0, 40),   # ttl
         st.integers(0, 15),   # clock advance before the op
@@ -178,9 +187,9 @@ def test_ttl_cache_matches_the_plain_dict_model(capacity, ops):
     now = 0.0
     for op, key, ttl, advance in ops:
         now += advance
-        if op == "get":
-            entry = cache.get(key, now)
-            assert (entry is not None) == model.get(key, now)
+        if op in ("get", "hit"):
+            entry = getattr(cache, op)(key, now)
+            assert (entry is not None) == getattr(model, op)(key, now)
             if entry is not None:
                 assert entry.expires_at == model.entries[key]
         elif op == "put":

@@ -15,6 +15,7 @@ from repro.dns.wire import (
     decode_name,
     encode_message,
     encode_name,
+    servfail_reply,
 )
 from repro.net.geo import Continent, Coordinates
 from repro.net.ipv4 import IPv4Address, IPv4Prefix
@@ -90,6 +91,14 @@ class TestClientSubnet:
     def test_bad_scope(self):
         with pytest.raises(WireError):
             ClientSubnet(IPv4Prefix.parse("10.0.0.0/8"), scope_length=40)
+
+    def test_source_length_past_32_is_a_wire_error(self):
+        # Five or more address bytes used to reach IPv4Prefix and leave
+        # as AddressError, which no wire-level handler catches.
+        for source_length in (33, 40, 255):
+            payload = bytes([0, 1, source_length, 0]) + bytes(32)
+            with pytest.raises(WireError, match="source prefix"):
+                ClientSubnet.decode(payload)
 
     @given(
         st.integers(min_value=0, max_value=0xFFFFFFFF),
@@ -339,6 +348,19 @@ class TestAdversarialBytes:
             decode_message(data)
         except ValueError:
             pass
+
+
+class TestServfailReply:
+    def test_echoes_the_id_of_an_undecodable_payload(self):
+        reply = decode_message(servfail_reply(b"\xbe\xef" + b"\xff" * 30))
+        assert reply.message_id == 0xBEEF
+        assert reply.is_response and reply.rcode is RCode.SERVFAIL
+        assert not reply.recursion_desired
+        assert not reply.questions and not reply.answers
+
+    def test_no_header_no_reply(self):
+        assert servfail_reply(b"") is None
+        assert servfail_reply(b"\x00" * 11) is None
 
 
 class TestTruncationAndPayloadSize:

@@ -144,3 +144,217 @@ def test_decode_survives_corrupted_encodings(message, flips):
         decode_message(bytes(raw[:cut]))
     except WireError:
         pass
+
+
+# ----------------------------------------------------------------------
+# the value-keyed memos: each is checked against its own cold path
+# ----------------------------------------------------------------------
+#
+# ``encode_message`` keeps section bytes per ``(questions, answers)``,
+# ``decode_message`` keeps decoded fields per ``data[2:]``.  The oracle
+# for either is the same function on an emptied memo: whatever the memo
+# holds, the answer (bytes, message, or exception type) must not move.
+
+from repro.dns import wire  # noqa: E402
+from repro.dns.records import ARecord  # noqa: E402
+
+
+def cold(function, argument):
+    """``function(argument)`` with both memos emptied first."""
+    wire._SECTIONS.clear()
+    wire._DECODED.clear()
+    return outcome(function, argument)
+
+
+def outcome(function, argument):
+    """The result in comparable form, or the exception type raised."""
+    try:
+        result = function(argument)
+    except Exception as exc:  # noqa: BLE001 - the type is the verdict
+        return type(exc)
+    return canonical(result) if isinstance(result, WireMessage) else result
+
+
+@st.composite
+def mangled(draw):
+    """A real packet truncated, bit-flipped or given a stray pointer."""
+    raw = bytearray(encode_message(draw(messages())))
+    how = draw(st.sampled_from(["intact", "cut", "flip", "pointer"]))
+    if how == "cut":
+        del raw[draw(st.integers(0, len(raw))):]
+    elif how == "flip":
+        raw[draw(st.integers(0, len(raw) - 1))] ^= 1 << draw(st.integers(0, 7))
+    elif how == "pointer" and len(raw) > 13:
+        at = draw(st.integers(12, len(raw) - 2))
+        raw[at] = 0xC0 | draw(st.integers(0, 0x3F))
+        raw[at + 1] = draw(st.integers(0, 255))
+    return bytes(raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=mangled(), others=st.lists(mangled(), max_size=4))
+def test_warm_decode_matches_cold_decode(data, others):
+    expected = cold(decode_message, data)
+    # Refill the memo starting with packets that differ from this one
+    # in a single header byte, then unrelated neighbours, then the
+    # packet itself — and ask again, twice.
+    wire._DECODED.clear()
+    twins = [
+        data[:at] + bytes([data[at] ^ 0x81]) + data[at + 1:]
+        for at in reversed(range(min(12, len(data))))
+    ]
+    for packet in [*twins, *others, data]:
+        outcome(decode_message, packet)
+    assert outcome(decode_message, data) == expected
+    assert outcome(decode_message, data) == expected
+    assert expected is WireError or isinstance(expected, tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(message=messages(), others=st.lists(messages(), max_size=4))
+def test_warm_encode_matches_cold_encode_byte_for_byte(message, others):
+    expected = cold(encode_message, message)
+    for other in [message, *others]:
+        encode_message(other)
+    assert encode_message(message) == expected
+    # Same sections under another header and another OPT: the sections
+    # come from the memo, everything around them is packed afresh.
+    sibling = WireMessage(
+        message_id=message.message_id ^ 0xFFFF,
+        is_response=not message.is_response,
+        rcode=message.rcode,
+        questions=list(message.questions),
+        answers=list(message.answers),
+        client_subnet=None if message.client_subnet else ClientSubnet(
+            IPv4Prefix(IPv4Address(0x0A000000), 8), 8
+        ),
+    )
+    warm = encode_message(sibling)
+    assert warm == cold(encode_message, sibling)
+    assert canonical(decode_message(warm)) == canonical(sibling)
+
+
+@settings(max_examples=100, deadline=None)
+@given(message=messages(), ids=st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=8))
+def test_memoised_decode_patches_the_id_of_this_datagram(message, ids):
+    raw = encode_message(message)
+    for message_id in [0, 0xFFFF, *ids]:
+        packet = message_id.to_bytes(2, "big") + raw[2:]
+        decoded = decode_message(packet)
+        assert decoded.message_id == message_id
+        assert canonical(decoded)[1:] == canonical(message)[1:]
+
+
+def test_every_id_of_the_16_bit_range_is_patched():
+    raw = encode_message(WireMessage(questions=[Question("every.id.example")]))
+    for message_id in range(0x10000):
+        packet = message_id.to_bytes(2, "big") + raw[2:]
+        assert decode_message(packet).message_id == message_id
+
+
+@settings(max_examples=100, deadline=None)
+@given(message=messages())
+def test_mutating_a_decoded_message_never_reaches_a_later_decode(message):
+    raw = encode_message(message)
+    expected = cold(decode_message, raw)
+    for _ in range(2):  # the filling decode, then a memoised one
+        decoded = decode_message(raw)
+        decoded.questions.append(Question("intruder.example"))
+        decoded.answers.clear()
+        decoded.message_id = 1
+        decoded.rcode = RCode.REFUSED
+    again = decode_message(raw)
+    assert canonical(again) == expected
+    assert again.questions is not decode_message(raw).questions
+
+
+def test_overflow_past_the_bound_stays_correct():
+    wire._SECTIONS.clear()
+    wire._DECODED.clear()
+    address = IPv4Address.parse("17.253.76.1")
+
+    def message(index):
+        name = f"host{index}.overflow.example"
+        return WireMessage(
+            message_id=index & 0xFFFF, is_response=True,
+            questions=[Question(name)],
+            answers=[ARecord(name, address, 15)],
+        )
+
+    total = 3 * wire._MEMO_BOUND + 7
+    packets = [encode_message(message(index)) for index in range(total)]
+    for index, packet in enumerate(packets):
+        assert canonical(decode_message(packet)) == canonical(message(index))
+        assert len(wire._SECTIONS) <= wire._MEMO_BOUND
+        assert len(wire._DECODED) <= wire._MEMO_BOUND
+    assert len(wire._DECODED) == wire._MEMO_BOUND
+    # Long-evicted and still-resident entries alike: same bytes, same
+    # messages as the first time round.
+    for index in (0, 1, wire._MEMO_BOUND, total - 1):
+        assert encode_message(message(index)) == packets[index]
+        assert canonical(decode_message(packets[index])) == canonical(message(index))
+
+
+def test_oversize_and_traced_messages_stay_out_of_the_decode_memo():
+    from repro.obs.trace_context import TraceContext
+
+    wire._DECODED.clear()
+    address = IPv4Address.parse("17.253.76.1")
+    big = encode_message(WireMessage(
+        is_response=True,
+        answers=[ARecord(f"r{i}.big.example", address, 15) for i in range(80)],
+    ))
+    assert len(big) > wire._MEMO_MAX_KEY_OCTETS
+    traced = encode_message(WireMessage(
+        questions=[Question("traced.example")],
+        trace_context=TraceContext(trace_id=0xABCDEF, span_id=7),
+    ))
+    for packet in (big, traced):
+        first = decode_message(packet)
+        assert canonical(decode_message(packet)) == canonical(first)
+    assert decode_message(traced).trace_context == first.trace_context
+    assert not wire._DECODED
+
+
+def test_float_ttl_never_rides_an_equal_int_entry():
+    # ttl 15 == 15.0 as records, but only the int packs: the memo entry
+    # of one must not turn the other's error into bytes.
+    import struct
+
+    address = IPv4Address.parse("17.253.76.1")
+    exact = WireMessage(answers=[ARecord("ttl.example", address, 15)])
+    loose = WireMessage(answers=[ARecord("ttl.example", address, 15.0)])
+    assert exact.answers == loose.answers
+    encode_message(exact)
+    with pytest.raises(struct.error):
+        encode_message(loose)
+    assert encode_message(exact) == cold(encode_message, exact)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    message_id=st.binary(min_size=2, max_size=2),
+    header_rest=st.binary(min_size=10, max_size=10),
+    target=st.integers(0, 11),
+    label=labels,
+)
+def test_names_pointing_into_the_header_raise(message_id, header_rest, target, label):
+    # Whatever the header bytes spell, no name may be read out of them —
+    # least of all out of the id, which the decode memo's key leaves out.
+    header = bytearray(message_id + header_rest)
+    header[4:6] = b"\x00\x01"  # QDCOUNT 1
+    name = bytes([len(label)]) + label.encode() + bytes([0xC0, target])
+    packet = bytes(header) + name + b"\x00\x01\x00\x01"
+    with pytest.raises(WireError):
+        decode_message(packet)
+
+
+def test_the_message_id_is_not_a_label():
+    # The defect as found: "\x01a" in the id bytes, a question name
+    # ending in a pointer to offset 0 — once decoded as "www.a".
+    packet = (
+        b"\x01a" + b"\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00"
+        + b"\x03www\xc0\x00" + b"\x00\x01\x00\x01"
+    )
+    with pytest.raises(WireError, match="header"):
+        decode_message(packet)

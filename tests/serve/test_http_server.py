@@ -207,3 +207,131 @@ class TestAsyncHttpEdge:
     def test_bad_object_size_rejected(self, serve_estate):
         with pytest.raises(ValueError):
             self._edge(serve_estate, object_size=0)
+
+
+class TestRequestHeadDeadline:
+    """One deadline per request head, not one per header line."""
+
+    def test_trickled_head_is_dropped_at_the_deadline(self, serve_estate, monkeypatch):
+        from repro.serve import httpserver
+
+        monkeypatch.setattr(httpserver, "_READ_TIMEOUT", 0.4)
+
+        async def scenario():
+            edge = AsyncHttpEdge(estate_router(serve_estate))
+            host, port = await edge.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            try:
+                # A line every 0.15 s: each arrives well inside a
+                # per-line timeout of 0.4 s, the head never ends.
+                writer.write(b"GET /content/slow.ipsw HTTP/1.1\r\n")
+                dropped = asyncio.ensure_future(reader.read(-1))
+                for index in range(40):
+                    if dropped.done():
+                        break
+                    writer.write(f"X-Trickle-{index}: 1\r\n".encode())
+                    await asyncio.sleep(0.15)
+                raw = await asyncio.wait_for(dropped, timeout=5.0)
+                elapsed = loop.time() - started
+            finally:
+                writer.close()
+                await edge.stop()
+            return raw, elapsed
+
+        raw, elapsed = run(scenario())
+        assert raw == b""  # hung up on, no response owed to half a head
+        assert 0.35 <= elapsed < 2.0
+
+    def test_an_idle_keep_alive_connection_is_closed_by_the_same_deadline(
+        self, serve_estate, monkeypatch
+    ):
+        from repro.serve import httpserver
+
+        monkeypatch.setattr(httpserver, "_READ_TIMEOUT", 0.3)
+
+        async def scenario():
+            edge = AsyncHttpEdge(estate_router(serve_estate), object_size=64)
+            host, port = await edge.start()
+            vip = serve_estate.apple.sites[0].vip_addresses[0]
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                # Bare LF line ends and a leading blank line still parse.
+                writer.write(
+                    b"\r\nGET /content/idle.ipsw HTTP/1.1\n"
+                    b"Host: appldnld.apple.com\n"
+                    + f"X-Vip: {vip}\n\n".encode()
+                )
+                head = await reader.readuntil(b"\r\n\r\n")
+                body = await reader.readexactly(64)
+                rest = await asyncio.wait_for(reader.read(-1), timeout=5.0)
+            finally:
+                writer.close()
+                await edge.stop()
+            return head, body, rest
+
+        head, body, rest = run(scenario())
+        assert head.startswith(b"HTTP/1.1 200") and b"keep-alive" in head
+        assert body == bytes(64) and rest == b""
+
+
+class TestSharedZeroBody:
+    """Bodies are views of one zero buffer; the wire cannot tell."""
+
+    def _get(self, serve_estate, object_size, path, range_bytes=None):
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+
+        async def scenario():
+            edge = AsyncHttpEdge(
+                estate_router(serve_estate), object_size=object_size,
+                metrics=registry,
+            )
+            host, port = await edge.start()
+            vip = serve_estate.apple.sites[0].vip_addresses[0]
+            reader, writer = await asyncio.open_connection(host, port)
+            request = (
+                f"GET {path} HTTP/1.1\r\nHost: appldnld.apple.com\r\n"
+                f"X-Vip: {vip}\r\nConnection: close\r\n"
+            )
+            if range_bytes is not None:
+                request += f"Range: bytes={range_bytes[0]}-{range_bytes[1]}\r\n"
+            try:
+                writer.write((request + "\r\n").encode())
+                raw = await reader.read(-1)
+            finally:
+                writer.close()
+                await edge.stop()
+            return raw
+
+        head, _, body = run(scenario()).partition(b"\r\n\r\n")
+        sent = registry.counter(
+            "serve_http_body_bytes_total", "Body bytes written to clients"
+        ).value
+        return head.decode("latin-1"), body, sent
+
+    def test_ranged_body_is_the_asked_zeros(self, serve_estate):
+        head, body, sent = self._get(
+            serve_estate, 262_144, "/content/zeros-a.ipsw", (100, 65_635)
+        )
+        assert head.startswith("HTTP/1.1 206")
+        assert "Content-Length: 65536" in head
+        assert body == bytes(65_536) and sent == 65_536
+
+    def test_entity_larger_than_the_buffer_still_served_whole(self, serve_estate):
+        from repro.serve import httpserver
+
+        size = len(httpserver._ZEROS) + 4096
+        head, body, sent = self._get(serve_estate, size, "/content/zeros-b.ipsw")
+        assert head.startswith("HTTP/1.1 200")
+        assert f"Content-Length: {size}" in head
+        assert body == bytes(size) and sent == size
+
+    def test_the_buffer_is_read_only(self):
+        from repro.serve import httpserver
+
+        assert httpserver._zeros(16).readonly
+        with pytest.raises(TypeError):
+            httpserver._zeros(16)[0] = 1

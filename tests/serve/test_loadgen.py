@@ -23,7 +23,7 @@ class TestDnsMessageIds:
     """``AsyncDnsClient._next_id``: cyclic over 1..65535, never in flight."""
 
     def _client(self):
-        from repro.serve.loadgen import AsyncDnsClient, _DnsClientProtocol
+        from repro.serve.dnsclient import AsyncDnsClient, _DnsClientProtocol
 
         client = AsyncDnsClient("127.0.0.1", 53)  # never connected: no socket
         client._protocol = _DnsClientProtocol()

@@ -12,6 +12,8 @@ import asyncio
 
 import pytest
 
+from repro.dns.records import ARecord
+from repro.dns.wire import ClientSubnet, WireMessage, decode_message, encode_message
 from repro.net.ipv4 import IPv4Address
 from repro.obs import MetricsRegistry, use_registry
 from repro.serve import (
@@ -22,6 +24,7 @@ from repro.serve import (
     ServeCluster,
 )
 from repro.serve.loadgen import AsyncDnsClient
+from repro.serve.udp import open_udp
 
 ENTRY = "appldnld.apple.com"
 
@@ -131,6 +134,161 @@ class TestEcsOffFront:
         assert second.addresses == first.addresses
         assert after["misses"] == warm["misses"]
         assert after["size"] == warm["size"]
+
+
+class TestInlineHitPath:
+    """A cache hit is answered inside the receive callback, task-free."""
+
+    NAMES = [f"n{index}.front.example" for index in range(3)]
+
+    @staticmethod
+    def _authority(gate=None):
+        """A canned upstream: one A record per name, scope /16 echoed."""
+
+        class Authority(asyncio.DatagramProtocol):
+            queries = 0
+
+            def connection_made(self, transport):
+                self.transport = transport
+
+            def datagram_received(self, data, addr):
+                Authority.queries += 1
+                query = decode_message(data)
+                name = query.questions[0].name
+                reply = encode_message(WireMessage(
+                    message_id=query.message_id, is_response=True,
+                    authoritative=True, questions=query.questions[:1],
+                    answers=[ARecord(name, IPv4Address.parse("17.0.0.1"), 15)],
+                    client_subnet=ClientSubnet(
+                        query.client_subnet.prefix, scope_length=16
+                    ),
+                ))
+                if gate is None:
+                    self.transport.sendto(reply, addr)
+                else:
+                    gate.add_done_callback(
+                        lambda _gate: self.transport.sendto(reply, addr)
+                    )
+
+        return Authority
+
+    def _run(self, body, front_class=PublicResolverFront, gated=False):
+        """``body(front, client, authority, gate)`` against a canned upstream."""
+
+        async def scenario():
+            gate = asyncio.get_running_loop().create_future() if gated else None
+            authority = self._authority(gate)
+            upstream, _ = await open_udp(authority, local_addr=("127.0.0.1", 0))
+            registry = MetricsRegistry()
+            front = front_class(metrics=registry, clock=lambda: 0.0)
+            await front.start(upstream.get_extra_info("sockname")[:2])
+            client = await AsyncDnsClient.open(*front.endpoint)
+            try:
+                result = await body(front, client, authority, gate)
+            finally:
+                client.close()
+                await front.stop()
+                upstream.close()
+            return result, registry
+
+        return asyncio.run(scenario())
+
+    def test_a_hit_creates_no_task(self):
+        async def body(front, client, authority, _gate):
+            await client.query(self.NAMES[0], DE_CLIENT)   # the miss
+            assert authority.queries == 1
+            before = asyncio.all_tasks()
+            created = []
+            loop = asyncio.get_running_loop()
+            loop.set_task_factory(
+                lambda loop, coro, **kw: created.append(coro) or asyncio.Task(
+                    coro, loop=loop, **kw
+                )
+            )
+            try:
+                for client_address in (DE_CLIENT, DE_SIBLING, DE_CLIENT):
+                    reply = await client.query(self.NAMES[0], client_address)
+                    assert [str(r.address) for r in reply.answers] == ["17.0.0.1"]
+                    assert not front._tasks
+            finally:
+                loop.set_task_factory(None)
+            assert not created and asyncio.all_tasks() == before
+            assert authority.queries == 1
+            return front.cache_stats()
+
+        stats, _ = self._run(body)
+        assert (stats["hits"], stats["misses"]) == (3, 1)
+
+    def test_concurrent_misses_still_coalesce_onto_one_fetch(self):
+        async def body(front, client, authority, gate):
+            lookups = [
+                asyncio.ensure_future(client.query(self.NAMES[0], address))
+                for address in (DE_CLIENT, DE_CLIENT, DE_CLIENT)
+            ]
+            while len(front._tasks) < 3:   # all three are waiting misses
+                await asyncio.sleep(0.005)
+            assert authority.queries == 1 and len(front._inflight) == 1
+            gate.set_result(None)
+            replies = await asyncio.gather(*lookups)
+            assert len({reply.message_id for reply in replies}) == 3
+            assert all(len(reply.answers) == 1 for reply in replies)
+            while front._tasks:            # the miss tasks wind down
+                await asyncio.sleep(0.005)
+            return front.cache_stats(), authority.queries
+
+        (stats, upstream), _ = self._run(body, gated=True)
+        assert upstream == 1
+        assert (stats["hits"], stats["misses"]) == (0, 3)
+
+    def test_counters_match_the_all_task_path_on_the_same_sequence(self):
+        class TaskPerQueryFront(PublicResolverFront):
+            """The reference: every datagram becomes a task that looks up."""
+
+            def _dispatch(self, data, addr):
+                query = decode_message(data)
+                client = query.client_subnet.prefix.network
+                pop = self._pop_for(client)
+                self._m_queries.labels(pop.pop_id).inc()
+                announced, _length = self._announced(client, pop)
+                task = asyncio.ensure_future(
+                    self._serve_miss(query, data, addr, pop, announced)
+                )
+                self._tasks.add(task)
+                task.add_done_callback(self._tasks.discard)
+
+        sequence = [
+            (self.NAMES[index % 3], address)
+            for index, address in enumerate(
+                [DE_CLIENT, DE_CLIENT, DE_SIBLING, AU_CLIENT, DE_CLIENT,
+                 AU_CLIENT, DE_SIBLING, AU_CLIENT, DE_CLIENT, DE_CLIENT,
+                 AU_CLIENT, DE_SIBLING]
+            )
+        ]
+
+        async def body(front, client, authority, _gate):
+            answers = []
+            for name, address in sequence:
+                reply = await client.query(name, address)
+                answers.append((
+                    reply.rcode, tuple(reply.answers),
+                    reply.client_subnet, reply.recursion_available,
+                ))
+            return answers, front.cache_stats(), authority.queries
+
+        def counters(registry):
+            return registry.snapshot([
+                "resolver_front_queries_total",
+                "resolver_front_cache_total",
+                "resolver_front_upstream_total",
+            ])
+
+        inline, inline_registry = self._run(body)
+        reference, reference_registry = self._run(body, TaskPerQueryFront)
+        assert inline == reference
+        assert counters(inline_registry) == counters(reference_registry)
+        _answers, stats, upstream = inline
+        assert stats["hits"] + stats["misses"] == len(sequence)
+        assert upstream == stats["misses"] > 0 and stats["hits"] > 0
 
 
 class TestDriveAndSelftest:
