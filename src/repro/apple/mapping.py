@@ -37,6 +37,7 @@ from ..dns.policies import (
 from ..dns.records import ARecord
 from ..dns.resolver import RecursiveResolver
 from ..dns.zone import AuthoritativeServer, Zone
+from ..http.messages import HttpRequest, HttpResponse
 from ..net.geo import MappingRegion
 from ..net.ipv4 import IPv4Address
 from .deployment import AppleCdn
@@ -165,12 +166,32 @@ class MetaCdnEstate:
             fleets["Level3"] = self.level3
         return fleets
 
-    def deployment_at(self, address: IPv4Address) -> Optional[str]:
-        """The operator whose delivery fleet owns ``address``."""
+    def _fleet_at(self, address: IPv4Address) -> tuple:
+        """(operator, deployment) of the fleet owning ``address``."""
         for operator, deployment in self.deployments.items():
             if deployment.server_at(address) is not None:
-                return operator
-        return None
+                return operator, deployment
+        return None, None
+
+    def deployment_at(self, address: IPv4Address) -> Optional[str]:
+        """The operator whose delivery fleet owns ``address``."""
+        return self._fleet_at(address)[0]
+
+    def serve_at(self, address: IPv4Address, request: HttpRequest,
+                 size: int) -> Optional[HttpResponse]:
+        """Serve ``request`` at ``address``; ``None`` if no fleet owns it.
+
+        The one vip router under the model (``Sep2017Scenario.http_fetch``)
+        and the wire (``serve.httpserver.estate_router``): an Apple vip
+        goes through its site's vip → edge-bx → edge-lx hierarchy, a
+        third-party address through that fleet's flat delivery model.
+        """
+        _operator, deployment = self._fleet_at(address)
+        if deployment is None:
+            return None
+        if deployment is self.apple.deployment:
+            return self.apple.serve(address, request, size).response
+        return deployment.serve(address, request, size)
 
 
 def build_meta_cdn(

@@ -26,6 +26,7 @@ from ..net.geo import Continent
 from ..net.ipv4 import IPv4Address
 from ..net.locode import Location, LocodeDatabase
 from ..workload.timeline import MeasurementWindow
+from .cadence import Cadence
 
 __all__ = ["AwsVantage", "AvailabilityCheck", "AwsVmResult", "AwsVmCampaign",
            "AWS_REGION_METROS", "build_aws_vantages"]
@@ -180,26 +181,20 @@ class AwsVmCampaign:
     window: MeasurementWindow
     fetch: Callable[[IPv4Address, HttpRequest], Optional[HttpResponse]]
     results: list = field(default_factory=list)
-    _next_due: Optional[float] = field(default=None, init=False, repr=False)
+    cadence: Cadence = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ValueError("interval must be positive")
+        self.cadence = Cadence(self.interval)
         if not self.vantages:
             raise ValueError("campaign needs at least one vantage")
 
     def maybe_run(self, now: float) -> int:
         """Fire a sweep if due; returns the number of measurements."""
-        if not self.window.contains(now):
-            return 0
-        if self._next_due is not None and now < self._next_due:
+        if not (self.window.contains(now) and self.cadence.due(now)):
             return 0
         for vantage in self.vantages:
             self.results.append(vantage.measure(self.target, now, self.fetch))
-        if self._next_due is None:
-            self._next_due = now + self.interval
-        while self._next_due <= now:
-            self._next_due += self.interval
+        self.cadence.fire(now)
         return len(self.vantages)
 
     def resolutions(self) -> list[Resolution]:

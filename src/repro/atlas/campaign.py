@@ -19,11 +19,29 @@ from typing import Callable, Optional, Sequence
 from ..dns.resolver import ServerMap, resolve_bulk
 from ..obs import get_registry
 from ..workload.timeline import MeasurementWindow
+from .cadence import Cadence
 from .columnar import CONTINENT_INDEX
 from .probe import AtlasProbe, outcome_fields
 from .results import MeasurementStore
 
 __all__ = ["DnsCampaign", "TracerouteCampaign"]
+
+
+def _campaign_counters(name: str) -> tuple:
+    """The (measurements, late ticks) counters of campaign ``name``."""
+    registry = get_registry()
+    return (
+        registry.counter(
+            "atlas_measurements_total",
+            "Measurements taken, by campaign",
+            ("campaign",),
+        ).labels(name),
+        registry.counter(
+            "atlas_ticks_late_total",
+            "Campaign ticks fired after their scheduled slot",
+            ("campaign",),
+        ).labels(name),
+    )
 
 
 @dataclass
@@ -42,26 +60,15 @@ class DnsCampaign:
     window: MeasurementWindow
     store: MeasurementStore = field(default_factory=MeasurementStore)
     name: str = "dns"
-    _next_due: Optional[float] = field(default=None, init=False, repr=False)
+    cadence: Cadence = field(init=False, repr=False)
     _server_map: Optional[ServerMap] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ValueError("interval must be positive")
+        self.cadence = Cadence(self.interval)
         if not self.probes:
             raise ValueError("campaign needs at least one probe")
-        registry = get_registry()
-        self._m_measurements = registry.counter(
-            "atlas_measurements_total",
-            "Measurements taken, by campaign",
-            ("campaign",),
-        ).labels(self.name)
-        self._m_late = registry.counter(
-            "atlas_ticks_late_total",
-            "Campaign ticks fired after their scheduled slot",
-            ("campaign",),
-        ).labels(self.name)
-        self._m_missed = registry.counter(
+        self._m_measurements, self._m_late = _campaign_counters(self.name)
+        self._m_missed = get_registry().counter(
             "atlas_slots_missed_total",
             "Scheduled slots skipped because the engine stepped past them",
             ("campaign",),
@@ -69,11 +76,7 @@ class DnsCampaign:
 
     def due(self, now: float) -> bool:
         """Whether a tick should fire at ``now``."""
-        if not self.window.contains(now):
-            return False
-        if self._next_due is None:
-            return True
-        return now >= self._next_due
+        return self.window.contains(now) and self.cadence.due(now)
 
     def maybe_run(self, now: float) -> int:
         """Fire a tick if due; returns the number of measurements taken."""
@@ -137,21 +140,13 @@ class DnsCampaign:
         recorded measurements counts telemetry — workers pass
         ``count_metrics=False`` and the coordinator counts once.
         """
+        late, missed = self.cadence.fire(now)
         if count_metrics:
             self._m_measurements.inc(len(self.probes))
-        if self._next_due is None:
-            self._next_due = now + self.interval
-        else:
-            if now > self._next_due and count_metrics:
+            if late:
                 self._m_late.inc()
-            # Keep the grid aligned even if the engine stepped past a tick.
-            slots = 0
-            while self._next_due <= now:
-                self._next_due += self.interval
-                slots += 1
-            if slots > 1 and count_metrics:
-                self._m_missed.inc(slots - 1)
-        return None
+            if missed:
+                self._m_missed.inc(missed)
 
     def absorb_tick(self, now: float, measurements: Sequence) -> int:
         """Record one tick's worth of externally measured results.
@@ -194,28 +189,15 @@ class TracerouteCampaign:
     store: MeasurementStore = field(default_factory=MeasurementStore)
     max_targets_per_tick: int = 64
     name: str = "traceroute"
-    _next_due: Optional[float] = field(default=None, init=False, repr=False)
+    cadence: Cadence = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ValueError("interval must be positive")
-        registry = get_registry()
-        self._m_measurements = registry.counter(
-            "atlas_measurements_total",
-            "Measurements taken, by campaign",
-            ("campaign",),
-        ).labels(self.name)
-        self._m_late = registry.counter(
-            "atlas_ticks_late_total",
-            "Campaign ticks fired after their scheduled slot",
-            ("campaign",),
-        ).labels(self.name)
+        self.cadence = Cadence(self.interval)
+        self._m_measurements, self._m_late = _campaign_counters(self.name)
 
     def maybe_run(self, now: float) -> int:
         """Fire a traceroute sweep if due; returns measurements taken."""
-        if not self.window.contains(now):
-            return 0
-        if self._next_due is not None and now < self._next_due:
+        if not (self.window.contains(now) and self.cadence.due(now)):
             return 0
         targets = sorted(self.dns_store.unique_addresses())[
             : self.max_targets_per_tick
@@ -227,9 +209,7 @@ class TracerouteCampaign:
                 taken += 1
         if taken:
             self._m_measurements.inc(taken)
-        if self._next_due is not None and now > self._next_due:
+        late, _missed = self.cadence.fire(now)
+        if late:
             self._m_late.inc()
-        self._next_due = (now + self.interval) if self._next_due is None else self._next_due
-        while self._next_due <= now:
-            self._next_due += self.interval
         return taken

@@ -24,7 +24,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:  # the replay imports this module and never asyncio
+    import asyncio
 
 from ..net.ipv4 import IPv4Address, IPv4Prefix
 from ..obs.trace_context import TRACE_OPTION_CODE, TraceContext
@@ -48,6 +51,8 @@ __all__ = [
     "encode_name",
     "decode_name",
     "servfail_reply",
+    "frame",
+    "read_frame",
 ]
 
 _MAX_MESSAGE = 65535
@@ -600,3 +605,22 @@ def answer_wire(server, payload: bytes, context, ecs_scope=None) -> bytes:
         raise WireError("query carries no question")
     response = server.query(query.questions[0], context)
     return encode_message(reply_message(query, response, ecs_scope))
+
+
+def frame(message: bytes) -> bytes:
+    """``message`` behind the two-octet length TCP carries it with
+    (RFC 1035 §4.2.2)."""
+    return struct.pack("!H", len(message)) + message
+
+
+async def read_frame(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next length-prefixed message off a TCP stream.
+
+    ``None`` when the peer closed instead, between messages or part-way
+    through one.  The caller bounds the wait with one deadline.
+    """
+    try:
+        (length,) = struct.unpack("!H", await reader.readexactly(2))
+        return await reader.readexactly(length)
+    except EOFError:  # asyncio.IncompleteReadError is one
+        return None

@@ -88,6 +88,14 @@ def anycast_drill_schedule(site_id: Optional[str] = None) -> FaultSchedule:
     )
 
 
+# Routing-plane faults: catchments move, health probes see nothing.
+_ROUTE_KINDS = (FaultKind.ROUTE_WITHDRAW, FaultKind.ROUTE_PREPEND)
+# Acceptance: the chain must steer away within one selection-step TTL.
+_RESTEER_BUDGET = 15.0
+# How often the live health loop re-probes a member it marked unhealthy.
+_PROBE_COOLDOWN = 0.5
+
+
 @dataclass
 class ChaosConfig:
     """Knobs for one chaos drill."""
@@ -97,13 +105,11 @@ class ChaosConfig:
     batch_requests: int = 150
     concurrency: int = 16
     error_budget: float = 0.02        # acceptance: client error rate below this
-    resteer_budget: float = 15.0      # one selection-step TTL
     recovery_margin: float = 5.0      # run past the last window this long
     watch_candidates: int = 64        # clients scanned for Limelight mapping
     watch_clients: int = 8            # of those, how many the watcher tracks
     watch_interval: float = 0.3
     probe_interval: float = 0.25      # live health-probe cadence
-    probe_cooldown: float = 0.5       # unhealthy re-probe cadence
     run_simulation: bool = True
     servers_per_metro: int = 4
     workers: int = 1                  # worker processes for the simulation phase
@@ -132,40 +138,25 @@ class ChaosConfig:
 
 @dataclass(frozen=True)
 class ChaosReport:
-    """What the drill measured, live and simulated."""
+    """What the drill measured, live and simulated.
+
+    The live phase's numbers are fields (a drill without a live phase
+    leaves their defaults); every drill that ran contributes its own
+    block of ``lines`` and its own acceptance ``checks``, in run order.
+    """
 
     schedule: str
-    # live phase
-    requests: int
-    ok: int
-    errors: int
-    error_rate: float
-    retries: int
-    reresolutions: int
-    hedged: int
-    resteer_seconds: Optional[float]
-    recovery_seconds: Optional[float]
-    unhealthy_events: int
-    watched_clients: int
-    # simulation phase (None when skipped)
-    sim_limelight_pre_gbps: Optional[float] = None
-    sim_limelight_blackout_gbps: Optional[float] = None
-    sim_limelight_after_gbps: Optional[float] = None
-    sim_overflow_akamai_bytes: Optional[int] = None
-    # anycast steering (populated when steering != "dns")
-    steering: str = "dns"
-    anycast_routed: int = 0
-    catchment_shift: tuple = ()
-    sim_flap_site: Optional[str] = None
-    sim_map_changes: Optional[int] = None
-    sim_shifted_gbps: Optional[float] = None
-    # worker-crash drill (populated for worker-kill/worker-stall schedules)
-    sim_worker_restarts: Optional[int] = None
-    sim_worker_identical: Optional[bool] = None
-    sim_worker_divergence: Optional[str] = None
-    # multi-process live phase (serve_workers >= 2)
+    requests: int = 0
+    ok: int = 0
+    errors: int = 0
+    error_rate: float = 0.0
+    retries: int = 0
+    resteer_seconds: Optional[float] = None
+    recovery_seconds: Optional[float] = None
+    unhealthy_events: int = 0
     serve_workers: int = 1
     shed: int = 0
+    lines: tuple = field(default_factory=tuple)
     checks: tuple = field(default_factory=tuple)
 
     def passed(self) -> bool:
@@ -180,76 +171,7 @@ class ChaosReport:
             "schedule:",
         ]
         lines += [f"  {line}" for line in self.schedule.splitlines()]
-        # The worker-crash drill has no live phase; skip the empty block.
-        if self.requests or self.sim_worker_restarts is None:
-            lines += [
-                "",
-                f"live requests   {self.requests}  (ok {self.ok}, errors {self.errors}, "
-                f"rate {self.error_rate:.2%})",
-            ]
-            if self.serve_workers > 1:
-                lines.append(
-                    f"serve fleet     {self.serve_workers} workers, "
-                    f"open-loop flash crowd ({self.shed} arrivals shed)"
-                )
-            lines += [
-                f"resilience      {self.retries} retries, "
-                f"{self.reresolutions} TTL re-resolutions, {self.hedged} hedged lookups",
-                f"failovers       {self.unhealthy_events} member(s) marked unhealthy",
-            ]
-            if self.resteer_seconds is not None:
-                lines.append(
-                    f"re-steer        {self.resteer_seconds:.2f} s after blackout "
-                    f"({self.watched_clients} watched Limelight clients)"
-                )
-            else:
-                lines.append("re-steer        not observed")
-            if self.recovery_seconds is not None:
-                lines.append(
-                    f"recovery        healthy {self.recovery_seconds:.2f} s after the fault cleared"
-                )
-            else:
-                lines.append("recovery        not observed")
-        if self.steering != "dns":
-            lines += [
-                "",
-                f"anycast ({self.steering} steering)",
-                f"  catchment-routed     {self.anycast_routed} connections",
-            ]
-            if self.catchment_shift:
-                lines.append(
-                    f"  flap shifted         {len(self.catchment_shift)} "
-                    f"client group(s): {', '.join(self.catchment_shift)}"
-                )
-        if self.sim_overflow_akamai_bytes is not None:
-            lines += [
-                "",
-                "simulation (Limelight blackout, release+1h .. release+6h)",
-                f"  EU Limelight split   pre {self.sim_limelight_pre_gbps:.0f} Gbps"
-                f" -> blackout {self.sim_limelight_blackout_gbps:.0f} Gbps"
-                f" -> after {self.sim_limelight_after_gbps:.0f} Gbps",
-                f"  overflow to Akamai   {self.sim_overflow_akamai_bytes:,} bytes",
-            ]
-        if self.sim_flap_site is not None:
-            lines += [
-                "",
-                "simulation (route flap, release+1h .. release+3h)",
-                f"  withdrawn site       {self.sim_flap_site}",
-                f"  catchment changes    {self.sim_map_changes}",
-                f"  shifted traffic      {self.sim_shifted_gbps:.0f} Gbps",
-            ]
-        if self.sim_worker_restarts is not None:
-            lines += [
-                "",
-                "simulation (worker-crash drill, sharded vs serial)",
-                f"  worker restarts      {self.sim_worker_restarts}",
-                f"  results identical    "
-                f"{'yes' if self.sim_worker_identical else 'NO'}",
-            ]
-            if self.sim_worker_divergence:
-                lines.append(
-                    f"  divergence           {self.sim_worker_divergence}"
-                )
+        lines += self.lines
         lines.append("")
         for label, ok in self.checks:
             lines.append(f"{'PASS' if ok else 'FAIL'}  {label}")
@@ -258,19 +180,14 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-# The load counters both live drivers report, summed over the run.
-_LOAD_TOTALS = (
-    "requests", "ok", "errors", "retries", "reresolutions", "hedged", "shed",
-)
+@dataclass(frozen=True)
+class _Section:
+    """What one drill contributes to the report."""
 
-# What the live half of the report shows when a drill has no live
-# phase (the worker-crash drill runs entirely in engine time).
-_NO_LIVE_PHASE: dict = {
-    **dict.fromkeys(_LOAD_TOTALS, 0),
-    "watched": 0, "resteer": None, "recovery": None,
-    "unhealthy": 0, "blackout": None,
-    "anycast_routed": 0, "catchment_shift": (),
-}
+    lines: list
+    checks: list
+    # The ChaosReport fields the drill measured (the live phase's).
+    fields: dict = field(default_factory=dict)
 
 
 def _counter_total(registry, name: str) -> int:
@@ -361,23 +278,22 @@ def _drive_cluster(config: ChaosConfig, cluster_config, edge: dict, load_config,
                    end_at: float, registry, tracer, watch) -> tuple:
     """Closed-loop batches on the single-loop cluster's own event loop."""
     from ..serve.cluster import ServeCluster
+    from ..serve.loadgen import merge_load_reports
 
     async def run() -> tuple:
         cluster = ServeCluster(
             config=cluster_config, metrics=registry, tracer=tracer, **edge
         )
-        totals = dict.fromkeys(_LOAD_TOTALS, 0)
+        batches = []
         async with cluster:
             clock = cluster._cluster_clock
             watcher = asyncio.create_task(
                 watch(cluster.dns.endpoint, cluster.directory, clock)
             )
             while clock() < end_at:
-                report = await cluster.drive(load_config)
-                for name in _LOAD_TOTALS:
-                    totals[name] += getattr(report, name)
+                batches.append(await cluster.drive(load_config))
             watched = await watcher
-        return totals, watched, cluster.directory
+        return merge_load_reports(batches), watched, cluster.directory
 
     return asyncio.run(run())
 
@@ -436,12 +352,93 @@ def _drive_fleet(config: ChaosConfig, cluster_config, edge: dict, load_config,
     report = holder.get("report")
     if report is None:
         raise RuntimeError("loadgen fleet did not finish within its deadline")
-    totals = {name: getattr(report, name) for name in _LOAD_TOTALS}
-    return totals, watched, directory
+    return report, watched, directory
+
+
+def _blackout_in(schedule: FaultSchedule) -> Optional[FaultWindow]:
+    """The third-party blackout window the re-steer is timed against."""
+    return next(
+        (w for w in schedule
+         if w.kind is FaultKind.CDN_BLACKOUT and w.target != "Apple"),
+        None,
+    )
+
+
+def _live_section(config: ChaosConfig, schedule: FaultSchedule, load,
+                  watched: int, resteer: Optional[float],
+                  recovery: Optional[float], unhealthy: int,
+                  anycast_routed: int = 0,
+                  catchment_shift: tuple = ()) -> _Section:
+    """The live drill's block and checks from what it measured."""
+    error_rate = load.errors / load.requests if load.requests else 1.0
+    steered = (
+        f"{resteer:.2f} s after blackout ({watched} watched Limelight clients)"
+        if resteer is not None else "not observed"
+    )
+    recovered = (
+        f"healthy {recovery:.2f} s after the fault cleared"
+        if recovery is not None else "not observed"
+    )
+    lines = [
+        "",
+        f"live requests   {load.requests}  (ok {load.ok}, errors {load.errors}, "
+        f"rate {error_rate:.2%})",
+    ]
+    if config.serve_workers > 1:
+        lines.append(
+            f"serve fleet     {config.serve_workers} workers, "
+            f"open-loop flash crowd ({load.shed} arrivals shed)"
+        )
+    lines += [
+        f"resilience      {load.retries} retries, "
+        f"{load.reresolutions} TTL re-resolutions, {load.hedged} hedged lookups",
+        f"failovers       {unhealthy} member(s) marked unhealthy",
+        f"re-steer        {steered}",
+        f"recovery        {recovered}",
+    ]
+    checks = [
+        (f"client error rate below {config.error_budget:.0%}",
+         error_rate < config.error_budget),
+        ("load kept flowing throughout the schedule", load.requests > 0),
+    ]
+    if _blackout_in(schedule) is not None:
+        checks += [
+            (f"re-steered within one {_RESTEER_BUDGET:.0f} s TTL",
+             resteer is not None and resteer <= _RESTEER_BUDGET),
+            ("recovery to healthy reported after the fault cleared",
+             recovery is not None),
+        ]
+    if config.steering != "dns":
+        lines += [
+            "",
+            f"anycast ({config.steering} steering)",
+            f"  catchment-routed     {anycast_routed} connections",
+        ]
+        checks.append(
+            ("anycast: connections routed by catchment", anycast_routed > 0)
+        )
+        if catchment_shift:
+            lines.append(
+                f"  flap shifted         {len(catchment_shift)} "
+                f"client group(s): {', '.join(catchment_shift)}"
+            )
+            checks.append(("anycast: route flap shifted catchments", True))
+    if all(w.kind in _ROUTE_KINDS for w in schedule):
+        checks.append(
+            ("anycast: flap invisible to health monitor (zero unhealthy "
+             "events, zero re-steers)",
+             unhealthy == 0 and resteer is None)
+        )
+    return _Section(lines, checks, {
+        "requests": load.requests, "ok": load.ok, "errors": load.errors,
+        "error_rate": error_rate, "retries": load.retries, "shed": load.shed,
+        "resteer_seconds": resteer, "recovery_seconds": recovery,
+        "unhealthy_events": unhealthy, "serve_workers": config.serve_workers,
+    })
 
 
 def _live_phase(config: ChaosConfig, schedule: FaultSchedule,
-                registry, tracer) -> dict:
+                registry, tracer) -> _Section:
     """The live drill: the faults bite while load flows and a watcher resolves.
 
     One judge for both edges — re-steer and recovery from the watcher's
@@ -453,18 +450,14 @@ def _live_phase(config: ChaosConfig, schedule: FaultSchedule,
     from ..serve.loadgen import LoadConfig
     from ..serve.steering import build_serve_plane
 
-    blackout = next(
-        (w for w in schedule
-         if w.kind is FaultKind.CDN_BLACKOUT and w.target != "Apple"),
-        None,
-    )
+    blackout = _blackout_in(schedule)
     cluster_config = ClusterConfig(servers_per_metro=config.servers_per_metro)
     edge = {
         "steering": config.steering,
         "faults": schedule,
         "failover": FailoverConfig(
             probe_interval=config.probe_interval,
-            cooldown=config.probe_cooldown,
+            cooldown=_PROBE_COOLDOWN,
             fault_seed=config.seed,
         ),
     }
@@ -484,7 +477,7 @@ def _live_phase(config: ChaosConfig, schedule: FaultSchedule,
         )
 
     drive = _drive_fleet if config.serve_workers > 1 else _drive_cluster
-    totals, watched, directory = drive(
+    load, watched, directory = drive(
         config, cluster_config, edge, load_config, end_at, registry, tracer,
         watch,
     )
@@ -496,8 +489,7 @@ def _live_phase(config: ChaosConfig, schedule: FaultSchedule,
     catchment_shift: tuple[str, ...] = ()
     if config.steering != "dns":
         anycast_routed = _counter_total(registry, "serve_anycast_routed_total")
-        flaps = [w for w in schedule if w.kind in
-                 (FaultKind.ROUTE_WITHDRAW, FaultKind.ROUTE_PREPEND)]
+        flaps = [w for w in schedule if w.kind in _ROUTE_KINDS]
         if flaps:
             window = flaps[0]
             plane = build_serve_plane(
@@ -506,16 +498,13 @@ def _live_phase(config: ChaosConfig, schedule: FaultSchedule,
             before = plane.catchment_map(window.start - 1.0)
             during = plane.catchment_map((window.start + window.end) / 2.0)
             catchment_shift = before.diff(during)
-    return {
-        **totals,
-        "watched": watched,
-        "resteer": _resteer_from_rounds(rounds, blackout),
-        "recovery": _recovery_from_rounds(rounds, blackout),
-        "unhealthy": _counter_total(registry, "cdn_failovers_total"),
-        "blackout": blackout,
-        "anycast_routed": anycast_routed,
-        "catchment_shift": catchment_shift,
-    }
+    return _live_section(
+        config, schedule, load, watched,
+        _resteer_from_rounds(rounds, blackout),
+        _recovery_from_rounds(rounds, blackout),
+        _counter_total(registry, "cdn_failovers_total"),
+        anycast_routed, catchment_shift,
+    )
 
 
 def _drill_engine(config: ChaosConfig, faults=None, **overrides) -> tuple:
@@ -537,7 +526,28 @@ def _drill_engine(config: ChaosConfig, faults=None, **overrides) -> tuple:
     return scenario, SimulationEngine(scenario, step_seconds=1800.0)
 
 
-def _simulation_phase(config: ChaosConfig) -> dict:
+def _blackout_replay_section(pre: float, blackout: float, after: float,
+                             overflow_akamai: int) -> _Section:
+    return _Section(
+        [
+            "",
+            "simulation (Limelight blackout, release+1h .. release+6h)",
+            f"  EU Limelight split   pre {pre:.0f} Gbps"
+            f" -> blackout {blackout:.0f} Gbps"
+            f" -> after {after:.0f} Gbps",
+            f"  overflow to Akamai   {overflow_akamai:,} bytes",
+        ],
+        [
+            ("simulation: Limelight split dropped to zero during blackout",
+             pre > 0.0 and blackout == 0.0),
+            ("simulation: Limelight split restored after recovery", after > 0.0),
+            ("simulation: overflow bytes attributed to Akamai",
+             overflow_akamai > 0),
+        ],
+    )
+
+
+def _simulation_phase(config: ChaosConfig) -> _Section:
     from ..isp.classify import TrafficClassifier
 
     release = TIMELINE.ios_11_0_release
@@ -568,17 +578,34 @@ def _simulation_phase(config: ChaosConfig) -> dict:
     overflow_akamai = sum(
         c.flow.bytes for c in classifier.overflow_traffic(in_window, "Akamai")
     )
-    return {
+    return _blackout_replay_section(
+        limelight_peak(release - 1800.0, fault_start),
         # the health loop needs k_failures probes to flip, so judge the
         # steady blackout state from one step past the fault start
-        "limelight_pre": limelight_peak(release - 1800.0, fault_start),
-        "limelight_blackout": limelight_peak(fault_start + 3600.0, fault_end),
-        "limelight_after": limelight_peak(fault_end + 3600.0, release + 8 * 3600.0),
-        "overflow_akamai": int(overflow_akamai),
-    }
+        limelight_peak(fault_start + 3600.0, fault_end),
+        limelight_peak(fault_end + 3600.0, release + 8 * 3600.0),
+        int(overflow_akamai),
+    )
 
 
-def _worker_crash_phase(config: ChaosConfig, schedule: FaultSchedule) -> dict:
+def _worker_crash_section(restarts: int, identical: bool,
+                          divergence: Optional[str]) -> _Section:
+    lines = [
+        "",
+        "simulation (worker-crash drill, sharded vs serial)",
+        f"  worker restarts      {restarts}",
+        f"  results identical    {'yes' if identical else 'NO'}",
+    ]
+    if divergence:
+        lines.append(f"  divergence           {divergence}")
+    return _Section(lines, [
+        ("supervisor restarted the faulted worker at least once", restarts >= 1),
+        ("sharded results byte-identical to the serial reference", identical),
+        ("no ShardDivergenceError escaped the supervisor", divergence is None),
+    ])
+
+
+def _worker_crash_phase(config: ChaosConfig, schedule: FaultSchedule) -> _Section:
     """Kill/hang live shard workers mid-run; the results must not care.
 
     The same scenario runs twice under the same schedule: once serial
@@ -638,14 +665,30 @@ def _worker_crash_phase(config: ChaosConfig, schedule: FaultSchedule) -> dict:
         identical = sharded == reference
     except ShardDivergenceError as exc:
         divergence = str(exc)
-    return {
-        "worker_restarts": restarts,
-        "identical": identical,
-        "divergence": divergence,
-    }
+    return _worker_crash_section(restarts, identical, divergence)
 
 
-def _anycast_simulation_phase(config: ChaosConfig) -> dict:
+def _flap_replay_section(site_id: str, map_changes: int, break_rate: float,
+                         shifted_gbps: float, unhealthy_members: int) -> _Section:
+    return _Section(
+        [
+            "",
+            "simulation (route flap, release+1h .. release+3h)",
+            f"  withdrawn site       {site_id}",
+            f"  catchment changes    {map_changes}",
+            f"  shifted traffic      {shifted_gbps:.0f} Gbps",
+        ],
+        [
+            ("simulation: mid-event flap shifted catchments and reverted",
+             map_changes >= 2 and break_rate > 0.0),
+            ("simulation: shifted traffic volume is non-zero", shifted_gbps > 0.0),
+            ("simulation: zero members unhealthy after the flap",
+             unhealthy_members == 0),
+        ],
+    )
+
+
+def _anycast_simulation_phase(config: ChaosConfig) -> _Section:
     """Replay a mid-event route flap in engine time under anycast.
 
     The flap must shift catchments (affinity breaks, shifted traffic)
@@ -679,13 +722,23 @@ def _anycast_simulation_phase(config: ChaosConfig) -> dict:
             1 for member in monitor.members
             if not monitor.is_healthy(member)
         )
-    return {
-        "flap_site": site_id,
-        "map_changes": analysis.map_changes,
-        "affinity_break_rate": analysis.affinity_break_rate,
-        "shifted_gbps": analysis.shifted_gbps_total,
-        "unhealthy_members": unhealthy,
-    }
+    return _flap_replay_section(
+        site_id, analysis.map_changes, analysis.affinity_break_rate,
+        analysis.shifted_gbps_total, unhealthy,
+    )
+
+
+def _report(schedule: FaultSchedule, sections: list) -> ChaosReport:
+    """One report out of what each drill that ran contributed."""
+    fields: dict = {}
+    for section in sections:
+        fields.update(section.fields)
+    return ChaosReport(
+        schedule=schedule.describe(),
+        lines=tuple(line for section in sections for line in section.lines),
+        checks=tuple(check for section in sections for check in section.checks),
+        **fields,
+    )
 
 
 def run_chaos(
@@ -705,10 +758,6 @@ def run_chaos(
         raise ValueError("a chaos drill needs at least one fault window")
     registry = registry if registry is not None else MetricsRegistry()
     tracer = tracer if tracer is not None else EventTracer()
-    route_only = all(
-        w.kind in (FaultKind.ROUTE_WITHDRAW, FaultKind.ROUTE_PREPEND)
-        for w in schedule
-    )
     worker_drill = any(
         w.kind in (FaultKind.WORKER_KILL, FaultKind.WORKER_STALL)
         for w in schedule
@@ -717,110 +766,16 @@ def run_chaos(
         if worker_drill:
             # Worker faults hit shard processes, not the serving layer;
             # the whole drill is the sharded-vs-serial engine run.
-            live = _NO_LIVE_PHASE
-            sim = _worker_crash_phase(config, schedule)
+            sections = [_worker_crash_phase(config, schedule)]
         else:
-            live = _live_phase(config, schedule, registry, tracer)
-            sim = {}
+            sections = [_live_phase(config, schedule, registry, tracer)]
             if config.run_simulation:
                 simulate = (
                     _anycast_simulation_phase if config.steering == "anycast"
                     else _simulation_phase
                 )
-                sim = simulate(config)
-
-    if worker_drill:
-        error_rate = 0.0
-        checks = [
-            ("supervisor restarted the faulted worker at least once",
-             sim["worker_restarts"] >= 1),
-            ("sharded results byte-identical to the serial reference",
-             sim["identical"]),
-            ("no ShardDivergenceError escaped the supervisor",
-             sim["divergence"] is None),
-        ]
-    else:
-        error_rate = (
-            live["errors"] / live["requests"] if live["requests"] else 1.0
-        )
-        blackout = live["blackout"]
-        checks = [
-            (f"client error rate below {config.error_budget:.0%}",
-             error_rate < config.error_budget),
-            ("load kept flowing throughout the schedule", live["requests"] > 0),
-        ]
-        if blackout is not None:
-            checks += [
-                (f"re-steered within one {config.resteer_budget:.0f} s TTL",
-                 live["resteer"] is not None
-                 and live["resteer"] <= config.resteer_budget),
-                ("recovery to healthy reported after the fault cleared",
-                 live["recovery"] is not None),
-            ]
-        if config.steering != "dns":
-            checks.append(
-                ("anycast: connections routed by catchment",
-                 live["anycast_routed"] > 0)
-            )
-        if config.steering != "dns" and live["catchment_shift"]:
-            checks.append(
-                ("anycast: route flap shifted catchments",
-                 len(live["catchment_shift"]) > 0)
-            )
-        if route_only:
-            checks.append(
-                ("anycast: flap invisible to health monitor (zero unhealthy "
-                 "events, zero re-steers)",
-                 live["unhealthy"] == 0 and live["resteer"] is None)
-            )
-        if sim and config.steering == "anycast":
-            checks += [
-                ("simulation: mid-event flap shifted catchments and reverted",
-                 sim["map_changes"] >= 2 and sim["affinity_break_rate"] > 0.0),
-                ("simulation: shifted traffic volume is non-zero",
-                 sim["shifted_gbps"] > 0.0),
-                ("simulation: zero members unhealthy after the flap",
-                 sim["unhealthy_members"] == 0),
-            ]
-        elif sim:
-            checks += [
-                ("simulation: Limelight split dropped to zero during blackout",
-                 sim["limelight_pre"] > 0.0 and sim["limelight_blackout"] == 0.0),
-                ("simulation: Limelight split restored after recovery",
-                 sim["limelight_after"] > 0.0),
-                ("simulation: overflow bytes attributed to Akamai",
-                 sim["overflow_akamai"] > 0),
-            ]
-    report = ChaosReport(
-        schedule=schedule.describe(),
-        requests=live["requests"],
-        ok=live["ok"],
-        errors=live["errors"],
-        error_rate=error_rate,
-        retries=live["retries"],
-        reresolutions=live["reresolutions"],
-        hedged=live["hedged"],
-        resteer_seconds=live["resteer"],
-        recovery_seconds=live["recovery"],
-        unhealthy_events=live["unhealthy"],
-        watched_clients=live["watched"],
-        sim_limelight_pre_gbps=sim.get("limelight_pre"),
-        sim_limelight_blackout_gbps=sim.get("limelight_blackout"),
-        sim_limelight_after_gbps=sim.get("limelight_after"),
-        sim_overflow_akamai_bytes=sim.get("overflow_akamai"),
-        steering=config.steering,
-        anycast_routed=live["anycast_routed"],
-        catchment_shift=live["catchment_shift"],
-        sim_flap_site=sim.get("flap_site"),
-        sim_map_changes=sim.get("map_changes"),
-        sim_shifted_gbps=sim.get("shifted_gbps"),
-        sim_worker_restarts=sim.get("worker_restarts"),
-        sim_worker_identical=sim.get("identical"),
-        sim_worker_divergence=sim.get("divergence"),
-        serve_workers=config.serve_workers,
-        shed=live["shed"],
-        checks=tuple(checks),
-    )
+                sections.append(simulate(config))
+    report = _report(schedule, sections)
     if not report.passed():
         recorder = get_flight_recorder()
         if recorder is not None:

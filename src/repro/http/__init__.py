@@ -1,5 +1,6 @@
-"""HTTP substrate: messages plus the Via / X-Cache header conventions
-that Section 3.3's edge-site structure inference relies on."""
+"""HTTP substrate: messages, the HTTP/1 head codec (:mod:`repro.http.wire`)
+and the Via / X-Cache header conventions that Section 3.3's edge-site
+structure inference relies on."""
 
 from .headers import (
     TRAFFIC_SERVER_AGENT,

@@ -20,6 +20,8 @@ the flash-crowd workload — is made network-reachable here:
   contract both ends rely on;
 * :mod:`repro.serve.udp` — the one UDP endpoint opener of the DNS paths
   (reads sized to a datagram, not to asyncio's 256 KiB default);
+* :mod:`repro.serve.listener` — the one listener lifecycle (bind,
+  endpoint, connection tracking, drain) under all four servers;
 * :mod:`repro.serve.resolverfront` — a caching public-resolver front
   (shared POP caches, honest ECS scopes) the loadgen's public share
   resolves through;

@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
+from ..http.wire import encode_head, read_head, status_line
 from ..obs import assemble_chains, get_registry, get_tracer, render_exposition
+from .deadline import deadline
+from .listener import Listener
 
 __all__ = ["AdminServer"]
 
@@ -53,38 +55,20 @@ class AdminServer:
         self._registry_provider = registry_provider
         self._tracer = tracer if tracer is not None else get_tracer()
         self._health = health_monitor
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._host: Optional[str] = None
-        self._port: Optional[int] = None
-        self._conn_tasks: set = set()
+        self._listener = Listener("admin server", stream=self._handle)
 
     @property
     def endpoint(self) -> tuple:
         """(host, port) once started."""
-        if self._host is None or self._port is None:
-            raise RuntimeError("admin server is not started")
-        return self._host, self._port
+        return self._listener.endpoint
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple:
         """Start listening; returns the bound endpoint."""
-        if self._server is not None:
-            raise RuntimeError("admin server already started")
-        self._server = await asyncio.start_server(
-            self._handle, host=host, port=port
-        )
-        sockname = self._server.sockets[0].getsockname()
-        self._host, self._port = sockname[0], sockname[1]
-        return self.endpoint
+        return await self._listener.start(host, port)
 
     async def stop(self) -> None:
         """Stop accepting and drain in-flight scrapes."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        self._host = self._port = None
+        await self._listener.stop()
 
     # ------------------------------------------------------------------
     # request handling
@@ -92,39 +76,22 @@ class AdminServer:
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
-            request_line = await asyncio.wait_for(
-                reader.readline(), timeout=_READ_TIMEOUT
-            )
-            # Drain (and bound) the header block; nothing in it matters.
-            total = len(request_line)
-            while total <= _MAX_HEAD_BYTES:
-                line = await asyncio.wait_for(
-                    reader.readline(), timeout=_READ_TIMEOUT
-                )
-                total += len(line)
-                if line in (b"\r\n", b"\n", b""):
-                    break
-            parts = request_line.decode("latin-1").split()
+        # One deadline for the whole head (nothing in the header block
+        # matters here, but it is read, and bounded, all the same).
+        with deadline(_READ_TIMEOUT):
+            head = await read_head(reader, _MAX_HEAD_BYTES)
+        if head is None and reader.at_eof():
+            return
+        self._listener.busy.add(writer)
+        if head is None:
+            reply = 400, "text/plain", "request head too large\n"
+        else:
+            parts = head[0].split()
             if len(parts) < 2 or parts[0] != "GET":
-                await self._send(writer, 405, "text/plain",
-                                 "only GET is supported\n")
-                return
-            status, content_type, body = self._route(parts[1])
-            await self._send(writer, status, content_type, body)
-        except (ConnectionError, asyncio.TimeoutError):
-            pass
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:  # pragma: no cover - teardown race
-                pass
+                reply = 405, "text/plain", "only GET is supported\n"
+            else:
+                reply = self._route(parts[1])
+        await self._send(writer, *reply)
 
     def _route(self, target: str) -> tuple:
         split = urlsplit(target)
@@ -170,14 +137,11 @@ class AdminServer:
 
     async def _send(self, writer: asyncio.StreamWriter, status: int,
                     content_type: str, body: str) -> None:
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  405: "Method Not Allowed", 503: "Service Unavailable"}
         payload = body.encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {reason.get(status, 'Unknown')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            f"Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode("latin-1") + payload)
+        head = encode_head(status_line(status), [
+            ("Content-Type", content_type),
+            ("Content-Length", len(payload)),
+            ("Connection", "close"),
+        ])
+        writer.write(head + payload)
         await writer.drain()

@@ -50,6 +50,7 @@ _AS_HOSTER_LIMELIGHT = ASN(64513)
 _SERVE_METROS = (
     "usnyc", "uslax", "defra", "uklon", "jptyo", "sgsin", "ausyd", "brsao",
 )
+_APPLE_EDGE_GBPS = 14.0
 
 
 @dataclass
@@ -57,7 +58,6 @@ class ClusterConfig:
     """Size and policy knobs for a loopback serve estate."""
 
     object_size: int = 262_144
-    apple_edge_gbps: float = 14.0
     target_utilization: float = 0.95
     min_third_party_share: float = 0.35
     servers_per_metro: int = 8
@@ -110,7 +110,7 @@ def build_serve_estate(
     """
     config = config if config is not None else ClusterConfig()
     locations = LocodeDatabase.builtin()
-    apple = AppleCdn.build(locations, edge_bx_gbps=config.apple_edge_gbps)
+    apple = AppleCdn.build(locations, edge_bx_gbps=_APPLE_EDGE_GBPS)
     metros = [locations.get(code) for code in _SERVE_METROS]
     akamai = build_third_party(
         replace(AKAMAI_PLAN, servers_per_metro=config.servers_per_metro),
@@ -133,17 +133,6 @@ def build_serve_estate(
     return build_meta_cdn(
         apple, akamai, limelight, controller, health_monitor=health_monitor
     )
-
-
-def _operator_at(estate: MetaCdnEstate) -> Callable:
-    """vip → operator across every fleet, Apple's included."""
-
-    def operator_at(vip):
-        if estate.apple.site_for(vip) is not None:
-            return "Apple"
-        return estate.deployment_at(vip)
-
-    return operator_at
 
 
 class ServeCluster:
@@ -253,7 +242,7 @@ class ServeCluster:
             object_size=self.config.object_size,
             metrics=registry,
             faults=self.faults,
-            operator_for=_operator_at(self.estate) if self.faults is not None else None,
+            operator_for=self.estate.deployment_at,
             tracer=tracer,
         )
         self.admin = AdminServer(

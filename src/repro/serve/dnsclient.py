@@ -17,9 +17,19 @@ from typing import Optional
 
 from ..dns.query import Question, RCode
 from ..dns.records import RecordType, ResourceRecord
-from ..dns.wire import ClientSubnet, WireError, WireMessage, decode_message, encode_message
+from ..dns.wire import (
+    ClientSubnet,
+    WireError,
+    WireMessage,
+    decode_message,
+    encode_message,
+    frame,
+    read_frame,
+)
 from ..net.ipv4 import IPv4Address, IPv4Prefix
 from ..obs import current_context, get_registry, get_tracer
+from .deadline import deadline
+from .listener import hang_up
 from .resilience import BackoffPolicy, HedgePolicy
 from .udp import open_udp
 
@@ -256,27 +266,23 @@ class AsyncDnsClient:
 
     async def _query_tcp(self, payload: bytes) -> WireMessage:
         """Re-issue one already-encoded query over TCP."""
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(self._host, self._port), timeout=self._timeout
-        )
+        writer = None
         try:
-            writer.write(struct.pack("!H", len(payload)) + payload)
-            await writer.drain()
-            header = await asyncio.wait_for(
-                reader.readexactly(2), timeout=self._timeout
-            )
-            (length,) = struct.unpack("!H", header)
-            raw = await asyncio.wait_for(
-                reader.readexactly(length), timeout=self._timeout
-            )
-        except (asyncio.TimeoutError, asyncio.IncompleteReadError) as exc:
-            raise DnsClientError(f"TCP fallback failed: {exc}") from exc
+            # One deadline for the exchange: connect, send, read.
+            with deadline(self._timeout):
+                reader, writer = await asyncio.open_connection(
+                    self._host, self._port
+                )
+                writer.write(frame(payload))
+                await writer.drain()
+                raw = await read_frame(reader)
+        except asyncio.TimeoutError as exc:
+            raise DnsClientError(f"TCP fallback failed: {exc!r}") from exc
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:  # pragma: no cover - teardown race
-                pass
+            if writer is not None:
+                await hang_up(writer)
+        if raw is None:
+            raise DnsClientError("TCP fallback failed: connection closed early")
         self.queries_sent += 1
         self._m_queries.inc()
         return decode_message(raw)

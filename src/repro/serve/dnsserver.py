@@ -22,7 +22,6 @@ recoverable, and dropped otherwise.
 from __future__ import annotations
 
 import asyncio
-import struct
 import time
 from typing import Callable, Iterable, Optional
 
@@ -33,13 +32,16 @@ from ..dns.wire import (
     WireMessage,
     decode_message,
     encode_message,
+    frame,
+    read_frame,
     reply_message,
     servfail_reply,
 )
 from ..dns.zone import AuthoritativeServer
 from ..obs import get_registry, get_tracer, use_context
 from .clients import ClientDirectory
-from .udp import open_udp
+from .deadline import deadline
+from .listener import Listener, since_start
 
 __all__ = ["ZoneFrontend", "AsyncDnsServer"]
 
@@ -90,30 +92,6 @@ class ZoneFrontend:
         return reply_message(query, response, ecs_scope)
 
 
-class _UdpProtocol(asyncio.DatagramProtocol):
-    def __init__(self, server: "AsyncDnsServer") -> None:
-        self._server = server
-        self.transport: Optional[asyncio.DatagramTransport] = None
-
-    def connection_made(self, transport) -> None:  # pragma: no cover - trivial
-        self.transport = transport
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        reply, delay = self._server.handle_datagram_timed(data)
-        if reply is None or self.transport is None:
-            return
-        if delay > 0.0:
-            asyncio.get_running_loop().call_later(
-                delay, self._send_delayed, reply, addr
-            )
-        else:
-            self.transport.sendto(reply, addr)
-
-    def _send_delayed(self, reply: bytes, addr) -> None:
-        if self.transport is not None and not self.transport.is_closing():
-            self.transport.sendto(reply, addr)
-
-
 class AsyncDnsServer:
     """An asyncio authoritative DNS server (UDP with TCP fallback).
 
@@ -145,12 +123,9 @@ class AsyncDnsServer:
         # option), parenting server-side work under the client's
         # resolve span.
         self._tracer = tracer if tracer is not None else get_tracer()
-        self._udp_transport: Optional[asyncio.DatagramTransport] = None
-        self._tcp_server: Optional[asyncio.base_events.Server] = None
-        self._host: Optional[str] = None
-        self._port: Optional[int] = None
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
+        self._listener = Listener(
+            "server", datagram=self._handle_udp, stream=self._handle_tcp
+        )
 
         registry = metrics if metrics is not None else get_registry()
         self._m_queries = registry.counter(
@@ -186,64 +161,22 @@ class AsyncDnsServer:
     @property
     def endpoint(self) -> tuple[str, int]:
         """(host, port) once started."""
-        if self._host is None or self._port is None:
-            raise RuntimeError("server is not started")
-        return self._host, self._port
+        return self._listener.endpoint
 
     async def start(self, host: str = "127.0.0.1", port: int = 0,
                     reuse_port: bool = False) -> tuple[str, int]:
         """Bind UDP and TCP on the same port; returns the endpoint.
 
-        With ``reuse_port`` both sockets are bound ``SO_REUSEPORT``, so
-        N server processes can share one port: the kernel hashes UDP
-        datagrams by 4-tuple and spreads TCP accepts across the group.
-        Every member must bind with the flag (see
-        :func:`repro.serve.fleet.reserve_shared_port`).
+        ``reuse_port`` lets N server processes share that port (see
+        :meth:`Listener.start`).
         """
-        if self._udp_transport is not None:
-            raise RuntimeError("server already started")
         if self._clock is None:
-            origin = time.monotonic()
-            self._clock = lambda: time.monotonic() - origin
-        extra = {"reuse_port": True} if reuse_port else {}
-        # UDP and TCP are separate port spaces; retry a few times in
-        # case an ephemeral UDP port is taken on the TCP side.
-        last_error: Optional[OSError] = None
-        for _ in range(5):
-            transport, _protocol = await open_udp(
-                lambda: _UdpProtocol(self), local_addr=(host, port), **extra
-            )
-            bound_host, bound_port = transport.get_extra_info("sockname")[:2]
-            try:
-                tcp_server = await asyncio.start_server(
-                    self._handle_tcp, host=bound_host, port=bound_port, **extra
-                )
-            except OSError as exc:
-                transport.close()
-                if port != 0:
-                    raise
-                last_error = exc
-                continue
-            self._udp_transport = transport
-            self._tcp_server = tcp_server
-            self._host, self._port = bound_host, bound_port
-            return self.endpoint
-        raise RuntimeError(f"could not bind matching UDP/TCP ports: {last_error}")
+            self._clock = since_start()
+        return await self._listener.start(host, port, reuse_port)
 
     async def stop(self) -> None:
         """Close both listeners and drain open TCP connections."""
-        if self._udp_transport is not None:
-            self._udp_transport.close()
-            self._udp_transport = None
-        if self._tcp_server is not None:
-            self._tcp_server.close()
-            await self._tcp_server.wait_closed()
-            self._tcp_server = None
-        for writer in list(self._writers):
-            writer.close()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        self._host = self._port = None
+        await self._listener.stop()
 
     # ------------------------------------------------------------------
     # query handling
@@ -379,46 +312,34 @@ class AsyncDnsServer:
         self._m_handle.observe(time.perf_counter() - started)
         return encoded, delay
 
+    def _handle_udp(self, data: bytes, addr) -> None:
+        reply, delay = self.handle_datagram_timed(data)
+        if reply is None:
+            return
+        if delay > 0.0:
+            asyncio.get_running_loop().call_later(
+                delay, self._listener.sendto, reply, addr
+            )
+        else:
+            self._listener.sendto(reply, addr)
+
     async def _handle_tcp(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> None:
         """Serve length-prefixed queries until the client hangs up."""
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    header = await asyncio.wait_for(
-                        reader.readexactly(2), timeout=_TCP_IDLE_TIMEOUT
-                    )
-                except (asyncio.IncompleteReadError, asyncio.TimeoutError,
-                        ConnectionError):
-                    break
-                (length,) = struct.unpack("!H", header)
-                try:
-                    payload = await asyncio.wait_for(
-                        reader.readexactly(length), timeout=_TCP_IDLE_TIMEOUT
-                    )
-                except (asyncio.IncompleteReadError, asyncio.TimeoutError,
-                        ConnectionError):
-                    break
-                started = time.perf_counter()
-                self._m_tcp.inc()
-                encoded, _response, _query, delay = self._answer_bytes(payload)
-                self._m_handle.observe(time.perf_counter() - started)
-                if encoded is None:
-                    continue
+        busy = self._listener.busy
+        while True:
+            with deadline(_TCP_IDLE_TIMEOUT):
+                payload = await read_frame(reader)
+            if payload is None:
+                return
+            busy.add(writer)
+            started = time.perf_counter()
+            self._m_tcp.inc()
+            encoded, _response, _query, delay = self._answer_bytes(payload)
+            self._m_handle.observe(time.perf_counter() - started)
+            if encoded is not None:
                 if delay > 0.0:
                     await asyncio.sleep(delay)
-                writer.write(struct.pack("!H", len(encoded)) + encoded)
+                writer.write(frame(encoded))
                 await writer.drain()
-        finally:
-            self._writers.discard(writer)
-            if task is not None:
-                self._conn_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:  # pragma: no cover - teardown race
-                pass
+            busy.discard(writer)

@@ -12,11 +12,17 @@ import asyncio
 from typing import Optional
 
 from ..http.messages import Headers
+from ..http.wire import encode_head, read_head
 from ..net.ipv4 import IPv4Address
 from ..obs import current_context, get_tracer
 from .deadline import deadline
+from .listener import hang_up
 
 __all__ = ["PooledHttpClient"]
+
+# The StreamReader's own line limit: a response head past it could not
+# be read anyway.
+_MAX_HEAD_BYTES = 65536
 
 
 class PooledHttpClient:
@@ -72,21 +78,20 @@ class PooledHttpClient:
         connection = await self._acquire()
         reader, writer = connection
         request = [
-            f"GET {path} HTTP/1.1",
-            f"Host: {host}",
-            f"X-Vip: {vip}",
-            f"X-Client: {client}",
-            "Connection: keep-alive",
+            ("Host", host),
+            ("X-Vip", vip),
+            ("X-Client", client),
+            ("Connection", "keep-alive"),
         ]
         context = current_context()
         if context is not None:
             # Propagate the trace with the fetch span as remote parent.
             carrier = context.child(self._tracer.current_span_id())
-            request.append(f"Traceparent: {carrier.to_traceparent()}")
+            request.append(("Traceparent", carrier.to_traceparent()))
         if range_bytes is not None:
-            request.append(f"Range: bytes={range_bytes[0]}-{range_bytes[1]}")
+            request.append(("Range", f"bytes={range_bytes[0]}-{range_bytes[1]}"))
         try:
-            writer.write(("\r\n".join(request) + "\r\n\r\n").encode("latin-1"))
+            writer.write(encode_head(f"GET {path} HTTP/1.1", request))
             await writer.drain()
             with deadline(self._timeout):
                 status, headers, body_length = await self._read_response(reader)
@@ -101,19 +106,14 @@ class PooledHttpClient:
 
     @staticmethod
     async def _read_response(reader: asyncio.StreamReader) -> tuple[int, Headers, int]:
-        status_line = (await reader.readline()).decode("latin-1").strip()
+        head = await read_head(reader, _MAX_HEAD_BYTES)
+        if head is None:
+            raise ConnectionError("no response head (closed, truncated or oversized)")
+        status_line, headers = head[0].strip(), head[1]
         parts = status_line.split(" ", 2)
         if len(parts) < 2 or not parts[1].isdigit():
             raise ConnectionError(f"malformed status line: {status_line!r}")
         status = int(parts[1])
-        headers = Headers()
-        while True:
-            line = (await reader.readline()).decode("latin-1")
-            if line in ("\r\n", "\n", ""):
-                break
-            name, sep, value = line.partition(":")
-            if sep:
-                headers.add(name.strip(), value.strip())
         length = int(headers.get("Content-Length") or 0)
         received = 0
         while received < length:
@@ -137,14 +137,5 @@ class PooledHttpClient:
             except asyncio.QueueEmpty:
                 break
         writers, self._writers = list(self._writers), set()
-        for writer in writers:
-            writer.close()
-
-        async def _wait(writer: asyncio.StreamWriter) -> None:
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - race
-                pass
-
         if writers:
-            await asyncio.gather(*(_wait(w) for w in writers))
+            await asyncio.gather(*(hang_up(w) for w in writers))

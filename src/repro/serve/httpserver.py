@@ -26,9 +26,11 @@ from typing import Callable, Optional
 from ..apple.mapping import MetaCdnEstate
 from ..http.headers import CacheStatus
 from ..http.messages import Headers, HttpRequest, HttpResponse
+from ..http.wire import encode_head, read_head, status_line
 from ..net.ipv4 import IPv4Address
 from ..obs import TraceContext, get_registry, get_tracer, use_context
 from .deadline import deadline
+from .listener import Listener, since_start
 
 __all__ = ["AsyncHttpEdge", "estate_router"]
 
@@ -47,16 +49,7 @@ Router = Callable[[IPv4Address, HttpRequest, int], Optional[HttpResponse]]
 
 def estate_router(estate: MetaCdnEstate) -> Router:
     """Route vips across every delivery fleet of a Meta-CDN estate."""
-
-    def route(vip: IPv4Address, request: HttpRequest, size: int) -> Optional[HttpResponse]:
-        if estate.apple.site_for(vip) is not None:
-            return estate.apple.serve(vip, request, size).response
-        for deployment in estate.deployments.values():
-            if deployment.server_at(vip) is not None:
-                return deployment.serve(vip, request, size)
-        return None
-
-    return route
+    return estate.serve_at
 
 
 def _zeros(count: int):
@@ -96,13 +89,7 @@ class AsyncHttpEdge:
         # supplies span timestamps (defaults to seconds since start).
         self._tracer = tracer if tracer is not None else get_tracer()
         self._clock = clock
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._host: Optional[str] = None
-        self._port: Optional[int] = None
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._busy: set[asyncio.StreamWriter] = set()
-        self._closing = False
+        self._listener = Listener("server", stream=self._connection)
 
         registry = metrics if metrics is not None else get_registry()
         self._m_requests = registry.counter(
@@ -132,31 +119,19 @@ class AsyncHttpEdge:
     @property
     def endpoint(self) -> tuple[str, int]:
         """(host, port) once started."""
-        if self._host is None or self._port is None:
-            raise RuntimeError("server is not started")
-        return self._host, self._port
+        return self._listener.endpoint
 
     async def start(self, host: str = "127.0.0.1", port: int = 0,
                     reuse_port: bool = False) -> tuple[str, int]:
         """Start listening; returns the bound endpoint.
 
-        ``reuse_port`` binds ``SO_REUSEPORT`` so a fleet of edge
-        processes shares one port, the kernel spreading accepts across
-        the group while each accepted connection stays pinned to its
-        worker (keep-alive requests hit the same process's cache).
+        ``reuse_port`` lets a fleet of edge processes share one port
+        (see :meth:`Listener.start`): keep-alive requests stay on the
+        process that accepted them, so they hit the same cache.
         """
-        if self._server is not None:
-            raise RuntimeError("server already started")
         if self._clock is None:
-            origin = time.monotonic()
-            self._clock = lambda: time.monotonic() - origin
-        extra = {"reuse_port": True} if reuse_port else {}
-        self._server = await asyncio.start_server(
-            self._handle, host=host, port=port, **extra
-        )
-        sockname = self._server.sockets[0].getsockname()
-        self._host, self._port = sockname[0], sockname[1]
-        return self.endpoint
+            self._clock = since_start()
+        return await self._listener.start(host, port, reuse_port)
 
     async def stop(self, grace: float = 2.0) -> None:
         """Stop accepting and drain connections gracefully.
@@ -168,96 +143,43 @@ class AsyncHttpEdge:
         well-behaved clients.  Stragglers are cancelled after
         ``grace`` seconds.
         """
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        self._closing = True
-        try:
-            for writer in list(self._writers):
-                if writer not in self._busy:
-                    writer.close()
-            if self._conn_tasks:
-                _done, pending = await asyncio.wait(
-                    list(self._conn_tasks), timeout=grace
-                )
-                for task in pending:
-                    task.cancel()
-                if pending:
-                    await asyncio.gather(*pending, return_exceptions=True)
-        finally:
-            self._closing = False
-        self._host = self._port = None
+        await self._listener.stop(grace)
 
     # ------------------------------------------------------------------
     # request handling
     # ------------------------------------------------------------------
 
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        self._writers.add(writer)
+    async def _connection(self, reader: asyncio.StreamReader,
+                          writer: asyncio.StreamWriter) -> None:
         self._m_connections.inc()
         try:
-            while True:
-                keep_alive = await self._handle_one(reader, writer)
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.TimeoutError):
-            pass
+            while await self._handle_one(reader, writer):
+                pass
         finally:
             self._m_connections.dec()
-            self._writers.discard(writer)
-            if task is not None:
-                self._conn_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:  # pragma: no cover - teardown race
-                pass
-
-    async def _read_head(self, reader: asyncio.StreamReader) -> Optional[list[str]]:
-        """The request line + header lines, or None on EOF/overflow."""
-        lines: list[str] = []
-        total = 0
-        # One deadline for the whole head: a peer trickling a line per
-        # interval is dropped at it instead of pinning the handler.
-        with deadline(_READ_TIMEOUT):
-            while True:
-                chunk = await reader.readline()
-                if not chunk:
-                    return None
-                total += len(chunk)
-                if total > _MAX_HEADER_BYTES:
-                    return None
-                line = chunk.decode("latin-1").rstrip("\r\n")
-                if line == "":
-                    if lines:  # end of head (leading blank lines are ignored)
-                        return lines
-                    continue
-                lines.append(line)
 
     async def _handle_one(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> bool:
-        lines = await self._read_head(reader)
-        if not lines:
-            return False
-        self._busy.add(writer)
+        # One deadline for the whole head: a peer trickling a line per
+        # interval is dropped at it instead of pinning the handler.
+        with deadline(_READ_TIMEOUT):
+            head = await read_head(reader, _MAX_HEADER_BYTES)
+        if head is None and reader.at_eof():
+            return False  # the peer hung up between requests
+        busy = self._listener.busy
+        busy.add(writer)
         try:
             started = time.perf_counter()
-            match = _REQUEST_LINE.match(lines[0].strip())
+            match = _REQUEST_LINE.match(head[0].strip()) if head else None
             if match is None:
-                await self._send_error(writer, 400, "malformed request line")
+                await self._send_error(
+                    writer, 400,
+                    "malformed request line" if head else "request head too large",
+                )
                 self._m_handle.observe(time.perf_counter() - started)
                 return False
             method, target, version = match.groups()
-            headers = Headers()
-            for line in lines[1:]:
-                name, sep, value = line.partition(":")
-                if sep:
-                    headers.add(name.strip(), value.strip())
+            headers = head[1]
 
             keep_alive = version == "1.1"
             connection = (headers.get("Connection") or "").lower()
@@ -283,7 +205,7 @@ class AsyncHttpEdge:
                         writer, method, target, headers, keep_alive, started, span
                     )
         finally:
-            self._busy.discard(writer)
+            busy.discard(writer)
 
     async def _respond(self, writer: asyncio.StreamWriter, method: str,
                        target: str, headers: Headers, keep_alive: bool,
@@ -293,7 +215,7 @@ class AsyncHttpEdge:
             await asyncio.sleep(delay)
         # A teardown begun while this request was in flight must end
         # with an honest Connection: close, never a reset.
-        keep = keep_alive and status < 500 and not self._closing
+        keep = keep_alive and status < 500 and not self._listener.closing
         out_headers.set("Connection", "keep-alive" if keep else "close")
         await self._send(writer, status, out_headers, body,
                          include_body=(method != "HEAD"))
@@ -376,16 +298,11 @@ class AsyncHttpEdge:
     async def _send(self, writer: asyncio.StreamWriter, status: int,
                     headers: Headers, body: bytes | memoryview,
                     include_body: bool = True) -> None:
-        reason = {200: "OK", 206: "Partial Content", 400: "Bad Request",
-                  404: "Not Found", 405: "Method Not Allowed",
-                  416: "Range Not Satisfiable", 500: "Internal Server Error",
-                  503: "Service Unavailable"}
-        lines = [f"HTTP/1.1 {status} {reason.get(status, 'Unknown')}"]
-        for name, value in headers:
-            lines.append(f"{name}: {value}")
-        lines.append(f"Content-Length: {len(body)}")
-        lines.append("Server: repro-serve/1.0")
-        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
+        writer.write(encode_head(status_line(status), [
+            *headers,
+            ("Content-Length", len(body)),
+            ("Server", "repro-serve/1.0"),
+        ]))
         if include_body and body:
             writer.write(body)
             self._m_bytes.inc(len(body))

@@ -10,10 +10,11 @@ the adoption model), walk the full Figure 2 CNAME chain over UDP
 resolved vip over a pooled keep-alive connection.
 
 The loop is *closed*: a worker issues its next request only after the
-previous one completes, and a bounded semaphore caps total in-flight
-work, so the generator exerts backpressure instead of flooding the
-event loop.  Timeouts and retries are per-query; a request that fails
-after retries is counted and sampled, never raised out of the run.
+previous one completes, so the worker count (``concurrency``) is what
+bounds the work in flight and the generator exerts backpressure instead
+of flooding the event loop.  Timeouts and retries are per-query; a
+request that fails after retries is counted and sampled, never raised
+out of the run.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import asyncio
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from ..dns.policies import stable_fraction
 from ..net.ipv4 import IPv4Address
@@ -52,6 +53,10 @@ _LATENCY_BUCKETS = (
     0.0002, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.5,
 )
+# An open loop sheds arrivals past this many in flight per unit of
+# ``concurrency`` (the closed loop needs no cap: each of its
+# ``concurrency`` workers has one request outstanding).
+_OPEN_LOOP_IN_FLIGHT_PER_WORKER = 4
 
 
 @dataclass
@@ -60,12 +65,10 @@ class LoadConfig:
 
     requests: int = 5000
     concurrency: int = 64
-    max_in_flight: Optional[int] = None  # defaults to concurrency
     entry_point: str = "appldnld.apple.com"
     object_count: int = 32
     range_bytes: int = 65536
     dns_timeout: float = 2.0
-    http_timeout: float = 5.0
     retries: int = 2
     source_prefix_len: int = 24
     # Client-side resilience (see repro.serve.resilience).  A cached
@@ -75,8 +78,6 @@ class LoadConfig:
     hedge: Optional[HedgePolicy] = field(default_factory=HedgePolicy)
     http_retries: int = 1
     resolution_max_age: float = 15.0
-    breaker_failures: int = 5
-    breaker_cooldown: float = 1.0
     # Fraction of traces recorded when a tracer is active; the decision
     # is deterministic per trace id, so client and servers agree.
     trace_sample: float = 1.0
@@ -127,9 +128,23 @@ class LoadConfig:
             raise ValueError("resolution_max_age must be positive")
 
 
+def _latency_histogram() -> HistogramChild:
+    return HistogramChild(_LATENCY_BUCKETS)
+
+
+def _panel_ms(latency: HistogramChild) -> dict:
+    return {k: v * 1000.0 for k, v in latency.percentile_summary().items()}
+
+
 @dataclass(frozen=True)
 class LoadReport:
-    """Everything a run learned, percentiles included."""
+    """Everything a run learned, percentiles included.
+
+    The two latency histograms travel with the report, so a fleet of
+    generator processes merges to exact percentiles (see
+    :func:`merge_load_reports`) and every percentile below is read off
+    them on demand.
+    """
 
     requests: int
     ok: int
@@ -139,25 +154,41 @@ class LoadReport:
     dns_timeouts: int
     tcp_fallbacks: int
     body_bytes: int
-    dns_p50_ms: float
-    dns_p99_ms: float
-    http_p50_ms: float
-    http_p99_ms: float
+    dns_latency: HistogramChild = field(default_factory=_latency_histogram)
+    http_latency: HistogramChild = field(default_factory=_latency_histogram)
     error_samples: tuple[str, ...] = field(default_factory=tuple)
     retries: int = 0
     reresolutions: int = 0
     hedged: int = 0
-    # Full p50/p95/p99/p999 panels (ms), from percentile_summary.
-    dns_percentiles_ms: dict = field(default_factory=dict)
-    http_percentiles_ms: dict = field(default_factory=dict)
     # Open-loop arrivals dropped at the in-flight cap (overload is
     # recorded, never queued).
     shed: int = 0
-    # Raw latency histogram payloads — (uppers, bucket_counts, sum,
-    # count) — so a fleet of generator processes can merge reports
-    # with exact percentiles (see merge_load_reports).
-    dns_hist: Optional[tuple] = None
-    http_hist: Optional[tuple] = None
+
+    @property
+    def dns_percentiles_ms(self) -> dict:
+        """The full-chain resolution p50/p95/p99/p999 panel, in ms."""
+        return _panel_ms(self.dns_latency)
+
+    @property
+    def http_percentiles_ms(self) -> dict:
+        """The ranged-download p50/p95/p99/p999 panel, in ms."""
+        return _panel_ms(self.http_latency)
+
+    @property
+    def dns_p50_ms(self) -> float:
+        return self.dns_percentiles_ms["p50"]
+
+    @property
+    def dns_p99_ms(self) -> float:
+        return self.dns_percentiles_ms["p99"]
+
+    @property
+    def http_p50_ms(self) -> float:
+        return self.http_percentiles_ms["p50"]
+
+    @property
+    def http_p99_ms(self) -> float:
+        return self.http_percentiles_ms["p99"]
 
     @property
     def dns_qps(self) -> float:
@@ -175,6 +206,7 @@ class LoadReport:
 
     def render(self) -> str:
         """A terminal-friendly summary block."""
+        dns, http = self.dns_percentiles_ms, self.http_percentiles_ms
         lines = [
             "loadgen report",
             "--------------",
@@ -183,21 +215,13 @@ class LoadReport:
             f"dns queries     {self.dns_queries}  "
             f"({self.dns_qps:,.0f} qps sustained, "
             f"{self.dns_timeouts} timeouts, {self.tcp_fallbacks} tcp fallbacks)",
-            f"dns latency     p50 {self.dns_p50_ms:.2f} ms   p99 {self.dns_p99_ms:.2f} ms (full chain)",
+            f"dns latency     p50 {dns['p50']:.2f} ms   p99 {dns['p99']:.2f} ms (full chain)",
             f"http requests   {self.ok}  ({self.http_rps:,.0f} rps)",
-            f"http latency    p50 {self.http_p50_ms:.2f} ms   p99 {self.http_p99_ms:.2f} ms",
+            f"http latency    p50 {http['p50']:.2f} ms   p99 {http['p99']:.2f} ms",
             f"body bytes      {self.body_bytes:,}",
+            f"latency panel   dns p95 {dns['p95']:.2f} ms  p999 {dns['p999']:.2f} ms | "
+            f"http p95 {http['p95']:.2f} ms  p999 {http['p999']:.2f} ms",
         ]
-        if self.dns_percentiles_ms and self.http_percentiles_ms:
-            lines.append(
-                "latency panel   dns p95 {:.2f} ms  p999 {:.2f} ms | "
-                "http p95 {:.2f} ms  p999 {:.2f} ms".format(
-                    self.dns_percentiles_ms.get("p95", 0.0),
-                    self.dns_percentiles_ms.get("p999", 0.0),
-                    self.http_percentiles_ms.get("p95", 0.0),
-                    self.http_percentiles_ms.get("p999", 0.0),
-                )
-            )
         if self.shed:
             lines.append(f"shed arrivals   {self.shed}  (open-loop in-flight cap)")
         if self.retries:
@@ -236,8 +260,8 @@ class LoadGenerator:
         self.config = config if config is not None else LoadConfig()
         # Local histograms so percentiles exist even under the null
         # registry; the same observations feed the registry instruments.
-        self._dns_hist = HistogramChild(_LATENCY_BUCKETS)
-        self._http_hist = HistogramChild(_LATENCY_BUCKETS)
+        self._dns_hist = _latency_histogram()
+        self._http_hist = _latency_histogram()
         registry = metrics if metrics is not None else get_registry()
         self._registry = registry
         # Each logical request roots one trace; spans and wire stamps
@@ -283,34 +307,15 @@ class LoadGenerator:
         self._reresolution_count = 0
         self._shed_count = 0
         self._dispatched = 0
-        self._inflight = 0
-        self._breaker = CircuitBreaker(
-            failure_threshold=self.config.breaker_failures,
-            cooldown=self.config.breaker_cooldown,
-        )
+        self._breaker = CircuitBreaker()
 
     async def run(self) -> LoadReport:
         """Execute the configured run; always returns a report."""
         config = self.config
-        dns = await AsyncDnsClient.open(
-            *self.dns_endpoint,
-            timeout=config.dns_timeout,
-            retries=config.retries,
-            source_prefix_len=config.source_prefix_len,
-            metrics=self._registry,
-            backoff=config.backoff,
-            hedge=config.hedge,
-            tracer=self._tracer,
-        )
-        if (
-            self.resolver_endpoint is not None
-            and config.public_resolver_share > 0.0
-        ):
-            # The front answers non-authoritatively from its POP
-            # caches; hedging stays client-side, exactly as with a
-            # real public resolver.
-            self._public_dns = await AsyncDnsClient.open(
-                *self.resolver_endpoint,
+
+        def open_dns(endpoint: tuple[str, int]):
+            return AsyncDnsClient.open(
+                *endpoint,
                 timeout=config.dns_timeout,
                 retries=config.retries,
                 source_prefix_len=config.source_prefix_len,
@@ -319,13 +324,21 @@ class LoadGenerator:
                 hedge=config.hedge,
                 tracer=self._tracer,
             )
+
+        dns = await open_dns(self.dns_endpoint)
+        clients = [dns]
+        if (
+            self.resolver_endpoint is not None
+            and config.public_resolver_share > 0.0
+        ):
+            # The front answers non-authoritatively from its POP
+            # caches; hedging stays client-side, exactly as with a
+            # real public resolver.
+            self._public_dns = await open_dns(self.resolver_endpoint)
+            clients.append(self._public_dns)
         http = PooledHttpClient(
-            *self.http_endpoint,
-            pool_size=config.concurrency,
-            timeout=config.http_timeout,
-            tracer=self._tracer,
+            *self.http_endpoint, pool_size=config.concurrency, tracer=self._tracer
         )
-        in_flight = asyncio.Semaphore(config.max_in_flight or config.concurrency)
         sequence = itertools.count(config.seq_start)
         started = time.perf_counter()
         self._t0 = started
@@ -335,9 +348,7 @@ class LoadGenerator:
                 await self._run_open_loop(dns, http)
             else:
                 workers = [
-                    asyncio.create_task(
-                        self._worker(dns, http, sequence, in_flight)
-                    )
+                    asyncio.create_task(self._worker(dns, http, sequence))
                     for _ in range(config.concurrency)
                 ]
                 await asyncio.gather(*workers)
@@ -352,76 +363,35 @@ class LoadGenerator:
             raise
         finally:
             elapsed = time.perf_counter() - started
-            dns.close()
-            if self._public_dns is not None:
-                self._public_dns.close()
+            for client in clients:
+                client.close()
             await http.close()
-        requests = (
-            self._dispatched if config.arrival is not None else config.requests
-        )
-        public = self._public_dns
-        dns_queries = dns.queries_sent + (public.queries_sent if public else 0)
-        dns_timeouts = dns.timeouts + (public.timeouts if public else 0)
-        tcp_fallbacks = dns.tcp_fallbacks + (public.tcp_fallbacks if public else 0)
-        hedged = dns.hedged_queries + (public.hedged_queries if public else 0)
-        dns_panel = {
-            k: v * 1000.0 for k, v in self._dns_hist.percentile_summary().items()
-        }
-        http_panel = {
-            k: v * 1000.0 for k, v in self._http_hist.percentile_summary().items()
-        }
-        return LoadReport(
-            requests=requests,
-            ok=self._ok_count,
-            errors=len(self._errors),
-            elapsed_seconds=elapsed,
-            dns_queries=dns_queries,
-            dns_timeouts=dns_timeouts,
-            tcp_fallbacks=tcp_fallbacks,
-            body_bytes=self._body_bytes,
-            dns_p50_ms=dns_panel["p50"],
-            dns_p99_ms=dns_panel["p99"],
-            http_p50_ms=http_panel["p50"],
-            http_p99_ms=http_panel["p99"],
-            error_samples=tuple(self._errors[:5]),
-            retries=self._retry_count,
-            reresolutions=self._reresolution_count,
-            hedged=hedged,
-            dns_percentiles_ms=dns_panel,
-            http_percentiles_ms=http_panel,
-            shed=self._shed_count,
-            dns_hist=(
-                tuple(self._dns_hist.uppers),
-                list(self._dns_hist.bucket_counts),
-                self._dns_hist.sum,
-                self._dns_hist.count,
+        counts = {
+            "requests": (
+                self._dispatched if config.arrival is not None else config.requests
             ),
-            http_hist=(
-                tuple(self._http_hist.uppers),
-                list(self._http_hist.bucket_counts),
-                self._http_hist.sum,
-                self._http_hist.count,
-            ),
+            "ok": self._ok_count,
+            "errors": len(self._errors),
+            "dns_queries": sum(client.queries_sent for client in clients),
+            "dns_timeouts": sum(client.timeouts for client in clients),
+            "tcp_fallbacks": sum(client.tcp_fallbacks for client in clients),
+            "body_bytes": self._body_bytes,
+            "retries": self._retry_count,
+            "reresolutions": self._reresolution_count,
+            "hedged": sum(client.hedged_queries for client in clients),
+            "shed": self._shed_count,
+        }
+        return _report(
+            counts, elapsed, self._errors, [self._dns_hist], [self._http_hist]
         )
 
     async def _worker(self, dns: AsyncDnsClient, http: PooledHttpClient,
-                      sequence, in_flight: asyncio.Semaphore) -> None:
+                      sequence) -> None:
         while True:
             seq = next(sequence)
             if seq >= self.config.seq_start + self.config.requests:
                 return
-            async with in_flight:
-                self._m_in_flight.inc()
-                try:
-                    await self._one_request(dns, http, seq)
-                    self._ok_count += 1
-                    self._m_ok.inc()
-                except Exception as exc:  # the loop must survive anything
-                    self._m_error.inc()
-                    if len(self._errors) < 100:
-                        self._errors.append(f"seq={seq}: {exc}")
-                finally:
-                    self._m_in_flight.dec()
+            await self._accounted(dns, http, seq)
 
     async def _run_open_loop(self, dns: AsyncDnsClient,
                              http: PooledHttpClient) -> None:
@@ -435,7 +405,7 @@ class LoadGenerator:
         """
         config = self.config
         assert config.arrival is not None
-        limit = config.max_in_flight or config.concurrency * 4
+        limit = config.concurrency * _OPEN_LOOP_IN_FLIGHT_PER_WORKER
         tasks: set[asyncio.Task] = set()
         try:
             for seq, due, region in config.arrival.events(
@@ -444,14 +414,13 @@ class LoadGenerator:
                 delay = due - (time.perf_counter() - self._t0)
                 if delay > 0.0:
                     await asyncio.sleep(delay)
-                if self._inflight >= limit:
+                if len(tasks) >= limit:
                     self._shed_count += 1
                     self._m_shed.inc()
                     continue
-                self._inflight += 1
                 self._dispatched += 1
                 task = asyncio.create_task(
-                    self._one_arrival(dns, http, seq, region)
+                    self._accounted(dns, http, seq, region)
                 )
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
@@ -464,21 +433,23 @@ class LoadGenerator:
                 await asyncio.gather(*tasks, return_exceptions=True)
             raise
 
-    async def _one_arrival(self, dns: AsyncDnsClient, http: PooledHttpClient,
-                           seq: int, region) -> None:
+    async def _accounted(self, dns: AsyncDnsClient, http: PooledHttpClient,
+                         seq: int, region=None) -> None:
+        """One request of either loop, counted as ok or error.
+
+        Only cancellation gets out: a failed request is a number and a
+        sample in the report, never the end of the run.
+        """
         self._m_in_flight.inc()
         try:
-            await self._one_request(dns, http, seq, region=region)
+            await self._one_request(dns, http, seq, region)
             self._ok_count += 1
             self._m_ok.inc()
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # open-loop arrivals must not cascade
+        except Exception as exc:
             self._m_error.inc()
             if len(self._errors) < 100:
                 self._errors.append(f"seq={seq}: {exc}")
         finally:
-            self._inflight -= 1
             self._m_in_flight.dec()
 
     def _now(self) -> float:
@@ -630,16 +601,28 @@ class LoadGenerator:
         )
 
 
-def _hist_from_payload(payload: Optional[tuple]) -> HistogramChild:
-    """Rebuild a latency histogram from a report's raw payload."""
-    if payload is None:
-        return HistogramChild(_LATENCY_BUCKETS)
-    uppers, buckets, total, count = payload
-    child = HistogramChild(tuple(uppers))
-    child.bucket_counts = list(buckets)
-    child.sum = total
-    child.count = count
-    return child
+def _report(
+    counts: Mapping[str, int],
+    elapsed: float,
+    samples: Iterable[str],
+    dns: Sequence[HistogramChild],
+    http: Sequence[HistogramChild],
+) -> LoadReport:
+    """The one place a report is built: the first five error samples
+    are kept and the latency histograms merge bucket for bucket."""
+    return LoadReport(
+        **counts,
+        elapsed_seconds=elapsed,
+        error_samples=tuple(itertools.islice(samples, 5)),
+        dns_latency=HistogramChild.merge(dns),
+        http_latency=HistogramChild.merge(http),
+    )
+
+
+_COUNTS = (
+    "requests", "ok", "errors", "dns_queries", "dns_timeouts", "tcp_fallbacks",
+    "body_bytes", "retries", "reresolutions", "hedged", "shed",
+)
 
 
 def merge_load_reports(reports: list) -> LoadReport:
@@ -657,51 +640,10 @@ def merge_load_reports(reports: list) -> LoadReport:
         raise ValueError("merge_load_reports needs at least one report")
     if len(inputs) == 1:
         return inputs[0]
-    dns_merged = HistogramChild.merge(
-        [_hist_from_payload(r.dns_hist) for r in inputs]
-    )
-    http_merged = HistogramChild.merge(
-        [_hist_from_payload(r.http_hist) for r in inputs]
-    )
-    dns_panel = {
-        k: v * 1000.0 for k, v in dns_merged.percentile_summary().items()
-    }
-    http_panel = {
-        k: v * 1000.0 for k, v in http_merged.percentile_summary().items()
-    }
-    samples: list[str] = []
-    for report in inputs:
-        samples.extend(report.error_samples)
-    return LoadReport(
-        requests=sum(r.requests for r in inputs),
-        ok=sum(r.ok for r in inputs),
-        errors=sum(r.errors for r in inputs),
-        elapsed_seconds=max(r.elapsed_seconds for r in inputs),
-        dns_queries=sum(r.dns_queries for r in inputs),
-        dns_timeouts=sum(r.dns_timeouts for r in inputs),
-        tcp_fallbacks=sum(r.tcp_fallbacks for r in inputs),
-        body_bytes=sum(r.body_bytes for r in inputs),
-        dns_p50_ms=dns_panel["p50"],
-        dns_p99_ms=dns_panel["p99"],
-        http_p50_ms=http_panel["p50"],
-        http_p99_ms=http_panel["p99"],
-        error_samples=tuple(samples[:5]),
-        retries=sum(r.retries for r in inputs),
-        reresolutions=sum(r.reresolutions for r in inputs),
-        hedged=sum(r.hedged for r in inputs),
-        dns_percentiles_ms=dns_panel,
-        http_percentiles_ms=http_panel,
-        shed=sum(r.shed for r in inputs),
-        dns_hist=(
-            tuple(dns_merged.uppers),
-            list(dns_merged.bucket_counts),
-            dns_merged.sum,
-            dns_merged.count,
-        ),
-        http_hist=(
-            tuple(http_merged.uppers),
-            list(http_merged.bucket_counts),
-            http_merged.sum,
-            http_merged.count,
-        ),
+    return _report(
+        {name: sum(getattr(r, name) for r in inputs) for name in _COUNTS},
+        max(r.elapsed_seconds for r in inputs),
+        itertools.chain.from_iterable(r.error_samples for r in inputs),
+        [r.dns_latency for r in inputs],
+        [r.http_latency for r in inputs],
     )

@@ -26,7 +26,6 @@ metro through the very same directory the authoritative consults.
 from __future__ import annotations
 
 import asyncio
-import time
 from typing import Callable, Optional
 
 from ..dns.query import RCode
@@ -44,21 +43,9 @@ from ..obs import get_registry
 from ..resolver import DEFAULT_POPS, ResolverPop, nearest_pop
 from .clients import ClientDirectory
 from .dnsclient import AsyncDnsClient, DnsClientError
-from .udp import open_udp
+from .listener import Listener, since_start
 
 __all__ = ["PublicResolverFront"]
-
-
-class _FrontProtocol(asyncio.DatagramProtocol):
-    def __init__(self, front: "PublicResolverFront") -> None:
-        self._front = front
-        self.transport: Optional[asyncio.DatagramTransport] = None
-
-    def connection_made(self, transport) -> None:  # pragma: no cover - trivial
-        self.transport = transport
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        self._front._dispatch(data, addr)
 
 
 class _CacheEntry:
@@ -120,10 +107,8 @@ class PublicResolverFront:
         self._inflight: dict[tuple, asyncio.Future] = {}
         self._pop_memo: dict[IPv4Address, ResolverPop] = {}
         self._client: Optional[AsyncDnsClient] = None
-        self._transport: Optional[asyncio.DatagramTransport] = None
+        self._listener = Listener("resolver front", datagram=self._dispatch)
         self._tasks: set[asyncio.Task] = set()
-        self._host: Optional[str] = None
-        self._port: Optional[int] = None
         registry = metrics if metrics is not None else get_registry()
         self._m_queries = registry.counter(
             "resolver_front_queries_total",
@@ -161,38 +146,26 @@ class PublicResolverFront:
     @property
     def endpoint(self) -> tuple[str, int]:
         """(host, port) once started."""
-        if self._host is None or self._port is None:
-            raise RuntimeError("resolver front is not started")
-        return self._host, self._port
+        return self._listener.endpoint
 
     async def start(self, upstream: tuple[str, int],
                     host: str = "127.0.0.1", port: int = 0,
                     reuse_port: bool = False) -> tuple[str, int]:
         """Bind the UDP listener and connect the client to ``upstream``."""
-        if self._transport is not None:
-            raise RuntimeError("resolver front already started")
         if self._clock is None:
-            origin = time.monotonic()
-            self._clock = lambda: time.monotonic() - origin
-        extra = {"reuse_port": True} if reuse_port else {}
-        transport, _protocol = await open_udp(
-            lambda: _FrontProtocol(self), local_addr=(host, port), **extra
-        )
-        self._transport = transport
-        self._host, self._port = transport.get_extra_info("sockname")[:2]
+            self._clock = since_start()
+        endpoint = await self._listener.start(host, port, reuse_port)
         self._client = await AsyncDnsClient.open(
             *upstream,
             timeout=self._timeout,
             retries=self._retries,
             source_prefix_len=self.scope if self._announce_clients else 32,
         )
-        return self.endpoint
+        return endpoint
 
     async def stop(self) -> None:
         """Close the listener, the upstream client and in-flight work."""
-        if self._transport is not None:
-            self._transport.close()
-            self._transport = None
+        await self._listener.stop()
         for task in list(self._tasks):
             task.cancel()
         if self._tasks:
@@ -202,7 +175,6 @@ class PublicResolverFront:
             self._client.close()
             self._client = None
         self._inflight.clear()
-        self._host = self._port = None
 
     # ------------------------------------------------------------------
     # POP attribution and cache keys
@@ -291,8 +263,8 @@ class PublicResolverFront:
         self._send(self._reply(query, entry), addr)
 
     def _send(self, reply: Optional[bytes], addr) -> None:
-        if reply is not None and self._transport is not None:
-            self._transport.sendto(reply, addr)
+        if reply is not None:
+            self._listener.sendto(reply, addr)
 
     def _reply(self, query: WireMessage, entry: _CacheEntry) -> bytes:
         """The encoded recursive answer to ``query`` out of ``entry``."""

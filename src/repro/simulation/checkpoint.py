@@ -128,10 +128,10 @@ def capture_checkpoint(
             "offered": scenario.netflow.total_offered_bytes,
         },
         "snmp": scenario.snmp.snapshot_bins(),
-        "global_next_due": scenario.global_campaign._next_due,
-        "isp_next_due": scenario.isp_campaign._next_due,
-        "traceroute_next_due": scenario.traceroute_campaign._next_due,
-        "aws_next_due": scenario.aws_campaign._next_due,
+        "global_next_due": scenario.global_campaign.cadence.next_due,
+        "isp_next_due": scenario.isp_campaign.cadence.next_due,
+        "traceroute_next_due": scenario.traceroute_campaign.cadence.next_due,
+        "aws_next_due": scenario.aws_campaign.cadence.next_due,
         "aws_results": list(scenario.aws_campaign.results),
     }
     observer = {
@@ -343,10 +343,10 @@ def restore_run_state(engine, checkpoint: Checkpoint) -> tuple:
         (scenario.global_campaign, "global_next_due"),
         (scenario.isp_campaign, "isp_next_due"),
     ):
-        if campaign._next_due != state[key]:
+        if campaign.cadence.next_due != state[key]:
             raise CheckpointError(
                 f"replayed {campaign.name} campaign grid "
-                f"{campaign._next_due!r} != checkpoint's {state[key]!r}"
+                f"{campaign.cadence.next_due!r} != checkpoint's {state[key]!r}"
             )
 
     # Metrics: the registry now holds base + replay_delta; absorbing
@@ -365,8 +365,8 @@ def restore_run_state(engine, checkpoint: Checkpoint) -> tuple:
         state["netflow"]["records"], state["netflow"]["offered"]
     )
     scenario.snmp.absorb(state["snmp"])
-    scenario.traceroute_campaign._next_due = state["traceroute_next_due"]
-    scenario.aws_campaign._next_due = state["aws_next_due"]
+    scenario.traceroute_campaign.cadence.next_due = state["traceroute_next_due"]
+    scenario.aws_campaign.cadence.next_due = state["aws_next_due"]
     scenario.aws_campaign.results.extend(state["aws_results"])
 
     observer = checkpoint.observer

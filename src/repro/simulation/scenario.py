@@ -721,8 +721,8 @@ class Sep2017Scenario:
             len(self.global_campaign.store)
             or len(self.isp_campaign.store)
             or len(self.netflow)
-            or self.global_campaign._next_due is not None
-            or self.isp_campaign._next_due is not None
+            or self.global_campaign.cadence.next_due is not None
+            or self.isp_campaign.cadence.next_due is not None
         )
 
     def http_fetch(self, address, request, size: int = 2_800_000_000):
@@ -739,15 +739,7 @@ class Sep2017Scenario:
                 operator, key=("fetch", str(address), request.path)
             ):
                 return None
-        if self.estate.apple.site_for(address) is not None:
-            return self.estate.apple.serve(address, request, size).response
-        for deployment in (self.estate.akamai, self.estate.limelight,
-                           self.estate.level3):
-            if deployment is None:
-                continue
-            if deployment.server_at(address) is not None:
-                return deployment.serve(address, request, size)
-        return None
+        return self.estate.serve_at(address, request, size)
 
     def precache_fill(self, now: float) -> tuple[list[IPv4Address], float]:
         """The Sep 19 pre-cache fill (Section 5.4's AS-A spike).

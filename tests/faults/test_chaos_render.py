@@ -1,0 +1,96 @@
+"""``ChaosReport.render()`` per drill kind, byte for byte.
+
+``golden/chaos_render.json`` was rendered at the commit *before* the
+drills took ownership of their report sections, from the fixed measured
+values below fed straight into the old all-fields ``ChaosReport``.  The
+same values through each drill's own section builder must render the
+same bytes — block order, spacing, check labels and verdicts included.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.faults import FaultSchedule
+from repro.faults.chaos import (
+    ChaosConfig,
+    _blackout_replay_section,
+    _flap_replay_section,
+    _live_section,
+    _report,
+    _worker_crash_section,
+)
+from repro.serve.loadgen import LoadReport
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "chaos_render.json").read_text()
+)
+
+
+def load(requests, ok, errors, **counts):
+    return LoadReport(
+        requests=requests, ok=ok, errors=errors, elapsed_seconds=1.0,
+        dns_queries=0, dns_timeouts=0, tcp_fallbacks=0, body_bytes=0, **counts,
+    )
+
+
+def blackout():
+    schedule = FaultSchedule.parse(
+        ["vip-outage@Apple:1-9:0.2", "cdn-blackout@Limelight:3-9"]
+    )
+    return _report(schedule, [
+        _live_section(
+            ChaosConfig(), schedule,
+            load(2400, 2388, 12, retries=431, reresolutions=3, hedged=17),
+            watched=8, resteer=0.62, recovery=1.31, unhealthy=2,
+        ),
+        _blackout_replay_section(412.4, 0.0, 377.8, 9_876_543_210),
+    ])
+
+
+def anycast():
+    schedule = FaultSchedule.parse(["route-withdraw@defra-1:1-5"])
+    return _report(schedule, [
+        _live_section(
+            ChaosConfig(steering="anycast"), schedule,
+            load(1500, 1500, 0, hedged=4),
+            watched=5, resteer=None, recovery=None, unhealthy=0,
+            anycast_routed=1500, catchment_shift=("eu-central", "eu-west"),
+        ),
+        _flap_replay_section("defra-1", 2, 0.25, 183.6, 0),
+    ])
+
+
+def worker():
+    schedule = FaultSchedule.parse(["worker-kill@w0:1-2"])
+    return _report(schedule, [
+        _worker_crash_section(1, False, "tick 7: digest mismatch on shard 1"),
+    ])
+
+
+def fleet():
+    schedule = FaultSchedule.parse(["vip-outage@Apple:1-4:0.2"])
+    return _report(schedule, [
+        _live_section(
+            ChaosConfig(serve_workers=2), schedule,
+            load(675, 668, 7, retries=92, hedged=1, shed=5),
+            watched=8, resteer=None, recovery=None, unhealthy=0,
+        ),
+    ])
+
+
+@pytest.mark.parametrize("drill", [blackout, anycast, worker, fleet])
+def test_render_is_byte_identical_to_the_all_fields_report(drill):
+    assert drill().render() == GOLDEN[drill.__name__]
+
+
+def test_live_numbers_stay_readable_as_fields():
+    report = blackout()
+    assert (report.requests, report.ok, report.errors) == (2400, 2388, 12)
+    assert report.error_rate == 12 / 2400
+    assert (report.retries, report.shed) == (431, 0)
+    assert (report.resteer_seconds, report.recovery_seconds) == (0.62, 1.31)
+    assert report.unhealthy_events == 2 and report.serve_workers == 1
+    assert not worker().passed() and worker().requests == 0
+    assert fleet().serve_workers == 2 and fleet().shed == 5

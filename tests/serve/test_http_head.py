@@ -1,0 +1,186 @@
+"""An oversized or trickled HTTP head has defined behaviour on every socket.
+
+A header line past asyncio's 64 KiB ``StreamReader`` limit used to
+raise ``ValueError`` out of ``readline()`` — uncaught in the edge and
+the admin plane (the loop's exception handler logged it, the peer got a
+bare EOF, nothing was counted) and, on the client, an exception the
+load generator's retry path does not know.  With the one head reader
+(:func:`repro.http.wire.read_head`) the servers answer ``400`` and the
+client raises ``ConnectionError``.
+"""
+
+import asyncio
+import time
+
+import pytest
+
+from repro.obs import EventTracer, MetricsRegistry
+from repro.serve import AdminServer, AsyncHttpEdge, PooledHttpClient, estate_router
+from repro.serve import admin as admin_module
+
+HUGE = b"a" * 70_000
+
+
+def run_watched(scenario):
+    """Run ``scenario``; returns (its result, what reached the loop's
+    exception handler)."""
+    reached = []
+
+    async def wrapped():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: reached.append(context)
+        )
+        return await scenario()
+
+    return asyncio.run(wrapped()), reached
+
+
+async def exchange(endpoint, payload: bytes) -> bytes:
+    """Send ``payload`` and read to EOF (the peer stays connected: no
+    half-close, so the server cannot mistake the overflow for a hang-up)."""
+    reader, writer = await asyncio.open_connection(*endpoint)
+    writer.write(payload)
+    await writer.drain()
+    raw = await asyncio.wait_for(reader.read(-1), timeout=5.0)
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except ConnectionError:
+        pass
+    return raw
+
+
+@pytest.mark.parametrize("newline", [b"", b"\r\n\r\n"], ids=["unterminated", "terminated"])
+class TestOversizedRequestHead:
+    def test_edge_answers_400_and_counts_it(self, serve_estate, newline):
+        registry = MetricsRegistry()
+
+        async def scenario():
+            edge = AsyncHttpEdge(estate_router(serve_estate), metrics=registry)
+            endpoint = await edge.start()
+            try:
+                return await exchange(
+                    endpoint, b"GET /x HTTP/1.1\r\nX-Pad: " + HUGE + newline
+                )
+            finally:
+                await edge.stop()
+
+        raw, reached = run_watched(scenario)
+        assert raw.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert b"request head too large" in raw
+        assert reached == []
+        assert registry.get("serve_http_requests_total").labels("400").value == 1
+
+    def test_admin_answers_400(self, newline):
+        async def scenario():
+            server = AdminServer(registry=MetricsRegistry(), tracer=EventTracer())
+            endpoint = await server.start()
+            try:
+                return await exchange(
+                    endpoint, b"GET /metrics HTTP/1.1\r\nX-Pad: " + HUGE + newline
+                )
+            finally:
+                await server.stop()
+
+        raw, reached = run_watched(scenario)
+        assert raw.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert reached == []
+
+
+def test_edge_answers_400_past_its_own_byte_limit(serve_estate):
+    """Short lines, 20 KiB in all: under the stream's line limit, over
+    the edge's 16 KiB head budget — silently dropped before."""
+    registry = MetricsRegistry()
+    head = b"GET /x HTTP/1.1\r\n" + b"X-Pad: " + b"a" * 1000 + b"\r\n"
+    head = head + (b"X-Pad: " + b"a" * 1000 + b"\r\n") * 19 + b"\r\n"
+
+    async def scenario():
+        edge = AsyncHttpEdge(estate_router(serve_estate), metrics=registry)
+        endpoint = await edge.start()
+        try:
+            return await exchange(endpoint, head)
+        finally:
+            await edge.stop()
+
+    raw, reached = run_watched(scenario)
+    assert raw.startswith(b"HTTP/1.1 400 ")
+    assert reached == []
+    assert registry.get("serve_http_requests_total").labels("400").value == 1
+
+
+def test_admin_refuses_a_head_past_its_budget_instead_of_answering():
+    """9 KiB of short header lines: the admin plane used to stop reading
+    at 8 KiB and serve the route anyway."""
+    head = b"GET /healthz HTTP/1.1\r\n" + b"X-Pad: aaaaaaaaaaaaaaaaaaaaaaaa\r\n" * 290
+
+    async def scenario():
+        server = AdminServer(registry=MetricsRegistry(), tracer=EventTracer())
+        endpoint = await server.start()
+        try:
+            return await exchange(endpoint, head + b"\r\n")
+        finally:
+            await server.stop()
+
+    raw, _reached = run_watched(scenario)
+    assert raw.startswith(b"HTTP/1.1 400 ")
+
+
+def test_admin_drops_a_trickled_head_at_one_deadline(monkeypatch):
+    """One deadline per head, not one per line: a peer feeding a header
+    line every 50 ms is cut off at the deadline, however alive each
+    line keeps the connection."""
+    monkeypatch.setattr(admin_module, "_READ_TIMEOUT", 0.3)
+
+    async def scenario():
+        server = AdminServer(registry=MetricsRegistry(), tracer=EventTracer())
+        reader, writer = await asyncio.open_connection(*await server.start())
+        began = time.monotonic()
+        try:
+            writer.write(b"GET /metrics HTTP/1.1\r\n")
+            for _ in range(60):  # three seconds' worth, if allowed
+                writer.write(b"X-Slow: 1\r\n")
+                try:
+                    await writer.drain()
+                except ConnectionError:
+                    break
+                if reader.at_eof():
+                    break
+                await asyncio.sleep(0.05)
+            raw = await asyncio.wait_for(reader.read(-1), timeout=5.0)
+            return raw, time.monotonic() - began
+        finally:
+            writer.close()
+            await server.stop()
+
+    (raw, elapsed), reached = run_watched(scenario)
+    assert raw == b""  # dropped, not answered
+    assert elapsed < 2.0
+    assert reached == []
+
+
+def test_client_raises_connection_error_on_an_oversized_response_head():
+    """``ConnectionError`` is what ``LoadGenerator._attempts`` retries
+    and counts; the ``ValueError`` it used to get skipped the retry."""
+
+    async def canned(reader, writer):
+        await reader.readuntil(b"\r\n\r\n")
+        writer.write(b"HTTP/1.1 200 OK\r\nX-Pad: " + HUGE + b"\r\n\r\n")
+        await writer.drain()
+        writer.close()
+
+    async def scenario():
+        server = await asyncio.start_server(canned, "127.0.0.1", 0)
+        client = PooledHttpClient(*server.sockets[0].getsockname()[:2])
+        try:
+            with pytest.raises(ConnectionError):
+                await client.get(
+                    "/x", host="appldnld.apple.com",
+                    vip="17.253.0.1", client="100.64.0.1",
+                )
+        finally:
+            await client.close()
+            server.close()
+            await server.wait_closed()
+
+    _result, reached = run_watched(scenario)
+    assert reached == []

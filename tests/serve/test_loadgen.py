@@ -7,6 +7,7 @@ import pytest
 from repro.dns.records import ARecord, CnameRecord
 from repro.net.ipv4 import IPv4Address
 from repro.obs import MetricsRegistry, use_registry
+from repro.obs.registry import HistogramChild
 from repro.serve import (
     ClientDirectory,
     ClusterConfig,
@@ -16,6 +17,7 @@ from repro.serve import (
     ServeCluster,
     WireResolution,
     build_serve_estate,
+    merge_load_reports,
 )
 
 
@@ -106,8 +108,7 @@ class TestLoadReport:
         values = dict(
             requests=100, ok=100, errors=0, elapsed_seconds=2.0,
             dns_queries=460, dns_timeouts=0, tcp_fallbacks=0,
-            body_bytes=6_553_600, dns_p50_ms=1.5, dns_p99_ms=9.0,
-            http_p50_ms=0.8, http_p99_ms=4.0,
+            body_bytes=6_553_600,
         )
         values.update(overrides)
         return LoadReport(**values)
@@ -190,3 +191,87 @@ class TestClusterEndToEnd:
         host, port = asyncio.run(scenario())
         assert host == "127.0.0.1"
         assert port > 0
+
+
+class TestMergeLoadReports:
+    """The fold behind ``run_loadgen_fleet``: counts add, elapsed is the
+    longest run, percentiles come off the merged histograms."""
+
+    COUNTS = (
+        "requests", "ok", "errors", "dns_queries", "dns_timeouts",
+        "tcp_fallbacks", "body_bytes", "retries", "reresolutions", "hedged",
+        "shed",
+    )
+
+    def _drive(self, slices):
+        """One report per ``(seq_start, requests)`` slice, each against a
+        fresh cluster pinned at t=0 (so a client's chain — and with it
+        the query count — depends on its sequence number alone)."""
+
+        async def scenario():
+            reports = []
+            for seq_start, requests in slices:
+                estate = build_serve_estate(ClusterConfig(servers_per_metro=4))
+                async with ServeCluster(estate=estate, clock=lambda: 0.0) as cluster:
+                    reports.append(await cluster.drive(LoadConfig(
+                        requests=requests, seq_start=seq_start,
+                        concurrency=8, hedge=None,
+                    )))
+            return reports
+
+        return asyncio.run(scenario())
+
+    def test_disjoint_slices_fold_to_the_run_over_their_union(self):
+        parts = self._drive([(0, 70), (70, 50), (120, 80)])
+        (whole,) = self._drive([(0, 200)])
+        folded = merge_load_reports(parts)
+        assert whole.healthy() and folded.healthy()
+        for name in self.COUNTS:
+            assert getattr(folded, name) == sum(getattr(p, name) for p in parts)
+            # A slow host may time a query out, and then re-sends it.
+            if name not in ("dns_queries", "dns_timeouts"):
+                assert getattr(folded, name) == getattr(whole, name), name
+        assert (folded.dns_queries - folded.dns_timeouts
+                == whole.dns_queries - whole.dns_timeouts)
+        assert folded.elapsed_seconds == max(p.elapsed_seconds for p in parts)
+
+    def test_folded_percentiles_are_those_of_the_merged_histograms(self):
+        parts = self._drive([(0, 40), (40, 40), (80, 40)])
+        folded = merge_load_reports(parts)
+        for side in ("dns", "http"):
+            merged = HistogramChild.merge(
+                [getattr(p, f"{side}_latency") for p in parts]
+            )
+            assert merged.count == 120
+            panel = {k: v * 1000.0 for k, v in merged.percentile_summary().items()}
+            assert getattr(folded, f"{side}_percentiles_ms") == panel
+            assert getattr(folded, f"{side}_p50_ms") == panel["p50"]
+            assert getattr(folded, f"{side}_p99_ms") == panel["p99"]
+
+    def test_error_samples_keep_the_first_five_in_order(self):
+        def report(samples):
+            return LoadReport(
+                requests=len(samples), ok=0, errors=len(samples),
+                elapsed_seconds=1.0, dns_queries=0, dns_timeouts=0,
+                tcp_fallbacks=0, body_bytes=0, error_samples=samples,
+            )
+
+        folded = merge_load_reports(
+            [report(("a", "b", "c")), None, report(("d", "e", "f"))]
+        )
+        assert folded.error_samples == ("a", "b", "c", "d", "e")
+        assert folded.errors == 6
+
+    def test_one_report_is_returned_as_is_and_none_is_an_error(self):
+        (only,) = self._drive([(0, 10)])
+        assert merge_load_reports([None, only]) is only
+        with pytest.raises(ValueError):
+            merge_load_reports([None])
+
+    def test_a_report_crosses_a_pipe(self):
+        import pickle
+
+        (report,) = self._drive([(0, 10)])
+        clone = pickle.loads(pickle.dumps(report))
+        assert clone.dns_percentiles_ms == report.dns_percentiles_ms
+        assert clone.ok == report.ok == 10

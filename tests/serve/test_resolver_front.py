@@ -328,8 +328,7 @@ def _dummy_report():
 
     return LoadReport(
         requests=1, ok=1, errors=0, elapsed_seconds=1.0, dns_queries=1,
-        dns_timeouts=0, tcp_fallbacks=0, body_bytes=1, dns_p50_ms=1.0,
-        dns_p99_ms=1.0, http_p50_ms=1.0, http_p99_ms=1.0,
+        dns_timeouts=0, tcp_fallbacks=0, body_bytes=1,
     )
 
 
