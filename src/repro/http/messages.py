@@ -21,40 +21,64 @@ class Headers:
 
     Repeated fields (``Via`` accumulates one entry per proxy) are joined
     with ``", "`` on read, mirroring RFC 7230 list semantics.
+
+    Names are stored as given.  The first lookup builds an index from
+    lowered name to that name's entries; from then on a lookup lowers
+    the queried name and nothing else, and ``add`` / ``set`` keep the
+    index in step.  ``copy()`` does not carry it: the copies the caches
+    hold are never looked up, only copied again.
     """
+
+    __slots__ = ("_entries", "_index")
 
     def __init__(self, initial: Optional[Mapping[str, str]] = None) -> None:
         self._entries: list[tuple[str, str]] = []
+        self._index: Optional[dict[str, list[tuple[str, str]]]] = None
         for name, value in (initial or {}).items():
             self.add(name, value)
 
+    def _by_name(self) -> dict[str, list[tuple[str, str]]]:
+        """Lowered name -> its entries, oldest first (the one lookup path)."""
+        index = self._index
+        if index is None:
+            index = self._index = {}
+            for entry in self._entries:
+                index.setdefault(entry[0].lower(), []).append(entry)
+        return index
+
     def add(self, name: str, value: str) -> None:
         """Append a field without replacing existing ones."""
-        self._entries.append((name, value))
+        entry = (name, value)
+        self._entries.append(entry)
+        if self._index is not None:
+            self._index.setdefault(name.lower(), []).append(entry)
 
     def set(self, name: str, value: str) -> None:
         """Replace all fields called ``name`` with a single value."""
-        lowered = name.lower()
-        self._entries = [(n, v) for n, v in self._entries if n.lower() != lowered]
-        self._entries.append((name, value))
+        entry = (name, value)
+        named = self._by_name().setdefault(name.lower(), [])
+        # Entries equal to one of these are called ``name`` too, so each
+        # ``remove`` takes one of exactly the entries that have to go.
+        for old in named:
+            self._entries.remove(old)
+        named[:] = [entry]
+        self._entries.append(entry)
 
     def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
         """The combined value of ``name`` (comma-joined), or ``default``."""
-        lowered = name.lower()
-        values = [value for field_name, value in self._entries if field_name.lower() == lowered]
-        if not values:
+        named = self._by_name().get(name.lower())
+        if named is None:
             return default
-        return ", ".join(values)
+        if len(named) == 1:
+            return named[0][1]
+        return ", ".join([value for _name, value in named])
 
     def get_all(self, name: str) -> list[str]:
         """Every raw field value for ``name``, in insertion order."""
-        lowered = name.lower()
-        return [value for field_name, value in self._entries if field_name.lower() == lowered]
+        return [value for _name, value in self._by_name().get(name.lower(), ())]
 
     def __contains__(self, name: object) -> bool:
-        return isinstance(name, str) and any(
-            field_name.lower() == name.lower() for field_name, _ in self._entries
-        )
+        return isinstance(name, str) and name.lower() in self._by_name()
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         return iter(self._entries)

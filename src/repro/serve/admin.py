@@ -24,7 +24,7 @@ import asyncio
 import json
 from urllib.parse import parse_qs, urlsplit
 
-from ..http.wire import encode_head, read_head, status_line
+from ..http.wire import HeadReader, encode_head, status_line
 from ..obs import assemble_chains, get_registry, get_tracer, render_exposition
 from .deadline import deadline
 from .listener import Listener
@@ -78,9 +78,10 @@ class AdminServer:
                       writer: asyncio.StreamWriter) -> None:
         # One deadline for the whole head (nothing in the header block
         # matters here, but it is read, and bounded, all the same).
+        heads = HeadReader(reader)
         with deadline(_READ_TIMEOUT):
-            head = await read_head(reader, _MAX_HEAD_BYTES)
-        if head is None and reader.at_eof():
+            head = await heads.read_head(_MAX_HEAD_BYTES)
+        if head is None and heads.at_eof():
             return
         self._listener.busy.add(writer)
         if head is None:

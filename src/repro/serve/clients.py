@@ -19,6 +19,7 @@ same regional mix as the simulated flash crowd.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -126,6 +127,11 @@ class ClientDirectory:
         total = sum(self._weights)
         if total <= 0.0:
             raise ValueError("at least one vantage needs positive weight")
+        # Clients spread over a block's host space, skipping the network
+        # address so /24 ECS prefixes stay distinguishable.
+        self._host_space = [
+            max(1, (1 << (32 - v.prefix.length)) - 2) for v in self._vantages
+        ]
         self._cumulative: list[float] = []
         running = 0.0
         for weight in self._weights:
@@ -179,20 +185,20 @@ class ClientDirectory:
         """All vantages, in declaration order."""
         return self._vantages
 
+    def _client(self, index: int, sequence: int) -> SampledClient:
+        vantage = self._vantages[index]
+        offset = 1 + sequence % self._host_space[index]
+        address = IPv4Address(vantage.prefix.network.value + offset)
+        return SampledClient(address=address, vantage=vantage)
+
     def sample(self, sequence: int, salt: str = "") -> SampledClient:
         """The deterministic client for sequence number ``sequence``."""
         fraction = stable_fraction("serve-client", sequence, salt)
-        index = 0
-        for index, bound in enumerate(self._cumulative):
-            if fraction < bound:
-                break
-        vantage = self._vantages[index]
-        # Spread clients over the block's host space, skipping the
-        # network address so /24 ECS prefixes stay distinguishable.
-        host_space = (1 << (32 - vantage.prefix.length)) - 2
-        offset = 1 + (sequence % max(1, host_space))
-        address = IPv4Address(vantage.prefix.network.value + offset)
-        return SampledClient(address=address, vantage=vantage)
+        # The first bound above the draw; a draw at or past the last
+        # bound (rounding) takes the last vantage.
+        bounds = self._cumulative
+        index = min(bisect_right(bounds, fraction), len(bounds) - 1)
+        return self._client(index, sequence)
 
     def weights(self) -> dict[str, float]:
         """Sampling weight per vantage name (the snapshot payload)."""
@@ -213,15 +219,8 @@ class ClientDirectory:
         fraction = stable_fraction("serve-client-region", region.value,
                                    sequence, salt)
         bounds = self._region_cumulative[region]
-        position = 0
-        for position, bound in enumerate(bounds):
-            if fraction < bound:
-                break
-        vantage = self._vantages[indexes[position]]
-        host_space = (1 << (32 - vantage.prefix.length)) - 2
-        offset = 1 + (sequence % max(1, host_space))
-        address = IPv4Address(vantage.prefix.network.value + offset)
-        return SampledClient(address=address, vantage=vantage)
+        position = min(bisect_right(bounds, fraction), len(bounds) - 1)
+        return self._client(indexes[position], sequence)
 
     def vantage_for(self, address: IPv4Address) -> Optional[Vantage]:
         """The vantage whose block contains ``address``, if any."""

@@ -31,7 +31,7 @@ from ..obs import current_context, get_registry, get_tracer
 from .deadline import deadline
 from .listener import hang_up
 from .resilience import BackoffPolicy, HedgePolicy
-from .udp import open_udp
+from .udp import open_tcp, open_udp
 
 __all__ = ["DnsClientError", "WireResolution", "AsyncDnsClient"]
 
@@ -270,9 +270,7 @@ class AsyncDnsClient:
         try:
             # One deadline for the exchange: connect, send, read.
             with deadline(self._timeout):
-                reader, writer = await asyncio.open_connection(
-                    self._host, self._port
-                )
+                reader, writer = await open_tcp(self._host, self._port)
                 writer.write(frame(payload))
                 await writer.drain()
                 raw = await read_frame(reader)

@@ -12,17 +12,36 @@ import asyncio
 from typing import Optional
 
 from ..http.messages import Headers
-from ..http.wire import encode_head, read_head
+from ..http.wire import HeadReader, encode_head
 from ..net.ipv4 import IPv4Address
 from ..obs import current_context, get_tracer
 from .deadline import deadline
 from .listener import hang_up
+from .udp import MAX_READ, open_tcp
 
 __all__ = ["PooledHttpClient"]
 
-# The StreamReader's own line limit: a response head past it could not
-# be read anyway.
+# A response head is bounded like a request head, with room for the
+# longest ``Via`` chain an estate can produce.
 _MAX_HEAD_BYTES = 65536
+
+
+class _Connection:
+    """One keep-alive connection: its stream, its buffered head reader
+    and the one response deadline it re-enters per request."""
+
+    __slots__ = ("reader", "writer", "heads", "guard")
+
+    def __init__(self, reader: asyncio.StreamReader,
+                 writer: asyncio.StreamWriter, timeout: float) -> None:
+        self.reader = reader
+        self.writer = writer
+        self.heads = HeadReader(reader)
+        self.guard = deadline.kept(timeout)
+
+    def close(self) -> None:
+        self.guard.close()
+        self.writer.close()
 
 
 class PooledHttpClient:
@@ -39,32 +58,32 @@ class PooledHttpClient:
         self._pool: asyncio.LifoQueue = asyncio.LifoQueue(maxsize=pool_size)
         self._created = 0
         self._pool_size = pool_size
-        # Every writer ever opened, pooled *or checked out*: close()
-        # must find connections a cancelled task abandoned mid-request,
-        # or their sockets leak past the run.
-        self._writers: set[asyncio.StreamWriter] = set()
+        # Every connection ever opened, pooled *or checked out*:
+        # close() must find those a cancelled task abandoned
+        # mid-request, or their sockets leak past the run.
+        self._open: set[_Connection] = set()
 
-    async def _acquire(self):
+    async def _acquire(self) -> _Connection:
         try:
             return self._pool.get_nowait()
         except asyncio.QueueEmpty:
             pass
-        connection = await asyncio.wait_for(
-            asyncio.open_connection(self._host, self._port),
-            timeout=self._timeout,
+        reader, writer = await asyncio.wait_for(
+            open_tcp(self._host, self._port), timeout=self._timeout
         )
-        self._writers.add(connection[1])
+        connection = _Connection(reader, writer, self._timeout)
+        self._open.add(connection)
         return connection
 
-    def _release(self, connection) -> None:
+    def _release(self, connection: _Connection) -> None:
         try:
             self._pool.put_nowait(connection)
         except asyncio.QueueFull:
             self._discard(connection)
 
-    def _discard(self, connection) -> None:
-        self._writers.discard(connection[1])
-        connection[1].close()
+    def _discard(self, connection: _Connection) -> None:
+        self._open.discard(connection)
+        connection.close()
 
     async def get(
         self,
@@ -76,7 +95,7 @@ class PooledHttpClient:
     ) -> tuple[int, Headers, int]:
         """One GET; returns (status, headers, body length received)."""
         connection = await self._acquire()
-        reader, writer = connection
+        writer = connection.writer
         request = [
             ("Host", host),
             ("X-Vip", vip),
@@ -93,8 +112,8 @@ class PooledHttpClient:
         try:
             writer.write(encode_head(f"GET {path} HTTP/1.1", request))
             await writer.drain()
-            with deadline(self._timeout):
-                status, headers, body_length = await self._read_response(reader)
+            with connection.guard:
+                status, headers, body_length = await self._read_response(connection)
         except Exception:
             self._discard(connection)
             raise
@@ -105,8 +124,8 @@ class PooledHttpClient:
         return status, headers, body_length
 
     @staticmethod
-    async def _read_response(reader: asyncio.StreamReader) -> tuple[int, Headers, int]:
-        head = await read_head(reader, _MAX_HEAD_BYTES)
+    async def _read_response(connection: _Connection) -> tuple[int, Headers, int]:
+        head = await connection.heads.read_head(_MAX_HEAD_BYTES)
         if head is None:
             raise ConnectionError("no response head (closed, truncated or oversized)")
         status_line, headers = head[0].strip(), head[1]
@@ -114,10 +133,15 @@ class PooledHttpClient:
         if len(parts) < 2 or not parts[1].isdigit():
             raise ConnectionError(f"malformed status line: {status_line!r}")
         status = int(parts[1])
-        length = int(headers.get("Content-Length") or 0)
-        received = 0
+        declared = headers.get("Content-Length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise ConnectionError(f"malformed Content-Length: {declared!r}")
+        length = int(declared)
+        # What arrived with the head, then the stream itself.
+        received = len(connection.heads.take(length))
+        reader = connection.reader
         while received < length:
-            chunk = await reader.read(min(65536, length - received))
+            chunk = await reader.read(min(MAX_READ, length - received))
             if not chunk:
                 raise ConnectionError("body ended early")
             received += len(chunk)
@@ -136,6 +160,8 @@ class PooledHttpClient:
                 self._pool.get_nowait()
             except asyncio.QueueEmpty:
                 break
-        writers, self._writers = list(self._writers), set()
-        if writers:
-            await asyncio.gather(*(hang_up(w) for w in writers))
+        connections, self._open = list(self._open), set()
+        for connection in connections:
+            connection.guard.close()
+        if connections:
+            await asyncio.gather(*(hang_up(c.writer) for c in connections))

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 from ..apple.mapping import MetaCdnEstate
 from ..http.headers import CacheStatus
 from ..http.messages import Headers, HttpRequest, HttpResponse
-from ..http.wire import encode_head, read_head, status_line
+from ..http.wire import HeadReader, encode_head, status_line
 from ..net.ipv4 import IPv4Address
 from ..obs import TraceContext, get_registry, get_tracer, use_context
 from .deadline import deadline
@@ -152,19 +152,23 @@ class AsyncHttpEdge:
     async def _connection(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> None:
         self._m_connections.inc()
+        heads = HeadReader(reader)
+        # One deadline per head — a peer trickling a line per interval,
+        # or idling on keep-alive, is dropped at it instead of pinning
+        # the handler — on one timer for the connection.
+        guard = deadline.kept(_READ_TIMEOUT)
         try:
-            while await self._handle_one(reader, writer):
+            while await self._handle_one(heads, guard, writer):
                 pass
         finally:
+            guard.close()
             self._m_connections.dec()
 
-    async def _handle_one(self, reader: asyncio.StreamReader,
+    async def _handle_one(self, heads: HeadReader, guard: deadline,
                           writer: asyncio.StreamWriter) -> bool:
-        # One deadline for the whole head: a peer trickling a line per
-        # interval is dropped at it instead of pinning the handler.
-        with deadline(_READ_TIMEOUT):
-            head = await read_head(reader, _MAX_HEADER_BYTES)
-        if head is None and reader.at_eof():
+        with guard:
+            head = await heads.read_head(_MAX_HEADER_BYTES)
+        if head is None and heads.at_eof():
             return False  # the peer hung up between requests
         busy = self._listener.busy
         busy.add(writer)
@@ -187,6 +191,11 @@ class AsyncHttpEdge:
                 keep_alive = False
             elif "keep-alive" in connection:
                 keep_alive = True
+            # A declared body is never read: left on the connection it
+            # would be parsed as the next request.
+            if (headers.get("Content-Length", "0") != "0"
+                    or "Transfer-Encoding" in headers):
+                keep_alive = False
 
             context = TraceContext.from_traceparent(headers.get("Traceparent"))
             if context is None or not self._tracer.enabled:

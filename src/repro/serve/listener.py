@@ -13,9 +13,14 @@ import asyncio
 import time
 from typing import Awaitable, Callable, Optional
 
-from .udp import open_udp
+from .deadline import deadline
+from .udp import MAX_READ, open_udp, pin_stream_reads
 
 __all__ = ["Listener", "hang_up", "since_start"]
+
+# How long a connection the server ends first waits for its peer to
+# finish sending and close (nginx calls this a lingering close).
+_LINGER = 1.0
 
 
 def since_start() -> Callable[[], float]:
@@ -33,6 +38,18 @@ async def hang_up(writer: asyncio.StreamWriter) -> None:
         pass
 
 
+async def _read_out(reader: asyncio.StreamReader,
+                    writer: asyncio.StreamWriter) -> None:
+    """Half-close, then drop what the peer sends until it closes too."""
+    try:
+        writer.write_eof()
+    except OSError:  # pragma: no cover - the peer reset first
+        return
+    with deadline(_LINGER):
+        while await reader.read(MAX_READ):
+            pass
+
+
 class _Datagrams(asyncio.DatagramProtocol):
     def __init__(self, receive: Callable) -> None:
         self.datagram_received = receive
@@ -47,7 +64,10 @@ class Listener:
     server with both gets them on one port number.  A handler that
     returns, or raises ``ConnectionError`` / ``asyncio.TimeoutError``,
     ends its connection quietly.  While it is mid-exchange it keeps its
-    writer in :attr:`busy`, which is what :meth:`stop` spares.
+    writer in :attr:`busy`, which is what :meth:`stop` spares.  One that
+    returns with its peer still connected has said its last: the peer
+    is read out before the close, so that it gets the answer and not a
+    reset for whatever it had still been sending.
     """
 
     def __init__(
@@ -159,11 +179,15 @@ class Listener:
 
     async def _serve(self, reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:
+        pin_stream_reads(writer)
         task = asyncio.current_task()
         self._tasks.add(task)
         self._writers.add(writer)
         try:
             await self._stream(reader, writer)
+            if not reader.at_eof():
+                self.busy.discard(writer)
+                await _read_out(reader, writer)
         except (ConnectionError, asyncio.TimeoutError):
             pass
         finally:

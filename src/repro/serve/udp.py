@@ -1,29 +1,45 @@
-"""The UDP endpoint every DNS path of the serving layer opens."""
+"""The sockets the serving layer opens: every read is at most 64 KiB.
+
+asyncio's selector transports hand 256 KiB to every ``recv`` /
+``recvfrom``; CPython allocates that much per read and shrinks it to
+what arrived.  Whether glibc then trims and regrows the heap top around
+each one (4-25 minor faults per HTTP GET, some 20 and +35 % wall time
+per resolved DNS item) was decided by the heap's layout — checkout path
+length, ``argv`` — not by any line of this package.  64 KiB sits under
+the allocator's thresholds either way and loses nothing: no UDP
+datagram is larger (RFC 768: a 16-bit length field), and a TCP stream
+just takes another turn of the loop.
+"""
 
 from __future__ import annotations
 
 import asyncio
 
-__all__ = ["open_udp"]
+__all__ = ["MAX_READ", "open_udp", "open_tcp", "pin_stream_reads"]
 
-# No UDP datagram is larger (RFC 768: a 16-bit length field).
-_MAX_DATAGRAM = 65536
+MAX_READ = 65536
 
 
 async def open_udp(protocol_factory, **kwargs):
-    """``loop.create_datagram_endpoint`` that reads one datagram's worth.
-
-    asyncio's selector transports hand 256 KiB to every ``recvfrom``;
-    CPython allocates that much per datagram and shrinks it to the few
-    hundred bytes that arrived.  Whether glibc then trims and regrows
-    the heap top around each one (some 20 minor faults and +35 % wall
-    time per resolved item) was decided by the heap's layout — checkout
-    path length, ``argv`` — not by any line of this package.  64 KiB
-    loses nothing and sits under the allocator's thresholds either way.
-    """
+    """``loop.create_datagram_endpoint`` that reads one datagram's worth."""
     loop = asyncio.get_running_loop()
     transport, protocol = await loop.create_datagram_endpoint(
         protocol_factory, **kwargs
     )
-    transport.max_size = _MAX_DATAGRAM
+    transport.max_size = MAX_READ
     return transport, protocol
+
+
+def pin_stream_reads(writer: asyncio.StreamWriter) -> None:
+    """Size the reads of ``writer``'s connection (an accepted one, or
+    one :func:`open_tcp` made)."""
+    writer.transport.max_size = MAX_READ
+
+
+async def open_tcp(
+    host: str, port: int
+) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    """``asyncio.open_connection`` whose reads are sized the same way."""
+    reader, writer = await asyncio.open_connection(host, port)
+    pin_stream_reads(writer)
+    return reader, writer

@@ -1,10 +1,13 @@
 """Property tests for the HTTP/1 head codec (:mod:`repro.http.wire`).
 
-One contract per branch ``read_head`` documents: what ``encode_head``
-writes reads back as written; bare-LF line ends and blank lines before
-the start line change nothing; a head cut short, a head past the byte
-limit and a single line past the stream's own limit all come back as
-``None`` — never as an exception out of the reader.
+One contract per branch ``HeadReader.read_head`` documents: what
+``encode_head`` writes reads back as written; bare-LF line ends and
+blank lines before the start line change nothing; a head cut short and
+a head past the byte limit come back as ``None`` — never as an
+exception out of the reader, never as a wait for more.  And one per
+property of the buffer under it: however the bytes are cut into
+arrivals the same heads come out, in order, and what arrived behind a
+head is handed over as its body, byte for byte.
 """
 
 import asyncio
@@ -16,7 +19,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.http.wire import encode_head, read_head, status_line  # noqa: E402
+from repro.http.wire import HeadReader, encode_head, status_line  # noqa: E402
 
 _LIMIT = 1 << 20
 # Visible ASCII; inner spaces allowed, none at either end (the reader
@@ -36,16 +39,47 @@ heads = st.tuples(
 )
 
 
+async def heads_of(chunks, count=None, limit: int = _LIMIT):
+    """The first ``count`` heads (every head, by default) of a stream
+    that receives ``chunks`` one arrival at a time and then ends, and
+    the bytes left buffered behind the last of them."""
+    reader = asyncio.StreamReader()
+    heads = HeadReader(reader)
+
+    async def feed():
+        # One arrival per turn of the loop, as a socket delivers.
+        for chunk in chunks:
+            reader.feed_data(chunk)
+            await asyncio.sleep(0)
+        reader.feed_eof()
+
+    feeder = asyncio.ensure_future(feed())
+    found = []
+    while count is None or len(found) < count:
+        head = await heads.read_head(limit)
+        if head is None:
+            break
+        found.append((head[0], list(head[1])))
+    await feeder
+    return found, heads.take(1 << 30)
+
+
+def read_all(chunks, count=None):
+    return asyncio.run(heads_of(chunks, count))
+
+
 def read(data: bytes, limit: int = _LIMIT, eof: bool = True):
-    """``read_head`` over a stream holding exactly ``data``."""
+    """``read_head`` over a stream holding exactly ``data``: the first
+    head (or ``None``) and whether the reader saw the stream end."""
 
     async def scenario():
         reader = asyncio.StreamReader()
         reader.feed_data(data)
         if eof:
             reader.feed_eof()
-        head = await read_head(reader, limit)
-        return head, reader.at_eof()
+        heads = HeadReader(reader)
+        head = await heads.read_head(limit)
+        return head, heads.at_eof()
 
     head, at_eof = asyncio.run(scenario())
     if head is not None:
@@ -58,10 +92,52 @@ def read(data: bytes, limit: int = _LIMIT, eof: bool = True):
 def test_what_is_written_reads_back(head):
     start, fields = head
     wire = encode_head(start, fields)
-    assert read(wire) == ((start, fields), True)
-    # The head ends at its blank line: what follows is the body's.
-    got, at_eof = read(wire + b"body")
-    assert got == (start, fields) and not at_eof
+    assert read(wire) == ((start, fields), False)
+    # The head ends at its first blank line, in either form: what came
+    # with it is handed over as its body, exactly.
+    for body in (b"body", b"\n\nbody\r\n\r\n", b"\r\n\r\n"):
+        assert read_all([wire + body], count=1) == ([(start, fields)], body)
+        bare = wire.replace(b"\r\n", b"\n")
+        assert read_all([bare + body], count=1) == ([(start, fields)], body)
+
+
+@settings(max_examples=60, deadline=None)
+@given(head=heads)
+def test_however_the_bytes_arrive_the_head_is_the_same(head):
+    start, fields = head
+    wire = encode_head(start, fields)
+
+    async def scenario():
+        whole = await heads_of([wire])
+        assert whole == ([(start, fields)], b"")
+        for cut in range(1, len(wire)):
+            assert await heads_of([wire[:cut], wire[cut:]]) == whole
+        assert await heads_of([wire[i:i + 1] for i in range(len(wire))]) == whole
+
+    asyncio.run(scenario())
+
+
+@settings(max_examples=100, deadline=None)
+@given(first=heads, second=heads, cut=st.integers(min_value=0))
+def test_pipelined_heads_come_out_in_order(first, second, cut):
+    wire = encode_head(*first) + encode_head(*second)
+    expected = ([(first[0], first[1]), (second[0], second[1])], b"")
+    assert read_all([wire]) == expected
+    cut %= len(wire)
+    assert read_all([wire[:cut], wire[cut:]]) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(head=heads, ends=st.lists(st.sampled_from([b"\r\n", b"\n"]), min_size=10,
+                                max_size=10))
+def test_each_line_ends_in_crlf_or_bare_lf_on_its_own(head, ends):
+    start, fields = head
+    lines = [start] + [f"{name}: {value}" for name, value in fields] + [""]
+    wire = b"".join(
+        line.encode("latin-1") + end for line, end in zip(lines, ends)
+    )
+    assert read(wire)[0] == (start, fields)
+    assert read_all([wire + b"tail"], count=1) == ([(start, fields)], b"tail")
 
 
 @settings(max_examples=100, deadline=None)
@@ -78,9 +154,9 @@ def test_bare_lf_and_leading_blank_lines_read_the_same(head, blanks):
 @given(head=heads, data=st.data())
 def test_a_head_cut_short_is_none_at_eof(head, data):
     wire = encode_head(*head)
-    # Up to the blank line's CR: a lone CR at EOF already reads as the
-    # blank line (a line ends at LF *or* at EOF, then CR/LF are shed).
-    cut = data.draw(st.integers(min_value=0, max_value=len(wire) - 2))
+    # Anywhere short of the blank line's LF: a head ends at its blank
+    # line, not at EOF.
+    cut = data.draw(st.integers(min_value=0, max_value=len(wire) - 1))
     assert read(wire[:cut]) == (None, True)
 
 
@@ -97,8 +173,10 @@ def test_the_byte_limit_is_exact(head, data):
 @pytest.mark.parametrize("newline", [b"", b"\r\n\r\n"])
 def test_a_line_past_the_stream_limit_is_none_not_an_error(newline):
     wire = b"GET / HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + newline
-    # The peer is still connected (no EOF): an overflow, not a hang-up.
-    assert read(wire, eof=False) == (None, False)
+    # Under the widest limit any caller passes (one stream buffer's
+    # worth).  The peer is still connected (no EOF): an overflow, not a
+    # hang-up — and not a wait for a line end that may never come.
+    assert read(wire, limit=65536, eof=False) == (None, False)
 
 
 def test_a_field_line_without_a_colon_is_ignored():

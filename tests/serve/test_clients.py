@@ -103,3 +103,91 @@ class TestClientDirectory:
         assert custom.prefix.contains(client.address)
         # The network address itself is never handed out.
         assert client.address != custom.prefix.network
+
+
+class TestSamplingAgainstLinearScan:
+    """``sample`` / ``sample_in_region`` bisect the cumulative bounds;
+    the oracle is the scan they replaced, line for line."""
+
+    @staticmethod
+    def _scan(bounds, fraction):
+        index = 0
+        for index, bound in enumerate(bounds):
+            if fraction < bound:
+                break
+        return index
+
+    @staticmethod
+    def _address(vantage, sequence):
+        host_space = (1 << (32 - vantage.prefix.length)) - 2
+        offset = 1 + (sequence % max(1, host_space))
+        return IPv4Address(vantage.prefix.network.value + offset)
+
+    def _oracle(self, directory, fraction, sequence, region=None):
+        if region is None or not directory._region_indexes.get(region):
+            index = self._scan(directory._cumulative, fraction)
+        else:
+            position = self._scan(directory._region_cumulative[region], fraction)
+            index = directory._region_indexes[region][position]
+        vantage = directory.vantages[index]
+        return self._address(vantage, sequence), vantage
+
+    def _directories(self):
+        narrow = Vantage(
+            name="narrow", prefix=IPv4Prefix.parse("100.80.0.0/31"), country="is",
+            continent=Continent.EUROPE, coordinates=DEFAULT_VANTAGES[0].coordinates,
+        )
+        return [
+            ClientDirectory.from_adoption(),
+            ClientDirectory(),
+            # Zero weights make neighbouring bounds equal; a /31 has no
+            # host space to spread over.
+            ClientDirectory(
+                DEFAULT_VANTAGES + (narrow,),
+                weights={"uk-london": 0.0, "fr-paris": 0.0, "jp-tokyo": 0.0,
+                         "za-johannesburg": 0.0, "narrow": 3.0},
+            ),
+        ]
+
+    def test_ten_thousand_sequences_draw_the_same_clients(self):
+        from repro.dns.policies import stable_fraction
+        from repro.net.geo import MappingRegion
+
+        for directory in self._directories():
+            for sequence in range(10_000):
+                fraction = stable_fraction("serve-client", sequence, "s")
+                sampled = directory.sample(sequence, "s")
+                assert (sampled.address, sampled.vantage) == self._oracle(
+                    directory, fraction, sequence
+                )
+                region = list(MappingRegion)[sequence % len(MappingRegion)]
+                fraction = stable_fraction(
+                    "serve-client-region", region.value, sequence, "s"
+                )
+                sampled = directory.sample_in_region(region, sequence, "s")
+                assert (sampled.address, sampled.vantage) == self._oracle(
+                    directory, fraction, sequence, region
+                )
+
+    def test_a_draw_exactly_on_a_bound_belongs_to_the_next_vantage(self, monkeypatch):
+        from repro.net.geo import MappingRegion
+        from repro.serve import clients
+
+        drawn = []
+        monkeypatch.setattr(clients, "stable_fraction", lambda *_key: drawn[-1])
+        for directory in self._directories():
+            edges = {0.0, 1.0, 0.9999999999999999}
+            edges.update(directory._cumulative)
+            for bounds in directory._region_cumulative.values():
+                edges.update(bounds)
+            for sequence, fraction in enumerate(sorted(edges)):
+                drawn.append(fraction)
+                sampled = directory.sample(sequence)
+                assert (sampled.address, sampled.vantage) == self._oracle(
+                    directory, fraction, sequence
+                )
+                for region in MappingRegion:
+                    sampled = directory.sample_in_region(region, sequence)
+                    assert (sampled.address, sampled.vantage) == self._oracle(
+                        directory, fraction, sequence, region
+                    )

@@ -276,6 +276,134 @@ class TestRequestHeadDeadline:
         assert body == bytes(64) and rest == b""
 
 
+    def test_one_timer_per_connection_and_none_outlives_it(
+        self, serve_estate, deadline_timers
+    ):
+        async def scenario():
+            edge = AsyncHttpEdge(estate_router(serve_estate), object_size=64)
+            host, port = await edge.start()
+            client = PooledHttpClient(host, port, pool_size=1)
+            vip = serve_estate.apple.sites[0].vip_addresses[0]
+            seen = []
+
+            async def fetch(times):
+                for _ in range(times):
+                    await client.get(
+                        "/content/timers.ipsw", host="appldnld.apple.com",
+                        vip=vip, client=vip,
+                    )
+                    seen.append({id(timer) for timer in deadline_timers()})
+
+            await fetch(20)
+            # The client's connection closes; the edge reads its EOF.
+            await client.close()
+            for _ in range(50):
+                if not deadline_timers():
+                    break
+                await asyncio.sleep(0.01)
+            after_close = len(deadline_timers())
+            # A second connection, this time torn down server first.
+            await fetch(1)
+            await edge.stop()
+            after_stop = len(deadline_timers())  # the client's, still pooled
+            await client.close()
+            return seen, after_close, after_stop, len(deadline_timers())
+
+        seen, after_close, after_stop, at_end = run(scenario())
+        # Twenty requests, the same two timers throughout: the edge's
+        # connection's and the client's.
+        assert all(timers == seen[0] for timers in seen[:20])
+        assert len(seen[0]) == 2
+        assert (after_close, after_stop, at_end) == (0, 1, 0)
+
+
+class TestDeclaredRequestBody:
+    """The edge reads no request body, so a request that declares one
+    is the last on its connection: left there, the body would be parsed
+    as the next request."""
+
+    SMUGGLED = b"GET /smuggled HTTP/1.1\r\nHost: x\r\nX-Vip: 1.2.3.4\r\n\r\n"
+
+    def _exchange(self, serve_estate, head: bytes, body: bytes):
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+
+        async def scenario():
+            edge = AsyncHttpEdge(estate_router(serve_estate), metrics=registry)
+            host, port = await edge.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                # No half-close: the peer stays connected, as a client
+                # waiting for its second response would.
+                writer.write(head + body)
+                return await asyncio.wait_for(reader.read(-1), timeout=5.0)
+            finally:
+                writer.close()
+                await edge.stop()
+
+        raw = run(scenario()).decode("latin-1")
+        counted = {
+            labels[0]: child.value
+            for labels, child in registry.get("serve_http_requests_total").children()
+        }
+        return raw, counted
+
+    def test_a_posted_body_is_not_parsed_as_the_next_request(self, serve_estate):
+        assert len(self.SMUGGLED) == 51
+        raw, counted = self._exchange(
+            serve_estate,
+            b"POST /x HTTP/1.1\r\nHost: x\r\nContent-Length: 51\r\n\r\n",
+            self.SMUGGLED,
+        )
+        assert raw.count("HTTP/1.1 ") == 1  # one response, then EOF
+        assert raw.startswith("HTTP/1.1 405 ")
+        assert "Connection: close" in raw and "keep-alive" not in raw
+        assert counted == {"405": 1}
+
+    def test_a_get_that_declares_a_body_is_answered_then_closed(self, serve_estate):
+        vip = serve_estate.apple.sites[0].vip_addresses[0]
+        for declaration in ("Content-Length: 51", "Transfer-Encoding: chunked"):
+            raw, counted = self._exchange(
+                serve_estate,
+                (
+                    "GET /content/declared.ipsw HTTP/1.1\r\n"
+                    f"Host: appldnld.apple.com\r\nX-Vip: {vip}\r\n"
+                    f"Range: bytes=0-15\r\n{declaration}\r\n\r\n"
+                ).encode(),
+                self.SMUGGLED,
+            )
+            assert raw.count("HTTP/1.1 ") == 1
+            assert raw.startswith("HTTP/1.1 206 ") and "Connection: close" in raw
+            assert counted == {"206": 1}
+
+    def test_a_declared_empty_body_keeps_the_connection(self, serve_estate):
+        vip = serve_estate.apple.sites[0].vip_addresses[0]
+        request = (
+            "GET /content/empty-body.ipsw HTTP/1.1\r\n"
+            f"Host: appldnld.apple.com\r\nX-Vip: {vip}\r\n"
+            "Range: bytes=0-15\r\nContent-Length: 0\r\n\r\n"
+        ).encode()
+
+        async def scenario():
+            edge = AsyncHttpEdge(estate_router(serve_estate))
+            host, port = await edge.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(request + request)  # pipelined: both answered
+                heads = []
+                for _ in range(2):
+                    heads.append(await reader.readuntil(b"\r\n\r\n"))
+                    await reader.readexactly(16)
+                return heads
+            finally:
+                writer.close()
+                await edge.stop()
+
+        for head in run(scenario()):
+            assert head.startswith(b"HTTP/1.1 206 ") and b"keep-alive" in head
+
+
 class TestSharedZeroBody:
     """Bodies are views of one zero buffer; the wire cannot tell."""
 

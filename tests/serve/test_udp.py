@@ -1,8 +1,19 @@
-"""``open_udp``: reads sized to one datagram lose nothing."""
+"""``repro.serve.udp``: reads sized to 64 KiB, on every socket, lose nothing."""
 
 import asyncio
 
-from repro.serve.udp import open_udp
+from repro.apple.mapping import NAMES
+from repro.serve import (
+    AsyncDnsClient,
+    AsyncDnsServer,
+    AsyncHttpEdge,
+    ClientDirectory,
+    PooledHttpClient,
+    dnsclient,
+    estate_router,
+)
+from repro.serve.listener import Listener
+from repro.serve.udp import open_tcp, open_udp
 
 
 class _Sink(asyncio.DatagramProtocol):
@@ -34,3 +45,93 @@ def test_largest_datagram_arrives_whole():
             server.close()
 
     assert asyncio.run(scenario()) == payload
+
+
+def test_every_accepted_stream_connection_reads_64k_at_most():
+    """Whatever server sits on a ``Listener``: the pin is the listener's."""
+    payload = bytes(range(256)) * 1024  # 256 KiB, four reads' worth
+
+    async def scenario():
+        sizes = []
+
+        async def echo_length(reader, writer):
+            sizes.append(writer.transport.max_size)
+            got = 0
+            while got < len(payload):
+                chunk = await reader.read(1 << 20)
+                assert 0 < len(chunk) <= 65536
+                got += len(chunk)
+            writer.write(b"%d" % got)
+            await writer.drain()
+
+        listener = Listener("probe", stream=echo_length)
+        endpoint = await listener.start()
+        try:
+            for _ in range(3):
+                reader, writer = await open_tcp(*endpoint)
+                sizes.append(writer.transport.max_size)
+                writer.write(payload)
+                assert await reader.read(-1) == b"262144"
+                writer.close()
+                await writer.wait_closed()
+        finally:
+            await listener.stop()
+        return sizes
+
+    assert asyncio.run(scenario()) == [65536] * 6
+
+
+def test_a_256k_ranged_get_arrives_whole_over_pinned_connections(serve_estate):
+    async def scenario():
+        edge = AsyncHttpEdge(estate_router(serve_estate), object_size=262_144)
+        host, port = await edge.start()
+        client = PooledHttpClient(host, port, pool_size=2)
+        vip = serve_estate.apple.sites[0].vip_addresses[0]
+        try:
+            results = await asyncio.gather(*(
+                client.get(
+                    f"/content/pinned-{index}.ipsw", host="appldnld.apple.com",
+                    vip=vip, client=vip, range_bytes=(0, 262_143),
+                )
+                for index in range(2)
+            ))
+            sizes = [c.writer.transport.max_size for c in client._open]
+            sizes += [w.transport.max_size for w in edge._listener._writers]
+            return [(status, length) for status, _h, length in results], sizes
+        finally:
+            await client.close()
+            await edge.stop()
+
+    results, sizes = asyncio.run(scenario())
+    assert results == [(206, 262_144)] * 2
+    assert sizes == [65536] * 4  # two client ends, two accepted ends
+
+
+def test_the_dns_clients_tcp_fallback_connection_is_pinned(serve_estate, monkeypatch):
+    opened = []
+
+    async def spying_open_tcp(host, port):
+        reader, writer = await open_tcp(host, port)
+        opened.append(writer.transport)
+        return reader, writer
+
+    monkeypatch.setattr(dnsclient, "open_tcp", spying_open_tcp)
+
+    async def scenario():
+        # UDP replies capped below any real answer: every query comes
+        # back truncated and is re-asked over TCP.
+        server = AsyncDnsServer(
+            serve_estate.servers, clock=lambda: 0.0, max_udp_payload=40
+        )
+        client = await AsyncDnsClient.open(*await server.start())
+        try:
+            response = await client.query(
+                NAMES.entry_point, ClientDirectory().sample(0).address
+            )
+            return response.truncated, client.tcp_fallbacks
+        finally:
+            client.close()
+            await server.stop()
+
+    assert asyncio.run(scenario()) == (False, 1)
+    assert [transport.max_size for transport in opened] == [65536]
