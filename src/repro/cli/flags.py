@@ -326,7 +326,7 @@ def print_step(report) -> None:
 def measurement_totals(scenario) -> str:
     return (f"{scenario.global_campaign.store.dns_count} global + "
             f"{scenario.isp_campaign.store.dns_count} ISP DNS measurements; "
-            f"{len(scenario.netflow.records)} flow records")
+            f"{len(scenario.netflow)} flow records")
 
 
 # ----------------------------------------------------------------------

@@ -573,10 +573,11 @@ def _simulation_phase(config: ChaosConfig) -> _Section:
         )
 
     classifier = TrafficClassifier(scenario.isp, scenario.rib, scenario.operator_of)
-    in_window = [f for f in scenario.netflow.records
-                 if fault_start <= f.timestamp < fault_end]
     overflow_akamai = sum(
-        c.flow.bytes for c in classifier.overflow_traffic(in_window, "Akamai")
+        c.flow.bytes
+        for c in classifier.overflow_traffic(
+            scenario.netflow.records_between(fault_start, fault_end), "Akamai"
+        )
     )
     return _blackout_replay_section(
         limelight_peak(release - 1800.0, fault_start),

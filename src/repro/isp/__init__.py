@@ -5,7 +5,7 @@ classification."""
 from .bgp import BgpRib, BgpRoute
 from .billing import BillImpact, PercentileBilling, bill_impact
 from .classify import THIRD_PARTY_OPERATORS, ClassifiedFlow, TrafficClassifier
-from .netflow import FlowRecord, NetflowCollector
+from .netflow import FlowLog, FlowRecord, NetflowCollector
 from .snmp import SnmpCounters
 from .topology import EyeballIsp, PeeringLink
 
@@ -18,6 +18,7 @@ __all__ = [
     "BgpRoute",
     "BgpRib",
     "FlowRecord",
+    "FlowLog",
     "NetflowCollector",
     "SnmpCounters",
     "ClassifiedFlow",

@@ -122,10 +122,8 @@ class SnmpCounters:
         Returns ``None`` when no flow bytes landed in the bin.
         """
         bin_key = self.bin_start(timestamp)
-        flow_bytes = sum(
-            record.bytes
-            for record in collector.records_between(bin_key, bin_key + self.bin_seconds)
-            if record.link_id == link_id
+        flow_bytes = collector.bytes_between(
+            link_id, bin_key, bin_key + self.bin_seconds
         )
         if flow_bytes == 0:
             return None

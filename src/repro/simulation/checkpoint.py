@@ -124,7 +124,7 @@ def capture_checkpoint(
             "traceroute": scenario.traceroute_campaign.store.dump_state(),
         },
         "netflow": {
-            "records": tuple(scenario.netflow.records),
+            "records": scenario.netflow.records_since(0),
             "offered": scenario.netflow.total_offered_bytes,
         },
         "snmp": scenario.snmp.snapshot_bins(),

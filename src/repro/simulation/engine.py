@@ -137,10 +137,10 @@ class RunSummary:
                     apple += gbps
         offload_share = (1.0 - apple / total) if total > 0 else 0.0
         overflow_bytes = total_bytes = 0
-        for record in scenario.netflow.records:
-            total_bytes += record.bytes
-            if OVERFLOW_CLUSTER_PREFIX.contains(record.src):
-                overflow_bytes += record.bytes
+        for source, volume in scenario.netflow.records.bytes_by_source().items():
+            total_bytes += volume
+            if OVERFLOW_CLUSTER_PREFIX.contains(IPv4Address(source)):
+                overflow_bytes += volume
         overflow_share = overflow_bytes / total_bytes if total_bytes else 0.0
         steering = scenario.config.steering
         catchments: dict = {}

@@ -29,6 +29,59 @@ class TestGenerateReport:
         for continent in ("Europe", "North America", "Asia"):
             assert continent in report
 
+    def test_traffic_section_reads_the_same_off_every_flow(self, event_run):
+        """The report classifies the hourly roll-up; ``classified`` is all flows."""
+        from repro.analysis.offload import summarize_offload
+        from repro.analysis.overflow import summarize_overflow
+        from repro.simulation import AS_TRANSIT_D
+
+        scenario, _, classified = event_run
+        assert len(scenario.netflow.records.rollup(3600.0)) < len(classified)
+        tl = scenario.timeline
+        release = tl.ios_11_0_release
+        report = generate_report(scenario)
+        assert summarize_offload(classified, tl.day_start(release)).render() in report
+        overflow = summarize_overflow(
+            classified,
+            new_as=AS_TRANSIT_D,
+            isp=scenario.isp,
+            snmp=scenario.snmp,
+            peak_probe_times=[release + hour * 3600.0 for hour in range(48)],
+        )
+        assert overflow.render(label_time=tl.date_label) in report
+
+    def test_no_flow_object_outlives_run_and_report(self):
+        """The flow log is columns: a run and its report leave no per-flow object.
+
+        The regression this guards against is the log (or the report)
+        going back to one live ``FlowRecord`` / ``ClassifiedFlow`` per
+        flow — at replay scale the cyclic collector's passes over that
+        heap were a quarter of the run.
+        """
+        import gc
+
+        from repro.isp import ClassifiedFlow, FlowRecord
+        from repro.simulation import SimulationEngine
+        from repro.workload import TIMELINE
+
+        def per_flow_objects():
+            gc.collect()
+            return {
+                id(obj) for obj in gc.get_objects()
+                if isinstance(obj, (FlowRecord, ClassifiedFlow))
+            }
+
+        before = per_flow_objects()  # other tests' fixtures may hold some
+        scenario = Sep2017Scenario(
+            ScenarioConfig(global_probe_count=4, isp_probe_count=3)
+        )
+        engine = SimulationEngine(scenario, step_seconds=1800.0)
+        assert engine.run(TIMELINE.at(9, 18), TIMELINE.at(9, 20)) == 96
+        report = generate_report(scenario)
+        assert "Offload impact" in report
+        assert len(scenario.netflow) > 10_000
+        assert not per_flow_objects() - before
+
     def test_report_without_any_run(self):
         """A fresh scenario (no engine run) degrades gracefully."""
         scenario = Sep2017Scenario(

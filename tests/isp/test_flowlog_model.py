@@ -1,0 +1,260 @@
+"""Model test: :class:`~repro.isp.netflow.FlowLog` against a plain list.
+
+The log keeps typed columns and an interned link table and builds a
+``FlowRecord`` only for a reader; the oracle is the ``list[FlowRecord]``
+it replaced.  A rule-based machine drives two logs at once — so a block
+cut from one can be absorbed by the other, whose link table was
+interned in another order — through appends, both kinds of ``extend``,
+pickle round trips and writes that go back in time (refused, and the
+log left as it was), comparing every read after each step.
+"""
+
+import pickle
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+
+from hypothesis import settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.stateful import (  # noqa: E402
+    RuleBasedStateMachine,
+    invariant,
+    rule,
+)
+
+from repro.isp.netflow import MAX_LINKS, FlowLog, FlowRecord  # noqa: E402
+from repro.net.ipv4 import IPv4Address  # noqa: E402
+
+# Few of each, so sources, links and timestamps repeat; steps of zero
+# keep several flows on one timestamp, as one engine step does.
+sides = st.sampled_from([0, 1])
+addresses = st.sampled_from([0, 1, 0x11FD0001, 0x17C00001, 0xFFFFFFFF])
+links = st.sampled_from(["apple-1", "akamai-1", "transit-1", "transit-2", "l"])
+sizes = st.one_of(st.integers(1, 5), st.sampled_from([10**9, 2**62]))
+steps = st.sampled_from([0.0, 0.0, 0.5, 300.0, 3599.5, 3600.0])
+cursors = st.integers(0, 12)
+
+
+def flow(timestamp, src, dst, size, link):
+    return FlowRecord(timestamp, IPv4Address(src), IPv4Address(dst), size, link)
+
+
+def last_time(model):
+    return model[-1].timestamp if model else 0.0
+
+
+class FlowLogAgainstList(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.real = [FlowLog(), FlowLog()]
+        self.model = [[], []]
+
+    @rule(side=sides, step=steps, src=addresses, dst=addresses, size=sizes,
+          link=links, by_values=st.booleans())
+    def append(self, side, step, src, dst, size, link, by_values):
+        timestamp = last_time(self.model[side]) + step
+        if by_values:
+            self.real[side].append_values(timestamp, src, dst, size, link)
+        else:
+            self.real[side].append(flow(timestamp, src, dst, size, link))
+        self.model[side].append(flow(timestamp, src, dst, size, link))
+
+    @rule(side=sides, back=st.sampled_from([0.5, 300.0]), src=addresses, link=links)
+    def append_back_in_time_is_refused(self, side, back, src, link):
+        if not self.model[side]:
+            return
+        with pytest.raises(ValueError, match="time order"):
+            self.real[side].append_values(
+                last_time(self.model[side]) - back, src, src, 1, link
+            )
+
+    @rule(source=sides, cursor=cursors)
+    def extend_with_a_block_of_the_other_log(self, source, cursor):
+        target = 1 - source
+        block = self.real[source][cursor:]
+        rows = self.model[source][cursor:]
+        held = self.model[target]  # an empty log takes any first timestamp
+        if held and rows and rows[0].timestamp < held[-1].timestamp:
+            with pytest.raises(ValueError, match="time order"):
+                self.real[target].extend(block)
+        else:
+            self.real[target].extend(block)
+            self.model[target].extend(rows)
+
+    @rule(side=sides, src=addresses, link=links, size=sizes,
+          offsets=st.lists(st.sampled_from([0.0, 300.0, -300.0]), max_size=4),
+          as_generator=st.booleans())
+    def extend_with_an_iterable(self, side, src, link, size, offsets, as_generator):
+        timestamp = last_time(self.model[side])
+        rows = []
+        for offset in offsets:
+            timestamp += offset
+            rows.append(flow(timestamp, src, 7, size, link))
+        given = (row for row in rows) if as_generator else tuple(rows)
+        times = [r.timestamp for r in self.model[side][-1:] + rows]
+        if any(later < earlier for earlier, later in zip(times, times[1:])):
+            # One record anywhere in the iterable goes back: nothing lands.
+            with pytest.raises(ValueError, match="time order"):
+                self.real[side].extend(given)
+        else:
+            self.real[side].extend(given)
+            self.model[side].extend(rows)
+
+    @rule(side=sides)
+    def pickle_round_trip(self, side):
+        self.real[side] = pickle.loads(
+            pickle.dumps(self.real[side], pickle.HIGHEST_PROTOCOL)
+        )
+
+    @rule(side=sides, index=st.integers(-14, 14))
+    def index(self, side, index):
+        real, model = self.real[side], self.model[side]
+        if -len(model) <= index < len(model):
+            assert real[index] == model[index]
+        else:
+            with pytest.raises(IndexError):
+                real[index]
+
+    @rule(side=sides, lo=st.none() | st.integers(-14, 14),
+          hi=st.none() | st.integers(-14, 14), step=st.none() | st.integers(1, 3))
+    def slice(self, side, lo, hi, step):
+        real, model = self.real[side], self.model[side]
+        block = real[lo:hi:step]
+        assert isinstance(block, FlowLog)
+        assert list(block) == model[lo:hi:step]
+        assert block == model[lo:hi:step]
+        assert block == tuple(model[lo:hi:step])
+        with pytest.raises(ValueError):
+            real[lo:hi:-1]
+
+    @rule(side=sides, lo=st.integers(-1, 30), width=st.integers(0, 30),
+          nudge=st.sampled_from([0.0, 0.25, -0.25]))
+    def between(self, side, lo, width, nudge):
+        # Bounds on the timestamps themselves (half-open: the start is
+        # in, the end is out), and a quarter second either side of them.
+        real, model = self.real[side], self.model[side]
+        start = lo * 300.0 + nudge
+        end = start + width * 300.0
+        expected = [r for r in model if start <= r.timestamp < end]
+        assert list(real.rows(*real.span(start, end))) == expected
+        for link in ("apple-1", "l", "never-seen"):
+            assert real.bytes_between(link, start, end) == sum(
+                r.bytes for r in expected if r.link_id == link
+            )
+
+    @invariant()
+    def reads_agree(self):
+        for real, model in zip(self.real, self.model):
+            assert len(real) == len(model)
+            assert bool(real) == bool(model)
+            assert list(real) == model
+            # ``==`` both ways, against both sequence types.
+            assert real == model and model == real
+            assert real == tuple(model) and tuple(model) == real
+            assert not (real != model)
+            assert real != model + [flow(0.0, 1, 1, 1, "l")]
+            assert sum(real.sizes) == sum(r.bytes for r in model)
+            by_source = {}
+            for r in model:
+                by_source[r.src.value] = by_source.get(r.src.value, 0) + r.bytes
+            assert real.bytes_by_source() == by_source
+        # Two logs are equal exactly when their rows are, whatever order
+        # each interned its links in.
+        assert (self.real[0] == self.real[1]) == (self.model[0] == self.model[1])
+
+
+FlowLogAgainstList.TestCase.settings = settings(
+    max_examples=150, stateful_step_count=30, deadline=None
+)
+TestFlowLogAgainstList = FlowLogAgainstList.TestCase
+
+
+def rows_on(*link_order):
+    return [
+        flow(float(i), 10 + i, 20, 100 + i, link) for i, link in enumerate(link_order)
+    ]
+
+
+class TestLinkTables:
+    """Link ids are private to a log; names are what is compared."""
+
+    def test_same_rows_interned_in_different_orders_are_equal(self):
+        rows = rows_on("b", "a", "c", "a")
+        straight = FlowLog(rows)
+        primed = FlowLog()
+        for link in ("c", "a", "b"):  # a worker that met the links in another order
+            primed._intern(link)
+        primed.extend(rows)
+        assert straight.links != primed.links
+        assert straight.link_ids != primed.link_ids
+        assert straight == primed and primed == straight
+        assert primed == rows
+
+    def test_a_differing_link_makes_them_unequal(self):
+        assert FlowLog(rows_on("a", "b")) != FlowLog(rows_on("a", "c"))
+        assert FlowLog(rows_on("a", "b")) != FlowLog(rows_on("b", "a"))
+
+    def test_absorbing_a_block_remaps_its_link_ids(self):
+        head, tail = rows_on("a", "b")[:2], rows_on("x", "x", "b", "c", "a")[2:]
+        log = FlowLog(head)
+        block = FlowLog(tail)  # interned b, c, a: ids 0, 1, 2
+        assert block.links == ["b", "c", "a"]
+        log.extend(block)
+        assert log == head + tail
+        assert log.links == ["a", "b", "c"]
+        assert [log.links[i] for i in log.link_ids] == ["a", "b", "b", "c", "a"]
+
+    def test_a_block_cut_from_the_log_needs_no_remap(self):
+        log = FlowLog(rows_on("a", "b", "c"))
+        other = FlowLog()
+        other.extend(log[1:])
+        assert other == log[1:]
+        assert other == rows_on("a", "b", "c")[1:]
+
+
+class TestLimits:
+    def test_the_link_table_holds_65536_names_and_refuses_one_more(self):
+        log = FlowLog()
+        for index in range(MAX_LINKS):
+            log.append_values(0.0, 1, 2, 1, f"link-{index}")
+        assert len(log.links) == MAX_LINKS == 65536
+        assert log[-1].link_id == "link-65535"
+        with pytest.raises(ValueError, match="65536 distinct links"):
+            log.append_values(0.0, 1, 2, 1, "one-too-many")
+        assert len(log) == MAX_LINKS
+        log.append_values(0.0, 1, 2, 1, "link-0")  # a known link still appends
+
+    def test_a_value_a_column_cannot_hold_leaves_no_row_behind(self):
+        log = FlowLog(rows_on("a"))
+        for bad in (
+            (1.0, 2**32, 1, 1, "a"),   # source beyond 32 bits
+            (1.0, 1, -1, 1, "a"),      # negative destination
+            (1.0, 1, 1, 2**63, "a"),   # bytes beyond a signed 64-bit count
+        ):
+            with pytest.raises(OverflowError):
+                log.append_values(*bad)
+            assert log == rows_on("a")
+            assert {len(c) for c in (log.times, log.srcs, log.dsts,
+                                     log.sizes, log.link_ids)} == {1}
+
+    def test_flow_bytes_must_be_positive(self):
+        log = FlowLog()
+        for size in (0, -5):
+            with pytest.raises(ValueError, match="positive"):
+                log.append_values(0.0, 1, 2, size, "a")
+        assert not log
+
+    def test_columns_of_different_lengths_do_not_unpickle(self):
+        log = FlowLog(rows_on("a", "b"))
+        state = list(log.__getstate__())
+        state[3] = state[3][:1]
+        with pytest.raises(ValueError, match="length"):
+            FlowLog.__new__(FlowLog).__setstate__(tuple(state))
+
+    def test_a_block_pickles_as_five_arrays_and_a_link_list(self):
+        from array import array
+
+        state = FlowLog(rows_on("a", "b")).__getstate__()
+        assert [type(part) for part in state] == [array] * 5 + [list]
+        assert [part.typecode for part in state[:5]] == ["d", "I", "I", "q", "H"]

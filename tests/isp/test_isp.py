@@ -126,6 +126,37 @@ class TestNetflow:
         collector.observe_exact(0.0, IPv4Address.parse("17.1.1.1"), "apple-1", 0)
         assert len(collector) == 0
 
+    def test_a_negative_byte_count_raises_on_every_counter(self):
+        """A sign slip upstream must not vanish from Netflow and crash SNMP."""
+        src = IPv4Address.parse("17.1.1.1")
+        for collector in (NetflowCollector(sampling_rate=1), NetflowCollector()):
+            with pytest.raises(ValueError, match="bytes cannot be negative"):
+                collector.observe_exact(0.0, src, "apple-1", -5)
+            with pytest.raises(ValueError, match="bytes cannot be negative"):
+                collector.observe(0.0, src, "apple-1", -5)
+            assert len(collector) == 0
+            assert collector.total_offered_bytes == 0
+        with pytest.raises(ValueError, match="bytes cannot be negative"):
+            SnmpCounters().add_bytes("apple-1", 0.0, -5)
+
+    def test_traffic_going_back_in_time_is_refused(self):
+        src = IPv4Address.parse("17.1.1.1")
+        collector = NetflowCollector(sampling_rate=1)
+        collector.observe_exact(300.0, src, "apple-1", 10)
+        collector.observe_exact(300.0, src, "apple-2", 10)  # same step: fine
+        with pytest.raises(ValueError, match="time order"):
+            collector.observe_exact(0.0, src, "apple-1", 10)
+        sampled = NetflowCollector(sampling_rate=1, flow_bytes=10)
+        sampled.observe(300.0, src, "apple-1", 10)
+        with pytest.raises(ValueError, match="time order"):
+            sampled.observe(0.0, src, "apple-1", 10)
+        with pytest.raises(ValueError, match="time order"):
+            collector.absorb([FlowRecord(0.0, src, src, 10, "apple-1")], 10)
+        for log in (collector, sampled):
+            assert [r.timestamp for r in log.records] == [300.0] * len(log)
+        assert collector.total_offered_bytes == 20
+        assert sampled.total_offered_bytes == 10
+
     def test_sampling_reduces_records(self):
         collector = NetflowCollector(sampling_rate=10, flow_bytes=1000)
         total = 0
@@ -201,6 +232,39 @@ class TestSnmp:
         assert factor is not None
         sampled = sum(r.bytes for r in collector.records)
         assert sampled * factor == pytest.approx(truth)
+
+    def test_scale_factor_equals_a_linear_scan_of_the_log(self, isp):
+        """``bytes_between`` bisects; the factor is what the full scan gave."""
+        snmp = SnmpCounters(bin_seconds=300.0)
+        collector = NetflowCollector(sampling_rate=4, flow_bytes=1000)
+        sources = [IPv4Address.parse(f"17.1.1.{n}") for n in (1, 2, 3)]
+        links = ("apple-1", "akamai-1", "transit-1")
+        # Bins 0-2 and 4 carry traffic, bin 3 (900-1200 s) none; flows sit
+        # on the bin edges themselves (0, 300, 600, 1200 s).
+        for second in [*range(0, 900, 20), *range(1200, 1500, 20)]:
+            for index, src in enumerate(sources):
+                link = links[(second // 20 + index) % len(links)]
+                volume = 20_000 + 1000 * index
+                collector.observe(float(second), src, link, volume)
+                snmp.add_bytes(link, float(second), volume)
+        records = list(collector.records)
+        assert len(records) > 100
+        seen = 0
+        for link in (*links, "transit-2"):
+            for bin_start in (0.0, 300.0, 600.0, 900.0, 1200.0, 1500.0):
+                scanned = sum(
+                    r.bytes for r in records
+                    if r.link_id == link and bin_start <= r.timestamp < bin_start + 300.0
+                )
+                assert collector.bytes_between(link, bin_start, bin_start + 300.0) == scanned
+                expected = (
+                    snmp.bytes_in_bin(link, bin_start) / scanned if scanned else None
+                )
+                for inside in (bin_start, bin_start + 299.0):
+                    assert snmp.scale_factor(collector, link, inside) == expected
+                seen += expected is not None
+        assert seen == 12  # three links x four bins with flows; the rest None
+        assert snmp.scale_factor(collector, "apple-1", 900.0) is None
 
     def test_scale_factor_none_without_flows(self, isp):
         snmp = SnmpCounters()

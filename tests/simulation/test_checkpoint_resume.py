@@ -98,6 +98,33 @@ class TestResumeIdentity:
         assert engine.run_stats["resumed_from_step"] == 16
         assert render(engine.scenario, reports) == golden
 
+    def test_the_flow_log_is_stored_as_a_block_and_a_record_tuple_still_restores(
+        self, tmp_path, golden
+    ):
+        """The parent commit wrote ``records`` as a tuple of ``FlowRecord``."""
+        import dataclasses
+
+        from repro.isp.netflow import FlowLog, FlowRecord
+
+        checkpoint = partial_checkpoint(tmp_path, workers=1)
+        block = checkpoint.state["netflow"]["records"]
+        assert isinstance(block, FlowLog) and len(block) > 0
+        parent_shaped = tuple(block)
+        assert all(type(record) is FlowRecord for record in parent_shaped)
+        state = dict(checkpoint.state)
+        state["netflow"] = dict(state["netflow"], records=parent_shaped)
+        old_path = save_checkpoint(
+            dataclasses.replace(checkpoint, state=state), tmp_path / "old.rckpt"
+        )
+        restored = load_checkpoint(old_path)
+        assert type(restored.state["netflow"]["records"]) is tuple
+        with use_registry(MetricsRegistry()):
+            engine = restored.spec.build()
+            reports = []
+            engine.run(end=END, progress=reports.append, resume_from=restored)
+        assert engine.scenario.netflow.records[: len(block)] == block
+        assert render(engine.scenario, reports) == golden
+
     def test_resume_across_worker_counts(self, tmp_path, golden):
         # A serial checkpoint resumed sharded: the replica warm-up path.
         checkpoint = partial_checkpoint(tmp_path, workers=1)
