@@ -13,7 +13,6 @@ Every figure bench writes its regenerated rows to
 after a run; EXPERIMENTS.md records paper-vs-measured from these.
 """
 
-import json
 import pathlib
 
 import pytest
@@ -29,14 +28,6 @@ def write_output(name: str, text: str) -> None:
     """Persist one figure's regenerated rows."""
     OUTPUT_DIR.mkdir(exist_ok=True)
     (OUTPUT_DIR / name).write_text(text + "\n")
-
-
-def write_json(name: str, payload: dict) -> None:
-    """Persist one bench's machine-readable results (sorted, stable)."""
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    (OUTPUT_DIR / name).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    )
 
 
 @pytest.fixture(scope="session")

@@ -44,8 +44,6 @@ def main() -> None:
                 global_probe_count=32,
                 isp_probe_count=16,
                 traceroute_probe_count=2,
-                fault_probe_interval=60.0,
-                fault_cooldown=300.0,
                 fault_seed=7,
             ),
             faults=schedule,

@@ -69,20 +69,21 @@ def _accumulate_store(
     continent: Optional[Continent],
     start: Optional[float],
     end: Optional[float],
-    cat_of: Optional[dict] = None,
+    by_continent: bool = False,
 ) -> dict:
     """One streaming pass over a store's columnar segments.
 
-    Works on packed address ints (category per int memoized in
-    ``cat_of``) and never reconstructs a measurement object; segments
-    wholly outside ``[start, end)`` are pruned by their summaries.
-    Matches the object path exactly, including its subtlety that a
-    matching measurement creates its time bin even when the answer
-    carried no addresses.
+    Works on packed address ints (category per int memoized) and never
+    reconstructs a measurement object; segments wholly outside
+    ``[start, end)`` are pruned by their summaries.  Matches the object
+    path exactly, including its subtlety that a matching measurement
+    creates its time bin even when the answer carried no addresses.
+    Returns the bin accumulator — or, with ``by_continent``, one per
+    continent index (every facet out of the same pass).
     """
     wanted = None if continent is None else CONTINENT_INDEX[continent]
-    if cat_of is None:
-        cat_of = {}
+    cat_of: dict = {}
+    facets: dict = {index: {} for index in range(len(CONTINENTS))}
     bins: dict = {}
     for columns, lo, hi in store.dns_segments(start, end):
         times = columns.times
@@ -92,6 +93,8 @@ def _accumulate_store(
         for row in range(lo, hi):
             if wanted is not None and continents[row] != wanted:
                 continue
+            if by_continent:
+                bins = facets[continents[row]]
             bin_start = math.floor(times[row] / bin_seconds) * bin_seconds
             per_category = bins.setdefault(bin_start, {})
             for position in range(offsets[row], offsets[row + 1]):
@@ -101,7 +104,7 @@ def _accumulate_store(
                     category = categorize(IPv4Address(value))
                     cat_of[value] = category
                 per_category.setdefault(category, set()).add(value)
-    return bins
+    return facets if by_continent else bins
 
 
 def unique_ip_series(
@@ -173,30 +176,12 @@ def series_by_continent(
         # Single streaming pass building every facet at once (the
         # per-continent scans of the object path re-read the history
         # len(Continent) times); the category memo is shared.
-        per_continent: dict[int, dict] = {
-            index: {} for index in range(len(CONTINENTS))
-        }
-        cat_of: dict = {}
-        for columns, lo, hi in measurements.dns_segments():
-            times = columns.times
-            continents = columns.continents
-            offsets = columns.addr_offsets
-            values = columns.addr_values
-            for row in range(lo, hi):
-                bins = per_continent[continents[row]]
-                bin_start = (
-                    math.floor(times[row] / bin_seconds) * bin_seconds
-                )
-                per_category = bins.setdefault(bin_start, {})
-                for position in range(offsets[row], offsets[row + 1]):
-                    value = values[position]
-                    category = cat_of.get(value)
-                    if category is None:
-                        category = categorize(IPv4Address(value))
-                        cat_of[value] = category
-                    per_category.setdefault(category, set()).add(value)
+        facets = _accumulate_store(
+            measurements, categorize, bin_seconds, None, None, None,
+            by_continent=True,
+        )
         return {
-            continent: _points(per_continent[CONTINENT_INDEX[continent]])
+            continent: _points(facets[CONTINENT_INDEX[continent]])
             for continent in Continent
         }
     materialized = list(measurements)

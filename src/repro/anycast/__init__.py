@@ -12,7 +12,14 @@ catchments instantly and invisibly to DNS health failover.
 """
 
 from .catchment import CatchmentMap, build_catchment_map
-from .plane import AnycastPlane, AnycastSite, AnycastTick, ClientGroup
+from .plane import (
+    STEERING_MODES,
+    AnycastPlane,
+    AnycastSite,
+    AnycastTick,
+    ClientGroup,
+    check_steering,
+)
 from .analysis import CatchmentAnalysis
 
 __all__ = [
@@ -22,5 +29,7 @@ __all__ = [
     "CatchmentAnalysis",
     "CatchmentMap",
     "ClientGroup",
+    "STEERING_MODES",
     "build_catchment_map",
+    "check_steering",
 ]

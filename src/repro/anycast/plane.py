@@ -23,6 +23,8 @@ from ..net.ipv4 import IPv4Address, IPv4Prefix
 
 __all__ = [
     "ANYCAST_VIP_PREFIX",
+    "STEERING_MODES",
+    "check_steering",
     "AnycastPlane",
     "AnycastSite",
     "AnycastTick",
@@ -32,6 +34,21 @@ __all__ = [
 # The shared service prefix, inside Apple's 17/8 but distinct from the
 # unicast vip pool (17.253/16): every participating site announces it.
 ANYCAST_VIP_PREFIX = IPv4Prefix.parse("17.172.224.0/22")
+
+# How clients reach a site: the 15 s selection CNAME, BGP catchments of
+# the shared VIP, or a fixed share of each.
+STEERING_MODES = ("dns", "anycast", "hybrid")
+
+
+def check_steering(mode: str, hybrid_dns_share: float = 0.5) -> None:
+    """Reject a steering mode or hybrid split no plane can run."""
+    if mode not in STEERING_MODES:
+        raise ValueError(
+            f"unknown steering mode {mode!r} (valid: {', '.join(STEERING_MODES)})"
+        )
+    if not 0.0 <= hybrid_dns_share <= 1.0:
+        raise ValueError("hybrid_dns_share must be within [0, 1]")
+
 
 # Regional transit ASes carrying a site's announcement toward clients.
 _REGION_TRANSIT = {
@@ -50,6 +67,21 @@ class AnycastSite:
     continent: Continent
     backend_vip: IPv4Address  # the site's unicast vip behind the VIP
     capacity_gbps: float = 0.0
+
+    @classmethod
+    def of_apple(cls, apple) -> list["AnycastSite"]:
+        """Every edge site of an :class:`~repro.apple.deployment.AppleCdn`:
+        each announces the shared prefix in front of its first vip."""
+        return [
+            cls(
+                site_id=f"{site.location.code}-{site.site_id}",
+                coordinates=site.location.coordinates,
+                continent=site.location.continent,
+                backend_vip=site.vip_addresses[0],
+                capacity_gbps=site.capacity_gbps,
+            )
+            for site in apple.sites
+        ]
 
     @property
     def region(self) -> MappingRegion:

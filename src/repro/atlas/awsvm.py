@@ -181,6 +181,7 @@ class AwsVmCampaign:
     window: MeasurementWindow
     fetch: Callable[[IPv4Address, HttpRequest], Optional[HttpResponse]]
     results: list = field(default_factory=list)
+    name: str = "aws-vms"
     cadence: Cadence = field(init=False, repr=False)
 
     def __post_init__(self) -> None:

@@ -407,9 +407,7 @@ class MeasurementStore:
 
     def iter_dns(self) -> Iterator[DnsMeasurement]:
         """All DNS measurements, oldest first, decoded segment-wise."""
-        for columns, lo, hi in self.dns_segments():
-            for measurement in columns.iter_measurements(lo, hi):
-                yield measurement
+        return self.dns_between(None, None)
 
     def _dns_at(self, index: int) -> DnsMeasurement:
         """Random access for the sequence view (index already validated)."""
@@ -467,8 +465,11 @@ class MeasurementStore:
         when no directory was configured)."""
         return self._spill_dir
 
-    def dns_between(self, start: float, end: float) -> Iterator[DnsMeasurement]:
-        """DNS measurements with ``start <= timestamp < end``."""
+    def dns_between(
+        self, start: Optional[float], end: Optional[float]
+    ) -> Iterator[DnsMeasurement]:
+        """DNS measurements with ``start <= timestamp < end`` (``None``
+        leaves that side open)."""
         for columns, lo, hi in self.dns_segments(start, end):
             for measurement in columns.iter_measurements(lo, hi):
                 yield measurement

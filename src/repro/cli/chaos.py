@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 
+from ..anycast import STEERING_MODES
 from ..faults.chaos import ChaosConfig, run_chaos
 from . import flags
 
@@ -24,8 +25,7 @@ def register(commands) -> None:
                          note="default: the standard drill")
     sub.add_argument("--skip-simulation", action="store_true",
                      help="run only the live phase")
-    sub.add_argument("--steering", choices=("dns", "anycast", "hybrid"),
-                     default="dns",
+    sub.add_argument("--steering", choices=STEERING_MODES, default="dns",
                      help="steering mode under test; 'anycast' adds the "
                           "route-flap drill (catchment shift, zero DNS "
                           "re-steers)")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 from contextlib import contextmanager, nullcontext
 
+from ..anycast import STEERING_MODES
 from ..faults import FaultSchedule
 from ..net.geo import MappingRegion
 from ..obs import (
@@ -27,6 +28,7 @@ from ..obs import (
     write_metrics,
     write_trace,
 )
+from ..resolver import POPULATIONS
 from ..simulation import ScenarioConfig, Sep2017Scenario, SimulationEngine
 from ..workload import TIMELINE
 
@@ -98,8 +100,7 @@ def engine_from_args(args: argparse.Namespace) -> SimulationEngine:
 
 
 def add_steering_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--steering", choices=("dns", "anycast", "hybrid"),
-                     default="dns",
+    sub.add_argument("--steering", choices=STEERING_MODES, default="dns",
                      help="client steering mode: dns (the 15 s selection "
                           "CNAME), anycast (BGP catchments bypass DNS), or "
                           "hybrid (only the DNS share is broker-steerable)")
@@ -112,8 +113,7 @@ def add_steering_flags(sub: argparse.ArgumentParser) -> None:
 def add_resolver_flags(
     sub: argparse.ArgumentParser, *, default_population: str = "isp"
 ) -> None:
-    sub.add_argument("--resolver-population",
-                     choices=("isp", "public", "mixed"),
+    sub.add_argument("--resolver-population", choices=POPULATIONS,
                      default=default_population,
                      help="who resolves for the probes: isp (per-client "
                           "resolvers), public (every probe behind a shared "
@@ -175,17 +175,12 @@ def print_store_stats(args: argparse.Namespace, scenario, lead: str = "") -> Non
     """One line of spill accounting, when a store flag was given."""
     if args.store_budget_mb is None and args.store_spill_dir is None:
         return
-    parts = []
-    for store in (
-        scenario.global_campaign.store,
-        scenario.isp_campaign.store,
-        scenario.traceroute_campaign.store,
-    ):
-        parts.append(
-            f"{store.name}: {store.segment_count} segments "
-            f"({store.spilled_segment_count} spilled, "
-            f"{store.resident_bytes / 1024:.0f} KiB resident)"
-        )
+    parts = [
+        f"{store.name}: {store.segment_count} segments "
+        f"({store.spilled_segment_count} spilled, "
+        f"{store.resident_bytes / 1024:.0f} KiB resident)"
+        for store in scenario.stores
+    ]
     print(lead + "store segments: " + "; ".join(parts))
 
 

@@ -37,6 +37,7 @@ from ..obs import (
     use_registry,
     use_tracer,
 )
+from ..anycast.plane import check_steering
 from ..workload.timeline import TIMELINE
 from .health import FailoverConfig
 from .schedule import FaultKind, FaultSchedule, FaultWindow
@@ -121,11 +122,7 @@ class ChaosConfig:
     loadgen_processes: int = 2        # generator processes for the fleet phase
 
     def __post_init__(self) -> None:
-        if self.steering not in ("dns", "anycast", "hybrid"):
-            raise ValueError(
-                f"unknown steering mode {self.steering!r} "
-                "(valid: dns, anycast, hybrid)"
-            )
+        check_steering(self.steering)
         if self.batch_requests <= 0 or self.concurrency <= 0:
             raise ValueError("batch_requests and concurrency must be positive")
         if not 0.0 < self.error_budget < 1.0:
@@ -556,9 +553,7 @@ def _simulation_phase(config: ChaosConfig) -> _Section:
     schedule = FaultSchedule(
         [FaultWindow(fault_start, fault_end, "Limelight", FaultKind.CDN_BLACKOUT)]
     )
-    scenario, engine = _drill_engine(
-        config, schedule, fault_probe_interval=60.0, fault_cooldown=300.0
-    )
+    scenario, engine = _drill_engine(config, schedule)
     reports: list = []
     engine.run(
         release - 1800.0, release + 8 * 3600.0,
@@ -717,12 +712,8 @@ def _anycast_simulation_phase(config: ChaosConfig) -> _Section:
     )
     analysis = CatchmentAnalysis.from_plane(scenario.anycast)
     unhealthy = 0
-    monitor = scenario._health_monitor
-    if monitor is not None:
-        unhealthy = sum(
-            1 for member in monitor.members
-            if not monitor.is_healthy(member)
-        )
+    if scenario.failover is not None:
+        unhealthy = len(scenario.failover.monitor.unhealthy_members())
     return _flap_replay_section(
         site_id, analysis.map_changes, analysis.affinity_break_rate,
         analysis.shifted_gbps_total, unhealthy,

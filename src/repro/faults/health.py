@@ -17,14 +17,16 @@ bit-for-bit as before: every health hook is behind a ``None`` check.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping, Optional
 
 from ..dns.policies import WeightSchedule
 from ..net.geo import MappingRegion
-from ..obs import get_registry, get_tracer
+from ..obs import NULL_TRACER, get_registry, get_tracer
 from .injector import FaultInjector
+from .schedule import FaultSchedule
 
 __all__ = [
     "MemberState",
@@ -335,6 +337,53 @@ class FailoverLoop:
     def __init__(self, monitor: CdnHealthMonitor, injector: FaultInjector) -> None:
         self.monitor = monitor
         self.injector = injector
+
+    @classmethod
+    def build(
+        cls,
+        schedule: FaultSchedule,
+        config: FailoverConfig,
+        clock: Optional[Callable[[], float]] = None,
+        metrics=None,
+        tracer=None,
+    ) -> "FailoverLoop":
+        """The whole fault plane of ``schedule``: monitor, injector, loop.
+
+        The one place a schedule becomes a fault plane — the engine's
+        scenario (``clock=None``: the engine stamps each step) and the
+        serving cluster (its run-relative clock) both come through here.
+        """
+        monitor = CdnHealthMonitor(
+            members=config.members,
+            k_failures=config.k_failures,
+            recovery_probes=config.recovery_probes,
+            probe_interval=config.probe_interval,
+            cooldown=config.cooldown,
+            metrics=metrics,
+            tracer=tracer,
+        )
+        injector = FaultInjector(
+            schedule, seed=config.fault_seed, clock=clock,
+            metrics=metrics, tracer=tracer,
+        )
+        return cls(monitor, injector)
+
+    @contextmanager
+    def quiet(self):
+        """Suppress the plane's trace events (not its decisions).
+
+        A replay to a tick boundary runs the pre-boundary ticks through
+        the live world; the fault decisions and health flips must repeat
+        exactly, but ``fault_opened``/``fault_closed`` and the ``cdn_*``
+        events were already emitted by the original run and would
+        duplicate in the trace.
+        """
+        saved = self.injector._tracer, self.monitor._tracer
+        self.injector._tracer = self.monitor._tracer = NULL_TRACER
+        try:
+            yield self
+        finally:
+            self.injector._tracer, self.monitor._tracer = saved
 
     def advance(self, now: float) -> int:
         """Drive probes up to ``now``; returns probes executed."""

@@ -17,11 +17,10 @@ schedule is configured.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Callable, Optional
 
 from ..dns.policies import stable_fraction
-from ..obs import NULL_TRACER, get_registry, get_tracer
+from ..obs import get_registry, get_tracer
 from .schedule import FaultKind, FaultSchedule, FaultWindow
 
 __all__ = ["FaultInjector"]
@@ -67,22 +66,6 @@ class FaultInjector:
     def set_time(self, now: float) -> None:
         """Stamp the current simulation time (engine-driven mode)."""
         self._now = now
-
-    @contextmanager
-    def quiet(self):
-        """Suppress trace events (not decisions) for the duration.
-
-        Checkpoint resume replays the pre-checkpoint ticks through the
-        live world; the fault *decisions* must repeat exactly, but the
-        ``fault_opened``/``fault_closed`` events were already emitted by
-        the original run and would duplicate in the trace.
-        """
-        saved = self._tracer
-        self._tracer = NULL_TRACER
-        try:
-            yield self
-        finally:
-            self._tracer = saved
 
     def observe(self, now: Optional[float] = None) -> None:
         """Edge-detect window opens/closes; emits trace events.

@@ -10,13 +10,15 @@ axis: POP placement, the per-POP shared ECS-scope-aware caches, and the
 probe-side stubs that route resolutions through them.
 """
 
-from .plane import PopStubResolver, ResolverPlane
+from .plane import POPULATIONS, PopStubResolver, ResolverPlane, check_population
 from .pops import DEFAULT_POPS, ResolverPop, nearest_pop
 
 __all__ = [
     "DEFAULT_POPS",
+    "POPULATIONS",
     "PopStubResolver",
     "ResolverPlane",
     "ResolverPop",
+    "check_population",
     "nearest_pop",
 ]

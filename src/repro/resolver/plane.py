@@ -45,9 +45,37 @@ from ..dns.zone import AuthoritativeServer
 from ..net.ipv4 import IPv4Address, IPv4Prefix
 from .pops import DEFAULT_POPS, ResolverPop, nearest_pop
 
-__all__ = ["PopGroup", "PopStubResolver", "ResolverPlane"]
+__all__ = [
+    "POPULATIONS",
+    "PopGroup",
+    "PopStubResolver",
+    "ResolverPlane",
+    "check_population",
+]
 
 _ASSIGNMENT_SALT = "resolver-population"
+
+# Who resolves for the clients: their own ISP-path resolvers, shared
+# public-resolver POP caches, or a fixed share behind each.
+POPULATIONS = ("isp", "public", "mixed")
+
+
+def check_population(
+    population: str, share: float, scope: int, capacity: int
+) -> None:
+    """Reject a resolver population, public share, ECS scope or POP
+    cache size that neither the engine's plane nor the live front runs."""
+    if population not in POPULATIONS:
+        raise ValueError(
+            f"unknown resolver population {population!r} "
+            f"(valid: {', '.join(POPULATIONS)})"
+        )
+    if not 0.0 <= share <= 1.0:
+        raise ValueError("public_resolver_share must be within [0, 1]")
+    if not 0 <= scope <= 32:
+        raise ValueError("public_resolver_scope must be within [0, 32]")
+    if capacity <= 0:
+        raise ValueError("public_resolver_cache_capacity must be positive")
 
 
 class PopStubResolver:
@@ -137,15 +165,9 @@ class ResolverPlane:
         pops: Sequence[ResolverPop] = DEFAULT_POPS,
         metrics=None,
     ) -> None:
-        if population not in ("public", "mixed"):
-            raise ValueError(
-                f"unknown resolver population {population!r} "
-                "(the plane models public/mixed; isp means no plane)"
-            )
-        if not 0.0 <= public_share <= 1.0:
-            raise ValueError("public_share must be within [0, 1]")
-        if not 0 <= scope <= 32:
-            raise ValueError("scope must be within [0, 32]")
+        check_population(population, public_share, scope, cache_capacity)
+        if population == "isp":
+            raise ValueError("the plane models public/mixed; isp means no plane")
         if not pops:
             raise ValueError("at least one POP is required")
         self.population = population

@@ -24,11 +24,13 @@ from ..apple.deployment import AppleCdn
 from ..apple.mapping import MetaCdnEstate, build_meta_cdn
 from ..apple.policy import MetaCdnController
 from ..cdn.thirdparty import AKAMAI_PLAN, LIMELIGHT_PLAN, build_third_party
+from ..anycast.plane import check_steering
 from ..faults import CdnHealthMonitor, FailoverConfig, FailoverLoop, FaultInjector, FaultSchedule
 from ..net.asys import ASN
 from ..net.geo import MappingRegion
 from ..net.locode import LocodeDatabase
 from ..obs import get_registry, get_tracer
+from ..resolver import check_population
 from .admin import AdminServer
 from .clients import ClientDirectory
 from .dnsserver import AsyncDnsServer
@@ -74,17 +76,12 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.servers_per_metro <= 0:
             raise ValueError("servers_per_metro must be positive")
-        if self.resolver_population not in ("isp", "public", "mixed"):
-            raise ValueError(
-                f"unknown resolver population {self.resolver_population!r} "
-                "(valid: isp, public, mixed)"
-            )
-        if not 0.0 <= self.public_resolver_share <= 1.0:
-            raise ValueError("public_resolver_share must be in [0, 1]")
-        if not 0 <= self.public_resolver_scope <= 32:
-            raise ValueError("public_resolver_scope must be in [0, 32]")
-        if self.public_resolver_cache_capacity <= 0:
-            raise ValueError("public_resolver_cache_capacity must be positive")
+        check_population(
+            self.resolver_population,
+            self.public_resolver_share,
+            self.public_resolver_scope,
+            self.public_resolver_cache_capacity,
+        )
 
     @property
     def loadgen_resolver_share(self) -> float:
@@ -157,10 +154,7 @@ class ServeCluster:
         steering: str = "dns",
         hybrid_dns_share: float = 0.5,
     ) -> None:
-        if steering not in ("dns", "anycast", "hybrid"):
-            raise ValueError(
-                f"unknown steering mode {steering!r} (valid: dns, anycast, hybrid)"
-            )
+        check_steering(steering, hybrid_dns_share)
         self.steering = steering
         self.hybrid_dns_share = hybrid_dns_share
         self.config = config if config is not None else ClusterConfig()
@@ -184,28 +178,16 @@ class ServeCluster:
                 )
             if clock is None:
                 clock = self._cluster_clock
-            cfg = self._failover_cfg
-            self.health_monitor = CdnHealthMonitor(
-                members=cfg.members,
-                k_failures=cfg.k_failures,
-                recovery_probes=cfg.recovery_probes,
-                probe_interval=cfg.probe_interval,
-                cooldown=cfg.cooldown,
-                metrics=registry,
-                tracer=tracer,
+            self.failover_loop = FailoverLoop.build(
+                faults, self._failover_cfg,
+                clock=clock, metrics=registry, tracer=tracer,
             )
+            self.health_monitor = self.failover_loop.monitor
+            self.faults = self.failover_loop.injector
             self.estate = build_serve_estate(
                 self.config, health_monitor=self.health_monitor
             )
-            self.faults = FaultInjector(
-                faults,
-                seed=cfg.fault_seed,
-                clock=clock,
-                metrics=registry,
-                tracer=tracer,
-            )
             self.estate.apple.install_fault_injector(self.faults)
-            self.failover_loop = FailoverLoop(self.health_monitor, self.faults)
         else:
             self.estate = (
                 estate if estate is not None else build_serve_estate(self.config)

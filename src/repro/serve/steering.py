@@ -40,16 +40,6 @@ def build_serve_plane(
     same CGNAT blocks the load generator samples clients from — so
     every generated request lands in a known catchment.
     """
-    sites = [
-        AnycastSite(
-            site_id=f"{site.location.code}-{site.site_id}",
-            coordinates=site.location.coordinates,
-            continent=site.location.continent,
-            backend_vip=site.vip_addresses[0],
-            capacity_gbps=site.capacity_gbps,
-        )
-        for site in estate.apple.sites
-    ]
     groups = [
         ClientGroup(
             name=vantage.name,
@@ -59,7 +49,9 @@ def build_serve_plane(
         )
         for vantage in directory.vantages
     ]
-    return AnycastPlane(sites, groups, schedule=schedule)
+    return AnycastPlane(
+        AnycastSite.of_apple(estate.apple), groups, schedule=schedule
+    )
 
 
 def anycast_router(

@@ -10,14 +10,14 @@ observer's edge-detection state and the report stream so far.
 What a checkpoint deliberately does **not** carry is the world state
 itself — the Meta-CDN controller, the exposure controllers, the
 failover loop.  That state is a pure function of the tick sequence, so
-resume *replays* it: :func:`restore_run_state` advances a freshly
-built scenario through every pre-checkpoint tick with
-:meth:`~repro.simulation.engine.SimulationEngine.advance_state` (no
-measuring, no traffic — the cheap path), then verifies the replayed
-state digest against the one recorded at capture time.  A resumed run
-therefore continues **bit-identically**: the golden ``RunSummary`` and
-catchment snapshots of checkpoint→kill→resume equal the uninterrupted
-run's, at any ``workers=N``.
+resume *replays* it: :func:`restore_run_state` brings a freshly built
+scenario to the checkpoint's tick boundary with
+:meth:`~repro.simulation.engine.SimulationEngine.replay_state` (no
+measuring, no traffic, no telemetry — the cheap path), then verifies
+the replayed state digest against the one recorded at capture time.  A
+resumed run therefore continues **bit-identically**: the golden
+``RunSummary`` and catchment snapshots of checkpoint→kill→resume equal
+the uninterrupted run's, at any ``workers=N``.
 
 Two documented caveats, both invisible to the golden contracts:
 resolver-cache hit/miss *metrics* can differ slightly right after the
@@ -28,12 +28,13 @@ may differ (the HTTP edge caches restart cold; the AWS sweep's
 measurement *count* is unchanged).
 
 File format (``ckpt-<steps>.rckpt``): a :class:`~repro.container.Container`
-frame (magic ``RCKPT1``) whose JSON header carries the schema version,
-the step count and the next tick, and whose payload is the pickled
-:class:`Checkpoint` fields.  The container writes atomically and
-verifies magic, version, length and checksum before the payload is
-unpickled; every failure raises :class:`CheckpointError` —
-:func:`latest_checkpoint` then falls back to the newest *valid* file.
+frame (magic ``RCKPT1``) whose JSON header carries the schema version
+(3: stores and campaign grids keyed by name), the step count and the
+next tick, and whose payload is the pickled :class:`Checkpoint` fields.
+The container writes atomically and verifies magic, version, length and
+checksum before the payload is unpickled; every failure raises
+:class:`CheckpointError` — :func:`latest_checkpoint` then falls back to
+the newest *valid* file.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from ..container import Container
-from ..net.geo import MappingRegion
 from ..obs import snapshot_delta
 
 __all__ = [
@@ -59,7 +59,7 @@ __all__ = [
     "checkpoint_path",
 ]
 
-_VERSION = 2
+_VERSION = 3
 
 
 class CheckpointError(RuntimeError):
@@ -83,7 +83,6 @@ class Checkpoint:
     state: dict                  # stores / netflow / snmp / campaign grids
     metrics: dict                # full registry snapshot at capture time
     observer: dict               # engine observer edge-detection state
-    rng_states: dict             # named RNG states (getstate() payloads)
     digest: Optional[str]        # state digest of the last completed tick
     version: int = _VERSION
 
@@ -100,7 +99,6 @@ def capture_checkpoint(
     end: float,
     next_tick: float,
     reports: Sequence,
-    rng_states: Optional[dict] = None,
 ) -> Checkpoint:
     """Snapshot ``engine``'s accumulated run state at a tick boundary.
 
@@ -118,20 +116,16 @@ def capture_checkpoint(
         last = reports[-1]
         digest = state_digest(last.now, last.demand_gbps, last.operator_gbps)
     state = {
-        "stores": {
-            "ripe-global": scenario.global_campaign.store.dump_state(),
-            "ripe-isp": scenario.isp_campaign.store.dump_state(),
-            "traceroute": scenario.traceroute_campaign.store.dump_state(),
-        },
+        "stores": {store.name: store.dump_state() for store in scenario.stores},
         "netflow": {
             "records": scenario.netflow.records_since(0),
             "offered": scenario.netflow.total_offered_bytes,
         },
         "snmp": scenario.snmp.snapshot_bins(),
-        "global_next_due": scenario.global_campaign.cadence.next_due,
-        "isp_next_due": scenario.isp_campaign.cadence.next_due,
-        "traceroute_next_due": scenario.traceroute_campaign.cadence.next_due,
-        "aws_next_due": scenario.aws_campaign.cadence.next_due,
+        "next_due": {
+            campaign.name: campaign.cadence.next_due
+            for campaign in scenario.campaigns
+        },
         "aws_results": list(scenario.aws_campaign.results),
     }
     observer = {
@@ -152,7 +146,6 @@ def capture_checkpoint(
         state=state,
         metrics=obs.metrics.snapshot(),
         observer=observer,
-        rng_states=dict(rng_states or {}),
         digest=digest,
     )
 
@@ -297,41 +290,23 @@ def restore_run_state(engine, checkpoint: Checkpoint) -> tuple:
             "would double-count state this engine already accumulated"
         )
 
-    registry = obs.metrics
-    base = registry.snapshot()
-    # Replay silently: profiling off (no phase samples for replayed
-    # ticks — the original run already recorded them into the metrics
-    # snapshot we are about to restore) and the fault injector's tracer
-    # nulled (fault_opened/closed events were emitted by the original
-    # run; re-emitting them would duplicate the trace).
-    injector = scenario.faults
-    quiet = injector.quiet() if injector is not None else _NULL_CONTEXT
-    saved_profiling = obs.profiling
-    obs.profiling = False
     ticks: list[float] = []
-    last: Optional[tuple] = None
-    try:
-        with quiet:
-            now = checkpoint.start
-            while now < checkpoint.next_tick:
-                demand, splits = engine.advance_state(now)
-                last = (now, demand, splits[MappingRegion.EU])
-                if scenario.global_campaign.due(now):
-                    scenario.global_campaign.mark_fired(now, count_metrics=False)
-                if scenario.isp_campaign.due(now):
-                    scenario.isp_campaign.mark_fired(now, count_metrics=False)
-                ticks.append(now)
-                now += engine.step_seconds
-    finally:
-        obs.profiling = saved_profiling
+    now = checkpoint.start
+    while now < checkpoint.next_tick:
+        ticks.append(now)
+        now += engine.step_seconds
     if len(ticks) != checkpoint.steps:
         raise CheckpointError(
-            f"replay produced {len(ticks)} ticks but the checkpoint "
+            f"replay would cover {len(ticks)} ticks but the checkpoint "
             f"recorded {checkpoint.steps} (step grid mismatch)"
         )
+
+    registry = obs.metrics
+    base = registry.snapshot()
+    last = engine.replay_state(ticks)
     if checkpoint.digest is not None:
         assert last is not None
-        replayed = state_digest(last[0], last[1], last[2])
+        replayed = state_digest(*last)
         if replayed != checkpoint.digest:
             raise CheckpointError(
                 f"replayed world state diverged from the checkpoint at "
@@ -339,14 +314,13 @@ def restore_run_state(engine, checkpoint: Checkpoint) -> tuple:
                 "(different code or config than the original run)"
             )
     state = checkpoint.state
-    for campaign, key in (
-        (scenario.global_campaign, "global_next_due"),
-        (scenario.isp_campaign, "isp_next_due"),
-    ):
-        if campaign.cadence.next_due != state[key]:
+    next_due = state["next_due"]
+    for campaign in scenario.dns_campaigns:
+        if campaign.cadence.next_due != next_due[campaign.name]:
             raise CheckpointError(
                 f"replayed {campaign.name} campaign grid "
-                f"{campaign.cadence.next_due!r} != checkpoint's {state[key]!r}"
+                f"{campaign.cadence.next_due!r} != checkpoint's "
+                f"{next_due[campaign.name]!r}"
             )
 
     # Metrics: the registry now holds base + replay_delta; absorbing
@@ -356,17 +330,16 @@ def restore_run_state(engine, checkpoint: Checkpoint) -> tuple:
     replay_delta = snapshot_delta(registry.snapshot(), base)
     registry.absorb_snapshot(snapshot_delta(checkpoint.metrics, replay_delta))
 
-    scenario.global_campaign.store.restore_state(state["stores"]["ripe-global"])
-    scenario.isp_campaign.store.restore_state(state["stores"]["ripe-isp"])
-    scenario.traceroute_campaign.store.restore_state(
-        state["stores"]["traceroute"]
-    )
+    for store in scenario.stores:
+        store.restore_state(state["stores"][store.name])
     scenario.netflow.absorb(
         state["netflow"]["records"], state["netflow"]["offered"]
     )
     scenario.snmp.absorb(state["snmp"])
-    scenario.traceroute_campaign.cadence.next_due = state["traceroute_next_due"]
-    scenario.aws_campaign.cadence.next_due = state["aws_next_due"]
+    # The sharded campaigns' grids were just verified equal; the other
+    # two never fired during the replay.
+    for campaign in scenario.campaigns:
+        campaign.cadence.next_due = next_due[campaign.name]
     scenario.aws_campaign.results.extend(state["aws_results"])
 
     observer = checkpoint.observer
@@ -374,14 +347,3 @@ def restore_run_state(engine, checkpoint: Checkpoint) -> tuple:
     obs._saturated = set(observer["saturated"])
     obs._peak_eu = observer["peak_eu"]
     return tuple(ticks)
-
-
-class _NullContextType:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_CONTEXT = _NullContextType()

@@ -50,11 +50,10 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import random
 import signal
 import time
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Callable, Optional, Sequence
 
@@ -73,9 +72,7 @@ from ..obs import (
 from ..obs.registry import NULL_REGISTRY
 
 __all__ = [
-    "ShardRng",
     "Shard",
-    "ShardPlan",
     "ShardDivergenceError",
     "EngineSpec",
     "plan_shards",
@@ -111,57 +108,29 @@ class ShardDivergenceError(RuntimeError):
     """A worker replica's world state disagreed with the coordinator's."""
 
 
-class ShardRng(random.Random):
-    """A deterministic per-shard random stream.
-
-    Streams are derived by hashing ``(seed, shard_id, stream)`` with
-    BLAKE2b, so every (shard, purpose) pair gets an independent,
-    reproducible sequence regardless of how many shards exist or in
-    which order they draw — the property that keeps stochastic
-    extensions (sampled Netflow, probabilistic faults) stable under
-    re-sharding.
-    """
-
-    def __init__(self, seed: int, shard_id: int, stream: str = "") -> None:
-        self._base_seed = seed
-        self._shard_id = shard_id
-        self._stream = stream
-        digest = blake2b(
-            f"{seed}|{shard_id}|{stream}".encode(), digest_size=8
-        ).digest()
-        super().__init__(int.from_bytes(digest, "big"))
-
-    def substream(self, name: str) -> "ShardRng":
-        """An independent child stream labelled ``name``."""
-        suffix = f"{self._stream}/{name}" if self._stream else name
-        return ShardRng(self._base_seed, self._shard_id, suffix)
-
-
 @dataclass(frozen=True)
 class Shard:
     """One worker's slice of the per-tick work.
 
-    ``global_rate`` / ``isp_rate`` are how often a probe of that
-    campaign fires per engine tick (1.0 when the campaign interval is
-    the step, 1/144 for the 12-hourly ISP probes at a 5-minute step):
-    a probe costs its shard only on the ticks it fires.
+    ``indices`` maps each sharded campaign's name to the probe positions
+    this shard measures; ``rates`` to how often a probe of that campaign
+    fires per engine tick (1.0 when the campaign interval is the step,
+    1/144 for the 12-hourly ISP probes at a 5-minute step): a probe
+    costs its shard only on the ticks it fires.
     """
 
     shard_id: int
-    global_indices: tuple[int, ...] = ()
-    isp_indices: tuple[int, ...] = ()
+    indices: dict
+    rates: dict
     owns_traffic: bool = False
-    global_rate: float = 1.0
-    isp_rate: float = 1.0
 
     @property
     def weight(self) -> float:
         """Predicted per-tick cost, in probe resolutions."""
-        return (
-            len(self.global_indices) * self.global_rate
-            + len(self.isp_indices) * self.isp_rate
-            + (self.traffic_weight if self.owns_traffic else 0)
-        )
+        return sum(
+            len(positions) * self.rates[name]
+            for name, positions in self.indices.items()
+        ) + (self.traffic_weight if self.owns_traffic else 0)
 
     # One tick of ISP traffic generation, in probe resolutions; only
     # used for load balancing.  Measured from the workers' own
@@ -173,17 +142,7 @@ class Shard:
     traffic_weight = 56
 
 
-@dataclass(frozen=True)
-class ShardPlan:
-    """The partition of one run's per-tick work over worker processes."""
-
-    shards: tuple[Shard, ...]
-
-    def __len__(self) -> int:
-        return len(self.shards)
-
-
-def plan_shards(engine, workers: int) -> ShardPlan:
+def plan_shards(engine, workers: int) -> tuple[Shard, ...]:
     """Partition the engine's campaign probes into ``workers`` shards.
 
     Global probes are grouped by continent (the paper's own breakdown
@@ -195,17 +154,25 @@ def plan_shards(engine, workers: int) -> ShardPlan:
     if workers < 1:
         raise ValueError("workers must be >= 1")
     scenario = engine.scenario
+    global_campaign, isp_campaign = scenario.global_campaign, scenario.isp_campaign
     # Firings per engine tick: a campaign slower than the step costs
     # its probes' resolutions only on the ticks it is due.
-    global_rate = min(1.0, engine.step_seconds / scenario.global_campaign.interval)
-    isp_rate = min(1.0, engine.step_seconds / scenario.isp_campaign.interval)
-    globals_by_continent: dict[str, list[int]] = {}
-    for index, probe in enumerate(scenario.global_campaign.probes):
-        globals_by_continent.setdefault(probe.continent.value, []).append(index)
+    rates = {
+        campaign.name: min(1.0, engine.step_seconds / campaign.interval)
+        for campaign in scenario.dns_campaigns
+    }
 
-    # units: (weight, kind, payload) — deterministic order.
-    units: list[tuple[float, str, tuple]] = [
-        (len(indices) * global_rate, "global", tuple(indices))
+    def unit(campaign, positions) -> tuple[float, str, tuple]:
+        # (weight, kind, payload); a probe unit's kind is its campaign's
+        # name, so units sort deterministically.
+        name = campaign.name
+        return (len(positions) * rates[name], name, tuple(positions))
+
+    globals_by_continent: dict[str, list[int]] = {}
+    for index, probe in enumerate(global_campaign.probes):
+        globals_by_continent.setdefault(probe.continent.value, []).append(index)
+    units = [
+        unit(global_campaign, indices)
         for _, indices in sorted(globals_by_continent.items())
     ]
     # Split the largest global unit until there are enough units to
@@ -214,14 +181,14 @@ def plan_shards(engine, workers: int) -> ShardPlan:
     while 0 < len(units) < workers:
         units.sort(reverse=True)
         _, kind, payload = units[0]
-        if kind != "global" or len(payload) < 2:
+        if kind != global_campaign.name or len(payload) < 2:
             break
         half = len(payload) // 2
         units[0:1] = [
-            (half * global_rate, "global", payload[:half]),
-            ((len(payload) - half) * global_rate, "global", payload[half:]),
+            unit(global_campaign, payload[:half]),
+            unit(global_campaign, payload[half:]),
         ]
-    isp_count = len(scenario.isp_campaign.probes)
+    isp_count = len(isp_campaign.probes)
     isp_slices = max(1, min(workers, isp_count))
     per_slice = isp_count // isp_slices
     remainder = isp_count % isp_slices
@@ -230,12 +197,12 @@ def plan_shards(engine, workers: int) -> ShardPlan:
         size = per_slice + (1 if slice_index < remainder else 0)
         if size == 0:
             continue
-        units.append((size * isp_rate, "isp", tuple(range(cursor, cursor + size))))
+        units.append(unit(isp_campaign, range(cursor, cursor + size)))
         cursor += size
     units.append((Shard.traffic_weight, "traffic", ()))
 
     bins: list[dict] = [
-        {"load": 0.0, "global": [], "isp": [], "traffic": False}
+        {"load": 0.0, "indices": {name: [] for name in rates}, "traffic": False}
         for _ in range(min(workers, len(units)))
     ]
     for weight, kind, payload in sorted(units, reverse=True):
@@ -244,20 +211,20 @@ def plan_shards(engine, workers: int) -> ShardPlan:
         if kind == "traffic":
             target["traffic"] = True
         else:
-            target[kind].extend(payload)
-    shards = tuple(
+            target["indices"][kind].extend(payload)
+    return tuple(
         Shard(
             shard_id=shard_id,
-            global_indices=tuple(sorted(b["global"])),
-            isp_indices=tuple(sorted(b["isp"])),
+            indices={
+                name: tuple(sorted(positions))
+                for name, positions in b["indices"].items()
+            },
+            rates=rates,
             owns_traffic=b["traffic"],
-            global_rate=global_rate,
-            isp_rate=isp_rate,
         )
         for shard_id, b in enumerate(bins)
         if b["load"] > 0
     )
-    return ShardPlan(shards=shards)
 
 
 def state_digest(
@@ -336,33 +303,24 @@ def _init_worker(
     defaults across ``fork`` — including open trace sinks — so both are
     replaced before any component captures an instrument handle.
 
-    ``warmup_ticks`` replays the replica to a mid-run tick boundary:
-    the cheap world state advances and the campaign grids march in
-    lockstep, but nothing is measured and no traffic is generated (the
-    coordinator already holds those chunks' results).  Resumed runs and
-    respawned workers both enter through here; the metric baseline is
-    taken *after* the warm-up so replay accumulation is never shipped.
+    ``warmup_ticks`` replays the replica to a mid-run tick boundary
+    (:meth:`SimulationEngine.replay_state`: the coordinator already
+    holds those chunks' results).  Resumed runs and respawned workers
+    both enter through here; the metric baseline is taken *after* the
+    warm-up so replay accumulation is never shipped.
     """
     registry = MetricsRegistry() if spec.collect_metrics else NULL_REGISTRY
     set_registry(registry)
     set_tracer(NULL_TRACER)
     engine = spec.build()
     engine.profile_worker = f"w{shard.shard_id}"
-    scenario = engine.scenario
     conn = _WORKER.get("conn")
-    saved_profiling = engine._obs.profiling
-    engine._obs.profiling = False
-    try:
-        for index, now in enumerate(warmup_ticks):
-            engine.advance_state(now)
-            if scenario.global_campaign.due(now):
-                scenario.global_campaign.mark_fired(now, count_metrics=False)
-            if scenario.isp_campaign.due(now):
-                scenario.isp_campaign.mark_fired(now, count_metrics=False)
-            if conn is not None and index % 64 == 63:
-                conn.send(("hb", now))
-    finally:
-        engine._obs.profiling = saved_profiling
+
+    def heartbeat(index: int, now: float) -> None:
+        if conn is not None and index % 64 == 63:
+            conn.send(("hb", now))
+
+    engine.replay_state(warmup_ticks, each=heartbeat)
     _WORKER["engine"] = engine
     _WORKER["shard"] = shard
     _WORKER["spec"] = spec
@@ -401,8 +359,10 @@ def _worker_chunk(ticks: Sequence[float]) -> dict:
     incarnation = _WORKER.get("incarnation", 0)
     scenario = engine.scenario
     digests: list[str] = []
-    global_slices: dict[float, list] = {}
-    isp_slices: dict[float, list] = {}
+    # Per sharded campaign, this shard's slice of each tick it fired.
+    rows: dict[str, dict[float, DnsColumns]] = {
+        campaign.name: {} for campaign in scenario.dns_campaigns
+    }
     traffic: dict[float, tuple[int, dict]] = {}
     netflow_cursor = scenario.netflow.mark()
     offered_before = scenario.netflow.total_offered_bytes
@@ -431,29 +391,20 @@ def _worker_chunk(ticks: Sequence[float]) -> dict:
         if profiling:
             obs.observe_phase("digest", worker, clock() - t0)
         campaigns_s = 0.0
-        if scenario.global_campaign.due(now):
-            if shard.global_indices:
+        for campaign in scenario.dns_campaigns:
+            if not campaign.due(now):
+                continue
+            positions = shard.indices[campaign.name]
+            if positions:
                 # Ship the slice home as a sealed columnar block: typed
                 # arrays + intern tables pickle far smaller than object
                 # lists and the coordinator absorbs rows column-to-column.
                 t0 = clock() if profiling else 0.0
-                block = global_slices[now] = DnsColumns()
-                scenario.global_campaign.measure_slice(
-                    now, block.append_values, shard.global_indices
-                )
+                block = rows[campaign.name][now] = DnsColumns()
+                campaign.measure_slice(now, block.append_values, positions)
                 if profiling:
                     campaigns_s += clock() - t0
-            scenario.global_campaign.mark_fired(now, count_metrics=False)
-        if scenario.isp_campaign.due(now):
-            if shard.isp_indices:
-                t0 = clock() if profiling else 0.0
-                block = isp_slices[now] = DnsColumns()
-                scenario.isp_campaign.measure_slice(
-                    now, block.append_values, shard.isp_indices
-                )
-                if profiling:
-                    campaigns_s += clock() - t0
-            scenario.isp_campaign.mark_fired(now, count_metrics=False)
+            campaign.mark_fired(now, count_metrics=False)
         if profiling and campaigns_s > 0.0:
             obs.observe_phase("campaigns", worker, campaigns_s)
         if shard.owns_traffic and scenario.traffic_window.contains(now):
@@ -467,8 +418,7 @@ def _worker_chunk(ticks: Sequence[float]) -> dict:
     result: dict = {
         "shard_id": shard.shard_id,
         "digests": digests,
-        "global": global_slices,
-        "isp": isp_slices,
+        "rows": rows,
         "traffic": traffic,
     }
     if shard.owns_traffic:
@@ -525,15 +475,6 @@ def _shard_worker_main(conn, spec, shard, warmup_ticks, incarnation) -> None:
 # ----------------------------------------------------------------------
 # coordinator side
 # ----------------------------------------------------------------------
-
-
-def _require_fresh(engine) -> None:
-    if not engine.scenario.is_fresh():
-        raise RuntimeError(
-            "sharded runs must start from a fresh scenario: worker "
-            "replicas are rebuilt from the spec and cannot reproduce "
-            "state this engine already accumulated"
-        )
 
 
 class _WorkerHandle:
@@ -732,7 +673,7 @@ def _reconcile_digests(
         rounds += 1
 
 
-def _combine_slices(shards, results, key: str, now: float) -> Optional[list]:
+def _combine_slices(shards, results, name: str, now: float) -> list:
     """Recombine worker columnar slices into serial probe order.
 
     Workers ship each tick's slice as one :class:`DnsColumns` block;
@@ -743,13 +684,13 @@ def _combine_slices(shards, results, key: str, now: float) -> Optional[list]:
     """
     pairs: list = []
     for shard, result in zip(shards, results):
-        batch = result[key].get(now)
+        batch = result["rows"][name].get(now)
         if batch is not None and len(batch):
-            indices = (
-                shard.global_indices if key == "global" else shard.isp_indices
-            )
             pairs.extend(
-                zip(indices, (DnsRowRef(batch, row) for row in range(len(batch))))
+                zip(
+                    shard.indices[name],
+                    (DnsRowRef(batch, row) for row in range(len(batch))),
+                )
             )
     pairs.sort(key=lambda pair: pair[0])
     return [row_ref for _, row_ref in pairs]
@@ -784,18 +725,18 @@ def run_sharded(
     opportunity at every chunk boundary and a forced final write when a
     SIGTERM drain is requested.
     """
-    if end <= start:
-        raise ValueError("end must be after start")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    if workers < 2:
+        raise ValueError("a sharded run needs workers >= 2")
     if chunk_ticks < 1:
         raise ValueError("chunk_ticks must be >= 1")
     if heartbeat_timeout <= 0:
         raise ValueError("heartbeat_timeout must be positive")
-    if workers == 1:
-        return engine.run(start, end, progress=progress)
-    if not warmup_ticks:
-        _require_fresh(engine)
+    if not warmup_ticks and not engine.scenario.is_fresh():
+        raise RuntimeError(
+            "sharded runs must start from a fresh scenario: worker "
+            "replicas are rebuilt from the spec and cannot reproduce "
+            "state this engine already accumulated"
+        )
 
     ticks: list[float] = []
     now = start
@@ -803,7 +744,7 @@ def run_sharded(
         ticks.append(now)
         now += engine.step_seconds
 
-    plan = plan_shards(engine, workers)
+    shards = plan_shards(engine, workers)
     spec = EngineSpec.from_engine(engine)
     scenario = engine.scenario
     obs = engine._obs
@@ -819,7 +760,7 @@ def run_sharded(
     context = multiprocessing.get_context()
     handles = [
         _WorkerHandle(spec, shard, warmup_ticks, context)
-        for shard in plan.shards
+        for shard in shards
     ]
     steps = 0
     try:
@@ -842,30 +783,25 @@ def run_sharded(
                     handle.dispatch(chunks[chunk_index + 1])
             for tick_index, tick in enumerate(chunk):
                 t0 = engine.clock() if obs.profiling else 0.0
-                global_measurements = (
-                    _combine_slices(plan.shards, results, "global", tick)
-                    if scenario.global_campaign.due(tick)
-                    else None
-                )
-                isp_measurements = (
-                    _combine_slices(plan.shards, results, "isp", tick)
-                    if scenario.isp_campaign.due(tick)
-                    else None
-                )
+                rows = {
+                    campaign.name: _combine_slices(
+                        shards, results, campaign.name, tick
+                    )
+                    for campaign in scenario.dns_campaigns
+                    if campaign.due(tick)
+                }
                 traffic = None
                 for result in results:
                     if tick in result.get("traffic", {}):
                         traffic = result["traffic"][tick]
                         break
                 merge_s = (engine.clock() - t0) if obs.profiling else 0.0
-                report = engine.advance_merged(
-                    tick, global_measurements, isp_measurements, traffic
-                )
+                report = engine.advance_merged(tick, rows, traffic)
                 t0 = engine.clock() if obs.profiling else 0.0
                 expected = state_digest(
                     tick, report.demand_gbps, report.operator_gbps
                 )
-                for shard, result in zip(plan.shards, results):
+                for shard, result in zip(shards, results):
                     if result["digests"][tick_index] != expected:
                         # The replicas agree with each other (the vote
                         # above healed any dissent) but not with the

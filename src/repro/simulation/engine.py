@@ -20,6 +20,7 @@ from __future__ import annotations
 import signal
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -31,6 +32,18 @@ from .scenario import OVERFLOW_CLUSTER_PREFIX, Sep2017Scenario
 __all__ = ["SimulationEngine", "StepReport", "RunSummary"]
 
 _GBPS_TO_BYTES = 1e9 / 8.0
+
+# Crash-tolerance bookkeeping, reset at each run() entry: how many shard
+# workers were respawned, how many divergence quarantine replays ran,
+# how many checkpoints were written, whether a SIGTERM drain cut the run
+# short, and which step a resume picked up from (None for a fresh run).
+_RUN_STATS = {
+    "worker_restarts": 0,
+    "divergence_replays": 0,
+    "checkpoints_written": 0,
+    "drained": False,
+    "resumed_from_step": None,
+}
 
 
 @dataclass(frozen=True)
@@ -179,7 +192,13 @@ class RunSummary:
             return key.value if hasattr(key, "value") else str(key)
 
         def fval(value: float) -> float:
-            return round(value, 6)
+            return round(value, 6)  # an int count stays the same int
+
+        def canonical(mapping: dict) -> dict:
+            return {
+                fkey(k): fval(v)
+                for k, v in sorted(mapping.items(), key=lambda kv: fkey(kv[0]))
+            }
 
         result = {
             "steps": self.steps,
@@ -187,24 +206,9 @@ class RunSummary:
             "last_ts": None if self.last_ts is None else fval(self.last_ts),
             "measurements": self.measurements,
             "flows": self.flows,
-            "peak_demand_gbps": {
-                fkey(k): fval(v)
-                for k, v in sorted(
-                    self.peak_demand_gbps.items(), key=lambda kv: fkey(kv[0])
-                )
-            },
-            "peak_operator_gbps": {
-                fkey(k): fval(v)
-                for k, v in sorted(
-                    self.peak_operator_gbps.items(), key=lambda kv: fkey(kv[0])
-                )
-            },
-            "unique_ips": {
-                fkey(k): v
-                for k, v in sorted(
-                    self.unique_ips.items(), key=lambda kv: fkey(kv[0])
-                )
-            },
+            "peak_demand_gbps": canonical(self.peak_demand_gbps),
+            "peak_operator_gbps": canonical(self.peak_operator_gbps),
+            "unique_ips": canonical(self.unique_ips),
             "offload_share": fval(self.offload_share),
             "overflow_share": fval(self.overflow_share),
         }
@@ -222,7 +226,8 @@ class _EngineObserver:
 
     All per-step work is gated on ``enabled``: with the null registry
     and tracer the observer costs one early-returning method call per
-    step, which is what the telemetry-overhead benchmark guards.
+    step (the perf ledger's ``bench.trace_overhead_pct`` is the price
+    of the real ones).
     """
 
     __slots__ = (
@@ -433,18 +438,7 @@ class SimulationEngine:
             metrics if metrics is not None else get_registry(),
             tracer if tracer is not None else get_tracer(),
         )
-        # Crash-tolerance bookkeeping, reset at each run() entry: how
-        # many shard workers were respawned, how many divergence
-        # quarantine replays ran, how many checkpoints were written,
-        # whether a SIGTERM drain cut the run short, and which step a
-        # resume picked up from (None for a fresh run).
-        self.run_stats: dict = {
-            "worker_restarts": 0,
-            "divergence_replays": 0,
-            "checkpoints_written": 0,
-            "drained": False,
-            "resumed_from_step": None,
-        }
+        self.run_stats: dict = dict(_RUN_STATS)
         self._drain_requested = False
 
     # ------------------------------------------------------------------
@@ -487,13 +481,7 @@ class SimulationEngine:
             raise ValueError("end must be after start")
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self.run_stats = {
-            "worker_restarts": 0,
-            "divergence_replays": 0,
-            "checkpoints_written": 0,
-            "drained": False,
-            "resumed_from_step": None,
-        }
+        self.run_stats = dict(_RUN_STATS)
         self._drain_requested = False
 
         plan = None
@@ -583,33 +571,35 @@ class SimulationEngine:
 
     def advance(self, now: float) -> StepReport:
         """Execute one step at simulation time ``now``."""
-        return self._step(now, None)
+        return self._step(now, None, None)
 
     def advance_merged(
         self,
         now: float,
-        global_measurements: Optional[Sequence] = None,
-        isp_measurements: Optional[Sequence] = None,
+        rows: dict,
         traffic: Optional[tuple[int, dict]] = None,
     ) -> StepReport:
         """One coordinator step of a sharded run.
 
         The same step as :meth:`advance`, except the sharded campaigns'
-        measurements arrive pre-computed from the workers (already
-        recombined into probe order) and ISP traffic — generated in the
-        shard that owns it — arrives as a ``(flows, link_used)`` pair.
-        The AWS and traceroute campaigns still run here: the AWS sweep
-        exercises the HTTP caches only the coordinator owns, and the
-        traceroute target list must see the *merged* DNS store.
+        measurements arrive pre-computed from the workers — ``rows``
+        maps the name of each campaign due this tick to its slices,
+        already recombined into probe order — and ISP traffic,
+        generated in the shard that owns it, arrives as a
+        ``(flows, link_used)`` pair.  The AWS and traceroute campaigns
+        still run here: the AWS sweep exercises the HTTP caches only
+        the coordinator owns, and the traceroute target list must see
+        the *merged* DNS store.
         """
-        return self._step(now, (global_measurements, isp_measurements, traffic))
+        return self._step(now, rows, traffic)
 
-    def _step(self, now: float, merged: Optional[tuple]) -> StepReport:
+    def _step(
+        self, now: float, rows: Optional[dict], traffic: Optional[tuple]
+    ) -> StepReport:
         """The one step skeleton: measure and generate locally
-        (``merged is None``) or absorb what the shard workers did."""
+        (``rows is None``) or absorb what the shard workers did."""
         obs = self._obs
         scenario = self.scenario
-        global_rows, isp_rows, traffic = merged or (None, None, None)
         started = self.clock() if obs.enabled else 0.0
         failover = scenario.failover
         if failover is not None:
@@ -621,21 +611,16 @@ class SimulationEngine:
 
             with obs.tracer.span("engine.measurements", ts=now):
                 t0 = self.clock() if obs.profiling else 0.0
-                if merged is None:
-                    measurements = scenario.global_campaign.maybe_run(now)
-                    measurements += scenario.isp_campaign.maybe_run(now)
-                else:
-                    measurements = 0
-                    if global_rows is not None:
-                        measurements += scenario.global_campaign.absorb_tick(
-                            now, global_rows
+                measurements = 0
+                for campaign in scenario.campaigns:
+                    if rows and campaign.name in rows:
+                        measurements += campaign.absorb_tick(
+                            now, rows[campaign.name]
                         )
-                    if isp_rows is not None:
-                        measurements += scenario.isp_campaign.absorb_tick(
-                            now, isp_rows
-                        )
-                measurements += scenario.aws_campaign.maybe_run(now)
-                measurements += scenario.traceroute_campaign.maybe_run(now)
+                    else:
+                        # A sharded campaign absent from ``rows`` is not
+                        # due this tick, so this fires only the others.
+                        measurements += campaign.maybe_run(now)
                 if obs.profiling:
                     obs.observe_phase(
                         "campaigns", self.profile_worker, self.clock() - t0
@@ -646,7 +631,7 @@ class SimulationEngine:
                 with obs.tracer.span("engine.isp_traffic", ts=now):
                     flows, link_used = traffic
                     obs.observe_links(self, now, link_used)
-            elif merged is None and scenario.traffic_window.contains(now):
+            elif rows is None and scenario.traffic_window.contains(now):
                 with obs.tracer.span("engine.isp_traffic", ts=now):
                     t0 = self.clock() if obs.profiling else 0.0
                     flows = self._generate_isp_traffic(
@@ -684,6 +669,43 @@ class SimulationEngine:
         if self.scenario.failover is not None:
             self.scenario.failover.advance(now)
         return self._advance_demand(now)
+
+    def replay_state(
+        self,
+        ticks: Iterable[float],
+        each: Optional[Callable[[int, float], None]] = None,
+    ) -> Optional[tuple]:
+        """Bring a fresh world to a tick boundary without re-running it.
+
+        What a resumed run and a (re)spawned shard worker both do: the
+        cheap world state advances and the sharded campaigns' grids
+        march in lockstep over ``ticks``, but nothing is measured and no
+        traffic is generated — the caller already holds those products.
+        Silent: no phase samples and no fault-plane trace events, since
+        the original run recorded both.  ``each(index, now)`` runs after
+        every tick (a worker's heartbeat).  Returns the last tick's
+        ``(now, demand, EU split)`` — the :func:`state_digest` inputs —
+        or ``None`` for no ticks.
+        """
+        obs = self._obs
+        scenario = self.scenario
+        failover = scenario.failover
+        saved_profiling = obs.profiling
+        obs.profiling = False
+        last: Optional[tuple] = None
+        try:
+            with failover.quiet() if failover is not None else nullcontext():
+                for index, now in enumerate(ticks):
+                    demand, splits = self.advance_state(now)
+                    last = (now, demand, splits[MappingRegion.EU])
+                    for campaign in scenario.dns_campaigns:
+                        if campaign.due(now):
+                            campaign.mark_fired(now, count_metrics=False)
+                    if each is not None:
+                        each(index, now)
+        finally:
+            obs.profiling = saved_profiling
+        return last
 
     def _advance_demand(
         self, now: float

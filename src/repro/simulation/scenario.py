@@ -39,13 +39,13 @@ from ..cdn.thirdparty import AKAMAI_PLAN, LEVEL3_PLAN, LIMELIGHT_PLAN, build_thi
 from ..dns.policies import WeightSchedule, stable_fraction
 from ..faults import (
     DEFAULT_MEMBERS,
-    CdnHealthMonitor,
+    FailoverConfig,
     FailoverLoop,
     FaultInjector,
     FaultSchedule,
 )
-from ..anycast.plane import AnycastPlane, AnycastSite, ClientGroup
-from ..resolver import ResolverPlane
+from ..anycast.plane import AnycastPlane, AnycastSite, ClientGroup, check_steering
+from ..resolver import ResolverPlane, check_population
 from ..isp.bgp import BgpRib, BgpRoute
 from ..isp.netflow import NetflowCollector
 from ..isp.snmp import SnmpCounters
@@ -87,35 +87,66 @@ _THIRD_PARTY_METROS = (
 )
 
 
+# ----------------------------------------------------------------------
+# Calibration: the values behind the reproduced figures.  No run, test
+# or benchmark varies them, so they are constants here, not knobs on
+# :class:`ScenarioConfig`.
+# ----------------------------------------------------------------------
+
+AWS_INTERVAL = 3600.0                  # AWS VM detailed sweeps
+TRACEROUTE_INTERVAL = 21600.0          # paper: hourly
+TRACEROUTE_MAX_TARGETS = 32
+
+APPLE_EDGE_GBPS = 14.0
+AKAMAI_TAU_SECONDS = 21600.0           # the observed ~6 h EU ramp
+LIMELIGHT_TAU_SECONDS = 5400.0
+EXPOSURE_MIN_SERVERS = 8
+EXPOSURE_HEADROOM = 1.3
+LIMELIGHT_SERVERS_PER_METRO = 18       # sized so the AS-D cluster
+# only activates under flash-crowd exposure (see Figure 8)
+LIMELIGHT_EXPOSURE_GBPS_PER_SERVER = 8.0
+LIMELIGHT_RELEASE_TAU_SECONDS = 100_000.0
+AKAMAI_EXPOSURE_GBPS_PER_SERVER = 5.0
+AKAMAI_DAY1_WEIGHT = 0.32              # third-party split on Sep 19
+
+IOS_11_1_SURGE_SCALE = 0.35            # the Oct 31 echo in Figure 5
+
+# Each CDN's unrelated steady traffic into the ISP (Gbps).
+BACKGROUND_GBPS = {
+    "Apple": 55.0,
+    "Akamai": 430.0,
+    "Limelight": 45.0,
+}
+OVERFLOW_CLUSTER_SIZE = 32             # Limelight caches behind AS D
+PRECACHE_FILL_GBPS = 60.0              # the Sep 19 AS-A fill spike
+PRECACHE_FILL_LEAD_SECONDS = 3 * 3600.0
+PRECACHE_FILL_TAIL_SECONDS = 7 * 3600.0
+
+# The fault plane at engine time: health probes every minute, unhealthy
+# members re-probed every five; 3 failures fail over and 2 half-open
+# successes recover (the FailoverConfig defaults).
+ENGINE_FAILOVER = FailoverConfig(probe_interval=60.0, cooldown=300.0)
+
+
 @dataclass
 class ScenarioConfig:
-    """All calibration and scale knobs for the Sep 2017 scenario."""
+    """The scale, demand and mode knobs of the Sep 2017 scenario.
+
+    Every field here is set by some run, test or benchmark; the
+    calibration nobody varies is the block of constants above.
+    """
 
     # --- scale (laptop defaults; the paper's real values in comments) ---
     global_probe_count: int = 160          # paper: 800
     isp_probe_count: int = 80              # paper: 400
     global_dns_interval: float = 1800.0    # paper: 300 s
     isp_dns_interval: float = 43200.0      # paper: 43200 s (12 h)
-    aws_interval: float = 3600.0           # AWS VM detailed sweeps
     traceroute_probe_count: int = 8        # probes running traceroutes
-    traceroute_interval: float = 21600.0   # paper: hourly
-    traceroute_max_targets: int = 32
     netflow_sampling: int = 1              # 1 = exact records; paper: ~1/1000
 
     # --- capacities -----------------------------------------------------
-    apple_edge_gbps: float = 14.0
     target_utilization: float = 0.95
     min_third_party_share: float = 0.35
-    akamai_tau_seconds: float = 21600.0    # the observed ~6 h EU ramp
-    limelight_tau_seconds: float = 5400.0
-    exposure_min_servers: int = 8
-    exposure_headroom: float = 1.3
-    limelight_servers_per_metro: int = 18  # sized so the AS-D cluster
-    # only activates under flash-crowd exposure (see Figure 8)
-    limelight_exposure_gbps_per_server: float = 8.0
-    limelight_release_tau_seconds: float = 100_000.0
-    akamai_exposure_gbps_per_server: float = 5.0
-    akamai_day1_weight: float = 0.32       # third-party split on Sep 19
     include_level3: bool = False           # pre-late-June-2017 mapping
 
     # --- demand (region totals, Gbps) ------------------------------------
@@ -134,22 +165,10 @@ class ScenarioConfig:
         }
     )
     surge_decay_seconds: float = 130_000.0
-    ios_11_1_surge_scale: float = 0.35     # the Oct 31 echo in Figure 5
 
     # --- the eyeball ISP --------------------------------------------------
     isp_share_of_eu: float = 0.12          # the ISP's slice of EU demand
-    background_gbps: dict = field(
-        default_factory=lambda: {
-            "Apple": 55.0,
-            "Akamai": 430.0,
-            "Limelight": 45.0,
-        }
-    )
-    overflow_cluster_size: int = 32        # Limelight caches behind AS D
     isp_server_fanout: int = 64            # servers per CDN receiving ISP load
-    precache_fill_gbps: float = 60.0       # the Sep 19 AS-A fill spike
-    precache_fill_lead_seconds: float = 3 * 3600.0
-    precache_fill_tail_seconds: float = 7 * 3600.0
 
     # --- event times (defaults from the Timeline) -------------------------
     a1015_delay_seconds: float = 6 * 3600.0
@@ -167,10 +186,6 @@ class ScenarioConfig:
     public_resolver_cache_capacity: int = 4096  # live entries per POP cache
 
     # --- fault plane (used only when a FaultSchedule is passed) -----------
-    fault_probe_interval: float = 60.0     # health-probe cadence
-    fault_k_failures: int = 3              # probes before failover
-    fault_cooldown: float = 300.0          # unhealthy re-probe cadence
-    fault_recovery_probes: int = 2         # half-open successes to recover
     fault_seed: int = 0                    # seeds probabilistic severities
 
     # --- measurement stores (columnar segments + spill) -------------------
@@ -203,21 +218,14 @@ class Sep2017Scenario:
         faults: Optional[FaultSchedule] = None,
     ) -> None:
         self.config = config if config is not None else ScenarioConfig()
-        if self.config.steering not in ("dns", "anycast", "hybrid"):
-            raise ValueError(
-                f"unknown steering mode {self.config.steering!r} "
-                "(valid: dns, anycast, hybrid)"
-            )
-        if not 0.0 <= self.config.hybrid_dns_share <= 1.0:
-            raise ValueError("hybrid_dns_share must be within [0, 1]")
-        if self.config.resolver_population not in ("isp", "public", "mixed"):
-            raise ValueError(
-                f"unknown resolver population "
-                f"{self.config.resolver_population!r} "
-                "(valid: isp, public, mixed)"
-            )
-        if not 0.0 <= self.config.public_resolver_share <= 1.0:
-            raise ValueError("public_resolver_share must be within [0, 1]")
+        cfg = self.config
+        check_steering(cfg.steering, cfg.hybrid_dns_share)
+        check_population(
+            cfg.resolver_population,
+            cfg.public_resolver_share,
+            cfg.public_resolver_scope,
+            cfg.public_resolver_cache_capacity,
+        )
         self.timeline = timeline
         # The raw schedule (not the injector built from it) so sharded
         # runs can rebuild bit-identical scenario replicas in workers.
@@ -230,25 +238,17 @@ class Sep2017Scenario:
         # it, and the failover loop the engine advances once per step.
         self.faults: Optional[FaultInjector] = None
         self.failover: Optional[FailoverLoop] = None
-        self._health_monitor: Optional[CdnHealthMonitor] = None
         if faults is not None and len(faults):
-            cfg = self.config
-            self.faults = FaultInjector(faults, seed=cfg.fault_seed)
-            members = list(DEFAULT_MEMBERS)
-            if cfg.include_level3:
-                members.append("Level3")
-            self._health_monitor = CdnHealthMonitor(
-                members=tuple(members),
-                k_failures=cfg.fault_k_failures,
-                recovery_probes=cfg.fault_recovery_probes,
-                probe_interval=cfg.fault_probe_interval,
-                cooldown=cfg.fault_cooldown,
+            members = DEFAULT_MEMBERS + (("Level3",) if cfg.include_level3 else ())
+            self.failover = FailoverLoop.build(
+                faults,
+                replace(ENGINE_FAILOVER, members=members, fault_seed=cfg.fault_seed),
             )
+            self.faults = self.failover.injector
 
         self.estate = self._build_estate()
-        if self.faults is not None and self._health_monitor is not None:
+        if self.faults is not None:
             self.estate.apple.install_fault_injector(self.faults)
-            self.failover = FailoverLoop(self._health_monitor, self.faults)
         self.isp, self.rib = self._build_isp()
         self._register_asns()
         self.operator_by_address = self._index_operators()
@@ -256,7 +256,7 @@ class Sep2017Scenario:
         self.demand = self._build_demand()
         self.backgrounds = {
             operator: CdnBackground(mean_gbps)
-            for operator, mean_gbps in self.config.background_gbps.items()
+            for operator, mean_gbps in BACKGROUND_GBPS.items()
         }
 
         self.netflow = NetflowCollector(sampling_rate=self.config.netflow_sampling)
@@ -306,9 +306,10 @@ class Sep2017Scenario:
         self.aws_campaign = AwsVmCampaign(
             vantages=self.aws_vantages,
             target=NAMES.entry_point,
-            interval=self.config.aws_interval,
+            interval=AWS_INTERVAL,
             window=timeline.aws_window,
             fetch=self.http_fetch,
+            name="aws-vms",
         )
         server_coordinates = {
             placed.server.address: placed.location.coordinates
@@ -326,12 +327,22 @@ class Sep2017Scenario:
         self.traceroute_campaign = TracerouteCampaign(
             probes=self.global_probes[: self.config.traceroute_probe_count],
             dns_store=self.global_campaign.store,
-            interval=self.config.traceroute_interval,
+            interval=TRACEROUTE_INTERVAL,
             window=timeline.ripe_global_window,
             tracer=self.tracer.trace,
             store=self._measurement_store("traceroute"),
-            max_targets_per_tick=self.config.traceroute_max_targets,
+            max_targets_per_tick=TRACEROUTE_MAX_TARGETS,
             name="traceroute",
+        )
+        # What a run fires, in firing order; the two DNS campaigns are
+        # the ones a sharded run splits over its workers.
+        self.dns_campaigns = (self.global_campaign, self.isp_campaign)
+        self.campaigns = (
+            *self.dns_campaigns, self.aws_campaign, self.traceroute_campaign
+        )
+        self.stores = tuple(
+            campaign.store
+            for campaign in (*self.dns_campaigns, self.traceroute_campaign)
         )
 
     # ------------------------------------------------------------------
@@ -349,16 +360,6 @@ class Sep2017Scenario:
         scenario config and fault schedule alone, so sharded worker
         replicas rebuild an identical plane.
         """
-        sites = [
-            AnycastSite(
-                site_id=f"{site.location.code}-{site.site_id}",
-                coordinates=site.location.coordinates,
-                continent=site.location.continent,
-                backend_vip=site.vip_addresses[0],
-                capacity_gbps=site.capacity_gbps,
-            )
-            for site in self.estate.apple.sites
-        ]
         groups = [
             ClientGroup(
                 name=f"probe-{probe.probe_id}",
@@ -368,7 +369,10 @@ class Sep2017Scenario:
             )
             for probe in (*self.global_probes, *self.isp_probes)
         ]
-        return AnycastPlane(sites, groups, schedule=self.fault_schedule)
+        return AnycastPlane(
+            AnycastSite.of_apple(self.estate.apple), groups,
+            schedule=self.fault_schedule,
+        )
 
     def _build_resolver_plane(self) -> ResolverPlane:
         """Route the configured probe share through public-resolver POPs.
@@ -417,7 +421,7 @@ class Sep2017Scenario:
 
     def _build_estate(self) -> MetaCdnEstate:
         config = self.config
-        apple = AppleCdn.build(self.locations, edge_bx_gbps=config.apple_edge_gbps)
+        apple = AppleCdn.build(self.locations, edge_bx_gbps=APPLE_EDGE_GBPS)
         metros = [self.locations.get(code) for code in _THIRD_PARTY_METROS]
 
         akamai = build_third_party(
@@ -425,25 +429,25 @@ class Sep2017Scenario:
             metros,
             other_as=AS_HOSTER_AKAMAI,
             exposure_factory=lambda: ExposureController(
-                per_server_gbps=config.akamai_exposure_gbps_per_server,
-                min_servers=config.exposure_min_servers,
-                headroom=config.exposure_headroom,
-                tau_seconds=config.akamai_tau_seconds,
+                per_server_gbps=AKAMAI_EXPOSURE_GBPS_PER_SERVER,
+                min_servers=EXPOSURE_MIN_SERVERS,
+                headroom=EXPOSURE_HEADROOM,
+                tau_seconds=AKAMAI_TAU_SECONDS,
             ),
         )
         limelight_plan = replace(
-            LIMELIGHT_PLAN, servers_per_metro=config.limelight_servers_per_metro
+            LIMELIGHT_PLAN, servers_per_metro=LIMELIGHT_SERVERS_PER_METRO
         )
         limelight = build_third_party(
             limelight_plan,
             metros,
             other_as=AS_HOSTER_LIMELIGHT,
             exposure_factory=lambda: ExposureController(
-                per_server_gbps=config.limelight_exposure_gbps_per_server,
-                min_servers=config.exposure_min_servers,
-                headroom=config.exposure_headroom,
-                tau_seconds=config.limelight_tau_seconds,
-                release_tau_seconds=config.limelight_release_tau_seconds,
+                per_server_gbps=LIMELIGHT_EXPOSURE_GBPS_PER_SERVER,
+                min_servers=EXPOSURE_MIN_SERVERS,
+                headroom=EXPOSURE_HEADROOM,
+                tau_seconds=LIMELIGHT_TAU_SECONDS,
+                release_tau_seconds=LIMELIGHT_RELEASE_TAU_SECONDS,
             ),
         )
         self._add_overflow_cluster(limelight)
@@ -459,9 +463,9 @@ class Sep2017Scenario:
                 other_as=ASN(64514),
                 exposure_factory=lambda: ExposureController(
                     per_server_gbps=LEVEL3_PLAN.per_server_gbps,
-                    min_servers=config.exposure_min_servers,
-                    headroom=config.exposure_headroom,
-                    tau_seconds=config.limelight_tau_seconds,
+                    min_servers=EXPOSURE_MIN_SERVERS,
+                    headroom=EXPOSURE_HEADROOM,
+                    tau_seconds=LIMELIGHT_TAU_SECONDS,
                 ),
             )
 
@@ -482,7 +486,7 @@ class Sep2017Scenario:
             third_party_weights=self._third_party_weights(),
             a1015_from=self.timeline.ios_11_0_release + config.a1015_delay_seconds,
             level3=level3,
-            health_monitor=self._health_monitor,
+            health_monitor=self.failover.monitor if self.failover else None,
         )
 
     def _add_overflow_cluster(self, limelight: CdnDeployment) -> None:
@@ -494,7 +498,7 @@ class Sep2017Scenario:
         sudden, previously unseen ingress the paper describes.
         """
         warsaw = self.locations.get("plwaw")
-        for index in range(self.config.overflow_cluster_size):
+        for index in range(OVERFLOW_CLUSTER_SIZE):
             server = CacheServer(
                 hostname=f"zz-overflow-{index:03d}.waw.llnw.net",
                 address=_OVERFLOW_CLUSTER_PREFIX.host(index + 1),
@@ -515,7 +519,7 @@ class Sep2017Scenario:
         release = self.timeline.ios_11_0_release
         akamai_out = release + 11 * 3600.0  # Akamai only on release day
         akamai_back = release + 6 * 86400.0
-        akamai_weight = self.config.akamai_day1_weight
+        akamai_weight = AKAMAI_DAY1_WEIGHT
         weights: dict[MappingRegion, WeightSchedule] = {}
         for region in MappingRegion:
             limelight_name = NAMES.limelight_handover(region)
@@ -555,7 +559,7 @@ class Sep2017Scenario:
         demand.add_release(
             self.timeline.ios_11_1_release,
             peak_gbps={
-                region: peak * config.ios_11_1_surge_scale
+                region: peak * IOS_11_1_SURGE_SCALE
                 for region, peak in config.surge_peak_gbps.items()
             },
             decay_seconds=config.surge_decay_seconds,
@@ -718,11 +722,9 @@ class Sep2017Scenario:
         scenario; this is the shared precondition both paths check.
         """
         return not (
-            len(self.global_campaign.store)
-            or len(self.isp_campaign.store)
+            any(len(store) for store in self.stores)
             or len(self.netflow)
-            or self.global_campaign.cadence.next_due is not None
-            or self.isp_campaign.cadence.next_due is not None
+            or any(c.cadence.next_due is not None for c in self.campaigns)
         )
 
     def http_fetch(self, address, request, size: int = 2_800_000_000):
@@ -750,11 +752,10 @@ class Sep2017Scenario:
         ramps up.  Returns the fill sources and current fill rate
         (empty/0 outside the fill window).
         """
-        config = self.config
         release = self.timeline.ios_11_0_release
-        start = release - config.precache_fill_lead_seconds
-        end = release + config.precache_fill_tail_seconds
-        if not start <= now < end or config.precache_fill_gbps <= 0:
+        start = release - PRECACHE_FILL_LEAD_SECONDS
+        end = release + PRECACHE_FILL_TAIL_SECONDS
+        if not start <= now < end:
             return [], 0.0
         sources: list[IPv4Address] = []
         for placed in self.estate.limelight.servers:
@@ -767,7 +768,7 @@ class Sep2017Scenario:
                 sources.append(placed.server.address)
             if len(sources) >= 8:
                 break
-        return sources, config.precache_fill_gbps
+        return sources, PRECACHE_FILL_GBPS
 
     def handover_operator(self, name: str) -> Optional[str]:
         """Map a third-party handover DNS name to its operator."""

@@ -22,8 +22,6 @@ def _scenario_config():
         global_probe_count=32,
         isp_probe_count=16,
         traceroute_probe_count=2,
-        fault_probe_interval=60.0,
-        fault_cooldown=300.0,
         fault_seed=7,
     )
 

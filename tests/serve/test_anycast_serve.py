@@ -21,6 +21,7 @@ from repro.serve import (
     LoadConfig,
     ServeCluster,
 )
+from repro.simulation import ScenarioConfig, Sep2017Scenario
 
 REQUESTS = 160
 
@@ -81,6 +82,20 @@ class TestAnycastRouting:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             ServeCluster(steering="multicast")
+
+    @pytest.mark.parametrize("bad", [
+        {"steering": "multicast"},
+        # The cluster used to accept this one: every client then counted
+        # as DNS-steered (stable_fraction(...) < 1.5).
+        {"steering": "hybrid", "hybrid_dns_share": 1.5},
+        {"steering": "hybrid", "hybrid_dns_share": -0.1},
+    ])
+    def test_cluster_and_scenario_refuse_the_same_steering(self, bad):
+        with pytest.raises(ValueError) as live:
+            ServeCluster(**bad)
+        with pytest.raises(ValueError) as replay:
+            Sep2017Scenario(ScenarioConfig(**bad))
+        assert str(live.value) == str(replay.value)
 
 
 class TestHybridSplit:

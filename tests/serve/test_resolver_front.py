@@ -25,6 +25,7 @@ from repro.serve import (
 )
 from repro.serve.loadgen import AsyncDnsClient
 from repro.serve.udp import open_udp
+from repro.simulation import ScenarioConfig, Sep2017Scenario
 
 ENTRY = "appldnld.apple.com"
 
@@ -340,6 +341,19 @@ class TestConfigValidation:
     def test_bad_share_rejected(self):
         with pytest.raises(ValueError):
             ClusterConfig(resolver_population="mixed", public_resolver_share=1.5)
+
+    @pytest.mark.parametrize("bad", [
+        {"resolver_population": "open"},
+        {"resolver_population": "mixed", "public_resolver_share": 1.5},
+        {"resolver_population": "public", "public_resolver_scope": 40},
+        {"resolver_population": "public", "public_resolver_cache_capacity": 0},
+    ])
+    def test_cluster_and_scenario_refuse_the_same_population(self, bad):
+        with pytest.raises(ValueError) as live:
+            ClusterConfig(**bad)
+        with pytest.raises(ValueError) as replay:
+            Sep2017Scenario(ScenarioConfig(**bad))
+        assert str(live.value) == str(replay.value)
 
     def test_bad_loadgen_share_rejected(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import MetricsRegistry, use_registry
+from repro.faults import FaultKind, FaultSchedule, FaultWindow
+from repro.obs import EventTracer, MetricsRegistry, use_registry, use_tracer
 from repro.simulation import (
     CheckpointError,
     ScenarioConfig,
@@ -29,6 +30,7 @@ from repro.simulation import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.simulation.concurrency import state_digest
 from repro.simulation.engine import RunSummary
 from repro.workload import TIMELINE
 
@@ -71,7 +73,11 @@ def partial_checkpoint(directory, workers, every=4):
             checkpoint_dir=directory,
         )
     assert steps == 16
-    assert engine.run_stats["checkpoints_written"] >= 1
+    # The serial loop gets a write opportunity after every tick, a
+    # sharded run only at its 16-tick chunk boundaries.
+    assert engine.run_stats["checkpoints_written"] == (
+        steps // every if workers == 1 else 1
+    )
     return load_checkpoint(directory)
 
 
@@ -138,6 +144,86 @@ class TestResumeIdentity:
                 resume_from=checkpoint,
             )
         assert render(engine.scenario, reports) == golden
+
+
+RELEASE = TIMELINE.ios_11_0_release
+BLACKOUT = FaultSchedule([
+    FaultWindow(
+        RELEASE + 3600.0, RELEASE + 6 * 3600.0, "Limelight", FaultKind.CDN_BLACKOUT
+    )
+])
+# 16 ticks: the member fails over and recovers before the boundary.
+FAULT_START, FAULT_CUT = RELEASE - 1800.0, RELEASE + 7.5 * 3600.0
+FAULT_END = RELEASE + 9 * 3600.0
+
+
+def blackout_engine():
+    config = ScenarioConfig(global_probe_count=8, isp_probe_count=4)
+    return SimulationEngine(
+        Sep2017Scenario(config, faults=BLACKOUT), step_seconds=STEP
+    )
+
+
+def limelight_failovers(registry):
+    return registry.get("cdn_failovers_total").labels("Limelight").value
+
+
+class TestReplayToABoundary:
+    def test_resumed_trace_starts_at_the_boundary(self, tmp_path):
+        """The replay used to quiet the injector but not the monitor: a
+        resumed trace re-emitted ``cdn_unhealthy`` / ``cdn_half_open`` /
+        ``cdn_recovered`` stamped before the checkpoint, without the
+        ``fault_opened`` / ``fault_closed`` that caused them."""
+        full_registry, full_tracer = MetricsRegistry(), EventTracer()
+        with use_registry(full_registry), use_tracer(full_tracer):
+            blackout_engine().run(FAULT_START, FAULT_END)
+        assert full_tracer.find("cdn_recovered")[0].ts < FAULT_CUT
+
+        with use_registry(MetricsRegistry()), use_tracer(EventTracer()):
+            blackout_engine().run(
+                FAULT_START, FAULT_CUT, checkpoint_every=4, checkpoint_dir=tmp_path
+            )
+        checkpoint = load_checkpoint(tmp_path)
+        assert checkpoint.next_tick == FAULT_CUT
+        registry, tracer = MetricsRegistry(), EventTracer()
+        with use_registry(registry), use_tracer(tracer):
+            checkpoint.spec.build().run(end=FAULT_END, resume_from=checkpoint)
+        assert len(tracer) > 0
+        assert [r for r in tracer.records() if r.ts < checkpoint.next_tick] == []
+        assert limelight_failovers(registry) == limelight_failovers(full_registry) == 1
+
+    def test_replay_state_is_advance_without_the_products(self):
+        ticks = [FAULT_START + index * STEP for index in range(16)]
+        with use_registry(MetricsRegistry()), use_tracer(EventTracer()):
+            stepped = blackout_engine()
+            for now in ticks:
+                last = stepped.advance(now)
+        registry, tracer = MetricsRegistry(), EventTracer()
+        with use_registry(registry), use_tracer(tracer):
+            replayed = blackout_engine()
+            seen = []
+            state = replayed.replay_state(
+                ticks, each=lambda index, now: seen.append((index, now))
+            )
+        assert seen == list(enumerate(ticks))
+        assert state_digest(*state) == state_digest(
+            last.now, last.demand_gbps, last.operator_gbps
+        )
+        a, b = stepped.scenario, replayed.scenario
+        assert [c.cadence.next_due for c in b.dns_campaigns] == [
+            c.cadence.next_due for c in a.dns_campaigns
+        ]
+        assert None not in [c.cadence.next_due for c in b.dns_campaigns]
+        monitor = b.failover.monitor
+        assert [monitor.state(m) for m in monitor.members] == [
+            a.failover.monitor.state(m) for m in monitor.members
+        ]
+        assert limelight_failovers(registry) == 1  # it did fail over on the way
+        assert b.is_fresh() is False and not any(len(store) for store in b.stores)
+        assert len(b.netflow) == 0 and b.aws_campaign.results == []
+        assert list(registry.get("engine_phase_seconds").children()) == []
+        assert len(tracer) == 0
+        assert replayed._obs.profiling is True  # restored after the replay
 
 
 class TestSigtermDrain:

@@ -1,12 +1,15 @@
 """Unit tests for the sharding machinery itself.
 
 The end-to-end equivalence lives in ``test_parallel_determinism``;
-these pin the pieces: shard planning covers every probe exactly once,
-RNG streams are stable and independent, specs survive pickling, the
-digest detects state drift, and the engine clock is injectable.
+these pin the pieces: shard planning covers every probe exactly once
+and equals the table generated before the shard fields were renamed,
+specs survive pickling, the digest detects state drift, and the engine
+clock is injectable.
 """
 
+import json
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +19,6 @@ from repro.simulation.concurrency import (
     EngineSpec,
     Shard,
     ShardDivergenceError,
-    ShardRng,
     plan_shards,
     run_sharded,
     state_digest,
@@ -39,10 +41,10 @@ def small_engine():
 # ----------------------------------------------------------------------
 
 
-def partition_of(plan, attribute):
+def partition_of(plan, name):
     indices = []
-    for shard in plan.shards:
-        indices.extend(getattr(shard, attribute))
+    for shard in plan:
+        indices.extend(shard.indices[name])
     return indices
 
 
@@ -50,14 +52,40 @@ def partition_of(plan, attribute):
 def test_plan_covers_every_probe_exactly_once(small_engine, workers):
     plan = plan_shards(small_engine, workers)
     scenario = small_engine.scenario
-    assert sorted(partition_of(plan, "global_indices")) == list(
+    assert sorted(partition_of(plan, "ripe-global")) == list(
         range(len(scenario.global_campaign.probes))
     )
-    assert sorted(partition_of(plan, "isp_indices")) == list(
+    assert sorted(partition_of(plan, "ripe-isp")) == list(
         range(len(scenario.isp_campaign.probes))
     )
-    assert sum(shard.owns_traffic for shard in plan.shards) == 1
+    assert sum(shard.owns_traffic for shard in plan) == 1
     assert 1 <= len(plan) <= workers
+
+
+# Generated at the parent commit (Shard.global_indices / isp_indices /
+# owns_traffic / weight, per shard, from plan_shards): the proof that
+# keying the fields by campaign name moved no probe.
+PARENT_PLANS = json.loads(
+    (Path(__file__).parent / "golden" / "shard_plans.json").read_text()
+)
+
+
+@pytest.mark.parametrize("probes, isp_probes, step", [
+    (24, 12, 1800.0), (160, 80, 300.0), (160, 80, 1800.0),
+])
+def test_plans_equal_the_parent_commits(probes, isp_probes, step):
+    config = ScenarioConfig(global_probe_count=probes, isp_probe_count=isp_probes)
+    engine = SimulationEngine(Sep2017Scenario(config), step_seconds=step)
+    for workers in (2, 3, 4, 8):
+        plan = [
+            {
+                **{name: list(positions) for name, positions in shard.indices.items()},
+                "owns_traffic": shard.owns_traffic,
+                "weight": shard.weight,
+            }
+            for shard in plan_shards(engine, workers)
+        ]
+        assert plan == PARENT_PLANS[f"{probes}/{isp_probes}/{int(step)}/{workers}"]
 
 
 def test_plan_is_deterministic(small_engine):
@@ -66,25 +94,26 @@ def test_plan_is_deterministic(small_engine):
 
 def test_plan_balances_load(small_engine):
     plan = plan_shards(small_engine, 4)
-    weights = [shard.weight for shard in plan.shards]
+    weights = [shard.weight for shard in plan]
     # At 24 probes the indivisible ISP-traffic unit outweighs a fair
     # share on its own: its shard carries no global probes, and the
     # probe shards balance among themselves.
     assert Shard.traffic_weight > sum(weights) / len(weights)
-    (traffic,) = [shard for shard in plan.shards if shard.owns_traffic]
-    assert not traffic.global_indices
-    others = [shard.weight for shard in plan.shards if not shard.owns_traffic]
+    (traffic,) = [shard for shard in plan if shard.owns_traffic]
+    assert not traffic.indices["ripe-global"]
+    others = [shard.weight for shard in plan if not shard.owns_traffic]
     assert max(others) <= 2 * max(1, min(others))
 
 
 def test_isp_probes_weigh_by_how_often_they_fire(small_engine):
     plan = plan_shards(small_engine, 2)
     # 1800 s step and global interval, 43200 s ISP interval.
-    assert {shard.global_rate for shard in plan.shards} == {1.0}
-    assert {shard.isp_rate for shard in plan.shards} == {1800.0 / 43200.0}
+    assert {shard.rates["ripe-global"] for shard in plan} == {1.0}
+    assert {shard.rates["ripe-isp"] for shard in plan} == {1800.0 / 43200.0}
     probes_only = Shard(
-        shard_id=0, global_indices=(0, 1), isp_indices=tuple(range(24)),
-        isp_rate=1800.0 / 43200.0,
+        shard_id=0,
+        indices={"ripe-global": (0, 1), "ripe-isp": tuple(range(24))},
+        rates={"ripe-global": 1.0, "ripe-isp": 1800.0 / 43200.0},
     )
     assert probes_only.weight == pytest.approx(3.0)
 
@@ -101,7 +130,7 @@ def test_ledger_config_has_no_dominant_shard(workers):
     assert (config.global_probe_count, config.isp_probe_count) == (160, 80)
     engine = SimulationEngine(Sep2017Scenario(config), step_seconds=300.0)
     plan = plan_shards(engine, workers)
-    weights = [shard.weight for shard in plan.shards]
+    weights = [shard.weight for shard in plan]
     assert len(weights) == workers
     assert max(weights) <= 0.6 * sum(weights)
     assert sum(weights) == pytest.approx(160 + 80 * 300.0 / 43200.0 + Shard.traffic_weight)
@@ -110,32 +139,6 @@ def test_ledger_config_has_no_dominant_shard(workers):
 def test_plan_rejects_zero_workers(small_engine):
     with pytest.raises(ValueError):
         plan_shards(small_engine, 0)
-
-
-# ----------------------------------------------------------------------
-# RNG streams
-# ----------------------------------------------------------------------
-
-
-def test_shard_rng_is_stable():
-    assert ShardRng(7, 0).random() == ShardRng(7, 0).random()
-
-
-def test_shard_rng_streams_are_independent():
-    draws = {
-        ShardRng(7, shard_id, stream).random()
-        for shard_id in range(4)
-        for stream in ("", "netflow", "faults")
-    }
-    assert len(draws) == 12
-
-
-def test_shard_rng_substream_differs_from_parent():
-    parent = ShardRng(7, 1)
-    child = parent.substream("sampling")
-    grandchild = child.substream("sampling")
-    values = {ShardRng(7, 1).random(), child.random(), grandchild.random()}
-    assert len(values) == 3
 
 
 # ----------------------------------------------------------------------
@@ -183,15 +186,26 @@ def test_run_sharded_requires_a_fresh_engine(small_engine):
         )
 
 
+def test_run_sharded_needs_at_least_two_workers(small_engine):
+    # workers=1 is engine.run's serial loop; this entry used to detour
+    # there and silently drop the checkpoint plan and warm-up it was given.
+    with pytest.raises(ValueError, match="workers"):
+        run_sharded(
+            small_engine, TIMELINE.at(9, 18), TIMELINE.at(9, 18) + 3600.0, workers=1
+        )
+
+
 def test_shard_divergence_error_is_a_runtime_error():
     assert issubclass(ShardDivergenceError, RuntimeError)
 
 
 def test_shard_weight_counts_traffic_surcharge():
-    plain = Shard(shard_id=0, global_indices=(0, 1), isp_indices=(0,))
-    loaded = Shard(
-        shard_id=1, global_indices=(0, 1), isp_indices=(0,), owns_traffic=True
-    )
+    work = {
+        "indices": {"ripe-global": (0, 1), "ripe-isp": (0,)},
+        "rates": {"ripe-global": 1.0, "ripe-isp": 1.0},
+    }
+    plain = Shard(shard_id=0, **work)
+    loaded = Shard(shard_id=1, owns_traffic=True, **work)
     assert loaded.weight == plain.weight + Shard.traffic_weight
 
 

@@ -15,6 +15,7 @@ from repro.simulation import (
     Sep2017Scenario,
     SimulationEngine,
 )
+from repro.simulation.scenario import EXPOSURE_MIN_SERVERS
 from repro.workload import TIMELINE
 
 CLUSTER_PREFIX = IPv4Prefix.parse("208.111.160.0/19")
@@ -146,7 +147,7 @@ class TestEventDynamics:
             for r in scenario.netflow.records
             if scenario.operator_of(r.src) == "Limelight"
         }
-        assert len(limelight_sources) > scenario.config.exposure_min_servers
+        assert len(limelight_sources) > EXPOSURE_MIN_SERVERS
 
 
 class TestStepReports:

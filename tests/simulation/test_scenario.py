@@ -1,5 +1,7 @@
 """Tests for repro.simulation.scenario construction."""
 
+import dataclasses
+
 import pytest
 
 from repro.cdn.thirdparty import LIMELIGHT_PLAN
@@ -15,6 +17,10 @@ from repro.simulation import (
     AS_TRANSIT_D,
     ScenarioConfig,
     Sep2017Scenario,
+)
+from repro.simulation.scenario import (
+    LIMELIGHT_SERVERS_PER_METRO,
+    OVERFLOW_CLUSTER_SIZE,
 )
 from repro.workload import TIMELINE
 
@@ -58,7 +64,7 @@ class TestScenarioConstruction:
             for placed in scenario.estate.limelight.servers
             if placed.server.hostname.startswith("zz-overflow-")
         ]
-        assert len(cluster) == scenario.config.overflow_cluster_size
+        assert len(cluster) == OVERFLOW_CLUSTER_SIZE
         for placed in cluster:
             route = scenario.rib.lookup(placed.server.address)
             assert route.neighbor_asn == AS_TRANSIT_D
@@ -131,4 +137,27 @@ class TestScenarioConstruction:
             if not placed.server.hostname.startswith("zz-overflow-")
         ]
         metros = {placed.location.code for placed in regular}
-        assert len(regular) == len(metros) * scenario.config.limelight_servers_per_metro
+        assert len(regular) == len(metros) * LIMELIGHT_SERVERS_PER_METRO
+
+
+# Calibration no run, test or benchmark ever varied: constants in
+# scenario.py now, so passing one is a typo the dataclass refuses.
+FORMER_KNOBS = (
+    "aws_interval", "traceroute_interval", "traceroute_max_targets",
+    "apple_edge_gbps", "akamai_tau_seconds", "limelight_tau_seconds",
+    "exposure_min_servers", "exposure_headroom", "limelight_servers_per_metro",
+    "limelight_exposure_gbps_per_server", "limelight_release_tau_seconds",
+    "akamai_exposure_gbps_per_server", "akamai_day1_weight",
+    "ios_11_1_surge_scale", "background_gbps", "overflow_cluster_size",
+    "precache_fill_gbps", "precache_fill_lead_seconds",
+    "precache_fill_tail_seconds", "fault_k_failures", "fault_recovery_probes",
+    "fault_probe_interval", "fault_cooldown",
+)
+
+
+def test_calibration_constants_are_not_config_keywords():
+    assert len(FORMER_KNOBS) == 23
+    assert len(dataclasses.fields(ScenarioConfig)) == 26
+    for keyword in FORMER_KNOBS:
+        with pytest.raises(TypeError, match=keyword):
+            ScenarioConfig(**{keyword: 1})
