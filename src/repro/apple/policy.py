@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from ..dns.policies import stable_fraction
+from ..dns.policies import sticky_fraction
 from ..dns.query import QueryContext
 from ..dns.records import CnameRecord, ResourceRecord
 from ..net.geo import MappingRegion
@@ -127,10 +127,8 @@ class OffloadCnamePolicy:
         share = self.controller.apple_share(context.region)
         if self.health is not None:
             share = self.health.effective_share(share, context.region, context.now)
-        bucket = int(context.now // self.ttl) if self.ttl > 0 else 0
-        fraction = stable_fraction(name, context.client, bucket, self.salt)
-        if fraction < share:
-            pick = stable_fraction("gslb", context.client, bucket, self.salt)
+        if sticky_fraction(name, context, self.ttl, self.salt) < share:
+            pick = sticky_fraction("gslb", context, self.ttl, self.salt)
             index = int(pick * len(self.gslb_targets))
             return self.gslb_targets[index]
         return self.third_party_pattern.format(region=context.region.value)
@@ -165,8 +163,7 @@ class AkamaiHandoverPolicy:
             and context.now >= self.secondary_from
             and context.region is self.secondary_region
         ):
-            bucket = int(context.now // self.ttl) if self.ttl > 0 else 0
-            fraction = stable_fraction(name, context.client, bucket, self.salt)
+            fraction = sticky_fraction(name, context, self.ttl, self.salt)
             if fraction < self.secondary_share:
                 return self.secondary
         return self.primary

@@ -37,7 +37,10 @@ __all__ = [
     "GslbAddressPolicy",
     "RoundRobinAddressPolicy",
     "stable_fraction",
+    "sticky_fraction",
 ]
+
+_TWO_64 = float(1 << 64)
 
 
 class AnswerPolicy(Protocol):
@@ -58,7 +61,17 @@ def stable_fraction(*parts: object) -> float:
     digest = hashlib.blake2b(
         "|".join(map(str, parts)).encode(), digest_size=8
     ).digest()
-    return int.from_bytes(digest, "big") / float(1 << 64)
+    return int.from_bytes(digest, "big") / _TWO_64
+
+
+def sticky_fraction(name: str, context: QueryContext, ttl: int, salt: str) -> float:
+    """The draw a selection policy makes for this client right now.
+
+    Sticky per ``(client, TTL bucket)``: the value holds for one ``ttl``
+    interval (the whole run for a zero TTL), then may change.
+    """
+    bucket = int(context.now // ttl) if ttl > 0 else 0
+    return stable_fraction(name, context.client, bucket, salt)
 
 
 @dataclass(frozen=True)
@@ -184,10 +197,8 @@ class WeightedCnamePolicy:
     def select(self, name: str, context: QueryContext) -> str:
         """The CNAME target chosen for this client at this time."""
         weights = self.schedule.weights_at(context.now)
-        bucket = int(context.now // self.ttl) if self.ttl > 0 else 0
-        fraction = stable_fraction(name, context.client, bucket, self.salt)
-        total = sum(weights.values())
-        threshold = fraction * total
+        fraction = sticky_fraction(name, context, self.ttl, self.salt)
+        threshold = fraction * sum(weights.values())
         cumulative = 0.0
         ordered = sorted(weights.items())
         for target, weight in ordered:
@@ -222,8 +233,7 @@ class GslbAddressPolicy:
         if not size:
             return ()
         ttl = self.ttl
-        bucket = int(context.now // ttl) if ttl > 0 else 0
-        offset = int(stable_fraction(name, context.client, bucket, self.salt) * size)
+        offset = int(sticky_fraction(name, context, ttl, self.salt) * size)
         return tuple(
             [
                 ARecord(name, candidates[(offset + index) % size], ttl)

@@ -14,7 +14,6 @@ whole Figure 2 chain.  :class:`RecursiveResolver` reproduces that walk:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..net.ipv4 import IPv4Address, IPv4Prefix
@@ -41,7 +40,7 @@ class ResolutionError(RuntimeError):
     """Raised when a resolution cannot complete (loop, missing server)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ResolutionStep:
     """One hop of the chain: which operator answered what for which name."""
 
@@ -50,58 +49,101 @@ class ResolutionStep:
     records: tuple[ResourceRecord, ...]
     from_cache: bool = False
 
+    def __init__(
+        self,
+        name: str,
+        operator: str,
+        records: tuple[ResourceRecord, ...],
+        from_cache: bool = False,
+    ) -> None:
+        # Stores what the generated ``__init__`` would.  That one goes
+        # through ``object.__setattr__`` per field because the class is
+        # frozen (1.24 us a step against 0.45 us), and a replay builds
+        # one step per authoritative hop, 650 000 of them: 4.8 % of
+        # ``replay_serial`` (EXPERIMENTS.md, PR 21).
+        fields = self.__dict__
+        fields["name"] = name
+        fields["operator"] = operator
+        fields["records"] = records
+        fields["from_cache"] = from_cache
+
+
+def _walk(
+    qname: str, steps: Sequence[ResolutionStep]
+) -> tuple[tuple[str, ...], tuple[ResourceRecord, ...], tuple[IPv4Address, ...]]:
+    """The chain views of ``steps``: (names asked, CNAMEs followed, addresses).
+
+    This is the walk :func:`resolve_bulk` performs, read back off its
+    record: the question name, then the first CNAME target of each hop
+    until a hop holds A records (its addresses end the walk) or holds
+    neither (a dead end).  Records the chase did not follow — a second
+    CNAME, a CNAME beside A records, anything past the terminating hop —
+    are in ``steps`` but not in the views.
+    """
+    names = [qname]
+    followed: list[ResourceRecord] = []
+    for step in steps:
+        addresses = []
+        target = None
+        for record in step.records:
+            rtype = record.rtype
+            if rtype is RecordType.A:
+                addresses.append(record.data)
+            elif target is None and rtype is RecordType.CNAME:
+                target = record
+        if addresses:
+            return tuple(names), tuple(followed), tuple(addresses)
+        if target is None:
+            break
+        followed.append(target)
+        names.append(target.data)
+    return tuple(names), tuple(followed), ()
+
+
+class _ChainView:
+    """One chain view of a :class:`Resolution`, stored on the instance.
+
+    :func:`resolve_bulk` writes the three views it accumulated while
+    walking straight into the instance ``__dict__``; a ``Resolution``
+    constructed from ``steps`` alone lands here on its first read and
+    derives the same values with :func:`_walk`.  Not a data descriptor,
+    so once the entry exists an access never reaches this class.
+    """
+
+    def __init__(self, doc: str) -> None:
+        self.__doc__ = doc
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        views = instance.__dict__
+        views["chain_names"], views["cname_chain"], views["addresses"] = _walk(
+            instance.question.name, instance.steps
+        )
+        return views[self._name]
+
 
 @dataclass(frozen=True)
 class Resolution:
     """A completed recursive resolution.
 
-    ``steps`` covers the whole chase in order; ``addresses`` are the
-    final A records.  ``rcode`` is NOERROR unless the chain dead-ended.
+    ``steps`` covers the whole chase in order; ``rcode`` is NOERROR
+    unless the chain dead-ended.  The three chain views describe the
+    walk the chase took through ``steps`` (see :func:`_walk`); they are
+    not fields, so equality, hashing and ``repr`` read the three fields
+    alone.
     """
 
     question: Question
     steps: tuple[ResolutionStep, ...]
     rcode: RCode = RCode.NOERROR
 
-    # The three chain views walk ``steps`` once per object, not once
-    # per access: a measurement reads ``chain_names`` and ``addresses``
-    # back to back and ``succeeded()`` reads ``addresses`` again.
-    # (``cached_property`` writes the instance ``__dict__`` directly, so
-    # it works on a frozen dataclass; equality still compares fields.)
-
-    @cached_property
-    def addresses(self) -> tuple[IPv4Address, ...]:
-        """The resolved cache-server addresses."""
-        return tuple(
-            [
-                record.data
-                for step in self.steps
-                for record in step.records
-                if record.rtype is RecordType.A
-            ]
-        )
-
-    @cached_property
-    def cname_chain(self) -> tuple[ResourceRecord, ...]:
-        """Every CNAME record followed, in order."""
-        return tuple(
-            [
-                record
-                for step in self.steps
-                for record in step.records
-                if record.rtype is RecordType.CNAME
-            ]
-        )
-
-    @cached_property
-    def chain_names(self) -> tuple[str, ...]:
-        """All names visited, starting with the question name."""
-        names = [self.question.name]
-        for step in self.steps:
-            for record in step.records:
-                if record.rtype is RecordType.CNAME:
-                    names.append(record.data)
-        return tuple(names)
+    addresses = _ChainView("The resolved cache-server addresses (final hop).")
+    cname_chain = _ChainView("Every CNAME record followed, in order.")
+    chain_names = _ChainView("All names asked, starting with the question name.")
 
     @property
     def final_name(self) -> str:
@@ -226,6 +268,10 @@ class RecursiveResolver:
             "Answer records received, by answering operator",
             ("operator",),
         )
+        # operator -> its [queries, answer records] children, each bound
+        # on the first hop that counts on it: a series still appears
+        # only once it has counted something.
+        self._m_by_operator: dict[str, list] = {}
         # Keys are the bare qname for per-client resolvers (degenerate
         # key, byte-identical to the historical behaviour) or
         # ``(qname, scope-truncated client network)`` for shared caches.
@@ -291,6 +337,18 @@ class RecursiveResolver:
             IPv4Prefix.containing(context.client, self._cache_scope).network,
         )
 
+    def chases_as(
+        self, context: QueryContext
+    ) -> tuple[RecursiveResolver, QueryContext]:
+        """The (resolver, context) a chase for ``context`` runs as.
+
+        :func:`resolve_bulk` asks each client this once, before the
+        first hop.  A resolver chases as itself; a stand-in that routes
+        to a shared cache (:class:`repro.resolver.PopStubResolver`)
+        names that cache and the context it asks upstream with.
+        """
+        return self, context
+
     def _query_one(
         self,
         name: str,
@@ -312,22 +370,29 @@ class RecursiveResolver:
         )
         if server is None:
             raise ResolutionError(f"no authoritative server for {name!r}")
-        response = server.query_in_zone(zone, Question.of(name), context)
-        if response.rcode is RCode.REFUSED:
-            raise ResolutionError(
-                f"{server.operator} refused {name!r} despite zone match"
-            )
-        records = response.answers
-        self._m_queries.labels(server.operator).inc()
+        # The record-level answer, not a message: a located server comes
+        # with its covering zone, and an unbound name is an empty hop.
+        records = zone.answer(name, context) or ()
+        operator = server.operator
+        counters = self._m_by_operator.get(operator)
+        if counters is None:
+            counters = self._m_by_operator[operator] = [
+                self._m_queries.labels(operator),
+                None,
+            ]
+        counters[0].inc()
+        step = ResolutionStep(name, operator, records)
         if records:
-            self._m_answers.labels(server.operator).inc(len(records))
-        step = ResolutionStep(name, server.operator, records)
-        if self._cache_enabled and records:
-            ttl = records[0].ttl
-            for record in records:
-                if record.ttl < ttl:
-                    ttl = record.ttl
-            self._cache.put(key, _CacheEntry(step, now + ttl), now)
+            answers = counters[1]
+            if answers is None:
+                answers = counters[1] = self._m_answers.labels(operator)
+            answers.inc(len(records))
+            if self._cache_enabled:
+                ttl = records[0].ttl
+                for record in records:
+                    if record.ttl < ttl:
+                        ttl = record.ttl
+                self._cache.put(key, _CacheEntry(step, now + ttl), now)
         return step
 
     def flush(self) -> None:
@@ -411,9 +476,15 @@ class ServerMap:
 
 
 class _Chase:
-    """One client's in-flight state during a chase."""
+    """One client's in-flight state during a chase.
 
-    __slots__ = ("index", "resolver", "context", "current", "steps", "seen")
+    ``names`` and ``followed`` are the walk so far — every name asked
+    and the CNAME record that led to each next one — and become the
+    finished :class:`Resolution`'s views; ``names`` is also the loop
+    check.
+    """
+
+    __slots__ = ("index", "resolver", "context", "steps", "names", "followed")
 
     def __init__(
         self, index: int, resolver: RecursiveResolver, context: QueryContext, qname: str
@@ -421,9 +492,9 @@ class _Chase:
         self.index = index
         self.resolver = resolver
         self.context = context
-        self.current = qname
         self.steps: List[ResolutionStep] = []
-        self.seen = {qname}
+        self.names = [qname]
+        self.followed: List[ResourceRecord] = []
 
 
 def resolve_bulk(
@@ -441,6 +512,10 @@ def resolve_bulk(
     of once per client.  TTL caches, metrics, rcodes, loop detection
     and the chain-length limit are per client.
 
+    Each client is asked once, up front, which resolver and context its
+    chase runs as (:meth:`RecursiveResolver.chases_as`); every hop then
+    goes to that resolver directly.
+
     Failures that :meth:`RecursiveResolver.resolve` raises are returned
     in-place as :class:`ResolutionError` instances so one bad vantage
     cannot abort a whole campaign tick (callers translate them into
@@ -451,53 +526,62 @@ def resolve_bulk(
     the same estate server list.
     """
     qname = normalize_name(name)
-    question = Question.of(qname)
+    question = Question(qname)
     outcomes: List[Union[Resolution, ResolutionError]] = [None] * len(clients)  # type: ignore[list-item]
     active = [
-        _Chase(index, resolver, context, qname)
-        for index, (resolver, context) in enumerate(clients)
+        _Chase(index, *client.chases_as(context), qname)
+        for index, (client, context) in enumerate(clients)
     ]
     locate = server_map.locate if server_map is not None else None
+    # Enum members, read off their classes once rather than per record.
     a_type, cname_type = RecordType.A, RecordType.CNAME
+    noerror, nxdomain = RCode.NOERROR, RCode.NXDOMAIN
     for _ in range(_MAX_CHAIN):
         if not active:
             break
         still_active: List[_Chase] = []
         for chase in active:
             resolver = chase.resolver
+            names = chase.names
             try:
-                step = resolver._query_one(chase.current, chase.context, locate)
+                step = resolver._query_one(names[-1], chase.context, locate)
             except ResolutionError as exc:
                 outcomes[chase.index] = exc
                 continue
             steps = chase.steps
             steps.append(step)
             # One pass over the hop: any A record completes the chase,
-            # otherwise the first CNAME redirects it.
-            answered = False
-            target: Optional[str] = None
+            # otherwise the first CNAME redirects it (the scan ``_walk``
+            # repeats for a hand-built Resolution; inlined here, in the
+            # loop a replay spends its campaign phase in).
+            addresses = []
+            redirect: Optional[ResourceRecord] = None
             for record in step.records:
                 rtype = record.rtype
                 if rtype is a_type:
-                    answered = True
-                    break
-                if target is None and rtype is cname_type:
-                    target = record.data  # type: ignore[assignment]
-            if answered or target is None:
-                # ``target is None``: NODATA / NXDOMAIN at this link.
+                    addresses.append(record.data)
+                elif redirect is None and rtype is cname_type:
+                    redirect = record
+            if addresses or redirect is None:
+                # ``redirect is None``: NODATA / NXDOMAIN at this link.
                 resolver._m_resolutions.inc()
                 resolver._m_chain_length.observe(len(steps))
-                outcomes[chase.index] = Resolution(
-                    question,
-                    tuple(steps),
-                    RCode.NOERROR if answered else RCode.NXDOMAIN,
+                resolution = Resolution(
+                    question, tuple(steps), noerror if addresses else nxdomain
                 )
+                # The walk just taken is the chain views (see _ChainView).
+                views = resolution.__dict__
+                views["chain_names"] = tuple(names)
+                views["cname_chain"] = tuple(chase.followed)
+                views["addresses"] = tuple(addresses)
+                outcomes[chase.index] = resolution
                 continue
-            if target in chase.seen:
+            target = redirect.data
+            if target in names:
                 outcomes[chase.index] = ResolutionError(f"CNAME loop at {target!r}")
                 continue
-            chase.seen.add(target)
-            chase.current = target
+            chase.followed.append(redirect)
+            names.append(target)
             still_active.append(chase)
         active = still_active
     for chase in active:

@@ -13,7 +13,7 @@ from typing import Iterator, Optional
 
 from .policies import AnswerPolicy
 from .query import DnsResponse, Question, QueryContext, RCode
-from .records import RecordType, is_subdomain, normalize_name
+from .records import RecordType, ResourceRecord, is_subdomain, normalize_name
 
 __all__ = ["Zone", "AuthoritativeServer"]
 
@@ -45,6 +45,26 @@ class Zone:
     def policy_for(self, name: str) -> Optional[AnswerPolicy]:
         """The policy bound to ``name``, or ``None``."""
         return self._policies.get(normalize_name(name))
+
+    def answer(
+        self, name: str, context: QueryContext
+    ) -> Optional[tuple[ResourceRecord, ...]]:
+        """The records this zone holds for ``name`` as seen from ``context``.
+
+        This is the record-level answer, the one place a bound name
+        becomes records: :meth:`AuthoritativeServer.query_in_zone` wraps
+        it in a message for the live edge, the in-memory chase of
+        :mod:`repro.dns.resolver` reads it as is.  ``None`` means the
+        name is not bound (NXDOMAIN at the message level); a bound name
+        whose policy currently answers nothing yields ``()`` (NODATA).
+        ``name`` must already be normalised — a :class:`Question`'s name
+        or a record's target, which is all either caller ever holds.
+        """
+        policy = self._policies.get(name)
+        if policy is None:
+            return None
+        records = policy.answer(name, context)
+        return records if type(records) is tuple else tuple(records)
 
     def covers(self, name: str) -> bool:
         """Whether ``name`` belongs to this zone."""
@@ -115,19 +135,19 @@ class AuthoritativeServer:
         the zone here skips the per-query linear scan while producing
         the byte-identical answer :meth:`query` would.  ``zone=None``
         means no hosted zone covers the name (REFUSED, as in
-        :meth:`query`).
+        :meth:`query`).  The records themselves come from
+        :meth:`Zone.answer`; this is its message wrapper.
         """
         if zone is None:
             return DnsResponse(question=question, rcode=RCode.REFUSED)
-        policy = zone.policy_for(question.name)
-        if policy is None:
+        records = zone.answer(question.name, context)
+        if records is None:
             return DnsResponse(question=question, rcode=RCode.NXDOMAIN)
-        records = policy.answer(question.name, context)
         if question.rtype is not RecordType.A:
             records = tuple(
                 record for record in records if record.rtype is question.rtype
             )
-        return DnsResponse(question=question, answers=tuple(records))
+        return DnsResponse(question=question, answers=records)
 
     def __str__(self) -> str:
         origins = ", ".join(zone.origin for zone in self._zones)

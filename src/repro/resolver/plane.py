@@ -38,7 +38,6 @@ from ..dns.query import QueryContext
 from ..dns.resolver import (
     RecursiveResolver,
     Resolution,
-    ResolutionStep,
     ResolverCacheStats,
 )
 from ..dns.zone import AuthoritativeServer
@@ -82,21 +81,15 @@ class PopStubResolver:
     """A probe-side stand-in routing resolutions through a shared POP cache.
 
     Quacks like the slice of :class:`~repro.dns.resolver.RecursiveResolver`
-    the campaign machinery uses (``servers``, ``resolve``, ``_query_one``
-    and the two resolution instruments), but holds no cache of its own:
-    every query is reframed onto the plane's canonical context — only
-    the wall-clock ``now`` of the querying probe survives — and handed
-    to the POP's shared resolver.
+    the campaign machinery uses (``servers``, ``resolve``, ``chases_as``),
+    but holds no cache of its own: every chase is reframed onto the
+    plane's canonical context — only the wall-clock ``now`` of the
+    querying probe survives — and runs on the POP's shared resolver.
     """
 
     def __init__(self, shared: RecursiveResolver, canonical: QueryContext) -> None:
         self._shared = shared
         self._canonical = canonical
-        # resolve_bulk increments these directly on the resolver it was
-        # handed; pointing at the shared instruments keeps campaign
-        # telemetry flowing without a parallel counter set.
-        self._m_resolutions = shared._m_resolutions
-        self._m_chain_length = shared._m_chain_length
 
     @property
     def servers(self) -> tuple[AuthoritativeServer, ...]:
@@ -115,8 +108,11 @@ class PopStubResolver:
     def resolve(self, name: str, context: QueryContext) -> Resolution:
         return self._shared.resolve(name, self.reframe(context))
 
-    def _query_one(self, name, context, locate=None) -> ResolutionStep:
-        return self._shared._query_one(name, self.reframe(context), locate)
+    def chases_as(
+        self, context: QueryContext
+    ) -> tuple[RecursiveResolver, QueryContext]:
+        """The shared resolver, asked from the reframed ``context``."""
+        return self._shared, self.reframe(context)
 
     def cache_stats(self) -> ResolverCacheStats:
         """The shared cache's counters (POP-level, not per-probe)."""

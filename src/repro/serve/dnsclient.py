@@ -47,7 +47,12 @@ class WireResolution:
     """A CNAME chase completed over the wire.
 
     Mirrors the read API of :class:`repro.dns.resolver.Resolution` so
-    equivalence tests can compare the two hop for hop.
+    equivalence tests can compare the two hop for hop.  The mirror is
+    exact when every hop holds one CNAME or only A records (the whole
+    Apple estate).  Where a wire answer carries more — a server that
+    followed its own CNAME and sent the target's A records along — the
+    views here list every CNAME and every address received, while
+    ``Resolution``'s name only the walk its chase took.
     """
 
     question_name: str

@@ -14,6 +14,7 @@ from repro.dns.policies import (
     WeightSchedule,
     WeightedCnamePolicy,
     stable_fraction,
+    sticky_fraction,
 )
 from repro.dns.query import QueryContext
 from repro.dns.records import ARecord, RecordType
@@ -44,6 +45,31 @@ class TestStableFraction:
     @given(st.text(max_size=20), st.integers())
     def test_always_in_range_property(self, text, number):
         assert 0.0 <= stable_fraction(text, number) < 1.0
+
+
+class TestStickyFraction:
+    """The selection policies' draw hashes the bytes ``stable_fraction`` would."""
+
+    @given(
+        name=st.text(max_size=20),
+        client=st.integers(0, 2**32 - 1),
+        now=st.floats(0.0, 1e9, allow_nan=False),
+        ttl=st.sampled_from([0, 15, 20, 120, 300, 21600]),
+        salt=st.text(max_size=12),
+    )
+    def test_is_the_bucketed_stable_fraction(self, name, client, now, ttl, salt):
+        context = make_context(client=str(IPv4Address(client)), now=now)
+        bucket = int(now // ttl) if ttl > 0 else 0
+        assert sticky_fraction(name, context, ttl, salt) == stable_fraction(
+            name, context.client, bucket, salt
+        )
+
+    def test_holds_for_one_ttl_interval(self):
+        draws = [
+            sticky_fraction("sel.example", make_context(now=now), 15, "s")
+            for now in (30.0, 37.5, 44.9, 45.0)
+        ]
+        assert draws[0] == draws[1] == draws[2] != draws[3]
 
 
 class TestSimplePolicies:

@@ -86,6 +86,25 @@ class TestZone:
         )
         assert record.target == "v2.example"
 
+    def test_answer_is_the_record_level_answer(self):
+        zone = Zone("apple.com")
+        zone.bind("a.apple.com", CnamePolicy("x.example", ttl=7))
+        zone.bind("empty.apple.com", StaticPolicy(()))
+        (record,) = zone.answer("a.apple.com", make_context())
+        assert (record.name, record.target, record.ttl) == ("a.apple.com", "x.example", 7)
+        # Bound but answering nothing is not the same as not bound.
+        assert zone.answer("empty.apple.com", make_context()) == ()
+        assert zone.answer("other.apple.com", make_context()) is None
+
+    def test_answer_is_a_tuple_whatever_the_policy_returns(self):
+        class Listy:
+            def answer(self, name, context):
+                return [ARecord(name, IPv4Address.parse("10.0.0.1"), 5)]
+
+        zone = Zone("apple.com")
+        zone.bind("l.apple.com", Listy())
+        assert type(zone.answer("l.apple.com", make_context())) is tuple
+
     def test_covers(self):
         zone = Zone("apple.com")
         assert zone.covers("deep.sub.apple.com")
@@ -115,6 +134,15 @@ class TestAuthoritativeServer:
         response = apple_server.query(Question("appldnld.apple.com"), make_context())
         assert response.rcode is RCode.NOERROR
         assert response.cname_chain[0].target == "appldnld.apple.com.akadns.net"
+
+    def test_query_in_zone_wraps_the_zone_answer(self, estate):
+        apple_server, _ = estate
+        zone = apple_server.zone_for("appldnld.apple.com")
+        for name in ("appldnld.apple.com", "nothing.apple.com"):
+            response = apple_server.query_in_zone(zone, Question(name), make_context())
+            records = zone.answer(name, make_context())
+            assert response.answers == (records or ())
+            assert (response.rcode is RCode.NXDOMAIN) == (records is None)
 
     def test_most_specific_zone_wins(self):
         outer = Zone("example.com")

@@ -86,6 +86,35 @@ class TestWireResolution:
         assert len(resolution.cname_chain) == 2
         assert len(resolution.records) == 3
 
+    def test_mirrors_resolution_exactly_on_one_cname_per_hop(self):
+        from repro.dns.query import Question
+        from repro.dns.resolver import Resolution, ResolutionStep
+
+        def both(hops):
+            memory = Resolution(
+                Question("appldnld.apple.com"),
+                tuple(ResolutionStep(hop[0].name, "Op", hop) for hop in hops),
+            )
+            return memory, WireResolution("appldnld.apple.com", hops)
+
+        def views(r):
+            return r.chain_names, r.cname_chain, r.addresses, r.final_name
+
+        address = IPv4Address.parse("17.0.0.1")
+        memory, wire = both((
+            (CnameRecord("appldnld.apple.com", "a.akadns.net", 21600),),
+            (CnameRecord("a.akadns.net", "a.gslb.applimg.com", 15),),
+            (ARecord("a.gslb.applimg.com", address, 15),),
+        ))
+        assert views(wire) == views(memory)
+        # A flattened answer (CNAME plus its target's A records in one
+        # message) is where the two part, as WireResolution documents:
+        # the wire views list what was received, Resolution's the walk.
+        memory, wire = both(self._resolution().steps)
+        assert wire.final_name == "a.gslb.applimg.com"
+        assert memory.final_name == "a.akadns.net"
+        assert wire.addresses == memory.addresses == (address,)
+
 
 class TestLoadConfig:
     def test_defaults_are_valid(self):
