@@ -51,6 +51,12 @@ class AnswerPolicy(Protocol):
         ...  # pragma: no cover - protocol
 
 
+def _fraction(text: str) -> float:
+    """The one definition of a draw: BLAKE2b-64 of ``text`` over 2**64."""
+    digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "big") / _TWO_64
+
+
 def stable_fraction(*parts: object) -> float:
     """A deterministic pseudo-uniform fraction in ``[0, 1)`` of the inputs.
 
@@ -58,20 +64,18 @@ def stable_fraction(*parts: object) -> float:
     (weighted CDN selection, server rotation).  BLAKE2b keeps the value
     stable across processes, unlike Python's salted ``hash``.
     """
-    digest = hashlib.blake2b(
-        "|".join(map(str, parts)).encode(), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big") / _TWO_64
+    return _fraction("|".join(map(str, parts)))
 
 
 def sticky_fraction(name: str, context: QueryContext, ttl: int, salt: str) -> float:
     """The draw a selection policy makes for this client right now.
 
     Sticky per ``(client, TTL bucket)``: the value holds for one ``ttl``
-    interval (the whole run for a zero TTL), then may change.
+    interval (the whole run for a zero TTL), then may change.  Equal to
+    ``stable_fraction(name, context.client, bucket, salt)``.
     """
     bucket = int(context.now // ttl) if ttl > 0 else 0
-    return stable_fraction(name, context.client, bucket, salt)
+    return _fraction(f"{name}|{context.client}|{bucket}|{salt}")
 
 
 @dataclass(frozen=True)

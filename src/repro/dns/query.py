@@ -22,7 +22,7 @@ from .records import RecordType, ResourceRecord, normalize_name
 __all__ = ["QueryContext", "RCode", "Question", "DnsResponse"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QueryContext:
     """Everything a policy-driven authoritative server may consider.
 
@@ -41,10 +41,30 @@ class QueryContext:
     #: chain reads it, several times per hop.
     region: MappingRegion = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "region", MappingRegion.for_continent(self.continent)
-        )
+    def __init__(
+        self,
+        client: IPv4Address,
+        coordinates: Coordinates,
+        continent: Continent,
+        country: str,
+        now: float = 0.0,
+    ) -> None:
+        # Stores what the generated ``__init__`` + ``__post_init__``
+        # would, without an ``object.__setattr__`` per field (see
+        # ``ResolutionStep``): a campaign builds one context per probe
+        # per tick.
+        fields = self.__dict__
+        fields["client"] = client
+        fields["coordinates"] = coordinates
+        fields["continent"] = continent
+        fields["country"] = country
+        fields["now"] = now
+        fields["region"] = _REGION_OF[continent]
+
+
+_REGION_OF = {
+    continent: MappingRegion.for_continent(continent) for continent in Continent
+}
 
 
 class RCode(Enum):

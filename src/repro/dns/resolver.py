@@ -126,7 +126,7 @@ class _ChainView:
         return views[self._name]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Resolution:
     """A completed recursive resolution.
 
@@ -140,6 +140,18 @@ class Resolution:
     question: Question
     steps: tuple[ResolutionStep, ...]
     rcode: RCode = RCode.NOERROR
+
+    def __init__(
+        self,
+        question: Question,
+        steps: tuple[ResolutionStep, ...],
+        rcode: RCode = RCode.NOERROR,
+    ) -> None:
+        # As ``ResolutionStep.__init__``: one per probe per tick.
+        fields = self.__dict__
+        fields["question"] = question
+        fields["steps"] = steps
+        fields["rcode"] = rcode
 
     addresses = _ChainView("The resolved cache-server addresses (final hop).")
     cname_chain = _ChainView("Every CNAME record followed, in order.")

@@ -113,6 +113,10 @@ class BgpRib:
         # changes the table empties the memo, so an answer never
         # outlives the table it was computed from.
         self._lpm_memo: dict[int, tuple[BgpRoute, ...]] = {}
+        #: Counts the changes to the table.  Whoever derives state from
+        #: lookups (the engine's route plans) keeps the epoch it read
+        #: beside it and rebuilds when the two differ.
+        self.epoch = 0
 
     def install(self, route: BgpRoute) -> None:
         """Announce ``route``, adding it to its prefix's candidate set.
@@ -127,6 +131,7 @@ class BgpRib:
         candidates = tuple(sorted(existing + (route,), key=route_preference))
         self._trie.insert(route.prefix, candidates)
         self._lpm_memo.clear()
+        self.epoch += 1
 
     def withdraw(self, route: BgpRoute) -> bool:
         """Withdraw one previously announced route.
@@ -141,6 +146,7 @@ class BgpRib:
         remaining = tuple(r for r in existing if r != route)
         self._trie.insert(route.prefix, remaining)
         self._lpm_memo.clear()
+        self.epoch += 1
         return True
 
     def candidates(self, prefix: IPv4Prefix) -> tuple[BgpRoute, ...]:

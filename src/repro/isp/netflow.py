@@ -23,7 +23,7 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from ..dns.policies import stable_fraction
 from ..net.ipv4 import IPv4Address
@@ -99,28 +99,41 @@ class FlowLog:
             self._link_index[link_id] = index
         return index
 
+    def append_block(
+        self, timestamp: float, rows: Sequence[tuple[int, int, int, str]]
+    ) -> None:
+        """Append the flows of one timestamp, ``(src, dst, bytes, link_id)`` each.
+
+        All or nothing: the columns are built before the log is touched,
+        so a block that goes back in time, a size that is not positive
+        or a value its column cannot hold (``TypeError`` /
+        ``OverflowError``) raises with every row of the log as it was.
+        """
+        if not rows:
+            return
+        times = self.times
+        if times and timestamp < times[-1]:
+            raise ValueError("flows must be appended in time order")
+        srcs, dsts, sizes, link_names = zip(*rows)
+        if min(sizes) <= 0:
+            raise ValueError("flow bytes must be positive")
+        new_times = array("d", (timestamp,)) * len(rows)
+        new_srcs, new_dsts = array("I", srcs), array("I", dsts)
+        new_sizes = array("q", sizes)
+        for link_id in dict.fromkeys(link_names):  # first-appearance order
+            self._intern(link_id)
+        new_links = array("H", map(self._link_index.__getitem__, link_names))
+        times.extend(new_times)
+        self.srcs.extend(new_srcs)
+        self.dsts.extend(new_dsts)
+        self.sizes.extend(new_sizes)
+        self.link_ids.extend(new_links)
+
     def append_values(
         self, timestamp: float, src: int, dst: int, size: int, link_id: str
     ) -> None:
         """Append one flow from its field values (addresses as ints)."""
-        if size <= 0:
-            raise ValueError("flow bytes must be positive")
-        times = self.times
-        if times and timestamp < times[-1]:
-            raise ValueError("flows must be appended in time order")
-        link = self._intern(link_id)
-        rows = len(times)
-        try:
-            times.append(timestamp)
-            self.srcs.append(src)
-            self.dsts.append(dst)
-            self.sizes.append(size)
-            self.link_ids.append(link)
-        except (TypeError, OverflowError):
-            # A value its column cannot hold: leave no half-written row.
-            for column in (times, self.srcs, self.dsts, self.sizes, self.link_ids):
-                del column[rows:]
-            raise
+        self.append_block(timestamp, ((src, dst, size, link_id),))
 
     def append(self, record: FlowRecord) -> None:
         """Append one record."""
@@ -377,31 +390,43 @@ class NetflowCollector:
             self._m_records.inc(exported)
         return exported
 
+    def observe_block(
+        self, timestamp: float, rows: Sequence[tuple[int, int, int, str]]
+    ) -> int:
+        """Record each ``(src, dst, bytes, link_id)`` row as one unsampled record.
+
+        What the simulation engine hands over at the end of a tick when
+        configured without sampling (rate 1 mode): every byte shows up
+        in exactly one record, so small scenario runs do not suffer
+        sampling noise.  Addresses are their integer values.  All or
+        nothing, like :meth:`FlowLog.append_block`; returns the number
+        of records exported.
+        """
+        log = self._log
+        before = len(log)
+        log.append_block(timestamp, rows)
+        exported = len(log) - before
+        if exported:
+            offered = sum(log.sizes[before:])
+            self.total_offered_bytes += offered
+            self._m_offered.inc(offered)
+            self._m_records.inc(exported)
+        return exported
+
     def observe_exact(
         self, timestamp: float, src: IPv4Address, link_id: str, total_bytes: int,
         dst: Optional[IPv4Address] = None,
     ) -> None:
-        """Record the aggregate as one unsampled record (rate 1 mode).
+        """Record the aggregate as one unsampled record: a one-row block.
 
-        The simulation engine uses this when configured without
-        sampling: every byte shows up in exactly one record, so small
-        scenario runs do not suffer sampling noise.  Zero bytes export
-        nothing.
+        Zero bytes export nothing.
         """
         if total_bytes < 0:
             raise ValueError("bytes cannot be negative")
         if total_bytes == 0:
             return
-        self._log.append_values(
-            timestamp,
-            src.value,
-            dst.value if dst is not None else _NO_DESTINATION,
-            total_bytes,
-            link_id,
-        )
-        self.total_offered_bytes += total_bytes
-        self._m_offered.inc(total_bytes)
-        self._m_records.inc()
+        destination = dst.value if dst is not None else _NO_DESTINATION
+        self.observe_block(timestamp, ((src.value, destination, total_bytes, link_id),))
 
     def mark(self) -> int:
         """A cursor over the record log (for :meth:`records_since`)."""

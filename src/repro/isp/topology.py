@@ -59,6 +59,10 @@ class EyeballIsp:
         self._links: dict[str, PeeringLink] = {}
         self._by_neighbor: dict[ASN, list[PeeringLink]] = {}
         self._down: set[str] = set()
+        #: Counts the changes to the link set and to link state; the
+        #: counterpart of ``BgpRib.epoch`` for state derived from
+        #: :meth:`up_links`.
+        self.epoch = 0
 
     def add_link(self, link: PeeringLink) -> PeeringLink:
         """Register a peering link; link ids must be unique."""
@@ -66,6 +70,7 @@ class EyeballIsp:
             raise ValueError(f"duplicate link id {link.link_id!r}")
         self._links[link.link_id] = link
         self._by_neighbor.setdefault(link.neighbor_asn, []).append(link)
+        self.epoch += 1
         return link
 
     def link(self, link_id: str) -> PeeringLink:
@@ -87,14 +92,20 @@ class EyeballIsp:
     # ----- failure injection ---------------------------------------------
 
     def fail_link(self, link_id: str) -> None:
-        """Take a link down (maintenance, fibre cut, ...)."""
+        """Take a link down (maintenance, fibre cut, ...); idempotent."""
         if link_id not in self._links:
             raise KeyError(f"unknown link {link_id!r}")
-        self._down.add(link_id)
+        if link_id not in self._down:
+            self._down.add(link_id)
+            self.epoch += 1
 
     def restore_link(self, link_id: str) -> None:
         """Bring a failed link back up (idempotent)."""
-        self._down.discard(link_id)
+        if link_id not in self._links:
+            raise KeyError(f"unknown link {link_id!r}")
+        if link_id in self._down:
+            self._down.remove(link_id)
+            self.epoch += 1
 
     def is_up(self, link_id: str) -> bool:
         """Whether the link currently carries traffic."""

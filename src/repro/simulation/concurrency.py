@@ -135,11 +135,11 @@ class Shard:
     # One tick of ISP traffic generation, in probe resolutions; only
     # used for load balancing.  Measured from the workers' own
     # ``engine_phase_seconds`` on the ledger's replay (160/80 probes,
-    # 5-min step, 2 workers, 1008 ticks): the traffic phase summed to
-    # 3.9 s = 3.9 ms per tick, the campaigns phases to 11.4 s over
-    # 161 920 resolutions = 70 us each, so one traffic tick costs what
-    # ~56 resolutions do.
-    traffic_weight = 56
+    # 5-min step, 2 workers, 1008 ticks, seeds 1-3): the traffic phase
+    # summed to 0.70-0.77 s = 0.73 ms per tick, the campaigns phases to
+    # 6.8-7.2 s over 161 840 resolutions = 43 us each, so one traffic
+    # tick costs what ~17 resolutions do.
+    traffic_weight = 17
 
 
 def plan_shards(engine, workers: int) -> tuple[Shard, ...]:

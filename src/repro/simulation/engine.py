@@ -430,7 +430,10 @@ class SimulationEngine:
         self.clock: Callable[[], float] = (
             clock if clock is not None else time.perf_counter
         )
-        self._server_rank_cache: dict[tuple[str, int], list] = {}
+        self._server_rank_cache: dict[tuple[str, bool, int], list] = {}
+        self._route_plans: dict[int, tuple] = {}
+        self._plan_epoch: Optional[tuple] = None
+        self._first_customer = 0  # address value of customer host 1
         # Worker label on per-phase timings: "main" for the serial loop
         # and the sharded coordinator; replicas get "wN" at init.
         self.profile_worker = "main"
@@ -813,11 +816,20 @@ class SimulationEngine:
         Split from the telemetry wrapper so the traffic-owning shard of
         a parallel run can generate flows in its worker process and
         ship the link-fill map home for the coordinator's observer.
+
+        The tick is accumulated here and written once: ``_route_bytes``
+        fills ``link_used`` (the float fill level it clips against),
+        ``carried`` (integer bytes per link, in first-carried order) and
+        ``rows`` (one ``(src, dst, bytes, link_id)`` per flow); SNMP
+        then gets one add per link and the collector one block.
         """
         scenario = self.scenario
         config = scenario.config
+        self._refresh_route_plans()
         link_used: dict[str, float] = {}
-        flows = 0
+        carried: dict[str, int] = {}
+        rows: list[tuple[int, int, int, str]] = []
+        tick = (int(now), link_used, carried, rows)
         # Background exists even for CDNs the Meta-CDN is not currently
         # using (Akamai's big baseline continues after it leaves the
         # rotation — the post-event diurnal in Figure 7's Akamai panel).
@@ -827,65 +839,65 @@ class SimulationEngine:
             # active, hosted caches included.
             update_gbps = eu_split.get(operator, 0.0) * config.isp_share_of_eu
             if update_gbps > 0:
-                flows += self._deliver(
-                    operator, now, update_gbps, link_used, own_as_only=False
-                )
+                self._deliver(operator, update_gbps, tick, own_as_only=False)
             # Steady background: served from the CDN's established own-AS
             # footprint (direct peerings and in-network caches).
             background = scenario.backgrounds.get(operator)
             if background is not None and background.rate_gbps(now) > 0:
-                flows += self._deliver(
-                    operator, now, background.rate_gbps(now), link_used,
-                    own_as_only=True,
+                self._deliver(
+                    operator, background.rate_gbps(now), tick, own_as_only=True
                 )
         fill_sources, fill_gbps = scenario.precache_fill(now)
         if fill_sources and fill_gbps > 0:
             fill_bytes = fill_gbps * _GBPS_TO_BYTES * self.step_seconds
-            per_source = fill_bytes / len(fill_sources)
-            for source in fill_sources:
-                flows += self._route_bytes(source, now, per_source, link_used)
+            self._route_bytes(fill_sources, fill_bytes / len(fill_sources), *tick)
+        netflow = scenario.netflow
+        if netflow.sampling_rate == 1:
+            flows = netflow.observe_block(now, rows)
+        else:
+            flows = 0
+            for src, dst, size, link_id in rows:
+                destination = IPv4Address(dst)
+                flows += netflow.observe(
+                    now, IPv4Address(src), link_id, size,
+                    dst_picker=lambda index: destination,
+                )
+        for link_id, count in carried.items():
+            scenario.snmp.add_bytes(link_id, now, count)
         return flows, link_used
 
     def _deliver(
-        self,
-        operator: str,
-        now: float,
-        gbps: float,
-        link_used: dict[str, float],
-        own_as_only: bool = False,
-    ) -> int:
+        self, operator: str, gbps: float, tick: tuple, own_as_only: bool = False
+    ) -> None:
         """Spread ``operator``'s ISP-bound traffic over its servers."""
-        scenario = self.scenario
-        deployment = scenario.estate.deployments.get(operator)
+        deployment = self.scenario.estate.deployments.get(operator)
         if deployment is None:
-            return 0
-        active = deployment.active_servers(MappingRegion.EU)
-        if own_as_only:
-            active = tuple(p for p in active if p.server.asn == deployment.asn)
-        if not active:
-            return 0
-        sources = self._sample_sources(operator, own_as_only, active)
+            return
+        sources = self._sample_sources(operator, own_as_only, deployment)
+        if not sources:
+            return
         total_bytes = gbps * _GBPS_TO_BYTES * self.step_seconds
-        per_source = total_bytes / len(sources)
-        flows = 0
-        for source in sources:
-            flows += self._route_bytes(source, now, per_source, link_used)
-        return flows
+        self._route_bytes(sources, total_bytes / len(sources), *tick)
 
     def _sample_sources(
-        self, operator: str, own_as_only: bool, active: tuple
+        self, operator: str, own_as_only: bool, deployment
     ) -> list[IPv4Address]:
         """Up to ``isp_server_fanout`` addresses, proportionally sampled.
 
-        Stride sampling over the exposure-ordered active list keeps the
-        source composition (own-AS / hosted / overflow-cluster)
+        Stride sampling over the exposure-ordered active list (its
+        own-AS members only, for background traffic) keeps the source
+        composition (own-AS / hosted / overflow-cluster)
         representative, which is what the handover-AS shares of
-        Figure 8 are made of.
+        Figure 8 are made of.  The active list is a prefix of one fixed
+        order, so its length names it — and what was sampled from it.
         """
+        active = deployment.active_servers(MappingRegion.EU)
         key = (operator, own_as_only, len(active))
         cached = self._server_rank_cache.get(key)
         if cached is not None:
             return cached
+        if own_as_only:
+            active = tuple(p for p in active if p.server.asn == deployment.asn)
         fanout = self.scenario.config.isp_server_fanout
         if len(active) <= fanout:
             sources = [placed.server.address for placed in active]
@@ -897,52 +909,69 @@ class SimulationEngine:
         self._server_rank_cache[key] = sources
         return sources
 
-    def _route_bytes(
-        self,
-        source: IPv4Address,
-        now: float,
-        total_bytes: float,
-        link_used: dict[str, float],
-    ) -> int:
-        """Carry ``total_bytes`` from ``source`` into the ISP."""
+    def _refresh_route_plans(self) -> None:
+        """Drop the route plans if the table or the link state changed.
+
+        A plan is derived state — ``source value -> ((link_id,
+        capacity_bytes), ...)``, the up links of the source's best
+        route and what each can carry in one step — so it is rebuilt on
+        first use and never checkpointed.
+        """
+        scenario = self.scenario
+        epoch = (scenario.rib.epoch, scenario.isp.epoch, self.step_seconds)
+        if epoch != self._plan_epoch:
+            self._plan_epoch = epoch
+            self._route_plans.clear()
+            # Destinations are customer hosts 1..1024; that they exist is
+            # checked here, once, instead of once per flow.
+            prefix = scenario.isp.customer_prefix
+            prefix.host(1024)
+            self._first_customer = prefix.host(1).value
+
+    def _plan_route(self, source: IPv4Address) -> tuple[tuple[str, float], ...]:
         scenario = self.scenario
         route = scenario.rib.lookup(source)
         if route is None:
-            return 0
+            return ()
         # Failed links drop out of the balancing set; the survivors
         # absorb the redistribution (and may saturate doing so).
-        up = scenario.isp.up_links(route.link_ids)
-        if not up:
-            return 0  # the whole route is dark: traffic never arrives
-        per_link = total_bytes / len(up)
-        flows = 0
-        destination: Optional[IPv4Address] = None  # same for every link
-        for link in up:
-            link_id = link.link_id
-            capacity = link.capacity_bytes(self.step_seconds)
-            used = link_used.get(link_id, 0.0)
-            carried = min(per_link, max(0.0, capacity - used))
-            if carried <= 0:
-                continue  # saturated: the excess never arrives
-            link_used[link_id] = used + carried
-            carried_bytes = int(carried)
-            if carried_bytes <= 0:
-                continue
-            scenario.snmp.add_bytes(link_id, now, carried_bytes)
-            if destination is None:
-                destination = scenario.isp.customer_prefix.host(
-                    1 + (source.value + int(now)) % 1024
-                )
-            if scenario.netflow.sampling_rate == 1:
-                scenario.netflow.observe_exact(
-                    now, source, link_id, carried_bytes, dst=destination
-                )
-                flows += 1
-            else:
-                flows += scenario.netflow.observe(
-                    now, source, link_id, carried_bytes,
-                    dst_picker=lambda index: destination,
-                )
-        return flows
+        return tuple(
+            (link.link_id, link.capacity_bytes(self.step_seconds))
+            for link in scenario.isp.up_links(route.link_ids)
+        )
+
+    def _route_bytes(
+        self,
+        sources: Sequence[IPv4Address],
+        total_bytes: float,
+        second: int,
+        link_used: dict[str, float],
+        carried: dict[str, int],
+        rows: list,
+    ) -> None:
+        """Carry ``total_bytes`` from each of ``sources`` into the ISP."""
+        plans = self._route_plans
+        first_customer = self._first_customer
+        for source in sources:
+            src = source.value
+            plan = plans.get(src)
+            if plan is None:
+                plan = plans[src] = self._plan_route(source)
+            if not plan:
+                continue  # no route, or a dark one: traffic never arrives
+            per_link = total_bytes / len(plan)
+            dst = first_customer + (src + second) % 1024  # same for every link
+            for link_id, capacity in plan:
+                used = link_used.get(link_id, 0.0)
+                room = capacity - used
+                share = per_link if per_link < room else room
+                if share <= 0:
+                    continue  # saturated: the excess never arrives
+                link_used[link_id] = used + share
+                share_bytes = int(share)
+                if share_bytes <= 0:
+                    continue
+                carried[link_id] = carried.get(link_id, 0) + share_bytes
+                rows.append((src, dst, share_bytes, link_id))
 
     # ------------------------------------------------------------------

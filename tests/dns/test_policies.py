@@ -51,11 +51,12 @@ class TestStickyFraction:
     """The selection policies' draw hashes the bytes ``stable_fraction`` would."""
 
     @given(
-        name=st.text(max_size=20),
+        name=st.text(max_size=20) | st.sampled_from(["a|b.example", "|"]),
         client=st.integers(0, 2**32 - 1),
         now=st.floats(0.0, 1e9, allow_nan=False),
-        ttl=st.sampled_from([0, 15, 20, 120, 300, 21600]),
-        salt=st.text(max_size=12),
+        ttl=st.sampled_from([0, 15, 20, 60, 120, 300, 21600]),
+        # A separator inside a part shifts nothing: both spell the same bytes.
+        salt=st.text(max_size=12) | st.sampled_from(["a|b", "|", "7|0|", "|17.0.0.1|"]),
     )
     def test_is_the_bucketed_stable_fraction(self, name, client, now, ttl, salt):
         context = make_context(client=str(IPv4Address(client)), now=now)

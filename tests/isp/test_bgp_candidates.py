@@ -108,6 +108,24 @@ class TestWithdrawal:
         assert rib.lookup(ADDR) == a
 
 
+def test_the_epoch_moves_exactly_when_the_table_does():
+    """Whoever derives state from lookups (the engine's route plans)
+    rebuilds on an epoch change — so no change may go uncounted, and a
+    no-op should not cost a rebuild."""
+    rib = BgpRib()
+    a, b = route("site-a", 65101, 714), route("site-b", 65102, 714)
+    assert rib.epoch == 0
+    rib.install(a)
+    assert rib.epoch == 1
+    rib.install(a)  # identical re-announcement
+    assert rib.withdraw(b) is False
+    rib.lookup(ADDR)
+    assert rib.epoch == 1
+    rib.install(b)
+    assert rib.withdraw(a) is True
+    assert rib.epoch == 3
+
+
 def test_preference_key_is_pure():
     a = route("site-a", 65101, 714)
     same = route("site-a", 65101, 714)

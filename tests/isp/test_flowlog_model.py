@@ -60,6 +60,20 @@ class FlowLogAgainstList(RuleBasedStateMachine):
             self.real[side].append(flow(timestamp, src, dst, size, link))
         self.model[side].append(flow(timestamp, src, dst, size, link))
 
+    @rule(side=sides, step=steps,
+          rows=st.lists(st.tuples(addresses, addresses, sizes, links), max_size=5),
+          bad=st.none() | st.sampled_from([(1 << 32, 1), (-1, 1), (1, 0), (1, 1 << 63)]))
+    def append_block(self, side, step, rows, bad):
+        timestamp = last_time(self.model[side]) + step
+        if bad is not None:
+            # One row the columns cannot hold, last: nothing lands.
+            src, size = bad
+            with pytest.raises((OverflowError, ValueError)):
+                self.real[side].append_block(timestamp, rows + [(src, 7, size, "l")])
+            return
+        self.real[side].append_block(timestamp, rows)
+        self.model[side].extend(flow(timestamp, *row) for row in rows)
+
     @rule(side=sides, back=st.sampled_from([0.5, 300.0]), src=addresses, link=links)
     def append_back_in_time_is_refused(self, side, back, src, link):
         if not self.model[side]:

@@ -9,6 +9,7 @@ from repro.isp.snmp import SnmpCounters
 from repro.isp.topology import EyeballIsp, PeeringLink
 from repro.net.asys import AS_AKAMAI, AS_APPLE, AS_LIMELIGHT, ASN
 from repro.net.ipv4 import IPv4Address, IPv4Prefix
+from repro.obs import MetricsRegistry, use_registry
 
 AS_ISP = ASN(64496)
 AS_TRANSIT = ASN(65001)
@@ -79,6 +80,28 @@ class TestTopology:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             PeeringLink("l", "r", AS_APPLE, 0.0)
+
+    def test_an_unknown_link_can_be_neither_failed_nor_restored(self, isp):
+        # A typo'd id in a drill used to "restore" nothing, silently.
+        for change in (isp.fail_link, isp.restore_link):
+            with pytest.raises(KeyError, match="apple-l\\b"):
+                change("apple-l")
+
+    def test_the_epoch_counts_changes_not_calls(self, isp):
+        epoch = isp.epoch
+        isp.restore_link("apple-1")  # already up: idempotent, nothing changed
+        assert isp.epoch == epoch and isp.is_up("apple-1")
+        isp.fail_link("apple-1")
+        isp.fail_link("apple-1")
+        assert isp.epoch == epoch + 1 and not isp.is_up("apple-1")
+        isp.restore_link("apple-1")
+        isp.restore_link("apple-1")
+        assert isp.epoch == epoch + 2 and isp.is_up("apple-1")
+        with pytest.raises(KeyError):
+            isp.restore_link("no-such-link")
+        assert isp.epoch == epoch + 2
+        isp.add_link(PeeringLink("apple-9", "br1", AS_APPLE, 1.0))
+        assert isp.epoch == epoch + 3
 
 
 class TestBgp:
@@ -156,6 +179,44 @@ class TestNetflow:
             assert [r.timestamp for r in log.records] == [300.0] * len(log)
         assert collector.total_offered_bytes == 20
         assert sampled.total_offered_bytes == 10
+
+    def test_a_block_is_its_rows_one_by_one(self):
+        src, dst = IPv4Address.parse("17.1.1.1"), IPv4Address.parse("89.0.0.7")
+        rows = [("apple-2", 7), ("apple-1", 5), ("apple-2", 1 << 40)]
+        by_row, by_block = NetflowCollector(sampling_rate=1), NetflowCollector(sampling_rate=1)
+        for link_id, size in rows:
+            by_row.observe_exact(300.0, src, link_id, size, dst=dst)
+        exported = by_block.observe_block(
+            300.0, [(src.value, dst.value, size, link_id) for link_id, size in rows]
+        )
+        assert exported == 3
+        assert by_block.records == by_row.records
+        assert by_block.records.links == by_row.records.links == ["apple-2", "apple-1"]
+        assert by_block.total_offered_bytes == by_row.total_offered_bytes == 12 + (1 << 40)
+        assert by_block.observe_block(300.0, []) == 0
+
+    @pytest.mark.parametrize("bad_row, error", [
+        ((1 << 32, 7, 10, "apple-1"), OverflowError),   # src past 32 bits
+        ((7, -1, 10, "apple-1"), OverflowError),
+        ((7, 7, 0, "apple-1"), ValueError),             # an empty flow
+        ((7, 7, 1 << 63, "apple-1"), OverflowError),
+        ((7, 7, 1.5, "apple-1"), TypeError),
+    ])
+    def test_a_block_with_one_bad_row_leaves_no_trace(self, bad_row, error):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            collector = NetflowCollector(sampling_rate=1)
+        collector.observe_block(300.0, [(1, 2, 30, "apple-1")])
+        with pytest.raises(error):
+            collector.observe_block(300.0, [(3, 4, 50, "apple-2"), bad_row])
+        with pytest.raises(ValueError, match="time order"):
+            collector.observe_block(299.0, [(3, 4, 50, "apple-2")])
+        assert collector.records == [
+            FlowRecord(300.0, IPv4Address(1), IPv4Address(2), 30, "apple-1")
+        ]
+        assert collector.total_offered_bytes == 30
+        assert registry.get("netflow_offered_bytes_total").value == 30.0
+        assert registry.get("netflow_records_total").value == 1.0
 
     def test_sampling_reduces_records(self):
         collector = NetflowCollector(sampling_rate=10, flow_bytes=1000)

@@ -3,11 +3,15 @@
 Not a paper figure, but the operational question behind Section 5.4:
 when overflow saturates unexpected links, what happens if one fails?
 The engine must redistribute onto the surviving links of the route
-(which then saturate harder) and drop traffic when a route goes dark.
+(which then saturate harder) and drop traffic when a route goes dark —
+whether the link failed before the run or between two of its ticks.
 """
 
 import pytest
 
+from repro.isp import BgpRoute
+from repro.net.asys import ASN
+from repro.net.geo import MappingRegion
 from repro.net.ipv4 import IPv4Prefix
 from repro.simulation import ScenarioConfig, Sep2017Scenario, SimulationEngine
 from repro.workload import TIMELINE
@@ -87,3 +91,87 @@ class TestLinkFailureInjection:
         }
         assert "apple-1" not in apple_links
         assert "apple-2" in apple_links
+
+
+# ----------------------------------------------------------------------
+# changes between two ticks of one run
+# ----------------------------------------------------------------------
+
+# Hourly ticks from the release on: the overflow cluster is active, and
+# each tick has an SNMP bin (3600 s) to itself.
+TICKS = [TIMELINE.ios_11_0_release + 3600.0 * i for i in range(5)]
+CHANGE_AFTER = 3  # ticks run before the change; two are compared after it
+
+
+def _detour(scenario):
+    """A /32 for an Apple source, over the transit-B pair."""
+    apple = scenario.estate.deployments["Apple"]
+    source = apple.active_servers(MappingRegion.EU)[0].server.address
+    return BgpRoute(
+        IPv4Prefix(source, 32), (ASN(65002), apple.asn), ("transit-b-1", "transit-b-2")
+    )
+
+
+def _tick(scenario, engine, now):
+    """One tick's traffic, through the entry points a shard worker uses."""
+    _, splits = engine.advance_state(now)
+    cursor = scenario.netflow.mark()
+    bins = scenario.snmp.snapshot_bins()
+    flows, link_used = engine._generate_isp_traffic_impl(
+        now, splits[MappingRegion.EU]
+    )
+    block = scenario.netflow.records_since(cursor)
+    assert flows == len(block)
+    return list(block), scenario.snmp.bins_since(bins), list(link_used.items())
+
+
+# (what the run starts with, what happens between two ticks): the state
+# after both is what the fresh engine is built in.
+CHANGES = {
+    "fail_link": (
+        lambda s: None, lambda s: s.isp.fail_link("transit-d-1")),
+    "restore_link": (
+        lambda s: s.isp.fail_link("apple-1"), lambda s: s.isp.restore_link("apple-1")),
+    "rib.install": (
+        lambda s: None, lambda s: s.rib.install(_detour(s))),
+    "rib.withdraw": (
+        lambda s: s.rib.install(_detour(s)), lambda s: s.rib.withdraw(_detour(s))),
+}
+
+
+class TestChangesBetweenTicks:
+    """A route plan never outlives the table and link state it was read from."""
+
+    @pytest.mark.parametrize("name", CHANGES)
+    def test_the_next_tick_is_that_of_an_engine_built_in_that_state(self, name):
+        before, change = CHANGES[name]
+        running, fresh = _scenario(), _scenario()
+        before(running)
+        before(fresh)
+        change(fresh)
+        running_engine = SimulationEngine(running, step_seconds=3600.0)
+        fresh_engine = SimulationEngine(fresh, step_seconds=3600.0)
+        differed = False
+        for index, now in enumerate(TICKS):
+            if index == CHANGE_AFTER:
+                change(running)
+            mine = _tick(running, running_engine, now)
+            theirs = _tick(fresh, fresh_engine, now)
+            if index < CHANGE_AFTER:
+                differed = differed or mine != theirs
+            else:
+                assert mine == theirs
+        assert differed  # the change is one the traffic can see
+
+    def test_a_route_gone_dark_mid_run_carries_nothing(self):
+        scenario = _scenario()
+        engine = SimulationEngine(scenario, step_seconds=3600.0)
+        dark = {"transit-d-1", "transit-d-2", "transit-d-3", "transit-d-4"}
+        for now in TICKS[:CHANGE_AFTER]:
+            lit, _, _ = _tick(scenario, engine, now)
+        assert any(CLUSTER_PREFIX.contains(record.src) for record in lit)
+        for link_id in dark:
+            scenario.isp.fail_link(link_id)
+        rows, bins, link_used = _tick(scenario, engine, TICKS[CHANGE_AFTER])
+        assert rows and not any(CLUSTER_PREFIX.contains(r.src) for r in rows)
+        assert not dark & ({r.link_id for r in rows} | set(bins) | dict(link_used).keys())

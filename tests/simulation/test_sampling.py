@@ -16,7 +16,7 @@ from repro.workload import TIMELINE
 SAMPLING = 25
 
 
-def _run(netflow_sampling):
+def _run(netflow_sampling, window=(TIMELINE.at(9, 19, 12), TIMELINE.at(9, 20))):
     config = ScenarioConfig(
         global_probe_count=2,
         isp_probe_count=2,
@@ -28,7 +28,7 @@ def _run(netflow_sampling):
     if netflow_sampling > 1:
         scenario.netflow.flow_bytes = 512 * 1024 * 1024
     engine = SimulationEngine(scenario, step_seconds=3600.0)
-    engine.run(TIMELINE.at(9, 19, 12), TIMELINE.at(9, 20))
+    engine.run(*window)
     classifier = TrafficClassifier(scenario.isp, scenario.rib, scenario.operator_of)
     classified = list(classifier.classify_all(scenario.netflow.records))
     return scenario, classified
@@ -82,3 +82,18 @@ class TestSamplingCorrection:
             assert exact_series.keys() == sampled_series.keys()
             for bin_start, volume in exact_series.items():
                 assert sampled_series[bin_start] == pytest.approx(volume, rel=1e-6)
+
+
+def test_one_in_a_thousand_keeps_the_same_bounds():
+    """The production rate, over the three busiest hours: the sampled
+    path still feeds the collector flow by flow (it never sees the
+    tick's block write) and SNMP counts every byte either way."""
+    window = (TIMELINE.at(9, 19, 19), TIMELINE.at(9, 19, 22))
+    exact, _ = _run(1, window)
+    sampled, _ = _run(1000, window)
+    collector = sampled.netflow
+    assert collector.total_offered_bytes == exact.netflow.total_offered_bytes
+    ratio = collector.sampled_bytes() / collector.total_offered_bytes
+    assert ratio == pytest.approx(1.0 / 1000, rel=0.35)
+    assert sampled.snmp.snapshot_bins() == exact.snmp.snapshot_bins()
+    assert list(sampled.snmp.links()) == list(exact.snmp.links())
