@@ -36,8 +36,10 @@ one, is decided in :mod:`repro.serve.harness` and ``engine.run``.
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import Optional, Sequence
 
+from ..simulation.concurrency import ShardWorkerLost
 from . import (
     catchments,
     chaos,
@@ -79,4 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ShardWorkerLost as lost:
+        # Every command that runs the sharded engine ends here: the run
+        # stopped at its last merged tick and the message names the way
+        # back (`repro resume`, or a re-run if nothing was checkpointed).
+        print(f"repro {args.command}: {lost}", file=sys.stderr)
+        return 3

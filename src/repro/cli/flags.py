@@ -220,7 +220,11 @@ def add_checkpoint_flags(sub: argparse.ArgumentParser) -> None:
 
 def checkpoint_kwargs(args: argparse.Namespace, fallback_dir=None) -> dict:
     """engine.run keywords for the checkpoint flags."""
+    if args.checkpoint_every < 0:
+        raise SystemExit("--checkpoint-every must be a positive tick count")
     if not args.checkpoint_every:
+        if args.checkpoint_dir:
+            raise SystemExit("--checkpoint-dir needs --checkpoint-every")
         return {}
     directory = args.checkpoint_dir or fallback_dir
     if not directory:

@@ -584,86 +584,6 @@ def _simulation_phase(config: ChaosConfig) -> _Section:
     )
 
 
-def _worker_crash_section(restarts: int, identical: bool,
-                          divergence: Optional[str]) -> _Section:
-    lines = [
-        "",
-        "simulation (worker-crash drill, sharded vs serial)",
-        f"  worker restarts      {restarts}",
-        f"  results identical    {'yes' if identical else 'NO'}",
-    ]
-    if divergence:
-        lines.append(f"  divergence           {divergence}")
-    return _Section(lines, [
-        ("supervisor restarted the faulted worker at least once", restarts >= 1),
-        ("sharded results byte-identical to the serial reference", identical),
-        ("no ShardDivergenceError escaped the supervisor", divergence is None),
-    ])
-
-
-def _worker_crash_phase(config: ChaosConfig, schedule: FaultSchedule) -> _Section:
-    """Kill/hang live shard workers mid-run; the results must not care.
-
-    The same scenario runs twice under the same schedule: once serial
-    (worker fault kinds are never consulted outside worker processes,
-    so this is the clean reference) and once sharded with the faults
-    biting.  The supervisor must respawn every murdered worker and the
-    sharded ``RunSummary`` must stay byte-identical — crash recovery
-    with zero result divergence.  Window times on the CLI are *hours
-    after run start* here (the other drills use seconds since cluster
-    start; an engine run spans hours, not seconds).
-    """
-    import json
-
-    from ..simulation.concurrency import ShardDivergenceError, run_sharded
-    from ..simulation.engine import RunSummary
-
-    release = TIMELINE.ios_11_0_release
-    sim_start = release - 1800.0
-    sim_end = release + 4 * 3600.0
-    mapped = FaultSchedule(
-        [
-            FaultWindow(
-                sim_start + window.start * 3600.0,
-                sim_start + window.end * 3600.0,
-                window.target,
-                window.kind,
-                window.severity,
-            )
-            for window in schedule
-        ]
-    )
-
-    def run_once(workers: int) -> tuple:
-        scenario, engine = _drill_engine(config, mapped)
-        reports: list = []
-        if workers == 1:
-            engine.run(sim_start, sim_end, progress=reports.append)
-        else:
-            run_sharded(
-                engine, sim_start, sim_end,
-                progress=reports.append, workers=workers,
-                chunk_ticks=4, heartbeat_timeout=2.0,
-            )
-        summary = json.dumps(
-            RunSummary.from_run(scenario, reports).to_json_dict(),
-            sort_keys=True,
-        )
-        return engine, summary
-
-    _, reference = run_once(1)
-    restarts = 0
-    identical = False
-    divergence: Optional[str] = None
-    try:
-        engine, sharded = run_once(max(2, config.workers))
-        restarts = engine.run_stats["worker_restarts"]
-        identical = sharded == reference
-    except ShardDivergenceError as exc:
-        divergence = str(exc)
-    return _worker_crash_section(restarts, identical, divergence)
-
-
 def _flap_replay_section(site_id: str, map_changes: int, break_rate: float,
                          shifted_gbps: float, unhealthy_members: int) -> _Section:
     return _Section(
@@ -750,23 +670,14 @@ def run_chaos(
         raise ValueError("a chaos drill needs at least one fault window")
     registry = registry if registry is not None else MetricsRegistry()
     tracer = tracer if tracer is not None else EventTracer()
-    worker_drill = any(
-        w.kind in (FaultKind.WORKER_KILL, FaultKind.WORKER_STALL)
-        for w in schedule
-    )
     with use_registry(registry), use_tracer(tracer):
-        if worker_drill:
-            # Worker faults hit shard processes, not the serving layer;
-            # the whole drill is the sharded-vs-serial engine run.
-            sections = [_worker_crash_phase(config, schedule)]
-        else:
-            sections = [_live_phase(config, schedule, registry, tracer)]
-            if config.run_simulation:
-                simulate = (
-                    _anycast_simulation_phase if config.steering == "anycast"
-                    else _simulation_phase
-                )
-                sections.append(simulate(config))
+        sections = [_live_phase(config, schedule, registry, tracer)]
+        if config.run_simulation:
+            simulate = (
+                _anycast_simulation_phase if config.steering == "anycast"
+                else _simulation_phase
+            )
+            sections.append(simulate(config))
     report = _report(schedule, sections)
     if not report.passed():
         recorder = get_flight_recorder()

@@ -33,22 +33,11 @@ kind                   severity
 ``route-prepend``      number of AS-path prepends the target site adds
                        to its announcement (lengthens the path, shedding
                        most of its catchment without going dark)
-``worker-kill``        number of times the targeted shard worker process
-                       SIGKILLs itself mid-chunk (each respawned
-                       incarnation dies again until the count is spent)
-``worker-stall``       seconds the targeted shard worker hangs without
-                       heartbeating, tripping the supervisor's timeout
 =====================  =================================================
 
 The route kinds target an anycast *site id* (e.g. ``"defra-1"``).  They
 act purely on the routing plane: :class:`CdnHealthMonitor` probes never
 consult them, so catchment shifts are invisible to DNS health failover.
-
-The worker kinds target a shard worker id (``"w0"``, ``"w1"``, ... or
-``"*"``) and act purely on the *process* plane: they are evaluated only
-inside shard worker processes, never by the serial engine, so a run
-with worker faults must still produce byte-identical results — the
-supervisor's recovery is what the chaos drill asserts.
 
 ``target`` names what the window applies to: a CDN member / operator
 (``"Apple"``, ``"Akamai"``, ``"Limelight"``, ``"Level3"``), a vip
@@ -83,9 +72,6 @@ class FaultKind(Enum):
     # anycast routing plane (invisible to health probes)
     ROUTE_WITHDRAW = "route-withdraw"
     ROUTE_PREPEND = "route-prepend"
-    # shard worker processes (invisible to world state)
-    WORKER_KILL = "worker-kill"
-    WORKER_STALL = "worker-stall"
 
     @classmethod
     def parse(cls, text: str) -> "FaultKind":

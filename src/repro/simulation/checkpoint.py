@@ -238,8 +238,11 @@ class CheckpointPlan:
             return None
         if not force and done - self.written < self.every:
             return None
-        if force and done == self.written:
-            return checkpoint_path(self.directory, done)  # already on disk
+        path = checkpoint_path(self.directory, done)
+        if force and done == self.written and path.exists():
+            # Already on disk — unless this run resumed into another
+            # directory and has written nothing of its own yet.
+            return path
         checkpoint = capture_checkpoint(
             engine,
             start=self.origin_start,
@@ -247,7 +250,7 @@ class CheckpointPlan:
             next_tick=next_tick,
             reports=self.reports,
         )
-        path = save_checkpoint(checkpoint, checkpoint_path(self.directory, done))
+        save_checkpoint(checkpoint, path)
         self.written = done
         engine.run_stats["checkpoints_written"] += 1
         return path

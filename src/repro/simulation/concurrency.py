@@ -27,20 +27,15 @@ divergent tick.  Ticks are shipped to workers in chunks, with chunk
 ``c+1`` submitted before chunk ``c`` is merged, so worker processes
 never idle waiting on the coordinator.
 
-Workers run under a **supervisor** rather than a pool: each shard is
-one ``multiprocessing.Process`` on a duplex pipe, heartbeating every
-tick.  A worker that dies (SIGKILL, OOM) or goes silent past the
-heartbeat timeout is respawned with backoff and *replays* its way back
-— replica state is a pure function of the tick sequence, so the
-respawn warms up over the base warm-up ticks plus every chunk the
-coordinator has already consumed, then re-executes the chunks that
-were in flight.  Cross-shard digest disagreement is likewise handled
-by quarantine-and-replay (a modal vote picks the suspects, their
-FlightRecorder dump is preserved, and they are respawned) before the
-coordinator's own digest check — which remains a hard
-:class:`ShardDivergenceError` backstop.  On SIGTERM the coordinator
+Each shard is one ``multiprocessing.Process`` on a duplex pipe.  A
+worker that dies (SIGKILL, OOM), reports an exception or returns no
+chunk result within :data:`RESULT_DEADLINE_SECONDS` is *detected*, not
+healed: :class:`ShardWorkerLost` stops the run at the last merged tick —
+nothing of the chunk being collected is merged yet — a checkpoint is
+written there when the run checkpoints, and the message names the
+``repro resume`` command, the one way back.  On SIGTERM the coordinator
 drains: in-flight chunks finish, a final checkpoint is written, and
-workers stop cleanly.
+workers stop cleanly.  Every exit path reaps every worker.
 
 ``workers=1`` never enters this module: the engine's serial loop runs
 unchanged, bit-for-bit identical to the pre-sharding engine.
@@ -49,15 +44,9 @@ unchanged, bit-for-bit identical to the pre-sharding engine.
 from __future__ import annotations
 
 import multiprocessing
-import os
-import signal
-import time
-from collections import Counter, deque
 from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Callable, Optional, Sequence
-
-from ..faults.schedule import FaultKind
 
 from ..atlas.columnar import DnsColumns, DnsRowRef
 from ..net.geo import MappingRegion
@@ -74,12 +63,25 @@ from ..obs.registry import NULL_REGISTRY
 __all__ = [
     "Shard",
     "ShardDivergenceError",
+    "ShardWorkerLost",
     "EngineSpec",
     "plan_shards",
     "state_digest",
     "run_sharded",
     "WORKER_METRIC_FAMILIES",
+    "CHUNK_TICKS",
+    "RESULT_DEADLINE_SECONDS",
 ]
+
+# Ticks per unit of work shipped to a worker (and per checkpoint
+# opportunity): chunk c+1 is dispatched before chunk c is merged.
+CHUNK_TICKS = 16
+
+# How long the coordinator waits for one chunk result before it calls
+# the worker hung.  Worker boot + a 4 032-tick warm-up + one chunk is
+# ~2 s at paper scale (800/400 probes, Sep 12-26 at 5 min), so a minute
+# of silence is never a slow worker.
+RESULT_DEADLINE_SECONDS = 60.0
 
 # Metric families whose samples originate inside worker processes (the
 # sharded DNS chases and the traffic generation).  Everything else —
@@ -106,6 +108,11 @@ WORKER_METRIC_FAMILIES = (
 
 class ShardDivergenceError(RuntimeError):
     """A worker replica's world state disagreed with the coordinator's."""
+
+
+class ShardWorkerLost(RuntimeError):
+    """A shard worker died, hung or failed; the run stopped at the last
+    merged tick (checkpointed there when the run checkpoints)."""
 
 
 @dataclass(frozen=True)
@@ -258,11 +265,6 @@ class EngineSpec:
     faults: Optional[object]
     step_seconds: float
     collect_metrics: bool
-    # Test hook: (shard_id, tick) whose incarnation-0 replica perturbs
-    # its controller right before that tick, forcing a digest
-    # divergence the quarantine path must heal.  Never set in
-    # production paths.
-    debug_corrupt: Optional[tuple] = None
 
     @classmethod
     def from_engine(cls, engine) -> "EngineSpec":
@@ -274,7 +276,6 @@ class EngineSpec:
             faults=scenario.fault_schedule,
             step_seconds=engine.step_seconds,
             collect_metrics=engine._obs.metrics.enabled,
-            debug_corrupt=getattr(engine, "debug_corrupt", None),
         )
 
     def build(self):
@@ -305,58 +306,26 @@ def _init_worker(
 
     ``warmup_ticks`` replays the replica to a mid-run tick boundary
     (:meth:`SimulationEngine.replay_state`: the coordinator already
-    holds those chunks' results).  Resumed runs and respawned workers
-    both enter through here; the metric baseline is taken *after* the
-    warm-up so replay accumulation is never shipped.
+    holds those chunks' results) — the resume path; the metric baseline
+    is taken *after* the warm-up so replay accumulation is never
+    shipped.
     """
     registry = MetricsRegistry() if spec.collect_metrics else NULL_REGISTRY
     set_registry(registry)
     set_tracer(NULL_TRACER)
     engine = spec.build()
     engine.profile_worker = f"w{shard.shard_id}"
-    conn = _WORKER.get("conn")
-
-    def heartbeat(index: int, now: float) -> None:
-        if conn is not None and index % 64 == 63:
-            conn.send(("hb", now))
-
-    engine.replay_state(warmup_ticks, each=heartbeat)
+    engine.replay_state(warmup_ticks)
     _WORKER["engine"] = engine
     _WORKER["shard"] = shard
-    _WORKER["spec"] = spec
     _WORKER["registry"] = registry
     _WORKER["baseline"] = registry.snapshot(WORKER_METRIC_FAMILIES)
-
-
-def _worker_faults(spec: EngineSpec, shard: Shard, now: float) -> None:
-    """Evaluate the process-plane fault kinds for this tick.
-
-    Only shard worker processes ever get here — the serial engine never
-    consults the worker kinds — so a schedule with worker faults still
-    demands byte-identical results; the supervisor's recovery provides
-    them.  ``severity`` on a kill window is how many incarnations die;
-    a stall only hangs the first incarnation so respawns make progress.
-    """
-    schedule = spec.faults
-    if schedule is None:
-        return
-    incarnation = _WORKER.get("incarnation", 0)
-    worker_id = f"w{shard.shard_id}"
-    window = schedule.find(FaultKind.WORKER_KILL, now, worker_id)
-    if window is not None and incarnation < max(1, int(window.severity)):
-        os.kill(os.getpid(), signal.SIGKILL)
-    window = schedule.find(FaultKind.WORKER_STALL, now, worker_id)
-    if window is not None and incarnation == 0:
-        time.sleep(window.severity)
 
 
 def _worker_chunk(ticks: Sequence[float]) -> dict:
     """Advance the replica over ``ticks``; return this shard's output."""
     engine = _WORKER["engine"]
     shard: Shard = _WORKER["shard"]
-    spec: EngineSpec = _WORKER["spec"]
-    conn = _WORKER.get("conn")
-    incarnation = _WORKER.get("incarnation", 0)
     scenario = engine.scenario
     digests: list[str] = []
     # Per sharded campaign, this shard's slice of each tick it fired.
@@ -374,17 +343,6 @@ def _worker_chunk(ticks: Sequence[float]) -> dict:
     clock = engine.clock
 
     for now in ticks:
-        if conn is not None:
-            conn.send(("hb", now))
-        _worker_faults(spec, shard, now)
-        if (
-            spec.debug_corrupt is not None
-            and incarnation == 0
-            and spec.debug_corrupt == (shard.shard_id, now)
-        ):
-            # Poison this replica's controller state so its digests
-            # diverge; the respawned incarnation skips this and heals.
-            scenario.estate.controller.min_third_party_share = 0.5
         demand, splits = engine.advance_state(now)
         t0 = clock() if profiling else 0.0
         digests.append(state_digest(now, demand, splits[MappingRegion.EU]))
@@ -429,8 +387,9 @@ def _worker_chunk(ticks: Sequence[float]) -> dict:
         result["snmp"] = scenario.snmp.bins_since(snmp_base)
     # Ship the metric delta with every chunk (not just the last): the
     # coordinator's registry is then complete at any chunk boundary —
-    # which is what makes mid-run checkpoints capture full metrics —
-    # and a killed worker's un-consumed partials simply die with it.
+    # which is what makes mid-run checkpoints (the one after a lost
+    # worker included) capture full metrics — and a killed worker's
+    # un-consumed partials simply die with it.
     registry = _WORKER["registry"]
     snapshot = registry.snapshot(WORKER_METRIC_FAMILIES)
     result["metrics"] = snapshot_delta(snapshot, _WORKER["baseline"])
@@ -438,20 +397,15 @@ def _worker_chunk(ticks: Sequence[float]) -> dict:
     return result
 
 
-def _shard_worker_main(conn, spec, shard, warmup_ticks, incarnation) -> None:
+def _shard_worker_main(conn, spec, shard, warmup_ticks) -> None:
     """Entry point of one shard worker process.
 
-    Protocol (all tuples over the duplex pipe): the worker warms up
-    (heartbeating), announces ``("ready", shard_id)``, then serves
-    ``("chunk", ticks)`` → ``("result", payload)`` until ``("stop",)``.
-    Any exception is reported as ``("error", text)`` — a deterministic
-    failure the supervisor treats as fatal rather than respawning.
+    Protocol (all tuples over the duplex pipe): the worker warms up,
+    then serves ``("chunk", ticks)`` → ``("result", payload)`` until
+    ``("stop",)``.  Any exception is reported as ``("error", text)``.
     """
     try:
-        _WORKER["conn"] = conn
-        _WORKER["incarnation"] = incarnation
         _init_worker(spec, shard, warmup_ticks)
-        conn.send(("ready", shard.shard_id))
         while True:
             message = conn.recv()
             if message[0] == "chunk":
@@ -478,199 +432,65 @@ def _shard_worker_main(conn, spec, shard, warmup_ticks, incarnation) -> None:
 
 
 class _WorkerHandle:
-    """The coordinator's supervision record for one shard worker.
+    """The coordinator's end of one shard worker: process and pipe."""
 
-    Tracks everything needed to resurrect the worker at any point:
-    the spec and base warm-up (how to rebuild the replica), every chunk
-    whose result the coordinator has consumed (``completed`` — replayed
-    as warm-up on respawn), and every chunk dispatched but not yet
-    answered (``pending`` — re-sent after respawn).
-    """
-
-    def __init__(self, spec, shard, base_warmup, context) -> None:
-        self.spec = spec
+    def __init__(self, spec, shard, warmup_ticks, context) -> None:
         self.shard = shard
-        self.base_warmup = tuple(base_warmup)
-        self._context = context
-        self.incarnation = 0
-        self.restarts = 0
-        self.ready = False
-        self.pending: deque = deque()
-        self.completed: list = []
-        self.process = None
-        self.conn = None
-        self._spawn()
-
-    def _spawn(self) -> None:
-        self.ready = False
-        warmup = self.base_warmup + tuple(
-            tick for chunk in self.completed for tick in chunk
-        )
-        parent_conn, child_conn = self._context.Pipe()
-        self.process = self._context.Process(
+        self.conn, child_conn = context.Pipe()
+        self.process = context.Process(
             target=_shard_worker_main,
-            args=(child_conn, self.spec, self.shard, warmup, self.incarnation),
+            args=(child_conn, spec, shard, tuple(warmup_ticks)),
             daemon=True,
         )
         self.process.start()
         child_conn.close()
-        self.conn = parent_conn
 
     def dispatch(self, chunk) -> None:
         """Queue ``chunk`` on this worker (result collected later)."""
-        self.pending.append(chunk)
         self._send(("chunk", chunk))
 
     def _send(self, message) -> None:
         try:
             self.conn.send(message)
-        except (BrokenPipeError, OSError):
-            pass  # the crash surfaces on the receive side
+        except OSError:
+            pass  # the loss surfaces on the receive side
 
-    def receive_result(self, engine, heartbeat_timeout, max_restarts) -> dict:
-        """Collect the next chunk result, supervising liveness.
+    def receive_result(self) -> dict:
+        """Collect the next chunk result, or raise :class:`ShardWorkerLost`.
 
-        Heartbeats and the ready announcement reset the liveness clock;
-        a silent pipe past the timeout (stall) or a broken pipe (crash)
-        triggers a backoff respawn that replays ``completed`` and
-        re-dispatches ``pending``.  A worker-reported error is fatal:
-        the failure is deterministic, so a respawn would just repeat it.
+        Three ways to lose a worker, all detected here: the pipe hits
+        EOF (the process died), the worker reports an exception, or no
+        result arrives within :data:`RESULT_DEADLINE_SECONDS` (it hung).
         """
-        while True:
-            # A freshly spawned replica builds its scenario and warms
-            # up before it can heartbeat; give it a generous grace
-            # period, then hold it to the configured timeout.
-            timeout = (
-                heartbeat_timeout
-                if self.ready
-                else max(heartbeat_timeout, 60.0)
-            )
-            try:
-                if not self.conn.poll(timeout):
-                    self._respawn(
-                        engine,
-                        max_restarts,
-                        f"no heartbeat for {timeout:g}s (stalled)",
-                    )
-                    continue
-                message = self.conn.recv()
-            except (EOFError, OSError):
-                self._respawn(engine, max_restarts, "worker process died")
-                continue
-            tag = message[0]
-            if tag == "hb":
-                continue
-            if tag == "ready":
-                self.ready = True
-                continue
-            if tag == "result":
-                chunk = self.pending.popleft()
-                self.completed.append(chunk)
-                return message[1]
-            if tag == "error":
-                raise RuntimeError(
-                    f"shard {self.shard.shard_id} worker failed: {message[1]}"
+        who = f"shard {self.shard.shard_id} worker"
+        try:
+            if not self.conn.poll(RESULT_DEADLINE_SECONDS):
+                raise ShardWorkerLost(
+                    f"{who} hung: no chunk result for "
+                    f"{RESULT_DEADLINE_SECONDS:g}s"
                 )
-            raise RuntimeError(
-                f"shard {self.shard.shard_id} sent unknown message {tag!r}"
-            )
-
-    def quarantine_last(self, engine, max_restarts) -> None:
-        """Disown the last consumed chunk and replay it on a fresh replica.
-
-        The divergence path: the chunk moves from ``completed`` back to
-        the head of ``pending`` and the worker is respawned, so the
-        replacement replica warms up *without* the suspect state and
-        re-executes the chunk from scratch.
-        """
-        chunk = self.completed.pop()
-        self.pending.appendleft(chunk)
-        engine.run_stats["divergence_replays"] += 1
-        self._respawn(engine, max_restarts, "state digest divergence")
-
-    def _respawn(self, engine, max_restarts, why) -> None:
-        self.restarts += 1
-        engine.run_stats["worker_restarts"] += 1
-        if self.restarts > max_restarts:
-            raise RuntimeError(
-                f"shard {self.shard.shard_id} exceeded {max_restarts} "
-                f"restarts (last failure: {why})"
-            )
-        self.kill()
-        self.incarnation += 1
-        time.sleep(min(0.05 * self.restarts, 0.5))
-        pending = list(self.pending)
-        self.pending.clear()
-        self._spawn()
-        for chunk in pending:
-            self.dispatch(chunk)
+            tag, payload = self.conn.recv()
+        except (EOFError, OSError):
+            raise ShardWorkerLost(f"{who} process died") from None
+        if tag == "error":
+            raise ShardWorkerLost(f"{who} failed: {payload}")
+        return payload
 
     def kill(self) -> None:
         """Tear the worker process down unconditionally."""
-        if self.process is not None and self.process.is_alive():
+        if self.process.is_alive():
             self.process.kill()
-        if self.process is not None:
-            self.process.join(timeout=5.0)
-        if self.conn is not None:
-            try:
-                self.conn.close()
-            except OSError:
-                pass
+        self.process.join(timeout=5.0)
+        try:
+            self.conn.close()
+        except OSError:
+            pass
 
     def stop(self) -> None:
         """Ask the worker to exit, then reap it."""
         self._send(("stop",))
-        if self.process is not None:
-            self.process.join(timeout=2.0)
+        self.process.join(timeout=2.0)
         self.kill()
-
-
-def _reconcile_digests(
-    handles, results, chunk, engine, obs, heartbeat_timeout, max_restarts
-):
-    """Cross-shard digest agreement vote for one chunk.
-
-    Every replica computes the same per-tick digests, so disagreement
-    means some replica's world state is corrupt.  A modal vote picks
-    the suspects (tie → everyone off the first list is suspect), their
-    chunk is quarantined and replayed on fresh replicas, and after two
-    failed rounds the divergence escalates to the hard error.  The
-    FlightRecorder dump is preserved at first detection, before any
-    evidence is torn down.
-    """
-    rounds = 0
-    while True:
-        digest_lists = [tuple(result["digests"]) for result in results]
-        if len(set(digest_lists)) == 1:
-            return results
-        if rounds == 0:
-            recorder = get_flight_recorder()
-            if recorder is not None:
-                recorder.trip("shard-divergence", obs.tracer)
-        if rounds >= 2:
-            raise ShardDivergenceError(
-                f"shards still disagree on chunk starting t={chunk[0]} "
-                f"after {rounds} quarantine replays"
-            )
-        counts = Counter(digest_lists)
-        top = max(counts.values())
-        modal = [d for d, count in counts.items() if count == top]
-        majority = modal[0] if len(modal) == 1 else None
-        if majority is not None:
-            suspects = [
-                index
-                for index, digests in enumerate(digest_lists)
-                if digests != majority
-            ]
-        else:
-            # No winner — every replica is suspect; replay them all.
-            suspects = list(range(len(handles)))
-        for index in suspects:
-            handles[index].quarantine_last(engine, max_restarts)
-            results[index] = handles[index].receive_result(
-                engine, heartbeat_timeout, max_restarts
-            )
-        rounds += 1
 
 
 def _combine_slices(shards, results, name: str, now: float) -> list:
@@ -696,16 +516,35 @@ def _combine_slices(shards, results, name: str, now: float) -> list:
     return [row_ref for _, row_ref in pairs]
 
 
+def _stopped_at_boundary(
+    engine, lost: ShardWorkerLost, next_tick: float, done: int, checkpoint_plan
+) -> ShardWorkerLost:
+    """The error a lost worker ends the run with: where the coordinator
+    stands and the way back (a checkpoint forced there if the run keeps
+    them; ``done == 0`` has nothing to checkpoint)."""
+    way_back = (
+        "re-run (add --checkpoint-every N --checkpoint-dir DIR to be able "
+        "to resume)"
+    )
+    if checkpoint_plan is not None and checkpoint_plan.maybe_write(
+        engine, next_tick=next_tick, force=True
+    ):
+        way_back = (
+            f"continue with `repro resume --from {checkpoint_plan.directory}`"
+        )
+    return ShardWorkerLost(
+        f"{lost}; stopped at t={next_tick:g} after {done} merged steps; "
+        f"{way_back}"
+    )
+
+
 def run_sharded(
     engine,
     start: float,
     end: float,
     progress: Optional[Callable] = None,
     workers: int = 2,
-    chunk_ticks: int = 16,
     warmup_ticks: Sequence[float] = (),
-    heartbeat_timeout: float = 60.0,
-    max_restarts: int = 3,
     checkpoint_plan=None,
 ) -> int:
     """Run ``engine`` from ``start`` to ``end`` over worker processes.
@@ -714,23 +553,18 @@ def run_sharded(
     Reproduces the serial run's observable outputs exactly: identical
     DNS/traceroute stores, Netflow log, SNMP bins, StepReport stream
     and (merged) metric totals.  Raises :class:`ShardDivergenceError`
-    if the replicas' state drifts from the coordinator's beyond what
-    quarantine-and-replay can heal.
+    if a replica's state drifts from the coordinator's and
+    :class:`ShardWorkerLost` if a worker dies, hangs or fails.
 
     ``warmup_ticks`` is the resume path: the coordinator has already
     been restored through those ticks, and every worker replays them
-    before taking chunks.  ``heartbeat_timeout``/``max_restarts`` tune
-    the supervisor; ``checkpoint_plan`` (a
+    before taking chunks.  ``checkpoint_plan`` (a
     :class:`~repro.simulation.checkpoint.CheckpointPlan`) gets a write
-    opportunity at every chunk boundary and a forced final write when a
-    SIGTERM drain is requested.
+    opportunity at every chunk boundary and a forced write when a
+    SIGTERM drain is requested or a worker is lost.
     """
     if workers < 2:
         raise ValueError("a sharded run needs workers >= 2")
-    if chunk_ticks < 1:
-        raise ValueError("chunk_ticks must be >= 1")
-    if heartbeat_timeout <= 0:
-        raise ValueError("heartbeat_timeout must be positive")
     if not warmup_ticks and not engine.scenario.is_fresh():
         raise RuntimeError(
             "sharded runs must start from a fresh scenario: worker "
@@ -750,31 +584,32 @@ def run_sharded(
     obs = engine._obs
     registry = obs.metrics
     chunks = [
-        tuple(ticks[index : index + chunk_ticks])
-        for index in range(0, len(ticks), chunk_ticks)
+        tuple(ticks[index : index + CHUNK_TICKS])
+        for index in range(0, len(ticks), CHUNK_TICKS)
     ]
 
-    # One supervised process per shard: shard state lives in the worker
-    # process, so every chunk of a shard must land on the same process
-    # (or a respawn that replayed its way back to the same state).
+    # One process per shard: shard state lives in the worker process,
+    # so every chunk of a shard must land on the same process.
     context = multiprocessing.get_context()
     handles = [
         _WorkerHandle(spec, shard, warmup_ticks, context)
         for shard in shards
     ]
     steps = 0
+    finished = False
     try:
         for handle in handles:
             handle.dispatch(chunks[0])
         for chunk_index, chunk in enumerate(chunks):
-            results = [
-                handle.receive_result(engine, heartbeat_timeout, max_restarts)
-                for handle in handles
-            ]
-            results = _reconcile_digests(
-                handles, results, chunk, engine, obs,
-                heartbeat_timeout, max_restarts,
-            )
+            try:
+                results = [handle.receive_result() for handle in handles]
+            except ShardWorkerLost as lost:
+                # Nothing of this chunk is merged yet, so the coordinator
+                # stands exactly at the previous chunk's boundary.
+                raise _stopped_at_boundary(
+                    engine, lost, chunk[0], len(warmup_ticks) + steps,
+                    checkpoint_plan,
+                ) from lost
             drain = engine._drain_requested
             if chunk_index + 1 < len(chunks) and not drain:
                 # Pipeline: hand workers their next chunk before
@@ -803,9 +638,9 @@ def run_sharded(
                 )
                 for shard, result in zip(shards, results):
                     if result["digests"][tick_index] != expected:
-                        # The replicas agree with each other (the vote
-                        # above healed any dissent) but not with the
-                        # coordinator — nothing left to quarantine.
+                        # Replica state is a pure function of the tick
+                        # sequence, so this is a bug or a flipped bit:
+                        # keep the evidence and stop.
                         recorder = get_flight_recorder()
                         if recorder is not None:
                             recorder.trip("shard-divergence", obs.tracer)
@@ -835,13 +670,15 @@ def run_sharded(
                     )
                     engine.run_stats["drained"] = True
                     break
+        finished = True
     finally:
-        # Guaranteed teardown on every exit path — success, divergence,
-        # worker error, KeyboardInterrupt — so a failed run never leaks
-        # worker processes.
+        # Guaranteed teardown on every exit path — success, lost worker,
+        # divergence, KeyboardInterrupt — so no run leaks a worker
+        # process.  A run that did not finish may leave workers blocked
+        # sending results nobody will read: those are killed, not asked.
         for handle in handles:
-            try:
+            if finished:
                 handle.stop()
-            except Exception:
+            else:
                 handle.kill()
     return steps

@@ -33,13 +33,11 @@ __all__ = ["SimulationEngine", "StepReport", "RunSummary"]
 
 _GBPS_TO_BYTES = 1e9 / 8.0
 
-# Crash-tolerance bookkeeping, reset at each run() entry: how many shard
-# workers were respawned, how many divergence quarantine replays ran,
-# how many checkpoints were written, whether a SIGTERM drain cut the run
-# short, and which step a resume picked up from (None for a fresh run).
+# Crash-tolerance bookkeeping, reset at each run() entry: how many
+# checkpoints were written (the one a lost shard worker forces
+# included), whether a SIGTERM drain cut the run short, and which step a
+# resume picked up from (None for a fresh run).
 _RUN_STATS = {
-    "worker_restarts": 0,
-    "divergence_replays": 0,
     "checkpoints_written": 0,
     "drained": False,
     "resumed_from_step": None,
@@ -464,8 +462,9 @@ class SimulationEngine:
         serial loop, bit-for-bit identical to the pre-sharding engine.
 
         ``checkpoint_every=N`` (with ``checkpoint_dir``) writes an
-        atomic ``RCKPT`` snapshot every N completed ticks and a final
-        one on SIGTERM drain.  ``resume_from`` takes a
+        atomic ``RCKPT`` snapshot every N completed ticks, a final one
+        on SIGTERM drain and one at the last merged tick when a shard
+        worker is lost (``ShardWorkerLost``).  ``resume_from`` takes a
         :class:`~repro.simulation.checkpoint.Checkpoint` and continues
         that run bit-identically on a *freshly built* engine —
         ``start``/``end`` default to the checkpoint's; restored
@@ -488,6 +487,8 @@ class SimulationEngine:
         self._drain_requested = False
 
         plan = None
+        if checkpoint_dir is not None and not checkpoint_every:
+            raise ValueError("checkpoint_dir needs checkpoint_every")
         if checkpoint_every:
             from .checkpoint import CheckpointPlan
 
@@ -673,20 +674,15 @@ class SimulationEngine:
             self.scenario.failover.advance(now)
         return self._advance_demand(now)
 
-    def replay_state(
-        self,
-        ticks: Iterable[float],
-        each: Optional[Callable[[int, float], None]] = None,
-    ) -> Optional[tuple]:
+    def replay_state(self, ticks: Iterable[float]) -> Optional[tuple]:
         """Bring a fresh world to a tick boundary without re-running it.
 
-        What a resumed run and a (re)spawned shard worker both do: the
+        What a resumed run's coordinator and shard workers both do: the
         cheap world state advances and the sharded campaigns' grids
         march in lockstep over ``ticks``, but nothing is measured and no
         traffic is generated — the caller already holds those products.
         Silent: no phase samples and no fault-plane trace events, since
-        the original run recorded both.  ``each(index, now)`` runs after
-        every tick (a worker's heartbeat).  Returns the last tick's
+        the original run recorded both.  Returns the last tick's
         ``(now, demand, EU split)`` — the :func:`state_digest` inputs —
         or ``None`` for no ticks.
         """
@@ -698,14 +694,12 @@ class SimulationEngine:
         last: Optional[tuple] = None
         try:
             with failover.quiet() if failover is not None else nullcontext():
-                for index, now in enumerate(ticks):
+                for now in ticks:
                     demand, splits = self.advance_state(now)
                     last = (now, demand, splits[MappingRegion.EU])
                     for campaign in scenario.dns_campaigns:
                         if campaign.due(now):
                             campaign.mark_fired(now, count_metrics=False)
-                    if each is not None:
-                        each(index, now)
         finally:
             obs.profiling = saved_profiling
         return last

@@ -115,7 +115,7 @@ class TestWindowValidation:
     def test_unknown_kind_names_valid_kinds(self):
         with pytest.raises(ValueError, match="cdn-blackout"):
             FaultWindow(0.0, 1.0, "Apple", "not-a-kind")
-        with pytest.raises(ValueError, match="worker-kill"):
+        with pytest.raises(ValueError, match="route-prepend"):
             FaultWindow(0.0, 1.0, "Apple", object())  # type: ignore[arg-type]
 
     def test_unknown_kind_through_schedule_constructor(self):
@@ -129,13 +129,9 @@ class TestWindowValidation:
         schedule = FaultSchedule([window])
         assert schedule.find(FaultKind.CDN_BROWNOUT, 0.5, "Akamai") is window
 
-    def test_worker_kinds_parse(self):
-        schedule = FaultSchedule.parse([
-            "worker-kill@w0:1-2",
-            "worker-stall@*:3-4:5.0",
-        ])
-        kill, stall = sorted(schedule, key=lambda w: w.start)
-        assert kill.kind is FaultKind.WORKER_KILL
-        assert kill.target == "w0"
-        assert stall.kind is FaultKind.WORKER_STALL
-        assert stall.severity == 5.0
+    def test_worker_kinds_are_gone(self):
+        # Losing a shard worker is a real signal, not a scheduled fault.
+        with pytest.raises(
+            ValueError, match=r"unknown fault kind 'worker-kill'.*valid:.*dns-drop"
+        ):
+            FaultSchedule.parse(["worker-kill@w0:1-2"])

@@ -201,11 +201,7 @@ class TestReplayToABoundary:
         registry, tracer = MetricsRegistry(), EventTracer()
         with use_registry(registry), use_tracer(tracer):
             replayed = blackout_engine()
-            seen = []
-            state = replayed.replay_state(
-                ticks, each=lambda index, now: seen.append((index, now))
-            )
-        assert seen == list(enumerate(ticks))
+            state = replayed.replay_state(ticks)
         assert state_digest(*state) == state_digest(
             last.now, last.demand_gbps, last.operator_gbps
         )
@@ -408,8 +404,17 @@ class TestCheckpointValidation:
     def test_checkpoint_every_requires_directory(self):
         with use_registry(MetricsRegistry()):
             engine = fresh_engine()
-            with pytest.raises(ValueError, match="checkpoint_dir"):
+            with pytest.raises(ValueError, match="needs checkpoint_dir"):
                 engine.run(START, END, checkpoint_every=4)
+
+    def test_checkpoint_directory_requires_every(self, tmp_path):
+        # A directory with no cadence can never be written to: refused
+        # up front, not run to the end in silence.
+        with use_registry(MetricsRegistry()):
+            engine = fresh_engine()
+            with pytest.raises(ValueError, match="needs checkpoint_every"):
+                engine.run(START, END, checkpoint_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_atomic_write_leaves_no_tmp(self, small_dir, tmp_path):
         checkpoint = load_checkpoint(small_dir)

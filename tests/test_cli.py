@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+import multiprocessing
+import os
+import signal
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, flags, main
 from repro.obs import parse_exposition
 
 
@@ -117,6 +120,91 @@ class TestCommands:
             "Overflow by handover AS",
         ):
             assert marker in captured, marker
+
+
+PROBES = ["--probes", "4", "--isp-probes", "3"]
+WINDOW = ["--start", "9-18", "--end", "9-20", *PROBES]
+
+
+class TestCheckpointFlags:
+    """A checkpoint flag that cannot do what it says is one line on
+    exit, before any work — never a silent no-op, never a traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--checkpoint-every", "8"],
+         "--checkpoint-every needs --checkpoint-dir"),
+        (["--checkpoint-dir", "DIR"],
+         "--checkpoint-dir needs --checkpoint-every"),
+        (["--checkpoint-every", "-1", "--checkpoint-dir", "DIR"],
+         "--checkpoint-every must be a positive tick count"),
+    ], ids=["every-without-dir", "dir-without-every", "negative-every"])
+    def test_simulate_rejects_half_a_plan(
+        self, tmp_path, argv, message
+    ):
+        directory = tmp_path / "ckpts"
+        argv = [str(directory) if word == "DIR" else word for word in argv]
+        with pytest.raises(SystemExit) as caught:
+            main(["simulate", *WINDOW, *argv])
+        assert caught.value.code == message
+        assert not directory.exists()
+
+    def test_resume_from_a_directory_keeps_checkpointing_into_it(
+        self, tmp_path, capsys
+    ):
+        directory = tmp_path / "ckpts"
+        argv = ["--checkpoint-every", "24", "--checkpoint-dir", str(directory)]
+        one_day = ["--start", "9-18", "--end", "9-19", *PROBES]
+        assert main(["simulate", *one_day, *argv]) == 0
+        assert sorted(p.name for p in directory.iterdir()) == [
+            "ckpt-00000024.rckpt", "ckpt-00000048.rckpt"
+        ]
+        with pytest.raises(SystemExit) as caught:
+            main(["resume", "--from", str(directory),
+                  "--checkpoint-dir", str(directory)])
+        assert caught.value.code == "--checkpoint-dir needs --checkpoint-every"
+        code = main(["resume", "--from", str(directory), "--end", "9-20",
+                     "--checkpoint-every", "24"])
+        assert code == 0
+        assert "resumed from step 48" in capsys.readouterr().out
+        assert "ckpt-00000096.rckpt" in {p.name for p in directory.iterdir()}
+
+
+class TestLostWorker:
+    def test_a_lost_worker_is_exit_3_and_one_line_then_resume_finishes(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        assert main(["simulate", *WINDOW]) == 0
+        uninterrupted = capsys.readouterr().out.splitlines()[-1]
+        assert uninterrupted.startswith("96 steps; ")
+
+        before = {p.pid for p in multiprocessing.active_children()}
+        steps = []
+
+        def kill_a_worker_at_step_20(report):
+            steps.append(report.now)
+            if len(steps) == 20:
+                children = {p.pid for p in multiprocessing.active_children()}
+                os.kill(min(children - before), signal.SIGKILL)
+
+        monkeypatch.setattr(flags, "print_step", kill_a_worker_at_step_20)
+        directory = tmp_path / "ckpts"
+        code = main(["simulate", *WINDOW, "--workers", "2", "--verbose",
+                     "--checkpoint-every", "64",
+                     "--checkpoint-dir", str(directory)])
+        monkeypatch.undo()
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "Traceback" not in captured.err
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro simulate: shard ")
+        assert "worker process died" in line
+        assert f"`repro resume --from {directory}`" in line
+        assert {p.pid for p in multiprocessing.active_children()} <= before
+
+        assert main(["resume", "--from", str(directory), "--workers", "2"]) == 0
+        resumed = capsys.readouterr().out.splitlines()[-1]
+        assert resumed.startswith(f"resumed from step {len(steps)} ")
+        assert resumed.endswith(uninterrupted.partition("; ")[2])
 
 
 class TestServeCommands:
