@@ -10,7 +10,7 @@ from .awsvm import (
     build_aws_vantages,
 )
 from .campaign import DnsCampaign, TracerouteCampaign
-from .columnar import DnsColumns, DnsRowRef, DnsSegment
+from .columnar import DnsColumns, DnsSegment
 from .placement import (
     ATLAS_CONTINENT_WEIGHTS,
     place_global_probes,
@@ -39,7 +39,6 @@ __all__ = [
     "DnsCampaign",
     "TracerouteCampaign",
     "DnsColumns",
-    "DnsRowRef",
     "DnsSegment",
     "DnsMeasurement",
     "TracerouteHop",

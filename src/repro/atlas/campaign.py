@@ -20,7 +20,7 @@ from ..dns.resolver import ServerMap, resolve_bulk
 from ..obs import get_registry
 from ..workload.timeline import MeasurementWindow
 from .cadence import Cadence
-from .columnar import CONTINENT_INDEX
+from .columnar import DnsColumns, ProbeColumns
 from .probe import AtlasProbe, outcome_fields
 from .results import MeasurementStore
 
@@ -62,6 +62,9 @@ class DnsCampaign:
     name: str = "dns"
     cadence: Cadence = field(init=False, repr=False)
     _server_map: Optional[ServerMap] = field(default=None, init=False, repr=False)
+    # Per probe slice measured (``None`` = all probes): its probes and
+    # their fixed columns.
+    _slices: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.cadence = Cadence(self.interval)
@@ -82,30 +85,27 @@ class DnsCampaign:
         """Fire a tick if due; returns the number of measurements taken."""
         if not self.due(now):
             return 0
-        self.measure_slice(now, self.store.add_dns_values)
-        self.mark_fired(now)
-        return len(self.probes)
+        return self.absorb_tick(now, self.measure_slice(now))
 
     def measure_slice(
-        self,
-        now: float,
-        emit: Callable[..., None],
-        indices: Optional[Sequence[int]] = None,
-    ) -> None:
-        """Measure a subset of probes (all by default), one ``emit`` per probe.
+        self, now: float, indices: Optional[Sequence[int]] = None
+    ) -> DnsColumns:
+        """Measure a subset of probes (all by default): one tick's block.
 
-        ``emit`` takes the arguments of
-        :meth:`~repro.atlas.columnar.DnsColumns.append_values`, so each
-        row lands column-to-column with no record object in between: a
-        serial tick passes its store's ``add_dns_values`` (which keeps
-        the time-order and seal checks), a shard worker a bare block's
-        ``append_values`` — its slice, which the coordinator recombines
-        in probe order via :meth:`absorb_tick`.  No grid or telemetry
-        state is touched here.
+        A serial tick hands the block to :meth:`absorb_tick`; a shard
+        worker ships it home as its slice, which the coordinator
+        gathers into probe order before absorbing.  The slice's fixed
+        columns are built on its first tick and copied after that.  No
+        grid or telemetry state is touched here.
         """
-        probes = (
-            self.probes if indices is None else [self.probes[i] for i in indices]
-        )
+        key = None if indices is None else tuple(indices)
+        cached = self._slices.get(key)
+        if cached is None:
+            probes = self.probes if key is None else [self.probes[i] for i in key]
+            cached = self._slices[key] = (
+                probes, ProbeColumns.of(self.target, probes)
+            )
+        probes, fixed = cached
         target = self.target
         if self._server_map is None:
             # All campaign probes are built from one estate server
@@ -118,19 +118,9 @@ class DnsCampaign:
             target,
             self._server_map,
         )
-        for probe, outcome in zip(probes, outcomes):
-            rcode, chain, addresses = outcome_fields(target, outcome)
-            emit(
-                probe.probe_id,
-                now,
-                target,
-                probe.asn.number,
-                CONTINENT_INDEX[probe.continent],
-                probe.country,
-                rcode,
-                chain,
-                [address.value for address in addresses],
-            )
+        return DnsColumns.tick(
+            fixed, now, [outcome_fields(target, outcome) for outcome in outcomes]
+        )
 
     def mark_fired(self, now: float, count_metrics: bool = True) -> None:
         """Advance the due grid after a tick fired at ``now``.
@@ -148,20 +138,17 @@ class DnsCampaign:
             if missed:
                 self._m_missed.inc(missed)
 
-    def absorb_tick(self, now: float, measurements: Sequence) -> int:
-        """Record one tick's worth of externally measured results.
+    def absorb_tick(self, now: float, block: DnsColumns) -> int:
+        """Record one tick's block and advance the grid; returns its rows.
 
-        The coordinator of a sharded run merges the workers' slices —
-        already recombined into probe order — through this, producing
-        the same store contents and grid state as a serial
-        :meth:`maybe_run` at ``now``.  Items are the columnar
-        :class:`~repro.atlas.columnar.DnsRowRef` handles workers ship
-        home, which land in the store without object reconstruction.
+        A serial tick passes what :meth:`measure_slice` measured; the
+        coordinator of a sharded run passes the workers' slices gathered
+        into probe order, which leaves the same store contents and grid
+        state as a serial :meth:`maybe_run` at ``now``.
         """
-        for columns, row in measurements:
-            self.store.add_dns_row(columns, row)
+        self.store.add_dns_block(block)
         self.mark_fired(now)
-        return len(self.probes)
+        return len(block)
 
     def run_window(self, step: Optional[float] = None) -> MeasurementStore:
         """Run the whole window standalone (no engine), returning the store.

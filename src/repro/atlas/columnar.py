@@ -16,20 +16,28 @@ the columnar core behind the store:
   (min/max time, unique address ints, byte size) that lets
   time-window queries prune whole segments, and a compact binary
   on-disk form so sealed segments can spill out of RAM;
-* :class:`DnsRowRef` — a (block, row) handle used by the sharded
-  engine to ship measurement slices between processes in columnar
-  form and absorb them without rebuilding objects.
+* :class:`ProbeColumns` — the columns a probe slice repeats every
+  tick, built once so a campaign tick (:meth:`DnsColumns.tick`) writes
+  only what each resolution produced.
+
+A campaign tick is one block end to end: a shard worker ships its
+slice as one, the sharded coordinator interleaves the slices with one
+:meth:`DnsColumns.gather`, and the store appends a block with one
+:meth:`DnsColumns.extend` per segment it reaches.
 
 Everything round-trips exactly: a reconstructed row compares equal to
 the measurement that was appended, which is what keeps golden-run
-summaries byte-identical across the columnar swap.
+summaries byte-identical across the columnar swap.  :meth:`DnsColumns.extend`
+re-interns in first-appearance row order, so what a store holds —
+tables and bytes — equals appending the same rows one by one.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from typing import Iterator, List, NamedTuple, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
 from ..container import Container
 from ..net.asys import ASN
@@ -40,8 +48,8 @@ __all__ = [
     "CONTINENTS",
     "CONTINENT_INDEX",
     "DnsColumns",
-    "DnsRowRef",
     "DnsSegment",
+    "ProbeColumns",
     "SegmentFormatError",
 ]
 
@@ -61,6 +69,16 @@ _ARRAY_FIELDS = (
     ("chain_ids", "I"),
     ("addr_offsets", "Q"),
     ("addr_values", "I"),
+)
+
+# The columns carried as-is, row for row, and the (id column, table,
+# index) triples whose ids point into a per-block table.
+_PLAIN_FIELDS = ("times", "probe_ids", "asns", "continents")
+_INTERNED_FIELDS = (
+    ("target_ids", "targets", "_target_index"),
+    ("country_ids", "countries", "_country_index"),
+    ("rcode_ids", "rcodes", "_rcode_index"),
+    ("chain_ids", "chains", "_chain_index"),
 )
 
 _DNS_MEASUREMENT = None
@@ -83,11 +101,58 @@ class SegmentFormatError(ValueError):
 _CONTAINER = Container(b"RSEG2\n", 2, SegmentFormatError, "segment")
 
 
-class DnsRowRef(NamedTuple):
-    """One row of a columnar block, addressable without decoding it."""
+class ProbeColumns(NamedTuple):
+    """The columns of a probe slice that every tick repeats.
 
-    columns: "DnsColumns"
-    row: int
+    Probe id, AS number, continent and country are properties of the
+    probe and the target is the campaign's, so a campaign builds these
+    once per probe slice (:meth:`of`) and :meth:`DnsColumns.tick`
+    copies them into each tick's block.
+    """
+
+    target: str
+    probe_ids: array
+    asns: array
+    continents: array
+    country_ids: array
+    countries: list
+
+    @classmethod
+    def of(cls, target: str, probes: Sequence) -> "ProbeColumns":
+        """The fixed columns of ``probes`` (anything with the
+        :class:`~repro.atlas.probe.AtlasProbe` identity attributes), in
+        order; countries are interned in first-appearance order."""
+        countries: dict = {}
+        return cls(
+            target,
+            array("q", [probe.probe_id for probe in probes]),
+            array("I", [probe.asn.number for probe in probes]),
+            array("B", [CONTINENT_INDEX[probe.continent] for probe in probes]),
+            array(
+                "H",
+                [countries.setdefault(probe.country, len(countries)) for probe in probes],
+            ),
+            list(countries),
+        )
+
+
+def _reinterned(ids: array, source: list, index: dict, table: list) -> array:
+    """``ids`` (pointing into ``source``) as ids into ``table``.
+
+    Each ``source`` value is looked up once.  Values new to ``table``
+    are interned in first-appearance order of ``ids`` — the order
+    appending the rows one by one would intern them — which is the one
+    pass over the rows that only a new value costs.  The column is
+    rewritten by one C-level map, or returned as is when no id moves.
+    """
+    remap = [index.get(value) for value in source]
+    if None in remap:
+        for source_id in dict.fromkeys(ids):
+            if remap[source_id] is None:
+                remap[source_id] = DnsColumns._intern(index, table, source[source_id])
+    if remap == list(range(len(remap))):
+        return ids
+    return array(ids.typecode, map(remap.__getitem__, ids))
 
 
 class DnsColumns:
@@ -134,6 +199,14 @@ class DnsColumns:
 
     # ----- interning ----------------------------------------------------
 
+    def _drop_indexes(self) -> None:
+        """Forget the intern indexes; :meth:`_ensure_indexes` rebuilds
+        them if this block is ever appended to."""
+        self._target_index = None
+        self._country_index = None
+        self._rcode_index = None
+        self._chain_index = None
+
     def _ensure_indexes(self) -> None:
         """Rebuild the intern indexes (dropped on pickle/deserialize)."""
         if self._target_index is None:
@@ -153,76 +226,27 @@ class DnsColumns:
 
     # ----- append -------------------------------------------------------
 
-    def append_values(
-        self,
-        probe_id: int,
-        timestamp: float,
-        target: str,
-        asn: int,
-        continent: int,
-        country: str,
-        rcode: str,
-        chain: tuple,
-        addresses: Sequence[int],
-    ) -> None:
-        """Append one row given as column values.
-
-        ``asn`` is the AS number, ``continent`` its :data:`CONTINENT_INDEX`
-        position and ``addresses`` the packed IPv4 ints — the forms the
-        columns store, so a producer that already holds them (a campaign
-        tick, another block's row) lands a row without building a
-        :class:`DnsMeasurement` first.
-        """
-        self._ensure_indexes()
-        self.times.append(timestamp)
-        self.probe_ids.append(probe_id)
-        self.asns.append(asn)
-        self.continents.append(continent)
-        self.target_ids.append(self._intern(self._target_index, self.targets, target))
-        self.country_ids.append(
-            self._intern(self._country_index, self.countries, country)
-        )
-        self.rcode_ids.append(self._intern(self._rcode_index, self.rcodes, rcode))
-        self.chain_ids.append(self._intern(self._chain_index, self.chains, chain))
-        self.addr_values.extend(addresses)
-        self.addr_offsets.append(len(self.addr_values))
-
-    @staticmethod
-    def values_of(measurement) -> tuple:
-        """A :class:`DnsMeasurement` as the argument tuple of :meth:`append_values`."""
-        return (
-            measurement.probe_id,
-            measurement.timestamp,
-            measurement.target,
-            measurement.probe_asn.number,
-            CONTINENT_INDEX[measurement.continent],
-            measurement.country,
-            measurement.rcode,
-            measurement.chain,
-            [address.value for address in measurement.addresses],
-        )
-
     def append(self, measurement) -> None:
         """Append one :class:`DnsMeasurement` as a columnar row."""
-        self.append_values(*self.values_of(measurement))
-
-    def row_values(self, row: int) -> tuple:
-        """Row ``row`` as the argument tuple of :meth:`append_values`."""
-        return (
-            self.probe_ids[row],
-            self.times[row],
-            self.targets[self.target_ids[row]],
-            self.asns[row],
-            self.continents[row],
-            self.countries[self.country_ids[row]],
-            self.rcodes[self.rcode_ids[row]],
-            self.chains[self.chain_ids[row]],
-            self.addr_values[self.addr_offsets[row] : self.addr_offsets[row + 1]],
+        self._ensure_indexes()
+        self.times.append(measurement.timestamp)
+        self.probe_ids.append(measurement.probe_id)
+        self.asns.append(measurement.probe_asn.number)
+        self.continents.append(CONTINENT_INDEX[measurement.continent])
+        self.target_ids.append(
+            self._intern(self._target_index, self.targets, measurement.target)
         )
-
-    def append_row_from(self, other: "DnsColumns", row: int) -> None:
-        """Copy one row out of ``other`` without building an object."""
-        self.append_values(*other.row_values(row))
+        self.country_ids.append(
+            self._intern(self._country_index, self.countries, measurement.country)
+        )
+        self.rcode_ids.append(
+            self._intern(self._rcode_index, self.rcodes, measurement.rcode)
+        )
+        self.chain_ids.append(
+            self._intern(self._chain_index, self.chains, measurement.chain)
+        )
+        self.addr_values.extend([address.value for address in measurement.addresses])
+        self.addr_offsets.append(len(self.addr_values))
 
     @classmethod
     def from_measurements(cls, measurements: Sequence) -> "DnsColumns":
@@ -231,6 +255,124 @@ class DnsColumns:
         for measurement in measurements:
             columns.append(measurement)
         return columns
+
+    @classmethod
+    def tick(
+        cls, fixed: ProbeColumns, now: float, outcomes: Iterable[tuple]
+    ) -> "DnsColumns":
+        """One campaign tick over a probe slice, as a block.
+
+        The fixed columns are copied from ``fixed`` (one array copy
+        each) and every row is stamped ``now``; per probe only what its
+        resolution produced is written — ``outcomes`` holds one
+        ``(rcode, chain, addresses)`` per probe of ``fixed``, in order,
+        addresses as :class:`IPv4Address`.  Equal, tables and bytes, to
+        appending the same measurements one by one.
+        """
+        block = cls()
+        count = len(fixed.probe_ids)
+        block.times = array("d", [now]) * count
+        block.probe_ids = fixed.probe_ids[:]
+        block.asns = fixed.asns[:]
+        block.continents = fixed.continents[:]
+        block.target_ids = array("H", [0]) * count
+        block.targets = [fixed.target] if count else []
+        block.country_ids = fixed.country_ids[:]
+        block.countries = list(fixed.countries)
+        rcodes: dict = {}
+        chains: dict = {}
+        rcode_ids, chain_ids = block.rcode_ids, block.chain_ids
+        values, offsets = block.addr_values, block.addr_offsets
+        for rcode, chain, addresses in outcomes:
+            rcode_ids.append(rcodes.setdefault(rcode, len(rcodes)))
+            chain_ids.append(chains.setdefault(chain, len(chains)))
+            values.extend([address.value for address in addresses])
+            offsets.append(len(values))
+        block.rcodes = list(rcodes)
+        block.chains = list(chains)
+        block._drop_indexes()
+        return block
+
+    def extend(self, other: "DnsColumns", lo: int = 0, hi: Optional[int] = None) -> None:
+        """Append rows ``lo..hi`` of ``other`` (all by default), column to column.
+
+        Intern ids are remapped into this block's tables in
+        first-appearance row order, so the result — tables and bytes —
+        equals appending those rows one by one.  No ordering check: the
+        store that owns this block makes it.
+        """
+        stop = len(other) if hi is None else hi
+        if lo >= stop:
+            return
+        self._ensure_indexes()
+        for name in _PLAIN_FIELDS:
+            getattr(self, name).extend(getattr(other, name)[lo:stop])
+        for ids, table, index in _INTERNED_FIELDS:
+            getattr(self, ids).extend(
+                _reinterned(
+                    getattr(other, ids)[lo:stop],
+                    getattr(other, table),
+                    getattr(self, index),
+                    getattr(self, table),
+                )
+            )
+        first, last = other.addr_offsets[lo], other.addr_offsets[stop]
+        shift = len(self.addr_values) - first
+        self.addr_values.extend(other.addr_values[first:last])
+        self.addr_offsets.extend(map(shift.__add__, other.addr_offsets[lo + 1 : stop + 1]))
+
+    @classmethod
+    def gather(cls, slices: Sequence["DnsColumns"], order: Sequence[int]) -> "DnsColumns":
+        """Interleave ``slices`` into one block, a column at a time.
+
+        ``order`` lists, for each row of the result, that row's position
+        in the slices laid end to end: what the sharded coordinator
+        builds from its workers' slices of a tick.  The rows equal
+        appending them one by one in that order.  Each value is listed
+        once in the tables, in the order the slices' tables list them
+        rather than row order: the store's append (:meth:`extend`)
+        re-interns in row order anyway.
+        """
+        # ``pick(column)`` is the column's items at ``order``, looked up
+        # in C; itemgetter returns a bare item, not a tuple, for one index.
+        if len(order) > 1:
+            pick = itemgetter(*order)
+        else:
+
+            def pick(column):
+                return [column[row] for row in order]
+
+        block = cls()
+        for name in _PLAIN_FIELDS:
+            joined = array(getattr(block, name).typecode)
+            for piece in slices:
+                joined.extend(getattr(piece, name))
+            setattr(block, name, array(joined.typecode, pick(joined)))
+        for ids, table, index in _INTERNED_FIELDS:
+            joined = array(getattr(block, ids).typecode)
+            block_index, block_table = getattr(block, index), getattr(block, table)
+            for piece in slices:
+                remap = [
+                    cls._intern(block_index, block_table, value)
+                    for value in getattr(piece, table)
+                ]
+                piece_ids = getattr(piece, ids)
+                if remap == list(range(len(remap))):
+                    joined.extend(piece_ids)
+                else:
+                    joined.extend(map(remap.__getitem__, piece_ids))
+            getattr(block, ids).extend(pick(joined))
+        offsets = array("Q")
+        values = array("I")
+        for piece in slices:
+            offsets.extend(map(len(values).__add__, piece.addr_offsets[:-1]))
+            values.extend(piece.addr_values)
+        offsets.append(len(values))
+        gathered, ends = block.addr_values, block.addr_offsets
+        for row in order:
+            gathered.extend(values[offsets[row] : offsets[row + 1]])
+            ends.append(len(gathered))
+        return block
 
     # ----- read back ----------------------------------------------------
 
@@ -281,11 +423,7 @@ class DnsColumns:
         arrays, self.targets, self.countries, self.rcodes, self.chains = state
         for (name, _), column in zip(_ARRAY_FIELDS, arrays):
             setattr(self, name, column)
-        # Rebuilt lazily, and only if this block is appended to again.
-        self._target_index = None
-        self._country_index = None
-        self._rcode_index = None
-        self._chain_index = None
+        self._drop_indexes()
 
     # ----- binary segment format ----------------------------------------
 
@@ -358,10 +496,7 @@ class DnsColumns:
             )
         if len(columns.addr_offsets) != header["rows"] + 1:
             raise SegmentFormatError("offset column does not match row count")
-        columns._target_index = None
-        columns._country_index = None
-        columns._rcode_index = None
-        columns._chain_index = None
+        columns._drop_indexes()
         return columns
 
 

@@ -19,6 +19,7 @@ sequence view that reconstructs records on demand.
 from __future__ import annotations
 
 import bisect
+import operator
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -249,53 +250,41 @@ class MeasurementStore:
 
     def add_dns(self, measurement: DnsMeasurement) -> None:
         """Record a DNS measurement (must be appended in time order)."""
-        self.add_dns_values(*DnsColumns.values_of(measurement))
+        self.add_dns_block(DnsColumns.from_measurements((measurement,)))
 
-    def add_dns_row(self, columns: DnsColumns, row: int) -> None:
-        """Record one columnar row directly (no object reconstruction).
+    def add_dns_block(self, block: DnsColumns) -> None:
+        """Record a block of DNS measurements: the one append path.
 
-        The sharded coordinator absorbs worker measurement slices
-        through this: rows travel between processes as typed columns
-        and land in the store column-to-column.
+        A campaign tick lands here as one block (serial or gathered
+        from shard workers) and :meth:`add_dns` wraps a single row.
+        All or nothing: a block that is unordered inside itself or
+        starts before the last recorded measurement raises before the
+        store changes.  The block is split where the open block reaches
+        ``segment_rows``, so segments seal at the same rows — with the
+        same bytes — as appending row by row would.
         """
-        self.add_dns_values(*columns.row_values(row))
-
-    def add_dns_values(
-        self,
-        probe_id: int,
-        timestamp: float,
-        target: str,
-        asn: int,
-        continent: int,
-        country: str,
-        rcode: str,
-        chain: tuple,
-        addresses: Sequence[int],
-    ) -> None:
-        """Record one DNS measurement given as column values.
-
-        The one append path: :meth:`add_dns` and :meth:`add_dns_row`
-        unpack into it and a campaign tick calls it directly with what
-        the resolution produced.  Arguments are those of
-        :meth:`DnsColumns.append_values`; rows must arrive in time
-        order.
-        """
-        if self._last_time is not None and timestamp < self._last_time:
+        rows = len(block)
+        if not rows:
+            return
+        times = block.times
+        if (self._last_time is not None and times[0] < self._last_time) or not all(
+            map(operator.le, times, times[1:])
+        ):
             raise ValueError("measurements must be appended in time order")
-        self._open.append_values(
-            probe_id, timestamp, target, asn, continent, country, rcode, chain,
-            addresses,
-        )
-        self._last_time = timestamp
-        self._dns_count += 1
-        if len(addresses):
-            unique = self._unique_values
-            before = len(unique)
-            unique.update(addresses)
-            if len(unique) != before:
-                self._unique_frozen = None
-        if len(self._open) >= self._segment_rows:
-            self._seal_open()
+        lo = 0
+        while lo < rows:
+            hi = min(rows, lo + self._segment_rows - len(self._open))
+            self._open.extend(block, lo, hi)
+            self._dns_count += hi - lo
+            if len(self._open) >= self._segment_rows:
+                self._seal_open()
+            lo = hi
+        self._last_time = times[-1]
+        unique = self._unique_values
+        before = len(unique)
+        unique.update(block.addr_values)
+        if len(unique) != before:
+            self._unique_frozen = None
 
     def add_traceroute(self, measurement: TracerouteMeasurement) -> None:
         """Record a traceroute measurement (must be appended in time order).

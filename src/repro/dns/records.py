@@ -15,7 +15,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Union
 
 from ..net.ipv4 import IPv4Address
@@ -37,18 +36,33 @@ class NameError_(ValueError):
     """Raised for malformed DNS names (trailing underscore avoids the builtin)."""
 
 
-@lru_cache(maxsize=16384)
+_NAME_BOUND = 16384
+_NORMALIZED: dict = {}
+
+
 def normalize_name(name: str) -> str:
     """Lowercase ``name`` and strip any trailing dot; validate labels.
 
     The same few dozen chain names are normalised millions of times per
     simulation run (every record construction and zone lookup funnels
-    through here), so results are memoised; the function is pure and
-    validation errors are never cached.
+    through here), so results are memoised in a dict emptied past
+    16 384 names; the function is pure and validation errors are never
+    stored.
 
     >>> normalize_name("AppLDNLD.Apple.COM.")
     'appldnld.apple.com'
     """
+    cleaned = _NORMALIZED.get(name)
+    if cleaned is None:
+        cleaned = _normalize(name)
+        if len(_NORMALIZED) >= _NAME_BOUND:
+            _NORMALIZED.clear()
+        _NORMALIZED[name] = cleaned
+    return cleaned
+
+
+def _normalize(name: str) -> str:
+    """:func:`normalize_name` without the memo."""
     cleaned = name.strip().lower().rstrip(".")
     if not cleaned:
         raise NameError_("empty DNS name")
@@ -128,25 +142,46 @@ class ResourceRecord:
         return f"{self.name} {self.ttl} IN {self.rtype} {self.data}"
 
 
+# The replay builds one record per answer per hop (~1 300 per engine
+# step) out of a few thousand distinct values, so the two constructors
+# below intern: equal arguments return the same immutable object and
+# validation runs once per distinct value — at the cost of one dict
+# probe, one table per record type.  The key carries ``type(ttl)``
+# because ``15`` and ``15.0`` are equal keys but make records that
+# differ in field type; a raising construction is never stored, so bad
+# input raises every time.  Past the bound (several times the ~1 350
+# distinct records of a full Sep 17-21 replay, at roughly 0.5 KB per
+# entry) a table is emptied and refills.
+_INTERN_BOUND = 8192
+_A_RECORDS: dict = {}
+_CNAME_RECORDS: dict = {}
+
+
+def _interned(table: dict, key: tuple, name: str, rtype: RecordType, ttl, data):
+    """Build the record a lookup of ``key`` in ``table`` missed, and store it."""
+    record = ResourceRecord(name, rtype, ttl, data)
+    if len(table) >= _INTERN_BOUND:
+        table.clear()
+    table[key] = record
+    return record
+
+
 def ARecord(name: str, address: IPv4Address, ttl: int) -> ResourceRecord:
-    """Convenience constructor for an A record (interned, see below)."""
-    return _intern_record(name, RecordType.A, ttl, address)
+    """Convenience constructor for an A record (interned, see above)."""
+    key = (name, address, ttl, type(ttl))
+    record = _A_RECORDS.get(key)
+    if record is None:
+        record = _interned(_A_RECORDS, key, name, RecordType.A, ttl, address)
+    return record
 
 
 def CnameRecord(name: str, target: str, ttl: int) -> ResourceRecord:
-    """Convenience constructor for a CNAME record (interned, see below)."""
-    return _intern_record(name, RecordType.CNAME, ttl, target)
-
-
-# The replay builds one record per answer per hop (~1 300 per engine
-# step) out of a few thousand distinct values, so the two constructors
-# above intern: equal arguments return the same immutable object and
-# validation runs once per distinct value.  ``typed=True`` keeps
-# ``ttl=15`` and ``ttl=15.0`` apart (they hash alike but the records
-# differ in field type); a raising call is never cached, so bad input
-# raises every time.  The bound is several times the ~1 350 distinct
-# records of a full Sep 17-21 replay, at roughly 0.5 KB per entry.
-_intern_record = lru_cache(maxsize=8192, typed=True)(ResourceRecord)
+    """Convenience constructor for a CNAME record (interned, see above)."""
+    key = (name, target, ttl, type(ttl))
+    record = _CNAME_RECORDS.get(key)
+    if record is None:
+        record = _interned(_CNAME_RECORDS, key, name, RecordType.CNAME, ttl, target)
+    return record
 
 
 def PtrRecord(name: str, target: str, ttl: int) -> ResourceRecord:

@@ -14,7 +14,8 @@ state-machine decomposition exact rather than approximate:
   and generating the ISP's Netflow/SNMP traffic — is **partitioned**
   into shards (probe slices grouped by continent, plus one shard
   owning the ISP ingress), each executed in exactly one worker;
-* the coordinator merges each shard's output back in probe order,
+* the coordinator gathers each campaign tick's slices back into one
+  probe-order block (the permutation is fixed by the shard plan),
   runs the two campaigns that need global state (the AWS sweep owns
   the HTTP caches, the traceroute sweep needs the merged DNS store)
   and emits the same :class:`StepReport` stream the serial loop would.
@@ -23,7 +24,9 @@ Cross-shard agreement on the Meta-CDN selection state is validated by
 a **batched digest exchange**: workers return one digest per tick over
 (demand, EU operator split), the coordinator recomputes its own, and a
 mismatch raises :class:`ShardDivergenceError` naming the first
-divergent tick.  Ticks are shipped to workers in chunks, with chunk
+divergent tick.  So does a slice that is not exactly its shard's
+probes (missing, short or out of order), naming shard, campaign and
+tick.  Ticks are shipped to workers in chunks, with chunk
 ``c+1`` submitted before chunk ``c`` is merged, so worker processes
 never idle waiting on the coordinator.
 
@@ -44,11 +47,12 @@ unchanged, bit-for-bit identical to the pre-sharding engine.
 from __future__ import annotations
 
 import multiprocessing
+from array import array
 from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Callable, Optional, Sequence
 
-from ..atlas.columnar import DnsColumns, DnsRowRef
+from ..atlas.columnar import DnsColumns
 from ..net.geo import MappingRegion
 from ..obs import (
     NULL_TRACER,
@@ -329,7 +333,7 @@ def _worker_chunk(ticks: Sequence[float]) -> dict:
     scenario = engine.scenario
     digests: list[str] = []
     # Per sharded campaign, this shard's slice of each tick it fired.
-    rows: dict[str, dict[float, DnsColumns]] = {
+    blocks: dict[str, dict[float, DnsColumns]] = {
         campaign.name: {} for campaign in scenario.dns_campaigns
     }
     traffic: dict[float, tuple[int, dict]] = {}
@@ -354,12 +358,11 @@ def _worker_chunk(ticks: Sequence[float]) -> dict:
                 continue
             positions = shard.indices[campaign.name]
             if positions:
-                # Ship the slice home as a sealed columnar block: typed
-                # arrays + intern tables pickle far smaller than object
-                # lists and the coordinator absorbs rows column-to-column.
+                # The slice travels home as the tick's columnar block:
+                # typed arrays + intern tables pickle far smaller than
+                # object lists, and the coordinator gathers column-wise.
                 t0 = clock() if profiling else 0.0
-                block = rows[campaign.name][now] = DnsColumns()
-                campaign.measure_slice(now, block.append_values, positions)
+                blocks[campaign.name][now] = campaign.measure_slice(now, positions)
                 if profiling:
                     campaigns_s += clock() - t0
             campaign.mark_fired(now, count_metrics=False)
@@ -376,7 +379,7 @@ def _worker_chunk(ticks: Sequence[float]) -> dict:
     result: dict = {
         "shard_id": shard.shard_id,
         "digests": digests,
-        "rows": rows,
+        "blocks": blocks,
         "traffic": traffic,
     }
     if shard.owns_traffic:
@@ -493,27 +496,68 @@ class _WorkerHandle:
         self.kill()
 
 
-def _combine_slices(shards, results, name: str, now: float) -> list:
-    """Recombine worker columnar slices into serial probe order.
+def _divergence(obs, message: str) -> ShardDivergenceError:
+    """The error a replica that disagrees with the coordinator ends the
+    run with.  Replica output is a pure function of the tick sequence,
+    so this is a bug or a flipped bit: the flight recorder keeps the
+    evidence."""
+    recorder = get_flight_recorder()
+    if recorder is not None:
+        recorder.trip("shard-divergence", obs.tracer)
+    return ShardDivergenceError(message)
 
-    Workers ship each tick's slice as one :class:`DnsColumns` block;
-    the interleave is expressed as :class:`DnsRowRef` handles so no
-    measurement object is ever rebuilt on the merge path — the
-    campaign's ``absorb_tick`` copies the rows straight into the
-    coordinator store's columns.
+
+@dataclass(frozen=True)
+class _Interleave:
+    """How one sharded campaign's tick slices become one probe-order block.
+
+    ``owners`` lists, for each shard that measures the campaign (in
+    plan order), its position in the plan, its id and the probe ids its
+    slice must carry; ``order`` is the permutation that puts the
+    slices, laid end to end, back in probe order.  Both follow from the
+    shard plan alone, so a run computes them once per campaign.
     """
-    pairs: list = []
-    for shard, result in zip(shards, results):
-        batch = result["rows"][name].get(now)
-        if batch is not None and len(batch):
-            pairs.extend(
-                zip(
-                    shard.indices[name],
-                    (DnsRowRef(batch, row) for row in range(len(batch))),
-                )
+
+    name: str
+    owners: tuple
+    order: tuple
+
+    @classmethod
+    def of(cls, campaign, shards) -> "_Interleave":
+        name = campaign.name
+        owners = tuple(
+            (
+                position,
+                shard.shard_id,
+                array("q", [campaign.probes[i].probe_id for i in shard.indices[name]]),
             )
-    pairs.sort(key=lambda pair: pair[0])
-    return [row_ref for _, row_ref in pairs]
+            for position, shard in enumerate(shards)
+            if shard.indices[name]
+        )
+        laid_out = [i for shard in shards for i in shard.indices[name]]
+        order = tuple(sorted(range(len(laid_out)), key=laid_out.__getitem__))
+        return cls(name, owners, order)
+
+    def gather(self, results, now: float, obs) -> DnsColumns:
+        """The campaign's block at ``now`` from the workers' results.
+
+        Each slice must hold exactly its shard's probes, in order: a
+        missing, short or misattributed slice is a divergence, raised
+        before anything of it is absorbed.
+        """
+        slices = []
+        for position, shard_id, probe_ids in self.owners:
+            block = results[position]["blocks"][self.name].get(now)
+            if block is None or block.probe_ids != probe_ids:
+                rows = 0 if block is None else len(block)
+                raise _divergence(
+                    obs,
+                    f"shard {shard_id} diverged from the coordinator at "
+                    f"t={now}: its {self.name} slice has {rows} rows, not "
+                    f"its {len(probe_ids)} probes in order",
+                )
+            slices.append(block)
+        return DnsColumns.gather(slices, self.order)
 
 
 def _stopped_at_boundary(
@@ -581,6 +625,9 @@ def run_sharded(
     shards = plan_shards(engine, workers)
     spec = EngineSpec.from_engine(engine)
     scenario = engine.scenario
+    interleaves = [
+        _Interleave.of(campaign, shards) for campaign in scenario.dns_campaigns
+    ]
     obs = engine._obs
     registry = obs.metrics
     chunks = [
@@ -618,11 +665,11 @@ def run_sharded(
                     handle.dispatch(chunks[chunk_index + 1])
             for tick_index, tick in enumerate(chunk):
                 t0 = engine.clock() if obs.profiling else 0.0
-                rows = {
-                    campaign.name: _combine_slices(
-                        shards, results, campaign.name, tick
+                blocks = {
+                    interleave.name: interleave.gather(results, tick, obs)
+                    for campaign, interleave in zip(
+                        scenario.dns_campaigns, interleaves
                     )
-                    for campaign in scenario.dns_campaigns
                     if campaign.due(tick)
                 }
                 traffic = None
@@ -631,22 +678,17 @@ def run_sharded(
                         traffic = result["traffic"][tick]
                         break
                 merge_s = (engine.clock() - t0) if obs.profiling else 0.0
-                report = engine.advance_merged(tick, rows, traffic)
+                report = engine.advance_merged(tick, blocks, traffic)
                 t0 = engine.clock() if obs.profiling else 0.0
                 expected = state_digest(
                     tick, report.demand_gbps, report.operator_gbps
                 )
                 for shard, result in zip(shards, results):
                     if result["digests"][tick_index] != expected:
-                        # Replica state is a pure function of the tick
-                        # sequence, so this is a bug or a flipped bit:
-                        # keep the evidence and stop.
-                        recorder = get_flight_recorder()
-                        if recorder is not None:
-                            recorder.trip("shard-divergence", obs.tracer)
-                        raise ShardDivergenceError(
+                        raise _divergence(
+                            obs,
                             f"shard {shard.shard_id} diverged from the "
-                            f"coordinator at t={tick}"
+                            f"coordinator at t={tick}",
                         )
                 if obs.profiling:
                     merge_s += engine.clock() - t0

@@ -580,28 +580,28 @@ class SimulationEngine:
     def advance_merged(
         self,
         now: float,
-        rows: dict,
+        blocks: dict,
         traffic: Optional[tuple[int, dict]] = None,
     ) -> StepReport:
         """One coordinator step of a sharded run.
 
         The same step as :meth:`advance`, except the sharded campaigns'
-        measurements arrive pre-computed from the workers — ``rows``
-        maps the name of each campaign due this tick to its slices,
-        already recombined into probe order — and ISP traffic,
+        measurements arrive pre-computed from the workers — ``blocks``
+        maps the name of each campaign due this tick to its tick block,
+        the workers' slices gathered into probe order — and ISP traffic,
         generated in the shard that owns it, arrives as a
         ``(flows, link_used)`` pair.  The AWS and traceroute campaigns
         still run here: the AWS sweep exercises the HTTP caches only
         the coordinator owns, and the traceroute target list must see
         the *merged* DNS store.
         """
-        return self._step(now, rows, traffic)
+        return self._step(now, blocks, traffic)
 
     def _step(
-        self, now: float, rows: Optional[dict], traffic: Optional[tuple]
+        self, now: float, blocks: Optional[dict], traffic: Optional[tuple]
     ) -> StepReport:
         """The one step skeleton: measure and generate locally
-        (``rows is None``) or absorb what the shard workers did."""
+        (``blocks is None``) or absorb what the shard workers did."""
         obs = self._obs
         scenario = self.scenario
         started = self.clock() if obs.enabled else 0.0
@@ -617,12 +617,12 @@ class SimulationEngine:
                 t0 = self.clock() if obs.profiling else 0.0
                 measurements = 0
                 for campaign in scenario.campaigns:
-                    if rows and campaign.name in rows:
+                    if blocks and campaign.name in blocks:
                         measurements += campaign.absorb_tick(
-                            now, rows[campaign.name]
+                            now, blocks[campaign.name]
                         )
                     else:
-                        # A sharded campaign absent from ``rows`` is not
+                        # A sharded campaign absent from ``blocks`` is not
                         # due this tick, so this fires only the others.
                         measurements += campaign.maybe_run(now)
                 if obs.profiling:
@@ -635,7 +635,7 @@ class SimulationEngine:
                 with obs.tracer.span("engine.isp_traffic", ts=now):
                     flows, link_used = traffic
                     obs.observe_links(self, now, link_used)
-            elif rows is None and scenario.traffic_window.contains(now):
+            elif blocks is None and scenario.traffic_window.contains(now):
                 with obs.tracer.span("engine.isp_traffic", ts=now):
                     t0 = self.clock() if obs.profiling else 0.0
                     flows = self._generate_isp_traffic(

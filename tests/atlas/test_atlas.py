@@ -223,7 +223,7 @@ class TestDnsCampaign:
         ]
 
     def test_tick_rows_equal_the_per_probe_records(self):
-        """A tick lands rows column-to-column; same rows as the object path."""
+        """A tick is one block; same rows and bytes as the object path."""
         from repro.atlas.columnar import DnsColumns
 
         window = MeasurementWindow("w", 0.0, 10_000.0)
@@ -241,17 +241,24 @@ class TestDnsCampaign:
         )
         reference = self._mixed_probes()
         expected = []
-        block = DnsColumns()
         # 0/30 s: inside the 60 s CNAME TTL (cached hop); 90 s: past it.
         for now in (0.0, 30.0, 90.0):
             assert campaign.maybe_run(now) == 4
-            sliced.measure_slice(now, block.append_values, indices=(0, 1, 2, 3))
-            expected += [
+            # A slice in another order: its fixed columns follow it.
+            block = sliced.measure_slice(now, indices=(2, 0, 3, 1))
+            tick = [
                 probe.measure_dns("appldnld.apple.com", now) for probe in reference
             ]
+            assert block.to_bytes() == DnsColumns.from_measurements(
+                [tick[2], tick[0], tick[3], tick[1]]
+            ).to_bytes()
+            expected += tick
         assert {m.rcode for m in expected} == {"NOERROR", "NXDOMAIN", "SERVFAIL"}
         assert list(campaign.store.dns) == expected
-        assert block.to_bytes() == DnsColumns.from_measurements(expected).to_bytes()
+        assert (
+            campaign.store.dump_state()["open"]
+            == DnsColumns.from_measurements(expected).to_bytes()
+        )
         assert campaign.store.unique_addresses() == {IPv4Address.parse("17.253.0.1")}
 
     def test_tick_into_a_store_still_enforces_time_order(self, tiny_estate):

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.atlas.columnar import DnsColumns, DnsRowRef, DnsSegment, SegmentFormatError
+from repro.atlas.columnar import DnsColumns, DnsSegment, SegmentFormatError
 from repro.atlas.results import (
     DnsMeasurement,
     MeasurementStore,
@@ -75,12 +75,16 @@ class TestDnsColumns:
             columns.iter_measurements()
         )
 
-    def test_append_row_from_reinterns(self):
-        source = DnsColumns.from_measurements(sample_measurements())
-        dest = DnsColumns()
-        for row in range(len(source)):
-            dest.append_row_from(source, row)
-        assert list(dest.iter_measurements()) == list(source.iter_measurements())
+    def test_extend_reinterns(self):
+        # The destination already holds rows whose tables list the
+        # source's values in another order: ids are remapped, and the
+        # result is byte-identical to appending the rows one by one.
+        originals = sample_measurements()
+        head = [measurement(0.0, [], rcode="SERVFAIL", target="other.example")]
+        dest = DnsColumns.from_measurements(head)
+        dest.extend(DnsColumns.from_measurements(originals), 2, 15)
+        expected = DnsColumns.from_measurements(head + originals[2:15])
+        assert dest.to_bytes() == expected.to_bytes()
 
     def test_bad_magic_rejected(self):
         with pytest.raises(SegmentFormatError):
@@ -183,26 +187,28 @@ class TestSegmentedStore:
             IPv4Address.parse(a).value for a in ("1.1.1.1", "2.2.2.2", "3.3.3.3")
         }
 
-    def test_row_ref_absorb_matches_object_appends(self):
+    def test_block_absorb_matches_object_appends(self):
         originals = sample_measurements(15)
-        batch = DnsColumns.from_measurements(originals)
         via_objects = MeasurementStore(segment_rows=4)
-        via_rows = MeasurementStore(segment_rows=4)
-        for index, m in enumerate(originals):
+        via_block = MeasurementStore(segment_rows=4)
+        for m in originals:
             via_objects.add_dns(m)
-            ref = DnsRowRef(batch, index)
-            via_rows.add_dns_row(ref.columns, ref.row)
-        assert via_rows.dns == via_objects.dns
-        assert via_rows.unique_addresses() == via_objects.unique_addresses()
+        via_block.add_dns_block(DnsColumns.from_measurements(originals))
+        assert via_block.dns == via_objects.dns
+        assert via_block.segment_summaries() == via_objects.segment_summaries()
+        assert via_block.unique_addresses() == via_objects.unique_addresses()
 
-    def test_add_dns_row_enforces_time_order(self):
-        batch = DnsColumns.from_measurements(
-            [measurement(10.0, ["17.0.0.1"]), measurement(5.0, [])]
-        )
-        store = MeasurementStore()
-        store.add_dns_row(batch, 0)
-        with pytest.raises(ValueError):
-            store.add_dns_row(batch, 1)
+    def test_add_dns_block_enforces_time_order(self):
+        store = MeasurementStore(segment_rows=2)
+        store.add_dns(measurement(10.0, ["17.0.0.1"]))
+        before = store.dump_state()
+        for times in ((12.0, 11.0), (9.0, 12.0)):  # unordered; back in time
+            block = DnsColumns.from_measurements(
+                [measurement(ts, ["17.0.0.2"]) for ts in times]
+            )
+            with pytest.raises(ValueError, match="time order"):
+                store.add_dns_block(block)
+            assert store.dump_state() == before
 
 
 class TestSpillPath:

@@ -159,3 +159,26 @@ class TestInterning:
 
     def test_unnormalised_names_intern_to_equal_records(self):
         assert ARecord("A.Example.", self.ADDRESS, 15) == ARecord("a.example", self.ADDRESS, 15)
+
+
+class TestInterningPastItsBound:
+    """The intern tables empty themselves when full and refill."""
+
+    ADDRESS = IPv4Address.parse("17.253.0.1")
+
+    def test_equal_arguments_still_give_equal_records_of_their_ttl_type(self):
+        before = ARecord("bound.example", self.ADDRESS, 15)
+        cname_before = CnameRecord("bound.example", "t.example", 15.0)
+        for index in range(8193 + 7):
+            address = IPv4Address(self.ADDRESS.value + index)
+            ARecord(f"n{index}.example", address, 15)
+            CnameRecord(f"n{index}.example", "t.example", 15)
+        for ttl in (15.0, 15, 15.0):
+            record = ARecord("bound.example", self.ADDRESS, ttl)
+            assert record == before and type(record.ttl) is type(ttl)
+            assert ARecord("bound.example", self.ADDRESS, ttl) is record
+            cname = CnameRecord("bound.example", "t.example", ttl)
+            assert cname == cname_before and type(cname.ttl) is type(ttl)
+            assert cname.rtype is RecordType.CNAME
+        with pytest.raises(ValueError):
+            ARecord("bound.example", self.ADDRESS, -1)

@@ -8,7 +8,8 @@ from the progress callback, a worker-side exception) and hold the four
 things that path owes: the typed error, a checkpoint at the last fully
 merged chunk, no leaked child process, and a resume — at any worker
 count — byte-identical to the uninterrupted serial run.  Detection
-itself (the coordinator's per-tick digest check) is exercised by
+itself (the coordinator's per-tick digest check, and its check of each
+measurement slice against the shard's probes) is exercised by
 corrupting a replica from a scenario subclass.
 """
 
@@ -19,6 +20,7 @@ import signal
 
 import pytest
 
+from repro.atlas.columnar import DnsColumns
 from repro.obs import (
     EventTracer,
     FlightRecorder,
@@ -255,23 +257,59 @@ class _DriftsInWorkers(Sep2017Scenario):
             self.estate.controller.min_third_party_share = 0.5
 
 
+class _ShipsShortSlices(Sep2017Scenario):
+    """A replica whose global-campaign slices come home one row short."""
+
+    boot_pid = os.getpid()
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if os.getpid() != type(self).boot_pid:
+            measure = self.global_campaign.measure_slice
+
+            def one_row_short(now, indices=None):
+                block = measure(now, indices)
+                short = DnsColumns()
+                short.extend(block, 0, len(block) - 1)
+                return short
+
+            self.global_campaign.measure_slice = one_row_short
+
+
+def assert_diverges(directory, scenario_class, match):
+    """A sharded run of ``scenario_class`` stops with the divergence
+    ``match`` names, trips the flight recorder and leaks no worker."""
+    before = _children()
+    recorder = FlightRecorder(str(directory))
+    with use_registry(MetricsRegistry()), use_tracer(EventTracer()):
+        with use_flight_recorder(recorder):
+            with pytest.raises(ShardDivergenceError, match=match):
+                fresh_engine(scenario_class).run(START, END, workers=3)
+    assert [p.name for p in directory.iterdir()] == [
+        "flight-001-shard-divergence.jsonl"
+    ]
+    assert _children() <= before
+
+
 class TestDivergence:
     def test_corrupt_replica_raises_naming_the_tick(
         self, tmp_path
     ):
-        before = _children()
-        recorder = FlightRecorder(str(tmp_path))
-        with use_registry(MetricsRegistry()), use_tracer(EventTracer()):
-            with use_flight_recorder(recorder):
-                with pytest.raises(
-                    ShardDivergenceError,
-                    match=rf"shard \d diverged from the coordinator at t={START}",
-                ):
-                    fresh_engine(_DriftsInWorkers).run(START, END, workers=3)
-        assert [p.name for p in tmp_path.iterdir()] == [
-            "flight-001-shard-divergence.jsonl"
-        ]
-        assert _children() <= before
+        assert_diverges(
+            tmp_path,
+            _DriftsInWorkers,
+            rf"shard \d diverged from the coordinator at t={START}",
+        )
+
+    def test_short_slice_raises_naming_shard_campaign_and_tick(self, tmp_path):
+        # A slice one row short used to be zipped against the shard's
+        # probe positions: truncated, misattributed and absorbed.
+        assert_diverges(
+            tmp_path,
+            _ShipsShortSlices,
+            rf"shard \d diverged from the coordinator at t={START}: its "
+            r"ripe-global slice has (\d+) rows, not its \d+ probes in order",
+        )
 
 
 class TestNoLeakedWorkers:
