@@ -23,7 +23,7 @@ def test_bench_fig3_site_discovery(benchmark, bench_run):
 
     # Corroborate the locations with the traceroute campaign's min-RTT
     # geolocation, as the paper's hourly traceroutes did.
-    traces = scenario.traceroute_campaign.store.traceroutes
+    traces = scenario.traceroute_campaign.store.traceroute_columns
     estimates = geolocate_caches(traces, scenario.global_probes)
     truth = {}
     for deployment in scenario.estate.deployments.values():

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from ..atlas.probe import AtlasProbe
-from ..atlas.results import TracerouteMeasurement
+from ..atlas.columnar import TracerouteColumns
 from ..net.geo import Coordinates, great_circle_km
 from ..net.ipv4 import IPv4Address
 
@@ -45,28 +45,44 @@ class GeolocationEstimate:
 
 
 def geolocate_caches(
-    traceroutes: Iterable[TracerouteMeasurement],
+    traceroutes: TracerouteColumns,
     probes: Iterable[AtlasProbe],
 ) -> dict[IPv4Address, GeolocationEstimate]:
-    """Min-RTT geolocation of every traced destination."""
+    """Min-RTT geolocation of every traced destination.
+
+    Reads the columns (``store.traceroute_columns``; a caller holding
+    :class:`TracerouteMeasurement` values builds a block with
+    :meth:`TracerouteColumns.from_measurements`).  A trace counts when
+    its last hop is its destination and its probe is known; on equal
+    RTTs the earlier trace keeps the estimate.
+    """
     probe_index = {probe.probe_id: probe for probe in probes}
-    best: dict[IPv4Address, GeolocationEstimate] = {}
-    for trace in traceroutes:
-        if not trace.reached or not trace.hops:
+    offsets = traceroutes.hop_offsets
+    hop_addrs, hop_rtts = traceroutes.hop_addrs, traceroutes.hop_rtts
+    best: dict[int, tuple] = {}  # destination value -> (rtt, probe)
+    for row, (probe_id, destination) in enumerate(
+        zip(traceroutes.probe_ids, traceroutes.destinations)
+    ):
+        last = offsets[row + 1] - 1
+        if last < offsets[row] or hop_addrs[last] != destination:
             continue
-        probe = probe_index.get(trace.probe_id)
+        probe = probe_index.get(probe_id)
         if probe is None:
             continue
-        rtt = trace.hops[-1].rtt_ms
-        current = best.get(trace.destination)
-        if current is None or rtt < current.min_rtt_ms:
-            best[trace.destination] = GeolocationEstimate(
-                address=trace.destination,
-                coordinates=probe.coordinates,
-                min_rtt_ms=rtt,
-                probe_id=probe.probe_id,
-            )
-    return best
+        rtt = hop_rtts[last]
+        current = best.get(destination)
+        if current is None or rtt < current[0]:
+            best[destination] = (rtt, probe)
+    estimates = {}
+    for value, (rtt, probe) in best.items():
+        address = IPv4Address(value)
+        estimates[address] = GeolocationEstimate(
+            address=address,
+            coordinates=probe.coordinates,
+            min_rtt_ms=rtt,
+            probe_id=probe.probe_id,
+        )
+    return estimates
 
 
 @dataclass(frozen=True)
@@ -91,21 +107,36 @@ class PathSummary:
         )
 
 
-def summarize_paths(
-    traceroutes: Iterable[TracerouteMeasurement],
-) -> PathSummary:
-    """Reach, RTT and AS-path-length statistics."""
-    traces = list(traceroutes)
-    if not traces:
+def summarize_paths(traceroutes: TracerouteColumns) -> PathSummary:
+    """Reach, RTT and AS-path-length statistics, off the columns.
+
+    A trace is reached when its last hop is its destination; its AS
+    path is its hops' ASNs with hops that have none skipped and
+    consecutive repeats collapsed (:attr:`TracerouteMeasurement.as_path`).
+    """
+    count = len(traceroutes)
+    if not count:
         return PathSummary(0, 0.0, 0.0, {})
-    reached = [trace for trace in traces if trace.reached]
-    rtts = sorted(trace.hops[-1].rtt_ms for trace in reached if trace.hops)
+    offsets = traceroutes.hop_offsets
+    hop_addrs, hop_asns = traceroutes.hop_addrs, traceroutes.hop_asns
+    hop_rtts = traceroutes.hop_rtts
+    rtts = []
     lengths: dict[int, int] = defaultdict(int)
-    for trace in reached:
-        lengths[len(trace.as_path)] += 1
+    for row, destination in enumerate(traceroutes.destinations):
+        lo, hi = offsets[row], offsets[row + 1]
+        if hi == lo or hop_addrs[hi - 1] != destination:
+            continue
+        rtts.append(hop_rtts[hi - 1])
+        length, previous = 0, 0  # 0: no ASN
+        for asn in hop_asns[lo:hi]:
+            if asn and asn != previous:
+                length += 1
+                previous = asn
+        lengths[length] += 1
+    rtts.sort()
     return PathSummary(
-        trace_count=len(traces),
-        reached_ratio=len(reached) / len(traces),
+        trace_count=count,
+        reached_ratio=len(rtts) / count,
         median_rtt_ms=rtts[len(rtts) // 2] if rtts else 0.0,
         as_path_lengths=dict(lengths),
     )

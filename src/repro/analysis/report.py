@@ -61,8 +61,8 @@ def generate_report(scenario, timeline: Optional[Timeline] = None) -> str:
     lines += _section("Figure 3 / Table 1 — Apple CDN sites")
     discovery = discover_sites(scenario.estate.apple.reverse_dns_table())
     lines.append(discovery.render())
-    traces = scenario.traceroute_campaign.store.traceroutes
-    if traces:
+    traces = scenario.traceroute_campaign.store.traceroute_columns
+    if len(traces):
         estimates = geolocate_caches(traces, scenario.global_probes)
         truth = {
             placed.server.address: placed.location.coordinates

@@ -10,7 +10,7 @@ from .awsvm import (
     build_aws_vantages,
 )
 from .campaign import DnsCampaign, TracerouteCampaign
-from .columnar import DnsColumns, DnsSegment
+from .columnar import DnsColumns, DnsSegment, TracerouteColumns
 from .placement import (
     ATLAS_CONTINENT_WEIGHTS,
     place_global_probes,
@@ -40,6 +40,7 @@ __all__ = [
     "TracerouteCampaign",
     "DnsColumns",
     "DnsSegment",
+    "TracerouteColumns",
     "DnsMeasurement",
     "TracerouteHop",
     "TracerouteMeasurement",

@@ -20,7 +20,7 @@ from ..dns.resolver import ServerMap, resolve_bulk
 from ..obs import get_registry
 from ..workload.timeline import MeasurementWindow
 from .cadence import Cadence
-from .columnar import DnsColumns, ProbeColumns
+from .columnar import DnsColumns, ProbeColumns, TracerouteColumns
 from .probe import AtlasProbe, outcome_fields
 from .results import MeasurementStore
 
@@ -189,11 +189,13 @@ class TracerouteCampaign:
         targets = sorted(self.dns_store.unique_addresses())[
             : self.max_targets_per_tick
         ]
-        taken = 0
-        for probe in self.probes:
-            for destination in targets:
-                self.store.add_traceroute(self.tracer(probe, destination, now))
-                taken += 1
+        sweep = TracerouteColumns.from_measurements(
+            self.tracer(probe, destination, now)
+            for probe in self.probes
+            for destination in targets
+        )
+        self.store.add_traceroute_block(sweep)
+        taken = len(sweep)
         if taken:
             self._m_measurements.inc(taken)
         late, _missed = self.cadence.fire(now)

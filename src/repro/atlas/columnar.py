@@ -1,4 +1,4 @@
-"""Columnar (struct-of-arrays) storage for DNS measurement records.
+"""Columnar (struct-of-arrays) storage for measurement records.
 
 :class:`~repro.atlas.results.MeasurementStore` used to keep every
 :class:`~repro.atlas.results.DnsMeasurement` as a Python object in a
@@ -18,7 +18,11 @@ the columnar core behind the store:
   on-disk form so sealed segments can spill out of RAM;
 * :class:`ProbeColumns` — the columns a probe slice repeats every
   tick, built once so a campaign tick (:meth:`DnsColumns.tick`) writes
-  only what each resolution produced.
+  only what each resolution produced;
+* :class:`TracerouteColumns` — the traceroute log: per trace probe id,
+  time and destination, per hop TTL, address, ASN and RTT, so a run's
+  traceroutes are a handful of buffers rather than one tracked object
+  per trace and per hop.
 
 A campaign tick is one block end to end: a shard worker ships its
 slice as one, the sharded coordinator interleaves the slices with one
@@ -34,8 +38,10 @@ tables and bytes — equals appending the same rows one by one.
 
 from __future__ import annotations
 
+import operator
 import sys
 from array import array
+from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
@@ -51,6 +57,7 @@ __all__ = [
     "DnsSegment",
     "ProbeColumns",
     "SegmentFormatError",
+    "TracerouteColumns",
 ]
 
 # Continent <-> column index mapping (enum definition order is stable).
@@ -81,17 +88,18 @@ _INTERNED_FIELDS = (
     ("chain_ids", "chains", "_chain_index"),
 )
 
-_DNS_MEASUREMENT = None
+_RESULTS = None
 
 
-def _record_type():
-    """The DnsMeasurement class (imported lazily to avoid a cycle)."""
-    global _DNS_MEASUREMENT
-    if _DNS_MEASUREMENT is None:
-        from .results import DnsMeasurement
+def _results():
+    """:mod:`repro.atlas.results`, the record classes' module (imported
+    on first use: it imports this one)."""
+    global _RESULTS
+    if _RESULTS is None:
+        from . import results
 
-        _DNS_MEASUREMENT = DnsMeasurement
-    return _DNS_MEASUREMENT
+        _RESULTS = results
+    return _RESULTS
 
 
 class SegmentFormatError(ValueError):
@@ -378,7 +386,7 @@ class DnsColumns:
 
     def measurement(self, row: int):
         """Reconstruct row ``row`` as a :class:`DnsMeasurement`."""
-        record = _record_type()
+        record = _results().DnsMeasurement
         lo = self.addr_offsets[row]
         hi = self.addr_offsets[row + 1]
         return record(
@@ -561,3 +569,138 @@ class DnsSegment:
                 f"segment {self.segment_id} has neither columns nor a spill path"
             )
         return DnsColumns._decode(*_CONTAINER.read(self.path))
+
+
+# (attribute, array typecode): the per-trace columns, then the per-hop
+# ones; ``hop_offsets[i]:hop_offsets[i + 1]`` are trace ``i``'s hops.
+_TRACE_FIELDS = (
+    ("probe_ids", "q"),
+    ("times", "d"),
+    ("destinations", "I"),
+    ("hop_offsets", "Q"),
+    ("hop_ttls", "B"),
+    ("hop_addrs", "I"),
+    ("hop_asns", "I"),
+    ("hop_rtts", "d"),
+)
+_PER_TRACE = ("probe_ids", "times", "destinations")
+_PER_HOP = ("hop_ttls", "hop_addrs", "hop_asns", "hop_rtts")
+
+
+class TracerouteColumns:
+    """An append-only columnar block of traceroutes.
+
+    One row per trace (probe id, timestamp, destination address value)
+    and one per hop (TTL, address value, ASN number, RTT), the hops of
+    trace ``i`` at ``hop_offsets[i]:hop_offsets[i + 1]``.  A hop without
+    an AS has ASN 0, which no :class:`~repro.net.asys.ASN` can be.
+    Rows convert back to :class:`~repro.atlas.results.TracerouteMeasurement`
+    values equal to the ones appended; the path analyses
+    (:mod:`repro.analysis.paths`) read the columns directly.
+    """
+
+    __slots__ = tuple(name for name, _ in _TRACE_FIELDS)
+
+    def __init__(self) -> None:
+        for name, typecode in _TRACE_FIELDS:
+            setattr(self, name, array(typecode))
+        self.hop_offsets.append(0)
+
+    @classmethod
+    def from_measurements(cls, measurements: Iterable) -> "TracerouteColumns":
+        """Encode :class:`TracerouteMeasurement` values as one block.
+
+        Built a column at a time, so a value a column cannot hold (a
+        TTL past 255, a negative probe id …) raises before any block
+        exists.
+        """
+        traces = list(measurements)
+        hops = [hop for trace in traces for hop in trace.hops]
+        block = cls.__new__(cls)
+        block.probe_ids = array("q", [trace.probe_id for trace in traces])
+        block.times = array("d", [trace.timestamp for trace in traces])
+        block.destinations = array("I", [trace.destination.value for trace in traces])
+        block.hop_offsets = array(
+            "Q", accumulate((len(trace.hops) for trace in traces), initial=0)
+        )
+        block.hop_ttls = array("B", [hop.ttl for hop in hops])
+        block.hop_addrs = array("I", [hop.address.value for hop in hops])
+        block.hop_asns = array(
+            "I", [0 if hop.asn is None else hop.asn.number for hop in hops]
+        )
+        block.hop_rtts = array("d", [hop.rtt_ms for hop in hops])
+        return block
+
+    def extend(self, other: "TracerouteColumns") -> None:
+        """Append every row of ``other``, column to column.
+
+        No ordering check: the store that owns this block makes it.
+        """
+        shift = len(self.hop_ttls)
+        for name in _PER_TRACE + _PER_HOP:
+            getattr(self, name).extend(getattr(other, name))
+        self.hop_offsets.extend(map(shift.__add__, other.hop_offsets[1:]))
+
+    def measurement(self, row: int):
+        """Reconstruct row ``row`` as a :class:`TracerouteMeasurement`."""
+        results = _results()
+        hop = results.TracerouteHop
+        lo, hi = self.hop_offsets[row], self.hop_offsets[row + 1]
+        return results.TracerouteMeasurement(
+            probe_id=self.probe_ids[row],
+            timestamp=self.times[row],
+            destination=IPv4Address(self.destinations[row]),
+            hops=tuple(
+                hop(ttl, IPv4Address(address), ASN(asn) if asn else None, rtt)
+                for ttl, address, asn, rtt in zip(
+                    self.hop_ttls[lo:hi],
+                    self.hop_addrs[lo:hi],
+                    self.hop_asns[lo:hi],
+                    self.hop_rtts[lo:hi],
+                )
+            ),
+        )
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    # ----- checkpoint form ----------------------------------------------
+
+    def state(self) -> dict:
+        """The columns by name, copied (arrays pickle as typed bytes)."""
+        return {name: getattr(self, name)[:] for name, _ in _TRACE_FIELDS}
+
+    @classmethod
+    def from_state(cls, state) -> "TracerouteColumns":
+        """Rebuild a block from :meth:`state`, checking it first.
+
+        Every column must be present with its typecode, the columns of
+        one kind must agree in length, the hop offsets must rise from 0
+        to the hop count, and the timestamps must never decrease;
+        anything else raises :class:`ValueError`.
+        """
+        if not isinstance(state, dict):
+            raise ValueError(f"traceroute state is a {type(state).__name__}, not columns")
+        block = cls.__new__(cls)
+        for name, typecode in _TRACE_FIELDS:
+            column = state.get(name)
+            if not isinstance(column, array) or column.typecode != typecode:
+                raise ValueError(f"traceroute column {name} is not an array({typecode!r})")
+            setattr(block, name, column[:])
+        traces, hops = len(block.times), len(block.hop_ttls)
+        if any(len(getattr(block, name)) != traces for name in _PER_TRACE):
+            raise ValueError("traceroute columns disagree on the trace count")
+        if any(len(getattr(block, name)) != hops for name in _PER_HOP):
+            raise ValueError("hop columns disagree on the hop count")
+        offsets = block.hop_offsets
+        if (
+            len(offsets) != traces + 1
+            or offsets[0] != 0
+            or offsets[-1] != hops
+            or not all(map(operator.le, offsets, offsets[1:]))
+        ):
+            raise ValueError("hop offsets do not rise from 0 to the hop count")
+        times = block.times
+        if not all(map(operator.le, times, times[1:])):
+            raise ValueError("traceroute timestamps decrease")
+        return block

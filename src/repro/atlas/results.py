@@ -13,7 +13,9 @@ DnsSegment` every ``segment_rows`` rows, and sealed segments spill to a
 compact binary file under a run directory once the in-memory budget is
 exceeded.  Per-segment min/max-time summaries let windowed queries
 prune whole segments; ``store.dns`` stays available as a zero-copy
-sequence view that reconstructs records on demand.
+sequence view that reconstructs records on demand.  Traceroutes are
+one :class:`~repro.atlas.columnar.TracerouteColumns` block, read the
+same way through ``store.traceroutes``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from ..net.asys import ASN
 from ..net.geo import Continent
 from ..net.ipv4 import IPv4Address
 from ..obs import get_registry
-from .columnar import DnsColumns, DnsSegment
+from .columnar import DnsColumns, DnsSegment, TracerouteColumns
 
 __all__ = [
     "DnsMeasurement",
@@ -37,7 +39,7 @@ __all__ = [
     "TracerouteMeasurement",
     "MeasurementStore",
     "DnsSequenceView",
-    "ListView",
+    "TracerouteSequenceView",
 ]
 
 
@@ -100,8 +102,32 @@ class TracerouteMeasurement:
         return tuple(path)
 
 
+def _check_time_order(times, last: Optional[float], what: str) -> None:
+    """Raise unless ``times`` never decrease and start at or after ``last``."""
+    if (last is not None and times[0] < last) or not all(
+        map(operator.le, times, times[1:])
+    ):
+        raise ValueError(f"{what} must be appended in time order")
+
+
 class _SequenceViewMixin:
-    """Element-wise equality and representation shared by the views."""
+    """What the store's read-only views share: random access through the
+    view's ``_row(index)``, element-wise equality and representation."""
+
+    __slots__ = ()
+
+    def __init__(self, store: "MeasurementStore") -> None:
+        self._store = store
+
+    def __getitem__(self, index: Union[int, slice]):
+        count = len(self)  # type: ignore[arg-type]
+        if isinstance(index, slice):
+            return [self._row(i) for i in range(*index.indices(count))]  # type: ignore[attr-defined]
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError(f"{type(self).__name__} index out of range")
+        return self._row(index)  # type: ignore[attr-defined]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (Sequence, _SequenceViewMixin)):
@@ -134,46 +160,35 @@ class DnsSequenceView(_SequenceViewMixin, Sequence):
 
     __slots__ = ("_store",)
 
-    def __init__(self, store: "MeasurementStore") -> None:
-        self._store = store
-
     def __len__(self) -> int:
         return self._store.dns_count
 
     def __iter__(self) -> Iterator[DnsMeasurement]:
         return self._store.iter_dns()
 
-    def __getitem__(
-        self, index: Union[int, slice]
-    ) -> Union[DnsMeasurement, list]:
-        count = self._store.dns_count
-        if isinstance(index, slice):
-            return [self._store._dns_at(i) for i in range(*index.indices(count))]
-        if index < 0:
-            index += count
-        if not 0 <= index < count:
-            raise IndexError("DNS measurement index out of range")
+    def _row(self, index: int) -> DnsMeasurement:
         return self._store._dns_at(index)
 
 
-class ListView(_SequenceViewMixin, Sequence):
-    """A zero-copy, read-only view over an internal list."""
+class TracerouteSequenceView(_SequenceViewMixin, Sequence):
+    """A read-only sequence view over a store's traceroute columns.
 
-    __slots__ = ("_items",)
+    Each access builds the :class:`TracerouteMeasurement` (and its hops)
+    from the columns, so the records live only as long as the caller
+    holds them.
+    """
 
-    def __init__(self, items: list) -> None:
-        self._items = items
+    __slots__ = ("_store",)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._store.traceroute_columns)
 
-    def __iter__(self) -> Iterator:
-        return iter(self._items)
+    def __iter__(self) -> Iterator[TracerouteMeasurement]:
+        columns = self._store.traceroute_columns
+        return map(columns.measurement, range(len(columns)))
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self._items[index]
-        return self._items[index]
+    def _row(self, index: int) -> TracerouteMeasurement:
+        return self._store.traceroute_columns.measurement(index)
 
 
 class MeasurementStore:
@@ -213,11 +228,11 @@ class MeasurementStore:
         self._sealed_resident_bytes = 0
         self._spill_cursor = 0
         self._load_cache: dict[int, DnsColumns] = {}
-        self._traceroutes: list[TracerouteMeasurement] = []
+        self._traces = TracerouteColumns()
         self._unique_values: set[int] = set()
         self._unique_frozen: Optional[frozenset] = None
         self._dns_view = DnsSequenceView(self)
-        self._traceroute_view = ListView(self._traceroutes)
+        self._traceroute_view = TracerouteSequenceView(self)
         registry = get_registry()
         labels = (self.name,)
         self._m_sealed = registry.counter(
@@ -267,10 +282,7 @@ class MeasurementStore:
         if not rows:
             return
         times = block.times
-        if (self._last_time is not None and times[0] < self._last_time) or not all(
-            map(operator.le, times, times[1:])
-        ):
-            raise ValueError("measurements must be appended in time order")
+        _check_time_order(times, self._last_time, "measurements")
         lo = 0
         while lo < rows:
             hi = min(rows, lo + self._segment_rows - len(self._open))
@@ -287,18 +299,25 @@ class MeasurementStore:
             self._unique_frozen = None
 
     def add_traceroute(self, measurement: TracerouteMeasurement) -> None:
-        """Record a traceroute measurement (must be appended in time order).
+        """Record a traceroute measurement (must be appended in time order)."""
+        self.add_traceroute_block(TracerouteColumns.from_measurements((measurement,)))
 
-        The same monotonicity rule as :meth:`add_dns` (equal timestamps
-        are fine — a sweep fires many traceroutes at one tick), so
-        windowed traceroute queries can rely on time order.
+    def add_traceroute_block(self, block: TracerouteColumns) -> None:
+        """Record a block of traceroutes: the one traceroute append path.
+
+        A sweep lands here as one block and :meth:`add_traceroute` wraps
+        a single trace.  The same monotonicity rule as
+        :meth:`add_dns_block` (equal timestamps are fine — a sweep fires
+        many traceroutes at one tick), all or nothing, so windowed
+        traceroute queries can rely on time order.
         """
-        if (
-            self._traceroutes
-            and measurement.timestamp < self._traceroutes[-1].timestamp
-        ):
-            raise ValueError("traceroutes must be appended in time order")
-        self._traceroutes.append(measurement)
+        if not len(block):
+            return
+        traces = self._traces
+        _check_time_order(
+            block.times, traces.times[-1] if len(traces) else None, "traceroutes"
+        )
+        traces.extend(block)
 
     # ----- segment management -------------------------------------------
 
@@ -415,9 +434,14 @@ class MeasurementStore:
         return self._dns_view
 
     @property
-    def traceroutes(self) -> ListView:
-        """All traceroute measurements (zero-copy view)."""
+    def traceroutes(self) -> TracerouteSequenceView:
+        """All traceroute measurements, oldest first (zero-copy view)."""
         return self._traceroute_view
+
+    @property
+    def traceroute_columns(self) -> TracerouteColumns:
+        """The traceroute log itself, as columns (read it, never write it)."""
+        return self._traces
 
     @property
     def dns_count(self) -> int:
@@ -427,7 +451,7 @@ class MeasurementStore:
     @property
     def traceroute_count(self) -> int:
         """Number of traceroute measurements recorded."""
-        return len(self._traceroutes)
+        return len(self._traces)
 
     @property
     def segment_count(self) -> int:
@@ -495,8 +519,9 @@ class MeasurementStore:
 
         Sealed segments travel as their binary ``RSEG1`` payloads
         (spilled segments are read back from disk verbatim), the open
-        block as one more payload, plus the counters and the unique-IP
-        set.  :meth:`restore_state` on a fresh store reproduces the
+        block as one more payload, the traceroute columns as arrays,
+        plus the counters and the unique-IP set.  :meth:`restore_state`
+        on a fresh store reproduces the
         exact segment structure, so a resumed run seals/spills at the
         same row boundaries the uninterrupted run would.
         """
@@ -519,7 +544,7 @@ class MeasurementStore:
             "last_time": self._last_time,
             "segments": segments,
             "open": self._open.to_bytes(),
-            "traceroutes": list(self._traceroutes),
+            "traceroutes": self._traces.state(),
             "unique_values": sorted(self._unique_values),
         }
 
@@ -529,10 +554,17 @@ class MeasurementStore:
         Only valid on an empty store (a freshly constructed scenario):
         segment ids, start rows and the open block are restored exactly,
         then the memory budget is re-enforced so oversized restored
-        history spills straight back to disk.
+        history spills straight back to disk.  The traceroute columns
+        are checked first (see :meth:`TracerouteColumns.from_state`): a
+        payload that fails raises :class:`ValueError` naming this store
+        before anything is restored.
         """
-        if self._dns_count or self._traceroutes or len(self._open):
+        if self._dns_count or len(self._traces) or len(self._open):
             raise ValueError("restore_state requires an empty store")
+        try:
+            traces = TracerouteColumns.from_state(state["traceroutes"])
+        except ValueError as exc:
+            raise ValueError(f"store {self.name!r}: {exc}") from None
         for entry in state["segments"]:
             columns = DnsColumns.from_bytes(entry["payload"])
             segment = DnsSegment(
@@ -546,7 +578,7 @@ class MeasurementStore:
         self._open = DnsColumns.from_bytes(state["open"])
         self._dns_count = state["dns_count"]
         self._last_time = state["last_time"]
-        self._traceroutes.extend(state["traceroutes"])
+        self._traces = traces
         self._unique_values = set(state["unique_values"])
         self._unique_frozen = None
         self._enforce_budget()
@@ -567,4 +599,4 @@ class MeasurementStore:
         ]
 
     def __len__(self) -> int:
-        return self._dns_count + len(self._traceroutes)
+        return self._dns_count + len(self._traces)

@@ -15,7 +15,9 @@ models that as a first-order lag from offered demand to active servers.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Optional
 
 from ..dns.query import QueryContext
@@ -138,11 +140,12 @@ class CdnDeployment:
         # The resolution hot path, memoised at two levels (both emptied
         # by add_server, the only thing that changes a placement):
         # a region's placements ranked by (distance, hostname) once per
-        # vantage, each entry carrying its exposure index, and the
-        # answer pool per (vantage, active count) — the ranking filtered
-        # on exposure index, so a moving active count never re-sorts.
-        self._vantage_ranking: dict[tuple, list[tuple[int, IPv4Address]]] = {}
-        self._pool_memo: dict[tuple, tuple[IPv4Address, ...]] = {}
+        # vantage, as parallel exposure-index and address-value arrays,
+        # and the answer pool per (vantage, active count) — the ranking
+        # filtered on exposure index, so a moving active count never
+        # re-sorts.  Both hold ints, not addresses or tuples of them.
+        self._vantage_ranking: dict[tuple, tuple[array, array]] = {}
+        self._pool_memo: dict[tuple, array] = {}
         self._active_memo: dict[tuple, tuple[PlacedServer, ...]] = {}
         # Flat third-party delivery telemetry (same families the Apple
         # hierarchy uses, with layer="edge").
@@ -264,12 +267,13 @@ class CdnDeployment:
 
     # ----- DNS answer pools --------------------------------------------
 
-    def pool_for(self, context: QueryContext) -> tuple[IPv4Address, ...]:
-        """The candidate addresses a GSLB should answer with.
+    def pool_for(self, context: QueryContext) -> array:
+        """The candidate addresses a GSLB should answer with, as values.
 
         Active servers in the client's region, nearest metro first; the
-        ``pool_limit`` nearest are returned (all of them when 0).  This
-        is the ``pool`` callable plugged into
+        ``pool_limit`` nearest are returned (all of them when 0), as an
+        ``array('I')`` of address values — memoised, so never written
+        to.  This is the ``pool`` callable plugged into
         :class:`repro.dns.policies.GslbAddressPolicy`.
         """
         region = context.region
@@ -285,7 +289,7 @@ class CdnDeployment:
             )
         return pool
 
-    def _ranked_pool(self, vantage: tuple, count: int) -> tuple[IPv4Address, ...]:
+    def _ranked_pool(self, vantage: tuple, count: int) -> array:
         """The ``count`` first-exposed servers, nearest ``vantage`` first.
 
         Exposure order is hostname order, so the active set is exactly
@@ -296,22 +300,24 @@ class CdnDeployment:
         ranking = self._vantage_ranking.get(vantage)
         if ranking is None:
             region, coordinates = vantage
-            ranking = self._vantage_ranking[vantage] = [
-                (index, address)
-                for _, _, index, address in sorted(
-                    (
-                        great_circle_km(coordinates, placed.location.coordinates),
-                        placed.server.hostname,
-                        index,
-                        placed.server.address,
-                    )
-                    for index, placed in enumerate(self._by_region[region])
+            ranked = sorted(
+                (
+                    great_circle_km(coordinates, placed.location.coordinates),
+                    placed.server.hostname,
+                    index,
+                    placed.server.address.value,
                 )
-            ]
-        pool = [address for index, address in ranking if index < count]
+                for index, placed in enumerate(self._by_region[region])
+            )
+            ranking = self._vantage_ranking[vantage] = (
+                array("H", [entry[2] for entry in ranked]),
+                array("I", [entry[3] for entry in ranked]),
+            )
+        indices, values = ranking
+        pool = array("I", compress(values, map(count.__gt__, indices)))
         if self.pool_limit > 0:
             del pool[self.pool_limit :]
-        return tuple(pool)
+        return pool
 
     def __len__(self) -> int:
         return len(self._servers)

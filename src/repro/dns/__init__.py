@@ -11,8 +11,6 @@ from .policies import (
     CnamePolicy,
     CountrySplitPolicy,
     GslbAddressPolicy,
-    RegionSplitPolicy,
-    RoundRobinAddressPolicy,
     StaticPolicy,
     WeightSchedule,
     WeightedCnamePolicy,
@@ -84,11 +82,9 @@ __all__ = [
     "StaticPolicy",
     "CnamePolicy",
     "CountrySplitPolicy",
-    "RegionSplitPolicy",
     "WeightSchedule",
     "WeightedCnamePolicy",
     "GslbAddressPolicy",
-    "RoundRobinAddressPolicy",
     "stable_fraction",
     "Zone",
     "AuthoritativeServer",

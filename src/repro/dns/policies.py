@@ -19,7 +19,7 @@ population-level distribution still follows the configured weights.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Protocol, Sequence
 
 from ..net.ipv4 import IPv4Address
@@ -31,11 +31,9 @@ __all__ = [
     "StaticPolicy",
     "CnamePolicy",
     "CountrySplitPolicy",
-    "RegionSplitPolicy",
     "WeightSchedule",
     "WeightedCnamePolicy",
     "GslbAddressPolicy",
-    "RoundRobinAddressPolicy",
     "stable_fraction",
     "sticky_fraction",
 ]
@@ -115,20 +113,6 @@ class CountrySplitPolicy:
     def answer(self, name: str, context: QueryContext) -> tuple[ResourceRecord, ...]:
         target = self.overrides.get(context.country, self.default)
         return (CnameRecord(name, target, self.ttl),)
-
-
-@dataclass(frozen=True)
-class RegionSplitPolicy:
-    """Route by mapping region (us/eu/apac) to region-specific targets."""
-
-    targets: Mapping[str, str]  # region value -> CNAME target
-    ttl: int
-
-    def answer(self, name: str, context: QueryContext) -> tuple[ResourceRecord, ...]:
-        region = context.region.value
-        if region not in self.targets:
-            raise KeyError(f"no target configured for region {region!r}")
-        return (CnameRecord(name, self.targets[region], self.ttl),)
 
 
 class WeightSchedule:
@@ -216,18 +200,23 @@ class WeightedCnamePolicy:
 class GslbAddressPolicy:
     """Step 4: a global server load balancer answering with A records.
 
-    ``pool`` maps a query context to the candidate server addresses
-    (the CDN deployment supplies nearest-site, load-aware pools);
-    ``answer_count`` addresses are drawn with client/time-stable
+    ``pool`` maps a query context to the candidate server addresses as
+    32-bit values (the CDN deployment supplies nearest-site, load-aware
+    pools); ``answer_count`` addresses are drawn with client/time-stable
     rotation so the whole pool is exposed across clients — this is what
     makes the unique-IP counts of Figures 4 and 5 grow when a CDN
     activates more servers.
     """
 
-    pool: Callable[[QueryContext], Sequence[IPv4Address]]
+    pool: Callable[[QueryContext], Sequence[int]]
     ttl: int
     answer_count: int = 4
     salt: str = ""
+    # Owner name -> address value -> its interned A record: an answer
+    # costs one dict probe per record, no address hash or constructor.
+    # Bounded by the values the pool hands out (a deployment's server
+    # count) per name bound to this policy.
+    _records: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def answer(self, name: str, context: QueryContext) -> tuple[ResourceRecord, ...]:
         # The pool is read in place: deployments hand out their memoised
@@ -238,30 +227,14 @@ class GslbAddressPolicy:
             return ()
         ttl = self.ttl
         offset = int(sticky_fraction(name, context, ttl, self.salt) * size)
-        return tuple(
-            [
-                ARecord(name, candidates[(offset + index) % size], ttl)
-                for index in range(min(self.answer_count, size))
-            ]
-        )
-
-
-@dataclass(frozen=True)
-class RoundRobinAddressPolicy:
-    """A records rotated purely by time bucket (client-independent)."""
-
-    addresses: tuple[IPv4Address, ...]
-    ttl: int
-    answer_count: int = 4
-
-    def answer(self, name: str, context: QueryContext) -> tuple[ResourceRecord, ...]:
-        if not self.addresses:
-            return ()
-        bucket = int(context.now // self.ttl) if self.ttl > 0 else 0
-        count = min(self.answer_count, len(self.addresses))
-        offset = bucket % len(self.addresses)
-        chosen = [
-            self.addresses[(offset + index) % len(self.addresses)]
-            for index in range(count)
-        ]
-        return tuple(ARecord(name, address, self.ttl) for address in chosen)
+        records = self._records.get(name)
+        if records is None:
+            records = self._records[name] = {}
+        answer = []
+        for index in range(min(self.answer_count, size)):
+            value = candidates[(offset + index) % size]
+            record = records.get(value)
+            if record is None:
+                record = records[value] = ARecord(name, IPv4Address(value), ttl)
+            answer.append(record)
+        return tuple(answer)

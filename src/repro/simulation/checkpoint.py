@@ -29,8 +29,9 @@ measurement *count* is unchanged).
 
 File format (``ckpt-<steps>.rckpt``): a :class:`~repro.container.Container`
 frame (magic ``RCKPT1``) whose JSON header carries the schema version
-(3: stores and campaign grids keyed by name), the step count and the
-next tick, and whose payload is the pickled :class:`Checkpoint` fields.
+(4: stores and campaign grids keyed by name, a store's traceroutes as
+typed columns), the step count and the next tick, and whose payload is
+the pickled :class:`Checkpoint` fields.
 The container writes atomically and verifies magic, version, length and
 checksum before the payload is unpickled; every failure raises
 :class:`CheckpointError` — :func:`latest_checkpoint` then falls back to
@@ -59,7 +60,7 @@ __all__ = [
     "checkpoint_path",
 ]
 
-_VERSION = 3
+_VERSION = 4
 
 
 class CheckpointError(RuntimeError):

@@ -8,6 +8,7 @@ from repro.analysis.paths import (
     summarize_paths,
 )
 from repro.atlas.campaign import TracerouteCampaign
+from repro.atlas.columnar import TracerouteColumns
 from repro.atlas.probe import AtlasProbe
 from repro.atlas.results import (
     MeasurementStore,
@@ -34,6 +35,10 @@ def make_probe(probe_id, city):
     )
 
 
+def columns(traces):
+    return TracerouteColumns.from_measurements(traces)
+
+
 def make_trace(probe_id, destination, rtt, reached=True):
     dest = IPv4Address.parse(destination)
     hops = [
@@ -58,7 +63,7 @@ class TestGeolocation:
             make_trace(1, "17.253.0.1", rtt=4.0),  # Berlin probe, close
             make_trace(2, "17.253.0.1", rtt=190.0),  # Tokyo probe, far
         ]
-        estimates = geolocate_caches(traces, [berlin, tokyo])
+        estimates = geolocate_caches(columns(traces), [berlin, tokyo])
         estimate = estimates[IPv4Address.parse("17.253.0.1")]
         assert estimate.probe_id == 1
         assert estimate.coordinates == berlin.coordinates
@@ -67,16 +72,16 @@ class TestGeolocation:
     def test_unreached_traces_ignored(self):
         probe = make_probe(1, "deber")
         traces = [make_trace(1, "17.253.0.1", rtt=5.0, reached=False)]
-        assert geolocate_caches(traces, [probe]) == {}
+        assert geolocate_caches(columns(traces), [probe]) == {}
 
     def test_unknown_probe_ignored(self):
         traces = [make_trace(9, "17.253.0.1", rtt=5.0)]
-        assert geolocate_caches(traces, []) == {}
+        assert geolocate_caches(columns(traces), []) == {}
 
     def test_error_km(self):
         probe = make_probe(1, "deber")
         traces = [make_trace(1, "17.253.0.1", rtt=5.0)]
-        estimates = geolocate_caches(traces, [probe])
+        estimates = geolocate_caches(columns(traces), [probe])
         truth = {IPv4Address.parse("17.253.0.1"): DB.get("defra").coordinates}
         errors = geolocation_errors_km(estimates, truth)
         expected = great_circle_km(
@@ -92,7 +97,7 @@ class TestSummarizePaths:
             make_trace(1, "17.253.0.2", rtt=15.0),
             make_trace(1, "17.253.0.3", rtt=25.0, reached=False),
         ]
-        summary = summarize_paths(traces)
+        summary = summarize_paths(columns(traces))
         assert summary.trace_count == 3
         assert summary.reached_ratio == pytest.approx(2 / 3)
         assert summary.median_rtt_ms == 15.0
@@ -100,7 +105,7 @@ class TestSummarizePaths:
         assert "traceroutes" in summary.render()
 
     def test_empty(self):
-        summary = summarize_paths([])
+        summary = summarize_paths(columns([]))
         assert summary.trace_count == 0
         assert summary.reached_ratio == 0.0
 
@@ -180,14 +185,14 @@ class TestTracerouteCampaign:
 class TestScenarioTraceroutes:
     def test_event_run_collected_traces(self, event_run):
         scenario, _, _ = event_run
-        traces = scenario.traceroute_campaign.store.traceroutes
-        assert traces
+        traces = scenario.traceroute_campaign.store.traceroute_columns
+        assert len(traces)
         summary = summarize_paths(traces)
         assert summary.reached_ratio == 1.0
 
     def test_geolocation_is_plausible(self, event_run):
         scenario, _, _ = event_run
-        traces = scenario.traceroute_campaign.store.traceroutes
+        traces = scenario.traceroute_campaign.store.traceroute_columns
         estimates = geolocate_caches(traces, scenario.global_probes)
         truth = {}
         for deployment in scenario.estate.deployments.values():

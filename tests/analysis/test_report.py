@@ -51,24 +51,31 @@ class TestGenerateReport:
         assert overflow.render(label_time=tl.date_label) in report
 
     def test_no_flow_object_outlives_run_and_report(self):
-        """The flow log is columns: a run and its report leave no per-flow object.
+        """The run's growing state is columns: a run and its report leave
+        no per-flow or per-traceroute object, and every answer pool is
+        an array of address values.
 
-        The regression this guards against is the log (or the report)
-        going back to one live ``FlowRecord`` / ``ClassifiedFlow`` per
-        flow — at replay scale the cyclic collector's passes over that
-        heap were a quarter of the run.
+        The regression this guards against is the flow log (or the
+        report) going back to one live ``FlowRecord`` / ``ClassifiedFlow``
+        per flow, the traceroute log to one ``TracerouteMeasurement``
+        and its ``TracerouteHop``s per trace, or a deployment's pool
+        memo to tuples of addresses — at replay scale the cyclic
+        collector's passes over such a heap were a quarter of the run.
         """
         import gc
+        from array import array
 
+        from repro.atlas import TracerouteHop, TracerouteMeasurement
         from repro.isp import ClassifiedFlow, FlowRecord
         from repro.simulation import SimulationEngine
         from repro.workload import TIMELINE
 
+        per_row = (FlowRecord, ClassifiedFlow, TracerouteMeasurement, TracerouteHop)
+
         def per_flow_objects():
             gc.collect()
             return {
-                id(obj) for obj in gc.get_objects()
-                if isinstance(obj, (FlowRecord, ClassifiedFlow))
+                id(obj) for obj in gc.get_objects() if isinstance(obj, per_row)
             }
 
         before = per_flow_objects()  # other tests' fixtures may hold some
@@ -80,7 +87,15 @@ class TestGenerateReport:
         report = generate_report(scenario)
         assert "Offload impact" in report
         assert len(scenario.netflow) > 10_000
+        assert scenario.traceroute_campaign.store.traceroute_count > 100
         assert not per_flow_objects() - before
+        pools = [
+            pool
+            for deployment in scenario.estate.deployments.values()
+            for pool in deployment._pool_memo.values()
+        ]
+        assert pools
+        assert all(type(pool) is array and pool.typecode == "I" for pool in pools)
 
     def test_report_without_any_run(self):
         """A fresh scenario (no engine run) degrades gracefully."""

@@ -137,7 +137,7 @@ class TestAppleCdnBuild:
         )
         pool = apple.deployment.pool_for(context)
         assert pool  # Europe has sites
-        nearest = apple.site_for(pool[0])
+        nearest = apple.site_for(IPv4Address(pool[0]))
         assert nearest.location.code == "defra"
 
     def test_sites_in_metro(self, apple):

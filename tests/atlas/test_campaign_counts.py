@@ -91,7 +91,7 @@ PINNED = {
 
 
 def pool(prefix, size):
-    addresses = tuple(IPv4Address.parse(f"{prefix}.{i}") for i in range(1, size + 1))
+    addresses = tuple(IPv4Address.parse(f"{prefix}.{i}").value for i in range(1, size + 1))
     return lambda context: addresses
 
 

@@ -147,7 +147,7 @@ class TestCdnDeployment:
             for p in deployment.servers_in_region(MappingRegion.EU)
             if p.location.code == "defra"
         }
-        assert {str(a) for a in pool[:8]} == frankfurt_addresses
+        assert {str(IPv4Address(a)) for a in pool[:8]} == frankfurt_addresses
 
     def test_pool_limit(self):
         deployment = self._deployment(pool_limit=3)
@@ -190,7 +190,7 @@ class TestCdnDeployment:
             assert active == placements[:count]
             for context in vantages:
                 expected = [
-                    placed.server.address
+                    placed.server.address.value
                     for placed in sorted(
                         active,
                         key=lambda placed: (
@@ -203,7 +203,9 @@ class TestCdnDeployment:
                 ]
                 if pool_limit > 0:
                     expected = expected[:pool_limit]
-                assert list(deployment.pool_for(context)) == expected
+                pool = deployment.pool_for(context)
+                assert pool.typecode == "I"
+                assert list(pool) == expected
 
     def test_adding_a_server_invalidates_the_pools(self):
         deployment = self._deployment()
@@ -212,12 +214,12 @@ class TestCdnDeployment:
         deployment.add_server(berlin_adjacent, DB.get("deber"))
         after = deployment.pool_for(eu_context())
         assert len(after) == len(before) + 1
-        assert after[0] == berlin_adjacent.address
+        assert after[0] == berlin_adjacent.address.value
         assert len(deployment.active_servers(MappingRegion.EU)) == 13
 
     def test_pool_only_contains_region_servers(self):
         deployment = self._deployment()
-        pool = {str(a) for a in deployment.pool_for(eu_context())}
+        pool = {str(IPv4Address(a)) for a in deployment.pool_for(eu_context())}
         us_addresses = {
             str(p.server.address)
             for p in deployment.servers_in_region(MappingRegion.US)

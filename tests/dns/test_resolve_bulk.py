@@ -70,7 +70,7 @@ def build_servers():
     apple.bind("loop-b.apple.com", CnamePolicy("loop-a.apple.com", 60))
     apple.bind("orphan.apple.com", CnamePolicy("host.nowhere.example", 60))
     applimg = Zone("applimg.com")
-    pool = [IPv4Address.parse(f"17.253.0.{i}") for i in range(1, 7)]
+    pool = [IPv4Address.parse(f"17.253.0.{i}").value for i in range(1, 7)]
     applimg.bind(
         "a.gslb.applimg.com",
         GslbAddressPolicy(pool=lambda ctx: pool, ttl=20, answer_count=3),
@@ -424,7 +424,7 @@ def build_oracle_estate(spec):
             )
         else:
             _, size, answer_count, ttl = binding
-            pool = addresses(index, size)
+            pool = [address.value for address in addresses(index, size)]
             policy = GslbAddressPolicy(
                 pool=lambda ctx, pool=pool: pool, ttl=ttl,
                 answer_count=answer_count, salt=name,

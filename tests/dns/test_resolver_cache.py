@@ -31,7 +31,7 @@ def estate():
         CnamePolicy("appldnld.apple.com.akadns.net", ttl=21600),
     )
     applimg_zone = Zone("applimg.com")
-    pool = [IPv4Address.parse(f"17.253.0.{i}") for i in range(1, 5)]
+    pool = [IPv4Address.parse(f"17.253.0.{i}").value for i in range(1, 5)]
     applimg_zone.bind(
         "a.gslb.applimg.com",
         GslbAddressPolicy(pool=lambda ctx: pool, ttl=20, answer_count=2),

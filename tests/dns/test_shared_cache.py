@@ -48,7 +48,7 @@ def steering_estate():
     applimg_zone.bind(
         "a.gslb.applimg.com",
         GslbAddressPolicy(
-            pool=lambda ctx: [DE_EDGE if ctx.country == "de" else AU_EDGE],
+            pool=lambda ctx: [(DE_EDGE if ctx.country == "de" else AU_EDGE).value],
             ttl=20,
             answer_count=1,
         ),

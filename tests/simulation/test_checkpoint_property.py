@@ -255,6 +255,18 @@ class TestFileFormatRoundTrip:
             DnsColumns.from_bytes(old_segment)
         assert _TRIPPED == []
 
+    def test_a_version_3_checkpoint_is_refused_undecoded(self, tmp_path):
+        # Version 3 pickled each store's traceroutes as objects; this
+        # build restores columns, so the container stops a version-3
+        # file at its header, before the payload reaches pickle.
+        path = tmp_path / "ckpt-00000003.rckpt"
+        Container(b"RCKPT1\n", 3, CheckpointError, "checkpoint").write(
+            path, {"steps": 3, "next_tick": 3.0}, [pickle.dumps(_Tripwire())]
+        )
+        with pytest.raises(CheckpointError, match="version 3"):
+            load_checkpoint(path)
+        assert _TRIPPED == []
+
     @pytest.mark.parametrize("owner", sorted(OWNERS))
     def test_failed_write_raises_the_owners_error_and_leaves_no_tmp(
         self, owner, tmp_path
