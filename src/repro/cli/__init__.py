@@ -28,9 +28,9 @@ the shared flag groups in :mod:`repro.cli.flags` and its one body
 * ``catchments`` / ``resolvers`` — replay a window under anycast
   steering / a public-resolver population and print that analysis.
 
-``--workers`` / ``--processes`` are passed through as numbers: whether
-they mean the single loop or a fleet, the serial engine or the sharded
-one, is decided in :mod:`repro.serve.harness` and ``engine.run``.
+``--workers`` is passed through as a number: whether it means the
+single loop or a fleet, the serial engine or the sharded one, is decided
+in :mod:`repro.serve.harness` and ``engine.run``.
 """
 
 from __future__ import annotations

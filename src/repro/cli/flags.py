@@ -334,8 +334,7 @@ def measurement_totals(scenario) -> str:
 
 
 def add_load_flags(sub: argparse.ArgumentParser, *, requests: int,
-                   concurrency: int, processes: int | None,
-                   processes_default: str) -> None:
+                   concurrency: int) -> None:
     sub.add_argument("--requests", type=int, default=requests,
                      help="requests to drive (default %(default)s)")
     sub.add_argument("--concurrency", type=int, default=concurrency,
@@ -347,11 +346,7 @@ def add_load_flags(sub: argparse.ArgumentParser, *, requests: int,
     sub.add_argument("--duration", type=float, default=None,
                      help="seconds the arrival schedule spans (open-loop "
                           "only; default max(2, requests / 500), e.g. 10 "
-                          "at 5000 requests — a fleet selftest divides by "
-                          "the single loop's measured qps when higher)")
-    sub.add_argument("--processes", type=int, default=processes,
-                     help="generator processes to fan the load across "
-                          f"(default {processes_default})")
+                          "at 5000 requests)")
 
 
 def add_trace_flags(sub: argparse.ArgumentParser) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import argparse
 
-from ..serve import LoadConfig, ShapeError, drive_load
+from ..serve import LoadConfig, drive_load
 from . import flags
 
 
@@ -17,8 +17,7 @@ def register(commands) -> None:
                      help="DNS endpoint of a running `repro serve`")
     sub.add_argument("--http", required=True, metavar="HOST:PORT",
                      help="HTTP endpoint of a running `repro serve`")
-    flags.add_load_flags(sub, requests=1000, concurrency=32, processes=1,
-                         processes_default="1 = in-process")
+    flags.add_load_flags(sub, requests=1000, concurrency=32)
     flags.add_trace_flags(sub)
     sub.add_argument("--resolver", metavar="HOST:PORT", default=None,
                      help="public-resolver front endpoint of a running "
@@ -36,21 +35,22 @@ def run(args: argparse.Namespace) -> int:
         resolver_endpoint = flags.parse_endpoint(args.resolver)
     elif args.public_resolver_share > 0.0:
         raise SystemExit("--public-resolver-share requires --resolver")
-    config = LoadConfig(
-        requests=args.requests,
-        concurrency=args.concurrency,
-        trace_sample=args.trace_sample,
-        public_resolver_share=args.public_resolver_share,
-    )
     tracer = flags.client_tracer(args)
     try:
+        config = LoadConfig(
+            requests=args.requests,
+            concurrency=args.concurrency,
+            trace_sample=args.trace_sample,
+            public_resolver_share=args.public_resolver_share,
+        )
         report = drive_load(
             flags.parse_endpoint(args.dns), flags.parse_endpoint(args.http),
-            config, args.processes,
-            tracer=tracer, resolver_endpoint=resolver_endpoint,
+            config, tracer=tracer, resolver_endpoint=resolver_endpoint,
             arrival=args.arrival, duration=args.duration,
         )
-    except ShapeError as exc:
+    except ValueError as exc:
+        # A bad flag value (a ShapeError included) is refused before
+        # the first request.
         raise SystemExit(f"loadgen: {exc}") from exc
     print(report.render())
     flags.write_client_trace(args, tracer)

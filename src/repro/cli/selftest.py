@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import argparse
 
-from ..serve import ClusterConfig, ShapeError, selftest
+from ..serve import ClusterConfig, selftest
 from . import flags
 
 
@@ -13,8 +13,7 @@ def register(commands) -> None:
     sub = commands.add_parser(
         "selftest", help="boot a loopback cluster, drive it, verify health"
     )
-    flags.add_load_flags(sub, requests=5000, concurrency=64, processes=None,
-                         processes_default="max(2, --workers); fleets only")
+    flags.add_load_flags(sub, requests=5000, concurrency=64)
     sub.add_argument("--qps-floor", type=float, default=1000.0,
                      help="required sustained DNS qps (default 1000)")
     flags.add_trace_flags(sub)
@@ -34,13 +33,14 @@ def run(args: argparse.Namespace) -> int:
             requests=args.requests,
             concurrency=args.concurrency,
             cluster_config=ClusterConfig(**flags.resolver_config_kwargs(args)),
-            processes=args.processes,
             arrival=args.arrival,
             duration=args.duration,
             tracer=tracer,
             trace_sample=args.trace_sample,
         )
-    except ShapeError as exc:
+    except ValueError as exc:
+        # A bad flag value (a ShapeError included) is refused before
+        # anything boots.
         raise SystemExit(f"selftest: {exc}") from exc
     print(result.render(qps_floor=args.qps_floor))
     flags.write_client_trace(args, tracer)

@@ -37,10 +37,10 @@ def register(commands) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    config = ClusterConfig(
-        object_size=args.object_size, **flags.resolver_config_kwargs(args)
-    )
     try:
+        config = ClusterConfig(
+            object_size=args.object_size, **flags.resolver_config_kwargs(args)
+        )
         serve_forever(
             config, args.workers, print,
             host=args.host, dns_port=args.dns_port, http_port=args.http_port,
@@ -48,4 +48,8 @@ def run(args: argparse.Namespace) -> int:
         )
     except KeyboardInterrupt:
         print("\nstopped")
+    except ValueError as exc:
+        # A bad flag value (a ShapeError included) is refused before
+        # anything boots.
+        raise SystemExit(f"serve: {exc}") from exc
     return 0

@@ -105,8 +105,6 @@ _WATCH_CLIENTS = 8
 _WATCH_INTERVAL = 0.3
 # The live edge's third-party servers per metro.
 _SERVERS_PER_METRO = 4
-# Generator processes driving the flash crowd against a fleet.
-_FLEET_LOADGEN_PROCESSES = 2
 
 
 @dataclass
@@ -401,8 +399,8 @@ def _live_phase(config: ChaosConfig, schedule: FaultSchedule,
         )
 
     load, watched, directory = drive_watched(
-        cluster_config, config.serve_workers, _FLEET_LOADGEN_PROCESSES,
-        load_config, end_at, watch, registry, tracer,
+        cluster_config, config.serve_workers, load_config, end_at, watch,
+        registry, tracer,
     )
     # Anycast bookkeeping: how many connections the catchment router
     # placed, and which client groups a route flap moved.  The shift is

@@ -31,7 +31,7 @@ the flash-crowd workload — is made network-reachable here:
 * :mod:`repro.serve.snapshot` — the checksummed read-only fleet spec
   every worker process serves from;
 * :mod:`repro.serve.fleet` — the multi-process ``SO_REUSEPORT`` edge
-  fleet plus the loadgen fleet;
+  fleet;
 * :mod:`repro.serve.harness` — the one place per concern (standing
   edge, load run, selftest) that picks the single loop or the fleet.
 """
@@ -41,7 +41,7 @@ from .clients import DEFAULT_VANTAGES, ClientDirectory, SampledClient, Vantage
 from .cluster import ClusterConfig, ServeCluster, build_serve_estate
 from .dnsclient import AsyncDnsClient, DnsClientError, WireResolution
 from .dnsserver import AsyncDnsServer, ZoneFrontend
-from .fleet import FleetConfig, ServeFleet, fleet_supported, run_loadgen_fleet
+from .fleet import FleetConfig, ServeFleet, fleet_supported
 from .harness import SelftestReport, ShapeError, drive_load, selftest, serve_forever
 from .httpclient import PooledHttpClient
 from .httpserver import AsyncHttpEdge, estate_router
@@ -82,7 +82,6 @@ __all__ = [
     "FleetConfig",
     "ServeFleet",
     "fleet_supported",
-    "run_loadgen_fleet",
     "ShapeError",
     "serve_forever",
     "drive_load",

@@ -43,14 +43,13 @@ import tempfile
 import threading
 import time
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Optional
 
 from ..obs import NULL_TRACER, MetricsRegistry, merge_registry_snapshots, use_registry, use_tracer
 from .clients import ClientDirectory
 from .cluster import ClusterConfig, ServeCluster, build_serve_estate
-from .loadgen import LoadConfig, LoadGenerator, LoadReport, merge_load_reports
 from .snapshot import FleetSpec, estate_signature, load_snapshot, write_snapshot
 
 __all__ = [
@@ -58,7 +57,6 @@ __all__ = [
     "ServeFleet",
     "fleet_supported",
     "reserve_shared_port",
-    "run_loadgen_fleet",
 ]
 
 _READY_TIMEOUT = 60.0
@@ -489,130 +487,3 @@ class ServeFleet:
         if not self._processes:
             return
         self._teardown()
-
-
-# ----------------------------------------------------------------------
-# loadgen fleet
-# ----------------------------------------------------------------------
-
-
-def _loadgen_main(conn, dns_endpoint, http_endpoint, config: LoadConfig,
-                  vantages, weights, resolver_endpoint=None) -> None:
-    """One forked generator process: run a LoadGenerator, ship the report."""
-    directory = ClientDirectory(vantages, weights)
-
-    async def _run() -> LoadReport:
-        generator = LoadGenerator(
-            dns_endpoint=dns_endpoint,
-            http_endpoint=http_endpoint,
-            directory=directory,
-            config=config,
-            metrics=MetricsRegistry(),
-            tracer=NULL_TRACER,
-            resolver_endpoint=resolver_endpoint,
-        )
-        return await generator.run()
-
-    try:
-        conn.send(("report", asyncio.run(_run())))
-    except KeyboardInterrupt:
-        # Terminal Ctrl-C reaches the whole process group; the parent
-        # reports the abort, workers just leave quietly.
-        os._exit(130)
-    except Exception:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except (BrokenPipeError, OSError):
-            pass
-        os._exit(1)
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
-
-
-def run_loadgen_fleet(
-    dns_endpoint: tuple[str, int],
-    http_endpoint: tuple[str, int],
-    config: LoadConfig,
-    processes: int,
-    directory: Optional[ClientDirectory] = None,
-    timeout: float = 600.0,
-    resolver_endpoint: Optional[tuple[str, int]] = None,
-) -> LoadReport:
-    """Drive ``processes`` generator processes and merge their reports.
-
-    Open-loop configs (``config.arrival`` set) are sliced by striding
-    the shared schedule — process ``k`` replays arrivals ``k, k+P,
-    ...`` at their scheduled times, so the union offered to the servers
-    is exactly the single-process schedule.  Closed-loop configs split
-    the request count into disjoint sequence ranges instead.
-    """
-    if processes <= 0:
-        raise ValueError("processes must be positive")
-    shared = directory if directory is not None else ClientDirectory.from_adoption()
-    vantages, weights = shared.vantages, shared.weights()
-    slices: list[LoadConfig] = []
-    if config.arrival is not None:
-        for index in range(processes):
-            slices.append(
-                replace(config, arrival_offset=index, arrival_stride=processes)
-            )
-    else:
-        base, extra = divmod(config.requests, processes)
-        start = 0
-        for index in range(processes):
-            count = base + (1 if index < extra else 0)
-            if count == 0:
-                continue
-            slices.append(replace(config, requests=count, seq_start=start))
-            start += count
-    ctx = multiprocessing.get_context("fork")
-    procs = []
-    conns = []
-    for piece in slices:
-        recv_conn, send_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_loadgen_main,
-            args=(send_conn, dns_endpoint, http_endpoint, piece,
-                  vantages, weights, resolver_endpoint),
-            daemon=True,
-        )
-        process.start()
-        send_conn.close()
-        procs.append(process)
-        conns.append(recv_conn)
-    reports: list[LoadReport] = []
-    failures: list[str] = []
-    deadline = time.monotonic() + timeout
-    try:
-        for conn in conns:
-            remaining = max(0.1, deadline - time.monotonic())
-            if not conn.poll(remaining):
-                failures.append("generator process timed out")
-                continue
-            try:
-                message = conn.recv()
-            except EOFError:
-                failures.append("generator process died without a report")
-                continue
-            if message[0] == "report":
-                reports.append(message[1])
-            else:
-                failures.append(message[1])
-    finally:
-        for process in procs:
-            process.join(5.0)
-        for process in procs:
-            if process.is_alive():
-                process.terminate()
-                process.join(5.0)
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-    if failures and not reports:
-        raise RuntimeError(f"every generator process failed: {failures[0]}")
-    return merge_load_reports(reports)

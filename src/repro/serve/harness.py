@@ -2,9 +2,9 @@
 
 The edge exists in two shapes — the in-process single loop
 (:class:`~repro.serve.cluster.ServeCluster`) and the forked
-``SO_REUSEPORT`` fleet (:class:`~repro.serve.fleet.ServeFleet`) — and so
-does the load: one generator on this process's loop, or forked generator
-processes.  Callers say how many workers/processes they want; which
+``SO_REUSEPORT`` fleet (:class:`~repro.serve.fleet.ServeFleet`).  The
+load has one: a single :class:`~repro.serve.loadgen.LoadGenerator` on
+the caller's event loop.  Callers say how many workers they want; which
 shape that means is decided here, once for each thing a caller does:
 
 * :func:`serve_forever` — boot a standing edge (``repro serve``);
@@ -27,27 +27,25 @@ both shapes:
 * ``workers == 1`` — servers and generator share one event loop, one
   registry and one tracer, so client and server spans land in the same
   ring buffer;
-* ``workers >= 2`` — a fleet under forked generator processes, after a
-  single-loop reference run on the same config.  The registry is the
-  merge of every worker's; on top of the shared checks come the
-  wire-equivalence pass, the merged-metrics check and the speedup line.
+* ``workers >= 2`` — a fleet driven from this process's loop.  The
+  registry is the merge of every worker's; on top of the shared checks
+  come the wire-equivalence pass and the merged-metrics check.
 
 A request the chosen shape cannot honour (a tracer across forked
-processes, generator processes for the single loop, a ``--duration``
-no open loop can span) raises :class:`ShapeError` naming the flag,
-before anything boots; nothing is dropped silently.
+workers, fewer than one worker, a ``--duration`` no open loop can span)
+raises :class:`ShapeError` naming the flag, before anything boots;
+nothing is dropped silently.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from ..apple.mapping import NAMES
 from ..obs import (
+    NULL_REGISTRY,
     NULL_TRACER,
     EventTracer,
     MetricsRegistry,
@@ -60,7 +58,7 @@ from .admin import AdminServer
 from .clients import ClientDirectory
 from .cluster import ClusterConfig, ServeCluster, build_serve_estate
 from .dnsclient import AsyncDnsClient
-from .fleet import FleetConfig, ServeFleet, run_loadgen_fleet
+from .fleet import FleetConfig, ServeFleet
 from .httpclient import PooledHttpClient
 from .listener import RunClock
 from .loadgen import LoadConfig, LoadGenerator, LoadReport, merge_load_reports
@@ -99,6 +97,7 @@ def serve_forever(
     registry snapshot at scrape time (``resolver_port`` is not used: a
     fleet's shared front port is always ephemeral).
     """
+    _check_workers(workers)
 
     async def standing(lines: list[str], stop) -> None:
         try:
@@ -174,44 +173,27 @@ def drive_load(
     dns_endpoint: tuple[str, int],
     http_endpoint: tuple[str, int],
     config: LoadConfig,
-    processes: int = 1,
     tracer=NULL_TRACER,
     resolver_endpoint: Optional[tuple[str, int]] = None,
     arrival: Optional[str] = None,
     duration: Optional[float] = None,
 ) -> LoadReport:
-    """One load run against a remote edge, from this host.
+    """One load run against a remote edge, from this process's loop.
 
-    ``processes == 1`` runs the generator on this process's own loop, so
-    its spans land in ``tracer``; more fork a generator fleet (see
-    :func:`run_loadgen_fleet`), whose processes run untraced — asking
-    for both is a :class:`ShapeError`, not a silently empty trace.
-    ``arrival`` / ``duration`` replay ``config`` open-loop (see
-    :func:`_open_loop`).
+    The generator's spans land in ``tracer``; ``arrival`` / ``duration``
+    replay ``config`` open-loop (see :func:`_open_loop`).
     """
     _check_duration(arrival, duration)
-    config = _open_loop(config, arrival, duration, sustained_qps=0.0)
-    if processes == 1:
-        generator = LoadGenerator(
-            dns_endpoint=dns_endpoint,
-            http_endpoint=http_endpoint,
-            config=config,
-            tracer=tracer,
-            resolver_endpoint=resolver_endpoint,
-        )
-        return asyncio.run(generator.run())
-    if tracer.enabled:
-        raise ShapeError(
-            "--trace-out/--trace-sample need the in-process generator "
-            "(--processes 1): forked generator processes run untraced"
-        )
-    return run_loadgen_fleet(
-        dns_endpoint, http_endpoint, config, processes,
+    generator = LoadGenerator(
+        dns_endpoint=dns_endpoint,
+        http_endpoint=http_endpoint,
+        config=_open_loop(config, arrival, duration),
+        tracer=tracer,
         resolver_endpoint=resolver_endpoint,
     )
+    return asyncio.run(generator.run())
 
 
-_SPEEDUP_MIN_CPUS = 4
 # Fleet workers answer at a pinned clock so the equivalence pass can
 # compare them with the in-memory resolver at the same instant.
 _PINNED_NOW = 0.0
@@ -239,21 +221,10 @@ class SelftestReport:
     registry: MetricsRegistry
     workers: int = 1
     # Fleet runs (workers >= 2) only.
-    processes: int = 1
-    reference: Optional[LoadReport] = None
     equivalence_failures: tuple[str, ...] = ()
     worker_errors: dict = field(default_factory=dict)
-    cpus: int = field(default_factory=lambda: os.cpu_count() or 1)
 
-    @property
-    def speedup(self) -> float:
-        """Fleet qps over the single-loop reference's (0.0 without one)."""
-        if self.reference is None or self.reference.dns_qps <= 0:
-            return 0.0
-        return self.report.dns_qps / self.reference.dns_qps
-
-    def checks(self, qps_floor: float = 1000.0,
-               speedup_target: float = 5.0) -> list[tuple[str, bool]]:
+    def checks(self, qps_floor: float = 1000.0) -> list[tuple[str, bool]]:
         """The acceptance checks the run must satisfy, as (label, passed)."""
         report = self.report
         hits, misses = _hits_and_misses(
@@ -277,32 +248,17 @@ class SelftestReport:
             return checks
         family = self.registry.get("serve_fleet_worker_up")
         workers_up = len(list(family.children())) if family is not None else 0
-        checks += [
+        return checks + [
             ("fleet answers byte-equivalent to single loop",
              not self.equivalence_failures),
             (f"metrics merged from {self.workers} workers",
              workers_up == self.workers and not self.worker_errors),
         ]
-        speedup_label = (
-            f"fleet >= {speedup_target:.0f}x single-loop qps "
-            f"(enforced on {_SPEEDUP_MIN_CPUS}+ cpus; this host: {self.cpus})"
-        )
-        if self.cpus >= _SPEEDUP_MIN_CPUS:
-            checks.append((speedup_label, self.speedup >= speedup_target))
-        else:
-            # Too few cores to demonstrate parallel speedup honestly;
-            # record the measured ratio instead of asserting it.
-            checks.append(
-                (speedup_label + f" [recorded {self.speedup:.2f}x]", True)
-            )
-        return checks
 
-    def passed(self, qps_floor: float = 1000.0,
-               speedup_target: float = 5.0) -> bool:
-        return all(ok for _, ok in self.checks(qps_floor, speedup_target))
+    def passed(self, qps_floor: float = 1000.0) -> bool:
+        return all(ok for _, ok in self.checks(qps_floor))
 
-    def render(self, qps_floor: float = 1000.0,
-               speedup_target: float = 5.0) -> str:
+    def render(self, qps_floor: float = 1000.0) -> str:
         """The terminal verdict: load report, edge-side health, checks."""
         hits, misses = _hits_and_misses(
             self.registry, "cache_requests_total"
@@ -338,13 +294,9 @@ class SelftestReport:
                 "",
                 "fleet",
                 "-----",
-                f"serve workers        {self.workers}  "
-                f"(loadgen processes {self.processes}, cpus {self.cpus})",
-                f"single-loop ref      {self.reference.dns_qps:,.0f} qps "
-                f"({self.reference.requests} requests)",
-                f"fleet speedup        {self.speedup:.2f}x",
+                f"serve workers        {self.workers}",
             ]
-        checks = self.checks(qps_floor, speedup_target)
+        checks = self.checks(qps_floor)
         lines.append("")
         lines += [f"{'PASS' if ok else 'FAIL'}  {label}" for label, ok in checks]
         lines += [f"equivalence: {failure}"
@@ -354,6 +306,12 @@ class SelftestReport:
             f"{title} " + ("PASSED" if all(ok for _, ok in checks) else "FAILED")
         )
         return "\n".join(lines)
+
+
+def _check_workers(workers: int) -> None:
+    """Refuse an edge of no workers, before anything boots."""
+    if workers < 1:
+        raise ShapeError("--workers must be positive")
 
 
 def _check_duration(arrival: Optional[str], duration: Optional[float]) -> None:
@@ -367,30 +325,31 @@ def _check_duration(arrival: Optional[str], duration: Optional[float]) -> None:
 
 
 def _open_loop(load: LoadConfig, arrival: Optional[str],
-               duration: Optional[float], sustained_qps: float) -> LoadConfig:
+               duration: Optional[float]) -> LoadConfig:
     """``load`` replayed open-loop on the named arrival process, if any.
 
     The one place an arrival schedule is built.  Without an explicit
-    duration the schedule spans long enough that its mean rate stays
-    under what a single loop sustained on this host (500 qps when
-    nothing was measured), and never under two seconds.
+    duration the schedule spans ``requests / 500`` seconds (a mean of
+    500 arrivals per second), and never under two seconds.
     """
     if arrival is None:
         return load
     if duration is None:
-        duration = max(2.0, load.requests / max(sustained_qps, 500.0))
+        duration = max(2.0, load.requests / 500.0)
     return replace(
         load, arrival=ArrivalSchedule.named(arrival, load.requests, duration)
     )
 
 
 def _fleet_run(config: ClusterConfig, workers: int, load: LoadConfig,
-               processes: int, beside, pin_clock: Optional[float] = None):
-    """Forked generators drive a fleet of ``config`` while ``beside`` runs.
+               beside, pin_clock: Optional[float] = None):
+    """One generator drives a fleet of ``config`` while ``beside`` runs.
 
-    ``beside(fleet, directory, clock)`` is a coroutine function run on
-    this process's loop alongside the generators (a watcher, the
+    ``beside(fleet, directory, clock)`` is a coroutine function run
+    beside the generator on this process's loop (a watcher, the
     equivalence pass); ``clock`` reads seconds since the fleet came up.
+    The generator keeps no metrics beyond its report, so the fleet's
+    registry holds the workers' alone.
     Returns ``(report, beside's result, merged registry, worker errors,
     directory)`` once every worker is down.
     """
@@ -400,44 +359,41 @@ def _fleet_run(config: ClusterConfig, workers: int, load: LoadConfig,
     fleet.start()
     clock = RunClock().start()
     directory = fleet.spec.directory()
-    outcome: dict = {}
+    generator = LoadGenerator(
+        dns_endpoint=fleet.dns_endpoint,
+        http_endpoint=fleet.http_endpoint,
+        directory=directory,
+        config=config.loadgen_config(load),
+        metrics=NULL_REGISTRY,
+        tracer=NULL_TRACER,
+        resolver_endpoint=fleet.resolver_endpoint,
+    )
 
-    def generators() -> None:
-        try:
-            outcome["report"] = run_loadgen_fleet(
-                fleet.dns_endpoint, fleet.http_endpoint,
-                config.loadgen_config(load), processes,
-                directory=directory, resolver_endpoint=fleet.resolver_endpoint,
-            )
-        except Exception as exc:  # re-raised below, not lost with the thread
-            outcome["error"] = exc
+    async def both() -> list:
+        return await asyncio.gather(
+            generator.run(), beside(fleet, directory, clock)
+        )
 
     try:
-        load_thread = threading.Thread(target=generators, daemon=True)
-        load_thread.start()
-        alongside = asyncio.run(beside(fleet, directory, clock))
-        load_thread.join()
+        report, alongside = asyncio.run(both())
         worker_errors = fleet.worker_errors()
     finally:
         fleet.stop()
-    if "error" in outcome:
-        raise outcome["error"]
-    return (outcome["report"], alongside, fleet.merged_registry(),
-            worker_errors, directory)
+    return report, alongside, fleet.merged_registry(), worker_errors, directory
 
 
-def drive_watched(config: ClusterConfig, workers: int, processes: int,
-                  load: LoadConfig, until: float, watch, registry, tracer):
+def drive_watched(config: ClusterConfig, workers: int, load: LoadConfig,
+                  until: float, watch, registry, tracer):
     """Load through an edge of ``workers`` for ``until`` seconds of its
     clock, while ``watch(dns_endpoint, directory, clock)`` runs beside it.
 
     The single loop repeats closed-loop runs of ``load`` on the
-    cluster's own loop until its clock passes ``until``; the runs went
-    back to back, so the folded report's elapsed is their sum.  A fleet
-    takes one open-loop flash crowd spanning ``until`` (``load.requests`` per
-    two seconds, at least one run's worth) from ``processes`` generator
-    processes, and its merged metrics are absorbed into ``registry`` so
-    both read alike.  Returns ``(report, watch's result, directory)``.
+    cluster's own loop until its clock passes ``until`` and folds the
+    back-to-back batches into one report.  A fleet takes one open-loop
+    flash crowd spanning ``until`` (``load.requests`` per two seconds,
+    at least one run's worth), and its merged metrics are absorbed into
+    ``registry`` so both read alike.  Returns ``(report, watch's
+    result, directory)``.
     """
     if workers == 1:
         async def single_loop() -> tuple:
@@ -450,19 +406,13 @@ def drive_watched(config: ClusterConfig, workers: int, processes: int,
                 while cluster.clock() < until:
                     batches.append(await cluster.drive(load))
                 watched = await watcher
-            # merge_load_reports folds side-by-side runs (elapsed is the
-            # longest); these ran one after another.
-            folded = replace(
-                merge_load_reports(batches),
-                elapsed_seconds=sum(b.elapsed_seconds for b in batches),
-            )
-            return folded, watched, cluster.directory
+            return merge_load_reports(batches), watched, cluster.directory
 
         return asyncio.run(single_loop())
     total = max(load.requests, int(load.requests * until / 2.0))
-    crowd = _open_loop(replace(load, requests=total), "flash-crowd", until, 0.0)
+    crowd = _open_loop(replace(load, requests=total), "flash-crowd", until)
     report, watched, merged, _errors, directory = _fleet_run(
-        config, workers, crowd, processes,
+        config, workers, crowd,
         lambda fleet, directory, clock: watch(fleet.dns_endpoint, directory, clock),
     )
     registry.absorb_snapshot(merged.snapshot())
@@ -531,7 +481,6 @@ def selftest(
     requests: int = 5000,
     concurrency: int = 64,
     cluster_config: Optional[ClusterConfig] = None,
-    processes: Optional[int] = None,
     arrival: Optional[str] = None,
     duration: Optional[float] = None,
     tracer=None,
@@ -542,31 +491,28 @@ def selftest(
     ``arrival`` names an open-loop arrival process (``flash-crowd`` /
     ``uniform``) spanning ``duration`` seconds; the default is the
     closed loop.  ``tracer`` (default: the ambient one) and
-    ``trace_sample`` apply to the single loop, ``processes`` (default
-    ``max(2, workers)``) to the fleet's generator processes; a request
-    the chosen edge cannot honour raises :class:`ShapeError` naming it
-    rather than being dropped.
+    ``trace_sample`` apply to the single loop; a request the chosen edge
+    cannot honour raises :class:`ShapeError` naming it rather than being
+    dropped.  Either edge is driven by one generator on this process's
+    loop.
 
     The single loop's registry is installed process-wide for the run so
     the estate's construction-time instruments (cache hit/miss counters,
-    site request counters) land in it alongside the serve metrics.  The
-    fleet's reference run uses the same cluster config, so the speedup
-    ratio compares like with like.
+    site request counters) land in it alongside the serve metrics.
     """
     config = cluster_config if cluster_config is not None else ClusterConfig()
     tracer = tracer if tracer is not None else get_tracer()
+    _check_workers(workers)
     _check_duration(arrival, duration)
-    load = LoadConfig(
-        requests=requests, concurrency=concurrency, trace_sample=trace_sample,
+    load = _open_loop(
+        LoadConfig(
+            requests=requests, concurrency=concurrency,
+            trace_sample=trace_sample,
+        ),
+        arrival, duration,
     )
     if workers == 1:
-        if processes not in (None, 1):
-            raise ShapeError(
-                "--processes needs a fleet (--workers 2 or more): the single "
-                "loop drives itself in-process"
-            )
         registry = MetricsRegistry()
-        load = _open_loop(load, arrival, duration, sustained_qps=0.0)
 
         async def single_loop() -> LoadReport:
             cluster = ServeCluster(config=config, metrics=registry, tracer=tracer)
@@ -579,24 +525,16 @@ def selftest(
     if tracer.enabled:
         raise ShapeError(
             "--trace-out/--trace-sample need the single loop (--workers 1): "
-            "fleet workers and generator processes run untraced"
+            "fleet workers run untraced"
         )
-    processes = processes if processes is not None else max(2, workers)
-    reference = selftest(
-        requests=max(500, requests // 4), concurrency=concurrency,
-        cluster_config=config,
-    ).report
-    load = _open_loop(load, arrival, duration, reference.dns_qps)
     report, equivalence, registry, worker_errors, _directory = _fleet_run(
-        config, workers, load, processes, _verify_fleet_equivalence,
+        config, workers, load, _verify_fleet_equivalence,
         pin_clock=_PINNED_NOW,
     )
     return SelftestReport(
         report=report,
         registry=registry,
         workers=workers,
-        processes=processes,
-        reference=reference,
         equivalence_failures=tuple(equivalence),
         worker_errors=worker_errors,
     )

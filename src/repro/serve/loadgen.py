@@ -88,24 +88,17 @@ class LoadConfig:
     # Open-loop mode: when an arrival schedule is set, requests fire at
     # the schedule's times regardless of completions (``requests`` and
     # ``concurrency`` stop driving the count — they only size the
-    # connection pool and the in-flight cap).  ``arrival_offset`` /
-    # ``arrival_stride`` select this process's slice of a fleet-shared
-    # schedule.  Arrivals past the in-flight cap are *shed* (counted,
-    # not queued): an open loop must never convert overload into
-    # backpressure, that's the closed loop's behaviour.
+    # connection pool and the in-flight cap).  Arrivals past the
+    # in-flight cap are *shed* (counted, not queued): an open loop must
+    # never convert overload into backpressure, that's the closed
+    # loop's behaviour.
     arrival: Optional[ArrivalSchedule] = None
-    arrival_offset: int = 0
-    arrival_stride: int = 1
-    # Closed-loop fleet splitting: this process owns sequence numbers
-    # [seq_start, seq_start + requests), so N processes cover disjoint
-    # slices of the same deterministic client/path sequence.
-    seq_start: int = 0
     # Fraction of clients resolving through a public-resolver front
     # (see repro.serve.resolverfront) instead of the authoritative
     # directly.  Only effective when the generator is handed a
     # resolver endpoint; assignment is repro.resolver's one rule,
-    # stable per sequence number, so fleet slices agree on who is
-    # public.  None = the edge's own share, filled in by
+    # stable per sequence number, so re-runs agree on who is public.
+    # None = the edge's own share, filled in by
     # ClusterConfig.loadgen_config (a generator left with None has no
     # public clients).
     public_resolver_share: Optional[float] = None
@@ -116,12 +109,6 @@ class LoadConfig:
         share = self.public_resolver_share
         if share is not None and not 0.0 <= share <= 1.0:
             raise ValueError("public_resolver_share must be in [0, 1]")
-        if self.seq_start < 0:
-            raise ValueError("seq_start must be non-negative")
-        if self.arrival_stride <= 0:
-            raise ValueError("arrival_stride must be positive")
-        if not 0 <= self.arrival_offset < self.arrival_stride:
-            raise ValueError("arrival_offset must be in [0, arrival_stride)")
         if self.requests <= 0:
             raise ValueError("requests must be positive")
         if self.concurrency <= 0:
@@ -146,10 +133,9 @@ def _panel_ms(latency: HistogramChild) -> dict:
 class LoadReport:
     """Everything a run learned, percentiles included.
 
-    The two latency histograms travel with the report, so a fleet of
-    generator processes merges to exact percentiles (see
-    :func:`merge_load_reports`) and every percentile below is read off
-    them on demand.
+    The two latency histograms travel with the report, so batches fold
+    to exact percentiles (see :func:`merge_load_reports`) and every
+    percentile below is read off them on demand.
     """
 
     requests: int
@@ -343,7 +329,7 @@ class LoadGenerator:
         http = PooledHttpClient(
             *self.http_endpoint, pool_size=config.concurrency, tracer=self._tracer
         )
-        sequence = itertools.count(config.seq_start)
+        sequence = itertools.count()
         started = time.perf_counter()
         self._t0 = started
         workers: list[asyncio.Task] = []
@@ -357,9 +343,10 @@ class LoadGenerator:
                 ]
                 await asyncio.gather(*workers)
         except asyncio.CancelledError:
-            # Mid-ramp teardown (fleet SIGTERM): cancel the closed-loop
-            # workers and *wait* for them — each worker's finally block
-            # must run before the clients close underneath it.
+            # Mid-ramp teardown (the caller cancelled the run): cancel
+            # the closed-loop workers and *wait* for them — each
+            # worker's finally block must run before the clients close
+            # underneath it.
             for task in workers:
                 task.cancel()
             if workers:
@@ -394,7 +381,7 @@ class LoadGenerator:
                       sequence) -> None:
         while True:
             seq = next(sequence)
-            if seq >= self.config.seq_start + self.config.requests:
+            if seq >= self.config.requests:
                 return
             await self._accounted(dns, http, seq)
 
@@ -413,9 +400,7 @@ class LoadGenerator:
         limit = config.concurrency * _OPEN_LOOP_IN_FLIGHT_PER_WORKER
         tasks: set[asyncio.Task] = set()
         try:
-            for seq, due, region in config.arrival.events(
-                config.arrival_offset, config.arrival_stride
-            ):
+            for seq, due, region in config.arrival.events():
                 delay = due - (time.perf_counter() - self._t0)
                 if delay > 0.0:
                     await asyncio.sleep(delay)
@@ -522,8 +507,8 @@ class LoadGenerator:
         """The resolver this client uses: ISP path or the public front.
 
         The engine's resolver plane decides its mixed population by the
-        same rule, keyed here by sequence number, so re-runs and fleet
-        slices agree on who resolves where.
+        same rule, keyed here by sequence number, so re-runs agree on
+        who resolves where.
         """
         if self._public_dns is not None and is_public_client(
             seq, self.config.public_resolver_share
@@ -631,14 +616,13 @@ _COUNTS = (
 
 
 def merge_load_reports(reports: list) -> LoadReport:
-    """One report for a fleet of generator processes.
+    """One report for batches that ran one after another.
 
-    Counts add; elapsed is the *maximum* (the processes ran
-    concurrently, so rates divide by the longest run, which slightly
-    understates qps rather than inflating it); percentiles come from
-    merging the raw histograms, so the fleet's p999 is exact to bucket
-    resolution — not an average of per-process percentiles, which
-    would be meaningless.
+    Counts add and so does elapsed, so the folded rates are those of the
+    whole span the batches covered; percentiles come from merging the
+    raw histograms, so the fold's p999 is exact to bucket resolution —
+    not an average of per-batch percentiles, which would be
+    meaningless.
     """
     inputs = [r for r in reports if r is not None]
     if not inputs:
@@ -647,7 +631,7 @@ def merge_load_reports(reports: list) -> LoadReport:
         return inputs[0]
     return _report(
         {name: sum(getattr(r, name) for r in inputs) for name in _COUNTS},
-        max(r.elapsed_seconds for r in inputs),
+        sum(r.elapsed_seconds for r in inputs),
         itertools.chain.from_iterable(r.error_samples for r in inputs),
         [r.dns_latency for r in inputs],
         [r.http_latency for r in inputs],

@@ -9,13 +9,9 @@ module turns the existing demand model — per-region adoption volumes
 exponential-decay surge shape (:class:`~repro.workload.flashcrowd.
 ReleaseSurge`) and the per-continent diurnal profiles — into a
 deterministic sequence of ``(arrival time, region)`` pairs compressed
-into a replay window of a few seconds to minutes.
-
-Determinism matters doubly here: a loadgen *fleet* partitions one
-schedule across processes by striding the sequence numbers
-(``events(offset=k, stride=P)``), and the union of the slices is
-exactly the single-process schedule — same times, same regions — so
-scaling the generator out never changes the offered load.
+into a replay window of a few seconds to minutes.  The same inputs
+always give the same schedule — same times, same regions — so two runs
+offer the same load.
 
 Arrival times come from inverting the cumulative demand curve: the
 event window is cut into piecewise-constant rate bins (the demand model
@@ -67,8 +63,7 @@ class ArrivalSchedule:
     ``total_requests`` arrivals are spread over ``duration`` seconds of
     wall-clock replay, with instantaneous rate proportional to the
     modelled demand at the corresponding instant of the (much longer)
-    event window.  Iterate with :meth:`events`; slice across a fleet
-    with ``offset``/``stride``.
+    event window.  Iterate with :meth:`events`.
     """
 
     def __init__(self, total_requests: int, duration: float,
@@ -209,19 +204,9 @@ class ArrivalSchedule:
                 break
         return min(t, self.duration), region
 
-    def events(self, offset: int = 0,
-               stride: int = 1) -> Iterator[tuple[int, float, MappingRegion]]:
-        """Yield ``(seq, replay_time, region)`` for this slice, in order.
-
-        ``offset``/``stride`` partition the schedule across a loadgen
-        fleet: process ``k`` of ``P`` iterates ``events(k, P)`` and the
-        union over processes is the whole schedule, byte for byte.
-        """
-        if stride <= 0:
-            raise ValueError("stride must be positive")
-        if not 0 <= offset < stride:
-            raise ValueError("offset must be in [0, stride)")
-        for seq in range(offset, self.total_requests, stride):
+    def events(self) -> Iterator[tuple[int, float, MappingRegion]]:
+        """Yield ``(seq, replay_time, region)`` for every arrival, in order."""
+        for seq in range(self.total_requests):
             t, region = self._event(seq)
             yield seq, t, region
 

@@ -44,7 +44,8 @@ def test_single_loop_and_fleet_share_check_labels():
     # Every single-loop check is a fleet check, same label, same order;
     # the fleet then adds its own on top.
     assert fleet_labels[:len(single_labels)] == single_labels
-    assert len(fleet_labels) == len(single_labels) + 3
+    assert len(fleet_labels) == len(single_labels) + 2
+    assert not any("speedup" in label for label in fleet_labels)
     assert "cache hit metrics present" in single_labels
     assert "public-resolver cache-dilution metrics present" in single_labels
     # The two the fleet used not to carry are read off the merged
@@ -55,9 +56,7 @@ def test_single_loop_and_fleet_share_check_labels():
     assert fleet.passed(qps_floor=1.0), fleet.render(qps_floor=1.0)
     assert "\nselftest PASSED" in single.render(qps_floor=1.0)
     assert "\nfleet selftest PASSED" in fleet.render(qps_floor=1.0)
-    assert fleet.workers == 2 and fleet.processes == 2
-    assert fleet.reference is not None and fleet.speedup > 0.0
-    assert single.reference is None and single.speedup == 0.0
+    assert (single.workers, fleet.workers) == (1, 2)
 
 
 class TestNoFlagDroppedSilently:
@@ -76,11 +75,6 @@ class TestNoFlagDroppedSilently:
             main(["selftest", "--workers", "2", *SMALL,
                   "--trace-sample", "0.5"])
         assert "--trace-sample" in str(exit_info.value)
-
-    def test_single_loop_processes_is_refused(self):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["selftest", "--workers", "1", *SMALL, "--processes", "2"])
-        assert "--processes" in str(exit_info.value)
 
     def test_single_loop_arrival_and_duration_are_honoured(self, capsys):
         code = main(["selftest", *SMALL,
@@ -117,23 +111,36 @@ class TestNoFlagDroppedSilently:
                 "selftest: --duration must be positive"
             )
 
-    def test_single_loop_explicit_one_process_is_fine(self, capsys):
-        assert main(["selftest", *SMALL, "--processes", "1"]) == 0
-        assert "selftest PASSED" in capsys.readouterr().out
+    @pytest.mark.parametrize("argv, message", [
+        (["selftest", "--workers", "0"], "selftest: --workers must be positive"),
+        (["selftest", "--workers", "-2"], "selftest: --workers must be positive"),
+        (["selftest", "--concurrency", "0"],
+         "selftest: concurrency must be positive"),
+        (["selftest", "--requests", "0"], "selftest: requests must be positive"),
+        (["selftest", "--trace-sample", "1.5"],
+         "selftest: trace_sample must be in [0, 1]"),
+        (["serve", "--workers", "0"], "serve: --workers must be positive"),
+        (["loadgen", "--dns", "127.0.0.1:1", "--http", "127.0.0.1:1",
+          "--requests", "0"], "loadgen: requests must be positive"),
+        (["loadgen", "--dns", "127.0.0.1:1", "--http", "127.0.0.1:1",
+          "--concurrency", "-1"], "loadgen: concurrency must be positive"),
+    ])
+    def test_bad_value_is_refused_before_boot(self, argv, message, monkeypatch):
+        def no_boot(*_args, **_kwargs):
+            raise AssertionError("an edge or a generator started for a run "
+                                 "it must refuse")
 
-    def test_loadgen_fleet_tracing_is_refused(self, tmp_path):
-        endpoints = ["--dns", "127.0.0.1:1", "--http", "127.0.0.1:1"]
-        for tracing in (["--trace-out", str(tmp_path / "t.jsonl")],
-                        ["--trace-sample", "0.5"]):
-            with pytest.raises(SystemExit) as exit_info:
-                main(["loadgen", *endpoints, "--processes", "2", *tracing])
-            assert tracing[0] in str(exit_info.value)
+        for name in ("ServeCluster", "ServeFleet", "LoadGenerator"):
+            monkeypatch.setattr(harness, name, no_boot)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert str(exit_info.value) == message
 
     def test_library_raises_shape_error(self):
         with pytest.raises(ShapeError, match="--trace-out"):
             selftest(workers=2, tracer=EventTracer())
-        with pytest.raises(ShapeError, match="--processes"):
-            selftest(workers=1, processes=3)
-        with pytest.raises(ShapeError, match="--trace-out"):
+        with pytest.raises(ShapeError, match="--workers"):
+            selftest(workers=0)
+        with pytest.raises(ShapeError, match="--duration"):
             drive_load(("127.0.0.1", 1), ("127.0.0.1", 1), LoadConfig(),
-                       processes=2, tracer=EventTracer())
+                       duration=2.0)

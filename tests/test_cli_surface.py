@@ -140,7 +140,6 @@ PARENT_SURFACE = {
         'concurrency': (('--concurrency',), 32, 'int', None, False, None, '_StoreAction', None),
         'arrival': (('--arrival',), None, None, ('flash-crowd', 'uniform'), False, None, '_StoreAction', None),
         'duration': (('--duration',), None, 'float', None, False, None, '_StoreAction', None),
-        'processes': (('--processes',), 1, 'int', None, False, None, '_StoreAction', None),
         'trace_sample': (('--trace-sample',), 1.0, 'float', None, False, None, '_StoreAction', 'RATE'),
         'trace_out': (('--trace-out',), None, None, None, False, None, '_StoreAction', 'PATH'),
         'resolver': (('--resolver',), None, None, None, False, None, '_StoreAction', 'HOST:PORT'),
@@ -153,7 +152,6 @@ PARENT_SURFACE = {
         'trace_sample': (('--trace-sample',), 1.0, 'float', None, False, None, '_StoreAction', 'RATE'),
         'trace_out': (('--trace-out',), None, None, None, False, None, '_StoreAction', 'PATH'),
         'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
-        'processes': (('--processes',), None, 'int', None, False, None, '_StoreAction', None),
         'arrival': (('--arrival',), None, None, ('flash-crowd', 'uniform'), False, None, '_StoreAction', None),
         'duration': (('--duration',), None, 'float', None, False, None, '_StoreAction', None),
         'resolver_population': (('--resolver-population',), 'isp', None, ('isp', 'public', 'mixed'), False, None, '_StoreAction', None),
