@@ -69,7 +69,7 @@ def _collect_resolutions(scenario):
 
 
 def test_bench_fig2_mapping_graph(benchmark, bench_run):
-    scenario, _, _ = bench_run
+    scenario = bench_run
     # Primary source: the AWS-VM campaign's structured resolutions,
     # collected live during the event run (the paper's methodology);
     # supplemented with India/China vantages the nine VMs lack.

@@ -1,25 +1,20 @@
 """Figure 5: unique CDN cache IPs inside the European eyeball ISP.
 
 The long-window ISP campaign (12-hourly probes) around both the iOS
-11.0 release and the iOS 11.1 echo.  Paper findings checked: Akamai's
-IP count rises ~408 % from Sep 18 to Sep 20; Apple's stays stable
-throughout; a smaller bump accompanies iOS 11.1 at the end of October.
+11.0 release and the iOS 11.1 echo, read off that run's figure set.
+Paper findings checked: Akamai's IP count rises ~408 % from Sep 18 to
+Sep 20; Apple's stays stable throughout; a smaller bump accompanies
+iOS 11.1 at the end of October.
 """
 
 from conftest import write_output
 
-from repro.analysis import CdnCategorizer, count_change_ratio, unique_ip_series
+from repro.analysis import count_change_ratio
 from repro.workload import TIMELINE
 
 
-def test_bench_fig5_isp_unique_ips(benchmark, fig5_run):
-    scenario, _ = fig5_run
-    categorizer = CdnCategorizer(scenario.estate.deployments)
-    measurements = scenario.isp_campaign.store.dns
-
-    series = benchmark(
-        unique_ip_series, measurements, categorizer.category, 43200.0
-    )
+def test_bench_fig5_isp_unique_ips(fig5_figures):
+    series = fig5_figures.isp_series
 
     lines = ["Figure 5 — unique CDN cache IPs, eyeball-ISP measurement", ""]
     for point in series:

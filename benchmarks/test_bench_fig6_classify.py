@@ -13,7 +13,7 @@ from repro.isp import TrafficClassifier
 
 
 def test_bench_fig6_classification(benchmark, bench_run):
-    scenario, _, _ = bench_run
+    scenario = bench_run
     classifier = TrafficClassifier(scenario.isp, scenario.rib, scenario.operator_of)
     records = scenario.netflow.records
 

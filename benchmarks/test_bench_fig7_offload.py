@@ -1,7 +1,8 @@
 """Figure 7: update traffic by Source AS during the iOS update.
 
-Regenerates the per-CDN traffic-ratio series (100 % = the CDN's own
-peak over the three pre-release days) and the excess-volume splits.
+Prints, from the session's figure set, the per-CDN traffic-ratio
+series (100 % = the CDN's own peak over the three pre-release days) and
+the excess-volume splits.
 Paper headlines: Apple peaks at 211 %, Limelight at 438 %, Akamai at
 113 %; Sep 19 excess splits 33/44/23 (Apple/Limelight/Akamai); on
 Sep 20-21 the bulk is Apple (~60 %) and Limelight (~40 %) with no
@@ -11,19 +12,12 @@ diurnal pattern — i.e. Apple uses its own CDN first before offloading.
 
 from conftest import write_output
 
-from repro.analysis import (
-    classify_flatness,
-    operator_series,
-    summarize_offload,
-    traffic_ratio_series,
-)
+from repro.analysis import classify_flatness
 from repro.workload import TIMELINE
 
 
-def _series_rows(classified, release_day):
+def _series_rows(ratios):
     """The Figure 7 panels as daily-peak ratio rows per operator."""
-    series = operator_series(classified, bin_seconds=3600.0)
-    ratios = traffic_ratio_series(series, release_day - 3 * 86400.0, release_day)
     operators = sorted(ratios)
     days = sorted(
         {TIMELINE.day_start(t) for points in ratios.values() for t, _ in points}
@@ -41,18 +35,15 @@ def _series_rows(classified, release_day):
     return "\n".join(rows)
 
 
-def test_bench_fig7_offload(benchmark, bench_run):
-    scenario, _, classified = bench_run
-    release_day = TIMELINE.at(9, 19)
-
-    summary = benchmark(summarize_offload, classified, release_day)
+def test_bench_fig7_offload(bench_figures):
+    summary = bench_figures.offload
     text = summary.render()
     text += "\n\ndaily peak ratio by Source-AS operator:\n"
-    text += _series_rows(classified, release_day)
+    text += _series_rows(summary.ratios)
     # §5.3: Apple runs near capacity on Sep 20; the others stay diurnal.
-    bins = operator_series(classified, bin_seconds=3600.0)
     verdict = classify_flatness(
-        bins, TIMELINE.at(9, 20), pinned_threshold=0.5, diurnal_threshold=0.45
+        summary.series, TIMELINE.at(9, 20), pinned_threshold=0.5,
+        diurnal_threshold=0.45,
     )
     text += "\n\n" + verdict.render(label_time=TIMELINE.date_label)
     paper = (
@@ -63,11 +54,9 @@ def test_bench_fig7_offload(benchmark, bench_run):
     print("\n" + text + paper)
 
     peaks = summary.ratio_peaks
-    # Ordering and rough magnitudes of the paper's 211/438/113.
+    # The ordering of the paper's 211/438/113 (the scoreboard holds the
+    # magnitudes).
     assert peaks["Limelight"] > peaks["Apple"] > peaks["Akamai"]
-    assert 1.7 <= peaks["Apple"] <= 2.6
-    assert 3.2 <= peaks["Limelight"] <= 5.5
-    assert 1.0 <= peaks["Akamai"] <= 1.5
 
     shares = summary.excess_shares_release_day
     # Paper: Limelight 44% > Apple 33% > Akamai 23%.

@@ -1,8 +1,8 @@
 """The reproduction scoreboard: every paper target checked in one pass.
 
-This is the closing bench: it evaluates all headline quantities from
-the shared event run against their accepted bands and fails if any
-target leaves its band — the single signal that the reproduction holds.
+This is the closing bench: it scores the session's figure set against
+every target's accepted band and fails if any target leaves its band
+or goes unmeasured — the single signal that the reproduction holds.
 """
 
 from conftest import write_output
@@ -10,17 +10,11 @@ from conftest import write_output
 from repro.analysis.scoreboard import evaluate_scoreboard, render_scoreboard
 
 
-def test_bench_scoreboard(benchmark, bench_run):
-    scenario, _, classified = bench_run
-    checks = benchmark(evaluate_scoreboard, scenario, classified)
+def test_bench_scoreboard(bench_figures):
+    checks = evaluate_scoreboard(bench_figures)
     text = render_scoreboard(checks)
     write_output("scoreboard.txt", text)
     print("\n" + text)
 
-    assert checks, "scoreboard must evaluate targets"
     failing = [check.name for check in checks if not check.passed]
     assert not failing, f"targets out of band: {failing}"
-    # Every declared target was actually measured.
-    from repro.analysis.scoreboard import PAPER_TARGETS
-
-    assert {check.name for check in checks} == set(PAPER_TARGETS)

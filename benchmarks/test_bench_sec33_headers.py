@@ -30,7 +30,7 @@ def _download_samples(scenario, requests_per_vip=16):
 
 
 def test_bench_sec33_header_inference(benchmark, bench_run):
-    scenario, _, _ = bench_run
+    scenario = bench_run
     samples = _download_samples(scenario)
     inference = benchmark(infer_hierarchy, samples)
     text = inference.render()

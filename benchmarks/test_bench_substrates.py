@@ -28,7 +28,7 @@ def test_bench_trie_lookup(benchmark):
 
 
 def test_bench_recursive_resolution(benchmark, bench_run):
-    scenario, _, _ = bench_run
+    scenario = bench_run
     estate = scenario.estate
     context = QueryContext(
         client=IPv4Address.parse("198.51.100.77"),
@@ -61,7 +61,7 @@ def test_bench_content_cache(benchmark):
 
 
 def test_bench_edge_site_serving(benchmark, bench_run):
-    scenario, _, _ = bench_run
+    scenario = bench_run
     apple = scenario.estate.apple
     site = apple.sites[0]
     vip = site.vip_addresses[0]

@@ -23,7 +23,7 @@ TABLE1 = """Table 1 — Apple server naming scheme
 
 
 def test_bench_table1_parse_estate(benchmark, bench_run):
-    scenario, _, _ = bench_run
+    scenario = bench_run
     hostnames = list(scenario.estate.apple.reverse_dns_table().values())
 
     def parse_all():

@@ -132,11 +132,14 @@ def excess_volume_shares(
 
 @dataclass(frozen=True)
 class OffloadSummary:
-    """The Figure 7 headline quantities for one run."""
+    """The Figure 7 headline quantities for one run, and the series they
+    were read from."""
 
     ratio_peaks: dict
     excess_shares_release_day: dict
     excess_shares_day_after: dict
+    series: dict  # {operator: {bin_start: bytes}}, see operator_series
+    ratios: dict  # {operator: [(bin_start, ratio)]}, see traffic_ratio_series
 
     def render(self, label_time=None) -> str:
         """Text rendering of the Figure 7 regeneration."""
@@ -173,4 +176,6 @@ def summarize_offload(
         excess_shares_day_after=excess_volume_shares(
             series, release_day_start + day, release_day_start - day
         ),
+        series=series,
+        ratios=ratios,
     )

@@ -1,66 +1,108 @@
 """One-shot paper report: every reproduced result in a single document.
 
-:func:`generate_report` takes a completed scenario run and assembles
-the regenerated Figures 2-8, Table 1 facts, and the ablation-relevant
-headline numbers into one text report — the artifact a replication
-study would attach.  The CLI (``python -m repro report``) and the
-``examples/`` scripts use it.
+:func:`measure` takes a completed scenario run and measures Figures 2-8,
+the Table 1 facts and the beyond-the-paper sections once, into one
+:class:`PaperFigures`.  :func:`render` turns that into the text report a
+replication study would attach; :func:`generate_report` is the two in a
+row.  The scoreboard (:mod:`repro.analysis.scoreboard`) and the figure
+benches read the same :class:`PaperFigures` instead of measuring again.
+The CLI (``python -m repro report``) and the ``examples/`` scripts use
+:func:`generate_report`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 from ..isp.classify import TrafficClassifier
 from ..net.geo import Continent
 from ..workload.timeline import Timeline
 from .categories import CdnCategorizer
 from .mapping_graph import MappingGraph
-from .offload import summarize_offload
-from .overflow import summarize_overflow
-from .paths import geolocate_caches, geolocation_errors_km, summarize_paths
-from .sites import discover_sites
-from .unique_ips import peak_vs_baseline, series_by_continent, unique_ip_series
+from .offload import OffloadSummary, summarize_offload
+from .overflow import OverflowSummary, summarize_overflow
+from .paths import PathSummary, geolocate_caches, geolocation_errors_km, summarize_paths
+from .sites import SiteDiscovery, discover_sites
+from .unique_ips import (
+    UniqueIpPoint,
+    peak_vs_baseline,
+    series_by_continent,
+    unique_ip_series,
+)
 
-__all__ = ["generate_report"]
+if TYPE_CHECKING:
+    from ..anycast import CatchmentAnalysis
+    from .resolver_accuracy import ResolverAccuracy
+
+__all__ = ["PaperFigures", "measure", "render", "generate_report"]
 
 _RULE = "=" * 72
 
 
-def _section(title: str) -> list[str]:
-    return ["", _RULE, title, _RULE, ""]
+@dataclass(frozen=True)
+class PaperFigures:
+    """Every figure of one run, measured once.
+
+    A section the run has no data for is ``None``.  Summaries only: no
+    per-flow or per-measurement object is kept.
+    """
+
+    timeline: Timeline
+    steering: str
+    mapping: Optional[MappingGraph]  # Figure 2, from the AWS-VM campaign
+    availability: Optional[float]  # share of AWS-VM availability checks passed
+    sites: SiteDiscovery  # Figure 3 / Table 1
+    paths: Optional[PathSummary]  # the traceroute campaign
+    geolocated: int  # caches placed by min-RTT geolocation
+    geolocation_errors_km: tuple[float, ...]  # ascending
+    facets: Optional[dict[Continent, list[UniqueIpPoint]]]  # Figure 4
+    # (post-release peak, pre-release average) per non-empty facet, in
+    # Continent order
+    spikes: Optional[dict[Continent, tuple[int, float]]]
+    isp_series: Optional[list[UniqueIpPoint]]  # Figure 5
+    offload: Optional[OffloadSummary]  # Figure 7
+    overflow: Optional[OverflowSummary]  # Figure 8
+    catchments: Optional[CatchmentAnalysis]  # anycast steering only
+    resolvers: Optional[ResolverAccuracy]  # a resolver population only
+
+    @property
+    def release(self) -> float:
+        """The iOS 11.0 release instant every figure is read around."""
+        return self.timeline.ios_11_0_release
+
+    @property
+    def median_geolocation_error_km(self) -> Optional[float]:
+        """The median min-RTT geolocation error, if any cache was placed."""
+        errors = self.geolocation_errors_km
+        return errors[len(errors) // 2] if errors else None
+
+    def spike_factor(self, continent: Continent) -> Optional[float]:
+        """Figure 4's post-release peak over the pre-release average."""
+        if not self.spikes or continent not in self.spikes:
+            return None
+        peak, baseline = self.spikes[continent]
+        return peak / baseline if baseline else 0.0
 
 
-def generate_report(scenario, timeline: Optional[Timeline] = None) -> str:
-    """Build the full reproduction report from a completed run.
+def measure(scenario) -> PaperFigures:
+    """Measure every figure of a completed run.
 
     ``scenario`` is a :class:`~repro.simulation.scenario.Sep2017Scenario`
     whose engine has been run across (at least) the event window.
     """
-    tl = timeline if timeline is not None else scenario.timeline
+    from ..simulation.scenario import AS_TRANSIT_D
+
+    tl = scenario.timeline
     release = tl.ios_11_0_release
-    lines: list[str] = [
-        "Dissecting Apple's Meta-CDN during an iOS Update — reproduction report",
-        f"(release: {tl.datetime(release):%Y-%m-%d %H:%M} UTC)",
-    ]
 
-    # --- Figure 2: mapping graph from the AWS-VM campaign ---------------
-    lines += _section("Figure 2 — request-mapping infrastructure")
     resolutions = scenario.aws_campaign.resolutions()
+    mapping = availability = None
     if resolutions:
-        graph = MappingGraph.from_resolutions(resolutions)
-        lines.append(graph.render())
-        lines.append(
-            f"\navailability checks passed: "
-            f"{scenario.aws_campaign.availability_ratio() * 100:.1f}%"
-        )
-    else:
-        lines.append("(no AWS-VM measurements in this run)")
+        mapping = MappingGraph.from_resolutions(resolutions)
+        availability = scenario.aws_campaign.availability_ratio()
 
-    # --- Figure 3 / Table 1: site discovery ------------------------------
-    lines += _section("Figure 3 / Table 1 — Apple CDN sites")
-    discovery = discover_sites(scenario.estate.apple.reverse_dns_table())
-    lines.append(discovery.render())
+    paths, geolocated, errors = None, 0, []
     traces = scenario.traceroute_campaign.store.traceroute_columns
     if len(traces):
         estimates = geolocate_caches(traces, scenario.global_probes)
@@ -69,43 +111,122 @@ def generate_report(scenario, timeline: Optional[Timeline] = None) -> str:
             for deployment in scenario.estate.deployments.values()
             for placed in deployment.servers
         }
+        paths = summarize_paths(traces)
+        geolocated = len(estimates)
         errors = geolocation_errors_km(estimates, truth)
-        lines.append("")
-        lines.append(summarize_paths(traces).render())
-        if errors:
-            lines.append(
-                f"min-RTT geolocation: {len(estimates)} caches, "
-                f"median error {errors[len(errors) // 2]:.0f} km"
-            )
 
-    # --- Figure 4: global unique IPs --------------------------------------
-    lines += _section("Figure 4 — unique cache IPs (worldwide probes)")
     categorizer = CdnCategorizer(scenario.estate.deployments)
+    facets = spikes = None
     global_store = scenario.global_campaign.store
     if global_store.dns_count:
         # One streaming pass over the columnar store builds every
-        # continent facet (the old code rescanned a full history copy
-        # once per continent).
+        # continent facet.
         facets = series_by_continent(global_store, categorizer.category, 7200.0)
-        for continent in Continent:
-            series = facets[continent]
-            if not series:
-                continue
-            peak, baseline = peak_vs_baseline(series, release)
-            ratio = peak / baseline if baseline else 0.0
+        spikes = {
+            continent: peak_vs_baseline(series, release)
+            for continent, series in facets.items()
+            if series
+        }
+    isp_series = None
+    isp_store = scenario.isp_campaign.store
+    if isp_store.dns_count:
+        isp_series = unique_ip_series(isp_store, categorizer.category, 43200.0)
+
+    offload = overflow = None
+    records = scenario.netflow.records
+    if records:
+        classifier = TrafficClassifier(
+            scenario.isp, scenario.rib, scenario.operator_of
+        )
+        # The hourly roll-up, not every flow: Figures 7 and 8 bin on
+        # 3 600 s and 21 600 s, whole multiples of it, so the sums are
+        # the same (see ``FlowLog.rollup``).
+        classified = list(classifier.classify_all(records.rollup(3600.0)))
+        offload = summarize_offload(classified, tl.day_start(release))
+        overflow = summarize_overflow(
+            classified,
+            new_as=AS_TRANSIT_D,
+            isp=scenario.isp,
+            snmp=scenario.snmp,
+            peak_probe_times=[release + hour * 3600.0 for hour in range(48)],
+        )
+
+    catchments = None
+    if scenario.anycast is not None:
+        from ..anycast import CatchmentAnalysis
+
+        catchments = CatchmentAnalysis.from_plane(scenario.anycast)
+    resolvers = None
+    if scenario.resolver_plane is not None:
+        from .resolver_accuracy import ResolverAccuracy
+
+        resolvers = ResolverAccuracy.from_scenario(scenario)
+
+    return PaperFigures(
+        timeline=tl,
+        steering=scenario.config.steering,
+        mapping=mapping,
+        availability=availability,
+        sites=discover_sites(scenario.estate.apple.reverse_dns_table()),
+        paths=paths,
+        geolocated=geolocated,
+        geolocation_errors_km=tuple(errors),
+        facets=facets,
+        spikes=spikes,
+        isp_series=isp_series,
+        offload=offload,
+        overflow=overflow,
+        catchments=catchments,
+        resolvers=resolvers,
+    )
+
+
+def _section(title: str) -> list[str]:
+    return ["", _RULE, title, _RULE, ""]
+
+
+def render(figures: PaperFigures) -> str:
+    """The full reproduction report, as text."""
+    tl = figures.timeline
+    lines: list[str] = [
+        "Dissecting Apple's Meta-CDN during an iOS Update — reproduction report",
+        f"(release: {tl.datetime(figures.release):%Y-%m-%d %H:%M} UTC)",
+    ]
+
+    lines += _section("Figure 2 — request-mapping infrastructure")
+    if figures.mapping is not None:
+        lines.append(figures.mapping.render())
+        lines.append(
+            f"\navailability checks passed: {figures.availability * 100:.1f}%"
+        )
+    else:
+        lines.append("(no AWS-VM measurements in this run)")
+
+    lines += _section("Figure 3 / Table 1 — Apple CDN sites")
+    lines.append(figures.sites.render())
+    if figures.paths is not None:
+        lines.append("")
+        lines.append(figures.paths.render())
+        median = figures.median_geolocation_error_km
+        if median is not None:
+            lines.append(
+                f"min-RTT geolocation: {figures.geolocated} caches, "
+                f"median error {median:.0f} km"
+            )
+
+    lines += _section("Figure 4 — unique cache IPs (worldwide probes)")
+    if figures.spikes is not None:
+        for continent, (peak, baseline) in figures.spikes.items():
             lines.append(
                 f"    {continent.value:<16} pre-avg {baseline:7.1f}  "
-                f"post-peak {peak:5d}  ratio {ratio:5.2f}x"
+                f"post-peak {peak:5d}  ratio {figures.spike_factor(continent):5.2f}x"
             )
     else:
         lines.append("(no global campaign measurements in this run)")
 
-    # --- Figure 5: ISP unique IPs -----------------------------------------
     lines += _section("Figure 5 — unique cache IPs (eyeball-ISP probes)")
-    isp_store = scenario.isp_campaign.store
-    if isp_store.dns_count:
-        series = unique_ip_series(isp_store, categorizer.category, 43200.0)
-        for point in series:
+    if figures.isp_series is not None:
+        for point in figures.isp_series:
             counts = ", ".join(
                 f"{name}={count}" for name, count in sorted(point.counts.items())
             )
@@ -116,41 +237,19 @@ def generate_report(scenario, timeline: Optional[Timeline] = None) -> str:
     else:
         lines.append("(no ISP campaign measurements in this run)")
 
-    # --- Figures 6-8: the ISP traffic view ---------------------------------
     lines += _section("Figures 6-8 — ISP traffic: offload and overflow")
-    records = scenario.netflow.records
-    if records:
-        classifier = TrafficClassifier(
-            scenario.isp, scenario.rib, scenario.operator_of
-        )
-        # The hourly roll-up, not every flow: Figures 7 and 8 bin on
-        # 3 600 s and 21 600 s, whole multiples of it, so the sums are
-        # the same (see ``FlowLog.rollup``).
-        classified = list(classifier.classify_all(records.rollup(3600.0)))
-        lines.append(summarize_offload(classified, tl.day_start(release)).render())
+    if figures.offload is not None:
+        lines.append(figures.offload.render())
         lines.append("")
-        from ..simulation.scenario import AS_TRANSIT_D
-
-        overflow = summarize_overflow(
-            classified,
-            new_as=AS_TRANSIT_D,
-            isp=scenario.isp,
-            snmp=scenario.snmp,
-            peak_probe_times=[release + hour * 3600.0 for hour in range(48)],
-        )
-        lines.append(overflow.render(label_time=tl.date_label))
+        lines.append(figures.overflow.render(label_time=tl.date_label))
     else:
         lines.append("(no ISP traffic collected in this run)")
 
-    # --- Steering ablation: anycast catchments (beyond the paper) ---------
-    plane = scenario.anycast
-    if plane is not None:
-        from ..anycast import CatchmentAnalysis
-
-        analysis = CatchmentAnalysis.from_plane(plane)
+    analysis = figures.catchments
+    if analysis is not None:
         lines += _section(
             "Steering ablation — anycast catchments "
-            f"({scenario.config.steering} mode)"
+            f"({figures.steering} mode)"
         )
         for site_id, share in sorted(
             analysis.peak_share_by_site.items(),
@@ -170,15 +269,16 @@ def generate_report(scenario, timeline: Optional[Timeline] = None) -> str:
             f"(anycast cost +{analysis.mapping_distance_delta_km:.0f} km)"
         )
 
-    # --- Resolver populations: mapping accuracy (beyond the paper) --------
-    if scenario.resolver_plane is not None:
-        from .resolver_accuracy import ResolverAccuracy
-
-        accuracy = ResolverAccuracy.from_scenario(scenario)
+    if figures.resolvers is not None:
         lines += _section(
             "Resolver populations — mapping accuracy through shared POP caches"
         )
-        for row in accuracy.render().splitlines():
+        for row in figures.resolvers.render().splitlines():
             lines.append(f"    {row}")
 
     return "\n".join(lines)
+
+
+def generate_report(scenario) -> str:
+    """Measure a completed run and render its report."""
+    return render(measure(scenario))

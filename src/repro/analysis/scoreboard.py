@@ -3,24 +3,18 @@
 EXPERIMENTS.md is the human-readable comparison; this module is the
 machine-checkable one.  :data:`PAPER_TARGETS` lists the paper's headline
 quantities with tolerances calibrated to the reproduction's scale, and
-:func:`evaluate_scoreboard` measures each from a completed event run and
-returns pass/fail verdicts — the bench prints it as the final word on
-the reproduction.
+:func:`evaluate_scoreboard` reads each from one run's
+:class:`~repro.analysis.report.PaperFigures` and returns pass/fail
+verdicts — the bench prints it as the final word on the reproduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
-from ..isp.classify import ClassifiedFlow
 from ..net.geo import Continent
-from ..workload.timeline import Timeline
-from .categories import CdnCategorizer
-from .offload import summarize_offload
-from .overflow import overflow_share_series, peak_share
-from .sites import discover_sites
-from .unique_ips import peak_vs_baseline, unique_ip_series
+from .report import PaperFigures
 
 __all__ = ["TargetCheck", "PAPER_TARGETS", "evaluate_scoreboard", "render_scoreboard"]
 
@@ -31,23 +25,26 @@ class TargetCheck:
 
     name: str
     paper_value: str
-    measured: float
+    measured: Optional[float]  # None: the run lacks the figure
     low: float
     high: float
     unit: str = ""
 
     @property
     def passed(self) -> bool:
-        """Whether the measured value falls inside the accepted band."""
-        return self.low <= self.measured <= self.high
+        """Whether the value was measured and falls inside the accepted band."""
+        return self.measured is not None and self.low <= self.measured <= self.high
 
     def render(self) -> str:
         """One table row."""
         verdict = "ok " if self.passed else "FAIL"
+        value = (
+            "not measured" if self.measured is None
+            else f"measured {self.measured:>8.2f}{self.unit}"
+        )
         return (
             f"    [{verdict}] {self.name:<42} paper {self.paper_value:>10}   "
-            f"measured {self.measured:>8.2f}{self.unit} "
-            f"(accepted {self.low:g}..{self.high:g})"
+            f"{value} (accepted {self.low:g}..{self.high:g})"
         )
 
 
@@ -69,80 +66,43 @@ PAPER_TARGETS: dict[str, tuple[str, float, float, str]] = {
 }
 
 
-def evaluate_scoreboard(
-    scenario,
-    classified: Iterable[ClassifiedFlow],
-    timeline: Optional[Timeline] = None,
-    new_as=None,
-) -> list[TargetCheck]:
-    """Measure every target from a completed event run."""
-    from ..simulation.scenario import AS_TRANSIT_D
+def evaluate_scoreboard(figures: PaperFigures) -> list[TargetCheck]:
+    """Score one run's figures: a row per target, in table order.
 
-    tl = timeline if timeline is not None else scenario.timeline
-    release = tl.ios_11_0_release
-    release_day = tl.day_start(release)
-    asd = new_as if new_as is not None else AS_TRANSIT_D
-    classified = list(classified)
-    checks: list[TargetCheck] = []
-
-    def add(name: str, measured: float) -> None:
-        paper_value, low, high, unit = PAPER_TARGETS[name]
-        checks.append(TargetCheck(name, paper_value, measured, low, high, unit))
-
-    # Structure (Figure 3 / Table 1).
-    discovery = discover_sites(scenario.estate.apple.reverse_dns_table())
-    add("apple-sites", discovery.site_count)
-    add("apple-edge-bx", discovery.total_edge_bx)
-
-    # Figure 7.
-    offload = summarize_offload(classified, release_day)
-    add("fig7-apple-peak-ratio", offload.ratio_peaks.get("Apple", 0.0))
-    add("fig7-limelight-peak-ratio", offload.ratio_peaks.get("Limelight", 0.0))
-    add("fig7-akamai-peak-ratio", offload.ratio_peaks.get("Akamai", 0.0))
-    add("fig7-excess-apple", offload.excess_shares_release_day.get("Apple", 0.0))
-    add(
-        "fig7-excess-limelight",
-        offload.excess_shares_release_day.get("Limelight", 0.0),
-    )
-    add("fig7-excess-akamai", offload.excess_shares_release_day.get("Akamai", 0.0))
-
-    # Figure 8.
-    series = overflow_share_series(classified, bin_seconds=21600.0,
-                                   operator="Limelight")
-    add("fig8-asd-peak-overflow-share", peak_share(series, asd))
-    saturated = set()
-    for hour in range(48):
-        saturated.update(
-            link
-            for link in scenario.snmp.saturated_links(
-                scenario.isp, release + hour * 3600.0, threshold=0.95
+    A target whose figure the run lacks gets a failing, not-measured row.
+    """
+    measured: dict[str, float] = {
+        "apple-sites": figures.sites.site_count,
+        "apple-edge-bx": figures.sites.total_edge_bx,
+    }
+    offload = figures.offload
+    if offload is not None:
+        for operator in ("Apple", "Limelight", "Akamai"):
+            key = operator.lower()
+            measured[f"fig7-{key}-peak-ratio"] = offload.ratio_peaks.get(operator, 0.0)
+            measured[f"fig7-excess-{key}"] = offload.excess_shares_release_day.get(
+                operator, 0.0
             )
-            if link.startswith("transit-d-")
+    overflow = figures.overflow
+    if overflow is not None:
+        measured["fig8-asd-peak-overflow-share"] = overflow.new_as_peak_share
+        measured["fig8-asd-saturated-links"] = sum(
+            link.startswith("transit-d-") for link in overflow.saturated_links
         )
-    add("fig8-asd-saturated-links", len(saturated))
-
-    # Figure 4 (needs the global campaign).  The store goes straight to
-    # unique_ip_series so the aggregation streams over columnar
-    # segments instead of reconstructing every record.
-    global_store = scenario.global_campaign.store
-    if global_store.dns_count:
-        categorizer = CdnCategorizer(scenario.estate.deployments)
-        europe = unique_ip_series(
-            global_store, categorizer.category, 7200.0, continent=Continent.EUROPE
-        )
-        peak, baseline = peak_vs_baseline(europe, release)
-        add(
-            "fig4-europe-spike-factor",
-            peak / baseline if baseline else 0.0,
-        )
-    return checks
+    europe = figures.spike_factor(Continent.EUROPE)
+    if europe is not None:
+        measured["fig4-europe-spike-factor"] = europe
+    return [
+        TargetCheck(name, paper_value, measured.get(name), low, high, unit)
+        for name, (paper_value, low, high, unit) in PAPER_TARGETS.items()
+    ]
 
 
 def render_scoreboard(checks: list[TargetCheck]) -> str:
     """The full scoreboard as text."""
     passed = sum(1 for check in checks if check.passed)
     lines = [
-        f"Reproduction scoreboard: {passed}/{len(checks)} targets in band",
+        f"Reproduction scoreboard: {passed}/{len(PAPER_TARGETS)} targets in band",
         "",
     ]
     lines.extend(check.render() for check in checks)

@@ -17,7 +17,7 @@ download capacity of four servers"); misses fall back to a site-shared
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..cdn.cache import ContentCache
 from ..cdn.deployment import CdnDeployment
@@ -357,33 +357,6 @@ class AppleCdn:
         """The whole PTR table (what a 17/8 scan would enumerate)."""
         return dict(self._reverse_dns)
 
-    def ptr_server(self):
-        """An authoritative ``in-addr.arpa`` server over the estate.
-
-        Lets the Section 3.3 discovery run through actual PTR queries
-        (see :func:`repro.dns.reverse.scan_ptr_records`).
-        """
-        from ..dns.reverse import build_ptr_zone
-
-        return build_ptr_zone(self._reverse_dns, operator="Apple")
-
-    def aaplimg_server(self):
-        """An authoritative ``aaplimg.com`` server with per-host A records.
-
-        The forward complement of the PTR estate: every server name
-        resolves to its address, which is what Aquatone-style name
-        enumeration (the paper's reference [21]) probes against.
-        """
-        from ..dns.policies import StaticPolicy
-        from ..dns.records import ARecord
-        from ..dns.zone import AuthoritativeServer, Zone
-        from .naming import AAPLIMG_DOMAIN
-
-        zone = Zone(AAPLIMG_DOMAIN)
-        for address, hostname in self._reverse_dns.items():
-            zone.bind(hostname, StaticPolicy((ARecord(hostname, address, 3600),)))
-        return AuthoritativeServer("Apple", [zone])
-
     def serve(self, vip: IPv4Address, request: HttpRequest, size: int) -> ServedRequest:
         """Serve ``request`` at the site owning ``vip``."""
         site = self.site_for(vip)
@@ -407,9 +380,3 @@ class AppleCdn:
     def total_capacity_gbps(self) -> float:
         """Aggregate delivery capacity."""
         return sum(site.capacity_gbps for site in self.sites)
-
-    def sites_in(self, locode: str) -> Iterator[AppleSite]:
-        """All sites in one metro."""
-        for site in self.sites:
-            if site.location.code == locode:
-                yield site

@@ -150,19 +150,6 @@ class DnsCampaign:
         self.mark_fired(now)
         return len(block)
 
-    def run_window(self, step: Optional[float] = None) -> MeasurementStore:
-        """Run the whole window standalone (no engine), returning the store.
-
-        Useful for analyses that do not need demand dynamics; ``step``
-        defaults to the campaign interval.
-        """
-        stride = step if step is not None else self.interval
-        now = self.window.start
-        while now < self.window.end:
-            self.maybe_run(now)
-            now += stride
-        return self.store
-
 
 @dataclass
 class TracerouteCampaign:

@@ -25,7 +25,7 @@ import operator
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from ..net.asys import ASN
 from ..net.geo import Continent
@@ -487,12 +487,6 @@ class MeasurementStore:
             for measurement in columns.iter_measurements(lo, hi):
                 yield measurement
 
-    def dns_where(
-        self, predicate: Callable[[DnsMeasurement], bool]
-    ) -> Iterator[DnsMeasurement]:
-        """DNS measurements satisfying ``predicate``."""
-        return (m for m in self.iter_dns() if predicate(m))
-
     def unique_addresses(self) -> frozenset:
         """Every cache address observed across all DNS measurements.
 
@@ -507,10 +501,6 @@ class MeasurementStore:
                 IPv4Address(value) for value in self._unique_values
             )
         return self._unique_frozen
-
-    def unique_address_values(self) -> frozenset:
-        """The unique addresses as packed 32-bit ints (no objects)."""
-        return frozenset(self._unique_values)
 
     # ----- checkpoint support -------------------------------------------
 

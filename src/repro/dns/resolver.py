@@ -18,7 +18,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..net.ipv4 import IPv4Address, IPv4Prefix
 from ..obs import get_registry
-from .query import DnsResponse, Question, QueryContext, RCode
+from .query import Question, QueryContext, RCode
 from .records import RecordType, ResourceRecord, normalize_name
 from .ttlcache import TtlCache
 from .zone import AuthoritativeServer, Zone
@@ -165,18 +165,6 @@ class Resolution:
     def succeeded(self) -> bool:
         """True when the resolution produced at least one address."""
         return self.rcode is RCode.NOERROR and bool(self.addresses)
-
-    def to_answer(self) -> DnsResponse:
-        """Flatten into a single answer-section-style response."""
-        records: list[ResourceRecord] = []
-        for step in self.steps:
-            records.extend(step.records)
-        return DnsResponse(
-            question=self.question,
-            rcode=self.rcode,
-            answers=tuple(records),
-            authoritative=False,
-        )
 
 
 class _CacheEntry:

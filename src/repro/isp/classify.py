@@ -106,18 +106,6 @@ class TrafficClassifier:
                 attribution = attributions[key] = self._attribute(src, flow.link_id)
             yield ClassifiedFlow(flow, *attribution)
 
-    def update_traffic(
-        self, flows: Iterable[FlowRecord]
-    ) -> Iterator[ClassifiedFlow]:
-        """Only the flows attributable to the Apple Meta-CDN."""
-        return (c for c in self.classify_all(flows) if c.is_update_traffic)
-
-    def offload_traffic(
-        self, flows: Iterable[FlowRecord]
-    ) -> Iterator[ClassifiedFlow]:
-        """Only third-party-delivered (offload) flows."""
-        return (c for c in self.classify_all(flows) if c.is_offload)
-
     def overflow_traffic(
         self, flows: Iterable[FlowRecord], operator: Optional[str] = None
     ) -> Iterator[ClassifiedFlow]:

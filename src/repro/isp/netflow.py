@@ -23,7 +23,7 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from ..dns.policies import stable_fraction
 from ..net.ipv4 import IPv4Address
@@ -37,11 +37,6 @@ if array("I").itemsize != 4:  # pragma: no cover - no such platform in CI
 
 #: Link ids are ``array('H')`` indexes into the log's interned link table.
 MAX_LINKS = 1 << 16
-
-# Destination of flows exported without one (source-AS / handover
-# analyses never read it).
-_NO_DESTINATION = IPv4Address.parse("100.64.0.1").value
-
 
 @dataclass(frozen=True)
 class FlowRecord:
@@ -355,78 +350,43 @@ class NetflowCollector:
             "Aggregate bytes offered to the flow collector",
         )
 
-    def observe(
-        self,
-        timestamp: float,
-        src: IPv4Address,
-        link_id: str,
-        total_bytes: int,
-        dst_picker: Optional[Callable[[int], IPv4Address]] = None,
-    ) -> int:
-        """Feed aggregate traffic from ``src`` over ``link_id``.
-
-        ``dst_picker`` maps a flow index to a destination (customer)
-        address; by default all flows share a placeholder destination,
-        which is fine for source-AS/handover analyses.  Returns the
-        number of records exported.
-        """
-        if total_bytes < 0:
-            raise ValueError("bytes cannot be negative")
-        flows = max(1, round(total_bytes / self.flow_bytes)) if total_bytes else 0
-        exported = 0
-        for index in range(flows):
-            if stable_fraction(link_id, timestamp, src, index) < 1.0 / self.sampling_rate:
-                destination = (
-                    dst_picker(index).value if dst_picker is not None
-                    else _NO_DESTINATION
-                )
-                self._log.append_values(
-                    timestamp, src.value, destination, self.flow_bytes, link_id
-                )
-                exported += 1
-        self.total_offered_bytes += total_bytes
-        self._m_offered.inc(total_bytes)
-        if exported:
-            self._m_records.inc(exported)
-        return exported
-
     def observe_block(
         self, timestamp: float, rows: Sequence[tuple[int, int, int, str]]
     ) -> int:
-        """Record each ``(src, dst, bytes, link_id)`` row as one unsampled record.
+        """Export the flows of one tick's ``(src, dst, bytes, link_id)`` rows.
 
-        What the simulation engine hands over at the end of a tick when
-        configured without sampling (rate 1 mode): every byte shows up
-        in exactly one record, so small scenario runs do not suffer
-        sampling noise.  Addresses are their integer values.  All or
-        nothing, like :meth:`FlowLog.append_block`; returns the number
-        of records exported.
+        What the simulation engine hands over at the end of a tick;
+        addresses are their integer values.  At rate 1 each row is one
+        unsampled record, so every byte shows up in exactly one record
+        and small scenario runs do not suffer sampling noise.  At 1-in-N
+        a row of B bytes is ``max(1, round(B / flow_bytes))`` flows of
+        ``flow_bytes``, and flow ``i`` is exported when
+        ``stable_fraction(link_id, timestamp, src, i) < 1 / N``.  All or
+        nothing, like :meth:`FlowLog.append_block`; returns the number of
+        records exported.
         """
-        log = self._log
-        before = len(log)
-        log.append_block(timestamp, rows)
-        exported = len(log) - before
+        if not rows:
+            return 0
+        offered = sum(row[2] for row in rows)
+        exported = rows
+        if self.sampling_rate > 1:
+            if min(row[2] for row in rows) <= 0:
+                raise ValueError("flow bytes must be positive")
+            keep, size = 1.0 / self.sampling_rate, self.flow_bytes
+            exported = []
+            for src, dst, total, link_id in rows:
+                dotted = str(IPv4Address(src))
+                exported.extend(
+                    (src, dst, size, link_id)
+                    for index in range(max(1, round(total / size)))
+                    if stable_fraction(link_id, timestamp, dotted, index) < keep
+                )
+        self._log.append_block(timestamp, exported)
+        self.total_offered_bytes += offered
+        self._m_offered.inc(offered)
         if exported:
-            offered = sum(log.sizes[before:])
-            self.total_offered_bytes += offered
-            self._m_offered.inc(offered)
-            self._m_records.inc(exported)
-        return exported
-
-    def observe_exact(
-        self, timestamp: float, src: IPv4Address, link_id: str, total_bytes: int,
-        dst: Optional[IPv4Address] = None,
-    ) -> None:
-        """Record the aggregate as one unsampled record: a one-row block.
-
-        Zero bytes export nothing.
-        """
-        if total_bytes < 0:
-            raise ValueError("bytes cannot be negative")
-        if total_bytes == 0:
-            return
-        destination = dst.value if dst is not None else _NO_DESTINATION
-        self.observe_block(timestamp, ((src.value, destination, total_bytes, link_id),))
+            self._m_records.inc(len(exported))
+        return len(exported)
 
     def mark(self) -> int:
         """A cursor over the record log (for :meth:`records_since`)."""

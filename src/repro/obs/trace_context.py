@@ -225,15 +225,6 @@ class TraceChain:
                 return record
         return None
 
-    def parent_of(self, record: TraceRecord) -> Optional[TraceRecord]:
-        """The span ``record`` is parented under, if buffered."""
-        if record.parent_id is None:
-            return None
-        for candidate in self.spans:
-            if candidate.span_id == record.parent_id:
-                return candidate
-        return None
-
     def to_json(self) -> dict:
         """One JSON object per chain (the ``/traces`` line format)."""
         return {

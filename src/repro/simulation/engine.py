@@ -845,17 +845,7 @@ class SimulationEngine:
         if fill_sources and fill_gbps > 0:
             fill_bytes = fill_gbps * _GBPS_TO_BYTES * self.step_seconds
             self._route_bytes(fill_sources, fill_bytes / len(fill_sources), *tick)
-        netflow = scenario.netflow
-        if netflow.sampling_rate == 1:
-            flows = netflow.observe_block(now, rows)
-        else:
-            flows = 0
-            for src, dst, size, link_id in rows:
-                destination = IPv4Address(dst)
-                flows += netflow.observe(
-                    now, IPv4Address(src), link_id, size,
-                    dst_picker=lambda index: destination,
-                )
+        flows = scenario.netflow.observe_block(now, rows)
         for link_id, count in carried.items():
             scenario.snmp.add_bytes(link_id, now, count)
         return flows, link_used

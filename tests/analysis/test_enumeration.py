@@ -4,8 +4,11 @@ import pytest
 
 from repro.analysis import discover_sites, enumerate_names, generate_candidates
 from repro.apple.deployment import AppleCdn
-from repro.apple.naming import parse_hostname
+from repro.apple.naming import AAPLIMG_DOMAIN, parse_hostname
+from repro.dns.policies import StaticPolicy
 from repro.dns.query import QueryContext
+from repro.dns.records import ARecord
+from repro.dns.zone import AuthoritativeServer, Zone
 from repro.net.geo import Continent, Coordinates
 from repro.net.ipv4 import IPv4Address
 
@@ -26,7 +29,12 @@ def apple():
 
 @pytest.fixture(scope="module")
 def forward_server(apple):
-    return apple.aaplimg_server()
+    """An authoritative ``aaplimg.com`` server with per-host A records:
+    every server name of the estate resolves to its address."""
+    zone = Zone(AAPLIMG_DOMAIN)
+    for address, hostname in apple.reverse_dns_table().items():
+        zone.bind(hostname, StaticPolicy((ARecord(hostname, address, 3600),)))
+    return AuthoritativeServer("Apple", [zone])
 
 
 class TestGenerateCandidates:

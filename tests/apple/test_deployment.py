@@ -140,11 +140,6 @@ class TestAppleCdnBuild:
         nearest = apple.site_for(IPv4Address(pool[0]))
         assert nearest.location.code == "defra"
 
-    def test_sites_in_metro(self, apple):
-        nyc_sites = list(apple.sites_in("usnyc"))
-        assert len(nyc_sites) == 2
-        assert {site.site_id for site in nyc_sites} == {1, 2}
-
     def test_capacity_positive(self, apple):
         assert apple.total_capacity_gbps == pytest.approx(1072 * 10.0)
 

@@ -143,13 +143,6 @@ class TestMeasurementStore:
         store.add_dns(self._measurement(1.0, ["1.1.1.1"]))
         assert len(store.unique_addresses()) == 2
 
-    def test_dns_where(self):
-        store = MeasurementStore()
-        store.add_dns(self._measurement(0.0, ["1.1.1.1"]))
-        store.add_dns(self._measurement(1.0))
-        hits = list(store.dns_where(lambda m: m.succeeded))
-        assert len(hits) == 1
-
 
 class TestDnsCampaign:
     def test_ticks_at_interval(self, tiny_estate):
@@ -178,16 +171,6 @@ class TestDnsCampaign:
         )
         assert campaign.maybe_run(0.0) == 0
         assert campaign.maybe_run(1000.0) == 1
-
-    def test_run_window_standalone(self, tiny_estate):
-        campaign = DnsCampaign(
-            probes=[make_probe(tiny_estate)],
-            target="appldnld.apple.com",
-            interval=300.0,
-            window=MeasurementWindow("w", 0.0, 1500.0),
-        )
-        store = campaign.run_window()
-        assert len(store.dns) == 5
 
     def _mixed_probes(self):
         """One estate whose answer depends on the probe's country.

@@ -237,15 +237,6 @@ class TestRecursiveResolver:
         resolver.flush()
         assert resolver.cache_size == 0
 
-    def test_to_answer_flattens_chain(self, estate):
-        resolver = RecursiveResolver(estate)
-        resolution = resolver.resolve("appldnld.apple.com", make_context())
-        answer = resolution.to_answer()
-        assert answer.final_name == "a.gslb.applimg.com"
-        assert len(answer.cname_chain) == 2
-        assert len(answer.addresses) == 4
-        assert not answer.authoritative
-
     def test_add_server(self, estate):
         apple_server, akamai_server = estate
         resolver = RecursiveResolver([apple_server])

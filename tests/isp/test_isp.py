@@ -140,23 +140,18 @@ class TestBgp:
 class TestNetflow:
     def test_exact_mode_records_everything(self):
         collector = NetflowCollector(sampling_rate=1)
-        collector.observe_exact(0.0, IPv4Address.parse("17.1.1.1"), "apple-1", 1000)
+        src = IPv4Address.parse("17.1.1.1").value
+        assert collector.observe_block(0.0, [(src, src, 1000, "apple-1")]) == 1
         assert collector.sampled_bytes() == 1000
         assert collector.total_offered_bytes == 1000
 
-    def test_exact_mode_skips_zero(self):
-        collector = NetflowCollector()
-        collector.observe_exact(0.0, IPv4Address.parse("17.1.1.1"), "apple-1", 0)
-        assert len(collector) == 0
-
     def test_a_negative_byte_count_raises_on_every_counter(self):
         """A sign slip upstream must not vanish from Netflow and crash SNMP."""
-        src = IPv4Address.parse("17.1.1.1")
+        src = IPv4Address.parse("17.1.1.1").value
         for collector in (NetflowCollector(sampling_rate=1), NetflowCollector()):
-            with pytest.raises(ValueError, match="bytes cannot be negative"):
-                collector.observe_exact(0.0, src, "apple-1", -5)
-            with pytest.raises(ValueError, match="bytes cannot be negative"):
-                collector.observe(0.0, src, "apple-1", -5)
+            for size in (-5, 0):
+                with pytest.raises(ValueError, match="flow bytes must be positive"):
+                    collector.observe_block(0.0, [(src, src, size, "apple-1")])
             assert len(collector) == 0
             assert collector.total_offered_bytes == 0
         with pytest.raises(ValueError, match="bytes cannot be negative"):
@@ -165,35 +160,43 @@ class TestNetflow:
     def test_traffic_going_back_in_time_is_refused(self):
         src = IPv4Address.parse("17.1.1.1")
         collector = NetflowCollector(sampling_rate=1)
-        collector.observe_exact(300.0, src, "apple-1", 10)
-        collector.observe_exact(300.0, src, "apple-2", 10)  # same step: fine
+        collector.observe_block(300.0, [(src.value, src.value, 10, "apple-1")])
+        collector.observe_block(300.0, [(src.value, src.value, 10, "apple-2")])
         with pytest.raises(ValueError, match="time order"):
-            collector.observe_exact(0.0, src, "apple-1", 10)
-        sampled = NetflowCollector(sampling_rate=1, flow_bytes=10)
-        sampled.observe(300.0, src, "apple-1", 10)
+            collector.observe_block(0.0, [(src.value, src.value, 10, "apple-1")])
+        sampled = NetflowCollector(sampling_rate=2, flow_bytes=10)
+        sampled.observe_block(300.0, [(src.value, src.value, 1000, "apple-1")])
+        assert len(sampled)
         with pytest.raises(ValueError, match="time order"):
-            sampled.observe(0.0, src, "apple-1", 10)
+            sampled.observe_block(0.0, [(src.value, src.value, 1000, "apple-1")])
         with pytest.raises(ValueError, match="time order"):
             collector.absorb([FlowRecord(0.0, src, src, 10, "apple-1")], 10)
         for log in (collector, sampled):
             assert [r.timestamp for r in log.records] == [300.0] * len(log)
         assert collector.total_offered_bytes == 20
-        assert sampled.total_offered_bytes == 10
+        assert sampled.total_offered_bytes == 1000
 
     def test_a_block_is_its_rows_one_by_one(self):
+        """Exact or sampled, a tick's block exports what its rows would
+        export as one-row blocks."""
         src, dst = IPv4Address.parse("17.1.1.1"), IPv4Address.parse("89.0.0.7")
-        rows = [("apple-2", 7), ("apple-1", 5), ("apple-2", 1 << 40)]
-        by_row, by_block = NetflowCollector(sampling_rate=1), NetflowCollector(sampling_rate=1)
-        for link_id, size in rows:
-            by_row.observe_exact(300.0, src, link_id, size, dst=dst)
-        exported = by_block.observe_block(
-            300.0, [(src.value, dst.value, size, link_id) for link_id, size in rows]
-        )
-        assert exported == 3
-        assert by_block.records == by_row.records
-        assert by_block.records.links == by_row.records.links == ["apple-2", "apple-1"]
-        assert by_block.total_offered_bytes == by_row.total_offered_bytes == 12 + (1 << 40)
-        assert by_block.observe_block(300.0, []) == 0
+        rows = [("apple-2", 70_000), ("apple-1", 50_000), ("apple-2", 1 << 20)]
+        for sampling_rate in (1, 4):
+            by_row, by_block = (
+                NetflowCollector(sampling_rate=sampling_rate, flow_bytes=1000)
+                for _ in range(2)
+            )
+            for link_id, size in rows:
+                by_row.observe_block(300.0, [(src.value, dst.value, size, link_id)])
+            exported = by_block.observe_block(
+                300.0, [(src.value, dst.value, size, link_id) for link_id, size in rows]
+            )
+            assert exported == len(by_row) > 0
+            assert by_block.records == by_row.records
+            assert by_block.records.links == by_row.records.links == ["apple-2", "apple-1"]
+            assert by_block.total_offered_bytes == by_row.total_offered_bytes
+            assert by_block.total_offered_bytes == 120_000 + (1 << 20)
+            assert by_block.observe_block(300.0, []) == 0
 
     @pytest.mark.parametrize("bad_row, error", [
         ((1 << 32, 7, 10, "apple-1"), OverflowError),   # src past 32 bits
@@ -221,26 +224,27 @@ class TestNetflow:
     def test_sampling_reduces_records(self):
         collector = NetflowCollector(sampling_rate=10, flow_bytes=1000)
         total = 0
+        src = IPv4Address.parse("17.1.1.1").value
         for second in range(200):
-            total += collector.observe(
-                float(second), IPv4Address.parse("17.1.1.1"), "apple-1", 100_000
+            total += collector.observe_block(
+                float(second), [(src, src, 100_000, "apple-1")]
             )
         # 200 * 100 flows, ~1/10 sampled.
         assert 1000 <= total <= 3000
 
     def test_sampling_statistically_faithful(self):
         collector = NetflowCollector(sampling_rate=10, flow_bytes=1000)
+        src = IPv4Address.parse("17.1.1.1").value
         for second in range(300):
-            collector.observe(
-                float(second), IPv4Address.parse("17.1.1.1"), "apple-1", 100_000
-            )
+            collector.observe_block(float(second), [(src, src, 100_000, "apple-1")])
         estimated = collector.sampled_bytes() * collector.sampling_rate
         assert estimated == pytest.approx(collector.total_offered_bytes, rel=0.2)
 
     def test_records_between(self):
-        collector = NetflowCollector()
+        collector = NetflowCollector(sampling_rate=1)
+        src = IPv4Address.parse("1.1.1.1").value
         for ts in (0.0, 10.0, 20.0):
-            collector.observe_exact(ts, IPv4Address.parse("1.1.1.1"), "l", 100)
+            collector.observe_block(ts, [(src, src, 100, "l")])
         assert len(list(collector.records_between(5.0, 25.0))) == 2
 
     def test_flow_record_validation(self):
@@ -286,7 +290,7 @@ class TestSnmp:
         truth = 0
         for second in range(0, 300, 5):
             volume = 200_000
-            collector.observe(float(second), src, "apple-1", volume)
+            collector.observe_block(float(second), [(src.value, src.value, volume, "apple-1")])
             snmp.add_bytes("apple-1", float(second), volume)
             truth += volume
         factor = snmp.scale_factor(collector, "apple-1", 0.0)
@@ -306,7 +310,7 @@ class TestSnmp:
             for index, src in enumerate(sources):
                 link = links[(second // 20 + index) % len(links)]
                 volume = 20_000 + 1000 * index
-                collector.observe(float(second), src, link, volume)
+                collector.observe_block(float(second), [(src.value, src.value, volume, link)])
                 snmp.add_bytes(link, float(second), volume)
         records = list(collector.records)
         assert len(records) > 100
@@ -390,8 +394,6 @@ class TestClassifier:
             self._flow("92.122.0.1", "transit-1"),
             self._flow("8.8.8.8", "transit-1"),
         ]
-        assert len(list(classifier.update_traffic(flows))) == 3
-        assert len(list(classifier.offload_traffic(flows))) == 2
         assert len(list(classifier.overflow_traffic(flows))) == 1
         assert len(list(classifier.overflow_traffic(flows, operator="Akamai"))) == 1
         assert len(list(classifier.overflow_traffic(flows, operator="Apple"))) == 0

@@ -186,12 +186,6 @@ class TestAssembleChains:
             "client.request", "client.fetch",
         }
 
-    def test_parent_of_links_spans(self):
-        chain = assemble_chains(self._traced_run().records())[0]
-        fetch = chain.named("client.fetch")
-        parent = chain.parent_of(fetch)
-        assert parent is not None and parent.name == "client.request"
-
 
 class TestTracerIntegration:
     def test_server_span_adopts_remote_parent(self):

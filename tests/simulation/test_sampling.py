@@ -6,6 +6,8 @@ twice — once with exact collection, once with 1-in-N sampling — and the
 SNMP-scaled sampled analysis must agree with the exact one.
 """
 
+from hashlib import blake2b
+
 import pytest
 
 from repro.analysis import operator_series
@@ -67,6 +69,18 @@ class TestSamplingCorrection:
             # ...but the SNMP correction recovers it.
             assert scaled_volume == pytest.approx(exact_volume, rel=0.15)
 
+    def test_sampled_log_is_pinned(self, sampled_run):
+        """Flow count, byte sum and a digest of the columns, recorded
+        when the engine still fed the sampled collector row by row."""
+        log = sampled_run[0].netflow.records
+        digest = blake2b(digest_size=16)
+        for column in (log.times, log.srcs, log.dsts, log.sizes, log.link_ids):
+            digest.update(column.tobytes())
+        digest.update("|".join(log.links).encode())
+        assert len(log) == 482_820
+        assert sum(log.sizes) == 259_212_013_731_840
+        assert digest.hexdigest() == "59ff5a1511c3c17de9ee115a24ea13c7"
+
     def test_sampled_bytes_are_one_in_n(self, sampled_run):
         sampled_scenario, _ = sampled_run
         collector = sampled_scenario.netflow
@@ -85,9 +99,9 @@ class TestSamplingCorrection:
 
 
 def test_one_in_a_thousand_keeps_the_same_bounds():
-    """The production rate, over the three busiest hours: the sampled
-    path still feeds the collector flow by flow (it never sees the
-    tick's block write) and SNMP counts every byte either way."""
+    """The production rate, over the three busiest hours: the tick's
+    block is sampled flow by flow inside the collector, and SNMP counts
+    every byte either way."""
     window = (TIMELINE.at(9, 19, 19), TIMELINE.at(9, 19, 22))
     exact, _ = _run(1, window)
     sampled, _ = _run(1000, window)

@@ -7,13 +7,14 @@ per link, one flow-log block.  The per-link load is the result (Figures
 
 * ``reference_tick`` is the loop the engine ran before: flow by flow
   through the public ``rib.lookup`` / ``isp.up_links`` /
-  ``capacity_bytes`` / ``customer_prefix.host`` / ``snmp.add_bytes`` /
-  ``observe_exact`` calls.  Hypothesis drives both over hand-built
-  worlds — links small enough to saturate, sources that repeat within a
-  tick, sources with no route, links that fail and routes that change
-  between ticks — and every product must be equal: the five flow
-  columns and the link table, the SNMP bins with their key order,
-  ``link_used``, the offered total and the counters of a real registry.
+  ``capacity_bytes`` / ``customer_prefix.host`` / ``snmp.add_bytes``
+  calls, each flow a one-row ``observe_block``.  Hypothesis drives both
+  over hand-built worlds — links small enough to saturate, sources that
+  repeat within a tick, sources with no route, links that fail and
+  routes that change between ticks — and every product must be equal:
+  the five flow columns and the link table, the SNMP bins with their
+  key order, ``link_used``, the offered total and the counters of a
+  real registry.
 * ``PINNED`` holds the counts of a 48-step window straddling the
   release, recorded at the tree *before* the tick accumulation existed
   (PR 21's) and not touched since.
@@ -209,16 +210,9 @@ def reference_route(world, source, now, total_bytes, link_used):
             destination = world.isp.customer_prefix.host(
                 1 + (source.value + int(now)) % 1024
             )
-        if world.netflow.sampling_rate == 1:
-            world.netflow.observe_exact(
-                now, source, link_id, carried_bytes, dst=destination
-            )
-            flows += 1
-        else:
-            flows += world.netflow.observe(
-                now, source, link_id, carried_bytes,
-                dst_picker=lambda index: destination,
-            )
+        flows += world.netflow.observe_block(
+            now, [(source.value, destination.value, carried_bytes, link_id)]
+        )
     return flows
 
 
