@@ -8,14 +8,8 @@ Figure 7 offload summary and the Figure 8 overflow shares.
 Run:  python examples/ios_update_event.py
 """
 
-from repro.analysis import (
-    CdnCategorizer,
-    overflow_share_series,
-    peak_vs_baseline,
-    summarize_offload,
-    unique_ip_series,
-)
-from repro.isp import TrafficClassifier
+from repro.analysis import CdnCategorizer, peak_vs_baseline, unique_ip_series
+from repro.analysis.report import traffic_figures
 from repro.net import Continent
 from repro.simulation import (
     AS_TRANSIT_D,
@@ -57,20 +51,18 @@ def main() -> None:
     print(f"    pre-event average {baseline:.0f}, post-release peak {peak} "
           f"({peak / baseline:.1f}x; the paper saw 977 vs 191)\n")
 
-    # Figures 7 and 8: the ISP's view.
-    classifier = TrafficClassifier(scenario.isp, scenario.rib, scenario.operator_of)
-    classified = list(classifier.classify_all(scenario.netflow.records))
-    print(summarize_offload(classified, TIMELINE.at(9, 19)).render())
+    # Figures 7 and 8: the ISP's view, folded off the hourly roll-up of
+    # the flow log the way the report does (no object per flow).
+    offload, overflow = traffic_figures(scenario)
+    print(offload.render())
     print()
-    print("Figure 8: Limelight overflow by handover AS (daily)")
-    for bin_start, shares in overflow_share_series(
-        classified, bin_seconds=86400.0, operator="Limelight"
-    ):
+    print("Figure 8: Limelight overflow by handover AS (6-hour bins)")
+    for bin_start, shares in overflow.series:
         row = ", ".join(
             f"{asn}={share * 100:.0f}%"
             for asn, share in sorted(shares.items(), key=lambda kv: -kv[1])
         )
-        print(f"    {TIMELINE.date_label(bin_start)}: {row}")
+        print(f"    {TIMELINE.datetime(bin_start):%b %d %Hh}: {row}")
     print(f"\n    (AS D of the paper is {AS_TRANSIT_D} here)")
 
 

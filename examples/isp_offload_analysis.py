@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """An ISP operator's console: offload, overflow and link saturation.
 
-Takes the eyeball-ISP perspective of Section 5: classifies every flow
-record by Source AS and handover AS, reports which peering links the
-update stressed, and flags the saturated ones — the "seemingly
-unrelated links suddenly saturate" finding.
+Takes the eyeball-ISP perspective of Section 5: attributes the flow
+records by Source AS and handover AS (the report's one pass over their
+hourly roll-up), reports which peering links the update stressed, and
+flags the saturated ones — the "seemingly unrelated links suddenly
+saturate" finding.
 
 Run:  python examples/isp_offload_analysis.py
 """
 
-from repro.isp import TrafficClassifier
+from repro.analysis.report import traffic_figures
 from repro.simulation import ScenarioConfig, Sep2017Scenario, SimulationEngine
 from repro.workload import TIMELINE
 
@@ -25,24 +26,21 @@ def main() -> None:
           f"{len(scenario.netflow.records)} flow records, "
           f"{len(scenario.isp)} peering links\n")
 
-    classifier = TrafficClassifier(scenario.isp, scenario.rib, scenario.operator_of)
-    classified = list(classifier.classify_all(scenario.netflow.records))
+    offload, _ = traffic_figures(scenario)
 
-    # Traffic by Source-AS operator per day.
+    # Traffic by Source-AS operator per day, off Figure 7's hourly series.
     print("Update-attributable traffic by CDN (TB per day):")
-    days = sorted({TIMELINE.day_start(c.flow.timestamp) for c in classified})
-    operators = sorted({c.operator for c in classified if c.operator})
+    daily: dict = {}
+    for operator, hours in offload.series.items():
+        for hour, volume in hours.items():
+            per_day = daily.setdefault(TIMELINE.day_start(hour), {})
+            per_day[operator] = per_day.get(operator, 0.0) + volume
+    operators = sorted(offload.series)
     header = "    " + "date".ljust(10) + "".join(f"{op:>12}" for op in operators)
     print(header)
-    for day in days:
+    for day, volumes in sorted(daily.items()):
         row = f"    {TIMELINE.date_label(day):<10}"
-        for operator in operators:
-            volume = sum(
-                c.flow.bytes for c in classified
-                if c.operator == operator
-                and day <= c.flow.timestamp < day + 86400.0
-            )
-            row += f"{volume / 1e12:>12.1f}"
+        row += "".join(f"{volumes.get(op, 0.0) / 1e12:>12.1f}" for op in operators)
         print(row)
 
     # Link utilisation report around the release evening.

@@ -164,7 +164,13 @@ def summarize_offload(
     collector: Optional[NetflowCollector] = None,
 ) -> OffloadSummary:
     """One-call Figure 7 summary around a release day."""
-    series = operator_series(classified, bin_seconds, snmp, collector)
+    return offload_summary(
+        operator_series(classified, bin_seconds, snmp, collector), release_day_start
+    )
+
+
+def offload_summary(series: dict, release_day_start: float) -> OffloadSummary:
+    """The Figure 7 summary of an :func:`operator_series` around a release day."""
     day = 86400.0
     reference_start = release_day_start - 3 * day
     ratios = traffic_ratio_series(series, reference_start, release_day_start)

@@ -50,6 +50,11 @@ def overflow_share_series(
         bin_start = math.floor(item.flow.timestamp / bin_seconds) * bin_seconds
         per_as = bins.setdefault(bin_start, {})
         per_as[item.handover_asn] = per_as.get(item.handover_asn, 0.0) + item.flow.bytes
+    return overflow_shares(bins)
+
+
+def overflow_shares(bins: dict) -> list:
+    """``{bin_start: {handover_asn: bytes}}`` as per-bin shares, bins ascending."""
     result = []
     for bin_start, per_as in sorted(bins.items()):
         total = sum(per_as.values())
@@ -124,7 +129,20 @@ def summarize_overflow(
     (the paper's AS D); ``peak_probe_times`` are the instants checked
     for link saturation (e.g. hourly over the release evening).
     """
-    series = overflow_share_series(classified, bin_seconds, operator=operator)
+    return overflow_summary(
+        overflow_share_series(classified, bin_seconds, operator=operator),
+        new_as, isp, snmp, peak_probe_times,
+    )
+
+
+def overflow_summary(
+    series: list,
+    new_as: ASN,
+    isp: EyeballIsp,
+    snmp: SnmpCounters,
+    peak_probe_times: Iterable[float],
+) -> OverflowSummary:
+    """The Figure 8 summary of an :func:`overflow_share_series`."""
     saturated: set[str] = set()
     for probe_time in peak_probe_times:
         saturated.update(snmp.saturated_links(isp, probe_time, threshold=0.95))

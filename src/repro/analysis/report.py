@@ -6,22 +6,25 @@ the Table 1 facts and the beyond-the-paper sections once, into one
 replication study would attach; :func:`generate_report` is the two in a
 row.  The scoreboard (:mod:`repro.analysis.scoreboard`) and the figure
 benches read the same :class:`PaperFigures` instead of measuring again.
-The CLI (``python -m repro report``) and the ``examples/`` scripts use
-:func:`generate_report`.
+The CLI (``python -m repro report``) uses :func:`generate_report`; the
+ISP examples print :func:`traffic_figures`, Figures 7 and 8 alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from ..isp.classify import TrafficClassifier
+from ..isp.classify import TrafficClassifier, is_overflow
+from ..isp.netflow import FlowLog
 from ..net.geo import Continent
+from ..net.ipv4 import IPv4Address
 from ..workload.timeline import Timeline
 from .categories import CdnCategorizer
 from .mapping_graph import MappingGraph
-from .offload import OffloadSummary, summarize_offload
-from .overflow import OverflowSummary, summarize_overflow
+from .offload import OffloadSummary, offload_summary
+from .overflow import OverflowSummary, overflow_shares, overflow_summary
 from .paths import PathSummary, geolocate_caches, geolocation_errors_km, summarize_paths
 from .sites import SiteDiscovery, discover_sites
 from .unique_ips import (
@@ -35,7 +38,14 @@ if TYPE_CHECKING:
     from ..anycast import CatchmentAnalysis
     from .resolver_accuracy import ResolverAccuracy
 
-__all__ = ["PaperFigures", "measure", "render", "generate_report"]
+__all__ = [
+    "PaperFigures",
+    "fold_traffic",
+    "traffic_figures",
+    "measure",
+    "render",
+    "generate_report",
+]
 
 _RULE = "=" * 72
 
@@ -85,14 +95,87 @@ class PaperFigures:
         return peak / baseline if baseline else 0.0
 
 
+def fold_traffic(classifier: TrafficClassifier, flows: FlowLog) -> tuple[dict, list]:
+    """Figure 7's operator series and Figure 8's overflow shares, one pass.
+
+    ``flows`` is read column by column: each (source, link) pair is
+    attributed once, and each row's bytes go straight into its
+    operator's hour bin and, when it is Limelight's overflow, into its
+    handover AS's six-hour bin.  Equal to ``operator_series`` and
+    ``overflow_share_series(..., operator="Limelight")`` over the records
+    ``classifier.classify_all(flows)`` yields — same bins, same floats,
+    same first-appearance orders — without an object per row.
+    """
+    series: dict[str, dict[float, float]] = {}
+    overflow: dict[float, dict] = {}
+    # (src << 16) | link -> (operator or None, handover AS if it counts
+    # as Limelight's overflow, else None)
+    attributions: dict[int, tuple] = {}
+    links = flows.links
+    last_time = hour = six_hours = None
+    for timestamp, src, link, size in zip(
+        flows.times, flows.srcs, flows.link_ids, flows.sizes
+    ):
+        key = (src << 16) | link
+        attribution = attributions.get(key)
+        if attribution is None:
+            source_asn, handover_asn, owner = classifier.attribute(
+                IPv4Address(src), links[link]
+            )
+            overflows = owner == "Limelight" and is_overflow(source_asn, handover_asn)
+            attribution = attributions[key] = (
+                owner, handover_asn if overflows else None
+            )
+        owner, overflow_as = attribution
+        if owner is None:
+            continue
+        if timestamp != last_time:
+            last_time = timestamp
+            hour = math.floor(timestamp / 3600.0) * 3600.0
+            six_hours = math.floor(timestamp / 21600.0) * 21600.0
+        per_operator = series.setdefault(owner, {})
+        per_operator[hour] = per_operator.get(hour, 0.0) + size
+        if overflow_as is not None:
+            per_as = overflow.setdefault(six_hours, {})
+            per_as[overflow_as] = per_as.get(overflow_as, 0.0) + size
+    return series, overflow_shares(overflow)
+
+
+def traffic_figures(
+    scenario,
+) -> tuple[Optional[OffloadSummary], Optional[OverflowSummary]]:
+    """Figures 7 and 8 of a run, or ``(None, None)`` without traffic.
+
+    Folds the hourly roll-up, not every flow: the two figures bin on
+    3 600 s and 21 600 s, whole multiples of it, so the sums are the
+    same (see ``FlowLog.rollup``).
+    """
+    from ..simulation.scenario import AS_TRANSIT_D
+
+    records = scenario.netflow.records
+    if not records:
+        return None, None
+    classifier = TrafficClassifier(scenario.isp, scenario.rib, scenario.operator_of)
+    series, shares = fold_traffic(classifier, records.rollup(3600.0))
+    release = scenario.timeline.ios_11_0_release
+    return (
+        offload_summary(series, scenario.timeline.day_start(release)),
+        overflow_summary(
+            shares,
+            new_as=AS_TRANSIT_D,
+            isp=scenario.isp,
+            snmp=scenario.snmp,
+            peak_probe_times=[release + hour * 3600.0 for hour in range(48)],
+        ),
+    )
+
+
 def measure(scenario) -> PaperFigures:
     """Measure every figure of a completed run.
 
     ``scenario`` is a :class:`~repro.simulation.scenario.Sep2017Scenario`
     whose engine has been run across (at least) the event window.
     """
-    from ..simulation.scenario import AS_TRANSIT_D
-
     tl = scenario.timeline
     release = tl.ios_11_0_release
 
@@ -132,24 +215,7 @@ def measure(scenario) -> PaperFigures:
     if isp_store.dns_count:
         isp_series = unique_ip_series(isp_store, categorizer.category, 43200.0)
 
-    offload = overflow = None
-    records = scenario.netflow.records
-    if records:
-        classifier = TrafficClassifier(
-            scenario.isp, scenario.rib, scenario.operator_of
-        )
-        # The hourly roll-up, not every flow: Figures 7 and 8 bin on
-        # 3 600 s and 21 600 s, whole multiples of it, so the sums are
-        # the same (see ``FlowLog.rollup``).
-        classified = list(classifier.classify_all(records.rollup(3600.0)))
-        offload = summarize_offload(classified, tl.day_start(release))
-        overflow = summarize_overflow(
-            classified,
-            new_as=AS_TRANSIT_D,
-            isp=scenario.isp,
-            snmp=scenario.snmp,
-            peak_probe_times=[release + hour * 3600.0 for hour in range(48)],
-        )
+    offload, overflow = traffic_figures(scenario)
 
     catchments = None
     if scenario.anycast is not None:

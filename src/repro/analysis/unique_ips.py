@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from ..atlas.columnar import CONTINENT_INDEX, CONTINENTS
+from ..atlas.columnar import CONTINENT_INDEX
 from ..atlas.results import DnsMeasurement
 from ..net.geo import Continent
 from ..net.ipv4 import IPv4Address
@@ -49,16 +49,10 @@ class UniqueIpPoint:
 
 
 def _points(bins: dict) -> list[UniqueIpPoint]:
-    """Materialize the bin accumulator as a sorted point series."""
+    """Materialize ``{bin_start: {category: count}}`` as a sorted point series."""
     return [
-        UniqueIpPoint(
-            bin_start=bin_start,
-            counts={
-                category: len(addresses)
-                for category, addresses in sorted(per_category.items())
-            },
-        )
-        for bin_start, per_category in sorted(bins.items())
+        UniqueIpPoint(bin_start=bin_start, counts=dict(sorted(counts.items())))
+        for bin_start, counts in sorted(bins.items())
     ]
 
 
@@ -73,38 +67,65 @@ def _accumulate_store(
 ) -> dict:
     """One streaming pass over a store's columnar segments.
 
-    Works on packed address ints (category per int memoized) and never
-    reconstructs a measurement object; segments wholly outside
-    ``[start, end)`` are pruned by their summaries.  Matches the object
-    path exactly, including its subtlety that a matching measurement
-    creates its time bin even when the answer carried no addresses.
-    Returns the bin accumulator — or, with ``by_continent``, one per
-    continent index (every facet out of the same pass).
+    Works on packed address ints and never reconstructs a measurement
+    object; segments wholly outside ``[start, end)`` are pruned by their
+    summaries.  The store's rows are time-ordered (a row of an earlier
+    bin than the open one raises ``ValueError``), so a bin stays open
+    until the first row of a later one: each row's address slice goes
+    into its facet's open set with one ``set.update``, and a closing bin
+    categorises its distinct values once (category per int memoized)
+    and keeps only the counts.  Matches the object path exactly,
+    including its subtlety that a matching measurement creates its time
+    bin even when the answer carried no addresses.  Returns
+    ``{bin_start: {category: count}}`` — or, with ``by_continent``, one
+    such map per continent index that has rows (every facet out of the
+    same pass).
     """
     wanted = None if continent is None else CONTINENT_INDEX[continent]
     cat_of: dict = {}
-    facets: dict = {index: {} for index in range(len(CONTINENTS))}
-    bins: dict = {}
+    facets: dict = {}  # facet key -> {bin_start: {category: count}}
+    open_sets: dict = {}  # facet key -> distinct values of the open bin
+    open_start = last_time = None
+
+    def close(bin_start) -> None:
+        for key, distinct in open_sets.items():
+            counts: dict = {}
+            for value in distinct:
+                category = cat_of.get(value)
+                if category is None:
+                    category = cat_of[value] = categorize(IPv4Address(value))
+                counts[category] = counts.get(category, 0) + 1
+            facets.setdefault(key, {})[bin_start] = counts
+        open_sets.clear()
+
     for columns, lo, hi in store.dns_segments(start, end):
         times = columns.times
         continents = columns.continents
         offsets = columns.addr_offsets
         values = columns.addr_values
         for row in range(lo, hi):
-            if wanted is not None and continents[row] != wanted:
+            here = continents[row]
+            if wanted is not None and here != wanted:
                 continue
-            if by_continent:
-                bins = facets[continents[row]]
-            bin_start = math.floor(times[row] / bin_seconds) * bin_seconds
-            per_category = bins.setdefault(bin_start, {})
-            for position in range(offsets[row], offsets[row + 1]):
-                value = values[position]
-                category = cat_of.get(value)
-                if category is None:
-                    category = categorize(IPv4Address(value))
-                    cat_of[value] = category
-                per_category.setdefault(category, set()).add(value)
-    return facets if by_continent else bins
+            timestamp = times[row]
+            if timestamp != last_time:
+                last_time = timestamp
+                bin_start = math.floor(timestamp / bin_seconds) * bin_seconds
+                if bin_start != open_start:
+                    if open_start is not None and bin_start < open_start:
+                        raise ValueError(
+                            f"store {store.name!r}: DNS rows go back in time "
+                            f"(bin {bin_start} after bin {open_start})"
+                        )
+                    close(open_start)
+                    open_start = bin_start
+            key = here if by_continent else None
+            distinct = open_sets.get(key)
+            if distinct is None:
+                distinct = open_sets[key] = set()
+            distinct.update(values[offsets[row] : offsets[row + 1]])
+    close(open_start)
+    return facets if by_continent else facets.get(None, {})
 
 
 def unique_ip_series(
@@ -139,7 +160,10 @@ def unique_ip_series(
         per_category = bins.setdefault(bin_start, {})
         for address in measurement.addresses:
             per_category.setdefault(categorize(address), set()).add(address)
-    return _points(bins)
+    return _points({
+        bin_start: {category: len(found) for category, found in per_category.items()}
+        for bin_start, per_category in bins.items()
+    })
 
 
 def windowed_unique_ip_series(
@@ -181,7 +205,7 @@ def series_by_continent(
             by_continent=True,
         )
         return {
-            continent: _points(facets[CONTINENT_INDEX[continent]])
+            continent: _points(facets.get(CONTINENT_INDEX[continent], {}))
             for continent in Continent
         }
     materialized = list(measurements)

@@ -25,9 +25,19 @@ from .bgp import BgpRib
 from .netflow import FlowRecord
 from .topology import EyeballIsp
 
-__all__ = ["ClassifiedFlow", "TrafficClassifier", "THIRD_PARTY_OPERATORS"]
+__all__ = [
+    "ClassifiedFlow",
+    "TrafficClassifier",
+    "THIRD_PARTY_OPERATORS",
+    "is_overflow",
+]
 
 THIRD_PARTY_OPERATORS = frozenset({"Akamai", "Limelight", "Level3"})
+
+
+def is_overflow(source_asn: Optional[ASN], handover_asn: ASN) -> bool:
+    """Received from a non-direct neighbour (Source AS != handover)."""
+    return source_asn is not None and source_asn != handover_asn
 
 
 @dataclass(frozen=True)
@@ -47,7 +57,7 @@ class ClassifiedFlow:
     @property
     def is_overflow(self) -> bool:
         """Received from a non-direct neighbour (Source AS != handover)."""
-        return self.source_asn is not None and self.source_asn != self.handover_asn
+        return is_overflow(self.source_asn, self.handover_asn)
 
     @property
     def is_update_traffic(self) -> bool:
@@ -74,7 +84,7 @@ class TrafficClassifier:
         self._rib = rib
         self._operator_of = operator_of
 
-    def _attribute(
+    def attribute(
         self, src: IPv4Address, link_id: str
     ) -> tuple[Optional[ASN], ASN, Optional[str]]:
         """(Source AS, handover AS, operator) of traffic from ``src`` on a link."""
@@ -86,7 +96,7 @@ class TrafficClassifier:
 
     def classify(self, flow: FlowRecord) -> ClassifiedFlow:
         """Attribute one flow record."""
-        return ClassifiedFlow(flow, *self._attribute(flow.src, flow.link_id))
+        return ClassifiedFlow(flow, *self.attribute(flow.src, flow.link_id))
 
     def classify_all(self, flows: Iterable[FlowRecord]) -> Iterator[ClassifiedFlow]:
         """Attribute a stream of flow records.
@@ -103,7 +113,7 @@ class TrafficClassifier:
             key = (src.value, flow.link_id)
             attribution = attributions.get(key)
             if attribution is None:
-                attribution = attributions[key] = self._attribute(src, flow.link_id)
+                attribution = attributions[key] = self.attribute(src, flow.link_id)
             yield ClassifiedFlow(flow, *attribution)
 
     def overflow_traffic(

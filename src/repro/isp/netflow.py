@@ -20,6 +20,7 @@ holds one, and the Figure 7/8 analyses read an exact hourly
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -37,6 +38,12 @@ if array("I").itemsize != 4:  # pragma: no cover - no such platform in CI
 
 #: Link ids are ``array('H')`` indexes into the log's interned link table.
 MAX_LINKS = 1 << 16
+
+#: A log's columns, in :meth:`FlowLog.__getstate__` order, with their typecodes.
+_COLUMNS = (
+    ("times", "d"), ("srcs", "I"), ("dsts", "I"), ("sizes", "q"), ("link_ids", "H")
+)
+
 
 @dataclass(frozen=True)
 class FlowRecord:
@@ -242,10 +249,38 @@ class FlowLog:
         )
 
     def __setstate__(self, state: tuple) -> None:
-        if len({len(column) for column in state[:5]}) != 1:
+        """Restore a pickled block, checking it first.
+
+        A checkpoint and a shard worker's chunk both arrive through
+        here, so a state that breaks the log's invariants is refused
+        with ``ValueError``: each column an array of its typecode, all
+        of one length, timestamps never decreasing, link ids inside a
+        table of distinct names, sizes positive.
+        """
+        if not isinstance(state, tuple) or len(state) != len(_COLUMNS) + 1:
+            raise ValueError("a flow log state is five columns and a link table")
+        *columns, links = state
+        for (name, typecode), column in zip(_COLUMNS, columns):
+            if not isinstance(column, array) or column.typecode != typecode:
+                raise ValueError(f"flow log column {name} is not an array({typecode!r})")
+        times, srcs, dsts, sizes, link_ids = columns
+        if len({len(column) for column in columns}) != 1:
             raise ValueError("flow log columns differ in length")
-        self.times, self.srcs, self.dsts, self.sizes, self.link_ids, self.links = state
-        self._link_index = {link_id: i for i, link_id in enumerate(self.links)}
+        if (
+            not isinstance(links, list)
+            or not all(isinstance(link_id, str) for link_id in links)
+            or len(set(links)) != len(links)
+        ):
+            raise ValueError("flow log link table is not a list of distinct names")
+        if not all(map(operator.le, times, times[1:])):
+            raise ValueError("flow log timestamps decrease")
+        if link_ids and max(link_ids) >= len(links):
+            raise ValueError("flow log link id outside its link table")
+        if sizes and min(sizes) <= 0:
+            raise ValueError("flow bytes must be positive")
+        self.times, self.srcs, self.dsts, self.sizes, self.link_ids = columns
+        self.links = links
+        self._link_index = {link_id: i for i, link_id in enumerate(links)}
 
     # ----- reading the columns ------------------------------------------
 
@@ -329,7 +364,8 @@ class NetflowCollector:
     statistically faithful: expected exported volume is B/N.
 
     Traffic is fed in time order; the log refuses (``ValueError``) a
-    flow older than the last one it holds.
+    flow older than the last one it holds or has handed over
+    (:meth:`drain`).
     """
 
     def __init__(self, sampling_rate: int = 1000, flow_bytes: int = 40 * 1024 * 1024):
@@ -340,6 +376,7 @@ class NetflowCollector:
         self.sampling_rate = sampling_rate
         self.flow_bytes = flow_bytes
         self._log = FlowLog()
+        self._drained_until = -math.inf  # last timestamp handed over by drain()
         self.total_offered_bytes = 0
         registry = get_registry()
         self._m_records = registry.counter(
@@ -381,6 +418,8 @@ class NetflowCollector:
                     for index in range(max(1, round(total / size)))
                     if stable_fraction(link_id, timestamp, dotted, index) < keep
                 )
+        if exported and timestamp < self._drained_until:
+            raise ValueError("flows must be appended in time order")
         self._log.append_block(timestamp, exported)
         self.total_offered_bytes += offered
         self._m_offered.inc(offered)
@@ -388,13 +427,21 @@ class NetflowCollector:
             self._m_records.inc(len(exported))
         return len(exported)
 
-    def mark(self) -> int:
-        """A cursor over the record log (for :meth:`records_since`)."""
-        return len(self._log)
+    def drain(self) -> FlowLog:
+        """Hand over the records exported since the last drain, and forget them.
 
-    def records_since(self, cursor: int) -> FlowLog:
-        """The block of records appended after a :meth:`mark` cursor."""
-        return self._log[cursor:]
+        What a shard worker ships home after each chunk: the returned
+        block was the collector's only copy, so the records live in the
+        coordinator's log and nowhere else.  The next block keeps this
+        one's link numbering (the coordinator's absorb then copies link
+        ids as they are), and a flow older than the last one handed over
+        is still refused.  The offered-bytes tally is not drained.
+        """
+        block = self._log
+        if block:
+            self._drained_until = block.times[-1]
+        self._log = block._like()
+        return block
 
     def absorb(
         self, records: Union[FlowLog, Iterable[FlowRecord]], offered_bytes: int
@@ -405,8 +452,8 @@ class NetflowCollector:
         merges them here, and a resumed run splices a checkpoint's log
         back in; the exporting collector already counted the export
         metrics, so this only extends the log and the offered-bytes
-        tally (no re-counting).  ``records`` is a :meth:`records_since`
-        block or any iterable of :class:`FlowRecord`.
+        tally (no re-counting).  ``records`` is a :meth:`drain` block,
+        a :class:`FlowLog` slice or any iterable of :class:`FlowRecord`.
         """
         if offered_bytes < 0:
             raise ValueError("bytes cannot be negative")

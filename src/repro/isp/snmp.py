@@ -50,22 +50,19 @@ class SnmpCounters:
         self._m_bytes.labels(link_id).inc(count)
 
     def snapshot_bins(self) -> dict[str, dict[float, int]]:
-        """A deep copy of the per-link bins (diff input for sharding)."""
+        """A deep copy of the per-link bins (what a checkpoint keeps)."""
         return {link: dict(bins) for link, bins in self._bytes.items()}
 
-    def bins_since(self, base: dict[str, dict[float, int]]) -> dict[str, dict[float, int]]:
-        """Per-link byte deltas accumulated since ``base`` was snapshot."""
-        delta: dict[str, dict[float, int]] = {}
-        for link, bins in self._bytes.items():
-            base_bins = base.get(link, {})
-            changed = {
-                bin_key: count - base_bins.get(bin_key, 0)
-                for bin_key, count in bins.items()
-                if count != base_bins.get(bin_key, 0)
-            }
-            if changed:
-                delta[link] = changed
-        return delta
+    def drain(self) -> dict[str, dict[float, int]]:
+        """Hand over the per-link bins counted since the last drain, and forget them.
+
+        What a shard worker ships home after each chunk.  A bin that
+        straddles two drains comes out as two parts, which
+        :meth:`absorb` adds back together.
+        """
+        drained = dict(self._bytes)
+        self._bytes = defaultdict(dict)
+        return drained
 
     def absorb(self, delta: dict[str, dict[float, int]]) -> None:
         """Merge per-link byte deltas counted by another replica.

@@ -119,7 +119,7 @@ def capture_checkpoint(
     state = {
         "stores": {store.name: store.dump_state() for store in scenario.stores},
         "netflow": {
-            "records": scenario.netflow.records_since(0),
+            "records": scenario.netflow.records[:],
             "offered": scenario.netflow.total_offered_bytes,
         },
         "snmp": scenario.snmp.snapshot_bins(),

@@ -337,9 +337,7 @@ def _worker_chunk(ticks: Sequence[float]) -> dict:
         campaign.name: {} for campaign in scenario.dns_campaigns
     }
     traffic: dict[float, tuple[int, dict]] = {}
-    netflow_cursor = scenario.netflow.mark()
     offered_before = scenario.netflow.total_offered_bytes
-    snmp_base = scenario.snmp.snapshot_bins() if shard.owns_traffic else None
 
     obs = engine._obs
     profiling = obs.profiling
@@ -383,11 +381,14 @@ def _worker_chunk(ticks: Sequence[float]) -> dict:
         "traffic": traffic,
     }
     if shard.owns_traffic:
+        # The chunk's flows and SNMP bins travel home and are forgotten
+        # here: the coordinator's log is the only copy of the run's
+        # traffic, so a worker's memory stays flat however long the run.
         result["netflow"] = (
-            scenario.netflow.records_since(netflow_cursor),
+            scenario.netflow.drain(),
             scenario.netflow.total_offered_bytes - offered_before,
         )
-        result["snmp"] = scenario.snmp.bins_since(snmp_base)
+        result["snmp"] = scenario.snmp.drain()
     # Ship the metric delta with every chunk (not just the last): the
     # coordinator's registry is then complete at any chunk boundary —
     # which is what makes mid-run checkpoints (the one after a lost

@@ -50,10 +50,11 @@ class TestGenerateReport:
         )
         assert overflow.render(label_time=tl.date_label) in report
 
-    def test_no_flow_object_outlives_run_and_report(self):
+    def test_no_flow_object_outlives_run_and_report(self, monkeypatch):
         """The run's growing state is columns: a run, its figure set and
         its report leave no per-flow or per-traceroute object, and every
-        answer pool is an array of address values.
+        answer pool is an array of address values.  Measuring the figures
+        does not even build one: Figures 7/8 fold the roll-up's columns.
 
         The regression this guards against is the flow log (or the
         report) going back to one live ``FlowRecord`` / ``ClassifiedFlow``
@@ -84,7 +85,18 @@ class TestGenerateReport:
         )
         engine = SimulationEngine(scenario, step_seconds=1800.0)
         assert engine.run(TIMELINE.at(9, 18), TIMELINE.at(9, 20)) == 96
+        built = {FlowRecord: 0, ClassifiedFlow: 0}
+        for cls in built:
+            def counted(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                built[_cls] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
         figures = measure(scenario)  # held across the check below
+        assert built == {FlowRecord: 0, ClassifiedFlow: 0}
+        assert scenario.netflow.records[0].bytes > 0  # the probe sees this one
+        assert built[FlowRecord] == 1
+        monkeypatch.undo()
         assert "Offload impact" in render(figures)
         assert len(scenario.netflow) > 10_000
         assert scenario.traceroute_campaign.store.traceroute_count > 100

@@ -1,10 +1,13 @@
 """Tests for the ISP substrate: topology, BGP, Netflow, SNMP, classify."""
 
+import pickle
+from array import array
+
 import pytest
 
 from repro.isp.bgp import BgpRib, BgpRoute
 from repro.isp.classify import ClassifiedFlow, TrafficClassifier
-from repro.isp.netflow import FlowRecord, NetflowCollector
+from repro.isp.netflow import FlowLog, FlowRecord, NetflowCollector
 from repro.isp.snmp import SnmpCounters
 from repro.isp.topology import EyeballIsp, PeeringLink
 from repro.net.asys import AS_AKAMAI, AS_APPLE, AS_LIMELIGHT, ASN
@@ -175,6 +178,61 @@ class TestNetflow:
             assert [r.timestamp for r in log.records] == [300.0] * len(log)
         assert collector.total_offered_bytes == 20
         assert sampled.total_offered_bytes == 1000
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("times", array("d", [5.0, 1.0]), "timestamps decrease"),
+            ("sizes", array("q", [-7, 0]), "flow bytes must be positive"),
+            ("sizes", array("q", [3, 0]), "flow bytes must be positive"),
+            ("link_ids", array("H", [0, 9]), "outside its link table"),
+            ("times", array("f", [1.0, 5.0]), r"times is not an array\('d'\)"),
+            ("sizes", [3, 4], r"sizes is not an array\('q'\)"),
+            ("srcs", array("I", [1]), "differ in length"),
+            ("links", ["l0", "l0"], "distinct names"),
+            ("links", ("l0",), "distinct names"),
+            ("links", ["l0", 7], "distinct names"),
+        ],
+    )
+    def test_a_restored_log_is_checked(self, column, value, message):
+        """A checkpoint or a worker's chunk arrives through unpickling:
+        a state that breaks the log's invariants is refused there."""
+        log = FlowLog()
+        log.append_block(1.0, [(1, 2, 3, "l0"), (4, 5, 6, "l0")])
+        assert pickle.loads(pickle.dumps(log)) == log
+        setattr(log, column, value)
+        with pytest.raises(ValueError, match=message):
+            pickle.loads(pickle.dumps(log))
+
+    def test_a_restored_log_has_five_columns_and_a_link_table(self):
+        for state in ((), [array("d")] * 5 + [[]], (array("d"),) * 5):
+            with pytest.raises(ValueError, match="five columns and a link table"):
+                FlowLog().__setstate__(state)
+
+    def test_drain_hands_over_and_forgets(self):
+        collector = NetflowCollector(sampling_rate=1)
+        src = IPv4Address.parse("17.1.1.1").value
+        collector.observe_block(300.0, [(src, src, 10, "apple-1")])
+        collector.observe_block(600.0, [(src, src, 20, "apple-2")])
+        first = collector.drain()
+        assert [r.bytes for r in first] == [10, 20] and len(collector) == 0
+        assert len(collector.drain()) == 0  # nothing new: an empty block
+        with pytest.raises(ValueError, match="time order"):
+            collector.observe_block(300.0, [(src, src, 5, "apple-1")])
+        assert collector.total_offered_bytes == 30
+        collector.observe_block(600.0, [(src, src, 5, "apple-1")])
+        second = collector.drain()
+        assert second.links == first.links == ["apple-1", "apple-2"]
+        whole = FlowLog()
+        whole.extend(first)
+        whole.extend(second)
+        assert [r.timestamp for r in whole] == [300.0, 600.0, 600.0]
+        counters = SnmpCounters(bin_seconds=3600.0)
+        counters.add_bytes("apple-1", 0.0, 7)
+        drained = counters.drain()
+        counters.add_bytes("apple-1", 60.0, 3)
+        assert drained == {"apple-1": {0.0: 7}}
+        assert counters.drain() == {"apple-1": {0.0: 3}} and not counters.drain()
 
     def test_a_block_is_its_rows_one_by_one(self):
         """Exact or sampled, a tick's block exports what its rows would

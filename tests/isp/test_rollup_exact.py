@@ -18,11 +18,21 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.analysis.offload import operator_series  # noqa: E402
-from repro.analysis.overflow import overflow_share_series  # noqa: E402
+from repro.analysis.offload import (  # noqa: E402
+    offload_summary,
+    operator_series,
+    summarize_offload,
+)
+from repro.analysis.overflow import (  # noqa: E402
+    overflow_share_series,
+    overflow_summary,
+    summarize_overflow,
+)
+from repro.analysis.report import fold_traffic  # noqa: E402
 from repro.isp.bgp import BgpRib, BgpRoute  # noqa: E402
 from repro.isp.classify import TrafficClassifier  # noqa: E402
 from repro.isp.netflow import FlowLog, FlowRecord  # noqa: E402
+from repro.isp.snmp import SnmpCounters  # noqa: E402
 from repro.isp.topology import EyeballIsp, PeeringLink  # noqa: E402
 from repro.net.asys import AS_AKAMAI, AS_APPLE, AS_LIMELIGHT, ASN  # noqa: E402
 from repro.net.ipv4 import IPv4Address, IPv4Prefix  # noqa: E402
@@ -42,10 +52,14 @@ SOURCES = {
 }
 
 
-def classifier() -> TrafficClassifier:
+def eyeball_isp() -> EyeballIsp:
     isp = EyeballIsp(ASN(64496), "TestISP", IPv4Prefix.parse("89.0.0.0/12"))
     for link_id, neighbor in LINKS.items():
         isp.add_link(PeeringLink(link_id, "br", neighbor, 100.0))
+    return isp
+
+
+def classifier(isp: EyeballIsp) -> TrafficClassifier:
     rib = BgpRib()
     for prefix, path in (
         ("17.0.0.0/8", (AS_APPLE,)),
@@ -59,7 +73,8 @@ def classifier() -> TrafficClassifier:
     return TrafficClassifier(isp, rib, operators.get)
 
 
-CLASSIFIER = classifier()
+ISP = eyeball_isp()
+CLASSIFIER = classifier(ISP)
 
 # Steps of a 5-minute replay, plus ones that land a second either side
 # of an hour edge and jump whole hours, so flows sit on, just before and
@@ -114,6 +129,36 @@ def test_the_figures_read_the_same_off_the_rollup_as_off_every_flow(rows):
         full = figures(log, operator_bin, overflow_bin)
         assert figures(rolled, operator_bin, overflow_bin) == full
         assert ordered(figures(rolled, operator_bin, overflow_bin)) == ordered(full)
+
+
+@settings(max_examples=120, deadline=None)
+@given(rows=logs)
+def test_the_report_fold_reads_the_figures_of_the_object_path(rows):
+    """``fold_traffic`` over the roll-up's columns is ``summarize_offload``
+    and ``summarize_overflow`` over its classified records, to the float
+    and to the dict order."""
+    rolled = build(rows).rollup(3600.0)
+    classified = list(CLASSIFIER.classify_all(rolled))
+    series, shares = fold_traffic(CLASSIFIER, rolled)
+    expected = (
+        operator_series(classified),
+        overflow_share_series(classified, operator="Limelight"),
+        [],
+    )
+    # repr, not ==: an int where the object path sums floats differs too.
+    assert repr(ordered((series, shares, []))) == repr(ordered(expected))
+    release_day = 2_400_000 // 86400 * 86400 + 2 * 86400.0
+    assert offload_summary(series, release_day) == summarize_offload(
+        classified, release_day
+    )
+    saturation = (ISP, SnmpCounters(), [release_day + 3600.0])
+    assert overflow_summary(shares, AS_TRANSIT_B, *saturation) == (
+        summarize_overflow(classified, AS_TRANSIT_B, *saturation)
+    )
+
+
+def test_the_report_fold_of_an_empty_log():
+    assert fold_traffic(CLASSIFIER, FlowLog()) == ({}, [])
 
 
 @settings(max_examples=120, deadline=None)

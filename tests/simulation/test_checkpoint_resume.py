@@ -354,6 +354,31 @@ class TestCheckpointValidation:
         with pytest.raises(CheckpointError, match="checksum"):
             load_checkpoint(torn)
 
+    def test_a_flow_log_that_breaks_its_invariants_is_refused(
+        self, small_dir, tmp_path
+    ):
+        """The restore path absorbs the log as it is: a decreasing time or
+        a negative size would land in every traffic figure."""
+        import dataclasses
+        from array import array
+
+        checkpoint = load_checkpoint(small_dir / "ckpt-00000008.rckpt")
+        block = checkpoint.state["netflow"]["records"]
+        assert len(block) > 1
+        block.sizes[0] = -7
+        state = dict(checkpoint.state)
+        state["netflow"] = dict(state["netflow"], records=block)
+        path = save_checkpoint(
+            dataclasses.replace(checkpoint, state=state), tmp_path / "bad.rckpt"
+        )
+        with pytest.raises(CheckpointError, match="flow bytes must be positive"):
+            load_checkpoint(path)
+        block.sizes[0] = 1
+        block.times = array("d", reversed(block.times))
+        save_checkpoint(dataclasses.replace(checkpoint, state=state), path)
+        with pytest.raises(CheckpointError, match="timestamps decrease"):
+            load_checkpoint(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "ckpt-00000001.rckpt"
         path.write_bytes(b"GARBAGE")

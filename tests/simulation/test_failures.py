@@ -115,14 +115,12 @@ def _detour(scenario):
 def _tick(scenario, engine, now):
     """One tick's traffic, through the entry points a shard worker uses."""
     _, splits = engine.advance_state(now)
-    cursor = scenario.netflow.mark()
-    bins = scenario.snmp.snapshot_bins()
     flows, link_used = engine._generate_isp_traffic_impl(
         now, splits[MappingRegion.EU]
     )
-    block = scenario.netflow.records_since(cursor)
+    block = scenario.netflow.drain()
     assert flows == len(block)
-    return list(block), scenario.snmp.bins_since(bins), list(link_used.items())
+    return list(block), scenario.snmp.drain(), list(link_used.items())
 
 
 # (what the run starts with, what happens between two ticks): the state
