@@ -98,7 +98,8 @@ class PaperFigures:
 def fold_traffic(classifier: TrafficClassifier, flows: FlowLog) -> tuple[dict, list]:
     """Figure 7's operator series and Figure 8's overflow shares, one pass.
 
-    ``flows`` is read column by column: each (source, link) pair is
+    ``flows`` is read run by run, column by column: each run's hour and
+    six-hour bins are computed once, each (source, link) pair is
     attributed once, and each row's bytes go straight into its
     operator's hour bin and, when it is Limelight's overflow, into its
     handover AS's six-hour bin.  Equal to ``operator_series`` and
@@ -111,33 +112,31 @@ def fold_traffic(classifier: TrafficClassifier, flows: FlowLog) -> tuple[dict, l
     # (src << 16) | link -> (operator or None, handover AS if it counts
     # as Limelight's overflow, else None)
     attributions: dict[int, tuple] = {}
-    links = flows.links
-    last_time = hour = six_hours = None
-    for timestamp, src, link, size in zip(
-        flows.times, flows.srcs, flows.link_ids, flows.sizes
-    ):
-        key = (src << 16) | link
-        attribution = attributions.get(key)
-        if attribution is None:
-            source_asn, handover_asn, owner = classifier.attribute(
-                IPv4Address(src), links[link]
-            )
-            overflows = owner == "Limelight" and is_overflow(source_asn, handover_asn)
-            attribution = attributions[key] = (
-                owner, handover_asn if overflows else None
-            )
-        owner, overflow_as = attribution
-        if owner is None:
-            continue
-        if timestamp != last_time:
-            last_time = timestamp
-            hour = math.floor(timestamp / 3600.0) * 3600.0
-            six_hours = math.floor(timestamp / 21600.0) * 21600.0
-        per_operator = series.setdefault(owner, {})
-        per_operator[hour] = per_operator.get(hour, 0.0) + size
-        if overflow_as is not None:
-            per_as = overflow.setdefault(six_hours, {})
-            per_as[overflow_as] = per_as.get(overflow_as, 0.0) + size
+    links, srcs, link_ids, sizes = flows.links, flows.srcs, flows.link_ids, flows.sizes
+    for timestamp, lo, hi in flows.runs():
+        hour = math.floor(timestamp / 3600.0) * 3600.0
+        six_hours = math.floor(timestamp / 21600.0) * 21600.0
+        for src, link, size in zip(srcs[lo:hi], link_ids[lo:hi], sizes[lo:hi]):
+            key = (src << 16) | link
+            attribution = attributions.get(key)
+            if attribution is None:
+                source_asn, handover_asn, owner = classifier.attribute(
+                    IPv4Address(src), links[link]
+                )
+                overflows = owner == "Limelight" and is_overflow(
+                    source_asn, handover_asn
+                )
+                attribution = attributions[key] = (
+                    owner, handover_asn if overflows else None
+                )
+            owner, overflow_as = attribution
+            if owner is None:
+                continue
+            per_operator = series.setdefault(owner, {})
+            per_operator[hour] = per_operator.get(hour, 0.0) + size
+            if overflow_as is not None:
+                per_as = overflow.setdefault(six_hours, {})
+                per_as[overflow_as] = per_as.get(overflow_as, 0.0) + size
     return series, overflow_shares(overflow)
 
 

@@ -108,6 +108,18 @@ class PlacedServer:
     location: Location
 
 
+class _VantagePool:
+    """One vantage's ranking and the pool it last answered with."""
+
+    __slots__ = ("indices", "values", "count", "pool")
+
+    def __init__(self, indices: array, values: array) -> None:
+        self.indices = indices  # exposure index of each placement, nearest first
+        self.values = values  # address value of each placement, same order
+        self.count: Optional[int] = None  # the active count ``pool`` is for
+        self.pool = array("I")
+
+
 class CdnDeployment:
     """One CDN operator's delivery fleet, grouped by mapping region.
 
@@ -115,10 +127,6 @@ class CdnDeployment:
     passing ``None`` makes the whole fleet always exposed, which models
     Apple's own CDN (its observed IP count did not react to the event).
     """
-
-    #: Answer pools remembered (one per vantage and active count) before
-    #: the pool and ranking memos are emptied and refilled.
-    POOL_MEMO_BOUND = 16384
 
     def __init__(
         self,
@@ -137,15 +145,14 @@ class CdnDeployment:
         self._exposure_factory = exposure_factory
         self._exposure: dict[MappingRegion, ExposureController] = {}
         self.pool_limit = pool_limit  # max addresses per answer pool; 0 = all
-        # The resolution hot path, memoised at two levels (both emptied
-        # by add_server, the only thing that changes a placement):
-        # a region's placements ranked by (distance, hostname) once per
-        # vantage, as parallel exposure-index and address-value arrays,
-        # and the answer pool per (vantage, active count) — the ranking
-        # filtered on exposure index, so a moving active count never
-        # re-sorts.  Both hold ints, not addresses or tuples of them.
-        self._vantage_ranking: dict[tuple, tuple[array, array]] = {}
-        self._pool_memo: dict[tuple, array] = {}
+        # The resolution hot path, memoised once per vantage (emptied by
+        # add_server, the only thing that changes a placement): a
+        # region's placements ranked by (distance, hostname), as
+        # parallel exposure-index and address-value arrays, and the
+        # answer pool for the active count the vantage was last served
+        # at — the ranking filtered on exposure index, so a moving
+        # active count never re-sorts.  All ints, not addresses.
+        self._vantages: dict[tuple, _VantagePool] = {}
         self._active_memo: dict[tuple, tuple[PlacedServer, ...]] = {}
         # Flat third-party delivery telemetry (same families the Apple
         # hierarchy uses, with layer="edge").
@@ -172,8 +179,7 @@ class CdnDeployment:
         self._by_region[region].append(placed)
         # Deterministic exposure order regardless of insertion order.
         self._by_region[region].sort(key=lambda p: p.server.hostname)
-        self._vantage_ranking.clear()
-        self._pool_memo.clear()
+        self._vantages.clear()
         self._active_memo.clear()
         return placed
 
@@ -279,42 +285,40 @@ class CdnDeployment:
         region = context.region
         count = self._active_count(region)
         vantage = (region, context.coordinates)
-        pool = self._pool_memo.get((vantage, count))
-        if pool is None:
-            if len(self._pool_memo) >= self.POOL_MEMO_BOUND:
-                self._pool_memo.clear()
-                self._vantage_ranking.clear()
-            pool = self._pool_memo[(vantage, count)] = self._ranked_pool(
-                vantage, count
-            )
-        return pool
+        memo = self._vantages.get(vantage)
+        if memo is None:
+            memo = self._vantages[vantage] = self._rank(vantage)
+        if memo.count != count:
+            memo.count = count
+            memo.pool = self._ranked_pool(memo, count)
+        return memo.pool
 
-    def _ranked_pool(self, vantage: tuple, count: int) -> array:
-        """The ``count`` first-exposed servers, nearest ``vantage`` first.
+    def _rank(self, vantage: tuple) -> _VantagePool:
+        """``vantage``'s region ranked by (distance, hostname), no pool yet."""
+        region, coordinates = vantage
+        ranked = sorted(
+            (
+                great_circle_km(coordinates, placed.location.coordinates),
+                placed.server.hostname,
+                index,
+                placed.server.address.value,
+            )
+            for index, placed in enumerate(self._by_region[region])
+        )
+        return _VantagePool(
+            array("H", [entry[2] for entry in ranked]),
+            array("I", [entry[3] for entry in ranked]),
+        )
+
+    def _ranked_pool(self, memo: _VantagePool, count: int) -> array:
+        """The ``count`` first-exposed servers, nearest the vantage first.
 
         Exposure order is hostname order, so the active set is exactly
         the placements with exposure index below ``count``; filtering
         the vantage's full ranking on that index gives what sorting the
         active set from scratch would.
         """
-        ranking = self._vantage_ranking.get(vantage)
-        if ranking is None:
-            region, coordinates = vantage
-            ranked = sorted(
-                (
-                    great_circle_km(coordinates, placed.location.coordinates),
-                    placed.server.hostname,
-                    index,
-                    placed.server.address.value,
-                )
-                for index, placed in enumerate(self._by_region[region])
-            )
-            ranking = self._vantage_ranking[vantage] = (
-                array("H", [entry[2] for entry in ranked]),
-                array("I", [entry[3] for entry in ranked]),
-            )
-        indices, values = ranking
-        pool = array("I", compress(values, map(count.__gt__, indices)))
+        pool = array("I", compress(memo.values, map(count.__gt__, memo.indices)))
         if self.pool_limit > 0:
             del pool[self.pool_limit :]
         return pool

@@ -9,7 +9,8 @@ collector here, the SNMP-scaled estimator in
 :mod:`repro.isp.snmp` / :mod:`repro.analysis.offload`.
 
 The collector's log is a :class:`FlowLog`: typed columns, one row per
-exported flow, no Python object per row.  A replay exports hundreds of
+exported flow and one timestamp per run of flows that share it, no
+Python object per row.  A replay exports hundreds of
 thousands of flows and keeps them to the end, and a heap of that many
 live dataclasses costs more in cyclic-collector passes than the flows
 cost to generate — so a :class:`FlowRecord` exists only while a reader
@@ -22,9 +23,10 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from itertools import chain
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from ..dns.policies import stable_fraction
 from ..net.ipv4 import IPv4Address
@@ -39,9 +41,11 @@ if array("I").itemsize != 4:  # pragma: no cover - no such platform in CI
 #: Link ids are ``array('H')`` indexes into the log's interned link table.
 MAX_LINKS = 1 << 16
 
-#: A log's columns, in :meth:`FlowLog.__getstate__` order, with their typecodes.
+#: A log's state, in :meth:`FlowLog.__getstate__` order, with typecodes:
+#: two per-run columns, then four per-row ones.
 _COLUMNS = (
-    ("times", "d"), ("srcs", "I"), ("dsts", "I"), ("sizes", "q"), ("link_ids", "H")
+    ("block_times", "d"), ("block_ends", "Q"),
+    ("srcs", "I"), ("dsts", "I"), ("sizes", "q"), ("link_ids", "H"),
 )
 
 
@@ -65,21 +69,30 @@ class FlowLog:
 
     Reads like the list of records it replaces — ``len``, truth,
     iteration, indexing, slicing, ``==`` against another log or a
-    tuple/list of records — but holds five typed arrays and an interned
-    link table, and builds a :class:`FlowRecord` only for the reader
-    that asks for one.  Self-contained: a block pickles as its arrays
-    plus the link names, so a slice can cross a process boundary or sit
-    in a checkpoint and be absorbed column-to-column by :meth:`extend`.
+    tuple/list of records — but holds typed arrays and an interned link
+    table, and builds a :class:`FlowRecord` only for the reader that
+    asks for one.  Self-contained: a block pickles as its arrays plus
+    the link names, so a slice can cross a process boundary or sit in a
+    checkpoint and be absorbed column-to-column by :meth:`extend`.
 
-    Rows are in non-decreasing timestamp order — :meth:`span` bisects
-    and :meth:`rollup` detects bin runs on that — and an append that
-    goes back in time is refused with ``ValueError``.
+    Sources, destinations, sizes and link ids are one entry per row.
+    Timestamps are run-length encoded: a run is the rows of one
+    timestamp (an engine tick exports hundreds of flows at one instant),
+    stored as ``block_times[i]`` and the row ``block_ends[i]`` it ends
+    before.  Run timestamps are finite and strictly increasing, so the
+    encoding of a given row sequence is unique and ``==`` compares the
+    arrays as they are.  An append that goes back in time, or whose
+    timestamp is not finite, is refused with ``ValueError``.
     """
 
-    __slots__ = ("times", "srcs", "dsts", "sizes", "link_ids", "links", "_link_index")
+    __slots__ = (
+        "block_times", "block_ends", "srcs", "dsts", "sizes", "link_ids",
+        "links", "_link_index",
+    )
 
     def __init__(self, records: Iterable[FlowRecord] = ()) -> None:
-        self.times = array("d")
+        self.block_times = array("d")
+        self.block_ends = array("Q")
         self.srcs = array("I")
         self.dsts = array("I")
         self.sizes = array("q")
@@ -101,35 +114,52 @@ class FlowLog:
             self._link_index[link_id] = index
         return index
 
+    def _check_order(self, timestamp: float) -> None:
+        """Refuse rows at ``timestamp`` if it is older than the last run's."""
+        if self.block_times and timestamp < self.block_times[-1]:
+            raise ValueError("flows must be appended in time order")
+
+    def _end_run(self, timestamp: float) -> None:
+        """Close the rows appended since the last run as a run at ``timestamp``.
+
+        A timestamp equal to the last run's extends that run.
+        """
+        times, ends = self.block_times, self.block_ends
+        if times and times[-1] == timestamp:
+            ends[-1] = len(self.srcs)
+        else:
+            times.append(timestamp)
+            ends.append(len(self.srcs))
+
     def append_block(
         self, timestamp: float, rows: Sequence[tuple[int, int, int, str]]
     ) -> None:
         """Append the flows of one timestamp, ``(src, dst, bytes, link_id)`` each.
 
         All or nothing: the columns are built before the log is touched,
-        so a block that goes back in time, a size that is not positive
-        or a value its column cannot hold (``TypeError`` /
-        ``OverflowError``) raises with every row of the log as it was.
+        so a block that goes back in time, a timestamp that is not
+        finite, a size that is not positive or a value its column cannot
+        hold (``TypeError`` / ``OverflowError``) raises with every row of
+        the log as it was.
         """
+        if not math.isfinite(timestamp):  # a NaN would pass every order check
+            raise ValueError("flow timestamps must be finite")
         if not rows:
             return
-        times = self.times
-        if times and timestamp < times[-1]:
-            raise ValueError("flows must be appended in time order")
+        self._check_order(timestamp)
         srcs, dsts, sizes, link_names = zip(*rows)
         if min(sizes) <= 0:
             raise ValueError("flow bytes must be positive")
-        new_times = array("d", (timestamp,)) * len(rows)
         new_srcs, new_dsts = array("I", srcs), array("I", dsts)
         new_sizes = array("q", sizes)
         for link_id in dict.fromkeys(link_names):  # first-appearance order
             self._intern(link_id)
         new_links = array("H", map(self._link_index.__getitem__, link_names))
-        times.extend(new_times)
         self.srcs.extend(new_srcs)
         self.dsts.extend(new_dsts)
         self.sizes.extend(new_sizes)
         self.link_ids.extend(new_links)
+        self._end_run(timestamp)
 
     def append_values(
         self, timestamp: float, src: int, dst: int, size: int, link_id: str
@@ -148,28 +178,58 @@ class FlowLog:
         """Append a block column-to-column, or any iterable of records.
 
         All or nothing: a block (or a record somewhere in the iterable)
-        that goes back in time raises before this log changes.  Link
-        ids are remapped when the two link tables differ.
+        that goes back in time, or whose timestamp is not finite, raises
+        before this log changes.  Link ids are remapped when the two
+        link tables differ; a block whose first timestamp equals this
+        log's last joins that run.
         """
         block = records if isinstance(records, FlowLog) else FlowLog(records)
         if not block:
             return
-        if self.times and block.times[0] < self.times[-1]:
-            raise ValueError("flows must be appended in time order")
+        self._check_order(block.block_times[0])
         remap = [self._intern(link_id) for link_id in block.links]
         if remap == list(range(len(remap))):
             self.link_ids.extend(block.link_ids)
         else:
             self.link_ids.extend(array("H", map(remap.__getitem__, block.link_ids)))
-        self.times.extend(block.times)
+        base = len(self.srcs)
+        last = self.block_times[-1] if self.block_times else None
+        joins = last == block.block_times[0]
+        times = block.block_times[joins:]
+        ends = array("Q", [base + end for end in block.block_ends])
         self.srcs.extend(block.srcs)
         self.dsts.extend(block.dsts)
         self.sizes.extend(block.sizes)
+        if joins:
+            self.block_ends[-1] = ends.pop(0)
+        self.block_times.extend(times)
+        self.block_ends.extend(ends)
 
     # ----- reading as a sequence ----------------------------------------
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.srcs)
+
+    def runs(
+        self, lo: int = 0, hi: Optional[int] = None
+    ) -> Iterator[tuple[float, int, int]]:
+        """``(timestamp, start, stop)`` for each run of rows ``lo <= row < hi``.
+
+        Rows ``start <= row < stop`` all carry ``timestamp``; runs come
+        in row order, clipped to ``[lo, hi)``, never empty.
+        """
+        ends = self.block_ends
+        hi = len(self) if hi is None else hi
+        if lo >= hi:
+            return
+        block = bisect_right(ends, lo)
+        start = lo
+        for timestamp, end in zip(self.block_times[block:], ends[block:]):
+            stop = min(end, hi)
+            yield timestamp, start, stop
+            if stop == hi:
+                return
+            start = stop
 
     def rows(self, lo: int, hi: int) -> Iterator[FlowRecord]:
         """The records of rows ``lo <= row < hi``, built one at a time."""
@@ -182,11 +242,14 @@ class FlowLog:
                 found = addresses[value] = IPv4Address(value)
             return found
 
-        for timestamp, src, dst, size, link in zip(
-            self.times[lo:hi], self.srcs[lo:hi], self.dsts[lo:hi],
-            self.sizes[lo:hi], self.link_ids[lo:hi],
-        ):
-            yield FlowRecord(timestamp, address(src), address(dst), size, links[link])
+        for timestamp, start, stop in self.runs(lo, hi):
+            for src, dst, size, link in zip(
+                self.srcs[start:stop], self.dsts[start:stop],
+                self.sizes[start:stop], self.link_ids[start:stop],
+            ):
+                yield FlowRecord(
+                    timestamp, address(src), address(dst), size, links[link]
+                )
 
     def __iter__(self) -> Iterator[FlowRecord]:
         return self.rows(0, len(self))
@@ -202,16 +265,24 @@ class FlowLog:
         if isinstance(key, slice):
             if key.step is not None and key.step < 1:
                 raise ValueError("a flow log is time-ordered: slice forwards")
+            lo, hi, step = key.indices(len(self))
             block = self._like()
-            block.times = self.times[key]
             block.srcs = self.srcs[key]
             block.dsts = self.dsts[key]
             block.sizes = self.sizes[key]
             block.link_ids = self.link_ids[key]
+            # A run keeps the rows of range(lo, hi, step) below its end.
+            for timestamp, _, stop in self.runs(lo, hi):
+                taken = -(-(stop - lo) // step)
+                if taken > (block.block_ends[-1] if block.block_ends else 0):
+                    block.block_times.append(timestamp)
+                    block.block_ends.append(taken)
             return block
+        src = self.srcs[key]  # IndexError / TypeError as a list raises them
+        row = key + len(self) if key < 0 else key
         return FlowRecord(
-            self.times[key],
-            IPv4Address(self.srcs[key]),
+            self.block_times[bisect_right(self.block_ends, row)],
+            IPv4Address(src),
             IPv4Address(self.dsts[key]),
             self.sizes[key],
             self.links[self.link_ids[key]],
@@ -220,8 +291,10 @@ class FlowLog:
     def __eq__(self, other) -> bool:
         if isinstance(other, FlowLog):
             if not (
-                self.times == other.times and self.srcs == other.srcs
-                and self.dsts == other.dsts and self.sizes == other.sizes
+                self.block_times == other.block_times
+                and self.block_ends == other.block_ends
+                and self.srcs == other.srcs and self.dsts == other.dsts
+                and self.sizes == other.sizes
             ):
                 return False
             # By link *name*: two logs of the same flows may have
@@ -245,7 +318,8 @@ class FlowLog:
 
     def __getstate__(self) -> tuple:
         return (
-            self.times, self.srcs, self.dsts, self.sizes, self.link_ids, self.links
+            self.block_times, self.block_ends, self.srcs, self.dsts, self.sizes,
+            self.link_ids, self.links,
         )
 
     def __setstate__(self, state: tuple) -> None:
@@ -253,18 +327,19 @@ class FlowLog:
 
         A checkpoint and a shard worker's chunk both arrive through
         here, so a state that breaks the log's invariants is refused
-        with ``ValueError``: each column an array of its typecode, all
-        of one length, timestamps never decreasing, link ids inside a
-        table of distinct names, sizes positive.
+        with ``ValueError``: each column an array of its typecode, the
+        per-row ones all of one length, run timestamps finite and
+        strictly increasing, run ends strictly increasing up to the row
+        count, link ids inside a table of distinct names, sizes positive.
         """
         if not isinstance(state, tuple) or len(state) != len(_COLUMNS) + 1:
-            raise ValueError("a flow log state is five columns and a link table")
+            raise ValueError("a flow log state is six columns and a link table")
         *columns, links = state
         for (name, typecode), column in zip(_COLUMNS, columns):
             if not isinstance(column, array) or column.typecode != typecode:
                 raise ValueError(f"flow log column {name} is not an array({typecode!r})")
-        times, srcs, dsts, sizes, link_ids = columns
-        if len({len(column) for column in columns}) != 1:
+        times, ends, srcs, dsts, sizes, link_ids = columns
+        if len({len(column) for column in columns[2:]}) != 1 or len(times) != len(ends):
             raise ValueError("flow log columns differ in length")
         if (
             not isinstance(links, list)
@@ -272,21 +347,35 @@ class FlowLog:
             or len(set(links)) != len(links)
         ):
             raise ValueError("flow log link table is not a list of distinct names")
-        if not all(map(operator.le, times, times[1:])):
-            raise ValueError("flow log timestamps decrease")
+        if not all(map(math.isfinite, times)):
+            raise ValueError("flow log timestamps must be finite")
+        if not all(map(operator.lt, times, times[1:])):
+            raise ValueError("flow log run timestamps do not strictly increase")
+        if not all(map(operator.lt, chain((0,), ends), ends)):
+            raise ValueError("flow log run ends do not increase")
+        if (ends[-1] if ends else 0) != len(srcs):
+            raise ValueError("flow log runs do not end at its row count")
         if link_ids and max(link_ids) >= len(links):
             raise ValueError("flow log link id outside its link table")
         if sizes and min(sizes) <= 0:
             raise ValueError("flow bytes must be positive")
-        self.times, self.srcs, self.dsts, self.sizes, self.link_ids = columns
+        (
+            self.block_times, self.block_ends, self.srcs, self.dsts, self.sizes,
+            self.link_ids,
+        ) = columns
         self.links = links
         self._link_index = {link_id: i for i, link_id in enumerate(links)}
 
     # ----- reading the columns ------------------------------------------
 
+    def _first_row_at(self, timestamp: float) -> int:
+        """The first row whose timestamp is ``>= timestamp``."""
+        block = bisect_left(self.block_times, timestamp)
+        return self.block_ends[block - 1] if block else 0
+
     def span(self, start: float, end: float) -> tuple[int, int]:
         """The row range ``[lo, hi)`` with ``start <= timestamp < end``."""
-        return bisect_left(self.times, start), bisect_left(self.times, end)
+        return self._first_row_at(start), self._first_row_at(end)
 
     def bytes_between(self, link_id: str, start: float, end: float) -> int:
         """Bytes of the flows on ``link_id`` with ``start <= timestamp < end``."""
@@ -327,30 +416,31 @@ class FlowLog:
         if bin_seconds <= 0:
             raise ValueError("bin_seconds must be positive")
         out = self._like()
-        out_sizes = out.sizes
-        dsts = self.dsts
+        out_srcs, out_dsts, out_sizes, out_links = (
+            out.srcs, out.dsts, out.sizes, out.link_ids
+        )
+        srcs, dsts, sizes, link_ids = self.srcs, self.dsts, self.sizes, self.link_ids
         groups: dict[int, int] = {}  # (src, link) of the open bin -> out row
-        last_time = bin_start = None
-        for row, (timestamp, src, link, size) in enumerate(
-            zip(self.times, self.srcs, self.link_ids, self.sizes)
-        ):
-            if timestamp != last_time:
-                last_time = timestamp
-                start = math.floor(timestamp / bin_seconds) * bin_seconds
-                if start != bin_start:
-                    bin_start = start
-                    groups.clear()
-            key = (src << 16) | link
-            out_row = groups.get(key)
-            if out_row is None:
-                groups[key] = len(out_sizes)
-                out.times.append(bin_start)
-                out.srcs.append(src)
-                out.dsts.append(dsts[row])
-                out_sizes.append(size)
-                out.link_ids.append(link)
-            else:
-                out_sizes[out_row] += size
+        bin_start = None
+        for timestamp, lo, hi in self.runs():
+            start = math.floor(timestamp / bin_seconds) * bin_seconds
+            if start != bin_start:
+                bin_start = start
+                groups.clear()
+            for src, dst, link, size in zip(
+                srcs[lo:hi], dsts[lo:hi], link_ids[lo:hi], sizes[lo:hi]
+            ):
+                key = (src << 16) | link
+                out_row = groups.get(key)
+                if out_row is None:
+                    groups[key] = len(out_sizes)
+                    out_srcs.append(src)
+                    out_dsts.append(dst)
+                    out_sizes.append(size)
+                    out_links.append(link)
+                else:
+                    out_sizes[out_row] += size
+            out._end_run(bin_start)
         return out
 
 
@@ -439,7 +529,7 @@ class NetflowCollector:
         """
         block = self._log
         if block:
-            self._drained_until = block.times[-1]
+            self._drained_until = block.block_times[-1]
         self._log = block._like()
         return block
 

@@ -101,11 +101,13 @@ class TestGenerateReport:
         assert len(scenario.netflow) > 10_000
         assert scenario.traceroute_campaign.store.traceroute_count > 100
         assert not per_flow_objects() - before
-        pools = [
-            pool
-            for deployment in scenario.estate.deployments.values()
-            for pool in deployment._pool_memo.values()
-        ]
+        pools = []
+        for deployment in scenario.estate.deployments.values():
+            # One memo entry per vantage, holding one pool: the memo is
+            # bounded by the vantages, not by the counts they saw.
+            for (region, _coordinates), memo in deployment._vantages.items():
+                assert memo.count <= len(deployment.servers_in_region(region))
+                pools.append(memo.pool)
         assert pools
         assert all(type(pool) is array and pool.typecode == "I" for pool in pools)
 

@@ -207,6 +207,31 @@ class TestCdnDeployment:
                 assert pool.typecode == "I"
                 assert list(pool) == expected
 
+    def test_a_count_up_and_back_down_answers_as_a_fresh_deployment(self):
+        """The memo keeps one pool per vantage, for the count it last
+        served: revisiting a count recomputes it, with a fresh
+        deployment's values, and never grows the memo."""
+
+        def pinned(wanted):
+            class Pinned(ExposureController):
+                def active_count(self, pool_size):
+                    return min(wanted["count"], pool_size)
+
+            return self._deployment(exposure=lambda: Pinned(per_server_gbps=10))
+
+        wanted = {"count": 3}
+        deployment = pinned(wanted)
+        vantages = [eu_context(), eu_context(client="198.51.100.77")]
+        first = [list(deployment.pool_for(context)) for context in vantages]
+        for count in (4, 9, 12, 5, 3):
+            wanted["count"] = count
+            pools = [list(deployment.pool_for(context)) for context in vantages]
+            fresh = pinned({"count": count})
+            assert pools == [list(fresh.pool_for(context)) for context in vantages]
+            # Both clients sit at Berlin: one vantage, one pool.
+            assert len(deployment._vantages) == 1
+        assert pools == first
+
     def test_adding_a_server_invalidates_the_pools(self):
         deployment = self._deployment()
         before = deployment.pool_for(eu_context())

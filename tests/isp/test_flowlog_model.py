@@ -5,11 +5,15 @@ The log keeps typed columns and an interned link table and builds a
 it replaced.  A rule-based machine drives two logs at once — so a block
 cut from one can be absorbed by the other, whose link table was
 interned in another order — through appends, both kinds of ``extend``,
-pickle round trips and writes that go back in time (refused, and the
-log left as it was), comparing every read after each step.
+collector absorbs, pickle round trips, tampered states and writes that
+go back in time (refused, and the log left as it was), comparing every
+read after each step.  Timestamps are stored one per run of equal ones,
+so the machine also cuts runs in the middle and joins them again.
 """
 
+import math
 import pickle
+from array import array
 
 import pytest
 
@@ -23,7 +27,12 @@ from hypothesis.stateful import (  # noqa: E402
     rule,
 )
 
-from repro.isp.netflow import MAX_LINKS, FlowLog, FlowRecord  # noqa: E402
+from repro.isp.netflow import (  # noqa: E402
+    MAX_LINKS,
+    FlowLog,
+    FlowRecord,
+    NetflowCollector,
+)
 from repro.net.ipv4 import IPv4Address  # noqa: E402
 
 # Few of each, so sources, links and timestamps repeat; steps of zero
@@ -42,6 +51,29 @@ def flow(timestamp, src, dst, size, link):
 
 def last_time(model):
     return model[-1].timestamp if model else 0.0
+
+
+def rollup_of(model, bin_seconds):
+    """The list oracle of ``FlowLog.rollup``: one record per (bin, source,
+    link) in first-appearance order, with its first flow's destination."""
+    groups = {}
+    for r in model:
+        start = math.floor(r.timestamp / bin_seconds) * bin_seconds
+        key = (start, r.src, r.link_id)
+        if key in groups:
+            groups[key] = (groups[key][0], groups[key][1] + r.bytes)
+        else:
+            groups[key] = (r.dst, r.bytes)
+    return [
+        FlowRecord(start, src, dst, size, link)
+        for (start, src, link), (dst, size) in groups.items()
+    ]
+
+
+def first_at_or_after(model, timestamp):
+    return next(
+        (row for row, r in enumerate(model) if r.timestamp >= timestamp), len(model)
+    )
 
 
 class FlowLogAgainstList(RuleBasedStateMachine):
@@ -151,11 +183,90 @@ class FlowLogAgainstList(RuleBasedStateMachine):
         start = lo * 300.0 + nudge
         end = start + width * 300.0
         expected = [r for r in model if start <= r.timestamp < end]
+        assert real.span(start, end) == (
+            first_at_or_after(model, start), first_at_or_after(model, end)
+        )
         assert list(real.rows(*real.span(start, end))) == expected
         for link in ("apple-1", "l", "never-seen"):
             assert real.bytes_between(link, start, end) == sum(
                 r.bytes for r in expected if r.link_id == link
             )
+
+    @rule(side=sides, at=st.integers(0, 30))
+    def cut_a_run_and_join_it_again(self, side, at):
+        # A cut between two rows of one timestamp splits its run; the
+        # halves read as the rows, and extending one with the other
+        # joins the run again, equal to the uncut log.
+        real, model = self.real[side], self.model[side]
+        inside = [
+            row for row in range(1, len(model))
+            if model[row - 1].timestamp == model[row].timestamp
+        ]
+        if not inside:
+            return
+        cut = inside[at % len(inside)]
+        head, tail = real[:cut], real[cut:]
+        assert head == model[:cut] and tail == model[cut:]
+        assert head.block_times[-1] == tail.block_times[0]
+        head.extend(tail)
+        assert head == real
+        assert head.block_times == real.block_times
+        assert head.block_ends == real.block_ends
+
+    @rule(side=sides, src=addresses, link=links, size=sizes,
+          count=st.integers(1, 3), absorb=st.booleans())
+    def extend_at_the_last_timestamp(self, side, src, link, size, count, absorb):
+        # A block whose first timestamp is the log's last joins its run,
+        # through FlowLog.extend or a collector's absorb.
+        timestamp = last_time(self.model[side])
+        rows = [flow(timestamp, src, 7, size, link)] * count
+        rows.append(flow(timestamp + 300.0, src, 7, size, link))
+        block = FlowLog(rows)
+        if absorb:
+            collector = NetflowCollector()
+            collector.absorb(self.real[side], 0)
+            collector.absorb(block, size)
+            self.real[side] = collector.records
+        else:
+            self.real[side].extend(block)
+        self.model[side].extend(rows)
+
+    @rule(side=sides, bin_seconds=st.sampled_from([3600.0, 300.0]))
+    def rollup(self, side, bin_seconds):
+        expected = rollup_of(self.model[side], bin_seconds)
+        if any(r.bytes >= 2**63 for r in expected):
+            with pytest.raises(OverflowError):  # a sum the column cannot hold
+                self.real[side].rollup(bin_seconds)
+            return
+        rolled = self.real[side].rollup(bin_seconds)
+        assert rolled == expected
+        assert list(rolled) == expected
+        assert pickle.loads(pickle.dumps(rolled)) == rolled
+
+    @rule(side=sides, tamper=st.sampled_from(
+        ["repeat time", "swap times", "nan time", "inf time",
+         "repeat end", "zero end", "short end", "long end"]))
+    def a_tampered_state_is_refused(self, side, tamper):
+        times, ends, *rest = self.real[side].__getstate__()
+        times, ends = array("d", times), array("Q", ends)
+        if tamper == "repeat time" and len(times) > 1:
+            times[1] = times[0]
+        elif tamper == "swap times" and len(times) > 1:
+            times[0], times[1] = times[1], times[0]
+        elif tamper in ("nan time", "inf time") and times:
+            times[-1] = math.nan if tamper == "nan time" else math.inf
+        elif tamper == "repeat end" and len(ends) > 1:
+            ends[0] = ends[1]
+        elif tamper == "zero end" and ends:
+            ends[0] = 0
+        elif tamper == "short end" and ends:
+            ends[-1] -= 1
+        elif tamper == "long end" and ends:
+            ends[-1] += 1
+        else:
+            return
+        with pytest.raises(ValueError, match="flow log"):
+            FlowLog.__new__(FlowLog).__setstate__((times, ends, *rest))
 
     @invariant()
     def reads_agree(self):
@@ -169,6 +280,9 @@ class FlowLogAgainstList(RuleBasedStateMachine):
             assert not (real != model)
             assert real != model + [flow(0.0, 1, 1, 1, "l")]
             assert sum(real.sizes) == sum(r.bytes for r in model)
+            # One run per distinct timestamp, ending where the next begins.
+            assert list(real.block_times) == sorted({r.timestamp for r in model})
+            assert [hi for _, _, hi in real.runs()] == list(real.block_ends)
             by_source = {}
             for r in model:
                 by_source[r.src.value] = by_source.get(r.src.value, 0) + r.bytes
@@ -249,8 +363,11 @@ class TestLimits:
             with pytest.raises(OverflowError):
                 log.append_values(*bad)
             assert log == rows_on("a")
-            assert {len(c) for c in (log.times, log.srcs, log.dsts,
+            assert {len(c) for c in (log.srcs, log.dsts,
                                      log.sizes, log.link_ids)} == {1}
+            assert (log.block_times, log.block_ends) == (
+                array("d", [0.0]), array("Q", [1])
+            )
 
     def test_flow_bytes_must_be_positive(self):
         log = FlowLog()
@@ -266,9 +383,45 @@ class TestLimits:
         with pytest.raises(ValueError, match="length"):
             FlowLog.__new__(FlowLog).__setstate__(tuple(state))
 
-    def test_a_block_pickles_as_five_arrays_and_a_link_list(self):
-        from array import array
+    def test_a_block_pickles_as_six_arrays_and_a_link_list(self):
+        # One timestamp per run: rows at 0, 0 and 1 s are two runs.
+        log = FlowLog([flow(0.0, 1, 2, 3, "a"), flow(0.0, 1, 2, 3, "b"),
+                       flow(1.0, 1, 2, 3, "a")])
+        state = log.__getstate__()
+        assert [type(part) for part in state] == [array] * 6 + [list]
+        assert [part.typecode for part in state[:6]] == ["d", "Q", "I", "I", "q", "H"]
+        assert state[:2] == (array("d", [0.0, 1.0]), array("Q", [2, 3]))
+        assert state[6] == ["a", "b"]
 
-        state = FlowLog(rows_on("a", "b")).__getstate__()
-        assert [type(part) for part in state] == [array] * 5 + [list]
-        assert [part.typecode for part in state[:5]] == ["d", "I", "I", "q", "H"]
+
+class TestTimestamps:
+    """Timestamps are finite: a NaN compares False with everything, so it
+    would slip past the time-order check and break every read after it."""
+
+    def test_a_non_finite_timestamp_is_refused_everywhere(self):
+        log = FlowLog()
+        log.append_block(100.0, [(1, 2, 10, "l0")])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                log.append_block(bad, [(1, 2, 10, "l0")])
+            with pytest.raises(ValueError, match="finite"):
+                log.extend([flow(bad, 1, 2, 10, "l0")])
+        with pytest.raises(ValueError, match="time order"):
+            log.append_block(50.0, [(1, 2, 10, "l0")])
+        log.append_block(150.0, [(1, 2, 20, "l0")])
+        assert log.bytes_between("l0", 0, 200) == 30
+        assert [r.bytes for r in log.rollup(3600.0)] == [30]
+
+    def test_a_collector_inherits_the_check(self):
+        collector = NetflowCollector()
+        with pytest.raises(ValueError, match="finite"):
+            collector.observe_block(math.nan, [(1, 2, 10, "l0")])
+        with pytest.raises(ValueError, match="finite"):
+            collector.absorb([flow(math.nan, 1, 2, 10, "l0")], 10)
+        assert not collector.records and collector.total_offered_bytes == 0
+
+    def test_a_state_with_a_nan_time_does_not_unpickle(self):
+        state = list(FlowLog([flow(0.0, 1, 2, 3, "a")]).__getstate__())
+        state[0] = array("d", [math.nan])
+        with pytest.raises(ValueError, match="finite"):
+            FlowLog.__new__(FlowLog).__setstate__(tuple(state))

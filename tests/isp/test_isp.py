@@ -1,5 +1,6 @@
 """Tests for the ISP substrate: topology, BGP, Netflow, SNMP, classify."""
 
+import math
 import pickle
 from array import array
 
@@ -182,31 +183,39 @@ class TestNetflow:
     @pytest.mark.parametrize(
         "column, value, message",
         [
-            ("times", array("d", [5.0, 1.0]), "timestamps decrease"),
+            ("block_times", array("d", [5.0, 1.0]), "do not strictly increase"),
             ("sizes", array("q", [-7, 0]), "flow bytes must be positive"),
             ("sizes", array("q", [3, 0]), "flow bytes must be positive"),
             ("link_ids", array("H", [0, 9]), "outside its link table"),
-            ("times", array("f", [1.0, 5.0]), r"times is not an array\('d'\)"),
+            ("block_times", array("f", [1.0, 2.0]), r"block_times is not an array\('d'\)"),
             ("sizes", [3, 4], r"sizes is not an array\('q'\)"),
             ("srcs", array("I", [1]), "differ in length"),
             ("links", ["l0", "l0"], "distinct names"),
             ("links", ("l0",), "distinct names"),
             ("links", ["l0", 7], "distinct names"),
+            ("block_times", array("d", [2.0, 2.0]), "do not strictly increase"),
+            ("block_ends", array("L", [1, 2]), r"block_ends is not an array\('Q'\)"),
+            ("block_times", array("d", [1.0]), "differ in length"),
+            ("block_times", array("d", [1.0, math.nan]), "must be finite"),
+            ("block_ends", array("Q", [0, 2]), "run ends do not increase"),
+            ("block_ends", array("Q", [1, 1]), "run ends do not increase"),
+            ("block_ends", array("Q", [1, 3]), "do not end at its row count"),
         ],
     )
     def test_a_restored_log_is_checked(self, column, value, message):
         """A checkpoint or a worker's chunk arrives through unpickling:
         a state that breaks the log's invariants is refused there."""
         log = FlowLog()
-        log.append_block(1.0, [(1, 2, 3, "l0"), (4, 5, 6, "l0")])
+        log.append_block(1.0, [(1, 2, 3, "l0")])
+        log.append_block(2.0, [(4, 5, 6, "l0")])
         assert pickle.loads(pickle.dumps(log)) == log
         setattr(log, column, value)
         with pytest.raises(ValueError, match=message):
             pickle.loads(pickle.dumps(log))
 
-    def test_a_restored_log_has_five_columns_and_a_link_table(self):
-        for state in ((), [array("d")] * 5 + [[]], (array("d"),) * 5):
-            with pytest.raises(ValueError, match="five columns and a link table"):
+    def test_a_restored_log_has_six_columns_and_a_link_table(self):
+        for state in ((), [array("d")] * 6 + [[]], (array("d"),) * 6):
+            with pytest.raises(ValueError, match="six columns and a link table"):
                 FlowLog().__setstate__(state)
 
     def test_drain_hands_over_and_forgets(self):

@@ -374,9 +374,25 @@ class TestCheckpointValidation:
         with pytest.raises(CheckpointError, match="flow bytes must be positive"):
             load_checkpoint(path)
         block.sizes[0] = 1
-        block.times = array("d", reversed(block.times))
+        block.block_times = array("d", reversed(block.block_times))
         save_checkpoint(dataclasses.replace(checkpoint, state=state), path)
-        with pytest.raises(CheckpointError, match="timestamps decrease"):
+        with pytest.raises(CheckpointError, match="do not strictly increase"):
+            load_checkpoint(path)
+
+    def test_a_version_4_checkpoint_is_refused(self, small_dir, tmp_path):
+        """Version 4 stored one flow timestamp per row; this build reads
+        version 5 (one per run) and says so, naming both."""
+        from repro.container import Container
+        from repro.simulation import checkpoint as module
+
+        assert module._VERSION == 5
+        source = small_dir / "ckpt-00000008.rckpt"
+        _, payload = module._CONTAINER.read(source)
+        path = tmp_path / "ckpt-00000008.rckpt"
+        Container(b"RCKPT1\n", 4, CheckpointError, "checkpoint").write(
+            path, {"steps": 8}, [bytes(payload)]
+        )
+        with pytest.raises(CheckpointError, match=r"version 4 .*reads version 5"):
             load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):

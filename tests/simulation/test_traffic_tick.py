@@ -20,7 +20,9 @@ per link, one flow-log block.  The per-link load is the result (Figures
   (PR 21's) and not touched since.
 """
 
+from array import array
 from hashlib import blake2b
+from itertools import chain, repeat
 from types import SimpleNamespace
 
 import pytest
@@ -117,7 +119,8 @@ class World:
             for labels, child in self.registry.get("snmp_bytes_total").children()
         ]
         return {
-            "columns": (log.times, log.srcs, log.dsts, log.sizes, log.link_ids),
+            "columns": (log.block_times, log.block_ends, log.srcs, log.dsts,
+                        log.sizes, log.link_ids),
             "links": log.links,
             "bins": [(link, list(bins.items()))
                      for link, bins in self.snmp.snapshot_bins().items()],
@@ -336,7 +339,11 @@ def window_counts():
     assert engine.run(*WINDOW, progress=reports.append) == 48
     log = scenario.netflow.records
     digest = blake2b(digest_size=8)
-    for column in (log.times, log.srcs, log.dsts, log.sizes, log.link_ids):
+    # The log keeps one timestamp per run; the digest hashes one per row.
+    times = array("d", chain.from_iterable(
+        repeat(timestamp, hi - lo) for timestamp, lo, hi in log.runs()
+    ))
+    for column in (times, log.srcs, log.dsts, log.sizes, log.link_ids):
         digest.update(column.tobytes())
     return {
         "flow_rows": len(log),
