@@ -21,9 +21,6 @@ from ..net.ipv4 import IPv4Address
 
 __all__ = ["GeolocationEstimate", "geolocate_caches", "PathSummary", "summarize_paths"]
 
-# Conservative km-per-ms bound (speed of light in fibre, round trip).
-KM_PER_RTT_MS = 100.0
-
 
 @dataclass(frozen=True)
 class GeolocationEstimate:
@@ -33,11 +30,6 @@ class GeolocationEstimate:
     coordinates: Coordinates
     min_rtt_ms: float
     probe_id: int
-
-    @property
-    def radius_km(self) -> float:
-        """The constraint radius implied by the best RTT."""
-        return self.min_rtt_ms * KM_PER_RTT_MS
 
     def error_km(self, truth: Coordinates) -> float:
         """Distance between the estimate and the true metro."""

@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Optional
 from ..dns.resolver import RecursiveResolver, ResolutionError
 from ..net.geo import Coordinates, great_circle_km
 from ..obs import NullRegistry
+from ..resolver import POP_CACHE_CAPACITY
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simulation.scenario import Sep2017Scenario
@@ -173,7 +174,7 @@ class ResolverAccuracy:
                     cache=True,
                     metrics=quiet,
                     cache_scope=plane.scope if plane.ecs else 0,
-                    cache_capacity=plane.cache_capacity,
+                    cache_capacity=POP_CACHE_CAPACITY,
                 )
                 flipped: dict[int, bool] = {i: False for i in range(len(groups))}
                 for tick in ticks:

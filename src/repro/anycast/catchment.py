@@ -78,17 +78,6 @@ class CatchmentMap:
                 return site_id
         return None
 
-    def sites_under(self, prefix: IPv4Prefix) -> dict[str, int]:
-        """Site -> client-group count inside a covering ``prefix``.
-
-        Uses the trie's subtree walk, so scoping to e.g. the ISP's
-        customer block costs only that subtree.
-        """
-        counts: dict[str, int] = {}
-        for _, site_id in self._trie.items_under(prefix):
-            counts[site_id] = counts.get(site_id, 0) + 1
-        return counts
-
     def share_by_site(self) -> dict[str, float]:
         """Weight-normalised share of clients each site captures."""
         total = sum(group.weight for group, _ in self._assignments)

@@ -35,19 +35,17 @@ __all__ = [
 # unicast vip pool (17.253/16): every participating site announces it.
 ANYCAST_VIP_PREFIX = IPv4Prefix.parse("17.172.224.0/22")
 
-# How clients reach a site: the 15 s selection CNAME, BGP catchments of
-# the shared VIP, or a fixed share of each.
-STEERING_MODES = ("dns", "anycast", "hybrid")
+# How clients reach a site: the 15 s selection CNAME, or BGP catchments
+# of the shared VIP.
+STEERING_MODES = ("dns", "anycast")
 
 
-def check_steering(mode: str, hybrid_dns_share: float = 0.5) -> None:
-    """Reject a steering mode or hybrid split no plane can run."""
+def check_steering(mode: str) -> None:
+    """Reject a steering mode no plane can run."""
     if mode not in STEERING_MODES:
         raise ValueError(
             f"unknown steering mode {mode!r} (valid: {', '.join(STEERING_MODES)})"
         )
-    if not 0.0 <= hybrid_dns_share <= 1.0:
-        raise ValueError("hybrid_dns_share must be within [0, 1]")
 
 
 # Regional transit ASes carrying a site's announcement toward clients.

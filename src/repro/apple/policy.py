@@ -91,12 +91,6 @@ class MetaCdnController:
         """The demand volume currently spilled to third parties."""
         return self.demand(region) * (1.0 - self.apple_share(region))
 
-    def apple_utilization(self, region: MappingRegion) -> float:
-        """Apple's own fill level (1.0 == at the utilisation target)."""
-        usable = self.capacity(region) * self.target_utilization
-        if usable <= 0.0:
-            return 0.0
-        return min(1.0, self.demand(region) / usable)
 
 
 @dataclass(frozen=True)

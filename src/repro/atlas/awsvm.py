@@ -68,11 +68,6 @@ class AwsVmResult:
     resolution: Resolution
     checks: tuple[AvailabilityCheck, ...]
 
-    @property
-    def all_available(self) -> bool:
-        """True when every resolved cache served the file."""
-        return bool(self.checks) and all(check.available for check in self.checks)
-
 
 @dataclass
 class AwsVantage:

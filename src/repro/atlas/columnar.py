@@ -78,6 +78,11 @@ _ARRAY_FIELDS = (
     ("addr_values", "I"),
 )
 
+# The columns with one entry per row (the address offsets have one
+# more, the address values one per address).
+_ROW_FIELDS = tuple(
+    name for name, _ in _ARRAY_FIELDS if name not in ("addr_offsets", "addr_values")
+)
 # The columns carried as-is, row for row, and the (id column, table,
 # index) triples whose ids point into a per-block table.
 _PLAIN_FIELDS = ("times", "probe_ids", "asns", "continents")
@@ -502,10 +507,37 @@ class DnsColumns:
             raise SegmentFormatError(
                 f"{len(body) - cursor} trailing bytes after last column"
             )
-        if len(columns.addr_offsets) != header["rows"] + 1:
-            raise SegmentFormatError("offset column does not match row count")
+        columns._check(header["rows"])
         columns._drop_indexes()
         return columns
+
+    def _check(self, rows: int) -> None:
+        """Raise :class:`SegmentFormatError` unless the decoded columns
+        agree: ``rows`` entries per row column, address offsets rising
+        from 0 to the address count, every id inside its table and
+        timestamps that never decrease.  One C-level pass per column."""
+        if any(len(getattr(self, name)) != rows for name in _ROW_FIELDS):
+            raise SegmentFormatError(f"columns disagree with the row count {rows}")
+        offsets = self.addr_offsets
+        if (
+            len(offsets) != rows + 1
+            or offsets[0] != 0
+            or offsets[-1] != len(self.addr_values)
+            or not all(map(operator.le, offsets, offsets[1:]))
+        ):
+            raise SegmentFormatError(
+                "address offsets do not rise from 0 to the address count"
+            )
+        if rows:
+            tables = [("continents", CONTINENTS)] + [
+                (name, getattr(self, table)) for name, table, _ in _INTERNED_FIELDS
+            ]
+            for name, table in tables:
+                if max(getattr(self, name)) >= len(table):
+                    raise SegmentFormatError(f"{name} point past their table")
+        times = self.times
+        if not all(map(operator.le, times, times[1:])):
+            raise SegmentFormatError("timestamps decrease")
 
 
 class DnsSegment:

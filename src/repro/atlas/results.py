@@ -545,18 +545,23 @@ class MeasurementStore:
         segment ids, start rows and the open block are restored exactly,
         then the memory budget is re-enforced so oversized restored
         history spills straight back to disk.  The traceroute columns
-        are checked first (see :meth:`TracerouteColumns.from_state`): a
-        payload that fails raises :class:`ValueError` naming this store
-        before anything is restored.
+        and DNS segments are decoded and checked first (see
+        :meth:`TracerouteColumns.from_state` and
+        :meth:`DnsColumns.from_bytes`): a payload that fails raises
+        :class:`ValueError` naming this store before anything is restored.
         """
         if self._dns_count or len(self._traces) or len(self._open):
             raise ValueError("restore_state requires an empty store")
         try:
             traces = TracerouteColumns.from_state(state["traceroutes"])
+            sealed = [
+                (DnsColumns.from_bytes(entry["payload"]), entry)
+                for entry in state["segments"]
+            ]
+            open_block = DnsColumns.from_bytes(state["open"])
         except ValueError as exc:
             raise ValueError(f"store {self.name!r}: {exc}") from None
-        for entry in state["segments"]:
-            columns = DnsColumns.from_bytes(entry["payload"])
+        for columns, entry in sealed:
             segment = DnsSegment(
                 columns,
                 segment_id=entry["segment_id"],
@@ -565,7 +570,7 @@ class MeasurementStore:
             self._segments.append(segment)
             self._segment_starts.append(segment.start_row)
             self._sealed_resident_bytes += segment.nbytes
-        self._open = DnsColumns.from_bytes(state["open"])
+        self._open = open_block
         self._dns_count = state["dns_count"]
         self._last_time = state["last_time"]
         self._traces = traces

@@ -263,10 +263,6 @@ class CdnDeployment:
             )
         return active
 
-    def active_capacity_gbps(self, region: MappingRegion) -> float:
-        """Capacity of the currently exposed servers in ``region``."""
-        return sum(p.server.capacity_gbps for p in self.active_servers(region))
-
     def region_capacity_gbps(self, region: MappingRegion) -> float:
         """Total (exposed or not) capacity in ``region``."""
         return sum(p.server.capacity_gbps for p in self._by_region[region])

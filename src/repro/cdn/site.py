@@ -129,11 +129,6 @@ class EdgeSite:
         """Aggregate delivery capacity behind the vip."""
         return sum(server.capacity_gbps for server in self.edge_bx)
 
-    @property
-    def server_count(self) -> int:
-        """Number of edge-bx delivery servers (Figure 3's denominators)."""
-        return len(self.edge_bx)
-
     def choose_edge(self, request: HttpRequest) -> CacheServer:
         """The vip's load-sharing decision (step 5 in Figure 2).
 

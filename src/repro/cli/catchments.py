@@ -17,13 +17,12 @@ def register(commands) -> None:
         help="run a window under anycast steering and print the catchment map",
     )
     flags.add_window_flags(sub, probes=60, isp_probes=30)
-    sub.add_argument("--steering", choices=("anycast", "hybrid"),
-                     default="anycast",
-                     help="steering mode to replay (default anycast)")
     flags.add_fault_flag(sub)
     sub.add_argument("--json", action="store_true",
                      help="print the catchment analysis as JSON")
-    sub.set_defaults(handler=run)
+    # Not a flag: the scenario this command builds always steers by
+    # catchment.
+    sub.set_defaults(handler=run, steering="anycast")
 
 
 def run(args: argparse.Namespace) -> int:
@@ -31,13 +30,13 @@ def run(args: argparse.Namespace) -> int:
     end = flags.parse_date(args.end)
     engine = flags.engine_from_args(args)
     engine.run(start, end, workers=args.workers)
-    plane = engine.scenario.anycast  # never None: steering is never "dns" here
+    plane = engine.scenario.anycast  # never None: steering is "anycast"
     final_map = plane.catchment_map(end)
     analysis = CatchmentAnalysis.from_plane(plane)
     if args.json:
         print(json.dumps(
             {
-                "steering": args.steering,
+                "steering": "anycast",
                 "catchments": analysis.to_json_dict(),
                 "final_map": final_map.to_json_dict(),
             },
@@ -46,7 +45,7 @@ def run(args: argparse.Namespace) -> int:
         ))
         return 0
     print(f"catchment map at {TIMELINE.date_label(end)} "
-          f"({args.steering} steering, {len(plane.groups)} client groups, "
+          f"(anycast steering, {len(plane.groups)} client groups, "
           f"{len(plane.sites)} sites, signature {final_map.signature[:16]}):")
     for site_id, share in final_map.share_by_site().items():
         site = plane.site_by_id[site_id]

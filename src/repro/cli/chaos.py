@@ -19,8 +19,6 @@ def register(commands) -> None:
                      help="seed for probabilistic fault decisions (default 7)")
     sub.add_argument("--concurrency", type=int, default=16,
                      help="concurrent load workers (default 16)")
-    sub.add_argument("--error-budget", type=float, default=0.02,
-                     help="max tolerated client error rate (default 0.02)")
     flags.add_fault_flag(sub, example="cdn-blackout@Limelight:3-9",
                          note="default: the standard drill")
     sub.add_argument("--skip-simulation", action="store_true",
@@ -45,7 +43,6 @@ def run(args: argparse.Namespace) -> int:
         seed=args.seed,
         schedule=flags.fault_schedule(args) if args.fault else None,
         concurrency=args.concurrency,
-        error_budget=args.error_budget,
         run_simulation=not args.skip_simulation,
         workers=args.workers,
         steering=args.steering,

@@ -76,9 +76,8 @@ def scenario_from_args(args: argparse.Namespace) -> Sep2017Scenario:
         "global_probe_count": args.probes,
         "isp_probe_count": args.isp_probes,
     }
-    for dest in ("steering", "hybrid_dns_share"):
-        if dest in given:
-            config[dest] = given[dest]
+    if "steering" in given:
+        config["steering"] = given["steering"]
     if "resolver_population" in given:
         config.update(resolver_config_kwargs(args))
     if "store_budget_mb" in given:
@@ -102,12 +101,7 @@ def engine_from_args(args: argparse.Namespace) -> SimulationEngine:
 def add_steering_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--steering", choices=STEERING_MODES, default="dns",
                      help="client steering mode: dns (the 15 s selection "
-                          "CNAME), anycast (BGP catchments bypass DNS), or "
-                          "hybrid (only the DNS share is broker-steerable)")
-    sub.add_argument("--hybrid-dns-share", type=float, default=0.5,
-                     metavar="FRACTION",
-                     help="DNS-steered demand share under hybrid "
-                          "(default 0.5)")
+                          "CNAME) or anycast (BGP catchments bypass DNS)")
 
 
 def add_resolver_flags(
@@ -130,9 +124,6 @@ def add_resolver_flags(
     sub.add_argument("--public-resolver-scope", type=int, default=24,
                      metavar="BITS",
                      help="ECS scope the POPs announce (default 24)")
-    sub.add_argument("--public-resolver-cache-capacity", type=int,
-                     default=4096, metavar="N",
-                     help="live entries per shared POP cache (default 4096)")
 
 
 def resolver_config_kwargs(args: argparse.Namespace) -> dict:
@@ -142,7 +133,6 @@ def resolver_config_kwargs(args: argparse.Namespace) -> dict:
         "public_resolver_share": args.public_resolver_share,
         "public_resolver_ecs": args.public_resolver_ecs == "on",
         "public_resolver_scope": args.public_resolver_scope,
-        "public_resolver_cache_capacity": args.public_resolver_cache_capacity,
     }
 
 

@@ -37,7 +37,6 @@ from .wire import (
     ClientSubnet,
     WireError,
     WireMessage,
-    answer_wire,
     decode_message,
     decode_name,
     encode_message,
@@ -70,7 +69,6 @@ __all__ = [
     "decode_message",
     "encode_name",
     "decode_name",
-    "answer_wire",
     "normalize_name",
     "is_subdomain",
     "NameError_",

@@ -85,10 +85,6 @@ class DelegationTree:
         """Every hosted zone origin, sorted."""
         return tuple(sorted(self._zone_operator))
 
-    def operator_of_zone(self, origin: str) -> Optional[str]:
-        """Who hosts ``origin``, if anyone."""
-        return self._zone_operator.get(normalize_name(origin))
-
     def hosted_zone_for(self, name: str) -> Optional[str]:
         """The most specific hosted zone covering ``name``."""
         cleaned = normalize_name(name)

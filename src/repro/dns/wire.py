@@ -592,21 +592,6 @@ def servfail_reply(payload: bytes) -> Optional[bytes]:
     )
 
 
-def answer_wire(server, payload: bytes, context, ecs_scope=None) -> bytes:
-    """Serve one wire-format query against an authoritative server.
-
-    Decodes ``payload``, answers the first question with ``server``
-    (a :class:`~repro.dns.zone.AuthoritativeServer`) for the client in
-    ``context``, and encodes the :func:`reply_message` — the byte-level
-    face of the authoritative substrate.
-    """
-    query = decode_message(payload)
-    if not query.questions:
-        raise WireError("query carries no question")
-    response = server.query(query.questions[0], context)
-    return encode_message(reply_message(query, response, ecs_scope))
-
-
 def frame(message: bytes) -> bytes:
     """``message`` behind the two-octet length TCP carries it with
     (RFC 1035 §4.2.2)."""

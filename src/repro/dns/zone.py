@@ -42,10 +42,6 @@ class Zone:
             raise ValueError(f"{owner!r} is outside zone {self.origin!r}")
         self._policies[owner] = policy
 
-    def policy_for(self, name: str) -> Optional[AnswerPolicy]:
-        """The policy bound to ``name``, or ``None``."""
-        return self._policies.get(normalize_name(name))
-
     def answer(
         self, name: str, context: QueryContext
     ) -> Optional[tuple[ResourceRecord, ...]]:

@@ -192,21 +192,3 @@ class FaultInjector:
             return self._hit(FaultKind.CDN_BROWNOUT)
         return False
 
-    def route_withdrawn(self, site_id: str) -> bool:
-        """Whether the anycast site ``site_id`` has withdrawn its route.
-
-        Routing-plane only: :meth:`cdn_down` never consults route
-        kinds, so health probes keep passing while the catchment moves.
-        """
-        window = self.schedule.find(FaultKind.ROUTE_WITHDRAW, self.now(), site_id)
-        if window is None:
-            return False
-        return self._hit(FaultKind.ROUTE_WITHDRAW)
-
-    def route_prepend(self, site_id: str) -> int:
-        """AS-path prepends the site currently adds (0 when unfaulted)."""
-        window = self.schedule.find(FaultKind.ROUTE_PREPEND, self.now(), site_id)
-        if window is None:
-            return 0
-        self._hit(FaultKind.ROUTE_PREPEND)
-        return max(1, int(window.severity))

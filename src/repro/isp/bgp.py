@@ -57,11 +57,6 @@ class BgpRoute:
         """The handover AS: the direct neighbour announcing the route."""
         return self.as_path[0]
 
-    @property
-    def is_direct(self) -> bool:
-        """Whether origin and handover coincide (no transit)."""
-        return self.origin_asn == self.neighbor_asn
-
     def __str__(self) -> str:
         path = " ".join(str(asn.number) for asn in self.as_path)
         return f"{self.prefix} via [{path}] over {','.join(self.link_ids)}"

@@ -59,11 +59,6 @@ class ClassifiedFlow:
         """Received from a non-direct neighbour (Source AS != handover)."""
         return is_overflow(self.source_asn, self.handover_asn)
 
-    @property
-    def is_update_traffic(self) -> bool:
-        """Attributable to the Apple Meta-CDN at all (any known operator)."""
-        return self.operator is not None
-
 
 class TrafficClassifier:
     """Cross-correlates flows with BGP, link data and DNS observations.

@@ -122,13 +122,6 @@ class ASRegistry:
         """Longest-prefix-match origin AS for ``address``."""
         return self._trie.lookup(address)
 
-    def organisation_for(self, address: IPv4Address) -> Optional[str]:
-        """Organisation name owning ``address``, if known."""
-        asn = self.asn_for(address)
-        if asn is None:
-            return None
-        return self._by_asn[asn].organisation
-
     def get(self, asn: ASN) -> Optional[AutonomousSystem]:
         """The registered AS for ``asn``, or ``None``."""
         return self._by_asn.get(asn)

@@ -151,10 +151,6 @@ class IPv4Prefix:
         """Whether ``address`` falls inside this prefix."""
         return (address.value & self.mask) == self.network.value
 
-    def contains_prefix(self, other: "IPv4Prefix") -> bool:
-        """Whether ``other`` is equal to or more specific than this prefix."""
-        return other.length >= self.length and self.contains(other.network)
-
     def subnets(self, new_length: int) -> Iterator["IPv4Prefix"]:
         """Yield the subnets of this prefix at ``new_length``."""
         if new_length < self.length:

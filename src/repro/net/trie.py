@@ -121,23 +121,6 @@ class PrefixTrie(Generic[V]):
         """Yield ``(prefix, value)`` pairs in depth-first order."""
         yield from _walk(self._root, 0, 0)
 
-    def items_under(self, prefix: IPv4Prefix) -> Iterator[tuple[IPv4Prefix, V]]:
-        """Yield every stored ``(prefix, value)`` covered by ``prefix``.
-
-        Descends directly to the subtree rooted at ``prefix`` and walks
-        only that subtree, so enumerating the entries under a covering
-        prefix costs O(length + subtree) rather than a full-table scan.
-        The entry stored *at* ``prefix`` itself (if any) is included.
-        """
-        node: Optional[_Node[V]] = self._root
-        bits = prefix.network.value
-        for depth in range(prefix.length):
-            bit = (bits >> (31 - depth)) & 1
-            node = node.one if bit else node.zero  # type: ignore[union-attr]
-            if node is None:
-                return
-        yield from _walk(node, bits >> (32 - prefix.length) if prefix.length else 0, prefix.length)
-
 
 def _walk(node: _Node[V], bits: int, depth: int) -> Iterator[tuple[IPv4Prefix, V]]:
     if node.has_value:

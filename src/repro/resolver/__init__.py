@@ -11,11 +11,12 @@ probe-side stubs that route resolutions through them.
 """
 
 from .plane import POPULATIONS, PopStubResolver, ResolverPlane, check_population, is_public_client
-from .pops import DEFAULT_POPS, ResolverPop, nearest_pop
+from .pops import DEFAULT_POPS, POP_CACHE_CAPACITY, ResolverPop, nearest_pop
 
 __all__ = [
     "DEFAULT_POPS",
     "POPULATIONS",
+    "POP_CACHE_CAPACITY",
     "PopStubResolver",
     "ResolverPlane",
     "ResolverPop",

@@ -42,7 +42,7 @@ from ..dns.resolver import (
 )
 from ..dns.zone import AuthoritativeServer
 from ..net.ipv4 import IPv4Address, IPv4Prefix
-from .pops import DEFAULT_POPS, ResolverPop, nearest_pop
+from .pops import DEFAULT_POPS, POP_CACHE_CAPACITY, ResolverPop, nearest_pop
 
 __all__ = [
     "POPULATIONS",
@@ -71,11 +71,9 @@ def is_public_client(key, share: float) -> bool:
     return stable_fraction(_ASSIGNMENT_SALT, key) < share
 
 
-def check_population(
-    population: str, share: float, scope: int, capacity: int
-) -> None:
-    """Reject a resolver population, public share, ECS scope or POP
-    cache size that neither the engine's plane nor the live front runs."""
+def check_population(population: str, share: float, scope: int) -> None:
+    """Reject a resolver population, public share or ECS scope that
+    neither the engine's plane nor the live front runs."""
     if population not in POPULATIONS:
         raise ValueError(
             f"unknown resolver population {population!r} "
@@ -85,8 +83,6 @@ def check_population(
         raise ValueError("public_resolver_share must be within [0, 1]")
     if not 0 <= scope <= 32:
         raise ValueError("public_resolver_scope must be within [0, 32]")
-    if capacity <= 0:
-        raise ValueError("public_resolver_cache_capacity must be positive")
 
 
 class PopStubResolver:
@@ -169,11 +165,10 @@ class ResolverPlane:
         public_share: float = 0.5,
         ecs: bool = True,
         scope: int = 24,
-        cache_capacity: int = 4096,
         pops: Sequence[ResolverPop] = DEFAULT_POPS,
         metrics=None,
     ) -> None:
-        check_population(population, public_share, scope, cache_capacity)
+        check_population(population, public_share, scope)
         if population == "isp":
             raise ValueError("the plane models public/mixed; isp means no plane")
         if not pops:
@@ -182,7 +177,6 @@ class ResolverPlane:
         self.public_share = public_share
         self.ecs = ecs
         self.scope = scope
-        self.cache_capacity = cache_capacity
         self.pops = tuple(pops)
         self._servers = list(servers)
         self._metrics = metrics
@@ -269,7 +263,7 @@ class ResolverPlane:
                 cache=True,
                 metrics=self._metrics,
                 cache_scope=self.scope if self.ecs else 0,
-                cache_capacity=self.cache_capacity,
+                cache_capacity=POP_CACHE_CAPACITY,
             )
             self._caches[key] = resolver
         return resolver

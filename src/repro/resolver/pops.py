@@ -23,7 +23,7 @@ from ..dns.query import QueryContext
 from ..net.geo import Continent, Coordinates, great_circle_km
 from ..net.ipv4 import IPv4Address
 
-__all__ = ["ResolverPop", "DEFAULT_POPS", "nearest_pop"]
+__all__ = ["ResolverPop", "DEFAULT_POPS", "POP_CACHE_CAPACITY", "nearest_pop"]
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,10 @@ DEFAULT_POPS: tuple[ResolverPop, ...] = (
     _pop("pop-syd", "100.72.255.1", "au", Continent.OCEANIA, -33.87, 151.21),
     _pop("pop-gru", "100.73.255.1", "br", Continent.SOUTH_AMERICA, -23.55, -46.63),
 )
+
+# Live entries per shared POP cache, in the replay's plane and the live
+# front alike.
+POP_CACHE_CAPACITY = 4096
 
 
 def nearest_pop(

@@ -72,11 +72,9 @@ class ClusterConfig:
 
     object_size: int = 262_144
     servers_per_metro: int = 8
-    # "dns" (the 15 s selection CNAME), "anycast" (catchments route
-    # every connection) or "hybrid" (``hybrid_dns_share`` of the
-    # clients keep their DNS answer).
+    # "dns" (the 15 s selection CNAME) or "anycast" (catchments route
+    # every connection).
     steering: str = "dns"
-    hybrid_dns_share: float = 0.5
     # Scheduled faults in run-relative seconds, and the health loop
     # that reacts to them.
     faults: Optional[FaultSchedule] = None
@@ -88,17 +86,15 @@ class ClusterConfig:
     public_resolver_share: float = 0.5
     public_resolver_ecs: bool = True
     public_resolver_scope: int = 24
-    public_resolver_cache_capacity: int = 4096
 
     def __post_init__(self) -> None:
         if self.servers_per_metro <= 0:
             raise ValueError("servers_per_metro must be positive")
-        check_steering(self.steering, self.hybrid_dns_share)
+        check_steering(self.steering)
         check_population(
             self.resolver_population,
             self.public_resolver_share,
             self.public_resolver_scope,
-            self.public_resolver_cache_capacity,
         )
 
     @property
@@ -223,8 +219,6 @@ class ServeCluster:
                 self.estate,
                 self.anycast,
                 self.clock,
-                steering=config.steering,
-                hybrid_dns_share=config.hybrid_dns_share,
                 metrics=registry,
             )
         self.dns = AsyncDnsServer(
@@ -259,7 +253,6 @@ class ServeCluster:
                 directory=self.directory,
                 ecs=config.public_resolver_ecs,
                 scope=config.public_resolver_scope,
-                cache_capacity=config.public_resolver_cache_capacity,
                 metrics=registry,
                 clock=self.clock,
             )

@@ -124,12 +124,6 @@ class CircuitBreaker:
             entry[2] = False
             self.opened_total += 1
 
-    def open_targets(self) -> tuple[str, ...]:
-        """Targets whose circuit is currently open or half-open."""
-        return tuple(
-            sorted(t for t, e in self._targets.items() if e[1] is not None)
-        )
-
 
 @dataclass(frozen=True)
 class HedgePolicy:

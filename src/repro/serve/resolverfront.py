@@ -40,7 +40,7 @@ from ..dns.wire import (
 )
 from ..net.ipv4 import IPv4Address, IPv4Prefix
 from ..obs import get_registry
-from ..resolver import DEFAULT_POPS, ResolverPop, nearest_pop
+from ..resolver import DEFAULT_POPS, POP_CACHE_CAPACITY, ResolverPop, nearest_pop
 from .clients import ClientDirectory
 from .dnsclient import AsyncDnsClient, DnsClientError
 from .listener import Listener, RunClock
@@ -71,8 +71,8 @@ class PublicResolverFront:
     :meth:`start` takes the (host, port) of a running
     :class:`~repro.serve.dnsserver.AsyncDnsServer` to forward to.  ``ecs``
     controls whether the front forwards the client's subnet (truncated to
-    ``scope`` bits) or hides it behind the POP anchor;
-    ``cache_capacity`` bounds the live entries per POP cache.
+    ``scope`` bits) or hides it behind the POP anchor.  Each POP cache
+    holds at most :data:`~repro.resolver.POP_CACHE_CAPACITY` live entries.
     """
 
     def __init__(
@@ -81,7 +81,6 @@ class PublicResolverFront:
         pops: tuple[ResolverPop, ...] = DEFAULT_POPS,
         ecs: bool = True,
         scope: int = 24,
-        cache_capacity: int = 4096,
         metrics=None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
@@ -132,7 +131,7 @@ class PublicResolverFront:
         # One cache per POP: (qname, network_value, scope) -> entry.
         self._caches = {
             pop.pop_id: TtlCache(
-                cache_capacity,
+                POP_CACHE_CAPACITY,
                 hits=self._m_cache.labels("hit"),
                 misses=self._m_cache.labels("miss"),
                 evictions=evictions,

@@ -7,10 +7,6 @@ site whose catchment the client falls in — evaluated against the
 cluster's fault schedule at the *current* cluster clock, so a
 ``route-withdraw`` window moves live traffic the instant it opens,
 with no DNS TTL to wait out and nothing for health probes to notice.
-
-Hybrid mode splits the client population deterministically (stable
-BLAKE2b over the client address): the DNS-steered share keeps the vip
-it resolved, the anycast share is re-routed by catchment.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ from typing import Callable, Optional
 
 from ..anycast.plane import AnycastPlane, AnycastSite, ClientGroup
 from ..apple.mapping import MetaCdnEstate
-from ..dns.policies import stable_fraction
 from ..faults.schedule import FaultSchedule
 from ..net.ipv4 import IPv4Address
 from ..obs import get_registry
@@ -58,8 +53,6 @@ def anycast_router(
     estate: MetaCdnEstate,
     plane: AnycastPlane,
     clock: Callable[[], float],
-    steering: str = "anycast",
-    hybrid_dns_share: float = 0.5,
     metrics=None,
 ) -> Router:
     """Wrap the estate router with catchment-based connection routing.
@@ -81,10 +74,6 @@ def anycast_router(
         try:
             client = IPv4Address.parse(client_text)
         except ValueError:
-            return base(vip, request, size)
-        if steering == "hybrid" and stable_fraction(
-            "hybrid-steer", str(client)
-        ) < hybrid_dns_share:
             return base(vip, request, size)
         site = plane.site_for(client, clock())
         if site is None:

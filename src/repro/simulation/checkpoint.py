@@ -29,8 +29,9 @@ measurement *count* is unchanged).
 
 File format (``ckpt-<steps>.rckpt``): a :class:`~repro.container.Container`
 frame (magic ``RCKPT1``) whose JSON header carries the schema version
-(5: stores and campaign grids keyed by name, a store's traceroutes as
-typed columns, the flow log's timestamps one per run), the step count and the next tick, and whose payload is
+(6: stores and campaign grids keyed by name, a store's traceroutes as
+typed columns, the flow log's timestamps one per run, a scenario config
+with two steering modes), the step count and the next tick, and whose payload is
 the pickled :class:`Checkpoint` fields.
 The container writes atomically and verifies magic, version, length and
 checksum before the payload is unpickled; every failure raises
@@ -60,7 +61,7 @@ __all__ = [
     "checkpoint_path",
 ]
 
-_VERSION = 5
+_VERSION = 6
 
 
 class CheckpointError(RuntimeError):

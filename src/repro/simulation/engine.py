@@ -760,26 +760,11 @@ class SimulationEngine:
 
         Under ``anycast`` steering every client already holds a route
         to the shared VIP: the 15 s selection CNAME is never consulted
-        and all demand lands on Apple's own sites.  Under ``hybrid``
-        only the DNS-steered share flows through the selection split;
-        the anycast-pinned remainder cannot be re-steered by the
-        broker (or by health failover).
+        and all demand lands on Apple's own sites.
         """
-        steering = self.scenario.config.steering
-        if steering == "anycast":
+        if self.scenario.config.steering == "anycast":
             return {"Apple": demand_gbps}
-        if steering == "hybrid":
-            dns_share = self.scenario.config.hybrid_dns_share
-            split = self._dns_split(region, now, demand_gbps * dns_share)
-            pinned = demand_gbps * (1.0 - dns_share)
-            split["Apple"] = split.get("Apple", 0.0) + pinned
-            return split
-        return self._dns_split(region, now, demand_gbps)
-
-    def _dns_split(
-        self, region: MappingRegion, now: float, demand_gbps: float
-    ) -> dict[str, float]:
-        """The selection-CNAME split: Apple share, then member weights."""
+        # The selection-CNAME split: Apple share, then member weights.
         estate = self.scenario.estate
         apple_share = estate.apple_share(region, now)
         split = {"Apple": demand_gbps * apple_share}

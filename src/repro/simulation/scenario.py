@@ -174,16 +174,13 @@ class ScenarioConfig:
     a1015_delay_seconds: float = 6 * 3600.0
 
     # --- steering ---------------------------------------------------------
-    steering: str = "dns"                  # "dns" | "anycast" | "hybrid"
-    hybrid_dns_share: float = 0.5          # DNS-steered demand share under
-    # hybrid; the rest is pinned to the anycast VIP and never re-steered
+    steering: str = "dns"                  # "dns" | "anycast"
 
     # --- resolver population ----------------------------------------------
     resolver_population: str = "isp"       # "isp" | "public" | "mixed"
     public_resolver_share: float = 0.5     # public fraction under "mixed"
     public_resolver_ecs: bool = True       # POPs announce ECS upstream
     public_resolver_scope: int = 24        # announced ECS scope (bits)
-    public_resolver_cache_capacity: int = 4096  # live entries per POP cache
 
     # --- fault plane (used only when a FaultSchedule is passed) -----------
     fault_seed: int = 0                    # seeds probabilistic severities
@@ -219,12 +216,11 @@ class Sep2017Scenario:
     ) -> None:
         self.config = config if config is not None else ScenarioConfig()
         cfg = self.config
-        check_steering(cfg.steering, cfg.hybrid_dns_share)
+        check_steering(cfg.steering)
         check_population(
             cfg.resolver_population,
             cfg.public_resolver_share,
             cfg.public_resolver_scope,
-            cfg.public_resolver_cache_capacity,
         )
         self.timeline = timeline
         # The raw schedule (not the injector built from it) so sharded
@@ -394,7 +390,6 @@ class Sep2017Scenario:
             public_share=config.public_resolver_share,
             ecs=config.public_resolver_ecs,
             scope=config.public_resolver_scope,
-            cache_capacity=config.public_resolver_cache_capacity,
         )
         plane.install()
         return plane

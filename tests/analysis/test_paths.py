@@ -67,7 +67,6 @@ class TestGeolocation:
         estimate = estimates[IPv4Address.parse("17.253.0.1")]
         assert estimate.probe_id == 1
         assert estimate.coordinates == berlin.coordinates
-        assert estimate.radius_km == pytest.approx(400.0)
 
     def test_unreached_traces_ignored(self):
         probe = make_probe(1, "deber")

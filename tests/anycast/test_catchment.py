@@ -101,23 +101,6 @@ def test_site_of_is_longest_prefix_match():
     assert built.site_of(IPv4Address.parse("10.0.0.1")) is None
 
 
-def test_sites_under_scopes_to_subtree():
-    groups = [
-        make_group("eu-a", "89.0.1.0/24", Continent.EUROPE),
-        make_group("eu-b", "89.0.2.0/24", Continent.EUROPE),
-        make_group("us-a", "198.51.0.0/24", Continent.NORTH_AMERICA,
-                   lat=40.0, lon=-100.0),
-    ]
-    built = build_catchment_map(
-        groups, [s.base_route() for s in SITES], SITES_BY_LINK
-    )
-    under = built.sites_under(IPv4Prefix.parse("89.0.0.0/16"))
-    assert sum(under.values()) == 2
-    assert built.sites_under(IPv4Prefix.parse("0.0.0.0/0")) == {
-        "defra-1": 2, "usdal-1": 1,
-    }
-
-
 def test_share_by_site_is_weight_normalised():
     groups = [
         make_group("heavy", "89.0.1.0/24", Continent.EUROPE, weight=3.0),

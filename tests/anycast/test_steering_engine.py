@@ -1,9 +1,9 @@
-"""Engine integration: the three steering modes over the flash crowd.
+"""Engine integration: the two steering modes over the flash crowd.
 
-Pins the tentpole's headline guarantees: anycast bypasses the 15 s
-selection CNAME entirely (all demand on Apple), hybrid moves only the
-DNS-steered share, a mid-event route withdrawal shifts catchments, and
-the catchment log is bit-identical between serial and sharded runs.
+Pins the headline guarantees: anycast bypasses the 15 s selection CNAME
+entirely (all demand on Apple), a mid-event route withdrawal shifts
+catchments, and the catchment log is bit-identical between serial and
+sharded runs.
 """
 
 import json
@@ -20,12 +20,9 @@ END = TIMELINE.at(9, 19)
 SCALE = dict(global_probe_count=12, isp_probe_count=6)
 
 
-def run(steering, workers=1, faults=None, hybrid_dns_share=0.5):
+def run(steering, workers=1, faults=None):
     scenario = Sep2017Scenario(
-        ScenarioConfig(
-            steering=steering, hybrid_dns_share=hybrid_dns_share, **SCALE
-        ),
-        faults=faults,
+        ScenarioConfig(steering=steering, **SCALE), faults=faults
     )
     engine = SimulationEngine(scenario, step_seconds=3600.0)
     reports = []
@@ -51,17 +48,6 @@ class TestSteeringModes:
         peaks = RunSummary.from_run(scenario, reports).peak_operator_gbps
         assert set(peaks) == {"Apple"}
 
-    def test_hybrid_moves_only_the_dns_share(self):
-        dns = summarize("dns").peak_operator_gbps
-        hybrid = summarize("hybrid", hybrid_dns_share=0.5).peak_operator_gbps
-        anycast = summarize("anycast").peak_operator_gbps
-        # Third parties still carry traffic under hybrid, but less than
-        # under dns, and anycast carries none at all.
-        for operator in ("Akamai", "Limelight"):
-            assert 0.0 < hybrid.get(operator, 0.0) < dns[operator]
-            assert operator not in anycast
-        assert hybrid["Apple"] > dns["Apple"]
-
     def test_summary_carries_catchments(self):
         payload = summarize("anycast").to_json_dict()
         assert payload["steering"] == "anycast"
@@ -73,10 +59,8 @@ class TestSteeringModes:
     def test_invalid_steering_rejected(self):
         with pytest.raises(ValueError):
             Sep2017Scenario(ScenarioConfig(steering="multicast", **SCALE))
-        with pytest.raises(ValueError):
-            Sep2017Scenario(
-                ScenarioConfig(steering="hybrid", hybrid_dns_share=1.5, **SCALE)
-            )
+        with pytest.raises(ValueError, match="unknown steering mode 'hybrid'"):
+            Sep2017Scenario(ScenarioConfig(steering="hybrid", **SCALE))
 
 
 class TestRouteFlapInEngine:

@@ -64,15 +64,6 @@ class TestMetaCdnController:
         controller.observe_demand(MappingRegion.APAC, 10.0)
         assert controller.apple_share(MappingRegion.APAC) == 0.0
 
-    def test_apple_utilization(self):
-        controller = MetaCdnController(
-            {MappingRegion.EU: 100.0}, target_utilization=1.0
-        )
-        controller.observe_demand(MappingRegion.EU, 50.0)
-        assert controller.apple_utilization(MappingRegion.EU) == pytest.approx(0.5)
-        controller.observe_demand(MappingRegion.EU, 500.0)
-        assert controller.apple_utilization(MappingRegion.EU) == 1.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             MetaCdnController({}, target_utilization=0.0)

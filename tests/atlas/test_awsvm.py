@@ -69,7 +69,6 @@ class TestAwsVantageMeasure:
         assert len(result.checks) == 1
         assert result.checks[0].available
         assert result.checks[0].cache_verdict == "hit-fresh"
-        assert result.all_available
 
     def test_failed_fetch_recorded(self, estate):
         vantage = build_aws_vantages(estate)[0]
@@ -78,7 +77,6 @@ class TestAwsVantageMeasure:
         )
         assert not result.checks[0].available
         assert result.checks[0].status is None
-        assert not result.all_available
 
     def test_http_error_is_unavailable(self, estate):
         def broken(address, request):

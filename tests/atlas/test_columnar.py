@@ -1,10 +1,11 @@
 """Tests for the columnar segmented store (repro.atlas.columnar)."""
 
 import pickle
+from array import array
 
 import pytest
 
-from repro.atlas.columnar import DnsColumns, DnsSegment, SegmentFormatError
+from repro.atlas.columnar import CONTINENTS, DnsColumns, DnsSegment, SegmentFormatError
 from repro.atlas.results import (
     DnsMeasurement,
     MeasurementStore,
@@ -94,6 +95,100 @@ class TestDnsColumns:
         payload = DnsColumns.from_measurements(sample_measurements()).to_bytes()
         with pytest.raises(SegmentFormatError):
             DnsColumns.from_bytes(payload[: len(payload) - 8])
+
+
+def _two_rows():
+    """Two rows, one address between them, every table one entry long."""
+    return DnsColumns.from_measurements(
+        [measurement(0.0, ["17.0.0.1"]), measurement(10.0)]
+    )
+
+
+def _rows_disagree(block):
+    block.probe_ids = array("q", block.probe_ids[:1])
+    block.asns = array("I")
+
+
+def _offsets_overrun(block):
+    block.addr_offsets = array("Q", [0, 1, 5])
+
+
+def _offsets_start_late(block):
+    block.addr_offsets = array("Q", [1, 1, 1])
+
+
+def _offsets_fall(block):
+    block.addr_offsets = array("Q", [0, 2, 1])
+
+
+def _chain_past_table(block):
+    block.chains = []
+
+
+def _continent_past_table(block):
+    block.continents[1] = len(CONTINENTS)
+
+
+def _target_past_table(block):
+    block.target_ids[1] = 1
+
+
+def _times_fall(block):
+    block.times = array("d", [10.0, 0.0])
+
+
+BAD_BLOCKS = [
+    (_rows_disagree, "row count"),
+    (_offsets_overrun, "address offsets"),
+    (_offsets_start_late, "address offsets"),
+    (_offsets_fall, "address offsets"),
+    (_chain_past_table, "chain_ids point past"),
+    (_continent_past_table, "continents point past"),
+    (_target_past_table, "target_ids point past"),
+    (_times_fall, "timestamps decrease"),
+]
+
+
+class TestDecodeChecks:
+    """A frame with a valid checksum whose columns disagree is refused
+    on decode, not left to raise IndexError on the first read."""
+
+    @pytest.mark.parametrize(
+        "corrupt, message", BAD_BLOCKS, ids=[f.__name__[1:] for f, _ in BAD_BLOCKS]
+    )
+    def test_a_block_whose_columns_disagree_is_refused(self, corrupt, message):
+        block = _two_rows()
+        corrupt(block)
+        with pytest.raises(SegmentFormatError, match=message):
+            DnsColumns.from_bytes(block.to_bytes())
+
+    def test_a_spilled_segment_is_checked_on_reload(self, tmp_path):
+        block = _two_rows()
+        _offsets_overrun(block)
+        segment = DnsSegment(block, segment_id=1, start_row=0)
+        segment.spill(tmp_path / "seg.bin")
+        with pytest.raises(SegmentFormatError, match="address offsets"):
+            segment.load()
+
+    @pytest.mark.parametrize("part", ["open", "segments"])
+    def test_a_restore_refuses_a_bad_block_before_anything_is_restored(self, part):
+        source = MeasurementStore(name="dns-store", segment_rows=2)
+        for row in range(3):
+            source.add_dns(measurement(float(row), ["17.0.0.1"]))
+        state = source.dump_state()
+        assert state["segments"] and DnsColumns.from_bytes(state["open"])
+        block = _two_rows()
+        _chain_past_table(block)
+        if part == "open":
+            state["open"] = block.to_bytes()
+        else:
+            state["segments"][0] = dict(state["segments"][0], payload=block.to_bytes())
+        store = MeasurementStore(name="dns-store", segment_rows=2)
+        with pytest.raises(ValueError, match="store 'dns-store': chain_ids"):
+            store.restore_state(state)
+        assert (store.dns_count, store.segment_count) == (0, 0)
+        store.restore_state(source.dump_state())
+        assert store.dns_count == 3
 
 
 class TestDnsSegment:

@@ -260,7 +260,6 @@ class TestCdnDeployment:
     def test_capacity_accounting(self):
         deployment = self._deployment()
         assert deployment.region_capacity_gbps(MappingRegion.EU) == 120.0
-        assert deployment.active_capacity_gbps(MappingRegion.EU) == 120.0
 
     def test_len_and_str(self):
         deployment = self._deployment()

@@ -83,13 +83,14 @@ def test_distinct_names_never_share_an_entry(client, scope, qname_bits):
 
 import asyncio  # noqa: E402
 from dataclasses import replace  # noqa: E402
+from unittest import mock  # noqa: E402
 
 from repro.dns.policies import StaticPolicy  # noqa: E402
 from repro.dns.records import ARecord  # noqa: E402
 from repro.dns.ttlcache import TtlCache  # noqa: E402
 from repro.dns.wire import ClientSubnet, WireMessage  # noqa: E402
 from repro.obs import MetricsRegistry  # noqa: E402
-from repro.serve import PublicResolverFront  # noqa: E402
+from repro.serve import PublicResolverFront, resolverfront  # noqa: E402
 
 
 class _Entry:
@@ -267,10 +268,11 @@ def _front_live_sets(ttls, capacity, trace):
 
     async def replay(prefix):
         clock = [0.0]
-        front = PublicResolverFront(
-            cache_capacity=capacity,
-            metrics=MetricsRegistry(), clock=lambda: clock[0],
-        )
+        # The POP cache size is a constant; patch it for this front.
+        with mock.patch.object(resolverfront, "POP_CACHE_CAPACITY", capacity):
+            front = PublicResolverFront(
+                metrics=MetricsRegistry(), clock=lambda: clock[0],
+            )
         front._client = upstream = Upstream()
         pop = front._pop_for(CLIENT)
 

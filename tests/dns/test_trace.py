@@ -23,9 +23,6 @@ class TestDelegationTree:
     def test_zone_inventory(self, servers):
         tree = DelegationTree(servers)
         assert tree.zones == ("akadns.net", "apple.com", "applimg.com")
-        assert tree.operator_of_zone("apple.com") == "Apple"
-        assert tree.operator_of_zone("akadns.net") == "Akamai"
-        assert tree.operator_of_zone("example.org") is None
 
     def test_hosted_zone_for(self, servers):
         tree = DelegationTree(servers)

@@ -10,7 +10,6 @@ from repro.dns.wire import (
     ClientSubnet,
     WireError,
     WireMessage,
-    answer_wire,
     decode_message,
     decode_name,
     encode_message,
@@ -205,6 +204,15 @@ class TestMessages:
         assert decoded.answers == message.answers
 
 
+def answer_bytes(server, payload, context, ecs_scope=None):
+    """One wire query answered the way ``AsyncDnsServer`` answers it:
+    decode, :meth:`ZoneFrontend.answer`, encode."""
+    from repro.serve.dnsserver import ZoneFrontend
+
+    reply = ZoneFrontend([server]).answer(decode_message(payload), context, ecs_scope)
+    return encode_message(reply)
+
+
 class TestAnswerWire:
     def test_end_to_end_over_bytes(self):
         from repro.dns.policies import CnamePolicy
@@ -226,7 +234,7 @@ class TestAnswerWire:
                 client_subnet=ClientSubnet(IPv4Prefix.parse("89.0.0.0/24")),
             )
         )
-        response = decode_message(answer_wire(server, query, context))
+        response = decode_message(answer_bytes(server, query, context))
         assert response.message_id == 7
         assert response.is_response and response.authoritative
         assert response.answers[0].target == "x.akadns.net"
@@ -257,11 +265,11 @@ class TestAnswerWire:
                 client_subnet=ClientSubnet(IPv4Prefix.parse("89.0.0.0/24")),
             )
         )
-        scoped = decode_message(answer_wire(server, query, context, ecs_scope=16))
+        scoped = decode_message(answer_bytes(server, query, context, ecs_scope=16))
         assert scoped.client_subnet.scope_length == 16
         assert scoped.client_subnet.prefix == IPv4Prefix.parse("89.0.0.0/24")
         # Scope 0: the answer did not depend on the client at all.
-        blind = decode_message(answer_wire(server, query, context, ecs_scope=0))
+        blind = decode_message(answer_bytes(server, query, context, ecs_scope=0))
         assert blind.client_subnet.scope_length == 0
 
     def test_question_required(self):
@@ -276,7 +284,7 @@ class TestAnswerWire:
         )
         empty = encode_message(WireMessage(message_id=1))
         with pytest.raises(WireError):
-            answer_wire(server, empty, context)
+            answer_bytes(server, empty, context)
 
 
 class TestAdversarialBytes:

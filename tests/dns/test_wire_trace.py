@@ -58,20 +58,16 @@ class TestRoundTrip:
         assert decoded.trace_context is None
 
     def test_response_echoes_query_context(self):
-        from repro.dns.query import QueryContext, RCode
-        from repro.dns.wire import answer_wire
+        from repro.dns.policies import StaticPolicy
+        from repro.dns.query import QueryContext
+        from repro.dns.zone import AuthoritativeServer, Zone
         from repro.net.geo import Continent, Coordinates
         from repro.net.ipv4 import IPv4Address
+        from repro.serve.dnsserver import ZoneFrontend
 
-        class FakeResponse:
-            authoritative = True
-            rcode = RCode.NOERROR
-            answers = ()
-
-        class FakeServer:
-            def query(self, question, context):
-                return FakeResponse()
-
+        zone = Zone("apple.com")
+        zone.bind("appldnld.apple.com", StaticPolicy(()))
+        frontend = ZoneFrontend([AuthoritativeServer("Apple", [zone])])
         payload = encode_message(
             _query(trace_context=TraceContext(trace_id=8, span_id=2))
         )
@@ -82,7 +78,9 @@ class TestRoundTrip:
             country="de",
             now=0.0,
         )
-        response = decode_message(answer_wire(FakeServer(), payload, context))
+        response = decode_message(
+            encode_message(frontend.answer(decode_message(payload), context))
+        )
         assert response.trace_context == TraceContext(trace_id=8, span_id=2)
 
 

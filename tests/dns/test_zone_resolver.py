@@ -14,13 +14,13 @@ from repro.dns.resolver import RecursiveResolver, ResolutionError
 from repro.dns.wire import (
     ClientSubnet,
     WireMessage,
-    answer_wire,
     decode_message,
     encode_message,
 )
 from repro.dns.zone import AuthoritativeServer, Zone
 from repro.net.geo import Continent, Coordinates
 from repro.net.ipv4 import IPv4Address, IPv4Prefix
+from repro.serve.dnsserver import ZoneFrontend
 
 
 def make_context(now=0.0):
@@ -63,8 +63,9 @@ class TestZone:
         zone = Zone("apple.com")
         policy = CnamePolicy("x.akadns.net", ttl=60)
         zone.bind("appldnld.apple.com", policy)
-        assert zone.policy_for("appldnld.apple.com") is policy
-        assert zone.policy_for("other.apple.com") is None
+        (record,) = zone.answer("appldnld.apple.com", make_context())
+        assert record.target == "x.akadns.net"
+        assert zone.answer("other.apple.com", make_context()) is None
 
     def test_bind_outside_zone_rejected(self):
         zone = Zone("apple.com")
@@ -81,9 +82,7 @@ class TestZone:
         zone = Zone("apple.com")
         zone.bind("a.apple.com", CnamePolicy("v1.example", ttl=1))
         zone.bind("a.apple.com", CnamePolicy("v2.example", ttl=1))
-        (record,) = zone.policy_for("a.apple.com").answer(
-            "a.apple.com", make_context()
-        )
+        (record,) = zone.answer("a.apple.com", make_context())
         assert record.target == "v2.example"
 
     def test_answer_is_the_record_level_answer(self):
@@ -248,12 +247,13 @@ def wire_chase(servers, name, context):
     """Walk the CNAME chain with every hop exchanged as RFC 1035 bytes.
 
     Returns ``(hops, rcode)``: one ``(operator, answers)`` pair per hop
-    as decoded from :func:`answer_wire`'s reply, and the last rcode.
+    as decoded from the reply :class:`ZoneFrontend` encodes (the path
+    ``AsyncDnsServer`` runs), and the last rcode.
     """
-    locator = RecursiveResolver(servers, cache=False)
+    frontend = ZoneFrontend(servers)
     hops = []
     for message_id in range(1, 17):
-        server = locator.server_for(name)
+        server = frontend.server_for(name)
         query = encode_message(
             WireMessage(
                 message_id=message_id,
@@ -263,7 +263,9 @@ def wire_chase(servers, name, context):
                 ),
             )
         )
-        reply = decode_message(answer_wire(server, query, context))
+        reply = decode_message(
+            encode_message(frontend.answer(decode_message(query), context))
+        )
         assert reply.message_id == message_id
         hops.append((server.operator, tuple(reply.answers)))
         cnames = [r for r in reply.answers if r.rtype is RecordType.CNAME]
@@ -278,7 +280,7 @@ class TestWireModeResolver:
 
     (The resolver's own ``wire_mode`` switch is gone — the live
     ``dnsserver`` is what speaks bytes — so the chase over
-    :func:`answer_wire` is spelled out here as the reference.)
+    :meth:`ZoneFrontend.answer` is spelled out here as the reference.)
     """
 
     def test_wire_and_object_modes_agree(self, estate):

@@ -25,8 +25,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             ChaosConfig(batch_requests=0)
-        with pytest.raises(ValueError):
-            ChaosConfig(error_budget=1.5)
 
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError):

@@ -114,29 +114,6 @@ class TestFlapShiftsCatchments:
 
 
 class TestInjectorRouteHelpers:
-    def test_route_withdrawn_window(self):
-        schedule = FaultSchedule([
-            FaultWindow(100.0, 200.0, "defra-1", FaultKind.ROUTE_WITHDRAW),
-        ])
-        injector = FaultInjector(schedule, metrics=MetricsRegistry())
-        injector.set_time(50.0)
-        assert injector.route_withdrawn("defra-1") is False
-        injector.set_time(150.0)
-        assert injector.route_withdrawn("defra-1") is True
-        assert injector.route_withdrawn("uklon-1") is False
-
-    def test_route_prepend_severity(self):
-        schedule = FaultSchedule([
-            FaultWindow(100.0, 200.0, "defra-1", FaultKind.ROUTE_PREPEND,
-                        severity=2.0),
-        ])
-        injector = FaultInjector(schedule, metrics=MetricsRegistry())
-        injector.set_time(150.0)
-        assert injector.route_prepend("defra-1") == 2
-        assert injector.route_prepend("uklon-1") == 0
-        injector.set_time(250.0)
-        assert injector.route_prepend("defra-1") == 0
-
     def test_route_kinds_parse(self):
         schedule = FaultSchedule.parse(
             ["route-withdraw@defra-1:100-200",

@@ -111,14 +111,12 @@ class TestTopology:
 class TestBgp:
     def test_lookup_longest_match(self, rib):
         route = rib.lookup(IPv4Address.parse("17.253.1.1"))
-        assert route.origin_asn == AS_APPLE
-        assert route.is_direct
+        assert route.origin_asn == AS_APPLE == route.neighbor_asn
 
     def test_transit_route(self, rib):
         route = rib.lookup(IPv4Address.parse("92.122.0.5"))
         assert route.origin_asn == ASN(64512)
         assert route.neighbor_asn == AS_TRANSIT
-        assert not route.is_direct
 
     def test_lookup_miss(self, rib):
         assert rib.lookup(IPv4Address.parse("8.8.8.8")) is None
@@ -423,7 +421,7 @@ class TestClassifier:
         classified = classifier.classify(self._flow("17.253.0.1", "apple-1"))
         assert not classified.is_offload
         assert not classified.is_overflow
-        assert classified.is_update_traffic
+        assert classified.operator == "Apple"
 
     def test_akamai_direct_is_offload_only(self, isp, rib):
         classifier = self._classifier(isp, rib)
@@ -450,7 +448,7 @@ class TestClassifier:
     def test_unknown_source_is_not_update_traffic(self, isp, rib):
         classifier = self._classifier(isp, rib)
         classified = classifier.classify(self._flow("8.8.8.8", "transit-1"))
-        assert not classified.is_update_traffic
+        assert classified.operator is None
         assert classified.source_asn is None
 
     def test_filtered_iterators(self, isp, rib):

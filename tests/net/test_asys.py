@@ -66,10 +66,6 @@ class TestASRegistry:
     def test_asn_for_miss(self, registry):
         assert registry.asn_for(IPv4Address.parse("8.8.8.8")) is None
 
-    def test_organisation_for(self, registry):
-        assert registry.organisation_for(IPv4Address.parse("17.1.1.1")) == "Apple"
-        assert registry.organisation_for(IPv4Address.parse("8.8.8.8")) is None
-
     def test_more_specific_announcement_wins(self, registry):
         registry.create(ASN(64500), "Hoster", [IPv4Prefix.parse("17.99.0.0/16")])
         assert registry.asn_for(IPv4Address.parse("17.99.1.1")) == ASN(64500)

@@ -139,13 +139,6 @@ class TestIPv4Prefix:
         assert addresses[0] == prefix.first
         assert addresses[-1] == prefix.last
 
-    def test_contains_prefix(self):
-        outer = IPv4Prefix.parse("17.0.0.0/8")
-        inner = IPv4Prefix.parse("17.253.0.0/16")
-        assert outer.contains_prefix(inner)
-        assert not inner.contains_prefix(outer)
-        assert outer.contains_prefix(outer)
-
     def test_default_route_contains_everything(self):
         default = IPv4Prefix.parse("0.0.0.0/0")
         assert default.contains(IPv4Address.parse("203.0.113.7"))

@@ -3,8 +3,7 @@
 The simulation engine proves the steering math; these tests prove the
 *serving* half of the tentpole — a running ``ServeCluster`` in
 anycast mode re-routes each HTTP connection to the backend vip of the
-client's catchment site, hybrid splits the population
-deterministically, and a live ``route-withdraw`` window moves
+client's catchment site, and a live ``route-withdraw`` window moves
 connections between sites in real time.
 """
 
@@ -12,7 +11,6 @@ import asyncio
 
 import pytest
 
-from repro.dns.policies import stable_fraction
 from repro.faults import FaultKind, FaultSchedule, FaultWindow
 from repro.obs import MetricsRegistry, use_registry
 from repro.serve import (
@@ -26,14 +24,13 @@ from repro.simulation import ScenarioConfig, Sep2017Scenario
 REQUESTS = 160
 
 
-def drive(steering, faults=None, clock=None, hybrid_dns_share=0.5):
+def drive(steering, faults=None, clock=None):
     """Boot a cluster in ``steering`` mode, drive load, return it."""
     registry = MetricsRegistry()
     with use_registry(registry):
         cluster = ServeCluster(
             config=ClusterConfig(
-                servers_per_metro=2, steering=steering,
-                hybrid_dns_share=hybrid_dns_share, faults=faults,
+                servers_per_metro=2, steering=steering, faults=faults,
             ),
             directory=ClientDirectory.from_adoption(),
             metrics=registry,
@@ -85,10 +82,8 @@ class TestAnycastRouting:
 
     @pytest.mark.parametrize("bad", [
         {"steering": "multicast"},
-        # The cluster used to accept this one: every client then counted
-        # as DNS-steered (stable_fraction(...) < 1.5).
-        {"steering": "hybrid", "hybrid_dns_share": 1.5},
-        {"steering": "hybrid", "hybrid_dns_share": -0.1},
+        # Exactly the share-weighted mix of the other two; deleted.
+        {"steering": "hybrid"},
     ])
     def test_cluster_and_scenario_refuse_the_same_steering(self, bad):
         with pytest.raises(ValueError) as live:
@@ -96,35 +91,6 @@ class TestAnycastRouting:
         with pytest.raises(ValueError) as replay:
             Sep2017Scenario(ScenarioConfig(**bad))
         assert str(live.value) == str(replay.value)
-
-
-class TestHybridSplit:
-    def test_hybrid_routes_only_the_anycast_share(self):
-        cluster, registry, report = drive("hybrid", hybrid_dns_share=0.5)
-        routed = sum(routed_by_site(registry).values())
-        assert report.errors == 0
-        # The DNS share keeps its resolved vip; only the rest re-route.
-        assert 0 < routed < REQUESTS
-
-    def test_split_is_the_stable_fraction(self):
-        """The cluster's split matches the documented BLAKE2b rule."""
-        cluster, registry, _ = drive("hybrid", hybrid_dns_share=0.5)
-        plane = cluster.anycast
-        known = []
-        for vantage in cluster.directory.vantages:
-            client = vantage.prefix.host(1)
-            if stable_fraction("hybrid-steer", str(client)) < 0.5:
-                continue
-            known.append(client)
-        # Every non-DNS client of a known vantage lands in a catchment.
-        assert all(
-            plane.site_for(client, 0.0) is not None for client in known
-        )
-
-    def test_share_one_is_all_dns(self):
-        _, registry, report = drive("hybrid", hybrid_dns_share=1.0)
-        assert report.errors == 0
-        assert sum(routed_by_site(registry).values()) == 0
 
 
 class TestLiveRouteFlap:

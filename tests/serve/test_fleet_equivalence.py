@@ -204,9 +204,7 @@ class TestEdgeDescription:
         # fleet never forks a worker only to have it fail to boot.
         before = set(multiprocessing.active_children())
         with pytest.raises(ValueError, match="unknown steering mode"):
-            ServeFleet(FleetConfig(cluster=ClusterConfig(
-                steering="bogus", hybrid_dns_share=1.5,
-            ))).start()
+            ServeFleet(FleetConfig(cluster=ClusterConfig(steering="bogus"))).start()
         assert set(multiprocessing.active_children()) == before
 
 

@@ -77,7 +77,6 @@ class TestCircuitBreaker:
         breaker.record_failure("17.0.0.1")
         assert breaker.state("17.0.0.1") == "open"
         assert not breaker.allow("17.0.0.1")
-        assert breaker.open_targets() == ("17.0.0.1",)
         assert breaker.opened_total == 1
         # Other targets are unaffected.
         assert breaker.allow("17.0.0.2")

@@ -364,7 +364,6 @@ class TestConfigValidation:
         {"resolver_population": "open"},
         {"resolver_population": "mixed", "public_resolver_share": 1.5},
         {"resolver_population": "public", "public_resolver_scope": 40},
-        {"resolver_population": "public", "public_resolver_cache_capacity": 0},
     ])
     def test_cluster_and_scenario_refuse_the_same_population(self, bad):
         with pytest.raises(ValueError) as live:
@@ -382,8 +381,6 @@ class TestConfigValidation:
             PublicResolverFront(pops=())
         with pytest.raises(ValueError):
             PublicResolverFront(scope=40)
-        with pytest.raises(ValueError):
-            PublicResolverFront(cache_capacity=0)
 
     def test_loadgen_share_derivation(self):
         assert ClusterConfig().loadgen_resolver_share == 0.0

@@ -379,20 +379,33 @@ class TestCheckpointValidation:
         with pytest.raises(CheckpointError, match="do not strictly increase"):
             load_checkpoint(path)
 
-    def test_a_version_4_checkpoint_is_refused(self, small_dir, tmp_path):
-        """Version 4 stored one flow timestamp per row; this build reads
-        version 5 (one per run) and says so, naming both."""
+    @staticmethod
+    def _rewritten_as(version, small_dir, tmp_path):
+        """The small run's checkpoint, reframed as schema ``version``."""
         from repro.container import Container
         from repro.simulation import checkpoint as module
 
-        assert module._VERSION == 5
-        source = small_dir / "ckpt-00000008.rckpt"
-        _, payload = module._CONTAINER.read(source)
+        assert module._VERSION == 6
+        _, payload = module._CONTAINER.read(small_dir / "ckpt-00000008.rckpt")
         path = tmp_path / "ckpt-00000008.rckpt"
-        Container(b"RCKPT1\n", 4, CheckpointError, "checkpoint").write(
+        Container(b"RCKPT1\n", version, CheckpointError, "checkpoint").write(
             path, {"steps": 8}, [bytes(payload)]
         )
-        with pytest.raises(CheckpointError, match=r"version 4 .*reads version 5"):
+        return path
+
+    def test_a_version_4_checkpoint_is_refused(self, small_dir, tmp_path):
+        """Version 4 stored one flow timestamp per row; this build reads
+        version 6 and says so, naming both."""
+        path = self._rewritten_as(4, small_dir, tmp_path)
+        with pytest.raises(CheckpointError, match=r"version 4 .*reads version 6"):
+            load_checkpoint(path)
+
+    def test_a_version_5_checkpoint_is_refused(self, small_dir, tmp_path):
+        """Version 5 pickled a scenario config with a third steering mode
+        and its share; it is refused, not resumed under a config that
+        lost them."""
+        path = self._rewritten_as(5, small_dir, tmp_path)
+        with pytest.raises(CheckpointError, match=r"version 5 .*reads version 6"):
             load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -152,12 +152,15 @@ FORMER_KNOBS = (
     "precache_fill_gbps", "precache_fill_lead_seconds",
     "precache_fill_tail_seconds", "fault_k_failures", "fault_recovery_probes",
     "fault_probe_interval", "fault_cooldown",
+    # A deleted steering mode's share, and the POP cache size (now
+    # repro.resolver.POP_CACHE_CAPACITY).
+    "hybrid_dns_share", "public_resolver_cache_capacity",
 )
 
 
 def test_calibration_constants_are_not_config_keywords():
-    assert len(FORMER_KNOBS) == 23
-    assert len(dataclasses.fields(ScenarioConfig)) == 26
+    assert len(FORMER_KNOBS) == 25
+    assert len(dataclasses.fields(ScenarioConfig)) == 24
     for keyword in FORMER_KNOBS:
         with pytest.raises(TypeError, match=keyword):
             ScenarioConfig(**{keyword: 1})

@@ -44,13 +44,11 @@ PARENT_SURFACE = {
         'probes': (('--probes',), 60, 'int', None, False, None, '_StoreAction', None),
         'isp_probes': (('--isp-probes',), 30, 'int', None, False, None, '_StoreAction', None),
         'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
-        'steering': (('--steering',), 'dns', None, ('dns', 'anycast', 'hybrid'), False, None, '_StoreAction', None),
-        'hybrid_dns_share': (('--hybrid-dns-share',), 0.5, 'float', None, False, None, '_StoreAction', 'FRACTION'),
+        'steering': (('--steering',), 'dns', None, ('dns', 'anycast'), False, None, '_StoreAction', None),
         'resolver_population': (('--resolver-population',), 'isp', None, ('isp', 'public', 'mixed'), False, None, '_StoreAction', None),
         'public_resolver_share': (('--public-resolver-share',), 0.5, 'float', None, False, None, '_StoreAction', 'FRACTION'),
         'public_resolver_ecs': (('--public-resolver-ecs',), 'on', None, ('on', 'off'), False, None, '_StoreAction', None),
         'public_resolver_scope': (('--public-resolver-scope',), 24, 'int', None, False, None, '_StoreAction', 'BITS'),
-        'public_resolver_cache_capacity': (('--public-resolver-cache-capacity',), 4096, 'int', None, False, None, '_StoreAction', 'N'),
         'fault': (('--fault',), None, None, None, False, None, '_AppendAction', 'SPEC'),
         'store_budget_mb': (('--store-budget-mb',), None, 'float', None, False, None, '_StoreAction', 'MB'),
         'store_spill_dir': (('--store-spill-dir',), None, None, None, False, None, '_StoreAction', 'DIR'),
@@ -68,13 +66,11 @@ PARENT_SURFACE = {
         'probes': (('--probes',), 60, 'int', None, False, None, '_StoreAction', None),
         'isp_probes': (('--isp-probes',), 30, 'int', None, False, None, '_StoreAction', None),
         'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
-        'steering': (('--steering',), 'dns', None, ('dns', 'anycast', 'hybrid'), False, None, '_StoreAction', None),
-        'hybrid_dns_share': (('--hybrid-dns-share',), 0.5, 'float', None, False, None, '_StoreAction', 'FRACTION'),
+        'steering': (('--steering',), 'dns', None, ('dns', 'anycast'), False, None, '_StoreAction', None),
         'resolver_population': (('--resolver-population',), 'isp', None, ('isp', 'public', 'mixed'), False, None, '_StoreAction', None),
         'public_resolver_share': (('--public-resolver-share',), 0.5, 'float', None, False, None, '_StoreAction', 'FRACTION'),
         'public_resolver_ecs': (('--public-resolver-ecs',), 'on', None, ('on', 'off'), False, None, '_StoreAction', None),
         'public_resolver_scope': (('--public-resolver-scope',), 24, 'int', None, False, None, '_StoreAction', 'BITS'),
-        'public_resolver_cache_capacity': (('--public-resolver-cache-capacity',), 4096, 'int', None, False, None, '_StoreAction', 'N'),
         'fault': (('--fault',), None, None, None, False, None, '_AppendAction', 'SPEC'),
         'store_budget_mb': (('--store-budget-mb',), None, 'float', None, False, None, '_StoreAction', 'MB'),
         'store_spill_dir': (('--store-spill-dir',), None, None, None, False, None, '_StoreAction', 'DIR'),
@@ -90,13 +86,11 @@ PARENT_SURFACE = {
         'isp_probes': (('--isp-probes',), 40, 'int', None, False, None, '_StoreAction', None),
         'step': (('--step',), 1800.0, 'float', None, False, None, '_StoreAction', None),
         'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
-        'steering': (('--steering',), 'dns', None, ('dns', 'anycast', 'hybrid'), False, None, '_StoreAction', None),
-        'hybrid_dns_share': (('--hybrid-dns-share',), 0.5, 'float', None, False, None, '_StoreAction', 'FRACTION'),
+        'steering': (('--steering',), 'dns', None, ('dns', 'anycast'), False, None, '_StoreAction', None),
         'resolver_population': (('--resolver-population',), 'isp', None, ('isp', 'public', 'mixed'), False, None, '_StoreAction', None),
         'public_resolver_share': (('--public-resolver-share',), 0.5, 'float', None, False, None, '_StoreAction', 'FRACTION'),
         'public_resolver_ecs': (('--public-resolver-ecs',), 'on', None, ('on', 'off'), False, None, '_StoreAction', None),
         'public_resolver_scope': (('--public-resolver-scope',), 24, 'int', None, False, None, '_StoreAction', 'BITS'),
-        'public_resolver_cache_capacity': (('--public-resolver-cache-capacity',), 4096, 'int', None, False, None, '_StoreAction', 'N'),
         'store_budget_mb': (('--store-budget-mb',), None, 'float', None, False, None, '_StoreAction', 'MB'),
         'store_spill_dir': (('--store-spill-dir',), None, None, None, False, None, '_StoreAction', 'DIR'),
         'checkpoint_every': (('--checkpoint-every',), 0, 'int', None, False, None, '_StoreAction', 'N'),
@@ -131,7 +125,6 @@ PARENT_SURFACE = {
         'public_resolver_share': (('--public-resolver-share',), 0.5, 'float', None, False, None, '_StoreAction', 'FRACTION'),
         'public_resolver_ecs': (('--public-resolver-ecs',), 'on', None, ('on', 'off'), False, None, '_StoreAction', None),
         'public_resolver_scope': (('--public-resolver-scope',), 24, 'int', None, False, None, '_StoreAction', 'BITS'),
-        'public_resolver_cache_capacity': (('--public-resolver-cache-capacity',), 4096, 'int', None, False, None, '_StoreAction', 'N'),
     },
     'loadgen': {
         'dns': (('--dns',), None, None, None, True, None, '_StoreAction', 'HOST:PORT'),
@@ -158,15 +151,13 @@ PARENT_SURFACE = {
         'public_resolver_share': (('--public-resolver-share',), 0.5, 'float', None, False, None, '_StoreAction', 'FRACTION'),
         'public_resolver_ecs': (('--public-resolver-ecs',), 'on', None, ('on', 'off'), False, None, '_StoreAction', None),
         'public_resolver_scope': (('--public-resolver-scope',), 24, 'int', None, False, None, '_StoreAction', 'BITS'),
-        'public_resolver_cache_capacity': (('--public-resolver-cache-capacity',), 4096, 'int', None, False, None, '_StoreAction', 'N'),
     },
     'chaos': {
         'seed': (('--seed',), 7, 'int', None, False, None, '_StoreAction', None),
         'concurrency': (('--concurrency',), 16, 'int', None, False, None, '_StoreAction', None),
-        'error_budget': (('--error-budget',), 0.02, 'float', None, False, None, '_StoreAction', None),
         'fault': (('--fault',), None, None, None, False, None, '_AppendAction', 'SPEC'),
         'skip_simulation': (('--skip-simulation',), False, None, None, False, 0, '_StoreTrueAction', None),
-        'steering': (('--steering',), 'dns', None, ('dns', 'anycast', 'hybrid'), False, None, '_StoreAction', None),
+        'steering': (('--steering',), 'dns', None, ('dns', 'anycast'), False, None, '_StoreAction', None),
         'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
         'serve_workers': (('--serve-workers',), 1, 'int', None, False, None, '_StoreAction', None),
         'flight_dir': (('--flight-dir',), None, None, None, False, None, '_StoreAction', 'DIR'),
@@ -192,7 +183,6 @@ PARENT_SURFACE = {
         'probes': (('--probes',), 60, 'int', None, False, None, '_StoreAction', None),
         'isp_probes': (('--isp-probes',), 30, 'int', None, False, None, '_StoreAction', None),
         'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
-        'steering': (('--steering',), 'anycast', None, ('anycast', 'hybrid'), False, None, '_StoreAction', None),
         'fault': (('--fault',), None, None, None, False, None, '_AppendAction', 'SPEC'),
         'json': (('--json',), False, None, None, False, 0, '_StoreTrueAction', None),
     },
@@ -207,7 +197,6 @@ PARENT_SURFACE = {
         'public_resolver_share': (('--public-resolver-share',), 0.5, 'float', None, False, None, '_StoreAction', 'FRACTION'),
         'public_resolver_ecs': (('--public-resolver-ecs',), 'on', None, ('on', 'off'), False, None, '_StoreAction', None),
         'public_resolver_scope': (('--public-resolver-scope',), 24, 'int', None, False, None, '_StoreAction', 'BITS'),
-        'public_resolver_cache_capacity': (('--public-resolver-cache-capacity',), 4096, 'int', None, False, None, '_StoreAction', 'N'),
         'json': (('--json',), False, None, None, False, 0, '_StoreTrueAction', None),
     },
 }
