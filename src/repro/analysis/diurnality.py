@@ -20,21 +20,17 @@ __all__ = ["day_flatness", "operator_flatness", "FlatnessVerdict", "classify_fla
 _DAY = 86400.0
 
 
-def day_flatness(
-    series: Mapping[float, float], day_start: float, day_seconds: float = _DAY
-) -> Optional[float]:
+def day_flatness(series: Mapping[float, float], day_start: float) -> Optional[float]:
     """min/max hourly volume within one day (1.0 == perfectly flat).
 
     ``series`` maps bin starts to volumes (an operator entry from
     :func:`~repro.analysis.offload.operator_series`).  Returns ``None``
     when the day has fewer than three populated bins.
     """
-    if day_seconds <= 0:
-        raise ValueError("day_seconds must be positive")
     values = [
         volume
         for bin_start, volume in series.items()
-        if day_start <= bin_start < day_start + day_seconds
+        if day_start <= bin_start < day_start + _DAY
     ]
     if len(values) < 3:
         return None

@@ -35,6 +35,8 @@ _PROBE_ROLES: tuple[tuple[ServerFunction, Optional[SecondaryFunction], int], ...
     (ServerFunction.NTP, None, 4),
     (ServerFunction.TOOL, None, 4),
 )
+# Site ids tried per locode.
+_MAX_SITE_ID = 3
 
 
 @dataclass(frozen=True)
@@ -60,15 +62,11 @@ class EnumerationResult:
         return {address: hostname for hostname, address in self.hits.items()}
 
 
-def generate_candidates(
-    locodes: Iterable[str],
-    max_site_id: int = 3,
-    roles: tuple = _PROBE_ROLES,
-) -> Iterator[str]:
+def generate_candidates(locodes: Iterable[str]) -> Iterator[str]:
     """Yield candidate hostnames from the Table 1 grammar."""
     for locode in locodes:
-        for site_id in range(1, max_site_id + 1):
-            for function, secondary, max_server_id in roles:
+        for site_id in range(1, _MAX_SITE_ID + 1):
+            for function, secondary, max_server_id in _PROBE_ROLES:
                 for server_id in range(1, max_server_id + 1):
                     yield format_hostname(
                         locode, site_id, function, secondary, server_id,
@@ -80,12 +78,11 @@ def enumerate_names(
     server: AuthoritativeServer,
     context: QueryContext,
     locodes: Iterable[str],
-    max_site_id: int = 3,
 ) -> EnumerationResult:
     """Probe every candidate with an A query; collect the resolvers."""
     hits: dict[str, IPv4Address] = {}
     tried = 0
-    for hostname in generate_candidates(locodes, max_site_id):
+    for hostname in generate_candidates(locodes):
         tried += 1
         response = server.query(Question(hostname, RecordType.A), context)
         if response.rcode is not RCode.NOERROR:

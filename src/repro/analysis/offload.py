@@ -106,7 +106,6 @@ def excess_volume_shares(
     series: dict,
     day_start: float,
     reference_day_start: float,
-    day_seconds: float = 86400.0,
 ) -> dict:
     """How the extra traffic of one day splits across operators.
 
@@ -117,11 +116,11 @@ def excess_volume_shares(
     for operator, bins in series.items():
         day = sum(
             volume for start, volume in bins.items()
-            if day_start <= start < day_start + day_seconds
+            if day_start <= start < day_start + 86400.0
         )
         reference = sum(
             volume for start, volume in bins.items()
-            if reference_day_start <= start < reference_day_start + day_seconds
+            if reference_day_start <= start < reference_day_start + 86400.0
         )
         excess[operator] = max(0.0, day - reference)
     total = sum(excess.values())
@@ -159,14 +158,9 @@ class OffloadSummary:
 def summarize_offload(
     classified: Iterable[ClassifiedFlow],
     release_day_start: float,
-    bin_seconds: float = 3600.0,
-    snmp: Optional[SnmpCounters] = None,
-    collector: Optional[NetflowCollector] = None,
 ) -> OffloadSummary:
-    """One-call Figure 7 summary around a release day."""
-    return offload_summary(
-        operator_series(classified, bin_seconds, snmp, collector), release_day_start
-    )
+    """One-call Figure 7 summary around a release day, hourly bins."""
+    return offload_summary(operator_series(classified), release_day_start)
 
 
 def offload_summary(series: dict, release_day_start: float) -> OffloadSummary:

@@ -120,17 +120,15 @@ def summarize_overflow(
     isp: EyeballIsp,
     snmp: SnmpCounters,
     peak_probe_times: Iterable[float],
-    operator: str = "Limelight",
-    bin_seconds: float = 21600.0,
 ) -> OverflowSummary:
-    """One-call Figure 8 summary.
+    """One-call Figure 8 summary (Limelight's shares in 6 h bins).
 
     ``new_as`` is the handover AS whose appearance the analysis tracks
     (the paper's AS D); ``peak_probe_times`` are the instants checked
     for link saturation (e.g. hourly over the release evening).
     """
     return overflow_summary(
-        overflow_share_series(classified, bin_seconds, operator=operator),
+        overflow_share_series(classified, 21600.0, operator="Limelight"),
         new_as, isp, snmp, peak_probe_times,
     )
 

@@ -172,9 +172,8 @@ def windowed_unique_ip_series(
     bin_seconds: float = 7200.0,
     start: Optional[float] = None,
     end: Optional[float] = None,
-    continent: Optional[Continent] = None,
 ) -> list[UniqueIpPoint]:
-    """Unique-IP series restricted to ``start <= t < end``.
+    """Unique-IP series restricted to ``start <= t < end``, all continents.
 
     The windowed form of :func:`unique_ip_series` for stores: segment
     summaries prune everything outside the window before any column is
@@ -184,7 +183,7 @@ def windowed_unique_ip_series(
     if bin_seconds <= 0:
         raise ValueError("bin_seconds must be positive")
     return _points(
-        _accumulate_store(store, categorize, bin_seconds, continent, start, end)
+        _accumulate_store(store, categorize, bin_seconds, None, start, end)
     )
 
 
@@ -220,10 +219,9 @@ def series_by_continent(
 def peak_vs_baseline(
     series: list[UniqueIpPoint],
     event_time: float,
-    baseline_seconds: float = 2 * 86400.0,
-    peak_seconds: float = 86400.0,
 ) -> tuple[int, float]:
-    """(post-event peak, pre-event average) of total unique IPs.
+    """(peak over the event's first day, average over the two days
+    before it) of total unique IPs.
 
     Reproduces the paper's "maximum of 977 IPs immediately after the
     release ... more than four times the average of 191 ... in the two
@@ -232,12 +230,12 @@ def peak_vs_baseline(
     before = [
         point.total
         for point in series
-        if event_time - baseline_seconds <= point.bin_start < event_time
+        if event_time - 2 * 86400.0 <= point.bin_start < event_time
     ]
     after = [
         point.total
         for point in series
-        if event_time <= point.bin_start < event_time + peak_seconds
+        if event_time <= point.bin_start < event_time + 86400.0
     ]
     baseline = sum(before) / len(before) if before else 0.0
     peak = max(after) if after else 0

@@ -79,13 +79,13 @@ class CatchmentMap:
         return None
 
     def share_by_site(self) -> dict[str, float]:
-        """Weight-normalised share of clients each site captures."""
-        total = sum(group.weight for group, _ in self._assignments)
-        if total <= 0:
+        """Share of client groups each site captures."""
+        if not self._assignments:
             return {}
+        share = 1.0 / len(self._assignments)
         shares: dict[str, float] = {}
-        for group, site_id in self._assignments:
-            shares[site_id] = shares.get(site_id, 0.0) + group.weight / total
+        for _group, site_id in self._assignments:
+            shares[site_id] = shares.get(site_id, 0.0) + share
         return {site: shares[site] for site in sorted(shares)}
 
     def diff(self, other: "CatchmentMap") -> tuple[str, ...]:
@@ -158,24 +158,22 @@ def build_catchment_map(
 def mean_mapping_distance_km(
     catchment: CatchmentMap, sites: dict[str, "AnycastSite"]
 ) -> float:
-    """Weighted mean client -> catchment-site distance."""
-    total_weight = 0.0
+    """Mean client-group -> catchment-site distance."""
+    count = 0
     total_km = 0.0
     for group, site_id in catchment.assignments:
         site = sites.get(site_id)
         if site is None:
             continue
-        total_weight += group.weight
-        total_km += group.weight * great_circle_km(
-            group.coordinates, site.coordinates
-        )
-    return total_km / total_weight if total_weight else 0.0
+        count += 1
+        total_km += great_circle_km(group.coordinates, site.coordinates)
+    return total_km / count if count else 0.0
 
 
 def mean_nearest_distance_km(
     catchment: CatchmentMap, sites: dict[str, "AnycastSite"]
 ) -> float:
-    """Weighted mean client -> *nearest* site distance (the DNS ideal).
+    """Mean client-group -> *nearest* site distance (the DNS ideal).
 
     DNS steering maps a client to the geographically best site; the
     delta between this and :func:`mean_mapping_distance_km` is the
@@ -183,13 +181,11 @@ def mean_nearest_distance_km(
     """
     if not sites:
         return 0.0
-    total_weight = 0.0
     total_km = 0.0
     for group, _ in catchment.assignments:
-        nearest = min(
+        total_km += min(
             great_circle_km(group.coordinates, site.coordinates)
             for site in sites.values()
         )
-        total_weight += group.weight
-        total_km += group.weight * nearest
-    return total_km / total_weight if total_weight else 0.0
+    count = len(catchment.assignments)
+    return total_km / count if count else 0.0

@@ -109,7 +109,6 @@ class ClientGroup:
     prefix: IPv4Prefix
     continent: Continent
     coordinates: Coordinates
-    weight: float = 1.0
 
     @property
     def region(self) -> MappingRegion:
@@ -218,10 +217,8 @@ class AnycastPlane:
             broken = self._last_map.diff(current)
             if broken:
                 names = set(broken)
-                total = sum(group.weight for group in self.groups)
-                moved = sum(
-                    group.weight for group in self.groups if group.name in names
-                )
+                moved = sum(1 for group in self.groups if group.name in names)
+                total = len(self.groups)
                 shifted_share = moved / total if total else 0.0
         tick = AnycastTick(
             now=now,

@@ -45,6 +45,10 @@ __all__ = [
 
 APPLE_DELIVERY_PREFIX = IPv4Prefix.parse("17.253.0.0/16")
 EDGE_BX_PER_VIP = 4  # Section 3.3: one vip load-balances four edge-bx
+EDGE_BX_CACHE_BYTES = 2 << 40
+EDGE_LX_CACHE_BYTES = 20 << 40
+# Addresses a GSLB answer pool draws from per vantage.
+POOL_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -203,10 +207,6 @@ class AppleCdn:
         locations: Optional[LocodeDatabase] = None,
         plans: tuple[MetroPlan, ...] = APPLE_METRO_PLANS,
         edge_bx_gbps: float = 10.0,
-        edge_bx_cache_bytes: int = 2 << 40,
-        edge_lx_cache_bytes: int = 20 << 40,
-        pool_limit: int = 8,
-        origin: Optional[Origin] = None,
     ) -> "AppleCdn":
         """Instantiate the full Figure 3 deployment.
 
@@ -214,10 +214,10 @@ class AppleCdn:
         its first /24, edge-bx in the next two, edge-lx in the last.
         """
         db = locations if locations is not None else LocodeDatabase.builtin()
-        shared_origin = origin if origin is not None else Origin()
+        shared_origin = Origin()
         sites: list[AppleSite] = []
         deployment = CdnDeployment(
-            operator="Apple", asn=AS_APPLE, exposure_factory=None, pool_limit=pool_limit
+            operator="Apple", asn=AS_APPLE, exposure_factory=None, pool_limit=POOL_LIMIT
         )
         reverse_dns: dict[IPv4Address, str] = {}
         site_index = 0
@@ -230,8 +230,6 @@ class AppleCdn:
                     plan.edge_bx_per_site,
                     site_index,
                     edge_bx_gbps,
-                    edge_bx_cache_bytes,
-                    edge_lx_cache_bytes,
                     shared_origin,
                     reverse_dns,
                 )
@@ -248,8 +246,6 @@ class AppleCdn:
         edge_bx_count: int,
         site_index: int,
         edge_bx_gbps: float,
-        edge_bx_cache_bytes: int,
-        edge_lx_cache_bytes: int,
         origin: Origin,
         reverse_dns: dict[IPv4Address, str],
     ) -> AppleSite:
@@ -286,7 +282,7 @@ class AppleCdn:
             server_id=1,
             offset=(3 << 8) + 1,
             domain=TS_APPLE_DOMAIN,
-            cache_bytes=edge_lx_cache_bytes,
+            cache_bytes=EDGE_LX_CACHE_BYTES,
         )
         # Support roles (Table 1 lists gslb, dns, ntp, tool): present in
         # the PTR estate so a 17/8 scan sees the full naming grammar.
@@ -316,7 +312,7 @@ class AppleCdn:
                     server_id=(vip_id - 1) * EDGE_BX_PER_VIP + n,
                     offset=(1 << 8) + (vip_id - 1) * EDGE_BX_PER_VIP + n,
                     domain=TS_APPLE_DOMAIN,
-                    cache_bytes=edge_bx_cache_bytes,
+                    cache_bytes=EDGE_BX_CACHE_BYTES,
                 )
                 for n in range(1, EDGE_BX_PER_VIP + 1)
             ]

@@ -121,22 +121,17 @@ def _image_size(device_model: str, target_version: str) -> int:
     return (19 + seed % 13) * 100 * 1024 * 1024
 
 
-def build_manifest(
-    target_version: str = "11.0",
-    prior_versions: Optional[tuple[str, ...]] = None,
-    device_models: tuple[str, ...] = DEVICE_MODELS,
-) -> UpdateManifest:
+def build_manifest(target_version: str = "11.0") -> UpdateManifest:
     """Build a full manifest offering ``target_version`` to every device.
 
-    With the default 43 device models and 42 prior versions this yields
-    1806 entries, matching the ~1800 the paper reports.
+    The 43 device models and 42 prior versions (8.0-10.13) yield 1806
+    entries, matching the ~1800 the paper reports.
     """
-    if prior_versions is None:
-        prior_versions = tuple(
-            f"{major}.{minor}" for major in (8, 9, 10) for minor in range(14)
-        )
+    prior_versions = tuple(
+        f"{major}.{minor}" for major in (8, 9, 10) for minor in range(14)
+    )
     entries = []
-    for model in device_models:
+    for model in DEVICE_MODELS:
         for version in prior_versions:
             if version == target_version:
                 continue
@@ -156,8 +151,9 @@ def build_manifest(
     return UpdateManifest(entries)
 
 
-def build_updatebrain(target_version: str = "11.0") -> UpdateManifest:
-    """The six-entry last-resort manifest (never observed in use)."""
+def build_updatebrain() -> UpdateManifest:
+    """The six-entry iOS 11.0 last-resort manifest (never observed in use)."""
+    target_version = "11.0"
     families = ("iPhone5", "iPhone6", "iPhone7", "iPad4", "iPad5", "iPod7")
     entries = [
         UpdateEntry(

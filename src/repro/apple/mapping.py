@@ -14,7 +14,7 @@ Meta-CDN as the paper dissected it:
 * the third-party handover names: ``appldnld2.apple.com.edgesuite.net``
   → ``a1271.gi3.akamai.net`` (and ``a1015`` after the rollout change),
   ``apple.vo.llnwi.net`` (US/EU) and ``apple-dnld.vo.llnwd.net`` (APAC)
-  for Limelight, plus the Level3 names removed in late June 2017.
+  for Limelight.
 
 Two of the three selection steps run on Akamai's DNS, one on Apple's —
 the operator attribution the analysis layer recovers from resolutions.
@@ -41,59 +41,16 @@ from ..http.messages import HttpRequest, HttpResponse
 from ..net.geo import MappingRegion
 from ..net.ipv4 import IPv4Address
 from .deployment import AppleCdn
-from .policy import AkamaiHandoverPolicy, MetaCdnController, OffloadCnamePolicy
+from .policy import (
+    NAMES,
+    AkamaiHandoverPolicy,
+    MappingNames,
+    MetaCdnController,
+    OffloadCnamePolicy,
+)
 
 __all__ = ["MappingNames", "NAMES", "MetaCdnEstate", "build_meta_cdn"]
 
-
-@dataclass(frozen=True)
-class MappingNames:
-    """Every DNS name in the Figure 2 chain, as measured."""
-
-    entry_point: str = "appldnld.apple.com"
-    manifest_host: str = "mesu.apple.com"
-    akadns_entry: str = "appldnld.apple.com.akadns.net"
-    india_lb: str = "india-lb.itunes-apple.com.akadns.net"
-    china_lb: str = "china-lb.itunes-apple.com.akadns.net"
-    selection: str = "appldnld.g.applimg.com"
-    gslb_a: str = "a.gslb.applimg.com"
-    gslb_b: str = "b.gslb.applimg.com"
-    edgesuite: str = "appldnld2.apple.com.edgesuite.net"
-    akamai_primary: str = "a1271.gi3.akamai.net"
-    akamai_secondary: str = "a1015.gi3.akamai.net"
-    limelight_us_eu: str = "apple.vo.llnwi.net"
-    limelight_apac: str = "apple-dnld.vo.llnwd.net"
-    level3: str = "apple.fp.lsws.net"  # removed late June 2017
-
-    def ios8_lb(self, region: MappingRegion) -> str:
-        """The regional third-party selection name."""
-        return f"ios8-{region.value}-lb.apple.com.akadns.net"
-
-    def limelight_handover(self, region: MappingRegion) -> str:
-        """Limelight's region-specific handover name."""
-        if region is MappingRegion.APAC:
-            return self.limelight_apac
-        return self.limelight_us_eu
-
-    def member_of(self, name: str) -> Optional[str]:
-        """The member CDN a handover/GSLB name steers traffic to.
-
-        ``None`` for names that are not failover-steerable targets
-        (the entry point, the selection step itself, ...).  This is the
-        mapping the health-check loop uses to filter answers.
-        """
-        if name in (self.gslb_a, self.gslb_b):
-            return "Apple"
-        if name in (self.edgesuite, self.akamai_primary, self.akamai_secondary):
-            return "Akamai"
-        if name in (self.limelight_us_eu, self.limelight_apac):
-            return "Limelight"
-        if name == self.level3:
-            return "Level3"
-        return None
-
-
-NAMES = MappingNames()
 
 # Measured TTLs (Figure 2): entry hop 21600 s, country split 120 s,
 # selection 15 s, third-party selection 300 s, Akamai handover 300 s,
@@ -135,7 +92,6 @@ class MetaCdnEstate:
     limelight: CdnDeployment
     controller: MetaCdnController
     servers: list[AuthoritativeServer]
-    level3: Optional[CdnDeployment] = None
     third_party_weights: dict[MappingRegion, WeightSchedule] = field(
         default_factory=dict
     )
@@ -157,14 +113,11 @@ class MetaCdnEstate:
     @property
     def deployments(self) -> dict[str, CdnDeployment]:
         """Every delivery fleet by operator name."""
-        fleets = {
+        return {
             "Apple": self.apple.deployment,
             "Akamai": self.akamai,
             "Limelight": self.limelight,
         }
-        if self.level3 is not None:
-            fleets["Level3"] = self.level3
-        return fleets
 
     def _fleet_at(self, address: IPv4Address) -> tuple:
         """(operator, deployment) of the fleet owning ``address``."""
@@ -201,8 +154,6 @@ def build_meta_cdn(
     controller: MetaCdnController,
     third_party_weights: Optional[Mapping[MappingRegion, WeightSchedule]] = None,
     a1015_from: Optional[float] = None,
-    level3: Optional[CdnDeployment] = None,
-    names: MappingNames = NAMES,
     health_monitor=None,
 ) -> MetaCdnEstate:
     """Wire the full Figure 2 estate across the three DNS operators.
@@ -210,9 +161,7 @@ def build_meta_cdn(
     ``third_party_weights`` drives step 3 per region (the shares Apple
     adjusts commercially); ``a1015_from`` is the simulation time at
     which Akamai's extra EU handover name appears (``None`` = never —
-    the pre-rollout configuration).  Passing ``level3`` restores the
-    pre-late-June 2017 configuration for ablations; its weight must
-    then appear in the schedules.
+    the pre-rollout configuration).
 
     ``health_monitor`` (a :class:`repro.faults.CdnHealthMonitor`) makes
     the estate failover-aware: the step-2 selection consults member
@@ -229,7 +178,7 @@ def build_meta_cdn(
     if health_monitor is not None:
         from ..faults.health import SelectionHealth
 
-        health = SelectionHealth(health_monitor, names.member_of)
+        health = SelectionHealth(health_monitor, NAMES.member_of)
         weights = {
             region: health.wrap_schedule(region, schedule)
             for region, schedule in weights.items()
@@ -237,24 +186,24 @@ def build_meta_cdn(
 
     # --- Apple's DNS -----------------------------------------------------
     apple_zone = Zone("apple.com")
-    apple_zone.bind(names.entry_point, CnamePolicy(names.akadns_entry, ENTRY_TTL))
+    apple_zone.bind(NAMES.entry_point, CnamePolicy(NAMES.akadns_entry, ENTRY_TTL))
     apple_zone.bind(
-        names.manifest_host,
+        NAMES.manifest_host,
         StaticPolicy(
-            (ARecord(names.manifest_host, MANIFEST_SERVER_ADDRESS, MANIFEST_A_TTL),)
+            (ARecord(NAMES.manifest_host, MANIFEST_SERVER_ADDRESS, MANIFEST_A_TTL),)
         ),
     )
     applimg_zone = Zone("applimg.com")
     applimg_zone.bind(
-        names.selection,
+        NAMES.selection,
         OffloadCnamePolicy(
             controller=controller,
-            gslb_targets=(names.gslb_a, names.gslb_b),
+            gslb_targets=(NAMES.gslb_a, NAMES.gslb_b),
             ttl=SELECTION_TTL,
             health=health,
         ),
     )
-    for gslb_name in (names.gslb_a, names.gslb_b):
+    for gslb_name in (NAMES.gslb_a, NAMES.gslb_b):
         applimg_zone.bind(
             gslb_name,
             GslbAddressPolicy(
@@ -269,20 +218,20 @@ def build_meta_cdn(
     # --- Akamai's DNS ------------------------------------------------------
     akadns_zone = Zone("akadns.net")
     akadns_zone.bind(
-        names.akadns_entry,
+        NAMES.akadns_entry,
         CountrySplitPolicy(
-            default=names.selection,
-            overrides={"in": names.india_lb, "cn": names.china_lb},
+            default=NAMES.selection,
+            overrides={"in": NAMES.india_lb, "cn": NAMES.china_lb},
             ttl=COUNTRY_SPLIT_TTL,
         ),
     )
     # India/China are not studied further (few probes there); both names
     # hand straight to the Akamai CDN so resolutions still complete.
-    akadns_zone.bind(names.india_lb, CnamePolicy(names.edgesuite, COUNTRY_SPLIT_TTL))
-    akadns_zone.bind(names.china_lb, CnamePolicy(names.edgesuite, COUNTRY_SPLIT_TTL))
+    akadns_zone.bind(NAMES.india_lb, CnamePolicy(NAMES.edgesuite, COUNTRY_SPLIT_TTL))
+    akadns_zone.bind(NAMES.china_lb, CnamePolicy(NAMES.edgesuite, COUNTRY_SPLIT_TTL))
     for region in MappingRegion:
         akadns_zone.bind(
-            names.ios8_lb(region),
+            NAMES.ios8_lb(region),
             WeightedCnamePolicy(
                 schedule=weights[region],
                 ttl=THIRD_PARTY_SELECT_TTL,
@@ -291,16 +240,16 @@ def build_meta_cdn(
         )
     edgesuite_zone = Zone("edgesuite.net")
     edgesuite_zone.bind(
-        names.edgesuite,
+        NAMES.edgesuite,
         AkamaiHandoverPolicy(
-            primary=names.akamai_primary,
-            secondary=names.akamai_secondary,
+            primary=NAMES.akamai_primary,
+            secondary=NAMES.akamai_secondary,
             secondary_from=a1015_from,
             ttl=EDGESUITE_TTL,
         ),
     )
     akamai_net_zone = Zone("akamai.net")
-    for handover in (names.akamai_primary, names.akamai_secondary):
+    for handover in (NAMES.akamai_primary, NAMES.akamai_secondary):
         akamai_net_zone.bind(
             handover,
             GslbAddressPolicy(
@@ -317,47 +266,33 @@ def build_meta_cdn(
     # --- Limelight's DNS ---------------------------------------------------
     llnwi_zone = Zone("llnwi.net")
     llnwi_zone.bind(
-        names.limelight_us_eu,
+        NAMES.limelight_us_eu,
         GslbAddressPolicy(
             pool=limelight.pool_for,
             ttl=LIMELIGHT_US_EU_A_TTL,
             answer_count=8,
-            salt=names.limelight_us_eu,
+            salt=NAMES.limelight_us_eu,
         ),
     )
     llnwd_zone = Zone("llnwd.net")
     llnwd_zone.bind(
-        names.limelight_apac,
+        NAMES.limelight_apac,
         GslbAddressPolicy(
             pool=limelight.pool_for,
             ttl=LIMELIGHT_APAC_A_TTL,
             answer_count=8,
-            salt=names.limelight_apac,
+            salt=NAMES.limelight_apac,
         ),
     )
     limelight_server = AuthoritativeServer("Limelight", [llnwi_zone, llnwd_zone])
 
-    servers = [apple_server, akamai_server, limelight_server]
-
-    # --- optional Level3 (pre-June 2017 configuration) ----------------------
-    if level3 is not None:
-        lsws_zone = Zone("lsws.net")
-        lsws_zone.bind(
-            names.level3,
-            GslbAddressPolicy(
-                pool=level3.pool_for, ttl=AKAMAI_A_TTL, answer_count=8, salt="level3"
-            ),
-        )
-        servers.append(AuthoritativeServer("Level3", [lsws_zone]))
-
     return MetaCdnEstate(
-        names=names,
+        names=NAMES,
         apple=apple_cdn,
         akamai=akamai,
         limelight=limelight,
         controller=controller,
-        servers=servers,
-        level3=level3,
+        servers=[apple_server, akamai_server, limelight_server],
         third_party_weights=weights,
         health=health,
     )

@@ -24,7 +24,63 @@ from ..dns.query import QueryContext
 from ..dns.records import CnameRecord, ResourceRecord
 from ..net.geo import MappingRegion
 
-__all__ = ["MetaCdnController", "OffloadCnamePolicy", "AkamaiHandoverPolicy"]
+__all__ = [
+    "MappingNames",
+    "NAMES",
+    "MetaCdnController",
+    "OffloadCnamePolicy",
+    "AkamaiHandoverPolicy",
+]
+
+# From ``AkamaiHandoverPolicy.secondary_from`` on, this share of EU
+# clients is handed to the secondary name.
+AKAMAI_SECONDARY_SHARE = 0.5
+
+
+class MappingNames:
+    """Every DNS name in the Figure 2 chain, as measured (read :data:`NAMES`)."""
+
+    entry_point: str = "appldnld.apple.com"
+    manifest_host: str = "mesu.apple.com"
+    akadns_entry: str = "appldnld.apple.com.akadns.net"
+    india_lb: str = "india-lb.itunes-apple.com.akadns.net"
+    china_lb: str = "china-lb.itunes-apple.com.akadns.net"
+    selection: str = "appldnld.g.applimg.com"
+    gslb_a: str = "a.gslb.applimg.com"
+    gslb_b: str = "b.gslb.applimg.com"
+    edgesuite: str = "appldnld2.apple.com.edgesuite.net"
+    akamai_primary: str = "a1271.gi3.akamai.net"
+    akamai_secondary: str = "a1015.gi3.akamai.net"
+    limelight_us_eu: str = "apple.vo.llnwi.net"
+    limelight_apac: str = "apple-dnld.vo.llnwd.net"
+
+    def ios8_lb(self, region: MappingRegion) -> str:
+        """The regional third-party selection name."""
+        return f"ios8-{region.value}-lb.apple.com.akadns.net"
+
+    def limelight_handover(self, region: MappingRegion) -> str:
+        """Limelight's region-specific handover name."""
+        if region is MappingRegion.APAC:
+            return self.limelight_apac
+        return self.limelight_us_eu
+
+    def member_of(self, name: str) -> Optional[str]:
+        """The member CDN a handover/GSLB name steers traffic to.
+
+        ``None`` for names that are not failover-steerable targets
+        (the entry point, the selection step itself, ...).  This is the
+        mapping the health-check loop uses to filter answers.
+        """
+        if name in (self.gslb_a, self.gslb_b):
+            return "Apple"
+        if name in (self.edgesuite, self.akamai_primary, self.akamai_secondary):
+            return "Akamai"
+        if name in (self.limelight_us_eu, self.limelight_apac):
+            return "Limelight"
+        return None
+
+
+NAMES = MappingNames()
 
 
 class MetaCdnController:
@@ -104,10 +160,8 @@ class OffloadCnamePolicy:
     """
 
     controller: MetaCdnController
-    gslb_targets: tuple[str, ...] = ("a.gslb.applimg.com", "b.gslb.applimg.com")
-    third_party_pattern: str = "ios8-{region}-lb.apple.com.akadns.net"
+    gslb_targets: tuple[str, ...] = (NAMES.gslb_a, NAMES.gslb_b)
     ttl: int = 15
-    salt: str = ""
     # Failover view (repro.faults.SelectionHealth); None = never bend
     # the share — the healthy-path behaviour.
     health: Optional[object] = None
@@ -121,11 +175,11 @@ class OffloadCnamePolicy:
         share = self.controller.apple_share(context.region)
         if self.health is not None:
             share = self.health.effective_share(share, context.region, context.now)
-        if sticky_fraction(name, context, self.ttl, self.salt) < share:
-            pick = sticky_fraction("gslb", context, self.ttl, self.salt)
+        if sticky_fraction(name, context, self.ttl, "") < share:
+            pick = sticky_fraction("gslb", context, self.ttl, "")
             index = int(pick * len(self.gslb_targets))
             return self.gslb_targets[index]
-        return self.third_party_pattern.format(region=context.region.value)
+        return NAMES.ios8_lb(context.region)
 
 
 @dataclass(frozen=True)
@@ -136,16 +190,14 @@ class AkamaiHandoverPolicy:
     iOS 11 rollout (Sep 19 around 23h UTC) Akamai added
     ``a1015.gi3.akamai.net`` for requests arriving via the EU load
     balancer; from ``secondary_from`` onwards, EU clients split between
-    the two handover names.
+    the two handover names (:data:`AKAMAI_SECONDARY_SHARE` of them get
+    the secondary).
     """
 
-    primary: str = "a1271.gi3.akamai.net"
-    secondary: str = "a1015.gi3.akamai.net"
+    primary: str = NAMES.akamai_primary
+    secondary: str = NAMES.akamai_secondary
     secondary_from: Optional[float] = None  # simulation seconds; None = never
-    secondary_region: MappingRegion = MappingRegion.EU
-    secondary_share: float = 0.5
     ttl: int = 300
-    salt: str = ""
 
     def answer(self, name: str, context: QueryContext) -> tuple[ResourceRecord, ...]:
         return (CnameRecord(name, self.select(name, context), self.ttl),)
@@ -155,9 +207,9 @@ class AkamaiHandoverPolicy:
         if (
             self.secondary_from is not None
             and context.now >= self.secondary_from
-            and context.region is self.secondary_region
+            and context.region is MappingRegion.EU
         ):
-            fraction = sticky_fraction(name, context, self.ttl, self.salt)
-            if fraction < self.secondary_share:
+            fraction = sticky_fraction(name, context, self.ttl, "")
+            if fraction < AKAMAI_SECONDARY_SHARE:
                 return self.secondary
         return self.primary

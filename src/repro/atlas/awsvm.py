@@ -43,6 +43,9 @@ AWS_REGION_METROS: tuple[tuple[str, str], ...] = (
     ("ap-southeast-1", "sgsin"),
     ("ap-southeast-2", "ausyd"),
 )
+# The image every availability check asks for, and the VMs' first address.
+_IMAGE_PATH = "/ios11.0/iphone9_1_11.0_restore.ipsw"
+_BASE_ADDRESS = IPv4Address.parse("198.19.255.1")
 
 
 @dataclass(frozen=True)
@@ -98,8 +101,6 @@ class AwsVantage:
         target: str,
         now: float,
         fetch: Callable[[IPv4Address, HttpRequest], Optional[HttpResponse]],
-        path: str = "/ios11.0/iphone9_1_11.0_restore.ipsw",
-        size: int = 2_800_000_000,
     ) -> AwsVmResult:
         """One detailed measurement: resolve, then probe every address.
 
@@ -118,7 +119,7 @@ class AwsVantage:
         checks = []
         for address in resolution.addresses:
             request = HttpRequest(
-                "GET", target, path,
+                "GET", target, _IMAGE_PATH,
                 headers=Headers({"X-Client": str(self.address)}),
             )
             response = fetch(address, request)
@@ -148,17 +149,15 @@ class AwsVantage:
 def build_aws_vantages(
     servers: Sequence[AuthoritativeServer],
     locations: Optional[LocodeDatabase] = None,
-    base_address: str = "198.19.255.1",
 ) -> list[AwsVantage]:
     """The paper's nine VMs, one per 2017 AWS region."""
     db = locations if locations is not None else LocodeDatabase.builtin()
-    base = IPv4Address.parse(base_address)
     vantages = []
     for index, (region, metro) in enumerate(AWS_REGION_METROS):
         vantages.append(
             AwsVantage(
                 region=region,
-                address=base.shifted(index),
+                address=_BASE_ADDRESS.shifted(index),
                 location=db.get(metro),
                 servers=list(servers),
             )

@@ -36,6 +36,12 @@ ATLAS_CONTINENT_WEIGHTS: dict[Continent, float] = {
 
 # Synthetic probe address space (RFC 2544 benchmarking range).
 _GLOBAL_PROBE_PREFIX = IPv4Prefix.parse("198.18.0.0/15")
+# Placement seeds (the global one is the RIPE Atlas measurement id) and
+# the first probe id of each set.
+_GLOBAL_SEED = 9299652
+_GLOBAL_FIRST_PROBE_ID = 1000
+_ISP_SEED = 929965200
+_ISP_FIRST_PROBE_ID = 20000
 
 
 def _eyeball_asn(rng: random.Random) -> ASN:
@@ -47,16 +53,13 @@ def place_global_probes(
     servers: Iterable[AuthoritativeServer],
     count: int = 800,
     locations: Optional[LocodeDatabase] = None,
-    weights: Optional[dict[Continent, float]] = None,
-    seed: int = 9299652,  # the RIPE Atlas measurement id
-    first_probe_id: int = 1000,
 ) -> list[AtlasProbe]:
     """Place ``count`` probes worldwide with Atlas-like continent skew."""
     if count <= 0:
         raise ValueError("count must be positive")
     db = locations if locations is not None else LocodeDatabase.builtin()
-    continent_weights = weights if weights is not None else ATLAS_CONTINENT_WEIGHTS
-    rng = random.Random(seed)
+    continent_weights = ATLAS_CONTINENT_WEIGHTS
+    rng = random.Random(_GLOBAL_SEED)
     server_list = list(servers)
 
     cities_by_continent: dict[Continent, list[Location]] = {}
@@ -75,7 +78,7 @@ def place_global_probes(
         address = _GLOBAL_PROBE_PREFIX.host(index + 1)
         probes.append(
             AtlasProbe.create(
-                probe_id=first_probe_id + index,
+                probe_id=_GLOBAL_FIRST_PROBE_ID + index,
                 address=address,
                 asn=_eyeball_asn(rng),
                 location=city,
@@ -92,8 +95,6 @@ def place_isp_probes(
     count: int = 400,
     country: str = "de",
     locations: Optional[LocodeDatabase] = None,
-    seed: int = 929965200,
-    first_probe_id: int = 20000,
 ) -> list[AtlasProbe]:
     """Place ``count`` probes inside the measured eyeball ISP.
 
@@ -108,13 +109,13 @@ def place_isp_probes(
     cities = list(db.in_country(country))
     if not cities:
         raise ValueError(f"no locations in country {country!r}")
-    rng = random.Random(seed)
+    rng = random.Random(_ISP_SEED)
     server_list = list(servers)
     probes = []
     for index in range(count):
         probes.append(
             AtlasProbe.create(
-                probe_id=first_probe_id + index,
+                probe_id=_ISP_FIRST_PROBE_ID + index,
                 address=customer_prefix.host(index + 1),
                 asn=isp_asn,
                 location=rng.choice(cities),

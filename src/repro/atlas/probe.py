@@ -54,15 +54,14 @@ class AtlasProbe:
         asn: ASN,
         location: Location,
         servers: Iterable[AuthoritativeServer],
-        cache: bool = True,
     ) -> "AtlasProbe":
-        """Build a probe with its own recursive resolver."""
+        """Build a probe with its own caching recursive resolver."""
         return cls(
             probe_id=probe_id,
             address=address,
             asn=asn,
             location=location,
-            resolver=RecursiveResolver(servers, cache=cache),
+            resolver=RecursiveResolver(servers, cache=True),
         )
 
     @property

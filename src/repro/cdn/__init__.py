@@ -13,7 +13,6 @@ from .server import (
 from .site import EdgeSite, Origin, ServedRequest
 from .thirdparty import (
     AKAMAI_PLAN,
-    LEVEL3_PLAN,
     LIMELIGHT_PLAN,
     ThirdPartyPlan,
     build_third_party,
@@ -38,5 +37,4 @@ __all__ = [
     "build_third_party",
     "AKAMAI_PLAN",
     "LIMELIGHT_PLAN",
-    "LEVEL3_PLAN",
 ]

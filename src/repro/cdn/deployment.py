@@ -84,11 +84,6 @@ class ExposureController:
             self._smoothed_gbps += (demand_gbps - self._smoothed_gbps) * alpha
         self._last_update = now
 
-    @property
-    def smoothed_gbps(self) -> float:
-        """The lag-filtered demand estimate."""
-        return self._smoothed_gbps
-
     def active_count(self, pool_size: int) -> int:
         """How many of ``pool_size`` servers to expose right now."""
         wanted = math.ceil(self._smoothed_gbps * self.headroom / self.per_server_gbps)

@@ -16,7 +16,7 @@ see ``examples/whatif_no_offload.py`` and the capacity ablation bench.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 __all__ = ["DownloadFluidModel", "FluidStats"]
 
@@ -51,15 +51,13 @@ class DownloadFluidModel:
 
     capacity_gbps: float
     image_bytes: float = 2.8e9
-    client_gbps: float = 0.05  # 50 Mbit/s access lines (2017-ish)
+    client_gbps: ClassVar[float] = 0.05  # 50 Mbit/s access lines (2017-ish)
 
     def __post_init__(self) -> None:
         if self.capacity_gbps <= 0:
             raise ValueError("capacity_gbps must be positive")
         if self.image_bytes <= 0:
             raise ValueError("image_bytes must be positive")
-        if self.client_gbps <= 0:
-            raise ValueError("client_gbps must be positive")
 
     def per_client_gbps(self, active: float) -> float:
         """The rate each of ``active`` concurrent downloads gets."""

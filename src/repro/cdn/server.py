@@ -89,16 +89,6 @@ class CacheServer:
         if self.capacity_gbps <= 0:
             raise ValueError(f"capacity must be positive: {self.capacity_gbps}")
 
-    @property
-    def is_load_balancer(self) -> bool:
-        """True for vip servers (they front edge caches, Section 3.3)."""
-        return self.role.function is ServerFunction.VIP
-
-    @property
-    def is_cache(self) -> bool:
-        """True for servers that store content."""
-        return self.cache is not None
-
     def account(self, size: int) -> None:
         """Add ``size`` bytes to this server's delivery counter."""
         if size < 0:

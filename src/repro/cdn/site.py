@@ -15,7 +15,7 @@ then records its own ``Via`` entry and prepends its ``X-Cache`` verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 from ..dns.policies import stable_fraction
 from ..http.headers import CacheStatus, record_cache_hop
@@ -37,8 +37,8 @@ class Origin:
     """
 
     host: str = "2db316290386960b489a2a16c0a63643.cloudfront.net"
-    agent: str = "CloudFront"
-    protocol: str = "1.1"
+    agent: ClassVar[str] = "CloudFront"
+    protocol: ClassVar[str] = "1.1"
 
     def fetch(self, request: HttpRequest, size: int) -> HttpResponse:
         """Produce the authoritative response for ``request``."""

@@ -1,6 +1,7 @@
 """Builders for the third-party CDN fleets of the Apple Meta-CDN.
 
-Section 3.2 identifies three third-party CDNs in the mapping chain:
+Section 3.2 identifies the third-party CDNs in the mapping chain (a
+third, Level3, left it in late June 2017 and is not modelled):
 
 * **Akamai** — handover ``a1271.gi3.akamai.net`` (plus, from six hours
   into the rollout, ``a1015.gi3.akamai.net`` for the EU); used in all
@@ -8,12 +9,9 @@ Section 3.2 identifies three third-party CDNs in the mapping chain:
   operators' networks, which Figures 4/5 plot as "Akamai other AS".
 * **Limelight** — handovers ``apple.vo.llnwi.net`` (US/EU) and
   ``apple-dnld.vo.llnwd.net`` (APAC); some caches in other ASes too.
-* **Level3** — removed from the mapping in late June 2017; the builder
-  exists so the pre-removal configuration can be modelled and the
-  ablation benches can re-add it.
 
 Address plans use each operator's documented ranges (Akamai 23.0.0.0/12
-area, Limelight 68.142.64.0/18, Level3 4.0.0.0/9) so analysis output is
+area, Limelight 68.142.64.0/18) so analysis output is
 recognisable, with "other AS" caches drawn from a distinct pool.
 """
 
@@ -22,17 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from ..net.asys import AS_AKAMAI, AS_LEVEL3, AS_LIMELIGHT, ASN
+from ..net.asys import AS_AKAMAI, AS_LIMELIGHT, ASN
 from ..net.ipv4 import IPv4Prefix
 from ..net.locode import Location, LocodeDatabase
 from .cache import ContentCache
 from .deployment import CdnDeployment, ExposureController
 from .server import CacheServer, ServerFunction, ServerRole
 
-__all__ = ["ThirdPartyPlan", "build_third_party", "AKAMAI_PLAN", "LIMELIGHT_PLAN", "LEVEL3_PLAN"]
+__all__ = ["ThirdPartyPlan", "build_third_party", "AKAMAI_PLAN", "LIMELIGHT_PLAN"]
 
 _DELIVERY_ROLE = ServerRole(ServerFunction.EDGE)
-_DEFAULT_CACHE_BYTES = 4 << 40  # 4 TiB per delivery server
+_CACHE_BYTES = 4 << 40  # 4 TiB per delivery server
 
 
 @dataclass(frozen=True)
@@ -77,25 +75,12 @@ LIMELIGHT_PLAN = ThirdPartyPlan(
     per_server_gbps=10.0,
 )
 
-LEVEL3_PLAN = ThirdPartyPlan(
-    operator="Level3",
-    asn=AS_LEVEL3,
-    own_prefix=IPv4Prefix.parse("4.0.0.0/9"),
-    other_as_prefix=IPv4Prefix.parse("8.0.0.0/12"),
-    hostname_pattern="cache-{metro}-{index}.level3.net",
-    servers_per_metro=32,
-    other_as_share=0.10,
-    per_server_gbps=10.0,
-)
-
 
 def build_third_party(
     plan: ThirdPartyPlan,
     metros: Iterable[Location],
     other_as: ASN,
     exposure_factory: Optional[Callable[[], ExposureController]] = None,
-    pool_limit: int = 0,
-    cache_bytes: int = _DEFAULT_CACHE_BYTES,
 ) -> CdnDeployment:
     """Instantiate a third-party fleet across ``metros``.
 
@@ -117,7 +102,6 @@ def build_third_party(
         operator=plan.operator,
         asn=plan.asn,
         exposure_factory=exposure_factory,
-        pool_limit=pool_limit,
     )
     own_addresses = plan.own_prefix.size
     other_addresses = plan.other_as_prefix.size
@@ -147,7 +131,7 @@ def build_third_party(
                 role=_DELIVERY_ROLE,
                 asn=asn,
                 capacity_gbps=plan.per_server_gbps,
-                cache=ContentCache(cache_bytes),
+                cache=ContentCache(_CACHE_BYTES),
             )
             deployment.add_server(server, metro)
     return deployment

@@ -28,7 +28,7 @@ def register(commands) -> None:
 def run(args: argparse.Namespace) -> int:
     start = flags.parse_date(args.start)
     end = flags.parse_date(args.end)
-    engine = flags.engine_from_args(args)
+    engine = flags.engine_from_args(args, start, end)
     engine.run(start, end, workers=args.workers)
     plane = engine.scenario.anycast  # never None: steering is "anycast"
     final_map = plane.catchment_map(end)

@@ -30,6 +30,7 @@ from ..obs import (
 )
 from ..resolver import POPULATIONS
 from ..simulation import ScenarioConfig, Sep2017Scenario, SimulationEngine
+from ..simulation.engine import check_run_window
 from ..workload import TIMELINE
 
 # ----------------------------------------------------------------------
@@ -88,9 +89,21 @@ def scenario_from_args(args: argparse.Namespace) -> Sep2017Scenario:
     return Sep2017Scenario(ScenarioConfig(**config), faults=faults)
 
 
-def engine_from_args(args: argparse.Namespace) -> SimulationEngine:
-    """The engine over :func:`scenario_from_args` at ``--step``."""
-    return SimulationEngine(scenario_from_args(args), step_seconds=args.step)
+def engine_from_args(
+    args: argparse.Namespace, start: float, end: float
+) -> SimulationEngine:
+    """The engine over :func:`scenario_from_args` at ``--step``, for a
+    run from ``start`` to ``end`` over ``--workers``.
+
+    A flag value the replay refuses (window, worker count, scale,
+    population, step) exits as ``<command>: <message>`` before anything
+    is built or run.
+    """
+    try:
+        check_run_window(start, end, args.workers)
+        return SimulationEngine(scenario_from_args(args), step_seconds=args.step)
+    except ValueError as exc:
+        raise SystemExit(f"{args.command}: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -110,9 +123,9 @@ def add_resolver_flags(
     sub.add_argument("--resolver-population", choices=POPULATIONS,
                      default=default_population,
                      help="who resolves for the probes: isp (per-client "
-                          "resolvers), public (every probe behind a shared "
-                          "POP cache), or mixed (--public-resolver-share "
-                          "of them; default %(default)s)")
+                          "resolvers) or mixed (--public-resolver-share "
+                          "of them behind shared POP caches; 1.0 puts "
+                          "every probe there; default %(default)s)")
     sub.add_argument("--public-resolver-share", type=float, default=0.5,
                      metavar="FRACTION",
                      help="probe fraction behind public resolvers under "

@@ -56,7 +56,8 @@ def run(args: argparse.Namespace) -> int:
     end = flags.parse_date(args.end)
     registry = MetricsRegistry()
     with use_registry(registry), flags.flight_scope(args):
-        steps = flags.engine_from_args(args).run(start, end, workers=args.workers)
+        engine = flags.engine_from_args(args, start, end)
+        steps = engine.run(start, end, workers=args.workers)
     print(f"{steps} steps over workers={args.workers}")
     print()
     print(render_profile(registry))

@@ -25,10 +25,11 @@ def register(commands) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
+    start, end = TIMELINE.at(9, 15), TIMELINE.at(9, 23)
     with flags.telemetry_scope(args) as (registry, tracer):
-        engine = flags.engine_from_args(args)
+        engine = flags.engine_from_args(args, start, end)
         engine.run(
-            TIMELINE.at(9, 15), TIMELINE.at(9, 23),
+            start, end,
             progress=flags.print_step if args.verbose else None,
             workers=args.workers,
             **flags.checkpoint_kwargs(args),

@@ -27,11 +27,11 @@ def run(args: argparse.Namespace) -> int:
     if args.resolver_population == "isp":
         raise SystemExit(
             "`repro resolvers` needs a public-resolver population; "
-            "pass --resolver-population public or mixed"
+            "pass --resolver-population mixed"
         )
     start = flags.parse_date(args.start)
     end = flags.parse_date(args.end)
-    engine = flags.engine_from_args(args)
+    engine = flags.engine_from_args(args, start, end)
     engine.run(start, end, workers=args.workers)
     accuracy = ResolverAccuracy.from_scenario(engine.scenario)
     if args.json:

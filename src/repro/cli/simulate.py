@@ -32,7 +32,7 @@ def run(args: argparse.Namespace) -> int:
     start = flags.parse_date(args.start)
     end = flags.parse_date(args.end)
     with flags.telemetry_scope(args) as (registry, tracer):
-        engine = flags.engine_from_args(args)
+        engine = flags.engine_from_args(args, start, end)
         scenario = engine.scenario
         day_cursor = [None]
 

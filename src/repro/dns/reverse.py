@@ -56,22 +56,18 @@ def address_from_reverse_name(name: str) -> IPv4Address:
     return IPv4Address.parse(".".join(str(octet) for octet in octets))
 
 
-def build_ptr_zone(
-    ptr_table: Mapping[IPv4Address, str],
-    operator: str = "Apple",
-    ttl: int = 86400,
-) -> AuthoritativeServer:
-    """An authoritative server answering PTR queries from a table.
+def build_ptr_zone(ptr_table: Mapping[IPv4Address, str]) -> AuthoritativeServer:
+    """Apple's authoritative server answering PTR queries from a table.
 
     The zone origin is ``in-addr.arpa`` (one server for the whole
     table regardless of which prefixes it spans), with one static PTR
-    record per address.
+    record per address, one day's TTL each.
     """
     zone = Zone(_ARPA_SUFFIX)
     for address, hostname in ptr_table.items():
         owner = reverse_name(address)
-        zone.bind(owner, StaticPolicy((PtrRecord(owner, hostname, ttl),)))
-    return AuthoritativeServer(operator, [zone])
+        zone.bind(owner, StaticPolicy((PtrRecord(owner, hostname, 86400),)))
+    return AuthoritativeServer("Apple", [zone])
 
 
 def scan_ptr_records(

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .query import QueryContext
 from .records import normalize_name
 from .zone import AuthoritativeServer
 
@@ -132,7 +131,6 @@ class DelegationTree:
 def dig_trace(
     servers: Iterable[AuthoritativeServer],
     name: str,
-    context: Optional[QueryContext] = None,
 ) -> DelegationTrace:
     """One-shot trace over an estate's servers."""
     return DelegationTree(servers).trace(name)

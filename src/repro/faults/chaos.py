@@ -66,7 +66,7 @@ def default_chaos_schedule() -> FaultSchedule:
     )
 
 
-def anycast_drill_schedule(site_id: Optional[str] = None) -> FaultSchedule:
+def anycast_drill_schedule() -> FaultSchedule:
     """The route-flap drill: withdraw the busiest catchment mid-run.
 
     Routing-plane only — no DNS or cache fault — so the acceptance
@@ -74,17 +74,16 @@ def anycast_drill_schedule(site_id: Optional[str] = None) -> FaultSchedule:
     (catchments shift to the next-best site) while the health monitor
     sees *nothing* (zero unhealthy events, zero re-steers).
     """
-    if site_id is None:
-        from ..serve.clients import ClientDirectory
-        from ..serve.cluster import ClusterConfig, build_serve_estate
-        from ..serve.steering import build_serve_plane
+    from ..serve.clients import ClientDirectory
+    from ..serve.cluster import ClusterConfig, build_serve_estate
+    from ..serve.steering import build_serve_plane
 
-        plane = build_serve_plane(
-            build_serve_estate(ClusterConfig(servers_per_metro=2)),
-            ClientDirectory.from_adoption(),
-        )
-        shares = plane.catchment_map(0.0).share_by_site()
-        site_id = max(shares, key=lambda site: shares[site])
+    plane = build_serve_plane(
+        build_serve_estate(ClusterConfig(servers_per_metro=2)),
+        ClientDirectory.from_adoption(),
+    )
+    shares = plane.catchment_map(0.0).share_by_site()
+    site_id = max(shares, key=lambda site: shares[site])
     return FaultSchedule(
         [FaultWindow(1.0, 5.0, site_id, FaultKind.ROUTE_WITHDRAW)]
     )
@@ -107,6 +106,10 @@ _WATCH_CLIENTS = 8
 _WATCH_INTERVAL = 0.3
 # The live edge's third-party servers per metro.
 _SERVERS_PER_METRO = 4
+# Requests per load batch, and how long the live phase runs past the
+# schedule's last window.
+_BATCH_REQUESTS = 150
+_RECOVERY_MARGIN = 5.0
 
 
 @dataclass
@@ -115,9 +118,7 @@ class ChaosConfig:
 
     seed: int = 7
     schedule: Optional[FaultSchedule] = None  # None = default_chaos_schedule()
-    batch_requests: int = 150
     concurrency: int = 16
-    recovery_margin: float = 5.0      # run past the last window this long
     run_simulation: bool = True
     workers: int = 1                  # worker processes for the simulation phase
     steering: str = "dns"             # dns | anycast
@@ -128,8 +129,8 @@ class ChaosConfig:
 
     def __post_init__(self) -> None:
         check_steering(self.steering)
-        if self.batch_requests <= 0 or self.concurrency <= 0:
-            raise ValueError("batch_requests and concurrency must be positive")
+        if self.concurrency <= 0:
+            raise ValueError("concurrency must be positive")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.serve_workers < 1:
@@ -384,12 +385,12 @@ def _live_phase(config: ChaosConfig, schedule: FaultSchedule,
         ),
     )
     load_config = LoadConfig(
-        requests=config.batch_requests,
+        requests=_BATCH_REQUESTS,
         concurrency=config.concurrency,
         http_retries=2,
         dns_timeout=1.0,
     )
-    end_at = schedule.end_time() + config.recovery_margin
+    end_at = schedule.end_time() + _RECOVERY_MARGIN
     rounds: list = []
 
     def watch(dns_endpoint, directory, clock):
@@ -577,8 +578,6 @@ def _report(schedule: FaultSchedule, sections: list) -> ChaosReport:
 
 def run_chaos(
     config: Optional[ChaosConfig] = None,
-    registry: Optional[MetricsRegistry] = None,
-    tracer: Optional[EventTracer] = None,
 ) -> tuple[ChaosReport, MetricsRegistry, EventTracer]:
     """Run the full drill; returns (report, registry, tracer)."""
     config = config if config is not None else ChaosConfig()
@@ -590,8 +589,8 @@ def run_chaos(
         schedule = default_chaos_schedule()
     if not len(schedule):
         raise ValueError("a chaos drill needs at least one fault window")
-    registry = registry if registry is not None else MetricsRegistry()
-    tracer = tracer if tracer is not None else EventTracer()
+    registry = MetricsRegistry()
+    tracer = EventTracer()
     with use_registry(registry), use_tracer(tracer):
         sections = [_live_phase(config, schedule, registry, tracer)]
         if config.run_simulation:

@@ -38,6 +38,10 @@ __all__ = [
 ]
 
 DEFAULT_MEMBERS = ("Apple", "Akamai", "Limelight")
+# A member flips unhealthy after this many consecutive failed probes,
+# and back after this many consecutive successes (the half-open phase).
+K_FAILURES = 3
+RECOVERY_PROBES = 2
 
 
 class MemberState(Enum):
@@ -67,35 +71,29 @@ class _Member:
 class CdnHealthMonitor:
     """Probes member CDNs and tracks their health state.
 
-    ``k_failures`` consecutive probe failures flip a member to
-    UNHEALTHY; while unhealthy, probing continues at ``cooldown``
-    cadence, and ``recovery_probes`` consecutive successes (the
-    half-open phase) flip it back.  :meth:`tick` replays every probe
-    instant between the last tick and ``now``, so large simulation
-    steps and fine wall-clock loops drive the same machine.
+    :data:`K_FAILURES` consecutive probe failures flip a member of
+    :data:`DEFAULT_MEMBERS` to UNHEALTHY; while unhealthy, probing
+    continues at ``cooldown`` cadence, and :data:`RECOVERY_PROBES`
+    consecutive successes (the half-open phase) flip it back.
+    :meth:`tick` replays every probe instant between the last tick and
+    ``now``, so large simulation steps and fine wall-clock loops drive
+    the same machine.
     """
 
     def __init__(
         self,
-        members=DEFAULT_MEMBERS,
-        k_failures: int = 3,
-        recovery_probes: int = 2,
         probe_interval: float = 5.0,
         cooldown: float = 10.0,
         metrics=None,
         tracer=None,
     ) -> None:
-        if k_failures <= 0 or recovery_probes <= 0:
-            raise ValueError("k_failures and recovery_probes must be positive")
         if probe_interval <= 0 or cooldown <= 0:
             raise ValueError("probe_interval and cooldown must be positive")
-        self.k_failures = k_failures
-        self.recovery_probes = recovery_probes
+        self.k_failures = K_FAILURES
+        self.recovery_probes = RECOVERY_PROBES
         self.probe_interval = probe_interval
         self.cooldown = cooldown
-        self._members = {name: _Member(name) for name in members}
-        if not self._members:
-            raise ValueError("a monitor needs at least one member")
+        self._members = {name: _Member(name) for name in DEFAULT_MEMBERS}
         registry = metrics if metrics is not None else get_registry()
         self._tracer = tracer if tracer is not None else get_tracer()
         self._m_probes = registry.counter(
@@ -251,11 +249,9 @@ class SelectionHealth:
         self,
         monitor: CdnHealthMonitor,
         member_of: Callable[[str], Optional[str]],
-        apple_member: str = "Apple",
     ) -> None:
         self.monitor = monitor
         self._member_of = member_of
-        self._apple = apple_member
         self._schedules: dict[MappingRegion, HealthFilteredSchedule] = {}
 
     def healthy(self, member: str) -> bool:
@@ -264,7 +260,7 @@ class SelectionHealth:
 
     def apple_healthy(self) -> bool:
         """Whether Apple's own CDN is currently in rotation."""
-        return self.monitor.is_healthy(self._apple)
+        return self.monitor.is_healthy("Apple")
 
     def filter_weights(self, weights: Mapping[str, float]) -> dict[str, float]:
         """``weights`` restricted to targets whose member is healthy."""
@@ -316,9 +312,8 @@ class SelectionHealth:
 @dataclass(frozen=True)
 class FailoverConfig:
     """Knobs for the health-check + failover loop (the monitor's flip
-    thresholds are its defaults: 3 failures down, 2 probes back)."""
+    thresholds are :data:`K_FAILURES` and :data:`RECOVERY_PROBES`)."""
 
-    members: tuple[str, ...] = DEFAULT_MEMBERS
     probe_interval: float = 5.0
     cooldown: float = 10.0
     fault_seed: int = 0
@@ -353,7 +348,6 @@ class FailoverLoop:
         serving cluster (its run-relative clock) both come through here.
         """
         monitor = CdnHealthMonitor(
-            members=config.members,
             probe_interval=config.probe_interval,
             cooldown=config.cooldown,
             metrics=metrics,

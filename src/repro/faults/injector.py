@@ -159,10 +159,10 @@ class FaultInjector:
             return self._hit(FaultKind.VIP_OUTAGE)
         return False
 
-    def edge_crashed(self, hostname: str, operator: str = "Apple") -> bool:
-        """Whether the edge-bx cache ``hostname`` is crashed right now."""
+    def edge_crashed(self, hostname: str) -> bool:
+        """Whether Apple's edge-bx cache ``hostname`` is crashed right now."""
         window = self.schedule.find(
-            FaultKind.EDGE_CRASH, self.now(), hostname, operator
+            FaultKind.EDGE_CRASH, self.now(), hostname, "Apple"
         )
         if window is None:
             return False

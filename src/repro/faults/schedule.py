@@ -40,7 +40,7 @@ act purely on the routing plane: :class:`CdnHealthMonitor` probes never
 consult them, so catchment shifts are invisible to DNS health failover.
 
 ``target`` names what the window applies to: a CDN member / operator
-(``"Apple"``, ``"Akamai"``, ``"Limelight"``, ``"Level3"``), a vip
+(``"Apple"``, ``"Akamai"``, ``"Limelight"``), a vip
 address string, an edge-bx hostname, or ``"*"`` for everything the kind
 can hit.
 """

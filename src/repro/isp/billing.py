@@ -17,25 +17,18 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .snmp import SnmpCounters
 
 __all__ = ["PercentileBilling", "BillImpact", "bill_impact"]
 
 
-@dataclass(frozen=True)
 class PercentileBilling:
-    """The classic 95/5 scheme (parameters adjustable)."""
+    """The classic 95/5 scheme: 5-minute samples, top 5 % free."""
 
-    percentile: float = 0.95
-    sample_seconds: float = 300.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.percentile < 1.0:
-            raise ValueError("percentile must be in (0, 1)")
-        if self.sample_seconds <= 0:
-            raise ValueError("sample_seconds must be positive")
+    percentile = 0.95
+    sample_seconds = 300.0
 
     def billable_gbps(self, samples: Iterable[float]) -> float:
         """The billable rate for a series of per-sample Gbps values.
@@ -109,16 +102,16 @@ def bill_impact(
     baseline_start: float,
     event_start: float,
     event_end: float,
-    billing: Optional[PercentileBilling] = None,
 ) -> BillImpact:
     """The §5.4 bill effect for a link group.
 
     ``baseline_start .. event_start`` is the quiet reference period;
     ``baseline_start .. event_end`` is the same billing window with the
     event included (a real bill covers the whole month — using the same
-    left edge keeps sample counts comparable).
+    left edge keeps sample counts comparable).  Billed 95/5 on 5-minute
+    samples (:class:`PercentileBilling`'s defaults).
     """
-    scheme = billing if billing is not None else PercentileBilling()
+    scheme = PercentileBilling()
     links = list(link_ids)
     before = scheme.samples_from_snmp(snmp, links, baseline_start, event_start)
     including = scheme.samples_from_snmp(snmp, links, baseline_start, event_end)

@@ -32,7 +32,7 @@ __all__ = [
     "is_overflow",
 ]
 
-THIRD_PARTY_OPERATORS = frozenset({"Akamai", "Limelight", "Level3"})
+THIRD_PARTY_OPERATORS = frozenset({"Akamai", "Limelight"})
 
 
 def is_overflow(source_asn: Optional[ASN], handover_asn: ASN) -> bool:

@@ -124,11 +124,6 @@ class EyeballIsp:
         """All border routers, sorted."""
         return tuple(sorted({link.router for link in self._links.values()}))
 
-    @property
-    def neighbors(self) -> tuple[ASN, ...]:
-        """All direct neighbour ASs, sorted."""
-        return tuple(sorted(self._by_neighbor))
-
     def __iter__(self) -> Iterator[PeeringLink]:
         return iter(self._links.values())
 

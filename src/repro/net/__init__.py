@@ -7,7 +7,6 @@ dependency-free and deterministic.
 from .asys import (
     AS_AKAMAI,
     AS_APPLE,
-    AS_LEVEL3,
     AS_LIMELIGHT,
     ASN,
     ASRegistry,
@@ -35,7 +34,6 @@ __all__ = [
     "AS_APPLE",
     "AS_AKAMAI",
     "AS_LIMELIGHT",
-    "AS_LEVEL3",
     "Coordinates",
     "Continent",
     "MappingRegion",

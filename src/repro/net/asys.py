@@ -14,7 +14,7 @@ traffic (*source AS*), which AS hands it over to the eyeball ISP
 
 The well-known ASNs of the organisations in the paper are provided as
 constants; their values match the real registries (Apple AS714, Akamai
-AS20940, Limelight AS22822, Level3 AS3356) so that analysis output is
+AS20940, Limelight AS22822) so that analysis output is
 recognisable next to the paper's.
 """
 
@@ -33,7 +33,6 @@ __all__ = [
     "AS_APPLE",
     "AS_AKAMAI",
     "AS_LIMELIGHT",
-    "AS_LEVEL3",
 ]
 
 
@@ -61,7 +60,6 @@ class ASN:
 AS_APPLE = ASN(714)
 AS_AKAMAI = ASN(20940)
 AS_LIMELIGHT = ASN(22822)
-AS_LEVEL3 = ASN(3356)
 
 
 @dataclass

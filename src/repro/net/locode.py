@@ -202,10 +202,9 @@ class LocodeDatabase:
     'gblon'
     """
 
-    def __init__(self, locations: Optional[tuple[Location, ...]] = None) -> None:
-        entries = locations if locations is not None else _BUILTIN
-        self._by_code = {location.code: location for location in entries}
-        if len(self._by_code) != len(entries):
+    def __init__(self) -> None:
+        self._by_code = {location.code: location for location in _BUILTIN}
+        if len(self._by_code) != len(_BUILTIN):
             raise ValueError("duplicate LOCODE entries")
 
     @classmethod

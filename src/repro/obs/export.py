@@ -121,9 +121,9 @@ class ParsedFamily:
     # (sample name, ((label, value), ...) sorted) -> value
     samples: dict = field(default_factory=dict)
 
-    def value(self, sample: str = "", **labels) -> float:
-        """The sample value for ``labels`` (sample defaults to the family name)."""
-        key = (sample or self.name, tuple(sorted(labels.items())))
+    def value(self, **labels) -> float:
+        """The family's own sample value for ``labels``."""
+        key = (self.name, tuple(sorted(labels.items())))
         return self.samples[key]
 
 

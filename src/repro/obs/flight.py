@@ -34,14 +34,16 @@ __all__ = [
 ]
 
 
+# Dumps one FlightRecorder writes at most.
+DUMP_LIMIT = 32
+
+
 class FlightRecorder:
     """Dumps a tracer's ring buffer to JSONL files on demand."""
 
-    def __init__(self, directory: str, limit: int = 32) -> None:
-        if limit <= 0:
-            raise ValueError("limit must be positive")
+    def __init__(self, directory: str) -> None:
         self.directory = directory
-        self.limit = limit
+        self.limit = DUMP_LIMIT
         self.trips = 0
 
     def trip(

@@ -135,21 +135,23 @@ class _Span:
         self._tracer._close_span(self, elapsed, failed=exc_type is not None)
 
 
+# Records an EventTracer's ring buffer holds.
+RING_CAPACITY = 65536
+
+
 class EventTracer:
     """Collects :class:`TraceRecord` entries in a ring buffer.
 
-    ``capacity`` bounds memory; ``stream`` (optional, file-like) gets
+    :data:`RING_CAPACITY` bounds memory; ``stream`` (optional, file-like) gets
     every record as a JSONL line the moment it is recorded, so long
     runs can persist more than the buffer holds.
     """
 
     enabled = True
 
-    def __init__(self, capacity: int = 65536, stream: Optional[IO[str]] = None):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._buffer: "deque[TraceRecord]" = deque(maxlen=capacity)
+    def __init__(self, stream: Optional[IO[str]] = None):
+        self.capacity = RING_CAPACITY
+        self._buffer: "deque[TraceRecord]" = deque(maxlen=RING_CAPACITY)
         self._stream = stream
         # The currently open span of *this task*; each tracer gets its
         # own variable so independent tracers never share nesting state.

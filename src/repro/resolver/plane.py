@@ -55,9 +55,10 @@ __all__ = [
 
 _ASSIGNMENT_SALT = "resolver-population"
 
-# Who resolves for the clients: their own ISP-path resolvers, shared
-# public-resolver POP caches, or a fixed share behind each.
-POPULATIONS = ("isp", "public", "mixed")
+# Who resolves for the clients: their own ISP-path resolvers, or a
+# fixed share behind shared public-resolver POP caches (share 1.0 puts
+# every client there).
+POPULATIONS = ("isp", "mixed")
 
 
 def is_public_client(key, share: float) -> bool:
@@ -151,35 +152,24 @@ class ResolverPlane:
 
     ``populations`` maps campaign names to their probe lists; each
     campaign gets its own per-POP shared caches (see the module
-    docstring for why).  ``population`` is ``"public"`` (every probe
-    resolves through a POP) or ``"mixed"`` (a stable
-    ``public_share`` fraction does; the rest keep their ISP-path
-    resolvers untouched).
+    docstring for why).  A stable ``public_share`` fraction of the
+    probes resolves through a POP (all of them at 1.0); the rest keep
+    their ISP-path resolvers untouched.
     """
 
     def __init__(
         self,
         servers: Iterable[AuthoritativeServer],
         populations: dict[str, Sequence[AtlasProbe]],
-        population: str = "public",
         public_share: float = 0.5,
         ecs: bool = True,
         scope: int = 24,
-        pops: Sequence[ResolverPop] = DEFAULT_POPS,
-        metrics=None,
     ) -> None:
-        check_population(population, public_share, scope)
-        if population == "isp":
-            raise ValueError("the plane models public/mixed; isp means no plane")
-        if not pops:
-            raise ValueError("at least one POP is required")
-        self.population = population
+        check_population("mixed", public_share, scope)
         self.public_share = public_share
         self.ecs = ecs
         self.scope = scope
-        self.pops = tuple(pops)
         self._servers = list(servers)
-        self._metrics = metrics
         self._populations = {
             name: tuple(probes) for name, probes in populations.items()
         }
@@ -198,8 +188,6 @@ class ResolverPlane:
         Keyed by probe id alone so the split is identical in every
         scenario replica and independent of campaign membership.
         """
-        if self.population == "public":
-            return True
         return is_public_client(probe_id, self.public_share)
 
     def _partition_of(self, probe: AtlasProbe) -> Optional[IPv4Address]:
@@ -214,7 +202,7 @@ class ResolverPlane:
             for probe in probes:
                 if not self.is_public(probe.probe_id):
                     continue
-                pop = nearest_pop(probe.coordinates, self.pops)
+                pop = nearest_pop(probe.coordinates, DEFAULT_POPS)
                 self.pop_of[probe.probe_id] = pop
                 key = (pop.pop_id, self._partition_of(probe))
                 if key not in members:
@@ -222,7 +210,7 @@ class ResolverPlane:
                     order.append(key)
                 members[key].append(probe)
             groups: list[PopGroup] = []
-            pops_by_id = {pop.pop_id: pop for pop in self.pops}
+            pops_by_id = {pop.pop_id: pop for pop in DEFAULT_POPS}
             for key in order:
                 pop_id, partition = key
                 pop = pops_by_id[pop_id]
@@ -261,7 +249,6 @@ class ResolverPlane:
             resolver = RecursiveResolver(
                 self._servers,
                 cache=True,
-                metrics=self._metrics,
                 cache_scope=self.scope if self.ecs else 0,
                 cache_capacity=POP_CACHE_CAPACITY,
             )

@@ -157,20 +157,17 @@ class ClientDirectory:
             self._region_cumulative[region] = bounds
 
     @classmethod
-    def from_adoption(
-        cls,
-        adoption: Optional[AdoptionModel] = None,
-        vantages: Iterable[Vantage] = DEFAULT_VANTAGES,
-    ) -> "ClientDirectory":
-        """Weight vantages by the flash crowd's per-region device counts.
+    def from_adoption(cls) -> "ClientDirectory":
+        """Weight the default vantages by the flash crowd's per-region
+        device counts.
 
         Each region's updating-device population (the adoption curve
         applied to the installed base) is split evenly across that
         region's vantages, so the socket-level request mix reproduces
         the workload model's regional skew.
         """
-        model = adoption if adoption is not None else AdoptionModel()
-        vantage_list = tuple(vantages)
+        model = AdoptionModel()
+        vantage_list = DEFAULT_VANTAGES
         per_region: dict[MappingRegion, int] = {}
         for vantage in vantage_list:
             per_region[vantage.region] = per_region.get(vantage.region, 0) + 1
@@ -191,9 +188,9 @@ class ClientDirectory:
         address = IPv4Address(vantage.prefix.network.value + offset)
         return SampledClient(address=address, vantage=vantage)
 
-    def sample(self, sequence: int, salt: str = "") -> SampledClient:
+    def sample(self, sequence: int) -> SampledClient:
         """The deterministic client for sequence number ``sequence``."""
-        fraction = stable_fraction("serve-client", sequence, salt)
+        fraction = stable_fraction("serve-client", sequence, "")
         # The first bound above the draw; a draw at or past the last
         # bound (rounding) takes the last vantage.
         bounds = self._cumulative
@@ -204,8 +201,7 @@ class ClientDirectory:
         """Sampling weight per vantage name (the snapshot payload)."""
         return {v.name: w for v, w in zip(self._vantages, self._weights)}
 
-    def sample_in_region(self, region: MappingRegion, sequence: int,
-                         salt: str = "") -> SampledClient:
+    def sample_in_region(self, region: MappingRegion, sequence: int) -> SampledClient:
         """The deterministic client for ``sequence``, pinned to ``region``.
 
         Used by open-loop arrival schedules: the workload model decides
@@ -215,9 +211,9 @@ class ClientDirectory:
         """
         indexes = self._region_indexes.get(region)
         if not indexes:
-            return self.sample(sequence, salt)
+            return self.sample(sequence)
         fraction = stable_fraction("serve-client-region", region.value,
-                                   sequence, salt)
+                                   sequence, "")
         bounds = self._region_cumulative[region]
         position = min(bisect_right(bounds, fraction), len(bounds) - 1)
         return self._client(indexes[position], sequence)

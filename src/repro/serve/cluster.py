@@ -80,14 +80,16 @@ class ClusterConfig:
     faults: Optional[FaultSchedule] = None
     failover: FailoverConfig = FailoverConfig()
     # Resolver population: "isp" keeps the classic per-client path;
-    # "public"/"mixed" boot a PublicResolverFront (shared POP caches)
-    # the load generator resolves through for the public share.
+    # "mixed" boots a PublicResolverFront (shared POP caches) the load
+    # generator resolves through for the public share.
     resolver_population: str = "isp"
     public_resolver_share: float = 0.5
     public_resolver_ecs: bool = True
     public_resolver_scope: int = 24
 
     def __post_init__(self) -> None:
+        if self.object_size <= 0:
+            raise ValueError("object_size must be positive")
         if self.servers_per_metro <= 0:
             raise ValueError("servers_per_metro must be positive")
         check_steering(self.steering)
@@ -102,8 +104,6 @@ class ClusterConfig:
         """The client fraction that resolves through the front."""
         if self.resolver_population == "isp":
             return 0.0
-        if self.resolver_population == "public":
-            return 1.0
         return self.public_resolver_share
 
     def loadgen_config(self, load: Optional[LoadConfig] = None) -> LoadConfig:

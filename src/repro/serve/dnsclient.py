@@ -217,9 +217,8 @@ class AsyncDnsClient:
                 return self._last_id
         raise DnsClientError("all 65535 message ids are in flight")
 
-    async def query(self, name: str, client: IPv4Address,
-                    rtype: RecordType = RecordType.A) -> WireMessage:
-        """One query/response exchange (UDP, TCP on truncation)."""
+    async def query(self, name: str, client: IPv4Address) -> WireMessage:
+        """One A query/response exchange (UDP, TCP on truncation)."""
         if self._protocol is None or self._protocol.transport is None:
             raise DnsClientError("client is not connected")
         ecs = ClientSubnet(IPv4Prefix.containing(client, self._source_prefix_len))
@@ -236,7 +235,7 @@ class AsyncDnsClient:
             payload = encode_message(
                 WireMessage(
                     message_id=message_id,
-                    questions=[Question.of(name, rtype)],
+                    questions=[Question.of(name, RecordType.A)],
                     client_subnet=ecs,
                     trace_context=trace,
                 )

@@ -46,6 +46,9 @@ from .listener import Listener, RunClock
 __all__ = ["ZoneFrontend", "AsyncDnsServer"]
 
 _FALLBACK_UDP_PAYLOAD = 512  # RFC 1035 limit for clients without EDNS
+# A UDP reply cap below what clients advertise (None = theirs); lowered
+# to force the TC -> TCP fallback.
+UDP_PAYLOAD_CAP: Optional[int] = None
 _TCP_IDLE_TIMEOUT = 30.0
 
 
@@ -106,7 +109,6 @@ class AsyncDnsServer:
         servers: Iterable[AuthoritativeServer],
         directory: Optional[ClientDirectory] = None,
         clock: Optional[Callable[[], float]] = None,
-        max_udp_payload: Optional[int] = None,
         metrics=None,
         faults=None,
         tracer=None,
@@ -114,7 +116,6 @@ class AsyncDnsServer:
         self.frontend = ZoneFrontend(servers)
         self.directory = directory if directory is not None else ClientDirectory()
         self._clock = clock if clock is not None else RunClock().start()
-        self._max_udp_payload = max_udp_payload
         # Fault plane (repro.faults.FaultInjector); None = zero-overhead
         # healthy path.  DNS faults target the *operator* whose zone
         # answers the question (drop, delay, SERVFAIL, stale answers).
@@ -290,8 +291,8 @@ class AsyncDnsServer:
             self._m_handle.observe(time.perf_counter() - started)
             return encoded, delay
         limit = query.udp_payload_size or _FALLBACK_UDP_PAYLOAD
-        if self._max_udp_payload is not None:
-            limit = min(limit, self._max_udp_payload)
+        if UDP_PAYLOAD_CAP is not None:
+            limit = min(limit, UDP_PAYLOAD_CAP)
         if len(encoded) > limit:
             self._m_truncated.inc()
             encoded = encode_message(

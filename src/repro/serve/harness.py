@@ -423,10 +423,10 @@ async def _verify_fleet_equivalence(
     fleet: ServeFleet,
     directory: ClientDirectory,
     _clock,
-    samples: int = 16,
 ) -> list[str]:
-    """Wire answers from the fleet vs the in-memory resolver, plus the
-    per-connection cache behaviour a single loop would show."""
+    """Wire answers from the fleet vs the in-memory resolver for 16
+    sampled clients, plus the per-connection cache behaviour a single
+    loop would show."""
     failures: list[str] = []
     estate = build_serve_estate(fleet.spec.cluster)
     resolver = estate.resolver(cache=False)
@@ -434,7 +434,7 @@ async def _verify_fleet_equivalence(
         *fleet.dns_endpoint, source_prefix_len=32
     )
     try:
-        for sequence in range(samples):
+        for sequence in range(16):
             sampled = directory.sample(sequence)
             wire = await dns_client.resolve(NAMES.entry_point, sampled.address)
             memory = resolver.resolve(

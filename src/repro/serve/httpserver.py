@@ -8,7 +8,7 @@ header (the stand-in for connecting to that address directly).  Requests
 are routed through :meth:`repro.apple.deployment.AppleCdn.serve` for
 Apple vips — producing the exact ``Via``/``X-Cache`` chains the §3.3
 header inference parses — and through the flat third-party delivery
-model for Akamai/Limelight/Level3 addresses.
+model for Akamai/Limelight addresses.
 
 Bodies stay synthetic (the model never materialises a 2.8 GB image) but
 are real on the wire: a ``Range`` request gets its slice as zero bytes

@@ -23,7 +23,7 @@ import asyncio
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import ClassVar, Iterable, Mapping, Optional, Sequence
 
 from ..apple.mapping import NAMES
 from ..net.ipv4 import IPv4Address
@@ -74,11 +74,13 @@ class LoadConfig:
 
     requests: int = 5000
     concurrency: int = 64
-    object_count: int = 32
-    range_bytes: int = 65536
+    # Distinct objects fetched, bytes per ranged GET, and the ECS source
+    # prefix the DNS clients announce.
+    object_count: ClassVar[int] = 32
+    range_bytes: ClassVar[int] = 65536
+    source_prefix_len: ClassVar[int] = 24
     dns_timeout: float = 2.0
-    retries: int = 2
-    source_prefix_len: int = 24
+    retries: ClassVar[int] = 2  # DNS re-asks per query
     # Hedged GSLB lookups (see repro.serve.resilience); None = never.
     hedge: Optional[HedgePolicy] = field(default_factory=HedgePolicy)
     http_retries: int = 1
@@ -113,10 +115,6 @@ class LoadConfig:
             raise ValueError("requests must be positive")
         if self.concurrency <= 0:
             raise ValueError("concurrency must be positive")
-        if self.object_count <= 0:
-            raise ValueError("object_count must be positive")
-        if self.range_bytes <= 0:
-            raise ValueError("range_bytes must be positive")
         if self.http_retries < 0:
             raise ValueError("http_retries must be non-negative")
 

@@ -78,20 +78,16 @@ class PublicResolverFront:
     def __init__(
         self,
         directory: Optional[ClientDirectory] = None,
-        pops: tuple[ResolverPop, ...] = DEFAULT_POPS,
         ecs: bool = True,
         scope: int = 24,
         metrics=None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
-        if not pops:
-            raise ValueError("a resolver front needs at least one POP")
         if not 0 <= scope <= 32:
             raise ValueError("scope must be in [0, 32]")
         self.directory = (
             directory if directory is not None else ClientDirectory()
         )
-        self._pops = tuple(pops)
         self.ecs = ecs
         self.scope = scope
         self._clock = clock if clock is not None else RunClock().start()
@@ -136,7 +132,7 @@ class PublicResolverFront:
                 misses=self._m_cache.labels("miss"),
                 evictions=evictions,
             )
-            for pop in self._pops
+            for pop in DEFAULT_POPS
         }
 
     # ------------------------------------------------------------------
@@ -181,12 +177,12 @@ class PublicResolverFront:
     def _pop_for(self, client: Optional[IPv4Address]) -> ResolverPop:
         """The POP serving ``client`` (nearest by great circle)."""
         if client is None:
-            return self._pops[0]
+            return DEFAULT_POPS[0]
         cached = self._pop_memo.get(client)
         if cached is not None:
             return cached
         context = self.directory.context_for(client)
-        pop = nearest_pop(context.coordinates, self._pops)
+        pop = nearest_pop(context.coordinates, DEFAULT_POPS)
         self._pop_memo[client] = pop
         return pop
 

@@ -29,10 +29,11 @@ measurement *count* is unchanged).
 
 File format (``ckpt-<steps>.rckpt``): a :class:`~repro.container.Container`
 frame (magic ``RCKPT1``) whose JSON header carries the schema version
-(6: stores and campaign grids keyed by name, a store's traceroutes as
+(7: stores and campaign grids keyed by name, a store's traceroutes as
 typed columns, the flow log's timestamps one per run, a scenario config
-with two steering modes), the step count and the next tick, and whose payload is
-the pickled :class:`Checkpoint` fields.
+with two steering modes and neither the Level3 switch nor the ISP
+fan-out, an engine spec without a timeline), the step count and the
+next tick, and whose payload is the pickled :class:`Checkpoint` fields.
 The container writes atomically and verifies magic, version, length and
 checksum before the payload is unpickled; every failure raises
 :class:`CheckpointError` — :func:`latest_checkpoint` then falls back to
@@ -61,7 +62,7 @@ __all__ = [
     "checkpoint_path",
 ]
 
-_VERSION = 6
+_VERSION = 7
 
 
 class CheckpointError(RuntimeError):

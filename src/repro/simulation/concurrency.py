@@ -265,7 +265,6 @@ class EngineSpec:
 
     scenario_class: type
     config: object
-    timeline: object
     faults: Optional[object]
     step_seconds: float
     collect_metrics: bool
@@ -276,7 +275,6 @@ class EngineSpec:
         return cls(
             scenario_class=type(scenario),
             config=scenario.config,
-            timeline=scenario.timeline,
             faults=scenario.fault_schedule,
             step_seconds=engine.step_seconds,
             collect_metrics=engine._obs.metrics.enabled,
@@ -286,9 +284,7 @@ class EngineSpec:
         """Construct the replica engine (under the ambient registry)."""
         from .engine import SimulationEngine
 
-        scenario = self.scenario_class(
-            self.config, timeline=self.timeline, faults=self.faults
-        )
+        scenario = self.scenario_class(self.config, faults=self.faults)
         return SimulationEngine(scenario, step_seconds=self.step_seconds)
 
 

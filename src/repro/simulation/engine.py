@@ -29,9 +29,12 @@ from ..net.ipv4 import IPv4Address
 from ..obs import get_registry, get_tracer
 from .scenario import OVERFLOW_CLUSTER_PREFIX, Sep2017Scenario
 
-__all__ = ["SimulationEngine", "StepReport", "RunSummary"]
+__all__ = ["SimulationEngine", "StepReport", "RunSummary", "check_run_window"]
 
 _GBPS_TO_BYTES = 1e9 / 8.0
+# Servers per CDN the ISP's traffic is spread over, stride-sampled from
+# the active list.
+ISP_SERVER_FANOUT = 64
 
 # Crash-tolerance bookkeeping, reset at each run() entry: how many
 # checkpoints were written (the one a lost shard worker forces
@@ -42,6 +45,14 @@ _RUN_STATS = {
     "drained": False,
     "resumed_from_step": None,
 }
+
+
+def check_run_window(start: float, end: float, workers: int) -> None:
+    """Refuse a run window or worker count no run can take."""
+    if end <= start:
+        raise ValueError("end must be after start")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -479,10 +490,7 @@ class SimulationEngine:
                 end = resume_from.end
         if start is None or end is None:
             raise ValueError("run() needs start and end unless resuming")
-        if end <= start:
-            raise ValueError("end must be after start")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        check_run_window(start, end, workers)
         self.run_stats = dict(_RUN_STATS)
         self._drain_requested = False
 
@@ -851,7 +859,7 @@ class SimulationEngine:
     def _sample_sources(
         self, operator: str, own_as_only: bool, deployment
     ) -> list[IPv4Address]:
-        """Up to ``isp_server_fanout`` addresses, proportionally sampled.
+        """Up to ``ISP_SERVER_FANOUT`` addresses, proportionally sampled.
 
         Stride sampling over the exposure-ordered active list (its
         own-AS members only, for background traffic) keeps the source
@@ -867,13 +875,13 @@ class SimulationEngine:
             return cached
         if own_as_only:
             active = tuple(p for p in active if p.server.asn == deployment.asn)
-        fanout = self.scenario.config.isp_server_fanout
-        if len(active) <= fanout:
+        if len(active) <= ISP_SERVER_FANOUT:
             sources = [placed.server.address for placed in active]
         else:
-            stride = len(active) / fanout
+            stride = len(active) / ISP_SERVER_FANOUT
             sources = [
-                active[int(index * stride)].server.address for index in range(fanout)
+                active[int(index * stride)].server.address
+                for index in range(ISP_SERVER_FANOUT)
             ]
         self._server_rank_cache[key] = sources
         return sources

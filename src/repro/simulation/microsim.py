@@ -30,6 +30,11 @@ from .scenario import Sep2017Scenario
 __all__ = ["DeviceAgent", "MicroSimulation", "MicroSimStats"]
 
 _AGENT_PREFIX = IPv4Prefix.parse("100.64.0.0/10")
+# Every agent is an iPhone 7 on iOS 10.3, offered 11.0, in a European
+# metro.
+_DEVICE_MODEL = "iPhone9,1"
+_INSTALLED_VERSION = "10.3"
+CONTINENT = Continent.EUROPE
 
 
 @dataclass
@@ -89,10 +94,6 @@ class MicroSimulation:
         self,
         scenario: Sep2017Scenario,
         agent_count: int = 200,
-        continent: Continent = Continent.EUROPE,
-        device_model: str = "iPhone9,1",
-        installed_version: str = "10.3",
-        target_version: str = "11.0",
         mean_adoption_delay: float = 4 * 3600.0,
         seed: int = 20170919,
     ) -> None:
@@ -100,18 +101,14 @@ class MicroSimulation:
             raise ValueError("agent_count must be positive")
         self.scenario = scenario
         rng = random.Random(seed)
-        cities = list(scenario.locations.on_continent(continent))
-        if not cities:
-            raise ValueError(f"no metros on {continent}")
-        self.old_manifest = build_manifest(target_version=installed_version)
-        self.new_manifest: UpdateManifest = build_manifest(
-            target_version=target_version
-        )
+        cities = list(scenario.locations.on_continent(CONTINENT))
+        self.old_manifest = build_manifest(target_version=_INSTALLED_VERSION)
+        self.new_manifest: UpdateManifest = build_manifest()
         self.agents: list[DeviceAgent] = []
         for index in range(agent_count):
             self.agents.append(
                 DeviceAgent(
-                    device=IosDevice(device_model, installed_version),
+                    device=IosDevice(_DEVICE_MODEL, _INSTALLED_VERSION),
                     address=_AGENT_PREFIX.host(index + 1),
                     location=rng.choice(cities),
                     resolver=scenario.estate.resolver(cache=True),

@@ -35,10 +35,9 @@ from ..atlas.traceroute import SimulatedTracer
 from ..cdn.cache import ContentCache
 from ..cdn.deployment import CdnDeployment, ExposureController
 from ..cdn.server import CacheServer, ServerFunction, ServerRole
-from ..cdn.thirdparty import AKAMAI_PLAN, LEVEL3_PLAN, LIMELIGHT_PLAN, build_third_party
+from ..cdn.thirdparty import AKAMAI_PLAN, LIMELIGHT_PLAN, build_third_party
 from ..dns.policies import WeightSchedule, stable_fraction
 from ..faults import (
-    DEFAULT_MEMBERS,
     FailoverConfig,
     FailoverLoop,
     FaultInjector,
@@ -56,7 +55,7 @@ from ..net.ipv4 import IPv4Address, IPv4Prefix
 from ..net.locode import LocodeDatabase
 from ..workload.adoption import AdoptionModel
 from ..workload.flashcrowd import CdnBackground, UpdateDemandModel
-from ..workload.timeline import TIMELINE, MeasurementWindow, Timeline
+from ..workload.timeline import TIMELINE, MeasurementWindow
 
 __all__ = ["ScenarioConfig", "Sep2017Scenario", "OVERFLOW_CLUSTER_PREFIX",
            "AS_HOSTER_AKAMAI", "AS_HOSTER_LIMELIGHT",
@@ -147,7 +146,6 @@ class ScenarioConfig:
     # --- capacities -----------------------------------------------------
     target_utilization: float = 0.95
     min_third_party_share: float = 0.35
-    include_level3: bool = False           # pre-late-June-2017 mapping
 
     # --- demand (region totals, Gbps) ------------------------------------
     baseline_gbps: dict = field(
@@ -168,7 +166,6 @@ class ScenarioConfig:
 
     # --- the eyeball ISP --------------------------------------------------
     isp_share_of_eu: float = 0.12          # the ISP's slice of EU demand
-    isp_server_fanout: int = 64            # servers per CDN receiving ISP load
 
     # --- event times (defaults from the Timeline) -------------------------
     a1015_delay_seconds: float = 6 * 3600.0
@@ -177,7 +174,7 @@ class ScenarioConfig:
     steering: str = "dns"                  # "dns" | "anycast"
 
     # --- resolver population ----------------------------------------------
-    resolver_population: str = "isp"       # "isp" | "public" | "mixed"
+    resolver_population: str = "isp"       # "isp" | "mixed"
     public_resolver_share: float = 0.5     # public fraction under "mixed"
     public_resolver_ecs: bool = True       # POPs announce ECS upstream
     public_resolver_scope: int = 24        # announced ECS scope (bits)
@@ -211,7 +208,6 @@ class Sep2017Scenario:
     def __init__(
         self,
         config: Optional[ScenarioConfig] = None,
-        timeline: Timeline = TIMELINE,
         faults: Optional[FaultSchedule] = None,
     ) -> None:
         self.config = config if config is not None else ScenarioConfig()
@@ -222,7 +218,7 @@ class Sep2017Scenario:
             cfg.public_resolver_share,
             cfg.public_resolver_scope,
         )
-        self.timeline = timeline
+        self.timeline = timeline = TIMELINE
         # The raw schedule (not the injector built from it) so sharded
         # runs can rebuild bit-identical scenario replicas in workers.
         self.fault_schedule = faults
@@ -235,10 +231,8 @@ class Sep2017Scenario:
         self.faults: Optional[FaultInjector] = None
         self.failover: Optional[FailoverLoop] = None
         if faults is not None and len(faults):
-            members = DEFAULT_MEMBERS + (("Level3",) if cfg.include_level3 else ())
             self.failover = FailoverLoop.build(
-                faults,
-                replace(ENGINE_FAILOVER, members=members, fault_seed=cfg.fault_seed),
+                faults, replace(ENGINE_FAILOVER, fault_seed=cfg.fault_seed)
             )
             self.faults = self.failover.injector
 
@@ -386,7 +380,6 @@ class Sep2017Scenario:
                 "ripe-global": self.global_probes,
                 "ripe-isp": self.isp_probes,
             },
-            population=config.resolver_population,
             public_share=config.public_resolver_share,
             ecs=config.public_resolver_ecs,
             scope=config.public_resolver_scope,
@@ -447,23 +440,6 @@ class Sep2017Scenario:
         )
         self._add_overflow_cluster(limelight)
 
-        level3 = None
-        if config.include_level3:
-            # The configuration before Level3 was removed in late June
-            # 2017 — used by ablations; Level3 served US and EU only.
-            level3 = build_third_party(
-                LEVEL3_PLAN,
-                [m for m in metros if m.continent.value not in
-                 ("Asia", "Oceania")],
-                other_as=ASN(64514),
-                exposure_factory=lambda: ExposureController(
-                    per_server_gbps=LEVEL3_PLAN.per_server_gbps,
-                    min_servers=EXPOSURE_MIN_SERVERS,
-                    headroom=EXPOSURE_HEADROOM,
-                    tau_seconds=LIMELIGHT_TAU_SECONDS,
-                ),
-            )
-
         capacity = {
             region: apple.deployment.region_capacity_gbps(region)
             for region in MappingRegion
@@ -480,7 +456,6 @@ class Sep2017Scenario:
             controller,
             third_party_weights=self._third_party_weights(),
             a1015_from=self.timeline.ios_11_0_release + config.a1015_delay_seconds,
-            level3=level3,
             health_monitor=self.failover.monitor if self.failover else None,
         )
 
@@ -518,19 +493,10 @@ class Sep2017Scenario:
         weights: dict[MappingRegion, WeightSchedule] = {}
         for region in MappingRegion:
             limelight_name = NAMES.limelight_handover(region)
-            if self.config.include_level3 and region is not MappingRegion.APAC:
-                # Pre-June 2017: Level3 shared the non-Akamai half in
-                # US/EU (the paper lists it for both, not APAC).
-                baseline = {
-                    NAMES.edgesuite: akamai_weight,
-                    limelight_name: (1.0 - akamai_weight) / 2.0,
-                    NAMES.level3: (1.0 - akamai_weight) / 2.0,
-                }
-            else:
-                baseline = {
-                    NAMES.edgesuite: akamai_weight,
-                    limelight_name: 1.0 - akamai_weight,
-                }
+            baseline = {
+                NAMES.edgesuite: akamai_weight,
+                limelight_name: 1.0 - akamai_weight,
+            }
             if region is MappingRegion.EU:
                 weights[region] = WeightSchedule(
                     [
@@ -772,8 +738,6 @@ class Sep2017Scenario:
             return "Akamai"
         if name in (names.limelight_us_eu, names.limelight_apac):
             return "Limelight"
-        if name == names.level3:
-            return "Level3"
         return None
 
     @property

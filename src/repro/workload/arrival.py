@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ..dns.policies import stable_fraction
 from ..net.geo import MappingRegion
@@ -38,7 +38,11 @@ __all__ = ["ArrivalSchedule"]
 # The paper's release instant: Sep 19, 17:00 UTC, expressed as seconds
 # into the day (the diurnal profiles take time-of-day seconds).
 _RELEASE_SECONDS = 17.0 * 3600.0
-_DEFAULT_BINS = 96
+# The flash crowd's event window: opens this long before the release,
+# runs this long past it, in this many piecewise-constant bins.
+_LEAD_SECONDS = 1800.0
+_WINDOW_SECONDS = 6.0 * 3600.0
+_BINS = 96
 
 
 @dataclass(frozen=True)
@@ -97,23 +101,19 @@ class ArrivalSchedule:
         cls,
         total_requests: int,
         duration: float,
-        adoption: Optional[AdoptionModel] = None,
-        window_seconds: float = 6.0 * 3600.0,
-        lead_seconds: float = 1800.0,
-        bins: int = _DEFAULT_BINS,
     ) -> "ArrivalSchedule":
         """The Sep-19 release evening, compressed into ``duration`` s.
 
-        The event window opens ``lead_seconds`` before the 17:00 UTC
+        The event window opens half an hour before the 17:00 UTC
         release (baseline-only demand, so the replay starts quiet) and
-        runs ``window_seconds`` past it — far enough to cover the ramp
-        peak and the start of the decay.  Per-region demand is the
+        runs six hours past it — far enough to cover the ramp peak and
+        the start of the decay.  Per-region demand is the
         surge shape scaled by the adoption model's peak, breathing with
         the region's diurnal profile exactly as
         :meth:`~repro.workload.flashcrowd.UpdateDemandModel.demand_gbps`
         modulates surges.
         """
-        model = adoption if adoption is not None else AdoptionModel()
+        model = AdoptionModel()
         peaks = model.surge_peaks()
         surges = {
             region: ReleaseSurge(
@@ -130,10 +130,10 @@ class ArrivalSchedule:
         baseline = {
             region: 0.02 * peaks.get(region, 0.0) for region in _REGIONS
         }
-        start = _RELEASE_SECONDS - lead_seconds
-        width = (lead_seconds + window_seconds) / bins
+        start = _RELEASE_SECONDS - _LEAD_SECONDS
+        width = (_LEAD_SECONDS + _WINDOW_SECONDS) / _BINS
         out: list[_Bin] = []
-        for index in range(bins):
+        for index in range(_BINS):
             tau = start + (index + 0.5) * width
             weights = []
             for region in _REGIONS:
@@ -153,15 +153,12 @@ class ArrivalSchedule:
         cls,
         total_requests: int,
         duration: float,
-        adoption: Optional[AdoptionModel] = None,
     ) -> "ArrivalSchedule":
         """A constant-rate schedule with the adoption model's region mix."""
-        model = adoption if adoption is not None else AdoptionModel()
+        model = AdoptionModel()
         weights = tuple(
             float(model.updating_devices(region)) for region in _REGIONS
         )
-        if sum(weights) <= 0.0:
-            weights = tuple(1.0 for _ in _REGIONS)
         return cls(
             total_requests,
             duration,
@@ -170,13 +167,12 @@ class ArrivalSchedule:
         )
 
     @classmethod
-    def named(cls, name: str, total_requests: int, duration: float,
-              adoption: Optional[AdoptionModel] = None) -> "ArrivalSchedule":
+    def named(cls, name: str, total_requests: int, duration: float) -> "ArrivalSchedule":
         """CLI entry point: ``flash-crowd`` or ``uniform``."""
         if name == "flash-crowd":
-            return cls.flash_crowd(total_requests, duration, adoption)
+            return cls.flash_crowd(total_requests, duration)
         if name == "uniform":
-            return cls.uniform(total_requests, duration, adoption)
+            return cls.uniform(total_requests, duration)
         raise ValueError(
             f"unknown arrival schedule {name!r} (valid: flash-crowd, uniform)"
         )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 __all__ = ["DiurnalProfile", "EU_PROFILE", "US_PROFILE", "APAC_PROFILE"]
 
@@ -28,13 +29,11 @@ class DiurnalProfile:
     """
 
     peak_hour_utc: float
-    amplitude: float = 0.6
+    amplitude: ClassVar[float] = 0.6
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.peak_hour_utc < 24.0:
             raise ValueError("peak_hour_utc must be in [0, 24)")
-        if not 0.0 <= self.amplitude < 1.0:
-            raise ValueError("amplitude must be in [0, 1)")
 
     def factor(self, now: float) -> float:
         """The demand multiplier at simulation time ``now``."""

@@ -69,30 +69,28 @@ class ReleaseSurge:
 
 @dataclass
 class UpdateDemandModel:
-    """Apple-update demand per mapping region over time."""
+    """Apple-update demand per mapping region over time, each region
+    breathing with its :data:`REGION_PROFILES` entry."""
 
     baseline_gbps: Mapping[MappingRegion, float]
     surges: dict[MappingRegion, list[ReleaseSurge]] = field(default_factory=dict)
-    profiles: Mapping[MappingRegion, DiurnalProfile] = field(
-        default_factory=lambda: dict(REGION_PROFILES)
-    )
 
     def add_release(
         self,
         release_time: float,
         peak_gbps: Mapping[MappingRegion, float],
-        ramp_seconds: float = 3600.0,
         decay_seconds: float = 130_000.0,
     ) -> None:
-        """Register a release event with per-region surge amplitudes."""
+        """Register a release event with per-region surge amplitudes,
+        each ramping up over an hour."""
         for region, peak in peak_gbps.items():
             self.surges.setdefault(region, []).append(
-                ReleaseSurge(release_time, peak, ramp_seconds, decay_seconds)
+                ReleaseSurge(release_time, peak, 3600.0, decay_seconds)
             )
 
     def demand_gbps(self, region: MappingRegion, now: float) -> float:
         """Total Apple-update demand offered by ``region`` at ``now``."""
-        profile = self.profiles[region]
+        profile = REGION_PROFILES[region]
         baseline = self.baseline_gbps.get(region, 0.0) * profile.factor(now)
         surge = sum(s.rate_gbps(now) for s in self.surges.get(region, ()))
         # Surges are demand from people, so they breathe with the day too,
@@ -111,7 +109,6 @@ class CdnBackground:
     """
 
     mean_gbps: float
-    profile: DiurnalProfile = EU_PROFILE
 
     def __post_init__(self) -> None:
         if self.mean_gbps < 0:
@@ -119,8 +116,8 @@ class CdnBackground:
 
     def rate_gbps(self, now: float) -> float:
         """Background traffic at ``now``."""
-        return self.mean_gbps * self.profile.factor(now)
+        return self.mean_gbps * EU_PROFILE.factor(now)
 
     def peak_gbps(self) -> float:
         """The daily background peak (the Figure 7 100 % reference base)."""
-        return self.mean_gbps * self.profile.peak_factor()
+        return self.mean_gbps * EU_PROFILE.peak_factor()

@@ -57,9 +57,9 @@ class Timeline:
         """UTC datetime for simulation seconds."""
         return self.epoch + timedelta(seconds=now)
 
-    def at(self, month: int, day: int, hour: int = 0, minute: int = 0) -> float:
+    def at(self, month: int, day: int, hour: int = 0) -> float:
         """Shorthand for 2017 dates: ``at(9, 19, 17)`` = Sep 19, 17h UTC."""
-        return self.seconds(datetime(2017, month, day, hour, minute))
+        return self.seconds(datetime(2017, month, day, hour))
 
     def day_start(self, now: float) -> float:
         """Midnight UTC of the day containing ``now``."""

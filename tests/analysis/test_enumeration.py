@@ -39,22 +39,20 @@ def forward_server(apple):
 
 class TestGenerateCandidates:
     def test_grammar_compliant(self):
-        for hostname in generate_candidates(["usnyc"], max_site_id=1):
+        for hostname in generate_candidates(["usnyc"]):
             parse_hostname(hostname)  # must not raise
 
     def test_candidate_count(self):
-        candidates = list(generate_candidates(["usnyc", "defra"], max_site_id=2))
-        # 2 locodes x 2 site ids x sum of per-role id ranges.
+        candidates = list(generate_candidates(["usnyc", "defra"]))
+        # 2 locodes x 3 site ids x sum of per-role id ranges.
         per_site = 16 + 64 + 4 + 4 + 4 + 4 + 4
-        assert len(candidates) == 2 * 2 * per_site
+        assert len(candidates) == 2 * 3 * per_site
         assert len(set(candidates)) == len(candidates)
 
 
 class TestEnumerateNames:
     def test_finds_real_servers_only(self, apple, forward_server):
-        result = enumerate_names(
-            forward_server, context(), ["usnyc"], max_site_id=2
-        )
+        result = enumerate_names(forward_server, context(), ["usnyc"])
         assert result.hits
         truth = set(apple.reverse_dns_table().values())
         for hostname, address in result.hits.items():
@@ -62,16 +60,12 @@ class TestEnumerateNames:
             assert apple.reverse_dns_table()[address] == hostname
 
     def test_unknown_metro_finds_nothing(self, forward_server):
-        result = enumerate_names(
-            forward_server, context(), ["zzzzz"], max_site_id=2
-        )
+        result = enumerate_names(forward_server, context(), ["zzzzz"])
         assert result.hits == {}
         assert result.hit_ratio == 0.0
 
     def test_hit_ratio(self, forward_server):
-        result = enumerate_names(
-            forward_server, context(), ["defra"], max_site_id=1
-        )
+        result = enumerate_names(forward_server, context(), ["defra"])
         assert 0.0 < result.hit_ratio < 1.0
 
     def test_enumeration_feeds_site_discovery(self, apple, forward_server):
@@ -79,9 +73,7 @@ class TestEnumerateNames:
         from repro.apple.deployment import APPLE_METRO_PLANS
 
         locodes = {plan.locode for plan in APPLE_METRO_PLANS}
-        result = enumerate_names(
-            forward_server, context(), sorted(locodes), max_site_id=2
-        )
+        result = enumerate_names(forward_server, context(), sorted(locodes))
         discovery = discover_sites(result.ptr_table())
         assert discovery.site_count == 34
         # edge-bx ids are enumerated only up to 64 per site; every site

@@ -201,7 +201,7 @@ class TestPeakVsBaseline:
             measurement(event + 100.0, [f"23.0.0.{i}" for i in range(1, 11)])
         )
         series = unique_ip_series(measurements, simple_categorize)
-        peak, baseline = peak_vs_baseline(series, event, baseline_seconds=10 * 7200.0)
+        peak, baseline = peak_vs_baseline(series, event)
         assert peak == 10
         assert baseline == pytest.approx(2.0)
 

@@ -102,9 +102,9 @@ def test_the_store_fold_equals_the_object_path(
         if (start is None or start <= m.timestamp)
         and (end is None or m.timestamp < end)
     ]
-    expected = unique_ip_series(window, categorize, bin_seconds, continent)
+    expected = unique_ip_series(window, categorize, bin_seconds)
     windowed = windowed_unique_ip_series(
-        store, categorize, bin_seconds, start=start, end=end, continent=continent
+        store, categorize, bin_seconds, start=start, end=end
     )
     assert windowed == expected and ordered(windowed) == ordered(expected)
 

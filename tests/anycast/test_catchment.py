@@ -24,13 +24,12 @@ def make_site(site_id, continent, lat, lon):
     )
 
 
-def make_group(name, prefix, continent, lat=50.0, lon=8.0, weight=1.0):
+def make_group(name, prefix, continent, lat=50.0, lon=8.0):
     return ClientGroup(
         name=name,
         prefix=IPv4Prefix.parse(prefix),
         continent=continent,
         coordinates=Coordinates(lat, lon),
-        weight=weight,
     )
 
 
@@ -103,9 +102,10 @@ def test_site_of_is_longest_prefix_match():
 
 def test_share_by_site_is_weight_normalised():
     groups = [
-        make_group("heavy", "89.0.1.0/24", Continent.EUROPE, weight=3.0),
-        make_group("light", "198.51.0.0/24", Continent.NORTH_AMERICA,
-                   lat=40.0, lon=-100.0, weight=1.0),
+        *(make_group(f"eu-{i}", f"89.0.{i}.0/24", Continent.EUROPE)
+          for i in range(1, 4)),
+        make_group("us", "198.51.0.0/24", Continent.NORTH_AMERICA,
+                   lat=40.0, lon=-100.0),
     ]
     built = build_catchment_map(
         groups, [s.base_route() for s in SITES], SITES_BY_LINK

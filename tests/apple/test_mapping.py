@@ -12,7 +12,6 @@ from repro.apple.mapping import (
 from repro.apple.policy import MetaCdnController
 from repro.cdn.thirdparty import (
     AKAMAI_PLAN,
-    LEVEL3_PLAN,
     LIMELIGHT_PLAN,
     build_third_party,
 )
@@ -163,39 +162,7 @@ class TestOverloadResolution:
             estate.controller.observe_demand(MappingRegion.EU, 0.0)
 
 
-class TestLevel3Ablation:
-    def test_level3_configuration_resolves(self):
-        apple = AppleCdn.build(DB)
-        metros = [DB.get("defra"), DB.get("usnyc")]
-        akamai = build_third_party(AKAMAI_PLAN, metros, other_as=ASN(64512))
-        limelight = build_third_party(LIMELIGHT_PLAN, metros, other_as=ASN(64513))
-        level3 = build_third_party(LEVEL3_PLAN, metros, other_as=ASN(64514))
-        controller = MetaCdnController({r: 1.0 for r in MappingRegion})
-        weights = {
-            region: WeightSchedule.constant(
-                {
-                    NAMES.edgesuite: 1.0,
-                    NAMES.limelight_handover(region): 1.0,
-                    NAMES.level3: 1.0,
-                }
-            )
-            for region in MappingRegion
-        }
-        estate = build_meta_cdn(
-            apple, akamai, limelight, controller,
-            third_party_weights=weights, level3=level3,
-        )
-        controller.observe_demand(MappingRegion.EU, 1e6)
-        finals = set()
-        for host in range(120):
-            context = make_context(client=f"10.5.0.{host % 256}")
-            resolution = estate.resolver(cache=False).resolve(
-                NAMES.entry_point, context
-            )
-            assert resolution.succeeded()
-            finals.add(resolution.final_name)
-        assert NAMES.level3 in finals
-
+class TestEstateValidation:
     def test_missing_region_weights_rejected(self):
         apple = AppleCdn.build(DB)
         metros = [DB.get("defra")]

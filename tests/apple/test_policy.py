@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apple import policy as policy_module
 from repro.apple.policy import (
     AkamaiHandoverPolicy,
     MetaCdnController,
@@ -142,7 +143,7 @@ class TestAkamaiHandoverPolicy:
             assert policy.select("e", context) == "a1271.gi3.akamai.net"
 
     def test_secondary_appears_after_activation(self):
-        policy = AkamaiHandoverPolicy(secondary_from=1000.0, secondary_share=0.5)
+        policy = AkamaiHandoverPolicy(secondary_from=1000.0)
         before = {policy.select("e", c) for c in contexts(300, now=999.0)}
         after = {policy.select("e", c) for c in contexts(300, now=1000.0)}
         assert before == {"a1271.gi3.akamai.net"}
@@ -156,8 +157,9 @@ class TestAkamaiHandoverPolicy:
         }
         assert us == {"a1271.gi3.akamai.net"}
 
-    def test_secondary_share_respected(self):
-        policy = AkamaiHandoverPolicy(secondary_from=0.0, secondary_share=0.3)
+    def test_secondary_share_respected(self, monkeypatch):
+        monkeypatch.setattr(policy_module, "AKAMAI_SECONDARY_SHARE", 0.3)
+        policy = AkamaiHandoverPolicy(secondary_from=0.0)
         picks = [policy.select("e", c) for c in contexts(2000, now=10.0)]
         share = picks.count("a1015.gi3.akamai.net") / len(picks)
         assert share == pytest.approx(0.3, abs=0.05)

@@ -80,8 +80,9 @@ class TestExposureController:
         controller = ExposureController(per_server_gbps=10, min_servers=1)
         controller.offer(0, 100)
         controller.offer(10000, 100)
+        assert controller.active_count(100) > 1
         controller.reset()
-        assert controller.smoothed_gbps == 0.0
+        assert controller.active_count(100) == 1  # back to min_servers
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ class TestPerClientRate:
         assert model.per_client_gbps(10) == model.client_gbps
 
     def test_saturated_shares_equally(self):
-        model = DownloadFluidModel(capacity_gbps=100.0, client_gbps=0.05)
+        model = DownloadFluidModel(capacity_gbps=100.0)
         # 100 G / 0.05 G = 2000 clients saturate; beyond that they share.
         assert model.per_client_gbps(4000) == pytest.approx(0.025)
 
@@ -31,9 +31,7 @@ class TestPerClientRate:
 
 class TestFluidRun:
     def test_light_load_completes_at_line_rate(self):
-        model = DownloadFluidModel(
-            capacity_gbps=1000.0, image_bytes=2.8e9, client_gbps=0.05
-        )
+        model = DownloadFluidModel(capacity_gbps=1000.0, image_bytes=2.8e9)
         stats = model.run(constant(1.0), horizon_seconds=3600.0, step_seconds=10.0)
         expected = model.unloaded_completion_seconds()  # 448 s
         assert stats.completed > 0

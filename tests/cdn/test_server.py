@@ -50,16 +50,6 @@ class TestCacheServer:
     def test_hostname_lowercased(self):
         assert self._server().hostname == "defra1-edge-bx-001.ts.apple.com"
 
-    def test_is_cache_and_load_balancer(self):
-        edge = self._server()
-        assert edge.is_cache
-        assert not edge.is_load_balancer
-        vip = self._server(
-            role=ServerRole(ServerFunction.VIP, SecondaryFunction.BX), cache=None
-        )
-        assert vip.is_load_balancer
-        assert not vip.is_cache
-
     def test_accounting(self):
         server = self._server()
         server.account(100)

@@ -148,6 +148,6 @@ class TestOrigin:
         assert response.headers.get("X-Cache") == "Hit from cloudfront"
 
     def test_custom_origin(self):
-        origin = Origin(host="origin.example", agent="CustomCache", protocol="2")
+        origin = Origin(host="origin.example")
         response = origin.fetch(request(), size=1)
         assert parse_via(response.headers.get("Via"))[0].host == "origin.example"

@@ -114,7 +114,7 @@ class TestEndToEndDiscoveryViaDns:
         from repro.apple.deployment import AppleCdn
 
         apple = AppleCdn.build()
-        server = build_ptr_zone(apple.reverse_dns_table(), operator="Apple")
+        server = build_ptr_zone(apple.reverse_dns_table())
         # Sweep only the addresses the estate populates (a full /16
         # walk is 65k queries; the set is what a staged scan finds).
         found = scan_ptr_records(

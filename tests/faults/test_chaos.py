@@ -24,7 +24,7 @@ class TestDefaultSchedule:
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ChaosConfig(batch_requests=0)
+            ChaosConfig(concurrency=0)
 
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError):
@@ -64,12 +64,12 @@ class TestShortDrill:
         config = ChaosConfig(
             seed=7,
             schedule=schedule,
-            batch_requests=60,
             concurrency=8,
-            recovery_margin=3.0,
             run_simulation=False,
         )
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chaos, "_BATCH_REQUESTS", 60)
+            patch.setattr(chaos, "_RECOVERY_MARGIN", 3.0)
             patch.setattr(chaos, "_WATCH_CANDIDATES", 48)
             patch.setattr(chaos, "_WATCH_CLIENTS", 5)
             patch.setattr(chaos, "_WATCH_INTERVAL", 0.2)

@@ -11,7 +11,8 @@ the source of truth.
 import pytest
 
 from repro.faults import FaultKind, FaultSchedule, FaultWindow
-from repro.faults.chaos import ChaosConfig, run_chaos
+from repro.faults import chaos
+from repro.faults.chaos import ChaosConfig
 from repro.serve import fleet_supported
 
 pytestmark = [
@@ -28,33 +29,33 @@ class TestConfig:
             ChaosConfig(serve_workers=0)
 
 
-def drill_config(serve_workers: int) -> ChaosConfig:
+def run_drill(serve_workers: int):
     schedule = FaultSchedule(
         [FaultWindow(1.0, 4.0, "Apple", FaultKind.VIP_OUTAGE, severity=0.2)]
     )
-    return ChaosConfig(
+    config = ChaosConfig(
         seed=11,
         schedule=schedule,
-        batch_requests=120,
         concurrency=16,
-        recovery_margin=2.0,
         serve_workers=serve_workers,
         run_simulation=False,
     )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chaos, "_BATCH_REQUESTS", 120)
+        patch.setattr(chaos, "_RECOVERY_MARGIN", 2.0)
+        return chaos.run_chaos(config)
 
 
 class TestFleetDrill:
     @pytest.fixture(scope="class")
     def drill(self):
-        return run_chaos(drill_config(serve_workers=2))
+        return run_drill(serve_workers=2)
 
     def test_single_loop_drill_is_judged_by_the_same_checks(self, drill):
         # One live phase, two load drivers: the same schedule must be
         # gated on the same check lines whichever edge it ran against.
         fleet_report, _registry, _tracer = drill
-        single_report, _registry, _tracer = run_chaos(
-            drill_config(serve_workers=1)
-        )
+        single_report, _registry, _tracer = run_drill(serve_workers=1)
         assert single_report.passed(), single_report.render()
         assert [label for label, _ in single_report.checks] == [
             label for label, _ in fleet_report.checks

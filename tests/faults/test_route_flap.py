@@ -163,8 +163,8 @@ def test_chaos_config_accepts_anycast_steering():
     assert config.steering == "anycast"
     with pytest.raises(ValueError):
         ChaosConfig(steering="multicast")
-    drill = anycast_drill_schedule("defra-1")
+    drill = anycast_drill_schedule()
     windows = list(drill)
     assert len(windows) == 1
     assert windows[0].kind is FaultKind.ROUTE_WITHDRAW
-    assert windows[0].target == "defra-1"
+    assert windows[0].target == "itmil-1"  # the busiest catchment

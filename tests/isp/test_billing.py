@@ -26,12 +26,6 @@ class TestPercentileBilling:
     def test_single_sample_bills_in_full(self):
         assert PercentileBilling().billable_gbps([7.0]) == 7.0
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PercentileBilling(percentile=1.0)
-        with pytest.raises(ValueError):
-            PercentileBilling(sample_seconds=0)
-
     @given(st.lists(st.floats(min_value=0, max_value=1e4), min_size=1, max_size=200))
     def test_billable_between_min_and_max_property(self, samples):
         billable = PercentileBilling().billable_gbps(samples)

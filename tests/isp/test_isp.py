@@ -79,7 +79,6 @@ class TestTopology:
 
     def test_routers_and_neighbors(self, isp):
         assert isp.routers == ("br1", "br2", "internal")
-        assert AS_APPLE in isp.neighbors
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):

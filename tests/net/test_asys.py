@@ -5,7 +5,6 @@ import pytest
 from repro.net.asys import (
     AS_AKAMAI,
     AS_APPLE,
-    AS_LEVEL3,
     AS_LIMELIGHT,
     ASN,
     ASRegistry,
@@ -19,7 +18,6 @@ class TestASN:
         assert int(AS_APPLE) == 714
         assert int(AS_AKAMAI) == 20940
         assert int(AS_LIMELIGHT) == 22822
-        assert int(AS_LEVEL3) == 3356
 
     def test_str(self):
         assert str(ASN(714)) == "AS714"

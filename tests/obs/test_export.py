@@ -82,9 +82,9 @@ class TestParse:
         families = parse_exposition(render_exposition(registry))
         hist = families["step_seconds"]
         assert hist.kind == "histogram"
-        assert hist.value("step_seconds_count") == 3
-        assert hist.value("step_seconds_bucket", le="+Inf") == 3
-        assert hist.value("step_seconds_sum") == pytest.approx(5.55)
+        assert hist.samples["step_seconds_count", ()] == 3
+        assert hist.samples["step_seconds_bucket", (("le", "+Inf"),)] == 3
+        assert hist.samples["step_seconds_sum", ()] == pytest.approx(5.55)
 
     def test_special_values(self):
         families = parse_exposition("x 10\ny +Inf\nz NaN\n")

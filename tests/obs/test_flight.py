@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs import flight as flight_module
 from repro.obs import (
     EventTracer,
     FlightRecorder,
@@ -45,8 +46,9 @@ class TestTrip:
         assert name.endswith(".jsonl")
         assert " " not in name and ":" not in name and "!" not in name
 
-    def test_limit_bounds_dump_count(self, tmp_path, tracer):
-        recorder = FlightRecorder(str(tmp_path), limit=2)
+    def test_limit_bounds_dump_count(self, tmp_path, tracer, monkeypatch):
+        monkeypatch.setattr(flight_module, "DUMP_LIMIT", 2)
+        recorder = FlightRecorder(str(tmp_path))
         assert recorder.trip("one", tracer) is not None
         assert recorder.trip("two", tracer) is not None
         assert recorder.trip("three", tracer) is None
@@ -58,10 +60,6 @@ class TestTrip:
         first = recorder.trip("same-reason", tracer)
         second = recorder.trip("same-reason", tracer)
         assert first != second
-
-    def test_zero_limit_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            FlightRecorder(str(tmp_path), limit=0)
 
 
 class TestAmbient:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.obs import tracer as tracer_module
 from repro.obs import (
     NULL_TRACER,
     EventTracer,
@@ -72,8 +73,9 @@ class TestSpans:
 
 
 class TestRingBuffer:
-    def test_capacity_bounds_buffer_and_counts_drops(self):
-        tracer = EventTracer(capacity=3)
+    def test_capacity_bounds_buffer_and_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(tracer_module, "RING_CAPACITY", 3)
+        tracer = EventTracer()
         for index in range(5):
             tracer.event("e", ts=float(index))
         assert len(tracer) == 3
@@ -81,13 +83,10 @@ class TestRingBuffer:
         assert tracer.dropped == 2
         assert [r.ts for r in tracer.records()] == [2.0, 3.0, 4.0]
 
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            EventTracer(capacity=0)
-
-    def test_stream_receives_every_record(self):
+    def test_stream_receives_every_record(self, monkeypatch):
+        monkeypatch.setattr(tracer_module, "RING_CAPACITY", 2)
         stream = io.StringIO()
-        tracer = EventTracer(capacity=2, stream=stream)
+        tracer = EventTracer(stream=stream)
         for index in range(4):
             tracer.event("e", ts=float(index))
         lines = stream.getvalue().splitlines()
@@ -201,10 +200,11 @@ class TestAsyncSpanNesting:
             assert tracer.current_span_id() == outer_id
         assert tracer.current_span_id() is None
 
-    def test_stats_reports_sampling(self):
+    def test_stats_reports_sampling(self, monkeypatch):
         from repro.obs.trace_context import TraceContext, use_context
 
-        tracer = EventTracer(capacity=4)
+        monkeypatch.setattr(tracer_module, "RING_CAPACITY", 4)
+        tracer = EventTracer()
         with use_context(TraceContext(trace_id=1, sampled=False)):
             tracer.event("dropped", ts=0.0)
         for index in range(6):

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+from unittest import mock
 
 import pytest
 
@@ -98,9 +99,12 @@ class TestHealthEndpoint:
         assert payload["members"] == {}
 
     def test_reports_member_states(self):
-        from repro.faults import CdnHealthMonitor
+        from repro.faults import CdnHealthMonitor, health
 
-        monitor = CdnHealthMonitor(members=("Akamai", "Limelight"), k_failures=1)
+        with mock.patch.multiple(
+            health, K_FAILURES=1, DEFAULT_MEMBERS=("Akamai", "Limelight")
+        ):
+            monitor = CdnHealthMonitor()
         from repro.serve.admin import AdminServer
 
         server = AdminServer(

@@ -155,16 +155,16 @@ class TestSamplingAgainstLinearScan:
 
         for directory in self._directories():
             for sequence in range(10_000):
-                fraction = stable_fraction("serve-client", sequence, "s")
-                sampled = directory.sample(sequence, "s")
+                fraction = stable_fraction("serve-client", sequence, "")
+                sampled = directory.sample(sequence)
                 assert (sampled.address, sampled.vantage) == self._oracle(
                     directory, fraction, sequence
                 )
                 region = list(MappingRegion)[sequence % len(MappingRegion)]
                 fraction = stable_fraction(
-                    "serve-client-region", region.value, sequence, "s"
+                    "serve-client-region", region.value, sequence, ""
                 )
-                sampled = directory.sample_in_region(region, sequence, "s")
+                sampled = directory.sample_in_region(region, sequence)
                 assert (sampled.address, sampled.vantage) == self._oracle(
                     directory, fraction, sequence, region
                 )

@@ -8,6 +8,7 @@ from repro.apple.mapping import ENTRY_TTL, NAMES
 from repro.dns.query import RCode
 from repro.dns.records import RecordType
 from repro.serve import AsyncDnsClient, AsyncDnsServer, ClientDirectory, ZoneFrontend
+from repro.serve import dnsserver
 from repro.serve.dnsserver import _FALLBACK_UDP_PAYLOAD
 
 
@@ -130,13 +131,13 @@ class TestAsyncDnsServer:
 
         run(scenario())
 
-    def test_truncation_triggers_tcp_fallback(self, serve_estate):
+    def test_truncation_triggers_tcp_fallback(self, serve_estate, monkeypatch):
+        # Cap UDP replies below any real answer so every UDP exchange
+        # comes back TC and the client retries over TCP.
+        monkeypatch.setattr(dnsserver, "UDP_PAYLOAD_CAP", 40)
+
         async def scenario():
-            # Cap UDP replies below any real answer so every UDP
-            # exchange comes back TC and the client retries over TCP.
-            server = AsyncDnsServer(
-                serve_estate.servers, clock=lambda: 0.0, max_udp_payload=40
-            )
+            server = AsyncDnsServer(serve_estate.servers, clock=lambda: 0.0)
             host, port = await server.start()
             client = await AsyncDnsClient.open(host, port)
             try:

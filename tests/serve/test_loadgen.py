@@ -129,8 +129,7 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("requests", 0), ("concurrency", -1), ("object_count", 0),
-         ("range_bytes", 0)],
+        [("requests", 0), ("concurrency", -1)],
     )
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(ValueError):

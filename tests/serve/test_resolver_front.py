@@ -33,6 +33,8 @@ ENTRY = "appldnld.apple.com"
 DE_CLIENT = IPv4Address.parse("100.64.7.9")     # de-frankfurt vantage
 DE_SIBLING = IPv4Address.parse("100.64.9.77")   # same /16, different /24
 AU_CLIENT = IPv4Address.parse("100.72.3.5")     # au-sydney vantage
+# Every client behind the public-resolver front.
+EVERY_CLIENT_PUBLIC = {"resolver_population": "mixed", "public_resolver_share": 1.0}
 
 
 def run_cluster(test, **config_kwargs):
@@ -71,7 +73,7 @@ class TestEcsOnFront:
                 front.close()
                 direct.close()
 
-        results, _ = run_cluster(scenario, resolver_population="public")
+        results, _ = run_cluster(scenario, **EVERY_CLIENT_PUBLIC)
         # Steering must survive the shared cache: the two geographies
         # are answered from different partitions.
         assert results["de"] != results["au"]
@@ -88,7 +90,7 @@ class TestEcsOnFront:
                 front.close()
             return warm, after
 
-        (warm, after), _ = run_cluster(scenario, resolver_population="public")
+        (warm, after), _ = run_cluster(scenario, **EVERY_CLIENT_PUBLIC)
         # The authoritative echoes scope /16 (the vantage granularity),
         # so the sibling /24 hits every entry the first client warmed —
         # zero extra misses, zero extra entries.
@@ -108,7 +110,7 @@ class TestEcsOnFront:
                 front.close()
             return warm, after
 
-        (warm, after), _ = run_cluster(scenario, resolver_population="public")
+        (warm, after), _ = run_cluster(scenario, **EVERY_CLIENT_PUBLIC)
         assert after["misses"] == warm["misses"]
         assert after["hits"] > warm["hits"]
 
@@ -128,7 +130,7 @@ class TestEcsOffFront:
 
         (first, second, warm, after), _ = run_cluster(
             scenario,
-            resolver_population="public",
+            **EVERY_CLIENT_PUBLIC,
             public_resolver_ecs=False,
         )
         # Without ECS the POP's anchor is the only identity upstream:
@@ -363,7 +365,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("bad", [
         {"resolver_population": "open"},
         {"resolver_population": "mixed", "public_resolver_share": 1.5},
-        {"resolver_population": "public", "public_resolver_scope": 40},
+        {"resolver_population": "public"},
+        {"resolver_population": "mixed", "public_resolver_scope": 40},
     ])
     def test_cluster_and_scenario_refuse_the_same_population(self, bad):
         with pytest.raises(ValueError) as live:
@@ -378,15 +381,11 @@ class TestConfigValidation:
 
     def test_front_validation(self):
         with pytest.raises(ValueError):
-            PublicResolverFront(pops=())
-        with pytest.raises(ValueError):
             PublicResolverFront(scope=40)
 
     def test_loadgen_share_derivation(self):
         assert ClusterConfig().loadgen_resolver_share == 0.0
-        assert ClusterConfig(
-            resolver_population="public", public_resolver_share=0.25
-        ).loadgen_resolver_share == 1.0
+        assert ClusterConfig(**EVERY_CLIENT_PUBLIC).loadgen_resolver_share == 1.0
         assert ClusterConfig(
             resolver_population="mixed", public_resolver_share=0.25
         ).loadgen_resolver_share == 0.25
@@ -396,7 +395,7 @@ class TestOnePopulationRule:
     @pytest.mark.parametrize("share", [0.0, 0.3, 0.5, 1.0])
     def test_engine_plane_and_loadgen_pick_the_same_public_set(self, share):
         keys = range(10_000)
-        plane = ResolverPlane([], {}, population="mixed", public_share=share)
+        plane = ResolverPlane([], {}, public_share=share)
         generator = LoadGenerator(
             ("127.0.0.1", 0), ("127.0.0.1", 0),
             config=LoadConfig(public_resolver_share=share),

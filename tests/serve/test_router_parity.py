@@ -18,10 +18,9 @@ from repro.simulation import ScenarioConfig, Sep2017Scenario
 SIZE = 4096
 
 
-def small_scenario(include_level3: bool) -> Sep2017Scenario:
+def small_scenario() -> Sep2017Scenario:
     return Sep2017Scenario(ScenarioConfig(
         global_probe_count=4, isp_probe_count=3, traceroute_probe_count=1,
-        include_level3=include_level3,
     ))
 
 
@@ -78,14 +77,10 @@ def test_serve_estate_routes_every_fleet_address_alike():
     )
 
 
-@pytest.mark.parametrize(
-    "include_level3,expected", [(False, 1554), (True, 2034)],
-    ids=["sep2017", "with-level3"],
-)
-def test_scenario_estate_routes_every_fleet_address_alike(include_level3, expected):
-    scenarios = [small_scenario(include_level3) for _ in range(3)]
+@pytest.mark.parametrize("expected", [1554], ids=["sep2017"])
+def test_scenario_estate_routes_every_fleet_address_alike(expected):
+    scenarios = [small_scenario() for _ in range(3)]
     assert all(scenario.faults is None for scenario in scenarios)
-    assert ("Level3" in scenarios[0].estate.deployments) == include_level3
     assert_parity(
         [
             (scenarios[0].estate, estate_router(scenarios[0].estate)),
@@ -98,7 +93,7 @@ def test_scenario_estate_routes_every_fleet_address_alike(include_level3, expect
 
 def test_a_warm_cache_answers_alike_too():
     """Second fetch of the same object: every router reports the hit."""
-    scenario = small_scenario(include_level3=False)
+    scenario = small_scenario()
     route = estate_router(scenario.estate)
     for operator, address in list(fleet_addresses(scenario.estate))[::97]:
         first = scenario.http_fetch(address, request(), SIZE)

@@ -21,7 +21,7 @@ from repro.serve import (
 
 def _traced_run(requests=200, trace_sample=1.0, clock=None):
     registry = MetricsRegistry()
-    tracer = EventTracer(capacity=16384)
+    tracer = EventTracer()
     with use_registry(registry):
         estate = build_serve_estate(ClusterConfig(servers_per_metro=4))
         cluster = ServeCluster(

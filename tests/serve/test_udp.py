@@ -10,6 +10,7 @@ from repro.serve import (
     ClientDirectory,
     PooledHttpClient,
     dnsclient,
+    dnsserver,
     estate_router,
 )
 from repro.serve.listener import Listener
@@ -116,13 +117,12 @@ def test_the_dns_clients_tcp_fallback_connection_is_pinned(serve_estate, monkeyp
         return reader, writer
 
     monkeypatch.setattr(dnsclient, "open_tcp", spying_open_tcp)
+    # UDP replies capped below any real answer: every query comes back
+    # truncated and is re-asked over TCP.
+    monkeypatch.setattr(dnsserver, "UDP_PAYLOAD_CAP", 40)
 
     async def scenario():
-        # UDP replies capped below any real answer: every query comes
-        # back truncated and is re-asked over TCP.
-        server = AsyncDnsServer(
-            serve_estate.servers, clock=lambda: 0.0, max_udp_payload=40
-        )
+        server = AsyncDnsServer(serve_estate.servers, clock=lambda: 0.0)
         client = await AsyncDnsClient.open(*await server.start())
         try:
             response = await client.query(

@@ -8,7 +8,7 @@ the aggregate layer are two views of the same mechanism.
 import pytest
 
 from repro.net.geo import Continent, MappingRegion
-from repro.simulation import MicroSimulation, ScenarioConfig, Sep2017Scenario
+from repro.simulation import MicroSimulation, ScenarioConfig, Sep2017Scenario, microsim
 from repro.workload import TIMELINE
 
 
@@ -109,10 +109,9 @@ class TestMicroSimulation:
         with pytest.raises(ValueError):
             sim.run(10.0, 10.0, release_time=0.0)
 
-    def test_continent_placement(self, scenario):
-        sim = MicroSimulation(
-            scenario, agent_count=25, continent=Continent.NORTH_AMERICA, seed=7
-        )
+    def test_continent_placement(self, scenario, monkeypatch):
+        monkeypatch.setattr(microsim, "CONTINENT", Continent.NORTH_AMERICA)
+        sim = MicroSimulation(scenario, agent_count=25, seed=7)
         assert all(
             agent.location.continent is Continent.NORTH_AMERICA
             for agent in sim.agents

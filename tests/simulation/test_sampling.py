@@ -9,12 +9,14 @@ SNMP-scaled sampled analysis must agree with the exact one.
 from array import array
 from hashlib import blake2b
 from itertools import chain, repeat
+from unittest import mock
 
 import pytest
 
 from repro.analysis import operator_series
 from repro.isp import TrafficClassifier
 from repro.simulation import ScenarioConfig, Sep2017Scenario, SimulationEngine
+from repro.simulation import engine as engine_module
 from repro.workload import TIMELINE
 
 SAMPLING = 25
@@ -26,13 +28,13 @@ def _run(netflow_sampling, window=(TIMELINE.at(9, 19, 12), TIMELINE.at(9, 20))):
         isp_probe_count=2,
         global_dns_interval=86400.0,
         netflow_sampling=netflow_sampling,
-        isp_server_fanout=8,
     )
     scenario = Sep2017Scenario(config)
     if netflow_sampling > 1:
         scenario.netflow.flow_bytes = 512 * 1024 * 1024
     engine = SimulationEngine(scenario, step_seconds=3600.0)
-    engine.run(*window)
+    with mock.patch.object(engine_module, "ISP_SERVER_FANOUT", 8):
+        engine.run(*window)
     classifier = TrafficClassifier(scenario.isp, scenario.rib, scenario.operator_of)
     classified = list(classifier.classify_all(scenario.netflow.records))
     return scenario, classified

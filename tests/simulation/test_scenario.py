@@ -155,12 +155,15 @@ FORMER_KNOBS = (
     # A deleted steering mode's share, and the POP cache size (now
     # repro.resolver.POP_CACHE_CAPACITY).
     "hybrid_dns_share", "public_resolver_cache_capacity",
+    # The deleted pre-June-2017 Level3 mapping, and the ISP fan-out (now
+    # repro.simulation.engine.ISP_SERVER_FANOUT).
+    "include_level3", "isp_server_fanout",
 )
 
 
 def test_calibration_constants_are_not_config_keywords():
-    assert len(FORMER_KNOBS) == 25
-    assert len(dataclasses.fields(ScenarioConfig)) == 24
+    assert len(FORMER_KNOBS) == 27
+    assert len(dataclasses.fields(ScenarioConfig)) == 22
     for keyword in FORMER_KNOBS:
         with pytest.raises(TypeError, match=keyword):
             ScenarioConfig(**{keyword: 1})

@@ -107,12 +107,8 @@ class TestInstrumentedRun:
         registry, _, reports = telemetry_run
         families = parse_exposition(render_exposition(registry))
         assert families["engine_steps_total"].value() == len(reports)
-        assert (
-            families["engine_step_wall_seconds"].value(
-                "engine_step_wall_seconds_count"
-            )
-            == len(reports)
-        )
+        wall = families["engine_step_wall_seconds"]
+        assert wall.samples["engine_step_wall_seconds_count", ()] == len(reports)
 
 
 def _report(now, eu_demand, apple, akamai, measurements=0, flows=0):

@@ -24,6 +24,7 @@ from array import array
 from hashlib import blake2b
 from itertools import chain, repeat
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
@@ -34,6 +35,7 @@ from repro.net.geo import MappingRegion
 from repro.net.ipv4 import IPv4Prefix
 from repro.obs import MetricsRegistry, use_registry
 from repro.simulation import ScenarioConfig, Sep2017Scenario, SimulationEngine
+from repro.simulation import engine as engine_module
 from repro.workload import TIMELINE
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -45,6 +47,8 @@ _GBPS_TO_BYTES = 1e9 / 8.0
 STEP = 300.0
 LINKS = ("l0", "l1", "l2", "l3")
 OPERATORS = ("Apple", "Akamai", "Limelight")
+# Fewer than the servers a deployment can hold, so the stride sample runs.
+FANOUT = 3
 OWN_ASN = {name: ASN(65001 + i) for i, name in enumerate(OPERATORS)}
 HOSTER = ASN(65100)
 # Eight /24s; a source is host 1..3 of one, so sources share routes,
@@ -89,7 +93,7 @@ class World:
             self.snmp = SnmpCounters(bin_seconds=STEP)
             # 1 MiB flows keep the sampled path's per-row loop short.
             self.netflow = NetflowCollector(sampling_rate=sampling, flow_bytes=1 << 20)
-        self.config = SimpleNamespace(isp_share_of_eu=0.5, isp_server_fanout=3)
+        self.config = SimpleNamespace(isp_share_of_eu=0.5)
         self.estate = SimpleNamespace(deployments={
             operator: StubDeployment(
                 operator,
@@ -175,12 +179,11 @@ def reference_deliver(world, operator, now, gbps, link_used, own_as_only):
         active = tuple(p for p in active if p.server.asn == deployment.asn)
     if not active:
         return 0
-    fanout = world.config.isp_server_fanout
-    if len(active) <= fanout:
+    if len(active) <= FANOUT:
         sources = [p.server.address for p in active]
     else:
-        stride = len(active) / fanout
-        sources = [active[int(i * stride)].server.address for i in range(fanout)]
+        stride = len(active) / FANOUT
+        sources = [active[int(i * stride)].server.address for i in range(FANOUT)]
     per_source = gbps * _GBPS_TO_BYTES * STEP / len(sources)
     return sum(
         reference_route(world, source, now, per_source, link_used) for source in sources
@@ -271,6 +274,11 @@ ticks = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(spec=specs, ticks=ticks, sampling=st.sampled_from([1, 1, 3]))
 def test_a_tick_equals_the_per_flow_loop(spec, ticks, sampling):
+    with mock.patch.object(engine_module, "ISP_SERVER_FANOUT", FANOUT):
+        check_tick_against_reference(spec, ticks, sampling)
+
+
+def check_tick_against_reference(spec, ticks, sampling):
     real, model = World(spec, sampling), World(spec, sampling)
     # The engine only reads its scenario; the world stands in for one.
     engine = SimulationEngine(real, step_seconds=STEP)

@@ -237,6 +237,44 @@ class TestCheckpointFlags:
         assert "ckpt-00000096.rckpt" in {p.name for p in directory.iterdir()}
 
 
+class TestReplayFlagValues:
+    """A flag value the replay refuses is one line on exit,
+    ``<command>: <message>``, before the engine runs: no traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", *PROBES, "--step", "0"],
+         "simulate: step_seconds must be positive"),
+        (["simulate", "--probes", "-1", "--isp-probes", "3"],
+         "simulate: count must be positive"),
+        (["simulate", *PROBES, "--workers", "0"],
+         "simulate: workers must be >= 1"),
+        (["simulate", *PROBES, "--public-resolver-share", "2"],
+         "simulate: public_resolver_share must be within [0, 1]"),
+        (["simulate", *PROBES, "--start", "9-20", "--end", "9-18"],
+         "simulate: end must be after start"),
+        (["report", *PROBES, "--step", "0"],
+         "report: step_seconds must be positive"),
+        (["catchments", *PROBES, "--workers", "0"],
+         "catchments: workers must be >= 1"),
+        (["resolvers", *PROBES, "--step", "0"],
+         "resolvers: step_seconds must be positive"),
+        (["profile", *PROBES, "--start", "9-20", "--end", "9-18"],
+         "profile: end must be after start"),
+    ], ids=["simulate-step", "simulate-probes", "simulate-workers",
+            "simulate-share", "simulate-window", "report-step",
+            "catchments-workers", "resolvers-step", "profile-window"])
+    def test_exits_as_one_line_before_running(self, monkeypatch, argv, message):
+        from repro.simulation import SimulationEngine
+
+        def run(*_args, **_kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(SimulationEngine, "run", run)
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == message
+
+
 class TestLostWorker:
     def test_a_lost_worker_is_exit_3_and_one_line_then_resume_finishes(
         self, tmp_path, capsys, monkeypatch
@@ -290,6 +328,17 @@ class TestServeCommands:
         with pytest.raises(SystemExit):
             main(["loadgen", "--dns", "nonsense", "--http", "127.0.0.1:1",
                   "--requests", "1"])
+
+    def test_serve_fleet_refuses_object_size_before_forking(self, monkeypatch):
+        from repro.serve import harness
+
+        def fleet(*_args, **_kwargs):
+            raise AssertionError("a fleet was forked")
+
+        monkeypatch.setattr(harness, "ServeFleet", fleet)
+        with pytest.raises(SystemExit) as caught:
+            main(["serve", "--workers", "2", "--object-size", "0"])
+        assert caught.value.code == "serve: object_size must be positive"
 
     @pytest.fixture
     def recorded_loads(self, monkeypatch):

@@ -45,7 +45,7 @@ PARENT_SURFACE = {
         'isp_probes': (('--isp-probes',), 30, 'int', None, False, None, '_StoreAction', None),
         'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
         'steering': (('--steering',), 'dns', None, ('dns', 'anycast'), False, None, '_StoreAction', None),
-        'resolver_population': (('--resolver-population',), 'isp', None, ('isp', 'public', 'mixed'), False, None, '_StoreAction', None),
+        'resolver_population': (('--resolver-population',), 'isp', None, ('isp', 'mixed'), False, None, '_StoreAction', None),
         'public_resolver_share': (('--public-resolver-share',), 0.5, 'float', None, False, None, '_StoreAction', 'FRACTION'),
         'public_resolver_ecs': (('--public-resolver-ecs',), 'on', None, ('on', 'off'), False, None, '_StoreAction', None),
         'public_resolver_scope': (('--public-resolver-scope',), 24, 'int', None, False, None, '_StoreAction', 'BITS'),
@@ -67,7 +67,7 @@ PARENT_SURFACE = {
         'isp_probes': (('--isp-probes',), 30, 'int', None, False, None, '_StoreAction', None),
         'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
         'steering': (('--steering',), 'dns', None, ('dns', 'anycast'), False, None, '_StoreAction', None),
-        'resolver_population': (('--resolver-population',), 'isp', None, ('isp', 'public', 'mixed'), False, None, '_StoreAction', None),
+        'resolver_population': (('--resolver-population',), 'isp', None, ('isp', 'mixed'), False, None, '_StoreAction', None),
         'public_resolver_share': (('--public-resolver-share',), 0.5, 'float', None, False, None, '_StoreAction', 'FRACTION'),
         'public_resolver_ecs': (('--public-resolver-ecs',), 'on', None, ('on', 'off'), False, None, '_StoreAction', None),
         'public_resolver_scope': (('--public-resolver-scope',), 24, 'int', None, False, None, '_StoreAction', 'BITS'),
@@ -87,7 +87,7 @@ PARENT_SURFACE = {
         'step': (('--step',), 1800.0, 'float', None, False, None, '_StoreAction', None),
         'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
         'steering': (('--steering',), 'dns', None, ('dns', 'anycast'), False, None, '_StoreAction', None),
-        'resolver_population': (('--resolver-population',), 'isp', None, ('isp', 'public', 'mixed'), False, None, '_StoreAction', None),
+        'resolver_population': (('--resolver-population',), 'isp', None, ('isp', 'mixed'), False, None, '_StoreAction', None),
         'public_resolver_share': (('--public-resolver-share',), 0.5, 'float', None, False, None, '_StoreAction', 'FRACTION'),
         'public_resolver_ecs': (('--public-resolver-ecs',), 'on', None, ('on', 'off'), False, None, '_StoreAction', None),
         'public_resolver_scope': (('--public-resolver-scope',), 24, 'int', None, False, None, '_StoreAction', 'BITS'),
@@ -121,7 +121,7 @@ PARENT_SURFACE = {
         'admin_port': (('--admin-port',), 9900, 'int', None, False, None, '_StoreAction', None),
         'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
         'resolver_port': (('--resolver-port',), 0, 'int', None, False, None, '_StoreAction', None),
-        'resolver_population': (('--resolver-population',), 'isp', None, ('isp', 'public', 'mixed'), False, None, '_StoreAction', None),
+        'resolver_population': (('--resolver-population',), 'isp', None, ('isp', 'mixed'), False, None, '_StoreAction', None),
         'public_resolver_share': (('--public-resolver-share',), 0.5, 'float', None, False, None, '_StoreAction', 'FRACTION'),
         'public_resolver_ecs': (('--public-resolver-ecs',), 'on', None, ('on', 'off'), False, None, '_StoreAction', None),
         'public_resolver_scope': (('--public-resolver-scope',), 24, 'int', None, False, None, '_StoreAction', 'BITS'),
@@ -147,7 +147,7 @@ PARENT_SURFACE = {
         'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
         'arrival': (('--arrival',), None, None, ('flash-crowd', 'uniform'), False, None, '_StoreAction', None),
         'duration': (('--duration',), None, 'float', None, False, None, '_StoreAction', None),
-        'resolver_population': (('--resolver-population',), 'isp', None, ('isp', 'public', 'mixed'), False, None, '_StoreAction', None),
+        'resolver_population': (('--resolver-population',), 'isp', None, ('isp', 'mixed'), False, None, '_StoreAction', None),
         'public_resolver_share': (('--public-resolver-share',), 0.5, 'float', None, False, None, '_StoreAction', 'FRACTION'),
         'public_resolver_ecs': (('--public-resolver-ecs',), 'on', None, ('on', 'off'), False, None, '_StoreAction', None),
         'public_resolver_scope': (('--public-resolver-scope',), 24, 'int', None, False, None, '_StoreAction', 'BITS'),
@@ -193,7 +193,7 @@ PARENT_SURFACE = {
         'probes': (('--probes',), 60, 'int', None, False, None, '_StoreAction', None),
         'isp_probes': (('--isp-probes',), 30, 'int', None, False, None, '_StoreAction', None),
         'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
-        'resolver_population': (('--resolver-population',), 'mixed', None, ('isp', 'public', 'mixed'), False, None, '_StoreAction', None),
+        'resolver_population': (('--resolver-population',), 'mixed', None, ('isp', 'mixed'), False, None, '_StoreAction', None),
         'public_resolver_share': (('--public-resolver-share',), 0.5, 'float', None, False, None, '_StoreAction', 'FRACTION'),
         'public_resolver_ecs': (('--public-resolver-ecs',), 'on', None, ('on', 'off'), False, None, '_StoreAction', None),
         'public_resolver_scope': (('--public-resolver-scope',), 24, 'int', None, False, None, '_StoreAction', 'BITS'),

@@ -44,11 +44,11 @@ class TestDevicePopulation:
 
 class TestDiurnalProfile:
     def test_peak_at_peak_hour(self):
-        profile = DiurnalProfile(peak_hour_utc=18.0, amplitude=0.6)
+        profile = DiurnalProfile(peak_hour_utc=18.0)
         assert profile.factor(18 * 3600.0) == pytest.approx(1.6)
 
     def test_trough_opposite_peak(self):
-        profile = DiurnalProfile(peak_hour_utc=18.0, amplitude=0.6)
+        profile = DiurnalProfile(peak_hour_utc=18.0)
         assert profile.factor(6 * 3600.0) == pytest.approx(0.4)
 
     def test_daily_mean_is_one(self):
@@ -59,12 +59,10 @@ class TestDiurnalProfile:
     def test_validation(self):
         with pytest.raises(ValueError):
             DiurnalProfile(peak_hour_utc=24.0)
-        with pytest.raises(ValueError):
-            DiurnalProfile(peak_hour_utc=0.0, amplitude=1.0)
 
     @given(st.floats(min_value=0, max_value=10 * 86400))
     def test_factor_bounds_property(self, now):
-        profile = DiurnalProfile(peak_hour_utc=18.0, amplitude=0.6)
+        profile = DiurnalProfile(peak_hour_utc=18.0)
         assert 0.4 - 1e-9 <= profile.factor(now) <= 1.6 + 1e-9
 
 
