@@ -159,7 +159,12 @@ def summarize_offload(
     classified: Iterable[ClassifiedFlow],
     release_day_start: float,
 ) -> OffloadSummary:
-    """One-call Figure 7 summary around a release day, hourly bins."""
+    """One-call Figure 7 summary around a release day, hourly bins.
+
+    The report does not call it (it folds the roll-up's columns in
+    :func:`repro.analysis.report.fold_traffic`); it stays as the
+    per-flow reference that fold is tested equal to.
+    """
     return offload_summary(operator_series(classified), release_day_start)
 
 

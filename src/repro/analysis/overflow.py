@@ -126,6 +126,10 @@ def summarize_overflow(
     ``new_as`` is the handover AS whose appearance the analysis tracks
     (the paper's AS D); ``peak_probe_times`` are the instants checked
     for link saturation (e.g. hourly over the release evening).
+
+    The report does not call it (it folds the roll-up's columns in
+    :func:`repro.analysis.report.fold_traffic`); it stays as the
+    per-flow reference that fold is tested equal to.
     """
     return overflow_summary(
         overflow_share_series(classified, 21600.0, operator="Limelight"),

@@ -30,10 +30,6 @@ def register(commands) -> None:
     sub.add_argument("--workers", type=int, default=1,
                      help="worker processes for the simulation phase "
                           "(default 1 = serial)")
-    sub.add_argument("--serve-workers", type=int, default=1,
-                     help="serve worker processes for the live phase "
-                          "(default 1 = single loop; >= 2 runs the drill "
-                          "against a reuseport fleet mid-flash-crowd)")
     flags.add_flight_flag(sub)
     sub.set_defaults(handler=run)
 
@@ -46,7 +42,6 @@ def run(args: argparse.Namespace) -> int:
         run_simulation=not args.skip_simulation,
         workers=args.workers,
         steering=args.steering,
-        serve_workers=args.serve_workers,
     )
     with flags.flight_scope(args):
         report, _registry, _tracer = run_chaos(config)

@@ -380,8 +380,20 @@ def write_client_trace(args: argparse.Namespace, tracer) -> None:
         print(f"trace written to {args.trace_out} ({len(tracer)} records)")
 
 
+def check_port(port: int, flag: str, lowest: int = 0) -> int:
+    """``port`` if a socket can use it, else ``ValueError`` naming ``flag``.
+
+    A bind port may be 0 (ephemeral); an endpoint to connect to starts
+    at ``lowest=1``.
+    """
+    if not lowest <= port <= 65535:
+        raise ValueError(f"{flag} must be in {lowest}..65535, got {port}")
+    return port
+
+
 def parse_endpoint(text: str) -> tuple[str, int]:
+    """``HOST:PORT`` as ``(host, port)``; ``ValueError`` when it is not one."""
     host, _, port = text.rpartition(":")
     if not host or not port.isdigit():
-        raise SystemExit(f"bad endpoint {text!r}; expected HOST:PORT")
-    return host, int(port)
+        raise ValueError(f"bad endpoint {text!r}; expected HOST:PORT")
+    return host, check_port(int(port), f"the port of {text!r}", lowest=1)

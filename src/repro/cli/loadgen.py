@@ -30,13 +30,13 @@ def register(commands) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    resolver_endpoint = None
-    if args.resolver is not None:
-        resolver_endpoint = flags.parse_endpoint(args.resolver)
-    elif args.public_resolver_share > 0.0:
+    if args.resolver is None and args.public_resolver_share > 0.0:
         raise SystemExit("--public-resolver-share requires --resolver")
     tracer = flags.client_tracer(args)
     try:
+        resolver_endpoint = None
+        if args.resolver is not None:
+            resolver_endpoint = flags.parse_endpoint(args.resolver)
         config = LoadConfig(
             requests=args.requests,
             concurrency=args.concurrency,
@@ -49,8 +49,8 @@ def run(args: argparse.Namespace) -> int:
             arrival=args.arrival, duration=args.duration,
         )
     except ValueError as exc:
-        # A bad flag value (a ShapeError included) is refused before
-        # the first request.
+        # A bad flag value (an endpoint or a ShapeError included) is
+        # refused before the first request.
         raise SystemExit(f"loadgen: {exc}") from exc
     print(report.render())
     flags.write_client_trace(args, tracer)

@@ -17,10 +17,6 @@ def register(commands) -> None:
     sub.add_argument("--qps-floor", type=float, default=1000.0,
                      help="required sustained DNS qps (default 1000)")
     flags.add_trace_flags(sub)
-    sub.add_argument("--workers", type=int, default=1,
-                     help="serve worker processes (default 1 = the "
-                          "classic single-loop selftest; >= 2 runs "
-                          "the scaled fleet selftest)")
     flags.add_resolver_flags(sub)
     sub.set_defaults(handler=run)
 
@@ -29,7 +25,6 @@ def run(args: argparse.Namespace) -> int:
     tracer = flags.client_tracer(args)
     try:
         result = selftest(
-            workers=args.workers,
             requests=args.requests,
             concurrency=args.concurrency,
             cluster_config=ClusterConfig(**flags.resolver_config_kwargs(args)),

@@ -24,32 +24,32 @@ def register(commands) -> None:
     sub.add_argument("--admin-port", type=int, default=9900,
                      help="admin endpoint (/metrics, /healthz, /traces) "
                           "port (default 9900; 0 = ephemeral)")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="serve worker processes sharing the ports via "
-                          "SO_REUSEPORT (default 1 = single loop; the "
-                          "admin plane then merges worker metrics)")
     sub.add_argument("--resolver-port", type=int, default=0,
                      help="UDP port for the public-resolver front when a "
                           "public population is enabled (default 0 = "
-                          "ephemeral; fleets always pick ephemeral)")
+                          "ephemeral)")
     flags.add_resolver_flags(sub)
     sub.set_defaults(handler=run)
 
 
 def run(args: argparse.Namespace) -> int:
     try:
+        for flag, port in (("--dns-port", args.dns_port),
+                           ("--http-port", args.http_port),
+                           ("--admin-port", args.admin_port),
+                           ("--resolver-port", args.resolver_port)):
+            flags.check_port(port, flag)
         config = ClusterConfig(
             object_size=args.object_size, **flags.resolver_config_kwargs(args)
         )
         serve_forever(
-            config, args.workers, print,
+            config, print,
             host=args.host, dns_port=args.dns_port, http_port=args.http_port,
             resolver_port=args.resolver_port, admin_port=args.admin_port,
         )
     except KeyboardInterrupt:
         print("\nstopped")
     except ValueError as exc:
-        # A bad flag value (a ShapeError included) is refused before
-        # anything boots.
+        # A bad flag value is refused before anything boots.
         raise SystemExit(f"serve: {exc}") from exc
     return 0

@@ -101,7 +101,10 @@ def render_top_panel(
 
 
 def run(args: argparse.Namespace) -> int:
-    host, port = flags.parse_endpoint(args.endpoint)
+    try:
+        host, port = flags.parse_endpoint(args.endpoint)
+    except ValueError as exc:
+        raise SystemExit(f"top: {exc}") from None
     url = f"http://{host}:{port}/metrics"
     previous: Optional[dict] = None
     last_ts: Optional[float] = None

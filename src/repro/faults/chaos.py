@@ -9,9 +9,7 @@ mechanisms promise under failure:
    t=9 s) and a fast health-check loop.  Closed-loop load runs
    throughout; a watcher resolves the Figure 2 chain for clients known
    to map to Limelight and times how quickly the 15 s selection step
-   re-steers them away and, once the fault clears, back.  With
-   ``serve_workers >= 2`` the same drill runs against a multi-process
-   fleet under an open-loop flash crowd; either way re-steer and
+   re-steers them away and, once the fault clears, back.  Re-steer and
    recovery are judged from the wire alone.
 2. **Simulation phase** — replay the same failure shape in engine time
    (a Limelight blackout one hour after the iOS 11 release) and check
@@ -122,10 +120,6 @@ class ChaosConfig:
     run_simulation: bool = True
     workers: int = 1                  # worker processes for the simulation phase
     steering: str = "dns"             # dns | anycast
-    # Live phase scale: 1 = the classic single-loop cluster; >= 2 boots
-    # a multi-process ServeFleet and drives it with an open-loop
-    # flash-crowd arrival while the faults bite.
-    serve_workers: int = 1
 
     def __post_init__(self) -> None:
         check_steering(self.steering)
@@ -133,8 +127,6 @@ class ChaosConfig:
             raise ValueError("concurrency must be positive")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.serve_workers < 1:
-            raise ValueError("serve_workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -155,8 +147,6 @@ class ChaosReport:
     resteer_seconds: Optional[float] = None
     recovery_seconds: Optional[float] = None
     unhealthy_events: int = 0
-    serve_workers: int = 1
-    shed: int = 0
     lines: tuple = field(default_factory=tuple)
     checks: tuple = field(default_factory=tuple)
 
@@ -207,8 +197,7 @@ async def _watch_resteer(dns_endpoint, directory, clock, registry,
     Returns how many watched clients mapped to Limelight pre-fault.
     Each round appends ``(t, limelight_seen)`` to ``rounds`` until
     ``stop_at`` — past the end of the fault window, so the caller reads
-    both the re-steer and the recovery off the wire alone (a fleet's
-    tracer events live in its worker processes).
+    both the re-steer and the recovery off the wire alone.
     """
     from ..serve.dnsclient import AsyncDnsClient, DnsClientError
 
@@ -304,11 +293,6 @@ def _live_section(config: ChaosConfig, schedule: FaultSchedule, load,
         f"live requests   {load.requests}  (ok {load.ok}, errors {load.errors}, "
         f"rate {error_rate:.2%})",
     ]
-    if config.serve_workers > 1:
-        lines.append(
-            f"serve fleet     {config.serve_workers} workers, "
-            f"open-loop flash crowd ({load.shed} arrivals shed)"
-        )
     lines += [
         f"resilience      {load.retries} retries, "
         f"{load.reresolutions} TTL re-resolutions, {load.hedged} hedged lookups",
@@ -351,9 +335,9 @@ def _live_section(config: ChaosConfig, schedule: FaultSchedule, load,
         )
     return _Section(lines, checks, {
         "requests": load.requests, "ok": load.ok, "errors": load.errors,
-        "error_rate": error_rate, "retries": load.retries, "shed": load.shed,
+        "error_rate": error_rate, "retries": load.retries,
         "resteer_seconds": resteer, "recovery_seconds": recovery,
-        "unhealthy_events": unhealthy, "serve_workers": config.serve_workers,
+        "unhealthy_events": unhealthy,
     })
 
 
@@ -361,12 +345,9 @@ def _live_phase(config: ChaosConfig, schedule: FaultSchedule,
                 registry, tracer) -> _Section:
     """The live drill: the faults bite while load flows and a watcher resolves.
 
-    One judge for both edges — re-steer and recovery from the watcher's
-    wire rounds, unhealthy events from ``cdn_failovers_total`` — and
-    two genuinely different load models, which
-    :func:`repro.serve.harness.drive_watched` picks by edge: closed-loop
-    batches on the single-loop cluster, an open-loop flash crowd against
-    the fleet.
+    Re-steer and recovery come from the watcher's wire rounds, unhealthy
+    events from ``cdn_failovers_total``; the load is closed-loop batches
+    on the cluster's own loop (:func:`repro.serve.harness.drive_watched`).
     """
     from ..serve.cluster import ClusterConfig, build_serve_estate
     from ..serve.harness import drive_watched
@@ -399,8 +380,7 @@ def _live_phase(config: ChaosConfig, schedule: FaultSchedule,
         )
 
     load, watched, directory = drive_watched(
-        cluster_config, config.serve_workers, load_config, end_at, watch,
-        registry, tracer,
+        cluster_config, load_config, end_at, watch, registry, tracer,
     )
     # Anycast bookkeeping: how many connections the catchment router
     # placed, and which client groups a route flap moved.  The shift is

@@ -119,11 +119,6 @@ class EyeballIsp:
             if self.is_up(link_id)
         )
 
-    @property
-    def routers(self) -> tuple[str, ...]:
-        """All border routers, sorted."""
-        return tuple(sorted({link.router for link in self._links.values()}))
-
     def __iter__(self) -> Iterator[PeeringLink]:
         return iter(self._links.values())
 

@@ -151,18 +151,6 @@ class IPv4Prefix:
         """Whether ``address`` falls inside this prefix."""
         return (address.value & self.mask) == self.network.value
 
-    def subnets(self, new_length: int) -> Iterator["IPv4Prefix"]:
-        """Yield the subnets of this prefix at ``new_length``."""
-        if new_length < self.length:
-            raise AddressError(
-                f"cannot subnet /{self.length} into shorter /{new_length}"
-            )
-        if new_length > 32:
-            raise AddressError(f"prefix length out of range: {new_length}")
-        step = 1 << (32 - new_length)
-        for base in range(self.network.value, self.network.value + self.size, step):
-            yield IPv4Prefix(IPv4Address(base), new_length)
-
     def addresses(self) -> Iterator[IPv4Address]:
         """Yield every address in the prefix, network address first."""
         for value in range(self.network.value, self.network.value + self.size):

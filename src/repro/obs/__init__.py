@@ -78,7 +78,6 @@ from .trace_context import (
     current_context,
     new_trace_id,
     sample_trace,
-    set_context,
     use_context,
 )
 from .tracer import (
@@ -118,7 +117,6 @@ __all__ = [
     "TraceChain",
     "assemble_chains",
     "current_context",
-    "set_context",
     "use_context",
     "new_trace_id",
     "sample_trace",

@@ -39,7 +39,6 @@ __all__ = [
     "TraceContext",
     "TraceChain",
     "current_context",
-    "set_context",
     "use_context",
     "new_trace_id",
     "sample_trace",
@@ -152,11 +151,6 @@ class TraceContext:
 def current_context() -> Optional[TraceContext]:
     """The trace context of the current task, if any."""
     return _ambient_context.get()
-
-
-def set_context(context: Optional[TraceContext]):
-    """Install ``context`` for the current task; returns a reset token."""
-    return _ambient_context.set(context)
 
 
 @contextmanager

@@ -28,12 +28,13 @@ the flash-crowd workload — is made network-reachable here:
 * :mod:`repro.serve.cluster` — the one-call loopback topology;
 * :mod:`repro.serve.admin` — the live admin plane (``/metrics``,
   ``/healthz``, ``/traces``) the ``repro top`` dashboard polls;
-* :mod:`repro.serve.snapshot` — the checksummed read-only fleet spec
-  every worker process serves from;
-* :mod:`repro.serve.fleet` — the multi-process ``SO_REUSEPORT`` edge
-  fleet;
 * :mod:`repro.serve.harness` — the one place per concern (standing
-  edge, load run, selftest) that picks the single loop or the fleet.
+  edge, load run, selftest, watched drill) that runs the edge, always
+  in one process.
+
+:mod:`repro.serve.fleet` and :mod:`repro.serve.snapshot` (a forked
+``SO_REUSEPORT`` fleet and its checksummed spec) serve only the perf
+ledger's fleet row; no command boots them.
 """
 
 from .admin import AdminServer

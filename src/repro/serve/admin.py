@@ -45,14 +45,8 @@ class AdminServer:
         registry=None,
         tracer=None,
         health_monitor=None,
-        registry_provider=None,
     ) -> None:
         self._registry = registry if registry is not None else get_registry()
-        # A fleet parent passes ``registry_provider``: a zero-argument
-        # callable evaluated at scrape time, so ``/metrics`` reflects
-        # the latest merge of every worker's registry snapshot instead
-        # of one process's view.
-        self._registry_provider = registry_provider
         self._tracer = tracer if tracer is not None else get_tracer()
         self._health = health_monitor
         self._listener = Listener("admin server", stream=self._handle)
@@ -98,11 +92,8 @@ class AdminServer:
         split = urlsplit(target)
         path = split.path
         if path == "/metrics":
-            registry = (
-                self._registry_provider()
-                if self._registry_provider is not None else self._registry
-            )
-            return 200, "text/plain; version=0.0.4", render_exposition(registry)
+            return (200, "text/plain; version=0.0.4",
+                    render_exposition(self._registry))
         if path == "/healthz":
             return self._healthz()
         if path == "/traces":

@@ -64,10 +64,10 @@ _MIN_THIRD_PARTY_SHARE = 0.35
 class ClusterConfig:
     """One edge, described once: size, steering, faults, resolvers.
 
-    Every shape of edge is built from it — the single-loop
-    :class:`ServeCluster`, each fleet worker (through the snapshot),
-    the chaos drill's edge — and construction refuses what no edge can
-    run, with the checks the replay's scenario uses.
+    Every edge is built from it — :class:`ServeCluster` for ``repro
+    serve`` / ``selftest`` and the chaos drill's edge — and construction
+    refuses what no edge can run, with the checks the replay's scenario
+    uses.
     """
 
     object_size: int = 262_144
@@ -270,8 +270,8 @@ class ServeCluster:
                     reuse_port: bool = False) -> "ServeCluster":
         """Boot both servers plus the admin plane (ephemeral ports).
 
-        ``admin_port=None`` skips the admin listener — fleet workers do
-        that, since the fleet parent serves one merged admin plane.
+        ``admin_port=None`` skips the admin listener (fleet workers run
+        without one).
         ``reuse_port`` binds the data-path sockets ``SO_REUSEPORT`` so
         sibling workers can share the same ports.  ``resolver_port``
         binds the public-resolver front (when the config enables one).

@@ -1,33 +1,28 @@
 """Multi-process serve fleet: N workers behind one ``SO_REUSEPORT`` port.
 
-The single-loop :class:`~repro.serve.cluster.ServeCluster` serves the
-whole estate from one asyncio loop — one CPU, however many the host
-has.  :class:`ServeFleet` scales it out the way real edges do:
+Every command serves from one process
+(:class:`~repro.serve.cluster.ServeCluster`, through
+:mod:`repro.serve.harness`); nothing a user runs boots this fleet.  The
+file remains only because the perf ledger's ungated fleet row
+(``benchmarks/ledger/edge.py``: ``serve.fleet.*`` and
+``serve.snapshot.*``) still times a boot, a metrics merge and a snapshot
+round-trip.  ROADMAP item 4 (a), ledger v2 without a fleet row, is the
+step that removes it, together with :mod:`repro.serve.snapshot` and
+``obs.merge_registry_snapshots``.
+
+What the fleet does:
 
 * the parent reserves the listen ports with ``SO_REUSEPORT``
   placeholder sockets, writes the shared :class:`~repro.serve.snapshot.
   FleetSpec` snapshot, and **forks** N worker processes;
 * each worker closes the inherited placeholders (an unread inherited
   UDP socket would silently steal a share of the reuseport group's
-  datagrams), rebuilds the estate from the snapshot's config, verifies
-  its :func:`~repro.serve.snapshot.estate_signature` against the
-  snapshot, and binds its own ``SO_REUSEPORT`` sockets on the shared
-  ports — the kernel then spreads UDP datagrams and TCP accepts across
-  the fleet while pinning each flow to one worker (a keep-alive
-  connection always talks to the same process's cache);
+  datagrams), rebuilds the default estate, verifies its
+  :func:`~repro.serve.snapshot.estate_signature` against the snapshot,
+  and binds its own ``SO_REUSEPORT`` sockets on the shared ports;
 * workers ship full :meth:`~repro.obs.registry.MetricsRegistry.
-  snapshot` dumps to the parent over pipes; the parent's admin plane
-  merges the latest dump per worker at scrape time, so ``/metrics``
-  shows fleet-wide totals.
-
-Answer equivalence across fleet sizes is by construction — every
-worker builds the same deterministic estate and the policies are pure
-functions of (client, now) — and enforced twice: the signature check at
-boot and the wire-level equivalence pass in
-:func:`repro.serve.harness.selftest`.
-
-Whether a caller gets this fleet or the single loop is decided in
-:mod:`repro.serve.harness`, nowhere else.
+  snapshot` dumps to the parent over pipes, and
+  :meth:`ServeFleet.merged_registry` merges the latest dump per worker.
 """
 
 from __future__ import annotations
@@ -49,16 +44,17 @@ from typing import Optional
 
 from ..obs import NULL_TRACER, MetricsRegistry, merge_registry_snapshots, use_registry, use_tracer
 from .clients import ClientDirectory
-from .cluster import ClusterConfig, ServeCluster, build_serve_estate
+from .cluster import ServeCluster, build_serve_estate
 from .snapshot import FleetSpec, estate_signature, load_snapshot, write_snapshot
 
 __all__ = [
     "FleetConfig",
     "ServeFleet",
     "fleet_supported",
-    "reserve_shared_port",
 ]
 
+# Every worker serves loopback on ephemeral ports.
+_HOST = "127.0.0.1"
 _READY_TIMEOUT = 60.0
 _STOP_TIMEOUT = 15.0
 
@@ -72,21 +68,20 @@ def fleet_supported() -> bool:
     )
 
 
-def _reuseport_socket(kind: int, host: str, port: int) -> socket.socket:
+def _reuseport_socket(kind: int, port: int) -> socket.socket:
     sock = socket.socket(socket.AF_INET, kind)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
     try:
-        sock.bind((host, port))
+        sock.bind((_HOST, port))
     except OSError:
         sock.close()
         raise
     return sock
 
 
-def reserve_shared_port(
-    host: str, port: int = 0, udp: bool = True
-) -> tuple[int, list[socket.socket]]:
-    """Reserve one port for a reuseport group; returns (port, holders).
+def _reserve_shared_port(udp: bool) -> tuple[int, list[socket.socket]]:
+    """Reserve one ephemeral port for a reuseport group; returns
+    (port, holders).
 
     With ``udp`` the port is reserved in *both* address spaces (the DNS
     server binds UDP and TCP on the same number).  The placeholder
@@ -100,35 +95,30 @@ def reserve_shared_port(
         holders: list[socket.socket] = []
         try:
             if udp:
-                udp_sock = _reuseport_socket(socket.SOCK_DGRAM, host, port)
+                udp_sock = _reuseport_socket(socket.SOCK_DGRAM, 0)
                 holders.append(udp_sock)
                 bound = udp_sock.getsockname()[1]
                 holders.append(
-                    _reuseport_socket(socket.SOCK_STREAM, host, bound)
+                    _reuseport_socket(socket.SOCK_STREAM, bound)
                 )
             else:
-                tcp_sock = _reuseport_socket(socket.SOCK_STREAM, host, port)
+                tcp_sock = _reuseport_socket(socket.SOCK_STREAM, 0)
                 holders.append(tcp_sock)
                 bound = tcp_sock.getsockname()[1]
             return bound, holders
         except OSError as exc:
             for sock in holders:
                 sock.close()
-            if port != 0:
-                raise
             last_error = exc
     raise RuntimeError(f"could not reserve a shared port: {last_error}")
 
 
 @dataclass
 class FleetConfig:
-    """How many workers serve ``cluster`` (the edge every one of them is),
-    and how the fleet runs them."""
+    """How many workers serve the default edge, and how the fleet runs
+    them."""
 
     workers: int = 2
-    cluster: Optional[ClusterConfig] = None
-    # Pin every worker's cluster clock (equivalence runs); None = live.
-    pin_clock: Optional[float] = None
     snapshot_dir: Optional[str] = None
     metrics_interval: float = 0.25
 
@@ -144,9 +134,8 @@ class FleetConfig:
 # ----------------------------------------------------------------------
 
 
-def _worker_main(worker_id: int, snapshot_path: str, host: str,
-                 dns_port: int, http_port: int, resolver_port: int,
-                 conn, stop_event,
+def _worker_main(worker_id: int, snapshot_path: str,
+                 dns_port: int, http_port: int, conn, stop_event,
                  interval: float, placeholder_fds: tuple[int, ...]) -> None:
     """Entry point of one forked serve worker."""
     # A terminal Ctrl-C signals the whole foreground process group;
@@ -163,8 +152,8 @@ def _worker_main(worker_id: int, snapshot_path: str, host: str,
     try:
         asyncio.run(
             _worker_async(
-                worker_id, snapshot_path, host, dns_port, http_port,
-                resolver_port, conn, stop_event, interval,
+                worker_id, snapshot_path, dns_port, http_port,
+                conn, stop_event, interval,
             )
         )
     except Exception:
@@ -180,50 +169,27 @@ def _worker_main(worker_id: int, snapshot_path: str, host: str,
             pass
 
 
-async def _worker_async(worker_id: int, snapshot_path: str, host: str,
-                        dns_port: int, http_port: int, resolver_port: int,
-                        conn, stop_event,
+async def _worker_async(worker_id: int, snapshot_path: str,
+                        dns_port: int, http_port: int, conn, stop_event,
                         interval: float) -> None:
     registry = MetricsRegistry()
     with load_snapshot(snapshot_path) as snapshot:
-        spec = snapshot.spec
-        directory = spec.directory()
-        clock = (
-            (lambda: spec.pin_clock) if spec.pin_clock is not None else None
-        )
         with use_registry(registry), use_tracer(NULL_TRACER):
             cluster = ServeCluster(
-                directory=directory,
-                config=spec.cluster,
-                clock=clock,
-                metrics=registry,
+                directory=snapshot.spec.directory(), metrics=registry
             )
             snapshot.verify_estate(cluster.estate)
-            if spec.catchment_sig and cluster.anycast is not None:
-                local = cluster.anycast.catchment_map(0.0).signature
-                if local != spec.catchment_sig:
-                    raise RuntimeError(
-                        f"worker {worker_id} catchment signature {local} "
-                        f"!= snapshot {spec.catchment_sig}"
-                    )
             registry.gauge(
                 "serve_fleet_worker_up",
                 "Fleet workers serving (1 per live worker)",
                 ("worker",),
             ).labels(f"w{worker_id}").set(1.0)
             await cluster.start(
-                host=host, dns_port=dns_port, http_port=http_port,
-                resolver_port=resolver_port,
+                host=_HOST, dns_port=dns_port, http_port=http_port,
                 admin_port=None, reuse_port=True,
             )
             try:
-                endpoints = {
-                    "dns": cluster.dns.endpoint,
-                    "http": cluster.http.endpoint,
-                }
-                if cluster.resolver_front is not None:
-                    endpoints["resolver"] = cluster.resolver_front.endpoint
-                conn.send(("ready", worker_id, endpoints))
+                conn.send(("ready", worker_id))
                 while not stop_event.is_set():
                     await asyncio.sleep(interval)
                     conn.send(("metrics", worker_id, registry.snapshot()))
@@ -254,68 +220,20 @@ class ServeFleet:
         self._processes: list = []
         self._conns: dict = {}
         self._snapshots: dict[int, dict] = {}
-        self._errors: dict[int, str] = {}
         self._lock = threading.Lock()
         self._reader: Optional[threading.Thread] = None
         self._stop_event = None
-        self._host: Optional[str] = None
         self._dns_port: Optional[int] = None
-        self._http_port: Optional[int] = None
-        self._resolver_port: Optional[int] = None
-        self._snapshot_path: Optional[str] = None
         self._tempdir: Optional[str] = None
-
-    # -- endpoints -----------------------------------------------------
 
     @property
     def dns_endpoint(self) -> tuple[str, int]:
-        if self._host is None or self._dns_port is None:
+        """The shared DNS port every worker answers on."""
+        if self._dns_port is None:
             raise RuntimeError("fleet is not started")
-        return self._host, self._dns_port
+        return _HOST, self._dns_port
 
-    @property
-    def http_endpoint(self) -> tuple[str, int]:
-        if self._host is None or self._http_port is None:
-            raise RuntimeError("fleet is not started")
-        return self._host, self._http_port
-
-    @property
-    def resolver_endpoint(self) -> Optional[tuple[str, int]]:
-        """The shared public-resolver front port, or None without one."""
-        if self._host is None:
-            raise RuntimeError("fleet is not started")
-        if self._resolver_port is None:
-            return None
-        return self._host, self._resolver_port
-
-    # -- lifecycle -----------------------------------------------------
-
-    def _build_spec(self) -> FleetSpec:
-        cluster_config = (
-            self.config.cluster if self.config.cluster is not None
-            else ClusterConfig()
-        )
-        directory = ClientDirectory.from_adoption()
-        estate = build_serve_estate(cluster_config)
-        catchment_sig = ""
-        if cluster_config.steering != "dns":
-            from .steering import build_serve_plane
-
-            plane = build_serve_plane(
-                estate, directory, schedule=cluster_config.faults
-            )
-            catchment_sig = plane.catchment_map(0.0).signature
-        return FleetSpec(
-            cluster=cluster_config,
-            vantages=directory.vantages,
-            weights=directory.weights(),
-            pin_clock=self.config.pin_clock,
-            estate_sig=estate_signature(estate),
-            catchment_sig=catchment_sig,
-        )
-
-    def start(self, host: str = "127.0.0.1", dns_port: int = 0,
-              http_port: int = 0) -> "ServeFleet":
+    def start(self) -> "ServeFleet":
         """Write the snapshot, reserve ports, fork and await the fleet."""
         if self._processes:
             raise RuntimeError("fleet already started")
@@ -325,46 +243,31 @@ class ServeFleet:
         else:
             self._tempdir = tempfile.mkdtemp(prefix="rsnap-")
             base = self._tempdir
-        self.spec = self._build_spec()
-        self._snapshot_path = write_snapshot(
+        directory = ClientDirectory.from_adoption()
+        self.spec = FleetSpec(
+            vantages=directory.vantages,
+            weights=directory.weights(),
+            estate_sig=estate_signature(build_serve_estate()),
+        )
+        snapshot_path = write_snapshot(
             os.path.join(base, "fleet.rsnap"), self.spec
         )
-        bound_dns, dns_holders = reserve_shared_port(host, dns_port, udp=True)
-        try:
-            bound_http, http_holders = reserve_shared_port(
-                host, http_port, udp=False
-            )
-        except OSError:
-            for sock in dns_holders:
-                sock.close()
-            raise
-        # A public resolver population needs one more shared UDP port:
-        # the caching front every worker joins with SO_REUSEPORT.
-        needs_front = self.spec.cluster.resolver_population != "isp"
-        resolver_holders: list[socket.socket] = []
-        bound_resolver = 0
-        if needs_front:
-            try:
-                bound_resolver, resolver_holders = reserve_shared_port(
-                    host, 0, udp=True
-                )
-            except OSError:
-                for sock in dns_holders + http_holders:
-                    sock.close()
-                raise
-        holders = dns_holders + http_holders + resolver_holders
-        holder_fds = tuple(sock.fileno() for sock in holders)
+        holders: list[socket.socket] = []
         ctx = multiprocessing.get_context("fork")
         self._stop_event = ctx.Event()
         try:
+            dns_port, reserved = _reserve_shared_port(udp=True)
+            holders += reserved
+            http_port, reserved = _reserve_shared_port(udp=False)
+            holders += reserved
+            holder_fds = tuple(sock.fileno() for sock in holders)
             for worker_id in range(self.config.workers):
                 recv_conn, send_conn = ctx.Pipe(duplex=False)
                 process = ctx.Process(
                     target=_worker_main,
                     args=(
-                        worker_id, self._snapshot_path, host, bound_dns,
-                        bound_http, bound_resolver, send_conn,
-                        self._stop_event,
+                        worker_id, snapshot_path, dns_port, http_port,
+                        send_conn, self._stop_event,
                         self.config.metrics_interval, holder_fds,
                     ),
                     daemon=True,
@@ -383,10 +286,7 @@ class ServeFleet:
         # workers alone make up the reuseport group.
         for sock in holders:
             sock.close()
-        self._host = host
-        self._dns_port = bound_dns
-        self._http_port = bound_http
-        self._resolver_port = bound_resolver if needs_front else None
+        self._dns_port = dns_port
         self._reader = threading.Thread(target=self._drain, daemon=True)
         self._reader.start()
         return self
@@ -424,29 +324,20 @@ class ServeFleet:
         while conns:
             ready = mp_connection.wait(list(conns), timeout=0.2)
             for conn in ready:
-                worker_id = conns[conn]
                 try:
                     message = conn.recv()
                 except (EOFError, OSError):
                     del conns[conn]
                     continue
-                kind = message[0]
-                if kind in ("metrics", "bye"):
+                if message[0] in ("metrics", "bye"):
                     with self._lock:
-                        self._snapshots[worker_id] = message[2]
-                elif kind == "error":
-                    with self._lock:
-                        self._errors[worker_id] = message[2]
+                        self._snapshots[conns[conn]] = message[2]
 
     def merged_registry(self) -> MetricsRegistry:
         """Fleet-wide metrics: the latest snapshot of every worker, merged."""
         with self._lock:
             snapshots = list(self._snapshots.values())
         return merge_registry_snapshots(snapshots)
-
-    def worker_errors(self) -> dict[int, str]:
-        with self._lock:
-            return dict(self._errors)
 
     def _teardown(self, force: bool = False) -> None:
         if self._stop_event is not None:
@@ -479,8 +370,7 @@ class ServeFleet:
         if self._tempdir is not None:
             shutil.rmtree(self._tempdir, ignore_errors=True)
             self._tempdir = None
-        self._host = self._dns_port = self._http_port = None
-        self._resolver_port = None
+        self._dns_port = None
 
     def stop(self) -> None:
         """Signal, join and reap every worker; keeps final snapshots."""

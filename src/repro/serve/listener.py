@@ -121,8 +121,7 @@ class Listener:
         server processes can share one port: the kernel hashes UDP
         datagrams by 4-tuple and spreads TCP accepts across the group,
         each accepted connection staying pinned to its process.  Every
-        member must bind with the flag (see
-        :func:`repro.serve.fleet.reserve_shared_port`).
+        member must bind with the flag.
         """
         if self._endpoint is not None:
             raise RuntimeError(f"{self._what} already started")

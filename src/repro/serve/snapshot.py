@@ -1,24 +1,24 @@
-"""Shared read-only serve state: one snapshot file, N worker processes.
+"""Shared read-only fleet state: one snapshot file, N worker processes.
 
-A fleet of ``SO_REUSEPORT`` workers must agree on *everything* that
-shapes an answer — the estate's zones, the vantage directory, the
-steering mode, the catchment table — or the same query would resolve
-differently depending on which worker the kernel picked.  The
-:class:`FleetSpec` snapshot is that agreement, written once by the
-fleet parent and loaded by every worker:
+This file serves :mod:`repro.serve.fleet`, which remains only for the
+perf ledger's ungated fleet row; ROADMAP item 4 (a) removes both.
+
+A fleet of ``SO_REUSEPORT`` workers must agree on everything that
+shapes an answer — the estate's zones and the vantage directory — or the
+same query would resolve differently depending on which worker the
+kernel picked.  The :class:`FleetSpec` snapshot is that agreement,
+written once by the fleet parent and loaded by every worker:
 
 * the file is one :class:`~repro.container.Container` frame (magic
-  ``RSNAP2``, the framing ``RCKPT``/``RSEG`` share) whose payload is the
-  pickled spec; magic, version, length and checksum are verified before
-  it is unpickled, and each worker then holds its own decoded copy;
-* estate construction is deterministic from :class:`~repro.serve.
-  cluster.ClusterConfig`, so workers rebuild the zones locally and then
-  *verify* their build against the snapshot's :func:`estate_signature`
-  — a worker whose estate drifted (version skew, non-deterministic
-  build) refuses to serve rather than answer differently;
-* under anycast steering the parent also pins the catchment map's
-  signature at time zero, so every worker proves it routes the same
-  client to the same site before taking traffic.
+  ``RSNAP2``, the framing ``RCKPT``/``RSEG`` share; schema version 3)
+  whose payload is the pickled spec; magic, version, length and
+  checksum are verified before it is unpickled, and each worker then
+  holds its own decoded copy;
+* estate construction is deterministic, so workers rebuild the zones
+  locally and then *verify* their build against the snapshot's
+  :func:`estate_signature` — a worker whose estate drifted (version
+  skew, non-deterministic build) refuses to serve rather than answer
+  differently.
 """
 
 from __future__ import annotations
@@ -26,11 +26,9 @@ from __future__ import annotations
 import hashlib
 import pickle
 from dataclasses import dataclass
-from typing import Optional
 
 from ..container import Container
 from .clients import ClientDirectory, Vantage
-from .cluster import ClusterConfig
 
 __all__ = [
     "FleetSpec",
@@ -40,7 +38,7 @@ __all__ = [
     "load_snapshot",
 ]
 
-_CONTAINER = Container(b"RSNAP2\n", 2, RuntimeError, "snapshot")
+_CONTAINER = Container(b"RSNAP2\n", 3, RuntimeError, "snapshot")
 _DIGEST_SIZE = 16
 
 
@@ -64,20 +62,13 @@ def estate_signature(estate) -> str:
 
 @dataclass(frozen=True)
 class FleetSpec:
-    """Everything a worker needs to serve exactly like its siblings.
+    """Everything a worker needs to serve exactly like its siblings:
+    the vantage directory, and the signature of the default estate the
+    parent built once, for every worker to check itself against."""
 
-    ``cluster`` is the whole edge description — steering, faults and
-    failover included; the rest is what the parent derived from it
-    once, for every worker to check itself against.
-    """
-
-    cluster: ClusterConfig
     vantages: tuple[Vantage, ...]
     weights: dict[str, float]
-    # Pinned cluster clock for equivalence runs (None = live clock).
-    pin_clock: Optional[float] = None
-    estate_sig: str = ""
-    catchment_sig: str = ""
+    estate_sig: str
 
     def directory(self) -> ClientDirectory:
         """The shared vantage directory, rebuilt from the spec."""
@@ -85,10 +76,9 @@ class FleetSpec:
 
 
 class ServeSnapshot:
-    """A loaded snapshot: the verified spec and where it came from."""
+    """A loaded snapshot: the verified spec."""
 
-    def __init__(self, path: str, spec: FleetSpec) -> None:
-        self.path = path
+    def __init__(self, spec: FleetSpec) -> None:
         self.spec = spec
 
     def close(self) -> None:
@@ -103,7 +93,7 @@ class ServeSnapshot:
     def verify_estate(self, estate) -> None:
         """Refuse to serve from an estate that drifted from the spec."""
         local = estate_signature(estate)
-        if self.spec.estate_sig and local != self.spec.estate_sig:
+        if local != self.spec.estate_sig:
             raise RuntimeError(
                 f"estate signature mismatch: snapshot {self.spec.estate_sig} "
                 f"!= locally built {local} — refusing to serve divergently"
@@ -127,4 +117,4 @@ def load_snapshot(path: str) -> ServeSnapshot:
         raise RuntimeError(f"snapshot {path}: cannot decode payload: {exc}") from exc
     if not isinstance(spec, FleetSpec):
         raise RuntimeError(f"snapshot {path} does not hold a FleetSpec")
-    return ServeSnapshot(path, spec)
+    return ServeSnapshot(spec)

@@ -24,6 +24,7 @@ no RNG state, no precomputed arrays proportional to ``N``.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
@@ -74,8 +75,8 @@ class ArrivalSchedule:
                  bins: list[_Bin], kind: str) -> None:
         if total_requests <= 0:
             raise ValueError("total_requests must be positive")
-        if duration <= 0:
-            raise ValueError("duration must be positive")
+        if not 0.0 < duration < math.inf:
+            raise ValueError("duration must be positive and finite")
         if not bins or all(b.total <= 0.0 for b in bins):
             raise ValueError("schedule needs at least one bin with demand")
         self.total_requests = total_requests

@@ -101,3 +101,54 @@ class TestShortDrill:
         assert report.requests > 0
         assert report.error_rate < 0.02
         assert "simulation (" not in report.render()  # simulation skipped
+
+
+@pytest.mark.slow
+class TestVipOutageDrill:
+    """``repro chaos --seed 11 --skip-simulation --fault
+    'vip-outage@Apple:1-4:0.2'``: a fifth of Apple's vips go dark
+    mid-load.  The error budget must hold, the fault's 503s must be in
+    the registry, and the clients must ride it out with retries."""
+
+    @pytest.fixture(scope="class")
+    def drill(self):
+        schedule = FaultSchedule(
+            [FaultWindow(1.0, 4.0, "Apple", FaultKind.VIP_OUTAGE, severity=0.2)]
+        )
+        config = ChaosConfig(
+            seed=11, schedule=schedule, concurrency=16, run_simulation=False,
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chaos, "_BATCH_REQUESTS", 120)
+            patch.setattr(chaos, "_RECOVERY_MARGIN", 2.0)
+            return run_chaos(config)
+
+    def test_drill_is_judged_by_the_live_checks(self, drill):
+        # No blackout in the schedule, so no re-steer to time: the live
+        # phase is gated on its error budget and on load flowing.
+        report, _registry, _tracer = drill
+        assert report.passed(), report.render()
+        assert [label for label, _ in report.checks] == [
+            "client error rate below 2%",
+            "load kept flowing throughout the schedule",
+        ]
+        assert report.requests > 0
+        assert report.ok + report.errors == report.requests
+
+    def test_fault_visible_in_the_registry(self, drill):
+        report, registry, _tracer = drill
+        # The vip outage turned some requests into 503s at the edge.
+        http = registry.get("serve_http_requests_total")
+        assert http is not None
+        assert http.labels("503").value > 0
+        assert http.labels("206").value >= report.ok
+
+    def test_clients_absorbed_the_outage(self, drill):
+        report, registry, _tracer = drill
+        # A partial vip outage never blacks out a whole CDN member, so
+        # there is no re-steer to time — the clients ride it out with
+        # retries instead, inside the error budget.
+        assert report.retries > 0
+        assert report.error_rate <= 0.05
+        assert report.resteer_seconds is None or report.resteer_seconds <= 15.0
+        assert registry.get("cdn_member_healthy") is not None

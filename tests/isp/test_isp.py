@@ -77,9 +77,6 @@ class TestTopology:
         link = PeeringLink("l", "r", AS_APPLE, 8.0)  # 8 Gbps
         assert link.capacity_bytes(1.0) == pytest.approx(1e9)
 
-    def test_routers_and_neighbors(self, isp):
-        assert isp.routers == ("br1", "br2", "internal")
-
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             PeeringLink("l", "r", AS_APPLE, 0.0)

@@ -119,19 +119,6 @@ class TestIPv4Prefix:
         with pytest.raises(AddressError):
             prefix.host(-1)
 
-    def test_subnets(self):
-        prefix = IPv4Prefix.parse("10.0.0.0/23")
-        subnets = list(prefix.subnets(24))
-        assert [str(s) for s in subnets] == ["10.0.0.0/24", "10.0.1.0/24"]
-
-    def test_subnets_same_length_is_identity(self):
-        prefix = IPv4Prefix.parse("10.0.0.0/24")
-        assert list(prefix.subnets(24)) == [prefix]
-
-    def test_subnets_rejects_shorter(self):
-        with pytest.raises(AddressError):
-            list(IPv4Prefix.parse("10.0.0.0/24").subnets(23))
-
     def test_addresses_iteration(self):
         prefix = IPv4Prefix.parse("10.0.0.0/30")
         addresses = list(prefix.addresses())

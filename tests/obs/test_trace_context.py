@@ -13,7 +13,6 @@ from repro.obs.trace_context import (
     current_context,
     new_trace_id,
     sample_trace,
-    set_context,
     use_context,
 )
 
@@ -122,13 +121,6 @@ class TestAmbientContext:
         context = TraceContext(trace_id=3)
         with use_context(context):
             assert current_context() is context
-        assert current_context() is None
-
-    def test_set_context_installs_until_reset(self):
-        context = TraceContext(trace_id=4)
-        set_context(context)
-        assert current_context() is context
-        set_context(None)
         assert current_context() is None
 
     def test_isolated_between_asyncio_tasks(self):

@@ -341,7 +341,7 @@ class TestDriveWatched:
 
         until = 1.0
         report, watched, _directory = drive_watched(
-            ClusterConfig(servers_per_metro=4), 1,
+            ClusterConfig(servers_per_metro=4),
             LoadConfig(requests=20, concurrency=4, hedge=None),
             until, watch, MetricsRegistry(), NULL_TRACER,
         )

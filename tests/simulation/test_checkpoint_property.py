@@ -34,7 +34,6 @@ from repro.net.asys import ASN  # noqa: E402
 from repro.net.geo import Continent  # noqa: E402
 from repro.net.ipv4 import IPv4Address  # noqa: E402
 from repro.obs import MetricsRegistry, snapshot_delta  # noqa: E402
-from repro.serve import ClusterConfig  # noqa: E402
 from repro.serve.clients import ClientDirectory  # noqa: E402
 from repro.serve.snapshot import (  # noqa: E402
     FleetSpec,
@@ -110,7 +109,7 @@ def _save_checkpoint(path):
 
 def _write_snapshot(path):
     spec = FleetSpec(
-        cluster=ClusterConfig(), vantages=ClientDirectory().vantages, weights={}
+        vantages=ClientDirectory().vantages, weights={}, estate_sig=""
     )
     write_snapshot(str(path), spec)
     return lambda: load_snapshot(str(path))

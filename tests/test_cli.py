@@ -329,16 +329,51 @@ class TestServeCommands:
             main(["loadgen", "--dns", "nonsense", "--http", "127.0.0.1:1",
                   "--requests", "1"])
 
-    def test_serve_fleet_refuses_object_size_before_forking(self, monkeypatch):
+    def test_serve_refuses_object_size_before_booting(self, monkeypatch):
         from repro.serve import harness
 
-        def fleet(*_args, **_kwargs):
-            raise AssertionError("a fleet was forked")
+        def edge(*_args, **_kwargs):
+            raise AssertionError("an edge was booted")
 
-        monkeypatch.setattr(harness, "ServeFleet", fleet)
+        monkeypatch.setattr(harness, "ServeCluster", edge)
         with pytest.raises(SystemExit) as caught:
-            main(["serve", "--workers", "2", "--object-size", "0"])
+            main(["serve", "--object-size", "0"])
         assert caught.value.code == "serve: object_size must be positive"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["serve", "--dns-port", "70000"],
+         "serve: --dns-port must be in 0..65535, got 70000"),
+        (["serve", "--http-port", "-1"],
+         "serve: --http-port must be in 0..65535, got -1"),
+        (["serve", "--admin-port", "99999"],
+         "serve: --admin-port must be in 0..65535, got 99999"),
+        (["serve", "--resolver-port", "65536"],
+         "serve: --resolver-port must be in 0..65535, got 65536"),
+        (["loadgen", "--dns", "127.0.0.1:70000", "--http", "127.0.0.1:1"],
+         "loadgen: the port of '127.0.0.1:70000' must be in 1..65535, got 70000"),
+        (["loadgen", "--dns", "127.0.0.1:1", "--http", "127.0.0.1:0"],
+         "loadgen: the port of '127.0.0.1:0' must be in 1..65535, got 0"),
+        (["loadgen", "--dns", "127.0.0.1:1", "--http", "127.0.0.1:1",
+          "--resolver", "127.0.0.1:65536"],
+         "loadgen: the port of '127.0.0.1:65536' must be in 1..65535, got 65536"),
+        (["top", "--endpoint", "127.0.0.1:99999"],
+         "top: the port of '127.0.0.1:99999' must be in 1..65535, got 99999"),
+    ])
+    def test_out_of_range_port_exits_as_one_line_before_binding(
+        self, monkeypatch, argv, message
+    ):
+        # These used to die in bind() / connect() with an OverflowError
+        # traceback.
+        from repro.serve import harness
+
+        def no_socket(*_args, **_kwargs):
+            raise AssertionError("a socket was opened for a port it must refuse")
+
+        for name in ("ServeCluster", "LoadGenerator"):
+            monkeypatch.setattr(harness, name, no_socket)
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == message
 
     @pytest.fixture
     def recorded_loads(self, monkeypatch):
@@ -377,9 +412,9 @@ class TestServeCommands:
 
     @pytest.mark.parametrize("flags,message", [
         (["--arrival", "flash-crowd", "--duration", "0"],
-         "loadgen: --duration must be positive"),
+         "loadgen: duration must be positive and finite"),
         (["--arrival", "uniform", "--duration", "-2"],
-         "loadgen: --duration must be positive"),
+         "loadgen: duration must be positive and finite"),
         (["--duration", "2"], "loadgen: --duration requires --arrival"),
     ])
     def test_loadgen_bad_duration_exits_before_any_load(

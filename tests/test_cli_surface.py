@@ -119,7 +119,6 @@ PARENT_SURFACE = {
         'http_port': (('--http-port',), 8080, 'int', None, False, None, '_StoreAction', None),
         'object_size': (('--object-size',), 262144, 'int', None, False, None, '_StoreAction', None),
         'admin_port': (('--admin-port',), 9900, 'int', None, False, None, '_StoreAction', None),
-        'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
         'resolver_port': (('--resolver-port',), 0, 'int', None, False, None, '_StoreAction', None),
         'resolver_population': (('--resolver-population',), 'isp', None, ('isp', 'mixed'), False, None, '_StoreAction', None),
         'public_resolver_share': (('--public-resolver-share',), 0.5, 'float', None, False, None, '_StoreAction', 'FRACTION'),
@@ -144,7 +143,6 @@ PARENT_SURFACE = {
         'qps_floor': (('--qps-floor',), 1000.0, 'float', None, False, None, '_StoreAction', None),
         'trace_sample': (('--trace-sample',), 1.0, 'float', None, False, None, '_StoreAction', 'RATE'),
         'trace_out': (('--trace-out',), None, None, None, False, None, '_StoreAction', 'PATH'),
-        'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
         'arrival': (('--arrival',), None, None, ('flash-crowd', 'uniform'), False, None, '_StoreAction', None),
         'duration': (('--duration',), None, 'float', None, False, None, '_StoreAction', None),
         'resolver_population': (('--resolver-population',), 'isp', None, ('isp', 'mixed'), False, None, '_StoreAction', None),
@@ -159,7 +157,6 @@ PARENT_SURFACE = {
         'skip_simulation': (('--skip-simulation',), False, None, None, False, 0, '_StoreTrueAction', None),
         'steering': (('--steering',), 'dns', None, ('dns', 'anycast'), False, None, '_StoreAction', None),
         'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
-        'serve_workers': (('--serve-workers',), 1, 'int', None, False, None, '_StoreAction', None),
         'flight_dir': (('--flight-dir',), None, None, None, False, None, '_StoreAction', 'DIR'),
     },
     'top': {

@@ -20,10 +20,11 @@ three kinds: ``fake`` (a test substitutes a clock, registry, tracer or
 stream), ``roadmap`` (a value a ROADMAP item needs) and ``bound`` (a size
 a test must shrink to stay fast, where a monkeypatch cannot reach).
 
-*Callable.*  The methods in :data:`SEAMS` are called by tests only, and
-stay because the tests reach real behaviour through them; each must stay
-test-only (a production caller takes it off the list).  :data:`DELETED`
-were test-only and tested nothing else; they stay gone.
+*Callable.*  The methods and functions in :data:`SEAMS` are called by
+tests only, and stay because the tests reach real behaviour through
+them; each must stay test-only (a production caller takes it off the
+list).  :data:`DELETED` were test-only and tested nothing else (or lost
+their one production caller with the serve fleet); they stay gone.
 """
 
 import ast
@@ -56,10 +57,12 @@ SEAMS = {
     "cdn/cache.py:ContentCache.used_bytes": "the cache model test checks the byte accounting with it",
     "cdn/deployment.py:CdnDeployment.servers_in_region": "exposure and pool tests count a region's fleet with it",
     "dns/query.py:DnsResponse.is_empty": "the IPv6-absence tests assert NODATA with it",
+    "dns/reverse.py:scan_ptr_records": "the 3.3 tests walk the PTR zone and feed site discovery with it",
     "dns/resolver.py:RecursiveResolver.cache_size": "the shared-cache tests count entries per chain with it",
     "http/messages.py:Headers.get_all": "the header model test compares repeated fields with it",
     "isp/netflow.py:NetflowCollector.sampled_bytes": "the 5.3 sampling tests check 1-in-N collection with it",
     "isp/topology.py:EyeballIsp.is_direct_peer": "the scenario tests check the ISP's peering with it",
+    "workload/population.py:DevicePopulation.scaled": "the adoption test doubles the installed base with it to check the surge scales",
 }
 
 DELETED = (
@@ -67,6 +70,12 @@ DELETED = (
     "cdn/server.py:CacheServer.is_cache",
     "cdn/server.py:CacheServer.is_load_balancer",
     "isp/topology.py:EyeballIsp.neighbors",
+    "isp/topology.py:EyeballIsp.routers",
+    "net/ipv4.py:IPv4Prefix.subnets",
+    "obs/trace_context.py:set_context",
+    "serve/fleet.py:ServeFleet.http_endpoint",
+    "serve/fleet.py:ServeFleet.resolver_endpoint",
+    "serve/fleet.py:ServeFleet.worker_errors",
 )
 
 
@@ -319,10 +328,14 @@ def test_every_allowed_entry_gives_its_kind_and_is_still_unset(unset):
 
 
 def _defined(entry):
+    """Whether ``module:Class.method`` or ``module:function`` is defined."""
     module, _, qualname = entry.partition(":")
     tree = ast.parse((PACKAGE / module).read_text())
     owner, _, method = qualname.partition(".")
     for node in tree.body:
+        if not method and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name == owner:
+                return True
         if isinstance(node, ast.ClassDef) and node.name == owner:
             return any(
                 isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef)) and st.name == method
