@@ -50,9 +50,8 @@ def _share_on_apple(policy, ttl, now):
             country="de",
             now=now,
         )
-        if policy.select("appldnld.g.applimg.com", context).endswith(
-            "gslb.applimg.com"
-        ):
+        (record,) = policy.bind("appldnld.g.applimg.com", now)(context)
+        if record.target.endswith("gslb.applimg.com"):
             on_apple += 1
     return on_apple / _CLIENTS
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from ..dns.policies import sticky_fraction
+from ..dns.policies import Answer, check_ttl, sticky_draw
 from ..dns.query import QueryContext
 from ..dns.records import CnameRecord, ResourceRecord
 from ..net.geo import MappingRegion
@@ -156,7 +156,9 @@ class OffloadCnamePolicy:
     Keeps ``controller.apple_share`` of clients on Apple's GSLB names
     (``{a|b}.gslb.applimg.com``) and redirects the rest to the region's
     third-party selection name.  Selection is sticky per 15 s bucket,
-    matching the measured TTL.
+    matching the measured TTL: a client whose draw falls under its
+    region's share gets the GSLB name picked by a second draw (over
+    ``"gslb"``), everyone else the regional ``ios8-{region}-lb`` name.
     """
 
     controller: MetaCdnController
@@ -166,20 +168,42 @@ class OffloadCnamePolicy:
     # the share — the healthy-path behaviour.
     health: Optional[object] = None
 
-    def answer(self, name: str, context: QueryContext) -> tuple[ResourceRecord, ...]:
-        target = self.select(name, context)
-        return (CnameRecord(name, target, self.ttl),)
+    def __post_init__(self) -> None:
+        check_ttl(self.ttl)
 
-    def select(self, name: str, context: QueryContext) -> str:
-        """The CNAME target for this client: Apple GSLB or third-party."""
-        share = self.controller.apple_share(context.region)
-        if self.health is not None:
-            share = self.health.effective_share(share, context.region, context.now)
-        if sticky_fraction(name, context, self.ttl, "") < share:
-            pick = sticky_fraction("gslb", context, self.ttl, "")
-            index = int(pick * len(self.gslb_targets))
-            return self.gslb_targets[index]
-        return NAMES.ios8_lb(context.region)
+    def bind(self, name: str, now: float) -> Answer:
+        ttl = self.ttl
+        draw = sticky_draw(name, now, ttl, "")
+        pick = sticky_draw("gslb", now, ttl, "")
+        targets = self.gslb_targets
+        count = len(targets)
+        controller, health = self.controller, self.health
+        # Built on first ask: per region [Apple share, third-party
+        # answer], per GSLB name its answer.  A live query needs one
+        # region and one answer, a campaign tick all of them.
+        regions: dict = {}
+        apple: list = [None] * count
+
+        def answer(context: QueryContext) -> tuple[ResourceRecord, ...]:
+            region = context.region
+            held = regions.get(region)
+            if held is None:
+                share = controller.apple_share(region)
+                if health is not None:
+                    share = health.effective_share(share, region, now)
+                held = regions[region] = [share, None]
+            if draw(context) < held[0]:
+                index = int(pick(context) * count)
+                records = apple[index]
+                if records is None:
+                    records = apple[index] = (CnameRecord(name, targets[index], ttl),)
+                return records
+            records = held[1]
+            if records is None:
+                records = held[1] = (CnameRecord(name, NAMES.ios8_lb(region), ttl),)
+            return records
+
+        return answer
 
 
 @dataclass(frozen=True)
@@ -199,17 +223,21 @@ class AkamaiHandoverPolicy:
     secondary_from: Optional[float] = None  # simulation seconds; None = never
     ttl: int = 300
 
-    def answer(self, name: str, context: QueryContext) -> tuple[ResourceRecord, ...]:
-        return (CnameRecord(name, self.select(name, context), self.ttl),)
+    def __post_init__(self) -> None:
+        check_ttl(self.ttl)
 
-    def select(self, name: str, context: QueryContext) -> str:
-        """Which ``gi3.akamai.net`` name this client is handed to."""
-        if (
-            self.secondary_from is not None
-            and context.now >= self.secondary_from
-            and context.region is MappingRegion.EU
-        ):
-            fraction = sticky_fraction(name, context, self.ttl, "")
-            if fraction < AKAMAI_SECONDARY_SHARE:
-                return self.secondary
-        return self.primary
+    def bind(self, name: str, now: float) -> Answer:
+        ttl = self.ttl
+        primary = (CnameRecord(name, self.primary, ttl),)
+        if self.secondary_from is None or not now >= self.secondary_from:
+            return lambda context: primary
+        secondary = (CnameRecord(name, self.secondary, ttl),)
+        draw = sticky_draw(name, now, ttl, "")
+        share, eu = AKAMAI_SECONDARY_SHARE, MappingRegion.EU
+
+        def answer(context: QueryContext) -> tuple[ResourceRecord, ...]:
+            if context.region is eu and draw(context) < share:
+                return secondary
+            return primary
+
+        return answer

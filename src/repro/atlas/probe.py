@@ -10,7 +10,7 @@ methodology is built on).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Optional
 
 from ..dns.query import QueryContext, RCode
 from ..dns.resolver import RecursiveResolver, ResolutionError
@@ -45,6 +45,9 @@ class AtlasProbe:
     asn: ASN
     location: Location
     resolver: RecursiveResolver
+    _base: Optional[QueryContext] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def create(
@@ -80,14 +83,22 @@ class AtlasProbe:
         return self.location.coordinates
 
     def context(self, now: float) -> QueryContext:
-        """The DNS query context this probe presents."""
-        return QueryContext(
-            client=self.address,
-            coordinates=self.coordinates,
-            continent=self.continent,
-            country=self.country,
-            now=now,
-        )
+        """The DNS query context this probe presents at ``now``.
+
+        A stamped copy of one base context built on first use, its
+        address text already spelled: a campaign asks every probe for
+        one per tick.
+        """
+        base = self._base
+        if base is None:
+            base = self._base = QueryContext(
+                client=self.address,
+                coordinates=self.coordinates,
+                continent=self.continent,
+                country=self.country,
+            )
+            base.client_text  # spelled once, carried by every stamp
+        return base.at(now)
 
     def resolve_dns(self, target: str, now: float):
         """Resolve ``target`` now; a failed chase is returned, not raised.

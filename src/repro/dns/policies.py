@@ -14,19 +14,28 @@ configuration:
 Policies are deterministic: selection hashes the client address and a
 time bucket, so repeated runs and parallel analyses agree while the
 population-level distribution still follows the configured weights.
+
+A policy answers through :meth:`AnswerPolicy.bind`: everything that
+depends on the owner name and the time alone (the TTL bucket, the
+weights in force, the prebuilt answer records) is worked out once, and
+the returned function of the asking client does the rest.  A campaign
+tick binds each chain name once and asks it for every probe; the live
+edge binds per query.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from ..net.ipv4 import IPv4Address
 from .query import QueryContext
 from .records import ARecord, CnameRecord, ResourceRecord, normalize_name
 
 __all__ = [
+    "Answer",
     "AnswerPolicy",
     "StaticPolicy",
     "CnamePolicy",
@@ -34,19 +43,35 @@ __all__ = [
     "WeightSchedule",
     "WeightedCnamePolicy",
     "GslbAddressPolicy",
+    "check_ttl",
     "stable_fraction",
-    "sticky_fraction",
+    "sticky_draw",
 ]
 
 _TWO_64 = float(1 << 64)
+
+#: A bound answer: the records one client gets for the bound name, now.
+Answer = Callable[[QueryContext], "tuple[ResourceRecord, ...]"]
 
 
 class AnswerPolicy(Protocol):
     """Produces the answer records for one owner name."""
 
-    def answer(self, name: str, context: QueryContext) -> tuple[ResourceRecord, ...]:
-        """Records answering a query for ``name`` from ``context``."""
+    def bind(self, name: str, now: float) -> Answer:
+        """The answer for ``name`` at time ``now``, as a function of the client.
+
+        The returned function is valid for that ``now`` only and returns
+        a tuple of records.  A CNAME answer is built once per bind, on
+        first hand-out, and every client sent to that target gets the
+        same tuple, so a chase shares one step between them.
+        """
         ...  # pragma: no cover - protocol
+
+
+def check_ttl(ttl) -> None:
+    """Refuse a TTL no record could carry (negative or NaN), at construction."""
+    if not ttl >= 0:
+        raise ValueError(f"ttl must be non-negative, got {ttl!r}")
 
 
 def _fraction(text: str) -> float:
@@ -65,15 +90,19 @@ def stable_fraction(*parts: object) -> float:
     return _fraction("|".join(map(str, parts)))
 
 
-def sticky_fraction(name: str, context: QueryContext, ttl: int, salt: str) -> float:
-    """The draw a selection policy makes for this client right now.
+def sticky_draw(
+    name: str, now: float, ttl: int, salt: str
+) -> Callable[[QueryContext], float]:
+    """The draw a selection policy makes at ``now``, per client.
 
     Sticky per ``(client, TTL bucket)``: the value holds for one ``ttl``
-    interval (the whole run for a zero TTL), then may change.  Equal to
-    ``stable_fraction(name, context.client, bucket, salt)``.
+    interval (the whole run for a zero TTL), then may change.  For a
+    client ``c`` it equals ``stable_fraction(name, c, bucket, salt)``;
+    only the client's dotted address is spliced in per call.
     """
-    bucket = int(context.now // ttl) if ttl > 0 else 0
-    return _fraction(f"{name}|{context.client}|{bucket}|{salt}")
+    bucket = int(now // ttl) if ttl > 0 else 0
+    head, tail = f"{name}|", f"|{bucket}|{salt}"
+    return lambda context: _fraction(head + context.client_text + tail)
 
 
 @dataclass(frozen=True)
@@ -82,8 +111,9 @@ class StaticPolicy:
 
     records: tuple[ResourceRecord, ...]
 
-    def answer(self, name: str, context: QueryContext) -> tuple[ResourceRecord, ...]:
-        return self.records
+    def bind(self, name: str, now: float) -> Answer:
+        records = self.records
+        return lambda context: records
 
 
 @dataclass(frozen=True)
@@ -93,8 +123,12 @@ class CnamePolicy:
     target: str
     ttl: int
 
-    def answer(self, name: str, context: QueryContext) -> tuple[ResourceRecord, ...]:
-        return (CnameRecord(name, self.target, self.ttl),)
+    def __post_init__(self) -> None:
+        check_ttl(self.ttl)
+
+    def bind(self, name: str, now: float) -> Answer:
+        answer = (CnameRecord(name, self.target, self.ttl),)
+        return lambda context: answer
 
 
 @dataclass(frozen=True)
@@ -110,9 +144,24 @@ class CountrySplitPolicy:
     overrides: Mapping[str, str]
     ttl: int
 
-    def answer(self, name: str, context: QueryContext) -> tuple[ResourceRecord, ...]:
-        target = self.overrides.get(context.country, self.default)
-        return (CnameRecord(name, target, self.ttl),)
+    def __post_init__(self) -> None:
+        check_ttl(self.ttl)
+
+    def bind(self, name: str, now: float) -> Answer:
+        ttl, overrides, default = self.ttl, self.overrides, self.default
+        # Country -> its answer, built on first ask: a live query builds
+        # one record, a campaign tick one per country it meets.
+        answers: dict = {}
+
+        def answer(context: QueryContext) -> tuple[ResourceRecord, ...]:
+            country = context.country
+            records = answers.get(country)
+            if records is None:
+                target = overrides.get(country, default)
+                records = answers[country] = (CnameRecord(name, target, ttl),)
+            return records
+
+        return answer
 
 
 class WeightSchedule:
@@ -123,10 +172,21 @@ class WeightSchedule:
     ``a1015.gi3.akamai.net`` entered the EU chain.  A schedule is a
     sorted sequence of ``(effective_from, {target: weight})`` steps; the
     weights in force at time ``t`` come from the last step at or before
-    ``t``.
+    ``t``.  Weights must be finite (zero and negative ones are dropped)
+    and step times must be numbers (``-inf`` is the always-active step
+    of :meth:`constant`).
     """
 
     def __init__(self, steps: Iterable[tuple[float, Mapping[str, float]]]) -> None:
+        steps = list(steps)
+        for effective_from, weights in steps:
+            if math.isnan(effective_from):
+                raise ValueError("weight schedule step time is NaN")
+            for target, weight in weights.items():
+                if not math.isfinite(weight):
+                    raise ValueError(
+                        f"weight of {target!r} at t={effective_from} is not finite"
+                    )
         ordered = sorted(steps, key=lambda step: step[0])
         if not ordered:
             raise ValueError("empty weight schedule")
@@ -171,29 +231,44 @@ class WeightedCnamePolicy:
 
     The choice is sticky per ``(client, TTL bucket)``: a client keeps its
     CDN for one TTL interval, then may be remapped — exactly the quick
-    reroute behaviour the 15 s TTL exists to enable.
+    reroute behaviour the 15 s TTL exists to enable.  The client's draw,
+    scaled by the total weight, picks the first target (in name order)
+    whose running weight sum exceeds it.
     """
 
     schedule: WeightSchedule
     ttl: int
     salt: str = ""
 
-    def answer(self, name: str, context: QueryContext) -> tuple[ResourceRecord, ...]:
-        target = self.select(name, context)
-        return (CnameRecord(name, target, self.ttl),)
+    def __post_init__(self) -> None:
+        check_ttl(self.ttl)
 
-    def select(self, name: str, context: QueryContext) -> str:
-        """The CNAME target chosen for this client at this time."""
-        weights = self.schedule.weights_at(context.now)
-        fraction = sticky_fraction(name, context, self.ttl, self.salt)
-        threshold = fraction * sum(weights.values())
+    def bind(self, name: str, now: float) -> Answer:
+        ttl = self.ttl
+        weights = self.schedule.weights_at(now)
+        total = sum(weights.values())
         cumulative = 0.0
-        ordered = sorted(weights.items())
-        for target, weight in ordered:
+        table = []
+        for target, weight in sorted(weights.items()):
             cumulative += weight
-            if threshold < cumulative:
-                return target
-        return ordered[-1][0]
+            table.append((cumulative, target))
+        draw = sticky_draw(name, now, ttl, self.salt)
+        # Target -> its answer, built on first hand-out.
+        answers: dict = {}
+
+        def answer(context: QueryContext) -> tuple[ResourceRecord, ...]:
+            threshold = draw(context) * total
+            for bound, target in table:
+                if threshold < bound:
+                    break
+            # Without a break ``target`` is the last one: a draw below 1.0
+            # reaches the total only through rounding.
+            records = answers.get(target)
+            if records is None:
+                records = answers[target] = (CnameRecord(name, target, ttl),)
+            return records
+
+        return answer
 
 
 @dataclass(frozen=True)
@@ -218,23 +293,36 @@ class GslbAddressPolicy:
     # count) per name bound to this policy.
     _records: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def answer(self, name: str, context: QueryContext) -> tuple[ResourceRecord, ...]:
-        # The pool is read in place: deployments hand out their memoised
-        # ranking, and copying it per query costs more than the answer.
-        candidates = self.pool(context)
-        size = len(candidates)
-        if not size:
-            return ()
+    def __post_init__(self) -> None:
+        check_ttl(self.ttl)
+        if self.answer_count < 1:
+            raise ValueError(f"answer_count must be at least 1, got {self.answer_count!r}")
+
+    def bind(self, name: str, now: float) -> Answer:
         ttl = self.ttl
-        offset = int(sticky_fraction(name, context, ttl, self.salt) * size)
+        pool = self.pool
+        count = self.answer_count
+        draw = sticky_draw(name, now, ttl, self.salt)
         records = self._records.get(name)
         if records is None:
             records = self._records[name] = {}
-        answer = []
-        for index in range(min(self.answer_count, size)):
-            value = candidates[(offset + index) % size]
-            record = records.get(value)
-            if record is None:
-                record = records[value] = ARecord(name, IPv4Address(value), ttl)
-            answer.append(record)
-        return tuple(answer)
+
+        def answer(context: QueryContext) -> tuple[ResourceRecord, ...]:
+            # The pool is read in place: deployments hand out their
+            # memoised ranking, and copying it per query costs more
+            # than the answer.
+            candidates = pool(context)
+            size = len(candidates)
+            if not size:
+                return ()
+            offset = int(draw(context) * size)
+            chosen = []
+            for index in range(min(count, size)):
+                value = candidates[(offset + index) % size]
+                record = records.get(value)
+                if record is None:
+                    record = records[value] = ARecord(name, IPv4Address(value), ttl)
+                chosen.append(record)
+            return tuple(chosen)
+
+        return answer

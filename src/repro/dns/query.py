@@ -22,6 +22,22 @@ from .records import RecordType, ResourceRecord, normalize_name
 __all__ = ["QueryContext", "RCode", "Question", "DnsResponse"]
 
 
+class _ClientText:
+    """``QueryContext.client_text``: computed on first read, then stored.
+
+    Not a data descriptor, so once the instance entry exists a read
+    never reaches this class, and a context nobody draws for never
+    spells its address.  Not a field: equality, hashing and ``repr``
+    ignore it.
+    """
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        text = instance.__dict__["client_text"] = str(instance.client)
+        return text
+
+
 @dataclass(frozen=True, init=False)
 class QueryContext:
     """Everything a policy-driven authoritative server may consider.
@@ -40,6 +56,8 @@ class QueryContext:
     #: from ``continent`` once at construction: every policy along the
     #: chain reads it, several times per hop.
     region: MappingRegion = field(init=False, repr=False, compare=False)
+    #: ``str(client)``, the text a selection policy's draw hashes.
+    client_text = _ClientText()
 
     def __init__(
         self,
@@ -60,6 +78,19 @@ class QueryContext:
         fields["country"] = country
         fields["now"] = now
         fields["region"] = _REGION_OF[continent]
+
+    def at(self, now: float) -> "QueryContext":
+        """This context stamped with ``now``: a copy, everything else shared.
+
+        Carries over ``client_text`` when it was already read, so a
+        vantage that stamps one base context per tick spells its
+        address once for the whole run.
+        """
+        stamped = object.__new__(QueryContext)
+        fields = stamped.__dict__
+        fields.update(self.__dict__)
+        fields["now"] = now
+        return stamped
 
 
 _REGION_OF = {

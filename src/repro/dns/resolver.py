@@ -14,7 +14,7 @@ whole Figure 2 chain.  :class:`RecursiveResolver` reproduces that walk:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..net.ipv4 import IPv4Address, IPv4Prefix
 from ..obs import get_registry
@@ -68,31 +68,48 @@ class ResolutionStep:
         fields["from_cache"] = from_cache
 
 
+def _read(
+    records: Sequence[ResourceRecord],
+) -> tuple[tuple[IPv4Address, ...], Optional[ResourceRecord], Optional[int]]:
+    """What one hop yields to the walk: (addresses, redirect, TTL).
+
+    Any A record address ends the walk at this hop; without one the
+    first CNAME (``redirect``) leads on, and a hop with neither is a
+    dead end.  The TTL is the shortest record TTL, for how long a cache
+    may keep the hop (``None`` for an empty hop).
+    """
+    addresses = []
+    redirect = None
+    ttl = None
+    for record in records:
+        rtype = record.rtype
+        if rtype is RecordType.A:
+            addresses.append(record.data)
+        elif redirect is None and rtype is RecordType.CNAME:
+            redirect = record
+        if ttl is None or record.ttl < ttl:
+            ttl = record.ttl
+    return tuple(addresses), redirect, ttl
+
+
 def _walk(
     qname: str, steps: Sequence[ResolutionStep]
 ) -> tuple[tuple[str, ...], tuple[ResourceRecord, ...], tuple[IPv4Address, ...]]:
     """The chain views of ``steps``: (names asked, CNAMEs followed, addresses).
 
     This is the walk :func:`resolve_bulk` performs, read back off its
-    record: the question name, then the first CNAME target of each hop
-    until a hop holds A records (its addresses end the walk) or holds
-    neither (a dead end).  Records the chase did not follow — a second
-    CNAME, a CNAME beside A records, anything past the terminating hop —
-    are in ``steps`` but not in the views.
+    record (:func:`_read` per hop): the question name, then the first
+    CNAME target of each hop until a hop holds A records (its addresses
+    end the walk) or holds neither (a dead end).  Records the chase did
+    not follow — a second CNAME, a CNAME beside A records, anything past
+    the terminating hop — are in ``steps`` but not in the views.
     """
     names = [qname]
     followed: list[ResourceRecord] = []
     for step in steps:
-        addresses = []
-        target = None
-        for record in step.records:
-            rtype = record.rtype
-            if rtype is RecordType.A:
-                addresses.append(record.data)
-            elif target is None and rtype is RecordType.CNAME:
-                target = record
+        addresses, target, _ = _read(step.records)
         if addresses:
-            return tuple(names), tuple(followed), tuple(addresses)
+            return tuple(names), tuple(followed), addresses
         if target is None:
             break
         followed.append(target)
@@ -167,29 +184,36 @@ class Resolution:
         return self.rcode is RCode.NOERROR and bool(self.addresses)
 
 
-class _CacheEntry:
-    """One cached hop: the step as first answered, and when it expires.
+class _Answer:
+    """One authoritative answer as the chase holds it, and as it is cached.
 
-    ``cached_step`` is the same hop marked ``from_cache``; it is built
-    on the first hit and shared by every later one (the 21600 s entry
-    hop is served from cache ~70 times per fill).
+    The hop's step, what it yields to the walk (:func:`_read`), and
+    ``expires_at``, the time a TTL cache keeps it until.  Every client
+    handed the same answer tuple at one ``now`` shares one, and so does
+    every cache it is put in.  ``cached`` is the same hop with its step
+    marked ``from_cache``, built on the first hit and shared by every
+    later one (the 21600 s entry hop is served from cache ~70 times
+    per fill).
     """
 
-    __slots__ = ("step", "expires_at", "_cached_step")
+    __slots__ = ("step", "addresses", "redirect", "expires_at", "_cached")
 
-    def __init__(self, step: ResolutionStep, expires_at: float) -> None:
+    def __init__(self, step: ResolutionStep, now: float) -> None:
         self.step = step
-        self.expires_at = expires_at
-        self._cached_step: Optional[ResolutionStep] = None
+        self.addresses, self.redirect, ttl = _read(step.records)
+        self.expires_at = None if ttl is None else now + ttl
+        self._cached: Optional[_Answer] = None
 
-    def cached_step(self) -> ResolutionStep:
-        step = self._cached_step
-        if step is None:
-            fresh = self.step
-            step = self._cached_step = ResolutionStep(
-                fresh.name, fresh.operator, fresh.records, True
-            )
-        return step
+    def cached(self) -> "_Answer":
+        cached = self._cached
+        if cached is None:
+            step = self.step
+            cached = self._cached = object.__new__(_Answer)
+            cached.step = ResolutionStep(step.name, step.operator, step.records, True)
+            cached.addresses, cached.redirect = self.addresses, self.redirect
+            # Already the cached form: its own ``cached`` is itself.
+            cached.expires_at, cached._cached = self.expires_at, cached
+        return cached
 
 
 @dataclass(frozen=True)
@@ -255,9 +279,15 @@ class RecursiveResolver:
         if cache_scope is not None and not 0 <= cache_scope <= 32:
             raise ValueError("cache_scope must be within [0, 32]")
         self._servers = list(servers)
+        # Where each name is served, located once per name: a chase
+        # without a shared map (``resolve()``) asks this one.
+        self._map = ServerMap(self._servers)
         self._cache_enabled = cache
         self._cache_scope = cache_scope
         registry = metrics if metrics is not None else get_registry()
+        # Decided once: under the null registry a chase makes no metric
+        # call per hop (the cache's own integer counts still run).
+        self._metered = registry.enabled
         self._m_queries = registry.counter(
             "dns_queries_total",
             "Authoritative DNS queries issued, by answering operator",
@@ -300,6 +330,7 @@ class RecursiveResolver:
     def add_server(self, server: AuthoritativeServer) -> None:
         """Register an additional authoritative server."""
         self._servers.append(server)
+        self._map = ServerMap(self._servers)
 
     @property
     def servers(self) -> tuple[AuthoritativeServer, ...]:
@@ -308,7 +339,7 @@ class RecursiveResolver:
 
     def server_for(self, name: str) -> Optional[AuthoritativeServer]:
         """The authoritative server for ``name`` (most specific zone)."""
-        return _locate(self._servers, name)[0]
+        return self._map.locate(name)[0]
 
     def resolve(self, name: str, context: QueryContext) -> Resolution:
         """Fully resolve ``name`` for the client in ``context``.
@@ -349,31 +380,8 @@ class RecursiveResolver:
         """
         return self, context
 
-    def _query_one(
-        self,
-        name: str,
-        context: QueryContext,
-        locate: Optional[Callable[[str], "tuple[Optional[AuthoritativeServer], Optional[Zone]]"]] = None,
-    ) -> ResolutionStep:
-        now = context.now
-        key = None
-        if self._cache_enabled:
-            key = self.cache_key(name, context)
-            entry = self._cache.get(key, now)
-            if entry is not None:
-                return entry.cached_step()
-        # ``locate`` lets the bulk path share one (server, zone) lookup
-        # across many clients; it must agree with ``server_for``, which
-        # holds whenever the clients share one server universe.
-        server, zone = (
-            locate(name) if locate is not None else _locate(self._servers, name)
-        )
-        if server is None:
-            raise ResolutionError(f"no authoritative server for {name!r}")
-        # The record-level answer, not a message: a located server comes
-        # with its covering zone, and an unbound name is an empty hop.
-        records = zone.answer(name, context) or ()
-        operator = server.operator
+    def _count_query(self, operator: str, answered: int) -> None:
+        """Count one authoritative query and its ``answered`` records."""
         counters = self._m_by_operator.get(operator)
         if counters is None:
             counters = self._m_by_operator[operator] = [
@@ -381,19 +389,11 @@ class RecursiveResolver:
                 None,
             ]
         counters[0].inc()
-        step = ResolutionStep(name, operator, records)
-        if records:
+        if answered:
             answers = counters[1]
             if answers is None:
                 answers = counters[1] = self._m_answers.labels(operator)
-            answers.inc(len(records))
-            if self._cache_enabled:
-                ttl = records[0].ttl
-                for record in records:
-                    if record.ttl < ttl:
-                        ttl = record.ttl
-                self._cache.put(key, _CacheEntry(step, now + ttl), now)
-        return step
+            answers.inc(answered)
 
     def flush(self) -> None:
         """Drop all cached entries (not counted as evictions)."""
@@ -481,10 +481,15 @@ class _Chase:
     ``names`` and ``followed`` are the walk so far — every name asked
     and the CNAME record that led to each next one — and become the
     finished :class:`Resolution`'s views; ``names`` is also the loop
-    check.
+    check.  ``cache`` is the resolver's TTL cache (``None`` when it
+    has none); ``scoped`` says whether its keys carry more than the
+    qname (:meth:`RecursiveResolver.cache_key`).
     """
 
-    __slots__ = ("index", "resolver", "context", "steps", "names", "followed")
+    __slots__ = (
+        "index", "resolver", "context", "steps", "names", "followed",
+        "cache", "scoped",
+    )
 
     def __init__(
         self, index: int, resolver: RecursiveResolver, context: QueryContext, qname: str
@@ -495,6 +500,13 @@ class _Chase:
         self.steps: List[ResolutionStep] = []
         self.names = [qname]
         self.followed: List[ResourceRecord] = []
+        self.cache = resolver._cache if resolver._cache_enabled else None
+        self.scoped = resolver._cache_scope is not None
+
+
+def _nothing(context: QueryContext) -> tuple:
+    """The answer of a covered but unbound name: an empty hop."""
+    return ()
 
 
 def resolve_bulk(
@@ -505,16 +517,20 @@ def resolve_bulk(
     """Resolve ``name`` for many clients in one level-synchronous sweep.
 
     This is the one chase implementation: all chases advance one CNAME
-    hop per round, each following CNAMEs until A records (or a dead
-    end) appear, and :meth:`RecursiveResolver.resolve` is the
-    one-client call of it.  With a ``server_map`` the authoritative
-    (server, zone) for each distinct chain name is located once instead
-    of once per client.  TTL caches, metrics, rcodes, loop detection
-    and the chain-length limit are per client.
+    hop per round, in client order, each following CNAMEs until A
+    records (or a dead end) appear, and
+    :meth:`RecursiveResolver.resolve` is the one-client call of it.
+    TTL caches, metrics, rcodes, loop detection and the chain-length
+    limit are per client; a shared cache sees its gets and puts in
+    client order, round by round.
 
     Each client is asked once, up front, which resolver and context its
     chase runs as (:meth:`RecursiveResolver.chases_as`); every hop then
-    goes to that resolver directly.
+    goes to that resolver directly.  A hop the cache cannot serve is
+    answered by its chain name bound once per ``now``
+    (:meth:`Zone.answer_at`): with a ``server_map`` the (server, zone)
+    is located and the policy bound once per distinct name for all
+    clients, without one once per name and resolver.
 
     Failures that :meth:`RecursiveResolver.resolve` raises are returned
     in-place as :class:`ResolutionError` instances so one bad vantage
@@ -533,39 +549,69 @@ def resolve_bulk(
         for index, (client, context) in enumerate(clients)
     ]
     locate = server_map.locate if server_map is not None else None
-    # Enum members, read off their classes once rather than per record.
-    a_type, cname_type = RecordType.A, RecordType.CNAME
     noerror, nxdomain = RCode.NOERROR, RCode.NXDOMAIN
+    # Chain name (with the resolver, when no map says the clients share
+    # one server universe) -> (``now``, operator, the answer bound at
+    # that ``now``, answer tuple id -> its _Answer), so clients handed
+    # the same tuple share one step.  The held step keeps its tuple
+    # alive, so an equal id is the same tuple.
+    hops: dict = {}
     for _ in range(_MAX_CHAIN):
         if not active:
             break
         still_active: List[_Chase] = []
         for chase in active:
             resolver = chase.resolver
+            context = chase.context
+            now = context.now
             names = chase.names
-            try:
-                step = resolver._query_one(names[-1], chase.context, locate)
-            except ResolutionError as exc:
-                outcomes[chase.index] = exc
-                continue
+            hop_name = names[-1]
+            cache = chase.cache
+            answer = None
+            if cache is not None:
+                key = resolver.cache_key(hop_name, context) if chase.scoped else hop_name
+                answer = cache.get(key, now)
+                if answer is not None:
+                    answer = answer.cached()
+            if answer is None:
+                hop_key = hop_name if locate is not None else (hop_name, resolver)
+                hop = hops.get(hop_key)
+                if hop is None or hop[0] != now:
+                    server, zone = (
+                        locate(hop_name) if locate is not None
+                        else resolver._map.locate(hop_name)
+                    )
+                    if server is None:
+                        outcomes[chase.index] = ResolutionError(
+                            f"no authoritative server for {hop_name!r}"
+                        )
+                        continue
+                    hop = hops[hop_key] = (
+                        now, server.operator, zone.answer_at(hop_name, now) or _nothing, {}
+                    )
+                _, operator, bound, answers = hop
+                records = bound(context)
+                if type(records) is not tuple:
+                    records = tuple(records)
+                answer = answers.get(id(records))
+                if answer is None:
+                    answer = answers[id(records)] = _Answer(
+                        ResolutionStep(hop_name, operator, records), now
+                    )
+                if resolver._metered:
+                    resolver._count_query(operator, len(records))
+                if records and cache is not None:
+                    cache.put(key, answer, now)
+            step = answer.step
+            addresses = answer.addresses
+            redirect = answer.redirect
             steps = chase.steps
             steps.append(step)
-            # One pass over the hop: any A record completes the chase,
-            # otherwise the first CNAME redirects it (the scan ``_walk``
-            # repeats for a hand-built Resolution; inlined here, in the
-            # loop a replay spends its campaign phase in).
-            addresses = []
-            redirect: Optional[ResourceRecord] = None
-            for record in step.records:
-                rtype = record.rtype
-                if rtype is a_type:
-                    addresses.append(record.data)
-                elif redirect is None and rtype is cname_type:
-                    redirect = record
             if addresses or redirect is None:
                 # ``redirect is None``: NODATA / NXDOMAIN at this link.
-                resolver._m_resolutions.inc()
-                resolver._m_chain_length.observe(len(steps))
+                if resolver._metered:
+                    resolver._m_resolutions.inc()
+                    resolver._m_chain_length.observe(len(steps))
                 resolution = Resolution(
                     question, tuple(steps), noerror if addresses else nxdomain
                 )
@@ -573,7 +619,7 @@ def resolve_bulk(
                 views = resolution.__dict__
                 views["chain_names"] = tuple(names)
                 views["cname_chain"] = tuple(chase.followed)
-                views["addresses"] = tuple(addresses)
+                views["addresses"] = addresses
                 outcomes[chase.index] = resolution
                 continue
             target = redirect.data

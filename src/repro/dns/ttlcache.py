@@ -13,7 +13,7 @@ so the expiry and eviction policy exists exactly once:
   evicts the live entry closest to expiry, tie-broken on ``repr(key)``
   so the victim order is identical across runs and processes;
 * plain **hit / miss / eviction** counts, mirrored into the owner's
-  registry counters.
+  registry counters (no call at all when those are the null registry's).
 
 What a key *is* — a bare qname, ``(qname, scope-network)``, or
 ``(qname, network, echoed scope)`` — and whether concurrent misses
@@ -25,15 +25,23 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..obs.registry import NULL_INSTRUMENT
+
 __all__ = ["TtlCache"]
+
+
+def _live(instrument):
+    """``instrument``, or ``None`` for the null registry's do-nothing one."""
+    return None if instrument is NULL_INSTRUMENT else instrument
 
 
 class TtlCache:
     """A keyed store of entries carrying ``expires_at``; see the module doc.
 
     ``hits``/``misses``/``evictions`` are the owner's registry counter
-    children (null handles under the null registry); the plain integer
-    attributes of the same names always count.
+    children; under the null registry they are dropped here, once, so a
+    lookup makes no metric call.  The plain integer attributes of the
+    same names always count.
     """
 
     __slots__ = (
@@ -50,9 +58,9 @@ class TtlCache:
         # so size accounting filters against this instead of len().
         self._horizon = float("-inf")
         self.hits = self.misses = self.evictions = 0
-        self._m_hits = hits
-        self._m_misses = misses
-        self._m_evictions = evictions
+        self._m_hits = _live(hits)
+        self._m_misses = _live(misses)
+        self._m_evictions = _live(evictions)
 
     def get(self, key, now: float):
         """The live entry under ``key`` at ``now``, else ``None`` (a miss)."""
@@ -62,12 +70,16 @@ class TtlCache:
         if entry is not None:
             if entry.expires_at > now:
                 self.hits += 1
-                self._m_hits.inc()
+                if self._m_hits is not None:
+                    self._m_hits.inc()
                 return entry
             del self._entries[key]
-            self._evicted(1)
+            self.evictions += 1
+            if self._m_evictions is not None:
+                self._m_evictions.inc()
         self.misses += 1
-        self._m_misses.inc()
+        if self._m_misses is not None:
+            self._m_misses.inc()
         return None
 
     def hit(self, key, now: float):
@@ -84,7 +96,8 @@ class TtlCache:
         if entry is None or entry.expires_at <= now:
             return None
         self.hits += 1
-        self._m_hits.inc()
+        if self._m_hits is not None:
+            self._m_hits.inc()
         return entry
 
     def put(self, key, entry, now: float) -> None:
@@ -131,4 +144,5 @@ class TtlCache:
 
     def _evicted(self, count: int) -> None:
         self.evictions += count
-        self._m_evictions.inc(count)
+        if self._m_evictions is not None:
+            self._m_evictions.inc(count)

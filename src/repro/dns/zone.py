@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .policies import AnswerPolicy
+from .policies import Answer, AnswerPolicy
 from .query import DnsResponse, Question, QueryContext, RCode
 from .records import RecordType, ResourceRecord, is_subdomain, normalize_name
 
@@ -42,6 +42,18 @@ class Zone:
             raise ValueError(f"{owner!r} is outside zone {self.origin!r}")
         self._policies[owner] = policy
 
+    def answer_at(self, name: str, now: float) -> Optional[Answer]:
+        """The answer ``name`` gives at ``now``, bound for any client.
+
+        ``None`` means the name is not bound.  The bulk chase binds each
+        chain name once per tick this way and asks the result for every
+        client; :meth:`answer` is the one-client call of it.
+        """
+        policy = self._policies.get(name)
+        if policy is None:
+            return None
+        return policy.bind(name, now)
+
     def answer(
         self, name: str, context: QueryContext
     ) -> Optional[tuple[ResourceRecord, ...]]:
@@ -49,17 +61,18 @@ class Zone:
 
         This is the record-level answer, the one place a bound name
         becomes records: :meth:`AuthoritativeServer.query_in_zone` wraps
-        it in a message for the live edge, the in-memory chase of
-        :mod:`repro.dns.resolver` reads it as is.  ``None`` means the
-        name is not bound (NXDOMAIN at the message level); a bound name
-        whose policy currently answers nothing yields ``()`` (NODATA).
-        ``name`` must already be normalised — a :class:`Question`'s name
-        or a record's target, which is all either caller ever holds.
+        it in a message for the live edge, and the in-memory chase of
+        :mod:`repro.dns.resolver` asks :meth:`answer_at` for the same
+        records.  ``None`` means the name is not bound (NXDOMAIN at the
+        message level); a bound name whose policy currently answers
+        nothing yields ``()`` (NODATA).  ``name`` must already be
+        normalised — a :class:`Question`'s name or a record's target,
+        which is all either caller ever holds.
         """
-        policy = self._policies.get(name)
-        if policy is None:
+        answer = self.answer_at(name, context.now)
+        if answer is None:
             return None
-        records = policy.answer(name, context)
+        records = answer(context)
         return records if type(records) is tuple else tuple(records)
 
     def covers(self, name: str) -> bool:

@@ -29,7 +29,7 @@ analytically by :class:`~repro.analysis.resolver_accuracy.ResolverAccuracy`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from ..atlas.probe import AtlasProbe
@@ -112,7 +112,7 @@ class PopStubResolver:
 
     def reframe(self, context: QueryContext) -> QueryContext:
         """The canonical context at the querying probe's time."""
-        return replace(self._canonical, now=context.now)
+        return self._canonical.at(context.now)
 
     def resolve(self, name: str, context: QueryContext) -> Resolution:
         return self._shared.resolve(name, self.reframe(context))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.apple.policy import AkamaiHandoverPolicy, MetaCdnController, OffloadCnamePolicy
 from repro.dns.policies import (
     CnamePolicy,
     CountrySplitPolicy,
@@ -12,12 +13,23 @@ from repro.dns.policies import (
     WeightSchedule,
     WeightedCnamePolicy,
     stable_fraction,
-    sticky_fraction,
+    sticky_draw,
 )
 from repro.dns.query import QueryContext
 from repro.dns.records import ARecord, RecordType
 from repro.net.geo import Continent, Coordinates
 from repro.net.ipv4 import IPv4Address
+
+
+def answer(policy, name, context):
+    """The records ``policy`` answers ``name`` with for ``context``."""
+    return policy.bind(name, context.now)(context)
+
+
+def select(policy, name, context):
+    """The CNAME target ``policy`` hands ``context``'s client for ``name``."""
+    (record,) = answer(policy, name, context)
+    return record.target
 
 
 def make_context(client="198.51.100.7", country="de", continent=Continent.EUROPE, now=0.0):
@@ -59,13 +71,13 @@ class TestStickyFraction:
     def test_is_the_bucketed_stable_fraction(self, name, client, now, ttl, salt):
         context = make_context(client=str(IPv4Address(client)), now=now)
         bucket = int(now // ttl) if ttl > 0 else 0
-        assert sticky_fraction(name, context, ttl, salt) == stable_fraction(
+        assert sticky_draw(name, now, ttl, salt)(context) == stable_fraction(
             name, context.client, bucket, salt
         )
 
     def test_holds_for_one_ttl_interval(self):
         draws = [
-            sticky_fraction("sel.example", make_context(now=now), 15, "s")
+            sticky_draw("sel.example", now, 15, "s")(make_context(now=now))
             for now in (30.0, 37.5, 44.9, 45.0)
         ]
         assert draws[0] == draws[1] == draws[2] != draws[3]
@@ -75,11 +87,11 @@ class TestSimplePolicies:
     def test_static_policy(self):
         record = ARecord("x.example", IPv4Address.parse("1.1.1.1"), 60)
         policy = StaticPolicy((record,))
-        assert policy.answer("x.example", make_context()) == (record,)
+        assert answer(policy, "x.example", make_context()) == (record,)
 
     def test_cname_policy(self):
         policy = CnamePolicy("appldnld.apple.com.akadns.net", ttl=21600)
-        (record,) = policy.answer("appldnld.apple.com", make_context())
+        (record,) = answer(policy, "appldnld.apple.com", make_context())
         assert record.rtype is RecordType.CNAME
         assert record.target == "appldnld.apple.com.akadns.net"
         assert record.ttl == 21600
@@ -97,15 +109,15 @@ class TestCountrySplitPolicy:
     )
 
     def test_world_goes_to_default(self):
-        (record,) = self.policy.answer("e", make_context(country="de"))
+        (record,) = answer(self.policy, "e", make_context(country="de"))
         assert record.target == "appldnld.apple.com.akadns.net"
 
     def test_india_split(self):
-        (record,) = self.policy.answer("e", make_context(country="in"))
+        (record,) = answer(self.policy, "e", make_context(country="in"))
         assert record.target == "india-lb.itunes-apple.com.akadns.net"
 
     def test_china_split(self):
-        (record,) = self.policy.answer("e", make_context(country="cn"))
+        (record,) = answer(self.policy, "e", make_context(country="cn"))
         assert record.target == "china-lb.itunes-apple.com.akadns.net"
 
 
@@ -140,6 +152,23 @@ class TestWeightSchedule:
         with pytest.raises(ValueError):
             WeightSchedule([(0.0, {"a.example": 0.0})])
 
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            [(float("-inf"), {"a.example": float("inf"), "b.example": 1.0})],
+            [(0.0, {"a.example": 1.0, "b.example": float("-inf")})],
+            [(0.0, {"a.example": 1.0, "b.example": float("nan")})],
+            [(float("nan"), {"a.example": 1.0}), (0.0, {"b.example": 1.0})],
+            [(0.0, {"b.example": 1.0}), (float("nan"), {"a.example": 1.0})],
+        ],
+        ids=["inf-weight", "minus-inf-weight", "nan-weight", "nan-time-first", "nan-time-last"],
+    )
+    def test_non_finite_input_refused(self, steps):
+        # An infinite weight used to send every client to the finite
+        # target, and a NaN step time made input order pick the step.
+        with pytest.raises(ValueError):
+            WeightSchedule(steps)
+
     def test_targets_sorted(self):
         schedule = WeightSchedule.constant({"b.example": 1.0, "a.example": 1.0})
         assert schedule.targets_at(0) == ("a.example", "b.example")
@@ -158,14 +187,14 @@ class TestWeightedCnamePolicy:
             WeightSchedule.constant({"a.example": 0.5, "b.example": 0.5}), ttl=15
         )
         context = make_context(now=7.0)
-        assert policy.select("e", context) == policy.select("e", context)
+        assert select(policy, "e", context) == select(policy, "e", context)
 
     def test_sticky_within_ttl_bucket(self):
         policy = WeightedCnamePolicy(
             WeightSchedule.constant({"a.example": 0.5, "b.example": 0.5}), ttl=15
         )
-        first = policy.select("e", make_context(now=0.0))
-        second = policy.select("e", make_context(now=14.9))
+        first = select(policy, "e", make_context(now=0.0))
+        second = select(policy, "e", make_context(now=14.9))
         assert first == second
 
     def test_population_respects_weights(self):
@@ -176,7 +205,7 @@ class TestWeightedCnamePolicy:
         picks = []
         for host in range(2000):
             context = make_context(client=f"10.0.{host // 256}.{host % 256}")
-            picks.append(policy.select("e", context))
+            picks.append(select(policy, "e", context))
         apple_share = picks.count("apple.example") / len(picks)
         assert apple_share == pytest.approx(0.75, abs=0.05)
 
@@ -184,21 +213,21 @@ class TestWeightedCnamePolicy:
         policy = WeightedCnamePolicy(
             WeightSchedule.constant({"only.example": 3.0}), ttl=15
         )
-        assert policy.select("e", make_context()) == "only.example"
+        assert select(policy, "e", make_context()) == "only.example"
 
     def test_schedule_switch_changes_selection_universe(self):
         schedule = WeightSchedule(
             [(0.0, {"before.example": 1.0}), (100.0, {"after.example": 1.0})]
         )
         policy = WeightedCnamePolicy(schedule, ttl=15)
-        assert policy.select("e", make_context(now=0)) == "before.example"
-        assert policy.select("e", make_context(now=200)) == "after.example"
+        assert select(policy, "e", make_context(now=0)) == "before.example"
+        assert select(policy, "e", make_context(now=200)) == "after.example"
 
     def test_answer_produces_cname_with_policy_ttl(self):
         policy = WeightedCnamePolicy(
             WeightSchedule.constant({"a.example": 1.0}), ttl=15
         )
-        (record,) = policy.answer("sel.example", make_context())
+        (record,) = answer(policy, "sel.example", make_context())
         assert record.rtype is RecordType.CNAME
         assert record.ttl == 15
 
@@ -206,8 +235,8 @@ class TestWeightedCnamePolicy:
         policy = WeightedCnamePolicy(
             WeightSchedule.constant({"a.example": 1.0, "b.example": 1.0}), ttl=0
         )
-        assert policy.select("e", make_context(now=1)) == policy.select(
-            "e", make_context(now=99999)
+        assert select(policy, "e", make_context(now=1)) == select(
+            policy, "e", make_context(now=99999)
         )
 
 
@@ -218,7 +247,7 @@ class TestGslbAddressPolicy:
     def test_returns_answer_count_records(self):
         pool = self._pool(12)
         policy = GslbAddressPolicy(pool=lambda ctx: pool, ttl=20, answer_count=4)
-        records = policy.answer("gslb.example", make_context())
+        records = answer(policy, "gslb.example", make_context())
         assert len(records) == 4
         assert all(record.rtype is RecordType.A for record in records)
         assert len({record.address for record in records}) == 4
@@ -226,11 +255,11 @@ class TestGslbAddressPolicy:
     def test_small_pool_returns_all(self):
         pool = self._pool(2)
         policy = GslbAddressPolicy(pool=lambda ctx: pool, ttl=20, answer_count=4)
-        assert len(policy.answer("g.example", make_context())) == 2
+        assert len(answer(policy, "g.example", make_context())) == 2
 
     def test_empty_pool_returns_nothing(self):
         policy = GslbAddressPolicy(pool=lambda ctx: [], ttl=20)
-        assert policy.answer("g.example", make_context()) == ()
+        assert answer(policy, "g.example", make_context()) == ()
 
     def test_different_clients_cover_whole_pool(self):
         pool = self._pool(64)
@@ -238,7 +267,7 @@ class TestGslbAddressPolicy:
         seen = set()
         for host in range(300):
             context = make_context(client=f"10.1.{host // 256}.{host % 256}")
-            seen.update(r.address for r in policy.answer("g.example", context))
+            seen.update(r.address for r in answer(policy, "g.example", context))
         # Nearly the whole pool should be exposed across many clients,
         # which is what drives the unique-IP counts in Figures 4 and 5.
         assert len(seen) >= 60
@@ -246,6 +275,31 @@ class TestGslbAddressPolicy:
     def test_same_client_same_bucket_is_stable(self):
         pool = self._pool(32)
         policy = GslbAddressPolicy(pool=lambda ctx: pool, ttl=20)
-        a = policy.answer("g.example", make_context(now=5))
-        b = policy.answer("g.example", make_context(now=15))
+        a = answer(policy, "g.example", make_context(now=5))
+        b = answer(policy, "g.example", make_context(now=15))
         assert a == b
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: StaticPolicy((ARecord("x.example", IPv4Address.parse("1.1.1.1"), -1),)),
+        lambda: CnamePolicy("x.example", ttl=-5),
+        lambda: CountrySplitPolicy("x.example", {"in": "i.example"}, ttl=-1),
+        lambda: WeightedCnamePolicy(WeightSchedule.constant({"a.example": 1.0}), ttl=-15),
+        lambda: GslbAddressPolicy(pool=lambda ctx: [1], ttl=-20),
+        lambda: GslbAddressPolicy(pool=lambda ctx: [1], ttl=float("nan")),
+        lambda: GslbAddressPolicy(pool=lambda ctx: [1], ttl=20, answer_count=0),
+        lambda: OffloadCnamePolicy(MetaCdnController({}), ttl=-15),
+        lambda: AkamaiHandoverPolicy(ttl=-300),
+    ],
+    ids=[
+        "static", "cname", "country-split", "weighted", "gslb-ttl", "gslb-nan-ttl",
+        "gslb-answer-count", "offload", "akamai-handover",
+    ],
+)
+def test_a_configuration_no_answer_could_carry_is_refused_at_construction(build):
+    # These used to construct, then raise "negative TTL" (or answer
+    # NODATA, for answer_count=0) on every query.
+    with pytest.raises(ValueError):
+        build()

@@ -94,6 +94,24 @@ class TestQueryContext:
         # The derived field is not part of a context's identity.
         assert replace(moved, continent=Continent.EUROPE, now=0.0) == context
 
+    def test_a_stamped_copy_is_the_context_at_another_time(self):
+        from dataclasses import replace
+
+        base = QueryContext(
+            client=IPv4Address.parse("198.51.100.7"),
+            coordinates=Coordinates(0, 0),
+            continent=Continent.ASIA,
+            country="in",
+        )
+        assert base.client_text == "198.51.100.7"
+        stamped = base.at(300.0)
+        assert stamped == replace(base, now=300.0) and stamped.now == 300.0
+        assert stamped.region is MappingRegion.APAC
+        assert base.now == 0.0
+        # The spelled address rides along without being part of identity.
+        assert vars(stamped)["client_text"] == "198.51.100.7"
+        assert repr(stamped) == repr(replace(base, now=300.0))
+
     def test_frozen(self):
         context = QueryContext(
             client=IPv4Address.parse("1.1.1.1"),

@@ -7,8 +7,10 @@ points agree.  What the loop *should* do is checked against
 message API with a plain-dict TTL cache, over fixed and
 Hypothesis-generated estates: equal steps (with their ``from_cache``
 flags), rcodes, error messages, chain views and per-resolver cache
-counters, across TTL boundaries, with and without a ``ServerMap``, and
-with a shared scope-partitioned cache behind stubs.
+counters, across TTL boundaries, with and without a ``ServerMap``, with
+clients asking at different times in one call, and with a shared
+scope-partitioned cache behind stubs for two canonical clients.  A
+traced run's registry families must count what the reference counted.
 """
 
 from dataclasses import replace
@@ -36,6 +38,7 @@ from repro.dns.resolver import (
 from repro.dns.zone import AuthoritativeServer, Zone
 from repro.net.geo import Continent, Coordinates
 from repro.net.ipv4 import IPv4Address
+from repro.obs import NULL_REGISTRY, MetricsRegistry
 from repro.resolver import PopStubResolver
 
 
@@ -269,7 +272,50 @@ class ReferenceCache:
         return (self.hits, self.misses, self.evictions, live)
 
 
-def reference_hop(cache, servers, name, ctx):
+class Tally:
+    """What the registry should have counted, kept by the reference."""
+
+    BUCKETS = (1, 2, 3, 4, 5, 6, 8, 12, 16)
+
+    def __init__(self):
+        self.queries, self.answers = {}, {}
+        self.lengths = []
+
+    def query(self, operator, records):
+        self.queries[operator] = self.queries.get(operator, 0) + 1
+        if records:
+            self.answers[operator] = self.answers.get(operator, 0) + len(records)
+
+    def families(self, caches):
+        """The registry families as ``{name: {labels: value}}``, absent
+        children (nothing counted) left out."""
+
+        def total(count):
+            return {(): float(count)} if count else {}
+
+        buckets = [0] * len(self.BUCKETS)
+        for length in self.lengths:
+            buckets[next(i for i, upper in enumerate(self.BUCKETS) if length <= upper)] += 1
+        return {
+            "dns_queries_total": {(op,): float(n) for op, n in self.queries.items()},
+            "dns_answer_records_total": {(op,): float(n) for op, n in self.answers.items()},
+            "dns_cache_hits_total": total(sum(cache.hits for cache in caches)),
+            "dns_cache_misses_total": total(sum(cache.misses for cache in caches)),
+            "dns_cache_evictions_total": total(sum(cache.evictions for cache in caches)),
+            "dns_resolutions_total": total(len(self.lengths)),
+            "dns_cname_chain_length": (
+                {(): (buckets, float(sum(self.lengths)), len(self.lengths))}
+                if self.lengths else {}
+            ),
+        }
+
+
+def registry_families(registry):
+    snapshot = registry.snapshot(list(Tally().families([])))
+    return {name: entry["children"] for name, entry in snapshot.items()}
+
+
+def reference_hop(cache, servers, name, ctx, tally):
     now = ctx.now
     if cache.enabled:
         key = cache.key(name, ctx)
@@ -292,13 +338,14 @@ def reference_hop(cache, servers, name, ctx):
     if best is None:
         raise ResolutionError(f"no authoritative server for {name!r}")
     records = best.query(Question(name), ctx).answers
+    tally.query(best.operator, records)
     if cache.enabled and records:
         expires = now + min(record.ttl for record in records)
         cache.entries[key] = ((best.operator, records), expires)
     return ResolutionStep(name, best.operator, records, False)
 
 
-def reference_chase(clients, qname, servers):
+def reference_chase(clients, qname, servers, tally):
     """Level-synchronous, like the real one: all clients take hop 1,
     then all still chasing take hop 2, ... (a shared cache sees the
     queries in that order).  Returns one expectation per client: an
@@ -313,7 +360,9 @@ def reference_chase(clients, qname, servers):
             if expected[index] is not None:
                 continue
             try:
-                step = reference_hop(chase["cache"], servers, chase["names"][-1], chase["ctx"])
+                step = reference_hop(
+                    chase["cache"], servers, chase["names"][-1], chase["ctx"], tally
+                )
             except ResolutionError as exc:
                 expected[index] = str(exc)
                 continue
@@ -322,6 +371,7 @@ def reference_chase(clients, qname, servers):
             cnames = [r for r in step.records if r.rtype is RecordType.CNAME]
             if addresses or not cnames:
                 rcode = RCode.NOERROR if addresses else RCode.NXDOMAIN
+                tally.lengths.append(len(chase["steps"]))
                 expected[index] = (
                     tuple(chase["steps"]), rcode, tuple(chase["names"]),
                     tuple(chase["followed"]), addresses,
@@ -357,10 +407,13 @@ def assert_matches_reference(outcome, expected, where):
 
 ORACLE_ZONES = ("a.test", "deep.a.test", "b.test", "tie.test", "nowhere.invalid")
 ORACLE_CLIENTS = [
-    # (client, country): two /24 neighbours, one /16 neighbour, one far away.
+    # (client, country): two /24 neighbours, one /16 neighbour, two far away.
     ("198.51.100.7", "de"), ("198.51.100.200", "fr"),
-    ("198.51.7.7", "in"), ("203.0.113.9", "us"),
+    ("198.51.7.7", "in"), ("203.0.113.9", "us"), ("192.0.2.77", "jp"),
 ]
+# The canonical clients the stubs ask as: the first two stubs as one,
+# the third as another (same /16, other /24, other country).
+CANONICAL = [("198.51.100.0", "de"), ("198.51.100.0", "de"), ("198.51.7.0", "in")]
 
 
 def oracle_name(index, zone):
@@ -440,38 +493,51 @@ def build_oracle_estate(spec):
     return names, servers
 
 
-def run_against_reference(spec, ops, caches, shared_scope, with_map):
+def run_against_reference(spec, ops, caches, shared_scope, with_map, traced=False):
     """Drive resolvers and reference side by side through ``ops``.
 
     Clients 0-1 own a resolver each (cache on/off per ``caches``);
-    clients 2-3 are stubs in front of one shared scope-partitioned
-    cache, asking as one canonical client.
+    clients 2-4 are stubs in front of one shared scope-partitioned
+    cache, asking as the canonical clients of :data:`CANONICAL`.  An op
+    is ``(advance, target, singly)`` or ``(advance, target, singly,
+    skews)``: client ``i`` asks at the op's time plus ``skews[i]``.
+    ``traced`` gives every resolver one registry, whose DNS families
+    must hold exactly what the reference counted.
     """
     names, servers = build_oracle_estate(spec)
     server_map = ServerMap(servers) if with_map else None
-    own = [RecursiveResolver(servers, cache=enabled) for enabled in caches]
-    shared = RecursiveResolver(servers, cache_scope=shared_scope)
-    canonical = oracle_context("198.51.100.0", "de", 0.0)
-    resolvers = own + [PopStubResolver(shared, canonical)] * 2
+    registry = MetricsRegistry() if traced else NULL_REGISTRY
+    own = [RecursiveResolver(servers, cache=enabled, metrics=registry) for enabled in caches]
+    shared = RecursiveResolver(servers, cache_scope=shared_scope, metrics=registry)
+    canonicals = [oracle_context(client, country, 0.0) for client, country in CANONICAL]
+    resolvers = own + [PopStubResolver(shared, canonical) for canonical in canonicals]
     ref_own = [ReferenceCache(enabled) for enabled in caches]
     ref_shared = ReferenceCache(True, shared_scope)
+    tally = Tally()
     now = 0.0
-    for step, (advance, target, singly) in enumerate(ops):
+    for step, (advance, target, singly, *skews) in enumerate(ops):
+        skews = skews[0] if skews else (0.0,) * len(ORACLE_CLIENTS)
         now += advance
         qname = names[target % len(names)]
-        contexts = [oracle_context(client, country, now) for client, country in ORACLE_CLIENTS]
-        reframed = replace(canonical, now=now)
-        ref_clients = list(zip(ref_own, contexts)) + [(ref_shared, reframed)] * 2
+        contexts = [
+            oracle_context(client, country, now + skew)
+            for (client, country), skew in zip(ORACLE_CLIENTS, skews)
+        ]
+        reframed = [
+            replace(canonical, now=context.now)
+            for canonical, context in zip(canonicals, contexts[len(own):])
+        ]
+        ref_clients = list(zip(ref_own, contexts)) + [(ref_shared, ctx) for ctx in reframed]
         if singly:
             # resolve() is the one-client call: the shared cache then
             # sees whole chases back to back, and so must the reference.
             got = [one_by_one(r, qname, c) for r, c in zip(resolvers, contexts)]
             expected = [
-                reference_chase([client], qname, servers)[0] for client in ref_clients
+                reference_chase([client], qname, servers, tally)[0] for client in ref_clients
             ]
         else:
             got = resolve_bulk(list(zip(resolvers, contexts)), qname, server_map)
-            expected = reference_chase(ref_clients, qname, servers)
+            expected = reference_chase(ref_clients, qname, servers, tally)
         for index, (outcome, wanted) in enumerate(zip(got, expected)):
             assert_matches_reference(outcome, wanted, (step, qname, index))
         for resolver, reference in zip(own + [shared], ref_own + [ref_shared]):
@@ -479,6 +545,10 @@ def run_against_reference(spec, ops, caches, shared_scope, with_map):
             assert (
                 stats.hits, stats.misses, stats.evictions, stats.size
             ) == reference.stats(), (step, qname)
+        if traced:
+            assert registry_families(registry) == tally.families(ref_own + [ref_shared]), (
+                step, qname,
+            )
     # The stub reports its POP's counters, not its own.
     assert resolvers[-1].cache_stats() == shared.cache_stats()
 
@@ -521,7 +591,9 @@ def test_reference_agrees_on_a_fixed_estate_of_every_shape():
     ]
     for shared_scope in (0, 16, 24, 32):
         for with_map in (False, True):
-            run_against_reference(spec, ops, (True, False), shared_scope, with_map)
+            run_against_reference(
+                spec, ops, (True, False), shared_scope, with_map, traced=with_map
+            )
 
 
 def _oracle_strategies():
@@ -545,11 +617,14 @@ def _oracle_strategies():
     spec = st.integers(2, 19).flatmap(
         lambda size: st.tuples(*[st.tuples(zone, binding(i)) for i in range(size)])
     )
+    skew = st.sampled_from([0.0, 0.0, 0.0, 1.0, 3.0, 7.0, 10.0])
     ops = st.lists(
         st.tuples(
             st.sampled_from([0.0, 1.0, 3.0, 7.0, 10.0, 40.0, 300.0]),
             st.sampled_from([0, 0, 0, 1, 2, 5, 9]),
             st.booleans(),
+            # Per-client time offsets: one call mixes ``now`` values.
+            st.tuples(*[skew] * len(ORACLE_CLIENTS)),
         ),
         min_size=1,
         max_size=8,
@@ -567,6 +642,9 @@ _SPEC, _OPS = _oracle_strategies()
     caches=st.tuples(st.booleans(), st.booleans()),
     shared_scope=st.sampled_from([0, 16, 24, 32]),
     with_map=st.booleans(),
+    traced=st.booleans(),
 )
-def test_reference_agrees_on_generated_estates(spec, ops, caches, shared_scope, with_map):
-    run_against_reference(list(spec), ops, caches, shared_scope, with_map)
+def test_reference_agrees_on_generated_estates(
+    spec, ops, caches, shared_scope, with_map, traced
+):
+    run_against_reference(list(spec), ops, caches, shared_scope, with_map, traced)

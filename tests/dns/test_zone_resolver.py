@@ -97,8 +97,8 @@ class TestZone:
 
     def test_answer_is_a_tuple_whatever_the_policy_returns(self):
         class Listy:
-            def answer(self, name, context):
-                return [ARecord(name, IPv4Address.parse("10.0.0.1"), 5)]
+            def bind(self, name, now):
+                return lambda context: [ARecord(name, IPv4Address.parse("10.0.0.1"), 5)]
 
         zone = Zone("apple.com")
         zone.bind("l.apple.com", Listy())

@@ -9,8 +9,13 @@ as ``path:line: text``.
 from the in-process single loop; the forked ``SO_REUSEPORT`` fleet is
 kept only for the perf ledger's fleet row, and nothing under ``src/``
 boots it.
+
+*One decision per policy*: an answer policy decides in ``bind`` alone,
+the chase asks bound answers only, and the per-hop query path of the
+old chase stays gone.
 """
 
+import ast
 import dataclasses
 import re
 from pathlib import Path
@@ -98,3 +103,51 @@ def test_edge_fleet_and_spec_field_counts():
 
     counts = [len(dataclasses.fields(x)) for x in (ClusterConfig, FleetConfig, FleetSpec)]
     assert counts == [9, 3, 3]
+
+
+# ----------------------------------------------------------------------
+# One decision per policy
+# ----------------------------------------------------------------------
+
+
+def classes(module):
+    tree = ast.parse((ROOT / "src" / "repro" / module).read_text())
+    return [node for node in tree.body if isinstance(node, ast.ClassDef)]
+
+
+def methods(cls):
+    return {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_the_per_hop_query_path_stays_gone():
+    assert not grep("_query_one", "src", fixed=True)
+
+
+def test_policies_decide_in_bind_alone():
+    policies = [
+        cls for module in ("dns/policies.py", "apple/policy.py")
+        for cls in classes(module) if cls.name.endswith("Policy") and cls.name != "AnswerPolicy"
+    ]
+    assert len(policies) == 7
+    for cls in policies:
+        assert "bind" in methods(cls), cls.name
+        assert not methods(cls) & {"select", "answer"}, cls.name
+
+
+def test_resolve_bulk_asks_no_unbound_answer():
+    (chase,) = [
+        node for node in ast.parse((ROOT / "src/repro/dns/resolver.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "resolve_bulk"
+    ]
+    calls = [
+        node for node in ast.walk(chase)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    ]
+    assert not [call for call in calls if call.func.attr == "answer"]
+
+
+def test_no_option_or_config_field_was_added():
+    from repro.simulation import ScenarioConfig
+
+    assert len(grep("add_argument(", "src", fixed=True)) == 50
+    assert len(dataclasses.fields(ScenarioConfig)) == 22
