@@ -47,6 +47,7 @@ __all__ = [
     "ClientSubnet",
     "WireMessage",
     "encode_message",
+    "encode_query",
     "decode_message",
     "encode_name",
     "decode_name",
@@ -349,6 +350,10 @@ _SECTIONS: dict[tuple, bytes] = {}
 # option; bytes 0-1 are the id and cannot reach anything else, since no
 # compression pointer may land in the header.
 _DECODED: dict[bytes, tuple] = {}
+# (name as asked, ECS source length, client network value) -> an
+# untraced A query's bytes from offset 2 on: a stub resolver asks the
+# same chain names for the same client networks over and over.
+_QUERIES: dict[tuple, bytes] = {}
 
 
 def _remember(memo: dict, key, value) -> None:
@@ -430,6 +435,37 @@ def encode_message(message: WireMessage) -> bytes:
     if len(out) > _MAX_MESSAGE:
         raise WireError("message exceeds 64 KiB")
     return bytes(out)
+
+
+def encode_query(message_id: int, name: str, client: IPv4Address,
+                 source_length: int,
+                 trace_context: Optional[TraceContext]) -> bytes:
+    """An A query for ``name`` whose ECS option names ``client``'s
+    ``/source_length`` network.
+
+    An untraced query seen before is its memoised bytes behind this
+    query's id; everything else is :func:`encode_message`, whose output
+    (minus the id) the memo keeps.  A name that raises is never stored.
+    """
+    if trace_context is None:
+        shift = 32 - source_length
+        key = (name, source_length, client.value >> shift << shift)
+        tail = _QUERIES.get(key)
+        if tail is not None:
+            return message_id.to_bytes(2, "big") + tail
+    payload = encode_message(
+        WireMessage(
+            message_id=message_id,
+            questions=[Question.of(name, RecordType.A)],
+            client_subnet=ClientSubnet(
+                IPv4Prefix.containing(client, source_length)
+            ),
+            trace_context=trace_context,
+        )
+    )
+    if trace_context is None:
+        _remember(_QUERIES, key, payload[2:])
+    return payload
 
 
 def decode_message(data: bytes) -> WireMessage:

@@ -11,22 +11,22 @@ lookups, and the full Figure 2 CNAME chase as :meth:`resolve`.
 from __future__ import annotations
 
 import asyncio
+import math
 import struct
 from dataclasses import dataclass
 from typing import Optional
 
-from ..dns.query import Question, RCode
+from ..dns.query import RCode
 from ..dns.records import RecordType, ResourceRecord
 from ..dns.wire import (
-    ClientSubnet,
     WireError,
     WireMessage,
     decode_message,
-    encode_message,
+    encode_query,
     frame,
     read_frame,
 )
-from ..net.ipv4 import IPv4Address, IPv4Prefix
+from ..net.ipv4 import IPv4Address
 from ..obs import current_context, get_registry, get_tracer
 from .deadline import deadline
 from .listener import hang_up
@@ -136,6 +136,12 @@ class AsyncDnsClient:
     ) -> None:
         if not 0 < source_prefix_len <= 32:
             raise ValueError("source_prefix_len must be in (0, 32]")
+        # A NaN or infinite timeout must never reach the loop's timer
+        # heap, and a non-positive one times out every attempt unanswered.
+        if not 0.0 < timeout < math.inf:
+            raise ValueError("timeout must be positive and finite")
+        if retries < 0:
+            raise ValueError("retries must be non-negative")
         self._host = host
         self._port = port
         self._timeout = timeout
@@ -221,7 +227,6 @@ class AsyncDnsClient:
         """One A query/response exchange (UDP, TCP on truncation)."""
         if self._protocol is None or self._protocol.transport is None:
             raise DnsClientError("client is not connected")
-        ecs = ClientSubnet(IPv4Prefix.containing(client, self._source_prefix_len))
         context = current_context()
         trace = (
             context.child(self._tracer.current_span_id())
@@ -232,13 +237,8 @@ class AsyncDnsClient:
             if _attempt > 0 and self._backoff is not None:
                 await asyncio.sleep(self._backoff.delay(_attempt - 1, name))
             message_id = self._next_id()
-            payload = encode_message(
-                WireMessage(
-                    message_id=message_id,
-                    questions=[Question.of(name, RecordType.A)],
-                    client_subnet=ecs,
-                    trace_context=trace,
-                )
+            payload = encode_query(
+                message_id, name, client, self._source_prefix_len, trace
             )
             waiter = asyncio.get_running_loop().create_future()
             self._protocol.waiters[message_id] = waiter
@@ -246,7 +246,8 @@ class AsyncDnsClient:
             self.queries_sent += 1
             self._m_queries.inc()
             try:
-                raw = await asyncio.wait_for(waiter, timeout=self._timeout)
+                with deadline(self._timeout):
+                    raw = await waiter
             except asyncio.TimeoutError:
                 self.timeouts += 1
                 self._m_timeouts.inc()
@@ -303,26 +304,26 @@ class AsyncDnsClient:
         """
         primary = asyncio.ensure_future(self.query(name, client))
         try:
-            return await asyncio.wait_for(
-                asyncio.shield(primary), timeout=HEDGE_BUDGET
-            )
-        except asyncio.TimeoutError:
-            pass
+            # ``wait`` never cancels what it waits on: past the budget
+            # the primary keeps running and races the hedge.
+            await asyncio.wait((primary,), timeout=HEDGE_BUDGET)
         except asyncio.CancelledError:
-            # The *caller* was cancelled mid-budget (fleet teardown).
-            # The shield deliberately kept ``primary`` alive — reap it
-            # here or it leaks as a forever-pending task.
+            # The *caller* was cancelled mid-budget (a generator torn down):
+            # reap the primary here or it leaks as a forever-pending task.
             primary.cancel()
             await asyncio.gather(primary, return_exceptions=True)
             raise
-        except DnsClientError:
-            # Primary failed outright within budget: go straight to the
-            # alternate name rather than giving up.
-            self.hedged_queries += 1
-            self._m_hedged.inc()
-            self.hedge_wins += 1
-            self._m_hedge_wins.inc()
-            return await self.query(alternate, client)
+        if primary.done():
+            try:
+                return primary.result()
+            except DnsClientError:
+                # Primary failed outright within budget: go straight to
+                # the alternate name rather than giving up.
+                self.hedged_queries += 1
+                self._m_hedged.inc()
+                self.hedge_wins += 1
+                self._m_hedge_wins.inc()
+                return await self.query(alternate, client)
         self.hedged_queries += 1
         self._m_hedged.inc()
         fallback = asyncio.ensure_future(self.query(alternate, client))

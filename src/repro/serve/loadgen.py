@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence
@@ -117,6 +118,8 @@ class LoadConfig:
             raise ValueError("concurrency must be positive")
         if self.http_retries < 0:
             raise ValueError("http_retries must be non-negative")
+        if not 0.0 < self.dns_timeout < math.inf:
+            raise ValueError("dns_timeout must be positive and finite")
 
 
 def _latency_histogram() -> HistogramChild:

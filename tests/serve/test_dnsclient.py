@@ -1,30 +1,79 @@
-"""``AsyncDnsClient`` against canned responders: what a bad *response* does."""
+"""``AsyncDnsClient`` against canned responders: the bytes it sends,
+what a bad *response* does, and what a query leaves behind."""
 
 import asyncio
+import contextlib
+import math
+import re
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.dns.wire import WireMessage, decode_message, encode_message
-from repro.net.ipv4 import IPv4Address
+from repro.dns import wire
+from repro.dns.query import Question
+from repro.dns.records import RecordType
+from repro.dns.wire import ClientSubnet, WireMessage, decode_message, encode_message
+from repro.net.ipv4 import IPv4Address, IPv4Prefix
+from repro.obs.trace_context import TraceContext, use_context
 from repro.serve.dnsclient import AsyncDnsClient, DnsClientError
+from repro.serve.loadgen import LoadConfig
 from repro.serve.udp import open_udp
 
 CLIENT = IPv4Address.parse("100.64.7.9")
 
 
 class _Canned(asyncio.DatagramProtocol):
-    """Answers every query with ``reply(query bytes)``."""
+    """Records every query and answers it with ``reply(query bytes)``;
+    a ``reply`` of ``None`` answers nothing."""
 
     def __init__(self, reply):
         self.reply = reply
-        self.queries = 0
+        self.datagrams = []
+
+    @property
+    def queries(self):
+        return len(self.datagrams)
 
     def connection_made(self, transport):
         self.transport = transport
 
     def datagram_received(self, data, addr):
-        self.queries += 1
-        self.transport.sendto(self.reply(data), addr)
+        self.datagrams.append(data)
+        if self.reply is not None:
+            self.transport.sendto(self.reply(data), addr)
+
+
+def _echo(data: bytes) -> bytes:
+    """The query itself with the response flag set."""
+    return data[:2] + bytes([data[2] | 0x80]) + data[3:]
+
+
+@contextlib.asynccontextmanager
+async def _served(reply, **kwargs):
+    """A client connected to a fresh ``_Canned(reply)`` responder."""
+    transport, responder = await open_udp(
+        lambda: _Canned(reply), local_addr=("127.0.0.1", 0)
+    )
+    client = await AsyncDnsClient.open(
+        *transport.get_extra_info("sockname")[:2], **kwargs
+    )
+    try:
+        yield client, responder
+    finally:
+        client.close()
+        transport.close()
+
+
+def reference_query(message_id, name, client, length, trace=None):
+    """A query as the client built it before its bytes were memoised."""
+    return encode_message(WireMessage(
+        message_id=message_id,
+        questions=[Question.of(name, RecordType.A)],
+        client_subnet=ClientSubnet(IPv4Prefix.containing(client, length)),
+        trace_context=trace,
+    ))
 
 
 def _ecs_source_length_40(data: bytes) -> bytes:
@@ -59,3 +108,189 @@ def test_response_with_ecs_source_past_32_is_retried_into_a_client_error():
         return responder.queries
 
     assert asyncio.run(scenario()) == 3  # the first attempt and both retries
+
+
+# ----------------------------------------------------------------------
+# The bytes on the wire
+# ----------------------------------------------------------------------
+
+labels = st.text(
+    alphabet=string.ascii_letters + string.digits, min_size=1, max_size=12
+)
+names = st.lists(labels, min_size=1, max_size=4).map(".".join)
+addresses = st.integers(min_value=0, max_value=2**32 - 1).map(IPv4Address)
+
+
+@st.composite
+def asks(draw):
+    """(name, client, message id) triples over a small pool, so names
+    and clients repeat and interleave; the clients are one address and
+    its one-bit neighbours, which share all but one bit of a network."""
+    pool = draw(st.lists(names, min_size=1, max_size=4))
+    base = draw(addresses)
+    clients = draw(st.lists(
+        st.integers(min_value=0, max_value=32).map(
+            lambda bit: IPv4Address(base.value ^ (1 << bit >> 1))
+        ),
+        min_size=1, max_size=3,
+    ))
+    return draw(st.lists(
+        st.tuples(
+            st.sampled_from(pool), st.sampled_from(clients),
+            st.integers(min_value=1, max_value=0xFFFF),
+        ),
+        min_size=1, max_size=8,
+    ))
+
+
+def _send_all(asked, **kwargs):
+    """Query every ``(name, client[, message id])``; the datagrams sent."""
+
+    async def scenario():
+        async with _served(_echo, **kwargs) as (client, responder):
+            for name, address, *message_id in asked:
+                if message_id:
+                    client._last_id = message_id[0] - 1
+                await client.query(name, address)
+        return responder.datagrams
+
+    return asyncio.run(scenario())
+
+
+@settings(max_examples=150, deadline=None)
+@given(asked=asks(), length=st.integers(min_value=1, max_value=32))
+def test_every_query_is_the_bytes_the_reference_construction_sends(asked, length):
+    sent = _send_all(asked, source_prefix_len=length)
+    assert sent == [
+        reference_query(message_id, name, address, length)
+        for name, address, message_id in asked
+    ]
+
+
+def test_interleaved_queries_past_the_memo_bound_keep_their_bytes():
+    wire._QUERIES.clear()
+    fresh = [f"Host{i}.Bound.Example" for i in range(wire._MEMO_BOUND + 40)]
+    clients = [IPv4Address(0x64400000 + (i << 8)) for i in range(3)]
+    asked = []
+    for index, name in enumerate(fresh):
+        # A new name, one asked long ago (evicted past the bound) and
+        # the first name again (resident or re-filled).
+        asked += [
+            (name, clients[index % 3]),
+            (fresh[index // 2], clients[0]),
+            (fresh[0], clients[1]),
+        ]
+    sent = _send_all(asked)
+    assert len(wire._QUERIES) == wire._MEMO_BOUND
+    assert sent == [
+        reference_query(message_id, name, address, 24)
+        for message_id, (name, address) in enumerate(asked, 1)
+    ]
+
+
+def test_a_traced_query_still_carries_its_trace_option():
+    context = TraceContext(trace_id=0x5EED, span_id=7)
+    trace = context.child(None)  # no span open on the null tracer
+    wire._QUERIES.clear()
+
+    async def scenario():
+        async with _served(_echo) as (client, responder):
+            with use_context(context):
+                await client.query("AppLDNLD.apple.com", CLIENT)
+                await client.query("AppLDNLD.apple.com", CLIENT)
+            await client.query("AppLDNLD.apple.com", CLIENT)
+        return responder.datagrams
+
+    sent = asyncio.run(scenario())
+    assert sent == [
+        reference_query(1, "AppLDNLD.apple.com", CLIENT, 24, trace),
+        reference_query(2, "AppLDNLD.apple.com", CLIENT, 24, trace),
+        reference_query(3, "AppLDNLD.apple.com", CLIENT, 24),
+    ]
+    assert decode_message(sent[0]).trace_context == trace
+    assert len(wire._QUERIES) == 1  # the untraced one alone
+
+
+@pytest.mark.parametrize("name", ["a" * 64 + ".apple.com", "x." + "B" * 70])
+def test_an_over_long_label_raises_as_before_and_sends_nothing(name):
+    with pytest.raises(Exception) as before:
+        reference_query(1, name, CLIENT, 24)
+
+    async def scenario():
+        async with _served(_echo) as (client, responder):
+            for _ in range(2):  # nothing was memoised by the first raise
+                with pytest.raises(before.type, match=re.escape(str(before.value))):
+                    await client.query(name, CLIENT)
+        return responder.datagrams
+
+    assert asyncio.run(scenario()) == []
+
+
+# ----------------------------------------------------------------------
+# Settings that cannot work, and what a query leaves behind
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: AsyncDnsClient("127.0.0.1", 53, timeout=0.0), id="timeout-0"),
+    pytest.param(lambda: AsyncDnsClient("127.0.0.1", 53, timeout=-1.0), id="timeout-neg"),
+    pytest.param(lambda: AsyncDnsClient("127.0.0.1", 53, timeout=math.nan), id="timeout-nan"),
+    pytest.param(lambda: AsyncDnsClient("127.0.0.1", 53, timeout=math.inf), id="timeout-inf"),
+    pytest.param(lambda: AsyncDnsClient("127.0.0.1", 53, retries=-1), id="retries-neg"),
+    pytest.param(lambda: LoadConfig(dns_timeout=0.0), id="config-timeout-0"),
+    pytest.param(lambda: LoadConfig(dns_timeout=-1.0), id="config-timeout-neg"),
+    pytest.param(lambda: LoadConfig(dns_timeout=math.nan), id="config-timeout-nan"),
+    pytest.param(lambda: LoadConfig(dns_timeout=math.inf), id="config-timeout-inf"),
+])
+def test_a_timeout_or_retry_count_that_cannot_work_is_refused(build):
+    with pytest.raises(ValueError, match="timeout|retries"):
+        build()
+
+
+class TestNothingOutlivesAQuery:
+    """No deadline timer, registered waiter or task survives a query,
+    however it ended."""
+
+    @staticmethod
+    def assert_clean(client, deadline_timers):
+        assert deadline_timers() == []
+        assert client._protocol.waiters == {}
+        assert asyncio.all_tasks() == {asyncio.current_task()}
+
+    def test_after_an_answered_query(self, deadline_timers):
+        async def scenario():
+            async with _served(_echo) as (client, responder):
+                response = await client.query("appldnld.apple.com", CLIENT)
+                self.assert_clean(client, deadline_timers)
+            return response, responder.queries
+
+        response, queries = asyncio.run(scenario())
+        assert response.questions == [Question.of("appldnld.apple.com")]
+        assert queries == 1
+
+    def test_after_a_dropped_query(self, deadline_timers):
+        async def scenario():
+            async with _served(None, timeout=0.02, retries=2) as (client, responder):
+                with pytest.raises(DnsClientError, match="timeout after 0.02s"):
+                    await client.query("appldnld.apple.com", CLIENT)
+                self.assert_clean(client, deadline_timers)
+                return responder.queries, client.timeouts
+
+        assert asyncio.run(scenario()) == (3, 3)  # 1 + retries, each counted
+
+    def test_after_a_caller_cancelled_mid_wait(self, deadline_timers):
+        async def scenario():
+            async with _served(None, timeout=30.0) as (client, responder):
+                caller = asyncio.create_task(
+                    client.query("appldnld.apple.com", CLIENT)
+                )
+                while not client._protocol.waiters:
+                    await asyncio.sleep(0)
+                assert len(deadline_timers()) == 1
+                caller.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await caller
+                self.assert_clean(client, deadline_timers)
+                return responder.queries, client.timeouts
+
+        assert asyncio.run(scenario()) == (1, 0)

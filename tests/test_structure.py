@@ -13,6 +13,10 @@ boots it.
 *One decision per policy*: an answer policy decides in ``bind`` alone,
 the chase asks bound answers only, and the per-hop query path of the
 old chase stays gone.
+
+*One timer per wait* (CI: "Python 3.9 asyncio, one deadline per
+request head"): the wire DNS client awaits each attempt and each
+hedge budget without ``asyncio.wait_for``.
 """
 
 import ast
@@ -103,6 +107,11 @@ def test_edge_fleet_and_spec_field_counts():
 
     counts = [len(dataclasses.fields(x)) for x in (ClusterConfig, FleetConfig, FleetSpec)]
     assert counts == [9, 3, 3]
+
+
+def test_the_dns_client_wraps_no_wait_in_wait_for():
+    hits = grep("wait_for(", "src/repro/serve", fixed=True)
+    assert not [hit for hit in hits if hit.startswith("src/repro/serve/dnsclient.py:")]
 
 
 # ----------------------------------------------------------------------
