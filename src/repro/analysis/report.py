@@ -35,7 +35,6 @@ from .unique_ips import (
 )
 
 if TYPE_CHECKING:
-    from ..anycast import CatchmentAnalysis
     from .resolver_accuracy import ResolverAccuracy
 
 __all__ = [
@@ -59,7 +58,6 @@ class PaperFigures:
     """
 
     timeline: Timeline
-    steering: str
     mapping: Optional[MappingGraph]  # Figure 2, from the AWS-VM campaign
     availability: Optional[float]  # share of AWS-VM availability checks passed
     sites: SiteDiscovery  # Figure 3 / Table 1
@@ -73,7 +71,6 @@ class PaperFigures:
     isp_series: Optional[list[UniqueIpPoint]]  # Figure 5
     offload: Optional[OffloadSummary]  # Figure 7
     overflow: Optional[OverflowSummary]  # Figure 8
-    catchments: Optional[CatchmentAnalysis]  # anycast steering only
     resolvers: Optional[ResolverAccuracy]  # a resolver population only
 
     @property
@@ -216,11 +213,6 @@ def measure(scenario) -> PaperFigures:
 
     offload, overflow = traffic_figures(scenario)
 
-    catchments = None
-    if scenario.anycast is not None:
-        from ..anycast import CatchmentAnalysis
-
-        catchments = CatchmentAnalysis.from_plane(scenario.anycast)
     resolvers = None
     if scenario.resolver_plane is not None:
         from .resolver_accuracy import ResolverAccuracy
@@ -229,7 +221,6 @@ def measure(scenario) -> PaperFigures:
 
     return PaperFigures(
         timeline=tl,
-        steering=scenario.config.steering,
         mapping=mapping,
         availability=availability,
         sites=discover_sites(scenario.estate.apple.reverse_dns_table()),
@@ -241,7 +232,6 @@ def measure(scenario) -> PaperFigures:
         isp_series=isp_series,
         offload=offload,
         overflow=overflow,
-        catchments=catchments,
         resolvers=resolvers,
     )
 
@@ -309,30 +299,6 @@ def render(figures: PaperFigures) -> str:
         lines.append(figures.overflow.render(label_time=tl.date_label))
     else:
         lines.append("(no ISP traffic collected in this run)")
-
-    analysis = figures.catchments
-    if analysis is not None:
-        lines += _section(
-            "Steering ablation — anycast catchments "
-            f"({figures.steering} mode)"
-        )
-        for site_id, share in sorted(
-            analysis.peak_share_by_site.items(),
-            key=lambda item: (-item[1], item[0]),
-        )[:10]:
-            lines.append(f"    {site_id:<12} peak share {share * 100:5.1f}%")
-        lines.append("")
-        lines.append(
-            f"    {analysis.sites_live} sites live over {analysis.ticks} "
-            f"ticks; {analysis.map_changes} catchment-map changes, "
-            f"affinity-break rate {analysis.affinity_break_rate:.4f}"
-        )
-        lines.append(
-            f"    shifted traffic {analysis.shifted_gbps_total:.0f} Gbps; "
-            f"mapping distance {analysis.mapping_distance_km:.0f} km vs "
-            f"nearest-site {analysis.nearest_distance_km:.0f} km "
-            f"(anycast cost +{analysis.mapping_distance_delta_km:.0f} km)"
-        )
 
     if figures.resolvers is not None:
         lines += _section(

@@ -20,8 +20,7 @@ timeline over each campaign's measured tick grid with fresh resolvers,
 never read from runtime counters: per-probe hit/miss flags depend on
 intra-worker ordering, so runtime counters are shard-dependent while
 this replay — like the measurements themselves — is a pure function of
-the scenario (mirroring
-:meth:`~repro.anycast.analysis.CatchmentAnalysis.from_plane`).
+the scenario.
 """
 
 from __future__ import annotations

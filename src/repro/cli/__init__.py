@@ -25,12 +25,12 @@ the shared flag groups in :mod:`repro.cli.flags` and its one body
   panel (qps, cache-hit ratio, error rate, latency percentiles);
 * ``profile`` — run the engine under the phase profiler and print the
   per-worker per-phase time breakdown;
-* ``catchments`` / ``resolvers`` — replay a window under anycast
-  steering / a public-resolver population and print that analysis.
+* ``resolvers`` — replay a window under a public-resolver population
+  and print its mapping-accuracy analysis.
 
-``--workers`` is passed through as a number: whether it means the
-single loop or a fleet, the serial engine or the sharded one, is decided
-in :mod:`repro.serve.harness` and ``engine.run``.
+``--workers`` is passed through as a number to the replay commands:
+whether it means the serial engine or the sharded one is decided in
+``engine.run``.  Every serving command runs one process.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from typing import Optional, Sequence
 
 from ..simulation.concurrency import ShardWorkerLost
 from . import (
-    catchments,
     chaos,
     loadgen,
     profile,
@@ -61,7 +60,7 @@ __all__ = ["main", "build_parser", "render_top_panel", "render_profile"]
 
 _COMMANDS = (
     simulate, report, resume, survey, serve, loadgen, selftest, chaos, top,
-    profile, catchments, resolvers,
+    profile, resolvers,
 )
 
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import argparse
 
-from ..anycast import STEERING_MODES
 from ..faults.chaos import ChaosConfig, run_chaos
 from . import flags
 
@@ -23,10 +22,6 @@ def register(commands) -> None:
                          note="default: the standard drill")
     sub.add_argument("--skip-simulation", action="store_true",
                      help="run only the live phase")
-    sub.add_argument("--steering", choices=STEERING_MODES, default="dns",
-                     help="steering mode under test; 'anycast' adds the "
-                          "route-flap drill (catchment shift, zero DNS "
-                          "re-steers)")
     sub.add_argument("--workers", type=int, default=1,
                      help="worker processes for the simulation phase "
                           "(default 1 = serial)")
@@ -41,7 +36,6 @@ def run(args: argparse.Namespace) -> int:
         concurrency=args.concurrency,
         run_simulation=not args.skip_simulation,
         workers=args.workers,
-        steering=args.steering,
     )
     with flags.flight_scope(args):
         report, _registry, _tracer = run_chaos(config)

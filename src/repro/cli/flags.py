@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 from contextlib import contextmanager, nullcontext
 
-from ..anycast import STEERING_MODES
 from ..faults import FaultSchedule
 from ..net.geo import MappingRegion
 from ..obs import (
@@ -77,8 +76,6 @@ def scenario_from_args(args: argparse.Namespace) -> Sep2017Scenario:
         "global_probe_count": args.probes,
         "isp_probe_count": args.isp_probes,
     }
-    if "steering" in given:
-        config["steering"] = given["steering"]
     if "resolver_population" in given:
         config.update(resolver_config_kwargs(args))
     if "store_budget_mb" in given:
@@ -107,14 +104,8 @@ def engine_from_args(
 
 
 # ----------------------------------------------------------------------
-# steering, resolver population, measurement store
+# resolver population, measurement store
 # ----------------------------------------------------------------------
-
-
-def add_steering_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--steering", choices=STEERING_MODES, default="dns",
-                     help="client steering mode: dns (the 15 s selection "
-                          "CNAME) or anycast (BGP catchments bypass DNS)")
 
 
 def add_resolver_flags(
@@ -194,7 +185,7 @@ def print_store_stats(args: argparse.Namespace, scenario, lead: str = "") -> Non
 
 def add_fault_flag(
     sub: argparse.ArgumentParser,
-    example: str = "route-withdraw@defra-1:3600-7200",
+    example: str = "cdn-blackout@Limelight:3600-7200",
     note: str = "seconds are relative to --start",
 ) -> None:
     sub.add_argument("--fault", action="append", default=None, metavar="SPEC",
@@ -203,11 +194,14 @@ def add_fault_flag(
 
 
 def fault_schedule(args: argparse.Namespace) -> FaultSchedule:
-    """The ``--fault`` specs, in the seconds they were written in."""
+    """The ``--fault`` specs, in the seconds they were written in.
+
+    A spec the parser refuses exits as ``<command>: <message>``.
+    """
     try:
         return FaultSchedule.parse(args.fault)
     except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
+        raise SystemExit(f"{args.command}: {exc}") from None
 
 
 def add_checkpoint_flags(sub: argparse.ArgumentParser) -> None:

@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 
 from ..analysis import ResolverAccuracy
-from ..anycast import CatchmentAnalysis
 from ..net.geo import MappingRegion
 from ..workload import TIMELINE
 from . import flags
@@ -18,7 +17,6 @@ def register(commands) -> None:
         help="run the Sep-2017 scenario over a date window",
     )
     flags.add_window_flags(sub, probes=60, isp_probes=30, span=("9-17", "9-21"))
-    flags.add_steering_flags(sub)
     flags.add_resolver_flags(sub)
     flags.add_fault_flag(sub)
     flags.add_store_flags(sub)
@@ -50,14 +48,6 @@ def run(args: argparse.Namespace) -> int:
                            **flags.checkpoint_kwargs(args))
         flags.print_if_drained(engine)
     print(f"\n{steps} steps; {flags.measurement_totals(scenario)}")
-    if scenario.anycast is not None:
-        analysis = CatchmentAnalysis.from_plane(scenario.anycast)
-        print(f"anycast ({args.steering} steering): "
-              f"{analysis.sites_live} sites live, "
-              f"{analysis.map_changes} catchment-map changes, "
-              f"{analysis.shifted_gbps_total:.0f} Gbps shifted, "
-              f"mapping distance {analysis.mapping_distance_km:.0f} km "
-              f"(+{analysis.mapping_distance_delta_km:.0f} vs nearest-site)")
     if scenario.resolver_plane is not None:
         accuracy = ResolverAccuracy.from_scenario(scenario)
         print(f"resolvers ({args.resolver_population} population): "

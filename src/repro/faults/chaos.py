@@ -35,7 +35,6 @@ from ..obs import (
     use_registry,
     use_tracer,
 )
-from ..anycast.plane import check_steering
 from ..apple.mapping import NAMES
 from ..workload.timeline import TIMELINE
 from .health import FailoverConfig
@@ -45,7 +44,6 @@ __all__ = [
     "ChaosConfig",
     "ChaosReport",
     "default_chaos_schedule",
-    "anycast_drill_schedule",
     "run_chaos",
 ]
 
@@ -64,31 +62,6 @@ def default_chaos_schedule() -> FaultSchedule:
     )
 
 
-def anycast_drill_schedule() -> FaultSchedule:
-    """The route-flap drill: withdraw the busiest catchment mid-run.
-
-    Routing-plane only — no DNS or cache fault — so the acceptance
-    question is inverted from the blackout drill: traffic must *move*
-    (catchments shift to the next-best site) while the health monitor
-    sees *nothing* (zero unhealthy events, zero re-steers).
-    """
-    from ..serve.clients import ClientDirectory
-    from ..serve.cluster import ClusterConfig, build_serve_estate
-    from ..serve.steering import build_serve_plane
-
-    plane = build_serve_plane(
-        build_serve_estate(ClusterConfig(servers_per_metro=2)),
-        ClientDirectory.from_adoption(),
-    )
-    shares = plane.catchment_map(0.0).share_by_site()
-    site_id = max(shares, key=lambda site: shares[site])
-    return FaultSchedule(
-        [FaultWindow(1.0, 5.0, site_id, FaultKind.ROUTE_WITHDRAW)]
-    )
-
-
-# Routing-plane faults: catchments move, health probes see nothing.
-_ROUTE_KINDS = (FaultKind.ROUTE_WITHDRAW, FaultKind.ROUTE_PREPEND)
 # Acceptance: the chain must steer away within one selection-step TTL,
 # and the client error rate must stay below this share.
 _RESTEER_BUDGET = 15.0
@@ -119,10 +92,8 @@ class ChaosConfig:
     concurrency: int = 16
     run_simulation: bool = True
     workers: int = 1                  # worker processes for the simulation phase
-    steering: str = "dns"             # dns | anycast
 
     def __post_init__(self) -> None:
-        check_steering(self.steering)
         if self.concurrency <= 0:
             raise ValueError("concurrency must be positive")
         if self.workers < 1:
@@ -273,11 +244,9 @@ def _blackout_in(schedule: FaultSchedule) -> Optional[FaultWindow]:
     )
 
 
-def _live_section(config: ChaosConfig, schedule: FaultSchedule, load,
+def _live_section(schedule: FaultSchedule, load,
                   watched: int, resteer: Optional[float],
-                  recovery: Optional[float], unhealthy: int,
-                  anycast_routed: int = 0,
-                  catchment_shift: tuple = ()) -> _Section:
+                  recovery: Optional[float], unhealthy: int) -> _Section:
     """The live drill's block and checks from what it measured."""
     error_rate = load.errors / load.requests if load.requests else 1.0
     steered = (
@@ -312,27 +281,6 @@ def _live_section(config: ChaosConfig, schedule: FaultSchedule, load,
             ("recovery to healthy reported after the fault cleared",
              recovery is not None),
         ]
-    if config.steering != "dns":
-        lines += [
-            "",
-            f"anycast ({config.steering} steering)",
-            f"  catchment-routed     {anycast_routed} connections",
-        ]
-        checks.append(
-            ("anycast: connections routed by catchment", anycast_routed > 0)
-        )
-        if catchment_shift:
-            lines.append(
-                f"  flap shifted         {len(catchment_shift)} "
-                f"client group(s): {', '.join(catchment_shift)}"
-            )
-            checks.append(("anycast: route flap shifted catchments", True))
-    if all(w.kind in _ROUTE_KINDS for w in schedule):
-        checks.append(
-            ("anycast: flap invisible to health monitor (zero unhealthy "
-             "events, zero re-steers)",
-             unhealthy == 0 and resteer is None)
-        )
     return _Section(lines, checks, {
         "requests": load.requests, "ok": load.ok, "errors": load.errors,
         "error_rate": error_rate, "retries": load.retries,
@@ -349,15 +297,13 @@ def _live_phase(config: ChaosConfig, schedule: FaultSchedule,
     events from ``cdn_failovers_total``; the load is closed-loop batches
     on the cluster's own loop (:func:`repro.serve.harness.drive_watched`).
     """
-    from ..serve.cluster import ClusterConfig, build_serve_estate
+    from ..serve.cluster import ClusterConfig
     from ..serve.harness import drive_watched
     from ..serve.loadgen import LoadConfig
-    from ..serve.steering import build_serve_plane
 
     blackout = _blackout_in(schedule)
     cluster_config = ClusterConfig(
         servers_per_metro=_SERVERS_PER_METRO,
-        steering=config.steering,
         faults=schedule,
         failover=FailoverConfig(
             probe_interval=_PROBE_INTERVAL,
@@ -379,52 +325,15 @@ def _live_phase(config: ChaosConfig, schedule: FaultSchedule,
             dns_endpoint, directory, clock, registry, blackout, end_at, rounds,
         )
 
-    load, watched, directory = drive_watched(
+    load, watched = drive_watched(
         cluster_config, load_config, end_at, watch, registry, tracer,
     )
-    # Anycast bookkeeping: how many connections the catchment router
-    # placed, and which client groups a route flap moved.  The shift is
-    # evaluated against the same schedule the live window ran (the
-    # catchment map is a pure function of estate, vantages and schedule).
-    anycast_routed = 0
-    catchment_shift: tuple[str, ...] = ()
-    if config.steering != "dns":
-        anycast_routed = _counter_total(registry, "serve_anycast_routed_total")
-        flaps = [w for w in schedule if w.kind in _ROUTE_KINDS]
-        if flaps:
-            window = flaps[0]
-            plane = build_serve_plane(
-                build_serve_estate(cluster_config), directory, schedule=schedule
-            )
-            before = plane.catchment_map(window.start - 1.0)
-            during = plane.catchment_map((window.start + window.end) / 2.0)
-            catchment_shift = before.diff(during)
     return _live_section(
-        config, schedule, load, watched,
+        schedule, load, watched,
         _resteer_from_rounds(rounds, blackout),
         _recovery_from_rounds(rounds, blackout),
         _counter_total(registry, "cdn_failovers_total"),
-        anycast_routed, catchment_shift,
     )
-
-
-def _drill_engine(config: ChaosConfig, faults=None, **overrides) -> tuple:
-    """(scenario, engine) of the small Sep-2017 world the engine-time
-    drills replay: 32/16/2 probes at 1800 s steps."""
-    from ..simulation.engine import SimulationEngine
-    from ..simulation.scenario import ScenarioConfig, Sep2017Scenario
-
-    scenario = Sep2017Scenario(
-        ScenarioConfig(
-            global_probe_count=32,
-            isp_probe_count=16,
-            traceroute_probe_count=2,
-            fault_seed=config.seed,
-            **overrides,
-        ),
-        faults=faults,
-    )
-    return scenario, SimulationEngine(scenario, step_seconds=1800.0)
 
 
 def _blackout_replay_section(pre: float, blackout: float, after: float,
@@ -449,7 +358,11 @@ def _blackout_replay_section(pre: float, blackout: float, after: float,
 
 
 def _simulation_phase(config: ChaosConfig) -> _Section:
+    """Replay the blackout in engine time, in a small Sep-2017 world:
+    32/16/2 probes at 1800 s steps."""
     from ..isp.classify import TrafficClassifier
+    from ..simulation.engine import SimulationEngine
+    from ..simulation.scenario import ScenarioConfig, Sep2017Scenario
 
     release = TIMELINE.ios_11_0_release
     fault_start = release + 3600.0
@@ -457,7 +370,16 @@ def _simulation_phase(config: ChaosConfig) -> _Section:
     schedule = FaultSchedule(
         [FaultWindow(fault_start, fault_end, "Limelight", FaultKind.CDN_BLACKOUT)]
     )
-    scenario, engine = _drill_engine(config, schedule)
+    scenario = Sep2017Scenario(
+        ScenarioConfig(
+            global_probe_count=32,
+            isp_probe_count=16,
+            traceroute_probe_count=2,
+            fault_seed=config.seed,
+        ),
+        faults=schedule,
+    )
+    engine = SimulationEngine(scenario, step_seconds=1800.0)
     reports: list = []
     engine.run(
         release - 1800.0, release + 8 * 3600.0,
@@ -488,61 +410,6 @@ def _simulation_phase(config: ChaosConfig) -> _Section:
     )
 
 
-def _flap_replay_section(site_id: str, map_changes: int, break_rate: float,
-                         shifted_gbps: float, unhealthy_members: int) -> _Section:
-    return _Section(
-        [
-            "",
-            "simulation (route flap, release+1h .. release+3h)",
-            f"  withdrawn site       {site_id}",
-            f"  catchment changes    {map_changes}",
-            f"  shifted traffic      {shifted_gbps:.0f} Gbps",
-        ],
-        [
-            ("simulation: mid-event flap shifted catchments and reverted",
-             map_changes >= 2 and break_rate > 0.0),
-            ("simulation: shifted traffic volume is non-zero", shifted_gbps > 0.0),
-            ("simulation: zero members unhealthy after the flap",
-             unhealthy_members == 0),
-        ],
-    )
-
-
-def _anycast_simulation_phase(config: ChaosConfig) -> _Section:
-    """Replay a mid-event route flap in engine time under anycast.
-
-    The flap must shift catchments (affinity breaks, shifted traffic)
-    while the DNS failover plane records nothing: route kinds never
-    reach the health probes.
-    """
-    from ..anycast.analysis import CatchmentAnalysis
-
-    release = TIMELINE.ios_11_0_release
-    flap_start = release + 3600.0
-    flap_end = release + 3 * 3600.0
-    # Find the busiest catchment first (pure function of the config),
-    # then rebuild the world with that site's announcement withdrawn
-    # mid-event.
-    probe_plane = _drill_engine(config, steering="anycast")[0].anycast
-    shares = probe_plane.catchment_map(0.0).share_by_site()
-    site_id = max(shares, key=lambda site: shares[site])
-    schedule = FaultSchedule(
-        [FaultWindow(flap_start, flap_end, site_id, FaultKind.ROUTE_WITHDRAW)]
-    )
-    scenario, engine = _drill_engine(config, schedule, steering="anycast")
-    engine.run(
-        release - 1800.0, release + 5 * 3600.0, workers=config.workers
-    )
-    analysis = CatchmentAnalysis.from_plane(scenario.anycast)
-    unhealthy = 0
-    if scenario.failover is not None:
-        unhealthy = len(scenario.failover.monitor.unhealthy_members())
-    return _flap_replay_section(
-        site_id, analysis.map_changes, analysis.affinity_break_rate,
-        analysis.shifted_gbps_total, unhealthy,
-    )
-
-
 def _report(schedule: FaultSchedule, sections: list) -> ChaosReport:
     """One report out of what each drill that ran contributed."""
     fields: dict = {}
@@ -561,12 +428,10 @@ def run_chaos(
 ) -> tuple[ChaosReport, MetricsRegistry, EventTracer]:
     """Run the full drill; returns (report, registry, tracer)."""
     config = config if config is not None else ChaosConfig()
-    if config.schedule is not None:
-        schedule = config.schedule
-    elif config.steering == "anycast":
-        schedule = anycast_drill_schedule()
-    else:
-        schedule = default_chaos_schedule()
+    schedule = (
+        config.schedule if config.schedule is not None
+        else default_chaos_schedule()
+    )
     if not len(schedule):
         raise ValueError("a chaos drill needs at least one fault window")
     registry = MetricsRegistry()
@@ -574,11 +439,7 @@ def run_chaos(
     with use_registry(registry), use_tracer(tracer):
         sections = [_live_phase(config, schedule, registry, tracer)]
         if config.run_simulation:
-            simulate = (
-                _anycast_simulation_phase if config.steering == "anycast"
-                else _simulation_phase
-            )
-            sections.append(simulate(config))
+            sections.append(_simulation_phase(config))
     report = _report(schedule, sections)
     if not report.passed():
         recorder = get_flight_recorder()

@@ -133,13 +133,6 @@ class CdnHealthMonitor:
         entry = self._members.get(member)
         return entry.healthy if entry is not None else True
 
-    def unhealthy_members(self) -> tuple[str, ...]:
-        """Members currently failed over, in name order."""
-        return tuple(
-            name for name, entry in sorted(self._members.items())
-            if not entry.healthy
-        )
-
     def record_probe(self, member: str, ok: bool, now: float) -> None:
         """Feed one probe outcome into the state machine."""
         entry = self._members[member]

@@ -27,17 +27,7 @@ kind                   severity
 ``cdn-blackout``       ignored — the member CDN is entirely down
 ``cdn-brownout``       probability any one probe/request to the member
                        CDN fails
-``route-withdraw``     ignored — the target anycast site withdraws its
-                       announcement of the shared VIP prefix; clients in
-                       its catchment shift to the next-best site
-``route-prepend``      number of AS-path prepends the target site adds
-                       to its announcement (lengthens the path, shedding
-                       most of its catchment without going dark)
 =====================  =================================================
-
-The route kinds target an anycast *site id* (e.g. ``"defra-1"``).  They
-act purely on the routing plane: :class:`CdnHealthMonitor` probes never
-consult them, so catchment shifts are invisible to DNS health failover.
 
 ``target`` names what the window applies to: a CDN member / operator
 (``"Apple"``, ``"Akamai"``, ``"Limelight"``), a vip
@@ -69,9 +59,6 @@ class FaultKind(Enum):
     # whole member CDNs
     CDN_BLACKOUT = "cdn-blackout"
     CDN_BROWNOUT = "cdn-brownout"
-    # anycast routing plane (invisible to health probes)
-    ROUTE_WITHDRAW = "route-withdraw"
-    ROUTE_PREPEND = "route-prepend"
 
     @classmethod
     def parse(cls, text: str) -> "FaultKind":

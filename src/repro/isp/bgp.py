@@ -7,11 +7,10 @@ set of peering links the prefix is reachable over (which fixes the
 *handover AS*).
 
 The table holds every announced candidate per prefix, not just the
-post-selection winner: anycast prefixes are announced from many sites
-at once, so the decision process (shortest AS path, then a stable
-deterministic tie-break) has to run over the full candidate set.  For
-unicast prefixes with a single announcement the behaviour is identical
-to a best-route table.
+post-selection winner, and the decision process (shortest AS path, then
+a stable deterministic tie-break) runs over the full candidate set.
+For prefixes with a single announcement the behaviour is identical to a
+best-route table.
 """
 
 from __future__ import annotations
@@ -104,9 +103,9 @@ class BgpRib:
         self._trie: PrefixTrie[tuple[BgpRoute, ...]] = PrefixTrie()
         # address value -> lookup_all() result.  Traffic generation and
         # flow classification ask about the same few hundred sources
-        # hundreds of thousands of times; every install/withdraw that
-        # changes the table empties the memo, so an answer never
-        # outlives the table it was computed from.
+        # hundreds of thousands of times; every install that changes
+        # the table empties the memo, so an answer never outlives the
+        # table it was computed from.
         self._lpm_memo: dict[int, tuple[BgpRoute, ...]] = {}
         #: Counts the changes to the table.  Whoever derives state from
         #: lookups (the engine's route plans) keeps the epoch it read
@@ -128,26 +127,6 @@ class BgpRib:
         self._lpm_memo.clear()
         self.epoch += 1
 
-    def withdraw(self, route: BgpRoute) -> bool:
-        """Withdraw one previously announced route.
-
-        Returns ``True`` if the route was present.  Withdrawing the
-        last candidate leaves an empty set installed, which lookups
-        skip over (the covering prefix, if any, answers instead).
-        """
-        existing = self._trie.get(route.prefix)
-        if not existing or route not in existing:
-            return False
-        remaining = tuple(r for r in existing if r != route)
-        self._trie.insert(route.prefix, remaining)
-        self._lpm_memo.clear()
-        self.epoch += 1
-        return True
-
-    def candidates(self, prefix: IPv4Prefix) -> tuple[BgpRoute, ...]:
-        """Every announced candidate for exactly ``prefix``, best first."""
-        return self._trie.get(prefix) or ()
-
     def lookup(self, address: IPv4Address) -> Optional[BgpRoute]:
         """Best route covering ``address``, or ``None``."""
         best = self.lookup_all(address)
@@ -156,8 +135,8 @@ class BgpRib:
     def lookup_all(self, address: IPv4Address) -> tuple[BgpRoute, ...]:
         """All candidates of the longest matching prefix, best first.
 
-        Prefixes whose candidates were all withdrawn are transparent:
-        the next-longest covering prefix answers.
+        A prefix with an empty candidate set is transparent: the
+        next-longest covering prefix answers.
         """
         memo = self._lpm_memo
         found = memo.get(address.value)
@@ -171,8 +150,7 @@ class BgpRib:
     def _walk(self, address: IPv4Address) -> tuple[BgpRoute, ...]:
         """The memo-free trie walk behind :meth:`lookup_all`."""
         # Walk covering prefixes longest-first: take the longest match,
-        # and if its candidate set is empty (fully withdrawn) retry
-        # strictly above it.
+        # and if its candidate set is empty retry strictly above it.
         length = 33
         while length > 0:
             found = self._lookup_above(address, length)

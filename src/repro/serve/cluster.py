@@ -23,7 +23,6 @@ from ..apple.deployment import AppleCdn
 from ..apple.mapping import MetaCdnEstate, build_meta_cdn
 from ..apple.policy import MetaCdnController
 from ..cdn.thirdparty import AKAMAI_PLAN, LIMELIGHT_PLAN, build_third_party
-from ..anycast.plane import check_steering
 from ..faults import CdnHealthMonitor, FailoverConfig, FailoverLoop, FaultInjector, FaultSchedule
 from ..net.asys import ASN
 from ..net.geo import MappingRegion
@@ -36,7 +35,6 @@ from .dnsserver import AsyncDnsServer
 from .httpserver import AsyncHttpEdge, estate_router
 from .listener import RunClock
 from .loadgen import LoadConfig, LoadGenerator, LoadReport
-from .steering import anycast_router, build_serve_plane
 
 __all__ = [
     "ClusterConfig",
@@ -62,7 +60,7 @@ _MIN_THIRD_PARTY_SHARE = 0.35
 
 @dataclass
 class ClusterConfig:
-    """One edge, described once: size, steering, faults, resolvers.
+    """One edge, described once: size, faults, resolvers.
 
     Every edge is built from it — :class:`ServeCluster` for ``repro
     serve`` / ``selftest`` and the chaos drill's edge — and construction
@@ -72,9 +70,6 @@ class ClusterConfig:
 
     object_size: int = 262_144
     servers_per_metro: int = 8
-    # "dns" (the 15 s selection CNAME) or "anycast" (catchments route
-    # every connection).
-    steering: str = "dns"
     # Scheduled faults in run-relative seconds, and the health loop
     # that reacts to them.
     faults: Optional[FaultSchedule] = None
@@ -92,7 +87,6 @@ class ClusterConfig:
             raise ValueError("object_size must be positive")
         if self.servers_per_metro <= 0:
             raise ValueError("servers_per_metro must be positive")
-        check_steering(self.steering)
         check_population(
             self.resolver_population,
             self.public_resolver_share,
@@ -162,7 +156,7 @@ class ServeCluster:
     :attr:`clock` is the edge's one clock — ``clock`` when given, else
     seconds since :meth:`start` — and everything time-dependent reads
     it: DNS contexts, the front's cache expiry, span stamps on both
-    servers, catchments and the fault plane.
+    servers and the fault plane.
     """
 
     def __init__(
@@ -206,21 +200,6 @@ class ServeCluster:
             self.estate = (
                 estate if estate is not None else build_serve_estate(config)
             )
-        # Anycast steering plane: catchments over the estate's Apple
-        # sites, evaluated against the fault schedule at the cluster
-        # clock so live route flaps shift connections instantly.
-        self.anycast = None
-        router = estate_router(self.estate)
-        if config.steering != "dns":
-            self.anycast = build_serve_plane(
-                self.estate, self.directory, schedule=config.faults
-            )
-            router = anycast_router(
-                self.estate,
-                self.anycast,
-                self.clock,
-                metrics=registry,
-            )
         self.dns = AsyncDnsServer(
             self.estate.servers,
             directory=self.directory,
@@ -230,7 +209,7 @@ class ServeCluster:
             tracer=tracer,
         )
         self.http = AsyncHttpEdge(
-            router,
+            estate_router(self.estate),
             object_size=config.object_size,
             metrics=registry,
             faults=faults,

@@ -244,7 +244,7 @@ def drive_watched(config: ClusterConfig, load: LoadConfig, until: float,
 
     Closed-loop runs of ``load`` repeat on the cluster's own loop until
     its clock passes ``until``, and the back-to-back batches fold into
-    one report.  Returns ``(report, watch's result, directory)``.
+    one report.  Returns ``(report, watch's result)``.
     """
     async def watched_run() -> tuple:
         cluster = ServeCluster(config=config, metrics=registry, tracer=tracer)
@@ -256,7 +256,7 @@ def drive_watched(config: ClusterConfig, load: LoadConfig, until: float,
             while cluster.clock() < until:
                 batches.append(await cluster.drive(load))
             watched = await watcher
-        return merge_load_reports(batches), watched, cluster.directory
+        return merge_load_reports(batches), watched
 
     return asyncio.run(watched_run())
 

@@ -29,8 +29,8 @@ class RunClock:
     Fault windows, selection buckets, cache expiry and span stamps are
     all run-relative, so an edge keeps exactly one of these: a
     :class:`~repro.serve.cluster.ServeCluster` starts its own in
-    ``start()`` and hands it to every server, the anycast router and the
-    fault plane.  A server built on its own starts one at construction.
+    ``start()`` and hands it to every server and the fault plane.  A
+    server built on its own starts one at construction.
     """
 
     def __init__(self) -> None:

@@ -16,7 +16,7 @@ scenario to the checkpoint's tick boundary with
 measuring, no traffic, no telemetry — the cheap path), then verifies
 the replayed state digest against the one recorded at capture time.  A
 resumed run therefore continues **bit-identically**: the golden
-``RunSummary`` and catchment snapshots of checkpoint→kill→resume equal
+``RunSummary`` of checkpoint→kill→resume equals
 the uninterrupted run's, at any ``workers=N``.
 
 Two documented caveats, both invisible to the golden contracts:
@@ -29,10 +29,10 @@ measurement *count* is unchanged).
 
 File format (``ckpt-<steps>.rckpt``): a :class:`~repro.container.Container`
 frame (magic ``RCKPT1``) whose JSON header carries the schema version
-(7: stores and campaign grids keyed by name, a store's traceroutes as
+(8: stores and campaign grids keyed by name, a store's traceroutes as
 typed columns, the flow log's timestamps one per run, a scenario config
-with two steering modes and neither the Level3 switch nor the ISP
-fan-out, an engine spec without a timeline), the step count and the
+with no steering mode, no Level3 switch and no ISP fan-out, an engine
+spec without a timeline), the step count and the
 next tick, and whose payload is the pickled :class:`Checkpoint` fields.
 The container writes atomically and verifies magic, version, length and
 checksum before the payload is unpickled; every failure raises
@@ -62,7 +62,7 @@ __all__ = [
     "checkpoint_path",
 ]
 
-_VERSION = 7
+_VERSION = 8
 
 
 class CheckpointError(RuntimeError):

@@ -89,15 +89,10 @@ class RunSummary:
     unique_ips: dict = field(default_factory=dict)
     offload_share: float = 0.0
     overflow_share: float = 0.0
-    # Steering mode and catchment aggregates (populated by from_run
-    # when the scenario runs an anycast plane; "dns" runs leave them
-    # empty and they stay out of the JSON form, keeping the original
-    # golden snapshot byte-identical).
-    steering: str = "dns"
-    catchments: dict = field(default_factory=dict)
-    # Resolver-population mode and mapping-accuracy aggregates: same
-    # contract as steering/catchments — "isp" runs leave them out of
-    # the JSON form so the original golden snapshot stays byte-stable.
+    # Resolver-population mode and mapping-accuracy aggregates
+    # (populated by from_run when probes resolve through public POPs;
+    # "isp" runs leave them out of the JSON form so the original golden
+    # snapshot stays byte-stable).
     resolver_population: str = "isp"
     resolver: dict = field(default_factory=dict)
 
@@ -164,13 +159,6 @@ class RunSummary:
             if OVERFLOW_CLUSTER_PREFIX.contains(IPv4Address(source)):
                 overflow_bytes += volume
         overflow_share = overflow_bytes / total_bytes if total_bytes else 0.0
-        steering = scenario.config.steering
-        catchments: dict = {}
-        anycast = scenario.anycast
-        if anycast is not None:
-            from ..anycast.analysis import CatchmentAnalysis
-
-            catchments = CatchmentAnalysis.from_plane(anycast).to_json_dict()
         resolver_population = scenario.config.resolver_population
         resolver: dict = {}
         if scenario.resolver_plane is not None:
@@ -182,8 +170,6 @@ class RunSummary:
             unique_ips=unique_ips,
             offload_share=offload_share,
             overflow_share=overflow_share,
-            steering=steering,
-            catchments=catchments,
             resolver_population=resolver_population,
             resolver=resolver,
         )
@@ -221,9 +207,6 @@ class RunSummary:
             "offload_share": fval(self.offload_share),
             "overflow_share": fval(self.overflow_share),
         }
-        if self.steering != "dns" or self.catchments:
-            result["steering"] = self.steering
-            result["catchments"] = self.catchments
         if self.resolver_population != "isp" or self.resolver:
             result["resolver_population"] = self.resolver_population
             result["resolver"] = self.resolver
@@ -745,14 +728,6 @@ class SimulationEngine:
                     deployment.offer_demand(now, region, gbps)
             if profiling:
                 selection_s += self.clock() - t0
-        anycast = self.scenario.anycast
-        if anycast is not None:
-            # One catchment observation per tick.  The map is a pure
-            # function of (config, fault schedule, now) and every
-            # replica calls this for the same tick sequence, so the
-            # log — and hence the catchment golden — is bit-identical
-            # across workers=1 and workers=N.
-            anycast.observe(now, sum(demand_by_region.values()))
         if profiling:
             worker = self.profile_worker
             obs.observe_phase("arrivals", worker, arrivals_s)
@@ -766,13 +741,9 @@ class SimulationEngine:
     ) -> dict[str, float]:
         """How ``region``'s demand divides over the CDNs right now.
 
-        Under ``anycast`` steering every client already holds a route
-        to the shared VIP: the 15 s selection CNAME is never consulted
-        and all demand lands on Apple's own sites.
+        The selection-CNAME split: Apple's share, then the member
+        weights over the spill.
         """
-        if self.scenario.config.steering == "anycast":
-            return {"Apple": demand_gbps}
-        # The selection-CNAME split: Apple share, then member weights.
         estate = self.scenario.estate
         apple_share = estate.apple_share(region, now)
         split = {"Apple": demand_gbps * apple_share}

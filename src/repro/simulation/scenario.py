@@ -43,7 +43,6 @@ from ..faults import (
     FaultInjector,
     FaultSchedule,
 )
-from ..anycast.plane import AnycastPlane, AnycastSite, ClientGroup, check_steering
 from ..resolver import ResolverPlane, check_population
 from ..isp.bgp import BgpRib, BgpRoute
 from ..isp.netflow import NetflowCollector
@@ -170,9 +169,6 @@ class ScenarioConfig:
     # --- event times (defaults from the Timeline) -------------------------
     a1015_delay_seconds: float = 6 * 3600.0
 
-    # --- steering ---------------------------------------------------------
-    steering: str = "dns"                  # "dns" | "anycast"
-
     # --- resolver population ----------------------------------------------
     resolver_population: str = "isp"       # "isp" | "mixed"
     public_resolver_share: float = 0.5     # public fraction under "mixed"
@@ -212,7 +208,6 @@ class Sep2017Scenario:
     ) -> None:
         self.config = config if config is not None else ScenarioConfig()
         cfg = self.config
-        check_steering(cfg.steering)
         check_population(
             cfg.resolver_population,
             cfg.public_resolver_share,
@@ -309,11 +304,6 @@ class Sep2017Scenario:
         self.tracer = SimulatedTracer(
             self.registry, server_coordinates, transit_asn=AS_TRANSIT_A
         )
-        # Anycast steering plane: built only when a run actually steers
-        # over it, so plain DNS runs stay bit-identical to the seed.
-        self.anycast: Optional[AnycastPlane] = (
-            self._build_anycast() if self.config.steering != "dns" else None
-        )
         self.traceroute_campaign = TracerouteCampaign(
             probes=self.global_probes[: self.config.traceroute_probe_count],
             dns_store=self.global_campaign.store,
@@ -338,31 +328,6 @@ class Sep2017Scenario:
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
-
-    def _build_anycast(self) -> AnycastPlane:
-        """Wire the anycast plane over Apple's own sites and the probes.
-
-        Every Apple edge site announces the shared VIP prefix; the
-        client populations are the measurement probes' host routes
-        (global + ISP; placement packs probes densely, so /32s keep
-        them distinct), which gives the catchment map the same
-        worldwide spread the DNS campaigns observe.  Everything here derives from the
-        scenario config and fault schedule alone, so sharded worker
-        replicas rebuild an identical plane.
-        """
-        groups = [
-            ClientGroup(
-                name=f"probe-{probe.probe_id}",
-                prefix=IPv4Prefix.containing(probe.address, 32),
-                continent=probe.continent,
-                coordinates=probe.coordinates,
-            )
-            for probe in (*self.global_probes, *self.isp_probes)
-        ]
-        return AnycastPlane(
-            AnycastSite.of_apple(self.estate.apple), groups,
-            schedule=self.fault_schedule,
-        )
 
     def _build_resolver_plane(self) -> ResolverPlane:
         """Route the configured probe share through public-resolver POPs.

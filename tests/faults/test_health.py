@@ -34,6 +34,11 @@ def _monitor(k_failures=3, recovery_probes=2,
         return CdnHealthMonitor(**kwargs)
 
 
+def unhealthy(monitor):
+    """The members the monitor has failed over, in name order."""
+    return tuple(sorted(m for m in monitor.members if not monitor.is_healthy(m)))
+
+
 AKAMAI_LB = "ios8-eu-lb.apple.com.akadns.net"
 LIMELIGHT_LB = "apple.vo.llnwi.net"
 GSLB = "a.gslb.applimg.com"
@@ -55,7 +60,7 @@ class TestStateMachine:
         monitor.record_probe("Limelight", False, 3.0)
         assert not monitor.is_healthy("Limelight")
         assert monitor.state("Limelight") is MemberState.UNHEALTHY
-        assert monitor.unhealthy_members() == ("Limelight",)
+        assert unhealthy(monitor) == ("Limelight",)
         (event,) = tracer.find("cdn_unhealthy")
         assert event.fields["member"] == "Limelight"
         assert event.fields["consecutive_failures"] == 3
@@ -236,16 +241,16 @@ class TestFailoverLoop:
         )
         loop = FailoverLoop(monitor, injector)
         loop.advance(0.0)
-        assert monitor.unhealthy_members() == ()
+        assert unhealthy(monitor) == ()
         # Probes at 10..14 fail — the third (t=14) flips Limelight.
         loop.advance(20.0)
-        assert monitor.unhealthy_members() == ("Limelight",)
+        assert unhealthy(monitor) == ("Limelight",)
         (down,) = tracer.find("cdn_unhealthy")
         assert down.fields["member"] == "Limelight"
         assert down.ts == pytest.approx(14.0)
         # The window closes at 40; two cooldown-cadence oks recover it.
         loop.advance(60.0)
-        assert monitor.unhealthy_members() == ()
+        assert unhealthy(monitor) == ()
         (recovered,) = tracer.find("cdn_recovered")
         assert recovered.fields["member"] == "Limelight"
         assert recovered.ts < 50.0

@@ -115,7 +115,7 @@ class TestWindowValidation:
     def test_unknown_kind_names_valid_kinds(self):
         with pytest.raises(ValueError, match="cdn-blackout"):
             FaultWindow(0.0, 1.0, "Apple", "not-a-kind")
-        with pytest.raises(ValueError, match="route-prepend"):
+        with pytest.raises(ValueError, match="cdn-brownout"):
             FaultWindow(0.0, 1.0, "Apple", object())  # type: ignore[arg-type]
 
     def test_unknown_kind_through_schedule_constructor(self):

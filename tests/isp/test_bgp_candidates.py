@@ -1,12 +1,9 @@
 """Regression: BgpRib.install keeps a candidate set per prefix.
 
 The original table silently replaced a prefix's route on every
-install, which made anycast impossible to model — a shared VIP prefix
-is announced from *many* sites at once, and best-path selection has
-to run over the full candidate set.  These tests pin the new
-contract: identical re-announcements dedupe, distinct announcements
-accumulate, withdrawal removes exactly one candidate, and selection
-is shortest-AS-path with a stable content tie-break.
+install.  These tests pin the contract that replaced it: identical
+re-announcements dedupe, distinct announcements accumulate, and
+selection is shortest-AS-path with a stable content tie-break.
 """
 
 import pytest
@@ -29,7 +26,7 @@ class TestCandidateSets:
         rib = BgpRib()
         rib.install(route("site-a", 65101, 714))
         rib.install(route("site-b", 65102, 714))
-        assert len(rib.candidates(VIP)) == 2
+        assert len(rib.lookup_all(ADDR)) == 2
         # One prefix, two candidates.
         assert rib.route_count == 1
         assert len(list(rib.routes())) == 2
@@ -38,7 +35,7 @@ class TestCandidateSets:
         rib = BgpRib()
         rib.install(route("site-a", 65101, 714))
         rib.install(route("site-a", 65101, 714))
-        assert len(rib.candidates(VIP)) == 1
+        assert len(rib.lookup_all(ADDR)) == 1
 
     def test_candidates_sorted_by_preference(self):
         rib = BgpRib()
@@ -46,19 +43,23 @@ class TestCandidateSets:
         short_path = route("site-near", 65101, 714)
         rib.install(long_path)
         rib.install(short_path)
-        best, second = rib.candidates(VIP)
+        best, second = rib.lookup_all(ADDR)
         assert best == short_path
         assert second == long_path
         assert route_preference(best) < route_preference(second)
 
     def test_lookup_returns_best_candidate(self):
         rib = BgpRib()
-        rib.install(route("site-far", 65103, 65104, 714))
-        rib.install(route("site-near", 65101, 714))
+        far = route("site-far", 65103, 65104, 714)
+        near = route("site-near", 65101, 714)
+        rib.install(route("transit", 65200, 714, prefix=COVER))
+        rib.install(far)
+        rib.install(near)
         chosen = rib.lookup(ADDR)
         assert chosen is not None
         assert chosen.link_ids == ("site-near",)
-        assert rib.lookup_all(ADDR) == rib.candidates(VIP)
+        # Every candidate of the longest matching prefix, best first.
+        assert rib.lookup_all(ADDR) == (near, far)
 
     def test_equal_length_tiebreak_is_content_stable(self):
         a = route("site-a", 65101, 714)
@@ -67,45 +68,8 @@ class TestCandidateSets:
         forward.install(a), forward.install(b)
         backward.install(b), backward.install(a)
         # Selection ignores insertion order entirely.
-        assert forward.candidates(VIP) == backward.candidates(VIP)
+        assert forward.lookup_all(ADDR) == backward.lookup_all(ADDR)
         assert forward.lookup(ADDR) == backward.lookup(ADDR)
-
-
-class TestWithdrawal:
-    def test_withdraw_removes_one_candidate(self):
-        rib = BgpRib()
-        a = route("site-a", 65101, 714)
-        b = route("site-b", 65102, 714)
-        rib.install(a)
-        rib.install(b)
-        assert rib.withdraw(a) is True
-        assert rib.candidates(VIP) == (b,)
-        assert rib.withdraw(a) is False  # already gone
-
-    def test_withdraw_unknown_route_is_false(self):
-        rib = BgpRib()
-        assert rib.withdraw(route("site-a", 65101, 714)) is False
-
-    def test_fully_withdrawn_prefix_is_transparent_to_lpm(self):
-        rib = BgpRib()
-        covering = route("transit", 65200, 714, prefix=COVER)
-        specific = route("site-a", 65101, 714)
-        rib.install(covering)
-        rib.install(specific)
-        assert rib.lookup(ADDR) == specific
-        rib.withdraw(specific)
-        # The /22 has no live candidates: the /8 answers instead.
-        assert rib.lookup(ADDR) == covering
-        assert rib.route_count == 1
-
-    def test_reannounce_after_full_withdrawal(self):
-        rib = BgpRib()
-        a = route("site-a", 65101, 714)
-        rib.install(a)
-        rib.withdraw(a)
-        assert rib.lookup(ADDR) is None
-        rib.install(a)
-        assert rib.lookup(ADDR) == a
 
 
 def test_the_epoch_moves_exactly_when_the_table_does():
@@ -118,12 +82,10 @@ def test_the_epoch_moves_exactly_when_the_table_does():
     rib.install(a)
     assert rib.epoch == 1
     rib.install(a)  # identical re-announcement
-    assert rib.withdraw(b) is False
     rib.lookup(ADDR)
     assert rib.epoch == 1
     rib.install(b)
-    assert rib.withdraw(a) is True
-    assert rib.epoch == 3
+    assert rib.epoch == 2
 
 
 def test_preference_key_is_pure():

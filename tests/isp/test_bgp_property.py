@@ -1,11 +1,10 @@
 """Property tests: RIB lookup agrees with a brute-force LPM oracle.
 
-``BgpRib.lookup_all`` layers two behaviours over the trie: candidate
-sets per prefix, and transparency of fully-withdrawn prefixes (the
-next covering prefix answers).  The oracle reimplements both in the
-obvious O(n·m) way over randomized announce/withdraw histories; the
-strategies force /0 default routes and /32 host routes to appear so
-both length edges are exercised, along with ``max_length``-bounded
+``BgpRib.lookup_all`` layers candidate sets per prefix over the trie's
+longest-prefix match.  The oracle reimplements it in the obvious
+O(n·m) way over randomized announcement histories; the strategies
+force /0 default routes and /32 host routes to appear so both length
+edges are exercised, along with ``max_length``-bounded
 ``PrefixTrie.lookup_prefix``.
 """
 
@@ -49,31 +48,23 @@ def routes(draw):
     return BgpRoute(prefix, path, (link,))
 
 
-# An event history: announce or withdraw (withdraws may target routes
-# never announced — the RIB must treat those as no-ops).
-events = st.lists(
-    st.tuples(st.sampled_from(["announce", "withdraw"]), routes()),
-    min_size=0,
-    max_size=40,
-)
+# An announcement history (a route may be announced twice: the RIB
+# must treat the repeat as a no-op).
+events = st.lists(routes(), min_size=0, max_size=40)
 
 
 def oracle(history):
     """Replay the history into a dict of prefix -> set of live routes."""
     live: dict[IPv4Prefix, set] = {}
-    for action, route in history:
-        if action == "announce":
-            live.setdefault(route.prefix, set()).add(route)
-        else:
-            live.get(route.prefix, set()).discard(route)
+    for route in history:
+        live.setdefault(route.prefix, set()).add(route)
     return live
 
 
 def oracle_lookup_all(live, address):
-    """Longest covering prefix with a non-empty candidate set."""
+    """The candidates of the longest covering prefix."""
     covering = sorted(
-        (prefix for prefix, rts in live.items()
-         if rts and prefix.contains(address)),
+        (prefix for prefix in live if prefix.contains(address)),
         key=lambda p: p.length,
         reverse=True,
     )
@@ -86,11 +77,8 @@ def oracle_lookup_all(live, address):
 @given(history=events, queries=st.lists(addresses, min_size=1, max_size=8))
 def test_rib_lookup_matches_oracle(history, queries):
     rib = BgpRib()
-    for action, route in history:
-        if action == "announce":
-            rib.install(route)
-        else:
-            rib.withdraw(route)
+    for route in history:
+        rib.install(route)
     live = oracle(history)
 
     for address in queries:
@@ -99,7 +87,7 @@ def test_rib_lookup_matches_oracle(history, queries):
         assert rib.lookup(address) == (expected[0] if expected else None)
 
     # Aggregates agree with the oracle too.
-    assert rib.route_count == sum(1 for rts in live.values() if rts)
+    assert rib.route_count == len(live)
     assert sorted(map(str, rib.routes())) == sorted(
         str(r) for rts in live.values() for r in rts
     )
@@ -107,17 +95,17 @@ def test_rib_lookup_matches_oracle(history, queries):
 
 @st.composite
 def interleaved_histories(draw):
-    """Announce / withdraw / lookup steps over a handful of addresses.
+    """Announce / lookup steps over a handful of addresses.
 
-    Every prefix covers one of the queried addresses, so each mutation
-    can change the answer to a lookup that was already asked (and
-    memoised) — the case a stale memo entry would get wrong.
+    Every prefix covers one of the queried addresses, so each
+    announcement can change the answer to a lookup that was already
+    asked (and memoised) — the case a stale memo entry would get wrong.
     """
     bases = draw(st.lists(addresses, min_size=1, max_size=3, unique=True))
     steps = []
     for _ in range(draw(st.integers(min_value=1, max_value=40))):
         base = draw(st.sampled_from(bases))
-        action = draw(st.sampled_from(["announce", "withdraw", "lookup", "lookup"]))
+        action = draw(st.sampled_from(["announce", "lookup"]))
         if action == "lookup":
             steps.append((action, base))
             continue
@@ -136,9 +124,9 @@ def test_memoised_lookup_is_exact_under_interleaved_mutation(case):
     """``lookup_all`` between mutations equals the memo-free answer.
 
     The memo has no off switch, so the oracle is the brute-force LPM
-    over the live set plus the RIB's own memo-free trie walk: after a
-    withdraw the longest prefix's survivors answer, and once it is
-    fully withdrawn the covering prefix does.
+    over the announced set plus the RIB's own memo-free trie walk: a
+    longer prefix or a better candidate announced after a lookup
+    answers the next one.
     """
     bases, steps = case
     rib = BgpRib()
@@ -146,10 +134,7 @@ def test_memoised_lookup_is_exact_under_interleaved_mutation(case):
     for action, subject in steps:
         if action == "announce":
             rib.install(subject)
-            history.append((action, subject))
-        elif action == "withdraw":
-            rib.withdraw(subject)
-            history.append((action, subject))
+            history.append(subject)
         else:
             expected = oracle_lookup_all(oracle(history), subject)
             assert rib.lookup_all(subject) == expected
@@ -207,7 +192,3 @@ def test_default_and_host_routes(query, path_len):
     assert rib.lookup(query) == host
     other = IPv4Address((int(query) + 1) % 2**32)
     assert rib.lookup(other) == default
-    # Withdrawing the host route exposes the default again (/32 is
-    # transparent once empty).
-    rib.withdraw(host)
-    assert rib.lookup(query) == default

@@ -7,7 +7,7 @@ import pytest
 
 from repro.dns.records import ARecord, CnameRecord
 from repro.faults import FaultSchedule
-from repro.faults.chaos import ChaosConfig, _live_section
+from repro.faults.chaos import _live_section
 from repro.net.ipv4 import IPv4Address
 from repro.obs import NULL_TRACER, MetricsRegistry, use_registry
 from repro.obs.registry import HistogramChild
@@ -323,7 +323,7 @@ class TestErrorAccounting:
         assert (report.requests, report.ok, report.errors) == (150, 0, 150)
         assert 0 < len(report.error_samples) <= 5
         section = _live_section(
-            ChaosConfig(), FaultSchedule.parse(["vip-outage@Apple:1-9:0.2"]),
+            FaultSchedule.parse(["vip-outage@Apple:1-9:0.2"]),
             report, watched=0, resteer=None, recovery=None, unhealthy=0,
         )
         assert dict(section.checks)["client error rate below 2%"] is False
@@ -340,7 +340,7 @@ class TestDriveWatched:
             return "watched"
 
         until = 1.0
-        report, watched, _directory = drive_watched(
+        report, watched = drive_watched(
             ClusterConfig(servers_per_metro=4),
             LoadConfig(requests=20, concurrency=4, hedge=None),
             until, watch, MetricsRegistry(), NULL_TRACER,

@@ -132,8 +132,6 @@ CHANGES = {
         lambda s: s.isp.fail_link("apple-1"), lambda s: s.isp.restore_link("apple-1")),
     "rib.install": (
         lambda s: None, lambda s: s.rib.install(_detour(s))),
-    "rib.withdraw": (
-        lambda s: s.rib.install(_detour(s)), lambda s: s.rib.withdraw(_detour(s))),
 }
 
 

@@ -158,12 +158,14 @@ FORMER_KNOBS = (
     # The deleted pre-June-2017 Level3 mapping, and the ISP fan-out (now
     # repro.simulation.engine.ISP_SERVER_FANOUT).
     "include_level3", "isp_server_fanout",
+    # The deleted anycast steering axis: DNS is the one steering plane.
+    "steering",
 )
 
 
 def test_calibration_constants_are_not_config_keywords():
-    assert len(FORMER_KNOBS) == 27
-    assert len(dataclasses.fields(ScenarioConfig)) == 22
+    assert len(FORMER_KNOBS) == 28
+    assert len(dataclasses.fields(ScenarioConfig)) == 21
     for keyword in FORMER_KNOBS:
         with pytest.raises(TypeError, match=keyword):
             ScenarioConfig(**{keyword: 1})

@@ -139,10 +139,8 @@ def apply(world, event):
         world.isp.fail_link(subject)
     elif kind == "restore":
         world.isp.restore_link(subject)
-    elif kind == "install":
-        world.rib.install(subject)
     else:
-        world.rib.withdraw(subject)
+        world.rib.install(subject)
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +240,7 @@ capacities = st.sampled_from([1e-8, 1e-5, 1.7e-5, 1e-4, 1e-3, 10.0])
 gbps = st.sampled_from([0.0, 1e-9, 3e-6, 1e-5, 1e-4, 3e-4, 7e-4, 2e-3])
 events = st.one_of(
     st.tuples(st.sampled_from(["fail", "restore"]), st.sampled_from(LINKS)),
-    st.tuples(st.sampled_from(["install", "withdraw"]), routes),
+    st.tuples(st.just("install"), routes),
 )
 specs = st.fixed_dictionaries({
     "capacities": st.lists(capacities, min_size=4, max_size=4),

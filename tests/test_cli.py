@@ -122,74 +122,6 @@ class TestCommands:
             assert marker in captured, marker
 
 
-CATCHMENTS = [
-    "catchments", "--start", "9-19", "--end", "9-20", "--step", "3600",
-    "--probes", "6", "--isp-probes", "4",
-    "--fault", "route-withdraw@itmil-1:3600-10800",
-]
-CATCHMENTS_TEXT = """\
-catchment map at Sep 20 (anycast steering, 10 client groups, 34 sites, signature 32edbccd43ea30dc):
-  defra-1       10.0%  (eu) ####
-  frpar-1       10.0%  (eu) ####
-  itmil-1       20.0%  (eu) ########
-  nlams-1       10.0%  (eu) ####
-  semma-1       20.0%  (eu) ########
-  uklon-1       20.0%  (eu) ########
-  usatl-1       10.0%  (us) ####
-
-ticks observed        24
-sites live            8 / 34
-catchment-map changes 2
-affinity-break rate   0.0167 (group-moves per group per tick)
-shifted traffic       1765.2 Gbps
-mapping distance      908 km mean (nearest-site ideal 190 km, anycast cost +717 km)
-"""
-FINAL_SHARES = {
-    "defra-1": 0.1, "frpar-1": 0.1, "itmil-1": 0.2, "nlams-1": 0.1,
-    "semma-1": 0.2, "uklon-1": 0.2, "usatl-1": 0.1,
-}
-CATCHMENTS_JSON = {
-    "catchments": {
-        "affinity_break_rate": 0.016667,
-        "map_changes": 2,
-        "mapping_distance_delta_km": 717.493,
-        "mapping_distance_km": 907.546,
-        "nearest_distance_km": 190.052,
-        "peak_share_by_site": dict(FINAL_SHARES, **{"esmad-1": 0.1, "nlams-1": 0.2}),
-        "shifted_gbps_total": 1765.155693,
-        "sites_live": 8,
-        "ticks": 24,
-    },
-    "final_map": {
-        "assignments": {
-            "probe-1000": "itmil-1", "probe-1001": "semma-1",
-            "probe-1002": "itmil-1", "probe-1003": "frpar-1",
-            "probe-1004": "semma-1", "probe-1005": "usatl-1",
-            "probe-20000": "uklon-1", "probe-20001": "nlams-1",
-            "probe-20002": "defra-1", "probe-20003": "uklon-1",
-        },
-        "share_by_site": FINAL_SHARES,
-        "signature": "32edbccd43ea30dc",
-    },
-    "steering": "anycast",
-}
-
-
-class TestCatchmentsCommand:
-    """``repro catchments`` output, pinned over a window with a
-    withdrawn site (so the churn lines are not all zero)."""
-
-    def test_text(self, capsys):
-        assert main(CATCHMENTS) == 0
-        assert capsys.readouterr().out == CATCHMENTS_TEXT
-
-    def test_json(self, capsys):
-        assert main([*CATCHMENTS, "--json"]) == 0
-        out = capsys.readouterr().out
-        assert json.loads(out) == CATCHMENTS_JSON
-        assert out == json.dumps(CATCHMENTS_JSON, indent=2, sort_keys=True) + "\n"
-
-
 PROBES = ["--probes", "4", "--isp-probes", "3"]
 WINDOW = ["--start", "9-18", "--end", "9-20", *PROBES]
 
@@ -237,6 +169,12 @@ class TestCheckpointFlags:
         assert "ckpt-00000096.rckpt" in {p.name for p in directory.iterdir()}
 
 
+BAD_FAULT = (
+    "unknown fault kind 'bogus' (valid: dns-drop, dns-delay, dns-servfail, "
+    "dns-stale, vip-outage, edge-crash, slow-start, cdn-blackout, cdn-brownout)"
+)
+
+
 class TestReplayFlagValues:
     """A flag value the replay refuses is one line on exit,
     ``<command>: <message>``, before the engine runs: no traceback."""
@@ -254,22 +192,27 @@ class TestReplayFlagValues:
          "simulate: end must be after start"),
         (["report", *PROBES, "--step", "0"],
          "report: step_seconds must be positive"),
-        (["catchments", *PROBES, "--workers", "0"],
-         "catchments: workers must be >= 1"),
+        (["run", *PROBES, "--workers", "0"],
+         "run: workers must be >= 1"),
         (["resolvers", *PROBES, "--step", "0"],
          "resolvers: step_seconds must be positive"),
         (["profile", *PROBES, "--start", "9-20", "--end", "9-18"],
          "profile: end must be after start"),
+        *(([command, "--fault", "bogus@x:1-2"], f"{command}: {BAD_FAULT}")
+          for command in ("simulate", "run", "chaos")),
     ], ids=["simulate-step", "simulate-probes", "simulate-workers",
             "simulate-share", "simulate-window", "report-step",
-            "catchments-workers", "resolvers-step", "profile-window"])
+            "run-workers", "resolvers-step", "profile-window",
+            "simulate-fault", "run-fault", "chaos-fault"])
     def test_exits_as_one_line_before_running(self, monkeypatch, argv, message):
+        from repro.cli import chaos
         from repro.simulation import SimulationEngine
 
         def run(*_args, **_kwargs):
             raise AssertionError("the engine ran")
 
         monkeypatch.setattr(SimulationEngine, "run", run)
+        monkeypatch.setattr(chaos, "run_chaos", run)
         with pytest.raises(SystemExit) as caught:
             main(argv)
         assert caught.value.code == message

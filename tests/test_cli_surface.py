@@ -44,7 +44,6 @@ PARENT_SURFACE = {
         'probes': (('--probes',), 60, 'int', None, False, None, '_StoreAction', None),
         'isp_probes': (('--isp-probes',), 30, 'int', None, False, None, '_StoreAction', None),
         'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
-        'steering': (('--steering',), 'dns', None, ('dns', 'anycast'), False, None, '_StoreAction', None),
         'resolver_population': (('--resolver-population',), 'isp', None, ('isp', 'mixed'), False, None, '_StoreAction', None),
         'public_resolver_share': (('--public-resolver-share',), 0.5, 'float', None, False, None, '_StoreAction', 'FRACTION'),
         'public_resolver_ecs': (('--public-resolver-ecs',), 'on', None, ('on', 'off'), False, None, '_StoreAction', None),
@@ -66,7 +65,6 @@ PARENT_SURFACE = {
         'probes': (('--probes',), 60, 'int', None, False, None, '_StoreAction', None),
         'isp_probes': (('--isp-probes',), 30, 'int', None, False, None, '_StoreAction', None),
         'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
-        'steering': (('--steering',), 'dns', None, ('dns', 'anycast'), False, None, '_StoreAction', None),
         'resolver_population': (('--resolver-population',), 'isp', None, ('isp', 'mixed'), False, None, '_StoreAction', None),
         'public_resolver_share': (('--public-resolver-share',), 0.5, 'float', None, False, None, '_StoreAction', 'FRACTION'),
         'public_resolver_ecs': (('--public-resolver-ecs',), 'on', None, ('on', 'off'), False, None, '_StoreAction', None),
@@ -86,7 +84,6 @@ PARENT_SURFACE = {
         'isp_probes': (('--isp-probes',), 40, 'int', None, False, None, '_StoreAction', None),
         'step': (('--step',), 1800.0, 'float', None, False, None, '_StoreAction', None),
         'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
-        'steering': (('--steering',), 'dns', None, ('dns', 'anycast'), False, None, '_StoreAction', None),
         'resolver_population': (('--resolver-population',), 'isp', None, ('isp', 'mixed'), False, None, '_StoreAction', None),
         'public_resolver_share': (('--public-resolver-share',), 0.5, 'float', None, False, None, '_StoreAction', 'FRACTION'),
         'public_resolver_ecs': (('--public-resolver-ecs',), 'on', None, ('on', 'off'), False, None, '_StoreAction', None),
@@ -155,7 +152,6 @@ PARENT_SURFACE = {
         'concurrency': (('--concurrency',), 16, 'int', None, False, None, '_StoreAction', None),
         'fault': (('--fault',), None, None, None, False, None, '_AppendAction', 'SPEC'),
         'skip_simulation': (('--skip-simulation',), False, None, None, False, 0, '_StoreTrueAction', None),
-        'steering': (('--steering',), 'dns', None, ('dns', 'anycast'), False, None, '_StoreAction', None),
         'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
         'flight_dir': (('--flight-dir',), None, None, None, False, None, '_StoreAction', 'DIR'),
     },
@@ -172,16 +168,6 @@ PARENT_SURFACE = {
         'isp_probes': (('--isp-probes',), 12, 'int', None, False, None, '_StoreAction', None),
         'workers': (('--workers',), 4, 'int', None, False, None, '_StoreAction', None),
         'flight_dir': (('--flight-dir',), None, None, None, False, None, '_StoreAction', 'DIR'),
-    },
-    'catchments': {
-        'start': (('--start',), '9-18', None, None, False, None, '_StoreAction', 'M-D'),
-        'end': (('--end',), '9-20', None, None, False, None, '_StoreAction', 'M-D'),
-        'step': (('--step',), 1800.0, 'float', None, False, None, '_StoreAction', None),
-        'probes': (('--probes',), 60, 'int', None, False, None, '_StoreAction', None),
-        'isp_probes': (('--isp-probes',), 30, 'int', None, False, None, '_StoreAction', None),
-        'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
-        'fault': (('--fault',), None, None, None, False, None, '_AppendAction', 'SPEC'),
-        'json': (('--json',), False, None, None, False, 0, '_StoreTrueAction', None),
     },
     'resolvers': {
         'start': (('--start',), '9-18', None, None, False, None, '_StoreAction', 'M-D'),

@@ -52,7 +52,6 @@ ALLOWED = {
 }
 
 SEAMS = {
-    "anycast/catchment.py:CatchmentMap.site_of_group": "route-flap tests read where each client group lands",
     "cdn/cache.py:ContentCache.evict": "the cache model test and a forced origin miss go through it",
     "cdn/cache.py:ContentCache.used_bytes": "the cache model test checks the byte accounting with it",
     "cdn/deployment.py:CdnDeployment.servers_in_region": "exposure and pool tests count a region's fleet with it",
@@ -69,6 +68,9 @@ DELETED = (
     "cdn/deployment.py:ExposureController.smoothed_gbps",
     "cdn/server.py:CacheServer.is_cache",
     "cdn/server.py:CacheServer.is_load_balancer",
+    "faults/health.py:CdnHealthMonitor.unhealthy_members",
+    "isp/bgp.py:BgpRib.candidates",
+    "isp/bgp.py:BgpRib.withdraw",
     "isp/topology.py:EyeballIsp.neighbors",
     "isp/topology.py:EyeballIsp.routers",
     "net/ipv4.py:IPv4Prefix.subnets",

@@ -17,12 +17,19 @@ old chase stays gone.
 *One timer per wait* (CI: "Python 3.9 asyncio, one deadline per
 request head"): the wire DNS client awaits each attempt and each
 hedge budget without ``asyncio.wait_for``.
+
+*One steering plane* (CI: "One steering plane", and two lines of "The
+replay written once"): clients are steered by the DNS selection chain
+alone.  The anycast axis and the hybrid mix of the two stay gone from
+every layer: no package, flag, command, config field or fault kind.
 """
 
 import ast
 import dataclasses
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -106,7 +113,7 @@ def test_edge_fleet_and_spec_field_counts():
     from repro.serve import ClusterConfig, FleetConfig, FleetSpec
 
     counts = [len(dataclasses.fields(x)) for x in (ClusterConfig, FleetConfig, FleetSpec)]
-    assert counts == [9, 3, 3]
+    assert counts == [8, 3, 3]
 
 
 def test_the_dns_client_wraps_no_wait_in_wait_for():
@@ -158,5 +165,67 @@ def test_resolve_bulk_asks_no_unbound_answer():
 def test_no_option_or_config_field_was_added():
     from repro.simulation import ScenarioConfig
 
-    assert len(grep("add_argument(", "src", fixed=True)) == 50
-    assert len(dataclasses.fields(ScenarioConfig)) == 22
+    assert len(grep("add_argument(", "src", fixed=True)) == 47
+    assert len(dataclasses.fields(ScenarioConfig)) == 21
+
+
+# ----------------------------------------------------------------------
+# One steering plane
+# ----------------------------------------------------------------------
+
+
+def test_no_hybrid_steering_anywhere():
+    assert not grep("(?i)hybrid", "src")
+
+
+def test_values_only_a_test_set_are_not_flags():
+    assert not grep(
+        r'"--(hybrid-dns-share|public-resolver-cache-capacity|error-budget)"', "src"
+    )
+
+
+def test_one_wire_answer_path():
+    assert not grep(r"def answer_wire\b", "src")
+
+
+def test_the_anycast_modules_stay_gone():
+    package = ROOT / "src" / "repro"
+    modules = [*package.glob("anycast/**/*.py"), package / "serve" / "steering.py",
+               package / "cli" / "catchments.py"]
+    assert not [module for module in modules if module.exists()]
+
+
+def test_no_anycast_site_is_built():
+    assert not grep("AnycastSite(", "src", fixed=True)
+
+
+def test_one_mode_check_per_axis_left():
+    assert not grep("unknown steering mode", "src", fixed=True)
+    assert len(grep("unknown resolver population", "src", fixed=True)) == 1
+
+
+def test_no_steering_flag_or_catchments_command():
+    from repro.cli import build_parser
+
+    assert not grep("--steering", "src", fixed=True)
+    parser = build_parser()
+    for argv in (["run", "--steering", "anycast"], ["catchments"]):
+        with pytest.raises(SystemExit) as caught:
+            parser.parse_args(argv)
+        assert caught.value.code == 2, argv
+
+
+def test_no_config_carries_a_steering_field():
+    from repro.faults.chaos import ChaosConfig
+    from repro.serve import ClusterConfig
+    from repro.simulation import ScenarioConfig
+
+    for config in (ScenarioConfig, ClusterConfig, ChaosConfig):
+        assert "steering" not in {f.name for f in dataclasses.fields(config)}, config
+
+
+def test_no_route_fault_kind():
+    from repro.faults import FaultKind
+
+    assert not [kind for kind in FaultKind if kind.value.startswith("route-")]
+    assert not grep(r"route-(withdraw|prepend)|ROUTE_(WITHDRAW|PREPEND)", "src")
