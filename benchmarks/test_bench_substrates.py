@@ -20,10 +20,10 @@ def test_bench_trie_lookup(benchmark):
         trie.insert(prefix, index)
     probes = [IPv4Address((i * 2654435761) & 0xFFFFFFFF) for i in range(1000)]
 
-    def lookup_all():
+    def lookup():
         return [trie.lookup(address) for address in probes]
 
-    results = benchmark(lookup_all)
+    results = benchmark(lookup)
     assert len(results) == 1000
 
 

@@ -22,7 +22,7 @@ def main() -> None:
     engine = SimulationEngine(scenario, step_seconds=1800.0)
     print("Collecting BGP/Netflow/SNMP at the ISP border, Sep 15 - Sep 23...")
     engine.run(TIMELINE.at(9, 15), TIMELINE.at(9, 23))
-    print(f"    {scenario.rib.route_count} BGP routes, "
+    print(f"    {len(scenario.rib)} BGP routes, "
           f"{len(scenario.netflow.records)} flow records, "
           f"{len(scenario.isp)} peering links\n")
 

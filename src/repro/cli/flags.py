@@ -10,6 +10,7 @@ defaults that differ between commands are the groups' only parameters.
 from __future__ import annotations
 
 import argparse
+import math
 from contextlib import contextmanager, nullcontext
 
 from ..faults import FaultSchedule
@@ -155,8 +156,10 @@ def store_config_kwargs(args: argparse.Namespace) -> dict:
     """ScenarioConfig keywords for the measurement-store flags."""
     kwargs: dict = {}
     if args.store_budget_mb is not None:
-        if args.store_budget_mb < 0:
-            raise SystemExit("--store-budget-mb must be >= 0")
+        if not 0 <= args.store_budget_mb < math.inf:
+            raise SystemExit(
+                f"{args.command}: --store-budget-mb must be a finite number >= 0"
+            )
         kwargs["store_memory_budget_bytes"] = int(
             args.store_budget_mb * 1024 * 1024
         )
@@ -218,7 +221,7 @@ def add_checkpoint_flags(sub: argparse.ArgumentParser) -> None:
 def checkpoint_kwargs(args: argparse.Namespace, fallback_dir=None) -> dict:
     """engine.run keywords for the checkpoint flags."""
     if args.checkpoint_every < 0:
-        raise SystemExit("--checkpoint-every must be a positive tick count")
+        raise SystemExit(f"{args.command}: --checkpoint-every must be >= 0")
     if not args.checkpoint_every:
         if args.checkpoint_dir:
             raise SystemExit("--checkpoint-dir needs --checkpoint-every")

@@ -49,7 +49,7 @@ from .resolver import (
     ResolutionStep,
     ResolverCacheStats,
 )
-from .trace import DelegationTrace, DelegationTree, ReferralStep, dig_trace
+from .trace import DelegationTrace, DelegationTree, ReferralStep
 from .zone import AuthoritativeServer, Zone
 
 __all__ = [
@@ -94,5 +94,4 @@ __all__ = [
     "DelegationTree",
     "DelegationTrace",
     "ReferralStep",
-    "dig_trace",
 ]

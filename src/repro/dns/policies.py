@@ -216,14 +216,6 @@ class WeightSchedule:
                 break
         return active
 
-    def targets_at(self, now: float) -> tuple[str, ...]:
-        """The targets with positive weight at ``now``, sorted."""
-        return tuple(sorted(self.weights_at(now)))
-
-    def change_times(self) -> tuple[float, ...]:
-        """The times at which the schedule switches steps."""
-        return tuple(step[0] for step in self._steps)
-
 
 @dataclass(frozen=True)
 class WeightedCnamePolicy:

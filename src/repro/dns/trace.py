@@ -4,8 +4,8 @@ The recursive resolver answers *what* a name resolves to; operators
 dissecting a mapping chain also ask *who is authoritative at each
 level* — the root delegates ``net`` , ``net`` delegates ``akadns.net``
 to Akamai, and so on.  :class:`DelegationTree` derives that hierarchy
-from the zones the estate's servers host, and :func:`dig_trace` renders
-the walk for one name, referral by referral.
+from the zones the estate's servers host, and its ``trace`` walks one
+name, referral by referral.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 from .records import normalize_name
 from .zone import AuthoritativeServer
 
-__all__ = ["ReferralStep", "DelegationTrace", "DelegationTree", "dig_trace"]
+__all__ = ["ReferralStep", "DelegationTrace", "DelegationTree"]
 
 
 @dataclass(frozen=True)
@@ -126,11 +126,3 @@ class DelegationTree:
         return DelegationTrace(
             cleaned, tuple(steps), final_operator=self._zone_operator[hosted]
         )
-
-
-def dig_trace(
-    servers: Iterable[AuthoritativeServer],
-    name: str,
-) -> DelegationTrace:
-    """One-shot trace over an estate's servers."""
-    return DelegationTree(servers).trace(name)

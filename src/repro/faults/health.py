@@ -221,14 +221,6 @@ class HealthFilteredSchedule:
         filtered = self._health.filter_weights(weights)
         return filtered if filtered else dict(weights)
 
-    def targets_at(self, now: float) -> tuple[str, ...]:
-        """The target names currently answerable."""
-        return tuple(self.weights_at(now))
-
-    def change_times(self) -> tuple[float, ...]:
-        """The base schedule's step boundaries (health flips are live)."""
-        return self._base.change_times()
-
 
 class SelectionHealth:
     """The read-side health view the Figure 2 policies consult.

@@ -50,28 +50,28 @@ class PeeringLink:
 
 
 class EyeballIsp:
-    """The measured ISP: identity, customer space and peering surface."""
+    """The measured ISP: identity, customer space and peering surface.
 
-    def __init__(self, asn: ASN, name: str, customer_prefix: IPv4Prefix) -> None:
+    The link set is fixed at construction; link ids must be unique.
+    """
+
+    def __init__(
+        self,
+        asn: ASN,
+        name: str,
+        customer_prefix: IPv4Prefix,
+        links: Iterable[PeeringLink],
+    ) -> None:
         self.asn = asn
         self.name = name
         self.customer_prefix = customer_prefix
         self._links: dict[str, PeeringLink] = {}
         self._by_neighbor: dict[ASN, list[PeeringLink]] = {}
-        self._down: set[str] = set()
-        #: Counts the changes to the link set and to link state; the
-        #: counterpart of ``BgpRib.epoch`` for state derived from
-        #: :meth:`up_links`.
-        self.epoch = 0
-
-    def add_link(self, link: PeeringLink) -> PeeringLink:
-        """Register a peering link; link ids must be unique."""
-        if link.link_id in self._links:
-            raise ValueError(f"duplicate link id {link.link_id!r}")
-        self._links[link.link_id] = link
-        self._by_neighbor.setdefault(link.neighbor_asn, []).append(link)
-        self.epoch += 1
-        return link
+        for link in links:
+            if link.link_id in self._links:
+                raise ValueError(f"duplicate link id {link.link_id!r}")
+            self._links[link.link_id] = link
+            self._by_neighbor.setdefault(link.neighbor_asn, []).append(link)
 
     def link(self, link_id: str) -> PeeringLink:
         """The link with ``link_id``; raises ``KeyError`` if unknown."""
@@ -88,36 +88,6 @@ class EyeballIsp:
     def handover_for(self, link_id: str) -> ASN:
         """The handover AS of a link."""
         return self.link(link_id).neighbor_asn
-
-    # ----- failure injection ---------------------------------------------
-
-    def fail_link(self, link_id: str) -> None:
-        """Take a link down (maintenance, fibre cut, ...); idempotent."""
-        if link_id not in self._links:
-            raise KeyError(f"unknown link {link_id!r}")
-        if link_id not in self._down:
-            self._down.add(link_id)
-            self.epoch += 1
-
-    def restore_link(self, link_id: str) -> None:
-        """Bring a failed link back up (idempotent)."""
-        if link_id not in self._links:
-            raise KeyError(f"unknown link {link_id!r}")
-        if link_id in self._down:
-            self._down.remove(link_id)
-            self.epoch += 1
-
-    def is_up(self, link_id: str) -> bool:
-        """Whether the link currently carries traffic."""
-        return link_id in self._links and link_id not in self._down
-
-    def up_links(self, link_ids: Iterable[str]) -> tuple[PeeringLink, ...]:
-        """The subset of ``link_ids`` that is up, as link objects."""
-        return tuple(
-            self._links[link_id]
-            for link_id in link_ids
-            if self.is_up(link_id)
-        )
 
     def __iter__(self) -> Iterator[PeeringLink]:
         return iter(self._links.values())

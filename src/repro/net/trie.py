@@ -79,33 +79,6 @@ class PrefixTrie(Generic[V]):
                 best = node.value
         return best
 
-    def lookup_prefix(
-        self, address: IPv4Address, max_length: int = 32
-    ) -> Optional[tuple[IPv4Prefix, V]]:
-        """Like :meth:`lookup` but also return the matching prefix.
-
-        ``max_length`` bounds the match: only prefixes of at most that
-        length are considered, which lets callers walk the chain of
-        covering prefixes from longest to shortest.
-        """
-        node = self._root
-        best: Optional[tuple[IPv4Prefix, V]] = None
-        if node.has_value and max_length >= 0:
-            best = (IPv4Prefix(IPv4Address(0), 0), node.value)  # type: ignore[arg-type]
-        bits = address.value
-        for depth in range(min(32, max_length)):
-            bit = (bits >> (31 - depth)) & 1
-            node = node.one if bit else node.zero  # type: ignore[assignment]
-            if node is None:
-                break
-            if node.has_value:
-                length = depth + 1
-                best = (
-                    IPv4Prefix.containing(address, length),
-                    node.value,  # type: ignore[arg-type]
-                )
-        return best
-
     def get(self, prefix: IPv4Prefix) -> Optional[V]:
         """Exact-match value stored at ``prefix``, or ``None``."""
         node = self._root

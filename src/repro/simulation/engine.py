@@ -17,6 +17,7 @@ Each step the engine:
 
 from __future__ import annotations
 
+import math
 import signal
 import threading
 import time
@@ -413,8 +414,10 @@ class SimulationEngine:
         tracer=None,
         clock: Optional[Callable[[], float]] = None,
     ):
-        if step_seconds <= 0:
+        if not step_seconds > 0:
             raise ValueError("step_seconds must be positive")
+        if step_seconds == math.inf:
+            raise ValueError("step_seconds must be finite")
         self.scenario = scenario
         self.step_seconds = step_seconds
         # Wall-clock source for step-duration telemetry; injectable so
@@ -423,9 +426,16 @@ class SimulationEngine:
             clock if clock is not None else time.perf_counter
         )
         self._server_rank_cache: dict[tuple[str, bool, int], list] = {}
-        self._route_plans: dict[int, tuple] = {}
-        self._plan_epoch: Optional[tuple] = None
-        self._first_customer = 0  # address value of customer host 1
+        # source value -> ((link_id, capacity_bytes), ...): the links of
+        # the source's route and what each carries in one step.  The
+        # table and the link set never change, so a plan is built on
+        # first use and kept for the run (and never checkpointed).
+        self._route_plans: dict[int, tuple[tuple[str, float], ...]] = {}
+        # Destinations are customer hosts 1..1024; that they exist is
+        # checked here, once, instead of once per flow.
+        customers = scenario.isp.customer_prefix
+        customers.host(1024)
+        self._first_customer = customers.host(1).value
         # Worker label on per-phase timings: "main" for the serial loop
         # and the sharded coordinator; replicas get "wN" at init.
         self.profile_worker = "main"
@@ -783,7 +793,6 @@ class SimulationEngine:
         """
         scenario = self.scenario
         config = scenario.config
-        self._refresh_route_plans()
         link_used: dict[str, float] = {}
         carried: dict[str, int] = {}
         rows: list[tuple[int, int, int, str]] = []
@@ -857,35 +866,14 @@ class SimulationEngine:
         self._server_rank_cache[key] = sources
         return sources
 
-    def _refresh_route_plans(self) -> None:
-        """Drop the route plans if the table or the link state changed.
-
-        A plan is derived state — ``source value -> ((link_id,
-        capacity_bytes), ...)``, the up links of the source's best
-        route and what each can carry in one step — so it is rebuilt on
-        first use and never checkpointed.
-        """
-        scenario = self.scenario
-        epoch = (scenario.rib.epoch, scenario.isp.epoch, self.step_seconds)
-        if epoch != self._plan_epoch:
-            self._plan_epoch = epoch
-            self._route_plans.clear()
-            # Destinations are customer hosts 1..1024; that they exist is
-            # checked here, once, instead of once per flow.
-            prefix = scenario.isp.customer_prefix
-            prefix.host(1024)
-            self._first_customer = prefix.host(1).value
-
     def _plan_route(self, source: IPv4Address) -> tuple[tuple[str, float], ...]:
-        scenario = self.scenario
-        route = scenario.rib.lookup(source)
+        route = self.scenario.rib.lookup(source)
         if route is None:
             return ()
-        # Failed links drop out of the balancing set; the survivors
-        # absorb the redistribution (and may saturate doing so).
+        isp = self.scenario.isp
         return tuple(
-            (link.link_id, link.capacity_bytes(self.step_seconds))
-            for link in scenario.isp.up_links(route.link_ids)
+            (link_id, isp.link(link_id).capacity_bytes(self.step_seconds))
+            for link_id in route.link_ids
         )
 
     def _route_bytes(
@@ -906,7 +894,7 @@ class SimulationEngine:
             if plan is None:
                 plan = plans[src] = self._plan_route(source)
             if not plan:
-                continue  # no route, or a dark one: traffic never arrives
+                continue  # no route: traffic never arrives
             per_link = total_bytes / len(plan)
             dst = first_customer + (src + second) % 1024  # same for every link
             for link_id, capacity in plan:

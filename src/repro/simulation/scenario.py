@@ -493,7 +493,6 @@ class Sep2017Scenario:
         return demand
 
     def _build_isp(self) -> tuple[EyeballIsp, BgpRib]:
-        isp = EyeballIsp(AS_ISP, "EU-Eyeball-T1", _ISP_CUSTOMER_PREFIX)
         links: list[PeeringLink] = [
             PeeringLink("apple-1", "br-fra-1", AS_APPLE, 400.0),
             PeeringLink("apple-2", "br-dus-1", AS_APPLE, 400.0),
@@ -523,42 +522,32 @@ class Sep2017Scenario:
                     50.0,
                 )
             )
-        for link in links:
-            isp.add_link(link)
-
-        rib = BgpRib()
-        # Apple: direct peering.
-        rib.install(
+        routes = [
+            # Apple: direct peering.
             BgpRoute(
                 IPv4Prefix.parse("17.0.0.0/8"),
                 as_path=(AS_APPLE,),
                 link_ids=("apple-1", "apple-2"),
-            )
-        )
-        # Akamai own AS: direct links plus the in-network cache link.
-        rib.install(
+            ),
+            # Akamai own AS: direct links plus the in-network cache link.
             BgpRoute(
                 AKAMAI_PLAN.own_prefix,
                 as_path=(AS_AKAMAI,),
                 link_ids=("akamai-1", "akamai-2", "akamai-3", "akamai-cache"),
-            )
-        )
-        # "Akamai other AS" caches: hosted, reached via transit A.
-        rib.install(
+            ),
+            # "Akamai other AS" caches: hosted, reached via transit A.
             BgpRoute(
                 AKAMAI_PLAN.other_as_prefix,
                 as_path=(AS_TRANSIT_A, AS_HOSTER_AKAMAI),
                 link_ids=("transit-a-1", "transit-a-2"),
-            )
-        )
-        # Limelight own AS: direct peering.
-        rib.install(
+            ),
+            # Limelight own AS: direct peering.
             BgpRoute(
                 LIMELIGHT_PLAN.own_prefix,
                 as_path=(AS_LIMELIGHT,),
                 link_ids=("limelight-1", "limelight-2"),
-            )
-        )
+            ),
+        ]
         # "Limelight other AS" caches: spread over transits A/B/C with
         # host routes cycling per cache, so whichever subset of hosted
         # caches is active, the ingress mix stays stable (the pre-event
@@ -577,31 +566,30 @@ class Sep2017Scenario:
         for address in sorted(hosted):
             pick = int(stable_fraction("llnw-transit", address) * len(transit_cycle))
             transit_asn, link_ids = transit_cycle[pick]
-            rib.install(
+            routes.append(
                 BgpRoute(
                     IPv4Prefix.containing(address, 32),
                     as_path=(transit_asn, AS_HOSTER_LIMELIGHT),
                     link_ids=link_ids,
                 )
             )
-        # Covering route for any hosted Limelight address beyond the /22
-        # (larger fleets); more-specific /28s and the cluster /19 win.
-        rib.install(
+        routes += [
+            # Covering route for any hosted Limelight address beyond the
+            # /22 (larger fleets); more-specific /28s and the cluster /19 win.
             BgpRoute(
                 LIMELIGHT_PLAN.other_as_prefix,
                 as_path=(AS_TRANSIT_A, AS_HOSTER_LIMELIGHT),
                 link_ids=("transit-a-1", "transit-a-2"),
-            )
-        )
-        # The overflow cluster: behind AS D, over two of its four links.
-        rib.install(
+            ),
+            # The overflow cluster: behind AS D, over two of its four links.
             BgpRoute(
                 _OVERFLOW_CLUSTER_PREFIX,
                 as_path=(AS_TRANSIT_D, AS_HOSTER_LIMELIGHT),
                 link_ids=("transit-d-1", "transit-d-2"),
-            )
-        )
-        return isp, rib
+            ),
+        ]
+        isp = EyeballIsp(AS_ISP, "EU-Eyeball-T1", _ISP_CUSTOMER_PREFIX, links)
+        return isp, BgpRib(routes)
 
     def _register_asns(self) -> None:
         registry = self.registry

@@ -144,7 +144,7 @@ class TestWeightSchedule:
 
     def test_zero_weight_targets_dropped(self):
         schedule = WeightSchedule.constant({"a.example": 1.0, "b.example": 0.0})
-        assert schedule.targets_at(0) == ("a.example",)
+        assert schedule.weights_at(0) == {"a.example": 1.0}
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -169,16 +169,12 @@ class TestWeightSchedule:
         with pytest.raises(ValueError):
             WeightSchedule(steps)
 
-    def test_targets_sorted(self):
-        schedule = WeightSchedule.constant({"b.example": 1.0, "a.example": 1.0})
-        assert schedule.targets_at(0) == ("a.example", "b.example")
-
     def test_steps_sorted_by_time(self):
         schedule = WeightSchedule(
             [(100.0, {"late.example": 1.0}), (0.0, {"early.example": 1.0})]
         )
-        assert schedule.targets_at(50) == ("early.example",)
-        assert schedule.change_times() == (0.0, 100.0)
+        assert schedule.weights_at(50) == {"early.example": 1.0}
+        assert schedule.weights_at(100) == {"late.example": 1.0}
 
 
 class TestWeightedCnamePolicy:

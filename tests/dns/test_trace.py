@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dns.policies import CnamePolicy
-from repro.dns.trace import DelegationTree, dig_trace
+from repro.dns.trace import DelegationTree
 from repro.dns.zone import AuthoritativeServer, Zone
 
 
@@ -54,10 +54,6 @@ class TestDelegationTree:
         assert "delegation trace for appldnld.apple.com" in text
         assert "AUTHORITATIVE" in text
         assert "IANA root" in text
-
-    def test_dig_trace_shortcut(self, servers):
-        trace = dig_trace(servers, "appldnld.apple.com")
-        assert trace.depth == 3
 
 
 class TestAgainstFullEstate:

@@ -13,7 +13,6 @@ from repro.faults import (
     FaultKind,
     FaultSchedule,
     FaultWindow,
-    HealthFilteredSchedule,
     MemberState,
     SelectionHealth,
 )
@@ -166,7 +165,6 @@ class TestHealthFilteredSchedule:
         assert schedule.weights_at(0.0) == {AKAMAI_LB: 0.7, LIMELIGHT_LB: 0.3}
         monitor.record_probe("Limelight", False, 1.0)
         assert schedule.weights_at(1.0) == {AKAMAI_LB: 0.7}
-        assert schedule.targets_at(1.0) == (AKAMAI_LB,)
 
     def test_empty_filter_falls_back_to_base(self):
         monitor = _monitor(k_failures=1)
@@ -175,13 +173,6 @@ class TestHealthFilteredSchedule:
         schedule = health.wrap_schedule(MappingRegion.EU, base)
         monitor.record_probe("Limelight", False, 1.0)
         assert schedule.weights_at(1.0) == {LIMELIGHT_LB: 1.0}
-
-    def test_change_times_delegates(self):
-        monitor = _monitor()
-        health = self._health(monitor)
-        base = WeightSchedule.constant({AKAMAI_LB: 1.0})
-        schedule = HealthFilteredSchedule(base, health)
-        assert schedule.change_times() == base.change_times()
 
     def test_unmapped_names_never_filtered(self):
         monitor = _monitor(k_failures=1)

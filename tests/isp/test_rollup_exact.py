@@ -53,22 +53,23 @@ SOURCES = {
 
 
 def eyeball_isp() -> EyeballIsp:
-    isp = EyeballIsp(ASN(64496), "TestISP", IPv4Prefix.parse("89.0.0.0/12"))
-    for link_id, neighbor in LINKS.items():
-        isp.add_link(PeeringLink(link_id, "br", neighbor, 100.0))
-    return isp
+    return EyeballIsp(ASN(64496), "TestISP", IPv4Prefix.parse("89.0.0.0/12"), [
+        PeeringLink(link_id, "br", neighbor, 100.0)
+        for link_id, neighbor in LINKS.items()
+    ])
 
 
 def classifier(isp: EyeballIsp) -> TrafficClassifier:
-    rib = BgpRib()
-    for prefix, path in (
-        ("17.0.0.0/8", (AS_APPLE,)),
-        ("23.192.0.0/11", (AS_AKAMAI,)),
-        ("92.122.0.0/15", (AS_TRANSIT_A, ASN(64512))),
-        ("68.142.64.0/18", (AS_LIMELIGHT,)),
-        ("208.111.160.0/19", (AS_TRANSIT_B, ASN(64513))),
-    ):
-        rib.install(BgpRoute(IPv4Prefix.parse(prefix), path, ("apple-1",)))
+    rib = BgpRib(
+        BgpRoute(IPv4Prefix.parse(prefix), path, ("apple-1",))
+        for prefix, path in (
+            ("17.0.0.0/8", (AS_APPLE,)),
+            ("23.192.0.0/11", (AS_AKAMAI,)),
+            ("92.122.0.0/15", (AS_TRANSIT_A, ASN(64512))),
+            ("68.142.64.0/18", (AS_LIMELIGHT,)),
+            ("208.111.160.0/19", (AS_TRANSIT_B, ASN(64513))),
+        )
+    )
     operators = {IPv4Address.parse(src): name for src, name in SOURCES.items()}
     return TrafficClassifier(isp, rib, operators.get)
 

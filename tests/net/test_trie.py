@@ -50,22 +50,6 @@ class TestPrefixTrie:
         assert apple_trie.get(IPv4Prefix.parse("17.0.0.0/8")) == "apple"
         assert apple_trie.get(IPv4Prefix.parse("17.0.0.0/9")) is None
 
-    def test_lookup_prefix_returns_matching_prefix(self, apple_trie):
-        match = apple_trie.lookup_prefix(IPv4Address.parse("17.253.9.9"))
-        assert match is not None
-        prefix, value = match
-        assert str(prefix) == "17.253.0.0/16"
-        assert value == "apple-cdn"
-
-    def test_lookup_prefix_miss(self, apple_trie):
-        assert apple_trie.lookup_prefix(IPv4Address.parse("9.9.9.9")) is None
-
-    def test_lookup_prefix_default_route(self):
-        trie = PrefixTrie()
-        trie.insert(IPv4Prefix.parse("0.0.0.0/0"), "default")
-        match = trie.lookup_prefix(IPv4Address.parse("9.9.9.9"))
-        assert match == (IPv4Prefix.parse("0.0.0.0/0"), "default")
-
     def test_items_round_trip(self, apple_trie):
         items = dict(apple_trie.items())
         assert items == {

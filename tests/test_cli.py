@@ -136,7 +136,7 @@ class TestCheckpointFlags:
         (["--checkpoint-dir", "DIR"],
          "--checkpoint-dir needs --checkpoint-every"),
         (["--checkpoint-every", "-1", "--checkpoint-dir", "DIR"],
-         "--checkpoint-every must be a positive tick count"),
+         "simulate: --checkpoint-every must be >= 0"),
     ], ids=["every-without-dir", "dir-without-every", "negative-every"])
     def test_simulate_rejects_half_a_plan(
         self, tmp_path, argv, message
@@ -200,10 +200,21 @@ class TestReplayFlagValues:
          "profile: end must be after start"),
         *(([command, "--fault", "bogus@x:1-2"], f"{command}: {BAD_FAULT}")
           for command in ("simulate", "run", "chaos")),
+        (["simulate", *PROBES, "--step", "nan"],
+         "simulate: step_seconds must be positive"),
+        (["run", *PROBES, "--step", "inf"],
+         "run: step_seconds must be finite"),
+        (["report", *PROBES, "--step", "inf"],
+         "report: step_seconds must be finite"),
+        *((["report", *PROBES, "--store-budget-mb", value],
+           "report: --store-budget-mb must be a finite number >= 0")
+          for value in ("inf", "nan", "-1")),
     ], ids=["simulate-step", "simulate-probes", "simulate-workers",
             "simulate-share", "simulate-window", "report-step",
             "run-workers", "resolvers-step", "profile-window",
-            "simulate-fault", "run-fault", "chaos-fault"])
+            "simulate-fault", "run-fault", "chaos-fault",
+            "simulate-step-nan", "run-step-inf", "report-step-inf",
+            "report-budget-inf", "report-budget-nan", "report-budget-negative"])
     def test_exits_as_one_line_before_running(self, monkeypatch, argv, message):
         from repro.cli import chaos
         from repro.simulation import SimulationEngine

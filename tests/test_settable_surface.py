@@ -20,11 +20,17 @@ three kinds: ``fake`` (a test substitutes a clock, registry, tracer or
 stream), ``roadmap`` (a value a ROADMAP item needs) and ``bound`` (a size
 a test must shrink to stay fast, where a monkeypatch cannot reach).
 
-*Callable.*  The methods and functions in :data:`SEAMS` are called by
-tests only, and stay because the tests reach real behaviour through
-them; each must stay test-only (a production caller takes it off the
-list).  :data:`DELETED` were test-only and tested nothing else (or lost
-their one production caller with the serve fleet); they stay gone.
+*Callable.*  Every public module-level function and method under
+``repro`` is named outside ``tests/`` (as a name or an attribute,
+anywhere under ``src/``, ``benchmarks/`` or ``examples/``), is an
+asyncio protocol hook (:data:`PROTOCOL_HOOKS`: the event loop calls
+those), or is in :data:`SEAMS`.  The methods and functions in
+:data:`SEAMS` are called by tests only, and stay because the tests reach
+real behaviour through them — most are the reference a faster path is
+compared against; each must stay test-only (a production caller takes it
+off the list).  :data:`DELETED` were test-only and tested nothing else,
+only restated another call, lost their one production caller, or
+changed a table the run treats as fixed; they stay gone.
 """
 
 import ast
@@ -52,28 +58,65 @@ ALLOWED = {
 }
 
 SEAMS = {
+    "analysis/enumeration.py:EnumerationResult.hit_ratio": "the 3.3 enumeration tests check that only some candidates resolve with it",
+    "analysis/enumeration.py:enumerate_names": "the 3.3 enumeration tests find the estate's edge-bx names through the forward zone with it",
+    "analysis/offload.py:summarize_offload": "the per-flow Figure 7 reference fold_traffic's offload half is compared against",
+    "analysis/overflow.py:summarize_overflow": "the per-flow Figure 8 reference fold_traffic's overflow half is compared against",
+    "atlas/probe.py:AtlasProbe.measure_dns": "the one-probe reference a campaign's tick block is compared against",
+    "atlas/results.py:MeasurementStore.add_dns": "the row-wise append a DNS block append is compared against",
+    "atlas/results.py:MeasurementStore.add_traceroute": "the row-wise append a traceroute block append is compared against",
+    "atlas/results.py:MeasurementStore.segment_summaries": "the block, columnar and checkpoint tests compare segment layouts with it",
+    "atlas/results.py:TracerouteMeasurement.reached": "the traceroute tests check that a path ends at its destination with it",
+    "cdn/cache.py:CacheStats.hit_ratio": "the cache model test checks the hit accounting with it",
     "cdn/cache.py:ContentCache.evict": "the cache model test and a forced origin miss go through it",
     "cdn/cache.py:ContentCache.used_bytes": "the cache model test checks the byte accounting with it",
     "cdn/deployment.py:CdnDeployment.servers_in_region": "exposure and pool tests count a region's fleet with it",
     "dns/query.py:DnsResponse.is_empty": "the IPv6-absence tests assert NODATA with it",
-    "dns/reverse.py:scan_ptr_records": "the 3.3 tests walk the PTR zone and feed site discovery with it",
     "dns/resolver.py:RecursiveResolver.cache_size": "the shared-cache tests count entries per chain with it",
+    "dns/resolver.py:ResolverCacheStats.hit_ratio": "the shared-cache tests check the resolver's hit accounting with it",
+    "dns/reverse.py:address_from_reverse_name": "the reverse-name tests check the in-addr.arpa round trip with it",
+    "dns/reverse.py:build_ptr_zone": "the 3.3 tests serve the estate's reverse table with it",
+    "dns/reverse.py:scan_ptr_records": "the 3.3 tests walk the PTR zone and feed site discovery with it",
     "http/messages.py:Headers.get_all": "the header model test compares repeated fields with it",
+    "isp/classify.py:TrafficClassifier.classify": "the per-flow reference classify_all is compared against",
     "isp/netflow.py:NetflowCollector.sampled_bytes": "the 5.3 sampling tests check 1-in-N collection with it",
     "isp/topology.py:EyeballIsp.is_direct_peer": "the scenario tests check the ISP's peering with it",
+    "simulation/engine.py:RunSummary.from_run": "the golden runs digest the summary it builds",
     "workload/population.py:DevicePopulation.scaled": "the adoption test doubles the installed base with it to check the surge scales",
 }
+
+#: Called by the asyncio event loop on a protocol object; no line names them.
+PROTOCOL_HOOKS = frozenset({
+    "connection_made", "connection_lost", "data_received", "eof_received",
+    "datagram_received", "error_received", "pause_writing", "resume_writing",
+})
 
 DELETED = (
     "cdn/deployment.py:ExposureController.smoothed_gbps",
     "cdn/server.py:CacheServer.is_cache",
     "cdn/server.py:CacheServer.is_load_balancer",
+    "dns/policies.py:WeightSchedule.change_times",
+    "dns/policies.py:WeightSchedule.targets_at",
+    "dns/trace.py:dig_trace",
     "faults/health.py:CdnHealthMonitor.unhealthy_members",
+    "faults/health.py:HealthFilteredSchedule.change_times",
+    "faults/health.py:HealthFilteredSchedule.targets_at",
     "isp/bgp.py:BgpRib.candidates",
+    "isp/bgp.py:BgpRib.install",
+    "isp/bgp.py:BgpRib.lookup_all",
+    "isp/bgp.py:BgpRib.route_count",
+    "isp/bgp.py:BgpRib.routes",
     "isp/bgp.py:BgpRib.withdraw",
+    "isp/bgp.py:route_preference",
+    "isp/topology.py:EyeballIsp.add_link",
+    "isp/topology.py:EyeballIsp.fail_link",
+    "isp/topology.py:EyeballIsp.is_up",
     "isp/topology.py:EyeballIsp.neighbors",
+    "isp/topology.py:EyeballIsp.restore_link",
     "isp/topology.py:EyeballIsp.routers",
+    "isp/topology.py:EyeballIsp.up_links",
     "net/ipv4.py:IPv4Prefix.subnets",
+    "net/trie.py:PrefixTrie.lookup_prefix",
     "obs/trace_context.py:set_context",
     "serve/fleet.py:ServeFleet.http_endpoint",
     "serve/fleet.py:ServeFleet.resolver_endpoint",
@@ -346,13 +389,43 @@ def _defined(entry):
     return False
 
 
+def _callee(entry):
+    """The name a call of ``module:Class.method`` / ``module:function`` uses."""
+    return entry.partition(":")[2].rpartition(".")[2]
+
+
+def public_callables():
+    """``(name, label)`` of every public module-level function and method."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).as_posix()
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield node.name, f"{module}:{node.name}"
+            elif isinstance(node, ast.ClassDef):
+                for st in node.body:
+                    if isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        yield st.name, f"{module}:{node.name}.{st.name}"
+
+
+def test_every_public_callable_is_named_outside_tests_or_a_seam():
+    used = names_used_outside_tests()
+    offenders = [
+        label for name, label in public_callables()
+        if not name.startswith("_") and name not in used
+        and name not in PROTOCOL_HOOKS and label not in SEAMS
+    ]
+    assert not offenders, (
+        "called by tests only (delete it, or make it a SEAM with a reason):\n  "
+        + "\n  ".join(offenders)
+    )
+
+
 def test_seams_are_defined_and_called_by_tests_only():
     used = names_used_outside_tests()
     for entry, reason in SEAMS.items():
         assert reason.strip(), entry
         assert _defined(entry), f"{entry} is gone; drop it from SEAMS"
-        method = entry.rpartition(".")[2]
-        assert method not in used, f"{entry} has a caller now; drop it from SEAMS"
+        assert _callee(entry) not in used, f"{entry} has a caller now; drop it from SEAMS"
 
 
 def test_deleted_test_only_methods_stay_deleted():

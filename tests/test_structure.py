@@ -22,6 +22,14 @@ hedge budget without ``asyncio.wait_for``.
 replay written once"): clients are steered by the DNS selection chain
 alone.  The anycast axis and the hybrid mix of the two stay gone from
 every layer: no package, flag, command, config field or fault kind.
+
+*The flow log is columns* (CI: "The flow log is columns"): the one flow
+log is typed arrays in ``repro/isp/netflow.py``, and a ``FlowRecord`` is
+built only there, for a reader; the report classifies the hourly
+roll-up, a shard worker drains what it ships, the traffic phase writes a
+tick at a time, and a DNS tick is one block.  The ISP plane is built
+once: nothing that tracked changes to the RIB or the link set comes
+back under ``repro/isp`` or in the engine.
 """
 
 import ast
@@ -35,11 +43,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def grep(pattern, *roots, fixed=False):
-    """``grep -rn[F|E] pattern roots --include='*.py'``, as ``path:n: line``."""
+    """``grep -rn[F|E] pattern roots --include='*.py'``, as ``path:n: line``;
+    a root is a directory or one file."""
     matches = (lambda line: pattern in line) if fixed else re.compile(pattern).search
     hits = []
     for root in roots:
-        for path in sorted((ROOT / root).rglob("*.py")):
+        base = ROOT / root
+        assert base.exists(), f"no such path: {root}"
+        for path in [base] if base.is_file() else sorted(base.rglob("*.py")):
             lines = path.read_text().splitlines()
             for number, line in enumerate(lines, 1):
                 if matches(line):
@@ -229,3 +240,104 @@ def test_no_route_fault_kind():
 
     assert not [kind for kind in FaultKind if kind.value.startswith("route-")]
     assert not grep(r"route-(withdraw|prepend)|ROUTE_(WITHDRAW|PREPEND)", "src")
+
+
+# ----------------------------------------------------------------------
+# The flow log is columns
+# ----------------------------------------------------------------------
+
+ENGINE = "src/repro/simulation/engine.py"
+
+
+def test_a_flow_record_is_built_only_by_the_flow_log():
+    assert not outside(grep("FlowRecord(", "src", fixed=True), "src/repro/isp/netflow.py")
+
+
+def test_no_record_list_or_tuple_copy():
+    assert not grep(r"tuple\(self\._records|list\[FlowRecord\]", "src")
+
+
+def test_the_report_never_classifies_every_flow():
+    assert not grep("classify_all(records)", "src/repro/analysis/report.py", fixed=True)
+
+
+def test_the_report_classifies_the_rollup():
+    assert grep("rollup(", "src/repro/analysis/report.py", fixed=True)
+
+
+def test_a_shard_worker_drains_what_it_ships():
+    assert not grep(
+        r"records_since\(|\.mark\(\)|snapshot_bins\(\)", "src/repro/simulation/concurrency.py"
+    )
+
+
+def test_no_list_of_classified_flows():
+    assert not grep("list(classifier.classify_all(", "src", "examples", fixed=True)
+
+
+def test_no_collector_tuning_under_src():
+    assert not grep(r"gc\.(disable|freeze|set_threshold)\(", "src")
+
+
+def test_one_snmp_add_per_link_per_tick():
+    assert len(grep("snmp.add_bytes(", ENGINE, fixed=True)) == 1
+
+
+def test_no_per_flow_observe_or_destination_host():
+    assert not grep(r"observe_exact\(|customer_prefix\.host\(", ENGINE)
+
+
+def test_the_collector_has_no_per_row_observe():
+    assert not grep("def observe(", "src/repro/isp/netflow.py", fixed=True)
+
+
+def test_the_engine_has_no_sampling_rate_branch():
+    assert not grep("sampling_rate == 1", ENGINE, fixed=True)
+
+
+def test_the_static_isp_plane_keeps_no_change_tracking():
+    """The RIB and the link set are built whole; nothing that followed
+    their changes (candidate sets, epochs, the LPM memo, link state,
+    plan invalidation) comes back under ``repro/isp`` or in the engine."""
+    assert not grep(
+        r"\b(epoch|_plan_epoch|_refresh_route_plans|_lpm_memo|LPM_MEMO_BOUND"
+        r"|lookup_all|_lookup_above|_walk|route_preference|_route_digest"
+        r"|route_count|install|add_link|fail_link|restore_link|is_up|up_links"
+        r"|_down|lookup_prefix|candidates|withdraw)\b|\.routes\(\)|def routes\b",
+        "src/repro/isp", ENGINE,
+    )
+
+
+def test_no_per_row_dns_append():
+    assert not grep(
+        r"DnsRowRef|add_dns_row|row_values|append_row_from|add_dns_values", "src"
+    )
+
+
+def test_only_a_campaign_tick_extends_the_dns_store():
+    files = sorted({hit.partition(":")[0] for hit in grep("add_dns_block(", "src", fixed=True)})
+    assert files == ["src/repro/atlas/campaign.py", "src/repro/atlas/results.py"]
+
+
+def test_a_record_is_interned_with_a_dict_probe():
+    assert not grep("lru_cache", "src/repro/dns/records.py", fixed=True)
+
+
+def test_the_flow_log_keeps_one_timestamp_per_run():
+    assert not grep('array("d", (timestamp,)) *', "src/repro/isp/netflow.py", fixed=True)
+
+
+def test_one_answer_pool_per_vantage():
+    assert not grep("POOL_MEMO_BOUND", "src", fixed=True)
+
+
+def test_the_store_keeps_no_list_of_traceroutes():
+    assert not grep("_traceroutes", "src/repro/atlas/results.py", fixed=True)
+
+
+def test_answer_pools_are_address_values():
+    assert not grep("tuple[IPv4Address", "src/repro/cdn/deployment.py", fixed=True)
+
+
+def test_the_unbound_answer_policies_stay_gone():
+    assert not grep(r"RegionSplitPolicy|RoundRobinAddressPolicy", "src")
