@@ -42,7 +42,6 @@ from .scoreboard import (
     evaluate_scoreboard,
     render_scoreboard,
 )
-from .resolver_accuracy import ResolverAccuracy
 from .sites import SiteDiscovery, SiteRecord, discover_sites
 from .unique_ips import (
     UniqueIpPoint,
@@ -94,5 +93,4 @@ __all__ = [
     "peak_share",
     "OverflowSummary",
     "summarize_overflow",
-    "ResolverAccuracy",
 ]

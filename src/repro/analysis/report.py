@@ -1,7 +1,7 @@
 """One-shot paper report: every reproduced result in a single document.
 
 :func:`measure` takes a completed scenario run and measures Figures 2-8,
-the Table 1 facts and the beyond-the-paper sections once, into one
+the Table 1 facts and the traceroute paths once, into one
 :class:`PaperFigures`.  :func:`render` turns that into the text report a
 replication study would attach; :func:`generate_report` is the two in a
 row.  The scoreboard (:mod:`repro.analysis.scoreboard`) and the figure
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..isp.classify import TrafficClassifier, is_overflow
 from ..isp.netflow import FlowLog
@@ -33,9 +33,6 @@ from .unique_ips import (
     series_by_continent,
     unique_ip_series,
 )
-
-if TYPE_CHECKING:
-    from .resolver_accuracy import ResolverAccuracy
 
 __all__ = [
     "PaperFigures",
@@ -71,7 +68,6 @@ class PaperFigures:
     isp_series: Optional[list[UniqueIpPoint]]  # Figure 5
     offload: Optional[OffloadSummary]  # Figure 7
     overflow: Optional[OverflowSummary]  # Figure 8
-    resolvers: Optional[ResolverAccuracy]  # a resolver population only
 
     @property
     def release(self) -> float:
@@ -213,12 +209,6 @@ def measure(scenario) -> PaperFigures:
 
     offload, overflow = traffic_figures(scenario)
 
-    resolvers = None
-    if scenario.resolver_plane is not None:
-        from .resolver_accuracy import ResolverAccuracy
-
-        resolvers = ResolverAccuracy.from_scenario(scenario)
-
     return PaperFigures(
         timeline=tl,
         mapping=mapping,
@@ -232,7 +222,6 @@ def measure(scenario) -> PaperFigures:
         isp_series=isp_series,
         offload=offload,
         overflow=overflow,
-        resolvers=resolvers,
     )
 
 
@@ -299,13 +288,6 @@ def render(figures: PaperFigures) -> str:
         lines.append(figures.overflow.render(label_time=tl.date_label))
     else:
         lines.append("(no ISP traffic collected in this run)")
-
-    if figures.resolvers is not None:
-        lines += _section(
-            "Resolver populations — mapping accuracy through shared POP caches"
-        )
-        for row in figures.resolvers.render().splitlines():
-            lines.append(f"    {row}")
 
     return "\n".join(lines)
 

@@ -24,9 +24,7 @@ the shared flag groups in :mod:`repro.cli.flags` and its one body
 * ``top`` — poll a running edge's admin endpoint and render a live
   panel (qps, cache-hit ratio, error rate, latency percentiles);
 * ``profile`` — run the engine under the phase profiler and print the
-  per-worker per-phase time breakdown;
-* ``resolvers`` — replay a window under a public-resolver population
-  and print its mapping-accuracy analysis.
+  per-worker per-phase time breakdown.
 
 ``--workers`` is passed through as a number to the replay commands:
 whether it means the serial engine or the sharded one is decided in
@@ -45,7 +43,6 @@ from . import (
     loadgen,
     profile,
     report,
-    resolvers,
     resume,
     selftest,
     serve,
@@ -60,7 +57,7 @@ __all__ = ["main", "build_parser", "render_top_panel", "render_profile"]
 
 _COMMANDS = (
     simulate, report, resume, survey, serve, loadgen, selftest, chaos, top,
-    profile, resolvers,
+    profile,
 )
 
 

@@ -30,13 +30,17 @@ def register(commands) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    config = ChaosConfig(
-        seed=args.seed,
-        schedule=flags.fault_schedule(args) if args.fault else None,
-        concurrency=args.concurrency,
-        run_simulation=not args.skip_simulation,
-        workers=args.workers,
-    )
+    schedule = flags.fault_schedule(args) if args.fault else None
+    try:
+        config = ChaosConfig(
+            seed=args.seed,
+            schedule=schedule,
+            concurrency=args.concurrency,
+            run_simulation=not args.skip_simulation,
+            workers=args.workers,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"chaos: {exc}") from None
     with flags.flight_scope(args):
         report, _registry, _tracer = run_chaos(config)
     print(report.render())

@@ -77,8 +77,6 @@ def scenario_from_args(args: argparse.Namespace) -> Sep2017Scenario:
         "global_probe_count": args.probes,
         "isp_probe_count": args.isp_probes,
     }
-    if "resolver_population" in given:
-        config.update(resolver_config_kwargs(args))
     if "store_budget_mb" in given:
         config.update(store_config_kwargs(args))
     faults = None
@@ -93,8 +91,8 @@ def engine_from_args(
     """The engine over :func:`scenario_from_args` at ``--step``, for a
     run from ``start`` to ``end`` over ``--workers``.
 
-    A flag value the replay refuses (window, worker count, scale,
-    population, step) exits as ``<command>: <message>`` before anything
+    A flag value the replay refuses (window, worker count, scale, step)
+    exits as ``<command>: <message>`` before anything
     is built or run.
     """
     try:
@@ -109,18 +107,17 @@ def engine_from_args(
 # ----------------------------------------------------------------------
 
 
-def add_resolver_flags(
-    sub: argparse.ArgumentParser, *, default_population: str = "isp"
-) -> None:
+def add_resolver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--resolver-population", choices=POPULATIONS,
-                     default=default_population,
-                     help="who resolves for the probes: isp (per-client "
+                     default="isp",
+                     help="who resolves for the clients: isp (per-client "
                           "resolvers) or mixed (--public-resolver-share "
-                          "of them behind shared POP caches; 1.0 puts "
-                          "every probe there; default %(default)s)")
+                          "of them behind the public-resolver front's "
+                          "shared POP caches; 1.0 puts every client "
+                          "there; default %(default)s)")
     sub.add_argument("--public-resolver-share", type=float, default=0.5,
                      metavar="FRACTION",
-                     help="probe fraction behind public resolvers under "
+                     help="client fraction behind public resolvers under "
                           "mixed (default 0.5)")
     sub.add_argument("--public-resolver-ecs", choices=("on", "off"),
                      default="on",
@@ -132,7 +129,7 @@ def add_resolver_flags(
 
 
 def resolver_config_kwargs(args: argparse.Namespace) -> dict:
-    """ScenarioConfig / ClusterConfig keywords for the resolver flags."""
+    """ClusterConfig keywords for the resolver flags."""
     return {
         "resolver_population": args.resolver_population,
         "public_resolver_share": args.public_resolver_share,

@@ -15,7 +15,6 @@ def register(commands) -> None:
         "report", help="run the event window and print the full report"
     )
     flags.add_window_flags(sub, probes=80, isp_probes=40, span=None)
-    flags.add_resolver_flags(sub)
     flags.add_store_flags(sub)
     flags.add_checkpoint_flags(sub)
     flags.add_telemetry_flags(sub)

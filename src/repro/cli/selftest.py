@@ -4,6 +4,7 @@ verify throughput, latency and cache health in one shot."""
 from __future__ import annotations
 
 import argparse
+import math
 
 from ..serve import ClusterConfig, selftest
 from . import flags
@@ -22,6 +23,8 @@ def register(commands) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
+    if not 0 <= args.qps_floor < math.inf:
+        raise SystemExit("selftest: --qps-floor must be a finite number >= 0")
     tracer = flags.client_tracer(args)
     try:
         result = selftest(

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 
-from ..analysis import ResolverAccuracy
 from ..net.geo import MappingRegion
 from ..workload import TIMELINE
 from . import flags
@@ -17,7 +16,6 @@ def register(commands) -> None:
         help="run the Sep-2017 scenario over a date window",
     )
     flags.add_window_flags(sub, probes=60, isp_probes=30, span=("9-17", "9-21"))
-    flags.add_resolver_flags(sub)
     flags.add_fault_flag(sub)
     flags.add_store_flags(sub)
     flags.add_checkpoint_flags(sub)
@@ -48,15 +46,6 @@ def run(args: argparse.Namespace) -> int:
                            **flags.checkpoint_kwargs(args))
         flags.print_if_drained(engine)
     print(f"\n{steps} steps; {flags.measurement_totals(scenario)}")
-    if scenario.resolver_plane is not None:
-        accuracy = ResolverAccuracy.from_scenario(scenario)
-        print(f"resolvers ({args.resolver_population} population): "
-              f"{accuracy.public_probes} public / {accuracy.isp_probes} ISP "
-              f"probes, {accuracy.pops_live} POPs live, "
-              f"shared-cache hit ratio {accuracy.public_hit_ratio:.1%} "
-              f"(dilution {accuracy.cache_hit_dilution:+.1%} vs ISP), "
-              f"mis-mapping {accuracy.public_mismap_delta_km:+.0f} km "
-              f"vs nearest edge")
     flags.print_store_stats(args, scenario)
     flags.write_telemetry(args, registry, tracer)
     return 0

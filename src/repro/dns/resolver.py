@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..net.ipv4 import IPv4Address, IPv4Prefix
+from ..net.ipv4 import IPv4Address
 from ..obs import get_registry
 from .query import Question, QueryContext, RCode
 from .records import RecordType, ResourceRecord, normalize_name
@@ -235,11 +235,6 @@ class ResolverCacheStats:
         """Total cache consultations."""
         return self.hits + self.misses
 
-    @property
-    def hit_ratio(self) -> float:
-        """Hits over consultations; 0.0 before any."""
-        return self.hits / self.requests if self.requests else 0.0
-
 
 class RecursiveResolver:
     """Chases CNAME chains across a registry of authoritative servers.
@@ -252,39 +247,21 @@ class RecursiveResolver:
     The cache is per-resolver: RIPE Atlas probes each run their own
     local resolver, so each probe owns a resolver instance.  Pass
     ``cache=False`` for the always-fresh behaviour used by one-shot
-    measurements.
-
-    ``cache_scope`` turns the cache *shared-safe*: a per-client resolver
-    keys entries by qname alone (the degenerate key — answers computed
-    for its one client are trivially valid for it), but a cache shared
-    across clients must partition answers by the geography the answer
-    was computed for, or one client's steering answer leaks to clients
-    elsewhere.  With ``cache_scope=s`` entries are keyed by ``(qname,
-    client-prefix/s)`` — the announced ECS scope of a public resolver —
-    so two clients only share an entry when they share the scope-``s``
-    prefix.  ``cache_scope=0`` models an ECS-off shared cache: one
-    worldwide partition per name.  ``cache_capacity`` bounds the number
-    of *live* entries; overflow evicts the entry closest to expiry
-    (deterministic tie-break on the key).
+    measurements.  Entries are keyed by qname alone: answers computed
+    for the resolver's one client are valid for it.
     """
 
     def __init__(
         self,
         servers: Iterable[AuthoritativeServer],
         cache: bool = True,
-        metrics=None,
-        cache_scope: Optional[int] = None,
-        cache_capacity: Optional[int] = None,
     ) -> None:
-        if cache_scope is not None and not 0 <= cache_scope <= 32:
-            raise ValueError("cache_scope must be within [0, 32]")
         self._servers = list(servers)
         # Where each name is served, located once per name: a chase
         # without a shared map (``resolve()``) asks this one.
         self._map = ServerMap(self._servers)
         self._cache_enabled = cache
-        self._cache_scope = cache_scope
-        registry = metrics if metrics is not None else get_registry()
+        registry = get_registry()
         # Decided once: under the null registry a chase makes no metric
         # call per hop (the cache's own integer counts still run).
         self._metered = registry.enabled
@@ -302,11 +279,8 @@ class RecursiveResolver:
         # on the first hop that counts on it: a series still appears
         # only once it has counted something.
         self._m_by_operator: dict[str, list] = {}
-        # Keys are the bare qname for per-client resolvers (degenerate
-        # key, byte-identical to the historical behaviour) or
-        # ``(qname, scope-truncated client network)`` for shared caches.
         self._cache = TtlCache(
-            cache_capacity,
+            None,
             hits=registry.counter(
                 "dns_cache_hits_total", "Resolver TTL-cache hits"
             ),
@@ -353,33 +327,6 @@ class RecursiveResolver:
             raise outcome
         return outcome
 
-    def cache_key(self, name: str, context: QueryContext):
-        """The cache key for ``name`` asked from ``context``.
-
-        Per-client resolvers use the bare qname; shared caches append
-        the client's scope-truncated network so answers computed for
-        one geography are never served to another (the partition a real
-        ECS-aware public resolver keeps per announced scope).
-        """
-        if self._cache_scope is None:
-            return name
-        return (
-            name,
-            IPv4Prefix.containing(context.client, self._cache_scope).network,
-        )
-
-    def chases_as(
-        self, context: QueryContext
-    ) -> tuple[RecursiveResolver, QueryContext]:
-        """The (resolver, context) a chase for ``context`` runs as.
-
-        :func:`resolve_bulk` asks each client this once, before the
-        first hop.  A resolver chases as itself; a stand-in that routes
-        to a shared cache (:class:`repro.resolver.PopStubResolver`)
-        names that cache and the context it asks upstream with.
-        """
-        return self, context
-
     def _count_query(self, operator: str, answered: int) -> None:
         """Count one authoritative query and its ``answered`` records."""
         counters = self._m_by_operator.get(operator)
@@ -399,29 +346,9 @@ class RecursiveResolver:
         """Drop all cached entries (not counted as evictions)."""
         self._cache.clear()
 
-    def sweep(self, now: Optional[float] = None) -> int:
-        """Drop every entry expired at ``now`` (default: latest seen).
-
-        Lazy expiry only removes an entry when its key is touched
-        again, which a shared cache's long tail of one-off partitions
-        may never be; the sweep makes capacity and eviction accounting
-        truthful.  Swept entries count as evictions (their TTL passed),
-        unlike :meth:`flush`.  Returns the number removed.
-        """
-        return self._cache.sweep(now)
-
-    @property
-    def cache_size(self) -> int:
-        """Number of *live* cached entries.
-
-        Entries whose TTL has passed the latest query time are excluded
-        even before lazy expiry removes them, so a shared cache's size
-        reflects what could still be served, not dict occupancy.
-        """
-        return self._cache.live_size
-
     def cache_stats(self) -> ResolverCacheStats:
-        """Hit/miss/eviction counters plus the current live size."""
+        """Hit/miss/eviction counters plus the current live size (entries
+        whose TTL passed the latest query time are not counted)."""
         cache = self._cache
         return ResolverCacheStats(
             hits=cache.hits,
@@ -482,13 +409,11 @@ class _Chase:
     and the CNAME record that led to each next one — and become the
     finished :class:`Resolution`'s views; ``names`` is also the loop
     check.  ``cache`` is the resolver's TTL cache (``None`` when it
-    has none); ``scoped`` says whether its keys carry more than the
-    qname (:meth:`RecursiveResolver.cache_key`).
+    has none), keyed by the hop's name.
     """
 
     __slots__ = (
-        "index", "resolver", "context", "steps", "names", "followed",
-        "cache", "scoped",
+        "index", "resolver", "context", "steps", "names", "followed", "cache",
     )
 
     def __init__(
@@ -501,7 +426,6 @@ class _Chase:
         self.names = [qname]
         self.followed: List[ResourceRecord] = []
         self.cache = resolver._cache if resolver._cache_enabled else None
-        self.scoped = resolver._cache_scope is not None
 
 
 def _nothing(context: QueryContext) -> tuple:
@@ -521,12 +445,10 @@ def resolve_bulk(
     records (or a dead end) appear, and
     :meth:`RecursiveResolver.resolve` is the one-client call of it.
     TTL caches, metrics, rcodes, loop detection and the chain-length
-    limit are per client; a shared cache sees its gets and puts in
-    client order, round by round.
+    limit are per client; a resolver listed for several clients sees
+    its cache gets and puts in client order, round by round.
 
-    Each client is asked once, up front, which resolver and context its
-    chase runs as (:meth:`RecursiveResolver.chases_as`); every hop then
-    goes to that resolver directly.  A hop the cache cannot serve is
+    A hop the cache cannot serve is
     answered by its chain name bound once per ``now``
     (:meth:`Zone.answer_at`): with a ``server_map`` the (server, zone)
     is located and the policy bound once per distinct name for all
@@ -545,8 +467,8 @@ def resolve_bulk(
     question = Question(qname)
     outcomes: List[Union[Resolution, ResolutionError]] = [None] * len(clients)  # type: ignore[list-item]
     active = [
-        _Chase(index, *client.chases_as(context), qname)
-        for index, (client, context) in enumerate(clients)
+        _Chase(index, resolver, context, qname)
+        for index, (resolver, context) in enumerate(clients)
     ]
     locate = server_map.locate if server_map is not None else None
     noerror, nxdomain = RCode.NOERROR, RCode.NXDOMAIN
@@ -569,8 +491,7 @@ def resolve_bulk(
             cache = chase.cache
             answer = None
             if cache is not None:
-                key = resolver.cache_key(hop_name, context) if chase.scoped else hop_name
-                answer = cache.get(key, now)
+                answer = cache.get(hop_name, now)
                 if answer is not None:
                     answer = answer.cached()
             if answer is None:
@@ -601,7 +522,7 @@ def resolve_bulk(
                 if resolver._metered:
                     resolver._count_query(operator, len(records))
                 if records and cache is not None:
-                    cache.put(key, answer, now)
+                    cache.put(hop_name, answer, now)
             step = answer.step
             addresses = answer.addresses
             redirect = answer.redirect

@@ -15,9 +15,9 @@ so the expiry and eviction policy exists exactly once:
 * plain **hit / miss / eviction** counts, mirrored into the owner's
   registry counters (no call at all when those are the null registry's).
 
-What a key *is* — a bare qname, ``(qname, scope-network)``, or
-``(qname, network, echoed scope)`` — and whether concurrent misses
-coalesce stays with the owner.  Entries are the owner's own objects;
+What a key *is* — a bare qname for the resolver, ``(qname, network,
+echoed scope)`` for the front — and whether concurrent misses coalesce
+stays with the owner; only the front bounds its capacity.  Entries are the owner's own objects;
 the cache only reads their ``expires_at``.
 """
 

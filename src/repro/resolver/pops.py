@@ -1,4 +1,4 @@
-"""Public-resolver frontend POPs.
+"""Public-resolver frontend POPs, and who resolves through them.
 
 A large public resolver is anycast: the client's query lands at the
 nearest frontend POP, and it is the *POP* that talks to authoritative
@@ -10,20 +10,57 @@ POP anchors live inside the serving layer's CGNAT vantage blocks
 (:data:`~repro.serve.clients.DEFAULT_VANTAGES`), so a live query a POP
 sends upstream *without* ECS still maps to the POP's own geography
 through the same :class:`~repro.serve.clients.ClientDirectory` the
-authoritative server consults — the simulated and socket-level planes
-agree on what an ECS-off public resolver looks like.
+authoritative server consults.
+
+The population rule lives here too: which resolver populations an edge
+runs (:data:`POPULATIONS`), what it refuses (:func:`check_population`)
+and which clients resolve through a POP (:func:`is_public_client`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
-from ..dns.query import QueryContext
-from ..net.geo import Continent, Coordinates, great_circle_km
+from ..dns.policies import stable_fraction
+from ..net.geo import Continent, Coordinates, nearest
 from ..net.ipv4 import IPv4Address
 
-__all__ = ["ResolverPop", "DEFAULT_POPS", "POP_CACHE_CAPACITY", "nearest_pop"]
+__all__ = [
+    "DEFAULT_POPS",
+    "POPULATIONS",
+    "POP_CACHE_CAPACITY",
+    "ResolverPop",
+    "check_population",
+    "is_public_client",
+    "nearest_pop",
+]
+
+_ASSIGNMENT_SALT = "resolver-population"
+
+# Who resolves for the clients: their own ISP-path resolvers, or a
+# fixed share behind shared public-resolver POP caches (share 1.0 puts
+# every client there).
+POPULATIONS = ("isp", "mixed")
+
+
+def is_public_client(key, share: float) -> bool:
+    """Whether client ``key`` resolves through a public resolver: a
+    stable draw per key under ``share``, the same in every process."""
+    return stable_fraction(_ASSIGNMENT_SALT, key) < share
+
+
+def check_population(population: str, share: float, scope: int) -> None:
+    """Reject a resolver population, public share or ECS scope that the
+    live front does not run."""
+    if population not in POPULATIONS:
+        raise ValueError(
+            f"unknown resolver population {population!r} "
+            f"(valid: {', '.join(POPULATIONS)})"
+        )
+    if not 0.0 <= share <= 1.0:
+        raise ValueError("public_resolver_share must be within [0, 1]")
+    if not 0 <= scope <= 32:
+        raise ValueError("public_resolver_scope must be within [0, 32]")
 
 
 @dataclass(frozen=True)
@@ -35,20 +72,6 @@ class ResolverPop:
     country: str  # ISO 3166-1 alpha-2, lowercase
     continent: Continent
     coordinates: Coordinates
-
-    def context(self, now: float = 0.0) -> QueryContext:
-        """The query context an ECS-off upstream query presents.
-
-        The authoritative chain sees the POP, not the client — the
-        mapping inaccuracy the analysis plane quantifies.
-        """
-        return QueryContext(
-            client=self.anchor,
-            coordinates=self.coordinates,
-            continent=self.continent,
-            country=self.country,
-            now=now,
-        )
 
 
 def _pop(pop_id, anchor, country, continent, lat, lon) -> ResolverPop:
@@ -77,27 +100,12 @@ DEFAULT_POPS: tuple[ResolverPop, ...] = (
     _pop("pop-gru", "100.73.255.1", "br", Continent.SOUTH_AMERICA, -23.55, -46.63),
 )
 
-# Live entries per shared POP cache, in the replay's plane and the live
-# front alike.
+# Live entries per shared POP cache of the live front.
 POP_CACHE_CAPACITY = 4096
 
 
-def nearest_pop(
-    origin: Coordinates, pops: Sequence[ResolverPop] = DEFAULT_POPS
-) -> ResolverPop:
-    """The POP an anycast query from ``origin`` lands at.
-
-    Great-circle proximity with a first-seen tie-break, mirroring
-    :func:`~repro.net.geo.nearest` — deterministic for identical POP
-    tables, which every scenario replica rebuilds from config alone.
-    """
-    if not pops:
-        raise ValueError("at least one POP is required")
-    best = pops[0]
-    best_km = great_circle_km(origin, best.coordinates)
-    for pop in pops[1:]:
-        km = great_circle_km(origin, pop.coordinates)
-        if km < best_km:
-            best = pop
-            best_km = km
-    return best
+def nearest_pop(origin: Coordinates) -> ResolverPop:
+    """The POP an anycast query from ``origin`` lands at: the nearest by
+    great circle, the first seen on a tie (:func:`~repro.net.geo.nearest`)."""
+    closest = nearest(origin, [pop.coordinates for pop in DEFAULT_POPS])
+    return next(pop for pop in DEFAULT_POPS if pop.coordinates == closest)

@@ -64,8 +64,7 @@ class ClusterConfig:
 
     Every edge is built from it — :class:`ServeCluster` for ``repro
     serve`` / ``selftest`` and the chaos drill's edge — and construction
-    refuses what no edge can run, with the checks the replay's scenario
-    uses.
+    refuses what no edge can run.
     """
 
     object_size: int = 262_144

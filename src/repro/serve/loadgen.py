@@ -507,9 +507,8 @@ class LoadGenerator:
     def _dns_for(self, dns: AsyncDnsClient, seq: int) -> AsyncDnsClient:
         """The resolver this client uses: ISP path or the public front.
 
-        The engine's resolver plane decides its mixed population by the
-        same rule, keyed here by sequence number, so re-runs agree on
-        who resolves where.
+        :func:`~repro.resolver.is_public_client` decides, keyed by
+        sequence number, so re-runs agree on who resolves where.
         """
         if self._public_dns is not None and is_public_client(
             seq, self.config.public_resolver_share

@@ -1,7 +1,6 @@
 """A live public-resolver front: shared POP caches over real sockets.
 
-:class:`PublicResolverFront` is the serving-layer twin of the engine's
-:class:`~repro.resolver.ResolverPlane`: a UDP DNS forwarder that sits
+:class:`PublicResolverFront` is a UDP DNS forwarder that sits
 between the load generator and the authoritative
 :class:`~repro.serve.dnsserver.AsyncDnsServer`, acting as a small
 anycast fleet of public-resolver POPs.  Each query is attributed to the
@@ -182,7 +181,7 @@ class PublicResolverFront:
         if cached is not None:
             return cached
         context = self.directory.context_for(client)
-        pop = nearest_pop(context.coordinates, DEFAULT_POPS)
+        pop = nearest_pop(context.coordinates)
         self._pop_memo[client] = pop
         return pop
 

@@ -29,10 +29,10 @@ measurement *count* is unchanged).
 
 File format (``ckpt-<steps>.rckpt``): a :class:`~repro.container.Container`
 frame (magic ``RCKPT1``) whose JSON header carries the schema version
-(8: stores and campaign grids keyed by name, a store's traceroutes as
+(9: stores and campaign grids keyed by name, a store's traceroutes as
 typed columns, the flow log's timestamps one per run, a scenario config
-with no steering mode, no Level3 switch and no ISP fan-out, an engine
-spec without a timeline), the step count and the
+with no steering mode, no Level3 switch, no ISP fan-out and no resolver
+population, an engine spec without a timeline), the step count and the
 next tick, and whose payload is the pickled :class:`Checkpoint` fields.
 The container writes atomically and verifies magic, version, length and
 checksum before the payload is unpickled; every failure raises
@@ -62,7 +62,7 @@ __all__ = [
     "checkpoint_path",
 ]
 
-_VERSION = 8
+_VERSION = 9
 
 
 class CheckpointError(RuntimeError):

@@ -90,12 +90,6 @@ class RunSummary:
     unique_ips: dict = field(default_factory=dict)
     offload_share: float = 0.0
     overflow_share: float = 0.0
-    # Resolver-population mode and mapping-accuracy aggregates
-    # (populated by from_run when probes resolve through public POPs;
-    # "isp" runs leave them out of the JSON form so the original golden
-    # snapshot stays byte-stable).
-    resolver_population: str = "isp"
-    resolver: dict = field(default_factory=dict)
 
     @classmethod
     def from_reports(cls, reports: Iterable[StepReport]) -> "RunSummary":
@@ -160,19 +154,11 @@ class RunSummary:
             if OVERFLOW_CLUSTER_PREFIX.contains(IPv4Address(source)):
                 overflow_bytes += volume
         overflow_share = overflow_bytes / total_bytes if total_bytes else 0.0
-        resolver_population = scenario.config.resolver_population
-        resolver: dict = {}
-        if scenario.resolver_plane is not None:
-            from ..analysis.resolver_accuracy import ResolverAccuracy
-
-            resolver = ResolverAccuracy.from_scenario(scenario).to_json_dict()
         return replace(
             base,
             unique_ips=unique_ips,
             offload_share=offload_share,
             overflow_share=overflow_share,
-            resolver_population=resolver_population,
-            resolver=resolver,
         )
 
     def to_json_dict(self) -> dict:
@@ -196,7 +182,7 @@ class RunSummary:
                 for k, v in sorted(mapping.items(), key=lambda kv: fkey(kv[0]))
             }
 
-        result = {
+        return {
             "steps": self.steps,
             "first_ts": None if self.first_ts is None else fval(self.first_ts),
             "last_ts": None if self.last_ts is None else fval(self.last_ts),
@@ -208,10 +194,6 @@ class RunSummary:
             "offload_share": fval(self.offload_share),
             "overflow_share": fval(self.overflow_share),
         }
-        if self.resolver_population != "isp" or self.resolver:
-            result["resolver_population"] = self.resolver_population
-            result["resolver"] = self.resolver
-        return result
 
 
 class _EngineObserver:

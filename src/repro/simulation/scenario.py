@@ -43,7 +43,6 @@ from ..faults import (
     FaultInjector,
     FaultSchedule,
 )
-from ..resolver import ResolverPlane, check_population
 from ..isp.bgp import BgpRib, BgpRoute
 from ..isp.netflow import NetflowCollector
 from ..isp.snmp import SnmpCounters
@@ -169,12 +168,6 @@ class ScenarioConfig:
     # --- event times (defaults from the Timeline) -------------------------
     a1015_delay_seconds: float = 6 * 3600.0
 
-    # --- resolver population ----------------------------------------------
-    resolver_population: str = "isp"       # "isp" | "mixed"
-    public_resolver_share: float = 0.5     # public fraction under "mixed"
-    public_resolver_ecs: bool = True       # POPs announce ECS upstream
-    public_resolver_scope: int = 24        # announced ECS scope (bits)
-
     # --- fault plane (used only when a FaultSchedule is passed) -----------
     fault_seed: int = 0                    # seeds probabilistic severities
 
@@ -208,11 +201,9 @@ class Sep2017Scenario:
     ) -> None:
         self.config = config if config is not None else ScenarioConfig()
         cfg = self.config
-        check_population(
-            cfg.resolver_population,
-            cfg.public_resolver_share,
-            cfg.public_resolver_scope,
-        )
+        for count in ("global_probe_count", "isp_probe_count"):
+            if getattr(cfg, count) <= 0:
+                raise ValueError(f"{count} must be positive")
         self.timeline = timeline = TIMELINE
         # The raw schedule (not the injector built from it) so sharded
         # runs can rebuild bit-identical scenario replicas in workers.
@@ -259,15 +250,6 @@ class Sep2017Scenario:
             count=self.config.isp_probe_count,
             country="de",
             locations=self.locations,
-        )
-        # Resolver-population plane: built only when a run actually
-        # routes probes through shared public-resolver POPs, so plain
-        # ISP-path runs stay bit-identical to the seed.  The plane must
-        # rebind probe resolvers before the campaigns first measure.
-        self.resolver_plane: Optional[ResolverPlane] = (
-            self._build_resolver_plane()
-            if self.config.resolver_population != "isp"
-            else None
         )
         self.global_campaign = DnsCampaign(
             probes=self.global_probes,
@@ -328,29 +310,6 @@ class Sep2017Scenario:
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
-
-    def _build_resolver_plane(self) -> ResolverPlane:
-        """Route the configured probe share through public-resolver POPs.
-
-        Per-campaign shared caches with canonical contexts (see
-        :mod:`repro.resolver.plane`); everything derives from the
-        scenario config and the full probe placement, so sharded worker
-        replicas rebuild an identical plane.  The AWS VM campaign stays
-        on its datacenter resolvers — cloud vantages resolve locally.
-        """
-        config = self.config
-        plane = ResolverPlane(
-            servers=self.estate.servers,
-            populations={
-                "ripe-global": self.global_probes,
-                "ripe-isp": self.isp_probes,
-            },
-            public_share=config.public_resolver_share,
-            ecs=config.public_resolver_ecs,
-            scope=config.public_resolver_scope,
-        )
-        plane.install()
-        return plane
 
     def _measurement_store(self, name: str) -> MeasurementStore:
         """A campaign store wired to the config's columnar/spill knobs.

@@ -3,16 +3,17 @@
 "Counts unmoved" is the gate every hot-path change to the chase runs
 under: what a campaign tick asks, caches, counts and records is state,
 not overhead.  This drives one fixed :class:`DnsCampaign` over a
-hand-built Figure 2 estate — ten per-probe resolvers plus two probes
-behind one shared, scope-partitioned POP cache — every 100 s for
-22 000 s, so ticks fall either side of the 15 s, 120 s, 300 s and
+hand-built Figure 2 estate — ten probes, each with its own resolver —
+every 100 s for 22 000 s, so ticks fall either side of the 15 s, 120 s, 300 s and
 21 600 s TTLs, across the ``a1015`` switch and across an offload
 change, under a real :class:`MetricsRegistry`.
 
-``PINNED`` was recorded at the commit *before* ``Zone.answer`` and the
-chase-filled views existed (PR 20's tree) and has not been touched
-since; a change that moves any number here changed behaviour, whatever
-the digests of the big replay say.
+``PINNED`` was first recorded at the commit *before* ``Zone.answer`` and
+the chase-filled views existed (PR 20's tree), with two more probes
+behind a shared POP cache.  When that cache was deleted, the numbers
+below were recorded from the same setup without those two probes, on
+the tree that still had it; a change that moves any number here changed
+behaviour, whatever the digests of the big replay say.
 """
 
 from hashlib import blake2b
@@ -40,7 +41,6 @@ from repro.net.geo import MappingRegion
 from repro.net.ipv4 import IPv4Address
 from repro.net.locode import LocodeDatabase
 from repro.obs import MetricsRegistry, use_registry
-from repro.resolver import PopStubResolver
 from repro.workload.timeline import MeasurementWindow
 
 DB = LocodeDatabase.builtin()
@@ -60,31 +60,28 @@ PLACEMENTS = [
     ("jptyo", "198.18.6.42"), ("sgsin", "198.18.7.8"), ("inbom", "198.18.8.3"),
     ("cnsha", "198.18.10.1"),
 ]
-# Two more EU probes that resolve through one shared /24-scoped cache.
-STUBBED = [("deber", "198.18.9.10"), ("defra", "198.18.9.20")]
 
 PINNED = {
-    "dns_queries_total": {"Apple": 3131, "Akamai": 2724, "Limelight": 546},
-    "dns_answer_records_total": {"Apple": 6518, "Akamai": 6179, "Limelight": 4368},
-    "dns_cache_hits_total": 5435,
-    "dns_cache_misses_total": 6401,
-    "dns_cache_evictions_total": 6092,
+    "dns_queries_total": {"Apple": 2780, "Akamai": 2523, "Limelight": 484},
+    "dns_answer_records_total": {"Apple": 5780, "Akamai": 5775, "Limelight": 3872},
+    "dns_cache_hits_total": 4049,
+    "dns_cache_misses_total": 5787,
+    "dns_cache_evictions_total": 5484,
     # (hits, misses, evictions) per resolver, in PLACEMENTS order.
     "per_probe_cache": [
         (386, 616, 606), (384, 617, 607), (396, 619, 609), (393, 621, 611),
         (388, 614, 605), (395, 613, 604), (390, 617, 608), (405, 622, 613),
         (584, 516, 511), (328, 332, 110),
     ],
-    "shared_cache": (1386, 614, 608),
-    "dns_resolutions_total": 2640,
+    "dns_resolutions_total": 2200,
     "chain_length_buckets": [
-        (1.0, 0), (2.0, 0), (3.0, 220), (4.0, 1478), (5.0, 2306), (6.0, 2640),
-        (8.0, 2640), (12.0, 2640), (16.0, 2640), (float("inf"), 2640),
+        (1.0, 0), (2.0, 0), (3.0, 220), (4.0, 1220), (5.0, 1924), (6.0, 2200),
+        (8.0, 2200), (12.0, 2200), (16.0, 2200), (float("inf"), 2200),
     ],
-    "chain_length_sum": 11836.0,
-    "atlas_measurements_total": 2640,
-    "store_rows": 2640,
-    "store_rows_digest": "c069a6b5f4da5861",
+    "chain_length_sum": 9836.0,
+    "atlas_measurements_total": 2200,
+    "store_rows": 2200,
+    "store_rows_digest": "4ef95fd5a949125f",
     "distinct_chains": 11,
     "distinct_addresses": 41,
 }
@@ -181,17 +178,6 @@ def run_campaign():
             make_probe(index + 1, metro, address, servers)
             for index, (metro, address) in enumerate(PLACEMENTS)
         ]
-        shared = RecursiveResolver(servers, cache_scope=24, cache_capacity=8)
-        for metro, address in STUBBED:
-            probe = make_probe(len(probes) + 1, metro, address, servers)
-            canonical = QueryContext(
-                client=IPv4Address.parse("198.18.9.0"),
-                coordinates=DB.get("deber").coordinates,
-                continent=probe.continent,
-                country="de",
-            )
-            probe.resolver = PopStubResolver(shared, canonical)
-            probes.append(probe)
         campaign = DnsCampaign(
             probes=probes,
             target=TARGET,
@@ -224,8 +210,7 @@ def run_campaign():
             ).encode()
         )
     chain = registry.get("dns_cname_chain_length").labels()
-    per_probe = [probe.resolver.cache_stats() for probe in probes[: len(PLACEMENTS)]]
-    pop = shared.cache_stats()
+    per_probe = [probe.resolver.cache_stats() for probe in probes]
     return {
         "dns_queries_total": by_operator("dns_queries_total"),
         "dns_answer_records_total": by_operator("dns_answer_records_total"),
@@ -235,7 +220,6 @@ def run_campaign():
             registry.get("dns_cache_evictions_total").value
         ),
         "per_probe_cache": [(s.hits, s.misses, s.evictions) for s in per_probe],
-        "shared_cache": (pop.hits, pop.misses, pop.evictions),
         "dns_resolutions_total": int(registry.get("dns_resolutions_total").value),
         "chain_length_buckets": [
             (upper, count) for upper, count in chain.cumulative_buckets()
@@ -258,7 +242,6 @@ def test_campaign_counts_are_what_they_were_before_the_record_layer():
         assert observed[key] == value, key
     # The run really crossed what it claims to cross.
     assert observed["dns_queries_total"].keys() == {"Apple", "Akamai", "Limelight"}
-    assert observed["shared_cache"][0] > 0 and observed["shared_cache"][2] > 0
     assert observed["distinct_chains"] >= 8
 
 
@@ -274,7 +257,8 @@ def test_an_operator_that_answers_nothing_exports_no_answer_series():
     void.bind("empty.void.example", StaticPolicy(()))
     servers = [AuthoritativeServer("Apple", [apple]), AuthoritativeServer("Void", [void])]
     registry = MetricsRegistry()
-    resolver = RecursiveResolver(servers, metrics=registry)
+    with use_registry(registry):
+        resolver = RecursiveResolver(servers)
     here = QueryContext(
         client=IPv4Address.parse("198.18.0.5"),
         coordinates=DB.get("deber").coordinates,

@@ -71,7 +71,7 @@ def test_reads_as_the_frozen_dataclass_it_is(record):
 def test_a_context_keeps_its_region_beside_its_continent(context, later, other):
     assert context.region is MappingRegion.for_continent(context.continent)
     assert "region" not in repr(context)
-    # PopStubResolver.reframe: the same client, asked at another time.
+    # The same client, asked at another time.
     reframed = replace(context, now=later)
     assert reframed.now == later and reframed.region is context.region
     assert (reframed == context) == (later == context.now)

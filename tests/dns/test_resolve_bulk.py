@@ -7,13 +7,10 @@ points agree.  What the loop *should* do is checked against
 message API with a plain-dict TTL cache, over fixed and
 Hypothesis-generated estates: equal steps (with their ``from_cache``
 flags), rcodes, error messages, chain views and per-resolver cache
-counters, across TTL boundaries, with and without a ``ServerMap``, with
-clients asking at different times in one call, and with a shared
-scope-partitioned cache behind stubs for two canonical clients.  A
-traced run's registry families must count what the reference counted.
+counters, across TTL boundaries, with and without a ``ServerMap``, and
+with clients asking at different times in one call.  A traced run's
+registry families must count what the reference counted.
 """
-
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -38,8 +35,7 @@ from repro.dns.resolver import (
 from repro.dns.zone import AuthoritativeServer, Zone
 from repro.net.geo import Continent, Coordinates
 from repro.net.ipv4 import IPv4Address
-from repro.obs import NULL_REGISTRY, MetricsRegistry
-from repro.resolver import PopStubResolver
+from repro.obs import NULL_REGISTRY, MetricsRegistry, use_registry
 
 
 CLIENTS = [IPv4Address.parse(f"198.51.100.{host}") for host in (7, 8, 9, 200)]
@@ -255,17 +251,11 @@ def test_hand_built_views_ignore_steps_past_the_answer():
 class ReferenceCache:
     """A per-resolver TTL cache as the docs describe it, in a dict."""
 
-    def __init__(self, enabled=True, scope=None):
-        self.enabled, self.scope = enabled, scope
+    def __init__(self, enabled=True):
+        self.enabled = enabled
         self.entries = {}
         self.hits = self.misses = self.evictions = 0
         self.horizon = float("-inf")
-
-    def key(self, name, ctx):
-        if self.scope is None:
-            return name
-        mask = (0xFFFFFFFF << (32 - self.scope)) & 0xFFFFFFFF
-        return (name, ctx.client.value & mask)
 
     def stats(self):
         live = sum(1 for _, expires in self.entries.values() if expires > self.horizon)
@@ -318,15 +308,14 @@ def registry_families(registry):
 def reference_hop(cache, servers, name, ctx, tally):
     now = ctx.now
     if cache.enabled:
-        key = cache.key(name, ctx)
         cache.horizon = max(cache.horizon, now)
-        held = cache.entries.get(key)
+        held = cache.entries.get(name)
         if held is not None:
             (operator, records), expires = held
             if expires > now:
                 cache.hits += 1
                 return ResolutionStep(name, operator, records, True)
-            del cache.entries[key]
+            del cache.entries[name]
             cache.evictions += 1
         cache.misses += 1
     # Most specific covering zone wins; the earlier server on a tie.
@@ -341,14 +330,14 @@ def reference_hop(cache, servers, name, ctx, tally):
     tally.query(best.operator, records)
     if cache.enabled and records:
         expires = now + min(record.ttl for record in records)
-        cache.entries[key] = ((best.operator, records), expires)
+        cache.entries[name] = ((best.operator, records), expires)
     return ResolutionStep(name, best.operator, records, False)
 
 
 def reference_chase(clients, qname, servers, tally):
     """Level-synchronous, like the real one: all clients take hop 1,
-    then all still chasing take hop 2, ... (a shared cache sees the
-    queries in that order).  Returns one expectation per client: an
+    then all still chasing take hop 2, ... (a cache listed for several
+    clients sees the queries in that order).  Returns one expectation per client: an
     error message, or (steps, rcode, names, followed, addresses)."""
     chases = [
         {"cache": cache, "ctx": ctx, "names": [qname], "steps": [], "followed": []}
@@ -411,9 +400,6 @@ ORACLE_CLIENTS = [
     ("198.51.100.7", "de"), ("198.51.100.200", "fr"),
     ("198.51.7.7", "in"), ("203.0.113.9", "us"), ("192.0.2.77", "jp"),
 ]
-# The canonical clients the stubs ask as: the first two stubs as one,
-# the third as another (same /16, other /24, other country).
-CANONICAL = [("198.51.100.0", "de"), ("198.51.100.0", "de"), ("198.51.7.0", "in")]
 
 
 def oracle_name(index, zone):
@@ -493,13 +479,12 @@ def build_oracle_estate(spec):
     return names, servers
 
 
-def run_against_reference(spec, ops, caches, shared_scope, with_map, traced=False):
+def run_against_reference(spec, ops, caches, with_map, traced=False):
     """Drive resolvers and reference side by side through ``ops``.
 
-    Clients 0-1 own a resolver each (cache on/off per ``caches``);
-    clients 2-4 are stubs in front of one shared scope-partitioned
-    cache, asking as the canonical clients of :data:`CANONICAL`.  An op
-    is ``(advance, target, singly)`` or ``(advance, target, singly,
+    Every client owns a resolver, as every probe does: clients 0-1 with
+    the cache on or off per ``caches``, clients 2-4 caching.  An op is
+    ``(advance, target, singly)`` or ``(advance, target, singly,
     skews)``: client ``i`` asks at the op's time plus ``skews[i]``.
     ``traced`` gives every resolver one registry, whose DNS families
     must hold exactly what the reference counted.
@@ -507,12 +492,10 @@ def run_against_reference(spec, ops, caches, shared_scope, with_map, traced=Fals
     names, servers = build_oracle_estate(spec)
     server_map = ServerMap(servers) if with_map else None
     registry = MetricsRegistry() if traced else NULL_REGISTRY
-    own = [RecursiveResolver(servers, cache=enabled, metrics=registry) for enabled in caches]
-    shared = RecursiveResolver(servers, cache_scope=shared_scope, metrics=registry)
-    canonicals = [oracle_context(client, country, 0.0) for client, country in CANONICAL]
-    resolvers = own + [PopStubResolver(shared, canonical) for canonical in canonicals]
-    ref_own = [ReferenceCache(enabled) for enabled in caches]
-    ref_shared = ReferenceCache(True, shared_scope)
+    enabled = tuple(caches) + (True,) * (len(ORACLE_CLIENTS) - len(caches))
+    with use_registry(registry):
+        resolvers = [RecursiveResolver(servers, cache=cache) for cache in enabled]
+    references = [ReferenceCache(cache) for cache in enabled]
     tally = Tally()
     now = 0.0
     for step, (advance, target, singly, *skews) in enumerate(ops):
@@ -523,14 +506,10 @@ def run_against_reference(spec, ops, caches, shared_scope, with_map, traced=Fals
             oracle_context(client, country, now + skew)
             for (client, country), skew in zip(ORACLE_CLIENTS, skews)
         ]
-        reframed = [
-            replace(canonical, now=context.now)
-            for canonical, context in zip(canonicals, contexts[len(own):])
-        ]
-        ref_clients = list(zip(ref_own, contexts)) + [(ref_shared, ctx) for ctx in reframed]
+        ref_clients = list(zip(references, contexts))
         if singly:
-            # resolve() is the one-client call: the shared cache then
-            # sees whole chases back to back, and so must the reference.
+            # resolve() is the one-client call: whole chases back to
+            # back, and so in the reference.
             got = [one_by_one(r, qname, c) for r, c in zip(resolvers, contexts)]
             expected = [
                 reference_chase([client], qname, servers, tally)[0] for client in ref_clients
@@ -540,17 +519,15 @@ def run_against_reference(spec, ops, caches, shared_scope, with_map, traced=Fals
             expected = reference_chase(ref_clients, qname, servers, tally)
         for index, (outcome, wanted) in enumerate(zip(got, expected)):
             assert_matches_reference(outcome, wanted, (step, qname, index))
-        for resolver, reference in zip(own + [shared], ref_own + [ref_shared]):
+        for resolver, reference in zip(resolvers, references):
             stats = resolver.cache_stats()
             assert (
                 stats.hits, stats.misses, stats.evictions, stats.size
             ) == reference.stats(), (step, qname)
         if traced:
-            assert registry_families(registry) == tally.families(ref_own + [ref_shared]), (
+            assert registry_families(registry) == tally.families(references), (
                 step, qname,
             )
-    # The stub reports its POP's counters, not its own.
-    assert resolvers[-1].cache_stats() == shared.cache_stats()
 
 
 def chain_spec(length, ttl=10):
@@ -564,7 +541,7 @@ def chain_spec(length, ttl=10):
 def test_reference_agrees_at_the_chain_length_limit(hops, with_map):
     # 15 CNAME hops + the A hop is the 16 queries _MAX_CHAIN allows.
     ops = [(0.0, 0, False), (5.0, 0, True), (20.0, 0, False)]
-    run_against_reference(chain_spec(hops), ops, (True, False), 24, with_map)
+    run_against_reference(chain_spec(hops), ops, (True, False), with_map)
     servers = build_oracle_estate(chain_spec(hops))[1]
     outcome = one_by_one(RecursiveResolver(servers), "n0.a.test", oracle_context("198.51.100.7", "de", 0.0))
     assert isinstance(outcome, ResolutionError) == (hops > 15)
@@ -589,11 +566,8 @@ def test_reference_agrees_on_a_fixed_estate_of_every_shape():
         for target in range(len(spec))
         for singly in (False, True)
     ]
-    for shared_scope in (0, 16, 24, 32):
-        for with_map in (False, True):
-            run_against_reference(
-                spec, ops, (True, False), shared_scope, with_map, traced=with_map
-            )
+    for with_map in (False, True):
+        run_against_reference(spec, ops, (True, False), with_map, traced=with_map)
 
 
 def _oracle_strategies():
@@ -640,11 +614,8 @@ _SPEC, _OPS = _oracle_strategies()
     spec=_SPEC,
     ops=_OPS,
     caches=st.tuples(st.booleans(), st.booleans()),
-    shared_scope=st.sampled_from([0, 16, 24, 32]),
     with_map=st.booleans(),
     traced=st.booleans(),
 )
-def test_reference_agrees_on_generated_estates(
-    spec, ops, caches, shared_scope, with_map, traced
-):
-    run_against_reference(list(spec), ops, caches, shared_scope, with_map, traced)
+def test_reference_agrees_on_generated_estates(spec, ops, caches, with_map, traced):
+    run_against_reference(list(spec), ops, caches, with_map, traced)

@@ -1,10 +1,14 @@
-"""Property tests for shared-cache key partitioning.
+"""Property tests for the one TTL cache and the front's POP caches.
 
-The invariant behind the public-resolver model: two query contexts
-share a cache entry *iff* their clients agree on the announced ECS
-scope's prefix bits.  Checked for arbitrary (client, scope) pairs so
-the partition rule cannot drift from prefix arithmetic.
+:class:`~repro.dns.ttlcache.TtlCache` is checked op by op against a
+plain-dict model of its policy (expiry, sweep, capacity, counters), and
+the public-resolver front's per-POP cache, driven through its own lookup
+path, must keep exactly the names that model keeps under expiry and
+capacity pressure.
 """
+
+import asyncio
+from unittest import mock
 
 import pytest
 
@@ -13,82 +17,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.dns.policies import CnamePolicy  # noqa: E402
-from repro.dns.query import QueryContext  # noqa: E402
-from repro.dns.resolver import RecursiveResolver  # noqa: E402
-from repro.dns.zone import AuthoritativeServer, Zone  # noqa: E402
-from repro.net.geo import Continent, Coordinates  # noqa: E402
-from repro.net.ipv4 import IPv4Address, IPv4Prefix  # noqa: E402
-
-addresses = st.integers(min_value=0, max_value=2**32 - 1).map(IPv4Address)
-scopes = st.integers(min_value=0, max_value=32)
-
-
-def make_estate():
-    zone = Zone("apple.com")
-    zone.bind("appldnld.apple.com", CnamePolicy("x.akadns.net", ttl=300))
-    return [AuthoritativeServer("Apple", [zone])]
-
-
-def context_for(client: IPv4Address) -> QueryContext:
-    return QueryContext(
-        client=client,
-        coordinates=Coordinates(0.0, 0.0),
-        continent=Continent.EUROPE,
-        country="de",
-        now=0.0,
-    )
-
-
-@settings(max_examples=200, deadline=None)
-@given(a=addresses, b=addresses, scope=scopes)
-def test_keys_collide_iff_scope_prefixes_match(a, b, scope):
-    resolver = RecursiveResolver(make_estate(), cache_scope=scope)
-    key_a = resolver.cache_key("appldnld.apple.com", context_for(a))
-    key_b = resolver.cache_key("appldnld.apple.com", context_for(b))
-    same_partition = (
-        IPv4Prefix.containing(a, scope).network
-        == IPv4Prefix.containing(b, scope).network
-    )
-    assert (key_a == key_b) == same_partition
-
-
-@settings(max_examples=100, deadline=None)
-@given(client=addresses, scope=scopes)
-def test_scope_zero_degenerates_to_one_partition(client, scope):
-    blind = RecursiveResolver(make_estate(), cache_scope=0)
-    anchor = blind.cache_key("appldnld.apple.com", context_for(IPv4Address(0)))
-    assert blind.cache_key("appldnld.apple.com", context_for(client)) == anchor
-    # While the per-client (degenerate) key never partitions at all.
-    per_client = RecursiveResolver(make_estate())
-    assert (
-        per_client.cache_key("appldnld.apple.com", context_for(client))
-        == "appldnld.apple.com"
-    )
-
-
-@settings(max_examples=100, deadline=None)
-@given(client=addresses, scope=scopes, qname_bits=st.integers(0, 2**16 - 1))
-def test_distinct_names_never_share_an_entry(client, scope, qname_bits):
-    resolver = RecursiveResolver(make_estate(), cache_scope=scope)
-    ctx = context_for(client)
-    key_a = resolver.cache_key(f"a{qname_bits}.apple.com", ctx)
-    key_b = resolver.cache_key(f"b{qname_bits}.apple.com", ctx)
-    assert key_a != key_b
-
-
-# ----------------------------------------------------------------------
-# the one TTL cache: a plain-dict oracle, and owner-vs-owner drift
-# ----------------------------------------------------------------------
-
-import asyncio  # noqa: E402
-from dataclasses import replace  # noqa: E402
-from unittest import mock  # noqa: E402
-
-from repro.dns.policies import StaticPolicy  # noqa: E402
 from repro.dns.records import ARecord  # noqa: E402
 from repro.dns.ttlcache import TtlCache  # noqa: E402
 from repro.dns.wire import ClientSubnet, WireMessage  # noqa: E402
+from repro.net.ipv4 import IPv4Address, IPv4Prefix  # noqa: E402
 from repro.obs import MetricsRegistry  # noqa: E402
 from repro.serve import PublicResolverFront, resolverfront  # noqa: E402
 
@@ -150,14 +82,11 @@ class DictModel:
         return {k for k, exp in self.entries.items() if exp > self.horizon}
 
 
-# The three key shapes the owners build: bare qname, (qname, network),
-# (qname, network value, echoed scope) — few enough values to collide.
+# The two key shapes the owners build: bare qname (the resolver) and
+# (qname, network value, echoed scope) (the front) — few enough values
+# to collide.
 cache_keys = st.one_of(
     st.sampled_from(["a.example", "b.example", "c.example"]),
-    st.tuples(
-        st.sampled_from(["a.example", "b.example"]),
-        st.integers(0, 3).map(lambda n: IPv4Address(n << 24)),
-    ),
     st.tuples(
         st.sampled_from(["a.example", "b.example"]),
         st.integers(0, 3).map(lambda n: n << 24),
@@ -216,40 +145,24 @@ NAMES = [f"n{index:02d}.example.com" for index in range(8)]
 CLIENT = IPv4Address.parse("100.64.7.9")
 
 
-def _resolver_live_sets(ttls, capacity, trace):
-    """Live names after each query of ``trace`` on a bounded resolver."""
-    zone = Zone("example.com")
-    for name, ttl in zip(NAMES, ttls):
-        zone.bind(
-            name,
-            StaticPolicy((ARecord(name, IPv4Address.parse("17.0.0.1"), ttl),)),
-        )
-    servers = [AuthoritativeServer("Apple", [zone])]
-
-    def at(now):
-        return replace(context_for(CLIENT), now=now)
-
-    def replay(prefix):
-        resolver = RecursiveResolver(servers, cache_capacity=capacity)
-        for index, now in prefix:
-            resolver.resolve(NAMES[index], at(now))
-        return resolver
-
+def _model_live_sets(ttls, capacity, trace):
+    """Live names after each query of ``trace``, by the dict model: a
+    query that misses stores its name for its TTL."""
+    model = DictModel(capacity)
     live_sets = []
-    for step in range(1, len(trace) + 1):
-        now = trace[step - 1][1]
-        live = set()
-        for index, name in enumerate(NAMES):
-            # Probing mutates, so each name is probed on a fresh replay.
-            probe = replay(trace[:step])
-            if probe.resolve(name, at(now)).steps[0].from_cache:
-                live.add(index)
-        live_sets.append(live)
+    for index, now in trace:
+        if not model.get(NAMES[index], now):
+            model.put(NAMES[index], now + ttls[index], now)
+        live_sets.append({
+            probed for probed, name in enumerate(NAMES)
+            if model.entries.get(name, now) > now
+        })
     return live_sets
 
 
 def _front_live_sets(ttls, capacity, trace):
-    """The same, through the resolver front's per-POP cache."""
+    """Live names after each query of ``trace``, through the resolver
+    front's per-POP cache."""
 
     class Upstream:
         def __init__(self):
@@ -310,14 +223,14 @@ def _front_live_sets(ttls, capacity, trace):
         min_size=1, max_size=10,
     ),
 )
-def test_resolver_and_front_evict_the_same_victims(ttls, capacity, steps):
-    # One (name, ttl, now) trace, two owners of the one cache: whatever
-    # expiry and capacity pressure do, the names still servable after
-    # every insert — hence the victim sequence — must be the same.
+def test_front_evicts_what_the_dict_model_evicts(ttls, capacity, steps):
+    # One (name, ttl, now) trace: whatever expiry and capacity pressure
+    # do, the names the front can still serve after every insert —
+    # hence the victim sequence — are the ones the model keeps.
     trace, now = [], 0.0
     for index, advance in steps:
         now += advance
         trace.append((index, now))
-    assert _resolver_live_sets(ttls, capacity, trace) == _front_live_sets(
+    assert _model_live_sets(ttls, capacity, trace) == _front_live_sets(
         ttls, capacity, trace
     )

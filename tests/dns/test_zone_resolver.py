@@ -232,9 +232,9 @@ class TestRecursiveResolver:
     def test_flush(self, estate):
         resolver = RecursiveResolver(estate, cache=True)
         resolver.resolve("appldnld.apple.com", make_context(now=0))
-        assert resolver.cache_size > 0
+        assert resolver.cache_stats().size > 0
         resolver.flush()
-        assert resolver.cache_size == 0
+        assert resolver.cache_stats().size == 0
 
     def test_add_server(self, estate):
         apple_server, akamai_server = estate

@@ -23,10 +23,9 @@ from repro.serve import (
     SelftestReport,
     ServeCluster,
 )
-from repro.resolver import ResolverPlane
+from repro.resolver import is_public_client
 from repro.serve.loadgen import AsyncDnsClient, LoadGenerator
 from repro.serve.udp import open_udp
-from repro.simulation import ScenarioConfig, Sep2017Scenario
 
 ENTRY = "appldnld.apple.com"
 
@@ -362,18 +361,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ClusterConfig(resolver_population="mixed", public_resolver_share=1.5)
 
-    @pytest.mark.parametrize("bad", [
-        {"resolver_population": "open"},
-        {"resolver_population": "mixed", "public_resolver_share": 1.5},
-        {"resolver_population": "public"},
-        {"resolver_population": "mixed", "public_resolver_scope": 40},
+    @pytest.mark.parametrize("bad, message", [
+        ({"resolver_population": "open"},
+         "unknown resolver population 'open' (valid: isp, mixed)"),
+        ({"resolver_population": "mixed", "public_resolver_share": 1.5},
+         "public_resolver_share must be within [0, 1]"),
+        ({"resolver_population": "public"},
+         "unknown resolver population 'public' (valid: isp, mixed)"),
+        ({"resolver_population": "mixed", "public_resolver_scope": 40},
+         "public_resolver_scope must be within [0, 32]"),
     ])
-    def test_cluster_and_scenario_refuse_the_same_population(self, bad):
-        with pytest.raises(ValueError) as live:
+    def test_cluster_refuses_each_bad_population(self, bad, message):
+        with pytest.raises(ValueError) as refused:
             ClusterConfig(**bad)
-        with pytest.raises(ValueError) as replay:
-            Sep2017Scenario(ScenarioConfig(**bad))
-        assert str(live.value) == str(replay.value)
+        assert str(refused.value) == message
 
     def test_bad_loadgen_share_rejected(self):
         with pytest.raises(ValueError):
@@ -393,19 +394,18 @@ class TestConfigValidation:
 
 class TestOnePopulationRule:
     @pytest.mark.parametrize("share", [0.0, 0.3, 0.5, 1.0])
-    def test_engine_plane_and_loadgen_pick_the_same_public_set(self, share):
+    def test_loadgen_routes_exactly_the_public_clients_to_the_front(self, share):
         keys = range(10_000)
-        plane = ResolverPlane([], {}, public_share=share)
         generator = LoadGenerator(
             ("127.0.0.1", 0), ("127.0.0.1", 0),
             config=LoadConfig(public_resolver_share=share),
             metrics=MetricsRegistry(),
         )
         direct, generator._public_dns = object(), object()
-        engine = {key for key in keys if plane.is_public(key)}
+        public = {key for key in keys if is_public_client(key, share)}
         live = {
             key for key in keys
             if generator._dns_for(direct, key) is generator._public_dns
         }
-        assert engine == live
-        assert len(engine) == pytest.approx(share * len(keys), abs=200)
+        assert live == public
+        assert len(live) == pytest.approx(share * len(keys), abs=200)

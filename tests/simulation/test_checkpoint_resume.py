@@ -385,7 +385,7 @@ class TestCheckpointValidation:
         from repro.container import Container
         from repro.simulation import checkpoint as module
 
-        assert module._VERSION == 8
+        assert module._VERSION == 9
         _, payload = module._CONTAINER.read(small_dir / "ckpt-00000008.rckpt")
         path = tmp_path / "ckpt-00000008.rckpt"
         Container(b"RCKPT1\n", version, CheckpointError, "checkpoint").write(
@@ -395,9 +395,9 @@ class TestCheckpointValidation:
 
     def test_a_version_4_checkpoint_is_refused(self, small_dir, tmp_path):
         """Version 4 stored one flow timestamp per row; this build reads
-        version 8 and says so, naming both."""
+        version 9 and says so, naming both."""
         path = self._rewritten_as(4, small_dir, tmp_path)
-        with pytest.raises(CheckpointError, match=r"version 4 .*reads version 8"):
+        with pytest.raises(CheckpointError, match=r"version 4 .*reads version 9"):
             load_checkpoint(path)
 
     def test_a_version_5_checkpoint_is_refused(self, small_dir, tmp_path):
@@ -405,7 +405,7 @@ class TestCheckpointValidation:
         and its share; it is refused, not resumed under a config that
         lost them."""
         path = self._rewritten_as(5, small_dir, tmp_path)
-        with pytest.raises(CheckpointError, match=r"version 5 .*reads version 8"):
+        with pytest.raises(CheckpointError, match=r"version 5 .*reads version 9"):
             load_checkpoint(path)
 
     def test_a_version_6_checkpoint_is_refused(self, small_dir, tmp_path):
@@ -413,7 +413,7 @@ class TestCheckpointValidation:
         the ISP fan-out, and an engine spec with a timeline; it is
         refused, naming both versions."""
         path = self._rewritten_as(6, small_dir, tmp_path)
-        with pytest.raises(CheckpointError, match=r"version 6 .*reads version 8"):
+        with pytest.raises(CheckpointError, match=r"version 6 .*reads version 9"):
             load_checkpoint(path)
 
     def test_a_version_7_checkpoint_is_refused(self, small_dir, tmp_path):
@@ -421,7 +421,15 @@ class TestCheckpointValidation:
         is refused, naming both versions, not resumed under a config
         that lost the field."""
         path = self._rewritten_as(7, small_dir, tmp_path)
-        with pytest.raises(CheckpointError, match=r"version 7 .*reads version 8"):
+        with pytest.raises(CheckpointError, match=r"version 7 .*reads version 9"):
+            load_checkpoint(path)
+
+    def test_a_version_8_checkpoint_is_refused(self, small_dir, tmp_path):
+        """Version 8 pickled a scenario config with the resolver-population
+        fields; it is refused, naming both versions, not resumed under a
+        config that lost them."""
+        path = self._rewritten_as(8, small_dir, tmp_path)
+        with pytest.raises(CheckpointError, match=r"version 8 .*reads version 9"):
             load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):

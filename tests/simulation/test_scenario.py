@@ -160,12 +160,16 @@ FORMER_KNOBS = (
     "include_level3", "isp_server_fanout",
     # The deleted anycast steering axis: DNS is the one steering plane.
     "steering",
+    # The deleted engine resolver population: every probe resolves for
+    # itself (the live edge keeps these on ClusterConfig).
+    "resolver_population", "public_resolver_share", "public_resolver_ecs",
+    "public_resolver_scope",
 )
 
 
 def test_calibration_constants_are_not_config_keywords():
-    assert len(FORMER_KNOBS) == 28
-    assert len(dataclasses.fields(ScenarioConfig)) == 21
+    assert len(FORMER_KNOBS) == 32
+    assert len(dataclasses.fields(ScenarioConfig)) == 17
     for keyword in FORMER_KNOBS:
         with pytest.raises(TypeError, match=keyword):
             ScenarioConfig(**{keyword: 1})

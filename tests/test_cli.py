@@ -183,19 +183,17 @@ class TestReplayFlagValues:
         (["simulate", *PROBES, "--step", "0"],
          "simulate: step_seconds must be positive"),
         (["simulate", "--probes", "-1", "--isp-probes", "3"],
-         "simulate: count must be positive"),
+         "simulate: global_probe_count must be positive"),
+        (["simulate", "--probes", "4", "--isp-probes", "0"],
+         "simulate: isp_probe_count must be positive"),
         (["simulate", *PROBES, "--workers", "0"],
          "simulate: workers must be >= 1"),
-        (["simulate", *PROBES, "--public-resolver-share", "2"],
-         "simulate: public_resolver_share must be within [0, 1]"),
         (["simulate", *PROBES, "--start", "9-20", "--end", "9-18"],
          "simulate: end must be after start"),
         (["report", *PROBES, "--step", "0"],
          "report: step_seconds must be positive"),
         (["run", *PROBES, "--workers", "0"],
          "run: workers must be >= 1"),
-        (["resolvers", *PROBES, "--step", "0"],
-         "resolvers: step_seconds must be positive"),
         (["profile", *PROBES, "--start", "9-20", "--end", "9-18"],
          "profile: end must be after start"),
         *(([command, "--fault", "bogus@x:1-2"], f"{command}: {BAD_FAULT}")
@@ -209,12 +207,17 @@ class TestReplayFlagValues:
         *((["report", *PROBES, "--store-budget-mb", value],
            "report: --store-budget-mb must be a finite number >= 0")
           for value in ("inf", "nan", "-1")),
-    ], ids=["simulate-step", "simulate-probes", "simulate-workers",
-            "simulate-share", "simulate-window", "report-step",
-            "run-workers", "resolvers-step", "profile-window",
+        (["chaos", "--concurrency", "0"],
+         "chaos: concurrency must be positive"),
+        (["chaos", "--workers", "0"],
+         "chaos: workers must be >= 1"),
+    ], ids=["simulate-step", "simulate-probes", "simulate-isp-probes",
+            "simulate-workers", "simulate-window", "report-step",
+            "run-workers", "profile-window",
             "simulate-fault", "run-fault", "chaos-fault",
             "simulate-step-nan", "run-step-inf", "report-step-inf",
-            "report-budget-inf", "report-budget-nan", "report-budget-negative"])
+            "report-budget-inf", "report-budget-nan", "report-budget-negative",
+            "chaos-concurrency", "chaos-workers"])
     def test_exits_as_one_line_before_running(self, monkeypatch, argv, message):
         from repro.cli import chaos
         from repro.simulation import SimulationEngine
@@ -396,6 +399,22 @@ class TestServeCommands:
         assert "selftest PASSED" in captured
         assert "cache lookups" in captured
         assert "FAIL" not in captured
+
+    @pytest.mark.parametrize("floor", ["nan", "inf", "-1"])
+    def test_selftest_refuses_a_qps_floor_before_booting(self, monkeypatch, floor):
+        # A NaN or infinite floor used to boot the edge, drive the whole
+        # load and then print "selftest FAILED".
+        from repro.serve import harness
+
+        def edge(*_args, **_kwargs):
+            raise AssertionError("an edge was booted")
+
+        monkeypatch.setattr(harness, "ServeCluster", edge)
+        with pytest.raises(SystemExit) as caught:
+            main(["selftest", "--qps-floor", floor])
+        assert caught.value.code == (
+            "selftest: --qps-floor must be a finite number >= 0"
+        )
 
     def test_selftest_unreachable_qps_floor_fails(self, capsys):
         code = main(

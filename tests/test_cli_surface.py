@@ -44,10 +44,6 @@ PARENT_SURFACE = {
         'probes': (('--probes',), 60, 'int', None, False, None, '_StoreAction', None),
         'isp_probes': (('--isp-probes',), 30, 'int', None, False, None, '_StoreAction', None),
         'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
-        'resolver_population': (('--resolver-population',), 'isp', None, ('isp', 'mixed'), False, None, '_StoreAction', None),
-        'public_resolver_share': (('--public-resolver-share',), 0.5, 'float', None, False, None, '_StoreAction', 'FRACTION'),
-        'public_resolver_ecs': (('--public-resolver-ecs',), 'on', None, ('on', 'off'), False, None, '_StoreAction', None),
-        'public_resolver_scope': (('--public-resolver-scope',), 24, 'int', None, False, None, '_StoreAction', 'BITS'),
         'fault': (('--fault',), None, None, None, False, None, '_AppendAction', 'SPEC'),
         'store_budget_mb': (('--store-budget-mb',), None, 'float', None, False, None, '_StoreAction', 'MB'),
         'store_spill_dir': (('--store-spill-dir',), None, None, None, False, None, '_StoreAction', 'DIR'),
@@ -65,10 +61,6 @@ PARENT_SURFACE = {
         'probes': (('--probes',), 60, 'int', None, False, None, '_StoreAction', None),
         'isp_probes': (('--isp-probes',), 30, 'int', None, False, None, '_StoreAction', None),
         'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
-        'resolver_population': (('--resolver-population',), 'isp', None, ('isp', 'mixed'), False, None, '_StoreAction', None),
-        'public_resolver_share': (('--public-resolver-share',), 0.5, 'float', None, False, None, '_StoreAction', 'FRACTION'),
-        'public_resolver_ecs': (('--public-resolver-ecs',), 'on', None, ('on', 'off'), False, None, '_StoreAction', None),
-        'public_resolver_scope': (('--public-resolver-scope',), 24, 'int', None, False, None, '_StoreAction', 'BITS'),
         'fault': (('--fault',), None, None, None, False, None, '_AppendAction', 'SPEC'),
         'store_budget_mb': (('--store-budget-mb',), None, 'float', None, False, None, '_StoreAction', 'MB'),
         'store_spill_dir': (('--store-spill-dir',), None, None, None, False, None, '_StoreAction', 'DIR'),
@@ -84,10 +76,6 @@ PARENT_SURFACE = {
         'isp_probes': (('--isp-probes',), 40, 'int', None, False, None, '_StoreAction', None),
         'step': (('--step',), 1800.0, 'float', None, False, None, '_StoreAction', None),
         'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
-        'resolver_population': (('--resolver-population',), 'isp', None, ('isp', 'mixed'), False, None, '_StoreAction', None),
-        'public_resolver_share': (('--public-resolver-share',), 0.5, 'float', None, False, None, '_StoreAction', 'FRACTION'),
-        'public_resolver_ecs': (('--public-resolver-ecs',), 'on', None, ('on', 'off'), False, None, '_StoreAction', None),
-        'public_resolver_scope': (('--public-resolver-scope',), 24, 'int', None, False, None, '_StoreAction', 'BITS'),
         'store_budget_mb': (('--store-budget-mb',), None, 'float', None, False, None, '_StoreAction', 'MB'),
         'store_spill_dir': (('--store-spill-dir',), None, None, None, False, None, '_StoreAction', 'DIR'),
         'checkpoint_every': (('--checkpoint-every',), 0, 'int', None, False, None, '_StoreAction', 'N'),
@@ -168,19 +156,6 @@ PARENT_SURFACE = {
         'isp_probes': (('--isp-probes',), 12, 'int', None, False, None, '_StoreAction', None),
         'workers': (('--workers',), 4, 'int', None, False, None, '_StoreAction', None),
         'flight_dir': (('--flight-dir',), None, None, None, False, None, '_StoreAction', 'DIR'),
-    },
-    'resolvers': {
-        'start': (('--start',), '9-18', None, None, False, None, '_StoreAction', 'M-D'),
-        'end': (('--end',), '9-20', None, None, False, None, '_StoreAction', 'M-D'),
-        'step': (('--step',), 1800.0, 'float', None, False, None, '_StoreAction', None),
-        'probes': (('--probes',), 60, 'int', None, False, None, '_StoreAction', None),
-        'isp_probes': (('--isp-probes',), 30, 'int', None, False, None, '_StoreAction', None),
-        'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
-        'resolver_population': (('--resolver-population',), 'mixed', None, ('isp', 'mixed'), False, None, '_StoreAction', None),
-        'public_resolver_share': (('--public-resolver-share',), 0.5, 'float', None, False, None, '_StoreAction', 'FRACTION'),
-        'public_resolver_ecs': (('--public-resolver-ecs',), 'on', None, ('on', 'off'), False, None, '_StoreAction', None),
-        'public_resolver_scope': (('--public-resolver-scope',), 24, 'int', None, False, None, '_StoreAction', 'BITS'),
-        'json': (('--json',), False, None, None, False, 0, '_StoreTrueAction', None),
     },
 }
 

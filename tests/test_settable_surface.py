@@ -72,8 +72,6 @@ SEAMS = {
     "cdn/cache.py:ContentCache.used_bytes": "the cache model test checks the byte accounting with it",
     "cdn/deployment.py:CdnDeployment.servers_in_region": "exposure and pool tests count a region's fleet with it",
     "dns/query.py:DnsResponse.is_empty": "the IPv6-absence tests assert NODATA with it",
-    "dns/resolver.py:RecursiveResolver.cache_size": "the shared-cache tests count entries per chain with it",
-    "dns/resolver.py:ResolverCacheStats.hit_ratio": "the shared-cache tests check the resolver's hit accounting with it",
     "dns/reverse.py:address_from_reverse_name": "the reverse-name tests check the in-addr.arpa round trip with it",
     "dns/reverse.py:build_ptr_zone": "the 3.3 tests serve the estate's reverse table with it",
     "dns/reverse.py:scan_ptr_records": "the 3.3 tests walk the PTR zone and feed site discovery with it",
@@ -82,6 +80,7 @@ SEAMS = {
     "isp/netflow.py:NetflowCollector.sampled_bytes": "the 5.3 sampling tests check 1-in-N collection with it",
     "isp/topology.py:EyeballIsp.is_direct_peer": "the scenario tests check the ISP's peering with it",
     "simulation/engine.py:RunSummary.from_run": "the golden runs digest the summary it builds",
+    "simulation/engine.py:RunSummary.to_json_dict": "the golden runs digest the summary in the canonical form it returns",
     "workload/population.py:DevicePopulation.scaled": "the adoption test doubles the installed base with it to check the surge scales",
 }
 
@@ -97,6 +96,11 @@ DELETED = (
     "cdn/server.py:CacheServer.is_load_balancer",
     "dns/policies.py:WeightSchedule.change_times",
     "dns/policies.py:WeightSchedule.targets_at",
+    "dns/resolver.py:RecursiveResolver.cache_key",
+    "dns/resolver.py:RecursiveResolver.cache_size",
+    "dns/resolver.py:RecursiveResolver.chases_as",
+    "dns/resolver.py:RecursiveResolver.sweep",
+    "dns/resolver.py:ResolverCacheStats.hit_ratio",
     "dns/trace.py:dig_trace",
     "faults/health.py:CdnHealthMonitor.unhealthy_members",
     "faults/health.py:HealthFilteredSchedule.change_times",
@@ -118,6 +122,7 @@ DELETED = (
     "net/ipv4.py:IPv4Prefix.subnets",
     "net/trie.py:PrefixTrie.lookup_prefix",
     "obs/trace_context.py:set_context",
+    "resolver/pops.py:ResolverPop.context",
     "serve/fleet.py:ServeFleet.http_endpoint",
     "serve/fleet.py:ServeFleet.resolver_endpoint",
     "serve/fleet.py:ServeFleet.worker_errors",

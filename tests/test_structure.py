@@ -5,10 +5,10 @@ Each test is one check of a CI structure step, ported 1:1 from its
 line by line, the way ``grep -rn --include='*.py'`` does; a hit prints
 as ``path:line: text``.
 
-*One serving process* (CI: "One serving process"): every command serves
-from the in-process single loop; the forked ``SO_REUSEPORT`` fleet is
-kept only for the perf ledger's fleet row, and nothing under ``src/``
-boots it.
+*One serving process* (once the CI step "One serving process"): every
+command serves from the in-process single loop; the forked
+``SO_REUSEPORT`` fleet is kept only for the perf ledger's fleet row, and
+nothing under ``src/`` boots it.
 
 *One decision per policy*: an answer policy decides in ``bind`` alone,
 the chase asks bound answers only, and the per-hop query path of the
@@ -18,14 +18,24 @@ old chase stays gone.
 request head"): the wire DNS client awaits each attempt and each
 hedge budget without ``asyncio.wait_for``.
 
-*One steering plane* (CI: "One steering plane", and two lines of "The
-replay written once"): clients are steered by the DNS selection chain
-alone.  The anycast axis and the hybrid mix of the two stay gone from
-every layer: no package, flag, command, config field or fault kind.
+*One steering plane* (once the CI step "One steering plane", and one
+line of "The replay written once"): clients are steered by the DNS
+selection chain alone.  The anycast axis and the hybrid mix of the two
+stay gone from every layer: no package, flag, command, config field or
+fault kind; a resolver population is checked in one place.
 
-*The flow log is columns* (CI: "The flow log is columns"): the one flow
-log is typed arrays in ``repro/isp/netflow.py``, and a ``FlowRecord`` is
-built only there, for a reader; the report classifies the hourly
+*The replay written once* (once the CI step "The replay written once"):
+which campaigns a run fires and shards is ``Sep2017Scenario``'s; only
+``plan_shards`` tells the ISP set from the global one.  A world is
+brought to a tick boundary by ``SimulationEngine.replay_state``, and the
+one other ``advance_state`` / ``mark_fired`` pair is the shard chunk
+loop.  A schedule becomes a fault plane in ``FailoverLoop.build``.  The
+chase asks bound answers and builds no DNS message per hop; a policy is
+bound in ``Zone.answer_at`` alone.
+
+*The flow log is columns* (once the CI step "The flow log is columns"):
+the one flow log is typed arrays in ``repro/isp/netflow.py``, and a
+``FlowRecord`` is built only there, for a reader; the report classifies the hourly
 roll-up, a shard worker drains what it ships, the traffic phase writes a
 tick at a time, and a DNS tick is one block.  The ISP plane is built
 once: nothing that tracked changes to the RIB or the link set comes
@@ -176,8 +186,8 @@ def test_resolve_bulk_asks_no_unbound_answer():
 def test_no_option_or_config_field_was_added():
     from repro.simulation import ScenarioConfig
 
-    assert len(grep("add_argument(", "src", fixed=True)) == 47
-    assert len(dataclasses.fields(ScenarioConfig)) == 21
+    assert len(grep("add_argument(", "src", fixed=True)) == 46
+    assert len(dataclasses.fields(ScenarioConfig)) == 17
 
 
 # ----------------------------------------------------------------------
@@ -240,6 +250,72 @@ def test_no_route_fault_kind():
 
     assert not [kind for kind in FaultKind if kind.value.startswith("route-")]
     assert not grep(r"route-(withdraw|prepend)|ROUTE_(WITHDRAW|PREPEND)", "src")
+
+
+# ----------------------------------------------------------------------
+# The replay written once
+# ----------------------------------------------------------------------
+
+SIM = "src/repro/simulation"
+RESOLVER = "src/repro/dns/resolver.py"
+
+
+def test_the_engine_and_checkpoints_never_name_the_isp_campaign():
+    assert not grep("isp_campaign", f"{SIM}/engine.py", f"{SIM}/checkpoint.py")
+
+
+def test_only_plan_shards_tells_the_isp_set_from_the_global_one():
+    lines = (ROOT / SIM / "concurrency.py").read_text().splitlines()
+    named, inside = [], False
+    for number, line in enumerate(lines, 1):
+        if line.startswith("def plan_shards"):
+            inside = True
+            continue
+        if re.match(r"def|class|@", line):
+            inside = False
+        if not inside and "isp_campaign" in line:
+            named.append(f"{number}: {line}")
+    assert not named
+
+
+def test_a_checkpoint_is_replayed_by_the_engine():
+    assert not grep(r"advance_state\(|mark_fired\(", f"{SIM}/checkpoint.py")
+
+
+@pytest.mark.parametrize("call", ["advance_state(", "mark_fired("])
+def test_the_shard_chunk_loop_is_the_one_other_advance(call):
+    assert len(grep(call, f"{SIM}/concurrency.py", fixed=True)) == 1
+
+
+def test_a_schedule_becomes_a_fault_plane_in_one_place():
+    hits = grep(r"CdnHealthMonitor\(|FaultInjector\(", "src")
+    assert not outside(hits, "src/repro/faults/health.py")
+
+
+def test_no_stochastic_shard_scaffolding():
+    assert not grep(r"ShardRng|rng_states", "src")
+
+
+def test_the_chase_builds_no_message_and_locks_no_view():
+    assert not grep(r"cached_property|Question\.of\(|_query_one", RESOLVER)
+
+
+def test_one_answer_record_and_one_chase():
+    assert len(grep(r"^class _Answer:|^def resolve_bulk\(", RESOLVER)) == 2
+
+
+def test_no_dns_response_from_the_answer_record_on():
+    text = (ROOT / RESOLVER).read_text()
+    assert "DnsResponse(" not in text[text.index("\nclass _Answer:"):]
+
+
+def test_a_policy_is_bound_in_the_zone_alone():
+    hits = grep("policy.bind(", "src", fixed=True)
+    assert not outside(hits, "src/repro/dns/zone.py")
+
+
+def test_a_policy_is_bound_at_one_call_site():
+    assert len(grep("policy.bind(", "src", fixed=True)) == 1
 
 
 # ----------------------------------------------------------------------
