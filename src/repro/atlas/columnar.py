@@ -41,8 +41,8 @@ from __future__ import annotations
 import operator
 import sys
 from array import array
-from itertools import accumulate
-from operator import itemgetter
+from itertools import accumulate, chain
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
 from ..container import Container
@@ -147,6 +147,14 @@ class ProbeColumns(NamedTuple):
             ),
             list(countries),
         )
+
+
+_VALUE = attrgetter("value")
+
+
+def _positions(table: list) -> dict:
+    """Each value of ``table`` -> its index (the values are distinct)."""
+    return {value: index for index, value in enumerate(table)}
 
 
 def _reinterned(ids: array, source: list, index: dict, table: list) -> array:
@@ -292,17 +300,15 @@ class DnsColumns:
         block.targets = [fixed.target] if count else []
         block.country_ids = fixed.country_ids[:]
         block.countries = list(fixed.countries)
-        rcodes: dict = {}
-        chains: dict = {}
-        rcode_ids, chain_ids = block.rcode_ids, block.chain_ids
-        values, offsets = block.addr_values, block.addr_offsets
-        for rcode, chain, addresses in outcomes:
-            rcode_ids.append(rcodes.setdefault(rcode, len(rcodes)))
-            chain_ids.append(chains.setdefault(chain, len(chains)))
-            values.extend([address.value for address in addresses])
-            offsets.append(len(values))
-        block.rcodes = list(rcodes)
-        block.chains = list(chains)
+        # Column by column, each a C-level pass: the tables in
+        # first-appearance order, then every row's id into them.
+        rcodes, chains, addresses = tuple(zip(*outcomes)) or ((), (), ())
+        block.rcodes = list(dict.fromkeys(rcodes))
+        block.chains = list(dict.fromkeys(chains))
+        block.rcode_ids.extend(map(_positions(block.rcodes).__getitem__, rcodes))
+        block.chain_ids.extend(map(_positions(block.chains).__getitem__, chains))
+        block.addr_values.extend(map(_VALUE, chain.from_iterable(addresses)))
+        block.addr_offsets.extend(accumulate(map(len, addresses)))
         block._drop_indexes()
         return block
 

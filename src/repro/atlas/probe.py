@@ -33,7 +33,9 @@ def outcome_fields(target: str, outcome) -> tuple[str, tuple, tuple]:
     """
     if isinstance(outcome, ResolutionError):
         return RCode.SERVFAIL.name, (target,), ()
-    return outcome.rcode.name, outcome.chain_names, outcome.addresses
+    # ``_name_``, not ``name``: on Python 3.11 the ``name`` property of an
+    # enum member is a Python-level descriptor call, once per probe per tick.
+    return outcome.rcode._name_, outcome.chain_names, outcome.addresses
 
 
 @dataclass
@@ -97,7 +99,7 @@ class AtlasProbe:
                 continent=self.continent,
                 country=self.country,
             )
-            base.client_text  # spelled once, carried by every stamp
+            base.client_bytes  # spelled once, carried by every stamp
         return base.at(now)
 
     def resolve_dns(self, target: str, now: float):

@@ -4,6 +4,7 @@ panel (qps, cache-hit ratio, error rate, latency percentiles)."""
 from __future__ import annotations
 
 import argparse
+import math
 import time
 import urllib.request
 from typing import Optional
@@ -105,19 +106,23 @@ def run(args: argparse.Namespace) -> int:
         host, port = flags.parse_endpoint(args.endpoint)
     except ValueError as exc:
         raise SystemExit(f"top: {exc}") from None
+    if not (math.isfinite(args.interval) and args.interval > 0):
+        raise SystemExit("top: --interval must be a finite number > 0")
+    if args.iterations < 0:
+        raise SystemExit("top: --iterations must be >= 0")
     url = f"http://{host}:{port}/metrics"
     previous: Optional[dict] = None
     last_ts: Optional[float] = None
     iteration = 0
     try:
-        while args.iterations <= 0 or iteration < args.iterations:
+        while not args.iterations or iteration < args.iterations:
             if iteration:
                 time.sleep(args.interval)
             try:
                 with urllib.request.urlopen(url, timeout=10.0) as response:
                     text = response.read().decode("utf-8")
             except OSError as exc:
-                raise SystemExit(f"cannot scrape {url}: {exc}") from exc
+                raise SystemExit(f"top: cannot scrape {url}: {exc}") from exc
             families = parse_exposition(text)
             now = time.monotonic()
             elapsed = (now - last_ts) if last_ts is not None else 0.0

@@ -90,6 +90,13 @@ def stable_fraction(*parts: object) -> float:
     return _fraction("|".join(map(str, parts)))
 
 
+#: Owner name -> BLAKE2b-64 state after hashing ``f"{name}|"``.  One per
+#: name, not per bind: the live edge binds once per query, and a draw
+#: only ever copies the state.  Bounded by the names policies are bound
+#: under (a zone's chain names, plus ``"gslb"``).
+_HEADS: dict = {}
+
+
 def sticky_draw(
     name: str, now: float, ttl: int, salt: str
 ) -> Callable[[QueryContext], float]:
@@ -97,12 +104,24 @@ def sticky_draw(
 
     Sticky per ``(client, TTL bucket)``: the value holds for one ``ttl``
     interval (the whole run for a zero TTL), then may change.  For a
-    client ``c`` it equals ``stable_fraction(name, c, bucket, salt)``;
-    only the client's dotted address is spliced in per call.
+    client ``c`` it equals ``stable_fraction(name, c, bucket, salt)``:
+    streaming BLAKE2b over the same bytes, from a copy of the name's
+    hashed prefix, so only the client's dotted address and the tail are
+    hashed per call.
     """
     bucket = int(now // ttl) if ttl > 0 else 0
-    head, tail = f"{name}|", f"|{bucket}|{salt}"
-    return lambda context: _fraction(head + context.client_text + tail)
+    head = _HEADS.get(name)
+    if head is None:
+        head = _HEADS[name] = hashlib.blake2b(f"{name}|".encode(), digest_size=8)
+    tail = f"|{bucket}|{salt}".encode()
+    copy, from_bytes = head.copy, int.from_bytes
+
+    def draw(context: QueryContext) -> float:
+        hasher = copy()
+        hasher.update(context.client_bytes + tail)
+        return from_bytes(hasher.digest(), "big") / _TWO_64
+
+    return draw
 
 
 @dataclass(frozen=True)
@@ -279,10 +298,11 @@ class GslbAddressPolicy:
     ttl: int
     answer_count: int = 4
     salt: str = ""
-    # Owner name -> address value -> its interned A record: an answer
-    # costs one dict probe per record, no address hash or constructor.
-    # Bounded by the values the pool hands out (a deployment's server
-    # count) per name bound to this policy.
+    # Owner name -> its record table (address value -> interned A
+    # record): an answer maps the table's lookup over a pool slice, no
+    # address hash or constructor per record.  Bounded by the values the
+    # pool hands out (a deployment's server count) per name bound to
+    # this policy.
     _records: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -291,30 +311,45 @@ class GslbAddressPolicy:
             raise ValueError(f"answer_count must be at least 1, got {self.answer_count!r}")
 
     def bind(self, name: str, now: float) -> Answer:
-        ttl = self.ttl
         pool = self.pool
         count = self.answer_count
-        draw = sticky_draw(name, now, ttl, self.salt)
-        records = self._records.get(name)
-        if records is None:
-            records = self._records[name] = {}
+        draw = sticky_draw(name, now, self.ttl, self.salt)
+        table = self._records.get(name)
+        if table is None:
+            table = self._records[name] = _RecordTable(name, self.ttl)
+        record = table.__getitem__
 
         def answer(context: QueryContext) -> tuple[ResourceRecord, ...]:
             # The pool is read in place: deployments hand out their
             # memoised ranking, and copying it per query costs more
-            # than the answer.
+            # than the answer.  ``count`` addresses from ``offset`` on,
+            # wrapping round to the pool's head, none twice.
             candidates = pool(context)
             size = len(candidates)
             if not size:
                 return ()
             offset = int(draw(context) * size)
-            chosen = []
-            for index in range(min(count, size)):
-                value = candidates[(offset + index) % size]
-                record = records.get(value)
-                if record is None:
-                    record = records[value] = ARecord(name, IPv4Address(value), ttl)
-                chosen.append(record)
-            return tuple(chosen)
+            end = offset + count
+            if end <= size:
+                return tuple(map(record, candidates[offset:end]))
+            return tuple(map(record, candidates[offset:])) + tuple(
+                map(record, candidates[: min(end - size, offset)])
+            )
 
         return answer
+
+
+class _RecordTable(dict):
+    """Address value -> the one :class:`ARecord` of ``name`` for it,
+    built on first lookup."""
+
+    __slots__ = ("name", "ttl")
+
+    def __init__(self, name: str, ttl: int) -> None:
+        super().__init__()
+        self.name = name
+        self.ttl = ttl
+
+    def __missing__(self, value: int) -> ARecord:
+        record = self[value] = ARecord(self.name, IPv4Address(value), self.ttl)
+        return record

@@ -22,8 +22,8 @@ from .records import RecordType, ResourceRecord, normalize_name
 __all__ = ["QueryContext", "RCode", "Question", "DnsResponse"]
 
 
-class _ClientText:
-    """``QueryContext.client_text``: computed on first read, then stored.
+class _ClientBytes:
+    """``QueryContext.client_bytes``: computed on first read, then stored.
 
     Not a data descriptor, so once the instance entry exists a read
     never reaches this class, and a context nobody draws for never
@@ -34,8 +34,8 @@ class _ClientText:
     def __get__(self, instance, owner=None):
         if instance is None:
             return self
-        text = instance.__dict__["client_text"] = str(instance.client)
-        return text
+        spelled = instance.__dict__["client_bytes"] = str(instance.client).encode()
+        return spelled
 
 
 @dataclass(frozen=True, init=False)
@@ -56,8 +56,8 @@ class QueryContext:
     #: from ``continent`` once at construction: every policy along the
     #: chain reads it, several times per hop.
     region: MappingRegion = field(init=False, repr=False, compare=False)
-    #: ``str(client)``, the text a selection policy's draw hashes.
-    client_text = _ClientText()
+    #: ``str(client)`` encoded, the bytes a selection policy's draw hashes.
+    client_bytes = _ClientBytes()
 
     def __init__(
         self,
@@ -82,7 +82,7 @@ class QueryContext:
     def at(self, now: float) -> "QueryContext":
         """This context stamped with ``now``: a copy, everything else shared.
 
-        Carries over ``client_text`` when it was already read, so a
+        Carries over ``client_bytes`` when it was already read, so a
         vantage that stamps one base context per tick spells its
         address once for the whole run.
         """

@@ -35,6 +35,10 @@ __all__ = [
 
 _MAX_CHAIN = 16  # generous; the Apple chain is 5 hops at its longest
 
+# Read once: on Python 3.11 ``RecordType.A`` is a descriptor call on the
+# enum class (~0.2 us), and ``_read`` compares every answer record.
+_A, _CNAME = RecordType.A, RecordType.CNAME
+
 
 class ResolutionError(RuntimeError):
     """Raised when a resolution cannot complete (loop, missing server)."""
@@ -83,9 +87,9 @@ def _read(
     ttl = None
     for record in records:
         rtype = record.rtype
-        if rtype is RecordType.A:
+        if rtype is _A:
             addresses.append(record.data)
-        elif redirect is None and rtype is RecordType.CNAME:
+        elif redirect is None and rtype is _CNAME:
             redirect = record
         if ttl is None or record.ttl < ttl:
             ttl = record.ttl
@@ -402,32 +406,6 @@ class ServerMap:
         return hit
 
 
-class _Chase:
-    """One client's in-flight state during a chase.
-
-    ``names`` and ``followed`` are the walk so far — every name asked
-    and the CNAME record that led to each next one — and become the
-    finished :class:`Resolution`'s views; ``names`` is also the loop
-    check.  ``cache`` is the resolver's TTL cache (``None`` when it
-    has none), keyed by the hop's name.
-    """
-
-    __slots__ = (
-        "index", "resolver", "context", "steps", "names", "followed", "cache",
-    )
-
-    def __init__(
-        self, index: int, resolver: RecursiveResolver, context: QueryContext, qname: str
-    ) -> None:
-        self.index = index
-        self.resolver = resolver
-        self.context = context
-        self.steps: List[ResolutionStep] = []
-        self.names = [qname]
-        self.followed: List[ResourceRecord] = []
-        self.cache = resolver._cache if resolver._cache_enabled else None
-
-
 def _nothing(context: QueryContext) -> tuple:
     """The answer of a covered but unbound name: an empty hop."""
     return ()
@@ -466,12 +444,22 @@ def resolve_bulk(
     qname = normalize_name(name)
     question = Question(qname)
     outcomes: List[Union[Resolution, ResolutionError]] = [None] * len(clients)  # type: ignore[list-item]
+    # One client's in-flight chase: (index, resolver, context, steps,
+    # names, followed, cache).  ``names`` and ``followed`` are the walk
+    # so far — every name asked and the CNAME record that led to each
+    # next one — and become the finished Resolution's views; ``names``
+    # is also the loop check.  ``cache`` is the resolver's TTL cache
+    # (``None`` when it has none), keyed by the hop's name.  A tuple
+    # whose three lists grow in place: built and unpacked in one step,
+    # with no attribute per field.
     active = [
-        _Chase(index, resolver, context, qname)
+        (index, resolver, context, [], [qname], [],
+         resolver._cache if resolver._cache_enabled else None)
         for index, (resolver, context) in enumerate(clients)
     ]
     locate = server_map.locate if server_map is not None else None
     noerror, nxdomain = RCode.NOERROR, RCode.NXDOMAIN
+    new_resolution = object.__new__
     # Chain name (with the resolver, when no map says the clients share
     # one server universe) -> (``now``, operator, the answer bound at
     # that ``now``, answer tuple id -> its _Answer), so clients handed
@@ -481,14 +469,11 @@ def resolve_bulk(
     for _ in range(_MAX_CHAIN):
         if not active:
             break
-        still_active: List[_Chase] = []
+        still_active: list = []
         for chase in active:
-            resolver = chase.resolver
-            context = chase.context
+            index, resolver, context, steps, names, followed, cache = chase
             now = context.now
-            names = chase.names
             hop_name = names[-1]
-            cache = chase.cache
             answer = None
             if cache is not None:
                 answer = cache.get(hop_name, now)
@@ -503,7 +488,7 @@ def resolve_bulk(
                         else resolver._map.locate(hop_name)
                     )
                     if server is None:
-                        outcomes[chase.index] = ResolutionError(
+                        outcomes[index] = ResolutionError(
                             f"no authoritative server for {hop_name!r}"
                         )
                         continue
@@ -526,33 +511,35 @@ def resolve_bulk(
             step = answer.step
             addresses = answer.addresses
             redirect = answer.redirect
-            steps = chase.steps
             steps.append(step)
             if addresses or redirect is None:
                 # ``redirect is None``: NODATA / NXDOMAIN at this link.
                 if resolver._metered:
                     resolver._m_resolutions.inc()
                     resolver._m_chain_length.observe(len(steps))
-                resolution = Resolution(
-                    question, tuple(steps), noerror if addresses else nxdomain
+                # The three fields, and the walk just taken as the chain
+                # views (see _ChainView), in one dict update.
+                resolution = new_resolution(Resolution)
+                resolution.__dict__.update(
+                    question=question,
+                    steps=tuple(steps),
+                    rcode=noerror if addresses else nxdomain,
+                    chain_names=tuple(names),
+                    cname_chain=tuple(followed),
+                    addresses=addresses,
                 )
-                # The walk just taken is the chain views (see _ChainView).
-                views = resolution.__dict__
-                views["chain_names"] = tuple(names)
-                views["cname_chain"] = tuple(chase.followed)
-                views["addresses"] = addresses
-                outcomes[chase.index] = resolution
+                outcomes[index] = resolution
                 continue
             target = redirect.data
             if target in names:
-                outcomes[chase.index] = ResolutionError(f"CNAME loop at {target!r}")
+                outcomes[index] = ResolutionError(f"CNAME loop at {target!r}")
                 continue
-            chase.followed.append(redirect)
+            followed.append(redirect)
             names.append(target)
             still_active.append(chase)
         active = still_active
     for chase in active:
-        outcomes[chase.index] = ResolutionError(
+        outcomes[chase[0]] = ResolutionError(
             f"chain longer than {_MAX_CHAIN} for {qname!r}"
         )
     return outcomes

@@ -64,6 +64,12 @@ class FlowRecord:
             raise ValueError("flow bytes must be positive")
 
 
+def _check_lengths(*columns: Sequence) -> None:
+    """Refuse a block whose columns differ in length (``ValueError``)."""
+    if len(set(map(len, columns))) > 1:
+        raise ValueError("flow columns differ in length")
+
+
 class FlowLog:
     """An append-only, time-ordered columnar block of flow records.
 
@@ -104,15 +110,17 @@ class FlowLog:
 
     # ----- writing ------------------------------------------------------
 
-    def _intern(self, link_id: str) -> int:
-        index = self._link_index.get(link_id)
-        if index is None:
-            index = len(self.links)
-            if index >= MAX_LINKS:
-                raise ValueError(f"a flow log holds at most {MAX_LINKS} distinct links")
+    def _intern(self, link_ids: Iterable[str]) -> None:
+        """Intern every link of ``link_ids`` new to the table, in
+        first-appearance order, or none: a table that would pass
+        ``MAX_LINKS`` names raises ``ValueError`` as it was."""
+        index = self._link_index
+        fresh = [link_id for link_id in dict.fromkeys(link_ids) if link_id not in index]
+        if len(self.links) + len(fresh) > MAX_LINKS:
+            raise ValueError(f"a flow log holds at most {MAX_LINKS} distinct links")
+        for link_id in fresh:
+            index[link_id] = len(self.links)
             self.links.append(link_id)
-            self._link_index[link_id] = index
-        return index
 
     def _check_order(self, timestamp: float) -> None:
         """Refuse rows at ``timestamp`` if it is older than the last run's."""
@@ -132,29 +140,35 @@ class FlowLog:
             ends.append(len(self.srcs))
 
     def append_block(
-        self, timestamp: float, rows: Sequence[tuple[int, int, int, str]]
+        self,
+        timestamp: float,
+        srcs: Sequence[int],
+        dsts: Sequence[int],
+        sizes: Sequence[int],
+        link_ids: Sequence[str],
     ) -> None:
-        """Append the flows of one timestamp, ``(src, dst, bytes, link_id)`` each.
+        """Append the flows of one timestamp, given as four equal-length columns.
 
-        All or nothing: the columns are built before the log is touched,
-        so a block that goes back in time, a timestamp that is not
+        Row ``i`` is the flow ``(srcs[i], dsts[i], sizes[i], link_ids[i])``,
+        addresses as their integer values.  All or nothing: the columns
+        are built before the log is touched, so columns of different
+        lengths, a block that goes back in time, a timestamp that is not
         finite, a size that is not positive or a value its column cannot
         hold (``TypeError`` / ``OverflowError``) raises with every row of
         the log as it was.
         """
         if not math.isfinite(timestamp):  # a NaN would pass every order check
             raise ValueError("flow timestamps must be finite")
-        if not rows:
+        _check_lengths(srcs, dsts, sizes, link_ids)
+        if not srcs:
             return
         self._check_order(timestamp)
-        srcs, dsts, sizes, link_names = zip(*rows)
         if min(sizes) <= 0:
             raise ValueError("flow bytes must be positive")
         new_srcs, new_dsts = array("I", srcs), array("I", dsts)
         new_sizes = array("q", sizes)
-        for link_id in dict.fromkeys(link_names):  # first-appearance order
-            self._intern(link_id)
-        new_links = array("H", map(self._link_index.__getitem__, link_names))
+        self._intern(link_ids)
+        new_links = array("H", map(self._link_index.__getitem__, link_ids))
         self.srcs.extend(new_srcs)
         self.dsts.extend(new_dsts)
         self.sizes.extend(new_sizes)
@@ -165,7 +179,7 @@ class FlowLog:
         self, timestamp: float, src: int, dst: int, size: int, link_id: str
     ) -> None:
         """Append one flow from its field values (addresses as ints)."""
-        self.append_block(timestamp, ((src, dst, size, link_id),))
+        self.append_block(timestamp, (src,), (dst,), (size,), (link_id,))
 
     def append(self, record: FlowRecord) -> None:
         """Append one record."""
@@ -187,7 +201,8 @@ class FlowLog:
         if not block:
             return
         self._check_order(block.block_times[0])
-        remap = [self._intern(link_id) for link_id in block.links]
+        self._intern(block.links)
+        remap = [self._link_index[link_id] for link_id in block.links]
         if remap == list(range(len(remap))):
             self.link_ids.extend(block.link_ids)
         else:
@@ -478,12 +493,18 @@ class NetflowCollector:
         )
 
     def observe_block(
-        self, timestamp: float, rows: Sequence[tuple[int, int, int, str]]
+        self,
+        timestamp: float,
+        srcs: Sequence[int],
+        dsts: Sequence[int],
+        sizes: Sequence[int],
+        link_ids: Sequence[str],
     ) -> int:
-        """Export the flows of one tick's ``(src, dst, bytes, link_id)`` rows.
+        """Export the flows of one tick, given as four columns.
 
-        What the simulation engine hands over at the end of a tick;
-        addresses are their integer values.  At rate 1 each row is one
+        What the simulation engine hands over at the end of a tick:
+        row ``i`` is ``(srcs[i], dsts[i], sizes[i], link_ids[i])``,
+        addresses as their integer values.  At rate 1 each row is one
         unsampled record, so every byte shows up in exactly one record
         and small scenario runs do not suffer sampling noise.  At 1-in-N
         a row of B bytes is ``max(1, round(B / flow_bytes))`` flows of
@@ -492,30 +513,34 @@ class NetflowCollector:
         nothing, like :meth:`FlowLog.append_block`; returns the number of
         records exported.
         """
-        if not rows:
+        _check_lengths(srcs, dsts, sizes, link_ids)
+        if not srcs:
             return 0
-        offered = sum(row[2] for row in rows)
-        exported = rows
+        offered = sum(sizes)
+        exported = (srcs, dsts, sizes, link_ids)
         if self.sampling_rate > 1:
-            if min(row[2] for row in rows) <= 0:
+            if min(sizes) <= 0:
                 raise ValueError("flow bytes must be positive")
             keep, size = 1.0 / self.sampling_rate, self.flow_bytes
-            exported = []
-            for src, dst, total, link_id in rows:
+            exported = ([], [], [], [])
+            kept_srcs, kept_dsts, kept_sizes, kept_links = exported
+            for src, dst, total, link_id in zip(srcs, dsts, sizes, link_ids):
                 dotted = str(IPv4Address(src))
-                exported.extend(
-                    (src, dst, size, link_id)
-                    for index in range(max(1, round(total / size)))
-                    if stable_fraction(link_id, timestamp, dotted, index) < keep
-                )
-        if exported and timestamp < self._drained_until:
+                for index in range(max(1, round(total / size))):
+                    if stable_fraction(link_id, timestamp, dotted, index) < keep:
+                        kept_srcs.append(src)
+                        kept_dsts.append(dst)
+                        kept_sizes.append(size)
+                        kept_links.append(link_id)
+        count = len(exported[0])
+        if count and timestamp < self._drained_until:
             raise ValueError("flows must be appended in time order")
-        self._log.append_block(timestamp, exported)
+        self._log.append_block(timestamp, *exported)
         self.total_offered_bytes += offered
         self._m_offered.inc(offered)
-        if exported:
-            self._m_records.inc(len(exported))
-        return len(exported)
+        if count:
+            self._m_records.inc(count)
+        return count
 
     def drain(self) -> FlowLog:
         """Hand over the records exported since the last drain, and forget them.

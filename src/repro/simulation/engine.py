@@ -770,15 +770,16 @@ class SimulationEngine:
         The tick is accumulated here and written once: ``_route_bytes``
         fills ``link_used`` (the float fill level it clips against),
         ``carried`` (integer bytes per link, in first-carried order) and
-        ``rows`` (one ``(src, dst, bytes, link_id)`` per flow); SNMP
-        then gets one add per link and the collector one block.
+        ``flows``, the four columns (src, dst, bytes, link_id) with one
+        entry per flow; SNMP then gets one add per link and the
+        collector one block.
         """
         scenario = self.scenario
         config = scenario.config
         link_used: dict[str, float] = {}
         carried: dict[str, int] = {}
-        rows: list[tuple[int, int, int, str]] = []
-        tick = (int(now), link_used, carried, rows)
+        flows: tuple[list, list, list, list] = ([], [], [], [])
+        tick = (int(now), link_used, carried, flows)
         # Background exists even for CDNs the Meta-CDN is not currently
         # using (Akamai's big baseline continues after it leaves the
         # rotation — the post-event diurnal in Figure 7's Akamai panel).
@@ -800,10 +801,10 @@ class SimulationEngine:
         if fill_sources and fill_gbps > 0:
             fill_bytes = fill_gbps * _GBPS_TO_BYTES * self.step_seconds
             self._route_bytes(fill_sources, fill_bytes / len(fill_sources), *tick)
-        flows = scenario.netflow.observe_block(now, rows)
+        exported = scenario.netflow.observe_block(now, *flows)
         for link_id, count in carried.items():
             scenario.snmp.add_bytes(link_id, now, count)
-        return flows, link_used
+        return exported, link_used
 
     def _deliver(
         self, operator: str, gbps: float, tick: tuple, own_as_only: bool = False
@@ -865,11 +866,12 @@ class SimulationEngine:
         second: int,
         link_used: dict[str, float],
         carried: dict[str, int],
-        rows: list,
+        flows: tuple[list, list, list, list],
     ) -> None:
         """Carry ``total_bytes`` from each of ``sources`` into the ISP."""
         plans = self._route_plans
         first_customer = self._first_customer
+        put_src, put_dst, put_size, put_link = (column.append for column in flows)
         for source in sources:
             src = source.value
             plan = plans.get(src)
@@ -890,6 +892,9 @@ class SimulationEngine:
                 if share_bytes <= 0:
                     continue
                 carried[link_id] = carried.get(link_id, 0) + share_bytes
-                rows.append((src, dst, share_bytes, link_id))
+                put_src(src)
+                put_dst(dst)
+                put_size(share_bytes)
+                put_link(link_id)
 
     # ------------------------------------------------------------------

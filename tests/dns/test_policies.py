@@ -1,10 +1,14 @@
 """Tests for repro.dns.policies."""
 
+from array import array
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.apple.policy import AkamaiHandoverPolicy, MetaCdnController, OffloadCnamePolicy
+from repro.dns import policies
 from repro.dns.policies import (
     CnamePolicy,
     CountrySplitPolicy,
@@ -274,6 +278,65 @@ class TestGslbAddressPolicy:
         a = answer(policy, "g.example", make_context(now=5))
         b = answer(policy, "g.example", make_context(now=15))
         assert a == b
+
+
+def rotation_reference(pool, offset, count, name, ttl):
+    """The answer as the per-index modulo loop builds it."""
+    size = len(pool)
+    return tuple(
+        ARecord(name, IPv4Address(pool[(offset + index) % size]), ttl)
+        for index in range(min(count, size))
+    )
+
+
+class TestGslbRotationOracle:
+    """The sliced answer equals the modulo loop at every offset, wrap included,
+    and each address value has one record object per name."""
+
+    @given(
+        values=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=12, unique=True),
+        count=st.integers(1, 16),
+        data=st.data(),
+        kind=st.sampled_from([list, tuple, lambda values: array("I", values)]),
+    )
+    def test_slices_equal_the_modulo_loop(self, values, count, data, kind):
+        pool = kind(values)
+        size = len(pool)
+        # Offsets at the wrap (the last few) as well as anywhere.
+        offsets = data.draw(st.lists(
+            st.integers(0, size - 1) | st.sampled_from([size - 1, max(0, size - count)]),
+            min_size=1, max_size=6,
+        ))
+        policy = GslbAddressPolicy(pool=lambda ctx: pool, ttl=20, answer_count=count)
+        interned = {}
+        for name in ("a.gslb.example", "b.gslb.example"):
+            for offset in offsets:
+                fraction = (offset + 0.5) / size  # int(fraction * size) == offset
+                with patch.object(policies, "sticky_draw", lambda *_: lambda ctx: fraction):
+                    records = answer(policy, name, make_context(now=offset))
+                assert records == rotation_reference(pool, offset, count, name, 20)
+                assert type(records) is tuple
+                for record in records:
+                    assert interned.setdefault((name, record.address.value), record) is record
+        handed_out = {
+            pool[(offset + index) % size]
+            for offset in offsets for index in range(min(count, size))
+        }
+        assert len(interned) == 2 * len(handed_out)
+
+    @given(
+        values=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=12, unique=True),
+        count=st.integers(1, 16),
+        clients=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8),
+    )
+    def test_the_real_draw_picks_the_offset_the_loop_would(self, values, count, clients):
+        policy = GslbAddressPolicy(pool=lambda ctx: values, ttl=20, answer_count=count, salt="s")
+        for client in clients:
+            context = make_context(client=str(IPv4Address(client)), now=40.0)
+            offset = int(sticky_draw("g.example", 40.0, 20, "s")(context) * len(values))
+            assert answer(policy, "g.example", context) == rotation_reference(
+                values, offset, count, "g.example", 20
+            )
 
 
 @pytest.mark.parametrize(

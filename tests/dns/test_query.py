@@ -103,13 +103,13 @@ class TestQueryContext:
             continent=Continent.ASIA,
             country="in",
         )
-        assert base.client_text == "198.51.100.7"
+        assert base.client_bytes == b"198.51.100.7"
         stamped = base.at(300.0)
         assert stamped == replace(base, now=300.0) and stamped.now == 300.0
         assert stamped.region is MappingRegion.APAC
         assert base.now == 0.0
         # The spelled address rides along without being part of identity.
-        assert vars(stamped)["client_text"] == "198.51.100.7"
+        assert vars(stamped)["client_bytes"] == b"198.51.100.7"
         assert repr(stamped) == repr(replace(base, now=300.0))
 
     def test_frozen(self):

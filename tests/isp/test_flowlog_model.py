@@ -19,7 +19,7 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import settings  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.stateful import (  # noqa: E402
     RuleBasedStateMachine,
@@ -27,6 +27,7 @@ from hypothesis.stateful import (  # noqa: E402
     rule,
 )
 
+from repro.dns.policies import stable_fraction  # noqa: E402
 from repro.isp.netflow import (  # noqa: E402
     MAX_LINKS,
     FlowLog,
@@ -47,6 +48,11 @@ cursors = st.integers(0, 12)
 
 def flow(timestamp, src, dst, size, link):
     return FlowRecord(timestamp, IPv4Address(src), IPv4Address(dst), size, link)
+
+
+def columns(rows):
+    """``(src, dst, size, link)`` rows as the four columns an append takes."""
+    return tuple(list(column) for column in zip(*rows)) or ([], [], [], [])
 
 
 def last_time(model):
@@ -101,9 +107,9 @@ class FlowLogAgainstList(RuleBasedStateMachine):
             # One row the columns cannot hold, last: nothing lands.
             src, size = bad
             with pytest.raises((OverflowError, ValueError)):
-                self.real[side].append_block(timestamp, rows + [(src, 7, size, "l")])
+                self.real[side].append_block(timestamp, *columns(rows + [(src, 7, size, "l")]))
             return
-        self.real[side].append_block(timestamp, rows)
+        self.real[side].append_block(timestamp, *columns(rows))
         self.model[side].extend(flow(timestamp, *row) for row in rows)
 
     @rule(side=sides, back=st.sampled_from([0.5, 300.0]), src=addresses, link=links)
@@ -394,28 +400,141 @@ class TestLimits:
         assert state[6] == ["a", "b"]
 
 
+def exported_by_rows(timestamp, rows, sampling_rate, flow_bytes):
+    """The row-by-row model of one block's export: each row is one record
+    at rate 1; at 1-in-N it is ``max(1, round(B / flow_bytes))`` flows
+    of ``flow_bytes``, flow ``i`` kept when its stable fraction is
+    below ``1 / N``."""
+    if sampling_rate == 1:
+        return [flow(timestamp, *row) for row in rows]
+    return [
+        flow(timestamp, src, dst, flow_bytes, link)
+        for src, dst, size, link in rows
+        for index in range(max(1, round(size / flow_bytes)))
+        if stable_fraction(link, timestamp, str(IPv4Address(src)), index)
+        < 1.0 / sampling_rate
+    ]
+
+
+def state_of(log):
+    """Everything a refused append must leave as it was."""
+    return pickle.dumps(log.__getstate__()), dict(log._link_index)
+
+
+blocks = st.lists(
+    st.tuples(
+        steps,
+        st.lists(
+            st.tuples(addresses, addresses, st.integers(1, 5000), links), max_size=6
+        ),
+    ),
+    max_size=6,
+)
+
+
+class TestColumnAppendOracle:
+    """Appending a block as four columns equals the row-by-row model."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(blocks=blocks, sampling_rate=st.sampled_from([1, 3]))
+    def test_columns_equal_the_rows_one_by_one(self, blocks, sampling_rate):
+        collector = NetflowCollector(sampling_rate=sampling_rate, flow_bytes=1000)
+        log = FlowLog()
+        model, sampled, offered, timestamp = [], [], 0, 0.0
+        for step, rows in blocks:
+            timestamp += step
+            exported = exported_by_rows(timestamp, rows, sampling_rate, 1000)
+            assert collector.observe_block(timestamp, *columns(rows)) == len(exported)
+            log.append_block(timestamp, *columns(rows))
+            model.extend(flow(timestamp, *row) for row in rows)
+            sampled.extend(exported)
+            offered += sum(row[2] for row in rows)
+        assert log == model
+        assert collector.records == sampled
+        assert collector.total_offered_bytes == offered
+        assert log.links == list(dict.fromkeys(r.link_id for r in model))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        blocks=blocks.filter(lambda b: any(rows for _, rows in b)),
+        sampling_rate=st.sampled_from([1, 3]),
+        bad=st.sampled_from(
+            ["nan", "inf", "-inf", "zero size", "negative size", "back in time",
+             "ragged"]
+        ),
+    )
+    def test_every_refusal_leaves_the_log_as_it_was(self, blocks, sampling_rate, bad):
+        collector = NetflowCollector(sampling_rate=sampling_rate, flow_bytes=1000)
+        log = FlowLog()
+        timestamp = 300.0
+        for step, rows in blocks:
+            timestamp += step
+            collector.observe_block(timestamp, *columns(rows))
+            log.append_block(timestamp, *columns(rows))
+        srcs, dsts, sizes, link_ids = [7, 8], [9, 9], [10, 20], ["new-1", "l"]
+        at = timestamp + 300.0
+        if bad in ("nan", "inf", "-inf"):
+            at = float(bad)
+        elif bad == "zero size":
+            sizes[1] = 0
+        elif bad == "negative size":
+            sizes[0] = -1
+        elif bad == "back in time":
+            at = timestamp - 0.5
+        else:
+            dsts.pop()
+        before = state_of(log), state_of(collector.records), collector.total_offered_bytes
+        with pytest.raises(ValueError):
+            log.append_block(at, srcs, dsts, sizes, link_ids)
+        # A sampled collector that holds nothing, or exports nothing of
+        # the block, has no time order to break.
+        if bad != "back in time" or (
+            collector.records
+            and exported_by_rows(at, list(zip(srcs, dsts, sizes, link_ids)), sampling_rate, 1000)
+        ):
+            with pytest.raises(ValueError):
+                collector.observe_block(at, srcs, dsts, sizes, link_ids)
+        after = state_of(log), state_of(collector.records), collector.total_offered_bytes
+        assert after == before
+
+    def test_a_block_past_max_links_interns_none_of_them(self):
+        log = FlowLog()
+        names = [f"link-{index}" for index in range(MAX_LINKS - 1)]
+        log.append_block(0.0, [1] * len(names), [2] * len(names), [1] * len(names), names)
+        before = state_of(log)
+        with pytest.raises(ValueError, match="65536 distinct links"):
+            log.append_block(0.0, [1, 1, 1], [2, 2, 2], [1, 1, 1],
+                             ["link-0", "room-for-one", "one-too-many"])
+        with pytest.raises(ValueError, match="65536 distinct links"):
+            log.extend(FlowLog([flow(0.0, 1, 2, 1, "room-for-one"),
+                                flow(0.0, 1, 2, 1, "one-too-many")]))
+        assert state_of(log) == before
+        log.append_block(0.0, [1], [2], [1], ["room-for-one"])
+        assert len(log.links) == MAX_LINKS
+
+
 class TestTimestamps:
     """Timestamps are finite: a NaN compares False with everything, so it
     would slip past the time-order check and break every read after it."""
 
     def test_a_non_finite_timestamp_is_refused_everywhere(self):
         log = FlowLog()
-        log.append_block(100.0, [(1, 2, 10, "l0")])
+        log.append_block(100.0, [1], [2], [10], ["l0"])
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
-                log.append_block(bad, [(1, 2, 10, "l0")])
+                log.append_block(bad, [1], [2], [10], ["l0"])
             with pytest.raises(ValueError, match="finite"):
                 log.extend([flow(bad, 1, 2, 10, "l0")])
         with pytest.raises(ValueError, match="time order"):
-            log.append_block(50.0, [(1, 2, 10, "l0")])
-        log.append_block(150.0, [(1, 2, 20, "l0")])
+            log.append_block(50.0, [1], [2], [10], ["l0"])
+        log.append_block(150.0, [1], [2], [20], ["l0"])
         assert log.bytes_between("l0", 0, 200) == 30
         assert [r.bytes for r in log.rollup(3600.0)] == [30]
 
     def test_a_collector_inherits_the_check(self):
         collector = NetflowCollector()
         with pytest.raises(ValueError, match="finite"):
-            collector.observe_block(math.nan, [(1, 2, 10, "l0")])
+            collector.observe_block(math.nan, [1], [2], [10], ["l0"])
         with pytest.raises(ValueError, match="finite"):
             collector.absorb([flow(math.nan, 1, 2, 10, "l0")], 10)
         assert not collector.records and collector.total_offered_bytes == 0

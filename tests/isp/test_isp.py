@@ -105,7 +105,7 @@ class TestNetflow:
     def test_exact_mode_records_everything(self):
         collector = NetflowCollector(sampling_rate=1)
         src = IPv4Address.parse("17.1.1.1").value
-        assert collector.observe_block(0.0, [(src, src, 1000, "apple-1")]) == 1
+        assert collector.observe_block(0.0, [src], [src], [1000], ["apple-1"]) == 1
         assert collector.sampled_bytes() == 1000
         assert collector.total_offered_bytes == 1000
 
@@ -115,7 +115,7 @@ class TestNetflow:
         for collector in (NetflowCollector(sampling_rate=1), NetflowCollector()):
             for size in (-5, 0):
                 with pytest.raises(ValueError, match="flow bytes must be positive"):
-                    collector.observe_block(0.0, [(src, src, size, "apple-1")])
+                    collector.observe_block(0.0, [src], [src], [size], ["apple-1"])
             assert len(collector) == 0
             assert collector.total_offered_bytes == 0
         with pytest.raises(ValueError, match="bytes cannot be negative"):
@@ -124,15 +124,15 @@ class TestNetflow:
     def test_traffic_going_back_in_time_is_refused(self):
         src = IPv4Address.parse("17.1.1.1")
         collector = NetflowCollector(sampling_rate=1)
-        collector.observe_block(300.0, [(src.value, src.value, 10, "apple-1")])
-        collector.observe_block(300.0, [(src.value, src.value, 10, "apple-2")])
+        collector.observe_block(300.0, [src.value], [src.value], [10], ["apple-1"])
+        collector.observe_block(300.0, [src.value], [src.value], [10], ["apple-2"])
         with pytest.raises(ValueError, match="time order"):
-            collector.observe_block(0.0, [(src.value, src.value, 10, "apple-1")])
+            collector.observe_block(0.0, [src.value], [src.value], [10], ["apple-1"])
         sampled = NetflowCollector(sampling_rate=2, flow_bytes=10)
-        sampled.observe_block(300.0, [(src.value, src.value, 1000, "apple-1")])
+        sampled.observe_block(300.0, [src.value], [src.value], [1000], ["apple-1"])
         assert len(sampled)
         with pytest.raises(ValueError, match="time order"):
-            sampled.observe_block(0.0, [(src.value, src.value, 1000, "apple-1")])
+            sampled.observe_block(0.0, [src.value], [src.value], [1000], ["apple-1"])
         with pytest.raises(ValueError, match="time order"):
             collector.absorb([FlowRecord(0.0, src, src, 10, "apple-1")], 10)
         for log in (collector, sampled):
@@ -166,8 +166,8 @@ class TestNetflow:
         """A checkpoint or a worker's chunk arrives through unpickling:
         a state that breaks the log's invariants is refused there."""
         log = FlowLog()
-        log.append_block(1.0, [(1, 2, 3, "l0")])
-        log.append_block(2.0, [(4, 5, 6, "l0")])
+        log.append_block(1.0, [1], [2], [3], ["l0"])
+        log.append_block(2.0, [4], [5], [6], ["l0"])
         assert pickle.loads(pickle.dumps(log)) == log
         setattr(log, column, value)
         with pytest.raises(ValueError, match=message):
@@ -181,15 +181,15 @@ class TestNetflow:
     def test_drain_hands_over_and_forgets(self):
         collector = NetflowCollector(sampling_rate=1)
         src = IPv4Address.parse("17.1.1.1").value
-        collector.observe_block(300.0, [(src, src, 10, "apple-1")])
-        collector.observe_block(600.0, [(src, src, 20, "apple-2")])
+        collector.observe_block(300.0, [src], [src], [10], ["apple-1"])
+        collector.observe_block(600.0, [src], [src], [20], ["apple-2"])
         first = collector.drain()
         assert [r.bytes for r in first] == [10, 20] and len(collector) == 0
         assert len(collector.drain()) == 0  # nothing new: an empty block
         with pytest.raises(ValueError, match="time order"):
-            collector.observe_block(300.0, [(src, src, 5, "apple-1")])
+            collector.observe_block(300.0, [src], [src], [5], ["apple-1"])
         assert collector.total_offered_bytes == 30
-        collector.observe_block(600.0, [(src, src, 5, "apple-1")])
+        collector.observe_block(600.0, [src], [src], [5], ["apple-1"])
         second = collector.drain()
         assert second.links == first.links == ["apple-1", "apple-2"]
         whole = FlowLog()
@@ -214,16 +214,20 @@ class TestNetflow:
                 for _ in range(2)
             )
             for link_id, size in rows:
-                by_row.observe_block(300.0, [(src.value, dst.value, size, link_id)])
+                by_row.observe_block(300.0, [src.value], [dst.value], [size], [link_id])
             exported = by_block.observe_block(
-                300.0, [(src.value, dst.value, size, link_id) for link_id, size in rows]
+                300.0,
+                [src.value] * len(rows),
+                [dst.value] * len(rows),
+                [size for _, size in rows],
+                [link_id for link_id, _ in rows],
             )
             assert exported == len(by_row) > 0
             assert by_block.records == by_row.records
             assert by_block.records.links == by_row.records.links == ["apple-2", "apple-1"]
             assert by_block.total_offered_bytes == by_row.total_offered_bytes
             assert by_block.total_offered_bytes == 120_000 + (1 << 20)
-            assert by_block.observe_block(300.0, []) == 0
+            assert by_block.observe_block(300.0, [], [], [], []) == 0
 
     @pytest.mark.parametrize("bad_row, error", [
         ((1 << 32, 7, 10, "apple-1"), OverflowError),   # src past 32 bits
@@ -236,11 +240,11 @@ class TestNetflow:
         registry = MetricsRegistry()
         with use_registry(registry):
             collector = NetflowCollector(sampling_rate=1)
-        collector.observe_block(300.0, [(1, 2, 30, "apple-1")])
+        collector.observe_block(300.0, [1], [2], [30], ["apple-1"])
         with pytest.raises(error):
-            collector.observe_block(300.0, [(3, 4, 50, "apple-2"), bad_row])
+            collector.observe_block(300.0, *zip((3, 4, 50, "apple-2"), bad_row))
         with pytest.raises(ValueError, match="time order"):
-            collector.observe_block(299.0, [(3, 4, 50, "apple-2")])
+            collector.observe_block(299.0, [3], [4], [50], ["apple-2"])
         assert collector.records == [
             FlowRecord(300.0, IPv4Address(1), IPv4Address(2), 30, "apple-1")
         ]
@@ -254,7 +258,7 @@ class TestNetflow:
         src = IPv4Address.parse("17.1.1.1").value
         for second in range(200):
             total += collector.observe_block(
-                float(second), [(src, src, 100_000, "apple-1")]
+                float(second), [src], [src], [100_000], ["apple-1"]
             )
         # 200 * 100 flows, ~1/10 sampled.
         assert 1000 <= total <= 3000
@@ -263,7 +267,7 @@ class TestNetflow:
         collector = NetflowCollector(sampling_rate=10, flow_bytes=1000)
         src = IPv4Address.parse("17.1.1.1").value
         for second in range(300):
-            collector.observe_block(float(second), [(src, src, 100_000, "apple-1")])
+            collector.observe_block(float(second), [src], [src], [100_000], ["apple-1"])
         estimated = collector.sampled_bytes() * collector.sampling_rate
         assert estimated == pytest.approx(collector.total_offered_bytes, rel=0.2)
 
@@ -271,7 +275,7 @@ class TestNetflow:
         collector = NetflowCollector(sampling_rate=1)
         src = IPv4Address.parse("1.1.1.1").value
         for ts in (0.0, 10.0, 20.0):
-            collector.observe_block(ts, [(src, src, 100, "l")])
+            collector.observe_block(ts, [src], [src], [100], ["l"])
         assert len(list(collector.records_between(5.0, 25.0))) == 2
 
     def test_flow_record_validation(self):
@@ -317,7 +321,7 @@ class TestSnmp:
         truth = 0
         for second in range(0, 300, 5):
             volume = 200_000
-            collector.observe_block(float(second), [(src.value, src.value, volume, "apple-1")])
+            collector.observe_block(float(second), [src.value], [src.value], [volume], ["apple-1"])
             snmp.add_bytes("apple-1", float(second), volume)
             truth += volume
         factor = snmp.scale_factor(collector, "apple-1", 0.0)
@@ -337,7 +341,7 @@ class TestSnmp:
             for index, src in enumerate(sources):
                 link = links[(second // 20 + index) % len(links)]
                 volume = 20_000 + 1000 * index
-                collector.observe_block(float(second), [(src.value, src.value, volume, link)])
+                collector.observe_block(float(second), [src.value], [src.value], [volume], [link])
                 snmp.add_bytes(link, float(second), volume)
         records = list(collector.records)
         assert len(records) > 100

@@ -207,7 +207,7 @@ def reference_route(world, source, now, total_bytes, link_used):
                 1 + (source.value + int(now)) % 1024
             )
         flows += world.netflow.observe_block(
-            now, [(source.value, destination.value, carried_bytes, link_id)]
+            now, [source.value], [destination.value], [carried_bytes], [link_id]
         )
     return flows
 

@@ -176,8 +176,9 @@ BAD_FAULT = (
 
 
 class TestReplayFlagValues:
-    """A flag value the replay refuses is one line on exit,
-    ``<command>: <message>``, before the engine runs: no traceback."""
+    """A flag value the replay (or ``repro top``) refuses is one line on
+    exit, ``<command>: <message>``, before the engine runs or the first
+    scrape: no traceback."""
 
     @pytest.mark.parametrize("argv, message", [
         (["simulate", *PROBES, "--step", "0"],
@@ -211,14 +212,22 @@ class TestReplayFlagValues:
          "chaos: concurrency must be positive"),
         (["chaos", "--workers", "0"],
          "chaos: workers must be >= 1"),
+        *((["top", "--interval", value], "top: --interval must be a finite number > 0")
+          for value in ("nan", "inf", "-1", "0")),
+        (["top", "--iterations", "-1"],
+         "top: --iterations must be >= 0"),
     ], ids=["simulate-step", "simulate-probes", "simulate-isp-probes",
             "simulate-workers", "simulate-window", "report-step",
             "run-workers", "profile-window",
             "simulate-fault", "run-fault", "chaos-fault",
             "simulate-step-nan", "run-step-inf", "report-step-inf",
             "report-budget-inf", "report-budget-nan", "report-budget-negative",
-            "chaos-concurrency", "chaos-workers"])
+            "chaos-concurrency", "chaos-workers",
+            "top-interval-nan", "top-interval-inf", "top-interval-negative",
+            "top-interval-zero", "top-iterations-negative"])
     def test_exits_as_one_line_before_running(self, monkeypatch, argv, message):
+        import urllib.request
+
         from repro.cli import chaos
         from repro.simulation import SimulationEngine
 
@@ -227,6 +236,7 @@ class TestReplayFlagValues:
 
         monkeypatch.setattr(SimulationEngine, "run", run)
         monkeypatch.setattr(chaos, "run_chaos", run)
+        monkeypatch.setattr(urllib.request, "urlopen", run)
         with pytest.raises(SystemExit) as caught:
             main(argv)
         assert caught.value.code == message
@@ -592,9 +602,12 @@ class TestTopCommand:
         assert "qps" in out and "cache hit" in out
 
     def test_top_unreachable_endpoint_exits(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as caught:
             main(["top", "--endpoint", "127.0.0.1:1",
                   "--iterations", "1"])
+        assert caught.value.code.startswith(
+            "top: cannot scrape http://127.0.0.1:1/metrics: "
+        )
 
 
 class TestTraceOut:

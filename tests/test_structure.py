@@ -40,6 +40,12 @@ roll-up, a shard worker drains what it ships, the traffic phase writes a
 tick at a time, and a DNS tick is one block.  The ISP plane is built
 once: nothing that tracked changes to the RIB or the link set comes
 back under ``repro/isp`` or in the engine.
+
+*One container, one TTL cache* (once the CI step "One container, one
+TTL cache (no second copy)"): atomic writes live in
+``repro/container.py``; files are unpickled only by its two
+pickle-payload owners, once each, after the container verified them;
+TTL eviction lives in ``dns/ttlcache.py``.
 """
 
 import ast
@@ -417,3 +423,40 @@ def test_answer_pools_are_address_values():
 
 def test_the_unbound_answer_policies_stay_gone():
     assert not grep(r"RegionSplitPolicy|RoundRobinAddressPolicy", "src")
+
+
+# ----------------------------------------------------------------------
+# One container, one TTL cache
+# ----------------------------------------------------------------------
+
+PICKLE_OWNERS = ("src/repro/simulation/checkpoint.py", "src/repro/serve/snapshot.py")
+
+
+def test_atomic_writes_live_in_the_container():
+    hits = grep(r"os\.replace\(|os\.fsync\(", "src/repro")
+    assert not outside(hits, "src/repro/container.py")
+
+
+def test_only_the_payload_owners_unpickle():
+    assert not outside(grep("pickle.loads(", "src/repro", fixed=True), *PICKLE_OWNERS)
+
+
+@pytest.mark.parametrize("owner", PICKLE_OWNERS)
+def test_each_payload_owner_unpickles_once(owner):
+    assert len(grep("pickle.loads(", owner, fixed=True)) == 1
+
+
+def test_ttl_eviction_lives_in_the_ttl_cache():
+    """No ``min(`` keyed on ``expires_at`` within three lines of its call
+    (``grep -A3 'min('``) outside ``dns/ttlcache.py``."""
+    keyed = re.compile(r"(key=|lambda).*expires_at")
+    hits = []
+    for path in sorted((ROOT / "src/repro").rglob("*.py")):
+        lines = path.read_text().splitlines()
+        opened = [n for n, line in enumerate(lines) if "min(" in line]
+        near = sorted({n + k for n in opened for k in range(4) if n + k < len(lines)})
+        hits += [
+            f"{path.relative_to(ROOT).as_posix()}:{n + 1}: {lines[n]}"
+            for n in near if keyed.search(lines[n])
+        ]
+    assert not outside(hits, "src/repro/dns/ttlcache.py")
