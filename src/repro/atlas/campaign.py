@@ -20,7 +20,7 @@ from ..dns.resolver import ServerMap, resolve_bulk
 from ..obs import get_registry
 from ..workload.timeline import MeasurementWindow
 from .cadence import Cadence
-from .columnar import DnsColumns, ProbeColumns, TracerouteColumns
+from .columnar import DnsColumns, ProbeColumns
 from .probe import AtlasProbe, outcome_fields
 from .results import MeasurementStore
 
@@ -153,13 +153,21 @@ class DnsCampaign:
 
 @dataclass
 class TracerouteCampaign:
-    """Hourly traceroutes to every cache address seen in DNS so far."""
+    """Hourly traceroutes to every cache address seen in DNS so far.
+
+    A due tick traces the ``max_targets_per_tick`` lowest address values
+    the DNS store has seen from every probe, as one ``tracer`` sweep:
+    ``tracer(probes, destinations, now)`` takes the address values and
+    returns the block (:meth:`SimulatedTracer.sweep
+    <repro.atlas.traceroute.SimulatedTracer.sweep>`), so no address or
+    measurement object is built per trace.
+    """
 
     probes: Sequence[AtlasProbe]
     dns_store: MeasurementStore
     interval: float
     window: MeasurementWindow
-    tracer: Callable  # (probe, destination, now) -> TracerouteMeasurement
+    tracer: Callable  # (probes, destination values, now) -> TracerouteColumns
     store: MeasurementStore = field(default_factory=MeasurementStore)
     max_targets_per_tick: int = 64
     name: str = "traceroute"
@@ -173,14 +181,8 @@ class TracerouteCampaign:
         """Fire a traceroute sweep if due; returns measurements taken."""
         if not (self.window.contains(now) and self.cadence.due(now)):
             return 0
-        targets = sorted(self.dns_store.unique_addresses())[
-            : self.max_targets_per_tick
-        ]
-        sweep = TracerouteColumns.from_measurements(
-            self.tracer(probe, destination, now)
-            for probe in self.probes
-            for destination in targets
-        )
+        targets = self.dns_store.unique_address_values()[: self.max_targets_per_tick]
+        sweep = self.tracer(self.probes, targets, now)
         self.store.add_traceroute_block(sweep)
         taken = len(sweep)
         if taken:

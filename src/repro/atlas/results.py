@@ -502,6 +502,11 @@ class MeasurementStore:
             )
         return self._unique_frozen
 
+    def unique_address_values(self) -> list[int]:
+        """:meth:`unique_addresses` as address values, ascending (a new
+        list per call), with no address object built."""
+        return sorted(self._unique_values)
+
     # ----- checkpoint support -------------------------------------------
 
     def dump_state(self) -> dict:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -110,13 +111,18 @@ class PlacedServer:
 class _VantagePool:
     """One vantage's ranking and the pool it last answered with."""
 
-    __slots__ = ("positions", "values", "count", "pool")
+    __slots__ = ("positions", "values", "size", "controller", "count", "active", "pool")
 
-    def __init__(self, positions: array, values: array) -> None:
+    def __init__(
+        self, positions: array, values: array, controller: Optional[ExposureController]
+    ) -> None:
         self.positions = positions  # ranking position of each placement, by exposure index
         self.values = values  # address value of each placement, nearest first
-        self.count: Optional[int] = None  # the active count ``pool`` is for
-        self.pool = array("I")
+        self.size = len(positions)  # the region's placement count
+        self.controller = controller  # the region's exposure, None = all exposed
+        self.count = 0  # the active count ``active`` and ``pool`` are for
+        self.active = array("H")  # ranking positions of the active set, ascending
+        self.pool = array("I")  # address values at ``active``'s first pool_limit
 
 
 class CdnDeployment:
@@ -149,9 +155,14 @@ class CdnDeployment:
         # region's placements ranked by (distance, hostname), as
         # parallel exposure-index and address-value arrays, and the
         # answer pool for the active count the vantage was last served
-        # at — the ranking filtered on exposure index, so a moving
-        # active count never re-sorts.  All ints, not addresses.
+        # at, updated in place as that count moves, so only the ranking
+        # is sorted.  All ints, not addresses.
         self._vantages: dict[tuple, _VantagePool] = {}
+        # The same pools by the identity of the client's coordinates
+        # (id -> (coordinates, region, pool)), so an answer hashes no
+        # frozen dataclass; no more entries than vantages, each keeping
+        # its coordinates alive, so an id is never reused under it.
+        self._by_id: dict[int, tuple] = {}
         self._active_memo: dict[tuple, tuple[PlacedServer, ...]] = {}
         # Flat third-party delivery telemetry (same families the Apple
         # hierarchy uses, with layer="edge").
@@ -179,6 +190,7 @@ class CdnDeployment:
         # Deterministic exposure order regardless of insertion order.
         self._by_region[region].sort(key=lambda p: p.server.hostname)
         self._vantages.clear()
+        self._by_id.clear()
         self._active_memo.clear()
         return placed
 
@@ -272,24 +284,42 @@ class CdnDeployment:
 
         Active servers in the client's region, nearest metro first; the
         ``pool_limit`` nearest are returned (all of them when 0), as an
-        ``array('I')`` of address values — memoised, so never written
-        to.  This is the ``pool`` callable plugged into
-        :class:`repro.dns.policies.GslbAddressPolicy`.
+        ``array('I')`` of address values.  The array is the vantage's
+        memo and is updated in place when the region's active count
+        moves, so it is good until the next call for that vantage: a
+        caller reads it at once and keeps no reference (this is the
+        ``pool`` callable plugged into
+        :class:`repro.dns.policies.GslbAddressPolicy`, which reads it
+        inside one answer).
         """
-        region = context.region
-        count = self._active_count(region)
-        vantage = (region, context.coordinates)
-        memo = self._vantages.get(vantage)
-        if memo is None:
-            memo = self._vantages[vantage] = self._rank(vantage)
+        region, coordinates = context.region, context.coordinates
+        entry = self._by_id.get(id(coordinates))
+        if entry is not None and entry[0] is coordinates and entry[1] is region:
+            memo = entry[2]
+        else:
+            memo = self._vantage(region, coordinates)
+        controller = memo.controller
+        count = memo.size if controller is None else controller.active_count(memo.size)
         if memo.count != count:
-            memo.count = count
-            memo.pool = self._ranked_pool(memo, count)
+            self._move(memo, count)
         return memo.pool
 
-    def _rank(self, vantage: tuple) -> _VantagePool:
-        """``vantage``'s region ranked by (distance, hostname), no pool yet."""
-        region, coordinates = vantage
+    def _vantage(self, region: MappingRegion, coordinates) -> _VantagePool:
+        """The pool of the vantage ``(region, coordinates)``, ranked on
+        first use and filed under ``coordinates``' identity."""
+        memo = self._vantages.get((region, coordinates))
+        if memo is None:
+            memo = self._vantages[(region, coordinates)] = self._rank(region, coordinates)
+        by_id = self._by_id
+        if len(by_id) >= len(self._vantages):
+            # More coordinate objects than vantages: a caller builds
+            # them per query, so start over rather than grow.
+            by_id.clear()
+        by_id[id(coordinates)] = (coordinates, region, memo)
+        return memo
+
+    def _rank(self, region: MappingRegion, coordinates) -> _VantagePool:
+        """The vantage's region ranked by (distance, hostname), no pool yet."""
         ranked = sorted(
             (
                 great_circle_km(coordinates, placed.location.coordinates),
@@ -302,22 +332,40 @@ class CdnDeployment:
         positions = array("H", [0]) * len(ranked)
         for position, entry in enumerate(ranked):
             positions[entry[2]] = position
-        return _VantagePool(positions, array("I", [entry[3] for entry in ranked]))
+        return _VantagePool(
+            positions, array("I", [entry[3] for entry in ranked]), self._controller(region)
+        )
 
-    def _ranked_pool(self, memo: _VantagePool, count: int) -> array:
-        """The ``count`` first-exposed servers, nearest the vantage first.
+    def _move(self, memo: _VantagePool, count: int) -> None:
+        """Bring ``memo``'s active set and pool from its count to ``count``.
 
         Exposure order is hostname order, so the active set is exactly
-        the placements with exposure index below ``count``: their ranking
-        positions, in ascending order, give what sorting the active set
-        from scratch would.  That sorts ``count`` positions instead of
-        testing every placement of the region (a count is a quarter of
-        the region's placements at the median).
+        the placements with exposure index below the count, and the pool
+        is their ranking positions in ascending order (the nearest
+        ``pool_limit`` of them), which is what sorting the active set
+        from scratch gives.  A count that moves by *d* inserts or
+        deletes *d* positions, each found by bisection, in the sorted
+        positions and in the pool; the median move is one server in a
+        pool of dozens.
         """
-        positions = sorted(memo.positions[:count])
-        if self.pool_limit > 0:
-            del positions[self.pool_limit :]
-        return array("I", map(memo.values.__getitem__, positions))
+        positions, values, active, pool = memo.positions, memo.values, memo.active, memo.pool
+        limit = self.pool_limit or len(positions)
+        for index in range(memo.count, count):  # exposed
+            position = positions[index]
+            at = bisect_left(active, position)
+            active.insert(at, position)
+            if at < limit:
+                pool.insert(at, values[position])
+                if len(pool) > limit:
+                    del pool[limit]
+        for index in range(count, memo.count):  # withdrawn
+            at = bisect_left(active, positions[index])
+            del active[at]
+            if at < limit:
+                del pool[at]
+                if len(active) >= limit:
+                    pool.append(values[active[limit - 1]])
+        memo.count = count
 
     def __len__(self) -> int:
         return len(self._servers)

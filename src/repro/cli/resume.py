@@ -7,6 +7,7 @@ import argparse
 import os
 
 from ..simulation.checkpoint import CheckpointError, load_checkpoint
+from ..simulation.engine import check_workers
 from ..workload import TIMELINE
 from . import flags
 
@@ -34,9 +35,13 @@ def register(commands) -> None:
 
 def run(args: argparse.Namespace) -> int:
     try:
+        check_workers(args.workers)  # before the checkpoint is read
+    except ValueError as exc:
+        raise SystemExit(f"resume: {exc}") from None
+    try:
         checkpoint = load_checkpoint(args.from_path)
     except CheckpointError as exc:
-        raise SystemExit(str(exc)) from exc
+        raise SystemExit(f"resume: {exc}") from None
     end = flags.parse_date(args.end) if args.end else None
     # Resuming from a directory keeps checkpointing into it unless told
     # otherwise.
@@ -55,7 +60,7 @@ def run(args: argparse.Namespace) -> int:
                 **checkpoint_kwargs,
             )
         except CheckpointError as exc:
-            raise SystemExit(str(exc)) from exc
+            raise SystemExit(f"resume: {exc}") from None
     print(f"resumed from step {checkpoint.steps} "
           f"(t={TIMELINE.date_label(checkpoint.next_tick)}): "
           f"{steps} further steps; "

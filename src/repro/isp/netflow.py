@@ -436,15 +436,9 @@ class FlowLog:
         )
         srcs, dsts, sizes, link_ids = self.srcs, self.dsts, self.sizes, self.link_ids
         groups: dict[int, int] = {}  # (src, link) of the open bin -> out row
-        bin_start = None
-        for timestamp, lo, hi in self.runs():
-            start = math.floor(timestamp / bin_seconds) * bin_seconds
-            if start != bin_start:
-                bin_start = start
-                groups.clear()
-            for src, dst, link, size in zip(
-                srcs[lo:hi], dsts[lo:hi], link_ids[lo:hi], sizes[lo:hi]
-            ):
+
+        def group(run_srcs, run_dsts, run_links, run_sizes) -> None:
+            for src, dst, link, size in zip(run_srcs, run_dsts, run_links, run_sizes):
                 key = (src << 16) | link
                 out_row = groups.get(key)
                 if out_row is None:
@@ -455,6 +449,30 @@ class FlowLog:
                     out_links.append(link)
                 else:
                     out_sizes[out_row] += size
+
+        # The held run: the (src, dst, link) columns of a run of the open
+        # bin, and its sizes with those of every later run of the bin
+        # whose src and link columns equal it row by row summed in.  Such
+        # a run adds only to groups the held run opens, so the grouping
+        # walks the held run once, for all of them.
+        held = held_sizes = None
+        bin_start = None
+        for timestamp, lo, hi in self.runs():
+            start = math.floor(timestamp / bin_seconds) * bin_seconds
+            run_srcs, run_links = srcs[lo:hi], link_ids[lo:hi]
+            if start == bin_start and run_srcs == held[0] and run_links == held[2]:
+                held_sizes = list(map(operator.add, held_sizes, sizes[lo:hi]))
+                continue
+            if held is not None:
+                group(*held, held_sizes)
+            if start != bin_start:
+                if bin_start is not None:
+                    out._end_run(bin_start)
+                bin_start = start
+                groups.clear()
+            held, held_sizes = (run_srcs, dsts[lo:hi], run_links), sizes[lo:hi]
+        if held is not None:
+            group(*held, held_sizes)
             out._end_run(bin_start)
         return out
 

@@ -30,7 +30,9 @@ from ..net.ipv4 import IPv4Address
 from ..obs import get_registry, get_tracer
 from .scenario import OVERFLOW_CLUSTER_PREFIX, Sep2017Scenario
 
-__all__ = ["SimulationEngine", "StepReport", "RunSummary", "check_run_window"]
+__all__ = [
+    "SimulationEngine", "StepReport", "RunSummary", "check_run_window", "check_workers",
+]
 
 _GBPS_TO_BYTES = 1e9 / 8.0
 # Servers per CDN the ISP's traffic is spread over, stride-sampled from
@@ -48,12 +50,17 @@ _RUN_STATS = {
 }
 
 
+def check_workers(workers: int) -> None:
+    """Refuse a worker count no run can take."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+
+
 def check_run_window(start: float, end: float, workers: int) -> None:
     """Refuse a run window or worker count no run can take."""
     if end <= start:
         raise ValueError("end must be after start")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    check_workers(workers)
 
 
 @dataclass(frozen=True)

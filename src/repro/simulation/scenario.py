@@ -291,7 +291,7 @@ class Sep2017Scenario:
             dns_store=self.global_campaign.store,
             interval=TRACEROUTE_INTERVAL,
             window=timeline.ripe_global_window,
-            tracer=self.tracer.trace,
+            tracer=self.tracer.sweep,
             store=self._measurement_store("traceroute"),
             max_targets_per_tick=TRACEROUTE_MAX_TARGETS,
             name="traceroute",

@@ -139,7 +139,7 @@ class TestTracerouteCampaign:
             dns_store=dns_store,
             interval=3600.0,
             window=MeasurementWindow("w", 0.0, 7200.0),
-            tracer=tracer.trace,
+            tracer=tracer.sweep,
         )
         taken = campaign.maybe_run(0.0)
         assert taken == 2
@@ -175,7 +175,7 @@ class TestTracerouteCampaign:
             dns_store=dns_store,
             interval=3600.0,
             window=MeasurementWindow("w", 0.0, 7200.0),
-            tracer=SimulatedTracer(registry, {}).trace,
+            tracer=SimulatedTracer(registry, {}).sweep,
             max_targets_per_tick=3,
         )
         assert campaign.maybe_run(0.0) == 3

@@ -6,7 +6,8 @@ here is the list of :class:`TracerouteMeasurement` values appended.
 Traces carry 0–8 hops, hops without an AS, RTTs of any non-NaN float
 (NaN is never equal to itself, so no record holding one is), and sweeps
 share timestamps.  The path analyses are held to the per-object code
-they replaced, kept below as the reference.
+they replaced, kept below as the reference, and so is a tracer sweep to
+the per-trace tracer.
 """
 
 import pickle
@@ -31,8 +32,10 @@ from repro.atlas.results import (
     TracerouteHop,
     TracerouteMeasurement,
 )
-from repro.net.asys import ASN
-from repro.net.ipv4 import IPv4Address
+from repro.atlas.traceroute import TRANSIT_HOP_PREFIX, SimulatedTracer
+from repro.net.asys import ASN, ASRegistry
+from repro.net.geo import great_circle_km
+from repro.net.ipv4 import IPv4Address, IPv4Prefix
 from repro.net.locode import LocodeDatabase
 from tests.atlas.test_columnar import measurement
 
@@ -301,3 +304,77 @@ def test_traceroutes_pickled_as_objects_are_refused():
     ]
     with pytest.raises(ValueError, match="store 'trace-store': .*not columns"):
         _store().restore_state(state)
+
+
+# ----------------------------------------------------------------------
+# The sweep: one block per tick, against the per-trace tracer it replaced
+# ----------------------------------------------------------------------
+
+
+def reference_trace(registry, server_coordinates, transit_asn, probe, destination, now):
+    """One traceroute as the per-trace tracer built it, hop object by hop."""
+    destination_asn = registry.asn_for(destination)
+    coords = server_coordinates.get(destination)
+    distance_km = (
+        great_circle_km(probe.coordinates, coords) if coords is not None else 1500.0
+    )
+    path_rtt = 1.2 + distance_km * 0.015
+    hops = [TracerouteHop(1, probe.address.shifted(1), probe.asn, round(1.2, 3))]
+    transit_hops = min(4, max(1, int(distance_km // 2000) + 1))
+    for index in range(transit_hops):
+        fraction = (index + 1) / (transit_hops + 1)
+        hops.append(
+            TracerouteHop(
+                2 + index,
+                TRANSIT_HOP_PREFIX.host(1 + (destination.value + index) % 250),
+                transit_asn,
+                round(1.2 + path_rtt * fraction, 3),
+            )
+        )
+    hops.append(
+        TracerouteHop(2 + transit_hops, destination, destination_asn, round(path_rtt, 3))
+    )
+    return TracerouteMeasurement(probe.probe_id, now, destination, tuple(hops))
+
+
+# From Berlin these sit at 0, 0.4, 1.9, 4.6, 6.4, 8.9, 16.1 thousand km,
+# so paths cross every 2000 km step of the transit-hop count and its cap.
+_METROS = ("deber", "defra", "esmad", "aedxb", "usnyc", "jptyo", "ausyd")
+# Under the registry's 17/8 (AS 714) or under no AS at all; the last
+# two wrap the transit-hop address round its 250 hosts.
+_DESTINATIONS = (
+    0x11FD0001, 0x11FD0002, 0x11FD00F9, 0x17C00001, 0xC6336409, 0xFFFFFFFE, 249,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    probes=st.lists(st.sampled_from(_PROBES), max_size=4),
+    destinations=st.lists(st.sampled_from(_DESTINATIONS), max_size=6),
+    # Destination -> metro; a destination left out is at the 1500 km default.
+    placed=st.dictionaries(st.sampled_from(_DESTINATIONS), st.sampled_from(_METROS)),
+    transit=st.sampled_from((None, ASN(65001))),
+    now=st.sampled_from((0.0, 3600.0, 1e9 + 0.5)),
+)
+def test_a_sweep_equals_the_traces_one_by_one(probes, destinations, placed, transit, now):
+    registry = ASRegistry()
+    registry.create(ASN(714), "Apple", [IPv4Prefix.parse("17.0.0.0/8")])
+    coordinates = {
+        IPv4Address(value): _DB.get(metro).coordinates for value, metro in placed.items()
+    }
+    tracer = SimulatedTracer(registry, coordinates, transit_asn=transit)
+    sweep = tracer.sweep(probes, destinations, now)
+    expected = TracerouteColumns.from_measurements(
+        reference_trace(registry, coordinates, transit, probe, IPv4Address(value), now)
+        for probe in probes
+        for value in destinations
+    )
+    for name in ("probe_ids", "times", "destinations", "hop_offsets",
+                 "hop_ttls", "hop_addrs", "hop_asns", "hop_rtts"):
+        assert getattr(sweep, name) == getattr(expected, name), name
+        assert getattr(sweep, name).typecode == getattr(expected, name).typecode
+    for probe in probes[:1]:
+        for value in destinations[:1]:
+            assert tracer.trace(probe, IPv4Address(value), now) == reference_trace(
+                registry, coordinates, transit, probe, IPv4Address(value), now
+            )

@@ -1,6 +1,8 @@
 """Tests for repro.cdn.deployment — exposure control and answer pools."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cdn.cache import ContentCache
 from repro.cdn.deployment import CdnDeployment, ExposureController
@@ -243,6 +245,27 @@ class TestCdnDeployment:
         assert after[0] == berlin_adjacent.address.value
         assert len(deployment.active_servers(MappingRegion.EU)) == 13
 
+    def test_one_coordinates_object_in_two_regions_gets_two_pools(self):
+        deployment = self._deployment()
+        here = eu_context()
+        there = QueryContext(
+            client=IPv4Address.parse("203.0.113.5"),
+            coordinates=here.coordinates,  # the same object
+            continent=Continent.NORTH_AMERICA,
+            country="us",
+        )
+        for _ in range(2):
+            eu, us = list(deployment.pool_for(here)), list(deployment.pool_for(there))
+            assert len(eu) == 12 and len(us) == 8
+            assert not set(eu) & set(us)
+
+    def test_coordinates_built_per_query_do_not_grow_the_memo(self):
+        deployment = self._deployment()
+        pools = {tuple(deployment.pool_for(eu_context())) for _ in range(50)}
+        assert len(pools) == 1
+        assert len(deployment._vantages) == 1
+        assert len(deployment._by_id) <= len(deployment._vantages)
+
     def test_pool_only_contains_region_servers(self):
         deployment = self._deployment()
         pool = {str(IPv4Address(a)) for a in deployment.pool_for(eu_context())}
@@ -266,6 +289,92 @@ class TestCdnDeployment:
         deployment = self._deployment()
         assert len(deployment) == 20
         assert "Akamai" in str(deployment)
+
+
+class TestPoolsUpdatedInPlace:
+    """A vantage's pool is updated in place as its region's active count
+    moves; after every call it must be the pool sorted from scratch, and
+    a GSLB over it must answer as one over the sorted pool."""
+
+    @staticmethod
+    def _world(pool_limit):
+        wanted = {"count": 0}
+
+        class Pinned(ExposureController):
+            def active_count(self, pool_size):
+                return min(wanted["count"], pool_size)
+
+        deployment = CdnDeployment(
+            "Akamai", AS_AKAMAI, exposure_factory=lambda: Pinned(per_server_gbps=10),
+            pool_limit=pool_limit,
+        )
+        # Hostname (exposure) order runs across the metros, so from each
+        # vantage an exposure prefix is not a prefix of the ranking.
+        metros = ("fihel", "uklon", "defra", "esmad", "usnyc", "deber", "itmil")
+        for index in range(40):
+            deployment.add_server(make_server(index), DB.get(metros[index * 5 % 7]))
+        return deployment, wanted
+
+    @staticmethod
+    def _sorted_pool(deployment, context):
+        """The pool of ``context`` sorted from scratch out of the active set."""
+        from repro.net.geo import great_circle_km
+
+        ranked = sorted(
+            deployment.active_servers(context.region),
+            key=lambda placed: (
+                great_circle_km(context.coordinates, placed.location.coordinates),
+                placed.server.hostname,
+            ),
+        )
+        if deployment.pool_limit > 0:
+            ranked = ranked[: deployment.pool_limit]
+        return [placed.server.address.value for placed in ranked]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pool_limit=st.sampled_from([0, 1, 3, 8, 45]),
+        moves=st.lists(
+            st.one_of(
+                st.integers(-6, 6).map(lambda d: ("by", d)),  # up, down, unchanged
+                st.sampled_from([("to", 0), ("to", 1), ("to", 99)]),  # min, region size
+            ),
+            min_size=1, max_size=25,
+        ),
+    )
+    def test_every_count_answers_as_the_sorted_pool(self, pool_limit, moves):
+        from repro.dns.policies import GslbAddressPolicy
+
+        deployment, wanted = self._world(pool_limit)
+        vantages = [
+            eu_context(),
+            eu_context(client="198.51.100.77"),
+            QueryContext(
+                client=IPv4Address.parse("198.51.100.10"),
+                coordinates=Coordinates(51.51, -0.13),
+                continent=Continent.EUROPE,
+                country="gb",
+            ),
+            QueryContext(
+                client=IPv4Address.parse("203.0.113.5"),
+                coordinates=Coordinates(40.71, -74.0),
+                continent=Continent.NORTH_AMERICA,
+                country="us",
+            ),
+        ]
+        live = GslbAddressPolicy(pool=deployment.pool_for, ttl=60, answer_count=4)
+        scratch = GslbAddressPolicy(
+            pool=lambda context: self._sorted_pool(deployment, context),
+            ttl=60, answer_count=4,
+        )
+        for step, (how, amount) in enumerate(moves):
+            wanted["count"] = max(0, wanted["count"] + amount if how == "by" else amount)
+            answer, expected = live.bind("a.example", step), scratch.bind("a.example", step)
+            for context in vantages:
+                pool = deployment.pool_for(context)
+                assert pool.typecode == "I"
+                assert list(pool) == self._sorted_pool(deployment, context)
+                assert answer(context) == expected(context)
 
 
 class TestThirdPartyBuilders:

@@ -19,7 +19,7 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.stateful import (  # noqa: E402
     RuleBasedStateMachine,
@@ -463,14 +463,19 @@ class TestColumnAppendOracle:
              "ragged"]
         ),
     )
+    # An empty block after the last flow once set the expected clock.
+    @example(blocks=[(0.0, [(0, 0, 1, "apple-1")]), (0.5, [])], sampling_rate=1,
+             bad="back in time")
     def test_every_refusal_leaves_the_log_as_it_was(self, blocks, sampling_rate, bad):
         collector = NetflowCollector(sampling_rate=sampling_rate, flow_bytes=1000)
         log = FlowLog()
-        timestamp = 300.0
+        timestamp = last_flow = 300.0
         for step, rows in blocks:
             timestamp += step
             collector.observe_block(timestamp, *columns(rows))
             log.append_block(timestamp, *columns(rows))
+            if rows:
+                last_flow = timestamp
         srcs, dsts, sizes, link_ids = [7, 8], [9, 9], [10, 20], ["new-1", "l"]
         at = timestamp + 300.0
         if bad in ("nan", "inf", "-inf"):
@@ -480,16 +485,19 @@ class TestColumnAppendOracle:
         elif bad == "negative size":
             sizes[0] = -1
         elif bad == "back in time":
-            at = timestamp - 0.5
+            # Older than the last flow held: an empty block after it
+            # moves no log's clock.
+            at = last_flow - 0.5
         else:
             dsts.pop()
         before = state_of(log), state_of(collector.records), collector.total_offered_bytes
         with pytest.raises(ValueError):
             log.append_block(at, srcs, dsts, sizes, link_ids)
-        # A sampled collector that holds nothing, or exports nothing of
-        # the block, has no time order to break.
+        # A sampled collector that holds nothing older than the block, or
+        # exports nothing of it, has no time order to break.
         if bad != "back in time" or (
             collector.records
+            and at < collector.records.block_times[-1]
             and exported_by_rows(at, list(zip(srcs, dsts, sizes, link_ids)), sampling_rate, 1000)
         ):
             with pytest.raises(ValueError):
@@ -511,6 +519,59 @@ class TestColumnAppendOracle:
         assert state_of(log) == before
         log.append_block(0.0, [1], [2], [1], ["room-for-one"])
         assert len(log.links) == MAX_LINKS
+
+
+@st.composite
+def repeated_runs(draw):
+    """Runs of flows, one per timestamp, many of them repeating the run
+    before: the same (source, link) columns with other destinations and
+    sizes, as one engine tick repeats the last.  A repeat may also lose
+    or gain a row (keys that match a prefix, duplicate keys in a run),
+    and steps put repeats on either side of a bin edge."""
+    runs, timestamp = [], 0.0
+    for _ in range(draw(st.integers(1, 14))):
+        timestamp += draw(st.sampled_from([300.0, 300.0, 600.0, 1800.0, 3600.0]))
+        kind = draw(st.sampled_from(["fresh", "repeat", "repeat", "resized"]))
+        if not runs or kind == "fresh":
+            rows = draw(st.lists(
+                st.tuples(addresses, addresses, st.integers(1, 5), links),
+                min_size=1, max_size=5,
+            ))
+        else:
+            rows = [
+                (src, draw(addresses), draw(st.integers(1, 10**9)), link)
+                for src, _dst, _size, link in runs[-1][1]
+            ]
+            if kind == "resized":
+                if len(rows) > 1 and draw(st.booleans()):
+                    rows.pop()
+                else:
+                    rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+        runs.append((timestamp, rows))
+    return runs
+
+
+class TestRollupOracle:
+    """``rollup`` folds a run whose (source, link) columns repeat the run
+    before it into that run; it must read as grouping every row."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        runs=repeated_runs(),
+        # Whole multiples of the steps and bins no step divides.
+        bin_seconds=st.sampled_from([3600.0, 1800.0, 7200.0, 1000.0, 450.5]),
+    )
+    def test_rollup_equals_the_per_row_model(self, runs, bin_seconds):
+        log, model = FlowLog(), []
+        for timestamp, rows in runs:
+            log.append_block(timestamp, *columns(rows))
+            model.extend(flow(timestamp, *row) for row in rows)
+        expected = rollup_of(model, bin_seconds)
+        rolled = log.rollup(bin_seconds)
+        assert list(rolled) == expected
+        # One run per bin, ends included: the encoding of those rows.
+        assert rolled == FlowLog(expected)
+        assert rolled.links == log.links
 
 
 class TestTimestamps:

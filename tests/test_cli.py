@@ -216,6 +216,12 @@ class TestReplayFlagValues:
           for value in ("nan", "inf", "-1", "0")),
         (["top", "--iterations", "-1"],
          "top: --iterations must be >= 0"),
+        *((["resume", "--from", "no-such-dir", "--workers", value],
+           "resume: workers must be >= 1")
+          for value in ("0", "-1")),
+        (["resume", "--from", "no-such.rckpt"],
+         "resume: cannot read checkpoint no-such.rckpt: "
+         "[Errno 2] No such file or directory: 'no-such.rckpt'"),
     ], ids=["simulate-step", "simulate-probes", "simulate-isp-probes",
             "simulate-workers", "simulate-window", "report-step",
             "run-workers", "profile-window",
@@ -224,7 +230,8 @@ class TestReplayFlagValues:
             "report-budget-inf", "report-budget-nan", "report-budget-negative",
             "chaos-concurrency", "chaos-workers",
             "top-interval-nan", "top-interval-inf", "top-interval-negative",
-            "top-interval-zero", "top-iterations-negative"])
+            "top-interval-zero", "top-iterations-negative",
+            "resume-workers-zero", "resume-workers-negative", "resume-unreadable"])
     def test_exits_as_one_line_before_running(self, monkeypatch, argv, message):
         import urllib.request
 

@@ -14,9 +14,11 @@ nothing under ``src/`` boots it.
 the chase asks bound answers only, and the per-hop query path of the
 old chase stays gone.
 
-*One timer per wait* (CI: "Python 3.9 asyncio, one deadline per
-request head"): the wire DNS client awaits each attempt and each
-hedge budget without ``asyncio.wait_for``.
+*One timer per wait* (once the CI step "Python 3.9 asyncio, one
+deadline per request head"): ``asyncio.timeout()`` needs 3.11 and the
+package runs on 3.9, a ``wait_for`` around each ``readline()`` is a
+task per header line, and the wire DNS client awaits each attempt and
+each hedge budget without ``asyncio.wait_for``.
 
 *One steering plane* (once the CI step "One steering plane", and one
 line of "The replay written once"): clients are steered by the DNS
@@ -40,6 +42,10 @@ roll-up, a shard worker drains what it ships, the traffic phase writes a
 tick at a time, and a DNS tick is one block.  The ISP plane is built
 once: nothing that tracked changes to the RIB or the link set comes
 back under ``repro/isp`` or in the engine.
+
+*One figure set per run* (once the CI step of that name):
+``analysis.report.measure`` computes Figures 2-8 once, and the
+scoreboard and the figure benches read its ``PaperFigures``.
 
 *One container, one TTL cache* (once the CI step "One container, one
 TTL cache (no second copy)"): atomic writes live in
@@ -146,6 +152,20 @@ def test_edge_fleet_and_spec_field_counts():
 def test_the_dns_client_wraps_no_wait_in_wait_for():
     hits = grep("wait_for(", "src/repro/serve", fixed=True)
     assert not [hit for hit in hits if hit.startswith("src/repro/serve/dnsclient.py:")]
+
+
+def test_no_asyncio_timeout_under_src():
+    assert not grep("asyncio.timeout(", "src", fixed=True)
+
+
+def test_no_wait_for_around_a_readline():
+    """``grep -rlPz``: the call may be wrapped across a line break."""
+    wrapped = re.compile(r"wait_for\(\s*\w+\.readline\(")
+    assert not [
+        path.relative_to(ROOT).as_posix()
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if wrapped.search(path.read_text())
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -423,6 +443,23 @@ def test_answer_pools_are_address_values():
 
 def test_the_unbound_answer_policies_stay_gone():
     assert not grep(r"RegionSplitPolicy|RoundRobinAddressPolicy", "src")
+
+
+# ----------------------------------------------------------------------
+# One figure set per run
+# ----------------------------------------------------------------------
+
+
+def test_the_scoreboard_and_figure_benches_measure_nothing():
+    assert not grep(
+        r"summarize_offload\(|summarize_overflow\(|series_by_continent\(|discover_sites\(",
+        "src/repro/analysis/scoreboard.py",
+        "benchmarks/test_bench_fig3_sites.py",
+        "benchmarks/test_bench_fig4_global_ips.py",
+        "benchmarks/test_bench_fig7_offload.py",
+        "benchmarks/test_bench_fig8_overflow.py",
+        "benchmarks/test_bench_scoreboard.py",
+    )
 
 
 # ----------------------------------------------------------------------
