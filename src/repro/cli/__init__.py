@@ -20,11 +20,7 @@ the shared flag groups in :mod:`repro.cli.flags` and its one body
   verify throughput, latency and cache health in one shot;
 * ``chaos`` — the fault-injection drill: scheduled outages against the
   live edge plus an engine-time blackout, gated on error rate,
-  re-steer time and recovery;
-* ``top`` — poll a running edge's admin endpoint and render a live
-  panel (qps, cache-hit ratio, error rate, latency percentiles);
-* ``profile`` — run the engine under the phase profiler and print the
-  per-worker per-phase time breakdown.
+  re-steer time and recovery.
 
 ``--workers`` is passed through as a number to the replay commands:
 whether it means the serial engine or the sharded one is decided in
@@ -38,27 +34,11 @@ import sys
 from typing import Optional, Sequence
 
 from ..simulation.concurrency import ShardWorkerLost
-from . import (
-    chaos,
-    loadgen,
-    profile,
-    report,
-    resume,
-    selftest,
-    serve,
-    simulate,
-    survey,
-    top,
-)
-from .profile import render_profile
-from .top import render_top_panel
+from . import chaos, loadgen, report, resume, selftest, serve, simulate, survey
 
-__all__ = ["main", "build_parser", "render_top_panel", "render_profile"]
+__all__ = ["main", "build_parser"]
 
-_COMMANDS = (
-    simulate, report, resume, survey, serve, loadgen, selftest, chaos, top,
-    profile,
-)
+_COMMANDS = (simulate, report, resume, survey, serve, loadgen, selftest, chaos)
 
 
 def build_parser() -> argparse.ArgumentParser:

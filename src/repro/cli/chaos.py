@@ -25,7 +25,6 @@ def register(commands) -> None:
     sub.add_argument("--workers", type=int, default=1,
                      help="worker processes for the simulation phase "
                           "(default 1 = serial)")
-    flags.add_flight_flag(sub)
     sub.set_defaults(handler=run)
 
 
@@ -41,7 +40,6 @@ def run(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise SystemExit(f"chaos: {exc}") from None
-    with flags.flight_scope(args):
-        report, _registry, _tracer = run_chaos(config)
+    report, _registry, _tracer = run_chaos(config)
     print(report.render())
     return 0 if report.passed() else 1

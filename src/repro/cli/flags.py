@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 
 from ..faults import FaultSchedule
 from ..net.geo import MappingRegion
@@ -19,10 +19,8 @@ from ..obs import (
     NULL_REGISTRY,
     NULL_TRACER,
     EventTracer,
-    FlightRecorder,
     MetricsRegistry,
     summary_table,
-    use_flight_recorder,
     use_registry,
     use_tracer,
     write_metrics,
@@ -39,7 +37,7 @@ from ..workload import TIMELINE
 
 
 def add_window_flags(sub: argparse.ArgumentParser, *, probes: int,
-                     isp_probes: int, workers: int = 1,
+                     isp_probes: int,
                      span: tuple[str, str] | None = ("9-18", "9-20")) -> None:
     """The replay window; ``span=None`` for a command with a fixed one."""
     if span is not None:
@@ -53,9 +51,9 @@ def add_window_flags(sub: argparse.ArgumentParser, *, probes: int,
                      help="global probe count (default %(default)s)")
     sub.add_argument("--isp-probes", type=int, default=isp_probes,
                      help="ISP probe count (default %(default)s)")
-    sub.add_argument("--workers", type=int, default=workers,
+    sub.add_argument("--workers", type=int, default=1,
                      help="worker processes for the sharded engine "
-                          "(default %(default)s; 1 = serial)")
+                          "(default 1 = serial)")
 
 
 def parse_date(text: str) -> float:
@@ -179,7 +177,7 @@ def print_store_stats(args: argparse.Namespace, scenario, lead: str = "") -> Non
 
 
 # ----------------------------------------------------------------------
-# faults, checkpoints, flight recorder
+# faults, checkpoints
 # ----------------------------------------------------------------------
 
 
@@ -239,20 +237,6 @@ def print_if_drained(engine: SimulationEngine) -> None:
               "written; `repro resume` continues the run)")
 
 
-def add_flight_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--flight-dir", metavar="DIR", default=None,
-                     help="arm the flight recorder: dump the span ring "
-                          "buffer here when a chaos drill fails or shards "
-                          "diverge")
-
-
-def flight_scope(args: argparse.Namespace):
-    """The flight-recorder context for a command (no-op when unarmed)."""
-    if args.flight_dir is None:
-        return nullcontext()
-    return use_flight_recorder(FlightRecorder(args.flight_dir))
-
-
 # ----------------------------------------------------------------------
 # telemetry of a replay: registry, tracer, per-step lines
 # ----------------------------------------------------------------------
@@ -272,8 +256,7 @@ def telemetry_scope(args: argparse.Namespace):
     """Install and yield the (registry, tracer) a command's flags ask for.
 
     Any telemetry flag switches the real implementations in; otherwise
-    the null handles keep the hot paths on their no-op singletons.  The
-    flight recorder (``--flight-dir``) is armed for the same extent.
+    the null handles keep the hot paths on their no-op singletons.
     """
     wanted = args.verbose or args.metrics_out or args.trace_out
     # Fail on an unwritable output path now, not after the whole run.
@@ -286,7 +269,7 @@ def telemetry_scope(args: argparse.Namespace):
                 raise SystemExit(f"cannot write {path}: {exc}") from exc
     registry = MetricsRegistry() if wanted else NULL_REGISTRY
     tracer = EventTracer() if wanted else NULL_TRACER
-    with use_registry(registry), use_tracer(tracer), flight_scope(args):
+    with use_registry(registry), use_tracer(tracer):
         yield registry, tracer
 
 

@@ -18,7 +18,6 @@ def register(commands) -> None:
     flags.add_store_flags(sub)
     flags.add_checkpoint_flags(sub)
     flags.add_telemetry_flags(sub)
-    flags.add_flight_flag(sub)
     sub.set_defaults(handler=run)
 
 

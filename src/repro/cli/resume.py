@@ -29,7 +29,6 @@ def register(commands) -> None:
                           "(default 1 = serial)")
     flags.add_checkpoint_flags(sub)
     flags.add_telemetry_flags(sub)
-    flags.add_flight_flag(sub)
     sub.set_defaults(handler=run)
 
 

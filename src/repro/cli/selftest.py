@@ -36,9 +36,9 @@ def run(args: argparse.Namespace) -> int:
             tracer=tracer,
             trace_sample=args.trace_sample,
         )
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         # A bad flag value (a ShapeError included) is refused before
-        # anything boots.
+        # anything boots; a socket that cannot be bound leaves none bound.
         raise SystemExit(f"selftest: {exc}") from exc
     print(result.render(qps_floor=args.qps_floor))
     flags.write_client_trace(args, tracer)

@@ -21,9 +21,6 @@ def register(commands) -> None:
                      help="HTTP edge port (default 8080; 0 = ephemeral)")
     sub.add_argument("--object-size", type=int, default=262_144,
                      help="modelled entity size in bytes (default 256 KiB)")
-    sub.add_argument("--admin-port", type=int, default=9900,
-                     help="admin endpoint (/metrics, /healthz, /traces) "
-                          "port (default 9900; 0 = ephemeral)")
     sub.add_argument("--resolver-port", type=int, default=0,
                      help="UDP port for the public-resolver front when a "
                           "public population is enabled (default 0 = "
@@ -36,7 +33,6 @@ def run(args: argparse.Namespace) -> int:
     try:
         for flag, port in (("--dns-port", args.dns_port),
                            ("--http-port", args.http_port),
-                           ("--admin-port", args.admin_port),
                            ("--resolver-port", args.resolver_port)):
             flags.check_port(port, flag)
         config = ClusterConfig(
@@ -45,11 +41,14 @@ def run(args: argparse.Namespace) -> int:
         serve_forever(
             config, print,
             host=args.host, dns_port=args.dns_port, http_port=args.http_port,
-            resolver_port=args.resolver_port, admin_port=args.admin_port,
+            resolver_port=args.resolver_port,
         )
     except KeyboardInterrupt:
         print("\nstopped")
     except ValueError as exc:
         # A bad flag value is refused before anything boots.
         raise SystemExit(f"serve: {exc}") from exc
+    except OSError as exc:
+        # A port another process holds: nothing is left bound.
+        raise SystemExit(f"serve: cannot bind on {args.host}: {exc}") from exc
     return 0

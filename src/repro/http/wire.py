@@ -2,9 +2,9 @@
 
 What :mod:`repro.dns.wire` is to DNS messages this module is to HTTP
 heads — the start line plus header fields that open every request and
-response.  The live edge, the admin plane and the pooled client all
-speak through it, so a head is framed, bounded and parsed the same way
-whichever side of whichever socket reads it.
+response.  The live edge and the pooled client both speak through it,
+so a head is framed, bounded and parsed the same way whichever side of
+whichever socket reads it.
 """
 
 from __future__ import annotations

@@ -18,8 +18,6 @@ here.
   (EDNS0 option / ``traceparent`` header) that joins client, DNS and
   HTTP spans into one causal chain, with deterministic per-trace-id
   sampling;
-* :mod:`repro.obs.flight` — the flight recorder that persists the span
-  ring buffer to JSONL when a chaos drill or shard divergence trips;
 * :mod:`repro.obs.export` — Prometheus text exposition (render and
   parse), JSONL trace dumps, human-readable summary tables.
 
@@ -41,18 +39,11 @@ from .export import (
     ExpositionError,
     ParsedFamily,
     parse_exposition,
-    parsed_histogram,
     render_exposition,
     render_trace_jsonl,
     summary_table,
     write_metrics,
     write_trace,
-)
-from .flight import (
-    FlightRecorder,
-    get_flight_recorder,
-    set_flight_recorder,
-    use_flight_recorder,
 )
 from .registry import (
     DEFAULT_BUCKETS,
@@ -120,13 +111,8 @@ __all__ = [
     "use_context",
     "new_trace_id",
     "sample_trace",
-    "FlightRecorder",
-    "get_flight_recorder",
-    "set_flight_recorder",
-    "use_flight_recorder",
     "render_exposition",
     "parse_exposition",
-    "parsed_histogram",
     "ParsedFamily",
     "ExpositionError",
     "summary_table",

@@ -5,8 +5,8 @@ Three output formats cover the consumption paths:
 * :func:`render_exposition` — the Prometheus text format (`# HELP` /
   `# TYPE` comments, labelled samples, cumulative histogram buckets),
   so any scrape-format tool can ingest a run's metrics;
-* :func:`parse_exposition` — the matching parser, used by tests to
-  round-trip the format and by analyses that read a dumped file back;
+* :func:`parse_exposition` — the matching parser, which the tests read
+  rendered text and ``--metrics-out`` files back with;
 * :func:`summary_table` — a human-readable table for terminals;
 * :func:`write_trace` / :func:`render_trace_jsonl` — the tracer's ring
   buffer as JSONL, one record per line.
@@ -32,7 +32,6 @@ from .tracer import EventTracer, NullTracer
 __all__ = [
     "render_exposition",
     "parse_exposition",
-    "parsed_histogram",
     "ParsedFamily",
     "ExpositionError",
     "summary_table",
@@ -204,37 +203,6 @@ def parse_exposition(text: str) -> dict[str, ParsedFamily]:
             )
         family.samples[(sample_name, tuple(sorted(labels.items())))] = value
     return families
-
-
-def parsed_histogram(family: ParsedFamily, **labels) -> HistogramChild:
-    """Rebuild a :class:`HistogramChild` from a scraped histogram family.
-
-    Collects the ``_bucket`` samples matching ``labels`` (ignoring the
-    ``le`` label itself) plus the ``_sum``, and hands them to
-    :meth:`HistogramChild.from_cumulative` — giving remote consumers
-    like ``repro top`` the same ``quantile`` / ``percentile_summary``
-    machinery local histograms have.  Raises :class:`ExpositionError`
-    when no buckets match.
-    """
-    wanted = tuple(sorted((k, str(v)) for k, v in labels.items()))
-    buckets: list[tuple[float, float]] = []
-    total = 0.0
-    for (sample_name, labelitems), value in family.samples.items():
-        rest = tuple(
-            (k, v) for k, v in labelitems if k != "le"
-        )
-        if rest != wanted:
-            continue
-        if sample_name == family.name + "_bucket":
-            le = dict(labelitems).get("le", "")
-            buckets.append((_parse_value(le), value))
-        elif sample_name == family.name + "_sum":
-            total = value
-    if not buckets:
-        raise ExpositionError(
-            f"no histogram buckets for {family.name}{dict(labels)!r}"
-        )
-    return HistogramChild.from_cumulative(buckets, sum=total)
 
 
 def summary_table(registry: Union[MetricsRegistry, NullRegistry]) -> str:

@@ -205,30 +205,6 @@ class HistogramChild:
             merged.count += child.count
         return merged
 
-    @classmethod
-    def from_cumulative(
-        cls,
-        buckets: Sequence[tuple[float, float]],
-        sum: float = 0.0,
-    ) -> "HistogramChild":
-        """Rebuild a child from Prometheus-style cumulative ``le`` pairs.
-
-        ``buckets`` is (upper bound, cumulative count) with the +Inf
-        bucket last — exactly what a scraped exposition provides — so
-        ``repro top`` can run :meth:`quantile` on remote histograms.
-        """
-        finite = [(u, c) for u, c in buckets if u != float("inf")]
-        finite.sort(key=lambda pair: pair[0])
-        child = cls(tuple(u for u, _ in finite) or (float("inf"),))
-        running = 0
-        for index, (_, cumulative) in enumerate(finite):
-            child.bucket_counts[index] = int(cumulative) - running
-            running = int(cumulative)
-        total = max((int(c) for _, c in buckets), default=0)
-        child.count = total
-        child.sum = sum
-        return child
-
 
 _Child = Union[CounterChild, GaugeChild, HistogramChild]
 
@@ -607,8 +583,7 @@ def merge_registry_snapshots(snapshots: Sequence[dict]) -> MetricsRegistry:
 
     The cross-process aggregation primitive of the serve fleet: each
     worker ships :meth:`MetricsRegistry.snapshot` dumps to the parent,
-    which merges the latest per-worker dump into one registry for the
-    admin plane's ``/metrics``.  Absorption is commutative and
+    which merges the latest per-worker dump into one registry.  Absorption is commutative and
     associative (plain additions per child), so merge order and the
     partition of observations across workers never change the result.
     """

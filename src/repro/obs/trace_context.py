@@ -219,23 +219,12 @@ class TraceChain:
                 return record
         return None
 
-    def to_json(self) -> dict:
-        """One JSON object per chain (the ``/traces`` line format)."""
-        return {
-            "trace_id": "{:016x}".format(self.trace_id & _MASK64),
-            "complete": self.complete,
-            "spans": [r.to_json() for r in self.spans],
-        }
 
-
-def assemble_chains(
-    records: Iterable[TraceRecord],
-    complete_only: bool = False,
-) -> list[TraceChain]:
+def assemble_chains(records: Iterable[TraceRecord]) -> list[TraceChain]:
     """Group buffered span records into per-trace chains.
 
     Chains are ordered by the buffer position of their newest record
-    (oldest chain first), so ``chains[-N:]`` is the natural ``tail=N``.
+    (oldest chain first).
     """
     grouped: dict[int, list[TraceRecord]] = {}
     order: dict[int, int] = {}
@@ -249,6 +238,4 @@ def assemble_chains(
         for trace_id, spans in grouped.items()
     ]
     chains.sort(key=lambda chain: order[chain.trace_id])
-    if complete_only:
-        chains = [chain for chain in chains if chain.complete]
     return chains

@@ -21,13 +21,11 @@ the flash-crowd workload — is made network-reachable here:
 * :mod:`repro.serve.udp` — the one UDP endpoint opener of the DNS paths
   (reads sized to a datagram, not to asyncio's 256 KiB default);
 * :mod:`repro.serve.listener` — the one listener lifecycle (bind,
-  endpoint, connection tracking, drain) under all four servers;
+  endpoint, connection tracking, drain) under all three servers;
 * :mod:`repro.serve.resolverfront` — a caching public-resolver front
   (shared POP caches, honest ECS scopes) the loadgen's public share
   resolves through;
 * :mod:`repro.serve.cluster` — the one-call loopback topology;
-* :mod:`repro.serve.admin` — the live admin plane (``/metrics``,
-  ``/healthz``, ``/traces``) the ``repro top`` dashboard polls;
 * :mod:`repro.serve.harness` — the one place per concern (standing
   edge, load run, selftest, watched drill) that runs the edge, always
   in one process.
@@ -37,7 +35,6 @@ the flash-crowd workload — is made network-reachable here:
 ledger's fleet row; no command boots them.
 """
 
-from .admin import AdminServer
 from .clients import DEFAULT_VANTAGES, ClientDirectory, SampledClient, Vantage
 from .cluster import ClusterConfig, ServeCluster, build_serve_estate
 from .dnsclient import AsyncDnsClient, DnsClientError, WireResolution
@@ -52,7 +49,6 @@ from .resolverfront import PublicResolverFront
 from .snapshot import FleetSpec, estate_signature, load_snapshot, write_snapshot
 
 __all__ = [
-    "AdminServer",
     "BackoffPolicy",
     "CircuitBreaker",
     "HedgePolicy",

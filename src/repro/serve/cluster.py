@@ -29,7 +29,6 @@ from ..net.geo import MappingRegion
 from ..net.locode import LocodeDatabase
 from ..obs import get_registry, get_tracer
 from ..resolver import check_population
-from .admin import AdminServer
 from .clients import ClientDirectory
 from .dnsserver import AsyncDnsServer
 from .httpserver import AsyncHttpEdge, estate_router
@@ -216,11 +215,6 @@ class ServeCluster:
             tracer=tracer,
             clock=self.clock,
         )
-        self.admin = AdminServer(
-            registry=registry,
-            tracer=tracer,
-            health_monitor=self.health_monitor,
-        )
         # A public-resolver front between the loadgen and the DNS
         # server, when the config asks for a public population.
         self.resolver_front = None
@@ -243,28 +237,32 @@ class ServeCluster:
             await asyncio.sleep(interval)
 
     async def start(self, host: str = "127.0.0.1", dns_port: int = 0,
-                    http_port: int = 0, admin_port: Optional[int] = 0,
-                    resolver_port: int = 0,
-                    reuse_port: bool = False) -> "ServeCluster":
-        """Boot both servers plus the admin plane (ephemeral ports).
+                    http_port: int = 0, resolver_port: int = 0,
+                    reuse_port: bool = False, *,
+                    admin_port: None = None) -> "ServeCluster":
+        """Boot both servers (ephemeral ports by default).
 
-        ``admin_port=None`` skips the admin listener (fleet workers run
-        without one).
-        ``reuse_port`` binds the data-path sockets ``SO_REUSEPORT`` so
-        sibling workers can share the same ports.  ``resolver_port``
-        binds the public-resolver front (when the config enables one).
+        ``reuse_port`` binds the sockets ``SO_REUSEPORT`` so sibling
+        workers can share the same ports.  ``resolver_port`` binds the
+        public-resolver front (when the config enables one).  A bind
+        that fails stops what was already bound, then re-raises.
         """
+        # Only the frozen perf ledger passes it (None); ledger v2 drops it.
+        if admin_port is not None:
+            raise ValueError("the edge has no admin endpoint")
         if isinstance(self.clock, RunClock):
             self.clock.start()
-        await self.dns.start(host=host, port=dns_port, reuse_port=reuse_port)
-        await self.http.start(host=host, port=http_port, reuse_port=reuse_port)
-        if self.resolver_front is not None:
-            await self.resolver_front.start(
-                self.dns.endpoint,
-                host=host, port=resolver_port, reuse_port=reuse_port,
-            )
-        if admin_port is not None:
-            await self.admin.start(host=host, port=admin_port)
+        try:
+            await self.dns.start(host=host, port=dns_port, reuse_port=reuse_port)
+            await self.http.start(host=host, port=http_port, reuse_port=reuse_port)
+            if self.resolver_front is not None:
+                await self.resolver_front.start(
+                    self.dns.endpoint,
+                    host=host, port=resolver_port, reuse_port=reuse_port,
+                )
+        except BaseException:
+            await self.stop()
+            raise
         if self.failover_loop is not None:
             interval = max(0.05, self.config.failover.probe_interval / 2.0)
             self._failover_task = asyncio.create_task(
@@ -281,7 +279,6 @@ class ServeCluster:
             except asyncio.CancelledError:
                 pass
             self._failover_task = None
-        await self.admin.stop()
         if self.resolver_front is not None:
             await self.resolver_front.stop()
         await self.http.stop()

@@ -186,7 +186,7 @@ async def _worker_async(worker_id: int, snapshot_path: str,
             ).labels(f"w{worker_id}").set(1.0)
             await cluster.start(
                 host=_HOST, dns_port=dns_port, http_port=http_port,
-                admin_port=None, reuse_port=True,
+                reuse_port=True,
             )
             try:
                 conn.send(("ready", worker_id))

@@ -35,8 +35,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from ..obs import (
+    NULL_REGISTRY,
     NULL_TRACER,
-    EventTracer,
     MetricsRegistry,
     get_tracer,
     use_registry,
@@ -67,24 +67,21 @@ def serve_forever(
     dns_port: int = 0,
     http_port: int = 0,
     resolver_port: int = 0,
-    admin_port: int = 0,
 ) -> None:
     """Boot a standing edge, announce its endpoints, serve until interrupted.
 
-    Servers and admin plane share one live registry and tracer,
-    installed ambiently so the estate's construction-time cache
-    counters land in the registry the admin endpoint exposes.
+    Nothing reads a standing edge's telemetry, so the null registry and
+    tracer are installed for it, construction-time instruments included.
     """
-    registry, tracer = MetricsRegistry(), EventTracer()
 
     def at(label: str, endpoint: tuple[str, int], note: str = "") -> str:
         return f"{label:<5} {endpoint[0]}:{endpoint[1]}{note}"
 
     async def standing() -> None:
-        cluster = ServeCluster(config=config, metrics=registry, tracer=tracer)
+        cluster = ServeCluster(config=config)
         await cluster.start(
             host=host, dns_port=dns_port, http_port=http_port,
-            resolver_port=resolver_port, admin_port=admin_port,
+            resolver_port=resolver_port,
         )
         try:
             announce(at("dns", cluster.dns.endpoint, "  (udp + tcp fallback)"))
@@ -95,15 +92,12 @@ def serve_forever(
                     f"  (public-resolver front, {config.resolver_population} "
                     "population)",
                 ))
-            announce(at(
-                "admin", cluster.admin.endpoint, "  (/metrics /healthz /traces)"
-            ))
             announce("serving the Figure 2 estate; Ctrl-C to stop")
             await asyncio.Event().wait()
         finally:
             await cluster.stop()
 
-    with use_registry(registry), use_tracer(tracer):
+    with use_registry(NULL_REGISTRY), use_tracer(NULL_TRACER):
         asyncio.run(standing())
 
 

@@ -2,8 +2,8 @@
 
 Binding (optionally ``SO_REUSEPORT``), the ``endpoint`` once bound, the
 started-twice guard, tracking of accepted connections, and the drain on
-the way down are the same for the DNS server, the HTTP edge, the admin
-plane and the resolver front; :class:`Listener` is that lifecycle, and
+the way down are the same for the DNS server, the HTTP edge and the
+resolver front; :class:`Listener` is that lifecycle, and
 the servers keep only what they say over the sockets.
 """
 

@@ -57,7 +57,6 @@ from ..net.geo import MappingRegion
 from ..obs import (
     NULL_TRACER,
     MetricsRegistry,
-    get_flight_recorder,
     set_registry,
     set_tracer,
     snapshot_delta,
@@ -493,17 +492,6 @@ class _WorkerHandle:
         self.kill()
 
 
-def _divergence(obs, message: str) -> ShardDivergenceError:
-    """The error a replica that disagrees with the coordinator ends the
-    run with.  Replica output is a pure function of the tick sequence,
-    so this is a bug or a flipped bit: the flight recorder keeps the
-    evidence."""
-    recorder = get_flight_recorder()
-    if recorder is not None:
-        recorder.trip("shard-divergence", obs.tracer)
-    return ShardDivergenceError(message)
-
-
 @dataclass(frozen=True)
 class _Interleave:
     """How one sharded campaign's tick slices become one probe-order block.
@@ -535,7 +523,7 @@ class _Interleave:
         order = tuple(sorted(range(len(laid_out)), key=laid_out.__getitem__))
         return cls(name, owners, order)
 
-    def gather(self, results, now: float, obs) -> DnsColumns:
+    def gather(self, results, now: float) -> DnsColumns:
         """The campaign's block at ``now`` from the workers' results.
 
         Each slice must hold exactly its shard's probes, in order: a
@@ -547,8 +535,7 @@ class _Interleave:
             block = results[position]["blocks"][self.name].get(now)
             if block is None or block.probe_ids != probe_ids:
                 rows = 0 if block is None else len(block)
-                raise _divergence(
-                    obs,
+                raise ShardDivergenceError(
                     f"shard {shard_id} diverged from the coordinator at "
                     f"t={now}: its {self.name} slice has {rows} rows, not "
                     f"its {len(probe_ids)} probes in order",
@@ -663,7 +650,7 @@ def run_sharded(
             for tick_index, tick in enumerate(chunk):
                 t0 = engine.clock() if obs.profiling else 0.0
                 blocks = {
-                    interleave.name: interleave.gather(results, tick, obs)
+                    interleave.name: interleave.gather(results, tick)
                     for campaign, interleave in zip(
                         scenario.dns_campaigns, interleaves
                     )
@@ -682,8 +669,7 @@ def run_sharded(
                 )
                 for shard, result in zip(shards, results):
                     if result["digests"][tick_index] != expected:
-                        raise _divergence(
-                            obs,
+                        raise ShardDivergenceError(
                             f"shard {shard.shard_id} diverged from the "
                             f"coordinator at t={tick}",
                         )

@@ -10,7 +10,6 @@ from repro.obs import (
     ExpositionError,
     MetricsRegistry,
     parse_exposition,
-    parsed_histogram,
     render_exposition,
     render_trace_jsonl,
     summary_table,
@@ -132,47 +131,3 @@ class TestFileOutput:
 
     def test_render_trace_jsonl_empty(self):
         assert render_trace_jsonl(EventTracer()) == ""
-
-
-class TestParsedHistogram:
-    def test_scrape_round_trips_percentiles(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram(
-            "handle_seconds", "handling time", buckets=(0.001, 0.01, 0.1)
-        ).labels()
-        for value in (0.0005, 0.005, 0.005, 0.05, 0.5):
-            hist.observe(value)
-        families = parse_exposition(render_exposition(registry))
-        rebuilt = parsed_histogram(families["handle_seconds"])
-        assert rebuilt.count == hist.count
-        assert rebuilt.sum == pytest.approx(hist.sum)
-        assert rebuilt.percentile_summary() == hist.percentile_summary()
-
-    def test_labelled_histogram_selects_one_child(self):
-        registry = MetricsRegistry()
-        family = registry.histogram(
-            "phase_seconds", "phase time", ("phase",), buckets=(0.1, 1.0)
-        )
-        family.labels("arrivals").observe(0.05)
-        family.labels("selection").observe(0.5)
-        families = parse_exposition(render_exposition(registry))
-        arrivals = parsed_histogram(families["phase_seconds"], phase="arrivals")
-        selection = parsed_histogram(families["phase_seconds"], phase="selection")
-        assert arrivals.count == 1 and selection.count == 1
-        assert arrivals.quantile(0.5) < selection.quantile(0.5)
-
-    def test_missing_labels_raise(self):
-        registry = MetricsRegistry()
-        registry.histogram(
-            "phase_seconds", "", ("phase",), buckets=(1.0,)
-        ).labels("arrivals").observe(0.5)
-        families = parse_exposition(render_exposition(registry))
-        with pytest.raises(ExpositionError):
-            parsed_histogram(families["phase_seconds"], phase="nope")
-
-    def test_non_histogram_family_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("queries_total").inc()
-        families = parse_exposition(render_exposition(registry))
-        with pytest.raises(ExpositionError):
-            parsed_histogram(families["queries_total"])

@@ -5,7 +5,6 @@ import pytest
 from repro.obs import (
     DEFAULT_BUCKETS,
     NULL_REGISTRY,
-    HistogramChild,
     MetricError,
     MetricsRegistry,
     NullRegistry,
@@ -290,30 +289,3 @@ class TestPercentileSummary:
     def test_null_registry_summary_is_zero(self):
         panel = NULL_REGISTRY.histogram("latency").percentile_summary()
         assert panel == {"p50": 0.0, "p95": 0.0, "p99": 0.0, "p999": 0.0}
-
-
-class TestFromCumulative:
-    def test_round_trips_a_local_histogram(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram(
-            "latency", buckets=(0.01, 0.1, 1.0)
-        ).labels()
-        for value in (0.005, 0.05, 0.05, 0.5, 2.0):
-            hist.observe(value)
-        rebuilt = HistogramChild.from_cumulative(
-            list(hist.cumulative_buckets()), sum=hist.sum
-        )
-        assert rebuilt.count == hist.count
-        assert rebuilt.sum == hist.sum
-        assert rebuilt.percentile_summary() == hist.percentile_summary()
-
-    def test_unsorted_input_is_sorted(self):
-        rebuilt = HistogramChild.from_cumulative(
-            [(1.0, 5.0), (0.1, 2.0), (float("inf"), 6.0)]
-        )
-        assert rebuilt.count == 6
-        assert rebuilt.quantile(0.5) <= 1.0
-
-    def test_only_inf_bucket(self):
-        rebuilt = HistogramChild.from_cumulative([(float("inf"), 3.0)])
-        assert rebuilt.count == 3

@@ -1,7 +1,6 @@
 """Wire-level trace context: encoding, sampling, chain assembly."""
 
 import asyncio
-import json
 
 import pytest
 
@@ -160,23 +159,13 @@ class TestAssembleChains:
             r for r in tracer.records() if r.name == "client.fetch"
         )
         partial = assemble_chains(children)
-        assert all(not c.complete for c in partial)
-        assert assemble_chains(children, complete_only=True) == []
+        assert partial and not any(c.complete for c in partial)
 
     def test_untraced_records_are_ignored(self):
         tracer = EventTracer()
         with tracer.span("engine.step", ts=0.0):
             pass
         assert assemble_chains(tracer.records()) == []
-
-    def test_to_json_is_serialisable(self):
-        chains = assemble_chains(self._traced_run().records())
-        payload = json.loads(json.dumps(chains[0].to_json()))
-        assert payload["trace_id"] == "0000000000000001"
-        assert payload["complete"] is True
-        assert {s["name"] for s in payload["spans"]} == {
-            "client.request", "client.fetch",
-        }
 
 
 class TestTracerIntegration:

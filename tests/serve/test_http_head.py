@@ -1,22 +1,20 @@
 """An oversized or trickled HTTP head has defined behaviour on every socket.
 
 A header line past asyncio's 64 KiB ``StreamReader`` limit used to
-raise ``ValueError`` out of ``readline()`` — uncaught in the edge and
-the admin plane (the loop's exception handler logged it, the peer got a
-bare EOF, nothing was counted) and, on the client, an exception the
+raise ``ValueError`` out of ``readline()`` — uncaught in the edge (the
+loop's exception handler logged it, the peer got a bare EOF, nothing
+was counted) and, on the client, an exception the
 load generator's retry path does not know.  With the one head reader
 (:func:`repro.http.wire.read_head`) the servers answer ``400`` and the
 client raises ``ConnectionError``.
 """
 
 import asyncio
-import time
 
 import pytest
 
-from repro.obs import EventTracer, MetricsRegistry
-from repro.serve import AdminServer, AsyncHttpEdge, PooledHttpClient, estate_router
-from repro.serve import admin as admin_module
+from repro.obs import MetricsRegistry
+from repro.serve import AsyncHttpEdge, PooledHttpClient, estate_router
 
 HUGE = b"a" * 70_000
 
@@ -71,21 +69,6 @@ class TestOversizedRequestHead:
         assert reached == []
         assert registry.get("serve_http_requests_total").labels("400").value == 1
 
-    def test_admin_answers_400(self, newline):
-        async def scenario():
-            server = AdminServer(registry=MetricsRegistry(), tracer=EventTracer())
-            endpoint = await server.start()
-            try:
-                return await exchange(
-                    endpoint, b"GET /metrics HTTP/1.1\r\nX-Pad: " + HUGE + newline
-                )
-            finally:
-                await server.stop()
-
-        raw, reached = run_watched(scenario)
-        assert raw.startswith(b"HTTP/1.1 400 Bad Request\r\n")
-        assert reached == []
-
 
 def test_edge_answers_400_past_its_own_byte_limit(serve_estate):
     """Short lines, 20 KiB in all: under the stream's line limit, over
@@ -106,56 +89,6 @@ def test_edge_answers_400_past_its_own_byte_limit(serve_estate):
     assert raw.startswith(b"HTTP/1.1 400 ")
     assert reached == []
     assert registry.get("serve_http_requests_total").labels("400").value == 1
-
-
-def test_admin_refuses_a_head_past_its_budget_instead_of_answering():
-    """9 KiB of short header lines: the admin plane used to stop reading
-    at 8 KiB and serve the route anyway."""
-    head = b"GET /healthz HTTP/1.1\r\n" + b"X-Pad: aaaaaaaaaaaaaaaaaaaaaaaa\r\n" * 290
-
-    async def scenario():
-        server = AdminServer(registry=MetricsRegistry(), tracer=EventTracer())
-        endpoint = await server.start()
-        try:
-            return await exchange(endpoint, head + b"\r\n")
-        finally:
-            await server.stop()
-
-    raw, _reached = run_watched(scenario)
-    assert raw.startswith(b"HTTP/1.1 400 ")
-
-
-def test_admin_drops_a_trickled_head_at_one_deadline(monkeypatch):
-    """One deadline per head, not one per line: a peer feeding a header
-    line every 50 ms is cut off at the deadline, however alive each
-    line keeps the connection."""
-    monkeypatch.setattr(admin_module, "_READ_TIMEOUT", 0.3)
-
-    async def scenario():
-        server = AdminServer(registry=MetricsRegistry(), tracer=EventTracer())
-        reader, writer = await asyncio.open_connection(*await server.start())
-        began = time.monotonic()
-        try:
-            writer.write(b"GET /metrics HTTP/1.1\r\n")
-            for _ in range(60):  # three seconds' worth, if allowed
-                writer.write(b"X-Slow: 1\r\n")
-                try:
-                    await writer.drain()
-                except ConnectionError:
-                    break
-                if reader.at_eof():
-                    break
-                await asyncio.sleep(0.05)
-            raw = await asyncio.wait_for(reader.read(-1), timeout=5.0)
-            return raw, time.monotonic() - began
-        finally:
-            writer.close()
-            await server.stop()
-
-    (raw, elapsed), reached = run_watched(scenario)
-    assert raw == b""  # dropped, not answered
-    assert elapsed < 2.0
-    assert reached == []
 
 
 def test_client_raises_connection_error_on_an_oversized_response_head():

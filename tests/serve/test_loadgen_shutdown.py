@@ -5,7 +5,7 @@ down mid-ramp (the fleet SIGTERMs its loadgen processes) must cancel
 and *await* its workers before closing the clients underneath them,
 the hedged-lookup shield must reap its primary task when the caller is
 cancelled, and a completed run must leave no socket to the garbage
-collector.
+collector.  Nor may an edge whose ``start`` failed half-way.
 """
 
 import asyncio
@@ -33,6 +33,19 @@ from repro.serve.resilience import HedgePolicy
 
 def _open_fds() -> set[int]:
     return {int(fd) for fd in os.listdir("/proc/self/fd")}
+
+
+def _bind_both(port: int) -> int:
+    """Bind a UDP and a TCP socket on ``port`` (0: one the kernel picks)
+    and close them again; returns the port.  The TCP one reuses the
+    address as asyncio's server does, so a connection in TIME_WAIT does
+    not count as a socket left bound."""
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as udp, socket.socket() as tcp:
+        udp.bind(("127.0.0.1", port))
+        port = udp.getsockname()[1]
+        tcp.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        tcp.bind(("127.0.0.1", port))
+    return port
 
 
 def _foreign_tasks() -> list[asyncio.Task]:
@@ -85,6 +98,39 @@ class TestCleanCompletion:
         assert not leaks, [str(w.message) for w in leaks]
         after = _open_fds()
         assert after <= before, f"leaked fds: {sorted(after - before)}"
+
+
+class TestFailedStart:
+    def test_a_port_already_taken_leaves_nothing_bound(self, cluster):
+        """The HTTP port is taken, so ``start`` fails after the DNS
+        server bound: the DNS port rebinds at once and no transport is
+        left to the garbage collector."""
+        dns_port = _bind_both(0)
+        gc.collect()
+        with socket.socket() as taken, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            busy = taken.getsockname()[1]
+
+            async def scenario():
+                with pytest.raises(OSError):
+                    await cluster.start(dns_port=dns_port, http_port=busy)
+
+            asyncio.run(scenario())
+            _bind_both(dns_port)
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
+
+    def test_an_admin_port_is_refused_before_anything_binds(self, cluster):
+        async def scenario():
+            with pytest.raises(ValueError, match="no admin endpoint"):
+                await cluster.start(admin_port=0)
+
+        asyncio.run(scenario())
+        with pytest.raises(RuntimeError, match="not started"):
+            cluster.dns.endpoint
 
 
 class TestMidRampCancellation:

@@ -44,10 +44,15 @@ def _traced_run(requests=200, trace_sample=1.0, clock=None):
     return report, tracer
 
 
+def complete_chains(tracer):
+    """The chains whose root span has closed."""
+    return [chain for chain in assemble_chains(tracer.records()) if chain.complete]
+
+
 class TestCausalChains:
     def test_fetches_link_back_to_dns_resolution(self):
         report, tracer = _traced_run(requests=200)
-        chains = assemble_chains(tracer.records(), complete_only=True)
+        chains = complete_chains(tracer)
         assert len(chains) >= 198  # >= 99% of 200 logical requests
 
         linked = 0
@@ -76,7 +81,7 @@ class TestCausalChains:
 
     def test_chain_roots_are_client_requests(self):
         _, tracer = _traced_run(requests=50)
-        for chain in assemble_chains(tracer.records(), complete_only=True):
+        for chain in complete_chains(tracer):
             root = chain.named("client.request")
             assert root is not None
             assert root.parent_id is None
@@ -88,7 +93,7 @@ class TestCausalChains:
 
     def test_distinct_requests_get_distinct_traces(self):
         _, tracer = _traced_run(requests=50)
-        chains = assemble_chains(tracer.records(), complete_only=True)
+        chains = complete_chains(tracer)
         trace_ids = [chain.trace_id for chain in chains]
         assert len(set(trace_ids)) == len(trace_ids)
 

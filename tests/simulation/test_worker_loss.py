@@ -21,14 +21,7 @@ import signal
 import pytest
 
 from repro.atlas.columnar import DnsColumns
-from repro.obs import (
-    EventTracer,
-    FlightRecorder,
-    MetricsRegistry,
-    use_flight_recorder,
-    use_registry,
-    use_tracer,
-)
+from repro.obs import EventTracer, MetricsRegistry, use_registry, use_tracer
 from repro.simulation import (
     ScenarioConfig,
     Sep2017Scenario,
@@ -276,36 +269,27 @@ class _ShipsShortSlices(Sep2017Scenario):
             self.global_campaign.measure_slice = one_row_short
 
 
-def assert_diverges(directory, scenario_class, match):
+def assert_diverges(scenario_class, match):
     """A sharded run of ``scenario_class`` stops with the divergence
-    ``match`` names, trips the flight recorder and leaks no worker."""
+    ``match`` names and leaks no worker."""
     before = _children()
-    recorder = FlightRecorder(str(directory))
     with use_registry(MetricsRegistry()), use_tracer(EventTracer()):
-        with use_flight_recorder(recorder):
-            with pytest.raises(ShardDivergenceError, match=match):
-                fresh_engine(scenario_class).run(START, END, workers=3)
-    assert [p.name for p in directory.iterdir()] == [
-        "flight-001-shard-divergence.jsonl"
-    ]
+        with pytest.raises(ShardDivergenceError, match=match):
+            fresh_engine(scenario_class).run(START, END, workers=3)
     assert _children() <= before
 
 
 class TestDivergence:
-    def test_corrupt_replica_raises_naming_the_tick(
-        self, tmp_path
-    ):
+    def test_corrupt_replica_raises_naming_the_tick(self):
         assert_diverges(
-            tmp_path,
             _DriftsInWorkers,
             rf"shard \d diverged from the coordinator at t={START}",
         )
 
-    def test_short_slice_raises_naming_shard_campaign_and_tick(self, tmp_path):
+    def test_short_slice_raises_naming_shard_campaign_and_tick(self):
         # A slice one row short used to be zipped against the shard's
         # probe positions: truncated, misattributed and absorbed.
         assert_diverges(
-            tmp_path,
             _ShipsShortSlices,
             rf"shard \d diverged from the coordinator at t={START}: its "
             r"ripe-global slice has (\d+) rows, not its \d+ probes in order",

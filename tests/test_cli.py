@@ -1,9 +1,11 @@
 """Tests for the command-line interface."""
 
+import errno
 import json
 import multiprocessing
 import os
 import signal
+import socket
 
 import pytest
 
@@ -176,9 +178,8 @@ BAD_FAULT = (
 
 
 class TestReplayFlagValues:
-    """A flag value the replay (or ``repro top``) refuses is one line on
-    exit, ``<command>: <message>``, before the engine runs or the first
-    scrape: no traceback."""
+    """A flag value the replay refuses is one line on exit,
+    ``<command>: <message>``, before the engine runs: no traceback."""
 
     @pytest.mark.parametrize("argv, message", [
         (["simulate", *PROBES, "--step", "0"],
@@ -195,8 +196,6 @@ class TestReplayFlagValues:
          "report: step_seconds must be positive"),
         (["run", *PROBES, "--workers", "0"],
          "run: workers must be >= 1"),
-        (["profile", *PROBES, "--start", "9-20", "--end", "9-18"],
-         "profile: end must be after start"),
         *(([command, "--fault", "bogus@x:1-2"], f"{command}: {BAD_FAULT}")
           for command in ("simulate", "run", "chaos")),
         (["simulate", *PROBES, "--step", "nan"],
@@ -212,10 +211,6 @@ class TestReplayFlagValues:
          "chaos: concurrency must be positive"),
         (["chaos", "--workers", "0"],
          "chaos: workers must be >= 1"),
-        *((["top", "--interval", value], "top: --interval must be a finite number > 0")
-          for value in ("nan", "inf", "-1", "0")),
-        (["top", "--iterations", "-1"],
-         "top: --iterations must be >= 0"),
         *((["resume", "--from", "no-such-dir", "--workers", value],
            "resume: workers must be >= 1")
           for value in ("0", "-1")),
@@ -224,17 +219,13 @@ class TestReplayFlagValues:
          "[Errno 2] No such file or directory: 'no-such.rckpt'"),
     ], ids=["simulate-step", "simulate-probes", "simulate-isp-probes",
             "simulate-workers", "simulate-window", "report-step",
-            "run-workers", "profile-window",
+            "run-workers",
             "simulate-fault", "run-fault", "chaos-fault",
             "simulate-step-nan", "run-step-inf", "report-step-inf",
             "report-budget-inf", "report-budget-nan", "report-budget-negative",
             "chaos-concurrency", "chaos-workers",
-            "top-interval-nan", "top-interval-inf", "top-interval-negative",
-            "top-interval-zero", "top-iterations-negative",
             "resume-workers-zero", "resume-workers-negative", "resume-unreadable"])
     def test_exits_as_one_line_before_running(self, monkeypatch, argv, message):
-        import urllib.request
-
         from repro.cli import chaos
         from repro.simulation import SimulationEngine
 
@@ -243,7 +234,6 @@ class TestReplayFlagValues:
 
         monkeypatch.setattr(SimulationEngine, "run", run)
         monkeypatch.setattr(chaos, "run_chaos", run)
-        monkeypatch.setattr(urllib.request, "urlopen", run)
         with pytest.raises(SystemExit) as caught:
             main(argv)
         assert caught.value.code == message
@@ -319,8 +309,8 @@ class TestServeCommands:
          "serve: --dns-port must be in 0..65535, got 70000"),
         (["serve", "--http-port", "-1"],
          "serve: --http-port must be in 0..65535, got -1"),
-        (["serve", "--admin-port", "99999"],
-         "serve: --admin-port must be in 0..65535, got 99999"),
+        (["serve", "--dns-port", "65536"],
+         "serve: --dns-port must be in 0..65535, got 65536"),
         (["serve", "--resolver-port", "65536"],
          "serve: --resolver-port must be in 0..65535, got 65536"),
         (["loadgen", "--dns", "127.0.0.1:70000", "--http", "127.0.0.1:1"],
@@ -330,8 +320,6 @@ class TestServeCommands:
         (["loadgen", "--dns", "127.0.0.1:1", "--http", "127.0.0.1:1",
           "--resolver", "127.0.0.1:65536"],
          "loadgen: the port of '127.0.0.1:65536' must be in 1..65535, got 65536"),
-        (["top", "--endpoint", "127.0.0.1:99999"],
-         "top: the port of '127.0.0.1:99999' must be in 1..65535, got 99999"),
     ])
     def test_out_of_range_port_exits_as_one_line_before_binding(
         self, monkeypatch, argv, message
@@ -348,6 +336,32 @@ class TestServeCommands:
         with pytest.raises(SystemExit) as caught:
             main(argv)
         assert caught.value.code == message
+
+    @pytest.mark.parametrize("argv,prefix", [
+        (["serve", "--dns-port", "0", "--http-port", "{busy}"],
+         "serve: cannot bind on 127.0.0.1: "),
+        (["serve", "--dns-port", "{busy}", "--http-port", "0"],
+         "serve: cannot bind on 127.0.0.1: "),
+        (["selftest", "--requests", "1"], "selftest: "),
+    ], ids=["serve-http-port", "serve-dns-port", "selftest"])
+    def test_a_port_in_use_exits_as_one_line(self, monkeypatch, argv, prefix):
+        from repro.serve import ServeCluster
+
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            busy = taken.getsockname()[1]
+            if argv[0] == "selftest":
+                # The selftest binds ephemeral ports: its HTTP one is taken.
+                start = ServeCluster.start
+
+                async def start_on_busy(cluster, **kwargs):
+                    return await start(cluster, **kwargs, http_port=busy)
+
+                monkeypatch.setattr(ServeCluster, "start", start_on_busy)
+            with pytest.raises(SystemExit) as caught:
+                main([arg.format(busy=busy) for arg in argv])
+        assert caught.value.code.startswith(prefix + f"[Errno {errno.EADDRINUSE}]")
 
     @pytest.fixture
     def recorded_loads(self, monkeypatch):
@@ -444,21 +458,6 @@ class TestServeCommands:
 
 
 class TestObservabilityParser:
-    def test_top_defaults(self):
-        args = build_parser().parse_args(["top"])
-        assert args.endpoint == "127.0.0.1:9900"
-        assert args.interval == 2.0
-        assert args.iterations == 0
-
-    def test_profile_defaults(self):
-        args = build_parser().parse_args(["profile"])
-        assert args.workers == 4
-        assert args.start == "9-18"
-
-    def test_serve_admin_port(self):
-        args = build_parser().parse_args(["serve", "--admin-port", "9123"])
-        assert args.admin_port == 9123
-
     def test_trace_sample_on_load_commands(self):
         for command, extra in (
             ("loadgen", ["--dns", "127.0.0.1:1", "--http", "127.0.0.1:2"]),
@@ -468,153 +467,6 @@ class TestObservabilityParser:
                 [command, *extra, "--trace-sample", "0.25"]
             )
             assert args.trace_sample == 0.25
-
-    def test_flight_dir_on_engine_commands(self):
-        for command in ("simulate", "report", "chaos", "profile"):
-            args = build_parser().parse_args(
-                [command, "--flight-dir", "flights"]
-            )
-            assert args.flight_dir == "flights"
-
-
-class TestTopPanel:
-    def _families(self, dns=100.0, http=80.0, errors=0.0):
-        from repro.obs import MetricsRegistry, render_exposition
-
-        registry = MetricsRegistry()
-        registry.counter("serve_dns_queries_total").inc(dns)
-        status = registry.counter("serve_http_requests_total", "", ("status",))
-        status.labels("206").inc(http - errors)
-        if errors:
-            status.labels("502").inc(errors)
-        cache = registry.counter("cache_requests_total", "", ("outcome",))
-        cache.labels("hit").inc(30)
-        cache.labels("miss").inc(10)
-        hist = registry.histogram(
-            "serve_http_handle_seconds", buckets=(0.001, 0.01, 0.1)
-        ).labels()
-        for value in (0.0005, 0.005, 0.05):
-            hist.observe(value)
-        return parse_exposition(render_exposition(registry))
-
-    def test_first_frame_has_no_rates(self):
-        from repro.cli import render_top_panel
-
-        panel = render_top_panel(self._families(), None, 0.0)
-        assert "dns        - qps" in panel
-        assert "cache hit  75.0%" in panel
-
-    def test_second_frame_computes_rates(self):
-        from repro.cli import render_top_panel
-
-        previous = self._families(dns=100.0, http=80.0)
-        current = self._families(dns=300.0, http=180.0)
-        panel = render_top_panel(current, previous, 2.0)
-        assert "dns    100.0 qps" in panel
-        assert "http     50.0 rps" in panel
-
-    def test_error_rate_from_status_labels(self):
-        from repro.cli import render_top_panel
-
-        panel = render_top_panel(
-            self._families(http=100.0, errors=5.0), None, 0.0
-        )
-        assert "errors   5.0%" in panel
-
-    def test_percentile_lines(self):
-        from repro.cli import render_top_panel
-
-        panel = render_top_panel(self._families(), None, 0.0)
-        assert "http handle ms" in panel
-        assert "p999" in panel
-        assert "dns handle ms" in panel
-        assert "(no samples yet)" in panel  # no dns histogram above
-
-
-class TestProfileCommand:
-    def test_render_profile_empty_registry(self):
-        from repro.cli import render_profile
-        from repro.obs import MetricsRegistry
-
-        assert "no phase timings" in render_profile(MetricsRegistry())
-
-    def test_profile_reports_per_worker_phases(self, capsys):
-        code = main(
-            ["profile", "--start", "9-18", "--end", "9-19",
-             "--step", "3600", "--probes", "4", "--isp-probes", "3",
-             "--workers", "2"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "workers=2" in out
-        for needle in ("worker", "phase", "p95 ms", "share",
-                       "w0", "w1", "main", "arrivals", "merge"):
-            assert needle in out, needle
-
-
-class TestTopCommand:
-    def test_top_polls_a_live_admin_endpoint(self, capsys):
-        import asyncio
-        import threading
-
-        from repro.obs import EventTracer, MetricsRegistry, use_registry
-        from repro.serve import (
-            ClientDirectory,
-            ClusterConfig,
-            LoadConfig,
-            ServeCluster,
-            build_serve_estate,
-        )
-
-        ready = threading.Event()
-        done = threading.Event()
-        box = {}
-
-        async def serve_forever():
-            registry = MetricsRegistry()
-            with use_registry(registry):
-                estate = build_serve_estate(ClusterConfig(servers_per_metro=2))
-                cluster = ServeCluster(
-                    estate=estate,
-                    directory=ClientDirectory.from_adoption(),
-                    metrics=registry,
-                    tracer=EventTracer(),
-                )
-                async with cluster:
-                    await cluster.drive(
-                        LoadConfig(requests=40, concurrency=8)
-                    )
-                    box["endpoint"] = cluster.admin.endpoint
-                    ready.set()
-                    while not done.is_set():
-                        await asyncio.sleep(0.02)
-
-        thread = threading.Thread(
-            target=lambda: asyncio.run(serve_forever()), daemon=True
-        )
-        thread.start()
-        assert ready.wait(timeout=30), "cluster never came up"
-        host, port = box["endpoint"]
-        try:
-            code = main(
-                ["top", "--endpoint", f"{host}:{port}",
-                 "--iterations", "2", "--interval", "0.05"]
-            )
-        finally:
-            done.set()
-            thread.join(timeout=10)
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.count("frame") == 2
-        assert "qps" in out and "cache hit" in out
-
-    def test_top_unreachable_endpoint_exits(self):
-        with pytest.raises(SystemExit) as caught:
-            main(["top", "--endpoint", "127.0.0.1:1",
-                  "--iterations", "1"])
-        assert caught.value.code.startswith(
-            "top: cannot scrape http://127.0.0.1:1/metrics: "
-        )
 
 
 class TestTraceOut:

@@ -52,7 +52,6 @@ PARENT_SURFACE = {
         'metrics_out': (('--metrics-out',), None, None, None, False, None, '_StoreAction', 'PATH'),
         'trace_out': (('--trace-out',), None, None, None, False, None, '_StoreAction', 'PATH'),
         'verbose': (('--verbose',), False, None, None, False, 0, '_StoreTrueAction', None),
-        'flight_dir': (('--flight-dir',), None, None, None, False, None, '_StoreAction', 'DIR'),
     },
     'run': {
         'start': (('--start',), '9-17', None, None, False, None, '_StoreAction', 'M-D'),
@@ -69,7 +68,6 @@ PARENT_SURFACE = {
         'metrics_out': (('--metrics-out',), None, None, None, False, None, '_StoreAction', 'PATH'),
         'trace_out': (('--trace-out',), None, None, None, False, None, '_StoreAction', 'PATH'),
         'verbose': (('--verbose',), False, None, None, False, 0, '_StoreTrueAction', None),
-        'flight_dir': (('--flight-dir',), None, None, None, False, None, '_StoreAction', 'DIR'),
     },
     'report': {
         'probes': (('--probes',), 80, 'int', None, False, None, '_StoreAction', None),
@@ -83,7 +81,6 @@ PARENT_SURFACE = {
         'metrics_out': (('--metrics-out',), None, None, None, False, None, '_StoreAction', 'PATH'),
         'trace_out': (('--trace-out',), None, None, None, False, None, '_StoreAction', 'PATH'),
         'verbose': (('--verbose',), False, None, None, False, 0, '_StoreTrueAction', None),
-        'flight_dir': (('--flight-dir',), None, None, None, False, None, '_StoreAction', 'DIR'),
     },
     'resume': {
         'from_path': (('--from',), None, None, None, True, None, '_StoreAction', 'PATH'),
@@ -94,7 +91,6 @@ PARENT_SURFACE = {
         'metrics_out': (('--metrics-out',), None, None, None, False, None, '_StoreAction', 'PATH'),
         'trace_out': (('--trace-out',), None, None, None, False, None, '_StoreAction', 'PATH'),
         'verbose': (('--verbose',), False, None, None, False, 0, '_StoreTrueAction', None),
-        'flight_dir': (('--flight-dir',), None, None, None, False, None, '_StoreAction', 'DIR'),
     },
     'survey': {
     },
@@ -103,7 +99,6 @@ PARENT_SURFACE = {
         'dns_port': (('--dns-port',), 5333, 'int', None, False, None, '_StoreAction', None),
         'http_port': (('--http-port',), 8080, 'int', None, False, None, '_StoreAction', None),
         'object_size': (('--object-size',), 262144, 'int', None, False, None, '_StoreAction', None),
-        'admin_port': (('--admin-port',), 9900, 'int', None, False, None, '_StoreAction', None),
         'resolver_port': (('--resolver-port',), 0, 'int', None, False, None, '_StoreAction', None),
         'resolver_population': (('--resolver-population',), 'isp', None, ('isp', 'mixed'), False, None, '_StoreAction', None),
         'public_resolver_share': (('--public-resolver-share',), 0.5, 'float', None, False, None, '_StoreAction', 'FRACTION'),
@@ -141,21 +136,6 @@ PARENT_SURFACE = {
         'fault': (('--fault',), None, None, None, False, None, '_AppendAction', 'SPEC'),
         'skip_simulation': (('--skip-simulation',), False, None, None, False, 0, '_StoreTrueAction', None),
         'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
-        'flight_dir': (('--flight-dir',), None, None, None, False, None, '_StoreAction', 'DIR'),
-    },
-    'top': {
-        'endpoint': (('--endpoint',), '127.0.0.1:9900', None, None, False, None, '_StoreAction', 'HOST:PORT'),
-        'interval': (('--interval',), 2.0, 'float', None, False, None, '_StoreAction', None),
-        'iterations': (('--iterations',), 0, 'int', None, False, None, '_StoreAction', None),
-    },
-    'profile': {
-        'start': (('--start',), '9-18', None, None, False, None, '_StoreAction', 'M-D'),
-        'end': (('--end',), '9-19', None, None, False, None, '_StoreAction', 'M-D'),
-        'step': (('--step',), 1800.0, 'float', None, False, None, '_StoreAction', None),
-        'probes': (('--probes',), 24, 'int', None, False, None, '_StoreAction', None),
-        'isp_probes': (('--isp-probes',), 12, 'int', None, False, None, '_StoreAction', None),
-        'workers': (('--workers',), 4, 'int', None, False, None, '_StoreAction', None),
-        'flight_dir': (('--flight-dir',), None, None, None, False, None, '_StoreAction', 'DIR'),
     },
 }
 

@@ -72,12 +72,16 @@ SEAMS = {
     "cdn/cache.py:ContentCache.used_bytes": "the cache model test checks the byte accounting with it",
     "cdn/deployment.py:CdnDeployment.servers_in_region": "exposure and pool tests count a region's fleet with it",
     "dns/query.py:DnsResponse.is_empty": "the IPv6-absence tests assert NODATA with it",
+    "faults/health.py:CdnHealthMonitor.members": "the health and resume tests walk every member's state with it",
     "dns/reverse.py:address_from_reverse_name": "the reverse-name tests check the in-addr.arpa round trip with it",
     "dns/reverse.py:build_ptr_zone": "the 3.3 tests serve the estate's reverse table with it",
     "dns/reverse.py:scan_ptr_records": "the 3.3 tests walk the PTR zone and feed site discovery with it",
     "http/messages.py:Headers.get_all": "the header model test compares repeated fields with it",
     "isp/classify.py:TrafficClassifier.classify": "the per-flow reference classify_all is compared against",
     "isp/netflow.py:NetflowCollector.sampled_bytes": "the 5.3 sampling tests check 1-in-N collection with it",
+    "obs/export.py:parse_exposition": "the export and CLI tests read render_exposition and --metrics-out back with it",
+    "obs/trace_context.py:TraceChain.complete": "the trace tests keep only the chains whose root span closed with it",
+    "obs/trace_context.py:assemble_chains": "the trace tests join client, DNS and HTTP spans into one chain per trace with it",
     "isp/topology.py:EyeballIsp.is_direct_peer": "the scenario tests check the ISP's peering with it",
     "simulation/engine.py:RunSummary.from_run": "the golden runs digest the summary it builds",
     "simulation/engine.py:RunSummary.to_json_dict": "the golden runs digest the summary in the canonical form it returns",

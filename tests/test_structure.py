@@ -52,6 +52,29 @@ TTL cache (no second copy)"): atomic writes live in
 ``repro/container.py``; files are unpickled only by its two
 pickle-payload owners, once each, after the container verified them;
 TTL eviction lives in ``dns/ttlcache.py``.
+
+*The live edge written once* (once the CI step of that name): one HTTP
+reason table and one head reader (``repro/http/wire.py``, no per-line
+``readline()`` loop), one TCP listener (``serve/listener.py``), one
+module that sizes socket reads and opens client connections
+(``serve/udp.py``), one ``LoadReport`` construction (the fold in
+``serve/loadgen.py``) and one campaign grid whose ``next_due`` is public.
+
+*One recovery path* (once the CI step of that name): the in-run
+supervisor (respawn, heartbeats, digest vote, the worker fault kinds)
+stays gone; a lost worker is ``ShardWorkerLost``, raised only where the
+coordinator collects chunk results, and ``repro.cli.main`` is the one
+place that turns it into exit code 3.
+
+*The settable surface* (once the CI step of that name): the option,
+env-var and config surface is pinned once, in
+``test_no_option_or_config_field_was_added``; the public population and
+the Level3 ablation stay gone; each exception in
+``tests/test_settable_surface.py``'s ``ALLOWED`` is one line naming its
+kind and giving its reason.
+
+*Telemetry nothing reads stays gone*: the admin plane, ``repro top``,
+``repro profile`` and the flight recorder.
 """
 
 import ast
@@ -83,6 +106,11 @@ def grep(pattern, *roots, fixed=False):
 def outside(hits, *owners):
     """The hits in files other than ``owners`` (``grep -v '^owner:'``)."""
     return [hit for hit in hits if not hit.startswith(tuple(f"{o}:" for o in owners))]
+
+
+def files(hits):
+    """The files the hits are in (``grep -rl``), sorted."""
+    return sorted({hit.split(":", 1)[0] for hit in hits})
 
 
 # ----------------------------------------------------------------------
@@ -210,10 +238,12 @@ def test_resolve_bulk_asks_no_unbound_answer():
 
 
 def test_no_option_or_config_field_was_added():
+    from repro.faults.chaos import ChaosConfig
     from repro.simulation import ScenarioConfig
 
-    assert len(grep("add_argument(", "src", fixed=True)) == 46
+    assert len(grep("add_argument(", "src", fixed=True)) == 41
     assert len(dataclasses.fields(ScenarioConfig)) == 17
+    assert len(dataclasses.fields(ChaosConfig)) == 5
 
 
 # ----------------------------------------------------------------------
@@ -497,3 +527,114 @@ def test_ttl_eviction_lives_in_the_ttl_cache():
             for n in near if keyed.search(lines[n])
         ]
     assert not outside(hits, "src/repro/dns/ttlcache.py")
+
+
+# ----------------------------------------------------------------------
+# The live edge written once
+# ----------------------------------------------------------------------
+
+
+def test_one_http_reason_table():
+    assert not outside(grep('"Partial Content"|"Bad Request"', "src"), "src/repro/http/wire.py")
+
+
+def test_no_per_line_head_reads_on_the_edge():
+    assert not grep("readline()", "src/repro/serve", "src/repro/http", fixed=True)
+
+
+def test_one_head_reader():
+    assert files(grep(r"def read_head\(", "src")) == ["src/repro/http/wire.py"]
+
+
+def test_one_tcp_listener_under_serve():
+    hits = grep("asyncio.start_server(", "src/repro/serve", fixed=True)
+    assert not outside(hits, "src/repro/serve/listener.py")
+
+
+def test_socket_reads_are_sized_in_one_module():
+    assert files(grep(r"\.max_size *=", "src")) == ["src/repro/serve/udp.py"]
+
+
+def test_client_connections_are_opened_in_one_module():
+    hits = grep("asyncio.open_connection(", "src/repro/serve", fixed=True)
+    assert not outside(hits, "src/repro/serve/udp.py")
+
+
+def test_one_load_report_construction():
+    assert len(grep("LoadReport(", "src", fixed=True)) == 1
+
+
+def test_the_campaign_grid_has_no_private_next_due():
+    assert not grep(r"(^|[^A-Za-z0-9_])_next_due", "src")
+
+
+# ----------------------------------------------------------------------
+# One recovery path
+# ----------------------------------------------------------------------
+
+
+def test_the_in_run_supervisor_stays_gone():
+    assert not grep(
+        r"heartbeat|respawn|incarnation|quarantine|debug_corrupt|max_restarts"
+        r"|_reconcile_digests|WORKER_(KILL|STALL)|worker-(kill|stall)",
+        "src",
+    )
+
+
+def test_a_lost_worker_is_raised_where_chunks_are_collected():
+    assert files(grep("ShardWorkerLost(", "src", fixed=True)) == [
+        "src/repro/simulation/concurrency.py"
+    ]
+
+
+def test_a_lost_worker_becomes_an_exit_code_in_one_place():
+    assert files(grep(r"except ShardWorkerLost", "src")) == [
+        "src/repro/cli/__init__.py", "src/repro/simulation/concurrency.py",
+    ]
+
+
+# ----------------------------------------------------------------------
+# The settable surface
+# ----------------------------------------------------------------------
+
+
+def test_no_environment_variable_is_read():
+    assert not grep(r"os\.environ|os\.getenv", "src")
+
+
+def test_the_public_population_stays_gone():
+    from repro.resolver import POPULATIONS
+
+    assert "public" not in POPULATIONS, POPULATIONS
+
+
+def test_the_level3_ablation_stays_gone():
+    assert not grep(r"include_level3|LEVEL3_PLAN", "src")
+
+
+def test_each_allowed_exception_is_one_line_with_its_kind():
+    lines = (ROOT / "tests" / "test_settable_surface.py").read_text().splitlines()
+    start = lines.index("ALLOWED = {") + 1
+    end = lines.index("}", start)
+    entry = re.compile(r'^    "[^"]+": "(fake|roadmap|bound): [^"]+",$')
+    assert not [line for line in lines[start:end] if not entry.match(line)]
+
+
+# ----------------------------------------------------------------------
+# Telemetry nothing reads stays gone
+# ----------------------------------------------------------------------
+
+
+def test_the_unread_telemetry_stays_gone():
+    from repro.cli import build_parser
+
+    package = ROOT / "src" / "repro"
+    modules = ("serve/admin.py", "cli/top.py", "cli/profile.py", "obs/flight.py")
+    assert not [module for module in modules if (package / module).exists()]
+    assert not grep(r"--admin-port|--flight-dir|flight_recorder|AdminServer|from_cumulative", "src")
+    parser = build_parser()
+    for argv in (["top"], ["profile"], ["serve", "--admin-port", "9900"],
+                 ["simulate", "--flight-dir", "x"]):
+        with pytest.raises(SystemExit) as caught:
+            parser.parse_args(argv)
+        assert caught.value.code == 2, argv
