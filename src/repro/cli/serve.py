@@ -49,6 +49,7 @@ def run(args: argparse.Namespace) -> int:
         # A bad flag value is refused before anything boots.
         raise SystemExit(f"serve: {exc}") from exc
     except OSError as exc:
-        # A port another process holds: nothing is left bound.
-        raise SystemExit(f"serve: cannot bind on {args.host}: {exc}") from exc
+        # A port another process holds ("cannot bind UDP host:port: …",
+        # see Listener.start): nothing is left bound.
+        raise SystemExit(f"serve: {exc}") from exc
     return 0

@@ -225,18 +225,6 @@ class ClientDirectory:
                 return vantage
         return None
 
-    def scope_for(self, address: IPv4Address) -> int:
-        """The lookup granularity behind an answer for ``address``.
-
-        The matched vantage's prefix length — the only part of the
-        client address :meth:`context_for` actually consulted — or 0
-        when no vantage matched and the fallback geography (which does
-        not depend on the client at all) answered.  This is the honest
-        ECS ``scope_length`` an authoritative answer should advertise.
-        """
-        vantage = self.vantage_for(address)
-        return vantage.prefix.length if vantage is not None else 0
-
     def context_for(self, address: IPv4Address, now: float = 0.0) -> QueryContext:
         """A query context for ``address``; unknown addresses fall back
         to the first vantage's geography (a resolver with no ECS)."""

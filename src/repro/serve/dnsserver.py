@@ -17,6 +17,20 @@ decision logic as an in-memory one.
 Malformed packets never crash or hang the server: anything the wire
 decoder rejects is counted, answered with SERVFAIL when a message id is
 recoverable, and dropped otherwise.
+
+A UDP query whose bytes after the id (``data[2:]``) were answered
+before skips the decode and the directory scan: those bytes fix the
+question, the (server, zone) that answers it, the vantage and client
+address the geography comes from, the echoed ECS scope and the UDP
+limit, which a per-server plan memo keeps.  The zone policy still runs
+once per query at ``clock()`` — answers move with time (TTL buckets,
+weight schedules, the ``a1015`` switch) — and its (rcode, answers) pick
+the reply bytes, truncation applied, out of a second memo keyed by
+``(data[2:], rcode, answers)``; the datagram's own id goes in front.
+Only untraced, well-formed, non-REFUSED queries to a server without a
+fault plane are planned; everything else takes the validating path
+every time.  Both memos are bounded like the codec's
+(:func:`repro.dns.wire._remember`).
 """
 
 from __future__ import annotations
@@ -28,8 +42,10 @@ from typing import Callable, Iterable, Optional
 from ..dns.query import DnsResponse, QueryContext, RCode
 from ..dns.resolver import ServerMap
 from ..dns.wire import (
+    _MEMO_MAX_KEY_OCTETS,
     WireError,
     WireMessage,
+    _remember,
     decode_message,
     encode_message,
     frame,
@@ -37,9 +53,10 @@ from ..dns.wire import (
     reply_message,
     servfail_reply,
 )
-from ..dns.zone import AuthoritativeServer
+from ..dns.zone import AuthoritativeServer, Zone
+from ..net.ipv4 import IPv4Address
 from ..obs import get_registry, get_tracer, use_context
-from .clients import ClientDirectory
+from .clients import ClientDirectory, Vantage
 from .deadline import deadline
 from .listener import Listener, RunClock
 
@@ -66,6 +83,10 @@ class ZoneFrontend:
         if not servers:
             raise ValueError("a frontend needs at least one server")
         self._map = ServerMap(servers)
+
+    def locate(self, name: str) -> tuple[Optional[AuthoritativeServer], Optional[Zone]]:
+        """The (server, zone) answering for ``name`` (most specific zone)."""
+        return self._map.locate(name)
 
     def server_for(self, name: str) -> Optional[AuthoritativeServer]:
         """The authoritative server for ``name`` (most specific zone)."""
@@ -127,6 +148,11 @@ class AsyncDnsServer:
         self._listener = Listener(
             "server", datagram=self._handle_udp, stream=self._handle_tcp
         )
+        # data[2:] -> (question, server, zone, vantage, client, ECS
+        # scope, UDP limit), and (data[2:], rcode, answers) -> (reply
+        # bytes from offset 2 on, truncated?): see the module docstring.
+        self._plans: dict[bytes, tuple] = {}
+        self._replies: dict[tuple, tuple[bytes, bool]] = {}
 
         registry = metrics if metrics is not None else get_registry()
         self._m_queries = registry.counter(
@@ -181,30 +207,27 @@ class AsyncDnsServer:
     # query handling
     # ------------------------------------------------------------------
 
-    def _context_for(self, query: WireMessage, staleness: float = 0.0) -> QueryContext:
-        now = self._clock()
-        if staleness > 0.0:
-            # Stale-answer fault: the zone answers as of an earlier
-            # instant (a stuck snapshot), never before time zero.
-            now = max(0.0, now - staleness)
-        if query.client_subnet is not None:
-            return self.directory.context_for(query.client_subnet.prefix.network, now)
-        # No ECS: fall back to the directory's default geography.
-        return self.directory.context_for(
-            self.directory.vantages[0].prefix.network, now
-        )
+    def _where(
+        self, query: WireMessage
+    ) -> tuple[Vantage, IPv4Address, Optional[int]]:
+        """(vantage, client, ECS scope) the answer to ``query`` is for.
 
-    def _ecs_scope_for(self, query: WireMessage) -> Optional[int]:
-        """The scope the directory lookup behind the answer resolved at.
-
-        This is what goes back in the echoed ECS option: the matched
-        vantage's prefix length (the granularity ``context_for`` used),
-        or 0 when no vantage matched and the answer fell back to the
-        default geography — i.e. did not depend on the client at all.
+        The client is the ECS prefix's network and the vantage the one
+        whose block holds it; without ECS, or when no block does, the
+        directory's first vantage gives the default geography.  The
+        scope is what goes back in the echoed ECS option: the matched
+        vantage's prefix length (the granularity the lookup used), 0
+        when the default geography answered — i.e. the answer did not
+        depend on the client at all — and ``None`` without ECS.
         """
+        default = self.directory.vantages[0]
         if query.client_subnet is None:
-            return None
-        return self.directory.scope_for(query.client_subnet.prefix.network)
+            return default, default.prefix.network, None
+        client = query.client_subnet.prefix.network
+        vantage = self.directory.vantage_for(client)
+        if vantage is None:
+            return default, client, 0
+        return vantage, client, vantage.prefix.length
 
     def _dns_fault(self, query: WireMessage) -> tuple[Optional[str], float, float]:
         """(action, delay, staleness) the fault plane injects for ``query``."""
@@ -260,10 +283,14 @@ class AsyncDnsServer:
                     if span is not None:
                         span.annotate(outcome="servfail-fault")
                     return servfail_reply(payload), None, None, delay
+            vantage, client, scope = self._where(query)
+            now = self._clock()
+            if staleness > 0.0:
+                # Stale-answer fault: the zone answers as of an earlier
+                # instant (a stuck snapshot), never before time zero.
+                now = max(0.0, now - staleness)
             response = self.frontend.answer(
-                query,
-                self._context_for(query, staleness),
-                ecs_scope=self._ecs_scope_for(query),
+                query, vantage.context(client, now), ecs_scope=scope
             )
         except Exception:
             self._m_malformed.inc()
@@ -286,29 +313,77 @@ class AsyncDnsServer:
         """Like :meth:`handle_datagram`, plus the injected send delay."""
         started = time.perf_counter()
         self._m_udp.inc()
+        body = payload[2:]
+        plan = self._plans.get(body)
+        if plan is None:
+            reply, truncated, delay = self._answer_datagram(payload, body)
+        else:
+            reply, truncated = self._replay(plan, payload, body)
+            delay = 0.0
+        if truncated:
+            self._m_truncated.inc()
+        self._m_handle.observe(time.perf_counter() - started)
+        return reply, delay
+
+    def _answer_datagram(
+        self, payload: bytes, body: bytes
+    ) -> tuple[Optional[bytes], bool, float]:
+        """The validating path: (reply, truncated, delay); plans ``body``."""
         encoded, response, query, delay = self._answer_bytes(payload)
         if encoded is None or response is None or query is None:
-            self._m_handle.observe(time.perf_counter() - started)
-            return encoded, delay
+            return encoded, False, delay
         limit = query.udp_payload_size or _FALLBACK_UDP_PAYLOAD
         if UDP_PAYLOAD_CAP is not None:
             limit = min(limit, UDP_PAYLOAD_CAP)
-        if len(encoded) > limit:
-            self._m_truncated.inc()
-            encoded = encode_message(
-                WireMessage(
-                    message_id=response.message_id,
-                    is_response=True,
-                    authoritative=response.authoritative,
-                    truncated=True,
-                    recursion_desired=response.recursion_desired,
-                    rcode=response.rcode,
-                    questions=list(response.questions),
-                    client_subnet=response.client_subnet,
-                )
+        if (self._faults is None and query.trace_context is None
+                and response.rcode is not RCode.REFUSED
+                and len(payload) <= _MEMO_MAX_KEY_OCTETS):
+            question = query.questions[0]
+            server, zone = self.frontend.locate(question.name)
+            vantage, client, scope = self._where(query)
+            _remember(self._plans, body,
+                      (question, server, zone, vantage, client, scope, limit))
+        return (*self._fit(encoded, response, limit), delay)
+
+    def _replay(self, plan: tuple, payload: bytes,
+                body: bytes) -> tuple[Optional[bytes], bool]:
+        """A planned query: the policy at ``clock()``, the reply from bytes."""
+        question, server, zone, vantage, client, scope, limit = plan
+        try:
+            response = server.query_in_zone(
+                zone, question, vantage.context(client, self._clock())
             )
-        self._m_handle.observe(time.perf_counter() - started)
-        return encoded, delay
+        except Exception:
+            self._m_malformed.inc()
+            return servfail_reply(payload), False
+        key = (body, response.rcode, response.answers)
+        known = self._replies.get(key)
+        if known is None:
+            reply = reply_message(decode_message(payload), response, scope)
+            encoded, truncated = self._fit(encode_message(reply), reply, limit)
+            known = (encoded[2:], truncated)
+            _remember(self._replies, key, known)
+        tail, truncated = known
+        return payload[:2] + tail, truncated
+
+    @staticmethod
+    def _fit(encoded: bytes, reply: WireMessage,
+             limit: int) -> tuple[bytes, bool]:
+        """``encoded``, or its bare TC form when over ``limit``: (bytes, TC)."""
+        if len(encoded) <= limit:
+            return encoded, False
+        return encode_message(
+            WireMessage(
+                message_id=reply.message_id,
+                is_response=True,
+                authoritative=reply.authoritative,
+                truncated=True,
+                recursion_desired=reply.recursion_desired,
+                rcode=reply.rcode,
+                questions=list(reply.questions),
+                client_subnet=reply.client_subnet,
+            )
+        ), True
 
     def _handle_udp(self, data: bytes, addr) -> None:
         reply, delay = self.handle_datagram_timed(data)

@@ -67,6 +67,11 @@ async def _read_out(reader: asyncio.StreamReader,
             pass
 
 
+def _bind_error(transport: str, bound: tuple, exc: OSError) -> OSError:
+    """``exc`` naming what could not be bound: ``cannot bind UDP h:p: …``."""
+    return OSError(f"cannot bind {transport} {bound[0]}:{bound[1]}: {exc}")
+
+
 class _Datagrams(asyncio.DatagramProtocol):
     def __init__(self, receive: Callable) -> None:
         self.datagram_received = receive
@@ -132,9 +137,13 @@ class Listener:
         for _ in range(5):
             bound = (host, port)
             if self._datagram is not None:
-                self._transport, _protocol = await open_udp(
-                    lambda: _Datagrams(self._datagram), local_addr=bound, **extra
-                )
+                try:
+                    self._transport, _protocol = await open_udp(
+                        lambda: _Datagrams(self._datagram), local_addr=bound,
+                        **extra
+                    )
+                except OSError as exc:
+                    raise _bind_error("UDP", bound, exc) from exc
                 bound = self._transport.get_extra_info("sockname")[:2]
             if self._stream is not None:
                 try:
@@ -142,14 +151,13 @@ class Listener:
                         self._serve, host=bound[0], port=bound[1], **extra
                     )
                 except OSError as exc:
-                    if self._transport is None:
-                        raise
-                    self._transport.close()
-                    self._transport = None
-                    if port != 0:
-                        raise
-                    last_error = exc
-                    continue
+                    if self._transport is not None:
+                        self._transport.close()
+                        self._transport = None
+                        if port == 0:
+                            last_error = exc
+                            continue
+                    raise _bind_error("TCP", bound, exc) from exc
                 bound = self._server.sockets[0].getsockname()[:2]
             self._endpoint = (bound[0], bound[1])
             return self._endpoint

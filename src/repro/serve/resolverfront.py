@@ -20,6 +20,16 @@ mis-mapping and cache-dilution effects, live on the wire.
 POP anchors live in the ``.255.1`` tail of the directory's CGNAT
 vantage blocks, so an ECS-off upstream query geolocates to the POP's
 metro through the very same directory the authoritative consults.
+
+A datagram whose bytes after the id (``data[2:]``) were seen before
+skips the decode and the POP attribution: a per-front plan memo maps
+them to (POP, qname, announced address, the POP's query counter).  The
+cache lookup still runs per query through :meth:`TtlCache.hit` (same
+counts, same expiry), and a hit's reply bytes come from a second memo
+keyed by ``(data[2:], answers, rcode, scope)`` with the datagram's own
+id in front.  Untraced, well-formed queries are planned; anything else
+takes the decoding path every time.  Both memos, and the per-client
+POP memo, are bounded like the codec's (:func:`repro.dns.wire._remember`).
 """
 
 from __future__ import annotations
@@ -31,13 +41,15 @@ from ..dns.query import RCode
 from ..dns.records import ResourceRecord
 from ..dns.ttlcache import TtlCache
 from ..dns.wire import (
+    _MEMO_MAX_KEY_OCTETS,
     ClientSubnet,
     WireMessage,
+    _remember,
     decode_message,
     encode_message,
     servfail_reply,
 )
-from ..net.ipv4 import IPv4Address, IPv4Prefix
+from ..net.ipv4 import IPv4Address
 from ..obs import get_registry
 from ..resolver import DEFAULT_POPS, POP_CACHE_CAPACITY, ResolverPop, nearest_pop
 from .clients import ClientDirectory
@@ -101,6 +113,11 @@ class PublicResolverFront:
         # upstream query.
         self._inflight: dict[tuple, asyncio.Future] = {}
         self._pop_memo: dict[IPv4Address, ResolverPop] = {}
+        # data[2:] -> (pop, qname, announced address, the POP's query
+        # counter), and (data[2:], answers, rcode, scope) -> a hit's
+        # reply bytes from offset 2 on: see the module docstring.
+        self._plans: dict[bytes, tuple] = {}
+        self._replies: dict[tuple, bytes] = {}
         self._client: Optional[AsyncDnsClient] = None
         self._listener = Listener("resolver front", datagram=self._dispatch)
         self._tasks: set[asyncio.Task] = set()
@@ -182,7 +199,7 @@ class PublicResolverFront:
             return cached
         context = self.directory.context_for(client)
         pop = nearest_pop(context.coordinates)
-        self._pop_memo[client] = pop
+        _remember(self._pop_memo, client, pop)
         return pop
 
     def _announced(self, client: Optional[IPv4Address],
@@ -194,7 +211,9 @@ class PublicResolverFront:
 
     @staticmethod
     def _truncate(address: IPv4Address, scope: int) -> int:
-        return IPv4Prefix.containing(address, scope).network.value
+        """The network value of ``address``'s ``/scope``."""
+        shift = 32 - scope
+        return address.value >> shift << shift
 
     def cache_stats(self) -> dict:
         """Plain counters for reports (work under the null registry)."""
@@ -213,11 +232,35 @@ class PublicResolverFront:
     def _dispatch(self, data: bytes, addr) -> None:
         """Serve one datagram, a cache hit without leaving the callback.
 
-        A hit is decoded, looked up and answered right here — no task,
-        no trip through the ready queue.  Only a miss becomes a task:
-        it takes the decoded query through :meth:`_lookup`, which
-        counts it, coalesces it onto a fetch in flight or goes upstream.
+        A hit is looked up and answered right here — no task, no trip
+        through the ready queue; a planned body (see the module
+        docstring) is neither decoded nor re-encoded.  Only a miss
+        becomes a task: it takes the decoded query through
+        :meth:`_lookup`, which counts it, coalesces it onto a fetch in
+        flight or goes upstream.
         """
+        body = data[2:]
+        plan = self._plans.get(body)
+        if plan is None:
+            self._dispatch_decoded(data, body, addr)
+            return
+        pop, qname, announced, queries = plan
+        queries.inc()
+        entry = self._caches[pop.pop_id].hit(
+            self._entry_key(pop, qname, announced), self._clock()
+        )
+        if entry is None:
+            self._spawn_miss(decode_message(data), data, addr, pop, announced)
+            return
+        key = (body, entry.answers, entry.rcode, entry.scope)
+        tail = self._replies.get(key)
+        if tail is None:
+            tail = self._reply(decode_message(data), entry)[2:]
+            _remember(self._replies, key, tail)
+        self._send(data[:2] + tail, addr)
+
+    def _dispatch_decoded(self, data: bytes, body: bytes, addr) -> None:
+        """:meth:`_dispatch` for a body without a plan; plans it."""
         try:
             query = decode_message(data)
         except Exception:
@@ -230,15 +273,22 @@ class PublicResolverFront:
             if query.client_subnet is not None else None
         )
         pop = self._pop_for(client)
-        self._m_queries.labels(pop.pop_id).inc()
+        queries = self._m_queries.labels(pop.pop_id)
+        queries.inc()
         announced, _announced_len = self._announced(client, pop)
+        qname = query.questions[0].name
+        if query.trace_context is None and len(data) <= _MEMO_MAX_KEY_OCTETS:
+            _remember(self._plans, body, (pop, qname, announced, queries))
         entry = self._caches[pop.pop_id].hit(
-            self._entry_key(pop, query.questions[0].name, announced),
-            self._clock(),
+            self._entry_key(pop, qname, announced), self._clock()
         )
         if entry is not None:
             self._send(self._reply(query, entry), addr)
             return
+        self._spawn_miss(query, data, addr, pop, announced)
+
+    def _spawn_miss(self, query: WireMessage, data: bytes, addr,
+                    pop: ResolverPop, announced: IPv4Address) -> None:
         task = asyncio.create_task(
             self._serve_miss(query, data, addr, pop, announced)
         )

@@ -79,13 +79,13 @@ class TestAsyncDnsServer:
                     inside = vantage.prefix.host(77)
                     response = await client.query(NAMES.entry_point, inside)
                     assert response.client_subnet.scope_length == vantage.prefix.length
-                    assert server._ecs_scope_for(response) == vantage.prefix.length
+                    assert server._where(response)[2] == vantage.prefix.length
                 # Outside the CGNAT vantage range: fallback geography,
                 # which consults no bit of the client address.
                 from repro.net.ipv4 import IPv4Address
 
                 outside = IPv4Address.parse("203.0.113.5")
-                assert directory.scope_for(outside) == 0
+                assert directory.vantage_for(outside) is None
                 response = await client.query(NAMES.entry_point, outside)
                 assert response.client_subnet is not None
                 assert response.client_subnet.scope_length == 0

@@ -337,19 +337,25 @@ class TestServeCommands:
             main(argv)
         assert caught.value.code == message
 
-    @pytest.mark.parametrize("argv,prefix", [
+    @pytest.mark.parametrize("argv,held,prefix", [
         (["serve", "--dns-port", "0", "--http-port", "{busy}"],
-         "serve: cannot bind on 127.0.0.1: "),
+         socket.SOCK_STREAM, "serve: cannot bind TCP 127.0.0.1:{busy}: "),
         (["serve", "--dns-port", "{busy}", "--http-port", "0"],
-         "serve: cannot bind on 127.0.0.1: "),
-        (["selftest", "--requests", "1"], "selftest: "),
-    ], ids=["serve-http-port", "serve-dns-port", "selftest"])
-    def test_a_port_in_use_exits_as_one_line(self, monkeypatch, argv, prefix):
+         socket.SOCK_STREAM, "serve: cannot bind TCP 127.0.0.1:{busy}: "),
+        (["serve", "--dns-port", "{busy}", "--http-port", "0"],
+         socket.SOCK_DGRAM, "serve: cannot bind UDP 127.0.0.1:{busy}: "),
+        (["selftest", "--requests", "1"], socket.SOCK_STREAM,
+         "selftest: cannot bind TCP 127.0.0.1:{busy}: "),
+    ], ids=["serve-http-port", "serve-dns-port", "serve-dns-port-udp",
+            "selftest"])
+    def test_a_port_in_use_exits_as_one_line(self, monkeypatch, argv, held,
+                                             prefix):
         from repro.serve import ServeCluster
 
-        with socket.socket() as taken:
+        with socket.socket(socket.AF_INET, held) as taken:
             taken.bind(("127.0.0.1", 0))
-            taken.listen()
+            if held == socket.SOCK_STREAM:
+                taken.listen()
             busy = taken.getsockname()[1]
             if argv[0] == "selftest":
                 # The selftest binds ephemeral ports: its HTTP one is taken.
@@ -361,7 +367,9 @@ class TestServeCommands:
                 monkeypatch.setattr(ServeCluster, "start", start_on_busy)
             with pytest.raises(SystemExit) as caught:
                 main([arg.format(busy=busy) for arg in argv])
-        assert caught.value.code.startswith(prefix + f"[Errno {errno.EADDRINUSE}]")
+        assert caught.value.code.startswith(
+            prefix.format(busy=busy) + f"[Errno {errno.EADDRINUSE}]"
+        )
 
     @pytest.fixture
     def recorded_loads(self, monkeypatch):

@@ -51,7 +51,8 @@ scoreboard and the figure benches read its ``PaperFigures``.
 TTL cache (no second copy)"): atomic writes live in
 ``repro/container.py``; files are unpickled only by its two
 pickle-payload owners, once each, after the container verified them;
-TTL eviction lives in ``dns/ttlcache.py``.
+TTL eviction lives in ``dns/ttlcache.py`` and oldest-out memo eviction
+in ``dns.wire._remember``.
 
 *The live edge written once* (once the CI step of that name): one HTTP
 reason table and one head reader (``repro/http/wire.py``, no per-line
@@ -527,6 +528,15 @@ def test_ttl_eviction_lives_in_the_ttl_cache():
             for n in near if keyed.search(lines[n])
         ]
     assert not outside(hits, "src/repro/dns/ttlcache.py")
+
+
+def test_oldest_out_eviction_lives_in_the_wire_memo_helper():
+    """The codec's memos and the two DNS responders' answer memos all
+    evict through ``dns.wire._remember``: one ``del …[next(iter(…))]``."""
+    hits = grep(r"del [\w.]+\[next\(iter\(", "src/repro")
+    assert len(hits) == 1 and files(hits) == ["src/repro/dns/wire.py"], hits
+    for responder in ("serve/dnsserver.py", "serve/resolverfront.py"):
+        assert grep("_remember(", f"src/repro/{responder}", fixed=True)
 
 
 # ----------------------------------------------------------------------
