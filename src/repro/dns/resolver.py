@@ -21,6 +21,7 @@ from ..obs import get_registry
 from .query import Question, QueryContext, RCode
 from .records import RecordType, ResourceRecord, normalize_name
 from .ttlcache import TtlCache
+from .wire import _remember
 from .zone import AuthoritativeServer, Zone
 
 __all__ = [
@@ -399,10 +400,13 @@ class ServerMap:
         self._memo: dict[str, tuple[Optional[AuthoritativeServer], Optional[Zone]]] = {}
 
     def locate(self, name: str) -> tuple[Optional[AuthoritativeServer], Optional[Zone]]:
-        """The authoritative (server, zone) for ``name`` (memoised)."""
+        """The authoritative (server, zone) for ``name`` (memoised, the
+        oldest name making room at the wire memos' bound: a peer asking
+        ever new names must not grow a live server)."""
         hit = self._memo.get(name)
         if hit is None:
-            hit = self._memo[name] = _locate(self._servers, name)
+            hit = _locate(self._servers, name)
+            _remember(self._memo, name, hit)
         return hit
 
 

@@ -37,6 +37,14 @@ class Headers:
         for name, value in (initial or {}).items():
             self.add(name, value)
 
+    @classmethod
+    def of(cls, entries: list[tuple[str, str]]) -> "Headers":
+        """Headers over ``entries``, ``(name, value)`` pairs in order; the
+        list is kept, not copied."""
+        headers = cls()
+        headers._entries = entries
+        return headers
+
     def _by_name(self) -> dict[str, list[tuple[str, str]]]:
         """Lowered name -> its entries, oldest first (the one lookup path)."""
         index = self._index
@@ -88,9 +96,7 @@ class Headers:
 
     def copy(self) -> "Headers":
         """A shallow copy preserving order and duplicates."""
-        duplicate = Headers()
-        duplicate._entries = list(self._entries)
-        return duplicate
+        return Headers.of(list(self._entries))
 
 
 @dataclass

@@ -1,83 +1,100 @@
-"""One timer per awaited stretch: ``with deadline(seconds): await ...``.
+"""One timer per wait: :class:`Alarm`, and ``with deadline(seconds): await ...``.
 
 The serving layer supports Python 3.9, which has no ``asyncio.timeout``,
 and ``asyncio.wait_for`` wraps every awaitable it guards in a task of
-its own — eight per HTTP request when each header line is guarded
-separately.  :class:`deadline` arms one ``call_at`` timer for a whole
-block of awaits in the *current* task, cancels that task's pending
-await when the timer fires, and turns the cancellation into
-:class:`asyncio.TimeoutError` on the way out.
+its own.  Both timeouts here are one ``call_at`` timer.
 
-A connection that waits once per request keeps one guard for its whole
-life (:meth:`deadline.kept`) and enters it for each wait: entering
-stores the wait's due time, and the timer already pending re-arms
-itself for that time when it fires early — one timer per connection
-and ``seconds``, not a ``call_later`` and a ``cancel`` per request.
+An :class:`Alarm` belongs to something that waits again and again — a
+connection waiting for its next request head, for its next frame or for
+the answer to its request — and calls its callback when a wait outlives
+its time.  Arming stores the wait's due time and arms a timer only if
+none is pending; a timer that fires before the due time re-arms itself
+for it, one that fires with nothing armed does nothing.  So a busy
+connection costs one timer per timeout, not a ``call_later`` and a
+``cancel`` per request.
+
+:class:`deadline` is an alarm over a block of awaits in the *current*
+task: it cancels the task's pending await when it goes off and turns
+the cancellation into :class:`asyncio.TimeoutError` on the way out.
 """
 
 from __future__ import annotations
 
 import asyncio
+from typing import Callable
 
-__all__ = ["deadline"]
+__all__ = ["Alarm", "deadline"]
 
 
-class deadline:
-    """Raise ``asyncio.TimeoutError`` if the block outlives ``seconds``."""
+class Alarm:
+    """Call ``expire()`` once a wait armed with :meth:`arm` is overdue."""
 
-    __slots__ = ("_seconds", "_kept", "_task", "_timer", "_due", "_expired")
+    __slots__ = ("_expire", "_timer", "_due")
 
-    def __init__(self, seconds: float) -> None:
-        self._seconds = seconds
-        self._kept = False
-        self._task = None
+    def __init__(self, expire: Callable[[], None]) -> None:
+        self._expire = expire
         self._timer = None
-        self._due = None  # None between blocks: nothing to guard
-        self._expired = False
+        self._due = None  # None while disarmed: nothing to guard
 
-    @classmethod
-    def kept(cls, seconds: float) -> "deadline":
-        """A guard entered many times whose timer stays pending between
-        blocks; its owner calls :meth:`close` when it is done waiting."""
-        guard = cls(seconds)
-        guard._kept = True
-        return guard
-
-    def __enter__(self) -> "deadline":
+    def arm(self, seconds: float) -> None:
+        """Start a wait that is overdue ``seconds`` from now."""
         loop = asyncio.get_running_loop()
-        self._task = asyncio.current_task()
-        self._due = loop.time() + self._seconds
-        if self._timer is None or self._timer.cancelled():
-            self._timer = loop.call_at(self._due, self._fire)
-        return self
+        due = self._due = loop.time() + seconds
+        timer = self._timer
+        if timer is None or timer.cancelled() or due < timer.when():
+            if timer is not None:
+                timer.cancel()
+            self._timer = loop.call_at(due, self._fire)
 
-    def _fire(self) -> None:
-        timer, self._timer = self._timer, None
-        if self._due is None:
-            return  # between blocks; the next one arms anew
-        if self._due > timer.when():
-            # The block this was armed for ended in time and a later
-            # one is waiting: its due time is the one that counts.
-            self._timer = asyncio.get_running_loop().call_at(self._due, self._fire)
-            return
-        self._expired = True
-        self._task.cancel()
+    def disarm(self) -> None:
+        """End the wait in time; the pending timer is left to lapse."""
+        self._due = None
 
     def close(self) -> None:
-        """Drop the pending timer (the end of a kept guard's owner)."""
+        """Disarm and drop the pending timer (the owner's end)."""
+        self._due = None
         if self._timer is not None:
             self._timer.cancel()
 
-    def __exit__(self, exc_type, exc, traceback) -> None:
+    def _fire(self) -> None:
+        timer = self._timer
+        self._timer = None
+        if self._due is None:
+            return  # disarmed; the next wait arms anew
+        if self._due > timer.when():
+            # The wait this was armed for ended in time and a later one
+            # is in progress: its due time is the one that counts.
+            self._timer = asyncio.get_running_loop().call_at(self._due, self._fire)
+            return
         self._due = None
-        if not self._kept:
-            self.close()
-        if self._expired:
-            self._expired = False
-            if exc_type is asyncio.CancelledError:
-                # The cancellation was ours: undo its count where tasks
-                # keep one (3.11+), and report what actually happened.
-                uncancel = getattr(self._task, "uncancel", None)
-                if uncancel is not None:
-                    uncancel()
-                raise asyncio.TimeoutError from exc
+        self._expire()
+
+
+class deadline(Alarm):
+    """Raise ``asyncio.TimeoutError`` if the block outlives ``seconds``."""
+
+    __slots__ = ("_seconds", "_task")
+
+    def __init__(self, seconds: float) -> None:
+        super().__init__(None)
+        self._seconds = seconds
+        self._task = None
+
+    def __enter__(self) -> "deadline":
+        # The task's own ``cancel`` is what goes off: a method of this
+        # guard would tie it into a reference cycle, one per block.
+        self._task = asyncio.current_task()
+        self._expire = self._task.cancel
+        self.arm(self._seconds)
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        expired = self._timer is None  # ``_fire`` drops it before expiring
+        self.close()
+        if expired and exc_type is asyncio.CancelledError:
+            # The cancellation was ours: undo its count where tasks
+            # keep one (3.11+), and report what actually happened.
+            uncancel = getattr(self._task, "uncancel", None)
+            if uncancel is not None:
+                uncancel()
+            raise asyncio.TimeoutError from exc

@@ -29,7 +29,6 @@ from ..dns.wire import (
 from ..net.ipv4 import IPv4Address
 from ..obs import current_context, get_registry, get_tracer
 from .deadline import deadline
-from .listener import hang_up
 from .resilience import BackoffPolicy, HedgePolicy
 from .udp import open_tcp, open_udp
 
@@ -285,7 +284,11 @@ class AsyncDnsClient:
             raise DnsClientError(f"TCP fallback failed: {exc!r}") from exc
         finally:
             if writer is not None:
-                await hang_up(writer)
+                writer.close()
+                try:
+                    await writer.wait_closed()
+                except OSError:  # pragma: no cover - the peer reset first
+                    pass
         if raw is None:
             raise DnsClientError("TCP fallback failed: connection closed early")
         self.queries_sent += 1

@@ -49,7 +49,6 @@ from ..dns.wire import (
     decode_message,
     encode_message,
     frame,
-    read_frame,
     reply_message,
     servfail_reply,
 )
@@ -57,8 +56,7 @@ from ..dns.zone import AuthoritativeServer, Zone
 from ..net.ipv4 import IPv4Address
 from ..obs import get_registry, get_tracer, use_context
 from .clients import ClientDirectory, Vantage
-from .deadline import deadline
-from .listener import Listener, RunClock
+from .listener import Connection, Listener, RunClock
 
 __all__ = ["ZoneFrontend", "AsyncDnsServer"]
 
@@ -146,7 +144,8 @@ class AsyncDnsServer:
         # resolve span.
         self._tracer = tracer if tracer is not None else get_tracer()
         self._listener = Listener(
-            "server", datagram=self._handle_udp, stream=self._handle_tcp
+            "server", datagram=self._handle_udp,
+            connection=lambda listener: _FrameConnection(listener, self),
         )
         # data[2:] -> (question, server, zone, vantage, client, ECS
         # scope, UDP limit), and (data[2:], rcode, answers) -> (reply
@@ -396,23 +395,40 @@ class AsyncDnsServer:
         else:
             self._listener.sendto(reply, addr)
 
-    async def _handle_tcp(self, reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> None:
-        """Serve length-prefixed queries until the client hangs up."""
-        busy = self._listener.busy
-        while True:
-            with deadline(_TCP_IDLE_TIMEOUT):
-                payload = await read_frame(reader)
-            if payload is None:
-                return
-            busy.add(writer)
-            started = time.perf_counter()
-            self._m_tcp.inc()
-            encoded, _response, _query, delay = self._answer_bytes(payload)
-            self._m_handle.observe(time.perf_counter() - started)
-            if encoded is not None:
-                if delay > 0.0:
-                    await asyncio.sleep(delay)
-                writer.write(frame(encoded))
-                await writer.drain()
-            busy.discard(writer)
+    def _handle_tcp(self, connection: "_FrameConnection", payload: bytes) -> None:
+        """Answer one length-prefixed query off a TCP connection."""
+        started = time.perf_counter()
+        self._m_tcp.inc()
+        encoded, _response, _query, delay = self._answer_bytes(payload)
+        self._m_handle.observe(time.perf_counter() - started)
+        if encoded is None:
+            return
+        if delay > 0.0:
+            connection.hold(delay, connection.transport.write, frame(encoded))
+        else:
+            connection.transport.write(frame(encoded))
+
+
+class _FrameConnection(Connection):
+    """A TCP client of the server: length-prefixed queries (RFC 1035
+    §4.2.2) until it hangs up, each answered in turn."""
+
+    def __init__(self, listener: Listener, server: AsyncDnsServer) -> None:
+        super().__init__(listener, _TCP_IDLE_TIMEOUT)
+        self._server = server
+        self._buffer = bytearray()
+
+    def _received(self, data: bytes) -> None:
+        self._buffer += data
+
+    def _next(self) -> bool:
+        buffer = self._buffer
+        if len(buffer) < 2:
+            return False
+        end = 2 + ((buffer[0] << 8) | buffer[1])
+        if len(buffer) < end:
+            return False
+        payload = bytes(buffer[2:end])
+        del buffer[:end]
+        self._server._handle_tcp(self, payload)
+        return True

@@ -14,6 +14,15 @@ Bodies stay synthetic (the model never materialises a 2.8 GB image) but
 are real on the wire: a ``Range`` request gets its slice as zero bytes
 with a correct ``Content-Range``, which is how the load generator
 replays ranged iOS-image downloads without moving gigabytes.
+
+Each accepted connection is one :class:`~repro.serve.listener.Connection`:
+``data_received`` feeds the connection's
+:class:`~repro.http.wire.HeadReader`, and every complete head is
+answered in the same callback — routed through :meth:`_serve` and
+written with ``transport.write`` — so a request costs no task, no
+stream buffer and no ``drain()``.  The connection's base class keeps
+the head / idle timeout, the order of pipelined requests behind a
+delayed answer, the backpressure and the lingering close.
 """
 
 from __future__ import annotations
@@ -26,11 +35,10 @@ from typing import Callable, Optional
 from ..apple.mapping import MetaCdnEstate
 from ..http.headers import CacheStatus
 from ..http.messages import Headers, HttpRequest, HttpResponse
-from ..http.wire import HeadReader, encode_head, status_line
+from ..http.wire import HeadReader, HeadTooLarge, encode_head, status_line
 from ..net.ipv4 import IPv4Address
 from ..obs import TraceContext, get_registry, get_tracer, use_context
-from .deadline import deadline
-from .listener import Listener, RunClock
+from .listener import Connection, Listener, RunClock
 
 __all__ = ["AsyncHttpEdge", "estate_router"]
 
@@ -89,7 +97,9 @@ class AsyncHttpEdge:
         # supplies span timestamps (defaults to seconds since built).
         self._tracer = tracer if tracer is not None else get_tracer()
         self._clock = clock if clock is not None else RunClock().start()
-        self._listener = Listener("server", stream=self._connection)
+        self._listener = Listener(
+            "server", connection=lambda listener: _HttpConnection(listener, self)
+        )
 
         registry = metrics if metrics is not None else get_registry()
         self._m_requests = registry.counter(
@@ -137,9 +147,9 @@ class AsyncHttpEdge:
         Idle keep-alive connections are closed immediately (the client
         reads a clean EOF between responses).  Connections mid-request
         get to finish: their response goes out with ``Connection:
-        close`` and the handler hangs up afterwards — no resets for
-        well-behaved clients.  Stragglers are cancelled after
-        ``grace`` seconds.
+        close`` and the connection closes behind it — no resets for
+        well-behaved clients.  Stragglers are dropped after ``grace``
+        seconds.
         """
         await self._listener.stop(grace)
 
@@ -147,86 +157,49 @@ class AsyncHttpEdge:
     # request handling
     # ------------------------------------------------------------------
 
-    async def _connection(self, reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> None:
-        self._m_connections.inc()
-        heads = HeadReader(reader)
-        # One deadline per head — a peer trickling a line per interval,
-        # or idling on keep-alive, is dropped at it instead of pinning
-        # the handler — on one timer for the connection.
-        guard = deadline.kept(_READ_TIMEOUT)
-        try:
-            while await self._handle_one(heads, guard, writer):
-                pass
-        finally:
-            guard.close()
-            self._m_connections.dec()
+    def _answer(self, connection: "_HttpConnection",
+                head: tuple[str, Headers]) -> None:
+        started = time.perf_counter()
+        match = _REQUEST_LINE.match(head[0].strip())
+        if match is None:
+            self._reject(connection, "malformed request line", started)
+            return
+        method, target, version = match.groups()
+        headers = head[1]
 
-    async def _handle_one(self, heads: HeadReader, guard: deadline,
-                          writer: asyncio.StreamWriter) -> bool:
-        with guard:
-            head = await heads.read_head(_MAX_HEADER_BYTES)
-        if head is None and heads.at_eof():
-            return False  # the peer hung up between requests
-        busy = self._listener.busy
-        busy.add(writer)
-        try:
-            started = time.perf_counter()
-            match = _REQUEST_LINE.match(head[0].strip()) if head else None
-            if match is None:
-                await self._send_error(
-                    writer, 400,
-                    "malformed request line" if head else "request head too large",
-                )
-                self._m_handle.observe(time.perf_counter() - started)
-                return False
-            method, target, version = match.groups()
-            headers = head[1]
+        keep_alive = version == "1.1"
+        connection_field = (headers.get("Connection") or "").lower()
+        if "close" in connection_field:
+            keep_alive = False
+        elif "keep-alive" in connection_field:
+            keep_alive = True
+        # A declared body is never read: left on the connection it
+        # would be parsed as the next request.
+        if (headers.get("Content-Length", "0") != "0"
+                or "Transfer-Encoding" in headers):
+            keep_alive = False
 
-            keep_alive = version == "1.1"
-            connection = (headers.get("Connection") or "").lower()
-            if "close" in connection:
-                keep_alive = False
-            elif "keep-alive" in connection:
-                keep_alive = True
-            # A declared body is never read: left on the connection it
-            # would be parsed as the next request.
-            if (headers.get("Content-Length", "0") != "0"
-                    or "Transfer-Encoding" in headers):
-                keep_alive = False
-
+        context = None
+        if self._tracer.enabled:
             context = TraceContext.from_traceparent(headers.get("Traceparent"))
-            if context is None or not self._tracer.enabled:
-                return await self._respond(
-                    writer, method, target, headers, keep_alive, started, None
-                )
-            # Adopt the client's trace for the duration of the exchange:
-            # the span joins its chain, and unsampled traces collapse to
-            # a counted no-op.
-            with use_context(context):
-                with self._tracer.span(
-                    "serve.http.request", ts=self._clock(), path=target
-                ) as span:
-                    return await self._respond(
-                        writer, method, target, headers, keep_alive, started, span
-                    )
-        finally:
-            busy.discard(writer)
+        if context is None:
+            self._respond(connection, method, target, headers, keep_alive,
+                          started, None)
+            return
+        # Adopt the client's trace for the duration of the exchange:
+        # the span joins its chain, and unsampled traces collapse to
+        # a counted no-op.
+        with use_context(context):
+            with self._tracer.span(
+                "serve.http.request", ts=self._clock(), path=target
+            ) as span:
+                self._respond(connection, method, target, headers, keep_alive,
+                              started, span)
 
-    async def _respond(self, writer: asyncio.StreamWriter, method: str,
-                       target: str, headers: Headers, keep_alive: bool,
-                       started: float, span) -> bool:
+    def _respond(self, connection: "_HttpConnection", method: str,
+                 target: str, headers: Headers, keep_alive: bool,
+                 started: float, span) -> None:
         status, out_headers, body, delay = self._serve(method, target, headers)
-        if delay > 0.0:
-            await asyncio.sleep(delay)
-        # A teardown begun while this request was in flight must end
-        # with an honest Connection: close, never a reset.
-        keep = keep_alive and status < 500 and not self._listener.closing
-        out_headers.set("Connection", "keep-alive" if keep else "close")
-        await self._send(writer, status, out_headers, body,
-                         include_body=(method != "HEAD"))
-        self._m_requests.labels(str(status)).inc()
-        self._m_handle.observe(time.perf_counter() - started)
         if span is not None:
             span.annotate(status=status, bytes=len(body))
             cache = out_headers.get("X-Cache")
@@ -240,7 +213,14 @@ class AsyncHttpEdge:
                     pass
                 else:
                     span.annotate(cache_hit=verdict.is_hit)
-        return keep
+        include_body = method != "HEAD"
+        if delay > 0.0:
+            # Written when the delay is up; a span ends here, before it.
+            connection.hold(delay, self._send, connection, status, out_headers,
+                            body, include_body, keep_alive, started)
+        else:
+            self._send(connection, status, out_headers, body, include_body,
+                       keep_alive, started)
 
     def _serve(self, method: str, target: str,
                headers: Headers) -> tuple[int, Headers, bytes | memoryview, float]:
@@ -281,7 +261,9 @@ class AsyncHttpEdge:
         entity_size = model_response.body_size
         range_header = headers.get("Range")
         status = model_response.status
-        out = model_response.headers.copy()
+        # Every router path hands back headers of its own (the caches
+        # store and replay copies): edited in place.
+        out = model_response.headers
         if range_header is not None:
             parsed = _RANGE.match(range_header.strip())
             if parsed is None:
@@ -301,20 +283,68 @@ class AsyncHttpEdge:
         out.set("X-Body-Size", str(entity_size))
         return status, out, body, delay
 
-    async def _send(self, writer: asyncio.StreamWriter, status: int,
-                    headers: Headers, body: bytes | memoryview,
-                    include_body: bool = True) -> None:
-        writer.write(encode_head(status_line(status), [
+    def _send(self, connection: "_HttpConnection", status: int,
+              headers: Headers, body: bytes | memoryview, include_body: bool,
+              keep_alive: bool, started: float) -> None:
+        # A teardown begun while this request was in flight must end
+        # with an honest Connection: close, never a reset.
+        keep = keep_alive and status < 500 and not self._listener.closing
+        headers.set("Connection", "keep-alive" if keep else "close")
+        self._write(connection.transport, status, headers, body, include_body)
+        self._m_requests.labels(str(status)).inc()
+        self._m_handle.observe(time.perf_counter() - started)
+        if not keep:
+            connection.finish()
+
+    def _reject(self, connection: "_HttpConnection", text: str,
+                started: float) -> None:
+        """A ``400`` for a head that cannot be answered, then the last word."""
+        self._write(connection.transport, 400, Headers(), (text + "\n").encode())
+        self._m_requests.labels("400").inc()
+        self._m_handle.observe(time.perf_counter() - started)
+        connection.finish()
+
+    def _write(self, transport: asyncio.Transport, status: int,
+               headers: Headers, body: bytes | memoryview,
+               include_body: bool = True) -> None:
+        transport.write(encode_head(status_line(status), [
             *headers,
             ("Content-Length", len(body)),
             ("Server", "repro-serve/1.0"),
         ]))
         if include_body and body:
-            writer.write(body)
+            transport.write(body)
             self._m_bytes.inc(len(body))
-        await writer.drain()
 
-    async def _send_error(self, writer: asyncio.StreamWriter, status: int,
-                          text: str) -> None:
-        await self._send(writer, status, Headers(), (text + "\n").encode())
-        self._m_requests.labels(str(status)).inc()
+
+class _HttpConnection(Connection):
+    """One client connection of the edge: heads in, responses out."""
+
+    def __init__(self, listener: Listener, edge: AsyncHttpEdge) -> None:
+        super().__init__(listener, _READ_TIMEOUT)
+        self._edge = edge
+        self._heads = HeadReader()
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        super().connection_made(transport)
+        self._edge._m_connections.inc()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        super().connection_lost(exc)
+        self._edge._m_connections.dec()
+
+    def _received(self, data: bytes) -> None:
+        self._heads.feed(data)
+
+    def _next(self) -> bool:
+        if not self._heads:
+            return False
+        try:
+            head = self._heads.read_head(_MAX_HEADER_BYTES)
+        except HeadTooLarge:
+            self._edge._reject(self, "request head too large", time.perf_counter())
+            return True
+        if head is None:
+            return False
+        self._edge._answer(self, head)
+        return True

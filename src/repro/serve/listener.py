@@ -5,18 +5,26 @@ started-twice guard, tracking of accepted connections, and the drain on
 the way down are the same for the DNS server, the HTTP edge and the
 resolver front; :class:`Listener` is that lifecycle, and
 the servers keep only what they say over the sockets.
+
+Its TCP side is one protocol path: every accepted connection is a
+:class:`Connection` whose ``data_received`` cuts the requests off what
+arrived and answers them in place — no task, no stream buffer, no
+``drain()`` per request.  What a connection does between requests is
+the same for every server and lives here: one :class:`Alarm` for the
+head / idle timeout, reading paused while a write is backed up or an
+injected delay holds an answer, and the lingering close.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import Awaitable, Callable, Optional
+from typing import Callable, Optional
 
-from .deadline import deadline
-from .udp import MAX_READ, open_udp, pin_stream_reads
+from .deadline import Alarm
+from .udp import open_udp, pin_reads
 
-__all__ = ["Listener", "RunClock", "hang_up"]
+__all__ = ["Connection", "Listener", "RunClock"]
 
 # How long a connection the server ends first waits for its peer to
 # finish sending and close (nginx calls this a lingering close).
@@ -46,27 +54,6 @@ class RunClock:
         return time.monotonic() - self._origin
 
 
-async def hang_up(writer: asyncio.StreamWriter) -> None:
-    """Close ``writer`` and wait it out, tolerating a teardown race."""
-    writer.close()
-    try:
-        await writer.wait_closed()
-    except OSError:  # pragma: no cover - the peer reset first
-        pass
-
-
-async def _read_out(reader: asyncio.StreamReader,
-                    writer: asyncio.StreamWriter) -> None:
-    """Half-close, then drop what the peer sends until it closes too."""
-    try:
-        writer.write_eof()
-    except OSError:  # pragma: no cover - the peer reset first
-        return
-    with deadline(_LINGER):
-        while await reader.read(MAX_READ):
-            pass
-
-
 def _bind_error(transport: str, bound: tuple, exc: OSError) -> OSError:
     """``exc`` naming what could not be bound: ``cannot bind UDP h:p: …``."""
     return OSError(f"cannot bind {transport} {bound[0]}:{bound[1]}: {exc}")
@@ -77,36 +64,167 @@ class _Datagrams(asyncio.DatagramProtocol):
         self.datagram_received = receive
 
 
+class Connection(asyncio.Protocol):
+    """One accepted TCP connection: requests in, answers out, in order.
+
+    A server subclasses it with :meth:`_received` (take what arrived)
+    and :meth:`_next` (cut one complete request off it and answer it,
+    or report that none is complete yet).  The base runs the rest:
+
+    * **Timeout:** one :class:`Alarm`, armed for ``timeout`` seconds
+      whenever the connection goes back to waiting for a request — a
+      peer trickling a request, or idling on keep-alive, is closed at it.
+    * **Order:** :meth:`hold` answers later (an injected delay); the
+      requests behind it wait, reading paused, until it is written.
+    * **Backpressure:** while the transport's write buffer is past its
+      high-water mark reading is paused, so a peer that pipelines and
+      never reads cannot make the server buffer without bound.
+    * **Last word:** :meth:`finish` half-closes and reads the peer out
+      for up to ``_LINGER`` s before closing, so that it gets the answer
+      and not a reset for whatever it had still been sending.
+    * **Drain:** a connection holding an answer or a backed-up write is
+      :attr:`busy`; :meth:`Listener.stop` closes the others at once, and
+      one that goes idle while the listener is closing closes then.
+    """
+
+    def __init__(self, listener: "Listener", timeout: float) -> None:
+        self._listener = listener
+        self._timeout = timeout
+        self._alarm = Alarm(self._expired)
+        self.transport: Optional[asyncio.Transport] = None
+        self._held: Optional[asyncio.TimerHandle] = None
+        self._paused = False
+        self._lingering = False
+
+    @property
+    def busy(self) -> bool:
+        """Mid-exchange: an answer is held or not yet handed to the kernel."""
+        return self._held is not None or self._paused
+
+    # -- what a server says -------------------------------------------
+
+    def _received(self, data: bytes) -> None:
+        raise NotImplementedError
+
+    def _next(self) -> bool:
+        """Answer the next complete request; False when there is none."""
+        raise NotImplementedError
+
+    # -- asyncio.Protocol ---------------------------------------------
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        pin_reads(transport)
+        self.transport = transport
+        self._listener._connections.add(self)
+        self._alarm.arm(self._timeout)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._alarm.close()
+        if self._held is not None:
+            self._held.cancel()
+            self._held = None
+        self._listener._lost(self)
+
+    def data_received(self, data: bytes) -> None:
+        if self._lingering:
+            return  # read out: the answer is already said
+        self._received(data)
+        self._serve(False)
+
+    def eof_received(self) -> bool:
+        # Reading is paused while an answer is held or backed up, so the
+        # peer's EOF only arrives here between requests: a request cut
+        # short is dropped, the connection closes after its writes.
+        return False
+
+    def pause_writing(self) -> None:
+        self._paused = True
+        self._alarm.disarm()
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        if self._lingering:
+            self._linger()
+        elif self._held is None:
+            self.transport.resume_reading()
+            self._serve(True)
+
+    # -- the request loop ---------------------------------------------
+
+    def _serve(self, answered: bool) -> None:
+        """Answer every complete request buffered, then wait for more."""
+        while True:
+            if self._held is not None or self._paused or self._lingering:
+                return  # held, backed up or finished: that path resumes
+            if not self._next():
+                break
+            answered = True
+        if answered:  # back to waiting for a request
+            if self._listener.closing:
+                self.transport.close()
+            else:
+                self._alarm.arm(self._timeout)
+
+    def hold(self, delay: float, answer: Callable, *args) -> None:
+        """Call ``answer(*args)`` in ``delay`` s; the requests behind it wait."""
+        self._alarm.disarm()
+        self.transport.pause_reading()
+        self._held = asyncio.get_running_loop().call_later(
+            delay, self._release, answer, args
+        )
+
+    def _release(self, answer: Callable, args: tuple) -> None:
+        self._held = None
+        answer(*args)
+        if not self._lingering and not self._paused:
+            self.transport.resume_reading()
+            self._serve(True)
+
+    def finish(self) -> None:
+        """This side has said its last: half-close, read the peer out,
+        close (at once when the write side cannot be shut)."""
+        self._lingering = True
+        try:
+            self.transport.write_eof()
+        except OSError:  # pragma: no cover - the peer reset first
+            self.transport.close()
+            return
+        if not self._paused:
+            self._linger()
+
+    def _linger(self) -> None:
+        self._alarm.arm(_LINGER)
+        self.transport.resume_reading()
+
+    def _expired(self) -> None:
+        self.transport.close()
+
+
 class Listener:
     """The sockets one server listens on, and the connections they accepted.
 
     ``datagram`` is called with ``(data, addr)`` for every UDP datagram
-    (replies go out through :meth:`sendto`), ``stream`` is the
-    ``async (reader, writer)`` handler run once per TCP connection; a
-    server with both gets them on one port number.  A handler that
-    returns, or raises ``ConnectionError`` / ``asyncio.TimeoutError``,
-    ends its connection quietly.  While it is mid-exchange it keeps its
-    writer in :attr:`busy`, which is what :meth:`stop` spares.  One that
-    returns with its peer still connected has said its last: the peer
-    is read out before the close, so that it gets the answer and not a
-    reset for whatever it had still been sending.
+    (replies go out through :meth:`sendto`); ``connection(listener)``
+    builds the :class:`Connection` of each accepted TCP connection.  A
+    server with both gets them on one port number.
     """
 
     def __init__(
         self,
         what: str,
         datagram: Optional[Callable[[bytes, tuple], None]] = None,
-        stream: Optional[Callable[..., Awaitable[None]]] = None,
+        connection: Optional[Callable[["Listener"], Connection]] = None,
     ) -> None:
         self._what = what
         self._datagram = datagram
-        self._stream = stream
+        self._connection = connection
         self._transport: Optional[asyncio.DatagramTransport] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._endpoint: Optional[tuple[str, int]] = None
-        self._tasks: set[asyncio.Task] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
-        self.busy: set[asyncio.StreamWriter] = set()
+        self._connections: set[Connection] = set()
+        # Set while stop() waits for the last connection to go.
+        self._drained: Optional[asyncio.Future] = None
         # True while stop() drains: a response written now must say
         # ``Connection: close``.
         self.closing = False
@@ -145,10 +263,10 @@ class Listener:
                 except OSError as exc:
                     raise _bind_error("UDP", bound, exc) from exc
                 bound = self._transport.get_extra_info("sockname")[:2]
-            if self._stream is not None:
+            if self._connection is not None:
                 try:
-                    self._server = await asyncio.start_server(
-                        self._serve, host=bound[0], port=bound[1], **extra
+                    self._server = await asyncio.get_running_loop().create_server(
+                        lambda: self._connection(self), bound[0], bound[1], **extra
                     )
                 except OSError as exc:
                     if self._transport is not None:
@@ -173,7 +291,7 @@ class Listener:
 
         Idle connections are closed at once (a keep-alive client reads
         a clean EOF between exchanges); busy ones get to finish theirs;
-        stragglers are cancelled after ``grace`` seconds.
+        stragglers are dropped after ``grace`` seconds.
         """
         if self._transport is not None:
             self._transport.close()
@@ -182,18 +300,18 @@ class Listener:
             self._server.close()
         self.closing = True
         try:
-            for writer in self._writers - self.busy:
-                writer.close()
-            if self._tasks:
-                _done, pending = await asyncio.wait(
-                    list(self._tasks), timeout=grace
-                )
-                for task in pending:
-                    task.cancel()
+            for connection in list(self._connections):
+                if not connection.busy:
+                    connection.transport.close()
+            if self._connections:
+                self._drained = asyncio.get_running_loop().create_future()
+                _done, pending = await asyncio.wait([self._drained], timeout=grace)
                 if pending:
-                    await asyncio.gather(*pending, return_exceptions=True)
+                    for connection in list(self._connections):
+                        connection.transport.abort()
         finally:
             self.closing = False
+            self._drained = None
         if self._server is not None:
             # After the drain: from Python 3.12 this waits for every
             # accepted connection, not just the listening socket.
@@ -201,21 +319,8 @@ class Listener:
             self._server = None
         self._endpoint = None
 
-    async def _serve(self, reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> None:
-        pin_stream_reads(writer)
-        task = asyncio.current_task()
-        self._tasks.add(task)
-        self._writers.add(writer)
-        try:
-            await self._stream(reader, writer)
-            if not reader.at_eof():
-                self.busy.discard(writer)
-                await _read_out(reader, writer)
-        except (ConnectionError, asyncio.TimeoutError):
-            pass
-        finally:
-            self._writers.discard(writer)
-            self.busy.discard(writer)
-            self._tasks.discard(task)
-            await hang_up(writer)
+    def _lost(self, connection: Connection) -> None:
+        self._connections.discard(connection)
+        drained = self._drained
+        if drained is not None and not self._connections and not drained.done():
+            drained.set_result(None)

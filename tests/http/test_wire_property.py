@@ -2,15 +2,14 @@
 
 One contract per branch ``HeadReader.read_head`` documents: what
 ``encode_head`` writes reads back as written; bare-LF line ends and
-blank lines before the start line change nothing; a head cut short and
-a head past the byte limit come back as ``None`` — never as an
-exception out of the reader, never as a wait for more.  And one per
-property of the buffer under it: however the bytes are cut into
-arrivals the same heads come out, in order, and what arrived behind a
-head is handed over as its body, byte for byte.
+blank lines before the start line change nothing; a head cut short is
+``None`` until the rest is fed, and bytes past the byte limit with no
+blank line are :class:`HeadTooLarge` — at once, never a wait for more,
+never earlier.  And one per property of the buffer under it: however
+the bytes are cut into arrivals — down to a byte at a time — the same
+heads come out, in order, and what arrived behind a head stays
+buffered as its body, byte for byte.
 """
-
-import asyncio
 
 import pytest
 
@@ -19,7 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.http.wire import HeadReader, encode_head, status_line  # noqa: E402
+from repro.http.wire import HeadReader, HeadTooLarge, encode_head, status_line  # noqa: E402
 
 _LIMIT = 1 << 20
 # Visible ASCII; inner spaces allowed, none at either end (the reader
@@ -39,52 +38,35 @@ heads = st.tuples(
 )
 
 
-async def heads_of(chunks, count=None, limit: int = _LIMIT):
-    """The first ``count`` heads (every head, by default) of a stream
-    that receives ``chunks`` one arrival at a time and then ends, and
-    the bytes left buffered behind the last of them."""
-    reader = asyncio.StreamReader()
-    heads = HeadReader(reader)
-
-    async def feed():
-        # One arrival per turn of the loop, as a socket delivers.
-        for chunk in chunks:
-            reader.feed_data(chunk)
-            await asyncio.sleep(0)
-        reader.feed_eof()
-
-    feeder = asyncio.ensure_future(feed())
+def heads_of(chunks, count=None, limit: int = _LIMIT):
+    """The first ``count`` heads (every head, by default) of a connection
+    fed ``chunks`` one arrival at a time, and the bytes left buffered
+    behind the last of them."""
+    reader = HeadReader()
     found = []
-    while count is None or len(found) < count:
-        head = await heads.read_head(limit)
-        if head is None:
-            break
-        found.append((head[0], list(head[1])))
-    await feeder
-    return found, heads.take(1 << 30)
+    for chunk in chunks:
+        reader.feed(chunk)
+        while count is None or len(found) < count:
+            head = reader.read_head(limit)
+            if head is None:
+                break
+            found.append((head[0], list(head[1])))
+    return found, bytes(reader._buffer)
 
 
 def read_all(chunks, count=None):
-    return asyncio.run(heads_of(chunks, count))
+    return heads_of(chunks, count)
 
 
-def read(data: bytes, limit: int = _LIMIT, eof: bool = True):
-    """``read_head`` over a stream holding exactly ``data``: the first
-    head (or ``None``) and whether the reader saw the stream end."""
-
-    async def scenario():
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        if eof:
-            reader.feed_eof()
-        heads = HeadReader(reader)
-        head = await heads.read_head(limit)
-        return head, heads.at_eof()
-
-    head, at_eof = asyncio.run(scenario())
+def read(data: bytes, limit: int = _LIMIT):
+    """``read_head`` over a connection fed exactly ``data``: the first
+    head, or ``None``."""
+    reader = HeadReader()
+    reader.feed(data)
+    head = reader.read_head(limit)
     if head is not None:
         head = (head[0], list(head[1]))
-    return head, at_eof
+    return head
 
 
 @settings(max_examples=150, deadline=None)
@@ -92,7 +74,7 @@ def read(data: bytes, limit: int = _LIMIT, eof: bool = True):
 def test_what_is_written_reads_back(head):
     start, fields = head
     wire = encode_head(start, fields)
-    assert read(wire) == ((start, fields), False)
+    assert read(wire) == (start, fields)
     # The head ends at its first blank line, in either form: what came
     # with it is handed over as its body, exactly.
     for body in (b"body", b"\n\nbody\r\n\r\n", b"\r\n\r\n"):
@@ -107,14 +89,11 @@ def test_however_the_bytes_arrive_the_head_is_the_same(head):
     start, fields = head
     wire = encode_head(start, fields)
 
-    async def scenario():
-        whole = await heads_of([wire])
-        assert whole == ([(start, fields)], b"")
-        for cut in range(1, len(wire)):
-            assert await heads_of([wire[:cut], wire[cut:]]) == whole
-        assert await heads_of([wire[i:i + 1] for i in range(len(wire))]) == whole
-
-    asyncio.run(scenario())
+    whole = heads_of([wire])
+    assert whole == ([(start, fields)], b"")
+    for cut in range(1, len(wire)):
+        assert heads_of([wire[:cut], wire[cut:]]) == whole
+    assert heads_of([wire[i:i + 1] for i in range(len(wire))]) == whole
 
 
 @settings(max_examples=100, deadline=None)
@@ -136,7 +115,7 @@ def test_each_line_ends_in_crlf_or_bare_lf_on_its_own(head, ends):
     wire = b"".join(
         line.encode("latin-1") + end for line, end in zip(lines, ends)
     )
-    assert read(wire)[0] == (start, fields)
+    assert read(wire) == (start, fields)
     assert read_all([wire + b"tail"], count=1) == ([(start, fields)], b"tail")
 
 
@@ -145,9 +124,9 @@ def test_each_line_ends_in_crlf_or_bare_lf_on_its_own(head, ends):
 def test_bare_lf_and_leading_blank_lines_read_the_same(head, blanks):
     start, fields = head
     wire = encode_head(start, fields)
-    assert read(wire.replace(b"\r\n", b"\n"))[0] == (start, fields)
-    assert read(b"\r\n" * blanks + wire)[0] == (start, fields)
-    assert read(b"\n" * blanks + wire)[0] == (start, fields)
+    assert read(wire.replace(b"\r\n", b"\n")) == (start, fields)
+    assert read(b"\r\n" * blanks + wire) == (start, fields)
+    assert read(b"\n" * blanks + wire) == (start, fields)
 
 
 @settings(max_examples=100, deadline=None)
@@ -157,7 +136,9 @@ def test_a_head_cut_short_is_none_at_eof(head, data):
     # Anywhere short of the blank line's LF: a head ends at its blank
     # line, not at EOF.
     cut = data.draw(st.integers(min_value=0, max_value=len(wire) - 1))
-    assert read(wire[:cut]) == (None, True)
+    assert read(wire[:cut]) is None
+    # Not an error either: the rest completes it.
+    assert heads_of([wire[:cut], wire[cut:]]) == ([(head[0], head[1])], b"")
 
 
 @settings(max_examples=100, deadline=None)
@@ -165,23 +146,40 @@ def test_a_head_cut_short_is_none_at_eof(head, data):
 def test_the_byte_limit_is_exact(head, data):
     start, fields = head
     wire = encode_head(start, fields)
-    assert read(wire, limit=len(wire))[0] == (start, fields)
+    assert read(wire, limit=len(wire)) == (start, fields)
     limit = data.draw(st.integers(min_value=0, max_value=len(wire) - 1))
-    assert read(wire, limit=limit)[0] is None
+    with pytest.raises(HeadTooLarge):
+        read(wire, limit=limit)
+
+
+@settings(max_examples=100, deadline=None)
+@given(head=heads, data=st.data())
+def test_oversize_is_raised_once_the_limit_is_passed_and_not_before(head, data):
+    wire = encode_head(*head)
+    limit = data.draw(st.integers(min_value=0, max_value=len(wire) - 1))
+    reader = HeadReader()
+    for fed in range(1, len(wire) + 1):  # a byte at a time
+        reader.feed(wire[fed - 1:fed])
+        if fed <= limit:
+            assert reader.read_head(limit) is None
+        else:
+            with pytest.raises(HeadTooLarge):
+                reader.read_head(limit)
+            break
 
 
 @pytest.mark.parametrize("newline", [b"", b"\r\n\r\n"])
-def test_a_line_past_the_stream_limit_is_none_not_an_error(newline):
+def test_a_line_past_the_limit_is_head_too_large_not_a_wait(newline):
     wire = b"GET / HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + newline
-    # Under the widest limit any caller passes (one stream buffer's
-    # worth).  The peer is still connected (no EOF): an overflow, not a
-    # hang-up — and not a wait for a line end that may never come.
-    assert read(wire, limit=65536, eof=False) == (None, False)
+    # Under the widest limit any caller passes: an overflow, not a wait
+    # for a line end that may never come.
+    with pytest.raises(HeadTooLarge):
+        read(wire, limit=65536)
 
 
 def test_a_field_line_without_a_colon_is_ignored():
     wire = b"GET / HTTP/1.1\r\nnot a field\r\nHost: x\r\n\r\n"
-    assert read(wire)[0] == ("GET / HTTP/1.1", [("Host", "x")])
+    assert read(wire) == ("GET / HTTP/1.1", [("Host", "x")])
 
 
 def test_one_reason_table():

@@ -5,7 +5,7 @@ import asyncio
 import pytest
 
 from repro.serve import ClusterConfig, build_serve_estate
-from repro.serve.deadline import deadline
+from repro.serve.deadline import Alarm
 
 
 @pytest.fixture(scope="session")
@@ -17,14 +17,15 @@ def serve_estate():
 @pytest.fixture
 def deadline_timers():
     """Callable: the running loop's pending, uncancelled timers that
-    belong to a :class:`~repro.serve.deadline.deadline`."""
+    belong to an :class:`~repro.serve.deadline.Alarm` — a ``deadline``
+    or a connection's request timer."""
 
     def pending():
         loop = asyncio.get_running_loop()
         return [
             handle for handle in loop._scheduled
             if not handle.cancelled()
-            and isinstance(getattr(handle._callback, "__self__", None), deadline)
+            and isinstance(getattr(handle._callback, "__self__", None), Alarm)
         ]
 
     return pending

@@ -375,3 +375,18 @@ def test_every_memo_stays_within_the_bound_past_600_distinct_bodies(serve_estate
         assert len(front._pop_memo) <= bound
     assert front.cache_stats()["hits"] == 2 * len(hosts)
     assert _memo_sizes(front) == (bound, bound)
+
+
+def test_refused_names_leave_the_zone_map_within_the_bound(serve_estate):
+    """A peer asking ever new names outside every zone: each is REFUSED,
+    and the server's name -> (server, zone) map keeps the newest
+    ``_MEMO_BOUND`` of them, not all 20 000."""
+    server, registry = _registry_server(serve_estate)
+    client = IPv4Address.parse("100.64.0.1")
+    for index in range(20_000):
+        reply = server.handle_datagram(_query(7, f"x{index}.example.net", client, 24))
+        assert decode_message(reply).rcode is RCode.REFUSED
+    assert registry.get("serve_dns_refused_total").value == 20_000
+    assert len(server.frontend._map._memo) <= wire._MEMO_BOUND
+    # What the map still routes is routed as before.
+    assert server.frontend._map.locate(NAMES.entry_point)[1] is not None

@@ -1,10 +1,10 @@
-"""``deadline``: one timer over a block of awaits in the current task."""
+"""``Alarm`` and ``deadline``: one timer per wait, one per connection."""
 
 import asyncio
 
 import pytest
 
-from repro.serve.deadline import deadline
+from repro.serve.deadline import Alarm, deadline
 
 
 def test_a_block_inside_its_deadline_is_untouched():
@@ -58,83 +58,80 @@ def test_no_timer_outlives_the_block():
     assert asyncio.run(scenario())
 
 
-class TestKeptDeadline:
-    """``deadline.kept``: entered once per wait, one timer for them all."""
+class TestAlarm:
+    """``Alarm``: armed once per wait, one timer for them all."""
 
-    def test_many_blocks_share_one_timer(self, deadline_timers):
+    @staticmethod
+    def _alarm():
+        """An alarm and the loop times at which it went off."""
+        loop = asyncio.get_running_loop()
+        fired = []
+        return Alarm(lambda: fired.append(loop.time())), fired
+
+    def test_many_waits_share_one_timer(self, deadline_timers):
         async def scenario():
-            guard = deadline.kept(5.0)
+            alarm, fired = self._alarm()
             timers = set()
             for _ in range(50):
-                with guard:
-                    await asyncio.sleep(0)
-                timers.add(id(guard._timer))
+                alarm.arm(5.0)
+                await asyncio.sleep(0)
+                alarm.disarm()
+                timers.add(id(alarm._timer))
                 assert len(deadline_timers()) == 1
-            guard.close()
-            return len(timers), len(deadline_timers())
+            alarm.close()
+            return len(timers), len(deadline_timers()), fired
 
-        assert asyncio.run(scenario()) == (1, 0)
+        assert asyncio.run(scenario()) == (1, 0, [])
 
-    def test_a_timer_that_fires_early_rearms_for_the_block_in_progress(
+    def test_a_timer_that_fires_early_rearms_for_the_wait_in_progress(
         self, deadline_timers
     ):
         async def scenario():
             loop = asyncio.get_running_loop()
-            guard = deadline.kept(0.2)
-            with guard:  # arms the timer for t0 + 0.2
-                await asyncio.sleep(0.12)
+            alarm, fired = self._alarm()
+            alarm.arm(0.2)  # arms the timer for t0 + 0.2
+            await asyncio.sleep(0.12)
+            alarm.disarm()
             started = loop.time()
-            with pytest.raises(asyncio.TimeoutError):
-                with guard:  # due at t0 + 0.32: the timer fires before
-                    await asyncio.sleep(5.0)
-            elapsed = loop.time() - started
-            guard.close()
-            return elapsed, len(deadline_timers())
+            alarm.arm(0.2)  # due at t0 + 0.32: the timer fires before
+            while not fired:
+                await asyncio.sleep(0.01)
+            return fired[0] - started, len(deadline_timers())
 
         elapsed, left = asyncio.run(scenario())
-        # Neither cut short at the first block's due time (0.08 s in)
-        # nor left to run on: this block's own 0.2 s.
+        # Neither cut short at the first wait's due time (0.08 s in)
+        # nor left to run on: this wait's own 0.2 s.
         assert 0.18 <= elapsed < 1.0 and left == 0
 
-    def test_a_timer_that_fires_between_blocks_does_nothing(self, deadline_timers):
+    def test_a_timer_that_fires_while_disarmed_does_nothing(self, deadline_timers):
         async def scenario():
-            guard = deadline.kept(0.05)
-            with guard:
-                await asyncio.sleep(0)
+            alarm, fired = self._alarm()
+            alarm.arm(0.05)
+            alarm.disarm()
             await asyncio.sleep(0.15)  # fires here, nothing to guard
-            assert deadline_timers() == []
-            with guard:  # armed anew
-                await asyncio.sleep(0)
-                assert len(deadline_timers()) == 1
-            with pytest.raises(asyncio.TimeoutError):
-                with guard:
-                    await asyncio.sleep(5.0)
-            with guard:  # usable after an expiry, too
-                await asyncio.sleep(0)
-            guard.close()
-            return len(deadline_timers())
+            assert deadline_timers() == [] and fired == []
+            alarm.arm(0.05)  # armed anew
+            assert len(deadline_timers()) == 1
+            await asyncio.sleep(0.15)
+            assert len(fired) == 1  # once, and not again
+            alarm.arm(5.0)  # usable after going off, too
+            assert len(deadline_timers()) == 1
+            alarm.close()
+            return len(fired), len(deadline_timers())
 
-        assert asyncio.run(scenario()) == 0
+        assert asyncio.run(scenario()) == (1, 0)
 
-    def test_each_block_cancels_the_task_that_entered_it(self):
-        """A pooled connection is used by one task after another."""
+    def test_a_shorter_wait_than_the_pending_timer_is_not_late(self):
+        """A connection that waited 30 s for a head and now lingers 1 s."""
 
         async def scenario():
-            guard = deadline.kept(0.1)
+            loop = asyncio.get_running_loop()
+            alarm, fired = self._alarm()
+            alarm.arm(30.0)
+            started = loop.time()
+            alarm.arm(0.1)
+            while not fired:
+                await asyncio.sleep(0.01)
+            return fired[0] - started
 
-            async def quick():
-                with guard:
-                    await asyncio.sleep(0)
-                return "quick"
-
-            async def slow():
-                with guard:
-                    await asyncio.sleep(5.0)
-
-            first = await asyncio.ensure_future(quick())
-            with pytest.raises(asyncio.TimeoutError):
-                await asyncio.ensure_future(slow())
-            guard.close()
-            return first
-
-        assert asyncio.run(scenario()) == "quick"
+        assert 0.08 <= asyncio.run(scenario()) < 1.0

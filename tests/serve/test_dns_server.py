@@ -185,3 +185,69 @@ class TestAsyncDnsServer:
         server = AsyncDnsServer(serve_estate.servers)
         with pytest.raises(RuntimeError):
             _ = server.endpoint
+
+
+class TestTcpFrames:
+    """Length-prefixed queries (RFC 1035 §4.2.2) on the listener's
+    protocol path: cut anywhere, answered in order, idle ones closed."""
+
+    def _query(self, message_id, name):
+        from repro.dns.query import Question
+        from repro.dns.wire import WireMessage, encode_message
+
+        return encode_message(WireMessage(
+            message_id=message_id, questions=[Question(name, RecordType.A)],
+        ))
+
+    def test_pipelined_frames_cut_anywhere_are_answered_in_order(self, serve_estate):
+        from repro.dns.wire import decode_message, frame, read_frame
+
+        stream = b"".join(
+            frame(self._query(message_id, name)) for message_id, name in
+            ((1, NAMES.entry_point), (2, "www.example.net"), (3, NAMES.selection))
+        )
+
+        async def scenario():
+            server = AsyncDnsServer(serve_estate.servers, clock=lambda: 0.0)
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                for cut in (1, 2, 7, len(stream) // 2, len(stream) - 1, len(stream)):
+                    writer.write(stream[:cut])
+                    stream_left = stream[cut:]
+                    await writer.drain()
+                    await asyncio.sleep(0.01)
+                    writer.write(stream_left)
+                    replies = [
+                        decode_message(await asyncio.wait_for(read_frame(reader), 5.0))
+                        for _ in range(3)
+                    ]
+                    assert [reply.message_id for reply in replies] == [1, 2, 3]
+                    assert [reply.rcode for reply in replies] == [
+                        RCode.NOERROR, RCode.REFUSED, RCode.NOERROR
+                    ]
+            finally:
+                writer.close()
+                await server.stop()
+
+        run(scenario())
+
+    def test_an_idle_connection_is_closed_at_the_timeout(self, serve_estate, monkeypatch):
+        monkeypatch.setattr(dnsserver, "_TCP_IDLE_TIMEOUT", 0.2)
+
+        async def scenario():
+            server = AsyncDnsServer(serve_estate.servers, clock=lambda: 0.0)
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            try:
+                writer.write(b"\x00")  # half a length prefix, then nothing
+                raw = await asyncio.wait_for(reader.read(-1), timeout=5.0)
+                return raw, loop.time() - started
+            finally:
+                writer.close()
+                await server.stop()
+
+        raw, elapsed = run(scenario())
+        assert raw == b"" and 0.15 <= elapsed < 2.0

@@ -117,3 +117,29 @@ def test_client_raises_connection_error_on_an_oversized_response_head():
 
     _result, reached = run_watched(scenario)
     assert reached == []
+
+
+def test_the_400_survives_a_peer_still_sending(serve_estate):
+    """The peer is still sending its oversized head, 64 KiB at a time,
+    when the ``400`` goes out: the edge half-closes and reads it out, so
+    every later send goes through and the peer then reads the answer
+    and a clean EOF — closing over the unread bytes would reset the
+    connection under the peer."""
+
+    async def scenario():
+        edge = AsyncHttpEdge(estate_router(serve_estate), metrics=MetricsRegistry())
+        reader, writer = await asyncio.open_connection(*await edge.start())
+        try:
+            writer.write(b"GET /x HTTP/1.1\r\nX-Pad: ")
+            for _ in range(12):
+                writer.write(b"a" * 65536)
+                await writer.drain()
+                await asyncio.sleep(0.02)
+            return await asyncio.wait_for(reader.read(-1), timeout=5.0)
+        finally:
+            writer.close()
+            await edge.stop()
+
+    raw, reached = run_watched(scenario)
+    assert raw.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+    assert raw.endswith(b"request head too large\n") and reached == []

@@ -463,3 +463,79 @@ class TestSharedZeroBody:
         assert httpserver._zeros(16).readonly
         with pytest.raises(TypeError):
             httpserver._zeros(16)[0] = 1
+
+
+class TestServedHeadersLeaveTheCachesAlone:
+    """The edge edits the model response's headers in place
+    (``Content-Range``, ``X-Body-Size``, ``Connection``): every router
+    path must hand back headers of its own, never what a cache stores."""
+
+    PATH = "/content/stored-metadata.ipsw"
+
+    def _request(self, vip, client):
+        return (
+            f"GET {self.PATH} HTTP/1.1\r\nHost: appldnld.apple.com\r\n"
+            f"X-Vip: {vip}\r\nX-Client: {client}\r\nRange: bytes=0-15\r\n\r\n"
+        ).encode()
+
+    def test_miss_lx_hit_and_bx_hit_leave_stored_metadata_unchanged(self, serve_estate):
+        from repro.http.messages import Headers, HttpRequest
+        from repro.net.ipv4 import IPv4Address
+
+        site = serve_estate.apple.sites[0].groups[0]
+        vip = site.vip.address
+        key = f"appldnld.apple.com{self.PATH}"
+        caches = [server.cache for server in (*site.edge_bx, site.edge_lx)]
+
+        def edge_for(client):
+            return site.choose_edge(HttpRequest(
+                "GET", "appldnld.apple.com", self.PATH,
+                Headers({"X-Client": str(client)}),
+            ))
+
+        first = IPv4Address.parse("100.64.0.1")
+        other = next(
+            client for client in (IPv4Address(first.value + i) for i in range(1, 200))
+            if edge_for(client) is not edge_for(first)
+        )
+
+        def stored():
+            return [
+                list(cache.metadata(key)) if cache.contains(key) else None
+                for cache in caches
+            ]
+
+        async def scenario():
+            edge = AsyncHttpEdge(estate_router(serve_estate), object_size=4096)
+            host, port = await edge.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            verdicts, snapshots = [], []
+            try:
+                # miss (origin fetch), bx hit, lx hit on another edge-bx
+                for client in (first, first, other):
+                    writer.write(self._request(vip, client))
+                    head = (await reader.readuntil(b"\r\n\r\n")).decode("latin-1")
+                    await reader.readexactly(16)
+                    verdicts.append(
+                        [line for line in head.split("\r\n")
+                         if line.startswith("X-Cache:")][0]
+                    )
+                    snapshots.append(stored())
+            finally:
+                writer.close()
+                await edge.stop()
+            return verdicts, snapshots
+
+        verdicts, snapshots = run(scenario())
+        assert verdicts == [
+            "X-Cache: miss, miss, Hit from cloudfront",
+            "X-Cache: hit-fresh, miss, Hit from cloudfront",
+            "X-Cache: miss, hit-fresh, Hit from cloudfront",
+        ]
+        # What the first request stored is what every later one finds.
+        assert snapshots[0] == snapshots[1]
+        assert snapshots[2][:-1] != snapshots[1][:-1]  # the lx hit admitted
+        assert snapshots[2][-1] == snapshots[0][-1]
+        for fields in (fields for snap in snapshots for fields in snap if fields):
+            names = {name for name, _value in fields}
+            assert not names & {"Content-Range", "X-Body-Size", "Connection"}

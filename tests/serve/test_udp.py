@@ -13,7 +13,7 @@ from repro.serve import (
     dnsserver,
     estate_router,
 )
-from repro.serve.listener import Listener
+from repro.serve.listener import Connection, Listener
 from repro.serve.udp import open_tcp, open_udp
 
 
@@ -55,17 +55,29 @@ def test_every_accepted_stream_connection_reads_64k_at_most():
     async def scenario():
         sizes = []
 
-        async def echo_length(reader, writer):
-            sizes.append(writer.transport.max_size)
-            got = 0
-            while got < len(payload):
-                chunk = await reader.read(1 << 20)
-                assert 0 < len(chunk) <= 65536
-                got += len(chunk)
-            writer.write(b"%d" % got)
-            await writer.drain()
+        class EchoLength(Connection):
+            """Counts what arrives, answers the total, says no more."""
 
-        listener = Listener("probe", stream=echo_length)
+            def __init__(self, listener):
+                super().__init__(listener, 5.0)
+                self.got = 0
+
+            def connection_made(self, transport):
+                super().connection_made(transport)
+                sizes.append(transport.max_size)
+
+            def _received(self, data):
+                assert 0 < len(data) <= 65536
+                self.got += len(data)
+
+            def _next(self):
+                if self.got < len(payload):
+                    return False
+                self.transport.write(b"%d" % self.got)
+                self.finish()
+                return True
+
+        listener = Listener("probe", connection=EchoLength)
         endpoint = await listener.start()
         try:
             for _ in range(3):
@@ -96,8 +108,8 @@ def test_a_256k_ranged_get_arrives_whole_over_pinned_connections(serve_estate):
                 )
                 for index in range(2)
             ))
-            sizes = [c.writer.transport.max_size for c in client._open]
-            sizes += [w.transport.max_size for w in edge._listener._writers]
+            sizes = [c.transport.max_size for c in client._open]
+            sizes += [c.transport.max_size for c in edge._listener._connections]
             return [(status, length) for status, _h, length in results], sizes
         finally:
             await client.close()

@@ -18,7 +18,9 @@ old chase stays gone.
 deadline per request head"): ``asyncio.timeout()`` needs 3.11 and the
 package runs on 3.9, a ``wait_for`` around each ``readline()`` is a
 task per header line, and the wire DNS client awaits each attempt and
-each hedge budget without ``asyncio.wait_for``.
+each hedge budget without ``asyncio.wait_for``.  Every timeout under
+``serve/`` is an ``Alarm`` (``serve/deadline.py`` alone calls
+``call_at``); the kept guard the stream connections used is gone.
 
 *One steering plane* (once the CI step "One steering plane", and one
 line of "The replay written once"): clients are steered by the DNS
@@ -56,8 +58,9 @@ in ``dns.wire._remember``.
 
 *The live edge written once* (once the CI step of that name): one HTTP
 reason table and one head reader (``repro/http/wire.py``, no per-line
-``readline()`` loop), one TCP listener (``serve/listener.py``), one
-module that sizes socket reads and opens client connections
+``readline()`` loop), one TCP listener (``serve/listener.py``, with no
+stream-based TCP path beside its protocols), one module that sizes
+socket reads and opens client connections, by protocol or by stream
 (``serve/udp.py``), one ``LoadReport`` construction (the fold in
 ``serve/loadgen.py``) and one campaign grid whose ``next_due`` is public.
 
@@ -557,8 +560,12 @@ def test_one_head_reader():
 
 
 def test_one_tcp_listener_under_serve():
-    hits = grep("asyncio.start_server(", "src/repro/serve", fixed=True)
+    hits = grep(r"start_server\(|create_server\(", "src/repro/serve")
     assert not outside(hits, "src/repro/serve/listener.py")
+
+
+def test_the_listener_keeps_no_stream_based_tcp_path():
+    assert not grep(r"Stream(Reader|Writer)|start_server\(", "src/repro/serve/listener.py")
 
 
 def test_socket_reads_are_sized_in_one_module():
@@ -566,8 +573,16 @@ def test_socket_reads_are_sized_in_one_module():
 
 
 def test_client_connections_are_opened_in_one_module():
-    hits = grep("asyncio.open_connection(", "src/repro/serve", fixed=True)
+    hits = grep(r"open_connection\(|create_connection\(", "src/repro/serve")
     assert not outside(hits, "src/repro/serve/udp.py")
+
+
+def test_one_timer_mechanism_under_serve():
+    """Timeouts are ``Alarm``s (``deadline`` is one); the kept guard is gone."""
+    assert files(grep("call_at(", "src/repro/serve", fixed=True)) == [
+        "src/repro/serve/deadline.py"
+    ]
+    assert not grep(r"\.kept\(|def kept\(", "src")
 
 
 def test_one_load_report_construction():
