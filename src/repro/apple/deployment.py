@@ -205,7 +205,6 @@ class AppleCdn:
     def build(
         cls,
         locations: Optional[LocodeDatabase] = None,
-        plans: tuple[MetroPlan, ...] = APPLE_METRO_PLANS,
         edge_bx_gbps: float = 10.0,
     ) -> "AppleCdn":
         """Instantiate the full Figure 3 deployment.
@@ -221,7 +220,7 @@ class AppleCdn:
         )
         reverse_dns: dict[IPv4Address, str] = {}
         site_index = 0
-        for plan in plans:
+        for plan in APPLE_METRO_PLANS:
             location = db.get(plan.locode)
             for site_id in range(1, plan.sites + 1):
                 site = cls._build_site(
@@ -333,17 +332,6 @@ class AppleCdn:
     def site_for(self, vip: IPv4Address) -> Optional[AppleSite]:
         """The site owning the vip address, if any."""
         return self._site_by_vip.get(vip)
-
-    def install_fault_injector(self, injector) -> None:
-        """Arm every vip group with a fault plane.
-
-        ``injector`` is a :class:`repro.faults.FaultInjector` (or None
-        to disarm); crashed edge-bx caches then fall through to the
-        edge-lx tier per Section 3.3.
-        """
-        for site in self.sites:
-            for group in site.groups:
-                group.faults = injector
 
     def reverse_dns(self, address: IPv4Address) -> Optional[str]:
         """The ``aaplimg.com`` PTR name of ``address`` (any function)."""

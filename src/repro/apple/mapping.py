@@ -95,20 +95,10 @@ class MetaCdnEstate:
     third_party_weights: dict[MappingRegion, WeightSchedule] = field(
         default_factory=dict
     )
-    # Health-aware failover view ("SelectionHealth"); None = the estate
-    # never fails over and every hot path skips the health checks.
-    health: Optional[object] = None
 
     def resolver(self, cache: bool = True) -> RecursiveResolver:
         """A recursive resolver over the full estate."""
         return RecursiveResolver(self.servers, cache=cache)
-
-    def apple_share(self, region: MappingRegion, now: float) -> float:
-        """The step-2 Apple share, bent by failover when health is wired."""
-        share = self.controller.apple_share(region)
-        if self.health is not None:
-            share = self.health.effective_share(share, region, now)
-        return share
 
     @property
     def deployments(self) -> dict[str, CdnDeployment]:
@@ -154,7 +144,6 @@ def build_meta_cdn(
     controller: MetaCdnController,
     third_party_weights: Optional[Mapping[MappingRegion, WeightSchedule]] = None,
     a1015_from: Optional[float] = None,
-    health_monitor=None,
 ) -> MetaCdnEstate:
     """Wire the full Figure 2 estate across the three DNS operators.
 
@@ -162,27 +151,11 @@ def build_meta_cdn(
     adjusts commercially); ``a1015_from`` is the simulation time at
     which Akamai's extra EU handover name appears (``None`` = never —
     the pre-rollout configuration).
-
-    ``health_monitor`` (a :class:`repro.faults.CdnHealthMonitor`) makes
-    the estate failover-aware: the step-2 selection consults member
-    health before picking a branch and the step-3 weight schedules
-    answer only healthy members.  Without one, behaviour is identical
-    to the healthy-path build.
     """
     weights = dict(third_party_weights) if third_party_weights else _default_weights()
     for region in MappingRegion:
         if region not in weights:
             raise ValueError(f"missing third-party weights for region {region.value}")
-
-    health = None
-    if health_monitor is not None:
-        from ..faults.health import SelectionHealth
-
-        health = SelectionHealth(health_monitor, NAMES.member_of)
-        weights = {
-            region: health.wrap_schedule(region, schedule)
-            for region, schedule in weights.items()
-        }
 
     # --- Apple's DNS -----------------------------------------------------
     apple_zone = Zone("apple.com")
@@ -200,7 +173,6 @@ def build_meta_cdn(
             controller=controller,
             gslb_targets=(NAMES.gslb_a, NAMES.gslb_b),
             ttl=SELECTION_TTL,
-            health=health,
         ),
     )
     for gslb_name in (NAMES.gslb_a, NAMES.gslb_b):
@@ -294,5 +266,4 @@ def build_meta_cdn(
         controller=controller,
         servers=[apple_server, akamai_server, limelight_server],
         third_party_weights=weights,
-        health=health,
     )

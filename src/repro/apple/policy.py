@@ -64,21 +64,6 @@ class MappingNames:
             return self.limelight_apac
         return self.limelight_us_eu
 
-    def member_of(self, name: str) -> Optional[str]:
-        """The member CDN a handover/GSLB name steers traffic to.
-
-        ``None`` for names that are not failover-steerable targets
-        (the entry point, the selection step itself, ...).  This is the
-        mapping the health-check loop uses to filter answers.
-        """
-        if name in (self.gslb_a, self.gslb_b):
-            return "Apple"
-        if name in (self.edgesuite, self.akamai_primary, self.akamai_secondary):
-            return "Akamai"
-        if name in (self.limelight_us_eu, self.limelight_apac):
-            return "Limelight"
-        return None
-
 
 NAMES = MappingNames()
 
@@ -164,9 +149,6 @@ class OffloadCnamePolicy:
     controller: MetaCdnController
     gslb_targets: tuple[str, ...] = (NAMES.gslb_a, NAMES.gslb_b)
     ttl: int = 15
-    # Failover view (repro.faults.SelectionHealth); None = never bend
-    # the share — the healthy-path behaviour.
-    health: Optional[object] = None
 
     def __post_init__(self) -> None:
         check_ttl(self.ttl)
@@ -177,7 +159,7 @@ class OffloadCnamePolicy:
         pick = sticky_draw("gslb", now, ttl, "")
         targets = self.gslb_targets
         count = len(targets)
-        controller, health = self.controller, self.health
+        controller = self.controller
         # Built on first ask: per region [Apple share, third-party
         # answer], per GSLB name its answer.  A live query needs one
         # region and one answer, a campaign tick all of them.
@@ -188,10 +170,7 @@ class OffloadCnamePolicy:
             region = context.region
             held = regions.get(region)
             if held is None:
-                share = controller.apple_share(region)
-                if health is not None:
-                    share = health.effective_share(share, region, now)
-                held = regions[region] = [share, None]
+                held = regions[region] = [controller.apple_share(region), None]
             if draw(context) < held[0]:
                 index = int(pick(context) * count)
                 records = apple[index]

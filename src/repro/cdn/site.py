@@ -93,9 +93,6 @@ class EdgeSite:
         self.edge_bx = list(edge_bx)
         self.edge_lx = edge_lx
         self.origin = origin if origin is not None else Origin()
-        # Fault plane (repro.faults.FaultInjector); None = no faults and
-        # the serve path pays a single attribute check.
-        self.faults = None
         # Hierarchy telemetry, pre-bound per outcome so the serve path
         # pays one no-op call per hop under the null registry.
         registry = get_registry()
@@ -154,11 +151,6 @@ class EdgeSite:
         key = f"{request.host}{request.path}"
         self._m_requests.inc()
 
-        if self.faults is not None and self.faults.edge_crashed(edge.hostname):
-            # §3.3 fallback: the vip-bx routes around a dead edge-bx by
-            # serving straight from the site's edge-lx tier.
-            return self._serve_via_lx(request, key, size)
-
         cached = edge.cache.lookup(key)
         if cached is not None:
             self._m_bx_hit.inc()
@@ -187,28 +179,6 @@ class EdgeSite:
         record_cache_hop(response, edge.hostname, CacheStatus.MISS)
         edge.account(size)
         return ServedRequest(response, self.vip, edge, hit_layer=None)
-
-    def _serve_via_lx(self, request: HttpRequest, key: str, size: int) -> ServedRequest:
-        """Serve with the chosen edge-bx crashed: edge-lx → origin only.
-
-        The Via/X-Cache chain then shows a single edge hop — the
-        degraded form of the Section 3.3 hierarchy — and no bytes are
-        admitted to the dead edge-bx cache.
-        """
-        lx_cached = self.edge_lx.cache.lookup(key)
-        if lx_cached is not None:
-            self._m_lx_hit.inc()
-            response = self._replay(self.edge_lx, key, lx_cached)
-            record_cache_hop(response, self.edge_lx.hostname, CacheStatus.HIT_FRESH)
-            self.edge_lx.account(lx_cached)
-            return ServedRequest(response, self.vip, self.edge_lx, hit_layer="edge-lx")
-        self._m_lx_miss.inc()
-        self._m_origin.inc()
-        response = self.origin.fetch(request, size)
-        self._admit(self.edge_lx, key, size, response)
-        record_cache_hop(response, self.edge_lx.hostname, CacheStatus.MISS)
-        self.edge_lx.account(size)
-        return ServedRequest(response, self.vip, self.edge_lx, hit_layer=None)
 
     @staticmethod
     def _admit(server: CacheServer, key: str, size: int, response: HttpResponse) -> None:

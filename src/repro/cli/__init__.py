@@ -17,10 +17,7 @@ the shared flag groups in :mod:`repro.cli.flags` and its one body
 * ``loadgen`` — drive the load generator against an already-running
   serve endpoint pair;
 * ``selftest`` — boot an edge, drive a full load run through it and
-  verify throughput, latency and cache health in one shot;
-* ``chaos`` — the fault-injection drill: scheduled outages against the
-  live edge plus an engine-time blackout, gated on error rate,
-  re-steer time and recovery.
+  verify throughput, latency and cache health in one shot.
 
 ``--workers`` is passed through as a number to the replay commands:
 whether it means the serial engine or the sharded one is decided in
@@ -34,11 +31,11 @@ import sys
 from typing import Optional, Sequence
 
 from ..simulation.concurrency import ShardWorkerLost
-from . import chaos, loadgen, report, resume, selftest, serve, simulate, survey
+from . import loadgen, report, resume, selftest, serve, simulate, survey
 
 __all__ = ["main", "build_parser"]
 
-_COMMANDS = (simulate, report, resume, survey, serve, loadgen, selftest, chaos)
+_COMMANDS = (simulate, report, resume, survey, serve, loadgen, selftest)
 
 
 def build_parser() -> argparse.ArgumentParser:

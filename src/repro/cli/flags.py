@@ -2,8 +2,7 @@
 
 Each group is declared once — ``add_<group>_flags(sub, ...)`` — next to
 the function that turns its parsed values into the object a command
-needs (a scenario, ``engine.run`` keywords, a registry/tracer pair, a
-fault schedule).  A command's parser is the list of groups it takes;
+needs (a scenario, ``engine.run`` keywords, a registry/tracer pair).  A command's parser is the list of groups it takes;
 defaults that differ between commands are the groups' only parameters.
 """
 
@@ -13,7 +12,6 @@ import argparse
 import math
 from contextlib import contextmanager
 
-from ..faults import FaultSchedule
 from ..net.geo import MappingRegion
 from ..obs import (
     NULL_REGISTRY,
@@ -68,19 +66,15 @@ def scenario_from_args(args: argparse.Namespace) -> Sep2017Scenario:
     """The Sep-2017 world a replay command's flags describe.
 
     A group the command does not take keeps ``ScenarioConfig``'s
-    default; ``--fault`` windows are anchored at ``--start``.
+    default.
     """
-    given = vars(args)
     config = {
         "global_probe_count": args.probes,
         "isp_probe_count": args.isp_probes,
     }
-    if "store_budget_mb" in given:
+    if "store_budget_mb" in vars(args):
         config.update(store_config_kwargs(args))
-    faults = None
-    if given.get("fault"):
-        faults = fault_schedule(args).shifted(parse_date(args.start))
-    return Sep2017Scenario(ScenarioConfig(**config), faults=faults)
+    return Sep2017Scenario(ScenarioConfig(**config))
 
 
 def engine_from_args(
@@ -177,29 +171,8 @@ def print_store_stats(args: argparse.Namespace, scenario, lead: str = "") -> Non
 
 
 # ----------------------------------------------------------------------
-# faults, checkpoints
+# checkpoints
 # ----------------------------------------------------------------------
-
-
-def add_fault_flag(
-    sub: argparse.ArgumentParser,
-    example: str = "cdn-blackout@Limelight:3600-7200",
-    note: str = "seconds are relative to --start",
-) -> None:
-    sub.add_argument("--fault", action="append", default=None, metavar="SPEC",
-                     help="fault window as kind@target:start-end[:severity], "
-                          f"e.g. {example} (repeatable; {note})")
-
-
-def fault_schedule(args: argparse.Namespace) -> FaultSchedule:
-    """The ``--fault`` specs, in the seconds they were written in.
-
-    A spec the parser refuses exits as ``<command>: <message>``.
-    """
-    try:
-        return FaultSchedule.parse(args.fault)
-    except ValueError as exc:
-        raise SystemExit(f"{args.command}: {exc}") from None
 
 
 def add_checkpoint_flags(sub: argparse.ArgumentParser) -> None:

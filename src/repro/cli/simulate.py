@@ -16,7 +16,6 @@ def register(commands) -> None:
         help="run the Sep-2017 scenario over a date window",
     )
     flags.add_window_flags(sub, probes=60, isp_probes=30, span=("9-17", "9-21"))
-    flags.add_fault_flag(sub)
     flags.add_store_flags(sub)
     flags.add_checkpoint_flags(sub)
     flags.add_telemetry_flags(sub)

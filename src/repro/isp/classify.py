@@ -110,14 +110,3 @@ class TrafficClassifier:
             if attribution is None:
                 attribution = attributions[key] = self.attribute(src, flow.link_id)
             yield ClassifiedFlow(flow, *attribution)
-
-    def overflow_traffic(
-        self, flows: Iterable[FlowRecord], operator: Optional[str] = None
-    ) -> Iterator[ClassifiedFlow]:
-        """Only overflow flows, optionally for one CDN operator."""
-        for classified in self.classify_all(flows):
-            if not classified.is_overflow:
-                continue
-            if operator is not None and classified.operator != operator:
-                continue
-            yield classified

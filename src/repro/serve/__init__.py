@@ -10,7 +10,7 @@ the flash-crowd workload — is made network-reachable here:
 * :mod:`repro.serve.httpserver` — an asyncio HTTP/1.1 edge emitting the
   ``Via``/``X-Cache`` chains the §3.3 header inference parses;
 * :mod:`repro.serve.dnsclient` — the wire DNS client (UDP, TCP
-  fallback, ECS, retries, hedging, the CNAME chase) every asking
+  fallback, ECS, retries, the CNAME chase) every asking
   component shares;
 * :mod:`repro.serve.httpclient` — the pooled keep-alive HTTP client;
 * :mod:`repro.serve.loadgen` — a closed-loop load generator replaying
@@ -27,8 +27,7 @@ the flash-crowd workload — is made network-reachable here:
   resolves through;
 * :mod:`repro.serve.cluster` — the one-call loopback topology;
 * :mod:`repro.serve.harness` — the one place per concern (standing
-  edge, load run, selftest, watched drill) that runs the edge, always
-  in one process.
+  edge, load run, selftest) that runs the edge, always in one process.
 
 :mod:`repro.serve.fleet` and :mod:`repro.serve.snapshot` (a forked
 ``SO_REUSEPORT`` fleet and its checksummed spec) serve only the perf
@@ -44,14 +43,10 @@ from .harness import SelftestReport, ShapeError, drive_load, selftest, serve_for
 from .httpclient import PooledHttpClient
 from .httpserver import AsyncHttpEdge, estate_router
 from .loadgen import LoadConfig, LoadGenerator, LoadReport, merge_load_reports
-from .resilience import BackoffPolicy, CircuitBreaker, HedgePolicy
 from .resolverfront import PublicResolverFront
 from .snapshot import FleetSpec, estate_signature, load_snapshot, write_snapshot
 
 __all__ = [
-    "BackoffPolicy",
-    "CircuitBreaker",
-    "HedgePolicy",
     "Vantage",
     "SampledClient",
     "ClientDirectory",

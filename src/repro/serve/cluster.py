@@ -15,7 +15,6 @@ hierarchy — just fewer cache servers behind each GSLB answer.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -23,7 +22,6 @@ from ..apple.deployment import AppleCdn
 from ..apple.mapping import MetaCdnEstate, build_meta_cdn
 from ..apple.policy import MetaCdnController
 from ..cdn.thirdparty import AKAMAI_PLAN, LIMELIGHT_PLAN, build_third_party
-from ..faults import CdnHealthMonitor, FailoverConfig, FailoverLoop, FaultInjector, FaultSchedule
 from ..net.asys import ASN
 from ..net.geo import MappingRegion
 from ..net.locode import LocodeDatabase
@@ -59,19 +57,15 @@ _MIN_THIRD_PARTY_SHARE = 0.35
 
 @dataclass
 class ClusterConfig:
-    """One edge, described once: size, faults, resolvers.
+    """One edge, described once: size and resolvers.
 
     Every edge is built from it — :class:`ServeCluster` for ``repro
-    serve`` / ``selftest`` and the chaos drill's edge — and construction
-    refuses what no edge can run.
+    serve`` / ``selftest`` — and construction refuses what no edge can
+    run.
     """
 
     object_size: int = 262_144
     servers_per_metro: int = 8
-    # Scheduled faults in run-relative seconds, and the health loop
-    # that reacts to them.
-    faults: Optional[FaultSchedule] = None
-    failover: FailoverConfig = FailoverConfig()
     # Resolver population: "isp" keeps the classic per-client path;
     # "mixed" boots a PublicResolverFront (shared POP caches) the load
     # generator resolves through for the public share.
@@ -107,15 +101,8 @@ class ClusterConfig:
         return replace(load, public_resolver_share=self.loadgen_resolver_share)
 
 
-def build_serve_estate(
-    config: Optional[ClusterConfig] = None,
-    health_monitor: Optional[CdnHealthMonitor] = None,
-) -> MetaCdnEstate:
-    """A loopback-sized Meta-CDN estate with the full Figure 2 chain.
-
-    ``health_monitor`` hooks the selection policies to the failover
-    plane (see :mod:`repro.faults.health`).
-    """
+def build_serve_estate(config: Optional[ClusterConfig] = None) -> MetaCdnEstate:
+    """A loopback-sized Meta-CDN estate with the full Figure 2 chain."""
     config = config if config is not None else ClusterConfig()
     locations = LocodeDatabase.builtin()
     apple = AppleCdn.build(locations, edge_bx_gbps=_APPLE_EDGE_GBPS)
@@ -138,9 +125,7 @@ def build_serve_estate(
         target_utilization=_TARGET_UTILIZATION,
         min_third_party_share=_MIN_THIRD_PARTY_SHARE,
     )
-    return build_meta_cdn(
-        apple, akamai, limelight, controller, health_monitor=health_monitor
-    )
+    return build_meta_cdn(apple, akamai, limelight, controller)
 
 
 class ServeCluster:
@@ -153,8 +138,8 @@ class ServeCluster:
 
     :attr:`clock` is the edge's one clock — ``clock`` when given, else
     seconds since :meth:`start` — and everything time-dependent reads
-    it: DNS contexts, the front's cache expiry, span stamps on both
-    servers and the fault plane.
+    it: DNS contexts, the front's cache expiry and span stamps on both
+    servers.
     """
 
     def __init__(
@@ -174,44 +159,18 @@ class ServeCluster:
         tracer = tracer if tracer is not None else get_tracer()
         self._tracer = tracer
         self.clock = clock if clock is not None else RunClock()
-        faults: Optional[FaultInjector] = None
-        self.health_monitor: Optional[CdnHealthMonitor] = None
-        self.failover_loop: Optional[FailoverLoop] = None
-        self._failover_task: Optional[asyncio.Task] = None
-        if config.faults is not None and len(config.faults):
-            if estate is not None:
-                raise ValueError(
-                    "pass a ClusterConfig, not a prebuilt estate, when "
-                    "injecting faults (health hooks are wired at build time)"
-                )
-            self.failover_loop = FailoverLoop.build(
-                config.faults, config.failover,
-                clock=self.clock, metrics=registry, tracer=tracer,
-            )
-            self.health_monitor = self.failover_loop.monitor
-            faults = self.failover_loop.injector
-            self.estate = build_serve_estate(
-                config, health_monitor=self.health_monitor
-            )
-            self.estate.apple.install_fault_injector(faults)
-        else:
-            self.estate = (
-                estate if estate is not None else build_serve_estate(config)
-            )
+        self.estate = estate if estate is not None else build_serve_estate(config)
         self.dns = AsyncDnsServer(
             self.estate.servers,
             directory=self.directory,
             clock=self.clock,
             metrics=registry,
-            faults=faults,
             tracer=tracer,
         )
         self.http = AsyncHttpEdge(
             estate_router(self.estate),
             object_size=config.object_size,
             metrics=registry,
-            faults=faults,
-            operator_for=self.estate.deployment_at,
             tracer=tracer,
             clock=self.clock,
         )
@@ -229,12 +188,6 @@ class ServeCluster:
                 clock=self.clock,
             )
         self._registry = registry
-
-    async def _failover_runner(self, interval: float) -> None:
-        assert self.failover_loop is not None
-        while True:
-            self.failover_loop.advance(self.clock())
-            await asyncio.sleep(interval)
 
     async def start(self, host: str = "127.0.0.1", dns_port: int = 0,
                     http_port: int = 0, resolver_port: int = 0,
@@ -263,22 +216,10 @@ class ServeCluster:
         except BaseException:
             await self.stop()
             raise
-        if self.failover_loop is not None:
-            interval = max(0.05, self.config.failover.probe_interval / 2.0)
-            self._failover_task = asyncio.create_task(
-                self._failover_runner(interval)
-            )
         return self
 
     async def stop(self) -> None:
         """Tear both servers down."""
-        if self._failover_task is not None:
-            self._failover_task.cancel()
-            try:
-                await self._failover_task
-            except asyncio.CancelledError:
-                pass
-            self._failover_task = None
         if self.resolver_front is not None:
             await self.resolver_front.stop()
         await self.http.stop()

@@ -2,10 +2,10 @@
 
 :class:`AsyncDnsClient` is what every live component that *asks*
 questions uses — the load generator's devices, the public-resolver
-front's upstream side and the chaos drills' probes: one UDP socket,
-in-flight queries matched by message id, an EDNS Client Subnet option
-naming the acting client, per-query timeouts and retries, hedged GSLB
-lookups, and the full Figure 2 CNAME chase as :meth:`resolve`.
+front's upstream side: one UDP socket, in-flight queries matched by
+message id, an EDNS Client Subnet option naming the acting client,
+per-query timeouts and retries, and the full Figure 2 CNAME chase as
+:meth:`resolve`.
 """
 
 from __future__ import annotations
@@ -29,14 +29,11 @@ from ..dns.wire import (
 from ..net.ipv4 import IPv4Address
 from ..obs import current_context, get_registry, get_tracer
 from .deadline import deadline
-from .resilience import BackoffPolicy, HedgePolicy
 from .udp import open_tcp, open_udp
 
 __all__ = ["DnsClientError", "WireResolution", "AsyncDnsClient"]
 
 _MAX_CHAIN = 16
-# Seconds a hedgeable GSLB lookup runs alone before its hedge launches.
-HEDGE_BUDGET = 0.25
 
 
 class DnsClientError(RuntimeError):
@@ -129,8 +126,6 @@ class AsyncDnsClient:
         retries: int = 2,
         source_prefix_len: int = 24,
         metrics=None,
-        backoff: Optional[BackoffPolicy] = None,
-        hedge: Optional[HedgePolicy] = None,
         tracer=None,
     ) -> None:
         if not 0 < source_prefix_len <= 32:
@@ -146,10 +141,6 @@ class AsyncDnsClient:
         self._timeout = timeout
         self._retries = retries
         self._source_prefix_len = source_prefix_len
-        # Resilience: exponential backoff between retry attempts (None =
-        # the legacy immediate retry) and hedged GSLB lookups.
-        self._backoff = backoff
-        self._hedge = hedge
         # Queries are stamped with the ambient trace context (EDNS0
         # option); the tracer supplies the current span id as the
         # remote parent the server's span attaches under.
@@ -161,8 +152,6 @@ class AsyncDnsClient:
         self.queries_sent = 0
         self.timeouts = 0
         self.tcp_fallbacks = 0
-        self.hedged_queries = 0
-        self.hedge_wins = 0
         registry = metrics if metrics is not None else get_registry()
         self._m_queries = registry.counter(
             "loadgen_dns_queries_total", "Wire DNS queries issued by the client"
@@ -173,14 +162,6 @@ class AsyncDnsClient:
         self._m_tcp = registry.counter(
             "loadgen_dns_tcp_fallbacks_total",
             "Truncated UDP answers retried over TCP",
-        )
-        self._m_hedged = registry.counter(
-            "loadgen_dns_hedged_total",
-            "GSLB lookups that launched a hedge to the second name",
-        )
-        self._m_hedge_wins = registry.counter(
-            "loadgen_dns_hedge_wins_total",
-            "Hedged lookups where the second name answered first",
         )
 
     @classmethod
@@ -233,8 +214,6 @@ class AsyncDnsClient:
         )
         last_error = "no attempt made"
         for _attempt in range(self._retries + 1):
-            if _attempt > 0 and self._backoff is not None:
-                await asyncio.sleep(self._backoff.delay(_attempt - 1, name))
             message_id = self._next_id()
             payload = encode_query(
                 message_id, name, client, self._source_prefix_len, trace
@@ -295,85 +274,13 @@ class AsyncDnsClient:
         self._m_queries.inc()
         return decode_message(raw)
 
-    async def _query_hedged(self, name: str, alternate: str,
-                            client: IPv4Address) -> WireMessage:
-        """Race ``name`` against ``alternate`` after the latency budget.
-
-        The primary query runs alone until :data:`HEDGE_BUDGET` seconds
-        elapse; past that a second query for the alternate GSLB name
-        launches and whichever completes first wins.  The loser is
-        cancelled — its in-flight waiter is cleaned up by the timeout
-        path, so no message-id leaks.
-        """
-        primary = asyncio.ensure_future(self.query(name, client))
-        try:
-            # ``wait`` never cancels what it waits on: past the budget
-            # the primary keeps running and races the hedge.
-            await asyncio.wait((primary,), timeout=HEDGE_BUDGET)
-        except asyncio.CancelledError:
-            # The *caller* was cancelled mid-budget (a generator torn down):
-            # reap the primary here or it leaks as a forever-pending task.
-            primary.cancel()
-            await asyncio.gather(primary, return_exceptions=True)
-            raise
-        if primary.done():
-            try:
-                return primary.result()
-            except DnsClientError:
-                # Primary failed outright within budget: go straight to
-                # the alternate name rather than giving up.
-                self.hedged_queries += 1
-                self._m_hedged.inc()
-                self.hedge_wins += 1
-                self._m_hedge_wins.inc()
-                return await self.query(alternate, client)
-        self.hedged_queries += 1
-        self._m_hedged.inc()
-        fallback = asyncio.ensure_future(self.query(alternate, client))
-        pending: set[asyncio.Future] = {primary, fallback}
-        try:
-            while pending:
-                done, pending = await asyncio.wait(
-                    pending, return_when=asyncio.FIRST_COMPLETED
-                )
-                # Prefer the primary when both land in the same wake-up.
-                for winner in sorted(done, key=lambda t: t is not primary):
-                    if winner.exception() is None:
-                        if winner is fallback:
-                            self.hedge_wins += 1
-                            self._m_hedge_wins.inc()
-                        return winner.result()
-                if not pending:
-                    # Both failed; surface the primary's error.
-                    raise primary.exception() or DnsClientError(
-                        f"hedged query for {name!r} failed"
-                    )
-        finally:
-            for task in (primary, fallback):
-                if not task.done():
-                    task.cancel()
-            await asyncio.gather(primary, fallback, return_exceptions=True)
-        raise DnsClientError(f"hedged query for {name!r} failed")
-
     async def resolve(self, name: str, client: IPv4Address) -> WireResolution:
-        """Chase the CNAME chain from ``name`` down to A records.
-
-        When a :class:`~repro.serve.resilience.HedgePolicy` is set and
-        the chase reaches one of the two published GSLB names, the
-        lookup is hedged against the other name past the latency budget
-        — mirroring a client falling back to ``b.gslb.applimg.com``.
-        """
+        """Chase the CNAME chain from ``name`` down to A records."""
         current = name
         steps: list[tuple[ResourceRecord, ...]] = []
         seen = {current}
         for _hop in range(_MAX_CHAIN):
-            alternate = (
-                self._hedge.hedge_name(current) if self._hedge is not None else None
-            )
-            if alternate is not None and alternate not in seen:
-                response = await self._query_hedged(current, alternate, client)
-            else:
-                response = await self.query(current, client)
+            response = await self.query(current, client)
             if response.rcode not in (RCode.NOERROR, RCode.NXDOMAIN):
                 raise DnsClientError(
                     f"{current!r} answered {response.rcode.name}"

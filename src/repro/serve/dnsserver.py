@@ -27,15 +27,13 @@ once per query at ``clock()`` — answers move with time (TTL buckets,
 weight schedules, the ``a1015`` switch) — and its (rcode, answers) pick
 the reply bytes, truncation applied, out of a second memo keyed by
 ``(data[2:], rcode, answers)``; the datagram's own id goes in front.
-Only untraced, well-formed, non-REFUSED queries to a server without a
-fault plane are planned; everything else takes the validating path
-every time.  Both memos are bounded like the codec's
+Only untraced, well-formed, non-REFUSED queries are planned; everything
+else takes the validating path every time.  Both memos are bounded like the codec's
 (:func:`repro.dns.wire._remember`).
 """
 
 from __future__ import annotations
 
-import asyncio
 import time
 from typing import Callable, Iterable, Optional
 
@@ -129,16 +127,11 @@ class AsyncDnsServer:
         directory: Optional[ClientDirectory] = None,
         clock: Optional[Callable[[], float]] = None,
         metrics=None,
-        faults=None,
         tracer=None,
     ) -> None:
         self.frontend = ZoneFrontend(servers)
         self.directory = directory if directory is not None else ClientDirectory()
         self._clock = clock if clock is not None else RunClock().start()
-        # Fault plane (repro.faults.FaultInjector); None = zero-overhead
-        # healthy path.  DNS faults target the *operator* whose zone
-        # answers the question (drop, delay, SERVFAIL, stale answers).
-        self._faults = faults
         # Spans adopt the wire trace context of each query (EDNS0
         # option), parenting server-side work under the client's
         # resolve span.
@@ -228,32 +221,20 @@ class AsyncDnsServer:
             return default, client, 0
         return vantage, client, vantage.prefix.length
 
-    def _dns_fault(self, query: WireMessage) -> tuple[Optional[str], float, float]:
-        """(action, delay, staleness) the fault plane injects for ``query``."""
-        question = query.questions[0] if query.questions else None
-        operator = None
-        if question is not None:
-            server = self.frontend.server_for(question.name)
-            if server is not None:
-                operator = server.operator
-        name = question.name if question is not None else ""
-        return self._faults.dns_fault(operator, (query.message_id, name))
-
     def _answer_bytes(
         self, payload: bytes
-    ) -> tuple[Optional[bytes], Optional[WireMessage], Optional[WireMessage], float]:
-        """Decode, answer, encode: (encoded reply, response, query, delay).
+    ) -> tuple[Optional[bytes], Optional[WireMessage], Optional[WireMessage]]:
+        """Decode, answer, encode: (encoded reply, response, query).
 
         Malformed or policy-breaking input yields a bare SERVFAIL (or
         ``None`` when not even a message id is recoverable) — a hostile
-        packet must never take the transport task down.  ``delay`` is
-        the fault-injected send delay (0.0 without a fault plane).
+        packet must never take the transport task down.
         """
         try:
             query = decode_message(payload)
         except Exception:
             self._m_malformed.inc()
-            return servfail_reply(payload), None, None, 0.0
+            return servfail_reply(payload), None, None
         trace = query.trace_context
         if trace is None or not self._tracer.enabled:
             return self._answer_decoded(query, payload, None)
@@ -266,75 +247,53 @@ class AsyncDnsServer:
 
     def _answer_decoded(
         self, query: WireMessage, payload: bytes, span
-    ) -> tuple[Optional[bytes], Optional[WireMessage], Optional[WireMessage], float]:
-        delay = 0.0
+    ) -> tuple[Optional[bytes], Optional[WireMessage], Optional[WireMessage]]:
         if span is not None and query.questions:
             span.annotate(qname=query.questions[0].name)
         try:
-            staleness = 0.0
-            if self._faults is not None:
-                action, delay, staleness = self._dns_fault(query)
-                if action == "drop":
-                    if span is not None:
-                        span.annotate(outcome="drop")
-                    return None, None, None, 0.0
-                if action == "servfail":
-                    if span is not None:
-                        span.annotate(outcome="servfail-fault")
-                    return servfail_reply(payload), None, None, delay
             vantage, client, scope = self._where(query)
-            now = self._clock()
-            if staleness > 0.0:
-                # Stale-answer fault: the zone answers as of an earlier
-                # instant (a stuck snapshot), never before time zero.
-                now = max(0.0, now - staleness)
             response = self.frontend.answer(
-                query, vantage.context(client, now), ecs_scope=scope
+                query, vantage.context(client, self._clock()), ecs_scope=scope
             )
         except Exception:
             self._m_malformed.inc()
             if span is not None:
                 span.annotate(outcome="malformed")
-            return servfail_reply(payload), None, None, delay
+            return servfail_reply(payload), None, None
         if response.rcode is RCode.REFUSED:
             self._m_refused.inc()
         if span is not None:
             span.annotate(
                 rcode=response.rcode.name, answers=len(response.answers)
             )
-        return encode_message(response), response, query, delay
+        return encode_message(response), response, query
 
     def handle_datagram(self, payload: bytes) -> Optional[bytes]:
         """Answer one UDP datagram (truncating oversize responses)."""
-        return self.handle_datagram_timed(payload)[0]
-
-    def handle_datagram_timed(self, payload: bytes) -> tuple[Optional[bytes], float]:
-        """Like :meth:`handle_datagram`, plus the injected send delay."""
         started = time.perf_counter()
         self._m_udp.inc()
         body = payload[2:]
         plan = self._plans.get(body)
         if plan is None:
-            reply, truncated, delay = self._answer_datagram(payload, body)
+            reply, truncated = self._answer_datagram(payload, body)
         else:
             reply, truncated = self._replay(plan, payload, body)
-            delay = 0.0
         if truncated:
             self._m_truncated.inc()
         self._m_handle.observe(time.perf_counter() - started)
-        return reply, delay
+        return reply
 
     def _answer_datagram(
         self, payload: bytes, body: bytes
-    ) -> tuple[Optional[bytes], bool, float]:
-        """The validating path: (reply, truncated, delay); plans ``body``."""
-        encoded, response, query, delay = self._answer_bytes(payload)
+    ) -> tuple[Optional[bytes], bool]:
+        """The validating path: (reply, truncated); plans ``body``."""
+        encoded, response, query = self._answer_bytes(payload)
         if encoded is None or response is None or query is None:
-            return encoded, False, delay
+            return encoded, False
         limit = query.udp_payload_size or _FALLBACK_UDP_PAYLOAD
         if UDP_PAYLOAD_CAP is not None:
             limit = min(limit, UDP_PAYLOAD_CAP)
-        if (self._faults is None and query.trace_context is None
+        if (query.trace_context is None
                 and response.rcode is not RCode.REFUSED
                 and len(payload) <= _MEMO_MAX_KEY_OCTETS):
             question = query.questions[0]
@@ -342,7 +301,7 @@ class AsyncDnsServer:
             vantage, client, scope = self._where(query)
             _remember(self._plans, body,
                       (question, server, zone, vantage, client, scope, limit))
-        return (*self._fit(encoded, response, limit), delay)
+        return self._fit(encoded, response, limit)
 
     def _replay(self, plan: tuple, payload: bytes,
                 body: bytes) -> tuple[Optional[bytes], bool]:
@@ -385,27 +344,17 @@ class AsyncDnsServer:
         ), True
 
     def _handle_udp(self, data: bytes, addr) -> None:
-        reply, delay = self.handle_datagram_timed(data)
-        if reply is None:
-            return
-        if delay > 0.0:
-            asyncio.get_running_loop().call_later(
-                delay, self._listener.sendto, reply, addr
-            )
-        else:
+        reply = self.handle_datagram(data)
+        if reply is not None:
             self._listener.sendto(reply, addr)
 
     def _handle_tcp(self, connection: "_FrameConnection", payload: bytes) -> None:
         """Answer one length-prefixed query off a TCP connection."""
         started = time.perf_counter()
         self._m_tcp.inc()
-        encoded, _response, _query, delay = self._answer_bytes(payload)
+        encoded = self._answer_bytes(payload)[0]
         self._m_handle.observe(time.perf_counter() - started)
-        if encoded is None:
-            return
-        if delay > 0.0:
-            connection.hold(delay, connection.transport.write, frame(encoded))
-        else:
+        if encoded is not None:
             connection.transport.write(frame(encoded))
 
 

@@ -8,9 +8,7 @@ Each thing a caller does is decided here, once:
 * :func:`serve_forever` — boot a standing edge (``repro serve``);
 * :func:`drive_load` — one load run against a remote edge
   (``repro loadgen``);
-* :func:`selftest` — boot, drive, judge (``repro selftest``);
-* :func:`drive_watched` — load under a watcher for a fixed span of the
-  edge's clock (the live phase of ``repro chaos``).
+* :func:`selftest` — boot, drive, judge (``repro selftest``).
 
 It is also the one place an open-loop arrival schedule is built
 (:func:`_open_loop`).
@@ -44,13 +42,12 @@ from ..obs import (
 )
 from ..workload.arrival import ArrivalSchedule
 from .cluster import ClusterConfig, ServeCluster
-from .loadgen import LoadConfig, LoadGenerator, LoadReport, merge_load_reports
+from .loadgen import LoadConfig, LoadGenerator, LoadReport
 
 __all__ = [
     "ShapeError",
     "serve_forever",
     "drive_load",
-    "drive_watched",
     "SelftestReport",
     "selftest",
 ]
@@ -229,30 +226,6 @@ def _open_loop(load: LoadConfig, arrival: Optional[str],
     return replace(
         load, arrival=ArrivalSchedule.named(arrival, load.requests, duration)
     )
-
-
-def drive_watched(config: ClusterConfig, load: LoadConfig, until: float,
-                  watch, registry, tracer):
-    """Load through the edge for ``until`` seconds of its clock, while
-    ``watch(dns_endpoint, directory, clock)`` runs beside it.
-
-    Closed-loop runs of ``load`` repeat on the cluster's own loop until
-    its clock passes ``until``, and the back-to-back batches fold into
-    one report.  Returns ``(report, watch's result)``.
-    """
-    async def watched_run() -> tuple:
-        cluster = ServeCluster(config=config, metrics=registry, tracer=tracer)
-        batches = []
-        async with cluster:
-            watcher = asyncio.create_task(
-                watch(cluster.dns.endpoint, cluster.directory, cluster.clock)
-            )
-            while cluster.clock() < until:
-                batches.append(await cluster.drive(load))
-            watched = await watcher
-        return merge_load_reports(batches), watched
-
-    return asyncio.run(watched_run())
 
 
 def selftest(

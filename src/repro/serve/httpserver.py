@@ -21,8 +21,7 @@ Each accepted connection is one :class:`~repro.serve.listener.Connection`:
 answered in the same callback — routed through :meth:`_serve` and
 written with ``transport.write`` — so a request costs no task, no
 stream buffer and no ``drain()``.  The connection's base class keeps
-the head / idle timeout, the order of pipelined requests behind a
-delayed answer, the backpressure and the lingering close.
+the head / idle timeout, the backpressure and the lingering close.
 """
 
 from __future__ import annotations
@@ -79,8 +78,6 @@ class AsyncHttpEdge:
         router: Router,
         object_size: int = 262_144,
         metrics=None,
-        faults=None,
-        operator_for: Optional[Callable[[IPv4Address], Optional[str]]] = None,
         tracer=None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
@@ -88,10 +85,6 @@ class AsyncHttpEdge:
             raise ValueError("object_size must be positive")
         self.router = router
         self.object_size = object_size
-        # Fault plane (repro.faults.FaultInjector); ``operator_for``
-        # maps a vip to its CDN operator so whole-CDN windows apply.
-        self._faults = faults
-        self._operator_for = operator_for
         # Spans adopt the request's ``Traceparent`` header, parenting
         # edge-side work under the client's fetch span; ``clock``
         # supplies span timestamps (defaults to seconds since built).
@@ -199,7 +192,7 @@ class AsyncHttpEdge:
     def _respond(self, connection: "_HttpConnection", method: str,
                  target: str, headers: Headers, keep_alive: bool,
                  started: float, span) -> None:
-        status, out_headers, body, delay = self._serve(method, target, headers)
+        status, out_headers, body = self._serve(method, target, headers)
         if span is not None:
             span.annotate(status=status, bytes=len(body))
             cache = out_headers.get("X-Cache")
@@ -213,41 +206,25 @@ class AsyncHttpEdge:
                     pass
                 else:
                     span.annotate(cache_hit=verdict.is_hit)
-        include_body = method != "HEAD"
-        if delay > 0.0:
-            # Written when the delay is up; a span ends here, before it.
-            connection.hold(delay, self._send, connection, status, out_headers,
-                            body, include_body, keep_alive, started)
-        else:
-            self._send(connection, status, out_headers, body, include_body,
-                       keep_alive, started)
+        self._send(connection, status, out_headers, body, method != "HEAD",
+                   keep_alive, started)
 
     def _serve(self, method: str, target: str,
-               headers: Headers) -> tuple[int, Headers, bytes | memoryview, float]:
+               headers: Headers) -> tuple[int, Headers, bytes | memoryview]:
         if method not in ("GET", "HEAD"):
-            return 405, Headers({"Allow": "GET, HEAD"}), b"method not allowed\n", 0.0
+            return 405, Headers({"Allow": "GET, HEAD"}), b"method not allowed\n"
         vip_text = headers.get("X-Vip")
         host = (headers.get("Host") or "").split(":")[0].lower()
         if not vip_text:
-            return 400, Headers(), b"missing X-Vip routing header\n", 0.0
+            return 400, Headers(), b"missing X-Vip routing header\n"
         if not host:
-            return 400, Headers(), b"missing Host header\n", 0.0
+            return 400, Headers(), b"missing Host header\n"
         try:
             vip = IPv4Address.parse(vip_text)
         except ValueError:
-            return 400, Headers(), b"unparseable X-Vip address\n", 0.0
+            return 400, Headers(), b"unparseable X-Vip address\n"
         path = target.split("?")[0] or "/"
 
-        delay = 0.0
-        if self._faults is not None:
-            operator = self._operator_for(vip) if self._operator_for else None
-            if self._faults.vip_down(vip_text, operator):
-                return 503, Headers(), b"vip offline (injected fault)\n", 0.0
-            if operator is not None and self._faults.cdn_down(
-                operator, key=(vip_text, path)
-            ):
-                return 503, Headers(), b"delivery network down (injected fault)\n", 0.0
-            delay = self._faults.http_delay(vip_text, operator)
         model_request = HttpRequest(
             method="GET",
             host=host,
@@ -256,7 +233,7 @@ class AsyncHttpEdge:
         )
         model_response = self.router(vip, model_request, self.object_size)
         if model_response is None:
-            return 404, Headers(), b"no delivery server at that vip\n", 0.0
+            return 404, Headers(), b"no delivery server at that vip\n"
 
         entity_size = model_response.body_size
         range_header = headers.get("Range")
@@ -267,21 +244,19 @@ class AsyncHttpEdge:
         if range_header is not None:
             parsed = _RANGE.match(range_header.strip())
             if parsed is None:
-                return (416, Headers({"Content-Range": f"bytes */{entity_size}"}),
-                        b"", delay)
+                return 416, Headers({"Content-Range": f"bytes */{entity_size}"}), b""
             first = int(parsed.group(1))
             last = int(parsed.group(2)) if parsed.group(2) else entity_size - 1
             last = min(last, entity_size - 1)
             if first >= entity_size or first > last:
-                return (416, Headers({"Content-Range": f"bytes */{entity_size}"}),
-                        b"", delay)
+                return 416, Headers({"Content-Range": f"bytes */{entity_size}"}), b""
             body = _zeros(last - first + 1)
             status = 206
             out.set("Content-Range", f"bytes {first}-{last}/{entity_size}")
         else:
             body = _zeros(entity_size)
         out.set("X-Body-Size", str(entity_size))
-        return status, out, body, delay
+        return status, out, body
 
     def _send(self, connection: "_HttpConnection", status: int,
               headers: Headers, body: bytes | memoryview, include_body: bool,

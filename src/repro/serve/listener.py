@@ -11,8 +11,8 @@ Its TCP side is one protocol path: every accepted connection is a
 arrived and answers them in place — no task, no stream buffer, no
 ``drain()`` per request.  What a connection does between requests is
 the same for every server and lives here: one :class:`Alarm` for the
-head / idle timeout, reading paused while a write is backed up or an
-injected delay holds an answer, and the lingering close.
+head / idle timeout, reading paused while a write is backed up, and the
+lingering close.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ _LINGER = 1.0
 class RunClock:
     """Seconds since :meth:`start` (0.0 before it): the serving layer's clock.
 
-    Fault windows, selection buckets, cache expiry and span stamps are
-    all run-relative, so an edge keeps exactly one of these: a
+    Selection buckets, cache expiry and span stamps are all
+    run-relative, so an edge keeps exactly one of these: a
     :class:`~repro.serve.cluster.ServeCluster` starts its own in
-    ``start()`` and hands it to every server and the fault plane.  A
-    server built on its own starts one at construction.
+    ``start()`` and hands it to every server.  A server built on its
+    own starts one at construction.
     """
 
     def __init__(self) -> None:
@@ -74,17 +74,15 @@ class Connection(asyncio.Protocol):
     * **Timeout:** one :class:`Alarm`, armed for ``timeout`` seconds
       whenever the connection goes back to waiting for a request — a
       peer trickling a request, or idling on keep-alive, is closed at it.
-    * **Order:** :meth:`hold` answers later (an injected delay); the
-      requests behind it wait, reading paused, until it is written.
     * **Backpressure:** while the transport's write buffer is past its
       high-water mark reading is paused, so a peer that pipelines and
       never reads cannot make the server buffer without bound.
     * **Last word:** :meth:`finish` half-closes and reads the peer out
       for up to ``_LINGER`` s before closing, so that it gets the answer
       and not a reset for whatever it had still been sending.
-    * **Drain:** a connection holding an answer or a backed-up write is
-      :attr:`busy`; :meth:`Listener.stop` closes the others at once, and
-      one that goes idle while the listener is closing closes then.
+    * **Drain:** a connection with a backed-up write is :attr:`busy`;
+      :meth:`Listener.stop` closes the others at once, and one that goes
+      idle while the listener is closing closes then.
     """
 
     def __init__(self, listener: "Listener", timeout: float) -> None:
@@ -92,14 +90,13 @@ class Connection(asyncio.Protocol):
         self._timeout = timeout
         self._alarm = Alarm(self._expired)
         self.transport: Optional[asyncio.Transport] = None
-        self._held: Optional[asyncio.TimerHandle] = None
         self._paused = False
         self._lingering = False
 
     @property
     def busy(self) -> bool:
-        """Mid-exchange: an answer is held or not yet handed to the kernel."""
-        return self._held is not None or self._paused
+        """Mid-exchange: an answer not yet handed to the kernel."""
+        return self._paused
 
     # -- what a server says -------------------------------------------
 
@@ -120,9 +117,6 @@ class Connection(asyncio.Protocol):
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self._alarm.close()
-        if self._held is not None:
-            self._held.cancel()
-            self._held = None
         self._listener._lost(self)
 
     def data_received(self, data: bytes) -> None:
@@ -132,9 +126,9 @@ class Connection(asyncio.Protocol):
         self._serve(False)
 
     def eof_received(self) -> bool:
-        # Reading is paused while an answer is held or backed up, so the
-        # peer's EOF only arrives here between requests: a request cut
-        # short is dropped, the connection closes after its writes.
+        # Reading is paused while an answer is backed up, so the peer's
+        # EOF only arrives here between requests: a request cut short is
+        # dropped, the connection closes after its writes.
         return False
 
     def pause_writing(self) -> None:
@@ -146,7 +140,7 @@ class Connection(asyncio.Protocol):
         self._paused = False
         if self._lingering:
             self._linger()
-        elif self._held is None:
+        else:
             self.transport.resume_reading()
             self._serve(True)
 
@@ -155,8 +149,8 @@ class Connection(asyncio.Protocol):
     def _serve(self, answered: bool) -> None:
         """Answer every complete request buffered, then wait for more."""
         while True:
-            if self._held is not None or self._paused or self._lingering:
-                return  # held, backed up or finished: that path resumes
+            if self._paused or self._lingering:
+                return  # backed up or finished: that path resumes
             if not self._next():
                 break
             answered = True
@@ -165,21 +159,6 @@ class Connection(asyncio.Protocol):
                 self.transport.close()
             else:
                 self._alarm.arm(self._timeout)
-
-    def hold(self, delay: float, answer: Callable, *args) -> None:
-        """Call ``answer(*args)`` in ``delay`` s; the requests behind it wait."""
-        self._alarm.disarm()
-        self.transport.pause_reading()
-        self._held = asyncio.get_running_loop().call_later(
-            delay, self._release, answer, args
-        )
-
-    def _release(self, answer: Callable, args: tuple) -> None:
-        self._held = None
-        answer(*args)
-        if not self._lingering and not self._paused:
-            self.transport.resume_reading()
-            self._serve(True)
 
     def finish(self) -> None:
         """This side has said its last: half-close, read the peer out,

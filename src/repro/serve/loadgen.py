@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence
 
 from ..apple.mapping import NAMES
-from ..net.ipv4 import IPv4Address
 from ..obs import (
     TraceContext,
     get_registry,
@@ -42,7 +41,6 @@ from ..workload.arrival import ArrivalSchedule
 from .clients import ClientDirectory
 from .dnsclient import AsyncDnsClient, DnsClientError, WireResolution
 from .httpclient import PooledHttpClient
-from .resilience import BackoffPolicy, CircuitBreaker, HedgePolicy
 
 __all__ = [
     "LoadConfig",
@@ -65,8 +63,6 @@ _ERROR_SAMPLES = 5
 # A cached resolution older than one selection-step TTL is re-resolved
 # instead of reused across HTTP retries.
 RESOLUTION_MAX_AGE = 15.0
-# The pause before each retry, DNS or HTTP (see repro.serve.resilience).
-_BACKOFF = BackoffPolicy()
 
 
 @dataclass
@@ -82,8 +78,8 @@ class LoadConfig:
     source_prefix_len: ClassVar[int] = 24
     dns_timeout: float = 2.0
     retries: ClassVar[int] = 2  # DNS re-asks per query
-    # Hedged GSLB lookups (see repro.serve.resilience); None = never.
-    hedge: Optional[HedgePolicy] = field(default_factory=HedgePolicy)
+    # Read by nothing: only the perf ledger passes it (None); ledger v2 drops it.
+    hedge: None = None
     http_retries: int = 1
     # Fraction of traces recorded when a tracer is active; the decision
     # is deterministic per trace id, so client and servers agree.
@@ -152,7 +148,6 @@ class LoadReport:
     error_samples: tuple[str, ...] = field(default_factory=tuple)
     retries: int = 0
     reresolutions: int = 0
-    hedged: int = 0
     # Open-loop arrivals dropped at the in-flight cap (overload is
     # recorded, never queued).
     shed: int = 0
@@ -221,8 +216,6 @@ class LoadReport:
             lines.append(f"http retries    {self.retries}")
         if self.reresolutions:
             lines.append(f"re-resolutions  {self.reresolutions}  (15 s TTL expired mid-retry)")
-        if self.hedged:
-            lines.append(f"hedged lookups  {self.hedged}")
         for sample in self.error_samples:
             lines.append(f"error sample    {sample}")
         return "\n".join(lines)
@@ -301,7 +294,6 @@ class LoadGenerator:
         self._reresolution_count = 0
         self._shed_count = 0
         self._dispatched = 0
-        self._breaker = CircuitBreaker()
 
     async def run(self) -> LoadReport:
         """Execute the configured run; always returns a report."""
@@ -314,17 +306,13 @@ class LoadGenerator:
                 retries=config.retries,
                 source_prefix_len=config.source_prefix_len,
                 metrics=self._registry,
-                backoff=_BACKOFF,
-                hedge=config.hedge,
                 tracer=self._tracer,
             )
 
         dns = await open_dns(self.dns_endpoint)
         clients = [dns]
         if self.resolver_endpoint is not None and config.public_resolver_share:
-            # The front answers non-authoritatively from its POP
-            # caches; hedging stays client-side, exactly as with a
-            # real public resolver.
+            # The front answers non-authoritatively from its POP caches.
             self._public_dns = await open_dns(self.resolver_endpoint)
             clients.append(self._public_dns)
         http = PooledHttpClient(
@@ -370,7 +358,6 @@ class LoadGenerator:
             "body_bytes": self._body_bytes,
             "retries": self._retry_count,
             "reresolutions": self._reresolution_count,
-            "hedged": sum(client.hedged_queries for client in clients),
             "shed": self._shed_count,
         }
         return _report(
@@ -469,22 +456,6 @@ class LoadGenerator:
             )
         return resolution
 
-    def _pick_vip(self, resolution: WireResolution, seq: int,
-                  attempt: int) -> IPv4Address:
-        """A vip from the answer set, skipping open circuits.
-
-        Rotation starts at ``seq + attempt`` so a retry naturally lands
-        on a different vip; if every circuit is open the rotated first
-        choice is used anyway (the breaker must not wedge the run).
-        """
-        addresses = resolution.addresses
-        start = (seq + attempt) % len(addresses)
-        rotated = addresses[start:] + addresses[:start]
-        for vip in rotated:
-            if self._breaker.allow(str(vip)):
-                return vip
-        return rotated[0]
-
     async def _one_request(self, dns: AsyncDnsClient, http: PooledHttpClient,
                            seq: int, region=None) -> None:
         if not self._tracer.enabled:
@@ -534,9 +505,6 @@ class LoadGenerator:
             if attempt > 0:
                 self._retry_count += 1
                 self._m_retries.inc()
-                await asyncio.sleep(
-                    _BACKOFF.delay(attempt - 1, "http", seq)
-                )
             # The cached CNAME chain is only valid for one selection-step
             # TTL; a retry past that must re-resolve, not replay a stale
             # vip set (the re-steer would otherwise be invisible).
@@ -554,7 +522,9 @@ class LoadGenerator:
                     last_exc = exc
                     continue
                 resolved_at = time.perf_counter()
-            vip = self._pick_vip(resolution, seq, attempt)
+            # Rotated by ``seq + attempt``: a retry lands on another vip.
+            addresses = resolution.addresses
+            vip = addresses[(seq + attempt) % len(addresses)]
             t_http = time.perf_counter()
             try:
                 with self._tracer.span(
@@ -569,22 +539,19 @@ class LoadGenerator:
                     )
                     fetch_span.annotate(status=status)
             except (ConnectionError, asyncio.TimeoutError, OSError) as exc:
-                self._breaker.record_failure(str(vip))
                 last_exc = RuntimeError(f"transport to vip {vip}: {exc}")
                 continue
             http_elapsed = time.perf_counter() - t_http
             self._http_hist.observe(http_elapsed)
             self._m_http_seconds.observe(http_elapsed)
             if status in (200, 206):
-                self._breaker.record_success(str(vip))
                 self._body_bytes += body_length
                 return
-            self._breaker.record_failure(str(vip))
             last_exc = RuntimeError(f"HTTP {status} from vip {vip} for {path}")
             if status >= 500:
-                # A failing vip (injected fault or real outage) may be
-                # re-steered away from by the next selection: drop the
-                # cached chain so the retry resolves fresh.
+                # A failing vip may be re-steered away from by the next
+                # selection: drop the cached chain so the retry resolves
+                # fresh.
                 resolution = None
         raise last_exc if last_exc is not None else RuntimeError(
             f"request seq={seq} failed with no recorded cause"
@@ -611,7 +578,7 @@ def _report(
 
 _COUNTS = (
     "requests", "ok", "errors", "dns_queries", "dns_timeouts", "tcp_fallbacks",
-    "body_bytes", "retries", "reresolutions", "hedged", "shed",
+    "body_bytes", "retries", "reresolutions", "shed",
 )
 
 

@@ -8,10 +8,10 @@ sweep results, the full metrics-registry snapshot, the engine
 observer's edge-detection state and the report stream so far.
 
 What a checkpoint deliberately does **not** carry is the world state
-itself — the Meta-CDN controller, the exposure controllers, the
-failover loop.  That state is a pure function of the tick sequence, so
-resume *replays* it: :func:`restore_run_state` brings a freshly built
-scenario to the checkpoint's tick boundary with
+itself — the Meta-CDN controller and the exposure controllers.  That
+state is a pure function of the tick sequence, so resume *replays* it:
+:func:`restore_run_state` brings a freshly built scenario to the
+checkpoint's tick boundary with
 :meth:`~repro.simulation.engine.SimulationEngine.replay_state` (no
 measuring, no traffic, no telemetry — the cheap path), then verifies
 the replayed state digest against the one recorded at capture time.  A
@@ -29,10 +29,11 @@ measurement *count* is unchanged).
 
 File format (``ckpt-<steps>.rckpt``): a :class:`~repro.container.Container`
 frame (magic ``RCKPT1``) whose JSON header carries the schema version
-(9: stores and campaign grids keyed by name, a store's traceroutes as
+(10: stores and campaign grids keyed by name, a store's traceroutes as
 typed columns, the flow log's timestamps one per run, a scenario config
-with no steering mode, no Level3 switch, no ISP fan-out and no resolver
-population, an engine spec without a timeline), the step count and the
+with no steering mode, no Level3 switch, no ISP fan-out, no resolver
+population and no fault seed, an engine spec without a timeline or a
+fault schedule), the step count and the
 next tick, and whose payload is the pickled :class:`Checkpoint` fields.
 The container writes atomically and verifies magic, version, length and
 checksum before the payload is unpickled; every failure raises
@@ -62,7 +63,7 @@ __all__ = [
     "checkpoint_path",
 ]
 
-_VERSION = 9
+_VERSION = 10
 
 
 class CheckpointError(RuntimeError):
@@ -331,8 +332,8 @@ def restore_run_state(engine, checkpoint: Checkpoint) -> tuple:
 
     # Metrics: the registry now holds base + replay_delta; absorbing
     # (checkpoint − replay_delta) lands it on base + checkpoint — the
-    # replay's incidental accumulation (health probes, fault counters)
-    # cancels exactly against its share inside the snapshot.
+    # replay's incidental accumulation cancels exactly against its
+    # share inside the snapshot.
     replay_delta = snapshot_delta(registry.snapshot(), base)
     registry.absorb_snapshot(snapshot_delta(checkpoint.metrics, replay_delta))
 

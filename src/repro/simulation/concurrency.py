@@ -2,9 +2,8 @@
 
 The world state of :class:`~repro.simulation.engine.SimulationEngine`
 is a *pure function of the tick sequence*: DNS selection policies hash
-client and time (no draws from shared RNGs), exposure controllers are
-lag filters over the demand series, and the failover loop replays a
-deterministic health-probe schedule.  That makes the replicated
+client and time (no draws from shared RNGs) and exposure controllers
+are lag filters over the demand series.  That makes the replicated
 state-machine decomposition exact rather than approximate:
 
 * every worker process holds a **full replica** of the scenario and
@@ -246,8 +245,8 @@ def state_digest(
 
     Covers the per-region demand and the EU operator split — the split
     is a function of the Meta-CDN controller's apple-share and the
-    failover-bent third-party weights, so any replica whose controller,
-    exposure or failover state drifted produces a different digest.
+    third-party weights, so any replica whose controller or exposure
+    state drifted produces a different digest.
     """
     h = blake2b(digest_size=16)
     h.update(repr(now).encode())
@@ -264,7 +263,6 @@ class EngineSpec:
 
     scenario_class: type
     config: object
-    faults: Optional[object]
     step_seconds: float
     collect_metrics: bool
 
@@ -274,7 +272,6 @@ class EngineSpec:
         return cls(
             scenario_class=type(scenario),
             config=scenario.config,
-            faults=scenario.fault_schedule,
             step_seconds=engine.step_seconds,
             collect_metrics=engine._obs.metrics.enabled,
         )
@@ -283,7 +280,7 @@ class EngineSpec:
         """Construct the replica engine (under the ambient registry)."""
         from .engine import SimulationEngine
 
-        scenario = self.scenario_class(self.config, faults=self.faults)
+        scenario = self.scenario_class(self.config)
         return SimulationEngine(scenario, step_seconds=self.step_seconds)
 
 

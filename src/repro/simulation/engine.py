@@ -21,7 +21,6 @@ import math
 import signal
 import threading
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -595,11 +594,6 @@ class SimulationEngine:
         obs = self._obs
         scenario = self.scenario
         started = self.clock() if obs.enabled else 0.0
-        failover = scenario.failover
-        if failover is not None:
-            # Replay health probes up to this step so the selection
-            # policies and the operator split see current member state.
-            failover.advance(now)
         with obs.tracer.span("engine.step", ts=now):
             demand_by_region, operator_gbps_by_region = self._advance_demand(now)
 
@@ -654,14 +648,11 @@ class SimulationEngine:
 
         This is the replicated core of a sharded run: every worker and
         the coordinator execute it for every tick, so all copies of the
-        failover loop, the Meta-CDN controller and the exposure
-        controllers stay bit-identical (the world state is a pure
-        function of the tick sequence).  No campaigns fire and no
-        traffic is generated.  Returns the per-region demand and the
-        per-region operator splits.
+        Meta-CDN controller and the exposure controllers stay
+        bit-identical (the world state is a pure function of the tick
+        sequence).  No campaigns fire and no traffic is generated.
+        Returns the per-region demand and the per-region operator splits.
         """
-        if self.scenario.failover is not None:
-            self.scenario.failover.advance(now)
         return self._advance_demand(now)
 
     def replay_state(self, ticks: Iterable[float]) -> Optional[tuple]:
@@ -671,25 +662,23 @@ class SimulationEngine:
         cheap world state advances and the sharded campaigns' grids
         march in lockstep over ``ticks``, but nothing is measured and no
         traffic is generated — the caller already holds those products.
-        Silent: no phase samples and no fault-plane trace events, since
-        the original run recorded both.  Returns the last tick's
+        Silent: no phase samples and no trace events, since the original
+        run recorded both.  Returns the last tick's
         ``(now, demand, EU split)`` — the :func:`state_digest` inputs —
         or ``None`` for no ticks.
         """
         obs = self._obs
         scenario = self.scenario
-        failover = scenario.failover
         saved_profiling = obs.profiling
         obs.profiling = False
         last: Optional[tuple] = None
         try:
-            with failover.quiet() if failover is not None else nullcontext():
-                for now in ticks:
-                    demand, splits = self.advance_state(now)
-                    last = (now, demand, splits[MappingRegion.EU])
-                    for campaign in scenario.dns_campaigns:
-                        if campaign.due(now):
-                            campaign.mark_fired(now, count_metrics=False)
+            for now in ticks:
+                demand, splits = self.advance_state(now)
+                last = (now, demand, splits[MappingRegion.EU])
+                for campaign in scenario.dns_campaigns:
+                    if campaign.due(now):
+                        campaign.mark_fired(now, count_metrics=False)
         finally:
             obs.profiling = saved_profiling
         return last
@@ -744,7 +733,7 @@ class SimulationEngine:
         weights over the spill.
         """
         estate = self.scenario.estate
-        apple_share = estate.apple_share(region, now)
+        apple_share = estate.controller.apple_share(region)
         split = {"Apple": demand_gbps * apple_share}
         spill = demand_gbps * (1.0 - apple_share)
         weights = estate.third_party_weights[region].weights_at(now)

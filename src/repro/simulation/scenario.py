@@ -37,12 +37,6 @@ from ..cdn.deployment import CdnDeployment, ExposureController
 from ..cdn.server import CacheServer, ServerFunction, ServerRole
 from ..cdn.thirdparty import AKAMAI_PLAN, LIMELIGHT_PLAN, build_third_party
 from ..dns.policies import WeightSchedule, stable_fraction
-from ..faults import (
-    FailoverConfig,
-    FailoverLoop,
-    FaultInjector,
-    FaultSchedule,
-)
 from ..isp.bgp import BgpRib, BgpRoute
 from ..isp.netflow import NetflowCollector
 from ..isp.snmp import SnmpCounters
@@ -119,11 +113,6 @@ PRECACHE_FILL_GBPS = 60.0              # the Sep 19 AS-A fill spike
 PRECACHE_FILL_LEAD_SECONDS = 3 * 3600.0
 PRECACHE_FILL_TAIL_SECONDS = 7 * 3600.0
 
-# The fault plane at engine time: health probes every minute, unhealthy
-# members re-probed every five; 3 failures fail over and 2 half-open
-# successes recover (the FailoverConfig defaults).
-ENGINE_FAILOVER = FailoverConfig(probe_interval=60.0, cooldown=300.0)
-
 
 @dataclass
 class ScenarioConfig:
@@ -168,9 +157,6 @@ class ScenarioConfig:
     # --- event times (defaults from the Timeline) -------------------------
     a1015_delay_seconds: float = 6 * 3600.0
 
-    # --- fault plane (used only when a FaultSchedule is passed) -----------
-    fault_seed: int = 0                    # seeds probabilistic severities
-
     # --- measurement stores (columnar segments + spill) -------------------
     store_segment_rows: int = 8192         # rows per sealed segment
     store_memory_budget_bytes: Optional[int] = None  # None = never spill
@@ -194,37 +180,17 @@ class ScenarioConfig:
 class Sep2017Scenario:
     """The fully wired world: estate, ISP, probes, campaigns, demand."""
 
-    def __init__(
-        self,
-        config: Optional[ScenarioConfig] = None,
-        faults: Optional[FaultSchedule] = None,
-    ) -> None:
+    def __init__(self, config: Optional[ScenarioConfig] = None) -> None:
         self.config = config if config is not None else ScenarioConfig()
         cfg = self.config
         for count in ("global_probe_count", "isp_probe_count"):
             if getattr(cfg, count) <= 0:
                 raise ValueError(f"{count} must be positive")
         self.timeline = timeline = TIMELINE
-        # The raw schedule (not the injector built from it) so sharded
-        # runs can rebuild bit-identical scenario replicas in workers.
-        self.fault_schedule = faults
         self.locations = LocodeDatabase.builtin()
         self.registry = ASRegistry()
 
-        # Fault plane (optional): an injector evaluating the schedule at
-        # engine time, a health monitor probing the member CDNs against
-        # it, and the failover loop the engine advances once per step.
-        self.faults: Optional[FaultInjector] = None
-        self.failover: Optional[FailoverLoop] = None
-        if faults is not None and len(faults):
-            self.failover = FailoverLoop.build(
-                faults, replace(ENGINE_FAILOVER, fault_seed=cfg.fault_seed)
-            )
-            self.faults = self.failover.injector
-
         self.estate = self._build_estate()
-        if self.faults is not None:
-            self.estate.apple.install_fault_injector(self.faults)
         self.isp, self.rib = self._build_isp()
         self._register_asns()
         self.operator_by_address = self._index_operators()
@@ -380,7 +346,6 @@ class Sep2017Scenario:
             controller,
             third_party_weights=self._third_party_weights(),
             a1015_from=self.timeline.ios_11_0_release + config.a1015_delay_seconds,
-            health_monitor=self.failover.monitor if self.failover else None,
         )
 
     def _add_overflow_cluster(self, limelight: CdnDeployment) -> None:
@@ -608,12 +573,6 @@ class Sep2017Scenario:
         model; returns ``None`` for unknown addresses.  This is the
         fetcher behind the AWS-VM availability checks.
         """
-        if self.faults is not None:
-            operator = self.operator_of(address)
-            if operator is not None and self.faults.cdn_down(
-                operator, key=("fetch", str(address), request.path)
-            ):
-                return None
         return self.estate.serve_at(address, request, size)
 
     def precache_fill(self, now: float) -> tuple[list[IPv4Address], float]:

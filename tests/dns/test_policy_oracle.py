@@ -9,7 +9,7 @@ answer is asked for several clients, as a campaign tick asks it, and
 every answer must equal the oracle's.
 
 Times are drawn either side of the edges a rule has: TTL buckets,
-schedule steps, ``secondary_from`` and a health outage window.
+schedule steps and ``secondary_from``.
 """
 
 from hypothesis import given, settings
@@ -214,60 +214,28 @@ class Shares:
         return self.shares[region]
 
 
-class Outage:
-    """A health stand-in following ``SelectionHealth.effective_share``'s
-    rule, with Apple up or down and the third-party tier of one region
-    dark inside ``[start, end)``."""
-
-    def __init__(self, apple_ok, region, start, end):
-        self.apple_ok, self.region, self.start, self.end = apple_ok, region, start, end
-
-    def third_party_ok(self, region, now):
-        return region is not self.region or not self.start <= now < self.end
-
-    def effective_share(self, share, region, now):
-        third_ok = self.third_party_ok(region, now)
-        if not self.apple_ok and third_ok:
-            return 0.0
-        if self.apple_ok and not third_ok:
-            return 1.0
-        return share
-
-
 share = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-outages = st.one_of(
-    st.none(),
-    st.builds(
-        Outage, st.booleans(), st.sampled_from(list(MappingRegion)),
-        st.sampled_from([0.0, 600.0]), st.sampled_from([600.0, 7200.0]),
-    ),
-)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     shares=st.fixed_dictionaries({region: share for region in MappingRegion}),
-    health=outages,
     gslb_targets=st.sampled_from([("a.gslb.example", "b.gslb.example"), ("only.gslb.example",)]),
     data=st.data(),
     drawn=clients,
 )
-def test_offload(shares, health, gslb_targets, data, drawn):
+def test_offload(shares, gslb_targets, data, drawn):
     ttl = 15
-    edges = () if health is None else (health.start, health.end)
-    now = data.draw(when(ttl, *edges))
+    now = data.draw(when(ttl))
 
     def oracle(context):
         region = context.region
-        kept = shares[region]
-        if health is not None:
-            kept = health.effective_share(kept, region, now)
-        if draw(NAME, context.client, now, ttl) < kept:
+        if draw(NAME, context.client, now, ttl) < shares[region]:
             pick = draw("gslb", context.client, now, ttl)
             return cname(gslb_targets[int(pick * len(gslb_targets))], ttl)
         return cname(f"ios8-{region.value}-lb.apple.com.akadns.net", ttl)
 
-    policy = OffloadCnamePolicy(Shares(shares), gslb_targets, ttl, health)
+    policy = OffloadCnamePolicy(Shares(shares), gslb_targets, ttl)
     check(policy, now, drawn, oracle)
 
 

@@ -4,12 +4,11 @@
 a query's bytes after the id fix (a plan) and the reply bytes an answer
 or cache entry gives that body.  These tests hold what a planned body
 gets to what the validating path composes, and pin what must never ride
-the memos: traced queries, a fault plane, malformed and REFUSED bodies.
+the memos: traced queries, malformed and REFUSED bodies.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +23,6 @@ from repro.dns.wire import (
     encode_message,
 )
 from repro.dns.zone import AuthoritativeServer, Zone
-from repro.faults import FaultInjector, FaultKind, FaultSchedule, FaultWindow
 from repro.net.geo import MappingRegion
 from repro.net.ipv4 import IPv4Address, IPv4Prefix
 from repro.obs import MetricsRegistry
@@ -288,37 +286,6 @@ class TestBypass:
             assert tuple(reply.answers) == ANSWER_SETS[1]
         assert front.cache_stats()["hits"] == 4
         assert _memo_sizes(front) == (0, 0)
-
-    @pytest.mark.parametrize("kind", [
-        FaultKind.DNS_DROP, FaultKind.DNS_SERVFAIL, FaultKind.DNS_STALE,
-    ])
-    def test_a_fault_window_hits_a_repeated_body_every_time(
-        self, serve_estate, kind
-    ):
-        now = 7200.0
-        staleness = 3600.0
-        registry = MetricsRegistry()
-        injector = FaultInjector(
-            FaultSchedule([FaultWindow(0.0, 1e9, "*", kind, staleness)]),
-            clock=lambda: now, metrics=registry,
-        )
-        server = AsyncDnsServer(
-            serve_estate.servers, clock=lambda: now, faults=injector,
-            metrics=registry,
-        )
-        clean = ZoneFrontend(serve_estate.servers)
-        for message_id in range(1, 6):
-            payload = _query(message_id, NAMES.entry_point, self.CLIENT, 24)
-            reply = server.handle_datagram(payload)
-            if kind is FaultKind.DNS_DROP:
-                assert reply is None
-            elif kind is FaultKind.DNS_SERVFAIL:
-                assert decode_message(reply).rcode is RCode.SERVFAIL
-            else:
-                assert reply == _reference(clean, payload, now - staleness)
-            injected = registry.get("faults_injected_total").labels(kind.value)
-            assert injected.value == message_id
-        assert _memo_sizes(server) == (0, 0)
 
     def test_malformed_and_refused_bodies_are_counted_on_every_repeat(
         self, serve_estate

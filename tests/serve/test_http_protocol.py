@@ -2,8 +2,7 @@
 
 The edge answers each complete head inside ``data_received``; these
 tests hold that how the bytes are cut into arrivals changes nothing on
-the wire, that a delayed answer holds back the pipelined requests behind
-it, and that a peer which pipelines and never reads stalls the
+the wire, and that a peer which pipelines and never reads stalls the
 connection instead of growing the server's write buffer.
 """
 
@@ -15,7 +14,6 @@ import socket
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultInjector, FaultKind, FaultSchedule, FaultWindow
 from repro.http.messages import Headers, HttpResponse
 from repro.obs import MetricsRegistry
 from repro.serve import AsyncHttpEdge, estate_router
@@ -162,52 +160,6 @@ def test_byte_at_a_time_is_answered_as_the_whole():
     whole = _answer([stream])
     assert _answer([stream[i:i + 1] for i in range(len(stream))]) == whole
     assert whole[3] == {"206": 1, "200": 1}
-
-
-def _slow_start(vip: str, seconds: float) -> FaultInjector:
-    return FaultInjector(
-        FaultSchedule([FaultWindow(0.0, 3600.0, vip, FaultKind.SLOW_START, seconds)]),
-        metrics=MetricsRegistry(),
-    )
-
-
-def test_a_delayed_answer_holds_back_the_requests_behind_it(serve_estate):
-    slow, fast = serve_estate.apple.sites[0].vip_addresses[:2]
-
-    def request(vip, last):
-        return (
-            f"GET /content/held.ipsw HTTP/1.1\r\nHost: appldnld.apple.com\r\n"
-            f"X-Vip: {vip}\r\nRange: bytes=0-{last}\r\n\r\n"
-        ).encode()
-
-    async def scenario():
-        edge = AsyncHttpEdge(
-            estate_router(serve_estate), faults=_slow_start(str(slow), 0.3)
-        )
-        host, port = await edge.start()
-        reader, writer = await asyncio.open_connection(host, port)
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        lengths, times = [], []
-        try:
-            # Pipelined: slow, fast, slow.  The fast one is ready at
-            # once but must wait its turn.
-            writer.write(request(slow, 0) + request(fast, 1) + request(slow, 2))
-            for _ in range(3):
-                head = (await reader.readuntil(b"\r\n\r\n")).decode("latin-1")
-                length = int(head.split("Content-Length: ")[1].split("\r\n")[0])
-                await reader.readexactly(length)
-                lengths.append(length)
-                times.append(loop.time() - started)
-        finally:
-            writer.close()
-            await edge.stop()
-        return lengths, times
-
-    lengths, times = asyncio.run(scenario())
-    assert lengths == [1, 2, 3]
-    assert 0.28 <= times[0] and times[1] - times[0] < 0.2
-    assert 0.58 <= times[2] < 3.0
 
 
 def test_a_peer_that_pipelines_and_never_reads_stalls_the_connection(serve_estate):

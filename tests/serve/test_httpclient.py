@@ -48,9 +48,8 @@ def get_from(response: bytes):
     b"Content-Length: 5\r\nContent-Length: 7\r\n",
 ], ids=["not-a-number", "negative", "two-that-disagree"])
 def test_a_malformed_content_length_is_a_connection_error(fields):
-    """``ConnectionError`` is what the load generator retries and reports
-    to the vip's circuit breaker; the bare ``ValueError`` out of
-    ``int()`` was neither."""
+    """``ConnectionError`` is what the load generator retries and
+    counts; the bare ``ValueError`` out of ``int()`` was neither."""
     outcome, left_open = get_from(b"HTTP/1.1 200 OK\r\n" + fields + b"\r\nhello")
     assert isinstance(outcome, ConnectionError)
     assert "Content-Length" in str(outcome)

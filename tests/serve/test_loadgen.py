@@ -6,10 +6,8 @@ import socket
 import pytest
 
 from repro.dns.records import ARecord, CnameRecord
-from repro.faults import FaultSchedule
-from repro.faults.chaos import _live_section
 from repro.net.ipv4 import IPv4Address
-from repro.obs import NULL_TRACER, MetricsRegistry, use_registry
+from repro.obs import MetricsRegistry, use_registry
 from repro.obs.registry import HistogramChild
 from repro.serve import (
     ClientDirectory,
@@ -23,7 +21,6 @@ from repro.serve import (
     build_serve_estate,
     merge_load_reports,
 )
-from repro.serve.harness import drive_watched
 
 
 class TestDnsMessageIds:
@@ -227,14 +224,12 @@ class TestClusterEndToEnd:
 
 
 class TestMergeLoadReports:
-    """The fold behind ``drive_watched``: the batches ran back to back,
-    so counts and elapsed add, and percentiles come off the merged
-    histograms."""
+    """Folding batches that ran back to back: counts and elapsed add,
+    and percentiles come off the merged histograms."""
 
     COUNTS = (
         "requests", "ok", "errors", "dns_queries", "dns_timeouts",
-        "tcp_fallbacks", "body_bytes", "retries", "reresolutions", "hedged",
-        "shed",
+        "tcp_fallbacks", "body_bytes", "retries", "reresolutions", "shed",
     )
 
     def _drive(self, batches):
@@ -246,7 +241,7 @@ class TestMergeLoadReports:
             async with ServeCluster(estate=estate, clock=lambda: 0.0) as cluster:
                 return [
                     await cluster.drive(LoadConfig(
-                        requests=requests, concurrency=8, hedge=None,
+                        requests=requests, concurrency=8,
                     ))
                     for requests in batches
                 ]
@@ -299,8 +294,7 @@ class TestMergeLoadReports:
 class TestErrorAccounting:
     def test_every_failed_request_is_counted_not_just_the_samples(self):
         """A dead HTTP port fails all 150 requests: the report counts 150
-        (the sample list stops at a handful), and the chaos gate fed that
-        report fails its error budget."""
+        (the sample list stops at a handful)."""
         with socket.socket() as holder:
             holder.bind(("127.0.0.1", 0))
             dead_http = holder.getsockname()
@@ -314,7 +308,6 @@ class TestErrorAccounting:
                     directory=cluster.directory,
                     config=LoadConfig(
                         requests=150, concurrency=16, http_retries=0,
-                        hedge=None,
                     ),
                     metrics=MetricsRegistry(),
                 ).run()
@@ -322,33 +315,3 @@ class TestErrorAccounting:
         report = asyncio.run(scenario())
         assert (report.requests, report.ok, report.errors) == (150, 0, 150)
         assert 0 < len(report.error_samples) <= 5
-        section = _live_section(
-            FaultSchedule.parse(["vip-outage@Apple:1-9:0.2"]),
-            report, watched=0, resteer=None, recovery=None, unhealthy=0,
-        )
-        assert dict(section.checks)["client error rate below 2%"] is False
-        assert section.fields["errors"] == 150
-
-
-class TestDriveWatched:
-    def test_back_to_back_batches_add_their_time(self):
-        """The chaos drill's single loop runs batches one after another
-        until its clock passes ``until``: the folded report spans that
-        time, so its rates are not inflated by the batch count."""
-
-        async def watch(_dns_endpoint, _directory, _clock):
-            return "watched"
-
-        until = 1.0
-        report, watched = drive_watched(
-            ClusterConfig(servers_per_metro=4),
-            LoadConfig(requests=20, concurrency=4, hedge=None),
-            until, watch, MetricsRegistry(), NULL_TRACER,
-        )
-        assert watched == "watched"
-        batches = report.requests // 20
-        assert report.requests == 20 * batches and batches >= 2
-        assert report.healthy()
-        # Every batch but the last started before ``until``, so together
-        # they ran for most of it; one batch alone takes a fraction.
-        assert report.elapsed_seconds >= 0.5 * until

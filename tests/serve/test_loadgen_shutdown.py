@@ -2,10 +2,9 @@
 
 Regression tests for the fleet-era shutdown fixes: a generator torn
 down mid-ramp (the fleet SIGTERMs its loadgen processes) must cancel
-and *await* its workers before closing the clients underneath them,
-the hedged-lookup shield must reap its primary task when the caller is
-cancelled, and a completed run must leave no socket to the garbage
-collector.  Nor may an edge whose ``start`` failed half-way.
+and *await* its workers before closing the clients underneath them, a
+closed DNS client must fail the queries still waiting on it, and a
+completed run must leave no socket to the garbage collector.  Nor may an edge whose ``start`` failed half-way.
 """
 
 import asyncio
@@ -27,8 +26,6 @@ from repro.serve import (
     ServeCluster,
     build_serve_estate,
 )
-from repro.serve import dnsclient
-from repro.serve.resilience import HedgePolicy
 
 
 def _open_fds() -> set[int]:
@@ -197,47 +194,7 @@ class TestMidRampCancellation:
         asyncio.run(scenario())
 
 
-class TestHedgedLookupCancellation:
-    def test_caller_cancel_reaps_shielded_primary(self, monkeypatch):
-        # A black-hole resolver: bound, never answers.  The hedged
-        # lookup's primary query hangs here until its caller dies.
-        monkeypatch.setattr(dnsclient, "HEDGE_BUDGET", 30.0)
-        hole = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        hole.bind(("127.0.0.1", 0))
-        port = hole.getsockname()[1]
-        try:
-
-            async def scenario():
-                client = await AsyncDnsClient.open(
-                    "127.0.0.1", port,
-                    timeout=30.0, retries=0,
-                    hedge=HedgePolicy(),
-                )
-                try:
-                    caller = asyncio.create_task(
-                        client._query_hedged(
-                            "a.gslb.applimg.com", "b.gslb.applimg.com",
-                            IPv4Address.parse("17.0.0.1"),
-                        )
-                    )
-                    await asyncio.sleep(0.2)
-                    assert client._protocol.waiters, "query never launched"
-                    caller.cancel()
-                    with pytest.raises(asyncio.CancelledError):
-                        await caller
-                    # The shield kept the primary alive past the
-                    # caller's cancellation; _query_hedged must have
-                    # reaped it, deregistering its waiter.
-                    await asyncio.sleep(0)
-                    assert _foreign_tasks() == []
-                    assert client._protocol.waiters == {}
-                finally:
-                    client.close()
-
-            asyncio.run(scenario())
-        finally:
-            hole.close()
-
+class TestClientClose:
     def test_close_fails_remaining_waiters(self):
         hole = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         hole.bind(("127.0.0.1", 0))

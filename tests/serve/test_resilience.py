@@ -1,213 +1,19 @@
-"""Tests for repro.serve.resilience and its wiring into the load
-generator: backoff, circuit breaker, hedged GSLB lookups, TTL-aware
-re-resolution, and graceful HTTP teardown under in-flight requests."""
+"""The load generator's TTL-aware re-resolution across HTTP retries, and
+graceful HTTP teardown under in-flight requests."""
 
 import asyncio
-
-import pytest
+import socket
 
 from repro.dns.records import RecordType, ResourceRecord
-from repro.faults import FaultInjector, FaultKind, FaultSchedule, FaultWindow
 from repro.net.ipv4 import IPv4Address
 from repro.obs import MetricsRegistry
-from repro.serve import (
-    AsyncHttpEdge,
-    BackoffPolicy,
-    CircuitBreaker,
-    HedgePolicy,
-    estate_router,
-)
-from repro.serve import dnsclient, loadgen, resilience
-from repro.serve.loadgen import (
-    AsyncDnsClient,
-    DnsClientError,
-    LoadConfig,
-    LoadGenerator,
-    WireResolution,
-)
+from repro.serve import AsyncHttpEdge, estate_router
+from repro.serve import loadgen
+from repro.serve.loadgen import LoadConfig, LoadGenerator, WireResolution
 
 
 def run(coroutine):
     return asyncio.run(coroutine)
-
-
-class TestBackoffPolicy:
-    def test_exponential_growth_and_cap(self, monkeypatch):
-        monkeypatch.setattr(resilience, "BACKOFF_BASE", 0.1)
-        monkeypatch.setattr(resilience, "BACKOFF_CAP", 0.5)
-        monkeypatch.setattr(resilience, "BACKOFF_JITTER", 0.0)
-        policy = BackoffPolicy()
-        assert policy.delay(0) == pytest.approx(0.1)
-        assert policy.delay(1) == pytest.approx(0.2)
-        assert policy.delay(2) == pytest.approx(0.4)
-        assert policy.delay(3) == pytest.approx(0.5)  # capped
-        assert policy.delay(10) == pytest.approx(0.5)
-
-    def test_jitter_is_bounded_and_deterministic(self, monkeypatch):
-        monkeypatch.setattr(resilience, "BACKOFF_BASE", 0.1)
-        policy = BackoffPolicy()
-        delays = [policy.delay(1, "http", seq) for seq in range(50)]
-        assert delays == [policy.delay(1, "http", seq) for seq in range(50)]
-        for delay in delays:
-            assert 0.1 <= delay <= 0.2  # raw*(1-jitter) .. raw
-        assert len(set(delays)) > 1  # jitter actually spreads retries
-
-    def test_key_changes_the_jitter(self):
-        policy = BackoffPolicy()
-        assert policy.delay(0, "a") != policy.delay(0, "b")
-
-
-class TestCircuitBreaker:
-    @pytest.fixture
-    def make(self, monkeypatch):
-        def breaker(failures, cooldown=1.0):
-            monkeypatch.setattr(resilience, "BREAKER_FAILURES", failures)
-            monkeypatch.setattr(resilience, "BREAKER_COOLDOWN", cooldown)
-            clock = [0.0]
-            return CircuitBreaker(clock=lambda: clock[0]), clock
-
-        return breaker
-
-    def test_opens_after_threshold(self, make):
-        breaker, _clock = make(failures=3)
-        for _ in range(2):
-            breaker.record_failure("17.0.0.1")
-        assert breaker.state("17.0.0.1") == "closed"
-        assert breaker.allow("17.0.0.1")
-        breaker.record_failure("17.0.0.1")
-        assert breaker.state("17.0.0.1") == "open"
-        assert not breaker.allow("17.0.0.1")
-        assert breaker.opened_total == 1
-        # Other targets are unaffected.
-        assert breaker.allow("17.0.0.2")
-
-    def test_half_open_single_trial(self, make):
-        breaker, clock = make(failures=1, cooldown=1.0)
-        breaker.record_failure("v")
-        assert not breaker.allow("v")
-        clock[0] = 1.5
-        assert breaker.state("v") == "half-open"
-        assert breaker.allow("v")       # the one trial
-        assert not breaker.allow("v")   # a second caller is held back
-        breaker.record_success("v")
-        assert breaker.state("v") == "closed"
-        assert breaker.allow("v")
-
-    def test_failed_trial_reopens(self, make):
-        breaker, clock = make(failures=1, cooldown=1.0)
-        breaker.record_failure("v")
-        clock[0] = 1.5
-        assert breaker.allow("v")
-        breaker.record_failure("v")     # trial failed: cooldown restarts
-        assert not breaker.allow("v")
-        clock[0] = 2.0                  # only 0.5 s into the new cooldown
-        assert not breaker.allow("v")
-        clock[0] = 2.6
-        assert breaker.allow("v")
-
-    def test_success_resets_streak(self, make):
-        breaker, _clock = make(failures=2)
-        breaker.record_failure("v")
-        breaker.record_success("v")
-        breaker.record_failure("v")
-        assert breaker.state("v") == "closed"
-
-
-class TestHedgePolicy:
-    def test_maps_both_published_names(self):
-        policy = HedgePolicy()
-        assert policy.hedge_name("a.gslb.applimg.com") == "b.gslb.applimg.com"
-        assert policy.hedge_name("b.gslb.applimg.com") == "a.gslb.applimg.com"
-        assert policy.hedge_name("appldnld.apple.com") is None
-
-
-@pytest.fixture
-def hedged(monkeypatch):
-    """A hedging client whose primary runs alone for ``budget`` seconds."""
-
-    def client(budget):
-        monkeypatch.setattr(dnsclient, "HEDGE_BUDGET", budget)
-        return AsyncDnsClient(
-            "127.0.0.1", 0, metrics=MetricsRegistry(), hedge=HedgePolicy(),
-        )
-
-    return client
-
-
-CLIENT_ADDR = IPv4Address.parse("192.0.2.10")
-
-
-class TestHedgedQuery:
-    def test_fast_primary_never_hedges(self, hedged):
-        async def scenario():
-            dns = hedged(0.2)
-
-            async def fake_query(name, client, **kwargs):
-                return ("answer", name)
-
-            dns.query = fake_query
-            result = await dns._query_hedged(
-                "a.gslb.applimg.com", "b.gslb.applimg.com", CLIENT_ADDR
-            )
-            assert result == ("answer", "a.gslb.applimg.com")
-            assert dns.hedged_queries == 0
-            assert dns.hedge_wins == 0
-
-        run(scenario())
-
-    def test_slow_primary_loses_to_fallback(self, hedged):
-        async def scenario():
-            dns = hedged(0.02)
-
-            async def fake_query(name, client, **kwargs):
-                if name.startswith("a."):
-                    await asyncio.sleep(0.5)
-                return ("answer", name)
-
-            dns.query = fake_query
-            result = await dns._query_hedged(
-                "a.gslb.applimg.com", "b.gslb.applimg.com", CLIENT_ADDR
-            )
-            assert result == ("answer", "b.gslb.applimg.com")
-            assert dns.hedged_queries == 1
-            assert dns.hedge_wins == 1
-
-        run(scenario())
-
-    def test_failed_primary_falls_back_immediately(self, hedged):
-        async def scenario():
-            dns = hedged(5.0)
-
-            async def fake_query(name, client, **kwargs):
-                if name.startswith("a."):
-                    raise DnsClientError("primary dead")
-                return ("answer", name)
-
-            dns.query = fake_query
-            result = await dns._query_hedged(
-                "a.gslb.applimg.com", "b.gslb.applimg.com", CLIENT_ADDR
-            )
-            assert result == ("answer", "b.gslb.applimg.com")
-            assert dns.hedged_queries == 1
-            assert dns.hedge_wins == 1
-
-        run(scenario())
-
-    def test_both_failing_raises(self, hedged):
-        async def scenario():
-            dns = hedged(0.02)
-
-            async def fake_query(name, client, **kwargs):
-                await asyncio.sleep(0.05)
-                raise DnsClientError(f"{name} dead")
-
-            dns.query = fake_query
-            with pytest.raises(DnsClientError):
-                await dns._query_hedged(
-                    "a.gslb.applimg.com", "b.gslb.applimg.com", CLIENT_ADDR
-                )
-
-        run(scenario())
 
 
 class _FakeDns:
@@ -241,9 +47,7 @@ class TestTtlReresolution:
     def test_retry_past_ttl_resolves_fresh_chain(self, monkeypatch):
         """Satellite: a retry whose cached chain outlived the 15 s
         selection TTL must re-resolve instead of replaying stale vips."""
-        monkeypatch.setattr(loadgen, "RESOLUTION_MAX_AGE", 0.005)
-        monkeypatch.setattr(resilience, "BACKOFF_BASE", 0.02)
-        monkeypatch.setattr(resilience, "BACKOFF_JITTER", 0.0)
+        monkeypatch.setattr(loadgen, "RESOLUTION_MAX_AGE", 0.0)
         config = LoadConfig(requests=1, concurrency=1, http_retries=1)
         generator = LoadGenerator(
             ("127.0.0.1", 0), ("127.0.0.1", 0),
@@ -260,8 +64,6 @@ class TestTtlReresolution:
 
     def test_fast_retry_reuses_cached_chain(self, monkeypatch):
         monkeypatch.setattr(loadgen, "RESOLUTION_MAX_AGE", 30.0)
-        monkeypatch.setattr(resilience, "BACKOFF_BASE", 0.001)
-        monkeypatch.setattr(resilience, "BACKOFF_JITTER", 0.0)
         config = LoadConfig(requests=1, concurrency=1, http_retries=1)
         generator = LoadGenerator(
             ("127.0.0.1", 0), ("127.0.0.1", 0),
@@ -280,58 +82,79 @@ class TestGracefulTeardown:
     """Satellite: stop() must drain in-flight keep-alive requests to a
     complete response with ``Connection: close`` — never a reset."""
 
-    def _request(self, vip, path="/content/teardown.ipsw"):
+    def _request(self, vip, path="/content/teardown.ipsw", last=1023):
         return (
             f"GET {path} HTTP/1.1\r\n"
             "Host: appldnld.apple.com\r\n"
             f"X-Vip: {vip}\r\n"
             f"X-Client: {vip}\r\n"
-            "Range: bytes=0-1023\r\n"
+            f"Range: bytes=0-{last}\r\n"
             "\r\n"
         )
 
     def test_stop_mid_request_sends_clean_close(self, serve_estate):
+        """A 256 KiB answer the peer has not read yet, and a request
+        pipelined behind it: stop() lets the connection finish both —
+        the second goes out with ``Connection: close`` — then EOF."""
+
         async def scenario():
-            # A slow-start fault keeps the request in flight long enough
-            # for stop() to begin while it is being served.
-            injector = FaultInjector(
-                FaultSchedule(
-                    [FaultWindow(0.0, 3600.0, "*", FaultKind.SLOW_START, 0.4)]
-                ),
-                metrics=MetricsRegistry(),
-            )
             edge = AsyncHttpEdge(
-                estate_router(serve_estate),
-                metrics=MetricsRegistry(), faults=injector,
+                estate_router(serve_estate), object_size=262_144,
+                metrics=MetricsRegistry(),
             )
             host, port = await edge.start()
             vip = serve_estate.apple.sites[0].vip_addresses[0]
-            reader, writer = await asyncio.open_connection(host, port)
+            loop = asyncio.get_running_loop()
+            # A peer that does not read, and small socket buffers at both
+            # ends: the kernel cannot absorb the answer, so the edge's
+            # transport pauses writing and the connection is mid-request.
+            peer = socket.socket()
+            peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            peer.setblocking(False)
             try:
-                writer.write(self._request(vip).encode("latin-1"))
-                await writer.drain()
-                await asyncio.sleep(0.1)  # request is now inside the delay
+                await loop.sock_connect(peer, (host, port))
+                for _ in range(200):
+                    if edge._listener._connections:
+                        break
+                    await asyncio.sleep(0.01)
+                (connection,) = edge._listener._connections
+                connection.transport.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+                )
+                await loop.sock_sendall(peer, (
+                    self._request(vip, last=262_143) + self._request(vip)
+                ).encode("latin-1"))
+                for _ in range(200):
+                    if connection.busy:
+                        break
+                    await asyncio.sleep(0.01)
+                assert connection.busy
                 stopper = asyncio.create_task(edge.stop(grace=5.0))
-                raw = await reader.read(-1)  # complete response, then EOF
+                await asyncio.sleep(0.1)  # stop() is draining the busy peer
+                raw = bytearray()
+                while chunk := await loop.sock_recv(peer, 65536):
+                    raw += chunk  # both answers, then EOF
                 await stopper
             finally:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except ConnectionError:
-                    pass
-            text = raw.decode("latin-1")
-            head, _sep, body = text.partition("\r\n\r\n")
-            assert head.startswith("HTTP/1.1 206")
-            assert "connection: close" in head.lower()
+                peer.close()
+            return bytes(raw)
+
+        raw = run(scenario()).decode("latin-1")
+        answers = []
+        while raw:
+            head, _sep, rest = raw.partition("\r\n\r\n")
             length = int(
                 [line for line in head.split("\r\n")
                  if line.lower().startswith("content-length")][0].split(":")[1]
             )
-            assert length > 0
-            assert len(body) == length  # Content-Length honoured in full
-
-        run(scenario())
+            answers.append((head, len(rest[:length])))
+            raw = rest[length:]
+        assert [head.split("\r\n")[0] for head, _ in answers] == [
+            "HTTP/1.1 206 Partial Content", "HTTP/1.1 206 Partial Content",
+        ]
+        assert [body for _, body in answers] == [262_144, 1024]  # in full
+        assert "connection: keep-alive" in answers[0][0].lower()
+        assert "connection: close" in answers[1][0].lower()
 
     def test_stop_closes_idle_keep_alive_connections(self, serve_estate):
         async def scenario():

@@ -19,7 +19,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.faults import FaultKind, FaultSchedule, FaultWindow
 from repro.obs import EventTracer, MetricsRegistry, use_registry, use_tracer
 from repro.simulation import (
     CheckpointError,
@@ -146,61 +145,33 @@ class TestResumeIdentity:
         assert render(engine.scenario, reports) == golden
 
 
-RELEASE = TIMELINE.ios_11_0_release
-BLACKOUT = FaultSchedule([
-    FaultWindow(
-        RELEASE + 3600.0, RELEASE + 6 * 3600.0, "Limelight", FaultKind.CDN_BLACKOUT
-    )
-])
-# 16 ticks: the member fails over and recovers before the boundary.
-FAULT_START, FAULT_CUT = RELEASE - 1800.0, RELEASE + 7.5 * 3600.0
-FAULT_END = RELEASE + 9 * 3600.0
-
-
-def blackout_engine():
-    config = ScenarioConfig(global_probe_count=8, isp_probe_count=4)
-    return SimulationEngine(
-        Sep2017Scenario(config, faults=BLACKOUT), step_seconds=STEP
-    )
-
-
-def limelight_failovers(registry):
-    return registry.get("cdn_failovers_total").labels("Limelight").value
-
-
 class TestReplayToABoundary:
     def test_resumed_trace_starts_at_the_boundary(self, tmp_path):
-        """The replay used to quiet the injector but not the monitor: a
-        resumed trace re-emitted ``cdn_unhealthy`` / ``cdn_half_open`` /
-        ``cdn_recovered`` stamped before the checkpoint, without the
-        ``fault_opened`` / ``fault_closed`` that caused them."""
-        full_registry, full_tracer = MetricsRegistry(), EventTracer()
-        with use_registry(full_registry), use_tracer(full_tracer):
-            blackout_engine().run(FAULT_START, FAULT_END)
-        assert full_tracer.find("cdn_recovered")[0].ts < FAULT_CUT
+        """The replay to the checkpoint's tick is silent: a resumed run
+        traces nothing stamped before ``next_tick``, though the same
+        ticks, run, trace plenty."""
+        full_tracer = EventTracer()
+        with use_registry(MetricsRegistry()), use_tracer(full_tracer):
+            fresh_engine().run(START, END)
+        assert [r for r in full_tracer.records() if r.ts < CUT]
 
-        with use_registry(MetricsRegistry()), use_tracer(EventTracer()):
-            blackout_engine().run(
-                FAULT_START, FAULT_CUT, checkpoint_every=4, checkpoint_dir=tmp_path
-            )
-        checkpoint = load_checkpoint(tmp_path)
-        assert checkpoint.next_tick == FAULT_CUT
-        registry, tracer = MetricsRegistry(), EventTracer()
-        with use_registry(registry), use_tracer(tracer):
-            checkpoint.spec.build().run(end=FAULT_END, resume_from=checkpoint)
+        checkpoint = partial_checkpoint(tmp_path, workers=1)
+        assert checkpoint.next_tick == CUT
+        tracer = EventTracer()
+        with use_registry(MetricsRegistry()), use_tracer(tracer):
+            checkpoint.spec.build().run(end=END, resume_from=checkpoint)
         assert len(tracer) > 0
         assert [r for r in tracer.records() if r.ts < checkpoint.next_tick] == []
-        assert limelight_failovers(registry) == limelight_failovers(full_registry) == 1
 
     def test_replay_state_is_advance_without_the_products(self):
-        ticks = [FAULT_START + index * STEP for index in range(16)]
+        ticks = [START + index * STEP for index in range(16)]
         with use_registry(MetricsRegistry()), use_tracer(EventTracer()):
-            stepped = blackout_engine()
+            stepped = fresh_engine()
             for now in ticks:
                 last = stepped.advance(now)
         registry, tracer = MetricsRegistry(), EventTracer()
         with use_registry(registry), use_tracer(tracer):
-            replayed = blackout_engine()
+            replayed = fresh_engine()
             state = replayed.replay_state(ticks)
         assert state_digest(*state) == state_digest(
             last.now, last.demand_gbps, last.operator_gbps
@@ -210,11 +181,7 @@ class TestReplayToABoundary:
             c.cadence.next_due for c in a.dns_campaigns
         ]
         assert None not in [c.cadence.next_due for c in b.dns_campaigns]
-        monitor = b.failover.monitor
-        assert [monitor.state(m) for m in monitor.members] == [
-            a.failover.monitor.state(m) for m in monitor.members
-        ]
-        assert limelight_failovers(registry) == 1  # it did fail over on the way
+        assert len(a.netflow) > 0 and any(len(store) for store in a.stores)
         assert b.is_fresh() is False and not any(len(store) for store in b.stores)
         assert len(b.netflow) == 0 and b.aws_campaign.results == []
         assert list(registry.get("engine_phase_seconds").children()) == []
@@ -385,7 +352,7 @@ class TestCheckpointValidation:
         from repro.container import Container
         from repro.simulation import checkpoint as module
 
-        assert module._VERSION == 9
+        assert module._VERSION == 10
         _, payload = module._CONTAINER.read(small_dir / "ckpt-00000008.rckpt")
         path = tmp_path / "ckpt-00000008.rckpt"
         Container(b"RCKPT1\n", version, CheckpointError, "checkpoint").write(
@@ -395,9 +362,9 @@ class TestCheckpointValidation:
 
     def test_a_version_4_checkpoint_is_refused(self, small_dir, tmp_path):
         """Version 4 stored one flow timestamp per row; this build reads
-        version 9 and says so, naming both."""
+        version 10 and says so, naming both."""
         path = self._rewritten_as(4, small_dir, tmp_path)
-        with pytest.raises(CheckpointError, match=r"version 4 .*reads version 9"):
+        with pytest.raises(CheckpointError, match=r"version 4 .*reads version 10"):
             load_checkpoint(path)
 
     def test_a_version_5_checkpoint_is_refused(self, small_dir, tmp_path):
@@ -405,7 +372,7 @@ class TestCheckpointValidation:
         and its share; it is refused, not resumed under a config that
         lost them."""
         path = self._rewritten_as(5, small_dir, tmp_path)
-        with pytest.raises(CheckpointError, match=r"version 5 .*reads version 9"):
+        with pytest.raises(CheckpointError, match=r"version 5 .*reads version 10"):
             load_checkpoint(path)
 
     def test_a_version_6_checkpoint_is_refused(self, small_dir, tmp_path):
@@ -413,7 +380,7 @@ class TestCheckpointValidation:
         the ISP fan-out, and an engine spec with a timeline; it is
         refused, naming both versions."""
         path = self._rewritten_as(6, small_dir, tmp_path)
-        with pytest.raises(CheckpointError, match=r"version 6 .*reads version 9"):
+        with pytest.raises(CheckpointError, match=r"version 6 .*reads version 10"):
             load_checkpoint(path)
 
     def test_a_version_7_checkpoint_is_refused(self, small_dir, tmp_path):
@@ -421,7 +388,7 @@ class TestCheckpointValidation:
         is refused, naming both versions, not resumed under a config
         that lost the field."""
         path = self._rewritten_as(7, small_dir, tmp_path)
-        with pytest.raises(CheckpointError, match=r"version 7 .*reads version 9"):
+        with pytest.raises(CheckpointError, match=r"version 7 .*reads version 10"):
             load_checkpoint(path)
 
     def test_a_version_8_checkpoint_is_refused(self, small_dir, tmp_path):
@@ -429,7 +396,24 @@ class TestCheckpointValidation:
         fields; it is refused, naming both versions, not resumed under a
         config that lost them."""
         path = self._rewritten_as(8, small_dir, tmp_path)
-        with pytest.raises(CheckpointError, match=r"version 8 .*reads version 9"):
+        with pytest.raises(CheckpointError, match=r"version 8 .*reads version 10"):
+            load_checkpoint(path)
+
+    def test_a_version_9_checkpoint_is_refused_unread(
+        self, small_dir, tmp_path, monkeypatch
+    ):
+        """Version 9 pickled an engine spec with a fault schedule and a
+        scenario config with a fault seed; it is refused, naming both
+        versions, before a byte of it is unpickled."""
+        import pickle
+
+        path = self._rewritten_as(9, small_dir, tmp_path)
+
+        def unpickled(*args, **kwargs):
+            raise AssertionError("a refused checkpoint was unpickled")
+
+        monkeypatch.setattr(pickle, "loads", unpickled)
+        with pytest.raises(CheckpointError, match=r"version 9 .*reads version 10"):
             load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):

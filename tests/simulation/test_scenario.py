@@ -164,12 +164,14 @@ FORMER_KNOBS = (
     # itself (the live edge keeps these on ClusterConfig).
     "resolver_population", "public_resolver_share", "public_resolver_ecs",
     "public_resolver_scope",
+    # The deleted fault plane's seed for probabilistic severities.
+    "fault_seed",
 )
 
 
 def test_calibration_constants_are_not_config_keywords():
-    assert len(FORMER_KNOBS) == 32
-    assert len(dataclasses.fields(ScenarioConfig)) == 17
+    assert len(FORMER_KNOBS) == 33
+    assert len(dataclasses.fields(ScenarioConfig)) == 16
     for keyword in FORMER_KNOBS:
         with pytest.raises(TypeError, match=keyword):
             ScenarioConfig(**{keyword: 1})

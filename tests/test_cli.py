@@ -171,12 +171,6 @@ class TestCheckpointFlags:
         assert "ckpt-00000096.rckpt" in {p.name for p in directory.iterdir()}
 
 
-BAD_FAULT = (
-    "unknown fault kind 'bogus' (valid: dns-drop, dns-delay, dns-servfail, "
-    "dns-stale, vip-outage, edge-crash, slow-start, cdn-blackout, cdn-brownout)"
-)
-
-
 class TestReplayFlagValues:
     """A flag value the replay refuses is one line on exit,
     ``<command>: <message>``, before the engine runs: no traceback."""
@@ -196,8 +190,6 @@ class TestReplayFlagValues:
          "report: step_seconds must be positive"),
         (["run", *PROBES, "--workers", "0"],
          "run: workers must be >= 1"),
-        *(([command, "--fault", "bogus@x:1-2"], f"{command}: {BAD_FAULT}")
-          for command in ("simulate", "run", "chaos")),
         (["simulate", *PROBES, "--step", "nan"],
          "simulate: step_seconds must be positive"),
         (["run", *PROBES, "--step", "inf"],
@@ -207,10 +199,6 @@ class TestReplayFlagValues:
         *((["report", *PROBES, "--store-budget-mb", value],
            "report: --store-budget-mb must be a finite number >= 0")
           for value in ("inf", "nan", "-1")),
-        (["chaos", "--concurrency", "0"],
-         "chaos: concurrency must be positive"),
-        (["chaos", "--workers", "0"],
-         "chaos: workers must be >= 1"),
         *((["resume", "--from", "no-such-dir", "--workers", value],
            "resume: workers must be >= 1")
           for value in ("0", "-1")),
@@ -220,20 +208,16 @@ class TestReplayFlagValues:
     ], ids=["simulate-step", "simulate-probes", "simulate-isp-probes",
             "simulate-workers", "simulate-window", "report-step",
             "run-workers",
-            "simulate-fault", "run-fault", "chaos-fault",
             "simulate-step-nan", "run-step-inf", "report-step-inf",
             "report-budget-inf", "report-budget-nan", "report-budget-negative",
-            "chaos-concurrency", "chaos-workers",
             "resume-workers-zero", "resume-workers-negative", "resume-unreadable"])
     def test_exits_as_one_line_before_running(self, monkeypatch, argv, message):
-        from repro.cli import chaos
         from repro.simulation import SimulationEngine
 
         def run(*_args, **_kwargs):
             raise AssertionError("the engine ran")
 
         monkeypatch.setattr(SimulationEngine, "run", run)
-        monkeypatch.setattr(chaos, "run_chaos", run)
         with pytest.raises(SystemExit) as caught:
             main(argv)
         assert caught.value.code == message

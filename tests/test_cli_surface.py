@@ -44,7 +44,6 @@ PARENT_SURFACE = {
         'probes': (('--probes',), 60, 'int', None, False, None, '_StoreAction', None),
         'isp_probes': (('--isp-probes',), 30, 'int', None, False, None, '_StoreAction', None),
         'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
-        'fault': (('--fault',), None, None, None, False, None, '_AppendAction', 'SPEC'),
         'store_budget_mb': (('--store-budget-mb',), None, 'float', None, False, None, '_StoreAction', 'MB'),
         'store_spill_dir': (('--store-spill-dir',), None, None, None, False, None, '_StoreAction', 'DIR'),
         'checkpoint_every': (('--checkpoint-every',), 0, 'int', None, False, None, '_StoreAction', 'N'),
@@ -60,7 +59,6 @@ PARENT_SURFACE = {
         'probes': (('--probes',), 60, 'int', None, False, None, '_StoreAction', None),
         'isp_probes': (('--isp-probes',), 30, 'int', None, False, None, '_StoreAction', None),
         'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
-        'fault': (('--fault',), None, None, None, False, None, '_AppendAction', 'SPEC'),
         'store_budget_mb': (('--store-budget-mb',), None, 'float', None, False, None, '_StoreAction', 'MB'),
         'store_spill_dir': (('--store-spill-dir',), None, None, None, False, None, '_StoreAction', 'DIR'),
         'checkpoint_every': (('--checkpoint-every',), 0, 'int', None, False, None, '_StoreAction', 'N'),
@@ -129,13 +127,6 @@ PARENT_SURFACE = {
         'public_resolver_share': (('--public-resolver-share',), 0.5, 'float', None, False, None, '_StoreAction', 'FRACTION'),
         'public_resolver_ecs': (('--public-resolver-ecs',), 'on', None, ('on', 'off'), False, None, '_StoreAction', None),
         'public_resolver_scope': (('--public-resolver-scope',), 24, 'int', None, False, None, '_StoreAction', 'BITS'),
-    },
-    'chaos': {
-        'seed': (('--seed',), 7, 'int', None, False, None, '_StoreAction', None),
-        'concurrency': (('--concurrency',), 16, 'int', None, False, None, '_StoreAction', None),
-        'fault': (('--fault',), None, None, None, False, None, '_AppendAction', 'SPEC'),
-        'skip_simulation': (('--skip-simulation',), False, None, None, False, 0, '_StoreTrueAction', None),
-        'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
     },
 }
 

@@ -75,15 +75,6 @@ class TestExamples:
         assert "Content-Range: bytes 0-4095/" in out
         assert "edge-lx" in out  # the §3.3 Via chain came over the wire
 
-    def test_degraded_rollout(self, capsys):
-        out = run_example("degraded_rollout.py", capsys)
-        assert "cdn-blackout@Limelight" in out
-        assert "marked unhealthy, selection re-steers" in out
-        assert "cdn_recovered" in out
-        assert "Limelight       0" in out  # the split collapsed to zero
-        assert "overflow to Akamai during the blackout" in out
-        assert "overflow to Akamai during the blackout: 0 bytes" not in out
-
     @pytest.mark.slow
     def test_release_day_closeup(self, capsys):
         out = run_example("release_day_closeup.py", capsys)

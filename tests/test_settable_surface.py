@@ -49,7 +49,8 @@ ALLOWED = {
     "dns/reverse.py:scan_ptr_records(addresses=)": "bound: a full /16 PTR sweep is 65 536 queries; the 3.3 test sweeps the estate",
     "isp/netflow.py:NetflowCollector.__init__(flow_bytes=)": "roadmap: item 5 (ii) sampled Netflow, whose flow size the tests set",
     "obs/tracer.py:EventTracer.__init__(stream=)": "fake: tests hand the tracer a StringIO to read its JSONL",
-    "serve/resilience.py:CircuitBreaker.__init__(clock=)": "fake: tests drive the breaker's cooldown with a hand clock",
+    "serve/loadgen.py:LoadConfig(dns_timeout=)": "roadmap: item 1 left the client's wire timeout and HTTP retries to be judged",
+    "serve/loadgen.py:LoadConfig(http_retries=)": "roadmap: item 1 left the client's wire timeout and HTTP retries to be judged",
     "simulation/engine.py:SimulationEngine.__init__(clock=)": "fake: tests stamp phase timings with a deterministic clock",
     "simulation/engine.py:SimulationEngine.__init__(metrics=)": "fake: tests read the engine's counters from their own registry",
     "simulation/engine.py:SimulationEngine.__init__(tracer=)": "fake: tests read the engine's spans from their own tracer",
@@ -62,6 +63,7 @@ SEAMS = {
     "analysis/enumeration.py:enumerate_names": "the 3.3 enumeration tests find the estate's edge-bx names through the forward zone with it",
     "analysis/offload.py:summarize_offload": "the per-flow Figure 7 reference fold_traffic's offload half is compared against",
     "analysis/overflow.py:summarize_overflow": "the per-flow Figure 8 reference fold_traffic's overflow half is compared against",
+    "apple/mapping.py:MetaCdnEstate.deployment_at": "the router-parity tests check which fleet owns each address with it",
     "atlas/probe.py:AtlasProbe.measure_dns": "the one-probe reference a campaign's tick block is compared against",
     "atlas/results.py:MeasurementStore.add_dns": "the row-wise append a DNS block append is compared against",
     "atlas/results.py:MeasurementStore.add_traceroute": "the row-wise append a traceroute block append is compared against",
@@ -72,16 +74,17 @@ SEAMS = {
     "cdn/cache.py:ContentCache.used_bytes": "the cache model test checks the byte accounting with it",
     "cdn/deployment.py:CdnDeployment.servers_in_region": "exposure and pool tests count a region's fleet with it",
     "dns/query.py:DnsResponse.is_empty": "the IPv6-absence tests assert NODATA with it",
-    "faults/health.py:CdnHealthMonitor.members": "the health and resume tests walk every member's state with it",
     "dns/reverse.py:address_from_reverse_name": "the reverse-name tests check the in-addr.arpa round trip with it",
     "dns/reverse.py:build_ptr_zone": "the 3.3 tests serve the estate's reverse table with it",
     "dns/reverse.py:scan_ptr_records": "the 3.3 tests walk the PTR zone and feed site discovery with it",
     "http/messages.py:Headers.get_all": "the header model test compares repeated fields with it",
     "isp/classify.py:TrafficClassifier.classify": "the per-flow reference classify_all is compared against",
+    "isp/netflow.py:NetflowCollector.records_between": "the collector test checks a half-open time window of the log with it",
     "isp/netflow.py:NetflowCollector.sampled_bytes": "the 5.3 sampling tests check 1-in-N collection with it",
     "obs/export.py:parse_exposition": "the export and CLI tests read render_exposition and --metrics-out back with it",
     "obs/trace_context.py:TraceChain.complete": "the trace tests keep only the chains whose root span closed with it",
     "obs/trace_context.py:assemble_chains": "the trace tests join client, DNS and HTTP spans into one chain per trace with it",
+    "serve/loadgen.py:merge_load_reports": "the loadgen tests fold back-to-back batches to exact percentiles with it",
     "isp/topology.py:EyeballIsp.is_direct_peer": "the scenario tests check the ISP's peering with it",
     "simulation/engine.py:RunSummary.from_run": "the golden runs digest the summary it builds",
     "simulation/engine.py:RunSummary.to_json_dict": "the golden runs digest the summary in the canonical form it returns",
@@ -106,9 +109,6 @@ DELETED = (
     "dns/resolver.py:RecursiveResolver.sweep",
     "dns/resolver.py:ResolverCacheStats.hit_ratio",
     "dns/trace.py:dig_trace",
-    "faults/health.py:CdnHealthMonitor.unhealthy_members",
-    "faults/health.py:HealthFilteredSchedule.change_times",
-    "faults/health.py:HealthFilteredSchedule.targets_at",
     "isp/bgp.py:BgpRib.candidates",
     "isp/bgp.py:BgpRib.install",
     "isp/bgp.py:BgpRib.lookup_all",

@@ -17,24 +17,23 @@ old chase stays gone.
 *One timer per wait* (once the CI step "Python 3.9 asyncio, one
 deadline per request head"): ``asyncio.timeout()`` needs 3.11 and the
 package runs on 3.9, a ``wait_for`` around each ``readline()`` is a
-task per header line, and the wire DNS client awaits each attempt and
-each hedge budget without ``asyncio.wait_for``.  Every timeout under
+task per header line, and the wire DNS client awaits each attempt
+without ``asyncio.wait_for``.  Every timeout under
 ``serve/`` is an ``Alarm`` (``serve/deadline.py`` alone calls
 ``call_at``); the kept guard the stream connections used is gone.
 
 *One steering plane* (once the CI step "One steering plane", and one
 line of "The replay written once"): clients are steered by the DNS
 selection chain alone.  The anycast axis and the hybrid mix of the two
-stay gone from every layer: no package, flag, command, config field or
-fault kind; a resolver population is checked in one place.
+stay gone from every layer: no package, flag, command or config field;
+a resolver population is checked in one place.
 
 *The replay written once* (once the CI step "The replay written once"):
 which campaigns a run fires and shards is ``Sep2017Scenario``'s; only
 ``plan_shards`` tells the ISP set from the global one.  A world is
 brought to a tick boundary by ``SimulationEngine.replay_state``, and the
 one other ``advance_state`` / ``mark_fired`` pair is the shard chunk
-loop.  A schedule becomes a fault plane in ``FailoverLoop.build``.  The
-chase asks bound answers and builds no DNS message per hop; a policy is
+loop.  The chase asks bound answers and builds no DNS message per hop; a policy is
 bound in ``Zone.answer_at`` alone.
 
 *The flow log is columns* (once the CI step "The flow log is columns"):
@@ -79,6 +78,11 @@ kind and giving its reason.
 
 *Telemetry nothing reads stays gone*: the admin plane, ``repro top``,
 ``repro profile`` and the flight recorder.
+
+*The fault plane stays gone*: ``repro.faults``, the ``chaos`` command,
+``--fault``, and the load generator's backoff, circuit breaker and
+hedged lookups; ``LoadConfig.hedge`` is the one ``hedge`` left, a field
+nothing reads.
 """
 
 import ast
@@ -148,10 +152,6 @@ def test_only_the_package_exports_import_the_fleet():
     assert not outside(hits, "src/repro/serve/__init__.py")
 
 
-def test_chaos_has_no_serve_worker_flag():
-    assert not grep("--serve-workers", "src", fixed=True)
-
-
 def test_one_generator_per_run_on_the_callers_loop():
     assert not grep(
         r"run_loadgen_fleet|seq_start|arrival_stride|arrival_offset"
@@ -166,7 +166,7 @@ def test_only_the_fleet_forks_under_serve():
 
 
 def test_one_run_relative_clock_under_serve_and_faults():
-    assert len(grep(r"monotonic\(\) *-", "src/repro/serve", "src/repro/faults")) == 1
+    assert len(grep(r"monotonic\(\) *-", "src/repro/serve")) == 1
 
 
 def test_one_public_client_rule():
@@ -178,7 +178,7 @@ def test_edge_fleet_and_spec_field_counts():
     from repro.serve import ClusterConfig, FleetConfig, FleetSpec
 
     counts = [len(dataclasses.fields(x)) for x in (ClusterConfig, FleetConfig, FleetSpec)]
-    assert counts == [8, 3, 3]
+    assert counts == [6, 3, 3]
 
 
 def test_the_dns_client_wraps_no_wait_in_wait_for():
@@ -242,12 +242,10 @@ def test_resolve_bulk_asks_no_unbound_answer():
 
 
 def test_no_option_or_config_field_was_added():
-    from repro.faults.chaos import ChaosConfig
     from repro.simulation import ScenarioConfig
 
-    assert len(grep("add_argument(", "src", fixed=True)) == 41
-    assert len(dataclasses.fields(ScenarioConfig)) == 17
-    assert len(dataclasses.fields(ChaosConfig)) == 5
+    assert len(grep("add_argument(", "src", fixed=True)) == 36
+    assert len(dataclasses.fields(ScenarioConfig)) == 16
 
 
 # ----------------------------------------------------------------------
@@ -297,19 +295,11 @@ def test_no_steering_flag_or_catchments_command():
 
 
 def test_no_config_carries_a_steering_field():
-    from repro.faults.chaos import ChaosConfig
     from repro.serve import ClusterConfig
     from repro.simulation import ScenarioConfig
 
-    for config in (ScenarioConfig, ClusterConfig, ChaosConfig):
+    for config in (ScenarioConfig, ClusterConfig):
         assert "steering" not in {f.name for f in dataclasses.fields(config)}, config
-
-
-def test_no_route_fault_kind():
-    from repro.faults import FaultKind
-
-    assert not [kind for kind in FaultKind if kind.value.startswith("route-")]
-    assert not grep(r"route-(withdraw|prepend)|ROUTE_(WITHDRAW|PREPEND)", "src")
 
 
 # ----------------------------------------------------------------------
@@ -345,11 +335,6 @@ def test_a_checkpoint_is_replayed_by_the_engine():
 @pytest.mark.parametrize("call", ["advance_state(", "mark_fired("])
 def test_the_shard_chunk_loop_is_the_one_other_advance(call):
     assert len(grep(call, f"{SIM}/concurrency.py", fixed=True)) == 1
-
-
-def test_a_schedule_becomes_a_fault_plane_in_one_place():
-    hits = grep(r"CdnHealthMonitor\(|FaultInjector\(", "src")
-    assert not outside(hits, "src/repro/faults/health.py")
 
 
 def test_no_stochastic_shard_scaffolding():
@@ -660,6 +645,34 @@ def test_the_unread_telemetry_stays_gone():
     parser = build_parser()
     for argv in (["top"], ["profile"], ["serve", "--admin-port", "9900"],
                  ["simulate", "--flight-dir", "x"]):
+        with pytest.raises(SystemExit) as caught:
+            parser.parse_args(argv)
+        assert caught.value.code == 2, argv
+
+
+# ----------------------------------------------------------------------
+# The fault plane stays gone
+# ----------------------------------------------------------------------
+
+
+def test_the_fault_plane_stays_gone():
+    from repro.cli import build_parser
+
+    package = ROOT / "src" / "repro"
+    modules = [package / "faults", package / "serve" / "resilience.py",
+               package / "cli" / "chaos.py"]
+    assert not [module for module in modules if module.exists()]
+    assert not grep(
+        r"repro\.faults|from \.+faults\b|FaultSchedule|CircuitBreaker|HedgePolicy"
+        r"|BackoffPolicy|\.hold\(|fault_seed",
+        "src",
+    )
+    hedges = [hit.split(":", 2) for hit in grep("(?i)hedg", "src")]
+    assert [(path, line.strip()) for path, _number, line in hedges] == [
+        ("src/repro/serve/loadgen.py", "hedge: None = None")
+    ]
+    parser = build_parser()
+    for argv in (["chaos"], ["run", "--fault", "cdn-blackout@Limelight:1-3"]):
         with pytest.raises(SystemExit) as caught:
             parser.parse_args(argv)
         assert caught.value.code == 2, argv
