@@ -22,7 +22,7 @@ class Cadence:
         if interval <= 0:
             raise ValueError("interval must be positive")
         self.interval = interval
-        # ``None`` until the first fire; checkpoints save and restore it.
+        # ``None`` until the first fire; a checkpoint records it.
         self.next_due: Optional[float] = None
 
     def due(self, now: float) -> bool:

@@ -702,43 +702,8 @@ class TracerouteColumns:
     def __len__(self) -> int:
         return len(self.times)
 
-    # ----- checkpoint form ----------------------------------------------
+    # ----- checkpoint capture --------------------------------------------
 
     def state(self) -> dict:
         """The columns by name, copied (arrays pickle as typed bytes)."""
         return {name: getattr(self, name)[:] for name, _ in _TRACE_FIELDS}
-
-    @classmethod
-    def from_state(cls, state) -> "TracerouteColumns":
-        """Rebuild a block from :meth:`state`, checking it first.
-
-        Every column must be present with its typecode, the columns of
-        one kind must agree in length, the hop offsets must rise from 0
-        to the hop count, and the timestamps must never decrease;
-        anything else raises :class:`ValueError`.
-        """
-        if not isinstance(state, dict):
-            raise ValueError(f"traceroute state is a {type(state).__name__}, not columns")
-        block = cls.__new__(cls)
-        for name, typecode in _TRACE_FIELDS:
-            column = state.get(name)
-            if not isinstance(column, array) or column.typecode != typecode:
-                raise ValueError(f"traceroute column {name} is not an array({typecode!r})")
-            setattr(block, name, column[:])
-        traces, hops = len(block.times), len(block.hop_ttls)
-        if any(len(getattr(block, name)) != traces for name in _PER_TRACE):
-            raise ValueError("traceroute columns disagree on the trace count")
-        if any(len(getattr(block, name)) != hops for name in _PER_HOP):
-            raise ValueError("hop columns disagree on the hop count")
-        offsets = block.hop_offsets
-        if (
-            len(offsets) != traces + 1
-            or offsets[0] != 0
-            or offsets[-1] != hops
-            or not all(map(operator.le, offsets, offsets[1:]))
-        ):
-            raise ValueError("hop offsets do not rise from 0 to the hop count")
-        times = block.times
-        if not all(map(operator.le, times, times[1:])):
-            raise ValueError("traceroute timestamps decrease")
-        return block

@@ -507,18 +507,17 @@ class MeasurementStore:
         list per call), with no address object built."""
         return sorted(self._unique_values)
 
-    # ----- checkpoint support -------------------------------------------
+    # ----- checkpoint capture --------------------------------------------
 
     def dump_state(self) -> dict:
         """A picklable snapshot of the full store contents.
 
-        Sealed segments travel as their binary ``RSEG1`` payloads
+        Sealed segments travel as their binary ``RSEG`` payloads
         (spilled segments are read back from disk verbatim), the open
         block as one more payload, the traceroute columns as arrays,
-        plus the counters and the unique-IP set.  :meth:`restore_state`
-        on a fresh store reproduces the
-        exact segment structure, so a resumed run seals/spills at the
-        same row boundaries the uninterrupted run would.
+        plus the counters and the unique-IP set: what a checkpoint
+        carries of a store (the perf ledger's capture → save → load
+        round trip), and what tests compare two stores' contents by.
         """
         segments = []
         for segment in self._segments:
@@ -543,49 +542,8 @@ class MeasurementStore:
             "unique_values": sorted(self._unique_values),
         }
 
-    def restore_state(self, state: dict) -> None:
-        """Rebuild the contents dumped by :meth:`dump_state`.
-
-        Only valid on an empty store (a freshly constructed scenario):
-        segment ids, start rows and the open block are restored exactly,
-        then the memory budget is re-enforced so oversized restored
-        history spills straight back to disk.  The traceroute columns
-        and DNS segments are decoded and checked first (see
-        :meth:`TracerouteColumns.from_state` and
-        :meth:`DnsColumns.from_bytes`): a payload that fails raises
-        :class:`ValueError` naming this store before anything is restored.
-        """
-        if self._dns_count or len(self._traces) or len(self._open):
-            raise ValueError("restore_state requires an empty store")
-        try:
-            traces = TracerouteColumns.from_state(state["traceroutes"])
-            sealed = [
-                (DnsColumns.from_bytes(entry["payload"]), entry)
-                for entry in state["segments"]
-            ]
-            open_block = DnsColumns.from_bytes(state["open"])
-        except ValueError as exc:
-            raise ValueError(f"store {self.name!r}: {exc}") from None
-        for columns, entry in sealed:
-            segment = DnsSegment(
-                columns,
-                segment_id=entry["segment_id"],
-                start_row=entry["start_row"],
-            )
-            self._segments.append(segment)
-            self._segment_starts.append(segment.start_row)
-            self._sealed_resident_bytes += segment.nbytes
-        self._open = open_block
-        self._dns_count = state["dns_count"]
-        self._last_time = state["last_time"]
-        self._traces = traces
-        self._unique_values = set(state["unique_values"])
-        self._unique_frozen = None
-        self._enforce_budget()
-        self._m_resident.set(self.resident_bytes)
-
     def segment_summaries(self) -> list[dict]:
-        """Resident per-segment summaries (for checkpoint verification)."""
+        """Resident per-segment summaries (the tests compare layouts with it)."""
         return [
             {
                 "segment_id": segment.segment_id,

@@ -8,8 +8,6 @@ the shared flag groups in :mod:`repro.cli.flags` and its one body
   per-step aggregates (demand, offload split, measurements, flows);
 * ``report`` — run the event window and emit the full reproduction
   report (Figures 2-8 in one document);
-* ``resume`` — continue a checkpointed run (``--checkpoint-every`` on
-  simulate/report) bit-identically from its newest ``RCKPT`` snapshot;
 * ``survey`` — the paper's generic CDN-survey methodology: mapping
   graph, site discovery and header inference, no time simulation;
 * ``serve`` — boot the live DNS + HTTP serving layer on loopback and
@@ -31,11 +29,11 @@ import sys
 from typing import Optional, Sequence
 
 from ..simulation.concurrency import ShardWorkerLost
-from . import loadgen, report, resume, selftest, serve, simulate, survey
+from . import loadgen, report, selftest, serve, simulate, survey
 
 __all__ = ["main", "build_parser"]
 
-_COMMANDS = (simulate, report, resume, survey, serve, loadgen, selftest)
+_COMMANDS = (simulate, report, survey, serve, loadgen, selftest)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,7 +56,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.handler(args)
     except ShardWorkerLost as lost:
         # Every command that runs the sharded engine ends here: the run
-        # stopped at its last merged tick and the message names the way
-        # back (`repro resume`, or a re-run if nothing was checkpointed).
+        # stopped at its last merged tick, and the message says to re-run.
         print(f"repro {args.command}: {lost}", file=sys.stderr)
         return 3

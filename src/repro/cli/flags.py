@@ -2,8 +2,9 @@
 
 Each group is declared once — ``add_<group>_flags(sub, ...)`` — next to
 the function that turns its parsed values into the object a command
-needs (a scenario, ``engine.run`` keywords, a registry/tracer pair).  A command's parser is the list of groups it takes;
-defaults that differ between commands are the groups' only parameters.
+needs (a scenario, an engine, a registry/tracer pair).  A command's
+parser is the list of groups it takes; defaults that differ between
+commands are the groups' only parameters.
 """
 
 from __future__ import annotations
@@ -168,46 +169,6 @@ def print_store_stats(args: argparse.Namespace, scenario, lead: str = "") -> Non
         for store in scenario.stores
     ]
     print(lead + "store segments: " + "; ".join(parts))
-
-
-# ----------------------------------------------------------------------
-# checkpoints
-# ----------------------------------------------------------------------
-
-
-def add_checkpoint_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
-                     help="write an atomic RCKPT snapshot every N completed "
-                          "ticks (default 0 = never); SIGTERM then drains "
-                          "gracefully and writes a final checkpoint")
-    sub.add_argument("--checkpoint-dir", metavar="DIR", default=None,
-                     help="directory for ckpt-*.rckpt files (required with "
-                          "--checkpoint-every; `repro resume` defaults to "
-                          "the --from directory)")
-
-
-def checkpoint_kwargs(args: argparse.Namespace, fallback_dir=None) -> dict:
-    """engine.run keywords for the checkpoint flags."""
-    if args.checkpoint_every < 0:
-        raise SystemExit(f"{args.command}: --checkpoint-every must be >= 0")
-    if not args.checkpoint_every:
-        if args.checkpoint_dir:
-            raise SystemExit("--checkpoint-dir needs --checkpoint-every")
-        return {}
-    directory = args.checkpoint_dir or fallback_dir
-    if not directory:
-        raise SystemExit("--checkpoint-every needs --checkpoint-dir")
-    return {
-        "checkpoint_every": args.checkpoint_every,
-        "checkpoint_dir": directory,
-    }
-
-
-def print_if_drained(engine: SimulationEngine) -> None:
-    if engine.run_stats["drained"]:
-        print("SIGTERM: drained gracefully "
-              f"({engine.run_stats['checkpoints_written']} checkpoints "
-              "written; `repro resume` continues the run)")
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,6 @@ def register(commands) -> None:
     )
     flags.add_window_flags(sub, probes=80, isp_probes=40, span=None)
     flags.add_store_flags(sub)
-    flags.add_checkpoint_flags(sub)
     flags.add_telemetry_flags(sub)
     sub.set_defaults(handler=run)
 
@@ -29,7 +28,6 @@ def run(args: argparse.Namespace) -> int:
             start, end,
             progress=flags.print_step if args.verbose else None,
             workers=args.workers,
-            **flags.checkpoint_kwargs(args),
         )
     print(generate_report(engine.scenario))
     flags.print_store_stats(args, engine.scenario, lead="\n")

@@ -17,7 +17,6 @@ def register(commands) -> None:
     )
     flags.add_window_flags(sub, probes=60, isp_probes=30, span=("9-17", "9-21"))
     flags.add_store_flags(sub)
-    flags.add_checkpoint_flags(sub)
     flags.add_telemetry_flags(sub)
     sub.set_defaults(handler=run)
 
@@ -40,9 +39,7 @@ def run(args: argparse.Namespace) -> int:
             if args.verbose:
                 flags.print_step(report)
 
-        steps = engine.run(start, end, progress=progress, workers=args.workers,
-                           **flags.checkpoint_kwargs(args))
-        flags.print_if_drained(engine)
+        steps = engine.run(start, end, progress=progress, workers=args.workers)
     print(f"\n{steps} steps; {flags.measurement_totals(scenario)}")
     flags.print_store_stats(args, scenario)
     flags.write_telemetry(args, registry, tracer)

@@ -78,8 +78,8 @@ class FlowLog:
     tuple/list of records — but holds typed arrays and an interned link
     table, and builds a :class:`FlowRecord` only for the reader that
     asks for one.  Self-contained: a block pickles as its arrays plus
-    the link names, so a slice can cross a process boundary or sit in a
-    checkpoint and be absorbed column-to-column by :meth:`extend`.
+    the link names, so a slice can cross a process boundary and be
+    absorbed column-to-column by :meth:`extend`.
 
     Sources, destinations, sizes and link ids are one entry per row.
     Timestamps are run-length encoded: a run is the rows of one
@@ -340,8 +340,8 @@ class FlowLog:
     def __setstate__(self, state: tuple) -> None:
         """Restore a pickled block, checking it first.
 
-        A checkpoint and a shard worker's chunk both arrive through
-        here, so a state that breaks the log's invariants is refused
+        A shard worker's chunk and a loaded checkpoint both arrive
+        through here, so a state that breaks the log's invariants is refused
         with ``ValueError``: each column an array of its typecode, the
         per-row ones all of one length, run timestamps finite and
         strictly increasing, run ends strictly increasing up to the row
@@ -582,10 +582,9 @@ class NetflowCollector:
         """Append records exported by another collector replica.
 
         The sharded engine generates flows in a worker process and
-        merges them here, and a resumed run splices a checkpoint's log
-        back in; the exporting collector already counted the export
-        metrics, so this only extends the log and the offered-bytes
-        tally (no re-counting).  ``records`` is a :meth:`drain` block,
+        merges them here; the exporting collector already counted the
+        export metrics, so this only extends the log and the
+        offered-bytes tally (no re-counting).  ``records`` is a :meth:`drain` block,
         a :class:`FlowLog` slice or any iterable of :class:`FlowRecord`.
         """
         if offered_bytes < 0:
@@ -597,10 +596,6 @@ class NetflowCollector:
     def records(self) -> FlowLog:
         """Every exported record so far: the live log, not a copy."""
         return self._log
-
-    def records_between(self, start: float, end: float) -> Iterator[FlowRecord]:
-        """Records with ``start <= timestamp < end``."""
-        return self._log.rows(*self._log.span(start, end))
 
     def bytes_between(self, link_id: str, start: float, end: float) -> int:
         """Bytes exported on ``link_id`` with ``start <= timestamp < end``."""

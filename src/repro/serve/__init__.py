@@ -42,7 +42,7 @@ from .fleet import FleetConfig, ServeFleet, fleet_supported
 from .harness import SelftestReport, ShapeError, drive_load, selftest, serve_forever
 from .httpclient import PooledHttpClient
 from .httpserver import AsyncHttpEdge, estate_router
-from .loadgen import LoadConfig, LoadGenerator, LoadReport, merge_load_reports
+from .loadgen import LoadConfig, LoadGenerator, LoadReport
 from .resolverfront import PublicResolverFront
 from .snapshot import FleetSpec, estate_signature, load_snapshot, write_snapshot
 
@@ -66,7 +66,6 @@ __all__ = [
     "ClusterConfig",
     "build_serve_estate",
     "ServeCluster",
-    "merge_load_reports",
     "FleetSpec",
     "estate_signature",
     "write_snapshot",

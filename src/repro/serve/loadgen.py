@@ -24,7 +24,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Mapping, Optional, Sequence
+from typing import ClassVar, Optional
 
 from ..apple.mapping import NAMES
 from ..obs import (
@@ -46,7 +46,6 @@ __all__ = [
     "LoadConfig",
     "LoadReport",
     "LoadGenerator",
-    "merge_load_reports",
 ]
 
 _LATENCY_BUCKETS = (
@@ -130,8 +129,7 @@ def _panel_ms(latency: HistogramChild) -> dict:
 class LoadReport:
     """Everything a run learned, percentiles included.
 
-    The two latency histograms travel with the report, so batches fold
-    to exact percentiles (see :func:`merge_load_reports`) and every
+    The two latency histograms travel with the report, and every
     percentile below is read off them on demand.
     """
 
@@ -360,9 +358,15 @@ class LoadGenerator:
             "reresolutions": self._reresolution_count,
             "shed": self._shed_count,
         }
-        return _report(
-            counts, elapsed, self._error_samples, [self._dns_hist],
-            [self._http_hist],
+        # The one place a report is built: the first few error samples
+        # are kept, and the histograms are copied so the report stays
+        # fixed.
+        return LoadReport(
+            **counts,
+            elapsed_seconds=elapsed,
+            error_samples=tuple(itertools.islice(self._error_samples, _ERROR_SAMPLES)),
+            dns_latency=HistogramChild.merge([self._dns_hist]),
+            http_latency=HistogramChild.merge([self._http_hist]),
         )
 
     async def _worker(self, dns: AsyncDnsClient, http: PooledHttpClient,
@@ -556,50 +560,3 @@ class LoadGenerator:
         raise last_exc if last_exc is not None else RuntimeError(
             f"request seq={seq} failed with no recorded cause"
         )
-
-
-def _report(
-    counts: Mapping[str, int],
-    elapsed: float,
-    samples: Iterable[str],
-    dns: Sequence[HistogramChild],
-    http: Sequence[HistogramChild],
-) -> LoadReport:
-    """The one place a report is built: the first few error samples
-    are kept and the latency histograms merge bucket for bucket."""
-    return LoadReport(
-        **counts,
-        elapsed_seconds=elapsed,
-        error_samples=tuple(itertools.islice(samples, _ERROR_SAMPLES)),
-        dns_latency=HistogramChild.merge(dns),
-        http_latency=HistogramChild.merge(http),
-    )
-
-
-_COUNTS = (
-    "requests", "ok", "errors", "dns_queries", "dns_timeouts", "tcp_fallbacks",
-    "body_bytes", "retries", "reresolutions", "shed",
-)
-
-
-def merge_load_reports(reports: list) -> LoadReport:
-    """One report for batches that ran one after another.
-
-    Counts add and so does elapsed, so the folded rates are those of the
-    whole span the batches covered; percentiles come from merging the
-    raw histograms, so the fold's p999 is exact to bucket resolution —
-    not an average of per-batch percentiles, which would be
-    meaningless.
-    """
-    inputs = [r for r in reports if r is not None]
-    if not inputs:
-        raise ValueError("merge_load_reports needs at least one report")
-    if len(inputs) == 1:
-        return inputs[0]
-    return _report(
-        {name: sum(getattr(r, name) for r in inputs) for name in _COUNTS},
-        sum(r.elapsed_seconds for r in inputs),
-        itertools.chain.from_iterable(r.error_samples for r in inputs),
-        [r.dns_latency for r in inputs],
-        [r.http_latency for r in inputs],
-    )

@@ -4,7 +4,6 @@ and the eyeball ISP together, plus the Sep 2017 scenario itself."""
 from .checkpoint import (
     Checkpoint,
     CheckpointError,
-    latest_checkpoint,
     load_checkpoint,
     save_checkpoint,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointError",
     "load_checkpoint",
-    "latest_checkpoint",
     "save_checkpoint",
     "ScenarioConfig",
     "Sep2017Scenario",

@@ -33,11 +33,9 @@ Each shard is one ``multiprocessing.Process`` on a duplex pipe.  A
 worker that dies (SIGKILL, OOM), reports an exception or returns no
 chunk result within :data:`RESULT_DEADLINE_SECONDS` is *detected*, not
 healed: :class:`ShardWorkerLost` stops the run at the last merged tick —
-nothing of the chunk being collected is merged yet — a checkpoint is
-written there when the run checkpoints, and the message names the
-``repro resume`` command, the one way back.  On SIGTERM the coordinator
-drains: in-flight chunks finish, a final checkpoint is written, and
-workers stop cleanly.  Every exit path reaps every worker.
+nothing of the chunk being collected is merged yet — and the message
+says where it stopped and to re-run.  Every exit path reaps every
+worker.
 
 ``workers=1`` never enters this module: the engine's serial loop runs
 unchanged, bit-for-bit identical to the pre-sharding engine.
@@ -75,14 +73,14 @@ __all__ = [
     "RESULT_DEADLINE_SECONDS",
 ]
 
-# Ticks per unit of work shipped to a worker (and per checkpoint
-# opportunity): chunk c+1 is dispatched before chunk c is merged.
+# Ticks per unit of work shipped to a worker: chunk c+1 is dispatched
+# before chunk c is merged.
 CHUNK_TICKS = 16
 
 # How long the coordinator waits for one chunk result before it calls
-# the worker hung.  Worker boot + a 4 032-tick warm-up + one chunk is
-# ~2 s at paper scale (800/400 probes, Sep 12-26 at 5 min), so a minute
-# of silence is never a slow worker.
+# the worker hung.  Worker boot + one chunk takes at most ~2 s at paper
+# scale (800/400 probes, Sep 12-26 at 5 min), so a minute of silence is
+# never a slow worker.
 RESULT_DEADLINE_SECONDS = 60.0
 
 # Metric families whose samples originate inside worker processes (the
@@ -114,7 +112,7 @@ class ShardDivergenceError(RuntimeError):
 
 class ShardWorkerLost(RuntimeError):
     """A shard worker died, hung or failed; the run stopped at the last
-    merged tick (checkpointed there when the run checkpoints)."""
+    merged tick."""
 
 
 @dataclass(frozen=True)
@@ -291,27 +289,18 @@ class EngineSpec:
 _WORKER: dict = {}
 
 
-def _init_worker(
-    spec: EngineSpec, shard: Shard, warmup_ticks: Sequence[float] = ()
-) -> None:
+def _init_worker(spec: EngineSpec, shard: Shard) -> None:
     """Build this process's replica (runs once per worker process).
 
     The process may have inherited the parent's registry/tracer
     defaults across ``fork`` — including open trace sinks — so both are
     replaced before any component captures an instrument handle.
-
-    ``warmup_ticks`` replays the replica to a mid-run tick boundary
-    (:meth:`SimulationEngine.replay_state`: the coordinator already
-    holds those chunks' results) — the resume path; the metric baseline
-    is taken *after* the warm-up so replay accumulation is never
-    shipped.
     """
     registry = MetricsRegistry() if spec.collect_metrics else NULL_REGISTRY
     set_registry(registry)
     set_tracer(NULL_TRACER)
     engine = spec.build()
     engine.profile_worker = f"w{shard.shard_id}"
-    engine.replay_state(warmup_ticks)
     _WORKER["engine"] = engine
     _WORKER["shard"] = shard
     _WORKER["registry"] = registry
@@ -382,10 +371,8 @@ def _worker_chunk(ticks: Sequence[float]) -> dict:
         )
         result["snmp"] = scenario.snmp.drain()
     # Ship the metric delta with every chunk (not just the last): the
-    # coordinator's registry is then complete at any chunk boundary —
-    # which is what makes mid-run checkpoints (the one after a lost
-    # worker included) capture full metrics — and a killed worker's
-    # un-consumed partials simply die with it.
+    # coordinator's registry is then complete at any chunk boundary, and
+    # a killed worker's un-consumed partials simply die with it.
     registry = _WORKER["registry"]
     snapshot = registry.snapshot(WORKER_METRIC_FAMILIES)
     result["metrics"] = snapshot_delta(snapshot, _WORKER["baseline"])
@@ -393,15 +380,15 @@ def _worker_chunk(ticks: Sequence[float]) -> dict:
     return result
 
 
-def _shard_worker_main(conn, spec, shard, warmup_ticks) -> None:
+def _shard_worker_main(conn, spec, shard) -> None:
     """Entry point of one shard worker process.
 
-    Protocol (all tuples over the duplex pipe): the worker warms up,
-    then serves ``("chunk", ticks)`` → ``("result", payload)`` until
-    ``("stop",)``.  Any exception is reported as ``("error", text)``.
+    Protocol (all tuples over the duplex pipe): the worker builds its
+    replica, then serves ``("chunk", ticks)`` → ``("result", payload)``
+    until ``("stop",)``.  Any exception is reported as ``("error", text)``.
     """
     try:
-        _init_worker(spec, shard, warmup_ticks)
+        _init_worker(spec, shard)
         while True:
             message = conn.recv()
             if message[0] == "chunk":
@@ -430,12 +417,12 @@ def _shard_worker_main(conn, spec, shard, warmup_ticks) -> None:
 class _WorkerHandle:
     """The coordinator's end of one shard worker: process and pipe."""
 
-    def __init__(self, spec, shard, warmup_ticks, context) -> None:
+    def __init__(self, spec, shard, context) -> None:
         self.shard = shard
         self.conn, child_conn = context.Pipe()
         self.process = context.Process(
             target=_shard_worker_main,
-            args=(child_conn, spec, shard, tuple(warmup_ticks)),
+            args=(child_conn, spec, shard),
             daemon=True,
         )
         self.process.start()
@@ -541,36 +528,12 @@ class _Interleave:
         return DnsColumns.gather(slices, self.order)
 
 
-def _stopped_at_boundary(
-    engine, lost: ShardWorkerLost, next_tick: float, done: int, checkpoint_plan
-) -> ShardWorkerLost:
-    """The error a lost worker ends the run with: where the coordinator
-    stands and the way back (a checkpoint forced there if the run keeps
-    them; ``done == 0`` has nothing to checkpoint)."""
-    way_back = (
-        "re-run (add --checkpoint-every N --checkpoint-dir DIR to be able "
-        "to resume)"
-    )
-    if checkpoint_plan is not None and checkpoint_plan.maybe_write(
-        engine, next_tick=next_tick, force=True
-    ):
-        way_back = (
-            f"continue with `repro resume --from {checkpoint_plan.directory}`"
-        )
-    return ShardWorkerLost(
-        f"{lost}; stopped at t={next_tick:g} after {done} merged steps; "
-        f"{way_back}"
-    )
-
-
 def run_sharded(
     engine,
     start: float,
     end: float,
     progress: Optional[Callable] = None,
     workers: int = 2,
-    warmup_ticks: Sequence[float] = (),
-    checkpoint_plan=None,
 ) -> int:
     """Run ``engine`` from ``start`` to ``end`` over worker processes.
 
@@ -580,17 +543,10 @@ def run_sharded(
     and (merged) metric totals.  Raises :class:`ShardDivergenceError`
     if a replica's state drifts from the coordinator's and
     :class:`ShardWorkerLost` if a worker dies, hangs or fails.
-
-    ``warmup_ticks`` is the resume path: the coordinator has already
-    been restored through those ticks, and every worker replays them
-    before taking chunks.  ``checkpoint_plan`` (a
-    :class:`~repro.simulation.checkpoint.CheckpointPlan`) gets a write
-    opportunity at every chunk boundary and a forced write when a
-    SIGTERM drain is requested or a worker is lost.
     """
     if workers < 2:
         raise ValueError("a sharded run needs workers >= 2")
-    if not warmup_ticks and not engine.scenario.is_fresh():
+    if not engine.scenario.is_fresh():
         raise RuntimeError(
             "sharded runs must start from a fresh scenario: worker "
             "replicas are rebuilt from the spec and cannot reproduce "
@@ -619,10 +575,7 @@ def run_sharded(
     # One process per shard: shard state lives in the worker process,
     # so every chunk of a shard must land on the same process.
     context = multiprocessing.get_context()
-    handles = [
-        _WorkerHandle(spec, shard, warmup_ticks, context)
-        for shard in shards
-    ]
+    handles = [_WorkerHandle(spec, shard, context) for shard in shards]
     steps = 0
     finished = False
     try:
@@ -634,12 +587,11 @@ def run_sharded(
             except ShardWorkerLost as lost:
                 # Nothing of this chunk is merged yet, so the coordinator
                 # stands exactly at the previous chunk's boundary.
-                raise _stopped_at_boundary(
-                    engine, lost, chunk[0], len(warmup_ticks) + steps,
-                    checkpoint_plan,
+                raise ShardWorkerLost(
+                    f"{lost}; stopped at t={chunk[0]:g} after {steps} merged "
+                    "steps; re-run"
                 ) from lost
-            drain = engine._drain_requested
-            if chunk_index + 1 < len(chunks) and not drain:
+            if chunk_index + 1 < len(chunks):
                 # Pipeline: hand workers their next chunk before
                 # merging this one, so they never wait on the merge.
                 for handle in handles:
@@ -683,15 +635,6 @@ def run_sharded(
                 if "metrics" in result:
                     registry.absorb_snapshot(result["metrics"])
             steps += len(chunk)
-            if checkpoint_plan is not None:
-                next_tick = chunk[-1] + engine.step_seconds
-                checkpoint_plan.maybe_write(engine, next_tick=next_tick)
-                if drain:
-                    checkpoint_plan.maybe_write(
-                        engine, next_tick=next_tick, force=True
-                    )
-                    engine.run_stats["drained"] = True
-                    break
         finished = True
     finally:
         # Guaranteed teardown on every exit path — success, lost worker,

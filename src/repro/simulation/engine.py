@@ -18,8 +18,6 @@ Each step the engine:
 from __future__ import annotations
 
 import math
-import signal
-import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence
@@ -30,7 +28,7 @@ from ..obs import get_registry, get_tracer
 from .scenario import OVERFLOW_CLUSTER_PREFIX, Sep2017Scenario
 
 __all__ = [
-    "SimulationEngine", "StepReport", "RunSummary", "check_run_window", "check_workers",
+    "SimulationEngine", "StepReport", "RunSummary", "check_run_window",
 ]
 
 _GBPS_TO_BYTES = 1e9 / 8.0
@@ -38,28 +36,13 @@ _GBPS_TO_BYTES = 1e9 / 8.0
 # the active list.
 ISP_SERVER_FANOUT = 64
 
-# Crash-tolerance bookkeeping, reset at each run() entry: how many
-# checkpoints were written (the one a lost shard worker forces
-# included), whether a SIGTERM drain cut the run short, and which step a
-# resume picked up from (None for a fresh run).
-_RUN_STATS = {
-    "checkpoints_written": 0,
-    "drained": False,
-    "resumed_from_step": None,
-}
-
-
-def check_workers(workers: int) -> None:
-    """Refuse a worker count no run can take."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-
 
 def check_run_window(start: float, end: float, workers: int) -> None:
     """Refuse a run window or worker count no run can take."""
     if end <= start:
         raise ValueError("end must be after start")
-    check_workers(workers)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -431,136 +414,38 @@ class SimulationEngine:
             metrics if metrics is not None else get_registry(),
             tracer if tracer is not None else get_tracer(),
         )
-        self.run_stats: dict = dict(_RUN_STATS)
-        self._drain_requested = False
 
     # ------------------------------------------------------------------
 
     def run(
         self,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
+        start: float,
+        end: float,
         progress: Optional[Callable[[StepReport], None]] = None,
         workers: int = 1,
-        *,
-        checkpoint_every: int = 0,
-        checkpoint_dir=None,
-        resume_from=None,
     ) -> int:
         """Advance from ``start`` to ``end``; returns the step count.
 
         ``workers > 1`` shards the run over that many worker processes
         (see :mod:`repro.simulation.concurrency`); ``workers=1`` is the
         serial loop, bit-for-bit identical to the pre-sharding engine.
-
-        ``checkpoint_every=N`` (with ``checkpoint_dir``) writes an
-        atomic ``RCKPT`` snapshot every N completed ticks, a final one
-        on SIGTERM drain and one at the last merged tick when a shard
-        worker is lost (``ShardWorkerLost``).  ``resume_from`` takes a
-        :class:`~repro.simulation.checkpoint.Checkpoint` and continues
-        that run bit-identically on a *freshly built* engine —
-        ``start``/``end`` default to the checkpoint's; restored
-        :class:`StepReport` entries are re-fed through ``progress`` so
-        callers accumulate the full stream.  Returns the number of
-        steps executed by *this* call (replayed ticks excluded).
+        A sharded run that loses a worker raises ``ShardWorkerLost`` at
+        its last merged tick; such a run is re-run, not continued.
         """
-        if resume_from is not None:
-            if start is None:
-                start = resume_from.start
-            if end is None:
-                end = resume_from.end
-        if start is None or end is None:
-            raise ValueError("run() needs start and end unless resuming")
         check_run_window(start, end, workers)
-        self.run_stats = dict(_RUN_STATS)
-        self._drain_requested = False
+        if workers > 1:
+            from .concurrency import run_sharded
 
-        plan = None
-        if checkpoint_dir is not None and not checkpoint_every:
-            raise ValueError("checkpoint_dir needs checkpoint_every")
-        if checkpoint_every:
-            from .checkpoint import CheckpointPlan
-
-            if checkpoint_dir is None:
-                raise ValueError("checkpoint_every needs checkpoint_dir")
-            plan = CheckpointPlan(
-                directory=checkpoint_dir,
-                every=checkpoint_every,
-                origin_start=start,
-                origin_end=end,
-            )
-
-        begin = start
-        replayed: tuple = ()
-        if resume_from is not None:
-            from .checkpoint import CheckpointError, restore_run_state
-
-            if start != resume_from.start:
-                raise CheckpointError(
-                    f"resume must keep the original start tick "
-                    f"{resume_from.start} (got {start})"
-                )
-            replayed = restore_run_state(self, resume_from)
-            self.run_stats["resumed_from_step"] = resume_from.steps
-            begin = resume_from.next_tick
-            if plan is not None:
-                plan.reports = list(resume_from.reports)
-                plan.written = resume_from.steps
+            return run_sharded(self, start, end, progress=progress, workers=workers)
+        steps = 0
+        now = start
+        while now < end:
+            report = self.advance(now)
             if progress is not None:
-                for report in resume_from.reports:
-                    progress(report)
-        if begin >= end:
-            return 0
-
-        run_progress = progress
-        if plan is not None:
-            def run_progress(report, _user=progress):
-                plan.reports.append(report)
-                if _user is not None:
-                    _user(report)
-
-        # A SIGTERM during a checkpointed run drains instead of dying:
-        # the loop finishes the tick (sharded: the chunk) in flight,
-        # writes a final checkpoint and returns.  Only installable from
-        # the main thread; elsewhere the default handling applies.
-        saved_handler = None
-        if plan is not None and threading.current_thread() is threading.main_thread():
-            def _request_drain(signum, frame):
-                self._drain_requested = True
-
-            saved_handler = signal.getsignal(signal.SIGTERM)
-            signal.signal(signal.SIGTERM, _request_drain)
-        try:
-            if workers > 1:
-                from .concurrency import run_sharded
-
-                return run_sharded(
-                    self,
-                    begin,
-                    end,
-                    progress=run_progress,
-                    workers=workers,
-                    warmup_ticks=replayed,
-                    checkpoint_plan=plan,
-                )
-            steps = 0
-            now = begin
-            while now < end:
-                report = self.advance(now)
-                if run_progress is not None:
-                    run_progress(report)
-                now += self.step_seconds
-                steps += 1
-                if plan is not None:
-                    plan.maybe_write(self, next_tick=now)
-                    if self._drain_requested:
-                        plan.maybe_write(self, next_tick=now, force=True)
-                        self.run_stats["drained"] = True
-                        break
-            return steps
-        finally:
-            if saved_handler is not None:
-                signal.signal(signal.SIGTERM, saved_handler)
+                progress(report)
+            now += self.step_seconds
+            steps += 1
+        return steps
 
     def advance(self, now: float) -> StepReport:
         """Execute one step at simulation time ``now``."""
@@ -654,34 +539,6 @@ class SimulationEngine:
         Returns the per-region demand and the per-region operator splits.
         """
         return self._advance_demand(now)
-
-    def replay_state(self, ticks: Iterable[float]) -> Optional[tuple]:
-        """Bring a fresh world to a tick boundary without re-running it.
-
-        What a resumed run's coordinator and shard workers both do: the
-        cheap world state advances and the sharded campaigns' grids
-        march in lockstep over ``ticks``, but nothing is measured and no
-        traffic is generated — the caller already holds those products.
-        Silent: no phase samples and no trace events, since the original
-        run recorded both.  Returns the last tick's
-        ``(now, demand, EU split)`` — the :func:`state_digest` inputs —
-        or ``None`` for no ticks.
-        """
-        obs = self._obs
-        scenario = self.scenario
-        saved_profiling = obs.profiling
-        obs.profiling = False
-        last: Optional[tuple] = None
-        try:
-            for now in ticks:
-                demand, splits = self.advance_state(now)
-                last = (now, demand, splits[MappingRegion.EU])
-                for campaign in scenario.dns_campaigns:
-                    if campaign.due(now):
-                        campaign.mark_fired(now, count_metrics=False)
-        finally:
-            obs.profiling = saved_profiling
-        return last
 
     def _advance_demand(
         self, now: float

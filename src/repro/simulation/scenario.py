@@ -555,9 +555,9 @@ class Sep2017Scenario:
     def is_fresh(self) -> bool:
         """Whether no run state has accumulated yet.
 
-        Sharded runs and checkpoint resumes both rebuild state from a
-        spec or a replay, so they must start from a just-constructed
-        scenario; this is the shared precondition both paths check.
+        A sharded run rebuilds its worker replicas from a spec, so it
+        must start from a just-constructed scenario; ``run_sharded``
+        checks this first.
         """
         return not (
             any(len(store) for store in self.stores)

@@ -170,26 +170,6 @@ class TestDecodeChecks:
         with pytest.raises(SegmentFormatError, match="address offsets"):
             segment.load()
 
-    @pytest.mark.parametrize("part", ["open", "segments"])
-    def test_a_restore_refuses_a_bad_block_before_anything_is_restored(self, part):
-        source = MeasurementStore(name="dns-store", segment_rows=2)
-        for row in range(3):
-            source.add_dns(measurement(float(row), ["17.0.0.1"]))
-        state = source.dump_state()
-        assert state["segments"] and DnsColumns.from_bytes(state["open"])
-        block = _two_rows()
-        _chain_past_table(block)
-        if part == "open":
-            state["open"] = block.to_bytes()
-        else:
-            state["segments"][0] = dict(state["segments"][0], payload=block.to_bytes())
-        store = MeasurementStore(name="dns-store", segment_rows=2)
-        with pytest.raises(ValueError, match="store 'dns-store': chain_ids"):
-            store.restore_state(state)
-        assert (store.dns_count, store.segment_count) == (0, 0)
-        store.restore_state(source.dump_state())
-        assert store.dns_count == 3
-
 
 class TestDnsSegment:
     def test_summary_fields(self):

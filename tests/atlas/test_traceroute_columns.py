@@ -10,8 +10,6 @@ they replaced, kept below as the reference, and so is a tracer sweep to
 the per-trace tracer.
 """
 
-import pickle
-from array import array
 from collections import defaultdict
 from dataclasses import replace
 
@@ -37,7 +35,6 @@ from repro.net.asys import ASN, ASRegistry
 from repro.net.geo import great_circle_km
 from repro.net.ipv4 import IPv4Address, IPv4Prefix
 from repro.net.locode import LocodeDatabase
-from tests.atlas.test_columnar import measurement
 
 _VALUES = st.sampled_from((1, 2, 301858817)) | st.integers(0, 2**32 - 1)
 _ASNS = st.none() | st.sampled_from((714, 3320, 64500)).map(ASN) | st.integers(
@@ -136,21 +133,6 @@ def test_an_out_of_order_append_changes_nothing(sweeps, unordered, data):
     assert store.dump_state() == before
 
 
-@settings(max_examples=60, deadline=None)
-@given(sweeps=_sweeps(), later=st.lists(_trace(1e9), max_size=4))
-def test_dump_restore_round_trips(sweeps, later):
-    original = _by_blocks(sweeps)
-    restored = _store()
-    # What a checkpoint does with the dump: pickle it and read it back.
-    restored.restore_state(pickle.loads(pickle.dumps(original.dump_state())))
-    assert restored.traceroutes == original.traceroutes
-    assert restored.dump_state() == original.dump_state()
-    # A resumed run goes on appending exactly as the original would.
-    for store in (original, restored):
-        store.add_traceroute_block(TracerouteColumns.from_measurements(later))
-    assert restored.dump_state() == original.dump_state()
-
-
 # ----- the per-object reference the path analyses are held to ----------
 
 
@@ -218,92 +200,6 @@ def test_path_analyses_on_columns_equal_the_per_object_reference(sweeps, known):
     expected = reference_geolocate(traces, probes)
     assert list(estimates.items()) == list(expected.items())
     assert summarize_paths(columns) == reference_summarize(traces)
-
-
-# ----- a restored payload is checked, not trusted -----------------------
-
-
-def _corrupt_short_trace_column(state):
-    state["destinations"].pop()
-
-
-def _corrupt_short_hop_column(state):
-    state["hop_rtts"].pop()
-
-
-def _corrupt_offsets_fall(state):
-    offsets = state["hop_offsets"]
-    offsets[1], offsets[2] = offsets[2], offsets[1]
-
-
-def _corrupt_offsets_overrun(state):
-    state["hop_offsets"][-1] += 1
-
-
-def _corrupt_offsets_start(state):
-    state["hop_offsets"][0] = 1
-
-
-def _corrupt_times_fall(state):
-    state["times"][0] = state["times"][-1] + 1.0
-
-
-def _corrupt_typecode(state):
-    state["hop_ttls"] = array("H", state["hop_ttls"])
-
-
-def _corrupt_missing_column(state):
-    del state["hop_asns"]
-
-
-CORRUPTIONS = [
-    _corrupt_short_trace_column,
-    _corrupt_short_hop_column,
-    _corrupt_offsets_fall,
-    _corrupt_offsets_overrun,
-    _corrupt_offsets_start,
-    _corrupt_times_fall,
-    _corrupt_typecode,
-    _corrupt_missing_column,
-]
-
-
-def _valid_state():
-    store = _store()
-    store.add_dns(measurement(0.0, ["17.0.0.1"]))
-    hop = TracerouteHop(1, IPv4Address.parse("10.0.0.1"), None, 1.0)
-    store.add_traceroute_block(
-        TracerouteColumns.from_measurements(
-            TracerouteMeasurement(
-                probe_id, 10.0 * probe_id, IPv4Address.parse("17.0.0.1"), (hop,) * probe_id
-            )
-            for probe_id in range(1, 4)
-        )
-    )
-    return store.dump_state()
-
-
-@pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__[9:])
-def test_a_corrupted_traceroute_payload_is_refused_before_anything_is_restored(corrupt):
-    state = _valid_state()
-    corrupt(state["traceroutes"])
-    store = _store()
-    with pytest.raises(ValueError, match="store 'trace-store': "):
-        store.restore_state(state)
-    assert (store.dns_count, store.traceroute_count, store.segment_count) == (0, 0, 0)
-    assert len(store.dns) == 0
-    store.restore_state(_valid_state())  # still empty, so a good payload loads
-    assert store.traceroute_count == 3
-
-
-def test_traceroutes_pickled_as_objects_are_refused():
-    """The version-3 payload shape: a list of measurement objects."""
-    state = _valid_state()
-    state["traceroutes"] = list(_store().traceroutes) + [
-        TracerouteMeasurement(1, 0.0, IPv4Address.parse("17.0.0.1"), ())
-    ]
-    with pytest.raises(ValueError, match="store 'trace-store': .*not columns"):
-        _store().restore_state(state)
 
 
 # ----------------------------------------------------------------------

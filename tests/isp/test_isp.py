@@ -271,13 +271,6 @@ class TestNetflow:
         estimated = collector.sampled_bytes() * collector.sampling_rate
         assert estimated == pytest.approx(collector.total_offered_bytes, rel=0.2)
 
-    def test_records_between(self):
-        collector = NetflowCollector(sampling_rate=1)
-        src = IPv4Address.parse("1.1.1.1").value
-        for ts in (0.0, 10.0, 20.0):
-            collector.observe_block(ts, [src], [src], [100], ["l"])
-        assert len(list(collector.records_between(5.0, 25.0))) == 2
-
     def test_flow_record_validation(self):
         with pytest.raises(ValueError):
             FlowRecord(0.0, IPv4Address.parse("1.1.1.1"),

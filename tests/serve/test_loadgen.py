@@ -8,7 +8,6 @@ import pytest
 from repro.dns.records import ARecord, CnameRecord
 from repro.net.ipv4 import IPv4Address
 from repro.obs import MetricsRegistry, use_registry
-from repro.obs.registry import HistogramChild
 from repro.serve import (
     ClientDirectory,
     ClusterConfig,
@@ -19,7 +18,6 @@ from repro.serve import (
     ServeCluster,
     WireResolution,
     build_serve_estate,
-    merge_load_reports,
 )
 
 
@@ -221,74 +219,6 @@ class TestClusterEndToEnd:
         host, port = asyncio.run(scenario())
         assert host == "127.0.0.1"
         assert port > 0
-
-
-class TestMergeLoadReports:
-    """Folding batches that ran back to back: counts and elapsed add,
-    and percentiles come off the merged histograms."""
-
-    COUNTS = (
-        "requests", "ok", "errors", "dns_queries", "dns_timeouts",
-        "tcp_fallbacks", "body_bytes", "retries", "reresolutions", "shed",
-    )
-
-    def _drive(self, batches):
-        """One report per batch size, the batches run one after another
-        against one cluster pinned at t=0."""
-
-        async def scenario():
-            estate = build_serve_estate(ClusterConfig(servers_per_metro=4))
-            async with ServeCluster(estate=estate, clock=lambda: 0.0) as cluster:
-                return [
-                    await cluster.drive(LoadConfig(
-                        requests=requests, concurrency=8,
-                    ))
-                    for requests in batches
-                ]
-
-        return asyncio.run(scenario())
-
-    def test_back_to_back_batches_fold_to_their_sums(self):
-        parts = self._drive([70, 50, 80])
-        folded = merge_load_reports(parts)
-        assert all(p.healthy() for p in parts) and folded.healthy()
-        for name in self.COUNTS:
-            assert getattr(folded, name) == sum(getattr(p, name) for p in parts)
-        assert (folded.requests, folded.ok) == (200, 200)
-        assert folded.elapsed_seconds == sum(p.elapsed_seconds for p in parts)
-
-    def test_folded_percentiles_are_those_of_the_merged_histograms(self):
-        parts = self._drive([40, 40, 40])
-        folded = merge_load_reports(parts)
-        for side in ("dns", "http"):
-            merged = HistogramChild.merge(
-                [getattr(p, f"{side}_latency") for p in parts]
-            )
-            assert merged.count == 120
-            panel = {k: v * 1000.0 for k, v in merged.percentile_summary().items()}
-            assert getattr(folded, f"{side}_percentiles_ms") == panel
-            assert getattr(folded, f"{side}_p50_ms") == panel["p50"]
-            assert getattr(folded, f"{side}_p99_ms") == panel["p99"]
-
-    def test_error_samples_keep_the_first_five_in_order(self):
-        def report(samples):
-            return LoadReport(
-                requests=len(samples), ok=0, errors=len(samples),
-                elapsed_seconds=1.0, dns_queries=0, dns_timeouts=0,
-                tcp_fallbacks=0, body_bytes=0, error_samples=samples,
-            )
-
-        folded = merge_load_reports(
-            [report(("a", "b", "c")), None, report(("d", "e", "f"))]
-        )
-        assert folded.error_samples == ("a", "b", "c", "d", "e")
-        assert folded.errors == 6
-
-    def test_one_report_is_returned_as_is_and_none_is_an_error(self):
-        (only,) = self._drive([10])
-        assert merge_load_reports([None, only]) is only
-        with pytest.raises(ValueError):
-            merge_load_reports([None])
 
 
 class TestErrorAccounting:

@@ -128,49 +128,6 @@ PROBES = ["--probes", "4", "--isp-probes", "3"]
 WINDOW = ["--start", "9-18", "--end", "9-20", *PROBES]
 
 
-class TestCheckpointFlags:
-    """A checkpoint flag that cannot do what it says is one line on
-    exit, before any work — never a silent no-op, never a traceback."""
-
-    @pytest.mark.parametrize("argv, message", [
-        (["--checkpoint-every", "8"],
-         "--checkpoint-every needs --checkpoint-dir"),
-        (["--checkpoint-dir", "DIR"],
-         "--checkpoint-dir needs --checkpoint-every"),
-        (["--checkpoint-every", "-1", "--checkpoint-dir", "DIR"],
-         "simulate: --checkpoint-every must be >= 0"),
-    ], ids=["every-without-dir", "dir-without-every", "negative-every"])
-    def test_simulate_rejects_half_a_plan(
-        self, tmp_path, argv, message
-    ):
-        directory = tmp_path / "ckpts"
-        argv = [str(directory) if word == "DIR" else word for word in argv]
-        with pytest.raises(SystemExit) as caught:
-            main(["simulate", *WINDOW, *argv])
-        assert caught.value.code == message
-        assert not directory.exists()
-
-    def test_resume_from_a_directory_keeps_checkpointing_into_it(
-        self, tmp_path, capsys
-    ):
-        directory = tmp_path / "ckpts"
-        argv = ["--checkpoint-every", "24", "--checkpoint-dir", str(directory)]
-        one_day = ["--start", "9-18", "--end", "9-19", *PROBES]
-        assert main(["simulate", *one_day, *argv]) == 0
-        assert sorted(p.name for p in directory.iterdir()) == [
-            "ckpt-00000024.rckpt", "ckpt-00000048.rckpt"
-        ]
-        with pytest.raises(SystemExit) as caught:
-            main(["resume", "--from", str(directory),
-                  "--checkpoint-dir", str(directory)])
-        assert caught.value.code == "--checkpoint-dir needs --checkpoint-every"
-        code = main(["resume", "--from", str(directory), "--end", "9-20",
-                     "--checkpoint-every", "24"])
-        assert code == 0
-        assert "resumed from step 48" in capsys.readouterr().out
-        assert "ckpt-00000096.rckpt" in {p.name for p in directory.iterdir()}
-
-
 class TestReplayFlagValues:
     """A flag value the replay refuses is one line on exit,
     ``<command>: <message>``, before the engine runs: no traceback."""
@@ -199,18 +156,11 @@ class TestReplayFlagValues:
         *((["report", *PROBES, "--store-budget-mb", value],
            "report: --store-budget-mb must be a finite number >= 0")
           for value in ("inf", "nan", "-1")),
-        *((["resume", "--from", "no-such-dir", "--workers", value],
-           "resume: workers must be >= 1")
-          for value in ("0", "-1")),
-        (["resume", "--from", "no-such.rckpt"],
-         "resume: cannot read checkpoint no-such.rckpt: "
-         "[Errno 2] No such file or directory: 'no-such.rckpt'"),
     ], ids=["simulate-step", "simulate-probes", "simulate-isp-probes",
             "simulate-workers", "simulate-window", "report-step",
             "run-workers",
             "simulate-step-nan", "run-step-inf", "report-step-inf",
-            "report-budget-inf", "report-budget-nan", "report-budget-negative",
-            "resume-workers-zero", "resume-workers-negative", "resume-unreadable"])
+            "report-budget-inf", "report-budget-nan", "report-budget-negative"])
     def test_exits_as_one_line_before_running(self, monkeypatch, argv, message):
         from repro.simulation import SimulationEngine
 
@@ -224,13 +174,7 @@ class TestReplayFlagValues:
 
 
 class TestLostWorker:
-    def test_a_lost_worker_is_exit_3_and_one_line_then_resume_finishes(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        assert main(["simulate", *WINDOW]) == 0
-        uninterrupted = capsys.readouterr().out.splitlines()[-1]
-        assert uninterrupted.startswith("96 steps; ")
-
+    def test_a_lost_worker_is_exit_3_and_one_line(self, capsys, monkeypatch):
         before = {p.pid for p in multiprocessing.active_children()}
         steps = []
 
@@ -241,10 +185,7 @@ class TestLostWorker:
                 os.kill(min(children - before), signal.SIGKILL)
 
         monkeypatch.setattr(flags, "print_step", kill_a_worker_at_step_20)
-        directory = tmp_path / "ckpts"
-        code = main(["simulate", *WINDOW, "--workers", "2", "--verbose",
-                     "--checkpoint-every", "64",
-                     "--checkpoint-dir", str(directory)])
+        code = main(["simulate", *WINDOW, "--workers", "2", "--verbose"])
         monkeypatch.undo()
         captured = capsys.readouterr()
         assert code == 3
@@ -252,13 +193,8 @@ class TestLostWorker:
         (line,) = captured.err.splitlines()
         assert line.startswith("repro simulate: shard ")
         assert "worker process died" in line
-        assert f"`repro resume --from {directory}`" in line
+        assert line.endswith(f"after {len(steps)} merged steps; re-run")
         assert {p.pid for p in multiprocessing.active_children()} <= before
-
-        assert main(["resume", "--from", str(directory), "--workers", "2"]) == 0
-        resumed = capsys.readouterr().out.splitlines()[-1]
-        assert resumed.startswith(f"resumed from step {len(steps)} ")
-        assert resumed.endswith(uninterrupted.partition("; ")[2])
 
 
 class TestServeCommands:

@@ -46,8 +46,6 @@ PARENT_SURFACE = {
         'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
         'store_budget_mb': (('--store-budget-mb',), None, 'float', None, False, None, '_StoreAction', 'MB'),
         'store_spill_dir': (('--store-spill-dir',), None, None, None, False, None, '_StoreAction', 'DIR'),
-        'checkpoint_every': (('--checkpoint-every',), 0, 'int', None, False, None, '_StoreAction', 'N'),
-        'checkpoint_dir': (('--checkpoint-dir',), None, None, None, False, None, '_StoreAction', 'DIR'),
         'metrics_out': (('--metrics-out',), None, None, None, False, None, '_StoreAction', 'PATH'),
         'trace_out': (('--trace-out',), None, None, None, False, None, '_StoreAction', 'PATH'),
         'verbose': (('--verbose',), False, None, None, False, 0, '_StoreTrueAction', None),
@@ -61,8 +59,6 @@ PARENT_SURFACE = {
         'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
         'store_budget_mb': (('--store-budget-mb',), None, 'float', None, False, None, '_StoreAction', 'MB'),
         'store_spill_dir': (('--store-spill-dir',), None, None, None, False, None, '_StoreAction', 'DIR'),
-        'checkpoint_every': (('--checkpoint-every',), 0, 'int', None, False, None, '_StoreAction', 'N'),
-        'checkpoint_dir': (('--checkpoint-dir',), None, None, None, False, None, '_StoreAction', 'DIR'),
         'metrics_out': (('--metrics-out',), None, None, None, False, None, '_StoreAction', 'PATH'),
         'trace_out': (('--trace-out',), None, None, None, False, None, '_StoreAction', 'PATH'),
         'verbose': (('--verbose',), False, None, None, False, 0, '_StoreTrueAction', None),
@@ -74,18 +70,6 @@ PARENT_SURFACE = {
         'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
         'store_budget_mb': (('--store-budget-mb',), None, 'float', None, False, None, '_StoreAction', 'MB'),
         'store_spill_dir': (('--store-spill-dir',), None, None, None, False, None, '_StoreAction', 'DIR'),
-        'checkpoint_every': (('--checkpoint-every',), 0, 'int', None, False, None, '_StoreAction', 'N'),
-        'checkpoint_dir': (('--checkpoint-dir',), None, None, None, False, None, '_StoreAction', 'DIR'),
-        'metrics_out': (('--metrics-out',), None, None, None, False, None, '_StoreAction', 'PATH'),
-        'trace_out': (('--trace-out',), None, None, None, False, None, '_StoreAction', 'PATH'),
-        'verbose': (('--verbose',), False, None, None, False, 0, '_StoreTrueAction', None),
-    },
-    'resume': {
-        'from_path': (('--from',), None, None, None, True, None, '_StoreAction', 'PATH'),
-        'end': (('--end',), None, None, None, False, None, '_StoreAction', 'M-D'),
-        'workers': (('--workers',), 1, 'int', None, False, None, '_StoreAction', None),
-        'checkpoint_every': (('--checkpoint-every',), 0, 'int', None, False, None, '_StoreAction', 'N'),
-        'checkpoint_dir': (('--checkpoint-dir',), None, None, None, False, None, '_StoreAction', 'DIR'),
         'metrics_out': (('--metrics-out',), None, None, None, False, None, '_StoreAction', 'PATH'),
         'trace_out': (('--trace-out',), None, None, None, False, None, '_StoreAction', 'PATH'),
         'verbose': (('--verbose',), False, None, None, False, 0, '_StoreTrueAction', None),

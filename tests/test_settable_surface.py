@@ -67,7 +67,7 @@ SEAMS = {
     "atlas/probe.py:AtlasProbe.measure_dns": "the one-probe reference a campaign's tick block is compared against",
     "atlas/results.py:MeasurementStore.add_dns": "the row-wise append a DNS block append is compared against",
     "atlas/results.py:MeasurementStore.add_traceroute": "the row-wise append a traceroute block append is compared against",
-    "atlas/results.py:MeasurementStore.segment_summaries": "the block, columnar and checkpoint tests compare segment layouts with it",
+    "atlas/results.py:MeasurementStore.segment_summaries": "the block and columnar tests compare segment layouts with it",
     "atlas/results.py:TracerouteMeasurement.reached": "the traceroute tests check that a path ends at its destination with it",
     "cdn/cache.py:CacheStats.hit_ratio": "the cache model test checks the hit accounting with it",
     "cdn/cache.py:ContentCache.evict": "the cache model test and a forced origin miss go through it",
@@ -79,12 +79,10 @@ SEAMS = {
     "dns/reverse.py:scan_ptr_records": "the 3.3 tests walk the PTR zone and feed site discovery with it",
     "http/messages.py:Headers.get_all": "the header model test compares repeated fields with it",
     "isp/classify.py:TrafficClassifier.classify": "the per-flow reference classify_all is compared against",
-    "isp/netflow.py:NetflowCollector.records_between": "the collector test checks a half-open time window of the log with it",
     "isp/netflow.py:NetflowCollector.sampled_bytes": "the 5.3 sampling tests check 1-in-N collection with it",
     "obs/export.py:parse_exposition": "the export and CLI tests read render_exposition and --metrics-out back with it",
     "obs/trace_context.py:TraceChain.complete": "the trace tests keep only the chains whose root span closed with it",
     "obs/trace_context.py:assemble_chains": "the trace tests join client, DNS and HTTP spans into one chain per trace with it",
-    "serve/loadgen.py:merge_load_reports": "the loadgen tests fold back-to-back batches to exact percentiles with it",
     "isp/topology.py:EyeballIsp.is_direct_peer": "the scenario tests check the ISP's peering with it",
     "simulation/engine.py:RunSummary.from_run": "the golden runs digest the summary it builds",
     "simulation/engine.py:RunSummary.to_json_dict": "the golden runs digest the summary in the canonical form it returns",
@@ -116,6 +114,7 @@ DELETED = (
     "isp/bgp.py:BgpRib.routes",
     "isp/bgp.py:BgpRib.withdraw",
     "isp/bgp.py:route_preference",
+    "isp/netflow.py:NetflowCollector.records_between",
     "isp/topology.py:EyeballIsp.add_link",
     "isp/topology.py:EyeballIsp.fail_link",
     "isp/topology.py:EyeballIsp.is_up",
@@ -130,6 +129,7 @@ DELETED = (
     "serve/fleet.py:ServeFleet.http_endpoint",
     "serve/fleet.py:ServeFleet.resolver_endpoint",
     "serve/fleet.py:ServeFleet.worker_errors",
+    "serve/loadgen.py:merge_load_reports",
 )
 
 

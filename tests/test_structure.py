@@ -30,10 +30,9 @@ a resolver population is checked in one place.
 
 *The replay written once* (once the CI step "The replay written once"):
 which campaigns a run fires and shards is ``Sep2017Scenario``'s; only
-``plan_shards`` tells the ISP set from the global one.  A world is
-brought to a tick boundary by ``SimulationEngine.replay_state``, and the
-one other ``advance_state`` / ``mark_fired`` pair is the shard chunk
-loop.  The chase asks bound answers and builds no DNS message per hop; a policy is
+``plan_shards`` tells the ISP set from the global one.  The one
+``advance_state`` / ``mark_fired`` pair outside the engine's own step is
+the shard chunk loop.  The chase asks bound answers and builds no DNS message per hop; a policy is
 bound in ``Zone.answer_at`` alone.
 
 *The flow log is columns* (once the CI step "The flow log is columns"):
@@ -60,8 +59,9 @@ reason table and one head reader (``repro/http/wire.py``, no per-line
 ``readline()`` loop), one TCP listener (``serve/listener.py``, with no
 stream-based TCP path beside its protocols), one module that sizes
 socket reads and opens client connections, by protocol or by stream
-(``serve/udp.py``), one ``LoadReport`` construction (the fold in
-``serve/loadgen.py``) and one campaign grid whose ``next_due`` is public.
+(``serve/udp.py``), one ``LoadReport`` construction (the end of a
+generator run in ``serve/loadgen.py``) and one campaign grid whose
+``next_due`` is public.
 
 *One recovery path* (once the CI step of that name): the in-run
 supervisor (respawn, heartbeats, digest vote, the worker fault kinds)
@@ -83,6 +83,12 @@ kind and giving its reason.
 ``--fault``, and the load generator's backoff, circuit breaker and
 hedged lookups; ``LoadConfig.hedge`` is the one ``hedge`` left, a field
 nothing reads.
+
+*Resume stays gone*: the ``resume`` command, the checkpoint cadence and
+its flags, the SIGTERM drain, and every path that restores a run (the
+engine's replay to a tick boundary, the shard workers' warm-up, the
+stores' restore).  ``simulation/checkpoint.py`` keeps capture, save and
+load for the perf ledger alone.
 """
 
 import ast
@@ -244,7 +250,7 @@ def test_resolve_bulk_asks_no_unbound_answer():
 def test_no_option_or_config_field_was_added():
     from repro.simulation import ScenarioConfig
 
-    assert len(grep("add_argument(", "src", fixed=True)) == 36
+    assert len(grep("add_argument(", "src", fixed=True)) == 31
     assert len(dataclasses.fields(ScenarioConfig)) == 16
 
 
@@ -326,10 +332,6 @@ def test_only_plan_shards_tells_the_isp_set_from_the_global_one():
         if not inside and "isp_campaign" in line:
             named.append(f"{number}: {line}")
     assert not named
-
-
-def test_a_checkpoint_is_replayed_by_the_engine():
-    assert not grep(r"advance_state\(|mark_fired\(", f"{SIM}/checkpoint.py")
 
 
 @pytest.mark.parametrize("call", ["advance_state(", "mark_fired("])
@@ -673,6 +675,28 @@ def test_the_fault_plane_stays_gone():
     ]
     parser = build_parser()
     for argv in (["chaos"], ["run", "--fault", "cdn-blackout@Limelight:1-3"]):
+        with pytest.raises(SystemExit) as caught:
+            parser.parse_args(argv)
+        assert caught.value.code == 2, argv
+
+
+# ----------------------------------------------------------------------
+# Resume stays gone
+# ----------------------------------------------------------------------
+
+
+def test_resume_stays_gone():
+    from repro.cli import build_parser
+
+    assert not (ROOT / "src" / "repro" / "cli" / "resume.py").exists()
+    assert not grep(
+        r"resume_from|checkpoint_every|CheckpointPlan|restore_run_state|restore_state"
+        r"|replay_state|warmup_ticks|SIGTERM|latest_checkpoint",
+        "src",
+    )
+    parser = build_parser()
+    for argv in (["resume", "--from", "x"], ["run", "--checkpoint-every", "4"],
+                 ["report", "--checkpoint-dir", "x"]):
         with pytest.raises(SystemExit) as caught:
             parser.parse_args(argv)
         assert caught.value.code == 2, argv
