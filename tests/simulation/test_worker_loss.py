@@ -122,7 +122,10 @@ class _CrashOnWorkerBuild(Sep2017Scenario):
         super().__init__(*args, **kwargs)
 
 
-class TestFirstChunkLoss:
+class TestNothingToResumeFrom:
+    """No run leaves anything to resume from: a lost worker's message
+    says to re-run, and names no command that would pick the run up."""
+
     def test_first_chunk_loss_says_re_run(self):
         before = _children()
         with use_registry(MetricsRegistry()):
@@ -131,6 +134,18 @@ class TestFirstChunkLoss:
         message = str(caught.value)
         assert "worker-side scenario build exploded" in message
         assert f"stopped at t={START:g} after 0 merged steps; re-run" in message
+        assert "repro resume" not in message
+        assert _children() <= before
+
+    def test_loss_without_a_plan_says_re_run(self):
+        # Killed inside the first chunk, after some of its ticks were
+        # already reported.
+        before = _children()
+        error, merged, _ = lose_a_worker(4, signal.SIGKILL, before)
+        message = str(error)
+        assert f"after {merged} merged steps" in message
+        assert message.endswith("; re-run")
+        assert "repro resume" not in message
         assert _children() <= before
 
 
