@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from ..dns.policies import Answer, check_ttl, sticky_draw
+from ..dns.policies import Answer, check_ttl, cname_table, sticky_draw
 from ..dns.query import QueryContext
-from ..dns.records import CnameRecord, ResourceRecord
+from ..dns.records import ResourceRecord
 from ..net.geo import MappingRegion
 
 __all__ = [
@@ -149,6 +149,7 @@ class OffloadCnamePolicy:
     controller: MetaCdnController
     gslb_targets: tuple[str, ...] = (NAMES.gslb_a, NAMES.gslb_b)
     ttl: int = 15
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_ttl(self.ttl)
@@ -157,30 +158,24 @@ class OffloadCnamePolicy:
         ttl = self.ttl
         draw = sticky_draw(name, now, ttl, "")
         pick = sticky_draw("gslb", now, ttl, "")
-        targets = self.gslb_targets
-        count = len(targets)
+        answers = cname_table(self._tables, name, ttl)
+        apple = [answers[target] for target in self.gslb_targets]
+        count = len(apple)
         controller = self.controller
-        # Built on first ask: per region [Apple share, third-party
-        # answer], per GSLB name its answer.  A live query needs one
-        # region and one answer, a campaign tick all of them.
+        # Per region (Apple share, third-party answer), on first ask: a
+        # live query needs one region, a campaign tick all of them.
         regions: dict = {}
-        apple: list = [None] * count
 
         def answer(context: QueryContext) -> tuple[ResourceRecord, ...]:
             region = context.region
             held = regions.get(region)
             if held is None:
-                held = regions[region] = [controller.apple_share(region), None]
+                held = regions[region] = (
+                    controller.apple_share(region), answers[NAMES.ios8_lb(region)]
+                )
             if draw(context) < held[0]:
-                index = int(pick(context) * count)
-                records = apple[index]
-                if records is None:
-                    records = apple[index] = (CnameRecord(name, targets[index], ttl),)
-                return records
-            records = held[1]
-            if records is None:
-                records = held[1] = (CnameRecord(name, NAMES.ios8_lb(region), ttl),)
-            return records
+                return apple[int(pick(context) * count)]
+            return held[1]
 
         return answer
 
@@ -201,16 +196,18 @@ class AkamaiHandoverPolicy:
     secondary: str = NAMES.akamai_secondary
     secondary_from: Optional[float] = None  # simulation seconds; None = never
     ttl: int = 300
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_ttl(self.ttl)
 
     def bind(self, name: str, now: float) -> Answer:
         ttl = self.ttl
-        primary = (CnameRecord(name, self.primary, ttl),)
+        answers = cname_table(self._tables, name, ttl)
+        primary = answers[self.primary]
         if self.secondary_from is None or not now >= self.secondary_from:
             return lambda context: primary
-        secondary = (CnameRecord(name, self.secondary, ttl),)
+        secondary = answers[self.secondary]
         draw = sticky_draw(name, now, ttl, "")
         share, eu = AKAMAI_SECONDARY_SHARE, MappingRegion.EU
 

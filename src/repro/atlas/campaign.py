@@ -62,8 +62,9 @@ class DnsCampaign:
     name: str = "dns"
     cadence: Cadence = field(init=False, repr=False)
     _server_map: Optional[ServerMap] = field(default=None, init=False, repr=False)
-    # Per probe slice measured (``None`` = all probes): its probes and
-    # their fixed columns.
+    # Per probe slice measured (``None`` = all probes): its fixed
+    # columns and each probe's (resolver, query context), the contexts
+    # stamped on the slice's first tick and asked at every tick's time.
     _slices: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -95,17 +96,19 @@ class DnsCampaign:
         A serial tick hands the block to :meth:`absorb_tick`; a shard
         worker ships it home as its slice, which the coordinator
         gathers into probe order before absorbing.  The slice's fixed
-        columns are built on its first tick and copied after that.  No
-        grid or telemetry state is touched here.
+        columns and its probes' query contexts are built on its first
+        tick and reused after that: the sweep is given the tick's time
+        once.  No grid or telemetry state is touched here.
         """
         key = None if indices is None else tuple(indices)
         cached = self._slices.get(key)
         if cached is None:
             probes = self.probes if key is None else [self.probes[i] for i in key]
             cached = self._slices[key] = (
-                probes, ProbeColumns.of(self.target, probes)
+                ProbeColumns.of(self.target, probes),
+                [(probe.resolver, probe.context(now)) for probe in probes],
             )
-        probes, fixed = cached
+        fixed, clients = cached
         target = self.target
         if self._server_map is None:
             # All campaign probes are built from one estate server
@@ -113,11 +116,7 @@ class DnsCampaign:
             self._server_map = ServerMap(self.probes[0].resolver.servers)
         # One level-synchronous sweep for the whole tick (shared server
         # lookups); value-identical to one ``measure_dns`` per probe.
-        outcomes = resolve_bulk(
-            [(probe.resolver, probe.context(now)) for probe in probes],
-            target,
-            self._server_map,
-        )
+        outcomes = resolve_bulk(clients, target, self._server_map, now)
         return DnsColumns.tick(
             fixed, now, [outcome_fields(target, outcome) for outcome in outcomes]
         )

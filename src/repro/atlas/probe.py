@@ -88,8 +88,9 @@ class AtlasProbe:
         """The DNS query context this probe presents at ``now``.
 
         A stamped copy of one base context built on first use, its
-        address text already spelled: a campaign asks every probe for
-        one per tick.
+        address text already spelled.  A DNS campaign asks for one per
+        probe on its first tick and reuses it, giving later sweeps their
+        time as :func:`~repro.dns.resolver.resolve_bulk`'s ``now``.
         """
         base = self._base
         if base is None:

@@ -21,6 +21,10 @@ weights in force, the prebuilt answer records) is worked out once, and
 the returned function of the asking client does the rest.  A campaign
 tick binds each chain name once and asks it for every probe; the live
 edge binds per query.
+
+Answers are interned per policy: every client (at any time) handed the
+same records gets the same tuple, so the chase reads each distinct
+answer once (:func:`repro.dns.resolver.resolve_bulk`).
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from typing import Callable, Iterable, Mapping, Protocol, Sequence
 from ..net.ipv4 import IPv4Address
 from .query import QueryContext
 from .records import ARecord, CnameRecord, ResourceRecord, normalize_name
+from .wire import _remember
 
 __all__ = [
     "Answer",
@@ -44,6 +49,7 @@ __all__ = [
     "WeightedCnamePolicy",
     "GslbAddressPolicy",
     "check_ttl",
+    "cname_table",
     "stable_fraction",
     "sticky_draw",
 ]
@@ -61,11 +67,38 @@ class AnswerPolicy(Protocol):
         """The answer for ``name`` at time ``now``, as a function of the client.
 
         The returned function is valid for that ``now`` only and returns
-        a tuple of records.  A CNAME answer is built once per bind, on
-        first hand-out, and every client sent to that target gets the
-        same tuple, so a chase shares one step between them.
+        a tuple of records.  Equal answers are the same tuple, across
+        clients and binds: a CNAME answer is built once per policy, name
+        and target (:func:`cname_table`), an address answer once per
+        distinct slice while it stays in the policy's memo.
         """
         ...  # pragma: no cover - protocol
+
+
+class _CnameTable(dict):
+    """CNAME target -> the one answer of ``name`` redirecting to it,
+    built on first lookup."""
+
+    __slots__ = ("name", "ttl")
+
+    def __init__(self, name: str, ttl: int) -> None:
+        super().__init__()
+        self.name = name
+        self.ttl = ttl
+
+    def __missing__(self, target: str) -> tuple[ResourceRecord, ...]:
+        records = self[target] = (CnameRecord(self.name, target, self.ttl),)
+        return records
+
+
+def cname_table(tables: dict, name: str, ttl: int) -> _CnameTable:
+    """The CNAME answers a policy gives as ``name``, from its ``tables``
+    (owner name -> table; bounded by the policy's names and targets,
+    which are its configuration)."""
+    table = tables.get(name)
+    if table is None:
+        table = tables[name] = _CnameTable(name, ttl)
+    return table
 
 
 def check_ttl(ttl) -> None:
@@ -141,12 +174,13 @@ class CnamePolicy:
 
     target: str
     ttl: int
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_ttl(self.ttl)
 
     def bind(self, name: str, now: float) -> Answer:
-        answer = (CnameRecord(name, self.target, self.ttl),)
+        answer = cname_table(self._tables, name, self.ttl)[self.target]
         return lambda context: answer
 
 
@@ -162,23 +196,17 @@ class CountrySplitPolicy:
     default: str
     overrides: Mapping[str, str]
     ttl: int
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_ttl(self.ttl)
 
     def bind(self, name: str, now: float) -> Answer:
-        ttl, overrides, default = self.ttl, self.overrides, self.default
-        # Country -> its answer, built on first ask: a live query builds
-        # one record, a campaign tick one per country it meets.
-        answers: dict = {}
+        overrides, default = self.overrides, self.default
+        answers = cname_table(self._tables, name, self.ttl)
 
         def answer(context: QueryContext) -> tuple[ResourceRecord, ...]:
-            country = context.country
-            records = answers.get(country)
-            if records is None:
-                target = overrides.get(country, default)
-                records = answers[country] = (CnameRecord(name, target, ttl),)
-            return records
+            return answers[overrides.get(context.country, default)]
 
         return answer
 
@@ -250,6 +278,7 @@ class WeightedCnamePolicy:
     schedule: WeightSchedule
     ttl: int
     salt: str = ""
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_ttl(self.ttl)
@@ -264,8 +293,7 @@ class WeightedCnamePolicy:
             cumulative += weight
             table.append((cumulative, target))
         draw = sticky_draw(name, now, ttl, self.salt)
-        # Target -> its answer, built on first hand-out.
-        answers: dict = {}
+        answers = cname_table(self._tables, name, ttl)
 
         def answer(context: QueryContext) -> tuple[ResourceRecord, ...]:
             threshold = draw(context) * total
@@ -274,10 +302,7 @@ class WeightedCnamePolicy:
                     break
             # Without a break ``target`` is the last one: a draw below 1.0
             # reaches the total only through rounding.
-            records = answers.get(target)
-            if records is None:
-                records = answers[target] = (CnameRecord(name, target, ttl),)
-            return records
+            return answers[target]
 
         return answer
 
@@ -299,10 +324,11 @@ class GslbAddressPolicy:
     answer_count: int = 4
     salt: str = ""
     # Owner name -> its record table (address value -> interned A
-    # record): an answer maps the table's lookup over a pool slice, no
-    # address hash or constructor per record.  Bounded by the values the
-    # pool hands out (a deployment's server count) per name bound to
-    # this policy.
+    # record, and slice values -> interned answer): an answer maps the
+    # table's lookup over a pool slice, no address hash or constructor
+    # per record.  The records are bounded by the values the pool hands
+    # out (a deployment's server count), the answers by the wire memos'
+    # bound, per name bound to this policy.
     _records: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -317,7 +343,8 @@ class GslbAddressPolicy:
         table = self._records.get(name)
         if table is None:
             table = self._records[name] = _RecordTable(name, self.ttl)
-        record = table.__getitem__
+        record, answers = table.__getitem__, table.answers
+        get = answers.get
 
         def answer(context: QueryContext) -> tuple[ResourceRecord, ...]:
             # The pool is read in place: deployments hand out their
@@ -331,24 +358,39 @@ class GslbAddressPolicy:
             offset = int(draw(context) * size)
             end = offset + count
             if end <= size:
-                return tuple(map(record, candidates[offset:end]))
-            return tuple(map(record, candidates[offset:])) + tuple(
-                map(record, candidates[: min(end - size, offset)])
-            )
+                values = candidates[offset:end]
+            else:
+                values = candidates[offset:] + candidates[: min(end - size, offset)]
+            # Interned by those values, never by the pool's identity: a
+            # deployment moves its pool in place.  An ``array`` slice is
+            # keyed by its bytes (a pool keeps one typecode), any other
+            # sequence by its tuple.
+            try:
+                key = values.tobytes()
+            except AttributeError:
+                key = tuple(values)
+            records = get(key)
+            if records is None:
+                records = tuple(map(record, values))
+                _remember(answers, key, records)
+            return records
 
         return answer
 
 
 class _RecordTable(dict):
     """Address value -> the one :class:`ARecord` of ``name`` for it,
-    built on first lookup."""
+    built on first lookup; ``answers`` maps the address values of a
+    pool slice (an ``array`` slice's bytes) to its records tuple, the
+    oldest making room at the wire memos' bound."""
 
-    __slots__ = ("name", "ttl")
+    __slots__ = ("name", "ttl", "answers")
 
     def __init__(self, name: str, ttl: int) -> None:
         super().__init__()
         self.name = name
         self.ttl = ttl
+        self.answers: dict = {}
 
     def __missing__(self, value: int) -> ARecord:
         record = self[value] = ARecord(self.name, IPv4Address(value), self.ttl)

@@ -189,23 +189,44 @@ class Resolution:
         return self.rcode is RCode.NOERROR and bool(self.addresses)
 
 
+# id(answer tuple) -> its tick-free read: (step, addresses, redirect,
+# TTL), the step as the hop name and operator it was read under.  The
+# step holds the tuple, so while an entry is here no other live tuple
+# can share its id; the hop name and operator are checked on every use,
+# since one tuple may be served under two names or in two server
+# universes.  Policies intern their answers, so a replay's few thousand
+# distinct tuples are read about once per eviction instead of once per
+# client and tick; the oldest entry makes room at the wire memos' bound.
+_READS: dict = {}
+
+
+def _read_answer(
+    name: str, operator: str, records: tuple[ResourceRecord, ...]
+) -> tuple:
+    """The read of ``records`` answered for ``name`` by ``operator``,
+    built and remembered in ``_READS``."""
+    read = (ResolutionStep(name, operator, records),) + _read(records)
+    _remember(_READS, id(records), read)
+    return read
+
+
 class _Answer:
     """One authoritative answer as the chase holds it, and as it is cached.
 
-    The hop's step, what it yields to the walk (:func:`_read`), and
-    ``expires_at``, the time a TTL cache keeps it until.  Every client
-    handed the same answer tuple at one ``now`` shares one, and so does
-    every cache it is put in.  ``cached`` is the same hop with its step
-    marked ``from_cache``, built on the first hit and shared by every
-    later one (the 21600 s entry hop is served from cache ~70 times
-    per fill).
+    The hop's step and what it yields to the walk, from the tuple's read
+    (:func:`_read_answer`), and ``expires_at``, the time a TTL cache
+    keeps it until: the one part that depends on ``now``.  Every client
+    handed the same answer tuple in one sweep at one ``now`` shares one,
+    and so does every cache it is put in.  ``cached`` is the same hop
+    with its step marked ``from_cache``, built on the first hit and
+    shared by every later one (the 21600 s entry hop is served from
+    cache ~70 times per fill).
     """
 
     __slots__ = ("step", "addresses", "redirect", "expires_at", "_cached")
 
-    def __init__(self, step: ResolutionStep, now: float) -> None:
-        self.step = step
-        self.addresses, self.redirect, ttl = _read(step.records)
+    def __init__(self, read: tuple, now: float) -> None:
+        self.step, self.addresses, self.redirect, ttl = read
         self.expires_at = None if ttl is None else now + ttl
         self._cached: Optional[_Answer] = None
 
@@ -419,6 +440,7 @@ def resolve_bulk(
     clients: Sequence[Tuple[RecursiveResolver, QueryContext]],
     name: str,
     server_map: Optional[ServerMap] = None,
+    now: Optional[float] = None,
 ) -> List[Union[Resolution, ResolutionError]]:
     """Resolve ``name`` for many clients in one level-synchronous sweep.
 
@@ -430,11 +452,20 @@ def resolve_bulk(
     limit are per client; a resolver listed for several clients sees
     its cache gets and puts in client order, round by round.
 
-    A hop the cache cannot serve is
-    answered by its chain name bound once per ``now``
-    (:meth:`Zone.answer_at`): with a ``server_map`` the (server, zone)
-    is located and the policy bound once per distinct name for all
-    clients, without one once per name and resolver.
+    Each client asks at its context's ``now``, or at ``now`` for all of
+    them when it is given (a campaign tick passes its time once, with
+    contexts built once per probe; no policy reads the time off a
+    context).  A hop the cache cannot serve is answered by its chain
+    name bound once per time (:meth:`Zone.answer_at`): with a
+    ``server_map`` the (server, zone) is located and the policy bound
+    once per distinct name for all clients, without one once per name
+    and resolver.
+
+    Each distinct answer tuple is read once: its step and what it yields
+    to the walk are kept across sweeps (``_READS``), and only the time a
+    cache may keep it is worked out per ``now``.  Clients handed the
+    same tuple at one time share one answer, and policies hand equal
+    answers out as the same tuple.
 
     Failures that :meth:`RecursiveResolver.resolve` raises are returned
     in-place as :class:`ResolutionError` instances so one bad vantage
@@ -448,45 +479,46 @@ def resolve_bulk(
     qname = normalize_name(name)
     question = Question(qname)
     outcomes: List[Union[Resolution, ResolutionError]] = [None] * len(clients)  # type: ignore[list-item]
-    # One client's in-flight chase: (index, resolver, context, steps,
-    # names, followed, cache).  ``names`` and ``followed`` are the walk
-    # so far — every name asked and the CNAME record that led to each
-    # next one — and become the finished Resolution's views; ``names``
-    # is also the loop check.  ``cache`` is the resolver's TTL cache
-    # (``None`` when it has none), keyed by the hop's name.  A tuple
-    # whose three lists grow in place: built and unpacked in one step,
-    # with no attribute per field.
+    # One client's in-flight chase: (index, resolver, context, now,
+    # steps, names, followed, cache).  ``names`` and ``followed`` are
+    # the walk so far — every name asked and the CNAME record that led
+    # to each next one — and become the finished Resolution's views;
+    # ``names`` is also the loop check.  ``cache`` is the resolver's TTL
+    # cache (``None`` when it has none), keyed by the hop's name.  A
+    # tuple whose three lists grow in place: built and unpacked in one
+    # step, with no attribute per field.
     active = [
-        (index, resolver, context, [], [qname], [],
+        (index, resolver, context, context.now if now is None else now,
+         [], [qname], [],
          resolver._cache if resolver._cache_enabled else None)
         for index, (resolver, context) in enumerate(clients)
     ]
     locate = server_map.locate if server_map is not None else None
     noerror, nxdomain = RCode.NOERROR, RCode.NXDOMAIN
     new_resolution = object.__new__
+    reads = _READS
     # Chain name (with the resolver, when no map says the clients share
-    # one server universe) -> (``now``, operator, the answer bound at
-    # that ``now``, answer tuple id -> its _Answer), so clients handed
-    # the same tuple share one step.  The held step keeps its tuple
-    # alive, so an equal id is the same tuple.
+    # one server universe) -> (time, operator, the answer bound at that
+    # time, answer tuple id -> its _Answer), so clients handed the same
+    # tuple share one.  The held step keeps its tuple alive, so an equal
+    # id is the same tuple.
     hops: dict = {}
     for _ in range(_MAX_CHAIN):
         if not active:
             break
         still_active: list = []
         for chase in active:
-            index, resolver, context, steps, names, followed, cache = chase
-            now = context.now
+            index, resolver, context, at, steps, names, followed, cache = chase
             hop_name = names[-1]
             answer = None
             if cache is not None:
-                answer = cache.get(hop_name, now)
+                answer = cache.get(hop_name, at)
                 if answer is not None:
                     answer = answer.cached()
             if answer is None:
                 hop_key = hop_name if locate is not None else (hop_name, resolver)
                 hop = hops.get(hop_key)
-                if hop is None or hop[0] != now:
+                if hop is None or hop[0] != at:
                     server, zone = (
                         locate(hop_name) if locate is not None
                         else resolver._map.locate(hop_name)
@@ -497,7 +529,7 @@ def resolve_bulk(
                         )
                         continue
                     hop = hops[hop_key] = (
-                        now, server.operator, zone.answer_at(hop_name, now) or _nothing, {}
+                        at, server.operator, zone.answer_at(hop_name, at) or _nothing, {}
                     )
                 _, operator, bound, answers = hop
                 records = bound(context)
@@ -505,13 +537,18 @@ def resolve_bulk(
                     records = tuple(records)
                 answer = answers.get(id(records))
                 if answer is None:
-                    answer = answers[id(records)] = _Answer(
-                        ResolutionStep(hop_name, operator, records), now
-                    )
+                    read = reads.get(id(records))
+                    if (
+                        read is None
+                        or read[0].name != hop_name
+                        or read[0].operator != operator
+                    ):
+                        read = _read_answer(hop_name, operator, records)
+                    answer = answers[id(records)] = _Answer(read, at)
                 if resolver._metered:
                     resolver._count_query(operator, len(records))
                 if records and cache is not None:
-                    cache.put(hop_name, answer, now)
+                    cache.put(hop_name, answer, at)
             step = answer.step
             addresses = answer.addresses
             redirect = answer.redirect

@@ -588,7 +588,7 @@ def run_sharded(
                 # Nothing of this chunk is merged yet, so the coordinator
                 # stands exactly at the previous chunk's boundary.
                 raise ShardWorkerLost(
-                    f"{lost}; stopped at t={chunk[0]:g} after {steps} merged "
+                    f"{lost}; stopped at t={chunk[0]} after {steps} merged "
                     "steps; re-run"
                 ) from lost
             if chunk_index + 1 < len(chunks):

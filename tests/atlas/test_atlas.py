@@ -162,6 +162,34 @@ class TestDnsCampaign:
         assert taken == 4 * 3
         assert len(campaign.store.dns) == 12
 
+    def test_a_sweep_stamps_contexts_on_its_first_tick_only(self, tiny_estate, monkeypatch):
+        """A tick gives the sweep its time once: every probe's context is
+        stamped when the slice is first measured, never again."""
+        from repro.dns.query import QueryContext
+
+        stamps = []
+        stamp = QueryContext.at
+        monkeypatch.setattr(
+            QueryContext, "at", lambda self, now: stamps.append(now) or stamp(self, now)
+        )
+        probes = [make_probe(tiny_estate, probe_id=i) for i in range(3)]
+        campaign = DnsCampaign(
+            probes=probes,
+            target="appldnld.apple.com",
+            interval=300.0,
+            window=MeasurementWindow("w", 0.0, 1200.0),
+        )
+        ticks = [campaign.maybe_run(now) for now in (0.0, 300.0, 600.0)]
+        assert ticks == [3, 3, 3]
+        assert stamps == [0.0] * 3
+        # Each row carries its own tick's time, and both hops (TTLs 60
+        # and 20 s) were asked afresh at each tick, not served from the
+        # first tick's cache entries.
+        assert [row.timestamp for row in campaign.store.dns] == (
+            [0.0] * 3 + [300.0] * 3 + [600.0] * 3
+        )
+        assert [probe.resolver.cache_stats().misses for probe in probes] == [2 * 3] * 3
+
     def test_no_ticks_outside_window(self, tiny_estate):
         campaign = DnsCampaign(
             probes=[make_probe(tiny_estate)],

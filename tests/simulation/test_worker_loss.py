@@ -76,7 +76,7 @@ def assert_stopped_at_last_merged_chunk(error, merged, at_tick):
     chunk = at_tick // CHUNK_TICKS
     assert merged in ((chunk + 1) * CHUNK_TICKS, (chunk + 2) * CHUNK_TICKS)
     message = str(error)
-    assert f"stopped at t={START + merged * STEP:g} after {merged} merged steps" in message
+    assert f"stopped at t={START + merged * STEP} after {merged} merged steps" in message
     assert message.endswith("; re-run")
 
 
@@ -104,11 +104,20 @@ class TestHungWorker:
                 concurrency, "RESULT_DEADLINE_SECONDS", 1.0
             ),
         )
-        assert "hung: no chunk result for 1s" in str(error)
-        assert _children() <= before
-        with pytest.raises(ProcessLookupError):
-            os.kill(stopped, 0)
-        assert_stopped_at_last_merged_chunk(error, merged, 5)
+        try:
+            assert "hung: no chunk result for 1s" in str(error)
+            assert _children() <= before
+            with pytest.raises(ProcessLookupError):
+                os.kill(stopped, 0)
+            assert_stopped_at_last_merged_chunk(error, merged, 5)
+        finally:
+            # A worker left stopped would hang pytest at exit, in
+            # multiprocessing's join of its children: end it, so that a
+            # reaping regression fails above instead.  Only while it is
+            # still a child of this process, so its pid is not reused.
+            if stopped in _children():
+                os.kill(stopped, signal.SIGCONT)
+                os.kill(stopped, signal.SIGKILL)
 
 
 class _CrashOnWorkerBuild(Sep2017Scenario):
@@ -133,7 +142,7 @@ class TestNothingToResumeFrom:
                 fresh_engine(_CrashOnWorkerBuild).run(START, END, workers=3)
         message = str(caught.value)
         assert "worker-side scenario build exploded" in message
-        assert f"stopped at t={START:g} after 0 merged steps; re-run" in message
+        assert f"stopped at t={START} after 0 merged steps; re-run" in message
         assert "repro resume" not in message
         assert _children() <= before
 
