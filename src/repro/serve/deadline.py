@@ -6,12 +6,13 @@ its own.  Both timeouts here are one ``call_at`` timer.
 
 An :class:`Alarm` belongs to something that waits again and again — a
 connection waiting for its next request head, for its next frame or for
-the answer to its request — and calls its callback when a wait outlives
-its time.  Arming stores the wait's due time and arms a timer only if
-none is pending; a timer that fires before the due time re-arms itself
-for it, one that fires with nothing armed does nothing.  So a busy
-connection costs one timer per timeout, not a ``call_later`` and a
-``cancel`` per request.
+the answer to its request, a wire DNS client waiting for the answers to
+its datagrams — and calls its callback when a wait outlives its time.
+Arming stores the wait's due time and arms a timer only if none is
+pending; a timer that fires before the due time re-arms itself for it,
+one that fires with nothing armed does nothing.  So a busy
+connection or client costs one timer per timeout, not a ``call_later``
+and a ``cancel`` per request.
 
 :class:`deadline` is an alarm over a block of awaits in the *current*
 task: it cancels the task's pending await when it goes off and turns

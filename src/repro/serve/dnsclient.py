@@ -4,8 +4,8 @@
 questions uses — the load generator's devices, the public-resolver
 front's upstream side: one UDP socket, in-flight queries matched by
 message id, an EDNS Client Subnet option naming the acting client,
-per-query timeouts and retries, and the full Figure 2 CNAME chase as
-:meth:`resolve`.
+timeouts and retries under one timer per client, and the full Figure 2
+CNAME chase as :meth:`resolve`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from ..dns.wire import (
 )
 from ..net.ipv4 import IPv4Address
 from ..obs import current_context, get_registry, get_tracer
-from .deadline import deadline
+from .deadline import Alarm, deadline
 from .udp import open_tcp, open_udp
 
 __all__ = ["DnsClientError", "WireResolution", "AsyncDnsClient"]
@@ -88,10 +88,14 @@ class WireResolution:
 
 
 class _DnsClientProtocol(asyncio.DatagramProtocol):
-    """Matches responses to waiters by DNS message id."""
+    """Matches responses to waiters by DNS message id.
+
+    ``waiters`` maps each id in flight to ``(due, waiter)`` in send
+    order, the due time being the attempt's send time plus timeout.
+    """
 
     def __init__(self) -> None:
-        self.waiters: dict[int, asyncio.Future] = {}
+        self.waiters: dict[int, tuple[float, asyncio.Future]] = {}
         self.transport: Optional[asyncio.DatagramTransport] = None
 
     def connection_made(self, transport) -> None:  # pragma: no cover - trivial
@@ -101,9 +105,9 @@ class _DnsClientProtocol(asyncio.DatagramProtocol):
         if len(data) < 2:
             return
         (message_id,) = struct.unpack("!H", data[:2])
-        waiter = self.waiters.pop(message_id, None)
-        if waiter is not None and not waiter.done():
-            waiter.set_result(data)
+        entry = self.waiters.pop(message_id, None)
+        if entry is not None and not entry[1].done():
+            entry[1].set_result(data)
 
     def error_received(self, exc) -> None:  # pragma: no cover - platform dependent
         pass
@@ -116,6 +120,17 @@ class AsyncDnsClient:
     in-flight queries are matched by message id.  Each query carries an
     EDNS Client Subnet option for the acting client so the server's
     geo policies see who is asking.
+
+    Every UDP attempt times out under one :class:`Alarm` per client, not
+    a timer per attempt.  The in-flight waits are registered as
+    ``(due, waiter)`` in send order; one client has one timeout, so due
+    times are monotone in send order and the oldest wait is always due
+    first.  An attempt arms the alarm only when nothing else is in
+    flight, and an ended attempt unregisters its wait without a timer
+    call: an answered query makes no ``call_at`` and no ``cancel``, and
+    the pending timer lapses, re-arming itself for a later wait.  When
+    it goes off, every overdue waiter gets ``asyncio.TimeoutError`` and
+    the alarm is re-armed for the oldest wait still pending.
     """
 
     def __init__(
@@ -147,6 +162,7 @@ class AsyncDnsClient:
         self._tracer = tracer if tracer is not None else get_tracer()
         self._protocol: Optional[_DnsClientProtocol] = None
         self._last_id = 0
+        self._alarm = Alarm(self._expire)
         # Plain mirrors of the registry counters so reports work under
         # the null registry too.
         self.queries_sent = 0
@@ -175,12 +191,14 @@ class AsyncDnsClient:
         return client
 
     def close(self) -> None:
-        """Close the UDP endpoint and fail any in-flight waiters."""
+        """Close the UDP endpoint, drop the client's timer and fail any
+        in-flight waiters."""
+        self._alarm.close()
         if self._protocol is not None:
             # Waiters still registered belong to tasks that were
             # cancelled (or are about to be): cancel the futures so
             # nothing holds a reference into a dead transport.
-            for waiter in list(self._protocol.waiters.values()):
+            for _due, waiter in list(self._protocol.waiters.values()):
                 if not waiter.done():
                     waiter.cancel()
             self._protocol.waiters.clear()
@@ -218,25 +236,32 @@ class AsyncDnsClient:
             payload = encode_query(
                 message_id, name, client, self._source_prefix_len, trace
             )
-            waiter = asyncio.get_running_loop().create_future()
-            self._protocol.waiters[message_id] = waiter
+            loop = asyncio.get_running_loop()
+            waiter = loop.create_future()
+            waiters = self._protocol.waiters
+            # Stamped before arming, so the alarm is never due before it.
+            due = loop.time() + self._timeout
+            if not waiters:
+                self._alarm.arm(self._timeout)
+            waiters[message_id] = (due, waiter)
             self._protocol.transport.sendto(payload)
             self.queries_sent += 1
             self._m_queries.inc()
             try:
-                with deadline(self._timeout):
-                    raw = await waiter
+                raw = await waiter
             except asyncio.TimeoutError:
                 self.timeouts += 1
                 self._m_timeouts.inc()
                 last_error = f"timeout after {self._timeout}s"
                 continue
             finally:
-                # The success path pops the waiter in datagram_received,
-                # but a timeout — or the caller being *cancelled* while
-                # awaiting (a generator torn down mid-ramp) — must not
-                # leave the future registered forever.
-                self._protocol.waiters.pop(message_id, None)
+                # datagram_received and the alarm unregister answered
+                # and overdue waits, but the caller being *cancelled*
+                # while awaiting (a generator torn down mid-ramp) must
+                # not leave the future registered forever.
+                waiters.pop(message_id, None)
+                if not waiters:
+                    self._alarm.disarm()
             try:
                 response = decode_message(raw)
             except WireError as exc:
@@ -248,6 +273,22 @@ class AsyncDnsClient:
                 response = await self._query_tcp(payload)
             return response
         raise DnsClientError(f"query for {name!r} failed: {last_error}")
+
+    def _expire(self) -> None:
+        """The alarm went off: time out every overdue wait, then re-arm
+        for the oldest wait still pending."""
+        waiters = self._protocol.waiters
+        now = asyncio.get_running_loop().time()
+        while waiters:
+            message_id, (due, waiter) = next(iter(waiters.items()))
+            if due > now:
+                self._alarm.arm(due - now)
+                return
+            # Unregistered here, so a send before the task resumes
+            # finds nothing in flight and arms the alarm anew.
+            del waiters[message_id]
+            if not waiter.done():
+                waiter.set_exception(asyncio.TimeoutError())
 
     async def _query_tcp(self, payload: bytes) -> WireMessage:
         """Re-issue one already-encoded query over TCP."""

@@ -6,6 +6,7 @@ import contextlib
 import math
 import re
 import string
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,8 @@ CLIENT = IPv4Address.parse("100.64.7.9")
 
 class _Canned(asyncio.DatagramProtocol):
     """Records every query and answers it with ``reply(query bytes)``;
-    a ``reply`` of ``None`` answers nothing."""
+    a ``reply`` of ``None``, or one that returns ``None``, answers
+    nothing."""
 
     def __init__(self, reply):
         self.reply = reply
@@ -41,8 +43,9 @@ class _Canned(asyncio.DatagramProtocol):
 
     def datagram_received(self, data, addr):
         self.datagrams.append(data)
-        if self.reply is not None:
-            self.transport.sendto(self.reply(data), addr)
+        answer = self.reply(data) if self.reply is not None else None
+        if answer is not None:
+            self.transport.sendto(answer, addr)
 
 
 def _echo(data: bytes) -> bytes:
@@ -248,25 +251,33 @@ def test_a_timeout_or_retry_count_that_cannot_work_is_refused(build):
 
 
 class TestNothingOutlivesAQuery:
-    """No deadline timer, registered waiter or task survives a query,
-    however it ended."""
+    """No registered waiter or task survives a query, however it ended;
+    an open client keeps at most its one timer, and ``close()`` takes
+    that too."""
 
     @staticmethod
     def assert_clean(client, deadline_timers):
-        assert deadline_timers() == []
+        assert len(deadline_timers()) <= 1
         assert client._protocol.waiters == {}
         assert asyncio.all_tasks() == {asyncio.current_task()}
 
     def test_after_an_answered_query(self, deadline_timers):
         async def scenario():
+            seen = []
             async with _served(_echo) as (client, responder):
-                response = await client.query("appldnld.apple.com", CLIENT)
-                self.assert_clean(client, deadline_timers)
-            return response, responder.queries
+                for _ in range(20):
+                    response = await client.query("appldnld.apple.com", CLIENT)
+                    self.assert_clean(client, deadline_timers)
+                    seen.append(deadline_timers())
+            return response, responder.queries, seen, deadline_timers()
 
-        response, queries = asyncio.run(scenario())
+        response, queries, seen, after_close = asyncio.run(scenario())
         assert response.questions == [Question.of("appldnld.apple.com")]
-        assert queries == 1
+        assert queries == 20
+        # Twenty answers, one and the same timer throughout.
+        assert all(len(timers) == 1 for timers in seen)
+        assert len({id(timer) for timers in seen for timer in timers}) == 1
+        assert after_close == []
 
     def test_after_a_dropped_query(self, deadline_timers):
         async def scenario():
@@ -274,7 +285,9 @@ class TestNothingOutlivesAQuery:
                 with pytest.raises(DnsClientError, match="timeout after 0.02s"):
                     await client.query("appldnld.apple.com", CLIENT)
                 self.assert_clean(client, deadline_timers)
-                return responder.queries, client.timeouts
+                counts = responder.queries, client.timeouts
+            assert deadline_timers() == []
+            return counts
 
         assert asyncio.run(scenario()) == (3, 3)  # 1 + retries, each counted
 
@@ -291,6 +304,130 @@ class TestNothingOutlivesAQuery:
                 with pytest.raises(asyncio.CancelledError):
                     await caller
                 self.assert_clean(client, deadline_timers)
-                return responder.queries, client.timeouts
+                counts = responder.queries, client.timeouts
+            assert deadline_timers() == []
+            return counts
 
         assert asyncio.run(scenario()) == (1, 0)
+
+
+# ----------------------------------------------------------------------
+# One timer per client: what the queue of waits must hold to
+# ----------------------------------------------------------------------
+
+
+def _drop(name: str):
+    """A reply that answers every query except those for ``name``."""
+    label = name.split(".")[0].encode()
+    return lambda data: None if label in data else _echo(data)
+
+
+def test_twenty_answered_queries_call_call_at_at_most_once():
+    calls = []
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        real = loop.call_at
+
+        def counted(when, callback, *args, **kwargs):
+            calls.append(callback)
+            return real(when, callback, *args, **kwargs)
+
+        async with _served(_echo) as (client, _responder):
+            loop.call_at = counted
+            try:
+                for _ in range(20):
+                    await client.query("appldnld.apple.com", CLIENT)
+            finally:
+                del loop.call_at
+
+    asyncio.run(scenario())
+    assert len(calls) <= 1
+
+
+def test_an_unanswered_query_times_out_at_its_own_due_time_not_a_newer_one():
+    resolution = time.get_clock_info("monotonic").resolution
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        async with _served(_drop("dropped.example"), timeout=0.3, retries=0) as (
+            client, _responder,
+        ):
+            older = asyncio.create_task(client.query("dropped.example", CLIENT))
+            while not client._protocol.waiters:
+                await asyncio.sleep(0)
+            ((due, _waiter),) = client._protocol.waiters.values()
+            ended = []
+            older.add_done_callback(lambda _task: ended.append(loop.time()))
+            await asyncio.sleep(0.1)
+            # A newer query, sent and answered while the older one waits.
+            await client.query("appldnld.apple.com", CLIENT)
+            with pytest.raises(DnsClientError, match="timeout after 0.3s"):
+                await older
+            return due, ended[0], client.timeouts
+
+    due, ended, timeouts = asyncio.run(scenario())
+    # Deliberately tight: the older query ends within the clock's
+    # resolution plus 20 ms of its own due time ...
+    assert due - resolution <= ended <= due + resolution + 0.02
+    # ... and, whatever the host's latency, well before the newer
+    # query's, which was sent 0.1 s later.
+    assert ended < due + 0.1
+    assert timeouts == 1
+
+
+def test_a_thousand_answered_queries_leave_the_wait_queue_empty():
+    async def scenario():
+        async with _served(_echo, timeout=30.0) as (client, responder):
+            async def ask(times):
+                for _ in range(times):
+                    await client.query("appldnld.apple.com", CLIENT)
+
+            await ask(500)
+            await asyncio.gather(*(ask(50) for _ in range(10)))
+            return len(client._protocol.waiters), responder.queries, client.timeouts
+
+    assert asyncio.run(scenario()) == (0, 1000, 0)
+
+
+def test_a_cancelled_caller_leaves_no_waiter_and_the_timer_fires_harmlessly(
+    deadline_timers,
+):
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        errors = []
+        loop.set_exception_handler(lambda _loop, context: errors.append(context))
+        async with _served(None, timeout=0.2) as (client, _responder):
+            caller = asyncio.create_task(
+                client.query("appldnld.apple.com", CLIENT)
+            )
+            while not client._protocol.waiters:
+                await asyncio.sleep(0)
+            caller.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await caller
+            left = dict(client._protocol.waiters)
+            pending = len(deadline_timers())
+            await asyncio.sleep(0.3)  # past the wait's due time
+            return left, pending, deadline_timers(), errors, client.timeouts
+
+    left, pending, after_fire, errors, timeouts = asyncio.run(scenario())
+    assert left == {}
+    assert pending == 1  # the client's timer, left to lapse
+    assert (after_fire, errors, timeouts) == ([], [], 0)
+
+
+def test_closing_the_client_mid_query_cancels_the_caller():
+    async def scenario():
+        async with _served(None, timeout=30.0) as (client, _responder):
+            caller = asyncio.create_task(
+                client.query("appldnld.apple.com", CLIENT)
+            )
+            while not client._protocol.waiters:
+                await asyncio.sleep(0)
+            client.close()
+            with pytest.raises(asyncio.CancelledError):
+                await caller
+            return client.timeouts
+
+    assert asyncio.run(scenario()) == 0
