@@ -189,24 +189,35 @@ class Resolution:
         return self.rcode is RCode.NOERROR and bool(self.addresses)
 
 
-# id(answer tuple) -> its tick-free read: (step, addresses, redirect,
-# TTL), the step as the hop name and operator it was read under.  The
-# step holds the tuple, so while an entry is here no other live tuple
-# can share its id; the hop name and operator are checked on every use,
-# since one tuple may be served under two names or in two server
-# universes.  Policies intern their answers, so a replay's few thousand
-# distinct tuples are read about once per eviction instead of once per
-# client and tick; the oldest entry makes room at the wire memos' bound.
+# hop name -> {id(answer tuple): its tick-free read}: (step, addresses,
+# redirect, TTL), the step as the operator it was read under.  The step
+# holds the tuple, so while an entry is here no other live tuple can
+# share its id; the operator is checked on every use, since one tuple
+# may be served in two server universes.  Policies intern their answers
+# per name, the oldest making room at the wire memos' bound, and each
+# name's reads are kept to that same bound: a read lives about as long
+# as the interned tuple it reads, so a replay reads each distinct tuple
+# about once, however many names churn beside it.  The names themselves
+# are bounded alike.
 _READS: dict = {}
 
 
+def _reads_of(name: str) -> dict:
+    """The reads remembered for hop ``name``, made on first ask."""
+    reads = _READS.get(name)
+    if reads is None:
+        reads = {}
+        _remember(_READS, name, reads)
+    return reads
+
+
 def _read_answer(
-    name: str, operator: str, records: tuple[ResourceRecord, ...]
+    name: str, operator: str, records: tuple[ResourceRecord, ...], reads: dict
 ) -> tuple:
     """The read of ``records`` answered for ``name`` by ``operator``,
-    built and remembered in ``_READS``."""
+    built and remembered in ``reads``, the name's memo."""
     read = (ResolutionStep(name, operator, records),) + _read(records)
-    _remember(_READS, id(records), read)
+    _remember(reads, id(records), read)
     return read
 
 
@@ -462,10 +473,10 @@ def resolve_bulk(
     and resolver.
 
     Each distinct answer tuple is read once: its step and what it yields
-    to the walk are kept across sweeps (``_READS``), and only the time a
-    cache may keep it is worked out per ``now``.  Clients handed the
-    same tuple at one time share one answer, and policies hand equal
-    answers out as the same tuple.
+    to the walk are kept across sweeps (``_READS``, per hop name), and
+    only the time a cache may keep it is worked out per ``now``.
+    Clients handed the same tuple at one time share one answer, and
+    policies hand equal answers out as the same tuple.
 
     Failures that :meth:`RecursiveResolver.resolve` raises are returned
     in-place as :class:`ResolutionError` instances so one bad vantage
@@ -496,12 +507,11 @@ def resolve_bulk(
     locate = server_map.locate if server_map is not None else None
     noerror, nxdomain = RCode.NOERROR, RCode.NXDOMAIN
     new_resolution = object.__new__
-    reads = _READS
     # Chain name (with the resolver, when no map says the clients share
     # one server universe) -> (time, operator, the answer bound at that
-    # time, answer tuple id -> its _Answer), so clients handed the same
-    # tuple share one.  The held step keeps its tuple alive, so an equal
-    # id is the same tuple.
+    # time, answer tuple id -> its _Answer, the name's reads), so
+    # clients handed the same tuple share one.  The held step keeps its
+    # tuple alive, so an equal id is the same tuple.
     hops: dict = {}
     for _ in range(_MAX_CHAIN):
         if not active:
@@ -529,21 +539,18 @@ def resolve_bulk(
                         )
                         continue
                     hop = hops[hop_key] = (
-                        at, server.operator, zone.answer_at(hop_name, at) or _nothing, {}
+                        at, server.operator, zone.answer_at(hop_name, at) or _nothing,
+                        {}, _reads_of(hop_name),
                     )
-                _, operator, bound, answers = hop
+                _, operator, bound, answers, reads = hop
                 records = bound(context)
                 if type(records) is not tuple:
                     records = tuple(records)
                 answer = answers.get(id(records))
                 if answer is None:
                     read = reads.get(id(records))
-                    if (
-                        read is None
-                        or read[0].name != hop_name
-                        or read[0].operator != operator
-                    ):
-                        read = _read_answer(hop_name, operator, records)
+                    if read is None or read[0].operator != operator:
+                        read = _read_answer(hop_name, operator, records, reads)
                     answer = answers[id(records)] = _Answer(read, at)
                 if resolver._metered:
                     resolver._count_query(operator, len(records))

@@ -145,17 +145,21 @@ class FlowLog:
         srcs: Sequence[int],
         dsts: Sequence[int],
         sizes: Sequence[int],
-        link_ids: Sequence[str],
+        link_ids: Sequence,
+        links: Optional[Sequence[str]] = None,
     ) -> None:
         """Append the flows of one timestamp, given as four equal-length columns.
 
         Row ``i`` is the flow ``(srcs[i], dsts[i], sizes[i], link_ids[i])``,
-        addresses as their integer values.  All or nothing: the columns
-        are built before the log is touched, so columns of different
-        lengths, a block that goes back in time, a timestamp that is not
-        finite, a size that is not positive or a value its column cannot
-        hold (``TypeError`` / ``OverflowError``) raises with every row of
-        the log as it was.
+        addresses as their integer values and links by name — or, with
+        ``links``, by their index in that table.  A column already in
+        its typed form (``array`` ``'I'``, ``'I'``, ``'q'``, and ``'H'``
+        for indexes) is copied whole, not element by element.  All or
+        nothing: the columns are built before the log is touched, so
+        columns of different lengths, a block that goes back in time, a
+        timestamp that is not finite, a size that is not positive or a
+        value its column cannot hold (``TypeError`` / ``OverflowError``
+        / ``IndexError``) raises with every row of the log as it was.
         """
         if not math.isfinite(timestamp):  # a NaN would pass every order check
             raise ValueError("flow timestamps must be finite")
@@ -167,8 +171,17 @@ class FlowLog:
             raise ValueError("flow bytes must be positive")
         new_srcs, new_dsts = array("I", srcs), array("I", dsts)
         new_sizes = array("q", sizes)
-        self._intern(link_ids)
-        new_links = array("H", map(self._link_index.__getitem__, link_ids))
+        index = self._link_index
+        if links is None:
+            self._intern(link_ids)
+            new_links = array("H", map(index.__getitem__, link_ids))
+        else:
+            new_links = array("H", link_ids)
+            used = dict.fromkeys(new_links)
+            self._intern([links[link] for link in used])
+            remap = {link: index[links[link]] for link in used}
+            if any(link != row for link, row in remap.items()):
+                new_links = array("H", map(remap.__getitem__, new_links))
         self.srcs.extend(new_srcs)
         self.dsts.extend(new_dsts)
         self.sizes.extend(new_sizes)
@@ -516,13 +529,16 @@ class NetflowCollector:
         srcs: Sequence[int],
         dsts: Sequence[int],
         sizes: Sequence[int],
-        link_ids: Sequence[str],
+        link_ids: Sequence,
+        links: Optional[Sequence[str]] = None,
     ) -> int:
         """Export the flows of one tick, given as four columns.
 
         What the simulation engine hands over at the end of a tick:
         row ``i`` is ``(srcs[i], dsts[i], sizes[i], link_ids[i])``,
-        addresses as their integer values.  At rate 1 each row is one
+        addresses as their integer values, links by name or, with
+        ``links``, by index into it (the engine's typed columns, which
+        the log copies whole).  At rate 1 each row is one
         unsampled record, so every byte shows up in exactly one record
         and small scenario runs do not suffer sampling noise.  At 1-in-N
         a row of B bytes is ``max(1, round(B / flow_bytes))`` flows of
@@ -544,8 +560,9 @@ class NetflowCollector:
             kept_srcs, kept_dsts, kept_sizes, kept_links = exported
             for src, dst, total, link_id in zip(srcs, dsts, sizes, link_ids):
                 dotted = str(IPv4Address(src))
+                name = link_id if links is None else links[link_id]
                 for index in range(max(1, round(total / size))):
-                    if stable_fraction(link_id, timestamp, dotted, index) < keep:
+                    if stable_fraction(name, timestamp, dotted, index) < keep:
                         kept_srcs.append(src)
                         kept_dsts.append(dst)
                         kept_sizes.append(size)
@@ -553,7 +570,7 @@ class NetflowCollector:
         count = len(exported[0])
         if count and timestamp < self._drained_until:
             raise ValueError("flows must be appended in time order")
-        self._log.append_block(timestamp, *exported)
+        self._log.append_block(timestamp, *exported, links=links)
         self.total_offered_bytes += offered
         self._m_offered.inc(offered)
         if count:

@@ -18,8 +18,13 @@ Each step the engine:
 from __future__ import annotations
 
 import math
+import sys
 import time
+from array import array
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import Callable, Iterable, Optional, Sequence
 
 from ..net.geo import MappingRegion
@@ -35,6 +40,116 @@ _GBPS_TO_BYTES = 1e9 / 8.0
 # Servers per CDN the ISP's traffic is spread over, stride-sampled from
 # the active list.
 ISP_SERVER_FANOUT = 64
+
+
+def _sample_sources(active: Sequence) -> list[IPv4Address]:
+    """Up to ``ISP_SERVER_FANOUT`` addresses, proportionally sampled.
+
+    Stride sampling over the exposure-ordered active list (its own-AS
+    members only, for background traffic) keeps the source composition
+    (own-AS / hosted / overflow-cluster) representative, which is what
+    the handover-AS shares of Figure 8 are made of.
+    """
+    if len(active) <= ISP_SERVER_FANOUT:
+        return [placed.server.address for placed in active]
+    stride = len(active) / ISP_SERVER_FANOUT
+    return [
+        active[int(index * stride)].server.address
+        for index in range(ISP_SERVER_FANOUT)
+    ]
+
+
+# The tick's address columns are ``array('I')``, read here as one
+# integer of 32-bit lanes in the machine's byte order.
+_BYTE_ORDER = sys.byteorder
+_LANE_ONE = (1).to_bytes(array("I").itemsize, _BYTE_ORDER)
+
+
+def _destinations(srcs: array, first: int, second: int) -> array:
+    """Customer host ``first + (src + second) % 1024`` for each of ``srcs``.
+
+    Lane-parallel: the column is one integer of 32-bit lanes, the offset
+    ``src % 1024`` plus ``second % 1024`` stays below 2**11 and the host
+    ``first + 1023`` below 2**32, so no lane carries into the next and a
+    few big-integer operations stand in for a loop per flow.
+    """
+    ones = int.from_bytes(_LANE_ONE * len(srcs), _BYTE_ORDER)
+    mask = ones * 1023
+    offsets = (int.from_bytes(srcs, _BYTE_ORDER) & mask) + ones * (second % 1024)
+    hosts = (offsets & mask) + ones * first
+    return array("I", hosts.to_bytes(len(_LANE_ONE) * len(srcs), _BYTE_ORDER))
+
+
+class _RouteTemplate:
+    """The flows one source sample puts into the ISP, whatever it sends.
+
+    A sample routes the same way every tick; only the bytes change.  Its
+    flows are columns in the per-flow loop's order, one entry per
+    (source with a route, link of that route): the source value
+    (``srcs``), the route's link count (``widths``: a flow carries
+    ``bytes / width``) and the link's index in the engine's link table
+    (``link_ids``).  ``uniform`` says every route is ``widest`` links
+    wide.  ``links`` holds, per link in first-appearance order,
+    ``(link_id, capacity_bytes, last, narrowest, head)``: the width of
+    the link's last flow, the smallest width of any (its largest share)
+    and the widths of the flows before the last, in order, as one flat
+    ``(width, run length, width, run length, ...)`` tuple.  ``count`` is
+    the sample's size, routeless sources included.
+    """
+
+    __slots__ = ("count", "srcs", "widths", "link_ids", "widest", "uniform", "links")
+
+    def __init__(
+        self, count: int, srcs: list[int], widths: list[int], link_ids: list[int],
+        names: Sequence[str], capacities: Sequence[float],
+    ) -> None:
+        self.count = count
+        self.srcs = array("I", srcs)
+        self.widths = array("H", widths)
+        self.link_ids = array("H", link_ids)
+        self.widest = max(widths, default=0)
+        self.uniform = len(set(widths)) <= 1
+        runs: dict[int, list[int]] = {}
+        for width, link in zip(widths, link_ids):
+            link_runs = runs.setdefault(link, [])
+            if link_runs and link_runs[-2] == width:
+                link_runs[-1] += 1
+            else:
+                link_runs += (width, 1)
+        links = []
+        for link, link_runs in runs.items():
+            narrowest, last = min(link_runs[::2]), link_runs[-2]
+            link_runs[-1] -= 1  # the last flow is not in the head
+            if not link_runs[-1]:
+                del link_runs[-2:]
+            links.append(
+                (names[link], capacities[link], last, narrowest, tuple(link_runs))
+            )
+        self.links = tuple(links)
+
+
+def _clip_free_fills(
+    template: _RouteTemplate, shares: list[float], link_used: dict[str, float]
+) -> Optional[list[float]]:
+    """Each template link's fill after the call, or ``None`` if a flow
+    could be clipped or carries less than a byte.
+
+    Room only shrinks as the fill grows (``fl(cap - u)`` never rises
+    with ``u``), so when a link's largest share is below the room left
+    before its last flow, every flow on it fitted the room it met.
+    """
+    if not shares[-1] >= 1.0:  # the widest route's share: sub-byte, or NaN
+        return None
+    fills = []
+    for link_id, capacity, last, narrowest, head in template.links:
+        used = link_used.get(link_id, 0.0)
+        runs = iter(head)
+        for width, run in zip(runs, runs):
+            used = reduce(add, repeat(shares[width], run), used)
+        if not shares[narrowest] < capacity - used:
+            return None
+        fills.append(used + shares[last])
+    return fills
 
 
 def check_run_window(start: float, end: float, workers: int) -> None:
@@ -396,12 +511,21 @@ class SimulationEngine:
         self.clock: Callable[[], float] = (
             clock if clock is not None else time.perf_counter
         )
-        self._server_rank_cache: dict[tuple[str, bool, int], list] = {}
-        # source value -> ((link_id, capacity_bytes), ...): the links of
-        # the source's route and what each carries in one step.  The
-        # table and the link set never change, so a plan is built on
-        # first use and kept for the run (and never checkpointed).
-        self._route_plans: dict[int, tuple[tuple[str, float], ...]] = {}
+        # Source-sample key -> its _RouteTemplate: (operator, own-AS?,
+        # active count) for a CDN's sample, the source values for the
+        # pre-cache fill.  The RIB and the link set never change, so a
+        # template is built on first use and kept for the run (and
+        # never checkpointed).
+        self._route_templates: dict[tuple, _RouteTemplate] = {}
+        # The links templates route over, in the order they were first
+        # named, with what each carries in one step: a template names a
+        # link by its index here, and the tick's link column hands the
+        # collector those indexes with ``_links``.  First named is
+        # almost always first carried, so the flow log's own table
+        # comes out in the same order and takes the column as it is.
+        self._links: list[str] = []
+        self._link_index: dict[str, int] = {}
+        self._capacities: list[float] = []
         # Destinations are customer hosts 1..1024; that they exist is
         # checked here, once, instead of once per flow.
         customers = scenario.isp.customer_prefix
@@ -623,15 +747,15 @@ class SimulationEngine:
         The tick is accumulated here and written once: ``_route_bytes``
         fills ``link_used`` (the float fill level it clips against),
         ``carried`` (integer bytes per link, in first-carried order) and
-        ``flows``, the four columns (src, dst, bytes, link_id) with one
-        entry per flow; SNMP then gets one add per link and the
+        ``flows``, the four typed columns (src, dst, bytes, link index)
+        with one entry per flow; SNMP then gets one add per link and the
         collector one block.
         """
         scenario = self.scenario
         config = scenario.config
         link_used: dict[str, float] = {}
         carried: dict[str, int] = {}
-        flows: tuple[list, list, list, list] = ([], [], [], [])
+        flows = (array("I"), array("I"), array("q"), array("H"))
         tick = (int(now), link_used, carried, flows)
         # Background exists even for CDNs the Meta-CDN is not currently
         # using (Akamai's big baseline continues after it leaves the
@@ -652,9 +776,13 @@ class SimulationEngine:
                 )
         fill_sources, fill_gbps = scenario.precache_fill(now)
         if fill_sources and fill_gbps > 0:
+            key = tuple(source.value for source in fill_sources)
+            template = self._route_templates.get(key)
+            if template is None:
+                template = self._route_templates[key] = self._template(fill_sources)
             fill_bytes = fill_gbps * _GBPS_TO_BYTES * self.step_seconds
-            self._route_bytes(fill_sources, fill_bytes / len(fill_sources), *tick)
-        exported = scenario.netflow.observe_block(now, *flows)
+            self._route_bytes(template, fill_bytes / template.count, *tick)
+        exported = scenario.netflow.observe_block(now, *flows, links=self._links)
         for link_id, count in carried.items():
             scenario.snmp.add_bytes(link_id, now, count)
         return exported, link_used
@@ -666,88 +794,124 @@ class SimulationEngine:
         deployment = self.scenario.estate.deployments.get(operator)
         if deployment is None:
             return
-        sources = self._sample_sources(operator, own_as_only, deployment)
-        if not sources:
+        active = deployment.active_servers(MappingRegion.EU)
+        # The active list is a prefix of one fixed order, so its length
+        # names it, and what is sampled from it.
+        key = (operator, own_as_only, len(active))
+        template = self._route_templates.get(key)
+        if template is None:
+            if own_as_only:
+                active = tuple(p for p in active if p.server.asn == deployment.asn)
+            template = self._route_templates[key] = self._template(
+                _sample_sources(active)
+            )
+        if not template.count:
             return
         total_bytes = gbps * _GBPS_TO_BYTES * self.step_seconds
-        self._route_bytes(sources, total_bytes / len(sources), *tick)
+        self._route_bytes(template, total_bytes / template.count, *tick)
 
-    def _sample_sources(
-        self, operator: str, own_as_only: bool, deployment
-    ) -> list[IPv4Address]:
-        """Up to ``ISP_SERVER_FANOUT`` addresses, proportionally sampled.
-
-        Stride sampling over the exposure-ordered active list (its
-        own-AS members only, for background traffic) keeps the source
-        composition (own-AS / hosted / overflow-cluster)
-        representative, which is what the handover-AS shares of
-        Figure 8 are made of.  The active list is a prefix of one fixed
-        order, so its length names it — and what was sampled from it.
-        """
-        active = deployment.active_servers(MappingRegion.EU)
-        key = (operator, own_as_only, len(active))
-        cached = self._server_rank_cache.get(key)
-        if cached is not None:
-            return cached
-        if own_as_only:
-            active = tuple(p for p in active if p.server.asn == deployment.asn)
-        if len(active) <= ISP_SERVER_FANOUT:
-            sources = [placed.server.address for placed in active]
-        else:
-            stride = len(active) / ISP_SERVER_FANOUT
-            sources = [
-                active[int(index * stride)].server.address
-                for index in range(ISP_SERVER_FANOUT)
-            ]
-        self._server_rank_cache[key] = sources
-        return sources
-
-    def _plan_route(self, source: IPv4Address) -> tuple[tuple[str, float], ...]:
-        route = self.scenario.rib.lookup(source)
-        if route is None:
-            return ()
-        isp = self.scenario.isp
-        return tuple(
-            (link_id, isp.link(link_id).capacity_bytes(self.step_seconds))
-            for link_id in route.link_ids
+    def _template(self, sources: Sequence[IPv4Address]) -> _RouteTemplate:
+        """The flows of ``sources``, routed through the public RIB."""
+        rib, isp, index = self.scenario.rib, self.scenario.isp, self._link_index
+        srcs: list[int] = []
+        widths: list[int] = []
+        link_ids: list[int] = []
+        for source in sources:
+            route = rib.lookup(source)
+            if route is None:
+                continue  # no route: traffic never arrives
+            width = len(route.link_ids)
+            for link_id in route.link_ids:
+                link = index.get(link_id)
+                if link is None:
+                    capacity = isp.link(link_id).capacity_bytes(self.step_seconds)
+                    link = index[link_id] = len(self._links)
+                    self._links.append(link_id)
+                    self._capacities.append(capacity)
+                srcs.append(source.value)
+                widths.append(width)
+                link_ids.append(link)
+        return _RouteTemplate(
+            len(sources), srcs, widths, link_ids, self._links, self._capacities
         )
 
     def _route_bytes(
         self,
-        sources: Sequence[IPv4Address],
+        template: _RouteTemplate,
         total_bytes: float,
         second: int,
         link_used: dict[str, float],
         carried: dict[str, int],
-        flows: tuple[list, list, list, list],
+        flows: tuple[array, array, array, array],
     ) -> None:
-        """Carry ``total_bytes`` from each of ``sources`` into the ISP."""
-        plans = self._route_plans
+        """Carry ``total_bytes`` from each of the template's sources into the ISP.
+
+        A source's route of ``width`` links gets ``total_bytes / width``
+        on each.  When no link can fill up during the call and every
+        share is a byte or more, no flow is clipped or dropped, so the
+        columns are extended whole and each link's fill is advanced
+        once, by the same left-to-right float additions the per-flow
+        loop makes (``reduce``, never ``sum``, which compensates on
+        Python 3.12).  Otherwise the per-flow loop runs.
+        """
+        if not template.srcs:
+            return
+        shares = [0.0] + [total_bytes / w for w in range(1, template.widest + 1)]
+        fills = _clip_free_fills(template, shares, link_used)
+        if fills is None:
+            self._route_flows(template, shares, second, link_used, carried, flows)
+            return
+        sizes = [int(share) for share in shares]
+        for (link_id, _, last, _, head), fill in zip(template.links, fills):
+            link_used[link_id] = fill
+            total = carried.get(link_id, 0) + sizes[last]
+            runs = iter(head)
+            for width, run in zip(runs, runs):
+                total += run * sizes[width]
+            carried[link_id] = total
+        srcs, dsts, flow_sizes, link_ids = flows
+        srcs.extend(template.srcs)
+        dsts.extend(_destinations(template.srcs, self._first_customer, second))
+        if template.uniform:
+            flow_sizes.extend(array("q", [sizes[template.widest]]) * len(template.srcs))
+        else:
+            flow_sizes.extend(array("q", map(sizes.__getitem__, template.widths)))
+        link_ids.extend(template.link_ids)
+
+    def _route_flows(
+        self,
+        template: _RouteTemplate,
+        shares: list[float],
+        second: int,
+        link_used: dict[str, float],
+        carried: dict[str, int],
+        flows: tuple[array, array, array, array],
+    ) -> None:
+        """The per-flow loop: each flow clipped to its link's room.
+
+        A share that meets a full link is cut to what is left and the
+        excess never arrives; one that truncates to no bytes still
+        fills its link but makes no flow.
+        """
+        names, capacities = self._links, self._capacities
         first_customer = self._first_customer
         put_src, put_dst, put_size, put_link = (column.append for column in flows)
-        for source in sources:
-            src = source.value
-            plan = plans.get(src)
-            if plan is None:
-                plan = plans[src] = self._plan_route(source)
-            if not plan:
-                continue  # no route: traffic never arrives
-            per_link = total_bytes / len(plan)
-            dst = first_customer + (src + second) % 1024  # same for every link
-            for link_id, capacity in plan:
-                used = link_used.get(link_id, 0.0)
-                room = capacity - used
-                share = per_link if per_link < room else room
-                if share <= 0:
-                    continue  # saturated: the excess never arrives
-                link_used[link_id] = used + share
-                share_bytes = int(share)
-                if share_bytes <= 0:
-                    continue
-                carried[link_id] = carried.get(link_id, 0) + share_bytes
-                put_src(src)
-                put_dst(dst)
-                put_size(share_bytes)
-                put_link(link_id)
+        for src, width, link in zip(template.srcs, template.widths, template.link_ids):
+            link_id = names[link]
+            per_link = shares[width]
+            used = link_used.get(link_id, 0.0)
+            room = capacities[link] - used
+            share = per_link if per_link < room else room
+            if share <= 0:
+                continue  # saturated: the excess never arrives
+            link_used[link_id] = used + share
+            share_bytes = int(share)
+            if share_bytes <= 0:
+                continue
+            carried[link_id] = carried.get(link_id, 0) + share_bytes
+            put_src(src)
+            put_dst(first_customer + (src + second) % 1024)
+            put_size(share_bytes)
+            put_link(link)
 
     # ------------------------------------------------------------------

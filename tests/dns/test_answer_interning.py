@@ -3,8 +3,8 @@
 Policies hand out one tuple per distinct answer, so the chase
 (``resolve_bulk``) reads each tuple once and keeps that read — the step,
 the addresses, the redirect, the TTL — in a bounded, process-wide memo
-keyed by the tuple's id.  Each half can go wrong on its own, and the
-tests below hold both:
+per hop name, keyed by the tuple's id.  Each half can go wrong on its
+own, and the tests below hold both:
 
 * an interned GSLB answer must be the slice the pool holds *now*: a
   deployment moves its pool in place, so a memo keyed by the pool's
@@ -12,6 +12,11 @@ tests below hold both:
 * a remembered read must belong to the tuple being read, under the hop
   name and operator asking: an id can be reused once a tuple is gone,
   and one tuple can be served under two names or by two operators.
+
+A third test holds the memo to its purpose over a real campaign window:
+a read that is dropped while its tuple is still handed out is read
+again, so a memo that thrashes shows as reads far above the distinct
+tuples the chase was handed.
 """
 
 from hypothesis import given, settings
@@ -25,6 +30,8 @@ from repro.dns.records import ARecord
 from repro.dns.resolver import RecursiveResolver, resolve_bulk
 from repro.dns.wire import _MEMO_BOUND
 from repro.dns.zone import AuthoritativeServer, Zone
+from repro.simulation import ScenarioConfig, Sep2017Scenario, SimulationEngine
+from repro.workload import TIMELINE
 from repro.net.asys import AS_AKAMAI
 from repro.net.geo import Continent, Coordinates
 from repro.net.ipv4 import IPv4Address
@@ -161,6 +168,7 @@ def test_a_fresh_tuple_per_call_is_read_as_itself_in_a_bounded_memo():
             assert (step.name, step.operator) == ("x.fresh.test", "Fresh")
             assert outcome.addresses == (records[0].data,)
         assert len(resolver_module._READS) <= _MEMO_BOUND
+        assert all(len(reads) <= _MEMO_BOUND for reads in resolver_module._READS.values())
         del outcomes, records, step
     assert policy.calls == 30 * 50
 
@@ -182,3 +190,43 @@ def test_one_tuple_served_under_two_names_and_by_two_operators():
             (step,) = outcome.steps
             assert step.records is shared
             assert (step.name, step.operator) == (name, operator)
+
+
+def test_a_campaign_window_reads_each_distinct_answer_about_once(monkeypatch):
+    """Twelve hours from Sep 19 12:00 at the paper's 5-minute cadence,
+    80 global and 20 ISP probes: every tuple a policy hands the chase is
+    kept alive here, so ids are never reused, and the reads may exceed
+    the distinct tuples by at most one memo's worth.  A memo of 512 reads
+    shared by every name read 6 070 times for 2 675 tuples here."""
+    reads = {"count": 0}
+    handed = {}
+    read_answer = resolver_module._read_answer
+    answer_at = Zone.answer_at
+
+    def counted(*args):
+        reads["count"] += 1
+        return read_answer(*args)
+
+    def spied(self, name, now):
+        bound = answer_at(self, name, now)
+        if bound is None:
+            return None
+
+        def answer(client):
+            records = bound(client)
+            handed[id(records)] = records
+            return records
+
+        return answer
+
+    monkeypatch.setattr(resolver_module, "_read_answer", counted)
+    monkeypatch.setattr(Zone, "answer_at", spied)
+    resolver_module._READS.clear()
+    config = ScenarioConfig(
+        global_probe_count=80, isp_probe_count=20, global_dns_interval=300.0
+    )
+    engine = SimulationEngine(Sep2017Scenario(config), step_seconds=300.0)
+    start = TIMELINE.at(9, 19, 12)
+    engine.run(start, start + 12 * 3600.0)
+    assert len(handed) > 2 * _MEMO_BOUND  # enough distinct answers to thrash
+    assert reads["count"] <= len(handed) + _MEMO_BOUND

@@ -1,18 +1,20 @@
 """The ISP traffic phase against a per-flow reference, and pinned counts.
 
-The engine accumulates one tick — sources routed from a per-source
-plan, clipped against ``link_used`` — and writes it once: one SNMP add
-per link, one flow-log block.  The per-link load is the result (Figures
+The engine accumulates one tick — each source sample's flows laid out
+once in a route template, clipped against ``link_used`` — and writes it
+once: one SNMP add per link, one flow-log block.  The per-link load is the result (Figures
 6-8), so the rewrite is held to *bit-identical*, two ways:
 
 * ``reference_tick`` is the loop the engine ran before: flow by flow
   through the public ``rib.lookup`` / ``isp.link`` /
   ``capacity_bytes`` / ``customer_prefix.host`` / ``snmp.add_bytes``
   calls, each flow a one-row ``observe_block``.  Hypothesis drives both
-  over hand-built static worlds — links small enough to saturate,
+  over hand-built static worlds — links small enough to saturate, and
+  to fill partway through one sample's flows, shares under a byte,
   sources that repeat within a tick, sources with no route, routes
-  under a covering prefix, Netflow sampling 1 and 3 — and every
-  product must be equal:
+  under a covering prefix, one sample routed over several ticks (the
+  engine's route templates reused) and samples that change under it,
+  Netflow sampling 1 and 3 — and every product must be equal:
   the five flow columns and the link table, the SNMP bins with their
   key order, ``link_used``, the offered total and the counters of a
   real registry.
@@ -228,8 +230,17 @@ routes = st.builds(
 )
 # 1e-5 Gbps is 375 000 bytes a step: against offers of up to 0.002 Gbps
 # most links saturate, and a full link leaves fractions of a byte over.
-capacities = st.sampled_from([1e-8, 1e-5, 1.7e-5, 1e-4, 1e-3, 10.0])
-gbps = st.sampled_from([0.0, 1e-9, 3e-6, 1e-5, 1e-4, 3e-4, 7e-4, 2e-3])
+# 4e-5 Gbps holds one 1e-4 Gbps source of three and not two, so a link
+# fills partway through a call.  2e-10 Gbps is 7.5 bytes a step, under
+# a byte a flow once spread over three sources of a three-link route.
+# Up to six hosts of one /24: one route, so each of its links takes a
+# run of equal shares in one call, added onto what earlier calls left.
+crowds = st.builds(
+    lambda net, size: [NETS[net].host(1 + i % 3) for i in range(size)],
+    st.integers(0, 7), st.integers(3, 6),
+)
+capacities = st.sampled_from([1e-8, 1e-5, 1.7e-5, 4e-5, 1e-4, 1e-3, 10.0])
+gbps = st.sampled_from([0.0, 2e-10, 1e-9, 3e-6, 1e-5, 1e-4, 3e-4, 7e-4, 2e-3])
 specs = st.fixed_dictionaries({
     "capacities": st.lists(capacities, min_size=4, max_size=4),
     "routes": st.lists(routes, min_size=4, max_size=8, unique_by=lambda r: r.prefix),
@@ -250,9 +261,10 @@ ticks = st.lists(
             st.sampled_from(OPERATORS), st.integers(0, 6), max_size=1
         ),
         "backgrounds": st.dictionaries(st.sampled_from(OPERATORS), gbps),
-        "fill": st.tuples(st.lists(sources, max_size=4), gbps),
+        # None: the last tick's fill sources again, at a new rate.
+        "fill": st.tuples(st.one_of(st.none(), st.lists(sources, max_size=4), crowds), gbps),
     }),
-    min_size=2, max_size=4,
+    min_size=2, max_size=5,
 )
 
 
@@ -277,7 +289,10 @@ def check_tick_against_reference(spec, ticks, sampling):
             for operator, rate in tick["backgrounds"].items():
                 if operator in world.background_gbps:
                     world.background_gbps[operator] = rate
-            world.fill = tick["fill"]
+            fill_sources, fill_gbps = tick["fill"]
+            if fill_sources is None:
+                fill_sources = world.fill[0]
+            world.fill = (fill_sources, fill_gbps)
         flows, link_used = engine._generate_isp_traffic_impl(now, tick["split"])
         expected_flows, expected_used = reference_tick(model, now, tick["split"])
         assert flows == expected_flows

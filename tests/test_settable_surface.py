@@ -9,10 +9,13 @@ later one), forwards a ``**mapping`` holding its name as a key, or
 forwards its own ``**kwargs`` (followed to that function's callers).  A
 dataclass field is also set by ``replace(..., name=)`` and by an
 attribute write (``obj.name = ...``, ``+=``, ``.append(...)``): such a
-field is state the program keeps, not an option.  Calls are matched by
-callee name, so a same-named callable's setter counts too; the scan errs
-towards finding a setter.  Names with a leading underscore, dunder
-methods, ``ClassVar`` and ``field(init=False)`` are not surface.
+field is state the program keeps, not an option.  A call that names its
+class (``Class.method(...)``, or ``cls.method(...)`` / ``type(self).method(...)``
+inside one) sets that class's method, or an inherited one, and no other;
+any other call is matched by callee name, so a same-named method's setter
+counts too and the scan errs towards finding one.  Names with a leading
+underscore, dunder methods, ``ClassVar`` and ``field(init=False)`` are
+not surface.
 
 A value nothing outside the tests sets is a module constant that tests
 monkeypatch.  The exceptions are :data:`ALLOWED`, one line each, of
@@ -212,11 +215,18 @@ _MUTATORS = {"append", "add", "extend", "update", "setdefault", "pop", "clear",
 
 
 class Setters(ast.NodeVisitor):
-    """What the calls of the scanned files set, by callee name."""
+    """What the calls of the scanned files set, by callee name.
 
-    def __init__(self):
+    ``below`` maps each class name to itself and its subclasses
+    (:func:`subclasses`).  A call that names one of those classes as its
+    owner is keyed ``Class.method``; every other call by its bare callee
+    name.
+    """
+
+    def __init__(self, below):
+        self.below = below
         self.by_callee = {}        # name -> {keyword, position, ("from", i), "**"}
-        self.forwards = set()      # (function forwarding its **kwargs, callee)
+        self.forwards = set()      # ((function, its class) forwarding **kwargs, callee)
         self.mapping_keys = set()  # string keys of dict displays / item writes
         self.written = set()       # attribute names written or mutated
         self.replaced = set()      # keywords of replace(...)
@@ -230,7 +240,8 @@ class Setters(ast.NodeVisitor):
 
     def visit_FunctionDef(self, node):
         kwarg = node.args.kwarg.arg if node.args.kwarg else None
-        self._functions.append((node.name, kwarg))
+        owner = self._classes[-1].name if self._classes else None
+        self._functions.append(((node.name, owner), kwarg))
         self.generic_visit(node)
         self._functions.pop()
 
@@ -272,7 +283,25 @@ class Setters(ast.NodeVisitor):
             return [_name(base) for base in self._classes[-1].bases]
         if isinstance(func, ast.Attribute) and func.attr in _MUTATORS:
             self._write(func.value)
+        owner = self._owner(func)
+        if owner is not None:
+            return [f"{owner}.{func.attr}"]
         return [_name(func)]
+
+    def _owner(self, func):
+        """The class a ``Class.method`` / ``cls.method`` /
+        ``type(self).method`` callee names, or ``None``."""
+        if not isinstance(func, ast.Attribute):
+            return None
+        value = func.value
+        if isinstance(value, ast.Name):
+            if value.id == "cls" and self._classes:
+                return self._classes[-1].name
+            return value.id if value.id in self.below else None
+        if (isinstance(value, ast.Call) and _name(value.func) == "type"
+                and self._classes):
+            return self._classes[-1].name
+        return None
 
     def _record(self, callee, args, keywords):
         got = self.by_callee.setdefault(callee, set())
@@ -301,12 +330,22 @@ class Setters(ast.NodeVisitor):
                 self._record(callee, node.args, node.keywords)
         self.generic_visit(node)
 
+    def calls_of(self, name, owner=None):
+        """What calls set on ``name`` (a method of class ``owner``, or a
+        function): bare-name calls, and calls naming ``owner`` or a class
+        that inherits the method from it."""
+        got = set(self.by_callee.get(name, ()))
+        if owner is not None:
+            for cls in self.below.get(owner, {owner}):
+                got |= self.by_callee.get(f"{cls}.{name}", set())
+        return got
+
     def follow_forwards(self):
         changed = True
         while changed:
             changed = False
-            for source, target in self.forwards:
-                passed = {g for g in self.by_callee.get(source, ()) if isinstance(g, str)}
+            for (function, owner), target in self.forwards:
+                passed = {g for g in self.calls_of(function, owner) if isinstance(g, str)}
                 got = self.by_callee.setdefault(target, set())
                 if not passed <= got:
                     got |= passed
@@ -320,15 +359,35 @@ def outside_tests(roots=CALLERS):
                 yield path
 
 
+def subclasses():
+    """Class name -> itself and the names of every class under it in repro."""
+    bases = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                bases.setdefault(node.name, set()).update(_name(b) for b in node.bases)
+    below = {name: {name} for name in bases}
+    changed = True
+    while changed:
+        changed = False
+        for name, parents in bases.items():
+            for parent in parents & below.keys():
+                if not below[name] <= below[parent]:
+                    below[parent] |= below[name]
+                    changed = True
+    return below
+
+
 def unset_parameters():
     """Every defaulted parameter / field with no setter outside tests."""
-    setters = Setters()
+    setters = Setters(subclasses())
     for path in outside_tests():
         setters.visit(ast.parse(path.read_text()))
     setters.follow_forwards()
     unset = []
     for callee, label, parameters, is_dataclass in definitions():
-        got = setters.by_callee.get(callee, set())
+        owner, dot, method = label.partition(":")[2].partition(".")
+        got = setters.calls_of(callee, owner if dot and method != "__init__" else None)
         for name, position, defaulted in parameters:
             if not defaulted or name.startswith("_"):
                 continue
@@ -440,3 +499,25 @@ def test_seams_are_defined_and_called_by_tests_only():
 def test_deleted_test_only_methods_stay_deleted():
     for entry in DELETED:
         assert not _defined(entry), entry
+
+
+def test_a_call_naming_its_class_sets_that_class_method_only():
+    source = """
+class Base:
+    @classmethod
+    def make(cls, **kwargs):
+        return cls.build(**kwargs)
+
+class Sub(Base):
+    pass
+
+Base.build(size=1)
+Sub.make(depth=2)
+thing.build(width=3)
+"""
+    setters = Setters({"Base": {"Base", "Sub"}, "Sub": {"Sub"}, "Other": {"Other"}})
+    setters.visit(ast.parse(source))
+    setters.follow_forwards()
+    assert setters.calls_of("build", "Base") == {"size", "depth", "width"}
+    assert setters.calls_of("build", "Other") == {"width"}
+    assert setters.calls_of("make", "Sub") == {"depth"}
